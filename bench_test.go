@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/heuristics"
-	"repro/internal/lp"
 	"repro/internal/netsim"
 	"repro/internal/platgen"
 	"repro/internal/reduction"
@@ -154,15 +153,11 @@ func BenchmarkE5_Figure7_LPRR(b *testing.B) {
 	}
 }
 
-// BenchmarkE9_LPSolver_* solve the same K=20 rational relaxation with
-// each LP backend: the original dense two-phase tableau versus the
-// sparse revised simplex that is now the package default. The ratio
-// is the raw single-solve speedup of the solver refactor.
-func benchRelaxedWith(b *testing.B, s lp.Solver) {
+// BenchmarkE9_LPSolver_Revised solves the K=20 rational relaxation
+// through the one-shot Problem.Solve path: a cold revised-simplex
+// solve per call.
+func BenchmarkE9_LPSolver_Revised(b *testing.B) {
 	pr := benchProblem(b, 20, 3)
-	old := lp.DefaultSolver
-	lp.DefaultSolver = s
-	defer func() { lp.DefaultSolver = old }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := heuristics.UpperBound(pr, core.MAXMIN); err != nil {
@@ -171,16 +166,11 @@ func benchRelaxedWith(b *testing.B, s lp.Solver) {
 	}
 }
 
-func BenchmarkE9_LPSolver_Dense(b *testing.B)   { benchRelaxedWith(b, lp.DenseSolver{}) }
-func BenchmarkE9_LPSolver_Revised(b *testing.B) { benchRelaxedWith(b, lp.RevisedSolver{}) }
-
-// BenchmarkE10_BnB_* compare the exact branch-and-bound solver's two
-// node-relaxation strategies on K ∈ {4,6,8} platforms: cold dense
-// solves per node (the pre-refactor reference) versus warm-started
-// revised-simplex re-solves from the parent basis. The instances are
-// network-bound (tight connection budgets and bandwidths, non-uniform
-// payoffs), so the root relaxation is fractional and the tree
-// actually branches; both modes prove the same optimum.
+// BenchmarkE10_BnBWarm_* time the exact branch-and-bound solver
+// (warm-started revised-simplex re-solves from the parent basis) on
+// K ∈ {4,6,8} platforms. The instances are network-bound (tight
+// connection budgets and bandwidths, non-uniform payoffs), so the root
+// relaxation is fractional and the tree actually branches.
 func benchBnBProblem(b *testing.B, k int) *core.Problem {
 	b.Helper()
 	params := platgen.Params{K: k, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5}
@@ -195,23 +185,20 @@ func benchBnBProblem(b *testing.B, k int) *core.Problem {
 	return pr
 }
 
-func benchBnB(b *testing.B, k int, mode heuristics.BnBMode) {
+func benchBnB(b *testing.B, k int) {
 	pr := benchBnBProblem(b, k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := heuristics.BranchAndBoundMode(pr, core.SUM, 4000, mode)
+		_, _, err := heuristics.BranchAndBound(pr, core.SUM, 4000)
 		if err != nil && err != heuristics.ErrNodeBudget {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkE10_BnBColdDense_K4(b *testing.B) { benchBnB(b, 4, heuristics.BnBColdDense) }
-func BenchmarkE10_BnBWarm_K4(b *testing.B)      { benchBnB(b, 4, heuristics.BnBWarm) }
-func BenchmarkE10_BnBColdDense_K6(b *testing.B) { benchBnB(b, 6, heuristics.BnBColdDense) }
-func BenchmarkE10_BnBWarm_K6(b *testing.B)      { benchBnB(b, 6, heuristics.BnBWarm) }
-func BenchmarkE10_BnBColdDense_K8(b *testing.B) { benchBnB(b, 8, heuristics.BnBColdDense) }
-func BenchmarkE10_BnBWarm_K8(b *testing.B)      { benchBnB(b, 8, heuristics.BnBWarm) }
+func BenchmarkE10_BnBWarm_K4(b *testing.B) { benchBnB(b, 4) }
+func BenchmarkE10_BnBWarm_K6(b *testing.B) { benchBnB(b, 6) }
+func BenchmarkE10_BnBWarm_K8(b *testing.B) { benchBnB(b, 8) }
 
 // BenchmarkE11_Adaptive* time the §1 adaptability loop over 20
 // epochs on a network-bound platform: the cold path rebuilds and
@@ -284,116 +271,6 @@ func BenchmarkE11_AdaptiveWarmLPRG_K12(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkE12_* measure the native bounded-variable encoding against
-// the retired per-route β bound-row encoding on the warm LPRG epoch
-// loop — the E11 regime where the warm dual simplex fell behind a
-// cold rebuild at K≳20 because every pivot paid for the dense O(m²)
-// inverse over the inflated row count. Cold rebuild timings live in
-// BenchmarkE11_AdaptiveColdLPRG_*; the ratio legacy/native is the
-// direct payoff of retiring the rows.
-func benchE12WarmLPRG(b *testing.B, k int, legacy bool) {
-	pr := benchBnBProblem(b, k)
-	model := benchAdaptiveModel(pr)
-	build := (*core.Problem).NewModel
-	if legacy {
-		build = (*core.Problem).NewModelRowBounds
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cm, err := build(pr, core.SUM)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := adapt.RunWarmOn(cm, pr, heuristics.LPRGOnModel, model, core.SUM, benchAdaptiveEpochs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE12_WarmLPRG_NativeBounds_K12(b *testing.B) { benchE12WarmLPRG(b, 12, false) }
-func BenchmarkE12_WarmLPRG_RowBounds_K12(b *testing.B)    { benchE12WarmLPRG(b, 12, true) }
-func BenchmarkE12_WarmLPRG_NativeBounds_K20(b *testing.B) { benchE12WarmLPRG(b, 20, false) }
-func BenchmarkE12_WarmLPRG_RowBounds_K20(b *testing.B)    { benchE12WarmLPRG(b, 20, true) }
-
-// BenchmarkE13_* measure the sparse LU/eta-file basis representation
-// against the dense explicit inverse it replaced (the PR 3 baseline)
-// on the warm LPRG epoch loop — the regime where every dual pivot
-// used to pay O(m²) against the dense inverse. Besides ns/op, each
-// benchmark reports the solver's pivot count and the implied
-// per-pivot cost, so the representation effect is visible separately
-// from pivot-count changes (devex pricing). K=30 runs on the LU
-// backend only: the point of the representation is that it makes
-// that scale tractable.
-func benchE13WarmLPRG(b *testing.B, k int, rep lp.BasisRep) {
-	pr := benchBnBProblem(b, k)
-	model := benchAdaptiveModel(pr)
-	totalPivots := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cm, err := pr.NewModelRep(core.SUM, rep)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := adapt.RunWarmOn(cm, pr, heuristics.LPRGOnModel, model, core.SUM, benchAdaptiveEpochs); err != nil {
-			b.Fatal(err)
-		}
-		totalPivots += cm.SolverStats().Pivots
-	}
-	if totalPivots > 0 {
-		b.ReportMetric(float64(totalPivots)/float64(b.N), "pivots/op")
-		b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(totalPivots), "µs/pivot")
-	}
-}
-
-func BenchmarkE13_WarmLPRG_LU_K12(b *testing.B)       { benchE13WarmLPRG(b, 12, lp.LUEtaRep) }
-func BenchmarkE13_WarmLPRG_DenseInv_K12(b *testing.B) { benchE13WarmLPRG(b, 12, lp.DenseInverseRep) }
-func BenchmarkE13_WarmLPRG_LU_K20(b *testing.B)       { benchE13WarmLPRG(b, 20, lp.LUEtaRep) }
-func BenchmarkE13_WarmLPRG_DenseInv_K20(b *testing.B) { benchE13WarmLPRG(b, 20, lp.DenseInverseRep) }
-func BenchmarkE13_WarmLPRG_LU_K30(b *testing.B)       { benchE13WarmLPRG(b, 30, lp.LUEtaRep) }
-
-// BenchmarkE14_* measure the Forrest–Tomlin U-update basis
-// representation (plus exact dual steepest-edge pricing and the
-// bound-flipping ratio test) against the product-form eta file it
-// replaced, on the same warm LPRG epoch loop as E13. Besides ns/op,
-// each benchmark reports pivots/op, the implied per-pivot cost, and
-// refactorizations/op — the eta file's refactorization count is the
-// super-linear term FT removes, so the refactors column is the
-// headline. K=50 runs on the FT backend only: the point of the
-// representation is that it makes that scale tractable.
-func benchE14WarmLPRG(b *testing.B, k int, rep lp.BasisRep) {
-	pr := benchBnBProblem(b, k)
-	model := benchAdaptiveModel(pr)
-	totalPivots, totalRefactors, totalUpdates := 0, 0, 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cm, err := pr.NewModelRep(core.SUM, rep)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := adapt.RunWarmOn(cm, pr, heuristics.LPRGOnModel, model, core.SUM, benchAdaptiveEpochs); err != nil {
-			b.Fatal(err)
-		}
-		st := cm.SolverStats()
-		totalPivots += st.Pivots
-		totalRefactors += st.Refactorizations
-		totalUpdates += st.FTUpdates
-	}
-	if totalPivots > 0 {
-		b.ReportMetric(float64(totalPivots)/float64(b.N), "pivots/op")
-		b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(totalPivots), "µs/pivot")
-	}
-	b.ReportMetric(float64(totalRefactors)/float64(b.N), "refactors/op")
-	if totalUpdates > 0 {
-		b.ReportMetric(float64(totalUpdates)/float64(b.N), "ftupdates/op")
-	}
-}
-
-func BenchmarkE14_WarmLPRG_FT_K12(b *testing.B)  { benchE14WarmLPRG(b, 12, lp.ForrestTomlinRep) }
-func BenchmarkE14_WarmLPRG_FT_K20(b *testing.B)  { benchE14WarmLPRG(b, 20, lp.ForrestTomlinRep) }
-func BenchmarkE14_WarmLPRG_FT_K30(b *testing.B)  { benchE14WarmLPRG(b, 30, lp.ForrestTomlinRep) }
-func BenchmarkE14_WarmLPRG_FT_K50(b *testing.B)  { benchE14WarmLPRG(b, 50, lp.ForrestTomlinRep) }
-func BenchmarkE14_WarmLPRG_Eta_K30(b *testing.B) { benchE14WarmLPRG(b, 30, lp.LUEtaRep) }
 
 // benchE15Session builds one warm scheduling-service session on the
 // E15 network-bound platform plus its 256-query batch (64 distinct

@@ -545,6 +545,26 @@ func TestCLIScheddCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestCLIScheddSigtermImmediatelyAfterListen pins the startup/shutdown
+// race: the listen line is the daemon's "ready" signal, so a SIGTERM
+// sent the moment it is read must already find the handler installed
+// and produce a clean exit 0 — not the default disposition's
+// "signal: terminated". The snapshot dir puts store setup and recovery
+// between the line and the serve loop, the window the handler used to
+// be missing in.
+func TestCLIScheddSigtermImmediatelyAfterListen(t *testing.T) {
+	schedd := buildTool(t, "schedd")
+	for i := 0; i < 20; i++ {
+		cmd, _ := startSchedd(t, schedd, "-snapshot-dir", t.TempDir(), "-quiet")
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("iteration %d: schedd did not shut down cleanly: %v", i, err)
+		}
+	}
+}
+
 func TestCLIExperimentsSmallSweep(t *testing.T) {
 	bin := buildTool(t, "experiments")
 	outdir := t.TempDir()

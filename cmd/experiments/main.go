@@ -8,7 +8,6 @@
 //	experiments -exp all -platforms 10 -csv -outdir results/
 //	experiments -exp fig6 -ks 10,15,20,25 -platforms 20   # paper scale
 //	experiments -exp adaptive -epochs 30                  # E11 warm-vs-cold epochs
-//	experiments -exp bounds                               # E12 native-vs-row β bounds
 //
 // Sweeps run platforms in parallel on a worker pool (one goroutine
 // per CPU by default, -workers to override); per-platform seeded
@@ -38,11 +37,11 @@ func main() {
 
 func run() error {
 	var (
-		exp       = flag.String("exp", "all", "one of fig5, fig6, fig6-tight, fig7, aggregate, adaptive, bounds, lu, ft, batch, cluster, chaos, all")
+		exp       = flag.String("exp", "all", "one of fig5, fig6, fig6-tight, fig7, aggregate, adaptive, batch, cluster, chaos, all")
 		batchSize = flag.Int("batch-size", 256, "queries per batch (exp=batch)")
 		dupFactor = flag.Int("dup-factor", 4, "copies of each distinct mutation within a batch (exp=batch)")
 		openLoop  = flag.Int("open-loop", 256, "open-loop Poisson arrivals per platform, 0 to skip (exp=batch)")
-		epochs    = flag.Int("epochs", 20, "epochs per adaptive run (exp=adaptive, bounds, lu, ft, cluster, chaos)")
+		epochs    = flag.Int("epochs", 20, "epochs per adaptive run (exp=adaptive, cluster, chaos)")
 		seed      = flag.Int64("seed", 1, "sweep seed")
 		platforms = flag.Int("platforms", 0, "platforms per K (0 = per-experiment default)")
 		ks        = flag.String("ks", "", "comma-separated K values (default per experiment)")
@@ -50,7 +49,7 @@ func run() error {
 		workers   = flag.Int("workers", 0, "sweep worker goroutines (0 = one per CPU; fig7 stays sequential unless set > 1)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
 		outdir    = flag.String("outdir", "", "also write each artifact to this directory")
-		jsonOut   = flag.Bool("json", false, "also write machine-readable BENCH_E*.json files for the perf sweeps (adaptive→BENCH_E11, bounds→BENCH_E12, lu→BENCH_E13, ft→BENCH_E14, batch→BENCH_E15, cluster→BENCH_E16, chaos→BENCH_E17), to -outdir or the current directory")
+		jsonOut   = flag.Bool("json", false, "also write machine-readable BENCH_E*.json files for the perf sweeps (adaptive→BENCH_E11, batch→BENCH_E15, cluster→BENCH_E16, chaos→BENCH_E17), to -outdir or the current directory")
 	)
 	flag.Parse()
 
@@ -202,10 +201,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		// LPRG rows run through K=20: with native variable bounds the
-		// basis is small enough that warm restarts beat a cold rebuild
-		// across the whole range (E12 measures the before/after; the
-		// LU/eta-file item in ROADMAP would push K further still).
+		// LPRG rows run through K=20: with native variable bounds and
+		// the sparse LU/eta-file basis, warm restarts beat a cold
+		// rebuild across the whole range.
 		lprgOpts := opts
 		if ksOverride == nil {
 			lprgOpts.Ks = []int{10, 15, 20}
@@ -223,109 +221,6 @@ func run() error {
 			return err
 		}
 		if err := writeJSON("BENCH_E11.json", pts); err != nil {
-			return err
-		}
-	}
-	if want("bounds") {
-		// E12: native bounded-variable simplex versus the retired
-		// per-route β bound-row encoding — basis dimension m and warm
-		// epoch throughput, cold rebuild as the shared baseline. The
-		// LPRG rows re-measure E11's K=10/15/20 warm-falloff regime on
-		// the smaller native basis. Wall-clock, so sequential unless
-		// -workers asks otherwise.
-		opts := base
-		opts.Ks = []int{4, 6}
-		if ksOverride != nil {
-			opts.Ks = ksOverride
-		}
-		if *platforms == 0 {
-			opts.PlatformsPer = 3
-		}
-		pts, err := experiments.BoundsSweep(opts, *epochs, experiments.AdaptiveExact)
-		if err != nil {
-			return err
-		}
-		lprgOpts := opts
-		if ksOverride == nil {
-			lprgOpts.Ks = []int{10, 15, 20}
-		}
-		lprgPts, err := experiments.BoundsSweep(lprgOpts, *epochs, experiments.AdaptiveLPRG)
-		if err != nil {
-			return err
-		}
-		pts = append(pts, lprgPts...)
-		content := experiments.RenderBoundsTable(pts)
-		if *csv {
-			content = experiments.RenderBoundsCSV(pts)
-		}
-		if err := emit("bounds", content); err != nil {
-			return err
-		}
-		if err := writeJSON("BENCH_E12.json", pts); err != nil {
-			return err
-		}
-	}
-	if want("lu") {
-		// E13: the sparse LU/eta-file basis representation against the
-		// dense explicit inverse it replaced, on the warm LPRG epoch
-		// loop with the cold rebuild as the shared baseline. The
-		// default K=10/15/20/30 rows re-measure the E11/E12 falloff
-		// curve — K=30 is tractable for the first time — and the
-		// per-pivot columns isolate the representation's effect from
-		// pivot-count changes. Wall-clock, so sequential unless
-		// -workers asks otherwise.
-		opts := base
-		opts.Ks = []int{10, 15, 20, 30}
-		if ksOverride != nil {
-			opts.Ks = ksOverride
-		}
-		if *platforms == 0 {
-			opts.PlatformsPer = 3
-		}
-		pts, err := experiments.LUSweep(opts, *epochs, experiments.AdaptiveLPRG)
-		if err != nil {
-			return err
-		}
-		content := experiments.RenderLUTable(pts)
-		if *csv {
-			content = experiments.RenderLUCSV(pts)
-		}
-		if err := emit("lu", content); err != nil {
-			return err
-		}
-		if err := writeJSON("BENCH_E13.json", pts); err != nil {
-			return err
-		}
-	}
-	if want("ft") {
-		// E14: the Forrest–Tomlin U-update basis representation (plus
-		// exact dual steepest-edge pricing and the bound-flipping ratio
-		// test) against the product-form eta file it replaced, on the
-		// warm LPRG epoch loop with the cold rebuild as the shared
-		// baseline. K=10/20/30 re-measure the E13 curve; K=50/100
-		// extend it past the eta file's refactorization wall (314
-		// rebuilds at K=30). Wall-clock, so sequential unless -workers
-		// asks otherwise.
-		opts := base
-		opts.Ks = []int{10, 20, 30, 50, 100}
-		if ksOverride != nil {
-			opts.Ks = ksOverride
-		}
-		if *platforms == 0 {
-			opts.PlatformsPer = 3
-		}
-		pts, err := experiments.FTSweep(opts, *epochs, experiments.AdaptiveLPRG)
-		if err != nil {
-			return err
-		}
-		content := experiments.RenderFTTable(pts)
-		if *csv {
-			content = experiments.RenderFTCSV(pts)
-		}
-		if err := emit("ft", content); err != nil {
-			return err
-		}
-		if err := writeJSON("BENCH_E14.json", pts); err != nil {
 			return err
 		}
 	}

@@ -221,6 +221,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Install the signal handler before announcing the address: a client
+	// may SIGTERM the moment it has read the line, and until Notify runs
+	// the default disposition kills the process instead of shutting it
+	// down cleanly. A signal that lands during startup waits in the
+	// buffer for the select at the bottom.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	fmt.Printf("schedd: listening on %s\n", ln.Addr())
 
 	self := *advertise
@@ -314,8 +321,6 @@ func run() error {
 		}()
 	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Printf("schedd: %s, shutting down\n", sig)

@@ -95,10 +95,9 @@ func RunWarm(pr *core.Problem, solve WarmSolver, model Model, obj core.Objective
 	return RunWarmOn(cm, pr, solve, model, obj, epochs)
 }
 
-// RunWarmOn is RunWarm over a caller-provided persistent model —
-// the hook the E12 benchmark uses to drive the same epoch sequence
-// through the native-bounds and the legacy row-bounds encodings. cm
-// must have been built from pr with the same objective.
+// RunWarmOn is RunWarm over a caller-provided persistent model, for
+// callers that read the model's solver statistics afterwards (the E11
+// sweep). cm must have been built from pr with the same objective.
 func RunWarmOn(cm *core.Model, pr *core.Problem, solve WarmSolver, model Model, obj core.Objective, epochs int) ([]EpochResult, error) {
 	if epochs < 1 {
 		return nil, fmt.Errorf("adapt: epochs = %d, want >= 1", epochs)
@@ -158,27 +157,14 @@ type BoundResult struct {
 // this trace is bitwise comparable against a cold per-epoch rebuild
 // — the property the warm-vs-cold tests pin down to 1e-9.
 func RunWarmBounds(pr *core.Problem, model Model, obj core.Objective, epochs int) ([]BoundResult, error) {
-	if err := pr.Validate(); err != nil {
-		return nil, err
-	}
-	cm, err := pr.NewModel(obj)
-	if err != nil {
-		return nil, err
-	}
-	return RunWarmBoundsOn(cm, pr, model, obj, epochs)
-}
-
-// RunWarmBoundsOn is RunWarmBounds over a caller-provided persistent
-// model; E12 uses it to pin the native and the row-bounds encodings
-// to the same per-epoch optima while timing them.
-func RunWarmBoundsOn(cm *core.Model, pr *core.Problem, model Model, obj core.Objective, epochs int) ([]BoundResult, error) {
 	if epochs < 1 {
 		return nil, fmt.Errorf("adapt: epochs = %d, want >= 1", epochs)
 	}
-	if err := pr.Validate(); err != nil {
+	if err := validateModel(model); err != nil {
 		return nil, err
 	}
-	if err := validateModel(model); err != nil {
+	cm, err := pr.NewModel(obj) // validates pr
+	if err != nil {
 		return nil, err
 	}
 	var basis *lp.Basis

@@ -14,13 +14,11 @@ import (
 // mutated per-route β bounds: every β variable carries native
 // [lb, ub] bounds that SetBounds mutates in place through
 // lp.Problem.SetVarBounds — no bound rows, so branching and pinning
-// never grow the constraint matrix, and the basis stays 2·|routes|
-// rows smaller than the historical row encoding. Because bound
-// changes (like RHS changes) leave every reduced cost intact, each
-// re-solve can warm-start the revised simplex from a previous
-// optimal basis (lp.Revised's dual-simplex restart) — the engine
-// behind the exact branch-and-bound solver's node relaxations and
-// LPRR's pin sequence.
+// never grow the constraint matrix. Because bound changes (like RHS
+// changes) leave every reduced cost intact, each re-solve can
+// warm-start the revised simplex from a previous optimal basis
+// (lp.Revised's dual-simplex restart) — the engine behind the exact
+// branch-and-bound solver's node relaxations and LPRR's pin sequence.
 //
 // Platform capacities are equally mutable: SetSpeed, SetGateway and
 // SetLinkBudget rewrite the right-hand sides of the (7b), (7c) and
@@ -46,14 +44,8 @@ type Model struct {
 	betaVarIdx   []int     // LP variable index per ordinal
 	natural      []float64 // cap implied by link budgets
 	curLb, curUb []float64 // explicit SetBounds state (curUb < 0: none)
-	crossed      []bool    // native only: lb > effective ub
+	crossed      []bool    // lb > effective ub
 	numCrossed   int
-
-	// rowBounds selects the historical encoding (two explicit bound
-	// rows per β variable) instead of native variable bounds; kept
-	// for numerical cross-checks and the E12 before/after benchmark.
-	rowBounds    bool
-	lbRow, ubRow map[Pair]int // legacy row encoding only
 
 	speedRow   []int     // LP row of cluster l's (7b) constraint, -1 if absent
 	gatewayRow []int     // LP row of cluster k's (7c) constraint, -1 if absent
@@ -69,45 +61,17 @@ type Model struct {
 // bounds leave the relaxation exactly equivalent to MixedRelaxed with
 // no bounds.
 func (pr *Problem) NewModel(obj Objective) (*Model, error) {
-	return pr.newModel(obj, false, lp.LUEtaRep)
-}
-
-// NewModelRep is NewModel over an explicit lp basis representation —
-// the hook the E13 sweep and benchmarks use to drive the same warm
-// epoch loop through the sparse LU/eta factorization (the default)
-// and the dense explicit inverse (the PR 3 baseline).
-func (pr *Problem) NewModelRep(obj Objective, rep lp.BasisRep) (*Model, error) {
-	return pr.newModel(obj, false, rep)
-}
-
-// NewModelRowBounds builds the same relaxation with the historical
-// bound-row encoding: two dedicated constraint rows per β variable
-// (β_p ≥ lb, β_p ≤ ub) whose right-hand sides SetBounds mutates. It
-// is retained purely as the reference formulation — the equivalence
-// tests pin native-vs-row objectives to 1e-9, and the E12 benchmark
-// measures what retiring the rows buys — and should not be used by
-// new callers.
-func (pr *Problem) NewModelRowBounds(obj Objective) (*Model, error) {
-	return pr.newModel(obj, true, lp.LUEtaRep)
-}
-
-func (pr *Problem) newModel(obj Objective, rowBounds bool, rep lp.BasisRep) (*Model, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
 	K := pr.K()
 	pl := pr.Platform
 	m := &Model{
-		pr:        pr,
-		obj:       obj,
-		alphaIdx:  make(map[Pair]int),
-		betaIdx:   make(map[Pair]int),
-		betaOrd:   make(map[Pair]int),
-		rowBounds: rowBounds,
-	}
-	if rowBounds {
-		m.lbRow = make(map[Pair]int)
-		m.ubRow = make(map[Pair]int)
+		pr:       pr,
+		obj:      obj,
+		alphaIdx: make(map[Pair]int),
+		betaIdx:  make(map[Pair]int),
+		betaOrd:  make(map[Pair]int),
 	}
 
 	var order []Pair
@@ -242,8 +206,6 @@ func (pr *Problem) newModel(obj Objective, rowBounds bool, rep lp.BasisRep) (*Mo
 	}
 	// Mutable β bounds, [0, natural cap] each. The natural cap (min
 	// link budget over the path) is finite for the same reason.
-	// Native mode writes them as variable bounds; the legacy encoding
-	// appends its two rows per route here instead.
 	m.prob = prob
 	m.betaVarIdx = make([]int, len(m.betaVars))
 	for ord, p := range m.betaVars {
@@ -253,27 +215,21 @@ func (pr *Problem) newModel(obj Objective, rowBounds bool, rep lp.BasisRep) (*Mo
 	m.curLb = make([]float64, len(m.betaVars))
 	m.curUb = make([]float64, len(m.betaVars))
 	m.crossed = make([]bool, len(m.betaVars))
-	for ord, p := range m.betaVars {
+	for ord := range m.betaVars {
 		m.natural[ord] = m.naturalCap(ord)
 		m.curLb[ord] = 0
 		m.curUb[ord] = -1
-		if m.rowBounds {
-			idx := m.betaIdx[p]
-			m.ubRow[p] = prob.AddConstraint([]lp.Term{{Var: idx, Coeff: 1}}, lp.LE, m.natural[ord])
-			m.lbRow[p] = prob.AddConstraint([]lp.Term{{Var: idx, Coeff: 1}}, lp.GE, 0)
-		} else {
-			m.applyBounds(ord)
-		}
+		m.applyBounds(ord)
 	}
 
-	m.rev = lp.NewRevisedRep(prob, rep)
+	m.rev = lp.NewRevised(prob)
 	return m, nil
 }
 
 // SolverStats returns the lp solver's accumulated activity counters
 // (pivots, refactorizations, bound flips, warm/cold solve mix) for
 // this model's persistent revised-simplex instance — the per-solve
-// cost drivers the E11/E12/E13 sweeps report.
+// cost drivers the experiment sweeps report.
 func (m *Model) SolverStats() lp.Stats { return m.rev.Stats() }
 
 // ResetSolverStats zeroes the counters SolverStats reports.
@@ -327,21 +283,14 @@ func (m *Model) naturalCap(ord int) float64 {
 
 // applyBounds writes the ord-th β route's effective bounds: the
 // explicit SetBounds state clipped to the (possibly mutated) natural
-// link-budget cap. Native mode rejects an empty box at this layer —
-// the LP never sees lb > ub; the route is recorded as crossed and
-// Solve short-circuits to infeasible, exactly the verdict the legacy
-// encoding reaches by running the simplex on the contradictory rows.
+// link-budget cap. An empty box is rejected at this layer — the LP
+// never sees lb > ub; the route is recorded as crossed and Solve
+// short-circuits to infeasible.
 func (m *Model) applyBounds(ord int) {
 	lb := m.curLb[ord]
 	ub := m.natural[ord]
 	if e := m.curUb[ord]; e >= 0 && e < ub {
 		ub = e
-	}
-	if m.rowBounds {
-		p := m.betaVars[ord]
-		m.prob.SetRHS(m.lbRow[p], lb)
-		m.prob.SetRHS(m.ubRow[p], ub)
-		return
 	}
 	if lb > ub {
 		if !m.crossed[ord] {
@@ -452,8 +401,7 @@ func (m *Model) SetLinkBudget(li int, maxConnect float64) error {
 }
 
 // Rows returns the model's constraint row count m — the basis
-// dimension every simplex iteration pays for. Native bounds keep it
-// exactly 2·|BetaVars()| smaller than the legacy row encoding.
+// dimension every simplex iteration pays for.
 func (m *Model) Rows() int { return m.prob.NumConstraints() }
 
 // CapacityState is an opaque snapshot of everything a Model lets
@@ -574,8 +522,8 @@ func (m *Model) SolveEphemeral(from *lp.Basis) (*MixedSolution, bool, error) {
 }
 
 // SolveWith runs a one-shot cold solve of the current bound set
-// through an explicit backend — the reference path used by the
-// dense-vs-revised cross-checks and the cold-solve benchmark mode.
+// through an explicit backend — the seam the tests use to check the
+// model's warm solves against the lptest oracle.
 func (m *Model) SolveWith(s lp.Solver) (*MixedSolution, bool, error) {
 	if m.numCrossed > 0 {
 		return nil, false, nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/lp"
+	"repro/internal/lp/lptest"
 	"repro/internal/platform"
 )
 
@@ -48,170 +49,185 @@ func randomPlatformProblem(t *testing.T, rng *rand.Rand, k int) *Problem {
 	return pr
 }
 
-func withSolver(s lp.Solver, f func()) {
-	old := lp.DefaultSolver
-	lp.DefaultSolver = s
-	defer func() { lp.DefaultSolver = old }()
-	f()
-}
-
-// TestRelaxedDenseRevisedAgree is the platgen-instance half of the
-// solver cross-check: on randomized platforms, the rational
-// relaxations (which mix LE rows, the GE rows of branching lower
-// bounds, and — through MixedRelaxed pins below — EQ-like bound
-// pairs) must produce the same objective from both backends to 1e-9.
-func TestRelaxedDenseRevisedAgree(t *testing.T) {
+// TestRelaxedMatchesOracle checks the one-shot Problem.Solve path: on
+// randomized platforms the reduced α-space relaxation (Relaxed, a cold
+// revised-simplex solve) must produce the same objective as the lptest
+// dense-tableau oracle run on the explicit α/β model of the same
+// platform — an independent solver on an independent formulation.
+func TestRelaxedMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pr := randomPlatformProblem(t, rng, 4+rng.Intn(5))
 		for _, obj := range []Objective{SUM, MAXMIN} {
-			var dObj, rObj float64
-			withSolver(lp.DenseSolver{}, func() {
-				rel, ok, err := pr.Relaxed(obj, nil)
-				if err != nil || !ok {
-					t.Fatalf("seed %d: dense relaxed: ok=%v err=%v", seed, ok, err)
-				}
-				dObj = rel.Objective
-			})
-			withSolver(lp.RevisedSolver{}, func() {
-				rel, ok, err := pr.Relaxed(obj, nil)
-				if err != nil || !ok {
-					t.Fatalf("seed %d: revised relaxed: ok=%v err=%v", seed, ok, err)
-				}
-				rObj = rel.Objective
-			})
-			if math.Abs(dObj-rObj) > 1e-9*(1+math.Abs(dObj)) {
-				t.Fatalf("seed %d %v: dense %.12g, revised %.12g", seed, obj, dObj, rObj)
+			rel, ok, err := pr.Relaxed(obj, nil)
+			if err != nil || !ok {
+				t.Fatalf("seed %d: relaxed: ok=%v err=%v", seed, ok, err)
+			}
+			m, err := pr.NewModel(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, ok, err := m.SolveWith(lptest.DenseSolver{})
+			if err != nil || !ok {
+				t.Fatalf("seed %d: oracle: ok=%v err=%v", seed, ok, err)
+			}
+			if math.Abs(ref.Objective-rel.Objective) > 1e-9*(1+math.Abs(ref.Objective)) {
+				t.Fatalf("seed %d %v: oracle %.12g, relaxed %.12g", seed, obj, ref.Objective, rel.Objective)
 			}
 		}
 	}
 }
 
-// TestModelWarmMatchesColdAfterBoundChange is the warm-start half: a
-// warm-started re-solve after a β bound change must match a cold
-// solve of the same bound set — both on the revised path and against
-// the dense backend.
-func TestModelWarmMatchesColdAfterBoundChange(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		pr := randomPlatformProblem(t, rng, 4+rng.Intn(4))
-		obj := []Objective{SUM, MAXMIN}[seed%2]
-		m, err := pr.NewModel(obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		betas := m.BetaVars()
-		if len(betas) == 0 {
-			continue
-		}
-		rel, basis, ok, err := m.Solve(nil)
-		if err != nil || !ok {
-			t.Fatalf("seed %d: root solve: ok=%v err=%v", seed, ok, err)
-		}
-		for step := 0; step < 6; step++ {
-			p := betas[rng.Intn(len(betas))]
-			v := rel.Beta[p]
-			var b BetaBounds
-			if rng.Float64() < 0.5 {
-				b = BetaBounds{Lb: 0, Ub: math.Floor(v)}
-			} else {
-				b = BetaBounds{Lb: math.Floor(v) + 1, Ub: -1}
-			}
-			if err := m.SetBounds(p, b); err != nil {
-				t.Fatal(err)
-			}
-			warm, wBasis, wOK, err := m.Solve(basis)
-			if err != nil {
-				t.Fatalf("seed %d step %d: warm: %v", seed, step, err)
-			}
-			coldRel, cOK, err := m.SolveWith(lp.RevisedSolver{})
-			if err != nil {
-				t.Fatalf("seed %d step %d: cold: %v", seed, step, err)
-			}
-			denseRel, dOK, err := m.SolveWith(lp.DenseSolver{})
-			if err != nil {
-				t.Fatalf("seed %d step %d: dense: %v", seed, step, err)
-			}
-			if wOK != cOK || wOK != dOK {
-				t.Fatalf("seed %d step %d: feasibility disagreement warm=%v cold=%v dense=%v", seed, step, wOK, cOK, dOK)
-			}
-			if !wOK {
-				// Infeasible bound set: revert and continue with
-				// another branch direction.
-				if err := m.SetBounds(p, BetaBounds{Lb: 0, Ub: -1}); err != nil {
+// TestModelWarmMatchesOracle is the model layer's solver contract: over
+// randomized mutation sequences a warm-started re-solve must agree —
+// on feasibility and, when feasible, on the objective to 1e-9 — with a
+// cold revised solve and with the lptest oracle on the same state. The
+// cases are the access patterns of the layers above: branch-and-bound
+// branching, whole per-node bound sets, LPRR-style pins mixed with
+// branches and resets (lower bounds may cross the natural cap, which
+// the model reports infeasible without consulting the LP), and link-
+// budget drift moving the natural caps under persisting explicit bounds.
+func TestModelWarmMatchesOracle(t *testing.T) {
+	type mutator func(rng *rand.Rand, m *Model, pr *Problem, last *MixedSolution, lastOK bool)
+	branch := func() mutator {
+		var prev *Pair
+		return func(rng *rand.Rand, m *Model, _ *Problem, last *MixedSolution, lastOK bool) {
+			if !lastOK && prev != nil {
+				// The previous branch emptied the feasible set: undo it
+				// and branch elsewhere.
+				if err := m.SetBounds(*prev, BetaBounds{Lb: 0, Ub: -1}); err != nil {
 					t.Fatal(err)
 				}
-				continue
 			}
-			if math.Abs(warm.Objective-coldRel.Objective) > 1e-9*(1+math.Abs(coldRel.Objective)) {
-				t.Fatalf("seed %d step %d: warm %.12g, cold %.12g", seed, step, warm.Objective, coldRel.Objective)
+			betas := m.BetaVars()
+			p := betas[rng.Intn(len(betas))]
+			v := math.Floor(last.Beta[p])
+			b := BetaBounds{Lb: v + 1, Ub: -1}
+			if rng.Float64() < 0.5 {
+				b = BetaBounds{Lb: 0, Ub: v}
 			}
-			if math.Abs(warm.Objective-denseRel.Objective) > 1e-9*(1+math.Abs(denseRel.Objective)) {
-				t.Fatalf("seed %d step %d: warm %.12g, dense %.12g", seed, step, warm.Objective, denseRel.Objective)
+			if err := m.SetBounds(p, b); err != nil {
+				t.Fatal(err)
 			}
-			rel, basis = warm, wBasis
+			prev = &p
 		}
 	}
-}
-
-// TestModelRandomBoundSetsAgree pins dense-vs-revised agreement on
-// random per-node bound sets — the per-node half of the solver-swap
-// acceptance check. The end-to-end tree comparison lives in
-// heuristics.TestBranchAndBoundModesAgree (core cannot import
-// heuristics).
-func TestModelRandomBoundSetsAgree(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(200 + seed))
-		pr := randomPlatformProblem(t, rng, 4+rng.Intn(4))
-		m, err := pr.NewModel(SUM)
-		if err != nil {
-			t.Fatal(err)
-		}
-		betas := m.BetaVars()
-		bounds := map[Pair]BetaBounds{}
-		for _, p := range betas {
-			switch rng.Intn(3) {
-			case 0:
-				bounds[p] = BetaBounds{Lb: float64(rng.Intn(2)), Ub: float64(1 + rng.Intn(3))}
-			case 1:
-				bounds[p] = BetaBounds{Lb: float64(rng.Intn(2)), Ub: -1}
+	boundSet := func() mutator {
+		return func(rng *rand.Rand, m *Model, _ *Problem, _ *MixedSolution, _ bool) {
+			m.ResetBounds()
+			for _, p := range m.BetaVars() {
+				var b BetaBounds
+				switch rng.Intn(3) {
+				case 0:
+					b = BetaBounds{Lb: float64(rng.Intn(2)), Ub: float64(1 + rng.Intn(3))}
+				case 1:
+					b = BetaBounds{Lb: float64(rng.Intn(2)), Ub: -1}
+				default:
+					continue
+				}
+				if err := m.SetBounds(p, b); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		for p, b := range bounds {
+	}
+	pinBranchReset := func() mutator {
+		return func(rng *rand.Rand, m *Model, _ *Problem, _ *MixedSolution, _ bool) {
+			betas := m.BetaVars()
+			p := betas[rng.Intn(len(betas))]
+			var b BetaBounds
+			switch rng.Intn(4) {
+			case 0: // pin
+				v := float64(rng.Intn(4))
+				b = BetaBounds{Lb: v, Ub: v}
+			case 1: // branch down
+				b = BetaBounds{Lb: 0, Ub: float64(rng.Intn(3))}
+			case 2: // branch up (may cross the natural cap → infeasible)
+				b = BetaBounds{Lb: float64(1 + rng.Intn(5)), Ub: -1}
+			case 3: // reset
+				b = BetaBounds{Lb: 0, Ub: -1}
+			}
 			if err := m.SetBounds(p, b); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Model hard-wires its revised instance, so backend selection
-		// must go through SolveWith — toggling lp.DefaultSolver has no
-		// effect on Model-based paths.
-		var dObj, rObj float64
-		var dOK, rOK bool
-		{
-			sol, ok, err := m.SolveWith(lp.DenseSolver{})
-			if err != nil {
+	}
+	linkBudgets := func() mutator {
+		return func(rng *rand.Rand, m *Model, pr *Problem, _ *MixedSolution, _ bool) {
+			if rng.Float64() < 0.5 {
+				betas := m.BetaVars()
+				p := betas[rng.Intn(len(betas))]
+				b := BetaBounds{Lb: float64(rng.Intn(2)), Ub: float64(rng.Intn(4)) - 1}
+				if err := m.SetBounds(p, b); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			li := rng.Intn(len(pr.Platform.Links))
+			if err := m.SetLinkBudget(li, float64(rng.Intn(6))); err != nil {
 				t.Fatal(err)
 			}
-			dOK = ok
-			if ok {
-				dObj = sol.Objective
+		}
+	}
+	cases := []struct {
+		name         string
+		seedBase     int64
+		seeds, steps int
+		mutator      func() mutator
+	}{
+		{"branch", 100, 40, 6, branch},
+		{"bound-sets", 200, 30, 2, boundSet},
+		{"pin-branch-reset", 400, 25, 12, pinBranchReset},
+		{"link-budgets", 500, 20, 10, linkBudgets},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(0); seed < int64(tc.seeds); seed++ {
+				rng := rand.New(rand.NewSource(tc.seedBase + seed))
+				pr := randomPlatformProblem(t, rng, 4+rng.Intn(4))
+				m, err := pr.NewModel([]Objective{SUM, MAXMIN}[seed%2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(m.BetaVars()) == 0 {
+					continue
+				}
+				last, basis, lastOK, err := m.Solve(nil)
+				if err != nil || !lastOK {
+					t.Fatalf("seed %d: root solve: ok=%v err=%v", seed, lastOK, err)
+				}
+				mutate := tc.mutator()
+				for step := 0; step < tc.steps; step++ {
+					mutate(rng, m, pr, last, lastOK)
+					warm, wBasis, wOK, err := m.Solve(basis)
+					if err != nil {
+						t.Fatalf("seed %d step %d: warm: %v", seed, step, err)
+					}
+					cold, cOK, err := m.SolveWith(lp.RevisedSolver{})
+					if err != nil {
+						t.Fatalf("seed %d step %d: cold: %v", seed, step, err)
+					}
+					ref, rOK, err := m.SolveWith(lptest.DenseSolver{})
+					if err != nil {
+						t.Fatalf("seed %d step %d: oracle: %v", seed, step, err)
+					}
+					if wOK != cOK || wOK != rOK {
+						t.Fatalf("seed %d step %d: feasibility disagreement warm=%v cold=%v oracle=%v", seed, step, wOK, cOK, rOK)
+					}
+					lastOK = wOK
+					if !wOK {
+						continue
+					}
+					tol := 1e-9 * (1 + math.Abs(ref.Objective))
+					if math.Abs(warm.Objective-ref.Objective) > tol {
+						t.Fatalf("seed %d step %d: warm %.12g, oracle %.12g", seed, step, warm.Objective, ref.Objective)
+					}
+					if math.Abs(cold.Objective-ref.Objective) > tol {
+						t.Fatalf("seed %d step %d: cold %.12g, oracle %.12g", seed, step, cold.Objective, ref.Objective)
+					}
+					last, basis = warm, wBasis
+				}
 			}
-		}
-		{
-			sol, ok, err := m.SolveWith(lp.RevisedSolver{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rOK = ok
-			if ok {
-				rObj = sol.Objective
-			}
-		}
-		if dOK != rOK {
-			t.Fatalf("seed %d: feasibility disagreement dense=%v revised=%v", seed, dOK, rOK)
-		}
-		if dOK && math.Abs(dObj-rObj) > 1e-9*(1+math.Abs(dObj)) {
-			t.Fatalf("seed %d: dense %.12g, revised %.12g", seed, dObj, rObj)
-		}
+		})
 	}
 }

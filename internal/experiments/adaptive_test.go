@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -55,5 +56,30 @@ func TestAdaptiveSweepErrors(t *testing.T) {
 	}
 	if _, err := AdaptiveSweep(Options{Ks: []int{4}, PlatformsPer: 1}, 2, AdaptiveMode(99)); err == nil {
 		t.Fatal("unknown mode must fail")
+	}
+}
+
+// TestAdaptivePointJSON pins the machine-readable BENCH_E*.json
+// surface: NaN MaxObjDiff (LPRG rows) must serialize as null instead
+// of breaking the encoder, and the mode must appear by name.
+func TestAdaptivePointJSON(t *testing.T) {
+	opts := Options{Seed: 1, PlatformsPer: 1, Ks: []int{4}}
+	pts, err := AdaptiveSweep(opts, 2, AdaptiveLPRG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(pts)
+	if err != nil {
+		t.Fatalf("LPRG adaptive points must marshal (NaN handling): %v", err)
+	}
+	s := string(data)
+	if !strings.Contains(s, `"MaxObjDiff":null`) {
+		t.Fatalf("NaN MaxObjDiff should marshal as null: %s", s)
+	}
+	if !strings.Contains(s, `"Mode":"LPRG"`) {
+		t.Fatalf("mode should marshal by name: %s", s)
+	}
+	if !strings.Contains(s, `"WarmPivots":`) {
+		t.Fatalf("solver stats missing from JSON: %s", s)
 	}
 }

@@ -223,133 +223,6 @@ func RenderAdaptiveCSV(points []AdaptivePoint) string {
 	return b.String()
 }
 
-// RenderBoundsTable formats an E12 native-vs-row-bounds sweep as an
-// ASCII table; the trailing columns are the warm native loop's solver
-// statistics (summed over platforms).
-func RenderBoundsTable(points []BoundsPoint) string {
-	if len(points) == 0 {
-		return "(no data)\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%4s %6s %7s %6s %8s %8s %10s %10s %10s %9s %9s %10s %8s %7s %7s %7s\n",
-		"K", "plats", "epochs", "mode", "m(nat)", "m(rows)",
-		"cold(s)", "warmrow(s)", "warmnat(s)", "spd(row)", "spd(nat)", "maxdiff",
-		"pivots", "refact", "flips", "fallbk")
-	for _, pt := range points {
-		fmt.Fprintf(&b, "%4d %6d %7d %6s %8.1f %8.1f %10.4g %10.4g %10.4g %8.1fx %8.1fx %10.2e %8d %7d %7d %7d\n",
-			pt.K, pt.Platforms, pt.Epochs, pt.Mode, pt.RowsNative, pt.RowsLegacy,
-			pt.ColdSeconds, pt.WarmLegacySeconds, pt.WarmNativeSeconds,
-			pt.SpeedupLegacy, pt.SpeedupNative, pt.MaxBoundDiff,
-			pt.NativePivots, pt.NativeRefactors, pt.NativeBoundFlips, pt.NativeColdFallbacks)
-	}
-	return b.String()
-}
-
-// RenderBoundsCSV formats an E12 sweep as CSV.
-func RenderBoundsCSV(points []BoundsPoint) string {
-	if len(points) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString("k,platforms,epochs,mode,rows_native,rows_legacy,cold_seconds,warm_legacy_seconds,warm_native_seconds,speedup_legacy,speedup_native,max_bound_diff," +
-		"native_pivots,native_refactorizations,native_bound_flips,native_cold_fallbacks\n")
-	for _, pt := range points {
-		fmt.Fprintf(&b, "%d,%d,%d,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%.4g,%.4g,%.6g,%d,%d,%d,%d\n",
-			pt.K, pt.Platforms, pt.Epochs, pt.Mode, pt.RowsNative, pt.RowsLegacy,
-			pt.ColdSeconds, pt.WarmLegacySeconds, pt.WarmNativeSeconds,
-			pt.SpeedupLegacy, pt.SpeedupNative, pt.MaxBoundDiff,
-			pt.NativePivots, pt.NativeRefactors, pt.NativeBoundFlips, pt.NativeColdFallbacks)
-	}
-	return b.String()
-}
-
-// RenderLUTable formats an E13 LU-vs-dense-inverse sweep as an ASCII
-// table: warm speedups over the shared cold baseline for both basis
-// representations, per-pivot costs, and the LU loop's housekeeping
-// counters.
-func RenderLUTable(points []LUPoint) string {
-	if len(points) == 0 {
-		return "(no data)\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%4s %6s %7s %6s %7s %10s %11s %10s %9s %8s %10s %10s %7s %7s %8s %10s\n",
-		"K", "plats", "epochs", "mode", "m", "cold(s)", "warmdns(s)", "warmlu(s)",
-		"spd(dns)", "spd(lu)", "µs/pv(dns)", "µs/pv(lu)", "refact", "fallbk", "fallbk-d", "maxdiff")
-	for _, pt := range points {
-		fmt.Fprintf(&b, "%4d %6d %7d %6s %7.1f %10.4g %11.4g %10.4g %8.1fx %7.1fx %10.2f %10.2f %7d %7d %8d %10.2e\n",
-			pt.K, pt.Platforms, pt.Epochs, pt.Mode, pt.Rows,
-			pt.ColdSeconds, pt.WarmDenseSeconds, pt.WarmLUSeconds,
-			pt.SpeedupDense, pt.SpeedupLU, pt.DensePivotMicros, pt.LUPivotMicros,
-			pt.LURefactors, pt.LUColdFallbacks, pt.DenseColdFallbacks, pt.MaxDiff)
-	}
-	return b.String()
-}
-
-// RenderLUCSV formats an E13 sweep as CSV.
-func RenderLUCSV(points []LUPoint) string {
-	if len(points) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString("k,platforms,epochs,mode,rows,cold_seconds,warm_dense_seconds,warm_lu_seconds,speedup_dense,speedup_lu," +
-		"dense_pivots,lu_pivots,dense_pivot_micros,lu_pivot_micros,lu_refactorizations,lu_bound_flips,lu_cold_fallbacks,dense_cold_fallbacks,max_diff\n")
-	for _, pt := range points {
-		fmt.Fprintf(&b, "%d,%d,%d,%s,%.6g,%.6g,%.6g,%.6g,%.4g,%.4g,%d,%d,%.6g,%.6g,%d,%d,%d,%d,%.6g\n",
-			pt.K, pt.Platforms, pt.Epochs, pt.Mode, pt.Rows,
-			pt.ColdSeconds, pt.WarmDenseSeconds, pt.WarmLUSeconds,
-			pt.SpeedupDense, pt.SpeedupLU, pt.DensePivots, pt.LUPivots,
-			pt.DensePivotMicros, pt.LUPivotMicros,
-			pt.LURefactors, pt.LUBoundFlips, pt.LUColdFallbacks, pt.DenseColdFallbacks, pt.MaxDiff)
-	}
-	return b.String()
-}
-
-// RenderFTTable formats an E14 Forrest–Tomlin-vs-eta-file sweep as an
-// ASCII table: warm speedups over the shared cold baseline for both
-// basis representations, per-pivot costs, and the FT loop's
-// housekeeping counters (refactorizations on both sides are the
-// headline — FT absorbs updates the eta file had to rebuild for).
-func RenderFTTable(points []FTPoint) string {
-	if len(points) == 0 {
-		return "(no data)\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%4s %6s %7s %6s %7s %10s %11s %10s %9s %8s %10s %10s %8s %7s %7s %6s %6s %8s %10s\n",
-		"K", "plats", "epochs", "mode", "m", "cold(s)", "warmeta(s)", "warmft(s)",
-		"spd(eta)", "spd(ft)", "µs/pv(eta)", "µs/pv(ft)", "refac-e", "refac-f", "ftupd",
-		"ufill", "dsers", "fallbk-f", "maxdiff")
-	for _, pt := range points {
-		fmt.Fprintf(&b, "%4d %6d %7d %6s %7.1f %10.4g %11.4g %10.4g %8.1fx %7.1fx %10.2f %10.2f %8d %7d %7d %6.2f %6d %8d %10.2e\n",
-			pt.K, pt.Platforms, pt.Epochs, pt.Mode, pt.Rows,
-			pt.ColdSeconds, pt.WarmEtaSeconds, pt.WarmFTSeconds,
-			pt.SpeedupEta, pt.SpeedupFT, pt.EtaPivotMicros, pt.FTPivotMicros,
-			pt.EtaRefactors, pt.FTRefactors, pt.FTUpdates,
-			pt.FTUFillGrowth, pt.FTDSEResets, pt.FTColdFallbacks, pt.MaxDiff)
-	}
-	return b.String()
-}
-
-// RenderFTCSV formats an E14 sweep as CSV.
-func RenderFTCSV(points []FTPoint) string {
-	if len(points) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString("k,platforms,epochs,mode,rows,cold_seconds,warm_eta_seconds,warm_ft_seconds,speedup_eta,speedup_ft," +
-		"eta_pivots,ft_pivots,eta_pivot_micros,ft_pivot_micros,eta_refactorizations,ft_refactorizations,ft_updates," +
-		"ft_ufill_growth,ft_dse_resets,eta_bound_flips,ft_bound_flips,eta_cold_fallbacks,ft_cold_fallbacks,max_diff\n")
-	for _, pt := range points {
-		fmt.Fprintf(&b, "%d,%d,%d,%s,%.6g,%.6g,%.6g,%.6g,%.4g,%.4g,%d,%d,%.6g,%.6g,%d,%d,%d,%.6g,%d,%d,%d,%d,%d,%.6g\n",
-			pt.K, pt.Platforms, pt.Epochs, pt.Mode, pt.Rows,
-			pt.ColdSeconds, pt.WarmEtaSeconds, pt.WarmFTSeconds,
-			pt.SpeedupEta, pt.SpeedupFT, pt.EtaPivots, pt.FTPivots,
-			pt.EtaPivotMicros, pt.FTPivotMicros,
-			pt.EtaRefactors, pt.FTRefactors, pt.FTUpdates, pt.FTUFillGrowth, pt.FTDSEResets,
-			pt.EtaBoundFlips, pt.FTBoundFlips, pt.EtaColdFallbacks, pt.FTColdFallbacks, pt.MaxDiff)
-	}
-	return b.String()
-}
-
 // RenderAggregate formats the §6.1 headline comparison.
 func RenderAggregate(a *Aggregate) string {
 	var b strings.Builder

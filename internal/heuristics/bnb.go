@@ -13,26 +13,13 @@ import (
 // alongside is then only a lower bound, not a proven optimum.
 var ErrNodeBudget = fmt.Errorf("heuristics: branch-and-bound node budget exhausted")
 
-// BnBMode selects the node-relaxation strategy of BranchAndBound.
-type BnBMode int
-
-const (
-	// BnBWarm (the default) builds one core.Model for the whole tree
-	// and re-solves each node with the revised simplex, warm-started
-	// from the parent node's optimal basis — a branch tightens one β
-	// variable's native bounds, leaving the constraint matrix (and
-	// the basis dimension) untouched, so each child typically needs
-	// only a few dual-simplex pivots.
-	BnBWarm BnBMode = iota
-	// BnBColdDense cold-solves every node relaxation with the dense
-	// tableau backend. It is the pre-refactor reference path, kept for
-	// the cold-vs-warm benchmarks and numerical cross-checks.
-	BnBColdDense
-)
-
 // BranchAndBound solves the mixed program (7) exactly by
 // branch-and-bound on the integer β variables, using the explicit
-// (α,β) relaxation of core.Model for node bounds. The problem is
+// (α,β) relaxation of core.Model for node bounds: one model serves the
+// whole tree and each node re-solves it warm from its parent's optimal
+// basis — a branch tightens one β variable's native bounds, leaving the
+// constraint matrix (and the basis dimension) untouched, so each child
+// typically needs only a few dual-simplex pivots. The problem is
 // NP-hard (paper §4, Theorem 1), so this is only practical for small
 // platforms (K up to ~6-8); it exists to measure how close the
 // polynomial heuristics get to the true optimum, which the paper
@@ -43,17 +30,11 @@ const (
 // maxNodes bounds the search; <= 0 means a default of 10,000 nodes.
 // The returned allocation is the best integer-feasible point found.
 func BranchAndBound(pr *core.Problem, obj core.Objective, maxNodes int) (*core.Allocation, float64, error) {
-	return BranchAndBoundMode(pr, obj, maxNodes, BnBWarm)
-}
-
-// BranchAndBoundMode is BranchAndBound with an explicit
-// node-relaxation strategy; see BnBMode.
-func BranchAndBoundMode(pr *core.Problem, obj core.Objective, maxNodes int, mode BnBMode) (*core.Allocation, float64, error) {
 	model, err := pr.NewModel(obj)
 	if err != nil {
 		return nil, 0, err
 	}
-	alloc, best, _, err := branchAndBoundOnModel(model, pr, obj, maxNodes, mode, nil, nil)
+	alloc, best, _, err := BranchAndBoundOnModel(model, pr, obj, maxNodes, nil, nil)
 	return alloc, best, err
 }
 
@@ -65,7 +46,7 @@ func BranchAndBoundMode(pr *core.Problem, obj core.Objective, maxNodes int, mode
 // differ — inject the epoch's capacities into the model with
 // SetSpeed / SetGateway / SetLinkBudget before calling.
 //
-// A non-nil `incumbent` seeds the search with a known feasible
+// A non-nil `warmIncumbent` seeds the search with a known feasible
 // allocation — the §1 adaptability scenario injects the previous
 // epoch's optimum, throttled to the new capacities (adapt.Throttle),
 // so most of the tree prunes immediately when the platform drifts
@@ -74,28 +55,14 @@ func BranchAndBoundMode(pr *core.Problem, obj core.Objective, maxNodes int, mode
 //
 // The returned basis snapshots the root relaxation's optimal basis
 // for the next epoch's warm start.
-func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objective, maxNodes int, root *lp.Basis, incumbent *core.Allocation) (*core.Allocation, float64, *lp.Basis, error) {
-	return branchAndBoundOnModel(model, pr, obj, maxNodes, BnBWarm, root, incumbent)
-}
-
-func branchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objective, maxNodes int, mode BnBMode, root *lp.Basis, warmIncumbent *core.Allocation) (*core.Allocation, float64, *lp.Basis, error) {
+func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objective, maxNodes int, root *lp.Basis, warmIncumbent *core.Allocation) (*core.Allocation, float64, *lp.Basis, error) {
 	if maxNodes <= 0 {
 		maxNodes = 10000
 	}
-	// Incumbent: start from LPRG, which is cheap and always feasible.
-	// The warm path reuses the model (and the root basis) so even the
-	// incumbent costs no cold LP build; the cold-dense reference path
-	// keeps the historical one-shot LPRG.
-	var (
-		incumbent *core.Allocation
-		rootBasis *lp.Basis
-		err       error
-	)
-	if mode == BnBWarm {
-		incumbent, rootBasis, err = LPRGOnModel(model, pr, obj, root)
-	} else {
-		incumbent, err = LPRG(pr, obj)
-	}
+	// Incumbent: start from LPRG, which is cheap and always feasible,
+	// and reuses the model (and the root basis) so even the incumbent
+	// costs no cold LP build.
+	incumbent, rootBasis, err := LPRGOnModel(model, pr, obj, root)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -114,8 +81,7 @@ func branchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 		bounds map[core.Pair]core.BetaBounds
 		// basis is the parent relaxation's optimal basis; the child's
 		// bound set differs from the parent's by one variable-bound
-		// change, so it is one dual-simplex restart away (warm mode
-		// only).
+		// change, so it is one dual-simplex restart away.
 		basis *lp.Basis
 	}
 	stack := []node{{bounds: map[core.Pair]core.BetaBounds{}, basis: rootBasis}}
@@ -134,17 +100,7 @@ func branchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 				return nil, 0, nil, err
 			}
 		}
-		var (
-			rel   *core.MixedSolution
-			basis *lp.Basis
-			ok    bool
-		)
-		switch mode {
-		case BnBColdDense:
-			rel, ok, err = model.SolveWith(lp.DenseSolver{})
-		default:
-			rel, basis, ok, err = model.Solve(nd.basis)
-		}
+		rel, basis, ok, err := model.Solve(nd.basis)
 		if err != nil {
 			return nil, 0, nil, err
 		}

@@ -24,11 +24,8 @@ type Basis struct {
 // statuses (length ncols, nil when the producing solve recorded
 // none). It exists for serialization — the scheduling cluster ships
 // (platform, committed state, basis) snapshots between replicas so a
-// session rebuilt elsewhere restarts warm instead of cold-solving —
-// and is representation-independent, like the Basis itself: a basis
-// exported from a Forrest–Tomlin instance warm-starts an eta-file or
-// dense-inverse rebuild. The returned slices are fresh copies; the
-// Basis stays immutable.
+// session rebuilt elsewhere restarts warm instead of cold-solving.
+// The returned slices are fresh copies; the Basis stays immutable.
 func (b *Basis) Export() (cols []int, upper []bool) {
 	cols = append([]int(nil), b.cols...)
 	if b.upper != nil {

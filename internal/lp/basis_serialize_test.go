@@ -6,28 +6,25 @@ import (
 	"testing"
 )
 
-// TestBasisSerializeRoundTripAllReps is the serialization property
-// test behind the cluster's portable warm sessions: for every basis
-// representation (Forrest–Tomlin, product-form eta, dense inverse), a
-// basis Exported from one instance and Imported into a *freshly
-// built* instance over an equivalent problem — primed with PrimeWarm,
-// exactly as a snapshot-rebuilt replica does it — must warm-start to
-// the same optimum at 1e-9 with zero cold solves and zero cold
-// fallbacks on the receiving instance. The receiving representation
-// is rotated independently of the producing one, so every (from, to)
-// representation pair is exercised.
-func TestBasisSerializeRoundTripAllReps(t *testing.T) {
-	reps := []BasisRep{ForrestTomlinRep, LUEtaRep, DenseInverseRep}
+// TestBasisSerializeRoundTrip is the serialization property test
+// behind the cluster's portable warm sessions: a basis Exported from
+// one instance and Imported into a *freshly built* instance over an
+// equivalent problem — primed with PrimeWarm, exactly as a
+// snapshot-rebuilt replica does it — must warm-start to the same
+// optimum at 1e-9 with zero cold solves and zero cold fallbacks on the
+// receiving instance. (The optimum itself is checked against the
+// lptest oracle by TestRevisedMatchesOracle's round-trip case.)
+func TestBasisSerializeRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(27000 + seed))
 		p := randomBoundedProblem(rng, seed%2 == 0)
-		src := NewRevisedRep(p, reps[seed%3])
+		src := NewRevised(p)
 		sol, bas, err := src.SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("seed %d: source cold: %v", seed, err)
 		}
 		// Drive a few warm mutations so the exported basis is a
-		// "lived-in" one (FT updates absorbed, at-upper statuses set),
+		// "lived-in" one (etas absorbed, at-upper statuses set),
 		// not just the first cold optimum.
 		for step := 0; step < 3; step++ {
 			mutateProblem(rng, p)
@@ -55,25 +52,23 @@ func TestBasisSerializeRoundTripAllReps(t *testing.T) {
 		imported := ImportBasis(cols, upper)
 		cols[0] = -7 // mutating the caller's buffers must not affect the import
 
-		for _, rep := range reps {
-			dst := NewRevisedRep(p, rep)
-			dst.PrimeWarm()
-			got, _, err := dst.SolveFrom(imported)
-			if err != nil {
-				t.Fatalf("seed %d rep %v: rebuilt warm: %v", seed, rep, err)
-			}
-			st := dst.Stats()
-			if st.ColdSolves != 0 || st.ColdFallbacks != 0 {
-				t.Fatalf("seed %d rep %v: rebuilt solve not warm: cold=%d fallbacks=%d",
-					seed, rep, st.ColdSolves, st.ColdFallbacks)
-			}
-			if got.Status != Optimal {
-				t.Fatalf("seed %d rep %v: rebuilt status %v, want Optimal", seed, rep, got.Status)
-			}
-			if d := math.Abs(got.Objective - sol.Objective); d > 1e-9*(1+math.Abs(sol.Objective)) {
-				t.Fatalf("seed %d rep %v: rebuilt optimum %.12g vs source %.12g (diff %g)",
-					seed, rep, got.Objective, sol.Objective, d)
-			}
+		dst := NewRevised(p)
+		dst.PrimeWarm()
+		got, _, err := dst.SolveFrom(imported)
+		if err != nil {
+			t.Fatalf("seed %d: rebuilt warm: %v", seed, err)
+		}
+		st := dst.Stats()
+		if st.ColdSolves != 0 || st.ColdFallbacks != 0 {
+			t.Fatalf("seed %d: rebuilt solve not warm: cold=%d fallbacks=%d",
+				seed, st.ColdSolves, st.ColdFallbacks)
+		}
+		if got.Status != Optimal {
+			t.Fatalf("seed %d: rebuilt status %v, want Optimal", seed, got.Status)
+		}
+		if d := math.Abs(got.Objective - sol.Objective); d > 1e-9*(1+math.Abs(sol.Objective)) {
+			t.Fatalf("seed %d: rebuilt optimum %.12g vs source %.12g (diff %g)",
+				seed, got.Objective, sol.Objective, d)
 		}
 	}
 }
@@ -86,7 +81,7 @@ func TestBasisSerializeRoundTripAllReps(t *testing.T) {
 func TestImportBasisCorruptFallsBackCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(28000))
 	p := randomBoundedProblem(rng, true)
-	src := NewRevisedRep(p, ForrestTomlinRep)
+	src := NewRevised(p)
 	sol, bas, err := src.SolveFrom(nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("source cold: %v status %v", err, sol.Status)
@@ -98,7 +93,7 @@ func TestImportBasisCorruptFallsBackCold(t *testing.T) {
 		"duplicate":  func() *Basis { c := append([]int(nil), cols...); c[len(c)-1] = c[0]; return ImportBasis(c, upper) }(),
 	}
 	for name, bad := range corruptions {
-		dst := NewRevisedRep(p, ForrestTomlinRep)
+		dst := NewRevised(p)
 		dst.PrimeWarm()
 		got, _, err := dst.SolveFrom(bad)
 		if err != nil {

@@ -1,9 +1,12 @@
-package lp
+package lp_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
+
+	. "repro/internal/lp"
+	"repro/internal/lp/lptest"
 )
 
 // rowEncoded returns a copy of p with every non-default variable
@@ -13,103 +16,23 @@ import (
 // row-encoded programs are mathematically identical, so their optima
 // must agree to solver tolerance; the property tests below pin that.
 func rowEncoded(p *Problem) *Problem {
-	q := New(p.nvars)
-	copy(q.c, p.c)
-	for _, r := range p.rows {
-		q.AddConstraint(r.terms, r.rel, r.rhs)
+	q := New(p.NumVars())
+	for j := 0; j < p.NumVars(); j++ {
+		q.SetObjective(j, p.Objective(j))
 	}
-	for j := 0; j < p.nvars; j++ {
-		if p.lb[j] != 0 {
-			q.AddConstraint([]Term{{Var: j, Coeff: 1}}, GE, p.lb[j])
+	for i := 0; i < p.NumConstraints(); i++ {
+		q.AddConstraint(p.Constraint(i))
+	}
+	for j := 0; j < p.NumVars(); j++ {
+		lb, ub := p.VarBounds(j)
+		if lb != 0 {
+			q.AddConstraint([]Term{{Var: j, Coeff: 1}}, GE, lb)
 		}
-		if !math.IsInf(p.ub[j], 1) {
-			q.AddConstraint([]Term{{Var: j, Coeff: 1}}, LE, p.ub[j])
+		if !math.IsInf(ub, 1) {
+			q.AddConstraint([]Term{{Var: j, Coeff: 1}}, LE, ub)
 		}
 	}
 	return q
-}
-
-// randomBoundedProblem builds a random LP that is feasible by
-// construction — the rhs is derived from a known point x0 and every
-// variable's box contains x0 — and bounded (a box row caps Σx). With
-// degenerate=true it additionally generates binding bounds (lb or ub
-// exactly at x0), fixed variables (lb == ub) and binding rows: the
-// inputs that force degenerate and bound-flip pivots.
-func randomBoundedProblem(rng *rand.Rand, degenerate bool) *Problem {
-	nv := 1 + rng.Intn(10)
-	p := New(nv)
-	for j := 0; j < nv; j++ {
-		if rng.Float64() < 0.8 {
-			p.SetObjective(j, math.Round(rng.NormFloat64()*30)/10)
-		}
-	}
-	x0 := make([]float64, nv)
-	sum0 := 0.0
-	for j := range x0 {
-		if !degenerate || rng.Float64() > 0.3 {
-			x0[j] = rng.Float64() * 5
-		}
-		sum0 += x0[j]
-	}
-	for j := 0; j < nv; j++ {
-		switch rng.Intn(5) {
-		case 0: // default [0, +Inf)
-		case 1: // finite upper bound
-			ub := x0[j] + rng.Float64()*3
-			if degenerate && rng.Float64() < 0.5 {
-				ub = x0[j] // binding at x0
-			}
-			p.SetVarBounds(j, 0, ub)
-		case 2: // positive lower bound, unbounded above
-			p.SetVarBounds(j, x0[j]*rng.Float64(), math.Inf(1))
-		case 3: // full box around x0
-			lb := x0[j] * rng.Float64()
-			if degenerate && rng.Float64() < 0.5 {
-				lb = x0[j]
-			}
-			p.SetVarBounds(j, lb, x0[j]+rng.Float64()*2)
-		case 4: // fixed variable
-			p.SetVarBounds(j, x0[j], x0[j])
-		}
-	}
-	rows := 1 + rng.Intn(10)
-	for i := 0; i < rows; i++ {
-		var terms []Term
-		ax := 0.0
-		for j := 0; j < nv; j++ {
-			if rng.Float64() < 0.6 {
-				c := 0.1 + rng.Float64()*4.9
-				if rng.Float64() < 0.3 {
-					c = -c
-				}
-				terms = append(terms, Term{Var: j, Coeff: c})
-				ax += c * x0[j]
-			}
-		}
-		if len(terms) == 0 {
-			continue
-		}
-		slack := rng.Float64() * 3
-		if degenerate && rng.Float64() < 0.5 {
-			slack = 0 // binding at x0
-		}
-		switch Rel(rng.Intn(3)) {
-		case LE:
-			p.AddConstraint(terms, LE, ax+slack)
-		case GE:
-			p.AddConstraint(terms, GE, ax-slack)
-		case EQ:
-			p.AddConstraint(terms, EQ, ax)
-		}
-	}
-	// Bounding box: keeps every instance bounded so all solvers must
-	// report Optimal.
-	box := make([]Term, nv)
-	for j := range box {
-		box[j] = Term{Var: j, Coeff: 1}
-	}
-	p.AddConstraint(box, LE, sum0+50)
-	return p
 }
 
 // checkAgainstRowEncoding solves p natively through both backends and
@@ -119,7 +42,7 @@ func randomBoundedProblem(rng *rand.Rand, degenerate bool) *Problem {
 func checkAgainstRowEncoding(t *testing.T, p *Problem, seed int64, label string) {
 	t.Helper()
 	q := rowEncoded(p)
-	ref, err := q.SolveWith(DenseSolver{})
+	ref, err := q.SolveWith(lptest.DenseSolver{})
 	if err != nil {
 		t.Fatalf("%s seed %d: row-encoded dense: %v", label, seed, err)
 	}
@@ -130,7 +53,7 @@ func checkAgainstRowEncoding(t *testing.T, p *Problem, seed int64, label string)
 	if ref.Status != refRev.Status {
 		t.Fatalf("%s seed %d: row-encoded dense %v, revised %v", label, seed, ref.Status, refRev.Status)
 	}
-	for _, s := range []Solver{DenseSolver{}, RevisedSolver{}} {
+	for _, s := range []Solver{lptest.DenseSolver{}, RevisedSolver{}} {
 		sol, err := p.SolveWith(s)
 		if err != nil {
 			t.Fatalf("%s seed %d: native %T: %v", label, seed, s, err)
@@ -141,11 +64,11 @@ func checkAgainstRowEncoding(t *testing.T, p *Problem, seed int64, label string)
 		if sol.Status != Optimal {
 			continue
 		}
-		if math.Abs(sol.Objective-ref.Objective) > objTol(ref.Objective) {
+		if math.Abs(sol.Objective-ref.Objective) > ObjTol(ref.Objective) {
 			t.Fatalf("%s seed %d: native %T obj %.12g, row-encoded obj %.12g (Δ=%g)",
 				label, seed, s, sol.Objective, ref.Objective, math.Abs(sol.Objective-ref.Objective))
 		}
-		for j := 0; j < p.nvars; j++ {
+		for j := 0; j < p.NumVars(); j++ {
 			lb, ub := p.VarBounds(j)
 			if sol.X[j] < lb-1e-7 || sol.X[j] > ub+1e-7 {
 				t.Fatalf("%s seed %d: native %T x[%d] = %g outside [%g, %g]",
@@ -158,14 +81,14 @@ func checkAgainstRowEncoding(t *testing.T, p *Problem, seed int64, label string)
 func TestBoundedMatchesRowEncodedRandom(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(5000 + seed))
-		checkAgainstRowEncoding(t, randomBoundedProblem(rng, false), seed, "bounded")
+		checkAgainstRowEncoding(t, RandomBoundedProblem(rng, false), seed, "bounded")
 	}
 }
 
 func TestBoundedMatchesRowEncodedDegenerate(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(6000 + seed))
-		checkAgainstRowEncoding(t, randomBoundedProblem(rng, true), seed, "bounded-degenerate")
+		checkAgainstRowEncoding(t, RandomBoundedProblem(rng, true), seed, "bounded-degenerate")
 	}
 }
 
@@ -177,7 +100,7 @@ func TestBoundedMatchesRowEncodedDegenerate(t *testing.T) {
 func TestWarmMatchesColdAfterBoundChange(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(7000 + seed))
-		p := randomBoundedProblem(rng, seed%2 == 0)
+		p := RandomBoundedProblem(rng, seed%2 == 0)
 		r := NewRevised(p)
 		sol, basis, err := r.SolveFrom(nil)
 		if err != nil {
@@ -210,14 +133,14 @@ func TestWarmMatchesColdAfterBoundChange(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: warm: %v", seed, step, err)
 			}
-			cold, err := rowEncoded(p).SolveWith(DenseSolver{})
+			cold, err := rowEncoded(p).SolveWith(lptest.DenseSolver{})
 			if err != nil {
 				t.Fatalf("seed %d step %d: row-encoded dense: %v", seed, step, err)
 			}
 			if warm.Status != cold.Status {
 				t.Fatalf("seed %d step %d: warm %v, row-encoded %v", seed, step, warm.Status, cold.Status)
 			}
-			if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > objTol(cold.Objective) {
+			if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > ObjTol(cold.Objective) {
 				t.Fatalf("seed %d step %d: warm obj %.12g, row-encoded obj %.12g (Δ=%g)",
 					seed, step, warm.Objective, cold.Objective, math.Abs(warm.Objective-cold.Objective))
 			}
@@ -225,101 +148,15 @@ func TestWarmMatchesColdAfterBoundChange(t *testing.T) {
 	}
 }
 
-func TestFixedVariableBothBackends(t *testing.T) {
-	// maximize 2x + y s.t. x + y <= 10, x fixed at 3: x=3, y=7.
-	p := New(2)
-	p.SetObjective(0, 2)
-	p.SetObjective(1, 1)
-	p.AddConstraint([]Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, LE, 10)
-	p.SetVarBounds(0, 3, 3)
-	for _, s := range []Solver{DenseSolver{}, RevisedSolver{}} {
-		sol, err := p.SolveWith(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != Optimal || !approx(sol.Objective, 13, 1e-9) ||
-			!approx(sol.X[0], 3, 1e-9) || !approx(sol.X[1], 7, 1e-9) {
-			t.Fatalf("%T: got %+v", s, sol)
-		}
-	}
-}
-
-func TestUpperBoundsWithoutRows(t *testing.T) {
-	// Both variables optimal at their native upper bound; the single
-	// row is slack there, so the optimum is reached by bound flips.
-	p := New(2)
-	p.SetObjective(0, 1)
-	p.SetObjective(1, 1)
-	p.AddConstraint([]Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, LE, 100)
-	p.SetVarBounds(0, 0, 2)
-	p.SetVarBounds(1, 1, 3)
-	for _, s := range []Solver{DenseSolver{}, RevisedSolver{}} {
-		sol, err := p.SolveWith(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != Optimal || !approx(sol.Objective, 5, 1e-9) ||
-			!approx(sol.X[0], 2, 1e-9) || !approx(sol.X[1], 3, 1e-9) {
-			t.Fatalf("%T: got %+v", s, sol)
-		}
-	}
-}
-
-func TestInfiniteUpperBoundStaysUnbounded(t *testing.T) {
-	// ub=+Inf is the default and must keep genuinely unbounded
-	// programs unbounded (the same-LAN MinBW=+Inf route shape).
-	p := New(2)
-	p.SetObjective(0, 1)
-	p.AddConstraint([]Term{{Var: 1, Coeff: 1}}, LE, 5)
-	p.SetVarBounds(0, 1.5, math.Inf(1))
-	for _, s := range []Solver{DenseSolver{}, RevisedSolver{}} {
-		sol, err := p.SolveWith(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != Unbounded {
-			t.Fatalf("%T: status %v, want unbounded", s, sol.Status)
-		}
-	}
-	// Capping the objective variable makes it optimal at the cap.
-	p.SetVarBounds(0, 1.5, 40)
-	for _, s := range []Solver{DenseSolver{}, RevisedSolver{}} {
-		sol, err := p.SolveWith(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != Optimal || !approx(sol.X[0], 40, 1e-9) {
-			t.Fatalf("%T: got %+v", s, sol)
-		}
-	}
-}
-
-func TestLowerBoundForcesInfeasible(t *testing.T) {
-	// lb pushes the variable past a row cap: infeasible both ways.
-	p := New(1)
-	p.SetObjective(0, 1)
-	p.AddConstraint([]Term{{Var: 0, Coeff: 1}}, LE, 2)
-	p.SetVarBounds(0, 3, math.Inf(1))
-	for _, s := range []Solver{DenseSolver{}, RevisedSolver{}} {
-		sol, err := p.SolveWith(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != Infeasible {
-			t.Fatalf("%T: status %v, want infeasible", s, sol.Status)
-		}
-	}
-}
-
 func TestSetVarBoundsValidation(t *testing.T) {
 	p := New(2)
-	mustPanic(t, func() { p.SetVarBounds(2, 0, 1) })                     // out of range
-	mustPanic(t, func() { p.SetVarBounds(0, 2, 1) })                     // lb > ub rejected
-	mustPanic(t, func() { p.SetVarBounds(0, -1, 1) })                    // negative lb
-	mustPanic(t, func() { p.SetVarBounds(0, math.NaN(), 1) })            // NaN lb
-	mustPanic(t, func() { p.SetVarBounds(0, 0, math.NaN()) })            // NaN ub
-	mustPanic(t, func() { p.SetVarBounds(0, math.Inf(1), math.Inf(1)) }) // infinite lb
-	mustPanic(t, func() { p.SetVarBounds(0, 0, math.Inf(-1)) })          // ub = -Inf
+	MustPanic(t, func() { p.SetVarBounds(2, 0, 1) })                     // out of range
+	MustPanic(t, func() { p.SetVarBounds(0, 2, 1) })                     // lb > ub rejected
+	MustPanic(t, func() { p.SetVarBounds(0, -1, 1) })                    // negative lb
+	MustPanic(t, func() { p.SetVarBounds(0, math.NaN(), 1) })            // NaN lb
+	MustPanic(t, func() { p.SetVarBounds(0, 0, math.NaN()) })            // NaN ub
+	MustPanic(t, func() { p.SetVarBounds(0, math.Inf(1), math.Inf(1)) }) // infinite lb
+	MustPanic(t, func() { p.SetVarBounds(0, 0, math.Inf(-1)) })          // ub = -Inf
 	p.SetVarBounds(0, 1, 1)                                              // fixed is legal
 	p.SetVarBounds(1, 2, math.Inf(1))                                    // open above is legal
 	if lb, ub := p.VarBounds(0); lb != 1 || ub != 1 {
@@ -335,7 +172,7 @@ func TestSetVarBoundsValidation(t *testing.T) {
 // dual-simplex restart after a bound mutation.
 func TestSolveBasisSeedsWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	p := randomBoundedProblem(rng, false)
+	p := RandomBoundedProblem(rng, false)
 	sol, basis, err := p.SolveBasis()
 	if err != nil {
 		t.Fatal(err)
@@ -351,14 +188,14 @@ func TestSolveBasisSeedsWarmStart(t *testing.T) {
 	if next == nil {
 		t.Fatal("warm solve returned nil basis")
 	}
-	cold, err := rowEncoded(p).SolveWith(DenseSolver{})
+	cold, err := rowEncoded(p).SolveWith(lptest.DenseSolver{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Status != cold.Status {
 		t.Fatalf("warm %v, cold %v", warm.Status, cold.Status)
 	}
-	if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > objTol(cold.Objective) {
+	if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > ObjTol(cold.Objective) {
 		t.Fatalf("warm obj %.12g, cold obj %.12g", warm.Objective, cold.Objective)
 	}
 }

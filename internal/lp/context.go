@@ -73,7 +73,7 @@ func (r *Revised) PrimeWarm() {
 // from a snapshot agree on everything discrete — matrix, rhs, bounds,
 // basis — yet solve from different internal state: the live one
 // carries the data-dependent sign normalization its first cold solve
-// chose, an accumulated (Forrest–Tomlin updated) factorization of
+// chose, an accumulated (eta-file updated) factorization of
 // possibly *another* basis it would rather continue from, and evolved
 // pricing weights; the rebuilt one runs on PrimeWarm's identity signs
 // and a fresh refactorization. Both states are correct, but on a
@@ -120,21 +120,13 @@ func (r *Revised) SolveEphemeral(bas *Basis) (Solution, error) {
 // a few multiples of the basis dimension m plus a term proportional
 // to the constraint nonzeros (denser matrices move less infeasibility
 // per pivot), floored so tiny problems keep headroom for degenerate
-// shuffling. The budget is representation-aware: under Forrest–Tomlin
-// updates a late warm pivot costs about the same as an early one
-// (solve cost no longer degrades with eta-file length), so persisting
-// through another couple of basis sweeps beats abandoning — the
-// 4·m multiplier was calibrated against eta-file pivot cost and is
-// raised to 6·m for the FT representation.
+// shuffling. The 4·m multiplier was calibrated against eta-file pivot
+// cost, which degrades with the file's length between rebuilds.
 func (r *Revised) warmPivotBudget() int {
 	if r.budgetOverride > 0 {
 		return r.budgetOverride
 	}
-	mMult := 4
-	if _, ft := r.fac.(*ftFactor); ft {
-		mMult = 6
-	}
-	return mMult*r.m + len(r.sp.val)/2 + 256
+	return 4*r.m + len(r.sp.val)/2 + 256
 }
 
 // WarmPivotBudget reports the pivot budget a warm restart on this
@@ -539,9 +531,8 @@ func (r *Revised) clampXB(i int, ftol float64) {
 // current bound value; d must hold B^{-1}·A_enter. leaveAtUpper
 // records the bound the leaving variable departs at.
 //
-// The factorization absorbs the pivot as an update (product-form row
-// update for the dense inverse, an eta append for LU); when the
-// update is refused on stability grounds or the representation asks
+// The factorization absorbs the pivot as an eta append; when the
+// update is refused on stability grounds or the eta file asks
 // for its periodic rebuild, the basis is refactorized at this pivot
 // boundary and xb recomputed exactly. Returns refactored=true in
 // that case so callers maintaining incremental state (the dual's
@@ -570,7 +561,7 @@ func (r *Revised) pivotUpdate(leave, enter int, d []float64, step float64, leave
 	r.xb[leave] = newVal
 	r.stats.Pivots++
 	if !okUpd {
-		// The representation refused the update as numerically unsafe:
+		// The factor refused the update as numerically unsafe:
 		// rebuild from the (new) basis instead. If the rebuild fails
 		// right now, fall back to force-applying the update — it is
 		// exact algebra against the pre-pivot factorization — and

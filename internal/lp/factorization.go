@@ -35,16 +35,14 @@ type Factorization struct {
 
 	c2 []float64 // phase-2 costs over the full column space
 	c1 []float64 // phase-1 costs (artificials at -1), built eagerly
-
-	rep BasisRep
 }
 
 // newFactorization builds the shared immutable half of a Revised
 // instance from p's current rows. It snapshots the objective: the
 // warm-start contract freezes coefficients along with the structure,
 // only rhs and bounds may change afterwards.
-func newFactorization(p *Problem, rep BasisRep) *Factorization {
-	fz := &Factorization{rep: rep}
+func newFactorization(p *Problem) *Factorization {
+	fz := &Factorization{}
 	fz.sp, fz.slackOfRow, fz.slackCoef = newSparseCols(p)
 	fz.nstruct = p.nvars
 	fz.nslack = fz.sp.n - p.nvars

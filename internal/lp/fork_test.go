@@ -284,11 +284,7 @@ func TestForkFrozenSnapshotReuse(t *testing.T) {
 	if r.frozen != fz {
 		t.Fatal("second fork rebuilt the frozen snapshot instead of reusing it")
 	}
-	lu1, ok1 := f1.fac.(*luFactor)
-	lu2, ok2 := f2.fac.(*luFactor)
-	if !ok1 || !ok2 {
-		t.Fatalf("forks carry %T/%T, want *luFactor", f1.fac, f2.fac)
-	}
+	lu1, lu2 := f1.fac, f2.fac
 	if len(lu1.uVal) > 0 && &lu1.uVal[0] != &lu2.uVal[0] {
 		t.Fatal("sibling forks do not alias the same frozen U")
 	}

@@ -14,52 +14,31 @@
 //
 // A Problem is a solver-independent model: an objective vector,
 // sparse constraint rows ([]Term), and per-variable bounds
-// (SetVarBounds). Two backends implement the Solver interface:
-//
-//   - DenseSolver (dense.go): a two-phase primal simplex on a dense
-//     tableau. It densifies the rows and rebuilds the tableau on
-//     every call. Kept as the reference implementation and numerical
-//     cross-check.
-//   - RevisedSolver / Revised (revised.go): the default. A revised
-//     simplex that stores the constraint matrix in compressed sparse
-//     column form (sparse.go), maintains a factorized basis
-//     representation, and prices columns with sparse dot products.
-//     Equality and >= constraints are supported through a classical
-//     phase-1 scheme with artificial variables.
+// (SetVarBounds). One solver serves it: Revised (revised.go), a
+// revised simplex that stores the constraint matrix in compressed
+// sparse column form (sparse.go), maintains a factorized basis
+// representation, and prices columns with sparse dot products.
+// Equality and >= constraints are supported through a classical
+// phase-1 scheme with artificial variables. RevisedSolver wraps one
+// cold solve of it behind the Solver interface — the seam through
+// which the test suites run the same Problem through the independent
+// dense-tableau oracle in lptest (a test-support package nothing on
+// the serving path imports).
 //
 // # Factorized basis
 //
-// The revised simplex never forms the basis inverse explicitly.
-// Its FTRAN/BTRAN operations go through a pluggable basisFactor
-// (factor.go) selected by BasisRep:
-//
-//   - ForrestTomlinRep (ft.go), the default: the same Markowitz-style
-//     sparse LU base factorization as LUEtaRep (below), but a pivot
-//     updates the U factor itself instead of appending to an eta
-//     file. The Forrest–Tomlin update splices the leaving column out
-//     of U, inserts the FTRAN'd entering column as a spike, restores
-//     triangularity with a cyclic permutation of the elimination
-//     order, and repairs the spiked row with one short row eta — all
-//     sparse operations, so U stays sparse and triangular and
-//     FTRAN/BTRAN cost does not degrade with the number of updates.
-//     Refactorization triggers on U fill growth past a multiple of
-//     the fresh factorization's nonzeros, on an update-count cap, or
-//     on numerical drift (the update's recurrence diagonal is checked
-//     against the exact determinant identity u'_tt = u_tt·d_p and the
-//     update refused when they disagree).
-//   - LUEtaRep (lu.go): the same LU base, computed by Markowitz-style
-//     threshold pivoting over the CSC columns (row/column singletons
-//     — the ±e_i slack and artificial columns that dominate these
-//     bases — peel off as fill-free O(1) pivots), but pivots append
-//     to an eta file in product form instead of touching L/U, which
-//     forces a rebuild every few dozen updates. Superseded as the
-//     default by ForrestTomlinRep; kept as a cross-checked reference
-//     and the E13/E14 baseline.
-//   - DenseInverseRep (factor.go): the historical explicit dense
-//     inverse with O(m²) product-form updates, kept as the numerical
-//     reference; property tests pin all three representations to
-//     equal optima at 1e-9 across cold solves, warm restarts and
-//     RHS/bound mutation sequences.
+// The revised simplex never forms the basis inverse explicitly. Its
+// FTRAN/BTRAN operations go through luFactor (lu.go): a sparse LU
+// factorization computed by Markowitz-style threshold pivoting over
+// the CSC columns (row/column singletons — the ±e_i slack and
+// artificial columns that dominate these bases — peel off as
+// fill-free O(1) pivots), maintained across pivots by appending to an
+// eta file in product form instead of touching L/U. The file is
+// rebuilt into a fresh factorization when it grows past a length or
+// density budget, or when an update pivot looks numerically unsafe.
+// Because a pivot only ever appends, the committed L/U arrays of a
+// clean factorization can be frozen and aliased read-only by any
+// number of forked contexts (see Fork below).
 //
 // Pricing: the primal simplex prices entering columns with devex
 // (reference-framework weights approximating steepest edge, columns
@@ -75,12 +54,11 @@
 // aggregated FTRAN, which passes degenerate vertices without pivots.
 // The automatic switch to Bland's anti-cycling rule on objective
 // stalls is retained from the Dantzig era. Revised.Stats exposes
-// pivot, bound-flip, refactorization, Forrest–Tomlin update/fill,
-// steepest-edge reset and warm/cold solve counters for the
-// experiment harness.
+// pivot, bound-flip, refactorization, steepest-edge reset and
+// warm/cold solve counters for the experiment harness.
 //
-// Both backends honor variable bounds natively in the simplex itself
-// — the bounded-variable method, not bound rows: lower bounds are
+// Variable bounds are honored natively in the simplex itself — the
+// bounded-variable method, not bound rows: lower bounds are
 // shifted away, a nonbasic variable rests at either of its bounds
 // (the at-upper set is part of the simplex state and of Basis), the
 // ratio tests are two-sided (a basic variable may leave at its lower
@@ -90,9 +68,9 @@
 // the property the branch-and-bound and pin-sequence layers above
 // are built on.
 //
-// Problem.Solve dispatches to DefaultSolver (the revised simplex);
-// Problem.SolveWith selects a backend explicitly; Problem.SolveBasis
-// additionally returns the optimal basis for later warm starts.
+// Problem.Solve runs one cold revised-simplex solve; Problem.SolveBasis
+// additionally returns the optimal basis for later warm starts;
+// Problem.SolveWith runs the problem through an explicit Solver.
 //
 // # Warm starts
 //
@@ -108,16 +86,15 @@
 // at-upper-bound statuses) and typically finishes in a handful of
 // pivots instead of a full phase-1/phase-2 pass. Branching bounds
 // and route pins in the layers above are therefore native bound
-// mutations, never added or dedicated rows. A Basis snapshot is
-// representation-independent: it records the basic column set and
-// the at-upper statuses, not the factorization, so it round-trips
-// between ForrestTomlinRep, LUEtaRep and DenseInverseRep instances.
-// SolveFrom falls
-// back to a cold solve whenever the supplied basis is unusable
-// (singular, stale, or numerically degraded) or the dual restart
-// stops making progress within a pivot budget proportional to the
-// instance size and nonzeros, so warm starts are strictly an
-// optimization, never a correctness risk.
+// mutations, never added or dedicated rows. A Basis snapshot records
+// the basic column set and the at-upper statuses, not the
+// factorization, so it round-trips between instances built over the
+// same constraint structure (and through Export/ImportBasis between
+// processes). SolveFrom falls back to a cold solve whenever the
+// supplied basis is unusable (singular, stale, or numerically
+// degraded) or the dual restart stops making progress within a pivot
+// budget proportional to the instance size and nonzeros, so warm
+// starts are strictly an optimization, never a correctness risk.
 //
 // # Factorization vs. solve context
 //
@@ -131,7 +108,7 @@
 //     synchronization.
 //   - The solve context: everything one solve mutates — the owning
 //     Problem (rhs and bounds), basis and at-upper state, the live
-//     basisFactor, pricing weights, statistics and scratch buffers.
+//     luFactor, pricing weights, statistics and scratch buffers.
 //     Revised embeds a *Factorization, so a Revised IS a solve
 //     context over a shareable immutable core.
 //
@@ -313,6 +290,22 @@ func (p *Problem) VarBounds(j int) (lb, ub float64) {
 func (p *Problem) RHS(i int) float64 {
 	p.checkRow(i)
 	return p.rows[i].rhs
+}
+
+// Objective returns the objective coefficient of variable j.
+func (p *Problem) Objective(j int) float64 {
+	p.checkVar(j)
+	return p.c[j]
+}
+
+// Constraint returns constraint row i as AddConstraint received it
+// (with its current right-hand side). The terms are a copy. Together
+// with VarBounds and Objective this lets a Solver outside the package
+// — the lptest oracle — read the whole program.
+func (p *Problem) Constraint(i int) (terms []Term, rel Rel, rhs float64) {
+	p.checkRow(i)
+	r := p.rows[i]
+	return append([]Term(nil), r.terms...), r.rel, r.rhs
 }
 
 func checkRHS(rhs float64) {

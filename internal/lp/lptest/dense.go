@@ -1,41 +1,64 @@
-package lp
+// Package lptest holds the independent reference LP solver the test
+// suites check the production revised simplex (lp.Revised) against: a
+// two-phase primal simplex on a dense tableau that shares no code with
+// it. It is test support — reached through the lp.Solver seam
+// (Problem.SolveWith, core.Model.SolveWith) — and must not be imported
+// by non-test code.
+package lptest
 
 import (
 	"errors"
 	"math"
+
+	"repro/internal/lp"
 )
 
-// solveDense runs the two-phase dense-tableau simplex — the reference
-// backend, retained behind DenseSolver as the numerical cross-check.
-// It honors variable bounds with the same bounded-variable semantics
-// as the revised backend: lower bounds are shifted away when the
-// tableau is built, nonbasic columns rest at either bound, the ratio
-// test is two-sided and an entering column blocked first by its own
-// opposite bound flips without a pivot.
-func solveDense(p *Problem) (Solution, error) {
+// DenseSolver solves with the dense two-phase tableau simplex. It
+// densifies the constraint rows and rebuilds the tableau from scratch
+// on every call.
+type DenseSolver struct{}
+
+// Solve implements lp.Solver.
+func (DenseSolver) Solve(p *lp.Problem) (lp.Solution, error) { return solveDense(p) }
+
+const (
+	eps = 1e-9 // pivot/feasibility tolerance
+	// stallLimit is the number of consecutive non-improving pivots
+	// tolerated under Dantzig pricing before switching to Bland's
+	// rule, which guarantees termination.
+	stallLimit = 64
+)
+
+// solveDense runs the two-phase dense-tableau simplex. It honors
+// variable bounds with the same bounded-variable semantics as the
+// revised simplex: lower bounds are shifted away when the tableau is
+// built, nonbasic columns rest at either bound, the ratio test is
+// two-sided and an entering column blocked first by its own opposite
+// bound flips without a pivot.
+func solveDense(p *lp.Problem) (lp.Solution, error) {
 	t := newTableau(p)
 	if t.nart > 0 {
 		if err := t.phase1(); err != nil {
-			return Solution{}, err
+			return lp.Solution{}, err
 		}
 		if t.phase1Objective() > 1e-7*(1+t.rhsScale) {
-			return Solution{Status: Infeasible}, nil
+			return lp.Solution{Status: lp.Infeasible}, nil
 		}
 		t.driveOutArtificials()
 	}
 	status, err := t.phase2()
 	if err != nil {
-		return Solution{}, err
+		return lp.Solution{}, err
 	}
-	if status != Optimal {
-		return Solution{Status: status}, nil
+	if status != lp.Optimal {
+		return lp.Solution{Status: status}, nil
 	}
 	x := t.extract()
 	obj := 0.0
-	for j, cj := range p.c {
-		obj += cj * x[j]
+	for j := range x {
+		obj += p.Objective(j) * x[j]
 	}
-	return Solution{Status: Optimal, X: x, Objective: obj}, nil
+	return lp.Solution{Status: lp.Optimal, X: x, Objective: obj}, nil
 }
 
 // tableau is the dense simplex tableau, kept canonical over the
@@ -61,19 +84,25 @@ type tableau struct {
 	atUpper                []bool    // nonbasic-at-upper-bound status per column
 }
 
-func newTableau(p *Problem) *tableau {
-	m := len(p.rows)
-	t := &tableau{m: m, nvars: p.nvars}
+func newTableau(p *lp.Problem) *tableau {
+	m, nvars := p.NumConstraints(), p.NumVars()
+	t := &tableau{m: m, nvars: nvars}
+	t.lb = make([]float64, nvars)
+	ub := make([]float64, nvars)
+	for j := range t.lb {
+		t.lb[j], ub[j] = p.VarBounds(j)
+	}
 	// Shift the lower bounds out of the rhs, then normalize rows to
 	// have nonnegative shifted rhs (negating flips the relation).
 	// Count slack and artificial columns off the normalized rows.
-	rels := make([]Rel, m)
+	terms := make([][]lp.Term, m)
+	rels := make([]lp.Rel, m)
 	rhs := make([]float64, m)
 	neg := make([]bool, m)
-	for i, r := range p.rows {
-		rels[i], rhs[i] = r.rel, r.rhs
-		for _, term := range r.terms {
-			if lb := p.lb[term.Var]; lb != 0 {
+	for i := range terms {
+		terms[i], rels[i], rhs[i] = p.Constraint(i)
+		for _, term := range terms[i] {
+			if lb := t.lb[term.Var]; lb != 0 {
 				rhs[i] -= term.Coeff * lb
 			}
 		}
@@ -81,44 +110,43 @@ func newTableau(p *Problem) *tableau {
 			rhs[i] = -rhs[i]
 			neg[i] = true
 			switch rels[i] {
-			case LE:
-				rels[i] = GE
-			case GE:
-				rels[i] = LE
+			case lp.LE:
+				rels[i] = lp.GE
+			case lp.GE:
+				rels[i] = lp.LE
 			}
 		}
 		switch rels[i] {
-		case LE, GE:
+		case lp.LE, lp.GE:
 			t.nslack++
 		}
 		switch rels[i] {
-		case GE, EQ:
+		case lp.GE, lp.EQ:
 			t.nart++
 		}
 	}
-	t.ncols = p.nvars + t.nslack + t.nart
+	t.ncols = nvars + t.nslack + t.nart
 	t.a = make([][]float64, m)
 	t.b = make([]float64, m)
 	t.basis = make([]int, m)
-	t.lb = p.lb
 	t.U = make([]float64, t.ncols)
 	for j := range t.U {
-		if j < p.nvars {
-			t.U[j] = p.ub[j] - p.lb[j]
+		if j < nvars {
+			t.U[j] = ub[j] - t.lb[j]
 		} else {
 			t.U[j] = math.Inf(1)
 		}
 	}
 	t.atUpper = make([]bool, t.ncols)
-	slackAt := p.nvars
-	artAt := p.nvars + t.nslack
-	for i, r := range p.rows {
+	slackAt := nvars
+	artAt := nvars + t.nslack
+	for i := range terms {
 		rowv := make([]float64, t.ncols)
 		sign := 1.0
 		if neg[i] {
 			sign = -1
 		}
-		for _, term := range r.terms {
+		for _, term := range terms[i] {
 			rowv[term.Var] += sign * term.Coeff
 		}
 		t.b[i] = rhs[i]
@@ -126,17 +154,17 @@ func newTableau(p *Problem) *tableau {
 			t.rhsScale = t.b[i]
 		}
 		switch rels[i] {
-		case LE:
+		case lp.LE:
 			rowv[slackAt] = 1
 			t.basis[i] = slackAt
 			slackAt++
-		case GE:
+		case lp.GE:
 			rowv[slackAt] = -1
 			slackAt++
 			rowv[artAt] = 1
 			t.basis[i] = artAt
 			artAt++
-		case EQ:
+		case lp.EQ:
 			rowv[artAt] = 1
 			t.basis[i] = artAt
 			artAt++
@@ -144,7 +172,9 @@ func newTableau(p *Problem) *tableau {
 		t.a[i] = rowv
 	}
 	t.costs = make([]float64, t.ncols)
-	copy(t.costs, p.c)
+	for j := 0; j < nvars; j++ {
+		t.costs[j] = p.Objective(j)
+	}
 	return t
 }
 
@@ -288,7 +318,7 @@ func (t *tableau) ratioTest(pcol int, dir float64) (prow int, hitUpper bool, rat
 // lower bound enters increasing on a positive reduced cost, one at
 // its upper bound enters decreasing on a negative reduced cost. It
 // returns Unbounded or Optimal.
-func (t *tableau) optimize(costs []float64, colLimit int) (Status, error) {
+func (t *tableau) optimize(costs []float64, colLimit int) (lp.Status, error) {
 	maxIters := 200*(t.m+t.ncols) + 20000
 	bland := false
 	stall := 0
@@ -335,12 +365,12 @@ func (t *tableau) optimize(costs []float64, colLimit int) (Status, error) {
 			}
 		}
 		if pcol == -1 {
-			return Optimal, nil
+			return lp.Optimal, nil
 		}
 		prow, hitUpper, ratio := t.ratioTest(pcol, dir)
 		switch {
 		case prow == -1 && math.IsInf(t.U[pcol], 1):
-			return Unbounded, nil
+			return lp.Unbounded, nil
 		case prow == -1 || t.U[pcol] <= ratio:
 			t.boundFlip(pcol, dir)
 		default:
@@ -358,7 +388,7 @@ func (t *tableau) optimize(costs []float64, colLimit int) (Status, error) {
 		}
 		lastObj = obj
 	}
-	return Optimal, ErrIterationLimit
+	return lp.Optimal, lp.ErrIterationLimit
 }
 
 // boundedObjective evaluates costs over the full bounded state: basic
@@ -388,9 +418,9 @@ func (t *tableau) phase1() error {
 	if err != nil {
 		return err
 	}
-	if status == Unbounded {
+	if status == lp.Unbounded {
 		// Impossible: phase-1 objective is bounded above by 0.
-		return errors.New("lp: internal error: phase 1 unbounded")
+		return errors.New("lptest: internal error: phase 1 unbounded")
 	}
 	return nil
 }
@@ -433,7 +463,7 @@ func (t *tableau) driveOutArtificials() {
 }
 
 // phase2 optimizes the true objective over non-artificial columns.
-func (t *tableau) phase2() (Status, error) {
+func (t *tableau) phase2() (lp.Status, error) {
 	return t.optimize(t.costs, t.nvars+t.nslack)
 }
 

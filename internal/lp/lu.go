@@ -15,7 +15,7 @@ import "math"
 // pivots. L (unit lower triangular) and U are stored column-wise in
 // elimination-position space, so FTRAN is a forward L-solve plus a
 // backward U-solve and BTRAN the two transposed sweeps, each
-// O(m + nnz) instead of the dense inverse's O(m²).
+// O(m + nnz).
 //
 // Basis changes append to an eta file instead of touching L/U: a
 // pivot replacing position p's column with an entering column whose
@@ -30,6 +30,13 @@ import "math"
 // (shouldRefactor) or when an update pivot looks numerically unsafe
 // relative to its direction (update refuses, the caller refactors) —
 // the two triggers that bound both solve cost and error drift.
+//
+// All vector arguments are dense slices of length m. The index
+// convention follows the simplex state: the basis matrix B maps
+// basis-position space to constraint-row space (column p of B is the
+// effective column of r.basis[p]), so ftran solves B·x = v (v indexed
+// by row, result by position) and btran solves Bᵀ·y = v (v indexed by
+// position, result by row), both in place.
 type luFactor struct {
 	r *Revised
 	m int
@@ -102,12 +109,11 @@ const (
 	// be at least this fraction of its column's largest magnitude, the
 	// classical sparsity/stability compromise.
 	luTau = 0.1
-	// luSingTol matches the dense factor's absolute singularity floor.
+	// luSingTol is the absolute singularity floor for a pivot.
 	luSingTol = 1e-11
 	// luMaxEtas caps the eta file's length regardless of density —
 	// refactorization is cheap for these sparse bases, so the cap also
-	// bounds error drift more tightly than the dense inverse's
-	// refactorEvery.
+	// bounds error drift tightly.
 	luMaxEtas = 32
 	// luEtaStabRel: an update pivot smaller than this fraction of its
 	// direction's largest entry signals a numerically unsafe eta
@@ -127,35 +133,8 @@ const (
 )
 
 func newLUFactor(r *Revised) *luFactor {
-	f := &luFactor{}
-	f.init(r)
-	return f
-}
-
-// newBorrowedLUFactor returns an eta-file factor whose committed
-// arrays alias an immutable frozen snapshot: the fork starts from the
-// parent's clean LU without refactorizing. The borrowed flag defers
-// any write to those arrays — updates append only to the fork's
-// private eta file, and the first commit (triggered by a refactor)
-// allocates fresh storage.
-func newBorrowedLUFactor(r *Revised, fz *frozenLU) *luFactor {
-	f := newLUFactor(r)
-	f.rowOfPos = fz.rowOfPos
-	f.colOfPos = fz.colOfPos
-	f.uDiag = fz.uDiag
-	f.lPtr, f.lIdx, f.lVal = fz.lPtr, fz.lIdx, fz.lVal
-	f.uPtr, f.uIdx, f.uVal = fz.uPtr, fz.uIdx, fz.uVal
-	f.luNNZ = fz.luNNZ
-	f.borrowed = true
-	return f
-}
-
-// init sizes the factor for r's basis dimension; shared with the
-// Forrest–Tomlin representation, which embeds luFactor for the base
-// Markowitz factorization and replaces only the update machinery.
-func (f *luFactor) init(r *Revised) {
 	m := r.m
-	f.r, f.m = r, m
+	f := &luFactor{r: r, m: m}
 	f.rowOfPos = make([]int32, m)
 	f.colOfPos = make([]int32, m)
 	f.uDiag = make([]float64, m)
@@ -179,6 +158,25 @@ func (f *luFactor) init(r *Revised) {
 	f.uRowVal = make([][]float64, m)
 	f.mark = make([]int32, m)
 	f.markAt = make([]int32, m)
+	return f
+}
+
+// newBorrowedLUFactor returns an eta-file factor whose committed
+// arrays alias an immutable frozen snapshot: the fork starts from the
+// parent's clean LU without refactorizing. The borrowed flag defers
+// any write to those arrays — updates append only to the fork's
+// private eta file, and the first commit (triggered by a refactor)
+// allocates fresh storage.
+func newBorrowedLUFactor(r *Revised, fz *frozenLU) *luFactor {
+	f := newLUFactor(r)
+	f.rowOfPos = fz.rowOfPos
+	f.colOfPos = fz.colOfPos
+	f.uDiag = fz.uDiag
+	f.lPtr, f.lIdx, f.lVal = fz.lPtr, fz.lIdx, fz.lVal
+	f.uPtr, f.uIdx, f.uVal = fz.uPtr, fz.uIdx, fz.uVal
+	f.luNNZ = fz.luNNZ
+	f.borrowed = true
+	return f
 }
 
 // refactor computes a fresh LU factorization of the current basis and
@@ -502,6 +500,7 @@ func (f *luFactor) commit() {
 	f.minEtas = 0
 }
 
+// ftran solves B·x = v in place.
 func (f *luFactor) ftran(v []float64) {
 	m, w := f.m, f.w
 	for k := 0; k < m; k++ {
@@ -544,6 +543,8 @@ func (f *luFactor) ftran(v []float64) {
 	}
 }
 
+// ftranCol solves B·x = A_j for the effective column j, writing x into
+// dst (overwritten).
 func (f *luFactor) ftranCol(j int, dst []float64) {
 	for i := range dst {
 		dst[i] = 0
@@ -554,6 +555,7 @@ func (f *luFactor) ftranCol(j int, dst []float64) {
 	f.ftran(dst)
 }
 
+// btran solves Bᵀ·y = v in place.
 func (f *luFactor) btran(v []float64) {
 	for ei := len(f.etas) - 1; ei >= 0; ei-- {
 		e := &f.etas[ei]
@@ -586,6 +588,8 @@ func (f *luFactor) btran(v []float64) {
 	}
 }
 
+// btranRow writes row p of B⁻¹ (= eₚᵀB⁻¹, the vector the dual simplex
+// prices the leaving row with) into dst.
 func (f *luFactor) btranRow(p int, dst []float64) {
 	for i := range dst {
 		dst[i] = 0
@@ -594,6 +598,11 @@ func (f *luFactor) btranRow(p int, dst []float64) {
 	f.btran(dst)
 }
 
+// update absorbs the pivot that replaces position p's basis column
+// with the column whose FTRAN'd direction is d, as one more eta. With
+// force=false it refuses a pivot it considers numerically unsafe
+// (returns false, state unchanged) — the caller then refactorizes;
+// force=true always applies.
 func (f *luFactor) update(p int, d []float64, force bool) bool {
 	piv := d[p]
 	start := int32(len(f.etaIdx))
@@ -624,6 +633,8 @@ func (f *luFactor) update(p int, d []float64, force bool) bool {
 	return true
 }
 
+// shouldRefactor reports that the eta file is past its length or
+// density budget and wants a rebuild at the next pivot boundary.
 func (f *luFactor) shouldRefactor() bool {
 	if len(f.etas) < f.minEtas {
 		return false
@@ -631,4 +642,7 @@ func (f *luFactor) shouldRefactor() bool {
 	return len(f.etas) >= luMaxEtas || len(f.etaIdx) > 2*(f.luNNZ+f.m)
 }
 
+// deferRefactor is called when a wanted refactorization found the
+// basis momentarily singular: back off so the next attempt happens
+// after another batch of updates rather than on every pivot.
 func (f *luFactor) deferRefactor() { f.minEtas = len(f.etas) + luMaxEtas }

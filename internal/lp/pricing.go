@@ -585,11 +585,10 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 			// A restart that cannot push total infeasibility to a new
 			// low across several Bland episodes is degenerate-cycling
 			// territory; past that point the cold fallback's fresh
-			// phase-1/phase-2 start tends to win. The window is wider
-			// than it was over the dense inverse: a factorized dual
-			// pivot costs about the same as a cold-solve pivot now,
-			// so persisting beats abandoning up to a few cold-solve
-			// equivalents of work.
+			// phase-1/phase-2 start tends to win. The window is wide
+			// because a factorized dual pivot costs about the same as
+			// a cold-solve pivot, so persisting beats abandoning up to
+			// a few cold-solve equivalents of work.
 			if infeas >= minInfeas-eps {
 				sinceBest++
 				if sinceBest >= 8*stallLimit {

@@ -3,10 +3,10 @@ package lp
 import "math"
 
 // Revised is a revised-simplex solve context bound to one Problem.
-// Unlike the one-shot backends it keeps the constraint matrix (in
-// sparse column form), the basis and a factorized representation of
-// the basis matrix alive across solves, which is what makes warm
-// starts cheap: after an RHS or variable-bound mutation
+// It keeps the constraint matrix (in sparse column form), the basis
+// and a factorized representation of the basis matrix alive across
+// solves, which is what makes warm starts cheap: after an RHS or
+// variable-bound mutation
 // (Problem.SetRHS / Problem.SetVarBounds), SolveFrom(basis) restarts
 // the dual simplex from a previous optimal basis instead of running a
 // full phase-1/phase-2 pass. When the supplied basis is the one the
@@ -23,13 +23,11 @@ import "math"
 // callers mutate), the basis and its factorization, bound state,
 // pricing weights, statistics, and every scratch vector.
 //
-// The basis representation is pluggable (BasisRep): the default is a
-// sparse LU factorization maintained across pivots by Forrest–Tomlin
-// updates (ft.go); the product-form eta file (lu.go) and the
-// historical explicit dense inverse (DenseInverseRep, factor.go) are
-// retained as numerical references. The Basis snapshots returned to
-// callers are representation-independent — a basis produced under one
-// representation warm-starts an instance using another.
+// The basis is represented as a sparse LU factorization maintained
+// across pivots by a product-form eta file (luFactor, lu.go). The
+// Basis snapshots returned to callers record the simplex state, not
+// the factorization, so they warm-start any instance built over the
+// same constraint structure.
 //
 // Pricing is devex (reference-framework weights, Harris-style
 // approximation of steepest edge) in both the primal and the dual
@@ -72,7 +70,7 @@ type Revised struct {
 	// atUpper statuses) is dual feasible for the phase-2 costs (every
 	// solve ends optimal, infeasible via the dual simplex — which
 	// preserves dual feasibility — or clears the flag).
-	fac        basisFactor
+	fac        *luFactor
 	basis      []int
 	inBasis    []bool
 	atUpper    []bool // nonbasic-at-upper-bound status per column
@@ -151,12 +149,12 @@ type Revised struct {
 	xscratch  []float64
 }
 
-// infeasTol matches the dense backend's phase-1 acceptance.
+// infeasTol is the phase-1 acceptance (the lptest oracle uses the same).
 const infeasTol = 1e-7
 
 // Stats aggregates solver activity over the lifetime of a Revised
 // instance (or since the last ResetStats): the per-solve cost drivers
-// the E11/E12/E13 sweeps report alongside their wall-clock numbers.
+// the experiment sweeps report alongside their wall-clock numbers.
 type Stats struct {
 	// Pivots counts every simplex basis change (primal + dual + basis
 	// repair); PrimalPivots/DualPivots break out the two methods.
@@ -175,15 +173,11 @@ type Stats struct {
 	ColdSolves    int `json:"coldSolves"`
 	WarmSolves    int `json:"warmSolves"`
 	ColdFallbacks int `json:"coldFallbacks"`
-	// FTUpdates counts Forrest–Tomlin basis updates absorbed without a
-	// rebuild; FTUpdates/Refactorizations is the update-vs-refactor
-	// ratio the representation is tuned around.
+	// FTUpdates is always 0: nothing increments it since the
+	// Forrest–Tomlin factor was deleted. It stays only because
+	// bench/trace.go:370 and bench/run.go:270 read it and bench/ is
+	// frozen; drop it with lp.ft_updates_per_op in the next [benchmark] PR.
 	FTUpdates int `json:"ftUpdates"`
-	// UFillGrowth is the peak ratio of U's nonzeros to the fresh
-	// factorization's since stats were reset — how far Forrest–Tomlin
-	// spikes densified U before a refactorization caught it (Add keeps
-	// the max, not a sum).
-	UFillGrowth float64 `json:"uFillGrowth"`
 	// DSEWeightResets counts dual steepest-edge weight rebuilds from
 	// unit values: the first dual run after anything that moved the
 	// basis outside the dual's own recurrence, plus the rare
@@ -195,7 +189,7 @@ type Stats struct {
 	// scheduling service's batched what-if engine): the widest
 	// concurrent fork pool, the number of batch rounds, and the
 	// largest batch answered. Add keeps the max for PeakForks and
-	// BatchMaxSize (like UFillGrowth) and sums the other two.
+	// BatchMaxSize and sums the other two.
 	Forks        int `json:"forks"`
 	PeakForks    int `json:"peakForks"`
 	Batches      int `json:"batches"`
@@ -258,10 +252,6 @@ func (s *Stats) Add(other Stats) {
 	s.ColdSolves += other.ColdSolves
 	s.WarmSolves += other.WarmSolves
 	s.ColdFallbacks += other.ColdFallbacks
-	s.FTUpdates += other.FTUpdates
-	if other.UFillGrowth > s.UFillGrowth {
-		s.UFillGrowth = other.UFillGrowth
-	}
 	s.DSEWeightResets += other.DSEWeightResets
 	s.Forks += other.Forks
 	if other.PeakForks > s.PeakForks {
@@ -286,17 +276,10 @@ func (r *Revised) ResetStats() { r.stats = Stats{} }
 func (r *Revised) AbsorbStats(other Stats) { r.stats.Add(other) }
 
 // NewRevised builds a revised-simplex instance over p's current
-// constraint rows with the default (sparse LU + Forrest–Tomlin
-// updates) basis representation. The instance assumes the row
-// structure is frozen; solving after rows were added panics.
-func NewRevised(p *Problem) *Revised { return NewRevisedRep(p, ForrestTomlinRep) }
-
-// NewRevisedRep is NewRevised with an explicit basis representation —
-// the hook the property tests and the E13/E14 before/after benchmarks
-// use to run the same solves through the Forrest–Tomlin factorization,
-// the product-form eta file and the dense explicit inverse.
-func NewRevisedRep(p *Problem, rep BasisRep) *Revised {
-	r := &Revised{Factorization: newFactorization(p, rep), p: p}
+// constraint rows. The instance assumes the row structure is frozen;
+// solving after rows were added panics.
+func NewRevised(p *Problem) *Revised {
+	r := &Revised{Factorization: newFactorization(p), p: p}
 	r.sign = make([]float64, r.m)
 	r.b = make([]float64, r.m)
 	r.xb = make([]float64, r.m)
@@ -308,14 +291,7 @@ func NewRevisedRep(p *Problem, rep BasisRep) *Revised {
 	for j := range r.U {
 		r.U[j] = math.Inf(1)
 	}
-	switch rep {
-	case DenseInverseRep:
-		r.fac = newDenseFactor(r)
-	case LUEtaRep:
-		r.fac = newLUFactor(r)
-	default:
-		r.fac = newFTFactor(r)
-	}
+	r.fac = newLUFactor(r)
 	r.dwCol = make([]float64, r.ncols)
 	r.dwRow = make([]float64, r.m)
 	r.dseW = make([]float64, r.m)
@@ -328,7 +304,7 @@ func NewRevisedRep(p *Problem, rep BasisRep) *Revised {
 
 // allocScratch sizes the per-context scratch buffers — everything a
 // solve writes to besides the basis state itself. Shared by
-// NewRevisedRep and Fork so a forked context never aliases writable
+// NewRevised and Fork so a forked context never aliases writable
 // memory of its parent.
 func (r *Revised) allocScratch() {
 	r.ys = make([]float64, r.m)

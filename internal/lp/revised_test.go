@@ -1,155 +1,34 @@
-package lp
+package lp_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	. "repro/internal/lp"
 )
-
-// randomFeasibleProblem builds a random LP that is feasible by
-// construction (the rhs is derived from a known nonnegative point x0)
-// and bounded (a box row caps Σx). With degenerate=true it generates
-// binding rows (zero slack at x0), duplicated rows and zero entries in
-// x0 — the inputs that force degenerate pivots and exercise the
-// Bland anti-cycling fallback in both backends.
-func randomFeasibleProblem(rng *rand.Rand, degenerate bool) *Problem {
-	nv := 1 + rng.Intn(10)
-	p := New(nv)
-	for j := 0; j < nv; j++ {
-		if rng.Float64() < 0.8 {
-			p.SetObjective(j, math.Round(rng.NormFloat64()*30)/10)
-		}
-	}
-	x0 := make([]float64, nv)
-	sum0 := 0.0
-	for j := range x0 {
-		if !degenerate || rng.Float64() > 0.3 {
-			x0[j] = rng.Float64() * 5
-		}
-		sum0 += x0[j]
-	}
-	rows := 1 + rng.Intn(12)
-	var prevTerms []Term
-	var prevAx float64
-	for i := 0; i < rows; i++ {
-		if degenerate && prevTerms != nil && rng.Float64() < 0.25 {
-			// Duplicate the previous row under a (possibly different)
-			// relation: dependent rows, redundant constraints.
-			switch rng.Intn(3) {
-			case 0:
-				p.AddConstraint(prevTerms, LE, prevAx+rng.Float64())
-			case 1:
-				p.AddConstraint(prevTerms, EQ, prevAx)
-			default:
-				p.AddConstraint(prevTerms, GE, prevAx-rng.Float64())
-			}
-			continue
-		}
-		var terms []Term
-		ax := 0.0
-		for j := 0; j < nv; j++ {
-			if rng.Float64() < 0.6 {
-				c := (0.1 + rng.Float64()*4.9)
-				if rng.Float64() < 0.3 {
-					c = -c
-				}
-				terms = append(terms, Term{Var: j, Coeff: c})
-				ax += c * x0[j]
-			}
-		}
-		if len(terms) == 0 {
-			continue
-		}
-		slack := rng.Float64() * 3
-		if degenerate && rng.Float64() < 0.5 {
-			slack = 0 // binding at x0
-		}
-		switch Rel(rng.Intn(3)) {
-		case LE:
-			p.AddConstraint(terms, LE, ax+slack)
-		case GE:
-			p.AddConstraint(terms, GE, ax-slack)
-		case EQ:
-			p.AddConstraint(terms, EQ, ax)
-		}
-		prevTerms, prevAx = terms, ax
-	}
-	// Bounding box: keeps every instance bounded so both solvers must
-	// report Optimal.
-	box := make([]Term, nv)
-	for j := range box {
-		box[j] = Term{Var: j, Coeff: 1}
-	}
-	p.AddConstraint(box, LE, sum0+50)
-	return p
-}
-
-func objTol(obj float64) float64 { return 1e-9 * (1 + math.Abs(obj)) }
 
 func crossCheck(t *testing.T, p *Problem, seed int64, label string) {
 	t.Helper()
-	ds, err := p.SolveWith(DenseSolver{})
-	if err != nil {
-		t.Fatalf("%s seed %d: dense: %v", label, seed, err)
-	}
 	rs, err := p.SolveWith(RevisedSolver{})
 	if err != nil {
 		t.Fatalf("%s seed %d: revised: %v", label, seed, err)
 	}
-	if ds.Status != rs.Status {
-		t.Fatalf("%s seed %d: dense %v, revised %v", label, seed, ds.Status, rs.Status)
-	}
-	if ds.Status != Optimal {
-		return
-	}
-	if math.Abs(ds.Objective-rs.Objective) > objTol(ds.Objective) {
-		t.Fatalf("%s seed %d: dense obj %.12g, revised obj %.12g (Δ=%g)",
-			label, seed, ds.Objective, rs.Objective, math.Abs(ds.Objective-rs.Objective))
-	}
+	checkOracle(t, p, rs, fmt.Sprintf("%s seed %d", label, seed))
 }
 
-func TestRevisedMatchesDenseRandom(t *testing.T) {
+func TestRevisedMatchesOracleRandom(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		crossCheck(t, randomFeasibleProblem(rng, false), seed, "random")
+		crossCheck(t, RandomFeasibleProblem(rng, false), seed, "random")
 	}
 }
 
-func TestRevisedMatchesDenseDegenerate(t *testing.T) {
+func TestRevisedMatchesOracleDegenerate(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
-		crossCheck(t, randomFeasibleProblem(rng, true), seed, "degenerate")
-	}
-}
-
-func TestRevisedInfeasible(t *testing.T) {
-	p := New(1)
-	p.SetObjective(0, 1)
-	p.AddConstraint([]Term{{Var: 0, Coeff: 1}}, LE, 1)
-	p.AddConstraint([]Term{{Var: 0, Coeff: 1}}, GE, 2)
-	for _, s := range []Solver{DenseSolver{}, RevisedSolver{}} {
-		sol, err := p.SolveWith(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != Infeasible {
-			t.Fatalf("%T: status %v, want infeasible", s, sol.Status)
-		}
-	}
-}
-
-func TestRevisedUnbounded(t *testing.T) {
-	p := New(2)
-	p.SetObjective(0, 1)
-	p.AddConstraint([]Term{{Var: 1, Coeff: 1}}, LE, 5)
-	for _, s := range []Solver{DenseSolver{}, RevisedSolver{}} {
-		sol, err := p.SolveWith(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != Unbounded {
-			t.Fatalf("%T: status %v, want unbounded", s, sol.Status)
-		}
+		crossCheck(t, RandomFeasibleProblem(rng, true), seed, "degenerate")
 	}
 }
 
@@ -159,7 +38,7 @@ func TestRevisedUnbounded(t *testing.T) {
 func TestWarmMatchesColdAfterRHSChange(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(2000 + seed))
-		p := randomFeasibleProblem(rng, seed%2 == 0)
+		p := RandomFeasibleProblem(rng, seed%2 == 0)
 		r := NewRevised(p)
 		sol, basis, err := r.SolveFrom(nil)
 		if err != nil {
@@ -186,20 +65,11 @@ func TestWarmMatchesColdAfterRHSChange(t *testing.T) {
 		if warm.Status != cold.Status {
 			t.Fatalf("seed %d: warm %v, cold %v", seed, warm.Status, cold.Status)
 		}
-		if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > objTol(cold.Objective) {
+		if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > ObjTol(cold.Objective) {
 			t.Fatalf("seed %d: warm obj %.12g, cold obj %.12g", seed, warm.Objective, cold.Objective)
 		}
-		// And against the dense reference as well.
-		dense, err := p.SolveWith(DenseSolver{})
-		if err != nil {
-			t.Fatalf("seed %d: dense: %v", seed, err)
-		}
-		if warm.Status != dense.Status {
-			t.Fatalf("seed %d: warm %v, dense %v", seed, warm.Status, dense.Status)
-		}
-		if warm.Status == Optimal && math.Abs(warm.Objective-dense.Objective) > objTol(dense.Objective) {
-			t.Fatalf("seed %d: warm obj %.12g, dense obj %.12g", seed, warm.Objective, dense.Objective)
-		}
+		// And against the oracle as well.
+		checkOracle(t, p, warm, fmt.Sprintf("seed %d warm", seed))
 	}
 }
 
@@ -232,25 +102,16 @@ func TestWarmRepeatedTightenLoosen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		cold, err := p.SolveWith(DenseSolver{})
-		if err != nil {
-			t.Fatalf("step %d: dense: %v", step, err)
-		}
-		if warm.Status != cold.Status {
-			t.Fatalf("step %d: warm %v, dense %v", step, warm.Status, cold.Status)
-		}
-		if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > objTol(cold.Objective) {
-			t.Fatalf("step %d: warm obj %.12g, dense obj %.12g", step, warm.Objective, cold.Objective)
-		}
+		checkOracle(t, p, warm, fmt.Sprintf("step %d", step))
 	}
 }
 
 func TestSetRHSValidation(t *testing.T) {
 	p := New(1)
 	p.AddConstraint([]Term{{Var: 0, Coeff: 1}}, LE, 1)
-	mustPanic(t, func() { p.SetRHS(1, 0) })
-	mustPanic(t, func() { p.SetRHS(0, math.NaN()) })
-	mustPanic(t, func() { p.RHS(-1) })
+	MustPanic(t, func() { p.SetRHS(1, 0) })
+	MustPanic(t, func() { p.SetRHS(0, math.NaN()) })
+	MustPanic(t, func() { p.RHS(-1) })
 	p.SetRHS(0, 3)
 	if p.RHS(0) != 3 {
 		t.Fatalf("RHS = %g, want 3", p.RHS(0))
@@ -266,15 +127,5 @@ func TestRevisedFrozenStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.AddConstraint([]Term{{Var: 0, Coeff: 1}}, LE, 2)
-	mustPanic(t, func() { _, _, _ = r.SolveFrom(nil) })
-}
-
-func mustPanic(t *testing.T, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	f()
+	MustPanic(t, func() { _, _, _ = r.SolveFrom(nil) })
 }

@@ -1,34 +1,14 @@
 package lp
 
 // Solver is a one-shot LP backend: it solves a Problem built with New
-// / AddConstraint and reports the result. Two implementations exist:
-//
-//   - DenseSolver, the original two-phase dense-tableau simplex, kept
-//     as a reference and numerical cross-check;
-//   - RevisedSolver, the default, a revised simplex over the sparse
-//     column form of the constraint matrix (see Revised for the
-//     warm-startable instance API).
+// / AddConstraint and reports the result. RevisedSolver is the only
+// implementation in this package; the interface exists so the test
+// suites can run the same Problem (Problem.SolveWith, and
+// core.Model.SolveWith above it) through the independent dense-tableau
+// oracle in the test-support package lptest.
 type Solver interface {
 	Solve(p *Problem) (Solution, error)
 }
-
-// DefaultSolver is the backend used by Problem.Solve. It defaults to
-// the revised simplex; swap in DenseSolver{} to fall back to the
-// reference implementation for every Problem.Solve caller (e.g. the
-// one-shot relaxations). Warm-start paths that hold a Revised
-// instance directly — core.Model and everything on top of it — do
-// not dispatch through this variable; use their SolveWith methods to
-// cross-check against a specific backend.
-var DefaultSolver Solver = RevisedSolver{}
-
-// DenseSolver solves with the original dense two-phase tableau
-// simplex (dense.go). It densifies the constraint rows and rebuilds
-// the tableau from scratch on every call; it exists as the reference
-// implementation and fallback.
-type DenseSolver struct{}
-
-// Solve implements Solver.
-func (DenseSolver) Solve(p *Problem) (Solution, error) { return solveDense(p) }
 
 // RevisedSolver solves with the sparse revised simplex. Each call
 // builds a fresh Revised instance and cold-solves it; use NewRevised
@@ -37,23 +17,22 @@ type RevisedSolver struct{}
 
 // Solve implements Solver.
 func (RevisedSolver) Solve(p *Problem) (Solution, error) {
-	sol, _, err := NewRevised(p).SolveFrom(nil)
+	sol, _, err := p.SolveBasis()
 	return sol, err
 }
 
-// Solve runs the package default solver on the problem. It returns an
-// error only on ErrIterationLimit; model properties (infeasible/
+// Solve runs one cold revised-simplex solve of the problem. It returns
+// an error only on ErrIterationLimit; model properties (infeasible/
 // unbounded) are reported through Solution.Status.
-func (p *Problem) Solve() (Solution, error) { return DefaultSolver.Solve(p) }
+func (p *Problem) Solve() (Solution, error) { return RevisedSolver{}.Solve(p) }
 
-// SolveBasis is Solve through the revised simplex, additionally
-// returning the optimal basis. RevisedSolver.Solve necessarily
-// discards the basis (the Solver interface has nowhere to put it);
-// one-shot callers that want to seed a later warm start — without
-// constructing a Revised instance by hand — use this entry instead.
-// The basis is non-nil whenever err is nil, and is valid for any
-// Revised instance built over a Problem with the identical
-// constraint structure.
+// SolveBasis is Solve additionally returning the optimal basis.
+// RevisedSolver.Solve necessarily discards the basis (the Solver
+// interface has nowhere to put it); one-shot callers that want to
+// seed a later warm start — without constructing a Revised instance
+// by hand — use this entry instead. The basis is non-nil whenever err
+// is nil, and is valid for any Revised instance built over a Problem
+// with the identical constraint structure.
 func (p *Problem) SolveBasis() (Solution, *Basis, error) {
 	return NewRevised(p).SolveFrom(nil)
 }

@@ -14,7 +14,7 @@ import (
 // two sessions agree on all discrete state — platform bits, committed
 // capacities, carried basis — but not on solver internals: the live
 // one carries its cold solve's data-dependent row-sign normalization,
-// an accumulated Forrest–Tomlin factorization and evolved pricing
+// an accumulated eta-file factorization and evolved pricing
 // weights, while the restored one runs on PrimeWarm's identity signs
 // and a fresh refactorization. Without Session.solveLocked's Rebase
 // call those histories pick different optimal vertices on degenerate

@@ -419,7 +419,7 @@ func (s *Session) solveLocked(epr *core.Problem) (*SolveReport, error) {
 	// Committed answers must be replica-independent: a session promoted
 	// from a snapshot on a successor holds the same matrix, capacities
 	// and basis as the dead owner's live session did, but not its
-	// accumulated solver internals (sign normalization, Forrest–Tomlin
+	// accumulated solver internals (sign normalization, eta-file
 	// factors, pricing weights), and on degenerate platforms those pick
 	// the optimal vertex — so the heuristic's tie-breaks, and therefore
 	// the committed Value, would drift across a failover. Rebase drops
