@@ -7,7 +7,10 @@
 package repro
 
 import (
+	"bytes"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/adapt"
@@ -452,6 +455,26 @@ func BenchmarkE16_CacheHitQuery_K20(b *testing.B) {
 		}
 		if !rep.Cached {
 			b.Fatal("query missed the answer cache")
+		}
+	}
+}
+
+// BenchmarkE16_CacheHitHTTP_K20 is the same hit with the handler in:
+// mux, ingress middleware, cache lookup and the response written into
+// a recorder — what a monitor polling schedd pays short of the socket.
+func BenchmarkE16_CacheHitHTTP_K20(b *testing.B) {
+	sess, _ := benchE16Snapshot(b, 20)
+	pool := service.NewPool(1)
+	pool.Install(sess)
+	handler := service.NewServer(pool).Handler()
+	path := "/sessions/" + sess.Info().ID + "/query"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest("POST", path, nil))
+		if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte("\n  \"cached\": true,\n")) {
+			b.Fatalf("query missed the answer cache: status %d", rec.Code)
 		}
 	}
 }

@@ -145,6 +145,7 @@ func TestCLIDlschedJSON(t *testing.T) {
 	if rep.Stats == nil || rep.Stats.ColdSolves != 1 {
 		t.Fatalf("model-backed -json must carry solver stats with one cold solve, got %+v", rep.Stats)
 	}
+	wantIndented(t, out, &rep)
 	if len(rep.Alpha) != 5 || len(rep.Beta) != 5 || len(rep.Throughputs) != 5 {
 		t.Fatalf("allocation shape wrong: %+v", rep)
 	}
@@ -169,8 +170,24 @@ func TestCLIDlschedJSON(t *testing.T) {
 	if rep.Stats != nil {
 		t.Fatalf("model-free -json must omit solver stats, got %+v", rep.Stats)
 	}
+	wantIndented(t, out, &rep)
 	if !rep.Feasible || rep.Value <= 0 {
 		t.Fatalf("report = %+v", rep)
+	}
+}
+
+// wantIndented pins dlsched -json's bytes: the CLI writes through the
+// service's report encoder, whose contract is encoding/json's two-space
+// indented form plus a newline — so the decoded report, re-encoded by
+// encoding/json, must give the output back.
+func wantIndented(t *testing.T, out string, rep *service.SolveReport) {
+	t.Helper()
+	want, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want)+"\n" {
+		t.Fatalf("-json output is not json.MarshalIndent of its own report plus a newline:\n%s\nwant:\n%s", out, want)
 	}
 }
 

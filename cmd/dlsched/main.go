@@ -233,12 +233,7 @@ func emitJSON(platformJSON []byte, heur, objName string, obj core.Objective, pr 
 	default:
 		return fmt.Errorf("unknown heuristic %q", heur)
 	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = os.Stdout.Write(append(out, '\n'))
-	return err
+	return service.EncodeReport(os.Stdout, rep)
 }
 
 // emitBatch answers a batched what-if request through the service's

@@ -1,0 +1,218 @@
+package service
+
+import (
+	"encoding/json"
+	"io"
+	"math"
+	"strconv"
+	"sync"
+	"unicode/utf8"
+)
+
+// The one encoder of top-level SolveReport bodies: a single-pass
+// append encoder emitting exactly the bytes of json.Encoder in its
+// two-space indent mode, which reflects and then re-walks its output
+// to indent it. The format is a frozen contract; encoding/json stays
+// the encoder of every other type and this one's oracle in tests.
+
+// reportBufs pools the encode buffers: no allocation per body.
+var reportBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// EncodeReport writes rep as the service writes it on the wire:
+// two-space indented JSON plus a trailing newline. A report holding a
+// NaN or ±Inf has no JSON form; it gets encoding/json's error.
+func EncodeReport(w io.Writer, rep *SolveReport) error {
+	bp, ok := reportBytes(rep)
+	defer reportBufs.Put(bp)
+	if !ok {
+		return encodeIndented(w, rep)
+	}
+	_, err := w.Write(*bp)
+	return err
+}
+
+// reportBytes encodes rep into a pooled buffer, which the caller puts
+// back into reportBufs once done with the bytes; ok is false, and the
+// bytes garbage, when rep holds a non-finite float.
+func reportBytes(rep *SolveReport) (bp *[]byte, ok bool) {
+	bp = reportBufs.Get().(*[]byte)
+	*bp, ok = appendReport((*bp)[:0], rep)
+	return bp, ok
+}
+
+// encodeIndented is the generic encoder of every wire type but a
+// top-level SolveReport.
+func encodeIndented(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// wireEnc appends indented JSON to b.
+type wireEnc struct {
+	b   []byte
+	bad bool // met a NaN or ±Inf
+}
+
+func (e *wireEnc) nl(depth int) {
+	e.b = append(e.b, "\n        "[:1+2*depth]...)
+}
+
+// key starts a member of the open object, whose members sit at depth.
+func (e *wireEnc) key(depth int, name string) {
+	if e.b[len(e.b)-1] != '{' {
+		e.b = append(e.b, ',')
+	}
+	e.nl(depth)
+	e.b = append(e.b, '"')
+	e.b = append(e.b, name...)
+	e.b = append(e.b, `": `...)
+}
+
+// open starts the member name, whose value is an object.
+func (e *wireEnc) open(depth int, name string) {
+	e.key(depth, name)
+	e.b = append(e.b, '{')
+}
+
+func (e *wireEnc) close(depth int) {
+	e.nl(depth)
+	e.b = append(e.b, '}')
+}
+
+func (e *wireEnc) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // escaping is encoding/json's business; a string cannot fail
+			e.b = append(e.b, q...)
+			return
+		}
+	}
+	e.b = append(e.b, '"')
+	e.b = append(e.b, s...)
+	e.b = append(e.b, '"')
+}
+
+func (e *wireEnc) intField(depth int, name string, v int64) {
+	e.key(depth, name)
+	e.b = strconv.AppendInt(e.b, v, 10)
+}
+
+func (e *wireEnc) boolField(depth int, name string, v bool) {
+	e.key(depth, name)
+	e.b = strconv.AppendBool(e.b, v)
+}
+
+// floatElem follows encoding/json's float64 rules: shortest
+// round-trip digits, exponent form below 1e-6 and from 1e21, and a
+// two-digit exponent's leading zero dropped (e-09 → e-9).
+func floatElem(e *wireEnc, _ int, f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		e.bad = true
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
+	if n := len(e.b); format == 'e' && n >= 4 && e.b[n-4] == 'e' && e.b[n-2] == '0' {
+		e.b[n-2] = e.b[n-1]
+		e.b = e.b[:n-1]
+	}
+}
+
+func intElem(e *wireEnc, _ int, v int)              { e.b = strconv.AppendInt(e.b, int64(v), 10) }
+func floatRow(e *wireEnc, depth int, row []float64) { array(e, depth, row, floatElem) }
+func intRow(e *wireEnc, depth int, row []int)       { array(e, depth, row, intElem) }
+
+// array appends v, whose brackets sit at depth, one element per line.
+func array[T any](e *wireEnc, depth int, v []T, elem func(*wireEnc, int, T)) {
+	switch {
+	case v == nil:
+		e.b = append(e.b, "null"...)
+		return
+	case len(v) == 0:
+		e.b = append(e.b, "[]"...)
+		return
+	}
+	e.b = append(e.b, '[')
+	for i, x := range v {
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		e.nl(depth + 1)
+		elem(e, depth+1, x)
+	}
+	e.nl(depth)
+	e.b = append(e.b, ']')
+}
+
+// appendReport appends rep's wire bytes to b; ok is false, and the
+// bytes garbage, when rep holds a non-finite float. Members follow the
+// json tags of SolveReport, lp.Stats and lp.PhaseTimes (a test holds it).
+func appendReport(b []byte, rep *SolveReport) (_ []byte, ok bool) {
+	e := wireEnc{b: append(b, '{')}
+	e.key(1, "heuristic")
+	e.str(rep.Heuristic)
+	e.key(1, "objective")
+	e.str(rep.Objective)
+	e.boolField(1, "feasible", rep.Feasible)
+	e.key(1, "value")
+	floatElem(&e, 1, rep.Value)
+	e.key(1, "lpBound")
+	floatElem(&e, 1, rep.LPBound)
+	if len(rep.Throughputs) > 0 {
+		e.key(1, "throughputs")
+		floatRow(&e, 1, rep.Throughputs)
+	}
+	if len(rep.Alpha) > 0 {
+		e.key(1, "alpha")
+		array(&e, 1, rep.Alpha, floatRow)
+	}
+	if len(rep.Beta) > 0 {
+		e.key(1, "beta")
+		array(&e, 1, rep.Beta, intRow)
+	}
+	if len(rep.BetaFrac) > 0 {
+		e.key(1, "betaFrac")
+		array(&e, 1, rep.BetaFrac, floatRow)
+	}
+	if rep.Relaxed {
+		e.boolField(1, "relaxed", true)
+	}
+	e.intField(1, "epoch", int64(rep.Epoch))
+	if rep.Coalesced {
+		e.boolField(1, "coalesced", true)
+	}
+	if rep.Cached {
+		e.boolField(1, "cached", true)
+	}
+	if s := rep.Stats; s != nil {
+		e.open(1, "stats")
+		e.intField(2, "pivots", int64(s.Pivots))
+		e.intField(2, "primalPivots", int64(s.PrimalPivots))
+		e.intField(2, "dualPivots", int64(s.DualPivots))
+		e.intField(2, "boundFlips", int64(s.BoundFlips))
+		e.intField(2, "refactorizations", int64(s.Refactorizations))
+		e.intField(2, "coldSolves", int64(s.ColdSolves))
+		e.intField(2, "warmSolves", int64(s.WarmSolves))
+		e.intField(2, "coldFallbacks", int64(s.ColdFallbacks))
+		e.intField(2, "ftUpdates", int64(s.FTUpdates))
+		e.intField(2, "dseWeightResets", int64(s.DSEWeightResets))
+		e.intField(2, "forks", int64(s.Forks))
+		e.intField(2, "peakForks", int64(s.PeakForks))
+		e.intField(2, "batches", int64(s.Batches))
+		e.intField(2, "batchMaxSize", int64(s.BatchMaxSize))
+		e.open(2, "phase")
+		e.intField(3, "ftranNanos", s.Phase.FTRANNanos)
+		e.intField(3, "btranNanos", s.Phase.BTRANNanos)
+		e.intField(3, "pricingNanos", s.Phase.PricingNanos)
+		e.intField(3, "ratioTestNanos", s.Phase.RatioTestNanos)
+		e.intField(3, "refactorNanos", s.Phase.RefactorNanos)
+		e.close(2)
+		e.close(1)
+	}
+	e.close(0)
+	return append(e.b, '\n'), !e.bad
+}

@@ -1,0 +1,296 @@
+package service
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/lp"
+)
+
+// oracleBytes is the encoder's reference: encoding/json's indenting
+// Encoder, the code that wrote every SolveReport body before the
+// append encoder existed.
+func oracleBytes(rep *SolveReport) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(rep)
+	return buf.Bytes(), err
+}
+
+// checkAgainstOracle requires EncodeReport to write the oracle's
+// bytes, or — for a report encoding/json rejects — to fail with the
+// oracle's error and write nothing.
+func checkAgainstOracle(t *testing.T, rep *SolveReport) {
+	t.Helper()
+	want, wantErr := oracleBytes(rep)
+	var got bytes.Buffer
+	err := EncodeReport(&got, rep)
+	if wantErr != nil {
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("oracle fails with %v, encoder with %v\nreport: %+v", wantErr, err, rep)
+		}
+		if got.Len() != 0 {
+			t.Fatalf("encoder wrote %d bytes for a report it rejects", got.Len())
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("encoder fails with %v on a report the oracle encodes\nreport: %+v", err, rep)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("encoder differs from encoding/json\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+}
+
+// edgeFloats are the values whose text form has a rule of its own in
+// encoding/json: signed zero, the 1e-6 and 1e21 format switches, the
+// exponent clean-up, the extremes, and integers stored as floats.
+var edgeFloats = []float64{
+	0, math.Copysign(0, -1), 1, -1, 100, 0.1, 1.0 / 3, 5e-324, 1e-7, 1e-6, 0.99e-6, 999999e-12,
+	1e-9, 1e-10, 1.5e-300, 1e20, 1e21, 0.99e21, 1.23456789e22, 1e100, math.MaxFloat64, -math.MaxFloat64,
+	math.SmallestNonzeroFloat64, 123456789, 1 << 53, 4503599627370497.5, 250.00000000000003,
+}
+
+var edgeStrings = []string{
+	"lprg", "maxmin", "", "a<b>&c", "q\"uo\\te", "héllo", "\x00\x1f\x7f", "bad\xffutf8", "line\u2028sep\u2029", "tab\there\n",
+}
+
+// reportSource feeds genReport: random words from a seeded RNG in the
+// property test, the fuzzer's bytes in the fuzz target.
+type reportSource interface{ word() uint64 }
+
+type rngSource struct{ *rand.Rand }
+
+func (s rngSource) word() uint64 { return s.Uint64() }
+
+// byteSource reads its data eight bytes at a time, then zeros.
+type byteSource struct{ data []byte }
+
+func (s *byteSource) word() uint64 {
+	var w [8]byte
+	s.data = s.data[copy(w[:], s.data):]
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+func genFloat(src reportSource) float64 {
+	w := src.word()
+	switch w % 4 {
+	case 0:
+		return edgeFloats[(w>>2)%uint64(len(edgeFloats))]
+	case 1:
+		return math.Float64frombits(src.word()) // any bit pattern, NaN and ±Inf included
+	case 2:
+		return float64(int64(w>>2)%100000 - 50000)
+	}
+	return float64(int64(src.word())) / float64(uint64(1)<<(w>>2%64))
+}
+
+// genSlice draws nil, empty-but-non-nil, or 1–4 elements.
+func genSlice[T any](src reportSource, elem func(reportSource) T) []T {
+	switch n := src.word() % 6; n {
+	case 0:
+		return nil
+	case 1:
+		return []T{}
+	default:
+		out := make([]T, n-1)
+		for i := range out {
+			out[i] = elem(src)
+		}
+		return out
+	}
+}
+
+func genString(src reportSource) string {
+	w := src.word()
+	if i := w % uint64(len(edgeStrings)+1); i < uint64(len(edgeStrings)) {
+		return edgeStrings[i]
+	}
+	raw := make([]byte, 8)
+	binary.LittleEndian.PutUint64(raw, src.word())
+	return string(raw[:w>>8%9])
+}
+
+// genReport draws a report exercising every shape the encoder
+// branches on: each omitempty field present and absent, nil / empty /
+// ragged tables with nil and empty rows, Stats nil and set.
+func genReport(src reportSource) *SolveReport {
+	floats := func(src reportSource) []float64 { return genSlice(src, genFloat) }
+	ints := func(src reportSource) []int {
+		return genSlice(src, func(src reportSource) int { return int(int64(src.word())) >> (src.word() % 64) })
+	}
+	flags := src.word()
+	rep := &SolveReport{
+		Heuristic:   genString(src),
+		Objective:   genString(src),
+		Feasible:    flags&1 != 0,
+		Value:       genFloat(src),
+		LPBound:     genFloat(src),
+		Throughputs: floats(src),
+		Alpha:       genSlice(src, floats),
+		Beta:        genSlice(src, ints),
+		BetaFrac:    genSlice(src, floats),
+		Relaxed:     flags&2 != 0,
+		Epoch:       int(int64(src.word())) >> (flags >> 8 % 64),
+		Coalesced:   flags&4 != 0,
+		Cached:      flags&8 != 0,
+	}
+	if flags&16 != 0 {
+		rep.Stats = new(lp.Stats)
+		fillInts(reflect.ValueOf(rep.Stats).Elem(), src)
+	}
+	return rep
+}
+
+// fillInts sets every integer field of a struct, nested structs
+// included, so a counter added to lp.Stats is drawn without a change
+// here.
+func fillInts(v reflect.Value, src reportSource) {
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Struct:
+			fillInts(f, src)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(src.word()) >> (src.word() % 64))
+		}
+	}
+}
+
+// TestEncodeReportMatchesOracle is the encoder's differential test:
+// 4000 seeded random reports, byte for byte against encoding/json.
+func TestEncodeReportMatchesOracle(t *testing.T) {
+	src := rngSource{rand.New(rand.NewSource(14))}
+	rejected := 0
+	for i := 0; i < 4000; i++ {
+		rep := genReport(src)
+		if _, err := oracleBytes(rep); err != nil {
+			rejected++
+		}
+		checkAgainstOracle(t, rep)
+	}
+	if rejected == 0 || rejected > 2000 {
+		t.Fatalf("%d of 4000 reports held a non-finite float; the generator should draw some, not mostly", rejected)
+	}
+	// Every edge value alone and in a table, whatever the draw above hit.
+	for _, f := range edgeFloats {
+		checkAgainstOracle(t, &SolveReport{Value: f, LPBound: -f, Alpha: [][]float64{{f}, nil, {}}})
+	}
+	for _, s := range edgeStrings {
+		checkAgainstOracle(t, &SolveReport{Heuristic: s, Objective: s + s})
+	}
+	checkAgainstOracle(t, &SolveReport{})
+}
+
+// FuzzEncodeSolveReport explores report shapes beyond the seeded draw;
+// the committed corpus under testdata/fuzz runs with plain go test.
+func FuzzEncodeSolveReport(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstOracle(t, genReport(&byteSource{data}))
+	})
+}
+
+// TestEncodeReportNonFinite pins what a NaN or ±Inf does: the encoder
+// steps aside, the caller gets encoding/json's UnsupportedValueError
+// and no bytes, and the HTTP path answers as it did before (200, empty
+// body, no Content-Length).
+func TestEncodeReportNonFinite(t *testing.T) {
+	for _, rep := range []*SolveReport{
+		{Value: math.NaN()},
+		{LPBound: math.Inf(1)},
+		{Throughputs: []float64{1, math.Inf(-1)}},
+		{Alpha: [][]float64{{1}, {2, math.NaN()}}},
+		{BetaFrac: [][]float64{{math.Inf(1)}}},
+	} {
+		var buf bytes.Buffer
+		err := EncodeReport(&buf, rep)
+		var unsupported *json.UnsupportedValueError
+		if !errors.As(err, &unsupported) || buf.Len() != 0 {
+			t.Fatalf("EncodeReport(%+v) = %v with %d bytes, want encoding/json's UnsupportedValueError and none", rep, err, buf.Len())
+		}
+		for _, hit := range []*cachedAnswer{nil, {rep: *rep}} {
+			rec := httptest.NewRecorder()
+			writeAnswer(rec, rep, hit, nil)
+			if rec.Code != http.StatusOK || rec.Body.Len() != 0 || rec.Header().Get("Content-Length") != "" {
+				t.Fatalf("non-finite report over HTTP: status %d, %d body bytes, Content-Length %q",
+					rec.Code, rec.Body.Len(), rec.Header().Get("Content-Length"))
+			}
+		}
+	}
+}
+
+// jsonTags lists a struct's JSON member names in declaration order.
+func jsonTags(t reflect.Type) []string {
+	var out []string
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		out = append(out, name)
+	}
+	return out
+}
+
+// objectKeys lists the member names of the JSON object dec is
+// positioned at, in order, descending into the objects named in nested
+// and skipping every other value.
+func objectKeys(t *testing.T, dec *json.Decoder, path string, nested map[string][]string) {
+	t.Helper()
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("%s: want an object, got %v (%v)", path, tok, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := tok.(string)
+		keys = append(keys, key)
+		if _, ok := nested[path+"."+key]; ok {
+			objectKeys(t, dec, path+"."+key, nested)
+			continue
+		}
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec.Token() //nolint:errcheck // the closing brace
+	nested[path] = keys
+}
+
+// TestEncoderKeysMatchTags is the drift guard: the member names the
+// encoder writes for a fully populated report, in order, must be the
+// json tags of SolveReport, lp.Stats and lp.PhaseTimes. A field added
+// to any of the three without teaching appendReport fails here.
+func TestEncoderKeysMatchTags(t *testing.T) {
+	full := &SolveReport{
+		Heuristic: "h", Objective: "o", Feasible: true, Value: 1, LPBound: 1,
+		Throughputs: []float64{1}, Alpha: [][]float64{{1}}, Beta: [][]int{{1}}, BetaFrac: [][]float64{{1}},
+		Relaxed: true, Epoch: 1, Coalesced: true, Cached: true, Stats: &lp.Stats{},
+	}
+	b, ok := appendReport(nil, full)
+	if !ok {
+		t.Fatal("appendReport rejected a finite report")
+	}
+	got := map[string][]string{".stats": nil, ".stats.phase": nil}
+	objectKeys(t, json.NewDecoder(bytes.NewReader(b)), "", got)
+	want := map[string][]string{
+		"":             jsonTags(reflect.TypeOf(SolveReport{})),
+		".stats":       jsonTags(reflect.TypeOf(lp.Stats{})),
+		".stats.phase": jsonTags(reflect.TypeOf(lp.PhaseTimes{})),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("encoder keys drifted from the struct tags\nencoder: %v\ntags:    %v", got, want)
+	}
+}

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -226,6 +225,9 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 		if id := pathID(r.URL.Path); id != "" && strings.HasPrefix(r.URL.Path, "/sessions") {
 			s.metrics.sessLatency.With(sessionLabel(id)).Observe(dur)
 		}
+		if !s.logger.Enabled(r.Context(), slog.LevelInfo) {
+			return
+		}
 		attrs := []slog.Attr{
 			slog.String("trace", ti.id),
 			slog.String("method", r.Method),
@@ -292,7 +294,7 @@ func endpointLabel(method, path string) string {
 // wires a real logger (cmd/schedd does; library users and tests stay
 // quiet by default).
 func discardLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
+	return slog.New(slog.DiscardHandler)
 }
 
 // SetLogger installs the structured logger for request lines and

@@ -602,6 +602,8 @@ func relay(w http.ResponseWriter, status int, header http.Header, body []byte) {
 	if ct := header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
+	// The peer's body is complete in hand: relay it whole, not chunked.
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body) //nolint:errcheck // nothing to do about a failed relay
 }

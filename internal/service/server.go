@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/obs"
@@ -32,6 +33,11 @@ const maxBodyBytes = 16 << 20
 //	GET    /stats                  PoolStatsResponse (with health conditions)
 //	GET    /healthz                health probe: 200 ok, 503 when any condition is Degraded
 //	GET    /metrics                Prometheus text exposition
+//
+// SolveReport answers (query, what-if, epoch) carry Content-Length. A
+// query or what-if answer-cache hit is the entry's stored bytes — the
+// populating solve's body with "cached": true, encoded once, on the
+// first hit — so it costs a key lookup, the header and one Write.
 //
 // Every response carries the request's trace ID in X-Schedd-Trace
 // (adopted from the request when the client supplies one, minted at
@@ -82,9 +88,41 @@ func (s *Server) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // nothing to do about a failed write
+	encodeIndented(w, v) //nolint:errcheck // nothing to do about a failed write
+}
+
+// writeBody answers 200 with a complete JSON body in one Write; the
+// length is known, so net/http does no chunked framing.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) //nolint:errcheck // nothing to do about a failed write
+}
+
+// writeAnswer answers a query, what-if or epoch: a cache hit with its
+// entry's stored wire image, a solved report through the report
+// encoder. A report holding a non-finite float has neither; writeJSON
+// answers it as it always did.
+func writeAnswer(w http.ResponseWriter, rep *SolveReport, hit *cachedAnswer, err error) {
+	if err != nil {
+		writeError(w, solveStatus(err), err)
+		return
+	}
+	if hit != nil {
+		if image := hit.wire(); image != nil {
+			writeBody(w, image)
+			return
+		}
+		rep = hit.report()
+	}
+	bp, ok := reportBytes(rep)
+	defer reportBufs.Put(bp)
+	if ok {
+		writeBody(w, *bp)
+	} else {
+		writeJSON(w, http.StatusOK, rep)
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -214,12 +252,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	rep, err := sess.Query()
-	if err != nil {
-		writeError(w, solveStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
+	rep, hit, err := sess.query()
+	writeAnswer(w, rep, hit, err)
 }
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
@@ -231,12 +265,8 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	rep, err := sess.WhatIf(&req)
-	if err != nil {
-		writeError(w, solveStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
+	rep, hit, err := sess.whatIf(&req)
+	writeAnswer(w, rep, hit, err)
 }
 
 func (s *Server) handleWhatIfBatch(w http.ResponseWriter, r *http.Request) {
@@ -266,11 +296,7 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep, err := sess.EpochIdempotent(&req, r.Header.Get(commitIDHeader))
-	if err != nil {
-		writeError(w, solveStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
+	writeAnswer(w, rep, nil, err)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

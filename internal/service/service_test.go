@@ -554,6 +554,7 @@ func TestWhatIfCoalescing(t *testing.T) {
 	wg.Wait()
 
 	solved, coalesced := 0, 0
+	var solvedBody []byte
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
@@ -562,6 +563,9 @@ func TestWhatIfCoalescing(t *testing.T) {
 			coalesced++
 		} else {
 			solved++
+			if !reports[i].Cached { // a straggler past the flight is a plain hit
+				solvedBody = mustEncode(t, reports[i])
+			}
 		}
 		if math.Abs(reports[i].Value-reports[0].Value) > tol {
 			t.Fatalf("coalesced answers disagree: %g vs %g", reports[i].Value, reports[0].Value)
@@ -572,6 +576,14 @@ func TestWhatIfCoalescing(t *testing.T) {
 	}
 	if got := sess.whatIfs.Load() + sess.coalesced.Load(); got != n {
 		t.Fatalf("counters: whatIfs+coalesced = %d, want %d", got, n)
+	}
+	// A waiter's body is the solver's with only the coalesced line
+	// added: waiters share the flight's report, never a cache image.
+	wantShared := bytes.Replace(withCachedLine(t, solvedBody), []byte(`"cached"`), []byte(`"coalesced"`), 1)
+	for i := 0; i < n; i++ {
+		if reports[i].Coalesced && !bytes.Equal(mustEncode(t, reports[i]), wantShared) {
+			t.Fatalf("coalesced waiter %d: body is not the solver's plus the coalesced line:\n%s", i, mustEncode(t, reports[i]))
+		}
 	}
 }
 

@@ -23,6 +23,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -247,23 +248,52 @@ func (s *Session) refreshStateLocked() {
 	s.state.Store(s.stateKey)
 }
 
+// cachedAnswer is one answer-cache entry: the populating solve's
+// report, immutable once filed, and its lazily built wire image.
+type cachedAnswer struct {
+	rep   SolveReport
+	once  sync.Once
+	image []byte
+}
+
+// report returns a copy of the stored report with Cached set.
+func (c *cachedAnswer) report() *SolveReport {
+	rep := c.rep
+	rep.Cached = true
+	return &rep
+}
+
+// wire returns the entry's wire image: the response body of a hit
+// (the report with "cached": true, as EncodeReport writes it), shared
+// read-only by every hit. It is encoded on the first hit, not when the
+// entry is filed: most entries of an adapting session are evicted or
+// invalidated unread and must not pay for an encode. Nil when the
+// report has no JSON form (a non-finite float).
+func (c *cachedAnswer) wire() []byte {
+	c.once.Do(func() {
+		bp, ok := reportBytes(c.report())
+		if ok {
+			c.image = bytes.Clone(*bp)
+		}
+		reportBufs.Put(bp)
+	})
+	return c.image
+}
+
 // cacheLookup serves query from the answer cache against the
-// currently published committed state, copying the stored report with
-// Cached set. Lock-free: a hit is an answer that was valid at lookup
-// time, exactly as a solve that finished just before a concurrent
-// commit would be.
-func (s *Session) cacheLookup(query string) (*SolveReport, bool) {
+// currently published committed state. Lock-free: a hit is an answer
+// that was valid at lookup time, exactly as a solve that finished just
+// before a concurrent commit would be.
+func (s *Session) cacheLookup(query string) *cachedAnswer {
 	state, _ := s.state.Load().(string)
 	if state == "" {
-		return nil, false
+		return nil
 	}
 	v, ok := s.cache.Get(state, query)
 	if !ok {
-		return nil, false
+		return nil
 	}
-	rep := *(v.(*SolveReport))
-	rep.Cached = true
-	return &rep, true
+	return v.(*cachedAnswer)
 }
 
 // cachePutLocked stores rep under the authoritative committed-state
@@ -273,8 +303,7 @@ func (s *Session) cacheLookup(query string) (*SolveReport, bool) {
 // later hits return copies of it, and the caller's report stays
 // mutable without aliasing the cache.
 func (s *Session) cachePutLocked(query string, rep *SolveReport) {
-	cp := *rep
-	s.cache.Put(s.stateKey, query, &cp)
+	s.cache.Put(s.stateKey, query, &cachedAnswer{rep: *rep})
 }
 
 // CacheStats returns the session's answer-cache hit/miss counters.
@@ -374,10 +403,23 @@ func (s *Session) BetaRoutes() []core.Pair {
 // carried basis and caches the answer. Cached answers carry the
 // solver-stats snapshot of the solve that produced them, so repeat
 // hits are byte-identical.
-func (s *Session) Query() (*SolveReport, error) {
+func (s *Session) Query() (*SolveReport, error) { return asReport(s.query()) }
+
+// asReport turns an HTTP-layer answer into the exported API's: a cache
+// hit becomes a copy of its report with Cached set.
+func asReport(rep *SolveReport, hit *cachedAnswer, err error) (*SolveReport, error) {
+	if hit != nil {
+		return hit.report(), nil
+	}
+	return rep, err
+}
+
+// query is Query as the HTTP layer consumes it: a cache hit comes back
+// as its entry, whose wire image is the response.
+func (s *Session) query() (*SolveReport, *cachedAnswer, error) {
 	s.queries.Add(1)
-	if rep, ok := s.cacheLookup(queryCacheKey); ok {
-		return rep, nil
+	if hit := s.cacheLookup(queryCacheKey); hit != nil {
+		return nil, hit, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -385,7 +427,7 @@ func (s *Session) Query() (*SolveReport, error) {
 	if err == nil {
 		s.cachePutLocked(queryCacheKey, rep)
 	}
-	return rep, err
+	return rep, nil, err
 }
 
 // heuristicSolve runs the configured heuristic over the session model
@@ -508,14 +550,17 @@ func (s *Session) relaxReportLocked(sol *core.MixedSolution) *SolveReport {
 // the same answer). Identical *concurrent* requests (same canonical
 // JSON) coalesce onto one solve; every caller gets the shared report
 // (waiters see Coalesced=true).
-func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) {
+func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) { return asReport(s.whatIf(req)) }
+
+// whatIf is WhatIf as the HTTP layer consumes it; see query.
+func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *cachedAnswer, error) {
 	key, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if rep, ok := s.cacheLookup(string(key)); ok {
+	if hit := s.cacheLookup(string(key)); hit != nil {
 		s.whatIfs.Add(1)
-		return rep, nil
+		return nil, hit, nil
 	}
 	s.flightMu.Lock()
 	if f, ok := s.flights[string(key)]; ok {
@@ -523,11 +568,11 @@ func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) {
 		<-f.done
 		s.coalesced.Add(1)
 		if f.err != nil {
-			return nil, f.err
+			return nil, nil, f.err
 		}
 		shared := *f.rep
 		shared.Coalesced = true
-		return &shared, nil
+		return &shared, nil, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[string(key)] = f
@@ -539,7 +584,7 @@ func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) {
 	delete(s.flights, string(key))
 	s.flightMu.Unlock()
 	close(f.done)
-	return f.rep, f.err
+	return f.rep, nil, f.err
 }
 
 // whatIfSolve performs the actual what-if: snapshot the model's

@@ -181,7 +181,9 @@ type SolveReport struct {
 	// Cached marks an answer served from the committed-state answer
 	// cache instead of solved. Apart from this flag the report is
 	// byte-identical to the solve that populated the cache (including
-	// its solver-stats snapshot, which is frozen at population time).
+	// its solver-stats snapshot, which is frozen at population time):
+	// over HTTP a hit is that body with the one line `  "cached": true,`
+	// inserted, served from bytes stored with the cache entry.
 	Cached bool `json:"cached,omitempty"`
 	// Stats snapshots the session's cumulative solver counters after
 	// this solve (for a batch CLI report: the counters of just this
