@@ -121,8 +121,12 @@
 //
 // GET /metrics serves the Prometheus text exposition. Request-path
 // metrics are observed into pre-allocated atomics (the warm what-if
-// solve path stays at 0 allocs/op — guarded by a test); pool, solver
-// and cluster totals are mirrored at scrape time. The families:
+// solve path stays at 0 allocs/op — guarded by a test), and so are the
+// cluster counters: the registry is their one home and /stats reads
+// them back. Pool and solver totals, which live under the pool and
+// session locks, are mirrored at scrape time from the same single walk
+// that renders /stats and /healthz, as are the membership gauges and
+// replicas_held. The families:
 //
 //	schedd_request_seconds{endpoint}          request latency histogram per endpoint
 //	                                          (create, list, info, platform, delete, query,

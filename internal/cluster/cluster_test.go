@@ -133,46 +133,6 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	}
 }
 
-func TestAnswerCacheLRUAndInvalidate(t *testing.T) {
-	c := NewAnswerCache(2)
-	c.Put("s1", "q1", "a1")
-	c.Put("s1", "q2", "a2")
-	if v, ok := c.Get("s1", "q1"); !ok || v.(string) != "a1" {
-		t.Fatalf("q1 miss")
-	}
-	c.Put("s1", "q3", "a3") // evicts q2 (q1 was refreshed by the Get)
-	if _, ok := c.Get("s1", "q2"); ok {
-		t.Fatalf("q2 survived past capacity")
-	}
-	if _, ok := c.Get("s1", "q1"); !ok {
-		t.Fatalf("q1 evicted out of LRU order")
-	}
-	if _, ok := c.Get("s2", "q1"); ok {
-		t.Fatalf("state digest not part of the key")
-	}
-	if n := c.InvalidateState("s1"); n != 2 {
-		t.Fatalf("invalidated %d entries, want 2", n)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("cache not empty after invalidation")
-	}
-	if c.Hits() != 2 || c.Misses() != 2 {
-		t.Fatalf("counters hits=%d misses=%d, want 2/2", c.Hits(), c.Misses())
-	}
-	// Flush empties the cache but keeps the counters.
-	c.Put("s3", "q1", 7)
-	c.Flush()
-	if c.Len() != 0 {
-		t.Fatalf("cache not empty after flush")
-	}
-	if _, ok := c.Get("s3", "q1"); ok {
-		t.Fatalf("flushed entry still served")
-	}
-	if c.Hits() != 2 || c.Misses() != 3 {
-		t.Fatalf("flush reset counters: hits=%d misses=%d, want 2/3", c.Hits(), c.Misses())
-	}
-}
-
 func TestStoreSaveLoadDelete(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewStore(dir)
@@ -180,9 +140,12 @@ func TestStoreSaveLoadDelete(t *testing.T) {
 		t.Fatalf("NewStore: %v", err)
 	}
 	s := testSnapshot()
-	n, err := st.Save(s)
-	if err != nil || n <= 0 {
-		t.Fatalf("save: n=%d err=%v", n, err)
+	data, err := s.Encode()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if err := st.Save(s.ID, data); err != nil {
+		t.Fatalf("save: %v", err)
 	}
 	got, err := st.Load("abc123")
 	if err != nil || got.Epoch != 3 {

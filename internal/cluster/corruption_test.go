@@ -198,7 +198,11 @@ func TestStoreSweep(t *testing.T) {
 			Platform: json.RawMessage(`{"hosts":[]}`),
 		}
 		snap.SetBasis([]int{0}, nil)
-		if _, err := st.Save(snap); err != nil {
+		data, err := snap.Encode()
+		if err != nil {
+			t.Fatalf("Encode(%s): %v", id, err)
+		}
+		if err := st.Save(id, data); err != nil {
 			t.Fatalf("Save(%s): %v", id, err)
 		}
 	}

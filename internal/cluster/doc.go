@@ -1,7 +1,7 @@
 // Package cluster holds the building blocks that make warm scheduling
 // sessions portable and the schedd service horizontally scalable: a
-// versioned session-snapshot codec, a consistent-hash ring, a
-// committed-state answer cache, and a snapshot directory store. The
+// versioned session-snapshot codec, a consistent-hash ring, the
+// membership failure detector, and a snapshot directory store. The
 // package is deliberately below internal/service in the dependency
 // order (it knows platforms and lp.Basis exports, never Sessions), so
 // the service layer composes these pieces without an import cycle.
@@ -140,23 +140,13 @@
 // checksummed snapshot state — so a promoted replica's next commit is
 // bit-identical to the one the dead owner would have produced.
 //
-// # Answer cache
-//
-// AnswerCache memoizes committed-state answers: the key is the
-// committed-state digest (platform fingerprint of the drifted
-// platform + epoch counter) plus a canonical query key, so a repeat
-// query — which would otherwise re-solve warm at ~zero pivots — is a
-// map hit. Epoch commits rotate the state digest (the epoch counter
-// strictly increases, so a stale hit is impossible by construction)
-// and additionally clear the session's entries to free capacity
-// eagerly. The cache is a bounded LRU; hit/miss counters feed the
-// /stats cluster section.
-//
 // # Snapshot store
 //
-// Store persists snapshots under a directory, one file per session
-// ID, written atomically (temp file + rename) so a crash mid-write
-// leaves the previous snapshot intact. On restart the service loads
+// Store persists sealed snapshot bytes under a directory, one file per
+// session ID, written atomically (temp file + rename) so a crash
+// mid-write leaves the previous snapshot intact. The service seals a
+// commit's snapshot once and hands the same bytes to the store and to
+// the replica fan-out. On restart the service loads
 // every decodable snapshot and rebuilds each session warm
 // (coldRebuilds stays zero across a clean recovery); undecodable
 // files are skipped and counted, never fatal.
@@ -198,8 +188,9 @@
 //     snapshot rebuild temperature (cold must stay zero across clean
 //     recoveries), migrations, and snapshot bytes shipped.
 //   - schedd_answer_cache_hits_total / schedd_answer_cache_misses_total
-//     — the AnswerCache hit ratio; the per-session CacheHitRate health
-//     condition degrades when a warm session's ratio collapses.
+//     — the hit ratio of the sessions' answer tables (service.answerTable);
+//     the per-session CacheHitRate health condition degrades when a
+//     warm session's ratio collapses.
 //
 // Every request carries an X-Schedd-Trace ID (client-supplied or
 // minted at ingress) that is propagated across forward and failover

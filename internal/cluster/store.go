@@ -41,43 +41,40 @@ func (st *Store) path(id string) string {
 	return filepath.Join(st.dir, id+snapExt)
 }
 
-// Save seals and persists snap atomically, returning the snapshot's
-// encoded size in bytes.
-func (st *Store) Save(snap *SessionSnapshot) (int, error) {
-	data, err := snap.Encode()
+// Save persists the sealed snapshot bytes data (SessionSnapshot.Encode's
+// result — the caller seals once and hands the same bytes to every
+// destination) as session id's snapshot, atomically.
+func (st *Store) Save(id string, data []byte) error {
+	tmp, err := os.CreateTemp(st.dir, "."+id+".tmp-*")
 	if err != nil {
-		return 0, err
-	}
-	tmp, err := os.CreateTemp(st.dir, "."+snap.ID+".tmp-*")
-	if err != nil {
-		return 0, fmt.Errorf("cluster: snapshot temp file: %w", err)
+		return fmt.Errorf("cluster: snapshot temp file: %w", err)
 	}
 	tmpName := tmp.Name()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("cluster: writing snapshot: %w", err)
+		return fmt.Errorf("cluster: writing snapshot: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("cluster: syncing snapshot: %w", err)
+		return fmt.Errorf("cluster: syncing snapshot: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("cluster: closing snapshot: %w", err)
+		return fmt.Errorf("cluster: closing snapshot: %w", err)
 	}
-	if err := os.Rename(tmpName, st.path(snap.ID)); err != nil {
+	if err := os.Rename(tmpName, st.path(id)); err != nil {
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("cluster: publishing snapshot: %w", err)
+		return fmt.Errorf("cluster: publishing snapshot: %w", err)
 	}
 	// Fsync the directory so the rename itself survives a power cut:
 	// without it the file data is durable but the directory entry may
 	// not be, and recovery would find the old snapshot (or none).
 	if err := st.syncDir(); err != nil {
-		return 0, fmt.Errorf("cluster: syncing snapshot dir: %w", err)
+		return fmt.Errorf("cluster: syncing snapshot dir: %w", err)
 	}
-	return len(data), nil
+	return nil
 }
 
 // syncDir flushes the store directory's metadata (new/renamed entries)

@@ -350,6 +350,19 @@ func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 // With returns the gauge for the given label value.
 func (v *GaugeVec) With(labelValue string) *Gauge { return v.f.get(labelValue).gauge }
 
+// Reset drops every series of the family. A collector whose label set
+// follows something that comes and goes (live sessions) calls it before
+// setting the current values, so a departed label's series does not
+// report its last value forever. Scrapes are not serialized: a second
+// scrape rendering during the rebuild can miss series for that one
+// exposition, which is the price of not holding a lock across a slow
+// client's write.
+func (v *GaugeVec) Reset() {
+	v.f.mu.Lock()
+	clear(v.f.series)
+	v.f.mu.Unlock()
+}
+
 // HistogramVec is a histogram family with one label dimension.
 type HistogramVec struct{ f *family }
 
@@ -362,10 +375,10 @@ func (r *Registry) HistogramVec(name, help, label string) *HistogramVec {
 func (v *HistogramVec) With(labelValue string) *Histogram { return v.f.get(labelValue).hist }
 
 // OnScrape registers a collector: a function run at the top of every
-// scrape, before rendering. Collectors mirror externally-maintained
-// totals (pool stats, solver stats, cluster counters) into registry
-// metrics, so hot paths keep their existing single atomic increment
-// and the registry pays the copying cost only when someone looks.
+// scrape, before rendering. Collectors mirror totals maintained under
+// someone else's lock (pool stats, solver stats, membership views)
+// into registry metrics, so those paths keep their own bookkeeping and
+// the registry pays the copying cost only when someone looks.
 func (r *Registry) OnScrape(f func()) {
 	r.mu.Lock()
 	r.collectors = append(r.collectors, f)

@@ -1,0 +1,204 @@
+package service
+
+import (
+	"bytes"
+	"container/list"
+	"sync"
+)
+
+// sessionCacheCap bounds each session's resolved answers. The hot set
+// is the repeat queries against the current committed state;
+// superseded epochs' entries are invalidated on commit, so a small
+// table holds everything that can still hit.
+const sessionCacheCap = 256
+
+// queryCacheKey is the answer-table key of the committed-state query
+// answer. Canonical what-if keys are JSON objects (they start with
+// '{'), so a control byte prefix cannot collide with them.
+const queryCacheKey = "\x01query"
+
+// answer is one answerTable entry. While its solve is in flight only
+// done is live: identical requests wait on it. Resolved, it holds the
+// populating solve's report — immutable once filed — under the
+// committed-state digest the solve ran against, and its lazily built
+// wire image.
+type answer struct {
+	query string
+	done  chan struct{} // closed when the flight resolves; nil for entries filed resolved
+	state string
+	rep   SolveReport
+	err   error         // a failed flight's error, for its waiters
+	elem  *list.Element // LRU slot; nil while in flight and once dropped
+
+	once  sync.Once
+	image []byte
+}
+
+// report returns a copy of the stored report with Cached set.
+func (a *answer) report() *SolveReport {
+	rep := a.rep
+	rep.Cached = true
+	return &rep
+}
+
+// wire returns the entry's wire image: the response body of a hit
+// (the report with "cached": true, as EncodeReport writes it), shared
+// read-only by every hit. It is encoded on the first hit, not when the
+// entry is filed: most entries of an adapting session are evicted or
+// invalidated unread and must not pay for an encode. Nil when the
+// report has no JSON form (a non-finite float).
+func (a *answer) wire() []byte {
+	a.once.Do(func() {
+		bp, ok := reportBytes(a.report())
+		if ok {
+			a.image = bytes.Clone(*bp)
+		}
+		reportBufs.Put(bp)
+	})
+	return a.image
+}
+
+// answerTable is a session's one table of answers, keyed by canonical
+// query: the memo of solved answers and the single-flight registry of
+// solves still running, under one mutex. An entry is either in flight
+// or resolved at a committed-state digest; a lookup hits only an entry
+// resolved at the table's current digest, state.
+//
+// Correctness does not rest on eviction: the digest folds in a strictly
+// increasing epoch counter, so every commit rotates it and an entry
+// resolved before the commit can never match a lookup made after it —
+// rotate's sweep just reclaims the capacity eagerly. Resolved entries
+// are a bounded LRU; in-flight entries are outside it (there is at most
+// one per request in progress) and are never evicted.
+type answerTable struct {
+	mu      sync.Mutex
+	state   string // the committed-state digest; moves only under the session mutex
+	entries map[string]*answer
+	order   *list.List // resolved entries, front = most recently used
+
+	hits   uint64
+	misses uint64
+}
+
+func newAnswerTable() *answerTable {
+	return &answerTable{entries: make(map[string]*answer), order: list.New()}
+}
+
+// hitLocked returns query's entry if it is resolved at the current
+// digest, counting the hit or the miss. A hit is an answer that was
+// valid at lookup time, exactly as a solve that finished just before a
+// concurrent commit would be.
+func (t *answerTable) hitLocked(query string) *answer {
+	if a := t.entries[query]; a != nil && a.elem != nil && a.state == t.state {
+		t.order.MoveToFront(a.elem)
+		t.hits++
+		return a
+	}
+	t.misses++
+	return nil
+}
+
+// lookup returns the answer resolved for query, or nil.
+func (t *answerTable) lookup(query string) *answer {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.hitLocked(query)
+}
+
+// claim is lookup for a coalescing caller. On a miss the caller either
+// joins the flight already in the air for query (owner false: wait on
+// done, then read rep or err) or registers its own (owner true: solve,
+// then resolve the entry).
+func (t *answerTable) claim(query string) (a *answer, hit, owner bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if a := t.hitLocked(query); a != nil {
+		return a, true, false
+	}
+	if a := t.entries[query]; a != nil {
+		if a.elem == nil {
+			return a, false, false
+		}
+		t.dropLocked(a) // resolved at a superseded digest
+	}
+	a = &answer{query: query, done: make(chan struct{})}
+	t.entries[query] = a
+	return a, false, true
+}
+
+// resolve ends a's flight. The caller holds the session mutex, so a
+// solved answer is filed under the digest it was computed against —
+// the current one as the solve finishes, not the one its claim looked
+// up: a commit may have landed in between — and the least recently used
+// resolved entries past the bound are evicted. A failed solve leaves no
+// entry; its waiters read err. The stored report is a private copy, so
+// the caller's stays mutable without aliasing the table.
+func (t *answerTable) resolve(a *answer, rep *SolveReport, err error) {
+	t.mu.Lock()
+	old := t.entries[a.query]
+	if err != nil {
+		a.err = err
+		if old == a {
+			delete(t.entries, a.query)
+		}
+	} else {
+		if old != nil && old.elem != nil {
+			t.dropLocked(old) // a concurrent uncoalesced solve filed first
+		}
+		a.state, a.rep = t.state, *rep
+		a.elem = t.order.PushFront(a)
+		t.entries[a.query] = a
+		for t.order.Len() > sessionCacheCap {
+			t.dropLocked(t.order.Back().Value.(*answer))
+		}
+	}
+	t.mu.Unlock()
+	if a.done != nil {
+		close(a.done)
+	}
+}
+
+// file stores an answer nobody waited for: the committed-state query
+// answer, which is not coalesced.
+func (t *answerTable) file(query string, rep *SolveReport) {
+	t.resolve(&answer{query: query}, rep, nil)
+}
+
+// dropLocked removes a resolved entry; hits already holding it keep
+// reading it.
+func (t *answerTable) dropLocked(a *answer) {
+	t.order.Remove(a.elem)
+	a.elem = nil
+	delete(t.entries, a.query)
+}
+
+// rotate moves the table to a new committed-state digest — a commit,
+// under the session mutex — and sweeps the resolved answers, all now
+// unreachable. Flights, and the hit/miss counters (which feed monotone
+// /stats aggregates), are left alone.
+func (t *answerTable) rotate(state string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.state = state
+	t.flushLocked()
+}
+
+// flush drops every resolved answer.
+func (t *answerTable) flush() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.flushLocked()
+}
+
+func (t *answerTable) flushLocked() {
+	for t.order.Len() > 0 {
+		t.dropLocked(t.order.Front().Value.(*answer))
+	}
+}
+
+// counters returns the cumulative hit and miss counts.
+func (t *answerTable) counters() (hits, misses uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.hits, t.misses
+}

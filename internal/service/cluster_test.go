@@ -358,7 +358,7 @@ func TestRingRoutingAndForwarding(t *testing.T) {
 	if ownedElsewhere == 0 {
 		t.Fatalf("all %d sessions hashed to the creating node (ring not spreading)", nPlatforms)
 	}
-	if nodes[0].forwarded.Load() == 0 {
+	if nodes[0].forwarded.Value() == 0 {
 		t.Fatalf("creating node forwarded nothing despite non-owned sessions")
 	}
 
@@ -471,9 +471,9 @@ func TestRingMembershipChangeMigratesWarm(t *testing.T) {
 	}
 	var totalMigrations, totalWarm, totalCold uint64
 	for _, n := range nodes {
-		totalMigrations += n.migrations.Load()
-		totalWarm += n.warmRebuilds.Load()
-		totalCold += n.coldRebuilds.Load()
+		totalMigrations += n.migrations.Value()
+		totalWarm += n.warmRebuilds.Value()
+		totalCold += n.coldRebuilds.Value()
 	}
 	if totalMigrations != uint64(moved) {
 		t.Fatalf("migrations = %d, want %d (one per moved session)", totalMigrations, moved)
@@ -507,6 +507,9 @@ func TestRingMembershipChangeMigratesWarm(t *testing.T) {
 			}
 			if want := n.self == owner; has != want {
 				t.Fatalf("post-join session %s: present on node %d = %v, owner %s", id, i, has, owner)
+			}
+			if _, lag := n.lastFanout.Load(id); lag && n.self != owner {
+				t.Fatalf("node %d still keeps a fan-out record for session %s, which migrated to %s", i, id, owner)
 			}
 		}
 	}

@@ -73,16 +73,14 @@ func DefaultHealthThresholds() HealthThresholds {
 	}
 }
 
-// sessionConditions evaluates the server-side conditions for one
-// session, then appends any conditions the embedding layer (the
-// cluster Node) contributes via the hook — replication lag, today.
-func (s *Server) sessionConditions(sess *Session, now time.Time) []Condition {
-	st := sess.Stats()
-	th := s.health
+// sessionConditions evaluates the server-side conditions of one
+// session from its /stats row — a pure function, so every surface that
+// reports conditions judges the same snapshot.
+func sessionConditions(st *SessionStats, th HealthThresholds, now time.Time) []Condition {
 	conds := make([]Condition, 0, 4)
 
 	// Warm-pivot headroom.
-	budget := sess.WarmPivotBudget()
+	budget := st.warmPivotBudget
 	warm := st.Solver.WarmSolves
 	wc := Condition{Type: CondWarmHeadroom, Status: CondHealthy}
 	if budget > 0 && warm > 0 {
@@ -118,7 +116,7 @@ func (s *Server) sessionConditions(sess *Session, now time.Time) []Condition {
 	conds = append(conds, cc)
 
 	// Last-commit staleness.
-	age := now.Sub(sess.LastCommit())
+	age := now.Sub(st.lastCommit)
 	sc := Condition{Type: CondCommitStaleness, Status: CondHealthy,
 		Message: fmt.Sprintf("last commit %s ago", age.Round(time.Millisecond))}
 	if th.StaleCommitAfter > 0 && age > th.StaleCommitAfter {
@@ -126,12 +124,7 @@ func (s *Server) sessionConditions(sess *Session, now time.Time) []Condition {
 		sc.Message = fmt.Sprintf("no commit for %s (threshold %s)",
 			age.Round(time.Millisecond), th.StaleCommitAfter)
 	}
-	conds = append(conds, sc)
-
-	if hook := s.condHook; hook != nil {
-		conds = append(conds, hook(sess.id)...)
-	}
-	return conds
+	return append(conds, sc)
 }
 
 // SetHealthThresholds replaces the condition-evaluator thresholds.
@@ -143,17 +136,19 @@ func (s *Server) SetHealthThresholds(th HealthThresholds) { s.health = th }
 func (s *Server) SetConditionHook(fn func(sessionID string) []Condition) { s.condHook = fn }
 
 // Stats assembles the /stats response: the pool's counters decorated
-// with the evaluated health conditions per session.
+// with the evaluated health conditions per session — the server-side
+// ones plus any the embedding layer (the cluster Node) contributes via
+// the hook; replication lag, today. It is the one walk over the pool:
+// /stats, /metrics' collector and /healthz all render from its result,
+// so a scrape takes each session's mutex once.
 func (s *Server) Stats() PoolStatsResponse {
 	resp := s.pool.Stats()
 	now := time.Now()
-	byID := make(map[string]*Session)
-	for _, sess := range s.pool.Sessions() {
-		byID[sess.id] = sess
-	}
 	for i := range resp.Sessions {
-		if sess := byID[resp.Sessions[i].ID]; sess != nil {
-			resp.Sessions[i].Conditions = s.sessionConditions(sess, now)
+		row := &resp.Sessions[i]
+		row.Conditions = sessionConditions(row, s.health, now)
+		if s.condHook != nil {
+			row.Conditions = append(row.Conditions, s.condHook(row.ID)...)
 		}
 	}
 	return resp
@@ -171,16 +166,15 @@ type HealthResponse struct {
 	Degraded []string `json:"degraded,omitempty"`
 }
 
-// healthSummary evaluates every live session and collects the
-// degraded conditions.
+// healthSummary collects the degraded conditions of every live
+// session.
 func (s *Server) healthSummary() HealthResponse {
-	now := time.Now()
 	resp := HealthResponse{Status: "ok"}
-	for _, sess := range s.pool.Sessions() {
-		for _, c := range s.sessionConditions(sess, now) {
+	for _, row := range s.Stats().Sessions {
+		for _, c := range row.Conditions {
 			if c.Status == CondDegraded {
 				resp.Degraded = append(resp.Degraded,
-					fmt.Sprintf("%s: %s: %s", sessionLabel(sess.id), c.Type, c.Message))
+					fmt.Sprintf("%s: %s: %s", sessionLabel(row.ID), c.Type, c.Message))
 			}
 		}
 	}
@@ -194,7 +188,11 @@ func (s *Server) healthSummary() HealthResponse {
 // every condition of every live session is Healthy, 503 with the
 // degraded set otherwise.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := s.healthSummary()
+	writeHealth(w, s.healthSummary())
+}
+
+// writeHealth answers a probe: 200 when ok, 503 otherwise.
+func writeHealth(w http.ResponseWriter, resp HealthResponse) {
 	code := http.StatusOK
 	if resp.Status != "ok" {
 		code = http.StatusServiceUnavailable

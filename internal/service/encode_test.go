@@ -219,7 +219,7 @@ func TestEncodeReportNonFinite(t *testing.T) {
 		if !errors.As(err, &unsupported) || buf.Len() != 0 {
 			t.Fatalf("EncodeReport(%+v) = %v with %d bytes, want encoding/json's UnsupportedValueError and none", rep, err, buf.Len())
 		}
-		for _, hit := range []*cachedAnswer{nil, {rep: *rep}} {
+		for _, hit := range []*answer{nil, {rep: *rep}} {
 			rec := httptest.NewRecorder()
 			writeAnswer(rec, rep, hit, nil)
 			if rec.Code != http.StatusOK || rec.Body.Len() != 0 || rec.Header().Get("Content-Length") != "" {

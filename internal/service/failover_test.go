@@ -383,7 +383,7 @@ func TestOwnerDeathPromotionAndCommit(t *testing.T) {
 		if i == owner {
 			continue
 		}
-		totalCold += n.coldRebuilds.Load()
+		totalCold += n.coldRebuilds.Value()
 	}
 	if totalCold != 0 {
 		t.Fatalf("failover cold-rebuilt %d sessions, want 0", totalCold)
@@ -445,8 +445,8 @@ func TestQuorumFencesCommits(t *testing.T) {
 	if eres.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("fenced commit status = %d, want 503", eres.StatusCode)
 	}
-	if n.fencedCommits.Load() != 1 {
-		t.Fatalf("fencedCommits = %d, want 1", n.fencedCommits.Load())
+	if n.fencedCommits.Value() != 1 {
+		t.Fatalf("fencedCommits = %d, want 1", n.fencedCommits.Value())
 	}
 	// Reads are NOT fenced: the committed state is still valid.
 	status, _, err := doJSONRaw(client, "POST", srv.URL+"/sessions/"+created.ID+"/query", nil)

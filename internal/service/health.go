@@ -1,10 +1,7 @@
 package service
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -79,29 +76,13 @@ func (n *Node) probe(peer string) bool {
 	if err != nil {
 		return false
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.healthTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/cluster/health", bytes.NewReader(data))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
 	sent := time.Now()
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return false
-	}
 	var ans healthMessage
-	if err := json.Unmarshal(body, &ans); err != nil {
+	if n.call(peer, "/cluster/health", n.healthTimeout(), nil, data, &ans) != nil {
 		return false
 	}
 	now := time.Now()
-	n.observeHeartbeat(peer, now.Sub(sent))
+	n.hbRTT.With(peerLabel(peer)).Set(now.Sub(sent).Seconds())
 	changed := n.membership.ObserveAck(peer, ans.Incarnation, now)
 	if n.membership.Merge(ans.Views, now) {
 		changed = true
@@ -176,7 +157,7 @@ func (n *Node) heartbeatOnce() {
 
 // Health probes (for tests and tooling): HeartbeatRounds counts
 // completed probe rounds.
-func (n *Node) HeartbeatRounds() uint64 { return n.heartbeat.Load() }
+func (n *Node) HeartbeatRounds() uint64 { return n.heartbeat.Value() }
 
 // Membership exposes the node's failure detector (read-only use).
 func (n *Node) Membership() *cluster.Membership { return n.membership }

@@ -139,7 +139,7 @@ func TestImageNeverOutlivesItsState(t *testing.T) {
 
 	_, before, _ := sess.query()
 	sess.FlushAnswerCache()
-	if n := sess.cache.Len(); n != 0 {
+	if n := sess.answers.order.Len(); n != 0 {
 		t.Fatalf("%d entries survive a flush", n)
 	}
 	resolved := okBody(t, h, base+"/query", "")

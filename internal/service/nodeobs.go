@@ -12,22 +12,24 @@ import (
 
 // nodeMetrics is the cluster layer's metric set, registered into the
 // wrapped Server's registry so one /metrics scrape covers the whole
-// node. Counters mirror the Node's existing atomics at scrape time;
-// the fan-out histogram and heartbeat RTT gauges are observed inline
-// (both run off the request hot path — in the commit hook and the
-// heartbeat loop respectively).
+// node. The counters are the Node's counters — incremented where the
+// event happens, read back with Value for /stats — and the fan-out
+// histogram and heartbeat RTT gauges are observed inline (in the commit
+// hook and the heartbeat loop respectively). Only the membership gauges
+// and replicasHeld, which are views of state kept elsewhere, are
+// mirrored at scrape time.
 type nodeMetrics struct {
-	fanout   *obs.Histogram // schedd_replication_fanout_seconds
-	hbRTT    *obs.GaugeVec  // schedd_heartbeat_rtt_seconds{peer}
-	peers    *obs.GaugeVec  // schedd_cluster_peers{state}
-	quorum   *obs.Gauge
-	hbRounds *obs.Counter
+	fanout    *obs.Histogram // schedd_replication_fanout_seconds
+	hbRTT     *obs.GaugeVec  // schedd_heartbeat_rtt_seconds{peer}
+	peers     *obs.GaugeVec  // schedd_cluster_peers{state}
+	quorum    *obs.Gauge
+	heartbeat *obs.Counter // completed probe rounds
 
 	forwarded     *obs.Counter
 	retries       *obs.Counter
 	failovers     *obs.Counter
 	promotions    *obs.Counter
-	fenced        *obs.Counter
+	fencedCommits *obs.Counter
 	replicasSent  *obs.Counter
 	replicaErrors *obs.Counter
 	replicasHeld  *obs.Gauge
@@ -48,7 +50,7 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 			"Known peers by failure-detector state.", "state"),
 		quorum: reg.Gauge("schedd_cluster_quorum",
 			"1 when this node sees a membership majority, else 0."),
-		hbRounds: reg.Counter("schedd_cluster_heartbeat_rounds_total",
+		heartbeat: reg.Counter("schedd_cluster_heartbeat_rounds_total",
 			"Completed heartbeat rounds of the failure-detection loop."),
 		forwarded: reg.Counter("schedd_cluster_forwarded_total",
 			"Requests routed toward their ring owner (including ones that resolved locally)."),
@@ -58,7 +60,7 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 			"Forwarding attempts diverted to a ring successor instead of the owner."),
 		promotions: reg.Counter("schedd_cluster_promotions_total",
 			"Passive replicas promoted to live sessions."),
-		fenced: reg.Counter("schedd_cluster_fenced_commits_total",
+		fencedCommits: reg.Counter("schedd_cluster_fenced_commits_total",
 			"Epoch commits rejected for lack of membership quorum."),
 		replicasSent: reg.Counter("schedd_cluster_replicas_sent_total",
 			"Outbound snapshot replicas acked by a successor."),
@@ -77,35 +79,22 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 		routingLoops: reg.Counter("schedd_routing_loops_total",
 			"Forwarded requests rejected for exceeding the hop bound."),
 	}
-	reg.OnScrape(func() { n.collect(m) })
+	reg.OnScrape(n.collect)
 	return m
 }
 
-// collect mirrors the Node's atomics and membership view into the
+// collect mirrors the replica count and membership view into the
 // registry at scrape time.
-func (n *Node) collect(m *nodeMetrics) {
-	m.forwarded.Set(n.forwarded.Load())
-	m.retries.Set(n.retries.Load())
-	m.failovers.Set(n.failovers.Load())
-	m.promotions.Set(n.promotions.Load())
-	m.fenced.Set(n.fencedCommits.Load())
-	m.replicasSent.Set(n.replicasSent.Load())
-	m.replicaErrors.Set(n.replicaErrors.Load())
-	m.replicasHeld.Set(float64(n.replicaCount()))
-	m.migrations.Set(n.migrations.Load())
-	m.snapshotBytes.Set(n.snapshotBytes.Load())
-	m.warmRebuilds.Set(n.warmRebuilds.Load())
-	m.coldRebuilds.Set(n.coldRebuilds.Load())
-	m.routingLoops.Set(n.routingLoops.Load())
-	m.hbRounds.Set(n.heartbeat.Load())
+func (n *Node) collect() {
+	n.replicasHeld.Set(float64(n.replicaCount()))
 	alive, suspect, dead := n.membership.Counts()
-	m.peers.With("alive").Set(float64(alive))
-	m.peers.With("suspect").Set(float64(suspect))
-	m.peers.With("dead").Set(float64(dead))
+	n.peers.With("alive").Set(float64(alive))
+	n.peers.With("suspect").Set(float64(suspect))
+	n.peers.With("dead").Set(float64(dead))
 	if n.membership.Quorum() {
-		m.quorum.Set(1)
+		n.quorum.Set(1)
 	} else {
-		m.quorum.Set(0)
+		n.quorum.Set(0)
 	}
 }
 
@@ -154,11 +143,7 @@ func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "degraded"
 		resp.Degraded = append(resp.Degraded, "cluster: Quorum: no membership majority; epoch commits are fenced")
 	}
-	code := http.StatusOK
-	if resp.Status != "ok" {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, resp)
+	writeHealth(w, resp)
 }
 
 // logRingChange emits one structured membership event when the ring
@@ -178,9 +163,4 @@ func peerLabel(peer string) string {
 		return peer[len(scheme):]
 	}
 	return peer
-}
-
-// observeHeartbeat records one successful probe's round-trip time.
-func (n *Node) observeHeartbeat(peer string, rtt time.Duration) {
-	n.metrics.hbRTT.With(peerLabel(peer)).Set(rtt.Seconds())
 }

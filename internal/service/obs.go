@@ -93,7 +93,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 // collect mirrors pool, solver and health state into the registry —
 // runs per scrape, never on the request path.
 func (s *Server) collect(m *serverMetrics) {
-	ps := s.pool.Stats()
+	ps := s.Stats()
 	m.poolHits.Set(ps.Hits)
 	m.poolMisses.Set(ps.Misses)
 	m.evictions.Set(ps.Evictions)
@@ -113,18 +113,19 @@ func (s *Server) collect(m *serverMetrics) {
 	m.phaseNanos.With("ratio_test").Set(uint64(solver.Phase.RatioTestNanos))
 	m.phaseNanos.With("refactor").Set(uint64(solver.Phase.RefactorNanos))
 
-	now := time.Now()
+	// Rebuilt from the live rows on every scrape: a session that was
+	// deleted, evicted or migrated away takes its series with it.
+	m.sessionHealthy.Reset()
 	degraded := 0
-	for _, sess := range s.pool.Sessions() {
-		conds := s.sessionConditions(sess, now)
+	for _, row := range ps.Sessions {
 		healthy := 1.0
-		for _, c := range conds {
+		for _, c := range row.Conditions {
 			if c.Status == CondDegraded {
 				healthy = 0
 				degraded++
 			}
 		}
-		m.sessionHealthy.With(sessionLabel(sess.id)).Set(healthy)
+		m.sessionHealthy.With(sessionLabel(row.ID)).Set(healthy)
 	}
 	m.degradedConds.Set(float64(degraded))
 }
@@ -222,7 +223,7 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 		}
 		ep := endpointLabel(r.Method, r.URL.Path)
 		s.metrics.reqLatency.With(ep).Observe(dur)
-		if id := pathID(r.URL.Path); id != "" && strings.HasPrefix(r.URL.Path, "/sessions") {
+		if id, _, _ := sessionPath(r.URL.Path); id != "" {
 			s.metrics.sessLatency.With(sessionLabel(id)).Observe(dur)
 		}
 		if !s.logger.Enabled(r.Context(), slog.LevelInfo) {
@@ -250,42 +251,30 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 // endpointLabel maps a request to its bounded endpoint label — never
 // the raw path, which would blow metric cardinality.
 func endpointLabel(method, path string) string {
+	id, sub, ok := sessionPath(path)
 	switch {
-	case path == "/stats":
-		return "stats"
-	case path == "/healthz":
-		return "healthz"
-	case path == "/metrics":
-		return "metrics"
+	case path == "/stats", path == "/healthz", path == "/metrics":
+		return path[1:]
 	case strings.HasPrefix(path, "/cluster/"):
 		return "cluster"
-	case strings.HasPrefix(path, "/sessions"):
-		rest := strings.TrimPrefix(path, "/sessions")
-		rest = strings.TrimPrefix(rest, "/")
-		_, sub, _ := strings.Cut(rest, "/")
-		switch {
-		case rest == "":
-			if method == http.MethodPost {
-				return "create"
-			}
-			return "list"
-		case sub == "query":
-			return "query"
-		case sub == "whatif":
-			return "whatif"
-		case sub == "whatif/batch":
-			return "whatif_batch"
-		case sub == "epoch":
-			return "epoch"
-		case sub == "platform":
-			return "platform"
-		case sub == "":
-			if method == http.MethodDelete {
-				return "delete"
-			}
-			return "info"
-		}
+	case !ok:
 		return "other"
+	case id == "" && sub == "":
+		if method == http.MethodPost {
+			return "create"
+		}
+		return "list"
+	}
+	switch sub {
+	case "query", "whatif", "epoch", "platform":
+		return sub
+	case "whatif/batch":
+		return "whatif_batch"
+	case "":
+		if method == http.MethodDelete {
+			return "delete"
+		}
+		return "info"
 	}
 	return "other"
 }

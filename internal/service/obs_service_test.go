@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -478,5 +479,89 @@ func TestNodeHealthzQuorum(t *testing.T) {
 	doJSON(t, client, "GET", ts.URL+"/healthz", nil, &hr, http.StatusOK)
 	if hr.Quorum == nil || !*hr.Quorum {
 		t.Fatalf("post-requorum probe = %+v", hr)
+	}
+}
+
+// TestSessionGaugeLeavesWithItsSession pins the lifetime of the
+// per-session health series: schedd_session_healthy is rebuilt from the
+// live rows on every scrape, so a deleted session's series goes with it
+// instead of reporting its last value forever — a session deleted while
+// Degraded used to pin a 0 no operator could clear.
+func TestSessionGaugeLeavesWithItsSession(t *testing.T) {
+	srv := NewServer(NewPool(4))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	srv.SetHealthThresholds(HealthThresholds{WarmBudgetFraction: 0.5, StaleCommitAfter: time.Nanosecond}) // Degraded from the start
+
+	var gone, stays CreateSessionResponse
+	doJSON(t, client, "POST", ts.URL+"/sessions", &CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 5, 305))}, &gone, http.StatusCreated)
+	doJSON(t, client, "POST", ts.URL+"/sessions", &CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 5, 306))}, &stays, http.StatusCreated)
+	series := func(id string) string { return fmt.Sprintf("schedd_session_healthy{session=%q}", sessionLabel(id)) }
+
+	before := scrape(t, client, ts.URL+"/metrics")
+	if metricValue(t, before, series(gone.ID)) != 0 || metricValue(t, before, series(stays.ID)) != 0 {
+		t.Fatalf("both sessions should scrape Degraded:\n%s", before)
+	}
+	doJSON(t, client, "DELETE", ts.URL+"/sessions/"+gone.ID, nil, nil, http.StatusOK)
+	after := scrape(t, client, ts.URL+"/metrics")
+	if strings.Contains(after, series(gone.ID)) {
+		t.Fatalf("series survives the session's deletion: %s", series(gone.ID))
+	}
+	if metricValue(t, after, series(stays.ID)) != 0 || metricValue(t, after, "schedd_health_degraded_conditions") != 1 {
+		t.Fatalf("the surviving session's health did not scrape:\n%s", after)
+	}
+	if err := obs.ValidateText(strings.NewReader(after)); err != nil {
+		t.Fatalf("exposition invalid after the rebuild: %v", err)
+	}
+}
+
+// TestOneConditionSetOnEverySurface degrades a session two ways — a
+// server-side condition and one contributed through the condition hook
+// — and checks that /stats, /healthz and /metrics, which all render
+// from one Server.Stats() walk, report the same condition set.
+func TestOneConditionSetOnEverySurface(t *testing.T) {
+	srv := NewServer(NewPool(4))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	var created CreateSessionResponse
+	doJSON(t, client, "POST", ts.URL+"/sessions", &CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 5, 307))}, &created, http.StatusCreated)
+
+	srv.SetHealthThresholds(HealthThresholds{WarmBudgetFraction: 0.5, StaleCommitAfter: time.Nanosecond})
+	srv.SetConditionHook(func(id string) []Condition {
+		return []Condition{{Type: CondReplicationLag, Status: CondDegraded, Message: "hooked for " + sessionLabel(id)}}
+	})
+
+	var st PoolStatsResponse
+	doJSON(t, client, "GET", ts.URL+"/stats", nil, &st, http.StatusOK)
+	var fromStats []string
+	for _, c := range st.Sessions[0].Conditions {
+		if c.Status == CondDegraded {
+			fromStats = append(fromStats, sessionLabel(created.ID)+": "+c.Type)
+		}
+	}
+	want := []string{sessionLabel(created.ID) + ": " + CondCommitStaleness, sessionLabel(created.ID) + ": " + CondReplicationLag}
+	if !slices.Equal(fromStats, want) {
+		t.Fatalf("/stats degraded set %v, want %v", fromStats, want)
+	}
+
+	var hr HealthResponse
+	doJSON(t, client, "GET", ts.URL+"/healthz", nil, &hr, http.StatusServiceUnavailable)
+	var fromHealthz []string
+	for _, d := range hr.Degraded { // "<session>: <type>: <message>"
+		parts := strings.SplitN(d, ": ", 3)
+		fromHealthz = append(fromHealthz, parts[0]+": "+parts[1])
+	}
+	if !slices.Equal(fromHealthz, want) {
+		t.Fatalf("/healthz degraded set %v, want /stats' %v", fromHealthz, want)
+	}
+
+	body := scrape(t, client, ts.URL+"/metrics")
+	if got := metricValue(t, body, "schedd_health_degraded_conditions"); got != float64(len(want)) {
+		t.Fatalf("/metrics counts %v degraded conditions, want %d", got, len(want))
+	}
+	if got := metricValue(t, body, fmt.Sprintf("schedd_session_healthy{session=%q}", sessionLabel(created.ID))); got != 0 {
+		t.Fatalf("/metrics reports the session healthy (%v)", got)
 	}
 }

@@ -165,12 +165,11 @@ func (p *Pool) retire(evicted []*entry) {
 		if e.err != nil || e.sess == nil {
 			continue
 		}
-		st := e.sess.SolverStats()
-		hits, misses := e.sess.CacheStats()
+		st := e.sess.Stats()
 		p.mu.Lock()
-		p.retired.Add(st)
-		p.retiredCacheHits += hits
-		p.retiredCacheMisses += misses
+		p.retired.Add(st.Solver)
+		p.retiredCacheHits += st.CacheHits
+		p.retiredCacheMisses += st.CacheMisses
 		p.mu.Unlock()
 	}
 }

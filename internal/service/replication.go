@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -92,28 +90,93 @@ func (n *Node) replicationTargets(id string) []string {
 	return out
 }
 
+// seal serializes sess's committed state once: the snapshot and its
+// sealed (versioned, checksummed) wire bytes. Every destination — the
+// store, the ring successors, a new owner — gets these same bytes.
+func seal(sess *Session) (*cluster.SessionSnapshot, []byte, error) {
+	snap, err := sess.Snapshot()
+	if err != nil {
+		return nil, nil, err
+	}
+	data, err := snap.Encode()
+	return snap, data, err
+}
+
+// ship persists and replicates sess's committed state: the pool's
+// session hook (creation, epoch commits, migration arrivals) and the
+// body of the periodic PersistAll. It runs synchronously, so a commit
+// is acked to the client only after its snapshot was offered to the
+// store and the ring successors. No failure here fails the commit: a
+// snapshot that cannot be sealed or saved is logged, a successor that
+// does not ack is counted in ReplicaErrors and degrades the session's
+// ReplicationLag.
+func (n *Node) ship(sess *Session) {
+	snap, data, err := seal(sess)
+	if err != nil {
+		n.srv.Logger().Warn("snapshot not sealed", "session", sess.id, "err", err)
+		return
+	}
+	if n.store != nil {
+		if err := n.store.Save(snap.ID, data); err != nil {
+			n.srv.Logger().Warn("snapshot not persisted", "session", snap.ID, "err", err)
+		} else {
+			n.snapshotBytes.Add(uint64(len(data)))
+		}
+	}
+	n.replicateOut(snap, data)
+}
+
+// install is the one way a snapshot becomes a live session here —
+// recovery, inbound migration and replica promotion: rebuild warm,
+// install into the pool (which ships it onward through the session
+// hook), count the rebuild's temperature.
+func (n *Node) install(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool, error) {
+	sess, rep, warm, err := RestoreSession(snap)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	n.srv.Pool().Install(sess)
+	if warm {
+		n.warmRebuilds.Add(1)
+	} else {
+		n.coldRebuilds.Add(1)
+	}
+	return sess, rep, warm, nil
+}
+
+// readSnapshot reads an inbound snapshot body, bounded, and decodes it
+// strictly (version, checksum, completeness — fail closed), answering
+// 400 itself on failure.
+func readSnapshot(w http.ResponseWriter, r *http.Request) (*cluster.SessionSnapshot, []byte, bool) {
+	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	if err != nil || len(data) > maxBodyBytes {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading snapshot"))
+		return nil, nil, false
+	}
+	snap, err := cluster.DecodeSnapshot(data)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, nil, false
+	}
+	return snap, data, true
+}
+
 // replicateOut fans the sealed snapshot to the ring successors and
 // verifies each ack's checksum. It runs synchronously inside the
 // session-commit hook — before the client's HTTP response is written
 // — so an acked commit is always either replicated or counted in
 // ReplicaErrors; there is no window where an ack implies durability
 // the cluster doesn't have.
-func (n *Node) replicateOut(snap *cluster.SessionSnapshot) {
+func (n *Node) replicateOut(snap *cluster.SessionSnapshot, data []byte) {
 	targets := n.replicationTargets(snap.ID)
 	if len(targets) == 0 {
-		return
-	}
-	data, err := snap.Encode()
-	if err != nil {
-		n.replicaErrors.Add(1)
-		n.lastFanout.Store(snap.ID, fanoutRecord{targets: len(targets), failed: len(targets), at: time.Now()})
 		return
 	}
 	failed := 0
 	for _, target := range targets {
 		start := time.Now()
 		err := n.sendReplica(target, snap, data)
-		n.metrics.fanout.Observe(time.Since(start))
+		n.fanout.Observe(time.Since(start))
 		if err != nil {
 			n.replicaErrors.Add(1)
 			failed++
@@ -125,30 +188,12 @@ func (n *Node) replicateOut(snap *cluster.SessionSnapshot) {
 }
 
 func (n *Node) sendReplica(target string, snap *cluster.SessionSnapshot, data []byte) error {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.TransferTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/cluster/replicate", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(fromHeader, n.self)
-	req.Header.Set(incarnationHeader, strconv.FormatUint(n.membership.Incarnation(), 10))
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replicate %s to %s: status %d: %s", snap.ID, target, resp.StatusCode, body)
-	}
+	hdr := make(http.Header, 3)
+	hdr.Set(fromHeader, n.self)
+	hdr.Set(incarnationHeader, strconv.FormatUint(n.membership.Incarnation(), 10))
 	var ack replicateAck
-	if err := json.Unmarshal(body, &ack); err != nil {
-		return fmt.Errorf("replicate %s to %s: decoding ack: %w", snap.ID, target, err)
+	if err := n.call(target, "/cluster/replicate", transferTimeout, hdr, data, &ack); err != nil {
+		return fmt.Errorf("replicate %s: %w", snap.ID, err)
 	}
 	if ack.Checksum != snap.Checksum {
 		return fmt.Errorf("replicate %s to %s: ack checksum %q != sent %q", snap.ID, target, ack.Checksum, snap.Checksum)
@@ -156,22 +201,16 @@ func (n *Node) sendReplica(target string, snap *cluster.SessionSnapshot, data []
 	return nil
 }
 
-// handleReplicate receives a passive replica. The snapshot is decoded
-// strictly (version, checksum, completeness — fail closed), then
-// fenced two ways before it can displace anything: a sender
-// incarnation below the freshest one known for that peer marks a
-// message from a previous life, and a snapshot epoch below what this
-// node already holds (replica or live) marks state the cluster has
-// moved past — a partitioned old owner's late fan-out hits both.
+// handleReplicate receives a passive replica. The snapshot is read
+// and decoded strictly (readSnapshot), then fenced two ways before it
+// can displace anything: a sender incarnation below the freshest one
+// known for that peer marks a message from a previous life, and a
+// snapshot epoch below what this node already holds (replica or live)
+// marks state the cluster has moved past — a partitioned old owner's
+// late fan-out hits both.
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil || len(data) > maxBodyBytes {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading replica"))
-		return
-	}
-	snap, err := cluster.DecodeSnapshot(data)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	snap, data, ok := readSnapshot(w, r)
+	if !ok {
 		return
 	}
 	if from := r.Header.Get(fromHeader); from != "" {
@@ -227,6 +266,7 @@ func (n *Node) handleForget(w http.ResponseWriter, r *http.Request) {
 	}
 	n.dropReplica(msg.ID)
 	n.srv.Pool().Evict(msg.ID)
+	n.lastFanout.Delete(msg.ID)
 	if n.store != nil {
 		n.store.Delete(msg.ID) //nolint:errcheck
 	}
@@ -242,6 +282,7 @@ func (n *Node) handleForget(w http.ResponseWriter, r *http.Request) {
 // them via promoteOwned. Deletes are rare; the extra sends are cheap.
 func (n *Node) forgetSession(id string) {
 	n.dropReplica(id)
+	n.lastFanout.Delete(id)
 	if n.store != nil {
 		n.store.Delete(id) //nolint:errcheck
 	}
@@ -250,21 +291,9 @@ func (n *Node) forgetSession(id string) {
 		return
 	}
 	for _, target := range n.membership.Known() {
-		if target == n.self {
-			continue
+		if target != n.self {
+			n.call(target, "/cluster/forget", n.cfg.WriteTimeout, nil, data, nil) //nolint:errcheck // best effort: an unreachable member has nothing to resurrect from while it is down
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.WriteTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/cluster/forget", bytes.NewReader(data))
-		if err != nil {
-			cancel()
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if resp, err := n.client.Do(req); err == nil {
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-		}
-		cancel()
 	}
 }
 
@@ -296,20 +325,13 @@ func (n *Node) promoteIfReplica(id string) {
 			snap = stored
 		}
 	}
-	sess, _, warm, err := RestoreSession(snap)
-	if err != nil {
+	if _, _, _, err := n.install(snap); err != nil {
 		n.replicaErrors.Add(1)
 		n.dropReplica(id) // fail closed: never install from damaged state
 		return
 	}
-	n.srv.Pool().Install(sess)
 	n.dropReplicaThrough(id, snap.Epoch) // the live session supersedes the passive copy
 	n.promotions.Add(1)
-	if warm {
-		n.warmRebuilds.Add(1)
-	} else {
-		n.coldRebuilds.Add(1)
-	}
 }
 
 // promoteOwned promotes every replica the ring (after a membership

@@ -9,8 +9,8 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,11 +81,10 @@ type NodeConfig struct {
 
 	// Per-operation deadlines: ReadTimeout bounds health probes and
 	// forwarded reads (query/what-if/batch/GET), WriteTimeout bounds
-	// forwarded creates and epoch commits, TransferTimeout bounds
-	// migrate and replicate transfers.
-	ReadTimeout     time.Duration
-	WriteTimeout    time.Duration
-	TransferTimeout time.Duration
+	// forwarded creates, epoch commits and the small /cluster/* control
+	// messages (migrate and replicate transfers get transferTimeout).
+	ReadTimeout  time.Duration
+	WriteTimeout time.Duration
 
 	// RetryAttempts bounds the forwarding loop's tries per request
 	// (failovers included); backoff between full candidate cycles
@@ -113,9 +112,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 15 * time.Second
 	}
-	if c.TransferTimeout <= 0 {
-		c.TransferTimeout = 30 * time.Second
-	}
 	if c.RetryAttempts <= 0 {
 		c.RetryAttempts = 8
 	}
@@ -127,6 +123,9 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	return c
 }
+
+// transferTimeout bounds one snapshot transfer (migrate, replicate).
+const transferTimeout = 30 * time.Second
 
 // defaultTransport pools connections per peer: the mesh talks to a
 // handful of stable base URLs, so idle keep-alives per host are cheap
@@ -172,27 +171,13 @@ type Node struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	stopOnce  sync.Once
-	stopCh    chan struct{}
-	loopDone  chan struct{}
-	started   atomic.Bool
-	heartbeat atomic.Uint64
+	stopOnce sync.Once
+	stopCh   chan struct{}
+	loopDone chan struct{}
+	started  atomic.Bool
 
-	metrics    *nodeMetrics
-	lastFanout sync.Map // session ID → fanoutRecord
-
-	forwarded     atomic.Uint64
-	migrations    atomic.Uint64
-	warmRebuilds  atomic.Uint64
-	coldRebuilds  atomic.Uint64
-	snapshotBytes atomic.Uint64
-	retries       atomic.Uint64
-	failovers     atomic.Uint64
-	promotions    atomic.Uint64
-	replicasSent  atomic.Uint64
-	replicaErrors atomic.Uint64
-	fencedCommits atomic.Uint64
-	routingLoops  atomic.Uint64
+	*nodeMetrics          // the node's counters; see nodeobs.go
+	lastFanout   sync.Map // session ID → fanoutRecord
 }
 
 // NewNode makes srv a ring member with the default NodeConfig —
@@ -240,20 +225,9 @@ func NewNodeWithConfig(srv *Server, self string, peers []string, store *cluster.
 		loopDone: make(chan struct{}),
 	}
 	n.ring = cluster.NewRing(n.membership.Active(), 0)
-	n.metrics = newNodeMetrics(srv.Registry(), n)
+	n.nodeMetrics = newNodeMetrics(srv.Registry(), n)
 	srv.SetConditionHook(n.replicationCondition)
-	srv.Pool().SetSessionHook(func(s *Session) {
-		snap, err := s.Snapshot()
-		if err != nil {
-			return // no basis yet: nothing worth persisting
-		}
-		if n.store != nil {
-			if nb, err := n.store.Save(snap); err == nil {
-				n.snapshotBytes.Add(uint64(nb))
-			}
-		}
-		n.replicateOut(snap)
-	})
+	srv.Pool().SetSessionHook(n.ship)
 	return n
 }
 
@@ -313,21 +287,19 @@ const (
 	opCommit
 )
 
-func classify(r *http.Request) opClass {
-	if !strings.HasPrefix(r.URL.Path, "/sessions") {
+func classify(method, path string) opClass {
+	id, sub, ok := sessionPath(path)
+	switch {
+	case !ok:
 		return opLocal
-	}
-	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/epoch") {
+	case method == http.MethodPost && sub == "epoch":
 		return opCommit
+	case id != "":
+		return opRead
+	case method == http.MethodPost:
+		return opCreate
 	}
-	rest := strings.TrimPrefix(r.URL.Path, "/sessions")
-	if rest == "" || rest == "/" {
-		if r.Method == http.MethodPost {
-			return opCreate
-		}
-		return opLocal // GET /sessions lists local sessions
-	}
-	return opRead
+	return opLocal // GET /sessions lists local sessions
 }
 
 // timeoutFor maps an operation class to its forwarding deadline.
@@ -338,25 +310,17 @@ func (n *Node) timeoutFor(class opClass) time.Duration {
 	return n.cfg.WriteTimeout
 }
 
-// pathID extracts the session ID from a /sessions/{id}[/...] path
-// ("" when absent).
-func pathID(path string) string {
-	rest := strings.TrimPrefix(path, "/sessions")
-	rest = strings.TrimPrefix(rest, "/")
-	id, _, _ := strings.Cut(rest, "/")
-	return id
-}
-
 // routed forwards session traffic to its ring owner (with retry and
 // successor failover); everything else — and everything this replica
 // owns or was explicitly forwarded — is served by the inner handler.
 func (n *Node) routed(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/sessions") {
+		id, _, ok := sessionPath(r.URL.Path)
+		if !ok {
 			inner.ServeHTTP(w, r)
 			return
 		}
-		class := classify(r)
+		class := classify(r.Method, r.URL.Path)
 		if class == opCommit && r.Header.Get(commitIDHeader) == "" {
 			// First ring member to see this commit: tag it. Forwards
 			// and retries preserve the tag.
@@ -373,10 +337,10 @@ func (n *Node) routed(inner http.Handler) http.Handler {
 				ti.decision = "forwarded"
 				ti.target = from
 			}
-			n.serveLocal(w, r, inner, class, pathID(r.URL.Path))
+			n.serveLocal(w, r, inner, class, id)
 			return
 		}
-		key, body, ok := n.routingKey(r)
+		key, body, ok := n.routingKey(r, id)
 		if body != nil {
 			// The body was consumed to compute the key; hand the
 			// buffered copy to whoever serves the request.
@@ -398,7 +362,7 @@ func (n *Node) routed(inner http.Handler) http.Handler {
 			r.Body = io.NopCloser(bytes.NewReader(body))
 			r.ContentLength = int64(len(body))
 		}
-		n.route(w, r, inner, class, key, body)
+		n.route(w, r, inner, class, id, key, body)
 	})
 }
 
@@ -486,7 +450,7 @@ func (n *Node) backoff(cycle int) time.Duration {
 // while a death is being confirmed), forward, and on failure retry
 // per the operation's contract. Serving locally is a terminal state:
 // the ring says the session is (now) ours.
-func (n *Node) route(w http.ResponseWriter, r *http.Request, inner http.Handler, class opClass, key string, body []byte) {
+func (n *Node) route(w http.ResponseWriter, r *http.Request, inner http.Handler, class opClass, id, key string, body []byte) {
 	n.forwarded.Add(1)
 	ti := requestTrace(r)
 	var lastErr error
@@ -497,7 +461,7 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, inner http.Handler,
 		}
 		cands := n.candidates(key, class)
 		if len(cands) == 0 {
-			n.serveLocal(w, r, inner, class, pathID(r.URL.Path))
+			n.serveLocal(w, r, inner, class, id)
 			return
 		}
 		idx := attempt % len(cands)
@@ -512,7 +476,7 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, inner http.Handler,
 		}
 		target := cands[idx]
 		if target == n.self {
-			n.serveLocal(w, r, inner, class, pathID(r.URL.Path))
+			n.serveLocal(w, r, inner, class, id)
 			return
 		}
 		if attempt > 0 {
@@ -564,38 +528,71 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, inner http.Handler,
 	writeError(w, http.StatusBadGateway, fmt.Errorf("forwarding %s %s: retries exhausted: %w", r.Method, r.URL.Path, lastErr))
 }
 
-// send forwards the request once to target under a per-operation
-// deadline, returning the response fully read (so the deadline covers
-// the body, and retries never hold a half-read connection).
-func (n *Node) send(r *http.Request, target string, body []byte, timeout time.Duration) (int, http.Header, []byte, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+// do is the one outbound HTTP call of the package: it owns the
+// deadline, the request build, client.Do, and the full read of the
+// peer's response — bounded at maxBodyBytes like every inbound body, so
+// the deadline covers the body and a retry never holds a half-read
+// connection — and the close.
+func (n *Node) do(ctx context.Context, timeout time.Duration, method, url string, header http.Header, body []byte) (int, http.Header, []byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, r.Method, target+r.URL.RequestURI(), bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	if cid := r.Header.Get(commitIDHeader); cid != "" {
-		req.Header.Set(commitIDHeader, cid)
-	}
-	if tid := r.Header.Get(traceHeader); tid != "" {
-		req.Header.Set(traceHeader, tid)
-	}
-	hops, _ := strconv.Atoi(r.Header.Get(hopsHeader))
-	req.Header.Set(hopsHeader, strconv.Itoa(hops+1))
-	req.Header.Set(forwardedHeader, n.self)
+	req.Header = header
 	resp, err := n.client.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
 	if err != nil {
-		return 0, nil, nil, fmt.Errorf("reading response from %s: %w", target, err)
+		return 0, nil, nil, fmt.Errorf("reading response from %s: %w", url, err)
 	}
-	return resp.StatusCode, resp.Header, respBody, nil
+	if len(data) > maxBodyBytes {
+		return 0, nil, nil, fmt.Errorf("response from %s exceeds %d bytes", url, maxBodyBytes)
+	}
+	return resp.StatusCode, resp.Header, data, nil
+}
+
+// call posts one JSON /cluster/* control message to peer and decodes
+// its 200 answer into out (nil discards it); any other status is an
+// error. hdr carries extra headers and may be nil.
+func (n *Node) call(peer, path string, timeout time.Duration, hdr http.Header, body []byte, out any) error {
+	if hdr == nil {
+		hdr = make(http.Header, 1)
+	}
+	hdr.Set("Content-Type", "application/json")
+	status, _, data, err := n.do(context.Background(), timeout, http.MethodPost, peer+path, hdr, body)
+	if err != nil {
+		return err
+	}
+	if status != http.StatusOK {
+		return fmt.Errorf("%s%s: status %d: %.200s", peer, path, status, data)
+	}
+	if out == nil {
+		return nil
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("%s%s: decoding answer: %w", peer, path, err)
+	}
+	return nil
+}
+
+// send forwards the request once to target under a per-operation
+// deadline, returning the response fully read.
+func (n *Node) send(r *http.Request, target string, body []byte, timeout time.Duration) (int, http.Header, []byte, error) {
+	hdr := make(http.Header, 5)
+	for _, name := range []string{"Content-Type", commitIDHeader, traceHeader} {
+		if v := r.Header.Get(name); v != "" {
+			hdr.Set(name, v)
+		}
+	}
+	hops, _ := strconv.Atoi(r.Header.Get(hopsHeader))
+	hdr.Set(hopsHeader, strconv.Itoa(hops+1))
+	hdr.Set(forwardedHeader, n.self)
+	return n.do(r.Context(), timeout, r.Method, target+r.URL.RequestURI(), hdr, body)
 }
 
 func relay(w http.ResponseWriter, status int, header http.Header, body []byte) {
@@ -614,35 +611,30 @@ func relay(w http.ResponseWriter, status int, header http.Header, body []byte) {
 // does. ok=false means the request has no routable key (the list
 // endpoint, or an undecodable create) and is served locally; body is
 // non-nil whenever the request body was consumed.
-func (n *Node) routingKey(r *http.Request) (key string, body []byte, ok bool) {
-	rest := strings.TrimPrefix(r.URL.Path, "/sessions")
-	if rest == "" || rest == "/" {
-		if r.Method != http.MethodPost {
-			return "", nil, false // GET /sessions lists local sessions
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-		if err != nil || len(body) > maxBodyBytes {
-			return "", body, false
-		}
-		var req CreateSessionRequest
-		if json.Unmarshal(body, &req) != nil || len(req.Platform) == 0 {
-			return "", body, false
-		}
-		cfg, err := parseConfig(&req)
-		if err != nil {
-			return "", body, false
-		}
-		pl, err := platform.Decode(req.Platform)
-		if err != nil {
-			return "", body, false
-		}
-		return sessionID(pl.Fingerprint(), cfg), body, true
+func (n *Node) routingKey(r *http.Request, id string) (key string, body []byte, ok bool) {
+	if id != "" {
+		return id, nil, true
 	}
-	id := pathID(r.URL.Path)
-	if id == "" {
-		return "", nil, false
+	if r.Method != http.MethodPost {
+		return "", nil, false // GET /sessions lists local sessions
 	}
-	return id, nil, true
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	if err != nil || len(body) > maxBodyBytes {
+		return "", body, false
+	}
+	var req CreateSessionRequest
+	if json.Unmarshal(body, &req) != nil || len(req.Platform) == 0 {
+		return "", body, false
+	}
+	cfg, err := parseConfig(&req)
+	if err != nil {
+		return "", body, false
+	}
+	pl, err := platform.Decode(req.Platform)
+	if err != nil {
+		return "", body, false
+	}
+	return sessionID(pl.Fingerprint(), cfg), body, true
 }
 
 // membersMessage is the wire form of a full member list (broadcast on
@@ -685,24 +677,12 @@ func (n *Node) syncRing() {
 	old := n.ring
 	n.ring = ring
 	n.mu.Unlock()
-	if equalMembers(old.Members(), ring.Members()) {
+	if slices.Equal(old.Members(), ring.Members()) {
 		return
 	}
 	n.logRingChange(old.Members(), ring.Members())
 	n.promoteOwned(ring)
 	n.rebalance(ring)
-}
-
-func equalMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // rebalance ships every local session whose owner under ring is some
@@ -721,33 +701,18 @@ func (n *Node) rebalance(ring *cluster.Ring) {
 }
 
 func (n *Node) migrate(sess *Session, owner string) error {
-	snap, err := sess.Snapshot()
+	_, data, err := seal(sess)
 	if err != nil {
 		return err
 	}
-	data, err := snap.Encode()
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.TransferTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/cluster/migrate", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("migrate %s to %s: status %d", sess.id, owner, resp.StatusCode)
+	if err := n.call(owner, "/cluster/migrate", transferTimeout, nil, data, nil); err != nil {
+		return fmt.Errorf("migrate %s: %w", sess.id, err)
 	}
 	n.srv.Pool().Evict(sess.id)
 	if n.store != nil {
-		n.store.Delete(snap.ID) //nolint:errcheck // best effort: a stale file is re-skipped at recovery
+		n.store.Delete(sess.id) //nolint:errcheck // best effort: a stale file is re-skipped at recovery
 	}
+	n.lastFanout.Delete(sess.id)
 	n.migrations.Add(1)
 	return nil
 }
@@ -790,17 +755,7 @@ func (n *Node) broadcastMembers(member string, members []string) {
 	if err != nil {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.WriteTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, member+"/cluster/members", bytes.NewReader(data))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if resp, err := n.client.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-	}
+	n.call(member, "/cluster/members", n.cfg.WriteTimeout, nil, data, nil) //nolint:errcheck // best effort: the heartbeats converge membership anyway
 }
 
 // handleMigrate receives a session from another replica: verify the
@@ -808,14 +763,8 @@ func (n *Node) broadcastMembers(member string, members []string) {
 // replicates it through the session hook), and answer with the
 // rebuilt committed report.
 func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil || len(data) > maxBodyBytes {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading snapshot"))
-		return
-	}
-	snap, err := cluster.DecodeSnapshot(data)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	snap, _, ok := readSnapshot(w, r)
+	if !ok {
 		return
 	}
 	if live := n.srv.Pool().Get(snap.ID); live != nil && live.Info().Epoch >= snap.Epoch {
@@ -830,18 +779,12 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("migrate %s: live epoch %d >= incoming %d", snap.ID, live.Info().Epoch, snap.Epoch))
 		return
 	}
-	sess, rep, warm, err := RestoreSession(snap)
+	sess, rep, warm, err := n.install(snap)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("rebuilding session: %w", err))
 		return
 	}
-	n.srv.Pool().Install(sess)
 	n.dropReplica(snap.ID) // the live session supersedes any passive copy
-	if warm {
-		n.warmRebuilds.Add(1)
-	} else {
-		n.coldRebuilds.Add(1)
-	}
 	writeJSON(w, http.StatusOK, migrateResponse{ID: sess.id, Warm: warm, Report: rep})
 }
 
@@ -853,20 +796,20 @@ func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 // counters and ring view filled in.
 func (n *Node) Stats() PoolStatsResponse {
 	resp := n.srv.Stats()
-	resp.Cluster.Forwarded = n.forwarded.Load()
-	resp.Cluster.Migrations = n.migrations.Load()
-	resp.Cluster.WarmRebuilds = n.warmRebuilds.Load()
-	resp.Cluster.ColdRebuilds = n.coldRebuilds.Load()
-	resp.Cluster.SnapshotBytes = n.snapshotBytes.Load()
+	resp.Cluster.Forwarded = n.forwarded.Value()
+	resp.Cluster.Migrations = n.migrations.Value()
+	resp.Cluster.WarmRebuilds = n.warmRebuilds.Value()
+	resp.Cluster.ColdRebuilds = n.coldRebuilds.Value()
+	resp.Cluster.SnapshotBytes = n.snapshotBytes.Value()
 	resp.Cluster.Replication = n.cfg.Replication
-	resp.Cluster.Retries = n.retries.Load()
-	resp.Cluster.Failovers = n.failovers.Load()
-	resp.Cluster.Promotions = n.promotions.Load()
+	resp.Cluster.Retries = n.retries.Value()
+	resp.Cluster.Failovers = n.failovers.Value()
+	resp.Cluster.Promotions = n.promotions.Value()
 	resp.Cluster.ReplicasHeld = n.replicaCount()
-	resp.Cluster.ReplicasSent = n.replicasSent.Load()
-	resp.Cluster.ReplicaErrors = n.replicaErrors.Load()
-	resp.Cluster.FencedCommits = n.fencedCommits.Load()
-	resp.Cluster.RoutingLoops = n.routingLoops.Load()
+	resp.Cluster.ReplicasSent = n.replicasSent.Value()
+	resp.Cluster.ReplicaErrors = n.replicaErrors.Value()
+	resp.Cluster.FencedCommits = n.fencedCommits.Value()
+	resp.Cluster.RoutingLoops = n.routingLoops.Value()
 	resp.Cluster.Incarnation = n.membership.Incarnation()
 	resp.Cluster.PeersAlive, resp.Cluster.PeersSuspect, resp.Cluster.PeersDead = n.membership.Counts()
 	resp.Cluster.Self = n.self
@@ -883,24 +826,9 @@ func (n *Node) Join(seed string) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.WriteTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, seed+"/cluster/join", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("joining %s: %w", seed, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("joining %s: status %d", seed, resp.StatusCode)
-	}
 	var msg membersMessage
-	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
-		return fmt.Errorf("joining %s: decoding member list: %w", seed, err)
+	if err := n.call(seed, "/cluster/join", n.cfg.WriteTimeout, nil, data, &msg); err != nil {
+		return fmt.Errorf("joining %s: %w", seed, err)
 	}
 	n.SetMembers(msg.Members)
 	return nil
@@ -920,17 +848,13 @@ func (n *Node) Recover() (warm, cold, skipped int, err error) {
 	}
 	skipped = sk
 	for _, snap := range snaps {
-		sess, _, w, rerr := RestoreSession(snap)
-		if rerr != nil {
+		_, _, w, rerr := n.install(snap)
+		switch {
+		case rerr != nil:
 			skipped++
-			continue
-		}
-		n.srv.Pool().Install(sess)
-		if w {
-			n.warmRebuilds.Add(1)
+		case w:
 			warm++
-		} else {
-			n.coldRebuilds.Add(1)
+		default:
 			cold++
 		}
 	}
@@ -943,16 +867,7 @@ func (n *Node) Recover() (warm, cold, skipped int, err error) {
 // whose session is neither live here nor held as a replica.
 func (n *Node) PersistAll() {
 	for _, sess := range n.srv.Pool().Sessions() {
-		snap, err := sess.Snapshot()
-		if err != nil {
-			continue
-		}
-		if n.store != nil {
-			if nb, err := n.store.Save(snap); err == nil {
-				n.snapshotBytes.Add(uint64(nb))
-			}
-		}
-		n.replicateOut(snap)
+		n.ship(sess)
 	}
 	if n.store != nil {
 		live := make(map[string]bool)

@@ -85,6 +85,19 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
+// sessionPath parses the /sessions[/{id}[/{sub}]] grammar every
+// routing and labelling decision is made on: ok is false off the
+// /sessions prefix, id is empty for the collection itself, and sub is
+// whatever follows the ID ("query", "whatif/batch", ...).
+func sessionPath(path string) (id, sub string, ok bool) {
+	rest, ok := strings.CutPrefix(path, "/sessions")
+	if !ok {
+		return "", "", false
+	}
+	id, sub, _ = strings.Cut(strings.TrimPrefix(rest, "/"), "/")
+	return id, sub, true
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -104,7 +117,7 @@ func writeBody(w http.ResponseWriter, body []byte) {
 // entry's stored wire image, a solved report through the report
 // encoder. A report holding a non-finite float has neither; writeJSON
 // answers it as it always did.
-func writeAnswer(w http.ResponseWriter, rep *SolveReport, hit *cachedAnswer, err error) {
+func writeAnswer(w http.ResponseWriter, rep *SolveReport, hit *answer, err error) {
 	if err != nil {
 		writeError(w, solveStatus(err), err)
 		return

@@ -538,9 +538,9 @@ func TestWhatIfCoalescing(t *testing.T) {
 	// on it, then release the solve.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		sess.flightMu.Lock()
-		registered := len(sess.flights) > 0
-		sess.flightMu.Unlock()
+		sess.answers.mu.Lock()
+		registered := len(sess.answers.entries) > sess.answers.order.Len() // an entry in flight
+		sess.answers.mu.Unlock()
 		if registered && sess.whatIfs.Load() == 1 {
 			break
 		}

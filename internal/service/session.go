@@ -20,10 +20,21 @@
 // all under a per-session mutex (the model is single-threaded;
 // mutations serialize) with lp.Revised.Stats surfaced per session and
 // pool-wide so the warm/cold split is observable in production.
+//
+// Repeated and concurrent requests meet in one place, the session's
+// answerTable: entries keyed by canonical query that are either in
+// flight (identical what-ifs wait for the one solve and are marked
+// Coalesced) or resolved at the committed-state digest — drifted
+// platform fingerprint plus epoch counter — stamped under the session
+// mutex as the solve finishes (a repeat is a hit, marked Cached, served
+// from bytes encoded once). The digest rotates on every commit because
+// the epoch counter strictly increases, so an answer resolved before a
+// commit can never be looked up after it: correctness never rests on
+// the table's LRU eviction or on the commit's invalidation sweep, which
+// only reclaim capacity.
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -36,23 +47,11 @@ import (
 	"time"
 
 	"repro/internal/adapt"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/heuristics"
 	"repro/internal/lp"
 	"repro/internal/platform"
 )
-
-// sessionCacheCap bounds each session's answer cache. The hot set is
-// the repeat queries against the current committed state; superseded
-// epochs' entries are invalidated on commit, so a small cache holds
-// everything that can still hit.
-const sessionCacheCap = 256
-
-// queryCacheKey is the answer-cache key of the committed-state query
-// answer. Canonical what-if keys are JSON objects (they start with
-// '{'), so a control byte prefix cannot collide with them.
-const queryCacheKey = "\x01query"
 
 // sessionConfig is the normalized solver configuration of a session.
 type sessionConfig struct {
@@ -122,14 +121,6 @@ type commitRecord struct {
 	rep *SolveReport
 }
 
-// flight is one in-progress what-if solve; concurrent identical
-// requests wait on done and share the report.
-type flight struct {
-	done chan struct{}
-	rep  *SolveReport
-	err  error
-}
-
 // Session owns one warm solver model for one (platform,
 // configuration) pair. All model access is serialized by mu; the
 // committed state is the current platform pl/pr, the carried
@@ -152,26 +143,20 @@ type Session struct {
 	coalesced atomic.Uint64
 	epochs    atomic.Uint64
 
-	// lastCommitNs is the wall time (UnixNano) of the last committed
-	// state change this process saw — session creation, restore, or an
-	// applied epoch commit. The health evaluator's CommitStaleness
-	// condition reads it lock-free.
-	lastCommitNs atomic.Int64
+	// lastCommit is the wall time of the last committed state change
+	// this process saw — session creation, restore, or an applied epoch
+	// commit — for the health evaluator's CommitStaleness condition.
+	// Guarded by mu.
+	lastCommit time.Time
 
-	flightMu sync.Mutex
-	flights  map[string]*flight
-
-	// cache memoizes answers under (committed-state digest, canonical
-	// query key). stateKey is the authoritative digest of the
-	// committed state — the drifted platform's fingerprint plus the
-	// epoch counter — maintained under mu on every commit; state
-	// publishes it for lock-free cache lookups. Because the epoch
-	// counter strictly increases, a commit always rotates the digest:
-	// a stale hit after a commit is impossible even before the
-	// commit's explicit invalidation sweep.
-	cache    *cluster.AnswerCache
-	stateKey string
-	state    atomic.Value // string, mirrors stateKey
+	// answers memoizes and coalesces solves under (committed-state
+	// digest, canonical query key); see answerTable, which also holds
+	// the digest — the drifted platform's fingerprint plus the epoch
+	// counter — rotated under mu on every commit. Because the epoch
+	// counter strictly increases, a commit always changes the digest: a
+	// stale hit after a commit is impossible even before the commit's
+	// sweep.
+	answers *answerTable
 
 	// recentCommits records the most recently applied tagged epoch
 	// commits, newest last (the cluster router tags every commit with
@@ -215,12 +200,11 @@ func buildSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 		pl:          pl,
 		pr:          pr,
 		model:       model,
-		flights:     make(map[string]*flight),
-		cache:       cluster.NewAnswerCache(sessionCacheCap),
+		answers:     newAnswerTable(),
+		lastCommit:  time.Now(),
 	}
 	s.id = sessionID(s.fingerprint, cfg)
 	s.refreshStateLocked() // unshared yet, so "locked" trivially holds
-	s.lastCommitNs.Store(time.Now().UnixNano())
 	return s, nil
 }
 
@@ -241,81 +225,17 @@ func newSession(pl *platform.Platform, cfg sessionConfig) (*Session, *SolveRepor
 }
 
 // refreshStateLocked recomputes the committed-state digest from the
-// current (drifted) platform and epoch counter and publishes it for
-// lock-free cache lookups. Called under mu at every commit.
+// current (drifted) platform and epoch counter and rotates the answer
+// table to it. Called under mu at every commit.
 func (s *Session) refreshStateLocked() {
-	s.stateKey = s.pl.Fingerprint() + "@" + fmt.Sprint(s.epoch)
-	s.state.Store(s.stateKey)
-}
-
-// cachedAnswer is one answer-cache entry: the populating solve's
-// report, immutable once filed, and its lazily built wire image.
-type cachedAnswer struct {
-	rep   SolveReport
-	once  sync.Once
-	image []byte
-}
-
-// report returns a copy of the stored report with Cached set.
-func (c *cachedAnswer) report() *SolveReport {
-	rep := c.rep
-	rep.Cached = true
-	return &rep
-}
-
-// wire returns the entry's wire image: the response body of a hit
-// (the report with "cached": true, as EncodeReport writes it), shared
-// read-only by every hit. It is encoded on the first hit, not when the
-// entry is filed: most entries of an adapting session are evicted or
-// invalidated unread and must not pay for an encode. Nil when the
-// report has no JSON form (a non-finite float).
-func (c *cachedAnswer) wire() []byte {
-	c.once.Do(func() {
-		bp, ok := reportBytes(c.report())
-		if ok {
-			c.image = bytes.Clone(*bp)
-		}
-		reportBufs.Put(bp)
-	})
-	return c.image
-}
-
-// cacheLookup serves query from the answer cache against the
-// currently published committed state. Lock-free: a hit is an answer
-// that was valid at lookup time, exactly as a solve that finished just
-// before a concurrent commit would be.
-func (s *Session) cacheLookup(query string) *cachedAnswer {
-	state, _ := s.state.Load().(string)
-	if state == "" {
-		return nil
-	}
-	v, ok := s.cache.Get(state, query)
-	if !ok {
-		return nil
-	}
-	return v.(*cachedAnswer)
-}
-
-// cachePutLocked stores rep under the authoritative committed-state
-// digest. Must run under mu so the answer can never be filed under a
-// state it was not computed against (the digest only moves inside
-// epoch commits, which also hold mu). The stored copy is private:
-// later hits return copies of it, and the caller's report stays
-// mutable without aliasing the cache.
-func (s *Session) cachePutLocked(query string, rep *SolveReport) {
-	s.cache.Put(s.stateKey, query, &cachedAnswer{rep: *rep})
-}
-
-// CacheStats returns the session's answer-cache hit/miss counters.
-func (s *Session) CacheStats() (hits, misses uint64) {
-	return s.cache.Hits(), s.cache.Misses()
+	s.answers.rotate(s.pl.Fingerprint() + "@" + fmt.Sprint(s.epoch))
 }
 
 // FlushAnswerCache drops every cached answer; the hit/miss counters
 // survive (they feed monotone /stats aggregates) and subsequent
 // requests re-solve warm and re-populate. For measurements that need
 // the uncached solve path, and for reclaiming memory.
-func (s *Session) FlushAnswerCache() { s.cache.Flush() }
+func (s *Session) FlushAnswerCache() { s.answers.flush() }
 
 // Info snapshots the session's description.
 func (s *Session) Info() SessionInfo {
@@ -346,22 +266,25 @@ func (s *Session) PlatformJSON() ([]byte, error) {
 	return s.pl.Encode()
 }
 
-// Stats snapshots the session's activity and solver counters.
+// Stats snapshots the session's activity and solver counters, and —
+// in the same critical section — the warm pivot budget and last-commit
+// time the health conditions are judged from, so one /stats, /metrics
+// or /healthz scrape takes the session mutex once.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
-	info := s.infoLocked()
-	solver := s.model.SolverStats()
-	s.mu.Unlock()
-	return SessionStats{
-		SessionInfo:      info,
-		Queries:          s.queries.Load(),
-		WhatIfs:          s.whatIfs.Load(),
-		CoalescedWhatIfs: s.coalesced.Load(),
-		Epochs:           s.epochs.Load(),
-		CacheHits:        s.cache.Hits(),
-		CacheMisses:      s.cache.Misses(),
-		Solver:           solver,
+	st := SessionStats{
+		SessionInfo:     s.infoLocked(),
+		Solver:          s.model.SolverStats(),
+		warmPivotBudget: s.model.WarmPivotBudget(),
+		lastCommit:      s.lastCommit,
 	}
+	s.mu.Unlock()
+	st.Queries = s.queries.Load()
+	st.WhatIfs = s.whatIfs.Load()
+	st.CoalescedWhatIfs = s.coalesced.Load()
+	st.Epochs = s.epochs.Load()
+	st.CacheHits, st.CacheMisses = s.answers.counters()
+	return st
 }
 
 // SolverStats returns the session's cumulative lp counters (taking
@@ -370,21 +293,6 @@ func (s *Session) SolverStats() lp.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.model.SolverStats()
-}
-
-// WarmPivotBudget returns the solver's pivot budget for warm
-// restarts — the denominator of the health evaluator's warm-headroom
-// condition.
-func (s *Session) WarmPivotBudget() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.model.WarmPivotBudget()
-}
-
-// LastCommit returns the wall time of the last committed state change
-// this process saw for the session.
-func (s *Session) LastCommit() time.Time {
-	return time.Unix(0, s.lastCommitNs.Load())
 }
 
 // BetaRoutes lists the remote routes (k,l) carrying a β variable —
@@ -397,17 +305,17 @@ func (s *Session) BetaRoutes() []core.Pair {
 
 // Query answers the committed state: the heuristic allocation and
 // objective on the session's current platform. A repeat query against
-// an unchanged committed state is an answer-cache hit (the solve it
-// skips would have been a warm restart at ~zero pivots — the cache
+// an unchanged committed state is an answer-table hit (the solve it
+// skips would have been a warm restart at ~zero pivots — the table
 // turns it into a map lookup); otherwise it solves warm from the
-// carried basis and caches the answer. Cached answers carry the
+// carried basis and files the answer. Cached answers carry the
 // solver-stats snapshot of the solve that produced them, so repeat
 // hits are byte-identical.
 func (s *Session) Query() (*SolveReport, error) { return asReport(s.query()) }
 
 // asReport turns an HTTP-layer answer into the exported API's: a cache
 // hit becomes a copy of its report with Cached set.
-func asReport(rep *SolveReport, hit *cachedAnswer, err error) (*SolveReport, error) {
+func asReport(rep *SolveReport, hit *answer, err error) (*SolveReport, error) {
 	if hit != nil {
 		return hit.report(), nil
 	}
@@ -416,16 +324,17 @@ func asReport(rep *SolveReport, hit *cachedAnswer, err error) (*SolveReport, err
 
 // query is Query as the HTTP layer consumes it: a cache hit comes back
 // as its entry, whose wire image is the response.
-func (s *Session) query() (*SolveReport, *cachedAnswer, error) {
+// It is not coalesced: a miss solves on its own.
+func (s *Session) query() (*SolveReport, *answer, error) {
 	s.queries.Add(1)
-	if hit := s.cacheLookup(queryCacheKey); hit != nil {
+	if hit := s.answers.lookup(queryCacheKey); hit != nil {
 		return nil, hit, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rep, err := s.solveLocked(s.pr)
 	if err == nil {
-		s.cachePutLocked(queryCacheKey, rep)
+		s.answers.file(queryCacheKey, rep)
 	}
 	return rep, nil, err
 }
@@ -552,57 +461,40 @@ func (s *Session) relaxReportLocked(sol *core.MixedSolution) *SolveReport {
 // (waiters see Coalesced=true).
 func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) { return asReport(s.whatIf(req)) }
 
-// whatIf is WhatIf as the HTTP layer consumes it; see query.
-func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *cachedAnswer, error) {
+// whatIf is WhatIf as the HTTP layer consumes it; see query. The owner
+// of a flight snapshots the model's capacity/bound state, applies the
+// hypothetical, solves warm from the committed basis (ephemerally —
+// the resulting basis is discarded, the committed basis is never
+// mutated) and restores the snapshot exactly before releasing the
+// session. The answer is resolved under the committed-state digest
+// while mu is still held, so it can never be filed against a state
+// other than the one it was computed on.
+func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 	key, err := json.Marshal(req)
 	if err != nil {
 		return nil, nil, err
 	}
-	if hit := s.cacheLookup(string(key)); hit != nil {
+	a, hit, owner := s.answers.claim(string(key))
+	if hit {
 		s.whatIfs.Add(1)
-		return nil, hit, nil
+		return nil, a, nil
 	}
-	s.flightMu.Lock()
-	if f, ok := s.flights[string(key)]; ok {
-		s.flightMu.Unlock()
-		<-f.done
+	if !owner {
+		<-a.done
 		s.coalesced.Add(1)
-		if f.err != nil {
-			return nil, nil, f.err
+		if a.err != nil {
+			return nil, nil, a.err
 		}
-		shared := *f.rep
+		shared := a.rep
 		shared.Coalesced = true
 		return &shared, nil, nil
 	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[string(key)] = f
-	s.flightMu.Unlock()
-
-	f.rep, f.err = s.whatIfSolve(req, string(key))
-
-	s.flightMu.Lock()
-	delete(s.flights, string(key))
-	s.flightMu.Unlock()
-	close(f.done)
-	return f.rep, nil, f.err
-}
-
-// whatIfSolve performs the actual what-if: snapshot the model's
-// capacity/bound state, apply the hypothetical, solve warm from the
-// committed basis (ephemerally — the resulting basis is discarded,
-// the committed basis is never mutated), and restore the snapshot
-// exactly before releasing the session. The answer is cached under
-// the committed-state digest while mu is still held, so it can never
-// be filed against a state other than the one it was computed on.
-func (s *Session) whatIfSolve(req *WhatIfRequest, key string) (*SolveReport, error) {
 	s.whatIfs.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rep, err := s.whatIfSolveLocked(req)
-	if err == nil && rep != nil {
-		s.cachePutLocked(key, rep)
-	}
-	return rep, err
+	s.answers.resolve(a, rep, err)
+	return rep, nil, err
 }
 
 func (s *Session) whatIfSolveLocked(req *WhatIfRequest) (*SolveReport, error) {
@@ -746,7 +638,7 @@ func (s *Session) EpochIdempotent(req *EpochRequest, commitID string) (*SolveRep
 	s.epochs.Add(1)
 	rep, err := s.epochLocked(req)
 	if err == nil {
-		s.lastCommitNs.Store(time.Now().UnixNano())
+		s.lastCommit = time.Now()
 		if commitID != "" {
 			s.recordCommitLocked(commitID, rep)
 		}
@@ -805,12 +697,10 @@ func (s *Session) epochLocked(req *EpochRequest) (*SolveReport, error) {
 	s.pl = epl
 	s.pr = &core.Problem{Platform: epl, Payoffs: s.pr.Payoffs}
 	s.epoch++
-	prevState := s.stateKey
 	s.refreshStateLocked()
-	s.cache.InvalidateState(prevState)
 	rep, err := s.solveLocked(s.pr)
 	if err == nil {
-		s.cachePutLocked(queryCacheKey, rep)
+		s.answers.file(queryCacheKey, rep)
 	}
 	return rep, err
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"time"
 
 	"repro/internal/lp"
 )
@@ -212,6 +213,11 @@ type SessionStats struct {
 	// ring nodes — replication lag). Empty in responses assembled
 	// without a condition evaluator (bare Pool.Stats).
 	Conditions []Condition `json:"conditions,omitempty"`
+
+	// warmPivotBudget and lastCommit are captured with the counters
+	// above for the condition evaluator; they are not on the wire.
+	warmPivotBudget int
+	lastCommit      time.Time
 }
 
 // PoolStatsResponse is the /stats response body.
