@@ -610,4 +610,12 @@ func TestCLIExperimentsBadFlags(t *testing.T) {
 	if out, err := run(t, bin, "-exp", "fig5", "-ks", "banana"); err == nil {
 		t.Fatalf("bad -ks must fail:\n%s", out)
 	}
+	// An -exp outside the §6 artifacts (a typo, or a retired sweep) must
+	// fail naming the valid values, not succeed printing nothing.
+	for _, exp := range []string{"bogus", "chaos"} {
+		out, err := run(t, bin, "-exp", exp)
+		if err == nil || !strings.Contains(out, "fig6-tight") {
+			t.Fatalf("-exp %s must fail listing the valid values: err %v\n%s", exp, err, out)
+		}
+	}
 }

@@ -7,7 +7,6 @@
 //	experiments -exp fig5
 //	experiments -exp all -platforms 10 -csv -outdir results/
 //	experiments -exp fig6 -ks 10,15,20,25 -platforms 20   # paper scale
-//	experiments -exp adaptive -epochs 30                  # E11 warm-vs-cold epochs
 //
 // Sweeps run platforms in parallel on a worker pool (one goroutine
 // per CPU by default, -workers to override); per-platform seeded
@@ -17,16 +16,19 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
 )
+
+// validExps are the values -exp accepts: the paper's §6 artifacts.
+var validExps = []string{"fig5", "fig6", "fig6-tight", "fig7", "aggregate", "all"}
 
 func main() {
 	if err := run(); err != nil {
@@ -37,11 +39,7 @@ func main() {
 
 func run() error {
 	var (
-		exp       = flag.String("exp", "all", "one of fig5, fig6, fig6-tight, fig7, aggregate, adaptive, batch, cluster, chaos, all")
-		batchSize = flag.Int("batch-size", 256, "queries per batch (exp=batch)")
-		dupFactor = flag.Int("dup-factor", 4, "copies of each distinct mutation within a batch (exp=batch)")
-		openLoop  = flag.Int("open-loop", 256, "open-loop Poisson arrivals per platform, 0 to skip (exp=batch)")
-		epochs    = flag.Int("epochs", 20, "epochs per adaptive run (exp=adaptive, cluster, chaos)")
+		exp       = flag.String("exp", "all", "one of "+strings.Join(validExps, ", "))
 		seed      = flag.Int64("seed", 1, "sweep seed")
 		platforms = flag.Int("platforms", 0, "platforms per K (0 = per-experiment default)")
 		ks        = flag.String("ks", "", "comma-separated K values (default per experiment)")
@@ -49,9 +47,11 @@ func run() error {
 		workers   = flag.Int("workers", 0, "sweep worker goroutines (0 = one per CPU; fig7 stays sequential unless set > 1)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
 		outdir    = flag.String("outdir", "", "also write each artifact to this directory")
-		jsonOut   = flag.Bool("json", false, "also write machine-readable BENCH_E*.json files for the perf sweeps (adaptive→BENCH_E11, batch→BENCH_E15, cluster→BENCH_E16, chaos→BENCH_E17), to -outdir or the current directory")
 	)
 	flag.Parse()
+	if !slices.Contains(validExps, *exp) {
+		return fmt.Errorf("unknown -exp %q (valid: %s)", *exp, strings.Join(validExps, ", "))
+	}
 
 	base := experiments.DefaultOptions()
 	base.Seed = *seed
@@ -84,25 +84,6 @@ func run() error {
 			ext = ".csv"
 		}
 		return os.WriteFile(filepath.Join(*outdir, name+ext), []byte(content), 0o644)
-	}
-
-	// writeJSON records a perf sweep's points verbatim, so successive
-	// PRs can diff BENCH_E*.json files instead of re-parsing tables.
-	writeJSON := func(name string, v any) error {
-		if !*jsonOut {
-			return nil
-		}
-		data, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			return fmt.Errorf("marshaling %s: %w", name, err)
-		}
-		dir := *outdir
-		if dir == "" {
-			dir = "."
-		} else if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dir, name), append(data, '\n'), 0o644)
 	}
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
@@ -180,137 +161,6 @@ func run() error {
 			content = experiments.RenderRatioCSV(pts)
 		}
 		if err := emit("fig6-tight", content); err != nil {
-			return err
-		}
-	}
-	if want("adaptive") {
-		// E11: the §1 adaptability loop, cold per-epoch LP rebuilds
-		// versus the persistent warm-started model. Exact (BnB) rows
-		// double as a soundness check (maxdiff must be ~0); LPRG rows
-		// time the polynomial heuristic at larger K. Wall-clock, so
-		// sequential unless -workers asks otherwise.
-		opts := base
-		opts.Ks = []int{4, 6}
-		if ksOverride != nil {
-			opts.Ks = ksOverride
-		}
-		if *platforms == 0 {
-			opts.PlatformsPer = 3
-		}
-		pts, err := experiments.AdaptiveSweep(opts, *epochs, experiments.AdaptiveExact)
-		if err != nil {
-			return err
-		}
-		// LPRG rows run through K=20: with native variable bounds and
-		// the sparse LU/eta-file basis, warm restarts beat a cold
-		// rebuild across the whole range.
-		lprgOpts := opts
-		if ksOverride == nil {
-			lprgOpts.Ks = []int{10, 15, 20}
-		}
-		lprgPts, err := experiments.AdaptiveSweep(lprgOpts, *epochs, experiments.AdaptiveLPRG)
-		if err != nil {
-			return err
-		}
-		pts = append(pts, lprgPts...)
-		content := experiments.RenderAdaptiveTable(pts)
-		if *csv {
-			content = experiments.RenderAdaptiveCSV(pts)
-		}
-		if err := emit("adaptive", content); err != nil {
-			return err
-		}
-		if err := writeJSON("BENCH_E11.json", pts); err != nil {
-			return err
-		}
-	}
-	if want("batch") {
-		// E15: the batched what-if engine (forked solve contexts,
-		// intra-batch dedupe, lean relaxation reports) against the
-		// serialized single-what-if path, on one warm scheduling-service
-		// session per platform, plus an open-loop Poisson sustained-load
-		// run with arrival-to-completion latency percentiles.
-		// Wall-clock, so sequential unless -workers asks otherwise.
-		opts := base
-		opts.Ks = []int{10, 20}
-		if ksOverride != nil {
-			opts.Ks = ksOverride
-		}
-		if *platforms == 0 {
-			opts.PlatformsPer = 3
-		}
-		pts, err := experiments.BatchSweep(opts, *batchSize, *dupFactor, *openLoop)
-		if err != nil {
-			return err
-		}
-		content := experiments.RenderBatchTable(pts)
-		if *csv {
-			content = experiments.RenderBatchCSV(pts)
-		}
-		if err := emit("batch", content); err != nil {
-			return err
-		}
-		if err := writeJSON("BENCH_E15.json", pts); err != nil {
-			return err
-		}
-	}
-	if want("cluster") {
-		// E16: the cluster subsystem — session snapshots rebuilt warm
-		// on a replica against the cold rebuild baseline, answer-cache
-		// hit latency against the warm solves it short-circuits, and a
-		// three-replica consistent-hash ring with live warm migration
-		// on membership change. Wall-clock, so sequential unless
-		// -workers asks otherwise.
-		opts := base
-		opts.Ks = []int{10, 20, 30}
-		if ksOverride != nil {
-			opts.Ks = ksOverride
-		}
-		if *platforms == 0 {
-			opts.PlatformsPer = 3
-		}
-		pts, err := experiments.ClusterSweep(opts, *epochs)
-		if err != nil {
-			return err
-		}
-		content := experiments.RenderClusterTable(pts)
-		if *csv {
-			content = experiments.RenderClusterCSV(pts)
-		}
-		if err := emit("cluster", content); err != nil {
-			return err
-		}
-		if err := writeJSON("BENCH_E16.json", pts); err != nil {
-			return err
-		}
-	}
-	if want("chaos") {
-		// E17: fault injection against the replicated failure-aware
-		// ring — a control run and a chaos run (deterministic network
-		// faults, then an owner kill) of the same seeded workload,
-		// gated on zero failed client requests, zero cold rebuilds and
-		// answer drift <= 1e-9 vs the control. Timing-sensitive
-		// (failure-detector windows), so sequential by design.
-		opts := base
-		opts.Ks = []int{10, 20}
-		if ksOverride != nil {
-			opts.Ks = ksOverride
-		}
-		if *platforms == 0 {
-			opts.PlatformsPer = 3
-		}
-		pts, err := experiments.ChaosSweep(opts, *epochs)
-		if err != nil {
-			return err
-		}
-		content := experiments.RenderChaosTable(pts)
-		if *csv {
-			content = experiments.RenderChaosCSV(pts)
-		}
-		if err := emit("chaos", content); err != nil {
-			return err
-		}
-		if err := writeJSON("BENCH_E17.json", pts); err != nil {
 			return err
 		}
 	}

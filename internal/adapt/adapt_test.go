@@ -202,6 +202,9 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(pr, lprgSolver, model, core.MAXMIN, 0); err == nil {
 		t.Fatal("zero epochs must fail")
 	}
+	if _, err := RunWarm(pr, WarmLPRG(), model, core.MAXMIN, 0); err == nil {
+		t.Fatal("zero epochs must fail on the warm path")
+	}
 	badModel := UniformLoadModel{K: 2, Min: 0.5, Max: 1, Seed: 1} // wrong K
 	if _, err := Run(pr, lprgSolver, badModel, core.MAXMIN, 2); err == nil {
 		t.Fatal("mismatched model must fail")

@@ -85,27 +85,14 @@ func InjectCapacities(m CapacityTarget, epl *platform.Platform) error {
 // performs — with BranchAndBoundOnModel both paths prove identical
 // optima — at a fraction of the per-epoch cost.
 func RunWarm(pr *core.Problem, solve WarmSolver, model Model, obj core.Objective, epochs int) ([]EpochResult, error) {
-	if err := pr.Validate(); err != nil {
-		return nil, err
-	}
-	cm, err := pr.NewModel(obj)
-	if err != nil {
-		return nil, err
-	}
-	return RunWarmOn(cm, pr, solve, model, obj, epochs)
-}
-
-// RunWarmOn is RunWarm over a caller-provided persistent model, for
-// callers that read the model's solver statistics afterwards (the E11
-// sweep). cm must have been built from pr with the same objective.
-func RunWarmOn(cm *core.Model, pr *core.Problem, solve WarmSolver, model Model, obj core.Objective, epochs int) ([]EpochResult, error) {
 	if epochs < 1 {
 		return nil, fmt.Errorf("adapt: epochs = %d, want >= 1", epochs)
 	}
-	if err := pr.Validate(); err != nil {
+	if err := validateModel(model); err != nil {
 		return nil, err
 	}
-	if err := validateModel(model); err != nil {
+	cm, err := pr.NewModel(obj) // validates pr
+	if err != nil {
 		return nil, err
 	}
 	staticAlloc, basis, err := solve(cm, pr, obj, nil)

@@ -178,10 +178,7 @@ func TestRunWarmLPRRIsValid(t *testing.T) {
 	pr := testProblem(2, 6)
 	model := UniformLoadModel{K: 6, Min: 0.4, Max: 1.0, Seed: 17}
 	rng := rand.New(rand.NewSource(5))
-	warmSolve := func(m *core.Model, epr *core.Problem, o core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
-		return heuristics.LPRROnModel(m, epr, o, heuristics.ProportionalRounding, rng, from)
-	}
-	results, err := RunWarm(pr, warmSolve, model, core.MAXMIN, 8)
+	results, err := RunWarm(pr, WarmLPRR(heuristics.ProportionalRounding, rng), model, core.MAXMIN, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

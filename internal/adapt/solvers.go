@@ -46,20 +46,18 @@ func WarmLPRR(variant heuristics.LPRRVariant, rng *rand.Rand) WarmSolver {
 // allocation); construct a fresh one for every RunWarm call rather
 // than sharing one across runs.
 func WarmBnB(maxNodes int) WarmSolver {
-	return warmBnB(maxNodes, false, nil)
+	return warmBnB(maxNodes, false)
 }
 
 // WarmBnBBudgetTolerant is WarmBnB except that exhausting the node
 // budget returns the incumbent (a valid lower bound) instead of
-// failing the epoch — the behavior sweeps and benchmarks want when
-// they must survive occasional hard epochs. The companion counter,
-// when non-nil, is incremented per exhaustion so callers can report
-// how many epochs lost the optimality proof.
-func WarmBnBBudgetTolerant(maxNodes int, exhausted *int) WarmSolver {
-	return warmBnB(maxNodes, true, exhausted)
+// failing the epoch — the behavior benchmarks want when they must
+// survive occasional hard epochs.
+func WarmBnBBudgetTolerant(maxNodes int) WarmSolver {
+	return warmBnB(maxNodes, true)
 }
 
-func warmBnB(maxNodes int, tolerateBudget bool, exhausted *int) WarmSolver {
+func warmBnB(maxNodes int, tolerateBudget bool) WarmSolver {
 	var prev *core.Allocation
 	return func(m *core.Model, epr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
 		var seed *core.Allocation
@@ -70,9 +68,6 @@ func warmBnB(maxNodes int, tolerateBudget bool, exhausted *int) WarmSolver {
 		}
 		alloc, _, basis, err := heuristics.BranchAndBoundOnModel(m, epr, obj, maxNodes, from, seed)
 		if tolerateBudget && errors.Is(err, heuristics.ErrNodeBudget) {
-			if exhausted != nil {
-				*exhausted++
-			}
 			err = nil
 		}
 		if err == nil {

@@ -10,11 +10,12 @@
 //
 // Determinism: all randomness comes from one seeded math/rand source
 // behind a mutex. The same seed and the same sequence of RoundTrip
-// calls draw the same faults, which is what lets the E17 chaos sweep
-// pin its results. (Concurrent callers interleave nondeterministically,
+// calls draw the same faults, which is what lets the E17 chaos guard
+// (TestE17ChaosRegression in internal/service) know its fault window
+// is never empty. (Concurrent callers interleave nondeterministically,
 // so cross-run identity holds for serial traffic; concurrent runs get
-// the same fault *distribution*, and E17's gates are invariants —
-// zero failures, zero cold rebuilds, drift bounds — not exact fault
+// the same fault *distribution*, and the guard's gates are invariants
+// — zero failures, zero cold rebuilds, drift bounds — not exact fault
 // counts.)
 package chaos
 

@@ -123,11 +123,11 @@
 // moment a higher-epoch replica push reaches it, a migration cannot
 // clobber an equal-or-newer live session, commits on the minority
 // side of a partition are refused by the quorum fence, and the E17
-// chaos experiment's epoch-trace and drift gates verify end to end
-// that the surviving history is exactly the client's committed
-// history. What is traded away is availability, not consistency: a
-// false death costs forwarding hops and re-replication, never a lost
-// or forked commit.
+// chaos guard's epoch-trace and drift gates (TestE17ChaosRegression
+// in internal/service) verify end to end that the surviving history
+// is exactly the client's committed history. What is traded away is
+// availability, not consistency: a false death costs forwarding hops
+// and re-replication, never a lost or forked commit.
 //
 // Promotion preserves answers exactly, not just approximately. The
 // solver result on a degenerate platform depends on which optimal

@@ -229,11 +229,8 @@ func (pr *Problem) NewModel(obj Objective) (*Model, error) {
 // SolverStats returns the lp solver's accumulated activity counters
 // (pivots, refactorizations, bound flips, warm/cold solve mix) for
 // this model's persistent revised-simplex instance — the per-solve
-// cost drivers the experiment sweeps report.
+// cost drivers the scheduling service's /stats reports.
 func (m *Model) SolverStats() lp.Stats { return m.rev.Stats() }
-
-// ResetSolverStats zeroes the counters SolverStats reports.
-func (m *Model) ResetSolverStats() { m.rev.ResetStats() }
 
 // WarmPivotBudget reports the pivot budget a warm restart on this
 // model's solver gets before falling back cold — the denominator the

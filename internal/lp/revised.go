@@ -154,7 +154,7 @@ const infeasTol = 1e-7
 
 // Stats aggregates solver activity over the lifetime of a Revised
 // instance (or since the last ResetStats): the per-solve cost drivers
-// the experiment sweeps report alongside their wall-clock numbers.
+// schedd's /stats and the benchmark's per-layer trace report.
 type Stats struct {
 	// Pivots counts every simplex basis change (primal + dual + basis
 	// repair); PrimalPivots/DualPivots break out the two methods.

@@ -183,7 +183,9 @@ func (t *answerTable) rotate(state string) {
 	t.flushLocked()
 }
 
-// flush drops every resolved answer.
+// flush drops every resolved answer; the hit/miss counters survive
+// (they feed monotone /stats aggregates). Tests use it to reach the
+// uncached solve path.
 func (t *answerTable) flush() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/platform"
@@ -118,13 +119,13 @@ func TestBatchWhatIfDedupe(t *testing.T) {
 		}
 	}
 
-	before := sess.SolverStats()
+	before := sess.Stats().Solver
 	whatIfsBefore, coalescedBefore := sess.whatIfs.Load(), sess.coalesced.Load()
 	resp, err := sess.WhatIfBatch(&BatchWhatIfRequest{Queries: queries})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := sess.SolverStats()
+	after := sess.Stats().Solver
 
 	if resp.Distinct != distinct {
 		t.Fatalf("distinct %d, want %d", resp.Distinct, distinct)
@@ -270,7 +271,7 @@ func TestBatchWhatIfErrors(t *testing.T) {
 	sess := pool.Get(resp.ID)
 	url := ts.URL + "/sessions/" + resp.ID + "/whatif/batch"
 
-	before := sess.SolverStats()
+	before := sess.Stats().Solver
 
 	// Empty batch.
 	status, _, err := doJSONRaw(ts.Client(), "POST", url, &BatchWhatIfRequest{})
@@ -295,11 +296,87 @@ func TestBatchWhatIfErrors(t *testing.T) {
 		t.Fatalf("error %q does not name the offending query (%q)", errResp.Error, want)
 	}
 
-	after := sess.SolverStats()
+	after := sess.Stats().Solver
 	if d := (after.WarmSolves + after.ColdSolves) - (before.WarmSolves + before.ColdSolves); d != 0 {
 		t.Fatalf("failed batches performed %d solves, want 0", d)
 	}
 	if after.Forks != before.Forks {
 		t.Fatalf("failed batches forked %d contexts, want 0", after.Forks-before.Forks)
+	}
+}
+
+// TestE15BatchRegression is the throughput regression guard behind
+// the batched what-if engine: on a K=20 network-bound session, 256
+// queries (64 distinct mutations, 4 copies each) answered as one batch
+// must beat the same queries serialized through the single what-if
+// path. The guard holds a conservative 2.0x floor — the architectural
+// savings (one decode, intra-batch dedupe, no per-query extraction)
+// that survive any machine; the ratio itself is tracked by bench/'s
+// batch_fork against whatif_solve — plus the scale-independent
+// soundness gates. Timing is skipped under the race detector, whose
+// instrumentation voids wall-clock comparisons; the soundness gates
+// still run.
+func TestE15BatchRegression(t *testing.T) {
+	const floor, distinct, copies = 2.0, 64, 4
+	pl, payoffs := tightPlatform(t, 20, 1)
+	sess, _, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg", payoffs: payoffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Capacity cuts, integral link budgets and lb=0 β boxes are never
+	// infeasible, so the warm path never legitimately falls back cold.
+	mutations := batchMutations(pl, sess.model.BetaVars(), distinct)
+	queries := make([]WhatIfRequest, 0, distinct*copies)
+	for c := 0; c < copies; c++ {
+		queries = append(queries, mutations...)
+	}
+
+	// Serialized path: every query through the session mutex, one warm
+	// solve each. The answer table is flushed per query so duplicates
+	// measure the solve path, not cache hits: the guard compares the
+	// two solving engines, and the cache would otherwise answer 3/4 of
+	// the serialized set for free.
+	serial := make([]*SolveReport, len(queries))
+	start := time.Now()
+	for i := range queries {
+		q := queries[i]
+		q.Relax = true
+		sess.answers.flush()
+		if serial[i], err = sess.WhatIf(&q); err != nil {
+			t.Fatalf("serial what-if %d: %v", i, err)
+		}
+	}
+	serialSecs := time.Since(start).Seconds()
+
+	before := sess.Stats().Solver
+	start = time.Now()
+	resp, err := sess.WhatIfBatch(&BatchWhatIfRequest{Queries: queries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchSecs := time.Since(start).Seconds()
+
+	if resp.Distinct != distinct {
+		t.Fatalf("workload has %d distinct mutations, want %d", resp.Distinct, distinct)
+	}
+	if cold := sess.Stats().Solver.ColdSolves - before.ColdSolves; cold != 0 {
+		t.Fatalf("batch phase solved cold %d times — forks lost the shared factorization", cold)
+	}
+	for i, rep := range resp.Reports {
+		if rep.Feasible != serial[i].Feasible {
+			t.Fatalf("query %d: batch feasible=%v, serial %v", i, rep.Feasible, serial[i].Feasible)
+		}
+		if rep.Feasible && math.Abs(rep.LPBound-serial[i].LPBound) > tol*(1+math.Abs(serial[i].LPBound)) {
+			t.Fatalf("query %d: batch bound %.12g, serial %.12g", i, rep.LPBound, serial[i].LPBound)
+		}
+	}
+
+	speedup := serialSecs / batchSecs
+	if raceEnabled {
+		t.Skipf("race detector active; skipping throughput floor (measured %.1fx)", speedup)
+	}
+	t.Logf("batch %.0f QPS, serial %.0f QPS: %.1fx", float64(len(queries))/batchSecs, float64(len(queries))/serialSecs, speedup)
+	if speedup < floor {
+		t.Fatalf("batch throughput %.2fx the serialized path, floor %.1fx", speedup, floor)
 	}
 }

@@ -100,7 +100,7 @@ func TestSessionSnapshotRestoreWarm(t *testing.T) {
 		if !warm {
 			t.Fatalf("%s: rebuild was not warm", heur)
 		}
-		if st := restored.SolverStats(); st.ColdSolves != 0 || st.ColdFallbacks != 0 {
+		if st := restored.Stats().Solver; st.ColdSolves != 0 || st.ColdFallbacks != 0 {
 			t.Fatalf("%s: rebuilt session cold-solved: %+v", heur, st)
 		}
 		if restored.id != s.id || restored.epoch != s.epoch {
@@ -427,12 +427,33 @@ func TestRingMembershipChangeMigratesWarm(t *testing.T) {
 		handlers[i].set(nodes[i].Handler())
 	}
 
+	// All three URLs exist already, so the post-join ring is known
+	// before any session is: keep drawing platforms until at least two
+	// sessions will move to the joiner and at least one will stay —
+	// httptest's random ports would otherwise leave the join with
+	// nothing to migrate one run in ten. Sessions that would stay are
+	// capped, so the ring never holds more than six.
+	after := cluster.NewRing([]string{servers[0].URL, servers[1].URL, servers[2].URL}, 0)
+	cfg, err := parseConfig(&CreateSessionRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	client := servers[0].Client()
-	const nPlatforms = 6
-	ids := make([]string, 0, nPlatforms)
+	var ids []string
 	pre := make(map[string]string)
-	for i := 0; i < nPlatforms; i++ {
-		pl := testPlatform(t, 6, int64(80+i))
+	const maxDraws, maxStaying = 200, 4
+	for draw, moving, staying := 0, 0, 0; moving < 2 || staying < 1; draw++ {
+		if draw == maxDraws {
+			t.Fatalf("%d platforms drawn, %d hash to the joiner and %d do not (ring not spreading)", draw, moving, staying)
+		}
+		pl := testPlatform(t, 6, int64(80+draw))
+		if after.Owner(sessionID(pl.Fingerprint(), cfg)) == servers[2].URL {
+			moving++
+		} else if staying < maxStaying {
+			staying++
+		} else {
+			continue
+		}
 		resp := ringCreate(t, client, servers[0].URL, &CreateSessionRequest{Platform: platformJSON(t, pl)})
 		// Commit drift so migrated state is non-trivial.
 		var erep SolveReport
@@ -466,8 +487,8 @@ func TestRingMembershipChangeMigratesWarm(t *testing.T) {
 			moved++
 		}
 	}
-	if moved == 0 {
-		t.Skipf("no session hashed to the joiner (possible but unlikely); nothing to verify")
+	if moved < 2 || moved == len(ids) {
+		t.Fatalf("%d of %d sessions hash to the joiner, want at least 2 and not all (the nodes' ring differs from cluster.NewRing over the same members)", moved, len(ids))
 	}
 	var totalMigrations, totalWarm, totalCold uint64
 	for _, n := range nodes {

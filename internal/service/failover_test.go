@@ -5,12 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/cluster"
 )
 
@@ -740,5 +745,209 @@ func TestCommitDedupDepth(t *testing.T) {
 	}
 	if got := sess.Info().Epoch; got != total {
 		t.Fatalf("retries advanced epoch to %d, want %d", got, total)
+	}
+}
+
+// e17Outcome is what one run (control or chaos) of the E17 workload
+// produces.
+type e17Outcome struct {
+	// trace records the committed epoch each epoch-commit response
+	// reported, in client order — a control-vs-chaos mismatch pinpoints
+	// a lost or double-applied commit.
+	trace []int
+	final map[string][2]float64 // session ID -> {Value, LPBound} after the last commit
+
+	faults                          int64 // injected drops + errors
+	retries, promotions, warm, cold uint64
+	killed                          int // sessions the killed replica owned
+}
+
+// e17Run executes the E17 workload on a fresh three-replica ring with
+// replication 2. Everything the client sends (platforms, drift
+// factors, node choices) is drawn from fixed seeds, so the control and
+// chaos runs issue byte-identical requests; chaotic additionally
+// injects network faults during the traffic phase and kills the owner
+// of the first session before the final commit+query round. Any
+// request that does not come back with its expected status fails the
+// test: the ring's own retries must absorb every fault.
+func e17Run(t *testing.T, chaotic bool) e17Outcome {
+	t.Helper()
+	const ringSize, nSessions, epochs = 3, 2, 3
+	// Faults hit forwarded session traffic only: the cluster control
+	// plane (health, replicate, migrate, forget) stays clean so the
+	// failure detector's timing, not fault luck, drives membership.
+	// One transport for the whole ring is enough: the gates are
+	// invariants, not per-node fault counts.
+	tr := chaos.NewTransport(nil, chaos.Config{
+		Seed:      11,
+		DropProb:  0.08,
+		ErrorProb: 0.07,
+		DelayProb: 0.15,
+		MaxDelay:  3 * time.Millisecond,
+		Exempt: func(r *http.Request) bool {
+			return strings.HasPrefix(r.URL.Path, "/cluster/")
+		},
+	})
+	// Failure detection is compressed so the kill phase confirms the
+	// death inside the commit-retry window — but the dead window stays
+	// wide relative to scheduler/GC stalls on a loaded host: a false
+	// death confirmation splits ownership between the resurrected
+	// owner and its successor, and commits applied on the losing side
+	// of that split are gone (the drift gate would catch it).
+	nodes, servers := startRingCfg(t, ringSize, NodeConfig{
+		Replication:   2,
+		Heartbeat:     25 * time.Millisecond,
+		SuspectAfter:  250 * time.Millisecond,
+		DeadAfter:     time.Second,
+		RetryAttempts: 14,
+		RetryBase:     20 * time.Millisecond,
+		RetryCap:      400 * time.Millisecond,
+		Transport:     tr,
+	})
+	if chaotic {
+		tr.Enable()
+	}
+	post := func(via int, path string, body, out any, wantStatus int) {
+		t.Helper()
+		doJSON(t, servers[via].Client(), "POST", servers[via].URL+path, body, out, wantStatus)
+	}
+
+	// Traffic phase: create every session, then drive epochs of
+	// committed drift with interleaved queries, every commit through a
+	// seeded-random ring node.
+	pick := rand.New(rand.NewSource(12))
+	out := e17Outcome{final: make(map[string][2]float64)}
+	sessions := make([]CreateSessionResponse, nSessions)
+	drifts := make([]*rand.Rand, nSessions)
+	for i := range sessions {
+		pl, payoffs := tightPlatform(t, 6, int64(110+i))
+		post(pick.Intn(ringSize), "/sessions", &CreateSessionRequest{Platform: platformJSON(t, pl), Payoffs: payoffs}, &sessions[i], http.StatusCreated)
+		drifts[i] = rand.New(rand.NewSource(int64(120 + i)))
+	}
+	commit := func(via, i int) {
+		t.Helper()
+		req := &EpochRequest{SpeedFactor: make([]float64, sessions[i].K), GatewayFactor: make([]float64, sessions[i].K)}
+		for c := range req.SpeedFactor {
+			req.SpeedFactor[c] = 0.9 + 0.2*drifts[i].Float64()
+			req.GatewayFactor[c] = 0.9 + 0.2*drifts[i].Float64()
+		}
+		var rep SolveReport
+		post(via, "/sessions/"+sessions[i].ID+"/epoch", req, &rep, http.StatusOK)
+		out.trace = append(out.trace, rep.Epoch)
+	}
+	for e := 0; e < epochs; e++ {
+		for i, s := range sessions {
+			commit(pick.Intn(ringSize), i)
+			// Query through every replica: at least two of the three
+			// are forwards, so the fault schedule gets a dense stream
+			// of data-path requests to bite on.
+			for via := range servers {
+				post(via, "/sessions/"+s.ID+"/query", nil, nil, http.StatusOK)
+			}
+		}
+	}
+
+	// Kill phase (chaos run only): stop injecting network faults, then
+	// kill the owner of the first session outright and ask a survivor
+	// for every orphaned session — read failover to the replica-holding
+	// successor, promotion, warm answer.
+	survivor := 0
+	if chaotic {
+		tr.Disable()
+		owner, _ := ringOwnerOf(t, nodes, sessions[0].ID)
+		survivor = (owner + 1) % ringSize
+		ring := nodes[owner].currentRing()
+		var orphans []string
+		for _, s := range sessions {
+			if ring.Owner(s.ID) == nodes[owner].self {
+				orphans = append(orphans, s.ID)
+			}
+		}
+		out.killed = len(orphans)
+		nodes[owner].Stop()
+		servers[owner].Close()
+		for _, id := range orphans {
+			post(survivor, "/sessions/"+id+"/query", nil, nil, http.StatusOK)
+		}
+	}
+
+	// Final round (both runs): one more committed epoch per session —
+	// in the chaos run this exercises commit retry across the owner's
+	// death — then the answer the drift gate compares.
+	for i, s := range sessions {
+		commit(survivor, i)
+		var rep SolveReport
+		post(survivor, "/sessions/"+s.ID+"/query", nil, &rep, http.StatusOK)
+		out.final[s.ID] = [2]float64{rep.Value, rep.LPBound}
+	}
+
+	st := tr.Stats()
+	out.faults = st.Dropped + st.Errored
+	for _, n := range nodes {
+		out.retries += n.retries.Value()
+		out.promotions += n.promotions.Value()
+		out.warm += n.warmRebuilds.Value()
+		out.cold += n.coldRebuilds.Value()
+	}
+	return out
+}
+
+// TestE17ChaosRegression is the fault-tolerance gate of the replicated
+// failure-aware ring, at unit-test scale: the same seeded workload runs
+// twice — a clean control, then with deterministic network faults on
+// all forwarded session traffic followed by an owner kill — and the
+// chaos run must show zero failed client requests (e17Run fails on the
+// first), zero cold rebuilds, the control's exact commit history and
+// answers within 1e-9 of the control's. The gates are invariants, not
+// counts: they hold no matter what the fault schedule did. Skipped
+// under the race detector: the workload is timing-sensitive
+// (failure-detector windows vs retry backoff) and the race build's
+// slowdown makes it flaky without adding coverage — the tests above
+// run the same machinery race-enabled at smaller scale.
+func TestE17ChaosRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing-sensitive failover windows; covered race-enabled by the smaller failover tests")
+	}
+	control := e17Run(t, false)
+	chaotic := e17Run(t, true)
+	t.Logf("chaos run: %d faults injected, %d retries, %d promotions (%d warm rebuilds), kill orphaned %d sessions",
+		chaotic.faults, chaotic.retries, chaotic.promotions, chaotic.warm, chaotic.killed)
+
+	if cold := control.cold + chaotic.cold; cold != 0 {
+		t.Errorf("E17 gate: %d cold rebuilds, want 0", cold)
+	}
+	// The epoch traces must match exactly before the drift gate is even
+	// meaningful: a mismatch means a commit was lost (applied on the
+	// losing side of a false-death ownership split) or applied twice (a
+	// retried commit that escaped the idempotency record) — state
+	// divergence, not numeric drift.
+	if !slices.Equal(chaotic.trace, control.trace) {
+		t.Fatalf("E17 gate: commits reached epochs %v under faults, %v in control (lost or double-applied commit)", chaotic.trace, control.trace)
+	}
+	for id, want := range control.final {
+		got, ok := chaotic.final[id]
+		if !ok {
+			t.Fatalf("session %s missing from the chaos run", id)
+		}
+		for j, name := range []string{"Value", "LPBound"} {
+			if math.Abs(got[j]-want[j]) > tol*(1+math.Abs(want[j])) {
+				t.Errorf("E17 gate: session %s %s drifted to %.12g under faults, control %.12g", id, name, got[j], want[j])
+			}
+		}
+	}
+	// The chaos run must actually have injected faults and exercised
+	// the resilience machinery — an accidentally-clean run would pass
+	// the gates vacuously.
+	if chaotic.faults == 0 {
+		t.Errorf("no faults injected: %+v", chaotic)
+	}
+	if chaotic.retries == 0 {
+		t.Errorf("faults injected but nothing retried: %+v", chaotic)
+	}
+	if chaotic.killed < 1 || chaotic.promotions < uint64(chaotic.killed) {
+		t.Errorf("kill phase did not promote: killed=%d promotions=%d", chaotic.killed, chaotic.promotions)
+	}
+	if chaotic.warm < chaotic.promotions {
+		t.Errorf("promotions not warm: warm=%d promotions=%d", chaotic.warm, chaotic.promotions)
 	}
 }

@@ -154,10 +154,3 @@ func (n *Node) heartbeatOnce() {
 		n.syncRing()
 	}
 }
-
-// Health probes (for tests and tooling): HeartbeatRounds counts
-// completed probe rounds.
-func (n *Node) HeartbeatRounds() uint64 { return n.heartbeat.Value() }
-
-// Membership exposes the node's failure detector (read-only use).
-func (n *Node) Membership() *cluster.Membership { return n.membership }

@@ -72,7 +72,7 @@ func imageFixture(t testing.TB, k int, seed int64, heur string) (http.Handler, *
 func TestCacheHitIsPopulatingBodyPlusCachedLine(t *testing.T) {
 	for _, heur := range []string{"lprg", "lprr"} {
 		h, sess, base := imageFixture(t, 8, 91, heur)
-		route := sess.BetaRoutes()[0]
+		route := sess.model.BetaVars()[0]
 		requests := []struct{ name, path, body string }{
 			{"query", base + "/query", ""},
 			{"heuristic what-if", base + "/whatif", `{"speeds":[{"cluster":0,"value":5}]}`},
@@ -82,7 +82,7 @@ func TestCacheHitIsPopulatingBodyPlusCachedLine(t *testing.T) {
 			{"infeasible what-if", base + "/whatif", strings.NewReplacer("K", strconv.Itoa(route.K), "L", strconv.Itoa(route.L)).
 				Replace(`{"bounds":[{"from":K,"to":L,"lb":1e9,"ub":-1}]}`)},
 		}
-		sess.FlushAnswerCache() // the creation solve filed the query answer
+		sess.answers.flush() // the creation solve filed the query answer
 		for _, rq := range requests {
 			populated := okBody(t, h, rq.path, rq.body)
 			want := withCachedLine(t, populated)
@@ -116,8 +116,8 @@ func mustEncode(t testing.TB, rep *SolveReport) []byte {
 
 // TestImageNeverOutlivesItsState is image test (b): once an epoch
 // commits, no read serves pre-commit bytes — the state digest rotates,
-// so the old entries and their images are unreachable — and
-// FlushAnswerCache drops images with their entries.
+// so the old entries and their images are unreachable — and a flush
+// drops images with their entries.
 func TestImageNeverOutlivesItsState(t *testing.T) {
 	h, sess, base := imageFixture(t, 8, 92, "lprg")
 	whatIf := `{"gateways":[{"cluster":1,"value":100}],"relax":true}`
@@ -138,7 +138,7 @@ func TestImageNeverOutlivesItsState(t *testing.T) {
 	}
 
 	_, before, _ := sess.query()
-	sess.FlushAnswerCache()
+	sess.answers.flush()
 	if n := sess.answers.order.Len(); n != 0 {
 		t.Fatalf("%d entries survive a flush", n)
 	}

@@ -1,5 +1,5 @@
 //go:build !race
 
-package experiments
+package service
 
 const raceEnabled = false

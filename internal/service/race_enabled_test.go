@@ -1,6 +1,6 @@
 //go:build race
 
-package experiments
+package service
 
 // raceEnabled reports that this test binary runs under the race
 // detector, whose instrumentation slows solves by an order of

@@ -38,6 +38,30 @@ func testPlatform(t testing.TB, k int, seed int64) *platform.Platform {
 	return pl
 }
 
+// tightPlatform generates the network-bound instance the E15/E17
+// guards run on — tight connection budgets and bandwidths, where
+// per-query LP work dominates — with the non-uniform payoffs that make
+// its relaxation fractional.
+func tightPlatform(t testing.TB, k int, seed int64) (*platform.Platform, []float64) {
+	t.Helper()
+	pl, err := platgen.Generate(platgen.Params{
+		K:             k,
+		Connectivity:  0.6,
+		Heterogeneity: 0.6,
+		MeanG:         450,
+		MeanBW:        10,
+		MeanMaxCon:    5,
+	}, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payoffs := make([]float64, k)
+	for i := range payoffs {
+		payoffs[i] = float64(1 + i%3)
+	}
+	return pl, payoffs
+}
+
 func platformJSON(t testing.TB, pl *platform.Platform) json.RawMessage {
 	t.Helper()
 	data, err := pl.Encode()

@@ -231,12 +231,6 @@ func (s *Session) refreshStateLocked() {
 	s.answers.rotate(s.pl.Fingerprint() + "@" + fmt.Sprint(s.epoch))
 }
 
-// FlushAnswerCache drops every cached answer; the hit/miss counters
-// survive (they feed monotone /stats aggregates) and subsequent
-// requests re-solve warm and re-populate. For measurements that need
-// the uncached solve path, and for reclaiming memory.
-func (s *Session) FlushAnswerCache() { s.answers.flush() }
-
 // Info snapshots the session's description.
 func (s *Session) Info() SessionInfo {
 	s.mu.Lock()
@@ -285,22 +279,6 @@ func (s *Session) Stats() SessionStats {
 	st.Epochs = s.epochs.Load()
 	st.CacheHits, st.CacheMisses = s.answers.counters()
 	return st
-}
-
-// SolverStats returns the session's cumulative lp counters (taking
-// the session lock, so it is safe against in-flight solves).
-func (s *Session) SolverStats() lp.Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.model.SolverStats()
-}
-
-// BetaRoutes lists the remote routes (k,l) carrying a β variable —
-// the routes a what-if may legally bound.
-func (s *Session) BetaRoutes() []core.Pair {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.model.BetaVars()
 }
 
 // Query answers the committed state: the heuristic allocation and
