@@ -27,7 +27,10 @@
 // directory is replayed: each snapshot rebuilds its session warm from
 // the carried basis — zero cold solves — so a killed daemon restarted
 // over the same directory answers exactly as before the crash
-// (/stats reports warmRebuilds and coldRebuilds).
+// (/stats reports warmRebuilds and coldRebuilds). A file this build
+// cannot verify — damaged, or written by a build with another snapshot
+// format — is counted as skipped, never fatal: that session rebuilds
+// cold from traffic.
 //
 // # Cluster mode
 //

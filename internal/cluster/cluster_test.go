@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -87,6 +88,7 @@ func testSnapshot() *SessionSnapshot {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := testSnapshot()
+	s.RecentCommits = []CommitRecord{{ID: "c1", Report: json.RawMessage(`{"epoch":2}`)}, {ID: "c2", Report: json.RawMessage(`{"epoch":3}`)}}
 	data, err := s.Encode()
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -95,8 +97,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.ID != s.ID || got.Epoch != 3 || got.Seed != 7 || got.Heuristic != "lprg" {
-		t.Fatalf("fields lost: %+v", got)
+	if !reflect.DeepEqual(got, s) {
+		t.Fatalf("fields lost:\n got %+v\nwant %+v", got, s)
 	}
 	cols, upper := got.Basis()
 	if !reflect.DeepEqual(cols, []int{4, 2, 9}) {
@@ -105,30 +107,51 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(upper, []bool{false, true, false, false, true, false}) {
 		t.Fatalf("basis upper %v", upper)
 	}
+	// The platform and the reports are handed over as the bytes that
+	// arrived — slices of the input, not copies, not re-renderings.
+	for name, section := range map[string][]byte{"platform": got.Platform, "report": got.RecentCommits[1].Report} {
+		if off := bytes.Index(data, section); off < 0 || &data[off] != &section[0] {
+			t.Fatalf("decoded %s does not alias the wire bytes", name)
+		}
+	}
 }
 
 func TestSnapshotRejectsDamage(t *testing.T) {
-	s := testSnapshot()
-	data, err := s.Encode()
+	data, err := testSnapshot().Encode()
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	cases := map[string][]byte{
-		"bitflip":    append([]byte(`{"version":2,"epoch":9,`), data[len(`{"version":2,"epoch":3,`):]...),
-		"truncated":  data[:len(data)-2],
-		"notJSON":    []byte("not a snapshot"),
-		"noChecksum": []byte(`{"version":2,"id":"x","platform":{},"basisCols":[1]}`),
+	edited := func(edit func(d []byte)) []byte {
+		d := append([]byte(nil), data...)
+		edit(d)
+		return d
 	}
-	// A version-skewed snapshot with a valid checksum of its own.
-	skew := testSnapshot()
-	skewData, _ := skew.Encode()
-	var m map[string]any
-	json.Unmarshal(skewData, &m) //nolint:errcheck
-	m["version"] = SnapshotVersion + 1
-	cases["versionSkew"], _ = json.Marshal(m)
+	cases := map[string][]byte{
+		"bodyEdit":    bytes.Replace(data, []byte(`"epoch":3`), []byte(`"epoch":9`), 1),
+		"truncated":   data[:len(data)-2],
+		"notSnapshot": []byte("not a snapshot"),
+		"noChecksum":  edited(func(d []byte) { copy(d[checksumAt:frameLen], make([]byte, frameLen-checksumAt)) }),
+		"versionSkew": edited(func(d []byte) { d[versionAt+3]++ }),
+		"formatTwo":   []byte(formatTwoDocument),
+	}
+	if bytes.Equal(cases["bodyEdit"], data) {
+		t.Fatal("the body edit found nothing to edit")
+	}
 	for name, d := range cases {
 		if _, err := DecodeSnapshot(d); err == nil {
 			t.Fatalf("%s: damaged snapshot decoded cleanly", name)
+		}
+	}
+	// Encode refuses what Decode would: no id, no platform, no basis.
+	for name, strip := range map[string]func(*SessionSnapshot){
+		"id":       func(s *SessionSnapshot) { s.ID = "" },
+		"platform": func(s *SessionSnapshot) { s.Platform = nil },
+		"basis":    func(s *SessionSnapshot) { s.BasisCols = nil },
+	} {
+		s := testSnapshot()
+		strip(s)
+		if _, err := s.Encode(); err == nil {
+			t.Fatalf("a snapshot without %s sealed cleanly", name)
 		}
 	}
 }
@@ -152,8 +175,8 @@ func TestStoreSaveLoadDelete(t *testing.T) {
 		t.Fatalf("load: %+v err=%v", got, err)
 	}
 	// A corrupt file and a stray tempfile must be skipped, not fatal.
-	os.WriteFile(filepath.Join(dir, "bad.snap.json"), []byte("garbage"), 0o644) //nolint:errcheck
-	os.WriteFile(filepath.Join(dir, ".x.tmp-1"), []byte("partial"), 0o644)      //nolint:errcheck
+	os.WriteFile(filepath.Join(dir, "bad.snap"), []byte("garbage"), 0o644) //nolint:errcheck
+	os.WriteFile(filepath.Join(dir, ".x.tmp-1"), []byte("partial"), 0o644) //nolint:errcheck
 	snaps, skipped, err := st.LoadAll()
 	if err != nil {
 		t.Fatalf("loadAll: %v", err)

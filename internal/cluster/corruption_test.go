@@ -1,18 +1,29 @@
 package cluster
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// sealedSnapshot builds a realistic, sealed snapshot and its wire
-// bytes for corruption tests.
-func sealedSnapshot(t *testing.T) (*SessionSnapshot, []byte) {
+// recordDepth is the depth of the service's commit-dedup record
+// (service.commitDedupDepth): the steady-state snapshot carries that
+// many reports, and they are three quarters of its bytes.
+const recordDepth = 8
+
+// sealedSnapshot builds a realistic, sealed snapshot — with a full
+// commit record — and its wire bytes for corruption tests.
+func sealedSnapshot(t testing.TB) (*SessionSnapshot, []byte) {
 	t.Helper()
 	snap := &SessionSnapshot{
 		ID:          "deadbeefcafe0123456789ab",
@@ -25,6 +36,12 @@ func sealedSnapshot(t *testing.T) (*SessionSnapshot, []byte) {
 		Platform:    json.RawMessage(`{"hosts":[{"name":"h0","compute":1.5}],"links":[]}`),
 	}
 	snap.SetBasis([]int{3, 1, 4, 1, 5}, []bool{false, true, false, false, true, false})
+	for i := 0; i < recordDepth; i++ {
+		snap.RecentCommits = append(snap.RecentCommits, CommitRecord{
+			ID:     fmt.Sprintf("commit-%02d", i),
+			Report: json.RawMessage(fmt.Sprintf(`{"heuristic":"lprg","value":%d.5,"epoch":%d}`, 40+i, i)),
+		})
+	}
 	data, err := snap.Encode()
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -32,106 +49,153 @@ func sealedSnapshot(t *testing.T) (*SessionSnapshot, []byte) {
 	return snap, data
 }
 
-// mustFail asserts decode rejects the bytes without panicking.
-func mustFail(t *testing.T, data []byte, what string) {
+// formatTwoDocument is a well-formed snapshot of the previous format —
+// one JSON document, checksum over its canonical re-marshal — byte for
+// byte what the last format-2 build's Encode returned (and its
+// DecodeSnapshot accepted).
+const formatTwoDocument = `{"version":2,"id":"deadbeefcafe0123456789ab","fingerprint":"fp:test-platform","heuristic":"lprg","epoch":1,"platform":{"hosts":[]},"basisCols":[0,1],"basisUpper":[0],"basisNcols":2,"recentCommits":[{"id":"commit-00","report":{"value":40.5,"epoch":1}}],"checksum":"0936f1714c924f32c92057dee3cc2669472850e3127ad85847fa0c1921540363"}`
+
+// reseal recomputes the frame checksum over data's body, so a test can
+// damage the structure behind a checksum that still verifies.
+func reseal(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	sum := sha256.Sum256(out[frameLen:])
+	hex.Encode(out[checksumAt:frameLen], sum[:])
+	return out
+}
+
+// sectionOffsets returns where each section's length prefix sits.
+func sectionOffsets(t testing.TB, data []byte) []int {
+	t.Helper()
+	var at []int
+	for off := frameLen; off < len(data); {
+		at = append(at, off)
+		off += 4 + int(binary.BigEndian.Uint32(data[off:]))
+	}
+	return at
+}
+
+// mustFail asserts decode rejects the bytes without panicking, and
+// returns the error.
+func mustFail(t *testing.T, data []byte, what string) error {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("%s: DecodeSnapshot panicked: %v", what, r)
 		}
 	}()
-	if snap, err := DecodeSnapshot(data); err == nil {
+	snap, err := DecodeSnapshot(data)
+	if err == nil {
 		t.Fatalf("%s: decode accepted corrupt snapshot %+v", what, snap)
+	}
+	return err
+}
+
+func mustFailOnVersion(t *testing.T, data []byte, what string) {
+	t.Helper()
+	if err := mustFail(t, data, what); !strings.Contains(err.Error(), "version") {
+		t.Fatalf("%s: want a version error, got: %v", what, err)
 	}
 }
 
 func TestSnapshotDecodeBitFlips(t *testing.T) {
 	orig, data := sealedSnapshot(t)
-	if _, err := DecodeSnapshot(data); err != nil {
+	got, err := DecodeSnapshot(data)
+	if err != nil {
 		t.Fatalf("pristine snapshot must decode: %v", err)
 	}
-	// Flip every bit of every byte; decode must fail closed each time:
-	// an error, or — rarely — the exact original snapshot, never a
-	// different one and never a panic. (The benign case is a 0x20 flip
-	// in a key name: encoding/json matches keys case-insensitively, so
-	// "version" and "Version" parse identically and the checksum —
-	// recomputed over the canonical re-marshal — still verifies.)
+	if !reflect.DeepEqual(got, orig) {
+		t.Fatalf("pristine snapshot decoded to a different one:\n got %+v\nwant %+v", got, orig)
+	}
+	// Flip every bit of every byte — frame, header, platform and all
+	// eight reports: each one is an error. The checksum is over the bytes
+	// as sent, so there is no flip it cannot see (format 2 hashed a
+	// re-marshal, and a case flip in a key name slipped through).
 	buf := make([]byte, len(data))
 	for i := range data {
 		for bit := 0; bit < 8; bit++ {
 			copy(buf, data)
 			buf[i] ^= 1 << bit
-			if bytes.Equal(buf, data) {
-				continue
-			}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("bit flip %d/%d: panic: %v", i, bit, r)
-					}
-				}()
-				snap, err := DecodeSnapshot(buf)
-				if err != nil {
-					return
-				}
-				if !reflect.DeepEqual(snap, orig) {
-					t.Fatalf("bit flip %d/%d: decode accepted a DIFFERENT snapshot:\n got %+v\nwant %+v", i, bit, snap, orig)
-				}
-			}()
+			mustFail(t, buf, fmt.Sprintf("bit flip %d/%d", i, bit))
 		}
 	}
 }
 
 func TestSnapshotDecodeTruncation(t *testing.T) {
 	_, data := sealedSnapshot(t)
-	// Truncation at every boundary, including the empty prefix.
+	// Truncation at every boundary, including the empty prefix — as cut,
+	// and again behind a checksum recomputed over what is left, which
+	// leaves only the section structure to catch it.
 	for n := 0; n < len(data); n++ {
 		mustFail(t, data[:n], "truncation")
+		if n >= frameLen {
+			mustFail(t, reseal(data[:n]), "resealed truncation")
+		}
 	}
-	// And trailing garbage after valid JSON.
-	mustFail(t, append(append([]byte(nil), data...), "{}"...), "trailing garbage")
+	// Trailing bytes: too few for a section, a whole empty section, and
+	// a whole section with content.
+	for _, tail := range []string{"{}", "\x00\x00\x00\x00", "\x00\x00\x00\x02{}"} {
+		grown := append(append([]byte(nil), data...), tail...)
+		mustFail(t, grown, "trailing bytes")
+		mustFail(t, reseal(grown), "resealed trailing bytes")
+	}
 }
 
 func TestSnapshotDecodeVersionSkew(t *testing.T) {
-	snap, _ := sealedSnapshot(t)
-	// A future version with an internally VALID checksum: the version
-	// gate must reject it before (and independent of) integrity.
-	cp := *snap
-	cp.Version = SnapshotVersion + 1
-	cp.Checksum = ""
-	sum, err := cp.checksum()
-	if err != nil {
-		t.Fatal(err)
+	_, data := sealedSnapshot(t)
+	// The checksum covers the body, not the frame, so these still carry
+	// a VALID checksum: the version gate must reject them before (and
+	// independent of) integrity.
+	for _, v := range []uint32{SnapshotVersion + 1, SnapshotVersion - 1, 0, math.MaxUint32} {
+		skewed := append([]byte(nil), data...)
+		binary.BigEndian.PutUint32(skewed[versionAt:], v)
+		mustFailOnVersion(t, skewed, fmt.Sprintf("version %d", v))
 	}
-	cp.Checksum = sum
-	data, err := json.Marshal(&cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, derr := DecodeSnapshot(data)
-	if derr == nil {
-		t.Fatal("future-version snapshot accepted")
-	}
-	if !strings.Contains(derr.Error(), "version") {
-		t.Fatalf("want version error, got: %v", derr)
-	}
-	cp.Version = 0
-	mustFail(t, mustMarshal(t, &cp), "version 0")
+	// A format-2 document is refused at the same gate: no second
+	// decoder, no migration.
+	mustFailOnVersion(t, []byte(formatTwoDocument), "format-2 document")
 }
 
-func mustMarshal(t *testing.T, v any) []byte {
-	t.Helper()
-	data, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
+func TestSnapshotDecodeSectionLengths(t *testing.T) {
+	_, data := sealedSnapshot(t)
+	at := sectionOffsets(t, data)
+	if len(at) != 2+recordDepth {
+		t.Fatalf("sealed snapshot has %d sections, want header + platform + %d reports", len(at), recordDepth)
 	}
-	return data
+	// A length that lies — by one byte, by the whole remainder, by all a
+	// uint32 can say — on every section, behind a valid checksum.
+	for i, off := range at {
+		honest := binary.BigEndian.Uint32(data[off:])
+		remain := uint32(len(data) - off - 4)
+		for _, lie := range []uint32{honest + 1, honest - 1, remain, remain + 1, math.MaxUint32} {
+			if lie == honest {
+				continue
+			}
+			lying := append([]byte(nil), data...)
+			binary.BigEndian.PutUint32(lying[off:], lie)
+			mustFail(t, reseal(lying), fmt.Sprintf("section %d declaring %d bytes for %d", i, lie, honest))
+		}
+	}
+	// The declared length is compared, never allocated from.
+	lying := append([]byte(nil), data...)
+	binary.BigEndian.PutUint32(lying[at[1]:], math.MaxUint32)
+	lying = reseal(lying)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustFail(t, lying, "4 GiB section")
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing a section that declares 4 GiB allocated %d bytes", grew)
+	}
+	// Section count != commit-ID count: one report short, one over.
+	mustFail(t, reseal(data[:at[len(at)-1]]), "last report missing")
+	mustFail(t, reseal(append(append([]byte(nil), data...), data[at[len(at)-1]:]...)), "one report too many")
 }
 
 func TestSnapshotDecodeFieldTampering(t *testing.T) {
-	snap, _ := sealedSnapshot(t)
-	// Re-marshal with single fields altered but the original checksum
-	// kept: integrity must catch every one.
+	snap, data := sealedSnapshot(t)
+	// Re-encode with single fields altered, then put the original
+	// checksum back: integrity must catch every one.
 	tamper := []func(s *SessionSnapshot){
 		func(s *SessionSnapshot) { s.Epoch++ },
 		func(s *SessionSnapshot) { s.ID = "00" + s.ID[2:] },
@@ -139,49 +203,92 @@ func TestSnapshotDecodeFieldTampering(t *testing.T) {
 		func(s *SessionSnapshot) { s.BasisCols[0]++ },
 		func(s *SessionSnapshot) { s.BasisUpper = nil },
 		func(s *SessionSnapshot) { s.Payoffs[1] = 99 },
+		func(s *SessionSnapshot) { s.RecentCommits[3].ID = "commit-xx" },
+		func(s *SessionSnapshot) { s.RecentCommits[3].Report = json.RawMessage(`{"value":0}`) },
+		func(s *SessionSnapshot) {
+			s.RecentCommits[0], s.RecentCommits[1] = s.RecentCommits[1], s.RecentCommits[0]
+		},
+		func(s *SessionSnapshot) { s.RecentCommits = s.RecentCommits[1:] },
 	}
 	for i, mutate := range tamper {
 		cp := *snap
 		cp.Payoffs = append([]float64(nil), snap.Payoffs...)
 		cp.BasisCols = append([]int(nil), snap.BasisCols...)
 		cp.BasisUpper = append([]int(nil), snap.BasisUpper...)
+		cp.RecentCommits = append([]CommitRecord(nil), snap.RecentCommits...)
 		mutate(&cp)
-		mustFail(t, mustMarshal(t, &cp), "tamper case "+string(rune('a'+i)))
+		tampered, err := cp.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(tampered); err != nil {
+			t.Fatalf("tamper case %d does not decode even when honestly sealed: %v", i, err)
+		}
+		copy(tampered[checksumAt:frameLen], data[checksumAt:frameLen])
+		mustFail(t, tampered, fmt.Sprintf("tamper case %d", i))
 	}
 }
 
 func TestSnapshotDecodeHostileInputs(t *testing.T) {
-	for _, in := range []string{
-		"", "null", "0", "[]", `"x"`, "{", "{}", `{"version":1}`,
-		`{"version":1,"checksum":"zz"}`,
-		strings.Repeat("[", 64),
+	_, data := sealedSnapshot(t)
+	at := sectionOffsets(t, data)
+	hdr := string(data[at[0]+4 : at[1]])
+	// A header that is well-formed JSON but not ours, behind a valid
+	// checksum and in front of the sections it names.
+	withHeader := func(hdr string) []byte {
+		out := appendSection(append([]byte(nil), data[:frameLen]...), []byte(hdr))
+		return reseal(append(out, data[at[1]:]...))
+	}
+	if _, err := DecodeSnapshot(withHeader(hdr)); err != nil {
+		t.Fatalf("the honest header, spliced back, must decode: %v", err)
+	}
+	for _, in := range [][]byte{
+		nil, []byte("null"), []byte("0"), []byte("[]"), []byte(`"x"`), []byte("{"), []byte("{}"),
+		[]byte(`{"version":1}`), []byte(`{"version":3,"checksum":"zz"}`),
+		[]byte(strings.Repeat("[", 64)),
+		[]byte(frameMagic), data[:frameLen], reseal(data[:frameLen]),
+		withHeader(`{"surprise":true,` + hdr[1:]),
+		withHeader(`{"version":3,` + hdr[1:]),
+		withHeader(hdr + "{}"),
+		withHeader(hdr + " "),
+		withHeader(strings.Replace(hdr, `"epoch":7`, `"epoch":"7"`, 1)),
+		withHeader(strings.Replace(hdr, `"id":"deadbeef`, `"id":"","x":"`, 1)),
+		withHeader(strings.Replace(hdr, `"basisCols":[3,1,4,1,5]`, `"basisCols":[]`, 1)),
+		withHeader("null"),
+		withHeader(""),
 	} {
-		mustFail(t, []byte(in), "hostile input")
+		mustFail(t, in, fmt.Sprintf("hostile input %.60q", in))
 	}
 }
 
 func FuzzDecodeSnapshot(f *testing.F) {
-	snap := &SessionSnapshot{
-		ID:          "deadbeefcafe0123456789ab",
-		Fingerprint: "fp:test-platform",
-		Epoch:       3,
-		Platform:    json.RawMessage(`{"hosts":[]}`),
-	}
-	snap.SetBasis([]int{0, 1}, []bool{true, false})
-	if data, err := snap.Encode(); err == nil {
-		f.Add(data)
-	}
-	f.Add([]byte(`{"version":1,"id":"x","platform":{},"basisCols":[1]}`))
-	f.Add([]byte("{}"))
+	_, sealed := sealedSnapshot(f)
+	lying := append([]byte(nil), sealed...)
+	binary.BigEndian.PutUint32(lying[sectionOffsets(f, sealed)[1]:], math.MaxUint32)
+	f.Add(sealed)
+	f.Add([]byte(formatTwoDocument))
+	f.Add(reseal(lying))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Never panics; on success the invariants hold.
 		snap, err := DecodeSnapshot(data)
 		if err != nil {
 			return
 		}
-		if snap.Version != SnapshotVersion || snap.ID == "" ||
-			len(snap.Platform) == 0 || len(snap.BasisCols) == 0 || snap.Checksum == "" {
+		if snap.Version != SnapshotVersion || !snap.complete() || snap.Checksum == "" {
 			t.Fatalf("decode accepted incomplete snapshot: %+v", snap)
+		}
+		// What was accepted survives a re-seal: same fields, and the same
+		// platform and report bytes section for section.
+		again, err := snap.Encode()
+		if err != nil {
+			t.Fatalf("re-encoding an accepted snapshot: %v", err)
+		}
+		back, err := DecodeSnapshot(again)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded snapshot: %v", err)
+		}
+		if !reflect.DeepEqual(back, snap) {
+			t.Fatalf("snapshot changed across a re-seal:\n got %+v\nwant %+v", back, snap)
 		}
 	})
 }
@@ -210,12 +317,19 @@ func TestStoreSweep(t *testing.T) {
 	save("live2")
 	save("retired1")
 	save("retired2")
-	// Orphaned temp file from a crashed writer, plus a foreign file.
-	if err := os.WriteFile(filepath.Join(dir, ".x.tmp-123"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
+	// Orphaned temp file from a crashed writer, a snapshot file format 2
+	// left behind (of a live session, even), plus a foreign file.
+	for name, content := range map[string]string{
+		".x.tmp-123":      "junk",
+		"live1.snap.json": formatTwoDocument,
+		"notes.txt":       "keep me",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("keep me"), 0o644); err != nil {
-		t.Fatal(err)
+	if snaps, skipped, err := st.LoadAll(); err != nil || len(snaps) != 4 || skipped != 0 {
+		t.Fatalf("LoadAll before sweep = %d snapshots, %d skipped, err %v; want the 4 saved and the format-2 file never read", len(snaps), skipped, err)
 	}
 
 	removed, err := st.Sweep(func(id string) bool { return strings.HasPrefix(id, "live") })
@@ -232,8 +346,10 @@ func TestStoreSweep(t *testing.T) {
 	if len(snaps) != 2 {
 		t.Fatalf("LoadAll after sweep = %d snapshots, want 2", len(snaps))
 	}
-	if _, err := os.Stat(filepath.Join(dir, ".x.tmp-123")); !os.IsNotExist(err) {
-		t.Fatal("orphaned temp file survived sweep")
+	for _, gone := range []string{".x.tmp-123", "live1.snap.json"} {
+		if _, err := os.Stat(filepath.Join(dir, gone)); !os.IsNotExist(err) {
+			t.Fatalf("%s survived sweep", gone)
+		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
 		t.Fatal("foreign file must survive sweep")
@@ -241,5 +357,26 @@ func TestStoreSweep(t *testing.T) {
 	// Idempotent.
 	if removed, _ := st.Sweep(func(string) bool { return true }); removed != 0 {
 		t.Fatalf("second sweep removed %d", removed)
+	}
+}
+
+// TestSnapshotWireFormatIsPinned holds format 3 to the bytes committed
+// in the fuzz corpus: a change to the frame, the header's fields or
+// their order fails here until SnapshotVersion moves and the corpus is
+// regenerated with it — so the corpus cannot quietly turn into three
+// inputs that are refused at the gate.
+func TestSnapshotWireFormatIsPinned(t *testing.T) {
+	_, sealed := sealedSnapshot(t)
+	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot", "format3-full-record"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	literal := strings.TrimSuffix(strings.TrimPrefix(string(file), "go test fuzz v1\n[]byte("), ")\n")
+	committed, err := strconv.Unquote(literal)
+	if err != nil {
+		t.Fatalf("corpus file is not a []byte literal: %v", err)
+	}
+	if committed != string(sealed) {
+		t.Fatalf("format %d no longer encodes to the committed corpus bytes:\n got %q\nwant %q", SnapshotVersion, sealed, committed)
 	}
 }

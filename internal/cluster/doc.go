@@ -21,18 +21,40 @@
 // imported basis and re-solves — one warm dual-simplex restart,
 // typically zero pivots, zero cold solves.
 //
-// The wire form is canonical JSON with two integrity fields:
+// The wire form (SnapshotVersion 3) is a frame — a magic line, the
+// format version, the hex sha256 of the body bytes exactly as sent —
+// and a body of length-prefixed sections: a small JSON header
+// (identity, configuration, epoch, basis, the commit-dedup record's IDs
+// in order), the platform, and one report per recorded commit. Only
+// the header is marshalled per snapshot. The platform and the reports
+// are appended as bytes their owner already holds (a commit's report is
+// encoded once, when it is recorded, however many snapshots it rides
+// in), so sealing costs one small marshal, a copy and one hash, and
+// opening costs one hash and the header.
 //
-//   - Version: the format version, currently SnapshotVersion (2).
-//     Decode rejects snapshots from a different version rather than
-//     guessing — a rolling upgrade must finish before the snapshot
-//     format moves.
-//   - Checksum: a sha256 digest over the canonical encoding with the
-//     checksum field empty. Decode recomputes and rejects mismatches,
-//     so a torn write or corrupted transfer surfaces as an error
-//     instead of a subtly wrong warm state. (A basis damaged in some
-//     way the checksum cannot see still degrades safely: the solver
-//     validates imported bases and falls back to a cold solve.)
+//   - At receipt (DecodeSnapshot: replication, migration, recovery —
+//     before anything is acked or installed): the version, exactly; the
+//     checksum over the received bytes, so a torn write or corrupted
+//     transfer, down to any single flipped bit, is an error instead of
+//     a subtly wrong warm state; the header, decoded strictly (unknown
+//     fields and trailing bytes are errors); and the section structure
+//     (every declared length fits the bytes that remain and is never
+//     allocated from, one report per commit ID, nothing left over). The
+//     sections are handed on as slices of the received bytes, unparsed.
+//   - At install (service.RestoreSession: promotion, migration arrival,
+//     recovery): the ID must digest from the carried fingerprint and
+//     configuration, the platform is validated like an uploaded one, a
+//     report that does not parse drops its record entry, and the solver
+//     validates the imported basis, falling back to a cold solve. A
+//     snapshot that fails here installs nothing.
+//   - Across versions: nothing. A format-2 snapshot (one JSON document)
+//     is refused at the version gate wherever it arrives, never
+//     migrated; the *.snap.json files it left in a store are not read
+//     and go with the next sweep. A rolling upgrade must finish before
+//     the format moves: until then old and new replicas refuse each
+//     other's snapshots — fan-out between them goes unacked
+//     (ReplicationLag degrades), a migration between them fails and
+//     leaves the session serving where it was.
 //
 // # Consistent-hash ring
 //
@@ -186,7 +208,8 @@
 //     schedd_cluster_snapshot_bytes_total — the failure-handling
 //     outcomes: replica promotions, epoch/incarnation-fenced rejects,
 //     snapshot rebuild temperature (cold must stay zero across clean
-//     recoveries), migrations, and snapshot bytes shipped.
+//     recoveries), migrations, and snapshot bytes persisted to the
+//     store.
 //   - schedd_answer_cache_hits_total / schedd_answer_cache_misses_total
 //     — the hit ratio of the sessions' answer tables (service.answerTable);
 //     the per-session CacheHitRate health condition degrades when a

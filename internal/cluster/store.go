@@ -9,16 +9,16 @@ import (
 	"syscall"
 )
 
-// snapExt names snapshot files: <session id><snapExt> under the
-// store directory.
-const snapExt = ".snap.json"
+// snapExt names snapshot files: <session id><snapExt> under the store
+// directory. staleExt named them in format 2: Sweep removes those.
+const snapExt, staleExt = ".snap", ".snap.json"
 
 // Store persists session snapshots under one directory, one file per
 // session ID, written atomically (temp file in the same directory,
 // then rename) so a crash mid-write can only ever leave the previous
 // complete snapshot behind — never a torn one. Torn or foreign files
-// that do appear are rejected by the snapshot checksum at load time
-// and skipped.
+// that do appear are rejected by the snapshot's version gate and
+// checksum at load time and skipped.
 type Store struct {
 	dir string
 }
@@ -152,7 +152,8 @@ func (st *Store) Delete(id string) error {
 
 // Sweep garbage-collects the store: every snapshot file whose session
 // ID fails keep(id) is removed, as are stale temp files left by
-// crashed writers. Foreign files (wrong extension) are left alone.
+// crashed writers and snapshot files left by format 2. Foreign files
+// (wrong extension) are left alone.
 // Returns how many snapshot files were removed. The caller decides
 // what "live" means — typically pool residency plus held replicas —
 // so a session evicted everywhere stops pinning disk.
@@ -166,8 +167,8 @@ func (st *Store) Sweep(keep func(id string) bool) (removed int, err error) {
 		if e.IsDir() {
 			continue
 		}
-		if strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp-") {
-			os.Remove(filepath.Join(st.dir, name)) // orphaned temp
+		if strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp-") || strings.HasSuffix(name, staleExt) {
+			os.Remove(filepath.Join(st.dir, name)) // orphaned temp, or unreadable since format 3
 			continue
 		}
 		if !strings.HasSuffix(name, snapExt) || strings.HasPrefix(name, ".") {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -592,5 +594,50 @@ func TestNodeRecoverFromStore(t *testing.T) {
 	}
 	if st := n2.Stats(); st.Cluster.WarmRebuilds != 1 || st.Cluster.ColdRebuilds != 0 || st.Cluster.SnapshotBytes == 0 {
 		t.Fatalf("node stats wrong after recovery: %+v", st.Cluster)
+	}
+}
+
+// TestRecoverSkipsForeignVersion: a store written partly by a format-2
+// build does not fail start-up. The good format-3 file recovers warm;
+// a .snap file holding a well-formed format-2 document (exactly what
+// the last format-2 build's Encode produced) is counted in skipped, as
+// any undecodable file is; a leftover .snap.json is not read at all and
+// goes with the next sweep. Format 2 is refused, never migrated.
+func TestRecoverSkipsForeignVersion(t *testing.T) {
+	const formatTwo = `{"version":2,"id":"deadbeefcafe0123456789ab","fingerprint":"fp:test-platform","heuristic":"lprg","epoch":1,"platform":{"hosts":[]},"basisCols":[0,1],"basisUpper":[0],"basisNcols":2,"recentCommits":[{"id":"commit-00","report":{"value":40.5,"epoch":1}}],"checksum":"0936f1714c924f32c92057dee3cc2669472850e3127ad85847fa0c1921540363"}`
+	dir := t.TempDir()
+	store, err := cluster.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1 := NewNode(NewServer(NewPool(8)), "http://a", nil, store)
+	sess, _, created, err := n1.srv.Pool().GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 6, 91))})
+	if err != nil || !created {
+		t.Fatalf("create: %v created=%v", err, created)
+	}
+	if _, err := os.Stat(filepath.Join(dir, sess.id+".snap")); err != nil {
+		t.Fatalf("the create persisted no format-%d file: %v", cluster.SnapshotVersion, err)
+	}
+	stale := filepath.Join(dir, sess.id+".snap.json")
+	for _, path := range []string{filepath.Join(dir, "deadbeefcafe0123456789ab.snap"), stale} {
+		if err := os.WriteFile(path, []byte(formatTwo), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	n2 := NewNode(NewServer(NewPool(8)), "http://a", nil, store)
+	warm, cold, skipped, err := n2.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if warm != 1 || cold != 0 || skipped != 1 {
+		t.Fatalf("recover: warm=%d cold=%d skipped=%d, want 1/0/1", warm, cold, skipped)
+	}
+	if n2.srv.Pool().Get(sess.id) == nil || n2.srv.Pool().Get("deadbeefcafe0123456789ab") != nil {
+		t.Fatal("recovery installed the wrong sessions")
+	}
+	n2.PersistAll()
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("the leftover format-2 file survived a persistence tick: %v", err)
 	}
 }

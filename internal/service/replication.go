@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -12,7 +11,8 @@ import (
 )
 
 // A replica is a passive copy of another member's session: the sealed
-// snapshot bytes plus their decoded form. It costs no solver state —
+// snapshot bytes plus their decoded form, whose platform and commit
+// reports are slices of those bytes. It costs no solver state —
 // promotion to a live warm session happens only when this node
 // becomes (or is asked to act as) the session's holder.
 type replica struct {
@@ -148,9 +148,9 @@ func (n *Node) install(snap *cluster.SessionSnapshot) (*Session, *SolveReport, b
 // strictly (version, checksum, completeness — fail closed), answering
 // 400 itself on failure.
 func readSnapshot(w http.ResponseWriter, r *http.Request) (*cluster.SessionSnapshot, []byte, bool) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil || len(data) > maxBodyBytes {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading snapshot"))
+	data, err := readBounded(r.Body, r.ContentLength)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading snapshot: %w", err))
 		return nil, nil, false
 	}
 	snap, err := cluster.DecodeSnapshot(data)

@@ -354,7 +354,7 @@ func (n *Node) routed(inner http.Handler) http.Handler {
 		if body == nil && r.Body != nil && r.Method != http.MethodGet && r.Method != http.MethodDelete {
 			// Buffer the body once so retries can re-send it.
 			var err error
-			body, err = io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+			body, err = readBounded(r.Body, r.ContentLength)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 				return
@@ -546,12 +546,9 @@ func (n *Node) do(ctx context.Context, timeout time.Duration, method, url string
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	data, err := readBounded(resp.Body, resp.ContentLength)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("reading response from %s: %w", url, err)
-	}
-	if len(data) > maxBodyBytes {
-		return 0, nil, nil, fmt.Errorf("response from %s exceeds %d bytes", url, maxBodyBytes)
 	}
 	return resp.StatusCode, resp.Header, data, nil
 }
@@ -618,8 +615,8 @@ func (n *Node) routingKey(r *http.Request, id string) (key string, body []byte, 
 	if r.Method != http.MethodPost {
 		return "", nil, false // GET /sessions lists local sessions
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil || len(body) > maxBodyBytes {
+	body, err := readBounded(r.Body, r.ContentLength)
+	if err != nil {
 		return "", body, false
 	}
 	var req CreateSessionRequest

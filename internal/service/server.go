@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -151,6 +152,29 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 		return false
 	}
 	return true
+}
+
+var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
+
+// readBounded reads a whole body — a request's, or a peer's response —
+// that is not decoded as it streams: in one exactly-sized allocation
+// when the sender declared its length (Content-Length; -1 when absent)
+// within maxBodyBytes, by doubling up to the bound otherwise. A longer
+// body is an error either way, never a truncation.
+func readBounded(r io.Reader, declared int64) ([]byte, error) {
+	switch {
+	case declared > maxBodyBytes:
+		return nil, errBodyTooLarge
+	case declared >= 0:
+		data := make([]byte, declared)
+		n, err := io.ReadFull(r, data)
+		return data[:n], err
+	}
+	data, err := io.ReadAll(io.LimitReader(r, maxBodyBytes+1))
+	if err == nil && len(data) > maxBodyBytes {
+		err = errBodyTooLarge
+	}
+	return data, err
 }
 
 // isClientError classifies solve-path errors: validation and

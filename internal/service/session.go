@@ -114,11 +114,15 @@ func sessionID(fp string, cfg sessionConfig) string {
 // interleaving commits on one session within a retry window.
 const commitDedupDepth = 8
 
-// commitRecord is one applied tagged commit: the idempotency ID and a
-// private copy of the report it answered with.
+// commitRecord is one applied tagged commit: the idempotency ID, a
+// private copy of the report it answered with, and that report as
+// json.Marshal renders it — encoded once, when the commit is recorded
+// (or kept as received by RestoreSession); every snapshot appends these
+// bytes. A report with no JSON form has nil wire and no place in one.
 type commitRecord struct {
-	id  string
-	rep *SolveReport
+	id   string
+	rep  *SolveReport
+	wire []byte
 }
 
 // Session owns one warm solver model for one (platform,
@@ -618,7 +622,9 @@ func (s *Session) EpochIdempotent(req *EpochRequest, commitID string) (*SolveRep
 	if err == nil {
 		s.lastCommit = time.Now()
 		if commitID != "" {
-			s.recordCommitLocked(commitID, rep)
+			cp := *rep
+			wire, _ := json.Marshal(&cp) // nil on error: see commitRecord
+			s.recordCommitLocked(commitRecord{id: commitID, rep: &cp, wire: wire})
 		}
 	}
 	hook := s.onCommit
@@ -641,11 +647,9 @@ func (s *Session) commitLookupLocked(commitID string) (*SolveReport, bool) {
 }
 
 // recordCommitLocked appends an applied tagged commit to the dedup
-// record (a private copy of the report), evicting the oldest entries
-// past commitDedupDepth.
-func (s *Session) recordCommitLocked(commitID string, rep *SolveReport) {
-	cp := *rep
-	s.recentCommits = append(s.recentCommits, commitRecord{id: commitID, rep: &cp})
+// record, evicting the oldest entries past commitDedupDepth.
+func (s *Session) recordCommitLocked(rec commitRecord) {
+	s.recentCommits = append(s.recentCommits, rec)
 	if over := len(s.recentCommits) - commitDedupDepth; over > 0 {
 		s.recentCommits = append(s.recentCommits[:0:0], s.recentCommits[over:]...)
 	}

@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -42,7 +44,7 @@ func TestStoreAndReplicaGetTheSameBytes(t *testing.T) {
 		&EpochRequest{SpeedFactor: driftFactors(created.K, 0.9)}, nil, http.StatusOK)
 
 	owner, successor := ringOwnerOf(t, nodes, created.ID)
-	stored, err := os.ReadFile(filepath.Join(nodes[owner].store.Dir(), created.ID+".snap.json"))
+	stored, err := os.ReadFile(filepath.Join(nodes[owner].store.Dir(), created.ID+".snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,5 +137,145 @@ func TestOversizedPeerResponseIsAnError(t *testing.T) {
 	}
 	if got := n.Members(); len(got) != 1 {
 		t.Fatalf("the oversized member list was adopted: %d members", len(got))
+	}
+}
+
+// TestOversizedRequestIsRefusedBeforeForwarding is the inbound twin:
+// an epoch body over maxBodyBytes entering through a non-owner is
+// refused there with the 400 the local path gives it — whether its
+// length was declared or not — and never forwarded. Before, the router
+// buffered the first maxBodyBytes+1 bytes and sent those to the owner.
+func TestOversizedRequestIsRefusedBeforeForwarding(t *testing.T) {
+	nodes, servers := startRing(t, 2, false)
+	client := servers[0].Client()
+	created := ringCreate(t, client, servers[0].URL, &CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 6, 404))})
+	owner, other := ringOwnerOf(t, nodes, created.ID)
+	huge := append([]byte(`{"speedFactor":[1`), bytes.Repeat([]byte(",1"), maxBodyBytes/2)...)
+	huge = append(huge, "]}"...)
+	if len(huge) <= maxBodyBytes {
+		t.Fatalf("test body is only %d bytes", len(huge))
+	}
+	forwardedBefore := nodes[other].forwarded.Value()
+	for name, body := range map[string]io.Reader{
+		"declared length":   bytes.NewReader(huge),
+		"undeclared length": struct{ io.Reader }{bytes.NewReader(huge)}, // no Len: sent chunked
+	} {
+		resp, err := client.Post(servers[other].URL+"/sessions/"+created.ID+"/epoch", "application/json", body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // only the status matters
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: oversize epoch body answered %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if got := nodes[other].forwarded.Value(); got != forwardedBefore {
+		t.Fatalf("the non-owner forwarded %d oversize bodies", got-forwardedBefore)
+	}
+	if got := nodes[owner].srv.Pool().Get(created.ID).Info().Epoch; got != 0 {
+		t.Fatalf("an oversize commit reached the owner: epoch %d", got)
+	}
+	// The bound is a bound, not a ban on epoch commits through this node.
+	doJSON(t, client, "POST", servers[other].URL+"/sessions/"+created.ID+"/epoch",
+		&EpochRequest{SpeedFactor: driftFactors(created.K, 0.9)}, nil, http.StatusOK)
+	if got := nodes[other].forwarded.Value(); got != forwardedBefore+1 {
+		t.Fatalf("a well-sized commit through the non-owner moved forwarded by %d, want 1", got-forwardedBefore)
+	}
+}
+
+// TestSealCostIndependentOfRecordDepth is the clock-free guard on the
+// commit path: a commit's report is encoded once, when it is recorded,
+// and every later seal appends those bytes. So (a) sealing allocates
+// the same with one commit on record as with a full record — format 2
+// re-marshalled every recorded report on every seal, ten allocations
+// more at depth 8; (b) snapshots share the record's bytes instead of
+// copying them; and (c) a replica promoted from those bytes answers a
+// retry with the original body and passes the bytes on as received.
+func TestSealCostIndependentOfRecordDepth(t *testing.T) {
+	const k = 8
+	h, sess, base := imageFixture(t, k, 95, "lprg")
+	still := fmt.Sprintf(`{"speedFactor":[1%s]}`, strings.Repeat(",1", k-1)) // same platform, same basis at every depth
+	commit := func(h http.Handler, id string) []byte {
+		req := httptest.NewRequest("POST", base+"/epoch", strings.NewReader(still))
+		req.Header.Set(commitIDHeader, id)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("commit %s: status %d: %s", id, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	sealAllocs := func() float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, _, err := seal(sess); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bodies := map[string][]byte{"commit-0": commit(h, "commit-0")}
+	shallow := sealAllocs()
+	for i := 1; i < commitDedupDepth; i++ {
+		id := fmt.Sprintf("commit-%d", i)
+		bodies[id] = commit(h, id)
+	}
+	deep := sealAllocs()
+	t.Logf("seal: %.0f allocs at record depth 1, %.0f at depth %d", shallow, deep, commitDedupDepth)
+	// Not compared under the race detector: it makes sync.Pool drop a
+	// quarter of what is put back, so encoding/json's pooled encoder
+	// state turns up as allocations at random. (b) and (c) hold there too.
+	if !raceEnabled && deep > shallow+2 {
+		t.Fatalf("seal allocates %.0f times at record depth %d and %.0f at depth 1: something per record is back", deep, commitDedupDepth, shallow)
+	}
+
+	first, data, err := seal(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.RecentCommits) != commitDedupDepth || len(second.RecentCommits) != commitDedupDepth {
+		t.Fatalf("snapshots carry %d and %d records, want %d", len(first.RecentCommits), len(second.RecentCommits), commitDedupDepth)
+	}
+	for i, rec := range sess.recentCommits {
+		if &first.RecentCommits[i].Report[0] != &rec.wire[0] || &second.RecentCommits[i].Report[0] != &rec.wire[0] {
+			t.Fatalf("record %d: two snapshots do not share the record's one encoding", i)
+		}
+	}
+
+	// Promotion: a successor receives the sealed bytes, holds them, and
+	// becomes the session's owner.
+	n := NewNode(NewServer(NewPool(4)), "http://successor", nil, nil)
+	nh := n.Handler()
+	rec := httptest.NewRecorder()
+	nh.ServeHTTP(rec, httptest.NewRequest("POST", "/cluster/replicate", bytes.NewReader(data)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("replicate: status %d: %s", rec.Code, rec.Body)
+	}
+	held := n.getReplica(sess.id)
+	n.promoteIfReplica(sess.id)
+	promoted := n.srv.Pool().Get(sess.id)
+	if promoted == nil || n.promotions.Value() != 1 {
+		t.Fatalf("replica was not promoted (promotions %d)", n.promotions.Value())
+	}
+	for id, original := range bodies {
+		if retry := commit(nh, id); !bytes.Equal(retry, original) {
+			t.Fatalf("retry of %s on the promoted replica differs from the owner's original answer:\n%s\nvs\n%s", id, retry, original)
+		}
+	}
+	if got := promoted.Info().Epoch; got != commitDedupDepth {
+		t.Fatalf("retries moved the promoted session to epoch %d, want %d", got, commitDedupDepth)
+	}
+	next, err := promoted.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range next.RecentCommits {
+		sent, got := first.RecentCommits[i], held.snap.RecentCommits[i]
+		if rec.ID != sent.ID || !bytes.Equal(rec.Report, sent.Report) || &rec.Report[0] != &got.Report[0] {
+			t.Fatalf("record %d: the promoted session's snapshot does not carry the report bytes it received", i)
+		}
 	}
 }

@@ -19,16 +19,17 @@ import (
 
 // Snapshot serializes the session's committed state under the session
 // mutex: identity, configuration, epoch, the current drifted platform
-// and the carried basis in exported form. The returned snapshot is
-// not yet sealed — the store or transfer path calls Encode, which
-// stamps the version and checksum.
+// and the carried basis in exported form, plus the commit-dedup record
+// as the bytes it already holds (shared with the record, not copied).
+// The returned snapshot is not yet sealed — the store or transfer path
+// calls Encode, which stamps the version and checksum.
 func (s *Session) Snapshot() (*cluster.SessionSnapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.basis == nil {
 		return nil, fmt.Errorf("session %s has no carried basis yet", s.id)
 	}
-	plJSON, err := s.pl.Encode()
+	plJSON, err := json.Marshal(s.pl)
 	if err != nil {
 		return nil, fmt.Errorf("encoding platform: %w", err)
 	}
@@ -44,9 +45,10 @@ func (s *Session) Snapshot() (*cluster.SessionSnapshot, error) {
 		Platform:    plJSON,
 	}
 	snap.SetBasis(s.basis.Export())
+	snap.RecentCommits = make([]cluster.CommitRecord, 0, len(s.recentCommits))
 	for _, rec := range s.recentCommits {
-		if data, err := json.Marshal(rec.rep); err == nil {
-			snap.RecentCommits = append(snap.RecentCommits, cluster.CommitRecord{ID: rec.id, Report: data})
+		if rec.wire != nil {
+			snap.RecentCommits = append(snap.RecentCommits, cluster.CommitRecord{ID: rec.id, Report: rec.wire})
 		}
 	}
 	return snap, nil
@@ -100,7 +102,8 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 		}
 		var rep SolveReport
 		if json.Unmarshal(rec.Report, &rep) == nil {
-			s.recordCommitLocked(rec.ID, &rep) // unshared: "locked" trivially holds
+			// unshared: "locked" trivially holds
+			s.recordCommitLocked(commitRecord{id: rec.ID, rep: &rep, wire: rec.Report})
 		}
 	}
 	s.model.PrimeWarm()
