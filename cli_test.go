@@ -244,6 +244,21 @@ func TestCLIDlschedBatch(t *testing.T) {
 		t.Fatal("-batch output is not deterministic across runs")
 	}
 
+	// The file is decoded strictly, like a request body: trailing
+	// whitespace is fine, a second value or garbage is an error.
+	for suffix, ok := range map[string]bool{"\n": true, batchBody: false, " trailing garbage": false} {
+		if err := os.WriteFile(batchFile, []byte(batchBody+suffix), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := run(t, dlsched, "-platform", plat, "-batch", batchFile)
+		switch {
+		case ok && (err != nil || out != cliOut):
+			t.Fatalf("-batch file + %q: err %v, output changed: %s", suffix, err, out)
+		case !ok && (err == nil || !strings.Contains(out, "decoding batch request")):
+			t.Fatalf("-batch file + %q: err %v output %s, want a decoding error", suffix, err, out)
+		}
+	}
+
 	// Service parity pin: the schedd endpoint answers with the same
 	// bytes for the same platform and batch.
 	cmd := exec.Command(schedd, "-addr", "127.0.0.1:0", "-pool", "2")

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strconv"
@@ -251,6 +252,9 @@ func emitBatch(platformJSON []byte, heur, objName string, pr *core.Problem, seed
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&batchReq); err != nil {
 		return fmt.Errorf("decoding batch request: %w", err)
+	}
+	if _, more := dec.Token(); more != io.EOF {
+		return fmt.Errorf("decoding batch request: trailing data after the JSON value")
 	}
 	createReq := &service.CreateSessionRequest{
 		Platform:  platformJSON,

@@ -39,25 +39,28 @@ func validateModel(model Model) error {
 }
 
 // CapacityTarget is anything epoch capacities can be injected into:
-// core.Model and multiapp.Model, and the forked ModelViews both hand
-// out for batched what-if queries — a view's mutators have identical
-// signatures but write only to the view's private context.
+// core.Model (a core.Model.Fork is one) and multiapp.Model.
 type CapacityTarget interface {
 	SetSpeed(k int, speed float64) error
 	SetGateway(k int, g float64) error
 	SetLinkBudget(li int, maxConnect float64) error
 }
 
-// InjectCapacities writes the perturbed platform's cluster capacities
-// and link budgets into the persistent model: speeds and gateways as
-// RHS mutations, link budgets as RHS plus the affected routes'
-// natural β upper bounds (SetLinkBudget recomputes them) — all
-// within the warm-start contract, so the next solve still restarts
-// from the previous epoch's basis. epl must share the model's
-// platform structure (routes and links); only capacities may differ.
-// Exported for external epoch drivers — the scheduling service's
-// epoch-commit path is this call followed by a warm solve, and its
-// batched what-if engine is the same call against forked views.
+// InjectCapacities writes the platform's cluster capacities and link
+// budgets into the persistent model: speeds and gateways as RHS
+// mutations, link budgets as RHS plus the affected routes' natural β
+// upper bounds (SetLinkBudget recomputes them) — all within the
+// warm-start contract, so the next solve still restarts from the
+// previous epoch's basis. epl must share the model's platform
+// structure (routes and links); only capacities may differ.
+//
+// It is the only writer of a model's capacities: commit, pose and
+// retract. The epoch drivers here and the scheduling service's epoch
+// commit inject the period's platform; a what-if poses a hypothetical
+// platform the same way (on the session model, or on a fork for a
+// batch) and is retracted by injecting the committed platform again —
+// every capacity is overwritten, so the model ends where a single
+// injection of that platform would have put it.
 func InjectCapacities(m CapacityTarget, epl *platform.Platform) error {
 	for k, c := range epl.Clusters {
 		if err := m.SetSpeed(k, c.Speed); err != nil {

@@ -1,0 +1,65 @@
+package core
+
+import (
+	"errors"
+
+	"repro/internal/lp"
+)
+
+var errUnbounded = errors.New("core: mixed relaxation unbounded (model bug)")
+
+// Fork returns a second solve context over the same program in
+// O(rows + nonzeros) — no pivots, no refactorization. The receiver must
+// have solved at least once: the fork continues from its live
+// factorized basis (lp.Revised.Fork), so a SolveEphemeral on it
+// warm-starts from the parent's basis with zero lost pivots.
+//
+// A fork is a Model. Its mutable state — the LP problem (lp's private
+// clone), the solver context, the link budgets and the per-route bound
+// bookkeeping — is private; the frozen index structures (route maps,
+// row indices, the validated Problem) are shared read-only. Forks of
+// one parent may therefore be mutated and solved concurrently with
+// each other and with the parent. Fork while the parent is quiescent.
+func (m *Model) Fork() (*Model, error) {
+	frev, err := m.rev.Fork()
+	if err != nil {
+		return nil, err
+	}
+	f := *m
+	f.rev = frev
+	f.prob = frev.Problem()
+	f.natural = append([]float64(nil), m.natural...)
+	f.curLb = append([]float64(nil), m.curLb...)
+	f.curUb = append([]float64(nil), m.curUb...)
+	f.crossed = append([]bool(nil), m.crossed...)
+	f.budget = append([]float64(nil), m.budget...)
+	return &f, nil
+}
+
+// AbsorbSolverStats folds counters accumulated elsewhere — typically a
+// fork's solve activity after its batch completes — into this model's
+// stats, so pool-wide aggregation sees work done on forked contexts.
+func (m *Model) AbsorbSolverStats(s lp.Stats) { m.rev.AbsorbStats(s) }
+
+// SolveBound is SolveEphemeral for callers that need only the verdict
+// and the relaxation bound — the batched what-if path, whose reports
+// carry no per-route α/β maps. It skips the MixedSolution extraction
+// entirely: feasible=false reports an infeasible bound set (crossed
+// box or simplex verdict), and err a solver failure or an unbounded
+// relaxation (a model bug).
+func (m *Model) SolveBound(from *lp.Basis) (bound float64, feasible bool, err error) {
+	if m.numCrossed > 0 {
+		return 0, false, nil
+	}
+	sol, err := m.rev.SolveEphemeral(from)
+	if err != nil {
+		return 0, false, err
+	}
+	switch sol.Status {
+	case lp.Infeasible:
+		return 0, false, nil
+	case lp.Unbounded:
+		return 0, false, errUnbounded
+	}
+	return sol.Objective, true, nil
+}

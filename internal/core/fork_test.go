@@ -5,18 +5,41 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/platform"
 )
 
-// viewMutate applies a random capacity/bound mutation mix to any
-// target sharing Model's mutator API, deriving everything from rng so
-// the same seed produces the same mutation on a view and on the
-// serial reference path.
-func viewMutate(t *testing.T, m interface {
-	SetSpeed(int, float64) error
-	SetGateway(int, float64) error
-	SetLinkBudget(int, float64) error
-	SetBounds(Pair, BetaBounds) error
-}, pr *Problem, routes []Pair, rng *rand.Rand) {
+// inject writes pl's capacities into m exactly as adapt.InjectCapacities
+// does (adapt imports core, so these tests cannot call it).
+func inject(t *testing.T, m *Model, pl *platform.Platform) {
+	t.Helper()
+	for k, c := range pl.Clusters {
+		if err := m.SetSpeed(k, c.Speed); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetGateway(k, c.Gateway); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for li, l := range pl.Links {
+		if err := m.SetLinkBudget(li, float64(l.MaxConnect)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// retract returns m to the committed platform the way the scheduling
+// service does after a what-if: inject it again, reset the β boxes.
+func retract(t *testing.T, m *Model, committed *platform.Platform) {
+	t.Helper()
+	inject(t, m, committed)
+	m.ResetBounds()
+}
+
+// forkMutate applies a random capacity/bound mutation mix to a model,
+// deriving everything from rng so the same seed produces the same
+// mutation on a fork and on the serial reference path.
+func forkMutate(t *testing.T, m *Model, pr *Problem, routes []Pair, rng *rand.Rand) {
 	t.Helper()
 	k := rng.Intn(len(pr.Platform.Clusters))
 	if err := m.SetSpeed(k, pr.Platform.Clusters[k].Speed*(0.4+rng.Float64())); err != nil {
@@ -39,11 +62,11 @@ func viewMutate(t *testing.T, m interface {
 	}
 }
 
-// TestForkViewMatchesSerialWhatIf pins the view contract: a forked
-// view answers a mutation exactly like the serial capture/mutate/
-// solve/restore path on the parent, and the parent's committed state
-// and warm re-solve are untouched afterwards.
-func TestForkViewMatchesSerialWhatIf(t *testing.T) {
+// TestForkMatchesSerialWhatIf pins the fork contract: a fork answers a
+// mutation exactly like the serial mutate/solve/retract path on the
+// parent, and the parent's committed state and warm re-solve are
+// untouched afterwards.
+func TestForkMatchesSerialWhatIf(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		pr := mutatorProblem(t, seed, 6)
 		m, err := pr.NewModel(SUM)
@@ -59,48 +82,47 @@ func TestForkViewMatchesSerialWhatIf(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			mutSeed := seed*1000 + int64(trial)
 
-			// Serial reference: mutate the parent, solve, roll back.
-			snap := m.CaptureState()
-			viewMutate(t, m, pr, routes, rand.New(rand.NewSource(mutSeed)))
+			// Serial reference: mutate the parent, solve, retract.
+			forkMutate(t, m, pr, routes, rand.New(rand.NewSource(mutSeed)))
 			wantBound, wantOK, err := m.SolveBound(basis)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.RestoreState(snap)
+			retract(t, m, pr.Platform)
 
-			v, err := m.ForkView()
+			f, err := m.Fork()
 			if err != nil {
 				t.Fatal(err)
 			}
-			viewMutate(t, v, pr, routes, rand.New(rand.NewSource(mutSeed)))
-			gotBound, gotOK, err := v.SolveBound(basis)
+			forkMutate(t, f, pr, routes, rand.New(rand.NewSource(mutSeed)))
+			gotBound, gotOK, err := f.SolveBound(basis)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if gotOK != wantOK {
-				t.Fatalf("seed %d trial %d: view feasible=%v, serial %v", seed, trial, gotOK, wantOK)
+				t.Fatalf("seed %d trial %d: fork feasible=%v, serial %v", seed, trial, gotOK, wantOK)
 			}
 			if gotOK && math.Abs(gotBound-wantBound) > 1e-9*(1+math.Abs(wantBound)) {
-				t.Fatalf("seed %d trial %d: view bound %.12g, serial %.12g",
+				t.Fatalf("seed %d trial %d: fork bound %.12g, serial %.12g",
 					seed, trial, gotBound, wantBound)
 			}
 		}
 
-		// The parent's committed state survived every view.
+		// The parent's committed state survived every fork.
 		again, _, ok, err := m.Solve(basis)
 		if err != nil || !ok {
 			t.Fatalf("parent re-solve: ok=%v err=%v", ok, err)
 		}
 		if math.Abs(again.Objective-base.Objective) > 1e-9*(1+math.Abs(base.Objective)) {
-			t.Fatalf("parent disturbed: base %.12g, after views %.12g", base.Objective, again.Objective)
+			t.Fatalf("parent disturbed: base %.12g, after forks %.12g", base.Objective, again.Objective)
 		}
 	}
 }
 
-// TestForkViewConcurrent solves many views of one parent at once; the
+// TestForkConcurrent solves many forks of one parent at once; the
 // race detector checks the shared read-only state, and every answer
 // must match its precomputed serial reference.
-func TestForkViewConcurrent(t *testing.T) {
+func TestForkConcurrent(t *testing.T) {
 	pr := mutatorProblem(t, 3, 7)
 	m, err := pr.NewModel(SUM)
 	if err != nil {
@@ -119,30 +141,29 @@ func TestForkViewConcurrent(t *testing.T) {
 	}
 	want := make([]answer, n)
 	for i := 0; i < n; i++ {
-		snap := m.CaptureState()
-		viewMutate(t, m, pr, routes, rand.New(rand.NewSource(int64(i))))
+		forkMutate(t, m, pr, routes, rand.New(rand.NewSource(int64(i))))
 		b, okq, err := m.SolveBound(basis)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = answer{b, okq}
-		m.RestoreState(snap)
+		retract(t, m, pr.Platform)
 	}
 
-	views := make([]*ModelView, n)
-	for i := range views {
-		if views[i], err = m.ForkView(); err != nil {
+	forks := make([]*Model, n)
+	for i := range forks {
+		if forks[i], err = m.Fork(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var wg sync.WaitGroup
 	errs := make([]string, n)
-	for i := range views {
+	for i := range forks {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			viewMutate(t, views[i], pr, routes, rand.New(rand.NewSource(int64(i))))
-			b, okq, err := views[i].SolveBound(basis)
+			forkMutate(t, forks[i], pr, routes, rand.New(rand.NewSource(int64(i))))
+			b, okq, err := forks[i].SolveBound(basis)
 			switch {
 			case err != nil:
 				errs[i] = err.Error()
@@ -156,7 +177,7 @@ func TestForkViewConcurrent(t *testing.T) {
 	wg.Wait()
 	for i, e := range errs {
 		if e != "" {
-			t.Fatalf("view %d: %s", i, e)
+			t.Fatalf("fork %d: %s", i, e)
 		}
 	}
 	if got := m.SolverStats().Forks; got != n {

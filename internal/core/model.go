@@ -26,6 +26,13 @@ import (
 // the §1 adaptability contract — the constraint structure is frozen
 // at build time, capacities and bounds drift epoch to epoch —
 // exploited by adapt's warm epoch engine.
+//
+// The model keeps no history of those writes and offers no snapshot of
+// them: its mutable state is a function of the last capacities written
+// (adapt.InjectCapacities, from a platform) and the current β boxes,
+// whatever the order or number of writes before. A caller that posed a
+// hypothetical returns to its committed state by injecting the
+// committed platform again and calling ResetBounds.
 type Model struct {
 	pr  *Problem
 	obj Objective
@@ -401,88 +408,6 @@ func (m *Model) SetLinkBudget(li int, maxConnect float64) error {
 // dimension every simplex iteration pays for.
 func (m *Model) Rows() int { return m.prob.NumConstraints() }
 
-// CapacityState is an opaque snapshot of everything a Model lets
-// callers mutate between solves: the speed/gateway/link right-hand
-// sides, the per-link budgets with the natural β caps they imply, and
-// the explicit SetBounds state (including crossed-box bookkeeping).
-// It exists for what-if queries — mutate, solve, RestoreState — so a
-// shared warm model can answer hypotheticals and return to its
-// committed state exactly.
-type CapacityState struct {
-	speed, gateway []float64 // RHS per cluster (NaN where no row exists)
-	budget         []float64
-	natural        []float64
-	curLb, curUb   []float64
-	crossed        []bool
-	numCrossed     int
-}
-
-// CaptureState snapshots the model's current capacity and bound state.
-// The snapshot is a deep copy: later mutations do not affect it.
-func (m *Model) CaptureState() *CapacityState {
-	K := len(m.speedRow)
-	s := &CapacityState{
-		speed:      make([]float64, K),
-		gateway:    make([]float64, K),
-		budget:     append([]float64(nil), m.budget...),
-		natural:    append([]float64(nil), m.natural...),
-		curLb:      append([]float64(nil), m.curLb...),
-		curUb:      append([]float64(nil), m.curUb...),
-		crossed:    append([]bool(nil), m.crossed...),
-		numCrossed: m.numCrossed,
-	}
-	for i := 0; i < K; i++ {
-		s.speed[i] = math.NaN()
-		s.gateway[i] = math.NaN()
-		if r := m.speedRow[i]; r >= 0 {
-			s.speed[i] = m.prob.RHS(r)
-		}
-		if r := m.gatewayRow[i]; r >= 0 {
-			s.gateway[i] = m.prob.RHS(r)
-		}
-	}
-	return s
-}
-
-// RestoreState restores a snapshot taken by CaptureState on this
-// model, undoing every SetSpeed/SetGateway/SetLinkBudget/SetBounds
-// (and ResetBounds) issued since. All writes are RHS or variable-bound
-// mutations, so warm-startability from any basis produced under the
-// restored state is preserved. Restoring a snapshot from a different
-// model is a programming error (the slices won't line up) and panics.
-func (m *Model) RestoreState(s *CapacityState) {
-	if len(s.budget) != len(m.budget) || len(s.natural) != len(m.natural) {
-		panic("core: RestoreState with a snapshot from a different model")
-	}
-	for i := 0; i < len(m.speedRow); i++ {
-		if r := m.speedRow[i]; r >= 0 {
-			m.prob.SetRHS(r, s.speed[i])
-		}
-		if r := m.gatewayRow[i]; r >= 0 {
-			m.prob.SetRHS(r, s.gateway[i])
-		}
-	}
-	copy(m.budget, s.budget)
-	for li, r := range m.linkRow {
-		if r >= 0 {
-			m.prob.SetRHS(r, m.budget[li])
-		}
-	}
-	copy(m.natural, s.natural)
-	copy(m.curLb, s.curLb)
-	copy(m.curUb, s.curUb)
-	copy(m.crossed, s.crossed)
-	m.numCrossed = s.numCrossed
-	// Re-apply every β route's effective bounds from the restored
-	// state. applyBounds leaves the LP bounds of a crossed route
-	// untouched (possibly stale from the rolled-back mutations), which
-	// is unobservable: Solve short-circuits while the box is crossed,
-	// and any transition out of crossed rewrites the LP bounds.
-	for ord := range m.betaVars {
-		m.applyBounds(ord)
-	}
-}
-
 // Solve solves the relaxation under the current bounds. A non-nil
 // `from` basis warm-starts the revised simplex (pass the basis
 // returned by the parent/previous solve); the returned basis
@@ -503,7 +428,7 @@ func (m *Model) Solve(from *lp.Basis) (*MixedSolution, *lp.Basis, bool, error) {
 }
 
 // SolveEphemeral is Solve for callers that discard the resulting
-// basis — the what-if pattern: mutate, solve, restore. It skips the
+// basis — the what-if pattern: pose, solve, retract. It skips the
 // lp layer's per-solve basis snapshot and X allocation (the solution
 // is extracted from a scratch buffer before returning), and never
 // mutates `from`, so the caller's committed basis stays valid.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/platgen"
@@ -162,6 +163,130 @@ func TestModelMutatorErrors(t *testing.T) {
 	if len(pr.Platform.Links) > 0 {
 		if err := m.SetLinkBudget(0, -2); err == nil {
 			t.Fatal("negative budget must fail")
+		}
+	}
+}
+
+// lpState is everything a Model lets callers write: every right-hand
+// side and variable bound of its lp.Problem, as bits, plus the
+// per-route bookkeeping behind them.
+type lpState struct {
+	rhs, lb, ub                   []uint64
+	budget, natural, curLb, curUb []float64
+	crossed                       []bool
+	numCrossed                    int
+}
+
+func stateOf(m *Model) lpState {
+	s := lpState{
+		budget: m.budget, natural: m.natural, curLb: m.curLb, curUb: m.curUb,
+		crossed: m.crossed, numCrossed: m.numCrossed,
+	}
+	for i := 0; i < m.prob.NumConstraints(); i++ {
+		s.rhs = append(s.rhs, math.Float64bits(m.prob.RHS(i)))
+	}
+	for j := 0; j < m.prob.NumVars(); j++ {
+		lb, ub := m.prob.VarBounds(j)
+		s.lb = append(s.lb, math.Float64bits(lb))
+		s.ub = append(s.ub, math.Float64bits(ub))
+	}
+	return s
+}
+
+// TestRetractLeavesFreshModelState is the exactness argument behind
+// retracting a hypothetical by re-injecting the committed platform: the
+// model keeps no history, so after any pose — capacities, link budgets,
+// boxes, crossed boxes, solved or abandoned half-way — one injection of
+// the committed platform plus ResetBounds leaves every RHS and every
+// variable bound of the LP bit-equal to a freshly built model's.
+func TestRetractLeavesFreshModelState(t *testing.T) {
+	for _, obj := range []Objective{SUM, MAXMIN} {
+		pr := mutatorProblem(t, 5, 7)
+		pl := pr.Platform
+		m, err := pr.NewModel(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := pr.NewModel(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := stateOf(fresh)
+		_, basis, ok, err := m.Solve(nil)
+		if err != nil || !ok {
+			t.Fatalf("nominal solve: ok=%v err=%v", ok, err)
+		}
+		routes := m.BetaVars()
+		if len(routes) == 0 || len(pl.Links) == 0 {
+			t.Fatal("platform has no backbone routes")
+		}
+
+		rng := rand.New(rand.NewSource(17))
+		sawCrossed, sawInfeasible := false, false
+		for round := 0; round < 25; round++ {
+			// Pose: a hypothetical platform, then boxes over default bounds.
+			hyp := pl.Clone()
+			for k := range hyp.Clusters {
+				hyp.Clusters[k].Speed *= 0.3 + 1.2*rng.Float64()
+				hyp.Clusters[k].Gateway *= 0.3 + 1.2*rng.Float64()
+			}
+			for li := range hyp.Links {
+				if rng.Intn(2) == 0 {
+					hyp.Links[li].MaxConnect = rng.Intn(hyp.Links[li].MaxConnect + 3) // zero included
+				}
+			}
+			if round == 11 {
+				// Abandoned half-way: some clusters and the first link
+				// written, no boxes, no solve.
+				for k := 0; k < pl.K()/2; k++ {
+					if err := m.SetSpeed(k, hyp.Clusters[k].Speed); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := m.SetLinkBudget(0, float64(pl.Links[0].MaxConnect+1)); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				inject(t, m, hyp)
+				m.ResetBounds()
+				for i := rng.Intn(4); i > 0; i-- {
+					p := routes[rng.Intn(len(routes))]
+					lb := float64(rng.Intn(3))
+					b := BetaBounds{Lb: lb, Ub: lb + float64(rng.Intn(2))}
+					if rng.Intn(3) == 0 {
+						b = BetaBounds{Lb: 1e6, Ub: -1} // crossed: far above any natural cap
+					}
+					if err := m.SetBounds(p, b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sawCrossed = sawCrossed || m.numCrossed > 0
+				_, feasible, err := m.SolveEphemeral(basis)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sawInfeasible = sawInfeasible || !feasible
+			}
+
+			retract(t, m, pl)
+			if got := stateOf(m); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v round %d: model state after retract differs from a fresh model's\n got %+v\nwant %+v", obj, round, got, want)
+			}
+		}
+		if !sawCrossed || !sawInfeasible {
+			t.Fatalf("%v: rounds never crossed a box (%v) or went infeasible (%v): the test lost its teeth", obj, sawCrossed, sawInfeasible)
+		}
+		// And the committed optimum is still there, warm.
+		sol, _, ok, err := m.Solve(basis)
+		if err != nil || !ok {
+			t.Fatalf("%v: committed re-solve: ok=%v err=%v", obj, ok, err)
+		}
+		cold, _, ok, err := fresh.Solve(nil)
+		if err != nil || !ok {
+			t.Fatalf("%v: fresh solve: ok=%v err=%v", obj, ok, err)
+		}
+		if math.Abs(sol.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
+			t.Fatalf("%v: committed optimum %.12g, fresh model %.12g", obj, sol.Objective, cold.Objective)
 		}
 	}
 }

@@ -250,82 +250,6 @@ func (m *Model) SetLinkBudget(li int, maxConnect float64) error {
 	return nil
 }
 
-// CapacityState is an opaque snapshot of a Model's mutable capacity
-// state (speed/gateway right-hand sides and link budgets, including
-// the bound-encoded ones). It exists for what-if queries — mutate,
-// solve, RestoreState — mirroring core.Model's snapshot hook.
-type CapacityState struct {
-	speed, gateway []float64 // RHS per cluster (NaN where no row exists)
-	budget         []float64
-}
-
-// CaptureState snapshots the model's current capacity state as a deep
-// copy; later mutations do not affect it.
-func (m *Model) CaptureState() *CapacityState {
-	K := len(m.speedRow)
-	s := &CapacityState{
-		speed:   make([]float64, K),
-		gateway: make([]float64, K),
-		budget:  append([]float64(nil), m.budget...),
-	}
-	for i := 0; i < K; i++ {
-		s.speed[i] = math.NaN()
-		s.gateway[i] = math.NaN()
-		if r := m.speedRow[i]; r >= 0 {
-			s.speed[i] = m.prob.RHS(r)
-		}
-		if r := m.gatewayRow[i]; r >= 0 {
-			s.gateway[i] = m.prob.RHS(r)
-		}
-	}
-	return s
-}
-
-// RestoreState restores a snapshot taken by CaptureState on this
-// model, undoing every SetSpeed/SetGateway/SetLinkBudget issued since.
-// All writes are RHS or variable-bound mutations, so the model's
-// internal warm-start basis remains usable. A snapshot from a
-// different model panics.
-func (m *Model) RestoreState(s *CapacityState) {
-	if len(s.budget) != len(m.budget) || len(s.speed) != len(m.speedRow) {
-		panic("multiapp: RestoreState with a snapshot from a different model")
-	}
-	for i := 0; i < len(m.speedRow); i++ {
-		if r := m.speedRow[i]; r >= 0 {
-			m.prob.SetRHS(r, s.speed[i])
-		}
-		if r := m.gatewayRow[i]; r >= 0 {
-			m.prob.SetRHS(r, s.gateway[i])
-		}
-	}
-	copy(m.budget, s.budget)
-	for li := range m.budget {
-		if r := m.linkRow[li]; r >= 0 {
-			m.prob.SetRHS(r, m.budget[li])
-		}
-	}
-	for v := range m.varLinks {
-		m.applyVarCap(v)
-	}
-}
-
-// Basis returns the basis snapshot the last Solve ended with (nil
-// before the first solve) — the multiapp half of the session
-// serialization hooks: together with the platform description and the
-// committed capacity state it is everything a replica needs to
-// rebuild this model warm.
-func (m *Model) Basis() *lp.Basis { return m.basis }
-
-// InstallBasis seeds the model's carried basis — paired with
-// PrimeWarm when rebuilding from a serialized snapshot, so the first
-// Solve restarts warm from the imported basis.
-func (m *Model) InstallBasis(b *lp.Basis) { m.basis = b }
-
-// PrimeWarm prepares this model's freshly built solver to accept an
-// imported basis warm (see lp.Revised.PrimeWarm). A no-op once the
-// model has solved.
-func (m *Model) PrimeWarm() { m.rev.PrimeWarm() }
-
 // Solve solves the relaxation under the current capacities,
 // warm-starting from the previous solve's basis when one exists.
 func (m *Model) Solve() (*RelaxedSolution, error) {

@@ -224,6 +224,10 @@ func (p *Platform) SetRoute(k, l int, links []int) error {
 	if at != p.Clusters[l].Router {
 		return fmt.Errorf("platform: SetRoute(%d,%d): walk ends at router %d, want %d", k, l, at, p.Clusters[l].Router)
 	}
+	// Clones share the routing table: copy the spine and row k so the
+	// write is invisible to them.
+	p.routes = append([][]Route(nil), p.routes...)
+	p.routes[k] = append([]Route(nil), p.routes[k]...)
 	p.routes[k][l] = p.makeRoute(links)
 	return nil
 }
@@ -255,24 +259,17 @@ func reverse(s []int) {
 	}
 }
 
-// Clone returns a deep copy of the platform, including its routing
-// table.
+// Clone returns a copy whose capacities (Links, Clusters) are private.
+// The routing table is shared, never written in place: ComputeRoutes
+// replaces it and SetRoute copies before writing, so neither side sees
+// the other's later route edits.
 func (p *Platform) Clone() *Platform {
-	cp := &Platform{
+	return &Platform{
 		Routers:  p.Routers,
 		Links:    append([]Link(nil), p.Links...),
 		Clusters: append([]Cluster(nil), p.Clusters...),
+		routes:   p.routes,
 	}
-	if p.routes != nil {
-		cp.routes = make([][]Route, len(p.routes))
-		for i, row := range p.routes {
-			cp.routes[i] = make([]Route, len(row))
-			for j, r := range row {
-				cp.routes[i][j] = Route{Exists: r.Exists, Links: append([]int(nil), r.Links...), MinBW: r.MinBW}
-			}
-		}
-	}
-	return cp
 }
 
 // Encode serializes the platform description (not the derived routing

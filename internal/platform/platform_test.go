@@ -130,22 +130,7 @@ func TestDisconnectedRoute(t *testing.T) {
 }
 
 func TestSetRoute(t *testing.T) {
-	// Triangle of routers with a direct 0-2 link and a detour 0-1-2.
-	p := &Platform{
-		Routers: 3,
-		Links: []Link{
-			{U: 0, V: 1, BW: 5, MaxConnect: 2},
-			{U: 1, V: 2, BW: 5, MaxConnect: 2},
-			{U: 0, V: 2, BW: 1, MaxConnect: 2},
-		},
-		Clusters: []Cluster{
-			{Name: "a", Speed: 1, Gateway: 1, Router: 0},
-			{Name: "b", Speed: 1, Gateway: 1, Router: 2},
-		},
-	}
-	if err := p.ComputeRoutes(); err != nil {
-		t.Fatal(err)
-	}
+	p := triangle(t)
 	// Shortest path uses the direct (1-hop) link.
 	if r := p.Route(0, 1); len(r.Links) != 1 || r.Links[0] != 2 || r.MinBW != 1 {
 		t.Fatalf("default route = %+v", r)
@@ -348,6 +333,101 @@ func TestClone(t *testing.T) {
 	if r := q.Route(0, 2); !r.Exists || r.MinBW != 10 {
 		t.Fatalf("clone routing table = %+v", r)
 	}
+}
+
+// triangle is a triangle of routers with clusters on routers 0 and 2,
+// joined by a direct link (index 2) and a two-hop detour (links 0, 1).
+func triangle(t *testing.T) *Platform {
+	t.Helper()
+	p := &Platform{
+		Routers: 3,
+		Links: []Link{
+			{U: 0, V: 1, BW: 5, MaxConnect: 2},
+			{U: 1, V: 2, BW: 5, MaxConnect: 2},
+			{U: 0, V: 2, BW: 1, MaxConnect: 2},
+		},
+		Clusters: []Cluster{
+			{Name: "a", Speed: 1, Gateway: 1, Router: 0},
+			{Name: "b", Speed: 1, Gateway: 1, Router: 2},
+		},
+	}
+	if err := p.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestCloneRouteEditsStayPrivate: a clone shares its original's routing
+// table until either side edits a route; after SetRoute or
+// ComputeRoutes on one, the other's Route(k,l) is what it was.
+func TestCloneRouteEditsStayPrivate(t *testing.T) {
+	direct := func(t *testing.T, who string, p *Platform) {
+		t.Helper()
+		for _, kl := range [][2]int{{0, 1}, {1, 0}} {
+			if r := p.Route(kl[0], kl[1]); !r.Exists || len(r.Links) != 1 || r.Links[0] != 2 || r.MinBW != 1 {
+				t.Fatalf("%s: route %v = %+v, want the direct link", who, kl, r)
+			}
+		}
+	}
+	edits := []struct {
+		name string
+		edit func(p *Platform) error
+	}{
+		{"SetRoute", func(p *Platform) error { return p.SetRoute(0, 1, []int{0, 1}) }},
+		{"ComputeRoutes", func(p *Platform) error {
+			p.Links[2].U, p.Links[2].V = 0, 1 // no direct link any more
+			return p.ComputeRoutes()
+		}},
+	}
+	for _, e := range edits {
+		for _, side := range []string{"clone", "original"} {
+			t.Run(e.name+" on "+side, func(t *testing.T) {
+				p := triangle(t)
+				q := p.Clone()
+				edited, other := q, p
+				if side == "original" {
+					edited, other = p, q
+				}
+				if err := e.edit(edited); err != nil {
+					t.Fatal(err)
+				}
+				if r := edited.Route(0, 1); len(r.Links) != 2 || r.MinBW != 5 {
+					t.Fatalf("edited side: route = %+v, want the detour", r)
+				}
+				direct(t, "other side", other)
+			})
+		}
+	}
+}
+
+// ringPlatform is K clusters on a ring of K routers: K² routes, most of
+// them multi-hop.
+func ringPlatform(K int) *Platform {
+	p := &Platform{Routers: K}
+	for i := 0; i < K; i++ {
+		p.Links = append(p.Links, Link{U: i, V: (i + 1) % K, BW: 10, MaxConnect: 3})
+		p.Clusters = append(p.Clusters, Cluster{Name: "c", Speed: 100, Gateway: 50, Router: i})
+	}
+	if err := p.ComputeRoutes(); err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// TestCloneAllocsIndependentOfK is the clock-free guard on Clone's
+// cost: it copies the capacities (two slices and the struct) and shares
+// the K² routes, so its allocation count does not grow with K.
+func TestCloneAllocsIndependentOfK(t *testing.T) {
+	var sink *Platform
+	allocs := func(K int) float64 {
+		p := ringPlatform(K)
+		return testing.AllocsPerRun(50, func() { sink = p.Clone() })
+	}
+	small, large := allocs(5), allocs(20)
+	if small != large || small > 3 {
+		t.Fatalf("Clone allocates %v times at K=5 and %v at K=20, want the same count <= 3", small, large)
+	}
+	_ = sink
 }
 
 func TestResidual(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/lp"
 	"repro/internal/platform"
@@ -14,20 +13,22 @@ import (
 
 // This file is the batched what-if engine: N hypotheticals against
 // one warm session in a single call, answered over forked solve
-// contexts (core.Model.ForkView over lp.Revised.Fork) instead of
+// contexts (core.Model.Fork over lp.Revised.Fork) instead of
 // serialized behind the session mutex.
 //
 // The flow: decode once, dedupe identical queries by the same
 // canonical-JSON key the single-query endpoint's in-flight coalescing
-// uses, validate every distinct query and fork a bounded pool of
-// views under the session lock, release the lock, fan the distinct
-// queries out over the views (static round-robin, so the assignment —
-// and with it the whole response — is deterministic), and finally
-// merge every view's solver counters back into the session aggregate.
-// The session lock is held only for validation and forking, never for
-// solving: queries, epochs and single what-ifs proceed concurrently
-// with a running batch, and the batch's answers are pinned to the
-// committed state captured at its start.
+// uses, validate every distinct query into a hypothetical and fork a
+// bounded pool of models under the session lock, release the lock, fan
+// the distinct queries out over the forks (static round-robin, so the
+// assignment — and with it the whole response — is deterministic), and
+// finally merge every fork's solver counters back into the session
+// aggregate. A fork answers a query exactly as the session model does
+// — pose, solve, retract to the committed platform captured at batch
+// start. The session lock is held only for validation and forking,
+// never for solving: queries, epochs and single what-ifs proceed
+// concurrently with a running batch, and the batch's answers are pinned
+// to the committed state captured at its start.
 //
 // Batch reports are lean on purpose — verdict, value and bound, no
 // allocation tables, no stats snapshot — which makes the response a
@@ -90,52 +91,38 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 	s.whatIfs.Add(uint64(nd))
 	s.coalesced.Add(uint64(n - nd))
 
-	// Validate every distinct query and fork the worker views under
-	// the session lock; the solves run outside it. The captured basis
-	// and epoch pin every answer to the committed state at batch
-	// start, whatever the session does concurrently.
+	// Validate every distinct query and fork the worker models under
+	// the session lock; the solves run outside it. The captured
+	// platform (immutable once published), basis and epoch pin every
+	// answer to the committed state at batch start, whatever the
+	// session does concurrently.
 	s.mu.Lock()
-	epoch := s.epoch
-	basis := s.basis
-	plats := make([]*platform.Platform, nd)
-	var validRoutes map[core.Pair]bool
+	committed, basis, epoch := s.pl, s.basis, s.epoch
+	hyps := make([]hypothetical, nd)
 	for d, q := range distinct {
-		epl, err := s.hypotheticalPlatform(q)
+		h, err := s.hypotheticalLocked(q)
 		if err != nil {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("batch query %d: %w", firstIdx[d], err)
 		}
-		plats[d] = epl
-		for _, b := range q.Bounds {
-			if validRoutes == nil {
-				validRoutes = make(map[core.Pair]bool)
-				for _, p := range s.model.BetaVars() {
-					validRoutes[p] = true
-				}
-			}
-			if !validRoutes[core.Pair{K: b.From, L: b.To}] {
-				s.mu.Unlock()
-				return nil, fmt.Errorf("batch query %d: β bounds on route (%d,%d) with no β variable", firstIdx[d], b.From, b.To)
-			}
-		}
+		hyps[d] = h
 	}
-	views := make([]*core.ModelView, workers)
-	for w := range views {
-		v, err := s.model.ForkView()
+	forks := make([]*core.Model, workers)
+	for w := range forks {
+		f, err := s.model.Fork()
 		if err != nil {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("batch what-if: fork: %w", err)
 		}
-		views[w] = v
+		forks[w] = f
 	}
 	s.model.AbsorbSolverStats(lp.Stats{PeakForks: workers, Batches: 1, BatchMaxSize: n})
 	s.mu.Unlock()
 
 	// Fan out: worker w answers distinct queries w, w+W, w+2W, … on
-	// its own view, rolling the view back between queries. The static
-	// assignment (rather than a shared work queue) keeps the path each
-	// answer takes — and the bytes of the response — independent of
-	// goroutine scheduling.
+	// its own fork. The static assignment (rather than a shared work
+	// queue) keeps the path each answer takes — and the bytes of the
+	// response — independent of goroutine scheduling.
 	type result struct {
 		rep *SolveReport
 		err error
@@ -146,21 +133,19 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			v := views[w]
-			snap := v.CaptureState()
 			for d := w; d < nd; d += workers {
-				rep, err := s.viewWhatIf(v, snap, plats[d], distinct[d], basis, epoch)
+				rep, err := s.forkWhatIf(forks[w], hyps[d], committed, basis, epoch)
 				results[d] = result{rep, err}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	// Fold each view's solve activity into the session aggregate, so
+	// Fold each fork's solve activity into the session aggregate, so
 	// /stats sees batched work exactly like serialized work.
 	s.mu.Lock()
-	for _, v := range views {
-		s.model.AbsorbSolverStats(v.SolverStats())
+	for _, f := range forks {
+		s.model.AbsorbSolverStats(f.SolverStats())
 	}
 	s.mu.Unlock()
 
@@ -184,23 +169,16 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 	return &BatchWhatIfResponse{Reports: reports, Distinct: nd, Workers: workers, Epoch: epoch}, nil
 }
 
-// viewWhatIf answers one distinct batch query on a forked view:
-// inject the hypothetical capacities, install the β boxes, solve the
-// relaxation warm from the committed basis, and roll the view back to
-// snap. The report is the lean batch shape — no allocation tables, no
-// stats — so it is deterministic byte for byte.
-func (s *Session) viewWhatIf(v *core.ModelView, snap *core.CapacityState, epl *platform.Platform, q *WhatIfRequest, basis *lp.Basis, epoch int) (*SolveReport, error) {
-	defer v.RestoreState(snap)
-	if err := adapt.InjectCapacities(v, epl); err != nil {
+// forkWhatIf answers one distinct batch query on a fork: pose the
+// hypothetical, solve the relaxation warm from the committed basis,
+// retract. The report is the lean batch shape — no allocation tables,
+// no stats — so it is deterministic byte for byte.
+func (s *Session) forkWhatIf(f *core.Model, h hypothetical, committed *platform.Platform, basis *lp.Basis, epoch int) (*SolveReport, error) {
+	defer retract(f, committed)
+	if err := pose(f, h); err != nil {
 		return nil, err
 	}
-	v.ResetBounds()
-	for _, b := range q.Bounds {
-		if err := applyBound(v, b); err != nil {
-			return nil, err
-		}
-	}
-	bound, ok, err := v.SolveBound(basis)
+	bound, ok, err := f.SolveBound(basis)
 	if err != nil {
 		return nil, err
 	}
@@ -224,14 +202,7 @@ func (s *Session) viewWhatIf(v *core.ModelView, snap *core.CapacityState, epl *p
 // POST /sessions/{id}/whatif/batch response for the same platform,
 // configuration and queries are byte-identical.
 func BatchWhatIf(createReq *CreateSessionRequest, batchReq *BatchWhatIfRequest) (*BatchWhatIfResponse, error) {
-	cfg, err := parseConfig(createReq)
-	if err != nil {
-		return nil, err
-	}
-	if len(createReq.Platform) == 0 {
-		return nil, errors.New("missing platform")
-	}
-	pl, err := platform.Decode(createReq.Platform)
+	pl, cfg, _, err := decodeCreate(createReq)
 	if err != nil {
 		return nil, err
 	}

@@ -296,6 +296,21 @@ func TestBatchWhatIfErrors(t *testing.T) {
 		t.Fatalf("error %q does not name the offending query (%q)", errResp.Error, want)
 	}
 
+	// So does a bad β box in a later query — a negative lower bound, or
+	// a route with no β variable — which used to surface only once the
+	// queries before it had been solved.
+	route := sess.model.BetaVars()[0]
+	for name, bad := range map[string]RouteBounds{
+		"negative lb":   {From: route.K, To: route.L, Lb: -1, Ub: 2},
+		"no β variable": {From: 0, To: 0, Lb: 0, Ub: 1},
+	} {
+		queries[1] = WhatIfRequest{Bounds: []RouteBounds{{From: route.K, To: route.L, Lb: 0, Ub: 1}, bad}}
+		status, raw, err = doJSONRaw(ts.Client(), "POST", url, &BatchWhatIfRequest{Queries: queries})
+		if err != nil || status != http.StatusBadRequest || !strings.Contains(string(raw), "batch query 1") {
+			t.Fatalf("%s: status %d err %v body %s, want 400 naming batch query 1", name, status, err, raw)
+		}
+	}
+
 	after := sess.Stats().Solver
 	if d := (after.WarmSolves + after.ColdSolves) - (before.WarmSolves + before.ColdSolves); d != 0 {
 		t.Fatalf("failed batches performed %d solves, want 0", d)

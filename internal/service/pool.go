@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/lp"
-	"repro/internal/platform"
 )
 
 // Pool is the LRU cache of warm sessions, keyed by session ID (a
@@ -80,18 +79,10 @@ func NewPool(capacity int) *Pool {
 // so the caller answers without a second solve. The platform JSON is
 // decoded and validated before anything is built.
 func (p *Pool) GetOrCreate(req *CreateSessionRequest) (sess *Session, initial *SolveReport, created bool, err error) {
-	cfg, err := parseConfig(req)
+	pl, cfg, id, err := decodeCreate(req)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	if len(req.Platform) == 0 {
-		return nil, nil, false, fmt.Errorf("missing platform")
-	}
-	pl, err := platform.Decode(req.Platform)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	id := sessionID(pl.Fingerprint(), cfg)
 
 	p.mu.Lock()
 	if e, ok := p.entries[id]; ok {

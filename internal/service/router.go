@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/platform"
 )
 
 // forwardedHeader marks a request already proxied once by a ring
@@ -606,8 +605,9 @@ func relay(w http.ResponseWriter, status int, header http.Header, body []byte) {
 // ID from the path, or — for POST /sessions — the ID the create will
 // resolve to, computed from the decoded body exactly as the pool
 // does. ok=false means the request has no routable key (the list
-// endpoint, or an undecodable create) and is served locally; body is
-// non-nil whenever the request body was consumed.
+// endpoint, or an undecodable create) and is served locally, so the
+// service produces the error; body is non-nil whenever the request body
+// was consumed.
 func (n *Node) routingKey(r *http.Request, id string) (key string, body []byte, ok bool) {
 	if id != "" {
 		return id, nil, true
@@ -620,18 +620,11 @@ func (n *Node) routingKey(r *http.Request, id string) (key string, body []byte, 
 		return "", body, false
 	}
 	var req CreateSessionRequest
-	if json.Unmarshal(body, &req) != nil || len(req.Platform) == 0 {
+	if json.Unmarshal(body, &req) != nil {
 		return "", body, false
 	}
-	cfg, err := parseConfig(&req)
-	if err != nil {
-		return "", body, false
-	}
-	pl, err := platform.Decode(req.Platform)
-	if err != nil {
-		return "", body, false
-	}
-	return sessionID(pl.Fingerprint(), cfg), body, true
+	_, _, key, err = decodeCreate(&req)
+	return key, body, err == nil
 }
 
 // membersMessage is the wire form of a full member list (broadcast on

@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -72,5 +74,63 @@ func TestSessionPathRouteTable(t *testing.T) {
 		if key != want {
 			t.Errorf("%s %s: ring key %q, want %q", row.method, row.path, key, want)
 		}
+	}
+}
+
+// TestRequestBodiesDecodeStrictly: every JSON request body is one value
+// and nothing after it but whitespace. A second concatenated value used
+// to be dropped silently (the first was answered), and trailing garbage
+// ignored.
+func TestRequestBodiesDecodeStrictly(t *testing.T) {
+	const K = 4
+	pl := testPlatform(t, K, 7)
+	n := NewNode(NewServer(NewPool(2)), "http://self", nil, nil)
+	create, err := json.Marshal(&CreateSessionRequest{Platform: platformJSON(t, pl)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _, _, err := n.srv.Pool().GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, pl)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch, err := json.Marshal(&EpochRequest{SpeedFactor: driftFactors(K, 0.9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	endpoints := []struct{ path, body string }{
+		{"/sessions", string(create)},
+		{"/sessions/" + sess.id + "/whatif", `{"relax":true}`},
+		{"/sessions/" + sess.id + "/whatif/batch", `{"queries":[{"relax":true}]}`},
+		{"/sessions/" + sess.id + "/epoch", string(epoch)},
+		{"/cluster/members", `{"members":["http://self"]}`},
+		{"/cluster/forget", `{"id":"no-such-session"}`},
+	}
+	post := func(path, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		n.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	for _, ep := range endpoints {
+		for name, suffix := range map[string]string{
+			"second value":     ep.body,
+			"trailing garbage": " trailing garbage",
+			"stray bracket":    "\n]",
+		} {
+			code, body := post(ep.path, ep.body+suffix)
+			if code != http.StatusBadRequest || !strings.Contains(body, "decoding request: ") {
+				t.Errorf("POST %s, %s: status %d body %q, want 400 decoding request: …", ep.path, name, code, body)
+			}
+		}
+		if got := sess.Info().Epoch; got != 0 {
+			t.Fatalf("POST %s: a refused body committed an epoch", ep.path)
+		}
+	}
+	for _, ep := range endpoints {
+		if code, body := post(ep.path, ep.body+" \r\n\t\n"); code != http.StatusOK {
+			t.Errorf("POST %s with trailing whitespace: status %d body %q, want 200", ep.path, code, body)
+		}
+	}
+	if got := sess.Info().Epoch; got != 1 {
+		t.Fatalf("epoch %d after one accepted commit, want 1", got)
 	}
 }

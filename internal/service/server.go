@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/platform"
 )
 
 // maxBodyBytes bounds uploaded request bodies (platform JSON included)
@@ -143,11 +142,18 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// decodeBody strictly decodes one JSON value into dst.
+// decodeBody strictly decodes the body into dst: one JSON value with no
+// unknown fields, and nothing after it but whitespace.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, more := dec.Token(); more != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return false
 	}
@@ -345,14 +351,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // what cmd/dlsched -json uses, so a CLI report and a service query
 // for the same platform and configuration produce identical numbers.
 func Batch(req *CreateSessionRequest) (*SolveReport, error) {
-	cfg, err := parseConfig(req)
-	if err != nil {
-		return nil, err
-	}
-	if len(req.Platform) == 0 {
-		return nil, errors.New("missing platform")
-	}
-	pl, err := platform.Decode(req.Platform)
+	pl, cfg, _, err := decodeCreate(req)
 	if err != nil {
 		return nil, err
 	}

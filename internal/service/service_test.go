@@ -631,10 +631,12 @@ func TestBatchMatchesService(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreExactness drives the core.Model snapshot hook
-// directly: a pile of capacity and bound mutations followed by
-// RestoreState must reproduce the pre-mutation relaxation optimum
-// exactly (same solves, warm restarts included).
+// TestSnapshotRestoreExactness drives pose and retract directly on a
+// core.Model: a pile of capacity and bound mutations followed by
+// retracting to the committed platform must reproduce the pre-mutation
+// relaxation optimum exactly (same solves, warm restarts included).
+// core's TestRetractLeavesFreshModelState holds the same sequence to
+// bit-equality of the LP's state.
 func TestSnapshotRestoreExactness(t *testing.T) {
 	pl := testPlatform(t, 10, 23)
 	pr := core.NewProblem(pl)
@@ -651,37 +653,32 @@ func TestSnapshotRestoreExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	routes := model.BetaVars()
 	for trial := 0; trial < 25; trial++ {
-		snap := model.CaptureState()
 		// Random capacity and bound mutations.
+		h := hypothetical{pl: pl.Clone()}
 		for i := 0; i < 5; i++ {
 			k := rng.Intn(pl.K())
 			switch rng.Intn(3) {
 			case 0:
-				if err := model.SetSpeed(k, pl.Clusters[k].Speed*(0.3+0.7*rng.Float64())); err != nil {
-					t.Fatal(err)
-				}
+				h.pl.Clusters[k].Speed = pl.Clusters[k].Speed * (0.3 + 0.7*rng.Float64())
 			case 1:
-				if err := model.SetGateway(k, pl.Clusters[k].Gateway*(0.3+0.7*rng.Float64())); err != nil {
-					t.Fatal(err)
-				}
+				h.pl.Clusters[k].Gateway = pl.Clusters[k].Gateway * (0.3 + 0.7*rng.Float64())
 			case 2:
 				li := rng.Intn(len(pl.Links))
-				if err := model.SetLinkBudget(li, math.Floor(float64(pl.Links[li].MaxConnect)*rng.Float64())); err != nil {
-					t.Fatal(err)
-				}
+				h.pl.Links[li].MaxConnect = int(float64(pl.Links[li].MaxConnect) * rng.Float64())
 			}
 		}
 		if len(routes) > 0 && rng.Intn(2) == 0 {
 			p := routes[rng.Intn(len(routes))]
 			lb := float64(rng.Intn(3))
-			if err := model.SetBounds(p, core.BetaBounds{Lb: lb, Ub: lb + float64(rng.Intn(2))}); err != nil {
-				t.Fatal(err)
-			}
+			h.boxes = []RouteBounds{{From: p.K, To: p.L, Lb: lb, Ub: lb + float64(rng.Intn(2))}}
+		}
+		if err := pose(model, h); err != nil {
+			t.Fatal(err)
 		}
 		if _, _, _, err := model.Solve(basis); err != nil {
 			t.Fatal(err)
 		}
-		model.RestoreState(snap)
+		retract(model, pl)
 		sol, nextBasis, ok, err := model.Solve(basis)
 		if err != nil || !ok {
 			t.Fatalf("trial %d: restored solve ok=%v err=%v", trial, ok, err)
@@ -694,8 +691,8 @@ func TestSnapshotRestoreExactness(t *testing.T) {
 }
 
 // TestSnapshotRestoreCrossedBounds pins the crossed-box bookkeeping
-// across capture/restore: a what-if that crosses a route's box (lb >
-// ub) must short-circuit to infeasible, and restoring must bring the
+// across pose/retract: a what-if that crosses a route's box (lb > ub)
+// must short-circuit to infeasible, and retracting must bring the
 // committed feasible state back exactly.
 func TestSnapshotRestoreCrossedBounds(t *testing.T) {
 	pl := testPlatform(t, 6, 29)
@@ -714,15 +711,15 @@ func TestSnapshotRestoreCrossedBounds(t *testing.T) {
 	}
 	base := sol.Objective
 
-	snap := model.CaptureState()
 	// Cross the box: lower bound far above the natural cap.
-	if err := model.SetBounds(routes[0], core.BetaBounds{Lb: 1e6, Ub: -1}); err != nil {
+	crossed := hypothetical{pl: pl, boxes: []RouteBounds{{From: routes[0].K, To: routes[0].L, Lb: 1e6, Ub: -1}}}
+	if err := pose(model, crossed); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok, _ := model.Solve(basis); ok {
 		t.Fatal("crossed box must be infeasible")
 	}
-	model.RestoreState(snap)
+	retract(model, pl)
 	sol, _, ok, err = model.Solve(basis)
 	if err != nil || !ok {
 		t.Fatalf("restored solve: ok=%v err=%v", ok, err)

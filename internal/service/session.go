@@ -11,9 +11,10 @@
 //
 //   - query    — the current allocation and objective,
 //   - what-if  — temporary speed/gateway/link-budget/β-bound
-//     mutations, answered and rolled back exactly
-//     (core.Model.CaptureState/RestoreState), with identical
-//     concurrent what-ifs coalesced into one solve,
+//     mutations, posed as a hypothetical platform, answered, and
+//     retracted exactly by re-injecting the committed platform
+//     (pose / retract below), with identical concurrent what-ifs
+//     coalesced into one solve,
 //   - epoch    — a committed adapt.Perturbation-style capacity
 //     update, re-solved warm from the carried basis,
 //
@@ -39,6 +40,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -64,7 +66,7 @@ type sessionConfig struct {
 }
 
 // parseConfig normalizes and validates the solver configuration of a
-// create request (the platform itself is handled separately).
+// create request (decodeCreate handles the platform) or a snapshot.
 func parseConfig(req *CreateSessionRequest) (sessionConfig, error) {
 	cfg := sessionConfig{seed: req.Seed, maxNodes: req.MaxNodes, payoffs: req.Payoffs}
 	switch req.Objective {
@@ -84,6 +86,24 @@ func parseConfig(req *CreateSessionRequest) (sessionConfig, error) {
 		return cfg, fmt.Errorf("unknown heuristic %q (want lprg, lprr, lprr-eq or bnb)", req.Heuristic)
 	}
 	return cfg, nil
+}
+
+// decodeCreate turns a create request into what a session is built
+// from and filed under: the decoded, strictly validated platform, the
+// normalized configuration, and the pool key the two digest to.
+func decodeCreate(req *CreateSessionRequest) (*platform.Platform, sessionConfig, string, error) {
+	cfg, err := parseConfig(req)
+	if err != nil {
+		return nil, cfg, "", err
+	}
+	if len(req.Platform) == 0 {
+		return nil, cfg, "", errors.New("missing platform")
+	}
+	pl, err := platform.Decode(req.Platform)
+	if err != nil {
+		return nil, cfg, "", err
+	}
+	return pl, cfg, sessionID(pl.Fingerprint(), cfg), nil
 }
 
 // sessionID digests the platform fingerprint and the solver
@@ -128,8 +148,11 @@ type commitRecord struct {
 // Session owns one warm solver model for one (platform,
 // configuration) pair. All model access is serialized by mu; the
 // committed state is the current platform pl/pr, the carried
-// warm-start basis, and the epoch counter. What-ifs mutate the model
-// under mu and roll back exactly before releasing it.
+// warm-start basis, and the epoch counter. The platform is the only
+// holder of the committed capacities: outside a what-if the model holds
+// exactly adapt.InjectCapacities(pl) and default β bounds, so a what-if
+// poses its hypothetical under mu and retracts it by re-injecting pl
+// before releasing it.
 type Session struct {
 	id          string
 	fingerprint string
@@ -141,6 +164,10 @@ type Session struct {
 	model *core.Model
 	basis *lp.Basis // committed root basis carried solve to solve
 	epoch int
+
+	// betaRoutes is the set of routes carrying a β variable — frozen
+	// with the model's structure, so read without mu.
+	betaRoutes map[core.Pair]bool
 
 	queries   atomic.Uint64
 	whatIfs   atomic.Uint64
@@ -204,8 +231,12 @@ func buildSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 		pl:          pl,
 		pr:          pr,
 		model:       model,
+		betaRoutes:  make(map[core.Pair]bool),
 		answers:     newAnswerTable(),
 		lastCommit:  time.Now(),
+	}
+	for _, p := range model.BetaVars() {
+		s.betaRoutes[p] = true
 	}
 	s.id = sessionID(s.fingerprint, cfg)
 	s.refreshStateLocked() // unshared yet, so "locked" trivially holds
@@ -314,10 +345,7 @@ func (s *Session) query() (*SolveReport, *answer, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, err := s.solveLocked(s.pr)
-	if err == nil {
-		s.answers.file(queryCacheKey, rep)
-	}
+	rep, err := s.solveLocked(s.pr, true)
 	return rep, nil, err
 }
 
@@ -343,23 +371,29 @@ func (s *Session) heuristicSolve(epr *core.Problem) (*core.Allocation, *lp.Basis
 	return nil, nil, fmt.Errorf("unknown heuristic %q", s.cfg.heur)
 }
 
-// solveLocked computes a committed answer against epr (the session's
-// current problem, or the epoch-updated one): heuristic solve, then
-// the relaxation bound via an ephemeral warm re-solve from the root
-// basis just produced (typically zero pivots — the basis is already
-// optimal for the unpinned relaxation). The carried basis advances.
-func (s *Session) solveLocked(epr *core.Problem) (*SolveReport, error) {
-	// Committed answers must be replica-independent: a session promoted
-	// from a snapshot on a successor holds the same matrix, capacities
-	// and basis as the dead owner's live session did, but not its
-	// accumulated solver internals (sign normalization, eta-file
-	// factors, pricing weights), and on degenerate platforms those pick
-	// the optimal vertex — so the heuristic's tie-breaks, and therefore
-	// the committed Value, would drift across a failover. Rebase drops
-	// the history so this solve is a pure function of the committed
-	// discrete state on every replica. What-if solves skip this: they
-	// are read-only hypotheticals where continuation speed wins.
-	s.model.Rebase()
+// solveLocked computes a heuristic answer against epr — the session's
+// current problem (commit), or a posed hypothetical's: heuristic solve,
+// then the relaxation bound via an ephemeral warm re-solve from the
+// carried root basis (on a commit, the one the heuristic just produced:
+// typically zero pivots — it is already optimal for the unpinned
+// relaxation). Only a commit rebases the solver, advances the carried
+// basis and files the answer as the committed one; a what-if's root
+// basis is discarded and its answer is the caller's to file.
+func (s *Session) solveLocked(epr *core.Problem, commit bool) (*SolveReport, error) {
+	if commit {
+		// Committed answers must be replica-independent: a session
+		// promoted from a snapshot on a successor holds the same matrix,
+		// capacities and basis as the dead owner's live session did, but
+		// not its accumulated solver internals (sign normalization,
+		// eta-file factors, pricing weights), and on degenerate platforms
+		// those pick the optimal vertex — so the heuristic's tie-breaks,
+		// and therefore the committed Value, would drift across a
+		// failover. Rebase drops the history so this solve is a pure
+		// function of the committed discrete state on every replica.
+		// What-if solves skip this: they are read-only hypotheticals
+		// where continuation speed wins.
+		s.model.Rebase()
+	}
 	alloc, basis, err := s.heuristicSolve(epr)
 	if err != nil {
 		return nil, err
@@ -367,7 +401,7 @@ func (s *Session) solveLocked(epr *core.Problem) (*SolveReport, error) {
 	if err := epr.CheckAllocation(alloc, core.DefaultTol); err != nil {
 		return nil, fmt.Errorf("internal error: heuristic produced an invalid allocation: %w", err)
 	}
-	if basis != nil {
+	if commit && basis != nil {
 		s.basis = basis
 	}
 	s.model.ResetBounds()
@@ -380,6 +414,9 @@ func (s *Session) solveLocked(epr *core.Problem) (*SolveReport, error) {
 	}
 	rep := s.reportFor(epr, alloc)
 	rep.LPBound = bound.Objective
+	if commit {
+		s.answers.file(queryCacheKey, rep)
+	}
 	return rep, nil
 }
 
@@ -444,13 +481,12 @@ func (s *Session) relaxReportLocked(sol *core.MixedSolution) *SolveReport {
 func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) { return asReport(s.whatIf(req)) }
 
 // whatIf is WhatIf as the HTTP layer consumes it; see query. The owner
-// of a flight snapshots the model's capacity/bound state, applies the
-// hypothetical, solves warm from the committed basis (ephemerally —
-// the resulting basis is discarded, the committed basis is never
-// mutated) and restores the snapshot exactly before releasing the
-// session. The answer is resolved under the committed-state digest
-// while mu is still held, so it can never be filed against a state
-// other than the one it was computed on.
+// of a flight poses the hypothetical on the session model, solves warm
+// from the committed basis (ephemerally — the resulting basis is
+// discarded, the committed basis is never mutated) and retracts it
+// before releasing the session. The answer is resolved under the
+// committed-state digest while mu is still held, so it can never be
+// filed against a state other than the one it was computed on.
 func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 	key, err := json.Marshal(req)
 	if err != nil {
@@ -480,114 +516,118 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 }
 
 func (s *Session) whatIfSolveLocked(req *WhatIfRequest) (*SolveReport, error) {
-	epl, err := s.hypotheticalPlatform(req)
+	h, err := s.hypotheticalLocked(req)
 	if err != nil {
 		return nil, err
 	}
-	snap := s.model.CaptureState()
-	defer s.model.RestoreState(snap)
-	if err := adapt.InjectCapacities(s.model, epl); err != nil {
+	defer retract(s.model, s.pl)
+	if err := pose(s.model, h); err != nil {
 		return nil, err
 	}
-
-	if req.Relax || len(req.Bounds) > 0 {
-		s.model.ResetBounds()
-		for _, b := range req.Bounds {
-			if err := applyBound(s.model, b); err != nil {
-				return nil, err
-			}
-		}
-		sol, ok, err := s.model.SolveEphemeral(s.basis)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			stats := s.model.SolverStats().Deterministic()
-			return &SolveReport{
-				Heuristic: s.cfg.heur,
-				Objective: s.cfg.objName,
-				Feasible:  false,
-				Relaxed:   true,
-				Epoch:     s.epoch,
-				Stats:     &stats,
-			}, nil
-		}
-		return s.relaxReportLocked(sol), nil
+	if !req.Relax && len(req.Bounds) == 0 {
+		return s.solveLocked(&core.Problem{Platform: h.pl, Payoffs: s.pr.Payoffs}, false)
 	}
-
-	epr := &core.Problem{Platform: epl, Payoffs: s.pr.Payoffs}
-	alloc, _, err := s.heuristicSolve(epr) // basis discarded: nothing commits
-	if err != nil {
-		return nil, err
-	}
-	if err := epr.CheckAllocation(alloc, core.DefaultTol); err != nil {
-		return nil, fmt.Errorf("internal error: heuristic produced an invalid allocation: %w", err)
-	}
-	s.model.ResetBounds()
-	bound, ok, err := s.model.SolveEphemeral(s.basis)
+	sol, ok, err := s.model.SolveEphemeral(s.basis)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("what-if relaxation infeasible (model bug)")
+		stats := s.model.SolverStats().Deterministic()
+		return &SolveReport{
+			Heuristic: s.cfg.heur,
+			Objective: s.cfg.objName,
+			Feasible:  false,
+			Relaxed:   true,
+			Epoch:     s.epoch,
+			Stats:     &stats,
+		}, nil
 	}
-	rep := s.reportFor(epr, alloc)
-	rep.LPBound = bound.Objective
-	return rep, nil
+	return s.relaxReportLocked(sol), nil
 }
 
-// hypotheticalPlatform clones the session platform with the what-if's
-// capacity mutations applied (validating indices and values), so the
-// heuristic evaluates residual capacities against the hypothetical.
-func (s *Session) hypotheticalPlatform(req *WhatIfRequest) (*platform.Platform, error) {
+// hypothetical is one validated what-if: the platform it poses — the
+// committed one with the request's capacity mutations applied, which
+// the heuristic also evaluates residual capacities against — and the β
+// boxes it installs over the default bounds. Every index, value and
+// "route has a β variable" check is made while building it, so posing
+// one cannot fail half-way.
+type hypothetical struct {
+	pl    *platform.Platform
+	boxes []RouteBounds
+}
+
+func (s *Session) hypotheticalLocked(req *WhatIfRequest) (hypothetical, error) {
 	epl := s.pl.Clone()
 	K := epl.K()
 	for _, m := range req.Speeds {
 		if m.Cluster < 0 || m.Cluster >= K {
-			return nil, fmt.Errorf("speed mutation: cluster %d out of range [0,%d)", m.Cluster, K)
+			return hypothetical{}, fmt.Errorf("speed mutation: cluster %d out of range [0,%d)", m.Cluster, K)
 		}
 		epl.Clusters[m.Cluster].Speed = m.Value
 	}
 	for _, m := range req.Gateways {
 		if m.Cluster < 0 || m.Cluster >= K {
-			return nil, fmt.Errorf("gateway mutation: cluster %d out of range [0,%d)", m.Cluster, K)
+			return hypothetical{}, fmt.Errorf("gateway mutation: cluster %d out of range [0,%d)", m.Cluster, K)
 		}
 		epl.Clusters[m.Cluster].Gateway = m.Value
 	}
 	for _, m := range req.Links {
 		if m.Link < 0 || m.Link >= len(epl.Links) {
-			return nil, fmt.Errorf("link mutation: link %d out of range [0,%d)", m.Link, len(epl.Links))
+			return hypothetical{}, fmt.Errorf("link mutation: link %d out of range [0,%d)", m.Link, len(epl.Links))
 		}
 		if m.MaxConnect < 0 || math.IsNaN(m.MaxConnect) || math.IsInf(m.MaxConnect, 0) {
-			return nil, fmt.Errorf("link mutation: max-connect %g invalid", m.MaxConnect)
+			return hypothetical{}, fmt.Errorf("link mutation: max-connect %g invalid", m.MaxConnect)
 		}
 		if m.MaxConnect != math.Trunc(m.MaxConnect) {
-			return nil, fmt.Errorf("link mutation: max-connect %g invalid (budgets are whole connection counts)", m.MaxConnect)
+			return hypothetical{}, fmt.Errorf("link mutation: max-connect %g invalid (budgets are whole connection counts)", m.MaxConnect)
 		}
 		epl.Links[m.Link].MaxConnect = int(m.MaxConnect)
 	}
 	if err := epl.Validate(); err != nil {
-		return nil, err
+		return hypothetical{}, err
 	}
-	return epl, nil
+	for _, b := range req.Bounds {
+		if b.Lb < 0 || math.IsNaN(b.Lb) || math.IsInf(b.Lb, 0) {
+			return hypothetical{}, fmt.Errorf("bound mutation (%d,%d): lb %g invalid", b.From, b.To, b.Lb)
+		}
+		if math.IsNaN(b.Ub) || math.IsInf(b.Ub, 0) {
+			return hypothetical{}, fmt.Errorf("bound mutation (%d,%d): ub %g invalid", b.From, b.To, b.Ub)
+		}
+		if !s.betaRoutes[core.Pair{K: b.From, L: b.To}] {
+			return hypothetical{}, fmt.Errorf("β bounds on route (%d,%d) with no β variable", b.From, b.To)
+		}
+	}
+	return hypothetical{pl: epl, boxes: req.Bounds}, nil
 }
 
-// betaBounder is the slice of the model API a what-if β box needs;
-// *core.Model and the forked *core.ModelView both implement it.
-type betaBounder interface {
-	SetBounds(core.Pair, core.BetaBounds) error
+// pose writes h into m — the session model, or a fork of it: the
+// hypothetical platform's capacities, then h's boxes over default β
+// bounds. Every capacity and every box is overwritten, so what m held
+// before does not matter.
+func pose(m *core.Model, h hypothetical) error {
+	if err := adapt.InjectCapacities(m, h.pl); err != nil {
+		return err
+	}
+	m.ResetBounds()
+	for _, b := range h.boxes {
+		if err := m.SetBounds(core.Pair{K: b.From, L: b.To}, core.BetaBounds{Lb: b.Lb, Ub: b.Ub}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// applyBound installs one what-if β box on m (the session model, or a
-// forked view on the batched path).
-func applyBound(m betaBounder, b RouteBounds) error {
-	if b.Lb < 0 || math.IsNaN(b.Lb) || math.IsInf(b.Lb, 0) {
-		return fmt.Errorf("bound mutation (%d,%d): lb %g invalid", b.From, b.To, b.Lb)
+// retract returns m to the committed state after a pose, complete or
+// abandoned half-way: the committed platform's capacities and default β
+// bounds (clearing whatever pins or node bounds a heuristic left). The
+// model keeps no history (see core.Model), so m ends bit-equal to one
+// that only ever saw the committed platform. That platform was injected
+// before: a failure here is a bug, and leaves the model unusable.
+func retract(m *core.Model, committed *platform.Platform) {
+	if err := adapt.InjectCapacities(m, committed); err != nil {
+		panic(fmt.Sprintf("service: re-injecting the committed platform: %v", err))
 	}
-	if math.IsNaN(b.Ub) || math.IsInf(b.Ub, 0) {
-		return fmt.Errorf("bound mutation (%d,%d): ub %g invalid", b.From, b.To, b.Ub)
-	}
-	return m.SetBounds(core.Pair{K: b.From, L: b.To}, core.BetaBounds{Lb: b.Lb, Ub: b.Ub})
+	m.ResetBounds()
 }
 
 // Epoch commits a capacity update: the perturbation factors apply to
@@ -669,20 +709,15 @@ func (s *Session) epochLocked(req *EpochRequest) (*SolveReport, error) {
 		return nil, fmt.Errorf("perturbed platform invalid: %w", err)
 	}
 	// A failed injection (e.g. a factor driving a capacity out of
-	// range) must not leave the model half-updated: roll back to the
+	// range) must not leave the model half-updated: return it to the
 	// committed state and report.
-	snap := s.model.CaptureState()
 	if err := adapt.InjectCapacities(s.model, epl); err != nil {
-		s.model.RestoreState(snap)
+		retract(s.model, s.pl)
 		return nil, err
 	}
 	s.pl = epl
 	s.pr = &core.Problem{Platform: epl, Payoffs: s.pr.Payoffs}
 	s.epoch++
 	s.refreshStateLocked()
-	rep, err := s.solveLocked(s.pr)
-	if err == nil {
-		s.answers.file(queryCacheKey, rep)
-	}
-	return rep, err
+	return s.solveLocked(s.pr, true)
 }
