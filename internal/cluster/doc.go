@@ -16,10 +16,10 @@
 // mutate capacities in place — the committed capacity and bound state
 // is fully derivable from it), and the carried lp.Basis exported to
 // its serialized form. Rebuilding replays none of the history: the
-// receiver decodes the platform, builds a fresh model, primes the
-// solver for a foreign basis (lp.Revised.PrimeWarm), installs the
-// imported basis and re-solves — one warm dual-simplex restart,
-// typically zero pivots, zero cold solves.
+// receiver decodes the platform, builds a fresh model, installs the
+// imported basis and re-solves the committed answer on the canonical
+// footing every committed solve starts from (lp.Revised.Rebase) — one
+// warm dual-simplex restart, typically zero pivots, zero cold solves.
 //
 // The wire form (SnapshotVersion 3) is a frame — a magic line, the
 // format version, the hex sha256 of the body bytes exactly as sent —

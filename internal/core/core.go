@@ -259,193 +259,33 @@ func (pr *Problem) CheckAllocation(a *Allocation, tol float64) error {
 // Pair identifies a (source application, target cluster) route.
 type Pair struct{ K, L int }
 
-// RelaxedSolution is the rational-relaxation optimum (the paper's
-// "LP" comparator, an upper bound on the mixed-integer optimum).
-// BetaFrac[k][l] is the fractional connection count β̃_{k,l}
-// associated with the α solution: the fixed integer for routes pinned
-// via fixedBeta, or α̃_{k,l}/bw_min(k,l) for free remote routes.
-type RelaxedSolution struct {
-	Alpha     [][]float64
-	BetaFrac  [][]float64
-	Objective float64
-}
-
-// Relaxed solves the rational relaxation of linear program (7) in
-// reduced α-space (see DESIGN.md: with β relaxed, the optimal choice
-// is β_{k,l} = α_{k,l}/bw_min(k,l), collapsing (7d)+(7e) into
-// per-link constraints on α). fixedBeta optionally pins integer
-// connection counts on specific routes (used by LPRR): a pinned route
-// contributes its integer count to every link budget on its path and
-// caps its α at count·bw_min. Returns ok=false when the constraints
-// (with pins) are infeasible.
-func (pr *Problem) Relaxed(obj Objective, fixedBeta map[Pair]int) (*RelaxedSolution, bool, error) {
+// Relaxed solves the rational relaxation of linear program (7) in the
+// α-space encoding: β is eliminated, collapsing (7d)+(7e) into one row
+// per backbone link over α (see addAlphaLinkRows for the argument), and
+// the solution's Beta is the α/bw_min that elimination implies. Returns
+// ok=false when the solver reports the constraints infeasible.
+func (pr *Problem) Relaxed(obj Objective) (*RelaxedSolution, bool, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, false, err
 	}
-	K := pr.K()
-	pl := pr.Platform
-
-	varIdx := make(map[Pair]int)
-	var vars []Pair
-	for k := 0; k < K; k++ {
-		for l := 0; l < K; l++ {
-			if k != l && !pl.Route(k, l).Exists {
-				continue
-			}
-			varIdx[Pair{k, l}] = len(vars)
-			vars = append(vars, Pair{k, l})
-		}
-	}
-	nv := len(vars)
-	tVar := -1
-	total := nv
+	lay := pr.alphaLayout()
+	n := len(lay.vars)
 	if obj == MAXMIN {
-		tVar = nv
-		total = nv + 1
+		n++ // the level t
 	}
-	prob := lp.New(total)
-
-	switch obj {
-	case SUM:
-		for i, v := range vars {
-			prob.SetObjective(i, pr.Payoffs[v.K])
-		}
-	case MAXMIN:
-		prob.SetObjective(tVar, 1)
-		any := false
-		for k := 0; k < K; k++ {
-			if pr.Payoffs[k] <= 0 {
-				continue
-			}
-			any = true
-			terms := []lp.Term{{Var: tVar, Coeff: 1}}
-			for l := 0; l < K; l++ {
-				if idx, ok := varIdx[Pair{k, l}]; ok {
-					terms = append(terms, lp.Term{Var: idx, Coeff: -pr.Payoffs[k]})
-				}
-			}
-			prob.AddConstraint(terms, lp.LE, 0)
-		}
-		if !any {
-			return nil, false, fmt.Errorf("core: MAXMIN objective with no positive payoff")
-		}
-	default:
-		return nil, false, fmt.Errorf("core: unknown objective %v", obj)
+	prob := lp.New(n)
+	if err := pr.addObjective(prob, lay, obj); err != nil {
+		return nil, false, err
 	}
-
-	// (7b) speed constraints.
-	for l := 0; l < K; l++ {
-		var terms []lp.Term
-		for k := 0; k < K; k++ {
-			if idx, ok := varIdx[Pair{k, l}]; ok {
-				terms = append(terms, lp.Term{Var: idx, Coeff: 1})
-			}
-		}
-		if len(terms) > 0 {
-			prob.AddConstraint(terms, lp.LE, pl.Clusters[l].Speed)
-		}
-	}
-	// (7c) gateway constraints.
-	for k := 0; k < K; k++ {
-		var terms []lp.Term
-		for l := 0; l < K; l++ {
-			if l == k {
-				continue
-			}
-			if idx, ok := varIdx[Pair{k, l}]; ok {
-				terms = append(terms, lp.Term{Var: idx, Coeff: 1})
-			}
-			if idx, ok := varIdx[Pair{l, k}]; ok {
-				terms = append(terms, lp.Term{Var: idx, Coeff: 1})
-			}
-		}
-		if len(terms) > 0 {
-			prob.AddConstraint(terms, lp.LE, pl.Clusters[k].Gateway)
-		}
-	}
-	// (7d)+(7e) merged per link: free routes consume α/bw_min
-	// connection-equivalents; pinned routes consume their integer
-	// count outright and keep an explicit (7e) cap.
-	linkUse := make([][]lp.Term, len(pl.Links))
-	linkCap := make([]float64, len(pl.Links))
-	for li, l := range pl.Links {
-		linkCap[li] = float64(l.MaxConnect)
-	}
-	for _, v := range vars {
-		if v.K == v.L {
-			continue
-		}
-		rt := pl.Route(v.K, v.L)
-		if fixed, ok := fixedBeta[v]; ok {
-			if fixed < 0 {
-				return nil, false, fmt.Errorf("core: fixed β_{%d,%d} = %d < 0", v.K, v.L, fixed)
-			}
-			for _, li := range rt.Links {
-				linkCap[li] -= float64(fixed)
-			}
-			capV := float64(fixed) * rt.MinBW
-			if math.IsInf(capV, 1) {
-				continue // same-router pinned route: unconstrained by (7e)
-			}
-			prob.AddConstraint([]lp.Term{{Var: varIdx[v], Coeff: 1}}, lp.LE, capV)
-			continue
-		}
-		if rt.MinBW <= 0 || math.IsInf(rt.MinBW, 1) {
-			// MinBW is +Inf only for same-router clusters: no backbone
-			// link is crossed, so no (7d)/(7e) constraint applies.
-			continue
-		}
-		inv := 1.0 / rt.MinBW
-		for _, li := range rt.Links {
-			linkUse[li] = append(linkUse[li], lp.Term{Var: varIdx[v], Coeff: inv})
-		}
-	}
-	for li := range pl.Links {
-		if linkCap[li] < 0 {
-			return nil, false, nil // pinned connections alone exceed a budget
-		}
-		if len(linkUse[li]) > 0 {
-			prob.AddConstraint(linkUse[li], lp.LE, linkCap[li])
-		}
-	}
-	for pair := range fixedBeta {
-		if _, ok := varIdx[pair]; !ok || pair.K == pair.L {
-			return nil, false, fmt.Errorf("core: fixed β on nonexistent or local route (%d,%d)", pair.K, pair.L)
-		}
-	}
+	pr.addClusterRows(prob, lay)
+	pr.addAlphaLinkRows(prob, lay)
 
 	sol, err := prob.Solve()
 	if err != nil {
 		return nil, false, err
 	}
-	switch sol.Status {
-	case lp.Infeasible:
-		return nil, false, nil
-	case lp.Unbounded:
-		return nil, false, fmt.Errorf("core: relaxation unbounded (model bug)")
+	if ok, err := verdict(sol); !ok {
+		return nil, false, err
 	}
-
-	out := &RelaxedSolution{Objective: sol.Objective}
-	out.Alpha = make([][]float64, K)
-	out.BetaFrac = make([][]float64, K)
-	for k := 0; k < K; k++ {
-		out.Alpha[k] = make([]float64, K)
-		out.BetaFrac[k] = make([]float64, K)
-	}
-	for pair, idx := range varIdx {
-		a := sol.X[idx]
-		if a < 0 {
-			a = 0
-		}
-		out.Alpha[pair.K][pair.L] = a
-		if pair.K == pair.L {
-			continue
-		}
-		if fixed, ok := fixedBeta[pair]; ok {
-			out.BetaFrac[pair.K][pair.L] = float64(fixed)
-		} else if bw := pl.RouteBW(pair.K, pair.L); bw > 0 && !math.IsInf(bw, 1) {
-			out.BetaFrac[pair.K][pair.L] = a / bw
-		}
-	}
-	return out, true, nil
+	return pr.alphaSpaceSolution(lay, sol), true, nil
 }

@@ -207,7 +207,7 @@ func TestRelaxedTwoClusterSUM(t *testing.T) {
 	// speed (100+100); remote shipping cannot add anything (speeds
 	// saturated), so SUM = 200.
 	pr := NewProblem(twoClusters(100, 100, 50, 50, 10, 3))
-	sol, ok, err := pr.Relaxed(SUM, nil)
+	sol, ok, err := pr.Relaxed(SUM)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -222,7 +222,7 @@ func TestRelaxedAsymmetric(t *testing.T) {
 	// gateways 50 each. App 0 can ship min(30, 50, 100) = 30.
 	pr := NewProblem(twoClusters(0, 100, 50, 50, 10, 3))
 	pr.Payoffs = []float64{1, 0}
-	sol, ok, err := pr.Relaxed(SUM, nil)
+	sol, ok, err := pr.Relaxed(SUM)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -232,8 +232,8 @@ func TestRelaxedAsymmetric(t *testing.T) {
 	if math.Abs(sol.Alpha[0][1]-30) > 1e-6 {
 		t.Fatalf("α_{0,1} = %g, want 30", sol.Alpha[0][1])
 	}
-	if math.Abs(sol.BetaFrac[0][1]-3) > 1e-6 {
-		t.Fatalf("β̃_{0,1} = %g, want 3", sol.BetaFrac[0][1])
+	if math.Abs(sol.Beta[0][1]-3) > 1e-6 {
+		t.Fatalf("β̃_{0,1} = %g, want 3", sol.Beta[0][1])
 	}
 }
 
@@ -241,7 +241,7 @@ func TestRelaxedMAXMINFairness(t *testing.T) {
 	// Symmetric two-cluster platform with equal payoffs: MAXMIN
 	// optimum gives both apps their local speed: min = 100.
 	pr := NewProblem(twoClusters(100, 100, 50, 50, 10, 3))
-	sol, ok, err := pr.Relaxed(MAXMIN, nil)
+	sol, ok, err := pr.Relaxed(MAXMIN)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -257,7 +257,7 @@ func TestRelaxedMAXMINPayoffWeighting(t *testing.T) {
 	// 0 computes 65 locally: min(2*65, 130) = 130.
 	pr := NewProblem(twoClusters(100, 100, 50, 50, 10, 3))
 	pr.Payoffs = []float64{2, 1}
-	sol, ok, err := pr.Relaxed(MAXMIN, nil)
+	sol, ok, err := pr.Relaxed(MAXMIN)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -269,46 +269,8 @@ func TestRelaxedMAXMINPayoffWeighting(t *testing.T) {
 func TestRelaxedMAXMINNeedsPositivePayoff(t *testing.T) {
 	pr := NewProblem(twoClusters(100, 100, 50, 50, 10, 3))
 	pr.Payoffs = []float64{0, 0}
-	if _, _, err := pr.Relaxed(MAXMIN, nil); err == nil {
+	if _, _, err := pr.Relaxed(MAXMIN); err == nil {
 		t.Fatal("MAXMIN with all-zero payoffs must error")
-	}
-}
-
-func TestRelaxedWithFixedBeta(t *testing.T) {
-	// Pin β_{0,1} = 1: app 0 can ship at most bw 10 even though the
-	// relaxation would use 3 connections.
-	pr := NewProblem(twoClusters(0, 100, 50, 50, 10, 3))
-	pr.Payoffs = []float64{1, 0}
-	sol, ok, err := pr.Relaxed(SUM, map[Pair]int{{0, 1}: 1})
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if math.Abs(sol.Objective-10) > 1e-6 {
-		t.Fatalf("objective = %g, want 10", sol.Objective)
-	}
-	if sol.BetaFrac[0][1] != 1 {
-		t.Fatalf("pinned β̃ = %g", sol.BetaFrac[0][1])
-	}
-}
-
-func TestRelaxedFixedBetaOverBudgetInfeasible(t *testing.T) {
-	pr := NewProblem(twoClusters(0, 100, 50, 50, 10, 3))
-	_, ok, err := pr.Relaxed(SUM, map[Pair]int{{0, 1}: 4}) // maxcon 3
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("pinning 4 connections on a 3-connection link must be infeasible")
-	}
-}
-
-func TestRelaxedFixedBetaBadRoute(t *testing.T) {
-	pr := NewProblem(twoClusters(0, 100, 50, 50, 10, 3))
-	if _, _, err := pr.Relaxed(SUM, map[Pair]int{{1, 1}: 1}); err == nil {
-		t.Fatal("pinning a diagonal/nonexistent route must error")
-	}
-	if _, _, err := pr.Relaxed(SUM, map[Pair]int{{0, 1}: -1}); err == nil {
-		t.Fatal("negative pin must error")
 	}
 }
 
@@ -319,8 +281,8 @@ func TestMixedRelaxedAgreesWithReduced(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		pr := randomProblem(seed, 8)
 		for _, obj := range []Objective{SUM, MAXMIN} {
-			red, ok1, err1 := pr.Relaxed(obj, nil)
-			mix, ok2, err2 := pr.MixedRelaxed(obj, nil)
+			red, ok1, err1 := pr.Relaxed(obj)
+			mix, ok2, err2 := solveBoxed(pr, obj, nil)
 			if err1 != nil || err2 != nil || !ok1 || !ok2 {
 				t.Fatalf("seed %d %v: ok=(%v,%v) err=(%v,%v)", seed, obj, ok1, ok2, err1, err2)
 			}
@@ -332,10 +294,26 @@ func TestMixedRelaxedAgreesWithReduced(t *testing.T) {
 	}
 }
 
+// solveBoxed cold-solves the explicit (α, β) relaxation on a fresh
+// Model under the given β boxes.
+func solveBoxed(pr *Problem, obj Objective, boxes map[Pair]BetaBounds) (*RelaxedSolution, bool, error) {
+	m, err := pr.NewModel(obj)
+	if err != nil {
+		return nil, false, err
+	}
+	for p, b := range boxes {
+		if err := m.SetBounds(p, b); err != nil {
+			return nil, false, err
+		}
+	}
+	sol, _, ok, err := m.Solve(nil)
+	return sol, ok, err
+}
+
 func TestMixedRelaxedBoundsBind(t *testing.T) {
 	pr := NewProblem(twoClusters(0, 100, 50, 50, 10, 3))
 	pr.Payoffs = []float64{1, 0}
-	sol, ok, err := pr.MixedRelaxed(SUM, map[Pair]BetaBounds{{0, 1}: {Lb: 0, Ub: 2}})
+	sol, ok, err := solveBoxed(pr, SUM, map[Pair]BetaBounds{{0, 1}: {Lb: 0, Ub: 2}})
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -343,7 +321,7 @@ func TestMixedRelaxedBoundsBind(t *testing.T) {
 		t.Fatalf("objective with β≤2 = %g, want 20", sol.Objective)
 	}
 	// Lower bound alone must not change the optimum (β=3 is optimal).
-	sol2, ok, err := pr.MixedRelaxed(SUM, map[Pair]BetaBounds{{0, 1}: {Lb: 2, Ub: -1}})
+	sol2, ok, err := solveBoxed(pr, SUM, map[Pair]BetaBounds{{0, 1}: {Lb: 2, Ub: -1}})
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -354,32 +332,36 @@ func TestMixedRelaxedBoundsBind(t *testing.T) {
 
 func TestMixedRelaxedBadBounds(t *testing.T) {
 	pr := NewProblem(twoClusters(0, 100, 50, 50, 10, 3))
-	if _, _, err := pr.MixedRelaxed(SUM, map[Pair]BetaBounds{{0, 0}: {}}); err == nil {
+	if _, _, err := solveBoxed(pr, SUM, map[Pair]BetaBounds{{0, 0}: {}}); err == nil {
 		t.Fatal("bounds on a route without β variable must error")
 	}
 }
 
 func TestMostFractional(t *testing.T) {
-	m := &MixedSolution{Beta: map[Pair]float64{
-		{0, 1}: 2.0,
-		{1, 0}: 1.4,
-		{1, 2}: 0.5,
+	// Zero cells are routes without a β variable (diagonal, missing
+	// route, same router): integral, never a branching candidate.
+	m := &RelaxedSolution{Beta: [][]float64{
+		{0, 2.0, 0},
+		{1.4, 0, 0.5},
+		{0, 0, 0},
 	}}
 	p, ok := m.MostFractional(1e-6)
 	if !ok || p != (Pair{1, 2}) {
 		t.Fatalf("got %v ok=%v, want {1 2}", p, ok)
 	}
-	m.Beta = map[Pair]float64{{0, 1}: 3.0000000001}
+	// Two equally fractional routes: the first in row-major order wins.
+	m.Beta = [][]float64{
+		{0, 3.0, 1.25},
+		{0, 0, 0},
+		{2.75, 0.25, 0},
+	}
+	p, ok = m.MostFractional(1e-6)
+	if !ok || p != (Pair{0, 2}) {
+		t.Fatalf("tie: got %v ok=%v, want {0 2}", p, ok)
+	}
+	m.Beta = [][]float64{{0, 3.0000000001}, {0, 0}}
 	if _, ok := m.MostFractional(1e-6); ok {
 		t.Fatal("near-integral β must report none")
-	}
-}
-
-func TestRemoteRoutes(t *testing.T) {
-	pr := NewProblem(twoClusters(100, 100, 50, 50, 10, 3))
-	rr := pr.RemoteRoutes()
-	if len(rr) != 2 || rr[0] != (Pair{0, 1}) || rr[1] != (Pair{1, 0}) {
-		t.Fatalf("remote routes = %v", rr)
 	}
 }
 
@@ -401,7 +383,7 @@ func TestCloneAllocation(t *testing.T) {
 func TestPropertyRelaxedSolutionSatisfiesRelaxedConstraints(t *testing.T) {
 	prop := func(seed int64) bool {
 		pr := randomProblem(seed, 8)
-		sol, ok, err := pr.Relaxed(SUM, nil)
+		sol, ok, err := pr.Relaxed(SUM)
 		if err != nil || !ok {
 			return false
 		}
@@ -433,11 +415,11 @@ func TestPropertyRelaxedSolutionSatisfiesRelaxedConstraints(t *testing.T) {
 		use := make([]float64, len(pl.Links))
 		for k := 0; k < K; k++ {
 			for l := 0; l < K; l++ {
-				if k == l || sol.BetaFrac[k][l] == 0 {
+				if k == l || sol.Beta[k][l] == 0 {
 					continue
 				}
 				for _, li := range pl.Route(k, l).Links {
-					use[li] += sol.BetaFrac[k][l]
+					use[li] += sol.Beta[k][l]
 				}
 			}
 		}
@@ -458,8 +440,8 @@ func TestPropertyRelaxedSolutionSatisfiesRelaxedConstraints(t *testing.T) {
 func TestPropertyMAXMINLeqSUM(t *testing.T) {
 	prop := func(seed int64) bool {
 		pr := randomProblem(seed, 7)
-		mm, ok1, err1 := pr.Relaxed(MAXMIN, nil)
-		sm, ok2, err2 := pr.Relaxed(SUM, nil)
+		mm, ok1, err1 := pr.Relaxed(MAXMIN)
+		sm, ok2, err2 := pr.Relaxed(SUM)
 		if err1 != nil || err2 != nil || !ok1 || !ok2 {
 			return false
 		}
@@ -474,7 +456,7 @@ func BenchmarkRelaxedSUMK15(b *testing.B) {
 	pr := randomProblem(5, 15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pr.Relaxed(SUM, nil); err != nil {
+		if _, _, err := pr.Relaxed(SUM); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -484,7 +466,7 @@ func BenchmarkRelaxedMAXMINK15(b *testing.B) {
 	pr := randomProblem(5, 15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pr.Relaxed(MAXMIN, nil); err != nil {
+		if _, _, err := pr.Relaxed(MAXMIN); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"repro/internal/lp"
-)
-
-var errUnbounded = errors.New("core: mixed relaxation unbounded (model bug)")
+import "repro/internal/lp"
 
 // Fork returns a second solve context over the same program in
 // O(rows + nonzeros) — no pivots, no refactorization. The receiver must
@@ -42,11 +36,11 @@ func (m *Model) Fork() (*Model, error) {
 func (m *Model) AbsorbSolverStats(s lp.Stats) { m.rev.AbsorbStats(s) }
 
 // SolveBound is SolveEphemeral for callers that need only the verdict
-// and the relaxation bound — the batched what-if path, whose reports
-// carry no per-route α/β maps. It skips the MixedSolution extraction
-// entirely: feasible=false reports an infeasible bound set (crossed
-// box or simplex verdict), and err a solver failure or an unbounded
-// relaxation (a model bug).
+// and the relaxation bound — a batched what-if, whose report carries no
+// per-route tables, or the lpBound beside a heuristic answer. It skips
+// the solution extraction entirely: feasible=false reports an
+// infeasible bound set (crossed box or simplex verdict), and err a
+// solver failure or an unbounded relaxation (a model bug).
 func (m *Model) SolveBound(from *lp.Basis) (bound float64, feasible bool, err error) {
 	if m.numCrossed > 0 {
 		return 0, false, nil
@@ -55,11 +49,8 @@ func (m *Model) SolveBound(from *lp.Basis) (bound float64, feasible bool, err er
 	if err != nil {
 		return 0, false, err
 	}
-	switch sol.Status {
-	case lp.Infeasible:
-		return 0, false, nil
-	case lp.Unbounded:
-		return 0, false, errUnbounded
+	if ok, err := verdict(sol); !ok {
+		return 0, false, err
 	}
 	return sol.Objective, true, nil
 }

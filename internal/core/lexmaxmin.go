@@ -113,106 +113,30 @@ func allFixedExcept(fixed []bool, k int) []bool {
 // application's payoff (the stuck test). Returns the optimum and the
 // α matrix attaining it.
 func (pr *Problem) lexRound(fixed []bool, levels []float64, soloApp int) (float64, [][]float64, error) {
-	K := pr.K()
-	pl := pr.Platform
-
-	varIdx := make(map[Pair]int)
-	var vars []Pair
-	for k := 0; k < K; k++ {
-		for l := 0; l < K; l++ {
-			if k != l && !pl.Route(k, l).Exists {
-				continue
-			}
-			varIdx[Pair{k, l}] = len(vars)
-			vars = append(vars, Pair{k, l})
-		}
-	}
-	nv := len(vars)
-	tVar := nv
-	prob := lp.New(nv + 1)
-
-	appTerms := func(k int, coeff float64) []lp.Term {
-		var terms []lp.Term
-		for l := 0; l < K; l++ {
-			if idx, ok := varIdx[Pair{k, l}]; ok {
-				terms = append(terms, lp.Term{Var: idx, Coeff: coeff})
-			}
-		}
-		return terms
-	}
-
+	lay := pr.alphaLayout()
+	prob := lp.New(len(lay.vars) + 1)
+	prob.SetObjective(len(lay.vars), 1) // maximize the level t
 	if soloApp >= 0 {
-		prob.SetObjective(tVar, 1)
 		// t <= π_solo·α_solo, maximize t (equivalently maximize the
 		// solo payoff, but keeps the objective uniform).
-		terms := append([]lp.Term{{Var: tVar, Coeff: 1}}, appTerms(soloApp, -pr.Payoffs[soloApp])...)
-		prob.AddConstraint(terms, lp.LE, 0)
+		pr.addLevelRow(prob, lay, soloApp)
 	} else {
-		prob.SetObjective(tVar, 1)
-		for k := 0; k < K; k++ {
-			if fixed[k] || pr.Payoffs[k] <= 0 {
-				continue
+		for k := range pr.Payoffs {
+			if !fixed[k] && pr.Payoffs[k] > 0 {
+				pr.addLevelRow(prob, lay, k)
 			}
-			terms := append([]lp.Term{{Var: tVar, Coeff: 1}}, appTerms(k, -pr.Payoffs[k])...)
-			prob.AddConstraint(terms, lp.LE, 0)
 		}
 	}
 	// Floors for fixed applications.
-	for k := 0; k < K; k++ {
+	for k := range pr.Payoffs {
 		if !fixed[k] || pr.Payoffs[k] <= 0 || levels[k] <= 0 {
 			continue
 		}
-		prob.AddConstraint(appTerms(k, pr.Payoffs[k]), lp.GE, levels[k])
+		prob.AddConstraint(lay.appTerms(nil, k, pr.Payoffs[k]), lp.GE, levels[k])
 	}
-
 	// Platform constraints (7b), (7c), (7d)+(7e) in α-space.
-	for l := 0; l < K; l++ {
-		var terms []lp.Term
-		for k := 0; k < K; k++ {
-			if idx, ok := varIdx[Pair{k, l}]; ok {
-				terms = append(terms, lp.Term{Var: idx, Coeff: 1})
-			}
-		}
-		if len(terms) > 0 {
-			prob.AddConstraint(terms, lp.LE, pl.Clusters[l].Speed)
-		}
-	}
-	for k := 0; k < K; k++ {
-		var terms []lp.Term
-		for l := 0; l < K; l++ {
-			if l == k {
-				continue
-			}
-			if idx, ok := varIdx[Pair{k, l}]; ok {
-				terms = append(terms, lp.Term{Var: idx, Coeff: 1})
-			}
-			if idx, ok := varIdx[Pair{l, k}]; ok {
-				terms = append(terms, lp.Term{Var: idx, Coeff: 1})
-			}
-		}
-		if len(terms) > 0 {
-			prob.AddConstraint(terms, lp.LE, pl.Clusters[k].Gateway)
-		}
-	}
-	linkUse := make([][]lp.Term, len(pl.Links))
-	for _, v := range vars {
-		if v.K == v.L {
-			continue
-		}
-		rt := pl.Route(v.K, v.L)
-		if rt.MinBW <= 0 || math.IsInf(rt.MinBW, 1) {
-			continue
-		}
-		inv := 1.0 / rt.MinBW
-		for _, li := range rt.Links {
-			linkUse[li] = append(linkUse[li], lp.Term{Var: varIdx[v], Coeff: inv})
-		}
-	}
-	for li := range pl.Links {
-		if len(linkUse[li]) > 0 {
-			prob.AddConstraint(linkUse[li], lp.LE, float64(pl.Links[li].MaxConnect))
-		}
-	}
+	pr.addClusterRows(prob, lay)
+	pr.addAlphaLinkRows(prob, lay)
 
 	sol, err := prob.Solve()
 	if err != nil {
@@ -221,16 +145,5 @@ func (pr *Problem) lexRound(fixed []bool, levels []float64, soloApp int) (float6
 	if sol.Status != lp.Optimal {
 		return 0, nil, fmt.Errorf("core: lexicographic round %v (floors should always be feasible)", sol.Status)
 	}
-	alpha := make([][]float64, K)
-	for k := 0; k < K; k++ {
-		alpha[k] = make([]float64, K)
-	}
-	for pair, idx := range varIdx {
-		v := sol.X[idx]
-		if v < 0 {
-			v = 0
-		}
-		alpha[pair.K][pair.L] = v
-	}
-	return sol.Objective, alpha, nil
+	return sol.Objective, pr.alphaSpaceSolution(lay, sol).Alpha, nil
 }

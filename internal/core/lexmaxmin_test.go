@@ -10,7 +10,7 @@ import (
 
 func TestLexMaxMinSymmetricEqualsMAXMIN(t *testing.T) {
 	pr := NewProblem(twoClusters(100, 100, 50, 50, 10, 3))
-	mm, ok, err := pr.Relaxed(MAXMIN, nil)
+	mm, ok, err := pr.Relaxed(MAXMIN)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -30,7 +30,7 @@ func TestLexMaxMinRefinesMAXMIN(t *testing.T) {
 	// interconnect. Plain MAXMIN pins everyone at the worst level;
 	// lexicographic lets app 1 rise above it.
 	pr := NewProblem(twoClusters(30, 200, 20, 20, 5, 1))
-	mm, ok, err := pr.Relaxed(MAXMIN, nil)
+	mm, ok, err := pr.Relaxed(MAXMIN)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -96,7 +96,7 @@ func TestLexMaxMinThreeTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := NewProblem(p)
-	mm, ok, err := pr.Relaxed(MAXMIN, nil)
+	mm, ok, err := pr.Relaxed(MAXMIN)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -124,7 +124,7 @@ func TestLexMaxMinThreeTier(t *testing.T) {
 func TestLexMaxMinRandomPlatformsConsistency(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		pr := randomProblem(seed, 6)
-		mm, ok, err := pr.Relaxed(MAXMIN, nil)
+		mm, ok, err := pr.Relaxed(MAXMIN)
 		if err != nil || !ok {
 			t.Fatalf("seed %d: ok=%v err=%v", seed, ok, err)
 		}

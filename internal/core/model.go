@@ -7,15 +7,16 @@ import (
 	"repro/internal/lp"
 )
 
-// Model is a reusable handle on the explicit (α, β) rational
-// relaxation of program (7). Where Relaxed/MixedRelaxed build a
-// one-shot lp.Problem per call, a Model is built once per
-// (problem, objective) pair and then re-solved many times under
-// mutated per-route β bounds: every β variable carries native
-// [lb, ub] bounds that SetBounds mutates in place through
-// lp.Problem.SetVarBounds — no bound rows, so branching and pinning
-// never grow the constraint matrix. Because bound changes (like RHS
-// changes) leave every reduced cost intact, each re-solve can
+// Model is a reusable handle on the explicit (α, β) encoding of program
+// (7)'s rational relaxation: the rows of Relaxed's α-space encoding,
+// with β kept as columns under (7d) and (7e) instead of eliminated (see
+// addAlphaLinkRows). Where Relaxed builds a one-shot lp.Problem per
+// call, a Model is built once per (problem, objective) pair and then
+// re-solved many times under mutated per-route β bounds: every β
+// variable carries native [lb, ub] bounds that SetBounds mutates in
+// place through lp.Problem.SetVarBounds — no bound rows, so branching
+// and pinning never grow the constraint matrix. Because bound changes
+// (like RHS changes) leave every reduced cost intact, each re-solve can
 // warm-start the revised simplex from a previous optimal basis
 // (lp.Revised's dual-simplex restart) — the engine behind the exact
 // branch-and-bound solver's node relaxations and LPRR's pin sequence.
@@ -40,10 +41,9 @@ type Model struct {
 	prob *lp.Problem
 	rev  *lp.Revised
 
-	alphaIdx map[Pair]int
-	betaIdx  map[Pair]int
-	betaVars []Pair       // row-major order
-	betaOrd  map[Pair]int // route → ordinal into the per-β slices below
+	alphaVars []Pair       // LP column i carries α of alphaVars[i]
+	betaVars  []Pair       // row-major order
+	betaOrd   map[Pair]int // route → ordinal into the per-β slices below
 
 	// Per-β-route mutable state, indexed by the betaVars ordinal —
 	// slices, not maps, because ResetBounds and the per-epoch
@@ -61,163 +61,81 @@ type Model struct {
 	linkRoutes [][]int32 // β ordinals whose route crosses each link
 }
 
+// BetaBounds carries bounds for one route's β variable — a
+// branch-and-bound node's, an LPRR pin's, a what-if's box. Ub < 0 means
+// unbounded above.
+type BetaBounds struct {
+	Lb float64
+	Ub float64
+}
+
 // NewModel validates the problem and builds the α/β relaxation with
 // native mutable β bounds, all starting at [0, natural cap]. The
 // natural cap of route p is the smallest max-connect budget among the
 // links its path crosses — already implied by (7d), so the default
-// bounds leave the relaxation exactly equivalent to MixedRelaxed with
-// no bounds.
+// bounds leave the relaxation exactly program (7)'s.
 func (pr *Problem) NewModel(obj Objective) (*Model, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
-	K := pr.K()
 	pl := pr.Platform
-	m := &Model{
-		pr:       pr,
-		obj:      obj,
-		alphaIdx: make(map[Pair]int),
-		betaIdx:  make(map[Pair]int),
-		betaOrd:  make(map[Pair]int),
-	}
+	lay := pr.alphaLayout()
+	m := &Model{pr: pr, obj: obj, alphaVars: lay.vars, betaOrd: make(map[Pair]int)}
 
-	var order []Pair
-	for k := 0; k < K; k++ {
-		for l := 0; l < K; l++ {
-			if k != l && !pl.Route(k, l).Exists {
-				continue
-			}
-			order = append(order, Pair{k, l})
-		}
-	}
-	n := 0
-	for _, p := range order {
-		m.alphaIdx[p] = n
-		n++
-	}
-	for _, p := range order {
-		if p.K == p.L {
+	// Columns: α by the shared layout, then one β per route that
+	// crosses a backbone link (local and same-router routes open no
+	// connection), then MAXMIN's level t.
+	n := len(lay.vars)
+	for _, p := range lay.vars {
+		if len(pl.Route(p.K, p.L).Links) == 0 {
 			continue
 		}
-		rt := pl.Route(p.K, p.L)
-		if len(rt.Links) == 0 {
-			continue // same-router: no backbone crossing, no β
-		}
-		m.betaIdx[p] = n
 		m.betaOrd[p] = len(m.betaVars)
 		m.betaVars = append(m.betaVars, p)
+		m.betaVarIdx = append(m.betaVarIdx, n)
 		n++
 	}
-	tVar := -1
 	if obj == MAXMIN {
-		tVar = n
 		n++
 	}
 	prob := lp.New(n)
+	if err := pr.addObjective(prob, lay, obj); err != nil {
+		return nil, err
+	}
+	m.speedRow, m.gatewayRow = pr.addClusterRows(prob, lay)
 
-	switch obj {
-	case SUM:
-		for p, idx := range m.alphaIdx {
-			prob.SetObjective(idx, pr.Payoffs[p.K])
-		}
-	case MAXMIN:
-		prob.SetObjective(tVar, 1)
-		any := false
-		for k := 0; k < K; k++ {
-			if pr.Payoffs[k] <= 0 {
-				continue
-			}
-			any = true
-			terms := []lp.Term{{Var: tVar, Coeff: 1}}
-			for l := 0; l < K; l++ {
-				if idx, ok := m.alphaIdx[Pair{k, l}]; ok {
-					terms = append(terms, lp.Term{Var: idx, Coeff: -pr.Payoffs[k]})
-				}
-			}
-			prob.AddConstraint(terms, lp.LE, 0)
-		}
-		if !any {
-			return nil, fmt.Errorf("core: MAXMIN objective with no positive payoff")
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown objective %v", obj)
-	}
-
-	// (7b) speed.
-	m.speedRow = make([]int, K)
-	for l := 0; l < K; l++ {
-		m.speedRow[l] = -1
-		var terms []lp.Term
-		for k := 0; k < K; k++ {
-			if idx, ok := m.alphaIdx[Pair{k, l}]; ok {
-				terms = append(terms, lp.Term{Var: idx, Coeff: 1})
-			}
-		}
-		if len(terms) > 0 {
-			m.speedRow[l] = prob.AddConstraint(terms, lp.LE, pl.Clusters[l].Speed)
-		}
-	}
-	// (7c) gateways.
-	m.gatewayRow = make([]int, K)
-	for k := 0; k < K; k++ {
-		m.gatewayRow[k] = -1
-		var terms []lp.Term
-		for l := 0; l < K; l++ {
-			if l == k {
-				continue
-			}
-			if idx, ok := m.alphaIdx[Pair{k, l}]; ok {
-				terms = append(terms, lp.Term{Var: idx, Coeff: 1})
-			}
-			if idx, ok := m.alphaIdx[Pair{l, k}]; ok {
-				terms = append(terms, lp.Term{Var: idx, Coeff: 1})
-			}
-		}
-		if len(terms) > 0 {
-			m.gatewayRow[k] = prob.AddConstraint(terms, lp.LE, pl.Clusters[k].Gateway)
-		}
-	}
 	// (7d) per-link connection budgets over β.
 	linkUse := make([][]lp.Term, len(pl.Links))
 	m.linkRoutes = make([][]int32, len(pl.Links))
 	for ord, p := range m.betaVars {
-		bIdx := m.betaIdx[p]
-		rt := pl.Route(p.K, p.L)
-		for _, li := range rt.Links {
-			linkUse[li] = append(linkUse[li], lp.Term{Var: bIdx, Coeff: 1})
+		for _, li := range pl.Route(p.K, p.L).Links {
+			linkUse[li] = append(linkUse[li], lp.Term{Var: m.betaVarIdx[ord], Coeff: 1})
 			m.linkRoutes[li] = append(m.linkRoutes[li], int32(ord))
 		}
 	}
 	m.linkRow = make([]int, len(pl.Links))
 	m.budget = make([]float64, len(pl.Links))
 	for li := range pl.Links {
-		m.linkRow[li] = -1
 		m.budget[li] = float64(pl.Links[li].MaxConnect)
-		if len(linkUse[li]) > 0 {
-			m.linkRow[li] = prob.AddConstraint(linkUse[li], lp.LE, m.budget[li])
-		}
+		m.linkRow[li] = addLE(prob, linkUse[li], m.budget[li])
 	}
 	// (7e) α_{k,l} − β_{k,l}·bw_min ≤ 0. Every β route crosses at
 	// least one backbone link (same-router routes, whose MinBW is +Inf,
 	// carry no β variable), so bw is finite here; the guard keeps ±Inf
 	// out of the LP even if that invariant is ever relaxed.
-	for _, p := range m.betaVars {
+	for ord, p := range m.betaVars {
 		bw := pl.Route(p.K, p.L).MinBW
 		if math.IsInf(bw, 1) {
 			continue
 		}
 		prob.AddConstraint([]lp.Term{
-			{Var: m.alphaIdx[p], Coeff: 1},
-			{Var: m.betaIdx[p], Coeff: -bw},
+			{Var: lay.col[p.K][p.L], Coeff: 1},
+			{Var: m.betaVarIdx[ord], Coeff: -bw},
 		}, lp.LE, 0)
 	}
 	// Mutable β bounds, [0, natural cap] each. The natural cap (min
 	// link budget over the path) is finite for the same reason.
 	m.prob = prob
-	m.betaVarIdx = make([]int, len(m.betaVars))
-	for ord, p := range m.betaVars {
-		m.betaVarIdx[ord] = m.betaIdx[p]
-	}
 	m.natural = make([]float64, len(m.betaVars))
 	m.curLb = make([]float64, len(m.betaVars))
 	m.curUb = make([]float64, len(m.betaVars))
@@ -245,14 +163,6 @@ func (m *Model) SolverStats() lp.Stats { return m.rev.Stats() }
 // headroom against.
 func (m *Model) WarmPivotBudget() int { return m.rev.WarmPivotBudget() }
 
-// PrimeWarm prepares this model's freshly built solver to accept an
-// imported basis warm (see lp.Revised.PrimeWarm): a scheduling
-// session rebuilt from a serialized snapshot on another replica calls
-// this before its first Solve so the restored basis restarts the dual
-// simplex instead of triggering a cold solve. A no-op once the model
-// has solved.
-func (m *Model) PrimeWarm() { m.rev.PrimeWarm() }
-
 // Rebase puts the solver on the canonical footing a snapshot-restored
 // model starts from (see lp.Revised.Rebase): identity row signs, no
 // live factorization, fresh pricing. A scheduling session calls this
@@ -263,8 +173,9 @@ func (m *Model) PrimeWarm() { m.rev.PrimeWarm() }
 // snapshot mid-history.
 func (m *Model) Rebase() { m.rev.Rebase() }
 
-// BetaVars lists the routes carrying a β variable in deterministic
-// row-major order — the same set RemoteRoutes reports.
+// BetaVars lists the routes carrying a β variable — every ordered pair
+// (k, l), k ≠ l, whose route exists and crosses at least one backbone
+// link — in row-major order.
 func (m *Model) BetaVars() []Pair {
 	out := make([]Pair, len(m.betaVars))
 	copy(out, m.betaVars)
@@ -415,7 +326,7 @@ func (m *Model) Rows() int { return m.prob.NumConstraints() }
 // ok=false reports infeasibility of the current bound set — found
 // either by the solver, or immediately when a route's lower bound
 // crossed its effective cap (an empty box needs no LP).
-func (m *Model) Solve(from *lp.Basis) (*MixedSolution, *lp.Basis, bool, error) {
+func (m *Model) Solve(from *lp.Basis) (*RelaxedSolution, *lp.Basis, bool, error) {
 	if m.numCrossed > 0 {
 		return nil, nil, false, nil
 	}
@@ -432,7 +343,7 @@ func (m *Model) Solve(from *lp.Basis) (*MixedSolution, *lp.Basis, bool, error) {
 // lp layer's per-solve basis snapshot and X allocation (the solution
 // is extracted from a scratch buffer before returning), and never
 // mutates `from`, so the caller's committed basis stays valid.
-func (m *Model) SolveEphemeral(from *lp.Basis) (*MixedSolution, bool, error) {
+func (m *Model) SolveEphemeral(from *lp.Basis) (*RelaxedSolution, bool, error) {
 	if m.numCrossed > 0 {
 		return nil, false, nil
 	}
@@ -446,7 +357,7 @@ func (m *Model) SolveEphemeral(from *lp.Basis) (*MixedSolution, bool, error) {
 // SolveWith runs a one-shot cold solve of the current bound set
 // through an explicit backend — the seam the tests use to check the
 // model's warm solves against the lptest oracle.
-func (m *Model) SolveWith(s lp.Solver) (*MixedSolution, bool, error) {
+func (m *Model) SolveWith(s lp.Solver) (*RelaxedSolution, bool, error) {
 	if m.numCrossed > 0 {
 		return nil, false, nil
 	}
@@ -457,32 +368,19 @@ func (m *Model) SolveWith(s lp.Solver) (*MixedSolution, bool, error) {
 	return m.extract(sol)
 }
 
-func (m *Model) extract(sol lp.Solution) (*MixedSolution, bool, error) {
-	switch sol.Status {
-	case lp.Infeasible:
-		return nil, false, nil
-	case lp.Unbounded:
-		return nil, false, fmt.Errorf("core: mixed relaxation unbounded (model bug)")
+// extract reads an optimum back by ordinal: α from the layout's
+// columns, β from each route's own.
+func (m *Model) extract(sol lp.Solution) (*RelaxedSolution, bool, error) {
+	if ok, err := verdict(sol); !ok {
+		return nil, false, err
 	}
-	K := m.pr.K()
-	out := &MixedSolution{Objective: sol.Objective, Beta: make(map[Pair]float64, len(m.betaIdx))}
-	out.Alpha = make([][]float64, K)
-	for k := 0; k < K; k++ {
-		out.Alpha[k] = make([]float64, K)
+	out := newRelaxedSolution(m.pr.K())
+	out.Objective = sol.Objective
+	for i, p := range m.alphaVars {
+		out.Alpha[p.K][p.L] = nonneg(sol.X[i])
 	}
-	for p, idx := range m.alphaIdx {
-		v := sol.X[idx]
-		if v < 0 {
-			v = 0
-		}
-		out.Alpha[p.K][p.L] = v
-	}
-	for p, idx := range m.betaIdx {
-		v := sol.X[idx]
-		if v < 0 {
-			v = 0
-		}
-		out.Beta[p] = v
+	for ord, p := range m.betaVars {
+		out.Beta[p.K][p.L] = nonneg(sol.X[m.betaVarIdx[ord]])
 	}
 	return out, true, nil
 }

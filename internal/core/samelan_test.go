@@ -37,7 +37,7 @@ func TestModelSameLAN(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("Solve(%v): ok=%v err=%v", obj, ok, err)
 		}
-		rs, ok, err := pr.Relaxed(obj, nil)
+		rs, ok, err := pr.Relaxed(obj)
 		if err != nil || !ok {
 			t.Fatalf("Relaxed(%v): ok=%v err=%v", obj, ok, err)
 		}

@@ -59,7 +59,7 @@ func TestRelaxedMatchesOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		pr := randomPlatformProblem(t, rng, 4+rng.Intn(5))
 		for _, obj := range []Objective{SUM, MAXMIN} {
-			rel, ok, err := pr.Relaxed(obj, nil)
+			rel, ok, err := pr.Relaxed(obj)
 			if err != nil || !ok {
 				t.Fatalf("seed %d: relaxed: ok=%v err=%v", seed, ok, err)
 			}
@@ -87,11 +87,13 @@ func TestRelaxedMatchesOracle(t *testing.T) {
 // branches and resets (lower bounds may cross the natural cap, which
 // the model reports infeasible without consulting the LP), and link-
 // budget drift moving the natural caps under persisting explicit bounds.
+// Each warm optimum must also satisfy (7e) route by route, α against
+// the β̃ extracted beside it.
 func TestModelWarmMatchesOracle(t *testing.T) {
-	type mutator func(rng *rand.Rand, m *Model, pr *Problem, last *MixedSolution, lastOK bool)
+	type mutator func(rng *rand.Rand, m *Model, pr *Problem, last *RelaxedSolution, lastOK bool)
 	branch := func() mutator {
 		var prev *Pair
-		return func(rng *rand.Rand, m *Model, _ *Problem, last *MixedSolution, lastOK bool) {
+		return func(rng *rand.Rand, m *Model, _ *Problem, last *RelaxedSolution, lastOK bool) {
 			if !lastOK && prev != nil {
 				// The previous branch emptied the feasible set: undo it
 				// and branch elsewhere.
@@ -101,7 +103,7 @@ func TestModelWarmMatchesOracle(t *testing.T) {
 			}
 			betas := m.BetaVars()
 			p := betas[rng.Intn(len(betas))]
-			v := math.Floor(last.Beta[p])
+			v := math.Floor(last.Beta[p.K][p.L])
 			b := BetaBounds{Lb: v + 1, Ub: -1}
 			if rng.Float64() < 0.5 {
 				b = BetaBounds{Lb: 0, Ub: v}
@@ -113,7 +115,7 @@ func TestModelWarmMatchesOracle(t *testing.T) {
 		}
 	}
 	boundSet := func() mutator {
-		return func(rng *rand.Rand, m *Model, _ *Problem, _ *MixedSolution, _ bool) {
+		return func(rng *rand.Rand, m *Model, _ *Problem, _ *RelaxedSolution, _ bool) {
 			m.ResetBounds()
 			for _, p := range m.BetaVars() {
 				var b BetaBounds
@@ -132,7 +134,7 @@ func TestModelWarmMatchesOracle(t *testing.T) {
 		}
 	}
 	pinBranchReset := func() mutator {
-		return func(rng *rand.Rand, m *Model, _ *Problem, _ *MixedSolution, _ bool) {
+		return func(rng *rand.Rand, m *Model, _ *Problem, _ *RelaxedSolution, _ bool) {
 			betas := m.BetaVars()
 			p := betas[rng.Intn(len(betas))]
 			var b BetaBounds
@@ -153,7 +155,7 @@ func TestModelWarmMatchesOracle(t *testing.T) {
 		}
 	}
 	linkBudgets := func() mutator {
-		return func(rng *rand.Rand, m *Model, pr *Problem, _ *MixedSolution, _ bool) {
+		return func(rng *rand.Rand, m *Model, pr *Problem, _ *RelaxedSolution, _ bool) {
 			if rng.Float64() < 0.5 {
 				betas := m.BetaVars()
 				p := betas[rng.Intn(len(betas))]
@@ -225,9 +227,59 @@ func TestModelWarmMatchesOracle(t *testing.T) {
 					if math.Abs(cold.Objective-ref.Objective) > tol {
 						t.Fatalf("seed %d step %d: cold %.12g, oracle %.12g", seed, step, cold.Objective, ref.Objective)
 					}
+					// (7e) on the solution as extracted: every β route's α
+					// fits under its own β̃ connections.
+					for _, p := range m.BetaVars() {
+						a, capA := warm.Alpha[p.K][p.L], warm.Beta[p.K][p.L]*pr.Platform.RouteBW(p.K, p.L)
+						if a > capA+1e-7*(1+capA) {
+							t.Fatalf("seed %d step %d: (7e) on route %v: α=%.12g > β̃·bw=%.12g", seed, step, p, a, capA)
+						}
+					}
 					last, basis = warm, wBasis
 				}
 			}
 		})
+	}
+}
+
+// TestRelaxedSolveAllocsIndependentOfK is the clock-free guard on what
+// every relaxed what-if pays to get its optimum out of the solver. A
+// warm SolveEphemeral allocates the solution — the struct, one block of
+// cells, the row headers sliced from it — and nothing per route, so the
+// count is the same small constant at K = 5 and K = 20.
+func TestRelaxedSolveAllocsIndependentOfK(t *testing.T) {
+	allocs := func(k int) float64 {
+		pr := randomPlatformProblem(t, rand.New(rand.NewSource(int64(k))), k)
+		m, err := pr.NewModel(MAXMIN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.BetaVars()) < k {
+			t.Fatalf("K=%d: only %d β routes, the guard needs the route count to grow with K", k, len(m.BetaVars()))
+		}
+		_, basis, ok, err := m.Solve(nil)
+		if err != nil || !ok {
+			t.Fatalf("K=%d: root solve: ok=%v err=%v", k, ok, err)
+		}
+		// Alternate two gateway capacities so every run is a real warm
+		// re-solve, not a zero-pivot repeat.
+		g, flip := pr.Platform.Clusters[0].Gateway, false
+		return testing.AllocsPerRun(20, func() {
+			flip = !flip
+			scale := 1.0
+			if flip {
+				scale = 0.5
+			}
+			if err := m.SetGateway(0, g*scale); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := m.SolveEphemeral(basis); err != nil || !ok {
+				t.Fatalf("K=%d: warm solve: ok=%v err=%v", k, ok, err)
+			}
+		})
+	}
+	small, large := allocs(5), allocs(20)
+	if small != large || small > 4 {
+		t.Fatalf("warm SolveEphemeral allocates %v objects at K=5 and %v at K=20, want the same count, at most 4", small, large)
 	}
 }

@@ -118,8 +118,10 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 			for k := range rel.Alpha {
 				copy(cand.Alpha[k], rel.Alpha[k])
 			}
-			for q, v := range rel.Beta {
-				cand.Beta[q.K][q.L] = int(math.Round(v))
+			for k, row := range rel.Beta {
+				for l, v := range row {
+					cand.Beta[k][l] = int(math.Round(v))
+				}
 			}
 			if err := pr.CheckAllocation(cand, core.DefaultTol); err != nil {
 				return nil, 0, nil, fmt.Errorf("heuristics: BnB produced an invalid candidate: %w", err)
@@ -132,8 +134,7 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 		}
 		// Branch: β_p <= floor  |  β_p >= floor+1. Entries absent from
 		// the bounds map mean [0, +inf), i.e. Lb=0, Ub=-1.
-		v := rel.Beta[p]
-		floor := math.Floor(v)
+		floor := math.Floor(rel.Beta[p.K][p.L])
 		down := cloneBounds(nd.bounds)
 		b := boundsOf(down, p)
 		if b.Ub < 0 || floor < b.Ub {

@@ -52,8 +52,10 @@ func oracleBranchAndBound(t *testing.T, pr *core.Problem, obj core.Objective, ma
 			for k := range rel.Alpha {
 				copy(cand.Alpha[k], rel.Alpha[k])
 			}
-			for q, v := range rel.Beta {
-				cand.Beta[q.K][q.L] = int(math.Round(v))
+			for k, row := range rel.Beta {
+				for l, v := range row {
+					cand.Beta[k][l] = int(math.Round(v))
+				}
 			}
 			if err := pr.CheckAllocation(cand, core.DefaultTol); err != nil {
 				t.Fatalf("oracle tree produced an invalid candidate: %v", err)
@@ -63,7 +65,7 @@ func oracleBranchAndBound(t *testing.T, pr *core.Problem, obj core.Objective, ma
 			}
 			continue
 		}
-		floor := math.Floor(rel.Beta[p])
+		floor := math.Floor(rel.Beta[p.K][p.L])
 		down := cloneBounds(bounds)
 		b := boundsOf(down, p)
 		if b.Ub < 0 || floor < b.Ub {

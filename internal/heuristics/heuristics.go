@@ -92,12 +92,9 @@ func Run(name Name, pr *core.Problem, obj core.Objective, rng *rand.Rand) (Resul
 // mixed-integer throughput, together with the time spent.
 func UpperBound(pr *core.Problem, obj core.Objective) (float64, time.Duration, error) {
 	start := time.Now()
-	rel, ok, err := pr.Relaxed(obj, nil)
+	rel, err := relax(pr, obj)
 	if err != nil {
 		return 0, 0, err
-	}
-	if !ok {
-		return 0, 0, fmt.Errorf("heuristics: relaxation infeasible (model bug)")
 	}
 	return rel.Objective, time.Since(start), nil
 }

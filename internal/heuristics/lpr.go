@@ -23,28 +23,39 @@ const snapEps = 1e-7
 // Routes whose path crosses no backbone link keep their α unchanged
 // (no connection constraint applies there).
 func LPR(pr *core.Problem, obj core.Objective) (*core.Allocation, error) {
-	rel, ok, err := pr.Relaxed(obj, nil)
+	rel, err := relax(pr, obj)
+	if err != nil {
+		return nil, err
+	}
+	alloc, _ := roundDown(pr, rel.Alpha)
+	return alloc, nil
+}
+
+// relax cold-solves pr's relaxation in α-space. The all-zero allocation
+// is always valid, so an infeasible verdict is a bug, not an answer.
+func relax(pr *core.Problem, obj core.Objective) (*core.RelaxedSolution, error) {
+	rel, ok, err := pr.Relaxed(obj)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("heuristics: relaxation infeasible on an unconstrained platform (model bug)")
 	}
-	alloc, _ := roundDown(pr, rel)
-	return alloc, nil
+	return rel, nil
 }
 
-// roundDown applies the LPR rounding to a relaxed solution and also
-// returns the residual platform capacity left over (consumed by the
-// greedy refinement of LPRG).
-func roundDown(pr *core.Problem, rel *core.RelaxedSolution) (*core.Allocation, *platform.Residual) {
+// roundDown applies the LPR rounding to a relaxed optimum's α, taking
+// β̃ = α̃/bw_min — the least connection count that carries α̃, whichever
+// encoding produced it — and also returns the residual platform
+// capacity left over (consumed by the greedy refinement of LPRG).
+func roundDown(pr *core.Problem, alpha [][]float64) (*core.Allocation, *platform.Residual) {
 	K := pr.K()
 	pl := pr.Platform
 	alloc := core.NewAllocation(K)
 	res := platform.NewResidual(pl)
 	for k := 0; k < K; k++ {
 		for l := 0; l < K; l++ {
-			a := rel.Alpha[k][l]
+			a := alpha[k][l]
 			if a <= 0 {
 				continue
 			}
@@ -63,7 +74,7 @@ func roundDown(pr *core.Problem, rel *core.RelaxedSolution) (*core.Allocation, *
 				// Same-router route: only gateways constrain it.
 				capA = a
 			} else {
-				beta = int(math.Floor(rel.BetaFrac[k][l] + snapEps))
+				beta = int(math.Floor(a/rt.MinBW + snapEps))
 				if beta < 0 {
 					beta = 0
 				}
@@ -98,14 +109,11 @@ func roundDown(pr *core.Problem, rel *core.RelaxedSolution) (*core.Allocation, *
 // §5.1 reclaims the residual network and compute capacity that the
 // flooring discarded.
 func LPRG(pr *core.Problem, obj core.Objective) (*core.Allocation, error) {
-	rel, ok, err := pr.Relaxed(obj, nil)
+	rel, err := relax(pr, obj)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("heuristics: relaxation infeasible on an unconstrained platform (model bug)")
-	}
-	alloc, res := roundDown(pr, rel)
+	alloc, res := roundDown(pr, rel.Alpha)
 	greedyFill(pr, res, alloc, false)
 	return alloc, nil
 }
@@ -120,40 +128,15 @@ func LPRG(pr *core.Problem, obj core.Objective) (*core.Allocation, error) {
 // SetGateway / SetLinkBudget. The returned basis snapshots the
 // relaxation's optimal basis for the next warm start.
 func LPRGOnModel(model *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
-	rel, basis, err := solveRelaxationOnModel(model, pr, from)
-	if err != nil {
-		return nil, nil, err
-	}
-	alloc, res := roundDown(pr, rel)
-	greedyFill(pr, res, alloc, false)
-	return alloc, basis, nil
-}
-
-// solveRelaxationOnModel resets the model's β bounds, re-solves the
-// relaxation warm from `from`, and reshapes the explicit (α, β)
-// solution into core.Relaxed's α-space form (BetaFrac = α/bw_min on
-// free remote routes, exactly as core.Relaxed defines it).
-func solveRelaxationOnModel(model *core.Model, pr *core.Problem, from *lp.Basis) (*core.RelaxedSolution, *lp.Basis, error) {
 	model.ResetBounds()
-	sol, basis, ok, err := model.Solve(from)
+	rel, basis, ok, err := model.Solve(from)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !ok {
 		return nil, nil, fmt.Errorf("heuristics: relaxation infeasible on an unconstrained platform (model bug)")
 	}
-	K := pr.K()
-	rel := &core.RelaxedSolution{Objective: sol.Objective, Alpha: sol.Alpha, BetaFrac: make([][]float64, K)}
-	for k := 0; k < K; k++ {
-		rel.BetaFrac[k] = make([]float64, K)
-		for l := 0; l < K; l++ {
-			if k == l {
-				continue
-			}
-			if bw := pr.Platform.RouteBW(k, l); bw > 0 && !math.IsInf(bw, 1) {
-				rel.BetaFrac[k][l] = sol.Alpha[k][l] / bw
-			}
-		}
-	}
-	return rel, basis, nil
+	alloc, res := roundDown(pr, rel.Alpha)
+	greedyFill(pr, res, alloc, false)
+	return alloc, basis, nil
 }

@@ -65,7 +65,7 @@ func LPRR(pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.R
 // The returned basis snapshots the initial (pin-free) relaxation's
 // optimal basis for the next epoch's warm start.
 func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.Rand, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
-	routes := model.BetaVars() // == RemoteRoutes order
+	routes := model.BetaVars() // row-major: the order the rng draws over
 	fixed := make(map[core.Pair]int, len(routes))
 	remaining := make(map[core.Pair]bool, len(routes))
 	for _, p := range routes {
@@ -84,7 +84,7 @@ func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, varian
 
 	// betaFrac is the β̃ the rounding rule draws on: the fractional
 	// connection count α̃/bw_min associated with the current relaxed
-	// α, exactly as core.Relaxed's BetaFrac defines it.
+	// α, exactly as core.Relaxed's Beta defines it.
 	betaFrac := func(p core.Pair) float64 {
 		if bw := pr.Platform.RouteBW(p.K, p.L); bw > 0 && !math.IsInf(bw, 1) {
 			return rel.Alpha[p.K][p.L] / bw

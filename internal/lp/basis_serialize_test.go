@@ -9,10 +9,10 @@ import (
 // TestBasisSerializeRoundTrip is the serialization property test
 // behind the cluster's portable warm sessions: a basis Exported from
 // one instance and Imported into a *freshly built* instance over an
-// equivalent problem — primed with PrimeWarm, exactly as a
-// snapshot-rebuilt replica does it — must warm-start to the same
-// optimum at 1e-9 with zero cold solves and zero cold fallbacks on the
-// receiving instance. (The optimum itself is checked against the
+// equivalent problem — put on Rebase's canonical footing, exactly as a
+// snapshot-rebuilt replica's first committed solve does — must
+// warm-start to the same optimum at 1e-9 with zero cold solves and zero
+// cold fallbacks on the receiving instance. (The optimum itself is checked against the
 // lptest oracle by TestRevisedMatchesOracle's round-trip case.)
 func TestBasisSerializeRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
@@ -53,7 +53,7 @@ func TestBasisSerializeRoundTrip(t *testing.T) {
 		cols[0] = -7 // mutating the caller's buffers must not affect the import
 
 		dst := NewRevised(p)
-		dst.PrimeWarm()
+		dst.Rebase()
 		got, _, err := dst.SolveFrom(imported)
 		if err != nil {
 			t.Fatalf("seed %d: rebuilt warm: %v", seed, err)
@@ -94,7 +94,7 @@ func TestImportBasisCorruptFallsBackCold(t *testing.T) {
 	}
 	for name, bad := range corruptions {
 		dst := NewRevised(p)
-		dst.PrimeWarm()
+		dst.Rebase()
 		got, _, err := dst.SolveFrom(bad)
 		if err != nil {
 			t.Fatalf("%s: solve failed hard: %v", name, err)

@@ -38,35 +38,21 @@ func (r *Revised) SolveFrom(bas *Basis) (Solution, *Basis, error) {
 	return r.coldSolve()
 }
 
-// PrimeWarm prepares a freshly built instance to accept a warm start
-// without having cold-solved first. SolveFrom's warm path is gated on
-// signInit — the row normalization is ordinarily chosen by the first
-// cold solve — so a basis imported from another process (a migrated
-// or crash-recovered scheduling session) would silently fall back to
-// a cold solve on a new instance. The sign vector is an arbitrary
-// consistent row scaling: any fixed choice yields the same solutions,
-// only the internal representation differs. PrimeWarm fixes it to the
-// identity (+1 everywhere), after which SolveFrom(imported basis)
-// takes the warm path: warmSolve installs the foreign basis,
-// validates it, refactorizes, and proceeds — falling back to cold
-// only if the basis is genuinely unusable. A no-op once the instance
-// has solved (the established normalization is kept).
-func (r *Revised) PrimeWarm() {
-	if r.signInit {
-		return
-	}
-	for i := range r.sign {
-		r.sign[i] = 1
-	}
-	r.signInit = true
-}
-
-// Rebase forces the next SolveFrom onto the canonical footing a
-// freshly built, PrimeWarm-ed instance would have: the row
-// normalization is reset to the identity and the live factorization
-// and pricing state are dropped, so the next solve installs the
-// supplied basis, refactorizes it from scratch and prices from a
-// fresh reference framework.
+// Rebase forces the next SolveFrom onto one canonical footing, the
+// same on a freshly built instance and on one with any solve history:
+// the row normalization is set to the identity (+1 everywhere — the
+// sign vector is an arbitrary consistent row scaling, any fixed choice
+// yields the same solutions) and the live factorization and pricing
+// state are dropped, so the next solve installs the supplied basis,
+// refactorizes it from scratch and prices from unit steepest-edge
+// weights.
+//
+// On a fresh instance this is also what lets a basis imported from
+// another process (a migrated or crash-recovered scheduling session)
+// start warm: SolveFrom's warm path is gated on signInit, which is
+// ordinarily set by the first cold solve. warmSolve then installs and
+// validates the foreign basis, falling back to cold only if it is
+// genuinely unusable.
 //
 // This exists for replicated deployments that need bit-identical
 // answers from different instances. A live instance and one rebuilt
@@ -75,11 +61,10 @@ func (r *Revised) PrimeWarm() {
 // carries the data-dependent sign normalization its first cold solve
 // chose, an accumulated (eta-file updated) factorization of
 // possibly *another* basis it would rather continue from, and evolved
-// pricing weights; the rebuilt one runs on PrimeWarm's identity signs
-// and a fresh refactorization. Both states are correct, but on a
-// degenerate problem they reach different optimal vertices, so
-// downstream vertex-sensitive consumers (greedy rounding, integer
-// repair) diverge. Calling Rebase on both sides before the solve
+// pricing weights; the rebuilt one has none of them. Both states are
+// correct, but on a degenerate problem they reach different optimal
+// vertices, so downstream vertex-sensitive consumers (greedy rounding,
+// integer repair) diverge. Calling Rebase on both sides before the solve
 // collapses the histories: the result becomes a pure function of the
 // discrete inputs. The cost is one refactorization plus pricing
 // warm-up — the pivot count is still a warm restart's, not a cold
@@ -211,7 +196,6 @@ func (r *Revised) refactorize() bool {
 // with every structural variable starting at its lower bound.
 func (r *Revised) coldSolve() (Solution, *Basis, error) {
 	r.stats.ColdSolves++
-	r.resetDevexRows()
 	r.dseOK = false // the basis is rebuilt from scratch below
 	for j := range r.atUpper {
 		r.atUpper[j] = false
@@ -322,8 +306,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 			r.factorized = false
 			return Solution{}, nil, false, nil
 		}
-		r.resetDevexRows() // foreign basis: fresh reference framework
-		r.dseOK = false    // steepest-edge weights described the old basis
+		r.dseOK = false // steepest-edge weights described the old basis
 	}
 	// refreshRHS sanitizes the at-upper set against the (possibly
 	// mutated) bounds before computeXB prices the nonbasic columns in.

@@ -168,11 +168,8 @@ func (r *Revised) Fork() (*Revised, error) {
 	}
 	f.xb = make([]float64, r.m)
 	f.b = make([]float64, r.m)
-	f.useDSE, f.bfrt = r.useDSE, r.bfrt
 	f.dwCol = make([]float64, r.ncols)
-	f.dwRow = make([]float64, r.m)
 	f.dseW = make([]float64, r.m)
-	f.resetDevexRows()
 	if r.factorized {
 		fz, err := r.freeze()
 		if err != nil {

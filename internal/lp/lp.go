@@ -43,14 +43,13 @@
 // Pricing: the primal simplex prices entering columns with devex
 // (reference-framework weights approximating steepest edge, columns
 // maximize c̄²/w). The dual simplex prices leaving rows with exact
-// Forrest–Goldfarb dual steepest edge by default — weights γ_i =
-// ‖e_iᵀB⁻¹‖² maintained exactly across pivots from the FTRAN'd pivot
-// column and one extra FTRAN of the pivot row, with the leaving row's
-// weight recomputed from scratch each pivot so the recurrence is
-// self-correcting — falling back to devex when steepest edge is
-// disabled. Its ratio test is bound-flipping (long-step): breakpoints
-// are sorted by ratio and boxed candidates flip bound while the dual
-// objective's slope stays positive, all flips applied with a single
+// Forrest–Goldfarb dual steepest edge — weights γ_i = ‖e_iᵀB⁻¹‖²
+// maintained exactly across pivots from the FTRAN'd pivot column and
+// one extra FTRAN of the pivot row, with the leaving row's weight
+// recomputed from scratch each pivot so the recurrence is
+// self-correcting. Its ratio test is bound-flipping (long-step):
+// breakpoints are sorted by ratio and boxed candidates flip bound while
+// the dual objective's slope stays positive, all flips applied with a single
 // aggregated FTRAN, which passes degenerate vertices without pivots.
 // The automatic switch to Bland's anti-cycling rule on objective
 // stalls is retained from the Dantzig era. Revised.Stats exposes

@@ -6,9 +6,9 @@ import (
 )
 
 // This file holds the pricing side of the Revised split: candidate
-// selection for both simplex methods — devex reference frameworks,
-// exact dual steepest edge, the sparse leaving-row candidate walk —
-// and the primal/dual iteration loops built on them.
+// selection for both simplex methods — the primal's devex reference
+// framework, exact dual steepest edge, the sparse leaving-row candidate
+// walk — and the primal/dual iteration loops built on them.
 
 // dualCandidates collects the non-artificial columns that can have a
 // nonzero pivot-row entry for the current signed leaving row ws: the
@@ -90,13 +90,6 @@ const devexResetLimit = 1e7
 func (r *Revised) resetDevexCols() {
 	for j := range r.dwCol {
 		r.dwCol[j] = 1
-	}
-}
-
-// resetDevexRows restarts the dual reference framework.
-func (r *Revised) resetDevexRows() {
-	for i := range r.dwRow {
-		r.dwRow[i] = 1
 	}
 }
 
@@ -266,10 +259,12 @@ func (r *Revised) primal(costs []float64) (Status, error) {
 // is unbounded (= the primal constraints admit no solution), Optimal
 // when xb is feasible.
 //
-// The leaving row is chosen by dual devex: among box-violating basics
-// the one maximizing violation²/w leaves, where the reference weights
-// w approximate ‖eᵢᵀB⁻¹‖² and are updated for free from the entering
-// direction each pivot. Bland's rule takes over on stalls.
+// The leaving row is chosen by exact dual steepest edge: among
+// box-violating basics the one maximizing violation²/γ_i leaves, where
+// γ_i = ‖eᵢᵀB⁻¹‖² is maintained by the Forrest–Goldfarb recurrence at
+// one extra FTRAN per pivot. The entering column comes from the
+// bound-flipping ratio test (dualEnterFlips). Bland's rule takes over
+// both choices on stalls.
 func (r *Revised) dual(costs []float64) (Status, error) {
 	// The dual only ever runs as a warm restart, and a restart is
 	// worth at most a few sweeps of the basis in pivots: past that the
@@ -286,23 +281,17 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 	sinceBest := 0
 	lastInfeas := math.Inf(1)
 	minInfeas := math.Inf(1)
-	dse := r.useDSE
-	if dse {
-		// Exact steepest-edge weights persist across warm solves as
-		// long as only the dual itself has pivoted (the recurrence is
-		// exact); anything else invalidated them and they restart from
-		// unit values — exact for the cold diagonal basis, and
-		// self-correcting elsewhere because the pivot row's weight is
-		// recomputed from ρ_r every pivot.
-		if !r.dseOK {
-			for i := range r.dseW {
-				r.dseW[i] = 1
-			}
-			r.dseOK = true
-			r.stats.DSEWeightResets++
+	// Exact steepest-edge weights persist across warm solves as long as
+	// only the dual itself has pivoted (the recurrence is exact);
+	// anything else invalidated them and they restart from unit values —
+	// exact for the cold diagonal basis, and self-correcting elsewhere
+	// because the pivot row's weight is recomputed from ρ_r every pivot.
+	if !r.dseOK {
+		for i := range r.dseW {
+			r.dseW[i] = 1
 		}
-	} else {
-		r.resetDevexRows()
+		r.dseOK = true
+		r.stats.DSEWeightResets++
 	}
 	// The simplex multipliers move by a multiple of the leaving row of
 	// B^{-1} per dual pivot (y' = y + γ·ρ_r, γ = c̄_enter/d_leave), so
@@ -331,12 +320,7 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 				}
 			}
 		} else {
-			// Leaving row maximizes violation²/γ_i — exact steepest
-			// edge under DSE, the devex approximation otherwise.
-			wrow := r.dwRow
-			if dse {
-				wrow = r.dseW
-			}
+			// Leaving row maximizes violation²/γ_i.
 			bestScore := 0.0
 			for i := 0; i < r.m; i++ {
 				v := -r.xb[i]
@@ -349,7 +333,7 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 				if v <= ftol {
 					continue
 				}
-				if score := v * v / wrow[i]; score > bestScore {
+				if score := v * v / r.dseW[i]; score > bestScore {
 					bestScore, leave, below = score, i, isBelow
 				}
 			}
@@ -375,22 +359,21 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 		for i := 0; i < r.m; i++ {
 			ws[i] = amult * rho[i] * r.sign[i]
 		}
-		// Entering ratio test, Harris two-pass style: pass 1 finds the
-		// tightest relaxed breakpoint rmax = min(ratio_j + dtol/|α_j|);
-		// pass 2 enters the candidate with the largest |α| among those
-		// with ratio_j ≤ rmax. The dtol slack (the same tolerance
-		// dualFeasible accepts) lets near-tied — typically degenerate —
-		// breakpoints trade a ≤dtol reduced-cost violation for a
-		// well-scaled pivot, which both stabilizes the eta file and
+		// Entering ratio test. This pass collects every eligible
+		// column's breakpoint (ratio_j, |α_j|) into the dc* buffers;
+		// dualEnterFlips then walks them in ratio order and enters the
+		// largest |α| within dtol of its stop ratio. The dtol slack (the
+		// same tolerance dualFeasible accepts) lets near-tied — typically
+		// degenerate — breakpoints trade a ≤dtol reduced-cost violation
+		// for a well-scaled pivot, which both stabilizes the eta file and
 		// cuts the degenerate mini-steps that dominate restarts on
 		// degenerate-heavy platforms. Under Bland's rule the strict
 		// smallest-index min-ratio test is kept (its termination
-		// argument needs it).
+		// argument needs it), decided inside the pass.
 		tEnter := time.Now()
 		enter := -1
 		enterCbar := 0.0
 		dtol := r.dualTol()
-		rmax := math.Inf(1)
 		bestRatio := math.Inf(1)
 		nc := 0
 		cJ, cAlpha, cRatio, cRaw := r.dcJ[:0], r.dcAlpha[:0], r.dcRatio[:0], r.dcRaw[:0]
@@ -432,9 +415,6 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 				}
 				return
 			}
-			if rel := ratio + dtol/a; rel < rmax {
-				rmax = rel
-			}
 			cJ = append(cJ, int32(j))
 			cAlpha = append(cAlpha, a)
 			cRatio = append(cRatio, ratio)
@@ -455,23 +435,12 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 		r.stats.Phase.PricingNanos += int64(time.Since(tEnter))
 		tRatio := time.Now()
 		if !bland {
+			// Bound-flipping (long-step) test: walk the breakpoints in
+			// ratio order, flipping boxed candidates whose passing keeps
+			// the leaving row violating, and enter at the first
+			// breakpoint that would restore it.
 			r.dcJ, r.dcAlpha, r.dcRatio, r.dcRaw = cJ, cAlpha, cRatio, cRaw
-			if r.bfrt {
-				// Bound-flipping (long-step) variant: walk the
-				// breakpoints in ratio order, flipping boxed candidates
-				// whose passing keeps the leaving row violating, and
-				// enter at the first breakpoint that would restore it.
-				enter, enterCbar = r.dualEnterFlips(nc, viol, dtol)
-			} else {
-				bestA := 0.0
-				for t := 0; t < nc; t++ {
-					if cRatio[t] <= rmax && (cAlpha[t] > bestA || (cAlpha[t] == bestA && enter != -1 && int(cJ[t]) < enter)) {
-						bestA = cAlpha[t]
-						enter = int(cJ[t])
-						enterCbar = cRaw[t]
-					}
-				}
-			}
+			enter, enterCbar = r.dualEnterFlips(nc, viol, dtol)
 		}
 		r.stats.Phase.RatioTestNanos += int64(time.Since(tRatio))
 		if enter == -1 {
@@ -490,76 +459,52 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 				ys[i] += gamma * rho[i] * r.sign[i]
 			}
 		}
-		if dse {
-			// Forrest–Goldfarb exact steepest-edge update, against the
-			// pre-pivot basis: γ_r is recomputed exactly as ‖ρ_r‖² (the
-			// stored weight served pricing only, so the recurrence
-			// self-corrects), τ = B⁻¹ρ_r costs the one extra FTRAN this
-			// pricing scheme is known for, and then
-			//
-			//	γ_i ← γ_i − 2(d_i/d_r)·τ_i + (d_i/d_r)²·γ_r   (i ≠ r)
-			//	γ_r ← γ_r/d_r²
-			//
-			// is the exact new ‖e_iᵀB⁻¹‖² for every row.
-			gr := 0.0
-			for i := 0; i < r.m; i++ {
-				gr += rho[i] * rho[i]
+		// Forrest–Goldfarb exact steepest-edge update, against the
+		// pre-pivot basis: γ_r is recomputed exactly as ‖ρ_r‖² (the
+		// stored weight served pricing only, so the recurrence
+		// self-corrects), τ = B⁻¹ρ_r costs the one extra FTRAN this
+		// pricing scheme is known for, and then
+		//
+		//	γ_i ← γ_i − 2(d_i/d_r)·τ_i + (d_i/d_r)²·γ_r   (i ≠ r)
+		//	γ_r ← γ_r/d_r²
+		//
+		// is the exact new ‖e_iᵀB⁻¹‖² for every row.
+		gr := 0.0
+		for i := 0; i < r.m; i++ {
+			gr += rho[i] * rho[i]
+		}
+		tau := r.tau
+		copy(tau, rho)
+		tF := time.Now()
+		r.fac.ftran(tau)
+		r.stats.Phase.FTRANNanos += int64(time.Since(tF))
+		dr := d[leave]
+		finite := true
+		for i := 0; i < r.m; i++ {
+			if i == leave || d[i] == 0 {
+				continue
 			}
-			tau := r.tau
-			copy(tau, rho)
-			tF := time.Now()
-			r.fac.ftran(tau)
-			r.stats.Phase.FTRANNanos += int64(time.Since(tF))
-			dr := d[leave]
-			finite := true
-			for i := 0; i < r.m; i++ {
-				if i == leave || d[i] == 0 {
-					continue
-				}
-				q := d[i] / dr
-				g := r.dseW[i] - 2*q*tau[i] + q*q*gr
-				if g < dseFloor {
-					g = dseFloor // exact value is ‖ρ_i − q·ρ_r‖² ≥ 0: roundoff
-				}
-				if math.IsNaN(g) || math.IsInf(g, 0) {
-					finite = false
-					break
-				}
-				r.dseW[i] = g
+			q := d[i] / dr
+			g := r.dseW[i] - 2*q*tau[i] + q*q*gr
+			if g < dseFloor {
+				g = dseFloor // exact value is ‖ρ_i − q·ρ_r‖² ≥ 0: roundoff
 			}
-			gl := gr / (dr * dr)
-			if gl < dseFloor {
-				gl = dseFloor
+			if math.IsNaN(g) || math.IsInf(g, 0) {
+				finite = false
+				break
 			}
-			r.dseW[leave] = gl
-			if !finite || math.IsNaN(gl) || math.IsInf(gl, 0) {
-				for i := range r.dseW {
-					r.dseW[i] = 1
-				}
-				r.stats.DSEWeightResets++
+			r.dseW[i] = g
+		}
+		gl := gr / (dr * dr)
+		if gl < dseFloor {
+			gl = dseFloor
+		}
+		r.dseW[leave] = gl
+		if !finite || math.IsNaN(gl) || math.IsInf(gl, 0) {
+			for i := range r.dseW {
+				r.dseW[i] = 1
 			}
-		} else {
-			// Dual devex weight update — free, from the entering
-			// direction: w_i ← max(w_i, (d_i/d_r)²·w_r) for the staying
-			// rows, and the pivot row restarts at max(w_r/d_r², 1).
-			dr2 := d[leave] * d[leave]
-			wr := r.dwRow[leave]
-			maxW := 0.0
-			for i := 0; i < r.m; i++ {
-				if i == leave || d[i] == 0 {
-					continue
-				}
-				if cand := d[i] * d[i] / dr2 * wr; cand > r.dwRow[i] {
-					r.dwRow[i] = cand
-					if cand > maxW {
-						maxW = cand
-					}
-				}
-			}
-			r.dwRow[leave] = math.Max(wr/dr2, 1)
-			if maxW > devexResetLimit {
-				r.resetDevexRows()
-			}
+			r.stats.DSEWeightResets++
 		}
 		refac := r.pivotUpdate(leave, enter, d, step, !below)
 		r.stats.DualPivots++

@@ -70,8 +70,8 @@ func (r *Revised) primalRatioTest(d []float64, dir float64) (leave int, atUpper 
 // feasibility and keeps the dual objective's ascent going with a
 // smaller slope. The walk flips candidates while the leaving row
 // still violates by more than the feasibility tolerance and enters
-// at the first breakpoint that would restore it (with the same
-// largest-|α|-within-dual-tolerance tie group the Harris test uses);
+// at the first breakpoint that would restore it (taking, Harris style,
+// the largest |α| within dual tolerance of that breakpoint's ratio);
 // all accumulated flips are applied with one aggregated FTRAN. When
 // every breakpoint is a finite flip and flipping them all still
 // leaves the row violating, the dual is unbounded along this row —

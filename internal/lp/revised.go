@@ -30,10 +30,10 @@ import "math"
 // same constraint structure.
 //
 // Pricing is devex (reference-framework weights, Harris-style
-// approximation of steepest edge) in both the primal and the dual
-// simplex — the dual upgraded to exact Forrest–Goldfarb steepest edge
-// by default — with the automatic switch to Bland's anti-cycling rule
-// on objective stalls preserved from the Dantzig era.
+// approximation of steepest edge) in the primal simplex and exact
+// Forrest–Goldfarb steepest edge in the dual, whose ratio test is
+// bound-flipping (long-step); both switch to Bland's anti-cycling rule
+// on objective stalls, as they have since the Dantzig era.
 //
 // Variable bounds are handled natively by the bounded-variable
 // simplex: lower bounds are shifted away per solve, each nonbasic
@@ -88,11 +88,9 @@ type Revised struct {
 	frozen  *frozenLU
 	freezer *luFactor
 
-	// Devex reference-framework weights: dwCol prices entering
-	// candidates in the primal, dwRow prices leaving rows in the
-	// dual. Each run of the respective simplex resets its framework.
+	// Devex reference-framework weights pricing entering candidates in
+	// the primal; each primal run resets the framework.
 	dwCol []float64
-	dwRow []float64
 
 	// Exact dual steepest-edge state (Forrest–Goldfarb): dseW[i]
 	// tracks γ_i = ‖e_iᵀB⁻¹‖² under the exact per-pivot recurrence
@@ -102,20 +100,9 @@ type Revised struct {
 	// describing the current basis; it is cleared by anything that
 	// changes the basis outside the dual's own updates (cold solves,
 	// primal pivots, foreign-basis installs) and the next dual run
-	// then restarts from unit weights. useDSE=false falls back to the
-	// dual devex framework (the cheap approximation, kept as the
-	// reference and for pathologies where the extra FTRAN never pays).
-	dseW   []float64
-	dseOK  bool
-	useDSE bool
-
-	// bfrt enables the bound-flipping (long-step) dual ratio test:
-	// boxed entering candidates whose breakpoints are passed flip to
-	// their opposite bound — one aggregated FTRAN for all flips —
-	// letting a single dual pivot traverse many degenerate
-	// breakpoints. Disabled only under Bland's rule (whose termination
-	// argument needs the strict min-ratio test) and by tests.
-	bfrt bool
+	// then restarts from unit weights.
+	dseW  []float64
+	dseOK bool
 
 	// budgetOverride, when positive, replaces warmPivotBudget — the
 	// hook tests use to force a warm restart into the cold fallback.
@@ -293,11 +280,7 @@ func NewRevised(p *Problem) *Revised {
 	}
 	r.fac = newLUFactor(r)
 	r.dwCol = make([]float64, r.ncols)
-	r.dwRow = make([]float64, r.m)
 	r.dseW = make([]float64, r.m)
-	r.useDSE = true
-	r.bfrt = true
-	r.resetDevexRows()
 	r.allocScratch()
 	return r
 }

@@ -68,7 +68,7 @@ func TestSingleAppPerClusterMatchesCore(t *testing.T) {
 			mp.Apps = append(mp.Apps, App{Origin: k, Payoff: 1})
 		}
 		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-			want, ok, err := cp.Relaxed(obj, nil)
+			want, ok, err := cp.Relaxed(obj)
 			if err != nil || !ok {
 				t.Fatal(err)
 			}

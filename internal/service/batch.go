@@ -41,6 +41,14 @@ import (
 // is additionally capped by the number of distinct queries.
 const defaultBatchWorkers = 4
 
+// maxBatchWorkers is the widest fork pool a request may ask for: each
+// worker is a goroutine plus a Model.Fork (about 550 KiB of scratch at
+// K = 40) and `workers` is outside input. A constant, not GOMAXPROCS:
+// the response's `workers` and each answer's fork assignment must not
+// depend on the host, or cmd/dlsched -batch stops diffing byte for byte
+// against the endpoint.
+const maxBatchWorkers = 64
+
 // errEmptyBatch rejects batches with nothing to solve.
 var errEmptyBatch = errors.New("batch what-if: queries invalid (empty batch)")
 
@@ -48,12 +56,16 @@ var errEmptyBatch = errors.New("batch what-if: queries invalid (empty batch)")
 // committed state. Identical queries (same canonical JSON after Relax
 // normalization) are solved once and shared, duplicates marked
 // Coalesced — the intra-batch analogue of the single-query endpoint's
-// in-flight coalescing, using the same key. Any invalid query fails
-// the whole batch before anything is solved.
+// in-flight coalescing, using the same key. Any invalid query, or a
+// fork pool wider than maxBatchWorkers, fails the whole batch before
+// anything is forked or solved.
 func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, error) {
 	n := len(req.Queries)
 	if n == 0 {
 		return nil, errEmptyBatch
+	}
+	if req.Workers > maxBatchWorkers {
+		return nil, fmt.Errorf("batch what-if: workers %d out of range (at most %d)", req.Workers, maxBatchWorkers)
 	}
 
 	// Dedupe. Every batch query is answered as a relaxation, so Relax

@@ -311,12 +311,35 @@ func TestBatchWhatIfErrors(t *testing.T) {
 		}
 	}
 
+	// `workers` is outside input: past maxBatchWorkers the batch is
+	// refused before anything is forked, however many queries it holds.
+	queries = batchMutations(pl, sess.model.BetaVars(), maxBatchWorkers+6)
+	status, raw, err = doJSONRaw(ts.Client(), "POST", url, &BatchWhatIfRequest{Queries: queries, Workers: maxBatchWorkers + 1})
+	if err != nil || status != http.StatusBadRequest || !strings.Contains(string(raw), "workers 65 out of range") {
+		t.Fatalf("workers %d: status %d err %v body %s, want 400 naming the range", maxBatchWorkers+1, status, err, raw)
+	}
+
 	after := sess.Stats().Solver
 	if d := (after.WarmSolves + after.ColdSolves) - (before.WarmSolves + before.ColdSolves); d != 0 {
 		t.Fatalf("failed batches performed %d solves, want 0", d)
 	}
 	if after.Forks != before.Forks {
 		t.Fatalf("failed batches forked %d contexts, want 0", after.Forks-before.Forks)
+	}
+
+	// At the ceiling and below it the pool is what it always was: the
+	// request's width, or the default for 0, capped by the distinct
+	// queries.
+	for _, tc := range []struct{ asked, queries, want int }{
+		{maxBatchWorkers, len(queries), maxBatchWorkers},
+		{maxBatchWorkers, 10, 10},
+		{0, len(queries), defaultBatchWorkers},
+	} {
+		var resp BatchWhatIfResponse
+		doJSON(t, ts.Client(), "POST", url, &BatchWhatIfRequest{Queries: queries[:tc.queries], Workers: tc.asked}, &resp, http.StatusOK)
+		if resp.Distinct < tc.want || resp.Workers != tc.want {
+			t.Fatalf("workers %d over %d queries: distinct %d workers %d, want workers %d", tc.asked, tc.queries, resp.Distinct, resp.Workers, tc.want)
+		}
 	}
 }
 

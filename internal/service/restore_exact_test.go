@@ -15,8 +15,8 @@ import (
 // capacities, carried basis — but not on solver internals: the live
 // one carries its cold solve's data-dependent row-sign normalization,
 // an accumulated eta-file factorization and evolved pricing
-// weights, while the restored one runs on PrimeWarm's identity signs
-// and a fresh refactorization. Without Session.solveLocked's Rebase
+// weights, while the restored one runs on identity signs and a fresh
+// refactorization. Without Session.solveLocked's Rebase
 // call those histories pick different optimal vertices on degenerate
 // platforms and the heuristic Value drifts at ~1e-13..1e-2 while the
 // LP bound still matches — exactly the failure this test reproduced

@@ -247,7 +247,7 @@ func TestSessionLifecycle(t *testing.T) {
 
 func TestWhatIfAnswersAndRollsBack(t *testing.T) {
 	pl := testPlatform(t, 8, 5)
-	ts, _ := newTestServer(t, 4)
+	ts, pool := newTestServer(t, 4)
 	resp := createSession(t, ts, &CreateSessionRequest{Platform: platformJSON(t, pl)}, http.StatusCreated)
 	base := resp.Report.Value
 
@@ -294,18 +294,11 @@ func TestWhatIfAnswersAndRollsBack(t *testing.T) {
 
 	// Bound what-if: pinning a route's β to zero can only lower the
 	// relaxation; pinning an impossible box reports infeasible.
-	pr := core.NewProblem(pl)
-	routes := pr.RemoteRoutes()
-	var withBeta *core.Pair
-	for _, p := range routes {
-		if len(pl.Route(p.K, p.L).Links) > 0 {
-			withBeta = &p
-			break
-		}
-	}
-	if withBeta == nil {
+	routes := pool.Get(resp.ID).model.BetaVars()
+	if len(routes) == 0 {
 		t.Skip("platform has no backbone route")
 	}
+	withBeta := routes[0]
 	var pinned SolveReport
 	doJSON(t, ts.Client(), "POST", ts.URL+"/sessions/"+resp.ID+"/whatif",
 		WhatIfRequest{Bounds: []RouteBounds{{From: withBeta.K, To: withBeta.L, Lb: 0, Ub: 0}}},

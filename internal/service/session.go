@@ -405,7 +405,7 @@ func (s *Session) solveLocked(epr *core.Problem, commit bool) (*SolveReport, err
 		s.basis = basis
 	}
 	s.model.ResetBounds()
-	bound, ok, err := s.model.SolveEphemeral(s.basis)
+	bound, ok, err := s.model.SolveBound(s.basis)
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +413,7 @@ func (s *Session) solveLocked(epr *core.Problem, commit bool) (*SolveReport, err
 		return nil, fmt.Errorf("relaxation infeasible on an unconstrained platform (model bug)")
 	}
 	rep := s.reportFor(epr, alloc)
-	rep.LPBound = bound.Objective
+	rep.LPBound = bound
 	if commit {
 		s.answers.file(queryCacheKey, rep)
 	}
@@ -441,33 +441,30 @@ func (s *Session) reportFor(epr *core.Problem, alloc *core.Allocation) *SolveRep
 	return rep
 }
 
-// relaxReportLocked assembles a relaxation-answer SolveReport from a
-// MixedSolution (β̃ fractional).
-func (s *Session) relaxReportLocked(sol *core.MixedSolution) *SolveReport {
-	K := s.pr.K()
+// relaxReportLocked assembles a relaxation-answer SolveReport around a
+// relaxed optimum's own tables (β̃ fractional), or the bare infeasible
+// verdict when the hypothetical left no optimum (sol == nil).
+func (s *Session) relaxReportLocked(sol *core.RelaxedSolution) *SolveReport {
+	stats := s.model.SolverStats().Deterministic()
 	rep := &SolveReport{
-		Heuristic:   s.cfg.heur,
-		Objective:   s.cfg.objName,
-		Feasible:    true,
-		Relaxed:     true,
-		Value:       sol.Objective,
-		LPBound:     sol.Objective,
-		Alpha:       sol.Alpha,
-		Throughputs: make([]float64, K),
-		BetaFrac:    make([][]float64, K),
-		Epoch:       s.epoch,
+		Heuristic: s.cfg.heur,
+		Objective: s.cfg.objName,
+		Relaxed:   true,
+		Epoch:     s.epoch,
+		Stats:     &stats,
 	}
-	for k := 0; k < K; k++ {
-		rep.BetaFrac[k] = make([]float64, K)
-		for l := 0; l < K; l++ {
-			rep.Throughputs[k] += sol.Alpha[k][l]
+	if sol == nil {
+		return rep
+	}
+	rep.Feasible = true
+	rep.Value, rep.LPBound = sol.Objective, sol.Objective
+	rep.Alpha, rep.BetaFrac = sol.Alpha, sol.Beta
+	rep.Throughputs = make([]float64, len(sol.Alpha))
+	for k, row := range sol.Alpha {
+		for _, a := range row {
+			rep.Throughputs[k] += a
 		}
 	}
-	for p, v := range sol.Beta {
-		rep.BetaFrac[p.K][p.L] = v
-	}
-	stats := s.model.SolverStats().Deterministic()
-	rep.Stats = &stats
 	return rep
 }
 
@@ -527,20 +524,9 @@ func (s *Session) whatIfSolveLocked(req *WhatIfRequest) (*SolveReport, error) {
 	if !req.Relax && len(req.Bounds) == 0 {
 		return s.solveLocked(&core.Problem{Platform: h.pl, Payoffs: s.pr.Payoffs}, false)
 	}
-	sol, ok, err := s.model.SolveEphemeral(s.basis)
+	sol, _, err := s.model.SolveEphemeral(s.basis) // nil when infeasible
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		stats := s.model.SolverStats().Deterministic()
-		return &SolveReport{
-			Heuristic: s.cfg.heur,
-			Objective: s.cfg.objName,
-			Feasible:  false,
-			Relaxed:   true,
-			Epoch:     s.epoch,
-			Stats:     &stats,
-		}, nil
 	}
 	return s.relaxReportLocked(sol), nil
 }

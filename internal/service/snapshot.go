@@ -56,9 +56,10 @@ func (s *Session) Snapshot() (*cluster.SessionSnapshot, error) {
 
 // RestoreSession rebuilds a session from a (verified) snapshot: the
 // drifted platform is decoded and validated, a fresh model is built
-// over it, the solver is primed for a foreign basis and the
-// snapshot's basis installed, and the committed answer is re-solved —
-// one warm dual-simplex restart, typically zero pivots. warm reports
+// over it, the snapshot's basis installed, and the committed answer is
+// re-solved — like every committed solve, from Rebase's canonical
+// footing, which is also what lets a fresh solver take a foreign basis
+// warm: one dual-simplex restart, typically zero pivots. warm reports
 // whether the rebuild really was warm (no cold solves, no cold
 // fallbacks); a basis the solver rejects degrades to a correct cold
 // rebuild rather than an error. The initial report is returned so the
@@ -106,7 +107,6 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 			s.recordCommitLocked(commitRecord{id: rec.ID, rep: &rep, wire: rec.Report})
 		}
 	}
-	s.model.PrimeWarm()
 	s.basis = lp.ImportBasis(snap.Basis())
 	rep, err := s.Query()
 	if err != nil {

@@ -117,8 +117,9 @@ type WhatIfRequest struct {
 // through POST /sessions/{id}/whatif with Relax set, at 1e-9.
 type BatchWhatIfRequest struct {
 	Queries []WhatIfRequest `json:"queries"`
-	// Workers bounds the fork pool; <= 0 uses the service default.
-	// The pool never exceeds the number of distinct queries.
+	// Workers bounds the fork pool; <= 0 uses the service default and
+	// more than 64 is refused (400). The pool never exceeds the number
+	// of distinct queries.
 	Workers int `json:"workers,omitempty"`
 }
 
