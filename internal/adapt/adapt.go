@@ -87,7 +87,11 @@ func (p Perturbation) Apply(pl *platform.Platform) (*platform.Platform, error) {
 			}
 			// +1e-9 absorbs roundoff so a factor of exactly 1 (or a
 			// product landing on an integer) keeps the full budget.
-			out.Links[li].MaxConnect = int(math.Floor(f*float64(pl.Links[li].MaxConnect) + 1e-9))
+			budget := math.Floor(f*float64(pl.Links[li].MaxConnect) + 1e-9)
+			if budget > platform.MaxConnectCeiling {
+				return nil, fmt.Errorf("adapt: link factor %d = %g gives max-connect %g, above the ceiling %d", li, f, budget, platform.MaxConnectCeiling)
+			}
+			out.Links[li].MaxConnect = int(budget)
 		}
 	}
 	return out, nil

@@ -3,6 +3,7 @@ package adapt
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -65,6 +66,15 @@ func TestPerturbationApplyErrors(t *testing.T) {
 		if _, err := p.Apply(pr.Platform); err == nil {
 			t.Fatalf("case %d must fail", i)
 		}
+	}
+	// A factor that takes a budget past the int range is refused as the
+	// value it is: converting it first is implementation-defined.
+	huge := Perturbation{LinkFactor: make([]float64, len(pr.Platform.Links))}
+	for li := range huge.LinkFactor {
+		huge.LinkFactor[li] = 1e300
+	}
+	if _, err := huge.Apply(pr.Platform); err == nil || !strings.Contains(err.Error(), "above the ceiling 2147483647") {
+		t.Fatalf("link factor 1e300: err %v, want a refusal naming the ceiling", err)
 	}
 }
 

@@ -2,11 +2,23 @@ package core
 
 import "repro/internal/lp"
 
+// Freeze makes the solver's current state — after a commit, the
+// committed factorization — the one Rewind returns to; it is a no-op
+// until something solves again (lp.Revised.Freeze).
+func (m *Model) Freeze() error { return m.rev.Freeze() }
+
+// Rewind puts the solver back on its frozen state in O(rows + columns)
+// (lp.Revised.Rewind). With the capacities and bounds retracted, the
+// next solve costs and answers what the first one after Freeze did.
+func (m *Model) Rewind() { m.rev.Rewind() }
+
 // Fork returns a second solve context over the same program in
-// O(rows + nonzeros) — no pivots, no refactorization. The receiver must
-// have solved at least once: the fork continues from its live
-// factorized basis (lp.Revised.Fork), so a SolveEphemeral on it
-// warm-starts from the parent's basis with zero lost pivots.
+// O(rows + nonzeros) — no pivots. The receiver must have solved at
+// least once: the fork is born frozen on its state (lp.Revised.Fork),
+// so a SolveEphemeral on it warm-starts from the parent's basis with
+// zero lost pivots, and again after every Rewind. Fork may refactorize
+// the parent once per commit; a committed solve starts from Rebase, so
+// committed answers are unaffected.
 //
 // A fork is a Model. Its mutable state — the LP problem (lp's private
 // clone), the solver context, the link budgets and the per-route bound

@@ -23,7 +23,7 @@ func (r *Revised) SolveFrom(bas *Basis) (Solution, *Basis, error) {
 	if len(r.p.rows) != r.m {
 		panic(fmt.Sprintf("lp: Revised built over %d rows, problem now has %d (structure is frozen)", r.m, len(r.p.rows)))
 	}
-	r.gen++ // any solve may move the basis: frozen fork snapshots go stale
+	r.gen++ // any solve may move the basis: the frozen state goes stale
 	if bas != nil && r.signInit {
 		sol, snap, ok, err := r.warmSolve(bas)
 		if err != nil {
@@ -71,6 +71,7 @@ func (r *Revised) SolveFrom(bas *Basis) (Solution, *Basis, error) {
 // solve's. Forks are unaffected (they own private copies of all
 // mutable state, and a shared frozen snapshot is immutable).
 func (r *Revised) Rebase() {
+	r.gen++ // the frozen state no longer describes this context
 	for i := range r.sign {
 		r.sign[i] = 1
 	}
@@ -88,7 +89,7 @@ func (r *Revised) Rebase() {
 // copy out anything that must survive. The supplied basis is never
 // mutated, so the caller's committed basis stays valid for future
 // warm starts. This is the engine of the scheduling service's
-// what-if path: mutate, SolveEphemeral, roll back, discard.
+// what-if path: mutate, SolveEphemeral, roll back, Rewind.
 func (r *Revised) SolveEphemeral(bas *Basis) (Solution, error) {
 	r.ephemeral = true
 	defer func() { r.ephemeral = false }()
@@ -275,9 +276,11 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 	// feasible (see the struct invariant), so the cheapest restart is
 	// to continue from the instance's current state — even when it is
 	// not the supplied basis (e.g. a branch-and-bound sibling whose
-	// parent basis was left behind by another subtree): a few extra
-	// dual pivots beat a refactorization. The supplied basis is
-	// installed only when no live factorization exists.
+	// parent basis was left behind by another subtree, or an LPRR pin
+	// after the previous one): a few extra dual pivots beat a
+	// refactorization. The supplied basis is installed only when no
+	// live factorization exists. A caller that wants a solve not to
+	// depend on the ones before it calls Rewind between them.
 	if !r.factorized {
 		for j := range r.seen {
 			r.seen[j] = false
@@ -288,13 +291,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 			}
 			r.seen[c] = true
 		}
-		copy(r.basis, bas.cols)
-		for j := range r.inBasis {
-			r.inBasis[j] = false
-		}
-		for _, c := range r.basis {
-			r.inBasis[c] = true
-		}
+		r.setBasis(bas.cols)
 		if bas.upper != nil {
 			copy(r.atUpper, bas.upper)
 		} else {
@@ -426,6 +423,17 @@ func (r *Revised) finish(status Status) (Solution, *Basis, error) {
 		obj += cj * x[j]
 	}
 	return Solution{Status: Optimal, X: x, Objective: obj}, r.snapshot(), nil
+}
+
+// setBasis installs cols as the basic column set.
+func (r *Revised) setBasis(cols []int) {
+	copy(r.basis, cols)
+	for j := range r.inBasis {
+		r.inBasis[j] = false
+	}
+	for _, c := range r.basis {
+		r.inBasis[c] = true
+	}
 }
 
 func (r *Revised) snapshot() *Basis {

@@ -77,75 +77,85 @@ func newFactorization(p *Problem) *Factorization {
 	return fz
 }
 
-// frozenLU is an immutable clean-LU snapshot of a parent context's
-// basis: the committed factorization arrays a borrowed luFactor
-// aliases read-only. Nothing writes these arrays after freeze returns
-// — luFactor.update only appends to the fork's private eta file, and
-// commit reallocates before its first write when the borrowed flag is
-// set — so any number of forked contexts FTRAN/BTRAN against one
-// snapshot concurrently.
-type frozenLU struct {
-	gen                uint64
-	rowOfPos, colOfPos []int32
-	lPtr, lIdx         []int32
-	lVal               []float64
-	uPtr, uIdx         []int32
-	uVal               []float64
-	uDiag              []float64
-	luNNZ              int
+// frozenState is a context's rewind point: the clean LU of the basis it
+// stood on when Freeze ran, and the simplex state that goes with it.
+// Nothing writes the LU arrays afterwards — luFactor.update only appends
+// to a context's private eta file, and commit allocates fresh storage
+// while the borrowed flag is set — so the context and any number of its
+// forks FTRAN/BTRAN against them concurrently. The state slices are the
+// context's own, overwritten by its next Freeze, which is why Fork
+// copies them.
+type frozenState struct {
+	gen uint64
+	luArrays
+	basis             []int
+	atUpper           []bool
+	sign, dseW        []float64
+	dseOK, factorized bool
 }
 
-// freeze returns the clean-LU snapshot of the current basis, building
-// it only when the cached one is stale (gen counts solves; any solve
-// may move the basis). The snapshot is factorized by a private
-// luFactor whose committed arrays are stolen wholesale — the borrowed
-// flag makes its next commit allocate fresh storage instead of
-// overwriting what forks now share.
-func (r *Revised) freeze() (*frozenLU, error) {
-	if r.frozen != nil && r.frozen.gen == r.gen {
-		return r.frozen, nil
+// Freeze makes the context's current state the one Rewind returns to
+// and forks are born on. It is a no-op while nothing has solved since
+// the last Freeze or Rewind (gen counts solves; any solve may move the
+// basis). Otherwise the live factor itself becomes the snapshot — it is
+// refactorized first only if it carries an eta file — and its committed
+// arrays are marked borrowed.
+func (r *Revised) Freeze() error {
+	fz := &r.frozen
+	if fz.basis != nil && fz.gen == r.gen {
+		return nil
 	}
-	if r.freezer == nil {
-		r.freezer = newLUFactor(r)
+	if r.factorized && len(r.fac.etas) > 0 && !r.refactorize() {
+		return errors.New("lp: Freeze: current basis is numerically singular")
 	}
-	if !r.freezer.factorize() {
-		return nil, errors.New("lp: Fork: current basis is numerically singular")
-	}
-	r.freezer.commit()
-	fz := &frozenLU{
-		gen:      r.gen,
-		rowOfPos: r.freezer.rowOfPos,
-		colOfPos: r.freezer.colOfPos,
-		lPtr:     r.freezer.lPtr,
-		lIdx:     r.freezer.lIdx,
-		lVal:     r.freezer.lVal,
-		uPtr:     r.freezer.uPtr,
-		uIdx:     r.freezer.uIdx,
-		uVal:     r.freezer.uVal,
-		uDiag:    r.freezer.uDiag,
-		luNNZ:    r.freezer.luNNZ,
-	}
-	r.freezer.borrowed = true
-	r.frozen = fz
-	return fz, nil
+	r.fac.borrowed = true
+	fz.gen, fz.luArrays = r.gen, r.fac.luArrays
+	fz.basis = append(fz.basis[:0], r.basis...)
+	fz.atUpper = append(fz.atUpper[:0], r.atUpper...)
+	fz.sign = append(fz.sign[:0], r.sign...)
+	fz.dseW = append(fz.dseW[:0], r.dseW...)
+	fz.dseOK, fz.factorized = r.dseOK, r.factorized
+	return nil
 }
 
-// Fork returns a new solve context over the same constraint structure:
-// it shares this instance's immutable Factorization (and, when the
-// instance holds a live factorized basis, an immutable clean-LU
-// snapshot of it), while owning private copies of everything mutable —
-// a cloned Problem (so rhs/bound mutations stay local), the basis and
-// bound state, pricing weights, statistics and scratch. The fork is
-// O(m + nnz) — no pivots, no phase-1: its first solve continues from
-// the parent's basis with zero lost warmth, exactly as the parent
-// itself would.
+// Rewind returns the context to its frozen state in O(m + ncols), with
+// no allocation and no refactorization: the frozen LU arrays are
+// aliased again (a refactorization since then wrote to fresh storage),
+// the eta file is emptied, and basis, at-upper statuses, row signs and
+// steepest-edge weights are copied back. Every solve after a Rewind
+// therefore starts where the first one after Freeze did, whatever was
+// solved in between and however it ended; the owning Problem's rhs and
+// bounds are the caller's to put back.
+func (r *Revised) Rewind() {
+	fz := &r.frozen
+	if fz.basis == nil {
+		panic("lp: Rewind before Freeze")
+	}
+	f := r.fac
+	f.luArrays, f.borrowed = fz.luArrays, true
+	f.etas, f.etaIdx, f.etaVal, f.minEtas = f.etas[:0], f.etaIdx[:0], f.etaVal[:0], 0
+	r.setBasis(fz.basis)
+	copy(r.atUpper, fz.atUpper)
+	copy(r.sign, fz.sign)
+	copy(r.dseW, fz.dseW)
+	r.dseOK, r.factorized, r.gen = fz.dseOK, fz.factorized, fz.gen
+}
+
+// Fork returns a new solve context over the same constraint structure,
+// born frozen on this instance's snapshot: it shares the immutable
+// Factorization and the frozen LU arrays, and owns private copies of
+// everything mutable — a cloned Problem (so rhs/bound mutations stay
+// local), the frozen simplex state and the working state rewound to it,
+// pricing weights, statistics and scratch. The fork is O(m + nnz) — no
+// pivots, no phase-1: its first solve continues from the parent's basis
+// with zero lost warmth, exactly as the parent itself would, and Rewind
+// means the same thing on it as on the parent.
 //
 // Fork must be called while the parent is quiescent (no solve in
 // flight and no other goroutine mutating it); the forks themselves may
 // then solve concurrently with each other and with the parent, because
-// they share only read-only state. The parent is never mutated by a
-// fork's solves — its next solve, and snapshots taken from it, are
-// bit-identical to what they would have been without the fork.
+// they share only read-only state. Fork may refactorize the parent once
+// per generation (Freeze); a fork's solves never touch it.
 //
 // Forking an instance that has never solved returns an error; forking
 // one whose last verdict dropped the live factorization (for example
@@ -155,39 +165,17 @@ func (r *Revised) Fork() (*Revised, error) {
 	if !r.signInit {
 		return nil, errors.New("lp: Fork before first solve")
 	}
-	f := &Revised{Factorization: r.Factorization, p: r.p.clone()}
-	f.sign = append([]float64(nil), r.sign...)
-	f.signInit = true
-	f.basis = append([]int(nil), r.basis...)
-	f.inBasis = append([]bool(nil), r.inBasis...)
-	f.atUpper = append([]bool(nil), r.atUpper...)
-	f.lbs = make([]float64, r.nstruct)
-	f.U = make([]float64, r.ncols)
-	for j := range f.U {
-		f.U[j] = math.Inf(1)
+	if err := r.Freeze(); err != nil {
+		return nil, err
 	}
-	f.xb = make([]float64, r.m)
-	f.b = make([]float64, r.m)
-	f.dwCol = make([]float64, r.ncols)
-	f.dseW = make([]float64, r.m)
-	if r.factorized {
-		fz, err := r.freeze()
-		if err != nil {
-			return nil, err
-		}
-		f.fac = newBorrowedLUFactor(f, fz)
-		f.factorized = true
-		if r.dseOK {
-			copy(f.dseW, r.dseW)
-			f.dseOK = true
-		}
-	} else {
-		// No live factorization to share: the fork still carries the
-		// parent's last basis and installs it (or a caller-supplied
-		// one) through the normal warm path on first solve.
-		f.fac = newLUFactor(f)
-	}
-	f.allocScratch()
+	f := &Revised{Factorization: r.Factorization, p: r.p.clone(), signInit: true}
+	f.alloc()
+	f.frozen = r.frozen
+	f.frozen.basis = append([]int(nil), r.frozen.basis...)
+	f.frozen.atUpper = append([]bool(nil), r.frozen.atUpper...)
+	f.frozen.sign = append([]float64(nil), r.frozen.sign...)
+	f.frozen.dseW = append([]float64(nil), r.frozen.dseW...)
+	f.Rewind()
 	r.stats.Forks++
 	return f, nil
 }

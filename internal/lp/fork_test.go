@@ -260,8 +260,10 @@ func TestForkBeforeSolve(t *testing.T) {
 }
 
 // TestForkFrozenSnapshotReuse pins the O(m) promise's amortized half:
-// forking K times off one quiescent parent factorizes the freezer
-// exactly once — the snapshot is cached by generation.
+// forking K times off one quiescent parent refactorizes it at most once
+// — only to fold a non-empty eta file into the snapshot — and not at
+// all once its factor is clean; the parent and every fork then read the
+// same frozen arrays.
 func TestForkFrozenSnapshotReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomFeasibleProblem(rng, false)
@@ -269,26 +271,33 @@ func TestForkFrozenSnapshotReuse(t *testing.T) {
 	if _, _, err := r.SolveFrom(nil); err != nil {
 		t.Fatalf("base solve: %v", err)
 	}
-	f1, err := r.Fork()
-	if err != nil {
-		t.Fatalf("fork 1: %v", err)
-	}
-	fz := r.frozen
-	if fz == nil {
-		t.Fatal("no frozen snapshot after first fork of a factorized parent")
-	}
-	f2, err := r.Fork()
-	if err != nil {
-		t.Fatalf("fork 2: %v", err)
-	}
-	if r.frozen != fz {
-		t.Fatal("second fork rebuilt the frozen snapshot instead of reusing it")
-	}
-	lu1, lu2 := f1.fac, f2.fac
-	if len(lu1.uVal) > 0 && &lu1.uVal[0] != &lu2.uVal[0] {
-		t.Fatal("sibling forks do not alias the same frozen U")
-	}
-	if !lu1.borrowed || !lu2.borrowed {
-		t.Fatal("borrowed flag not set on forked factors")
+	for _, round := range []string{"after a solve", "already frozen"} {
+		want := 0
+		if len(r.fac.etas) > 0 {
+			want = 1
+		}
+		before := r.Stats().Refactorizations
+		forks := make([]*Revised, 5)
+		for k := range forks {
+			f, err := r.Fork()
+			if err != nil {
+				t.Fatalf("%s: fork %d: %v", round, k, err)
+			}
+			forks[k] = f
+		}
+		if got := r.Stats().Refactorizations - before; got != want {
+			t.Fatalf("%s: %d forks refactorized the parent %d times, want %d", round, len(forks), got, want)
+		}
+		if len(r.fac.etas) != 0 || !r.fac.borrowed {
+			t.Fatalf("%s: parent factor not clean and borrowed (etas %d, borrowed %v)", round, len(r.fac.etas), r.fac.borrowed)
+		}
+		for k, f := range forks {
+			if !f.fac.borrowed || &f.fac.uDiag[0] != &r.fac.uDiag[0] {
+				t.Fatalf("%s: fork %d does not borrow the parent's frozen arrays", round, k)
+			}
+			if f.Stats().Refactorizations != 0 {
+				t.Fatalf("%s: fork %d was born with a refactorization", round, k)
+			}
+		}
 	}
 }

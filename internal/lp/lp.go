@@ -111,18 +111,23 @@
 //     Revised embeds a *Factorization, so a Revised IS a solve
 //     context over a shareable immutable core.
 //
-// Revised.Fork splits a new context off a solved instance in O(m +
-// nnz): the child shares the parent's Factorization and an immutable
-// clean-LU snapshot of its current basis (frozen on first fork per
-// generation, aliased read-only by every sibling), and owns private
-// copies of all mutable state including a cloned Problem. A fork's
-// first solve warm-starts from the parent's basis with zero lost
-// pivots and zero refactorization; its rhs/bound mutations never leak
-// into the parent or siblings, and forked contexts solve concurrently
-// against the shared core data-race-free by construction. This is the
-// engine under the scheduling service's batched what-if endpoint: one
-// warm session fans a batch of mutations out over forked contexts
-// instead of serializing them behind the session lock.
+// Revised.Freeze makes the context's current state — its own clean LU
+// and the basis, at-upper statuses, row signs and steepest-edge weights
+// beside it — the point Revised.Rewind returns to in O(m), without
+// refactorizing, so a solve posed after a Rewind costs and answers the
+// same whatever was solved before it. Revised.Fork splits a new context
+// off a solved instance in O(m + nnz): the child is born frozen on the
+// parent's snapshot (frozen once per generation, its LU aliased
+// read-only by the parent and every sibling), shares the parent's
+// Factorization, and owns private copies of all mutable state including
+// a cloned Problem. A fork's first solve warm-starts from the parent's
+// basis with zero lost pivots and zero refactorization; its rhs/bound
+// mutations never leak into the parent or siblings, and forked contexts
+// solve concurrently against the shared core data-race-free by
+// construction. This is the engine under the scheduling service's
+// what-ifs: the single one rewinds the session's context, and a batch
+// fans out over forked contexts instead of serializing behind the
+// session lock.
 package lp
 
 import (

@@ -41,30 +41,18 @@ type luFactor struct {
 	r *Revised
 	m int
 
-	// Committed factorization (position space; only replaced wholesale
-	// on a successful refactor, so a failed rebuild keeps the previous
-	// representation usable).
-	rowOfPos []int32 // constraint row pivotal at elimination step k
-	colOfPos []int32 // basis position eliminated at step k
-	lPtr     []int32 // L columns: entries at positions > k, unit diagonal implicit
-	lIdx     []int32
-	lVal     []float64
-	uPtr     []int32 // U columns: entries at positions < k
-	uIdx     []int32
-	uVal     []float64
-	uDiag    []float64
-	luNNZ    int
+	luArrays
 
 	etas    []luEta
 	etaIdx  []int32 // shared arena backing every eta's nonzeros
 	etaVal  []float64
 	minEtas int // deferRefactor backoff threshold
 
-	// borrowed marks the committed arrays as aliased by a frozenLU
-	// snapshot that forked contexts read concurrently (or as stolen by
-	// one): the next commit must allocate fresh storage for every
-	// committed array instead of writing in place. The eta file is
-	// never borrowed — forks own theirs.
+	// borrowed marks the committed arrays as the ones a frozenState
+	// holds — this context's own Rewind target, and what its forks read
+	// concurrently: the next commit must allocate fresh storage for every
+	// committed array instead of writing in place. The eta file is never
+	// borrowed — every context owns its own.
 	borrowed bool
 
 	w []float64 // dense solve workspace
@@ -87,6 +75,23 @@ type luFactor struct {
 	mark               []int32 // column-lookup stamps, indexed by row
 	markAt             []int32
 	stamp              int32
+}
+
+// luArrays is the committed factorization (position space). It is only
+// replaced wholesale — on a successful refactor, so a failed rebuild
+// keeps the previous representation usable, and by Rewind, which puts
+// the frozen one back.
+type luArrays struct {
+	rowOfPos []int32 // constraint row pivotal at elimination step k
+	colOfPos []int32 // basis position eliminated at step k
+	lPtr     []int32 // L columns: entries at positions > k, unit diagonal implicit
+	lIdx     []int32
+	lVal     []float64
+	uPtr     []int32 // U columns: entries at positions < k
+	uIdx     []int32
+	uVal     []float64
+	uDiag    []float64
+	luNNZ    int
 }
 
 type luEntry struct {
@@ -134,12 +139,7 @@ const (
 
 func newLUFactor(r *Revised) *luFactor {
 	m := r.m
-	f := &luFactor{r: r, m: m}
-	f.rowOfPos = make([]int32, m)
-	f.colOfPos = make([]int32, m)
-	f.uDiag = make([]float64, m)
-	f.lPtr = make([]int32, m+1)
-	f.uPtr = make([]int32, m+1)
+	f := &luFactor{r: r, m: m, luArrays: newLUArrays(m)}
 	f.w = make([]float64, m)
 	f.cols = make([][]luEntry, m)
 	f.rowsCand = make([][]int32, m)
@@ -161,22 +161,14 @@ func newLUFactor(r *Revised) *luFactor {
 	return f
 }
 
-// newBorrowedLUFactor returns an eta-file factor whose committed
-// arrays alias an immutable frozen snapshot: the fork starts from the
-// parent's clean LU without refactorizing. The borrowed flag defers
-// any write to those arrays — updates append only to the fork's
-// private eta file, and the first commit (triggered by a refactor)
-// allocates fresh storage.
-func newBorrowedLUFactor(r *Revised, fz *frozenLU) *luFactor {
-	f := newLUFactor(r)
-	f.rowOfPos = fz.rowOfPos
-	f.colOfPos = fz.colOfPos
-	f.uDiag = fz.uDiag
-	f.lPtr, f.lIdx, f.lVal = fz.lPtr, fz.lIdx, fz.lVal
-	f.uPtr, f.uIdx, f.uVal = fz.uPtr, fz.uIdx, fz.uVal
-	f.luNNZ = fz.luNNZ
-	f.borrowed = true
-	return f
+func newLUArrays(m int) luArrays {
+	return luArrays{
+		rowOfPos: make([]int32, m),
+		colOfPos: make([]int32, m),
+		uDiag:    make([]float64, m),
+		lPtr:     make([]int32, m+1),
+		uPtr:     make([]int32, m+1),
+	}
 }
 
 // refactor computes a fresh LU factorization of the current basis and
@@ -420,16 +412,10 @@ func (f *luFactor) eliminate(k int, pi, pj int32, pv float64) {
 func (f *luFactor) commit() {
 	m := f.m
 	if f.borrowed {
-		// The committed arrays belong to a frozen snapshot other
-		// contexts still read — allocate fresh storage before the first
-		// write instead of clobbering them.
-		f.rowOfPos = make([]int32, m)
-		f.colOfPos = make([]int32, m)
-		f.uDiag = make([]float64, m)
-		f.lPtr = make([]int32, m+1)
-		f.uPtr = make([]int32, m+1)
-		f.lIdx, f.lVal = nil, nil
-		f.uIdx, f.uVal = nil, nil
+		// The committed arrays belong to a frozen snapshot — Rewind puts
+		// them back, and forks read them — so allocate fresh storage
+		// before the first write instead of clobbering them.
+		f.luArrays = newLUArrays(m)
 		f.borrowed = false
 	}
 	copy(f.rowOfPos, f.pivR)

@@ -61,7 +61,7 @@ func TestWarmWhatIfZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	p := whatIfLP(r, 120, 80)
 	rev := NewRevised(p)
-	sol, _, err := rev.SolveFrom(nil)
+	sol, basis, err := rev.SolveFrom(nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("cold solve: status %v err %v", sol.Status, err)
 	}
@@ -69,29 +69,30 @@ func TestWarmWhatIfZeroAlloc(t *testing.T) {
 	for i := range rhs0 {
 		rhs0[i] = p.RHS(i)
 	}
-	// Prime to steady state before measuring: early warm solves still
-	// grow the LU arrays on periodic refactorizations (capacity
-	// plateaus after a few hundred cycles; the benchmark amortizes the
-	// same warm-up away at long benchtime).
-	for i := 0; i < 400; i++ {
-		row := i % p.NumConstraints()
-		p.SetRHS(row, rhs0[row]*0.8)
-		if _, err := rev.SolveEphemeral(nil); err != nil {
-			t.Fatal(err)
-		}
-		p.SetRHS(row, rhs0[row])
+	if err := rev.Freeze(); err != nil {
+		t.Fatal(err)
 	}
 	i := 0
-	allocs := testing.AllocsPerRun(50, func() {
+	whatIf := func() {
 		row := i % p.NumConstraints()
 		p.SetRHS(row, rhs0[row]*0.8)
-		if _, err := rev.SolveEphemeral(nil); err != nil {
+		if _, err := rev.SolveEphemeral(basis); err != nil {
 			t.Fatal(err)
 		}
 		p.SetRHS(row, rhs0[row])
+		rev.Rewind()
 		i++
-	})
+	}
+	// Prime before measuring: the first warm solves still grow the eta
+	// arena and the ratio-test buffers to their working size.
+	for i < 2*p.NumConstraints() {
+		whatIf()
+	}
+	allocs := testing.AllocsPerRun(50, whatIf)
 	if allocs != 0 {
 		t.Fatalf("warm ephemeral what-if allocates %v per op, want 0", allocs)
+	}
+	if st := rev.Stats(); st.ColdSolves != 1 || st.ColdFallbacks != 0 {
+		t.Fatalf("the what-ifs measured were not warm: %d cold solves, %d cold fallbacks", st.ColdSolves, st.ColdFallbacks)
 	}
 }

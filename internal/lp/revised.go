@@ -69,7 +69,8 @@ type Revised struct {
 	// Invariant: while factorized, the current basis (with its
 	// atUpper statuses) is dual feasible for the phase-2 costs (every
 	// solve ends optimal, infeasible via the dual simplex — which
-	// preserves dual feasibility — or clears the flag).
+	// preserves dual feasibility — or clears the flag; Rewind puts back
+	// a state that was frozen under the same invariant).
 	fac        *luFactor
 	basis      []int
 	inBasis    []bool
@@ -81,12 +82,11 @@ type Revised struct {
 
 	stats Stats
 
-	// Fork support: gen counts solves (any of which may move the
-	// basis), frozen caches the clean-LU snapshot forks borrow, keyed
-	// on gen, and freezer is the private luFactor that builds it.
-	gen     uint64
-	frozen  *frozenLU
-	freezer *luFactor
+	// gen counts solves (any of which may move the basis); frozen is the
+	// state Freeze recorded at frozen.gen, which Rewind returns to and
+	// forks are born on.
+	gen    uint64
+	frozen frozenState
 
 	// Devex reference-framework weights pricing entering candidates in
 	// the primal; each primal run resets the framework.
@@ -267,6 +267,14 @@ func (r *Revised) AbsorbStats(other Stats) { r.stats.Add(other) }
 // solving after rows were added panics.
 func NewRevised(p *Problem) *Revised {
 	r := &Revised{Factorization: newFactorization(p), p: p}
+	r.alloc()
+	return r
+}
+
+// alloc sizes everything a solve writes to: the basis state, its
+// factor and the scratch buffers. Shared by NewRevised and Fork so a
+// forked context never aliases writable memory of its parent.
+func (r *Revised) alloc() {
 	r.sign = make([]float64, r.m)
 	r.b = make([]float64, r.m)
 	r.xb = make([]float64, r.m)
@@ -281,15 +289,6 @@ func NewRevised(p *Problem) *Revised {
 	r.fac = newLUFactor(r)
 	r.dwCol = make([]float64, r.ncols)
 	r.dseW = make([]float64, r.m)
-	r.allocScratch()
-	return r
-}
-
-// allocScratch sizes the per-context scratch buffers — everything a
-// solve writes to besides the basis state itself. Shared by
-// NewRevised and Fork so a forked context never aliases writable
-// memory of its parent.
-func (r *Revised) allocScratch() {
 	r.ys = make([]float64, r.m)
 	r.ws = make([]float64, r.m)
 	r.d = make([]float64, r.m)

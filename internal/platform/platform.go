@@ -38,6 +38,13 @@ type Link struct {
 	MaxConnect int     `json:"maxConnect"`
 }
 
+// MaxConnectCeiling is the largest budget a request may give a link. A
+// budget arrives as a float (a what-if's value, an epoch's factor times
+// the current budget) and converting one beyond the int range is
+// implementation-defined, so callers refuse anything above this before
+// converting; the paper's budgets are tens.
+const MaxConnectCeiling = math.MaxInt32
+
 // Route is the fixed routing path between two clusters: the ordered
 // backbone link indices of L_{k,l}, plus the derived bottleneck
 // bandwidth of a single connection on the path (min over links of

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lp"
-	"repro/internal/platform"
 )
 
 // This file is the batched what-if engine: N hypotheticals against
@@ -20,15 +19,14 @@ import (
 // canonical-JSON key the single-query endpoint's in-flight coalescing
 // uses, validate every distinct query into a hypothetical and fork a
 // bounded pool of models under the session lock, release the lock, fan
-// the distinct queries out over the forks (static round-robin, so the
-// assignment — and with it the whole response — is deterministic), and
-// finally merge every fork's solver counters back into the session
-// aggregate. A fork answers a query exactly as the session model does
-// — pose, solve, retract to the committed platform captured at batch
-// start. The session lock is held only for validation and forking,
-// never for solving: queries, epochs and single what-ifs proceed
-// concurrently with a running batch, and the batch's answers are pinned
-// to the committed state captured at its start.
+// the distinct queries out over the forks, and finally merge every
+// fork's solver counters back into the session aggregate. A fork answers
+// a query with the body the session model does (whatIfOn), from the same
+// committed factorization, so which fork a query lands on changes
+// neither its answer nor its cost. The session lock is held only for
+// validation and forking, never for solving: queries, epochs and single
+// what-ifs proceed concurrently with a running batch, and the batch's
+// answers are pinned to the committed state captured at its start.
 //
 // Batch reports are lean on purpose — verdict, value and bound, no
 // allocation tables, no stats snapshot — which makes the response a
@@ -100,8 +98,6 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 	if workers > nd {
 		workers = nd
 	}
-	s.whatIfs.Add(uint64(nd))
-	s.coalesced.Add(uint64(n - nd))
 
 	// Validate every distinct query and fork the worker models under
 	// the session lock; the solves run outside it. The captured
@@ -130,11 +126,11 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 	}
 	s.model.AbsorbSolverStats(lp.Stats{PeakForks: workers, Batches: 1, BatchMaxSize: n})
 	s.mu.Unlock()
+	s.whatIfs.Add(uint64(nd))
+	s.coalesced.Add(uint64(n - nd))
 
 	// Fan out: worker w answers distinct queries w, w+W, w+2W, … on
-	// its own fork. The static assignment (rather than a shared work
-	// queue) keeps the path each answer takes — and the bytes of the
-	// response — independent of goroutine scheduling.
+	// its own fork.
 	type result struct {
 		rep *SolveReport
 		err error
@@ -146,7 +142,17 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 		go func(w int) {
 			defer wg.Done()
 			for d := w; d < nd; d += workers {
-				rep, err := s.forkWhatIf(forks[w], hyps[d], committed, basis, epoch)
+				rep, err := whatIfOn(forks[w], hyps[d], committed, func() (*SolveReport, error) {
+					bound, ok, err := forks[w].SolveBound(basis)
+					if err != nil {
+						return nil, err
+					}
+					rep := &SolveReport{Heuristic: s.cfg.heur, Objective: s.cfg.objName, Relaxed: true, Epoch: epoch}
+					if ok {
+						rep.Feasible, rep.Value, rep.LPBound = true, bound, bound
+					}
+					return rep, nil
+				})
 				results[d] = result{rep, err}
 			}
 		}(w)
@@ -179,33 +185,6 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 		reports[i] = &shared
 	}
 	return &BatchWhatIfResponse{Reports: reports, Distinct: nd, Workers: workers, Epoch: epoch}, nil
-}
-
-// forkWhatIf answers one distinct batch query on a fork: pose the
-// hypothetical, solve the relaxation warm from the committed basis,
-// retract. The report is the lean batch shape — no allocation tables,
-// no stats — so it is deterministic byte for byte.
-func (s *Session) forkWhatIf(f *core.Model, h hypothetical, committed *platform.Platform, basis *lp.Basis, epoch int) (*SolveReport, error) {
-	defer retract(f, committed)
-	if err := pose(f, h); err != nil {
-		return nil, err
-	}
-	bound, ok, err := f.SolveBound(basis)
-	if err != nil {
-		return nil, err
-	}
-	rep := &SolveReport{
-		Heuristic: s.cfg.heur,
-		Objective: s.cfg.objName,
-		Relaxed:   true,
-		Epoch:     epoch,
-	}
-	if ok {
-		rep.Feasible = true
-		rep.Value = bound
-		rep.LPBound = bound
-	}
-	return rep, nil
 }
 
 // BatchWhatIf runs the batched what-if engine once without a server:

@@ -272,22 +272,35 @@ func TestBatchWhatIfErrors(t *testing.T) {
 	url := ts.URL + "/sessions/" + resp.ID + "/whatif/batch"
 
 	before := sess.Stats().Solver
+	// A refused batch answered nothing, so it counts nothing.
+	counted := sess.Stats()
+	uncounted := func(row string) {
+		t.Helper()
+		if st := sess.Stats(); st.WhatIfs != counted.WhatIfs || st.CoalescedWhatIfs != counted.CoalescedWhatIfs {
+			t.Fatalf("%s: a refused batch moved whatIfs %d -> %d, coalescedWhatIfs %d -> %d",
+				row, counted.WhatIfs, st.WhatIfs, counted.CoalescedWhatIfs, st.CoalescedWhatIfs)
+		}
+	}
 
 	// Empty batch.
 	status, _, err := doJSONRaw(ts.Client(), "POST", url, &BatchWhatIfRequest{})
 	if err != nil || status != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d err %v, want 400", status, err)
 	}
+	uncounted("empty batch")
 
-	// One bad query fails the whole batch before anything solves.
+	// One bad query fails the whole batch before anything solves (the
+	// third repeats the first: a coalesced pair the batch never answers).
 	queries := []WhatIfRequest{
 		{Speeds: []ClusterValue{{Cluster: 0, Value: 100}}},
 		{Speeds: []ClusterValue{{Cluster: 99, Value: 100}}},
+		{Speeds: []ClusterValue{{Cluster: 0, Value: 100}}},
 	}
 	status, raw, err := doJSONRaw(ts.Client(), "POST", url, &BatchWhatIfRequest{Queries: queries})
 	if err != nil || status != http.StatusBadRequest {
 		t.Fatalf("bad cluster: status %d err %v, want 400; body %s", status, err, raw)
 	}
+	uncounted("bad cluster")
 	var errResp ErrorResponse
 	if jsonErr := json.Unmarshal(raw, &errResp); jsonErr != nil || errResp.Error == "" {
 		t.Fatalf("bad cluster: undecodable error body %s", raw)
@@ -309,6 +322,7 @@ func TestBatchWhatIfErrors(t *testing.T) {
 		if err != nil || status != http.StatusBadRequest || !strings.Contains(string(raw), "batch query 1") {
 			t.Fatalf("%s: status %d err %v body %s, want 400 naming batch query 1", name, status, err, raw)
 		}
+		uncounted(name)
 	}
 
 	// `workers` is outside input: past maxBatchWorkers the batch is
@@ -318,6 +332,7 @@ func TestBatchWhatIfErrors(t *testing.T) {
 	if err != nil || status != http.StatusBadRequest || !strings.Contains(string(raw), "workers 65 out of range") {
 		t.Fatalf("workers %d: status %d err %v body %s, want 400 naming the range", maxBatchWorkers+1, status, err, raw)
 	}
+	uncounted("workers")
 
 	after := sess.Stats().Solver
 	if d := (after.WarmSolves + after.ColdSolves) - (before.WarmSolves + before.ColdSolves); d != 0 {

@@ -19,6 +19,12 @@ func committedBody(t *testing.T, s *Session) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return bodyWithoutStats(t, rep)
+}
+
+// bodyWithoutStats encodes rep as the wire would, minus its stats.
+func bodyWithoutStats(t *testing.T, rep *SolveReport) []byte {
+	t.Helper()
 	cp := *rep
 	cp.Stats = nil
 	var buf bytes.Buffer

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -471,15 +472,25 @@ func TestCreateRejectsBadRequests(t *testing.T) {
 
 	// Bad what-if mutations 400 without corrupting the session.
 	resp := createSession(t, ts, &CreateSessionRequest{Platform: platformJSON(t, pl)}, http.StatusCreated)
-	for _, wi := range []WhatIfRequest{
-		{Speeds: []ClusterValue{{Cluster: 99, Value: 10}}},
-		{Gateways: []ClusterValue{{Cluster: -1, Value: 10}}},
-		{Links: []LinkValue{{Link: 9999, MaxConnect: 1}}},
-		{Speeds: []ClusterValue{{Cluster: 0, Value: -4}}},
-		{Bounds: []RouteBounds{{From: 0, To: 0, Lb: 1, Ub: 2}}}, // local route: no β variable
+	for _, tc := range []struct {
+		wi   WhatIfRequest
+		want string // in the error message
+	}{
+		{WhatIfRequest{Speeds: []ClusterValue{{Cluster: 99, Value: 10}}}, "cluster 99 out of range"},
+		{WhatIfRequest{Gateways: []ClusterValue{{Cluster: -1, Value: 10}}}, "cluster -1 out of range"},
+		{WhatIfRequest{Links: []LinkValue{{Link: 9999, MaxConnect: 1}}}, "link 9999 out of range"},
+		{WhatIfRequest{Speeds: []ClusterValue{{Cluster: 0, Value: -4}}}, "speed"},
+		{WhatIfRequest{Bounds: []RouteBounds{{From: 0, To: 0, Lb: 1, Ub: 2}}}, "no β variable"}, // local route
+		// Past the int range the conversion is implementation-defined:
+		// refused as what it is, not as whatever it converted to.
+		{WhatIfRequest{Links: []LinkValue{{Link: 0, MaxConnect: 1e300}}}, "max-connect 1e+300 invalid"},
+		{WhatIfRequest{Links: []LinkValue{{Link: 0, MaxConnect: 1 << 31}}}, "at most 2147483647"},
 	} {
 		var e ErrorResponse
-		doJSON(t, ts.Client(), "POST", ts.URL+"/sessions/"+resp.ID+"/whatif", wi, &e, http.StatusBadRequest)
+		doJSON(t, ts.Client(), "POST", ts.URL+"/sessions/"+resp.ID+"/whatif", tc.wi, &e, http.StatusBadRequest)
+		if !strings.Contains(e.Error, tc.want) {
+			t.Fatalf("what-if %+v: error %q does not say %q", tc.wi, e.Error, tc.want)
+		}
 	}
 	var q SolveReport
 	doJSON(t, ts.Client(), "POST", ts.URL+"/sessions/"+resp.ID+"/query", nil, &q, http.StatusOK)

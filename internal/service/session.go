@@ -11,9 +11,12 @@
 //
 //   - query    — the current allocation and objective,
 //   - what-if  — temporary speed/gateway/link-budget/β-bound
-//     mutations, posed as a hypothetical platform, answered, and
-//     retracted exactly by re-injecting the committed platform
-//     (pose / retract below), with identical concurrent what-ifs
+//     mutations, posed as a hypothetical platform, answered from the
+//     committed factorization, and undone exactly — the model by
+//     re-injecting the committed platform, the solver by rewinding to
+//     the state frozen after the commit (whatIfOn below) — so an answer
+//     and its cost depend on the committed state and the request, not
+//     on what was asked before; identical concurrent what-ifs are
 //     coalesced into one solve,
 //   - epoch    — a committed adapt.Perturbation-style capacity
 //     update, re-solved warm from the carried basis,
@@ -152,7 +155,8 @@ type commitRecord struct {
 // holder of the committed capacities: outside a what-if the model holds
 // exactly adapt.InjectCapacities(pl) and default β bounds, so a what-if
 // poses its hypothetical under mu and retracts it by re-injecting pl
-// before releasing it.
+// before releasing it; the solver it rewinds to the factorization the
+// last commit left (whatIfOn).
 type Session struct {
 	id          string
 	fingerprint string
@@ -378,7 +382,8 @@ func (s *Session) heuristicSolve(epr *core.Problem) (*core.Allocation, *lp.Basis
 // typically zero pivots — it is already optimal for the unpinned
 // relaxation). Only a commit rebases the solver, advances the carried
 // basis and files the answer as the committed one; a what-if's root
-// basis is discarded and its answer is the caller's to file.
+// basis is discarded, its answer is the caller's to file, and whatIfOn
+// rewinds the solver past every solve made here.
 func (s *Session) solveLocked(epr *core.Problem, commit bool) (*SolveReport, error) {
 	if commit {
 		// Committed answers must be replica-independent: a session
@@ -390,8 +395,8 @@ func (s *Session) solveLocked(epr *core.Problem, commit bool) (*SolveReport, err
 		// and therefore the committed Value, would drift across a
 		// failover. Rebase drops the history so this solve is a pure
 		// function of the committed discrete state on every replica.
-		// What-if solves skip this: they are read-only hypotheticals
-		// where continuation speed wins.
+		// A what-if needs no rebase: it starts from the factorization
+		// this solve leaves, and is rewound to it.
 		s.model.Rebase()
 	}
 	alloc, basis, err := s.heuristicSolve(epr)
@@ -478,9 +483,7 @@ func (s *Session) relaxReportLocked(sol *core.RelaxedSolution) *SolveReport {
 func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) { return asReport(s.whatIf(req)) }
 
 // whatIf is WhatIf as the HTTP layer consumes it; see query. The owner
-// of a flight poses the hypothetical on the session model, solves warm
-// from the committed basis (ephemerally — the resulting basis is
-// discarded, the committed basis is never mutated) and retracts it
+// of a flight answers the hypothetical on the session model (whatIfOn)
 // before releasing the session. The answer is resolved under the
 // committed-state digest while mu is still held, so it can never be
 // filed against a state other than the one it was computed on.
@@ -507,28 +510,44 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 	s.whatIfs.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, err := s.whatIfSolveLocked(req)
+	var rep *SolveReport
+	h, err := s.hypotheticalLocked(req)
+	if err == nil {
+		rep, err = whatIfOn(s.model, h, s.pl, func() (*SolveReport, error) {
+			if !req.Relax && len(req.Bounds) == 0 {
+				return s.solveLocked(&core.Problem{Platform: h.pl, Payoffs: s.pr.Payoffs}, false)
+			}
+			sol, _, err := s.model.SolveEphemeral(s.basis) // nil when infeasible
+			if err != nil {
+				return nil, err
+			}
+			return s.relaxReportLocked(sol), nil
+		})
+	}
 	s.answers.resolve(a, rep, err)
 	return rep, nil, err
 }
 
-func (s *Session) whatIfSolveLocked(req *WhatIfRequest) (*SolveReport, error) {
-	h, err := s.hypotheticalLocked(req)
-	if err != nil {
+// whatIfOn is the one what-if body: it poses h on m — the session model
+// under mu, or a batch's fork of it — runs extract, which solves and
+// reads out what its caller reports (the heuristic answer, the relaxed
+// tables, or the bare bound), then retracts to the committed platform
+// and rewinds the solver to the committed factorization, frozen here on
+// the first what-if after a commit (a fork is born frozen). Both halves
+// of m therefore end where they started: what extract returns, and what
+// it costs, is a function of the committed state and h alone.
+func whatIfOn(m *core.Model, h hypothetical, committed *platform.Platform, extract func() (*SolveReport, error)) (*SolveReport, error) {
+	if err := m.Freeze(); err != nil {
 		return nil, err
 	}
-	defer retract(s.model, s.pl)
-	if err := pose(s.model, h); err != nil {
+	defer func() {
+		retract(m, committed)
+		m.Rewind()
+	}()
+	if err := pose(m, h); err != nil {
 		return nil, err
 	}
-	if !req.Relax && len(req.Bounds) == 0 {
-		return s.solveLocked(&core.Problem{Platform: h.pl, Payoffs: s.pr.Payoffs}, false)
-	}
-	sol, _, err := s.model.SolveEphemeral(s.basis) // nil when infeasible
-	if err != nil {
-		return nil, err
-	}
-	return s.relaxReportLocked(sol), nil
+	return extract()
 }
 
 // hypothetical is one validated what-if: the platform it poses — the
@@ -561,11 +580,10 @@ func (s *Session) hypotheticalLocked(req *WhatIfRequest) (hypothetical, error) {
 		if m.Link < 0 || m.Link >= len(epl.Links) {
 			return hypothetical{}, fmt.Errorf("link mutation: link %d out of range [0,%d)", m.Link, len(epl.Links))
 		}
-		if m.MaxConnect < 0 || math.IsNaN(m.MaxConnect) || math.IsInf(m.MaxConnect, 0) {
-			return hypothetical{}, fmt.Errorf("link mutation: max-connect %g invalid", m.MaxConnect)
-		}
-		if m.MaxConnect != math.Trunc(m.MaxConnect) {
-			return hypothetical{}, fmt.Errorf("link mutation: max-connect %g invalid (budgets are whole connection counts)", m.MaxConnect)
+		// Refused before the conversion below, which is
+		// implementation-defined out of range; NaN fails the first test.
+		if !(m.MaxConnect >= 0 && m.MaxConnect <= platform.MaxConnectCeiling) || m.MaxConnect != math.Trunc(m.MaxConnect) {
+			return hypothetical{}, fmt.Errorf("link mutation: max-connect %g invalid (budgets are whole connection counts, at most %d)", m.MaxConnect, platform.MaxConnectCeiling)
 		}
 		epl.Links[m.Link].MaxConnect = int(m.MaxConnect)
 	}

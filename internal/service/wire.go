@@ -113,8 +113,9 @@ type WhatIfRequest struct {
 // allocation) against the same committed session state, decoded once,
 // deduplicated by canonical JSON (the single-flight key the
 // one-query endpoint uses) and fanned out over a bounded pool of
-// forked solve contexts. Answers are identical to issuing each query
-// through POST /sessions/{id}/whatif with Relax set, at 1e-9.
+// forked solve contexts. Each verdict and bound is the one POST
+// /sessions/{id}/whatif with Relax set returns for that query, exactly:
+// a fork starts where the session's own what-if does.
 type BatchWhatIfRequest struct {
 	Queries []WhatIfRequest `json:"queries"`
 	// Workers bounds the fork pool; <= 0 uses the service default and
