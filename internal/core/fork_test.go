@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/platform"
+	"repro/internal/platgen"
 )
 
 // inject writes pl's capacities into m exactly as adapt.InjectCapacities
@@ -182,5 +184,49 @@ func TestForkConcurrent(t *testing.T) {
 	}
 	if got := m.SolverStats().Forks; got != n {
 		t.Fatalf("parent counted %d forks, want %d", got, n)
+	}
+}
+
+// TestForkAllocatesNoDeadFactor bounds what one Model.Fork() allocates on
+// a K=20 model of the benchmark's platform shape. A fork used to build
+// five LU arrays that its birth Rewind dropped for the parent's frozen
+// ones at once: 362.7 KiB on this instance (ROADMAP's 365 KiB was another
+// K=20 draw), before the live and frozen reduced-cost vectors a fork now
+// also carries. Without those arrays and the dual's fourth breakpoint
+// buffer it reads 359.6 KiB.
+func TestForkAllocatesNoDeadFactor(t *testing.T) {
+	pl, err := platgen.Generate(platgen.Params{
+		K: 20, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5,
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewProblem(pl).NewModel(SUM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok, err := m.Solve(nil); err != nil || !ok {
+		t.Fatalf("nominal solve: ok=%v err=%v", ok, err)
+	}
+	if _, err := m.Fork(); err != nil { // the first fork also pays the parent's Freeze
+		t.Fatal(err)
+	}
+	// TotalAlloc is process-wide: a runtime goroutine allocating in the
+	// window can only add, so the smallest of a few forks is the fork's.
+	kib := math.Inf(1)
+	for n := 0; n < 5; n++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := m.Fork()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(f)
+		kib = math.Min(kib, float64(after.TotalAlloc-before.TotalAlloc)/1024)
+	}
+	t.Logf("one Model.Fork() at K=20: %.1f KiB", kib)
+	if kib >= 362 {
+		t.Fatalf("one Model.Fork() at K=20 allocated %.1f KiB, want below the 362.7 KiB it took with the dead factor", kib)
 	}
 }

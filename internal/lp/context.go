@@ -77,7 +77,7 @@ func (r *Revised) Rebase() {
 	}
 	r.signInit = true
 	r.factorized = false
-	r.dseOK = false
+	r.dseOK, r.djOK = false, false
 }
 
 // SolveEphemeral is SolveFrom for callers that will not keep the
@@ -197,7 +197,7 @@ func (r *Revised) refactorize() bool {
 // with every structural variable starting at its lower bound.
 func (r *Revised) coldSolve() (Solution, *Basis, error) {
 	r.stats.ColdSolves++
-	r.dseOK = false // the basis is rebuilt from scratch below
+	r.dseOK, r.djOK = false, false // the basis is rebuilt from scratch below
 	for j := range r.atUpper {
 		r.atUpper[j] = false
 	}
@@ -303,7 +303,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 			r.factorized = false
 			return Solution{}, nil, false, nil
 		}
-		r.dseOK = false // steepest-edge weights described the old basis
+		r.dseOK, r.djOK = false, false // weights and reduced costs described the old basis
 	}
 	// refreshRHS sanitizes the at-upper set against the (possibly
 	// mutated) bounds before computeXB prices the nonbasic columns in.
@@ -311,8 +311,8 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 	r.computeXB()
 
 	costs := r.fullCosts()
-	if r.dualFeasible(costs) {
-		status, err := r.dual(costs)
+	if r.dualFeasible() {
+		status, err := r.dual()
 		if err != nil {
 			r.factorized = false
 			return Solution{}, nil, false, nil // e.g. iteration limit: retry cold
@@ -330,9 +330,10 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 				return Solution{}, nil, false, nil
 			}
 			r.computeXB()
+			r.computeDJ()
 			if r.primalFeasible() {
 				status = Optimal
-			} else if status, err = r.dual(costs); err != nil {
+			} else if status, err = r.dual(); err != nil {
 				r.factorized = false
 				return Solution{}, nil, false, nil
 			}
@@ -348,12 +349,15 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 			r.factorized = false
 			return Solution{Status: Infeasible}, r.snapshot(), true, nil
 		}
-		// Safety net: the dual simplex ends primal+dual feasible, so
-		// this terminates immediately unless roundoff says otherwise.
-		status, err = r.primal(costs)
-		if err != nil {
-			r.factorized = false
-			return Solution{}, nil, false, nil
+		// Safety net: the dual simplex ends primal+dual feasible, so the
+		// primal's entering test finds nothing in the reduced costs the
+		// dual carried here unless roundoff says otherwise; only then does
+		// the primal run.
+		if r.pricesOut(eps) {
+			if status, err = r.primal(costs); err != nil {
+				r.factorized = false
+				return Solution{}, nil, false, nil
+			}
 		}
 		return r.finishWarm(status)
 	}
@@ -527,7 +531,7 @@ func (r *Revised) clampXB(i int, ftol float64) {
 // for its periodic rebuild, the basis is refactorized at this pivot
 // boundary and xb recomputed exactly. Returns refactored=true in
 // that case so callers maintaining incremental state (the dual's
-// multipliers) recompute it too.
+// reduced costs) recompute it too.
 func (r *Revised) pivotUpdate(leave, enter int, d []float64, step float64, leaveAtUpper bool) (refactored bool) {
 	leaveCol := r.basis[leave]
 	newVal := r.nonbasicValue(enter) + step
@@ -674,6 +678,6 @@ func (r *Revised) driveOutArtificials() {
 		}
 		r.direction(enter, d)
 		r.pivotUpdate(i, enter, d, r.xb[i]/d[i], false)
-		r.dseOK = false
+		r.dseOK, r.djOK = false, false
 	}
 }

@@ -78,7 +78,9 @@ func newFactorization(p *Problem) *Factorization {
 }
 
 // frozenState is a context's rewind point: the clean LU of the basis it
-// stood on when Freeze ran, and the simplex state that goes with it.
+// stood on when Freeze ran, and the simplex state that goes with it —
+// basis, at-upper statuses, row signs, steepest-edge weights and the
+// reduced costs derived from that clean LU.
 // Nothing writes the LU arrays afterwards — luFactor.update only appends
 // to a context's private eta file, and commit allocates fresh storage
 // while the borrowed flag is set — so the context and any number of its
@@ -88,18 +90,19 @@ func newFactorization(p *Problem) *Factorization {
 type frozenState struct {
 	gen uint64
 	luArrays
-	basis             []int
-	atUpper           []bool
-	sign, dseW        []float64
-	dseOK, factorized bool
+	basis                   []int
+	atUpper                 []bool
+	sign, dseW, dj          []float64
+	dseOK, djOK, factorized bool
 }
 
 // Freeze makes the context's current state the one Rewind returns to
 // and forks are born on. It is a no-op while nothing has solved since
 // the last Freeze or Rewind (gen counts solves; any solve may move the
 // basis). Otherwise the live factor itself becomes the snapshot — it is
-// refactorized first only if it carries an eta file — and its committed
-// arrays are marked borrowed.
+// refactorized first only if it carries an eta file — its committed
+// arrays are marked borrowed, and the reduced costs are recomputed once
+// from it, so every solve that starts here reads the same exact vector.
 func (r *Revised) Freeze() error {
 	fz := &r.frozen
 	if fz.basis != nil && fz.gen == r.gen {
@@ -108,24 +111,28 @@ func (r *Revised) Freeze() error {
 	if r.factorized && len(r.fac.etas) > 0 && !r.refactorize() {
 		return errors.New("lp: Freeze: current basis is numerically singular")
 	}
+	if r.factorized {
+		r.computeDJ()
+	}
 	r.fac.borrowed = true
 	fz.gen, fz.luArrays = r.gen, r.fac.luArrays
 	fz.basis = append(fz.basis[:0], r.basis...)
 	fz.atUpper = append(fz.atUpper[:0], r.atUpper...)
 	fz.sign = append(fz.sign[:0], r.sign...)
 	fz.dseW = append(fz.dseW[:0], r.dseW...)
-	fz.dseOK, fz.factorized = r.dseOK, r.factorized
+	fz.dj = append(fz.dj[:0], r.dj...)
+	fz.dseOK, fz.djOK, fz.factorized = r.dseOK, r.djOK, r.factorized
 	return nil
 }
 
 // Rewind returns the context to its frozen state in O(m + ncols), with
 // no allocation and no refactorization: the frozen LU arrays are
 // aliased again (a refactorization since then wrote to fresh storage),
-// the eta file is emptied, and basis, at-upper statuses, row signs and
-// steepest-edge weights are copied back. Every solve after a Rewind
-// therefore starts where the first one after Freeze did, whatever was
-// solved in between and however it ended; the owning Problem's rhs and
-// bounds are the caller's to put back.
+// the eta file is emptied, and basis, at-upper statuses, row signs,
+// steepest-edge weights and reduced costs are copied back. Every solve
+// after a Rewind therefore starts where the first one after Freeze did,
+// whatever was solved in between and however it ended; the owning
+// Problem's rhs and bounds are the caller's to put back.
 func (r *Revised) Rewind() {
 	fz := &r.frozen
 	if fz.basis == nil {
@@ -138,15 +145,17 @@ func (r *Revised) Rewind() {
 	copy(r.atUpper, fz.atUpper)
 	copy(r.sign, fz.sign)
 	copy(r.dseW, fz.dseW)
-	r.dseOK, r.factorized, r.gen = fz.dseOK, fz.factorized, fz.gen
+	copy(r.dj, fz.dj)
+	r.dseOK, r.djOK, r.factorized, r.gen = fz.dseOK, fz.djOK, fz.factorized, fz.gen
 }
 
 // Fork returns a new solve context over the same constraint structure,
 // born frozen on this instance's snapshot: it shares the immutable
 // Factorization and the frozen LU arrays, and owns private copies of
 // everything mutable — a cloned Problem (so rhs/bound mutations stay
-// local), the frozen simplex state and the working state rewound to it,
-// pricing weights, statistics and scratch. The fork is O(m + nnz) — no
+// local), the frozen simplex state (reduced costs included) and the
+// working state rewound to it, statistics and scratch; it allocates no
+// LU arrays of its own until it refactorizes. The fork is O(m + nnz) — no
 // pivots, no phase-1: its first solve continues from the parent's basis
 // with zero lost warmth, exactly as the parent itself would, and Rewind
 // means the same thing on it as on the parent.
@@ -175,6 +184,7 @@ func (r *Revised) Fork() (*Revised, error) {
 	f.frozen.atUpper = append([]bool(nil), r.frozen.atUpper...)
 	f.frozen.sign = append([]float64(nil), r.frozen.sign...)
 	f.frozen.dseW = append([]float64(nil), r.frozen.dseW...)
+	f.frozen.dj = append([]float64(nil), r.frozen.dj...)
 	f.Rewind()
 	r.stats.Forks++
 	return f, nil

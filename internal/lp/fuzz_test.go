@@ -1,6 +1,7 @@
 package lp_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -40,6 +41,20 @@ func (b *fuzzBytes) bounds() (lb, ub float64) {
 
 func (b *fuzzBytes) rhs() float64 { return float64(b.next()%25 - 8) }
 
+// cost decodes one objective coefficient: a small integer, and for the
+// top byte values the same integer plus a few 1e-8 — above the primal's
+// optimality tolerance, below the dual's feasibility tolerance, the gap
+// in which a Harris-style entering choice leaves work for warmSolve's
+// safety net.
+func (b *fuzzBytes) cost() float64 {
+	v := b.next()
+	c := float64(v%9 - 4)
+	if v >= 243 {
+		c += 1e-8 * float64(v-242)
+	}
+	return c
+}
+
 // problem decodes a small LP with small integer data: up to 5
 // variables with mixed finite/infinite bounds, up to 6 rows of mixed
 // <=, ==, >= relations. Nothing makes it feasible or bounded — all
@@ -49,7 +64,7 @@ func (b *fuzzBytes) problem() *Problem {
 	m := 1 + b.next()%6
 	p := New(nv)
 	for j := 0; j < nv; j++ {
-		p.SetObjective(j, float64(b.next()%9-4))
+		p.SetObjective(j, b.cost())
 		lb, ub := b.bounds()
 		p.SetVarBounds(j, lb, ub)
 	}
@@ -67,33 +82,55 @@ func (b *fuzzBytes) problem() *Problem {
 }
 
 // FuzzSolveVsOracle is the differential fuzz of the production solver:
-// a byte-driven small bounded LP is solved cold by Revised, then one
-// right-hand side and one variable box are mutated and it is re-solved
-// warm from the cold basis; both answers must match the lptest oracle
-// on verdict and, when optimal, objective to 1e-9. The seed corpus
-// (testdata/fuzz/FuzzSolveVsOracle, one file per cold/warm verdict
-// pair and warm path) runs as a plain test under `go test`;
-// `go test -fuzz=FuzzSolveVsOracle ./internal/lp` explores further.
+// a byte-driven small bounded LP is solved cold by Revised, then put
+// through a byte-driven sequence of up to six warm steps — each mutates
+// one right-hand side and one variable box and re-solves from the
+// carried basis — with a Freeze after the first warm solve and a Rewind
+// before a byte-chosen later one. Every answer must match the lptest
+// oracle on verdict and, when optimal, objective to 1e-9. The seed
+// corpus (testdata/fuzz/FuzzSolveVsOracle: one file per cold/warm
+// verdict pair and warm path, then the seq-* files, one per path a
+// sequence reaches — a zero-pivot warm solve, the safety net falling
+// through to the primal, an Infeasible verdict followed by a rewound
+// Optimal, a cold fallback in mid-sequence) runs as a plain test under
+// `go test`; `go test -fuzz=FuzzSolveVsOracle ./internal/lp` explores
+// further.
 func FuzzSolveVsOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := &fuzzBytes{data: data}
 		p := b.problem()
 		r := NewRevised(p)
-		cold, bas, err := r.SolveFrom(nil)
+		sol, bas, err := r.SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("cold: %v", err)
 		}
-		checkOracle(t, p, cold, "cold")
+		checkOracle(t, p, sol, "cold")
 
-		p.SetRHS(b.next()%p.NumConstraints(), b.rhs())
-		j := b.next() % p.NumVars()
-		lb, ub := b.bounds()
-		p.SetVarBounds(j, lb, ub)
-		warm, _, err := r.SolveFrom(bas)
-		if err != nil {
-			t.Fatalf("warm: %v", err)
+		warmStep := func(label string) {
+			p.SetRHS(b.next()%p.NumConstraints(), b.rhs())
+			j := b.next() % p.NumVars()
+			lb, ub := b.bounds()
+			p.SetVarBounds(j, lb, ub)
+			if sol, bas, err = r.SolveFrom(bas); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkOracle(t, p, sol, label)
 		}
-		checkOracle(t, p, warm, "warm")
+		warmStep("warm")
+		if err := r.Freeze(); err != nil {
+			t.Fatalf("freeze: %v", err)
+		}
+		// Up to five more steps; the solver (not the problem) is rewound
+		// to the frozen state before step rewindAt, if there is one.
+		more, rewindAt := b.next()%6, b.next()%6
+		for k := 0; k < more; k++ {
+			label := fmt.Sprintf("warm %d", k+2)
+			if k == rewindAt {
+				r.Rewind()
+				label += " (rewound)"
+			}
+			warmStep(label)
+		}
 	})
 }

@@ -83,7 +83,10 @@
 // feasibility of the old optimal basis stays intact — the re-solve
 // runs the dual simplex from the old basis (including its
 // at-upper-bound statuses) and typically finishes in a handful of
-// pivots instead of a full phase-1/phase-2 pass. Branching bounds
+// pivots instead of a full phase-1/phase-2 pass. The context carries
+// that reduced-cost vector from solve to solve, updated along each dual
+// pivot row, so a restart's entry check, ratio tests and final
+// optimality check read it instead of re-deriving it. Branching bounds
 // and route pins in the layers above are therefore native bound
 // mutations, never added or dedicated rows. A Basis snapshot records
 // the basic column set and the at-upper statuses, not the
@@ -112,12 +115,12 @@
 //     context over a shareable immutable core.
 //
 // Revised.Freeze makes the context's current state — its own clean LU
-// and the basis, at-upper statuses, row signs and steepest-edge weights
-// beside it — the point Revised.Rewind returns to in O(m), without
-// refactorizing, so a solve posed after a Rewind costs and answers the
-// same whatever was solved before it. Revised.Fork splits a new context
-// off a solved instance in O(m + nnz): the child is born frozen on the
-// parent's snapshot (frozen once per generation, its LU aliased
+// and the basis, at-upper statuses, row signs, steepest-edge weights and
+// reduced costs beside it — the point Revised.Rewind returns to in
+// O(m + ncols), without refactorizing, so a solve posed after a Rewind
+// costs and answers the same whatever was solved before it. Revised.Fork
+// splits a new context off a solved instance in O(m + nnz): the child is
+// born frozen on the parent's snapshot (frozen once per generation, its LU aliased
 // read-only by the parent and every sibling), shares the parent's
 // Factorization, and owns private copies of all mutable state including
 // a cloned Problem. A fork's first solve warm-starts from the parent's

@@ -48,9 +48,11 @@ type luFactor struct {
 	etaVal  []float64
 	minEtas int // deferRefactor backoff threshold
 
-	// borrowed marks the committed arrays as the ones a frozenState
-	// holds — this context's own Rewind target, and what its forks read
-	// concurrently: the next commit must allocate fresh storage for every
+	// borrowed marks the committed arrays as not this factor's to write:
+	// none exist yet (a new factor, so a fork allocates none it would drop
+	// for its parent's at once), or they are the ones a frozenState holds
+	// — this context's own Rewind target, and what its forks read
+	// concurrently. The next commit then allocates fresh storage for every
 	// committed array instead of writing in place. The eta file is never
 	// borrowed — every context owns its own.
 	borrowed bool
@@ -139,7 +141,7 @@ const (
 
 func newLUFactor(r *Revised) *luFactor {
 	m := r.m
-	f := &luFactor{r: r, m: m, luArrays: newLUArrays(m)}
+	f := &luFactor{r: r, m: m, borrowed: true}
 	f.w = make([]float64, m)
 	f.cols = make([][]luEntry, m)
 	f.rowsCand = make([][]int32, m)
@@ -412,9 +414,9 @@ func (f *luFactor) eliminate(k int, pi, pj int32, pv float64) {
 func (f *luFactor) commit() {
 	m := f.m
 	if f.borrowed {
-		// The committed arrays belong to a frozen snapshot — Rewind puts
-		// them back, and forks read them — so allocate fresh storage
-		// before the first write instead of clobbering them.
+		// There are no committed arrays yet, or they belong to a frozen
+		// snapshot — Rewind puts them back, and forks read them — so
+		// allocate fresh storage before the first write.
 		f.luArrays = newLUArrays(m)
 		f.borrowed = false
 	}

@@ -8,7 +8,8 @@ import (
 // This file holds the pricing side of the Revised split: candidate
 // selection for both simplex methods — the primal's devex reference
 // framework, exact dual steepest edge, the sparse leaving-row candidate
-// walk — and the primal/dual iteration loops built on them.
+// walk, the reduced-cost vector the dual maintains along its pivot rows
+// — and the primal/dual iteration loops built on them.
 
 // dualCandidates collects the non-artificial columns that can have a
 // nonzero pivot-row entry for the current signed leaving row ws: the
@@ -78,6 +79,26 @@ func (r *Revised) signedMultipliers(costs []float64, ys []float64) {
 	for i := range ys {
 		ys[i] *= r.sign[i]
 	}
+}
+
+// computeDJ derives the reduced costs of the current basis under the
+// phase-2 costs from scratch — dj[j] = c_j − y·A_j on every nonbasic
+// priced column, 0 on basic ones, whatever the column's bounds — with one
+// multiplier BTRAN and one sweep down the columns. It runs only where
+// nothing maintained the vector (see Revised.dj) and at refactorizations,
+// which bounds its drift the way they bound the factorization's.
+func (r *Revised) computeDJ() {
+	r.signedMultipliers(r.c2, r.ys)
+	t0 := time.Now()
+	for j := range r.dj {
+		if r.inBasis[j] {
+			r.dj[j] = 0
+		} else {
+			r.dj[j] = r.c2[j] - r.sp.dot(r.ys, j)
+		}
+	}
+	r.stats.Phase.PricingNanos += int64(time.Since(t0))
+	r.djOK = true
 }
 
 // devexResetLimit triggers a reference-framework reset when any devex
@@ -230,7 +251,7 @@ func (r *Revised) primal(costs []float64) (Status, error) {
 			aq, wq, leaveCol := d[leave], r.dwCol[enter], r.basis[leave]
 			r.pivotUpdate(leave, enter, d, dir*t, leaveAtUpper)
 			r.stats.PrimalPivots++
-			r.dseOK = false // dual steepest-edge weights now stale
+			r.dseOK, r.djOK = false, false // the dual's weights and reduced costs are now stale
 			tW := time.Now()
 			r.updateDevexCols(r.rho, aq, wq, enter, leaveCol)
 			r.stats.Phase.PricingNanos += int64(time.Since(tW))
@@ -265,7 +286,7 @@ func (r *Revised) primal(costs []float64) (Status, error) {
 // one extra FTRAN per pivot. The entering column comes from the
 // bound-flipping ratio test (dualEnterFlips). Bland's rule takes over
 // both choices on stalls.
-func (r *Revised) dual(costs []float64) (Status, error) {
+func (r *Revised) dual() (Status, error) {
 	// The dual only ever runs as a warm restart, and a restart is
 	// worth at most a few sweeps of the basis in pivots: past that the
 	// old basis carries no useful information and the caller's cold
@@ -275,7 +296,7 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 	// into an ErrIterationLimit that SolveFrom converts into that
 	// fallback.
 	maxIters := r.warmPivotBudget()
-	ys, ws, d, rho := r.ys, r.ws, r.d, r.rho
+	ws, d, rho, dj := r.ws, r.d, r.rho, r.dj
 	bland := false
 	stall := 0
 	sinceBest := 0
@@ -294,12 +315,12 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 		r.stats.DSEWeightResets++
 	}
 	// The simplex multipliers move by a multiple of the leaving row of
-	// B^{-1} per dual pivot (y' = y + γ·ρ_r, γ = c̄_enter/d_leave), so
-	// they are maintained incrementally — O(m) per iteration instead
-	// of a BTRAN from scratch — and recomputed exactly whenever
-	// pivotUpdate refactorizes, which bounds the drift the same way it
-	// bounds the factorization's.
-	r.signedMultipliers(costs, ys)
+	// B^{-1} per dual pivot (y' = y + γ·ρ_r, γ = c̄_enter/d_leave), so the
+	// reduced costs move by the same multiple of the pivot row this
+	// iteration prices anyway (c̄_j' = c̄_j − γ·α_rj). The caller hands
+	// over a valid dj (dualFeasible has just scanned it); it is maintained
+	// along that row — no multiplier BTRAN, no dot per candidate — and
+	// recomputed exactly whenever pivotUpdate refactorizes.
 	for iter := 0; iter < maxIters; iter++ {
 		ftol := r.feasTol()
 		tPrice := time.Now()
@@ -372,37 +393,31 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 		// argument needs it), decided inside the pass.
 		tEnter := time.Now()
 		enter := -1
-		enterCbar := 0.0
 		dtol := r.dualTol()
 		bestRatio := math.Inf(1)
 		nc := 0
-		cJ, cAlpha, cRatio, cRaw := r.dcJ[:0], r.dcAlpha[:0], r.dcRatio[:0], r.dcRaw[:0]
+		cJ, cAlpha, cRatio := r.dcJ[:0], r.dcAlpha[:0], r.dcRatio[:0]
 		price := func(j int, alpha float64) {
 			if r.inBasis[j] || r.U[j] <= 0 {
 				return
 			}
-			var ratio, raw float64
+			cbar := dj[j]
 			if !r.atUpper[j] {
 				if alpha >= -eps {
 					return
 				}
-				raw = costs[j] - r.colDotSigned(ys, j)
-				cbar := raw
 				if cbar > 0 {
 					cbar = 0 // dual-feasibility roundoff slop
 				}
-				ratio = cbar / alpha
 			} else {
 				if alpha <= eps {
 					return
 				}
-				raw = costs[j] - r.colDotSigned(ys, j)
-				cbar := raw
 				if cbar < 0 {
 					cbar = 0 // dual-feasibility roundoff slop
 				}
-				ratio = cbar / alpha
 			}
+			ratio := cbar / alpha
 			a := alpha
 			if a < 0 {
 				a = -a
@@ -411,17 +426,19 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 				if ratio < bestRatio-eps || (ratio < bestRatio+eps && (enter == -1 || j < enter)) {
 					bestRatio = ratio
 					enter = j
-					enterCbar = raw
 				}
 				return
 			}
 			cJ = append(cJ, int32(j))
 			cAlpha = append(cAlpha, a)
 			cRatio = append(cRatio, ratio)
-			cRaw = append(cRaw, raw)
 			nc++
 		}
-		if cands, ok := r.dualCandidates(ws); ok {
+		// Either arm leaves α_j in candAlpha for every nonbasic column it
+		// visits, fixed ones included: the reduced-cost update below reads
+		// it back.
+		cands, sparse := r.dualCandidates(ws)
+		if sparse {
 			// α was accumulated during the candidate row walk; the CSC
 			// store is not touched again.
 			for _, j32 := range cands {
@@ -429,7 +446,11 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 			}
 		} else {
 			for j := 0; j < r.artStart; j++ {
-				price(j, r.colDotSigned(ws, j))
+				if r.inBasis[j] {
+					continue
+				}
+				r.candAlpha[j] = r.sp.dot(ws, j)
+				price(j, r.candAlpha[j])
 			}
 		}
 		r.stats.Phase.PricingNanos += int64(time.Since(tEnter))
@@ -439,8 +460,8 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 			// ratio order, flipping boxed candidates whose passing keeps
 			// the leaving row violating, and enter at the first
 			// breakpoint that would restore it.
-			r.dcJ, r.dcAlpha, r.dcRatio, r.dcRaw = cJ, cAlpha, cRatio, cRaw
-			enter, enterCbar = r.dualEnterFlips(nc, viol, dtol)
+			r.dcJ, r.dcAlpha, r.dcRatio = cJ, cAlpha, cRatio
+			enter = r.dualEnterFlips(nc, viol, dtol)
 		}
 		r.stats.Phase.RatioTestNanos += int64(time.Since(tRatio))
 		if enter == -1 {
@@ -452,13 +473,6 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 			target = r.U[r.basis[leave]]
 		}
 		step := (r.xb[leave] - target) / d[leave]
-		// Multiplier update with the pre-pivot leaving row; the raw
-		// (unclamped) reduced cost keeps y'·A_enter = c_enter exact.
-		if gamma := enterCbar / d[leave]; gamma != 0 {
-			for i := 0; i < r.m; i++ {
-				ys[i] += gamma * rho[i] * r.sign[i]
-			}
-		}
 		// Forrest–Goldfarb exact steepest-edge update, against the
 		// pre-pivot basis: γ_r is recomputed exactly as ‖ρ_r‖² (the
 		// stored weight served pricing only, so the recurrence
@@ -506,13 +520,41 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 			}
 			r.stats.DSEWeightResets++
 		}
+		leaveCol := r.basis[leave]
 		refac := r.pivotUpdate(leave, enter, d, step, !below)
 		r.stats.DualPivots++
 		if refac {
 			// pivotUpdate hit a refactorization checkpoint: the
-			// factorization was rebuilt, so refresh the multipliers
+			// factorization was rebuilt, so refresh the reduced costs
 			// exactly too.
-			r.signedMultipliers(costs, ys)
+			r.computeDJ()
+		} else {
+			// Reduced-cost update along the pre-pivot pivot row (candAlpha
+			// carries amult). Columns that stay basic keep their exact 0;
+			// the two that traded places are set outright — the raw,
+			// unclamped c̄_enter is what makes dj[enter] = 0 exact.
+			tD := time.Now()
+			gamma := dj[enter] / d[leave]
+			if g := gamma * amult; g != 0 {
+				if sparse {
+					for _, j32 := range cands {
+						if !r.inBasis[j32] {
+							dj[j32] -= g * r.candAlpha[j32]
+						}
+					}
+				} else {
+					for j := 0; j < r.artStart; j++ {
+						if !r.inBasis[j] {
+							dj[j] -= g * r.candAlpha[j]
+						}
+					}
+				}
+			}
+			dj[enter] = 0
+			if leaveCol < r.artStart { // artificials are never priced
+				dj[leaveCol] = -gamma
+			}
+			r.stats.Phase.PricingNanos += int64(time.Since(tD))
 		}
 		infeas := 0.0
 		for i := 0; i < r.m; i++ {
@@ -560,25 +602,31 @@ func (r *Revised) dual(costs []float64) (Status, error) {
 const dseFloor = 1e-10
 
 // dualFeasible reports whether every nonbasic non-artificial column
-// prices out on the right side for its bound (within tolerance)
-// under costs — nonpositive at a lower bound, nonnegative at an
-// upper bound — the precondition for restarting with the dual
-// simplex. Fixed (U = 0) columns cannot move and are exempt.
-func (r *Revised) dualFeasible(costs []float64) bool {
-	ys := r.ys
-	r.signedMultipliers(costs, ys)
-	tol := r.dualTol()
-	for j := 0; j < r.artStart; j++ {
-		if r.inBasis[j] || r.U[j] <= 0 {
-			continue
-		}
-		cbar := costs[j] - r.colDotSigned(ys, j)
-		if !r.atUpper[j] && cbar > tol {
-			return false
-		}
-		if r.atUpper[j] && cbar < -tol {
-			return false
+// prices out on the right side for its bound (within the dual
+// tolerance) under the phase-2 costs — the precondition for restarting
+// with the dual simplex. It is a scan of the reduced costs, which it
+// computes first only if nothing valid is being carried.
+func (r *Revised) dualFeasible() bool {
+	if !r.djOK {
+		r.computeDJ()
+	}
+	return !r.pricesOut(r.dualTol())
+}
+
+// pricesOut reports whether some nonbasic non-artificial column's
+// reduced cost sits on the wrong side for its bound by more than tol:
+// positive at a lower bound, negative at an upper bound. Fixed (U = 0)
+// columns cannot move and are exempt. With tol = eps this is the
+// primal's own entering test.
+func (r *Revised) pricesOut(tol float64) bool {
+	t0 := time.Now()
+	out := false
+	for j, cbar := range r.dj {
+		if (cbar > tol && !r.atUpper[j] || cbar < -tol && r.atUpper[j]) && !r.inBasis[j] && r.U[j] > 0 {
+			out = true
+			break
 		}
 	}
-	return true
+	r.stats.Phase.PricingNanos += int64(time.Since(t0))
+	return out
 }

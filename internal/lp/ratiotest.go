@@ -78,8 +78,8 @@ func (r *Revised) primalRatioTest(d []float64, dir float64) (leave int, atUpper 
 // the primal is infeasible — and enter = -1 is returned with no flip
 // applied. One long step therefore traverses what devex-era pivots
 // crossed one degenerate mini-step at a time.
-func (r *Revised) dualEnterFlips(nc int, viol, dtol float64) (enter int, enterCbar float64) {
-	cJ, cAlpha, cRatio, cRaw := r.dcJ, r.dcAlpha, r.dcRatio, r.dcRaw
+func (r *Revised) dualEnterFlips(nc int, viol, dtol float64) (enter int) {
+	cJ, cAlpha, cRatio := r.dcJ, r.dcAlpha, r.dcRatio
 	// The walk consumes breakpoints in ascending ratio order but
 	// typically stops after a handful, so a lazy min-heap (O(nc)
 	// heapify + O(log nc) per consumed breakpoint) replaces a full
@@ -113,7 +113,7 @@ func (r *Revised) dualEnterFlips(nc int, viol, dtol float64) (enter int, enterCb
 		siftDownIdxMin(heap, cRatio, 0, n)
 	}
 	if stop < 0 {
-		return -1, 0
+		return -1
 	}
 	stopRatio := cRatio[stop]
 	bestA := 0.0
@@ -134,7 +134,7 @@ func (r *Revised) dualEnterFlips(nc int, viol, dtol float64) (enter int, enterCb
 	if n < nc {
 		r.applyBoundFlips(heap[n:])
 	}
-	return int(cJ[pick]), cRaw[pick]
+	return int(cJ[pick])
 }
 
 // applyBoundFlips flips each breakpoint candidate in idxs (indices

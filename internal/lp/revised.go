@@ -33,7 +33,9 @@ import "math"
 // approximation of steepest edge) in the primal simplex and exact
 // Forrest–Goldfarb steepest edge in the dual, whose ratio test is
 // bound-flipping (long-step); both switch to Bland's anti-cycling rule
-// on objective stalls, as they have since the Dantzig era.
+// on objective stalls, as they have since the Dantzig era. The dual
+// carries its reduced costs (dj) across pivots, solves, Freeze and
+// Rewind instead of re-deriving them from the multipliers.
 //
 // Variable bounds are handled natively by the bounded-variable
 // simplex: lower bounds are shifted away per solve, each nonbasic
@@ -70,7 +72,8 @@ type Revised struct {
 	// atUpper statuses) is dual feasible for the phase-2 costs (every
 	// solve ends optimal, infeasible via the dual simplex — which
 	// preserves dual feasibility — or clears the flag; Rewind puts back
-	// a state that was frozen under the same invariant).
+	// a state that was frozen under the same invariant). While djOK, dj
+	// is that basis's reduced-cost vector.
 	fac        *luFactor
 	basis      []int
 	inBasis    []bool
@@ -104,6 +107,17 @@ type Revised struct {
 	dseW  []float64
 	dseOK bool
 
+	// dj[j] = c_j − y·A_j over the priced (non-artificial) columns for
+	// the current basis under the phase-2 costs: 0 on basic columns,
+	// independent of bounds and right-hand sides. The dual maintains it
+	// along each pivot row it prices, so a warm restart's entry check, its
+	// ratio tests and its final optimality check read it instead of each
+	// deriving it from a multiplier BTRAN. djOK is cleared wherever dseOK
+	// is — the basis changed outside the dual's own updates — and
+	// computeDJ then rebuilds it before the next dual run.
+	dj   []float64
+	djOK bool
+
 	// budgetOverride, when positive, replaces warmPivotBudget — the
 	// hook tests use to force a warm restart into the cold fallback.
 	budgetOverride int
@@ -111,7 +125,7 @@ type Revised struct {
 	// Scratch buffers reused across solves. All per-context: a forked
 	// context allocates its own set, so concurrent solves against the
 	// shared Factorization never share writable memory.
-	ys        []float64 // signed simplex multipliers
+	ys        []float64 // signed simplex multipliers (primal, computeDJ)
 	ws        []float64 // signed leaving-row vector (dual)
 	d         []float64 // entering direction B^{-1}A_j
 	rho       []float64 // leaving row of B^{-1} (BTRAN of a unit vector)
@@ -122,12 +136,11 @@ type Revised struct {
 	seen      []bool    // basis validation
 	candList  []int32   // dual pricing candidates (rho-support columns)
 	candStamp []int32
-	candAlpha []float64 // α_j accumulated alongside candList's row walk
+	candAlpha []float64 // pivot-row entry α_j per column the dual's pricing pass visited
 	candCur   int32
-	dcJ       []int32 // dual Harris ratio-test breakpoint buffers
+	dcJ       []int32 // dual ratio-test breakpoint buffers
 	dcAlpha   []float64
 	dcRatio   []float64
-	dcRaw     []float64
 
 	// Ephemeral-solve state (SolveEphemeral): while ephemeral is set,
 	// finish skips the Basis snapshot and extracts X into xscratch,
@@ -194,13 +207,13 @@ type Stats struct {
 // model: FTRAN (column solves B·x = a, including direction solves,
 // basic-value recomputes, DSE recurrence and aggregated bound-flip
 // updates), BTRAN (row solves yᵀB = eᵀ and full multiplier solves),
-// Pricing (entering/leaving candidate selection and reference-weight
-// maintenance), RatioTest (primal Harris passes and the dual
-// bound-flipping ratio test), and Refactor (basis factorization
-// rebuilds). FTRAN/BTRAN solves issued from inside a pricing or
-// ratio-test section count in both categories — the breakdown is an
-// attribution aid, not a partition, so the phases need not sum to the
-// total solve time.
+// Pricing (entering/leaving candidate selection, reduced-cost and
+// reference-weight maintenance, the dual-feasibility scans), RatioTest
+// (primal Harris passes and the dual bound-flipping ratio test), and
+// Refactor (basis factorization rebuilds). FTRAN/BTRAN solves issued
+// from inside a pricing or ratio-test section count in both categories
+// — the breakdown is an attribution aid, not a partition, so the phases
+// need not sum to the total solve time.
 type PhaseTimes struct {
 	FTRANNanos     int64 `json:"ftranNanos"`
 	BTRANNanos     int64 `json:"btranNanos"`
@@ -289,6 +302,7 @@ func (r *Revised) alloc() {
 	r.fac = newLUFactor(r)
 	r.dwCol = make([]float64, r.ncols)
 	r.dseW = make([]float64, r.m)
+	r.dj = make([]float64, r.artStart)
 	r.ys = make([]float64, r.m)
 	r.ws = make([]float64, r.m)
 	r.d = make([]float64, r.m)
@@ -305,7 +319,6 @@ func (r *Revised) alloc() {
 	r.dcJ = make([]int32, 0, r.sp.n)
 	r.dcAlpha = make([]float64, 0, r.sp.n)
 	r.dcRatio = make([]float64, 0, r.sp.n)
-	r.dcRaw = make([]float64, 0, r.sp.n)
 	r.bfOrder = make([]int32, 0, r.sp.n)
 	r.xscratch = make([]float64, r.nstruct)
 }

@@ -40,7 +40,10 @@ func (a rewindResult) equal(b rewindResult) bool {
 // weight resets whatever rounds ran before it — on the frozen context,
 // on a fork of it and on a fork of that fork. The rounds include one
 // long enough to refactorize in mid-solve and one that ends Infeasible
-// (which costs the round after it no refactorization).
+// (which costs the round after it no refactorization). Each Rewind also
+// leaves the reduced-cost vector bit-equal to the frozen copy, and a
+// fork's frozen copy is its own: the parent's next Freeze, which
+// overwrites the parent's, does not reach it.
 func TestRewindRestoresFrozenState(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := whatIfLP(rng, 120, 80)
@@ -83,14 +86,7 @@ func TestRewindRestoresFrozenState(t *testing.T) {
 	run := func(c *Revised, rd rewindRound) rewindResult {
 		t.Helper()
 		q := c.Problem()
-		rhs := make([]float64, q.NumConstraints())
-		for i := range rhs {
-			rhs[i] = q.RHS(i)
-		}
-		lb, ub := make([]float64, q.NumVars()), make([]float64, q.NumVars())
-		for j := range lb {
-			lb[j], ub[j] = q.VarBounds(j)
-		}
+		committed := saveProblem(q)
 		c.ResetStats()
 		rd.mutate(q)
 		sol, err := c.SolveEphemeral(basis)
@@ -99,13 +95,16 @@ func TestRewindRestoresFrozenState(t *testing.T) {
 		}
 		res := rewindResult{status: sol.Status, obj: sol.Objective, cost: c.Stats().Deterministic()}
 		res.x = append(res.x, sol.X...)
-		for i := range rhs {
-			q.SetRHS(i, rhs[i])
-		}
-		for j := range lb {
-			q.SetVarBounds(j, lb[j], ub[j])
-		}
+		committed.restore(q)
 		c.Rewind()
+		if !c.djOK || !c.frozen.djOK {
+			t.Fatalf("%s: rewound to invalid reduced costs", rd.name)
+		}
+		for j, v := range c.frozen.dj {
+			if math.Float64bits(c.dj[j]) != math.Float64bits(v) {
+				t.Fatalf("%s: after Rewind dj[%d] = %v, frozen %v", rd.name, j, c.dj[j], v)
+			}
+		}
 		return res
 	}
 
@@ -174,4 +173,27 @@ func TestRewindRestoresFrozenState(t *testing.T) {
 	}
 	check("fork of fork", g, rand.New(rand.NewSource(10)).Perm(len(rounds)))
 	check("parent, after its forks solved", r, reversed)
+
+	// The parent commits to another vertex and freezes there: its frozen
+	// reduced costs change in place, the forks' do not.
+	forkDJ := append([]float64(nil), f.frozen.dj...)
+	parentDJ := append([]float64(nil), r.frozen.dj...)
+	rounds[len(rounds)-2].mutate(p) // the long round: many pivots away
+	if sol, _, err := r.SolveFrom(basis); err != nil || sol.Status != Optimal {
+		t.Fatalf("parent commit: status %v err %v", sol.Status, err)
+	}
+	if err := r.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for j, v := range r.frozen.dj {
+		moved = moved || v != parentDJ[j]
+		if math.Float64bits(f.frozen.dj[j]) != math.Float64bits(forkDJ[j]) || math.Float64bits(g.frozen.dj[j]) != math.Float64bits(forkDJ[j]) {
+			t.Fatalf("the parent's Freeze changed a fork's frozen dj[%d]", j)
+		}
+	}
+	if !moved {
+		t.Fatal("the parent's second Freeze recorded the same reduced costs: the check above shows nothing")
+	}
+	check("fork, after the parent froze elsewhere", f, reversed)
 }

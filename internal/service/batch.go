@@ -40,8 +40,9 @@ import (
 const defaultBatchWorkers = 4
 
 // maxBatchWorkers is the widest fork pool a request may ask for: each
-// worker is a goroutine plus a Model.Fork (about 550 KiB of scratch at
-// K = 40) and `workers` is outside input. A constant, not GOMAXPROCS:
+// worker is a goroutine plus a Model.Fork (1 475 KiB at K = 40, measured:
+// the cloned problem, the scratch set and a private copy of the frozen
+// simplex state) and `workers` is outside input. A constant, not GOMAXPROCS:
 // the response's `workers` and each answer's fork assignment must not
 // depend on the host, or cmd/dlsched -batch stops diffing byte for byte
 // against the endpoint.

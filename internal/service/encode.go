@@ -105,8 +105,14 @@ func (e *wireEnc) boolField(depth int, name string, v bool) {
 
 // floatElem follows encoding/json's float64 rules: shortest
 // round-trip digits, exponent form below 1e-6 and from 1e21, and a
-// two-digit exponent's leading zero dropped (e-09 → e-9).
+// two-digit exponent's leading zero dropped (e-09 → e-9). Most cells of
+// a relaxed answer's K×K tables are exactly +0, which is written without
+// a trip through strconv; -0 is "-0" there as it is here.
 func floatElem(e *wireEnc, _ int, f float64) {
+	if f == 0 && !math.Signbit(f) {
+		e.b = append(e.b, '0')
+		return
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		e.bad = true
 		return

@@ -59,6 +59,7 @@ var edgeFloats = []float64{
 	0, math.Copysign(0, -1), 1, -1, 100, 0.1, 1.0 / 3, 5e-324, 1e-7, 1e-6, 0.99e-6, 999999e-12,
 	1e-9, 1e-10, 1.5e-300, 1e20, 1e21, 0.99e21, 1.23456789e22, 1e100, math.MaxFloat64, -math.MaxFloat64,
 	math.SmallestNonzeroFloat64, 123456789, 1 << 53, 4503599627370497.5, 250.00000000000003,
+	math.Float64frombits(1<<52 - 1), -5e-324, // the largest denormal; a negative one
 }
 
 var edgeStrings = []string{
@@ -196,6 +197,20 @@ func TestEncodeReportMatchesOracle(t *testing.T) {
 func FuzzEncodeSolveReport(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	// Value +0, LPBound -0, then a throughputs row of +0, -0, the smallest
+	// and the largest denormal: the zero cell floatElem writes itself and
+	// its nearest neighbours. Words as genReport draws them; a float is
+	// the pair 1, bits (genFloat's any-bit-pattern arm).
+	const negZero = 1 << 63
+	var seed []byte
+	for _, w := range []uint64{
+		0, 0, 0, // flags, heuristic, objective
+		1, 0, 1, negZero, // value, lpBound
+		5, 1, 0, 1, negZero, 1, 1, 1, 1<<52 - 1, // a four-element row
+	} {
+		seed = binary.LittleEndian.AppendUint64(seed, w)
+	}
+	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAgainstOracle(t, genReport(&byteSource{data}))
 	})
