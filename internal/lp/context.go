@@ -480,11 +480,22 @@ func (r *Revised) colDotSigned(ys []float64, j int) float64 {
 	return r.sp.dot(ys, j)
 }
 
-// direction computes d = B^{-1}·A_j into dst (an FTRAN of column j).
-func (r *Revised) direction(j int, dst []float64) {
+// direction computes the entering direction d = B^{-1}·A_j into r.d and
+// its nonzero list into r.dIdx (an FTRAN of column j).
+func (r *Revised) direction(j int) {
 	t0 := time.Now()
-	r.fac.ftranCol(j, dst)
+	r.dIdx = r.fac.ftranCol(j, r.d, r.dIdx[:0])
 	r.stats.Phase.FTRANNanos += int64(time.Since(t0))
+}
+
+// leavingRow computes ρ = e_pᵀB^{-1} into r.rho with its nonzero list in
+// r.rhoIdx and the signed pricing row ws = amult·ρ·sign in r.ws (a BTRAN
+// of a unit vector), and returns ‖ρ‖².
+func (r *Revised) leavingRow(p int, amult float64) (gamma float64) {
+	t0 := time.Now()
+	r.rhoIdx, gamma = r.fac.btranRow(p, amult, r.rho, r.ws, r.rhoIdx[:0])
+	r.stats.Phase.BTRANNanos += int64(time.Since(t0))
+	return gamma
 }
 
 // computeXB sets xb = B^{-1}·(b - Σ_{j at upper} A_j·U_j): the basic
@@ -500,9 +511,8 @@ func (r *Revised) computeXB() {
 			})
 		}
 	}
-	copy(r.xb, beff)
 	t0 := time.Now()
-	r.fac.ftran(r.xb)
+	r.fac.ftran(r.xb, beff)
 	r.stats.Phase.FTRANNanos += int64(time.Since(t0))
 }
 
@@ -523,8 +533,8 @@ func (r *Revised) clampXB(i int, ftol float64) {
 // pivotUpdate applies the basis change for entering column `enter`
 // replacing the variable basic in row `leave`, with the entering
 // variable moving by `step` (in shifted space, signed) from its
-// current bound value; d must hold B^{-1}·A_enter. leaveAtUpper
-// records the bound the leaving variable departs at.
+// current bound value; r.d and r.dIdx must hold direction(enter).
+// leaveAtUpper records the bound the leaving variable departs at.
 //
 // The factorization absorbs the pivot as an eta append; when the
 // update is refused on stability grounds or the eta file asks
@@ -532,21 +542,20 @@ func (r *Revised) clampXB(i int, ftol float64) {
 // boundary and xb recomputed exactly. Returns refactored=true in
 // that case so callers maintaining incremental state (the dual's
 // reduced costs) recompute it too.
-func (r *Revised) pivotUpdate(leave, enter int, d []float64, step float64, leaveAtUpper bool) (refactored bool) {
+func (r *Revised) pivotUpdate(leave, enter int, step float64, leaveAtUpper bool) (refactored bool) {
+	if r.onPivot != nil {
+		r.onPivot()
+	}
 	leaveCol := r.basis[leave]
 	newVal := r.nonbasicValue(enter) + step
 	ftol := r.feasTol()
-	okUpd := r.fac.update(leave, d, false)
-	for i := 0; i < r.m; i++ {
-		if i == leave {
-			continue
+	d := r.d
+	okUpd := r.fac.update(leave, d, r.dIdx, false)
+	for _, i32 := range r.dIdx {
+		if i := int(i32); i != leave {
+			r.xb[i] -= step * d[i]
+			r.clampXB(i, ftol)
 		}
-		f := d[i]
-		if f == 0 {
-			continue
-		}
-		r.xb[i] -= step * f
-		r.clampXB(i, ftol)
 	}
 	r.inBasis[leaveCol] = false
 	r.atUpper[leaveCol] = leaveAtUpper && r.U[leaveCol] > 0 && !math.IsInf(r.U[leaveCol], 1)
@@ -565,7 +574,7 @@ func (r *Revised) pivotUpdate(leave, enter int, d []float64, step float64, leave
 			r.computeXB()
 			return true
 		}
-		r.fac.update(leave, d, true)
+		r.fac.update(leave, d, r.dIdx, true)
 		r.fac.deferRefactor()
 		return false
 	}
@@ -583,18 +592,18 @@ func (r *Revised) pivotUpdate(leave, enter int, d []float64, step float64, leave
 }
 
 // boundFlip moves nonbasic column j across its box to the opposite
-// bound — the pivot-free move of the bounded-variable simplex; d must
-// hold B^{-1}·A_j and dir the direction of travel (+1 from lower to
-// upper, -1 back).
-func (r *Revised) boundFlip(j int, d []float64, dir float64) {
+// bound — the pivot-free move of the bounded-variable simplex; r.d and
+// r.dIdx must hold direction(j) and dir the direction of travel (+1 from
+// lower to upper, -1 back).
+func (r *Revised) boundFlip(j int, dir float64) {
+	if r.onPivot != nil {
+		r.onPivot()
+	}
 	step := dir * r.U[j]
 	ftol := r.feasTol()
-	for i := 0; i < r.m; i++ {
-		if d[i] == 0 {
-			continue
-		}
-		r.xb[i] -= step * d[i]
-		r.clampXB(i, ftol)
+	for _, i := range r.dIdx {
+		r.xb[i] -= step * r.d[i]
+		r.clampXB(int(i), ftol)
 	}
 	r.atUpper[j] = !r.atUpper[j]
 	r.stats.BoundFlips++
@@ -650,18 +659,13 @@ func (r *Revised) artificialResidue() float64 {
 // negligible, mirroring primalRatioTest's guard: ejection is an
 // optimization, never worth corrupting feasibility over.
 func (r *Revised) driveOutArtificials() {
-	ws, d, rho := r.ws, r.d, r.rho
+	ws, d := r.ws, r.d
 	ftol := r.feasTol()
 	for i := 0; i < r.m; i++ {
 		if r.basis[i] < r.artStart || r.xb[i] > ftol {
 			continue
 		}
-		t0 := time.Now()
-		r.fac.btranRow(i, rho)
-		r.stats.Phase.BTRANNanos += int64(time.Since(t0))
-		for t := 0; t < r.m; t++ {
-			ws[t] = rho[t] * r.sign[t]
-		}
+		r.leavingRow(i, 1)
 		enter := -1
 		bestPiv := eps
 		for j := 0; j < r.artStart; j++ {
@@ -676,8 +680,8 @@ func (r *Revised) driveOutArtificials() {
 		if enter == -1 || math.Abs(r.xb[i]) > bestPiv*ftol {
 			continue
 		}
-		r.direction(enter, d)
-		r.pivotUpdate(i, enter, d, r.xb[i]/d[i], false)
+		r.direction(enter)
+		r.pivotUpdate(i, enter, r.xb[i]/d[i], false)
 		r.dseOK, r.djOK = false, false
 	}
 }

@@ -155,10 +155,10 @@ func (r *Revised) Rewind() {
 // everything mutable — a cloned Problem (so rhs/bound mutations stay
 // local), the frozen simplex state (reduced costs included) and the
 // working state rewound to it, statistics and scratch; it allocates no
-// LU arrays of its own until it refactorizes. The fork is O(m + nnz) — no
-// pivots, no phase-1: its first solve continues from the parent's basis
-// with zero lost warmth, exactly as the parent itself would, and Rewind
-// means the same thing on it as on the parent.
+// LU arrays and no elimination scratch until it refactorizes. The fork
+// is O(m + nnz) — no pivots, no phase-1: its first solve continues from
+// the parent's basis with zero lost warmth, exactly as the parent itself
+// would, and Rewind means the same thing on it as on the parent.
 //
 // Fork must be called while the parent is quiescent (no solve in
 // flight and no other goroutine mutating it); the forks themselves may

@@ -31,12 +31,19 @@ import "math"
 // relative to its direction (update refuses, the caller refactors) —
 // the two triggers that bound both solve cost and error drift.
 //
-// All vector arguments are dense slices of length m. The index
-// convention follows the simplex state: the basis matrix B maps
-// basis-position space to constraint-row space (column p of B is the
-// effective column of r.basis[p]), so ftran solves B·x = v (v indexed
-// by row, result by position) and btran solves Bᵀ·y = v (v indexed by
-// position, result by row), both in place.
+// The index convention follows the simplex state: the basis matrix B
+// maps basis-position space to constraint-row space (column p of B is
+// the effective column of r.basis[p]), so ftran solves B·x = v (v
+// indexed by row, result by position) and btran solves Bᵀ·y = v (v
+// indexed by position, result by row). Those two take a dense right-hand
+// side of length m. The two solves a pivot starts from something sparse
+// — ftranCol from one matrix column, btranRow from a unit vector — place
+// their few entries straight into position space, start the first
+// triangular sweep at the earliest of them, and hand back the result as
+// a dense slice of length m plus the list of its nonzeros (the contract
+// is on Revised.dIdx), so the simplex walks the list instead of
+// sweeping m entries to find them. Every float either pair computes is
+// the same: a sweep that starts later skips only positions holding 0.
 type luFactor struct {
 	r *Revised
 	m int
@@ -57,17 +64,16 @@ type luFactor struct {
 	// borrowed — every context owns its own.
 	borrowed bool
 
-	w []float64 // dense solve workspace
+	w []float64 // dense solve workspace (position space)
 
-	// Factorization scratch, reused across refactors.
+	// Factorization scratch, allocated by the first factorize — a fork
+	// almost never refactorizes — and reused across refactors.
 	cols               [][]luEntry
 	rowsCand           [][]int32
 	rowCount, colCount []int32
 	rowDone, colDone   []bool
 	singleCols         []int32
 	singleRows         []int32
-	posOfRow           []int32
-	posOfCol           []int32
 	pivR, pivC         []int32
 	pivV               []float64
 	lRows              [][]int32
@@ -86,6 +92,8 @@ type luFactor struct {
 type luArrays struct {
 	rowOfPos []int32 // constraint row pivotal at elimination step k
 	colOfPos []int32 // basis position eliminated at step k
+	posOfRow []int32 // the inverse permutations: posOfRow[rowOfPos[k]] = k,
+	posOfCol []int32 // posOfCol[colOfPos[k]] = k
 	lPtr     []int32 // L columns: entries at positions > k, unit diagonal implicit
 	lIdx     []int32
 	lVal     []float64
@@ -141,16 +149,17 @@ const (
 
 func newLUFactor(r *Revised) *luFactor {
 	m := r.m
-	f := &luFactor{r: r, m: m, borrowed: true}
-	f.w = make([]float64, m)
+	return &luFactor{r: r, m: m, borrowed: true, w: make([]float64, m)}
+}
+
+func (f *luFactor) allocScratch() {
+	m := f.m
 	f.cols = make([][]luEntry, m)
 	f.rowsCand = make([][]int32, m)
 	f.rowCount = make([]int32, m)
 	f.colCount = make([]int32, m)
 	f.rowDone = make([]bool, m)
 	f.colDone = make([]bool, m)
-	f.posOfRow = make([]int32, m)
-	f.posOfCol = make([]int32, m)
 	f.pivR = make([]int32, m)
 	f.pivC = make([]int32, m)
 	f.pivV = make([]float64, m)
@@ -160,13 +169,14 @@ func newLUFactor(r *Revised) *luFactor {
 	f.uRowVal = make([][]float64, m)
 	f.mark = make([]int32, m)
 	f.markAt = make([]int32, m)
-	return f
 }
 
 func newLUArrays(m int) luArrays {
 	return luArrays{
 		rowOfPos: make([]int32, m),
 		colOfPos: make([]int32, m),
+		posOfRow: make([]int32, m),
+		posOfCol: make([]int32, m),
 		uDiag:    make([]float64, m),
 		lPtr:     make([]int32, m+1),
 		uPtr:     make([]int32, m+1),
@@ -190,6 +200,9 @@ func (f *luFactor) refactor() bool {
 // on a structurally or numerically singular basis.
 func (f *luFactor) factorize() bool {
 	m := f.m
+	if f.cols == nil {
+		f.allocScratch()
+	}
 	for j := 0; j < m; j++ {
 		f.cols[j] = f.cols[j][:0]
 		f.rowsCand[j] = f.rowsCand[j][:0]
@@ -331,7 +344,6 @@ func (f *luFactor) pickPivot() (pi, pj int32, pv float64) {
 // to the remaining active submatrix.
 func (f *luFactor) eliminate(k int, pi, pj int32, pv float64) {
 	f.pivR[k], f.pivC[k], f.pivV[k] = pi, pj, pv
-	f.posOfCol[pj] = int32(k)
 	f.rowDone[pi] = true
 	f.colDone[pj] = true
 
@@ -425,6 +437,7 @@ func (f *luFactor) commit() {
 	copy(f.uDiag, f.pivV)
 	for k := 0; k < m; k++ {
 		f.posOfRow[f.pivR[k]] = int32(k)
+		f.posOfCol[f.pivC[k]] = int32(k)
 	}
 	lnnz, unnz := 0, 0
 	for k := 0; k < m; k++ {
@@ -488,34 +501,73 @@ func (f *luFactor) commit() {
 	f.minEtas = 0
 }
 
-// ftran solves B·x = v in place.
-func (f *luFactor) ftran(v []float64) {
-	m, w := f.m, f.w
-	for k := 0; k < m; k++ {
-		w[k] = v[f.rowOfPos[k]]
+// ftran solves B·x = src into dst; the two may be the same slice.
+func (f *luFactor) ftran(dst, src []float64) {
+	w := f.w
+	for k, i := range f.rowOfPos {
+		w[k] = src[i]
 	}
-	for k := 0; k < m; k++ {
+	f.solveLU(0)
+	f.ftranOut(dst)
+}
+
+// ftranCol solves B·x = A_j for the effective column j: x overwrites dst,
+// and the positions of its nonzeros, ascending, are appended to idx.
+func (f *luFactor) ftranCol(j int, dst []float64, idx []int32) []int32 {
+	w := f.w
+	clear(w)
+	from := f.m
+	f.r.effCol(j, func(i int, v float64) {
+		k := int(f.posOfRow[i])
+		w[k] = v
+		from = min(from, k)
+	})
+	f.solveLU(from)
+	f.ftranOut(dst)
+	// Only now: an eta can fill a position the base solve left at 0, or
+	// cancel one it did not.
+	for i, v := range dst {
+		if v != 0 {
+			idx = append(idx, int32(i))
+		}
+	}
+	return idx
+}
+
+// solveLU runs the forward L sweep and the backward U sweep over w, which
+// holds nothing but zeros before position from.
+func (f *luFactor) solveLU(from int) {
+	w := f.w
+	ptr, idx, val := f.lPtr, f.lIdx, f.lVal
+	for k := from; k < len(w); k++ {
 		t := w[k]
 		if t == 0 {
 			continue
 		}
-		for s := f.lPtr[k]; s < f.lPtr[k+1]; s++ {
-			w[f.lIdx[s]] -= f.lVal[s] * t
+		for s := ptr[k]; s < ptr[k+1]; s++ {
+			w[idx[s]] -= val[s] * t
 		}
 	}
-	for k := m - 1; k >= 0; k-- {
+	ptr, idx, val = f.uPtr, f.uIdx, f.uVal
+	for k := len(w) - 1; k >= 0; k-- {
 		t := w[k]
 		if t == 0 {
 			continue
 		}
 		t /= f.uDiag[k]
 		w[k] = t
-		for s := f.uPtr[k]; s < f.uPtr[k+1]; s++ {
-			w[f.uIdx[s]] -= f.uVal[s] * t
+		for s := ptr[k]; s < ptr[k+1]; s++ {
+			w[idx[s]] -= val[s] * t
 		}
 	}
-	for k := 0; k < m; k++ {
-		v[f.colOfPos[k]] = w[k]
+}
+
+// ftranOut gathers the base solve out of position space into v and
+// applies the eta file to it, oldest eta first.
+func (f *luFactor) ftranOut(v []float64) {
+	w := f.w
+	for i, k := range f.posOfCol {
+		v[i] = w[k]
 	}
 	for ei := range f.etas {
 		e := &f.etas[ei]
@@ -531,18 +583,6 @@ func (f *luFactor) ftran(v []float64) {
 	}
 }
 
-// ftranCol solves B·x = A_j for the effective column j, writing x into
-// dst (overwritten).
-func (f *luFactor) ftranCol(j int, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	f.r.effCol(j, func(i int, v float64) {
-		dst[i] += v
-	})
-	f.ftran(dst)
-}
-
 // btran solves Bᵀ·y = v in place.
 func (f *luFactor) btran(v []float64) {
 	for ei := len(f.etas) - 1; ei >= 0; ei-- {
@@ -553,50 +593,90 @@ func (f *luFactor) btran(v []float64) {
 		}
 		v[e.p] = s / e.piv
 	}
-	m, w := f.m, f.w
-	for k := 0; k < m; k++ {
-		w[k] = v[f.colOfPos[k]]
+	w := f.w
+	for k, p := range f.colOfPos {
+		w[k] = v[p]
 	}
-	for k := 0; k < m; k++ {
+	f.solveUtLt(0)
+	for i, k := range f.posOfRow {
+		v[i] = w[k]
+	}
+}
+
+// btranRow computes ρ = eₚᵀB⁻¹, row p of B⁻¹ — the vector both simplex
+// methods price the leaving row with — into rho, and in the one pass
+// that writes it out also appends the ascending positions of its
+// nonzeros to idx, fills ws[i] = amult·ρ_i·sign_i (the signed row
+// dualCandidates scatters) and returns ‖ρ‖², the row's exact
+// steepest-edge weight. The eta file applied to a unit vector can only
+// fill the positions its own pivots sit at, so e_p and those entries
+// are placed directly in position space and the Uᵀ sweep starts at the
+// earliest of them.
+func (f *luFactor) btranRow(p int, amult float64, rho, ws []float64, idx []int32) ([]int32, float64) {
+	w, pos := f.w, f.posOfCol
+	clear(w)
+	from := int(pos[p])
+	w[from] = 1
+	for ei := len(f.etas) - 1; ei >= 0; ei-- {
+		e := &f.etas[ei]
+		k := int(pos[e.p])
 		s := w[k]
-		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
-			s -= f.uVal[t] * w[f.uIdx[t]]
+		for t := e.start; t < e.end; t++ {
+			s -= w[pos[f.etaIdx[t]]] * f.etaVal[t]
+		}
+		s /= e.piv
+		w[k] = s
+		if s != 0 {
+			from = min(from, k)
+		}
+	}
+	f.solveUtLt(from)
+	sign, gamma := f.r.sign, 0.0
+	for i, k := range f.posOfRow {
+		x := w[k]
+		rho[i] = x
+		ws[i] = amult * x * sign[i]
+		if x != 0 {
+			idx = append(idx, int32(i))
+			gamma += x * x
+		}
+	}
+	return idx, gamma
+}
+
+// solveUtLt runs the forward Uᵀ sweep and the backward Lᵀ sweep over w,
+// which holds nothing but zeros before position from.
+func (f *luFactor) solveUtLt(from int) {
+	w := f.w
+	ptr, idx, val := f.uPtr, f.uIdx, f.uVal
+	for k := from; k < len(w); k++ {
+		s := w[k]
+		for t := ptr[k]; t < ptr[k+1]; t++ {
+			s -= val[t] * w[idx[t]]
 		}
 		w[k] = s / f.uDiag[k]
 	}
-	for k := m - 1; k >= 0; k-- {
+	ptr, idx, val = f.lPtr, f.lIdx, f.lVal
+	for k := len(w) - 1; k >= 0; k-- {
 		s := w[k]
-		for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
-			s -= f.lVal[t] * w[f.lIdx[t]]
+		for t := ptr[k]; t < ptr[k+1]; t++ {
+			s -= val[t] * w[idx[t]]
 		}
 		w[k] = s
 	}
-	for k := 0; k < m; k++ {
-		v[f.rowOfPos[k]] = w[k]
-	}
-}
-
-// btranRow writes row p of B⁻¹ (= eₚᵀB⁻¹, the vector the dual simplex
-// prices the leaving row with) into dst.
-func (f *luFactor) btranRow(p int, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	dst[p] = 1
-	f.btran(dst)
 }
 
 // update absorbs the pivot that replaces position p's basis column
-// with the column whose FTRAN'd direction is d, as one more eta. With
-// force=false it refuses a pivot it considers numerically unsafe
-// (returns false, state unchanged) — the caller then refactorizes;
-// force=true always applies.
-func (f *luFactor) update(p int, d []float64, force bool) bool {
+// with the column whose FTRAN'd direction is d (nonzeros listed in idx),
+// as one more eta. With force=false it refuses a pivot it considers
+// numerically unsafe (returns false, state unchanged) — the caller then
+// refactorizes; force=true always applies.
+func (f *luFactor) update(p int, d []float64, idx []int32, force bool) bool {
 	piv := d[p]
 	start := int32(len(f.etaIdx))
 	dmax := 0.0
-	for _, v := range d {
-		if a := math.Abs(v); a > dmax {
+	for _, i := range idx {
+		if a := math.Abs(d[i]); a > dmax {
 			dmax = a
 		}
 	}
@@ -611,9 +691,9 @@ func (f *luFactor) update(p int, d []float64, force bool) bool {
 	// solver's feasibility tolerance (xb itself is maintained from
 	// the full direction and re-derived exactly at refactorization).
 	drop := luEtaDropRel * dmax
-	for i, v := range d {
-		if i != p && (v > drop || v < -drop) {
-			f.etaIdx = append(f.etaIdx, int32(i))
+	for _, i := range idx {
+		if v := d[i]; int(i) != p && (v > drop || v < -drop) {
+			f.etaIdx = append(f.etaIdx, i)
 			f.etaVal = append(f.etaVal, v)
 		}
 	}

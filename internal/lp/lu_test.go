@@ -43,8 +43,7 @@ func checkFactorSolves(t *testing.T, r *Revised, rng *rand.Rand, label string) {
 			}
 		}
 		tol := 1e-6 * (1 + norm)
-		copy(x, v)
-		r.fac.ftran(x)
+		r.fac.ftran(x, v)
 		for i := 0; i < m; i++ {
 			s := 0.0
 			for p := 0; p < m; p++ {
@@ -112,7 +111,7 @@ func TestLUUpdateAgainstRefactor(t *testing.T) {
 		if sol, _, err := r.SolveFrom(nil); err != nil || sol.Status != Optimal || !r.factorized {
 			continue
 		}
-		d := make([]float64, r.m)
+		d := r.d
 		for upd := 0; upd < 12; upd++ {
 			// Pick a nonbasic non-artificial column and a position whose
 			// update passes the stability test; apply and cross-check.
@@ -122,12 +121,12 @@ func TestLUUpdateAgainstRefactor(t *testing.T) {
 				if r.inBasis[enter] {
 					continue
 				}
-				r.direction(enter, d)
+				r.direction(enter)
 				leave := rng.Intn(r.m)
 				if math.Abs(d[leave]) < 1e-6 || r.basis[leave] >= r.artStart {
 					continue
 				}
-				if !r.fac.update(leave, d, false) {
+				if !r.fac.update(leave, d, r.dIdx, false) {
 					continue
 				}
 				r.inBasis[r.basis[leave]] = false

@@ -12,31 +12,29 @@ import (
 // — and the primal/dual iteration loops built on them.
 
 // dualCandidates collects the non-artificial columns that can have a
-// nonzero pivot-row entry for the current signed leaving row ws: the
-// union of the column lists of ws's nonzero rows. Columns outside the
-// list have α = 0 and could never be dual ratio-test candidates, so
+// nonzero pivot-row entry for the leaving row leavingRow just computed:
+// the union of the column lists of the rows in r.rhoIdx. Columns outside
+// the list have α = 0 and could never be dual ratio-test candidates, so
 // pricing skips them — for a sparse leaving row this shrinks the
 // entering pass from the full column space to a handful of columns.
-// The walk also accumulates each candidate's pivot-row entry
-// α_j = ws·A_j into candAlpha (a scatter along the row-major mirror),
-// so the caller never gathers down a CSC column — a column gather
-// reads every stored row of the column when typically only one or two
-// intersect ws's support. A dense leaving row would make the union
-// walk cost more than it saves, so past a support cutoff the result
-// is (nil, false) and the caller prices the full column space
-// directly with per-column dots.
-func (r *Revised) dualCandidates(ws []float64) ([]int32, bool) {
+// The walk down ρ's nonzero list also accumulates each candidate's
+// pivot-row entry α_j = ws·A_j into candAlpha (a scatter along the
+// row-major mirror, in ascending row order), so the caller never gathers
+// down a CSC column — a column gather reads every stored row of the
+// column when typically only one or two intersect ρ's support. A dense
+// leaving row would make the union walk cost more than it saves, so
+// past a work cutoff the result is (nil, false) and the caller prices
+// the full column space directly with per-column dots.
+func (r *Revised) dualCandidates() ([]int32, bool) {
 	// Cutoff by work, not by support count: the scatter visits
-	// Σ nnz(row i) over ws's support, the full scan visits every
+	// Σ nnz(row i) over ρ's support, the full scan visits every
 	// stored nonzero. Below half the full-scan work the scatter wins
 	// even after the stamp bookkeeping; beyond that the contiguous
 	// CSC sweep's locality takes over.
 	work, budget := 0, len(r.sp.val)/2
-	for i := 0; i < r.m; i++ {
-		if ws[i] != 0 {
-			if work += len(r.rowCols[i]); work > budget {
-				return nil, false
-			}
+	for _, i := range r.rhoIdx {
+		if work += len(r.rowCols[i]); work > budget {
+			return nil, false
 		}
 	}
 	r.candCur++
@@ -47,11 +45,8 @@ func (r *Revised) dualCandidates(ws []float64) ([]int32, bool) {
 		r.candCur = 1
 	}
 	lst := r.candList[:0]
-	for i := 0; i < r.m; i++ {
-		s := ws[i]
-		if s == 0 {
-			continue
-		}
+	for _, i := range r.rhoIdx {
+		s := r.ws[i]
 		cols, vals := r.rowCols[i], r.rowVals[i]
 		for t, j := range cols {
 			if r.candStamp[j] != r.candCur {
@@ -115,16 +110,13 @@ func (r *Revised) resetDevexCols() {
 }
 
 // updateDevexCols applies the primal devex weight update after a
-// pivot: rho must hold the (pre-pivot) leaving row of B^{-1}, aq the
-// pivot element d_leave, wq the entering column's weight and leaveCol
+// pivot: leavingRow(leave, 1) must have run on the pre-pivot basis, aq is
+// the pivot element d_leave, wq the entering column's weight and leaveCol
 // the column that left the basis. For every nonbasic candidate j the
 // reference weight becomes max(w_j, (α_rj/α_rq)²·w_q) with α_rj the
 // pivot-row entry — one sparse pricing pass against rho.
-func (r *Revised) updateDevexCols(rho []float64, aq, wq float64, enter, leaveCol int) {
+func (r *Revised) updateDevexCols(aq, wq float64, enter, leaveCol int) {
 	ws := r.ws
-	for i := 0; i < r.m; i++ {
-		ws[i] = rho[i] * r.sign[i]
-	}
 	aq2 := aq * aq
 	maxW := 0.0
 	upd := func(j int) {
@@ -145,7 +137,7 @@ func (r *Revised) updateDevexCols(rho []float64, aq, wq float64, enter, leaveCol
 	// Only columns intersecting the leaving row's support can have a
 	// nonzero pivot-row entry; walk them via the CSR view when the
 	// row is sparse, exactly like the dual's entering pass.
-	if cands, ok := r.dualCandidates(ws); ok {
+	if cands, ok := r.dualCandidates(); ok {
 		for _, j32 := range cands {
 			upd(int(j32))
 		}
@@ -231,9 +223,9 @@ func (r *Revised) primal(costs []float64) (Status, error) {
 		if enter == -1 {
 			return Optimal, nil
 		}
-		r.direction(enter, d)
+		r.direction(enter)
 		tRatio := time.Now()
-		leave, leaveAtUpper, t := r.primalRatioTest(d, dir)
+		leave, leaveAtUpper, t := r.primalRatioTest(dir)
 		r.stats.Phase.RatioTestNanos += int64(time.Since(tRatio))
 		switch {
 		case leave == -1 && math.IsInf(r.U[enter], 1):
@@ -241,19 +233,17 @@ func (r *Revised) primal(costs []float64) (Status, error) {
 		case leave == -1 || r.U[enter] <= t:
 			// The entering column reaches its opposite bound before
 			// any basic column blocks: flip, no pivot.
-			r.boundFlip(enter, d, dir)
+			r.boundFlip(enter, dir)
 		default:
 			// Capture the pre-pivot leaving row and pivot element for
 			// the devex update before the factorization moves on.
-			tB := time.Now()
-			r.fac.btranRow(leave, r.rho)
-			r.stats.Phase.BTRANNanos += int64(time.Since(tB))
+			r.leavingRow(leave, 1)
 			aq, wq, leaveCol := d[leave], r.dwCol[enter], r.basis[leave]
-			r.pivotUpdate(leave, enter, d, dir*t, leaveAtUpper)
+			r.pivotUpdate(leave, enter, dir*t, leaveAtUpper)
 			r.stats.PrimalPivots++
 			r.dseOK, r.djOK = false, false // the dual's weights and reduced costs are now stale
 			tW := time.Now()
-			r.updateDevexCols(r.rho, aq, wq, enter, leaveCol)
+			r.updateDevexCols(aq, wq, enter, leaveCol)
 			r.stats.Phase.PricingNanos += int64(time.Since(tW))
 		}
 		obj := r.boundedObjective(costs)
@@ -296,7 +286,7 @@ func (r *Revised) dual() (Status, error) {
 	// into an ErrIterationLimit that SolveFrom converts into that
 	// fallback.
 	maxIters := r.warmPivotBudget()
-	ws, d, rho, dj := r.ws, r.d, r.rho, r.dj
+	ws, d, dj := r.ws, r.d, r.dj
 	bland := false
 	stall := 0
 	sinceBest := 0
@@ -369,17 +359,13 @@ func (r *Revised) dual() (Status, error) {
 		}
 		// rho = e_leave·B^{-1}; ws is rho sign-normalized for sparse
 		// pricing and oriented so eligible columns always price out
-		// negative for at-lower and positive for at-upper candidates.
-		tB := time.Now()
-		r.fac.btranRow(leave, rho)
-		r.stats.Phase.BTRANNanos += int64(time.Since(tB))
+		// negative for at-lower and positive for at-upper candidates;
+		// gr = ‖rho‖² is γ_r exactly, for the weight update below.
 		amult := 1.0
 		if !below {
 			amult = -1
 		}
-		for i := 0; i < r.m; i++ {
-			ws[i] = amult * rho[i] * r.sign[i]
-		}
+		gr := r.leavingRow(leave, amult)
 		// Entering ratio test. This pass collects every eligible
 		// column's breakpoint (ratio_j, |α_j|) into the dc* buffers;
 		// dualEnterFlips then walks them in ratio order and enters the
@@ -437,7 +423,7 @@ func (r *Revised) dual() (Status, error) {
 		// Either arm leaves α_j in candAlpha for every nonbasic column it
 		// visits, fixed ones included: the reduced-cost update below reads
 		// it back.
-		cands, sparse := r.dualCandidates(ws)
+		cands, sparse := r.dualCandidates()
 		if sparse {
 			// α was accumulated during the candidate row walk; the CSC
 			// store is not touched again.
@@ -467,14 +453,14 @@ func (r *Revised) dual() (Status, error) {
 		if enter == -1 {
 			return Infeasible, nil
 		}
-		r.direction(enter, d)
+		r.direction(enter)
 		target := 0.0
 		if !below {
 			target = r.U[r.basis[leave]]
 		}
 		step := (r.xb[leave] - target) / d[leave]
 		// Forrest–Goldfarb exact steepest-edge update, against the
-		// pre-pivot basis: γ_r is recomputed exactly as ‖ρ_r‖² (the
+		// pre-pivot basis: γ_r was recomputed exactly as ‖ρ_r‖² (the
 		// stored weight served pricing only, so the recurrence
 		// self-corrects), τ = B⁻¹ρ_r costs the one extra FTRAN this
 		// pricing scheme is known for, and then
@@ -482,20 +468,17 @@ func (r *Revised) dual() (Status, error) {
 		//	γ_i ← γ_i − 2(d_i/d_r)·τ_i + (d_i/d_r)²·γ_r   (i ≠ r)
 		//	γ_r ← γ_r/d_r²
 		//
-		// is the exact new ‖e_iᵀB⁻¹‖² for every row.
-		gr := 0.0
-		for i := 0; i < r.m; i++ {
-			gr += rho[i] * rho[i]
-		}
+		// is the exact new ‖e_iᵀB⁻¹‖² for every row — and the old one
+		// wherever d_i = 0, so the update walks d's list.
 		tau := r.tau
-		copy(tau, rho)
 		tF := time.Now()
-		r.fac.ftran(tau)
+		r.fac.ftran(tau, r.rho)
 		r.stats.Phase.FTRANNanos += int64(time.Since(tF))
 		dr := d[leave]
 		finite := true
-		for i := 0; i < r.m; i++ {
-			if i == leave || d[i] == 0 {
+		for _, i32 := range r.dIdx {
+			i := int(i32)
+			if i == leave {
 				continue
 			}
 			q := d[i] / dr
@@ -521,7 +504,7 @@ func (r *Revised) dual() (Status, error) {
 			r.stats.DSEWeightResets++
 		}
 		leaveCol := r.basis[leave]
-		refac := r.pivotUpdate(leave, enter, d, step, !below)
+		refac := r.pivotUpdate(leave, enter, step, !below)
 		r.stats.DualPivots++
 		if refac {
 			// pivotUpdate hit a refactorization checkpoint: the

@@ -9,24 +9,27 @@ import (
 // primal test, the bound-flipping (long-step) dual test with its lazy
 // breakpoint heap, and the aggregated bound-flip application.
 
-// primalRatioTest picks the leaving row for the entering direction d
-// traveled in direction dir, or -1 when no basic column blocks (the
-// entering column is then limited only by its own opposite bound, or
-// unbounded). The test is two-sided: a basic column blocks when it
-// hits its lower bound (delta > 0) or its finite upper bound
-// (delta < 0); the returned flag records which. Ties break toward
+// primalRatioTest picks the leaving row for the entering direction
+// that direction left in r.d, traveled in direction dir, or -1 when no
+// basic column blocks (the entering column is then limited only by its
+// own opposite bound, or unbounded). It walks d's list: a row with
+// d_i = 0 neither blocks nor ejects an artificial. The test is
+// two-sided: a basic column blocks when it hits its lower bound
+// (delta > 0) or its finite upper bound (delta < 0); the returned flag
+// records which. Ties break toward
 // the smallest basic column (Bland-compatible). Zero-valued basic
 // artificials with a usable nonzero component are forced out first
 // so they can never turn positive again during phase 2; "usable"
 // requires the implied entering value |xb/d| to be negligible, so a
 // near-eps pivot under a small positive residue can never catapult
 // the entering variable to a macroscopic out-of-box value.
-func (r *Revised) primalRatioTest(d []float64, dir float64) (leave int, atUpper bool, t float64) {
-	ftol := r.feasTol()
+func (r *Revised) primalRatioTest(dir float64) (leave int, atUpper bool, t float64) {
+	d, ftol := r.d, r.feasTol()
 	best := -1
 	bestUpper := false
 	bestRatio := math.Inf(1)
-	for i := 0; i < r.m; i++ {
+	for _, i32 := range r.dIdx {
+		i := int(i32)
 		if r.basis[i] >= r.artStart && r.xb[i] <= ftol && math.Abs(d[i]) > eps &&
 			math.Abs(r.xb[i]) <= math.Abs(d[i])*ftol {
 			return i, false, 0 // degenerate pivot: eject the artificial now
@@ -159,7 +162,7 @@ func (r *Revised) applyBoundFlips(idxs []int32) {
 		r.stats.BoundFlips++
 	}
 	t0 := time.Now()
-	r.fac.ftran(agg)
+	r.fac.ftran(agg, agg)
 	r.stats.Phase.FTRANNanos += int64(time.Since(t0))
 	ftol := r.feasTol()
 	for i := 0; i < r.m; i++ {

@@ -14,6 +14,9 @@ type djChecker struct {
 	checks, pivots        int
 	infeasible, zeroPivot int
 	worst                 float64
+	// also, when set, sees every context check sees, so another test can
+	// audit something else at the same points of basisSchedule.
+	also func(r *Revised, where string)
 }
 
 // check requires, while djOK, dj[j] = c_j − y·A_j within 1e-9·(1+costScale)
@@ -22,6 +25,9 @@ type djChecker struct {
 // BTRAN, gathered down effCol's sign-normalized columns.
 func (c *djChecker) check(r *Revised, where string) {
 	c.t.Helper()
+	if c.also != nil {
+		c.also(r, where)
+	}
 	if !r.djOK {
 		return
 	}
@@ -119,14 +125,25 @@ func (s problemState) restore(p *Problem) {
 
 // TestReducedCostsTrackBasis: the reduced-cost vector the dual maintains
 // along its pivot rows is, after every dual pivot and at the end of every
-// warm solve, the one a fresh multiplier solve gives — over boxed,
-// degenerate and network-shaped instances, through continued solves from
-// a carried basis (the branch-and-bound sibling pattern), Freeze…Rewind
-// rounds, a solve long enough to refactorize inside the dual, one that
-// ends Infeasible, a fork and a fork of that fork. No clock is read.
+// warm solve, the one a fresh multiplier solve gives, all through
+// basisSchedule. No clock is read.
 func TestReducedCostsTrackBasis(t *testing.T) {
 	c := &djChecker{t: t}
+	basisSchedule(t, c, func(*Revised) {})
+	t.Logf("%d checks, %d dual pivots, %d infeasible verdicts, %d zero-pivot solves, worst |maintained − fresh| %.3g",
+		c.checks, c.pivots, c.infeasible, c.zeroPivot, c.worst)
+	if c.checks < 1000 || c.pivots < 500 || c.zeroPivot == 0 {
+		t.Fatalf("the sequences checked too little: %d checks over %d dual pivots, %d zero-pivot solves", c.checks, c.pivots, c.zeroPivot)
+	}
+}
 
+// basisSchedule drives c over boxed, degenerate and network-shaped
+// instances, through continued solves from a carried basis (the
+// branch-and-bound sibling pattern), Freeze…Rewind rounds, a solve long
+// enough to refactorize inside the dual, one that ends Infeasible, a fork
+// and a fork of that fork. born sees every context before its first solve:
+// a root before its cold solve, a fork at birth.
+func basisSchedule(t *testing.T, c *djChecker, born func(r *Revised)) {
 	// rounds runs continued solves, then what-if rounds around a Freeze,
 	// on r and — once — on a fork and a fork of it.
 	var rounds func(r *Revised, bas *Basis, rng *rand.Rand, mutate func(*rand.Rand, *Problem), depth int, who string)
@@ -155,6 +172,7 @@ func TestReducedCostsTrackBasis(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: fork: %v", who, err)
 			}
+			born(f)
 			c.check(f, who+": fork at birth")
 			rounds(f, bas, rng, mutate, depth+1, who+", fork")
 		}
@@ -169,6 +187,7 @@ func TestReducedCostsTrackBasis(t *testing.T) {
 			p = randomFeasibleProblem(rng, true) // degenerate rows, default bounds
 		}
 		r := NewRevised(p)
+		born(r)
 		if _, bas, err := r.SolveFrom(nil); err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
 		} else {
@@ -181,6 +200,7 @@ func TestReducedCostsTrackBasis(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := whatIfLP(rng, 120, 80)
 	r := NewRevised(p)
+	born(r)
 	sol, bas, err := r.SolveFrom(nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("network-shaped cold solve: status %v err %v", sol.Status, err)
@@ -221,11 +241,5 @@ func TestReducedCostsTrackBasis(t *testing.T) {
 		committed.restore(p)
 		r.Rewind()
 		c.check(r, "network: rewound after Infeasible")
-	}
-
-	t.Logf("%d checks, %d dual pivots, %d infeasible verdicts, %d zero-pivot solves, worst |maintained − fresh| %.3g",
-		c.checks, c.pivots, c.infeasible, c.zeroPivot, c.worst)
-	if c.checks < 1000 || c.pivots < 500 || c.zeroPivot == 0 {
-		t.Fatalf("the sequences checked too little: %d checks over %d dual pivots, %d zero-pivot solves", c.checks, c.pivots, c.zeroPivot)
 	}
 }

@@ -120,16 +120,33 @@ type Revised struct {
 
 	// budgetOverride, when positive, replaces warmPivotBudget — the
 	// hook tests use to force a warm restart into the cold fallback.
+	// onPivot, when set, runs before each pivot and primal bound flip is
+	// applied, while d, rho, ws and their lists describe it and the factor
+	// is still the one they were solved on — where tests audit the lists.
 	budgetOverride int
+	onPivot        func()
 
 	// Scratch buffers reused across solves. All per-context: a forked
 	// context allocates its own set, so concurrent solves against the
 	// shared Factorization never share writable memory.
-	ys        []float64 // signed simplex multipliers (primal, computeDJ)
-	ws        []float64 // signed leaving-row vector (dual)
-	d         []float64 // entering direction B^{-1}A_j
-	rho       []float64 // leaving row of B^{-1} (BTRAN of a unit vector)
-	tau       []float64 // B^{-1}ρ_r (dual steepest-edge weight update)
+	ys  []float64 // signed simplex multipliers (primal, computeDJ)
+	ws  []float64 // signed leaving-row vector amult·rho·sign (leavingRow)
+	d   []float64 // entering direction B^{-1}A_j (direction)
+	rho []float64 // leaving row of B^{-1} (leavingRow)
+	tau []float64 // B^{-1}ρ_r (dual steepest-edge weight update)
+	// dIdx and rhoIdx list the nonzeros of d and rho, and every loop over
+	// either vector's nonzeros walks its list. The contract, kept by the
+	// solve that writes the vector (luFactor.ftranCol, btranRow) in its
+	// own output pass: position i is listed exactly when v[i] != 0 in the
+	// finished vector — after the eta file, which can fill a position the
+	// base solve left at 0; a value that cancelled to 0 or −0 is not
+	// listed, whatever the sparsity pattern promised — once, in ascending
+	// order, so a walk accumulates in the order the dense sweep it
+	// replaced did. The vectors stay dense and valid at every position
+	// (d[leave], tau against d); the list is rewritten with the vector and
+	// neither is touched in between, so there is no separate validity.
+	dIdx, rhoIdx []int32
+
 	bfOrder   []int32   // ratio-sorted breakpoint order (BFRT)
 	acc       []float64 // per-row lower-bound shift accumulator
 	beff      []float64 // bound-adjusted effective rhs
@@ -308,6 +325,8 @@ func (r *Revised) alloc() {
 	r.d = make([]float64, r.m)
 	r.rho = make([]float64, r.m)
 	r.tau = make([]float64, r.m)
+	r.dIdx = make([]int32, 0, r.m)
+	r.rhoIdx = make([]int32, 0, r.m)
 	r.acc = make([]float64, r.m)
 	r.beff = make([]float64, r.m)
 	r.seen = make([]bool, r.ncols)

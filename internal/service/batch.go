@@ -40,7 +40,7 @@ import (
 const defaultBatchWorkers = 4
 
 // maxBatchWorkers is the widest fork pool a request may ask for: each
-// worker is a goroutine plus a Model.Fork (1 475 KiB at K = 40, measured:
+// worker is a goroutine plus a Model.Fork (1 061 KiB at K = 40, measured:
 // the cloned problem, the scratch set and a private copy of the frozen
 // simplex state) and `workers` is outside input. A constant, not GOMAXPROCS:
 // the response's `workers` and each answer's fork assignment must not
