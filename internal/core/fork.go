@@ -37,6 +37,11 @@ func (m *Model) Fork() (*Model, error) {
 	f.natural = append([]float64(nil), m.natural...)
 	f.curLb = append([]float64(nil), m.curLb...)
 	f.curUb = append([]float64(nil), m.curUb...)
+	f.moved, f.movedMark = nil, nil // a fork's own SetBounds grows its own
+	if len(m.moved) > 0 {
+		f.moved = append([]int32(nil), m.moved...)
+		f.movedMark = append([]uint64(nil), m.movedMark...)
+	}
 	f.crossed = append([]bool(nil), m.crossed...)
 	f.budget = append([]float64(nil), m.budget...)
 	return &f, nil

@@ -46,13 +46,19 @@ type Model struct {
 	betaOrd   map[Pair]int // route → ordinal into the per-β slices below
 
 	// Per-β-route mutable state, indexed by the betaVars ordinal —
-	// slices, not maps, because ResetBounds and the per-epoch
-	// capacity injections walk every route on hot paths.
+	// slices, not maps, because the per-epoch capacity injections walk
+	// every route on hot paths.
 	betaVarIdx   []int     // LP variable index per ordinal
 	natural      []float64 // cap implied by link budgets
 	curLb, curUb []float64 // explicit SetBounds state (curUb < 0: none)
 	crossed      []bool    // lb > effective ub
 	numCrossed   int
+	// moved lists, once each (movedMark is its bitset, both grown on
+	// first use), the ordinals SetBounds moved off the default [0, none]
+	// since the last ResetBounds: every ordinal off it is listed, so
+	// ResetBounds visits those instead of every route.
+	moved     []int32
+	movedMark []uint64
 
 	speedRow   []int     // LP row of cluster l's (7b) constraint, -1 if absent
 	gatewayRow []int     // LP row of cluster k's (7c) constraint, -1 if absent
@@ -240,20 +246,32 @@ func (m *Model) SetBounds(p Pair, b BetaBounds) error {
 	}
 	m.curLb[ord] = lb
 	m.curUb[ord] = ub
+	if lb != 0 || ub != -1 {
+		if m.movedMark == nil {
+			m.movedMark = make([]uint64, (len(m.betaVars)+63)/64)
+		}
+		if w, bit := ord>>6, uint64(1)<<(ord&63); m.movedMark[w]&bit == 0 {
+			m.movedMark[w] |= bit
+			m.moved = append(m.moved, int32(ord))
+		}
+	}
 	m.applyBounds(ord)
 	return nil
 }
 
 // ResetBounds restores every β bound to its default [0, natural cap].
+// Only the routes SetBounds moved since the last reset can be off it.
 func (m *Model) ResetBounds() {
-	for ord := range m.betaVars {
+	for _, ord := range m.moved {
+		m.movedMark[ord>>6] &^= 1 << (ord & 63)
 		if m.curLb[ord] == 0 && m.curUb[ord] == -1 {
-			continue // already at the default
+			continue // set back to the default since
 		}
 		m.curLb[ord] = 0
 		m.curUb[ord] = -1
-		m.applyBounds(ord)
+		m.applyBounds(int(ord))
 	}
+	m.moved = m.moved[:0]
 }
 
 // SetSpeed mutates cluster l's computing-speed capacity (7b) — an

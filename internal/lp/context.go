@@ -76,6 +76,7 @@ func (r *Revised) Rebase() {
 		r.sign[i] = 1
 	}
 	r.signInit = true
+	r.rhsOK = false // b was computed under the old signs
 	r.factorized = false
 	r.dseOK, r.djOK = false, false
 }
@@ -121,34 +122,51 @@ func (r *Revised) warmPivotBudget() int {
 // against.
 func (r *Revised) WarmPivotBudget() int { return r.warmPivotBudget() }
 
-// loadBounds refreshes the per-column bound state from the owning
-// problem and sanitizes at-upper statuses against it: a basic column,
+// loadVar refreshes structural column j's bound state from the owning
+// problem and sanitizes its at-upper status against it: a basic column,
 // a column whose range became unbounded, or a fixed (U = 0) column
-// cannot meaningfully rest at an upper bound.
-func (r *Revised) loadBounds() {
-	for j := 0; j < r.nstruct; j++ {
-		r.lbs[j] = r.p.lb[j]
-		r.U[j] = r.p.ub[j] - r.p.lb[j]
-		if r.atUpper[j] && (r.inBasis[j] || math.IsInf(r.U[j], 1) || r.U[j] <= 0) {
-			r.atUpper[j] = false
-		}
-	}
-	// Slack and artificial columns are unbounded above and can never
-	// rest at an upper bound; clear any claim a foreign basis made.
-	for j := r.nstruct; j < r.ncols; j++ {
+// cannot meaningfully rest at an upper bound. (Slack and artificial
+// columns never rest there: the basis install clears any claim a
+// foreign basis made.)
+func (r *Revised) loadVar(j int) {
+	r.lbs[j] = r.p.lb[j]
+	r.U[j] = r.p.ub[j] - r.p.lb[j]
+	r.sanitizeUpper(j)
+}
+
+func (r *Revised) sanitizeUpper(j int) {
+	if r.atUpper[j] && (r.inBasis[j] || math.IsInf(r.U[j], 1) || r.U[j] <= 0) {
 		r.atUpper[j] = false
 	}
 }
 
-// refreshRHS loads the bound state and the effective rhs
-// (sign-normalized, lower-bound-shifted) and tolerance scale from the
-// owning problem.
+// refreshRHS brings the bound state, the effective rhs b =
+// sign·(rhs − acc) (sign-normalized, lower-bound-shifted) and the
+// tolerance scale up to date with the owning problem. While rhsOK it
+// recomputes only what the problem's change list names; otherwise, or
+// when the list was drained by another context since, everything.
+// Either way the list is this context's afterwards.
 func (r *Revised) refreshRHS() {
-	r.loadBounds()
-	acc := r.acc
-	for i := range acc {
-		acc[i] = 0
+	rows, vars, mine := r.p.ch.drain(r.id)
+	if mine && r.rhsOK {
+		r.refreshListed(rows, vars)
+	} else {
+		r.refreshAll()
 	}
+	r.rhsOK = true
+	if r.onRefresh != nil {
+		r.onRefresh()
+	}
+}
+
+// refreshAll is the full refresh: every column's bounds, every row's
+// shift (scattered down the columns in ascending column order) and rhs.
+func (r *Revised) refreshAll() {
+	for j := 0; j < r.nstruct; j++ {
+		r.loadVar(j)
+	}
+	acc := r.acc
+	clear(acc)
 	for j := 0; j < r.nstruct; j++ {
 		if lb := r.lbs[j]; lb != 0 {
 			for t := r.sp.colPtr[j]; t < r.sp.colPtr[j+1]; t++ {
@@ -156,10 +174,58 @@ func (r *Revised) refreshRHS() {
 			}
 		}
 	}
-	r.scale = 0
 	for i := range r.b {
 		r.b[i] = r.sign[i] * (r.p.rows[i].rhs - acc[i])
-		if a := math.Abs(r.b[i]); a > r.scale {
+	}
+	r.rescale()
+}
+
+// refreshListed is the incremental refresh: the listed variables'
+// bounds; the frozen at-upper columns (after a Rewind they are the
+// at-upper set, sanitized against the bounds of the Freeze); the shift
+// of every row a moved lower bound reaches, re-summed along the row
+// mirror in ascending column order — the order refreshAll adds the same
+// terms in; and the rhs of those rows and of the listed ones. Every
+// value is the bit pattern refreshAll would write.
+func (r *Revised) refreshListed(rows, vars []int32) {
+	for _, j32 := range vars {
+		j := int(j32)
+		if r.p.lb[j] != r.lbs[j] {
+			for t := r.sp.colPtr[j]; t < r.sp.colPtr[j+1]; t++ {
+				r.shifted, r.shiftMark = note(r.shifted, r.shiftMark, int(r.sp.rowIdx[t]), r.m)
+			}
+		}
+		r.loadVar(j)
+	}
+	for _, j := range r.frozen.upper {
+		r.sanitizeUpper(int(j))
+	}
+	for _, i := range r.shifted {
+		acc := 0.0
+		vals := r.rowVals[i]
+		for t, j := range r.rowCols[i] {
+			if int(j) >= r.nstruct {
+				break // slack columns follow the structural ones
+			}
+			if lb := r.lbs[j]; lb != 0 {
+				acc += vals[t] * lb
+			}
+		}
+		r.acc[i] = acc
+		r.b[i] = r.sign[i] * (r.p.rows[i].rhs - acc)
+	}
+	r.shifted = unmark(r.shifted, r.shiftMark)
+	for _, i := range rows {
+		r.b[i] = r.sign[i] * (r.p.rows[i].rhs - r.acc[i])
+	}
+	r.rescale()
+}
+
+// rescale sets the tolerance scale to max_i |b_i|.
+func (r *Revised) rescale() {
+	r.scale = 0
+	for _, v := range r.b {
+		if a := math.Abs(v); a > r.scale {
 			r.scale = a
 		}
 	}
@@ -204,7 +270,7 @@ func (r *Revised) coldSolve() (Solution, *Basis, error) {
 	for i := range r.sign {
 		r.sign[i] = 1
 	}
-	r.signInit = true
+	r.signInit, r.rhsOK = true, false
 	r.refreshRHS()
 	for i := range r.b {
 		if r.b[i] < 0 {
@@ -292,13 +358,14 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 			r.seen[c] = true
 		}
 		r.setBasis(bas.cols)
+		clear(r.atUpper)
 		if bas.upper != nil {
-			copy(r.atUpper, bas.upper)
-		} else {
-			for j := range r.atUpper {
-				r.atUpper[j] = false
-			}
+			// Slack and artificial columns are unbounded above and can
+			// never rest at an upper bound: only structural claims count,
+			// and the full refresh below sanitizes those.
+			copy(r.atUpper[:r.nstruct], bas.upper)
 		}
+		r.rhsOK = false
 		if !r.refactorize() {
 			r.factorized = false
 			return Solution{}, nil, false, nil
@@ -311,7 +378,14 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 	r.computeXB()
 
 	costs := r.fullCosts()
-	if r.dualFeasible() {
+	if !r.djOK {
+		r.computeDJ()
+	}
+	// One pass over dj answers the dual's entry test and, unless the dual
+	// moves the basis or the bounds it reads, the safety net after it.
+	dualInfeasible, pricesOut := r.priceScan(r.dualTol(), eps)
+	if !dualInfeasible {
+		moves := r.stats.DualPivots + r.stats.BoundFlips + r.stats.Refactorizations
 		status, err := r.dual()
 		if err != nil {
 			r.factorized = false
@@ -353,7 +427,10 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 		// primal's entering test finds nothing in the reduced costs the
 		// dual carried here unless roundoff says otherwise; only then does
 		// the primal run.
-		if r.pricesOut(eps) {
+		if r.stats.DualPivots+r.stats.BoundFlips+r.stats.Refactorizations != moves {
+			_, pricesOut = r.priceScan(eps, eps)
+		}
+		if pricesOut {
 			if status, err = r.primal(costs); err != nil {
 				r.factorized = false
 				return Solution{}, nil, false, nil
@@ -383,21 +460,29 @@ func (r *Revised) finishWarm(status Status) (Solution, *Basis, bool, error) {
 		r.factorized = false
 		return Solution{}, nil, false, nil
 	}
-	sol, snap, err := r.finish(status)
-	return sol, snap, err == nil, err
+	sol, snap := r.extract(status)
+	return sol, snap, true, nil
 }
 
-// finish converts the final simplex state into a Solution.
+// finish converts the final simplex state of a cold solve into a
+// Solution.
 func (r *Revised) finish(status Status) (Solution, *Basis, error) {
-	if status != Optimal {
-		r.factorized = false
-		return Solution{Status: status}, r.snapshot(), nil
-	}
-	if r.artificialResidue() > infeasTol*(1+r.scale) {
+	if status == Optimal && r.artificialResidue() > infeasTol*(1+r.scale) {
 		// A basic artificial kept a nonzero value: the (possibly
 		// mutated) rhs is inconsistent with a dependent row set.
 		r.factorized = false
 		return Solution{Status: Infeasible}, r.snapshot(), nil
+	}
+	sol, snap := r.extract(status)
+	return sol, snap, nil
+}
+
+// extract reads the verdict and, when optimal, the structural values and
+// the objective off the final simplex state.
+func (r *Revised) extract(status Status) (Solution, *Basis) {
+	if status != Optimal {
+		r.factorized = false
+		return Solution{Status: status}, r.snapshot()
 	}
 	x := r.xscratch
 	if !r.ephemeral {
@@ -422,11 +507,13 @@ func (r *Revised) finish(status Status) (Solution, *Basis, error) {
 			x[bj] = r.lbs[bj] + v
 		}
 	}
+	// A zero cost adds ±0 to a sum that starts at +0 and never becomes −0,
+	// so summing over the cost-bearing columns alone changes no bit.
 	obj := 0.0
-	for j, cj := range r.p.c {
-		obj += cj * x[j]
+	for _, j := range r.costCols {
+		obj += r.c[j] * x[j]
 	}
-	return Solution{Status: Optimal, X: x, Objective: obj}, r.snapshot(), nil
+	return Solution{Status: Optimal, X: x, Objective: obj}, r.snapshot()
 }
 
 // setBasis installs cols as the basic column set.
@@ -514,20 +601,34 @@ func (r *Revised) computeXB() {
 	t0 := time.Now()
 	r.fac.ftran(r.xb, beff)
 	r.stats.Phase.FTRANNanos += int64(time.Since(t0))
+	for i := range r.xb {
+		r.fileRow(i)
+	}
+}
+
+// fileRow files row i in or out of the infeasibility set by its basic
+// value and the box of its basic column.
+func (r *Revised) fileRow(i int) {
+	bit := uint64(1) << (i & 63)
+	if x := r.xb[i]; x < 0 || x > r.U[r.basis[i]] {
+		r.infeas[i>>6] |= bit
+	} else {
+		r.infeas[i>>6] &^= bit
+	}
 }
 
 // clampXB absorbs roundoff residue just outside the basic variable's
-// box back onto the violated bound.
+// box back onto the violated bound, then files the row: every loop that
+// moves xb outside computeXB ends each row here.
 func (r *Revised) clampXB(i int, ftol float64) {
 	if r.xb[i] < 0 {
 		if r.xb[i] > -ftol {
 			r.xb[i] = 0
 		}
-		return
-	}
-	if u := r.U[r.basis[i]]; !math.IsInf(u, 1) && r.xb[i] > u && r.xb[i]-u < ftol {
+	} else if u := r.U[r.basis[i]]; !math.IsInf(u, 1) && r.xb[i] > u && r.xb[i]-u < ftol {
 		r.xb[i] = u
 	}
+	r.fileRow(i)
 }
 
 // pivotUpdate applies the basis change for entering column `enter`
@@ -563,6 +664,7 @@ func (r *Revised) pivotUpdate(leave, enter int, step float64, leaveAtUpper bool)
 	r.inBasis[enter] = true
 	r.atUpper[enter] = false
 	r.xb[leave] = newVal
+	r.fileRow(leave)
 	r.stats.Pivots++
 	if !okUpd {
 		// The factor refused the update as numerically unsafe:

@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // Factorization is the immutable half of a Revised instance:
@@ -23,6 +24,7 @@ type Factorization struct {
 	nstruct, nslack, m int
 	ncols, artStart    int
 	c                  []float64 // phase-2 costs (structural prefix of column space)
+	costCols           []int32   // the structural columns with c_j != 0, ascending
 	costScale          float64
 
 	// rowCols is the row-wise (CSR) view of the structural+slack
@@ -51,9 +53,12 @@ func newFactorization(p *Problem) *Factorization {
 	fz.ncols = fz.sp.n + fz.m
 	fz.c = make([]float64, fz.artStart)
 	copy(fz.c, p.c)
-	for _, cj := range fz.c {
+	for j, cj := range fz.c {
 		if a := math.Abs(cj); a > fz.costScale {
 			fz.costScale = a
+		}
+		if cj != 0 {
+			fz.costCols = append(fz.costCols, int32(j))
 		}
 	}
 	fz.c2 = make([]float64, fz.ncols)
@@ -91,7 +96,7 @@ type frozenState struct {
 	gen uint64
 	luArrays
 	basis                   []int
-	atUpper                 []bool
+	upper                   []int32 // the columns resting at their upper bound, ascending
 	sign, dseW, dj          []float64
 	dseOK, djOK, factorized bool
 }
@@ -117,7 +122,12 @@ func (r *Revised) Freeze() error {
 	r.fac.borrowed = true
 	fz.gen, fz.luArrays = r.gen, r.fac.luArrays
 	fz.basis = append(fz.basis[:0], r.basis...)
-	fz.atUpper = append(fz.atUpper[:0], r.atUpper...)
+	fz.upper = fz.upper[:0]
+	for j, up := range r.atUpper {
+		if up {
+			fz.upper = append(fz.upper, int32(j))
+		}
+	}
 	fz.sign = append(fz.sign[:0], r.sign...)
 	fz.dseW = append(fz.dseW[:0], r.dseW...)
 	fz.dj = append(fz.dj[:0], r.dj...)
@@ -142,7 +152,11 @@ func (r *Revised) Rewind() {
 	f.luArrays, f.borrowed = fz.luArrays, true
 	f.etas, f.etaIdx, f.etaVal, f.minEtas = f.etas[:0], f.etaIdx[:0], f.etaVal[:0], 0
 	r.setBasis(fz.basis)
-	copy(r.atUpper, fz.atUpper)
+	clear(r.atUpper)
+	for _, j := range fz.upper {
+		r.atUpper[j] = true
+	}
+	r.rhsOK = r.rhsOK && slices.Equal(r.sign, fz.sign) // b holds under the signs it was computed with
 	copy(r.sign, fz.sign)
 	copy(r.dseW, fz.dseW)
 	copy(r.dj, fz.dj)
@@ -181,7 +195,7 @@ func (r *Revised) Fork() (*Revised, error) {
 	f.alloc()
 	f.frozen = r.frozen
 	f.frozen.basis = append([]int(nil), r.frozen.basis...)
-	f.frozen.atUpper = append([]bool(nil), r.frozen.atUpper...)
+	f.frozen.upper = append([]int32(nil), r.frozen.upper...)
 	f.frozen.sign = append([]float64(nil), r.frozen.sign...)
 	f.frozen.dseW = append([]float64(nil), r.frozen.dseW...)
 	f.frozen.dj = append([]float64(nil), r.frozen.dj...)

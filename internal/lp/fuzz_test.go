@@ -86,13 +86,18 @@ func (b *fuzzBytes) problem() *Problem {
 // through a byte-driven sequence of up to six warm steps — each mutates
 // one right-hand side and one variable box and re-solves from the
 // carried basis — with a Freeze after the first warm solve and a Rewind
-// before a byte-chosen later one. Every answer must match the lptest
+// before a byte-chosen later one, then up to three steps that write
+// back the bits a row and a box already hold or shift a box's lower
+// bound, each maybe after a Rewind. Every answer must match the lptest
 // oracle on verdict and, when optimal, objective to 1e-9. The seed
 // corpus (testdata/fuzz/FuzzSolveVsOracle: one file per cold/warm
 // verdict pair and warm path, then the seq-* files, one per path a
 // sequence reaches — a zero-pivot warm solve, the safety net falling
 // through to the primal, an Infeasible verdict followed by a rewound
-// Optimal, a cold fallback in mid-sequence) runs as a plain test under
+// Optimal, a cold fallback in mid-sequence, a zero-pivot solve after
+// equal writes, a lower-bound shift on a column in several rows that the
+// dual pivots through, one after a Rewind, one that ends Infeasible)
+// runs as a plain test under
 // `go test`; `go test -fuzz=FuzzSolveVsOracle ./internal/lp` explores
 // further.
 func FuzzSolveVsOracle(f *testing.F) {
@@ -131,6 +136,35 @@ func FuzzSolveVsOracle(f *testing.F) {
 				label += " (rewound)"
 			}
 			warmStep(label)
+		}
+		// Then up to three writes the solver's change list must see
+		// through: rewriting a row's rhs and a variable's box with the
+		// bits they hold, or shifting a box up by 1–3 at its width, which
+		// moves the lower-bound shift of every row the column is in —
+		// each maybe after a Rewind. (The corpus files from before these
+		// steps existed run dry first and take none.)
+		extra := b.next() % 4
+		for k := 0; k < extra; k++ {
+			mode, i, j := b.next(), b.next()%p.NumConstraints(), b.next()%p.NumVars()
+			label := fmt.Sprintf("extra %d", k+1)
+			if mode&2 != 0 {
+				r.Rewind()
+				label += " (rewound)"
+			}
+			lb, ub := p.VarBounds(j)
+			if mode&1 == 0 {
+				p.SetRHS(i, p.RHS(i))
+				p.SetVarBounds(j, lb, ub)
+				label += ": equal writes"
+			} else {
+				d := float64(1 + b.next()%3)
+				p.SetVarBounds(j, lb+d, ub+d)
+				label += ": lower bound shifted"
+			}
+			if sol, bas, err = r.SolveFrom(bas); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkOracle(t, p, sol, label)
 		}
 	})
 }

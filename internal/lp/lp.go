@@ -98,6 +98,25 @@
 // budget proportional to the instance size and nonzeros, so warm
 // starts are strictly an optimization, never a correctness risk.
 //
+// A warm restart also refreshes only what changed. SetRHS and
+// SetVarBounds list the rows and variables whose value changed bit
+// pattern since the one context that owns the list last drained it; the
+// context's refresh then reloads those variables' bounds, re-sums the
+// lower-bound shift of every row a moved lower bound reaches (along the
+// row mirror, in the column order a full refresh adds the same terms
+// in), recomputes those rows' and the listed rows' effective rhs, and
+// takes the tolerance scale as one max — every bit what a full refresh
+// writes. It refreshes in full on its first and every cold solve, after
+// Rebase, on a basis install, after a Rewind across a rewrite of the row
+// signs, and when another context drained the list since. When the dual
+// does not move — the common what-if: the mutation left the basis primal
+// feasible — one pass over the reduced costs answers both its entry test
+// and the optimality safety net after it; and while it pivots, the
+// leaving-row choice and its stall sum walk the set of rows whose basic
+// value lies outside its box, kept as a bitset beside the basic values,
+// instead of all m rows. None of this changes a float: pivot counts,
+// vertices and answers are those of the full passes it replaced.
+//
 // # Factorization vs. solve context
 //
 // A Revised instance is internally split in two (factorization.go):
@@ -200,6 +219,56 @@ type Problem struct {
 	c      []float64
 	lb, ub []float64
 	rows   []row
+	ch     changeList
+}
+
+// changeList records the rows whose rhs and the variables whose bounds
+// SetRHS / SetVarBounds changed — a write of the bits already there is
+// not a change — since the one context that owns the list last drained
+// it (Revised.refreshRHS). The owner is named by its id, so the Problem
+// does not keep it alive; 0 is nobody, and nothing is recorded until some
+// context drains the list: before that every context refreshes in full
+// anyway. The marks are bitsets and the lists grow on first use, so a
+// Problem that is never re-solved, or a fork's clone until its first
+// solve, pays nothing.
+type changeList struct {
+	owner            uint64
+	rows, vars       []int32
+	rowMark, varMark []uint64
+}
+
+// note adds i, one of n indices, to list under mark unless it is
+// already there; mark and list are allocated on first use.
+func note(list []int32, mark []uint64, i, n int) ([]int32, []uint64) {
+	if mark == nil {
+		mark, list = make([]uint64, (n+63)/64), make([]int32, 0, 16)
+	}
+	if w, bit := i>>6, uint64(1)<<(i&63); mark[w]&bit == 0 {
+		mark[w] |= bit
+		list = append(list, int32(i))
+	}
+	return list, mark
+}
+
+// unmark clears list's marks and empties it, keeping its storage.
+func unmark(list []int32, mark []uint64) []int32 {
+	for _, i := range list {
+		mark[i>>6] &^= 1 << (i & 63)
+	}
+	return list[:0]
+}
+
+// drain hands context id the rows and variables changed since it last
+// drained the list, and makes the list its own and empty. ok is false
+// when the list was not its own — nobody had drained it, or another
+// context did since — and then the caller must refresh in full. The
+// returned slices stay valid until the next SetRHS or SetVarBounds.
+func (c *changeList) drain(id uint64) (rows, vars []int32, ok bool) {
+	rows, vars, ok = c.rows, c.vars, c.owner == id
+	c.owner = id
+	c.rows = unmark(c.rows, c.rowMark)
+	c.vars = unmark(c.vars, c.varMark)
+	return rows, vars, ok
 }
 
 type row struct {
@@ -262,6 +331,9 @@ func (p *Problem) AddConstraint(terms []Term, rel Rel, rhs float64) int {
 func (p *Problem) SetRHS(i int, rhs float64) {
 	p.checkRow(i)
 	checkRHS(rhs)
+	if p.ch.owner != 0 && math.Float64bits(rhs) != math.Float64bits(p.rows[i].rhs) {
+		p.ch.rows, p.ch.rowMark = note(p.ch.rows, p.ch.rowMark, i, len(p.rows))
+	}
 	p.rows[i].rhs = rhs
 }
 
@@ -283,6 +355,9 @@ func (p *Problem) SetVarBounds(j int, lb, ub float64) {
 	}
 	if lb > ub {
 		panic(fmt.Sprintf("lp: crossed bounds [%g, %g] for variable %d", lb, ub, j))
+	}
+	if p.ch.owner != 0 && (math.Float64bits(lb) != math.Float64bits(p.lb[j]) || math.Float64bits(ub) != math.Float64bits(p.ub[j])) {
+		p.ch.vars, p.ch.varMark = note(p.ch.vars, p.ch.varMark, j, p.nvars)
 	}
 	p.lb[j], p.ub[j] = lb, ub
 }

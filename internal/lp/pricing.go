@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -308,47 +309,13 @@ func (r *Revised) dual() (Status, error) {
 	// B^{-1} per dual pivot (y' = y + γ·ρ_r, γ = c̄_enter/d_leave), so the
 	// reduced costs move by the same multiple of the pivot row this
 	// iteration prices anyway (c̄_j' = c̄_j − γ·α_rj). The caller hands
-	// over a valid dj (dualFeasible has just scanned it); it is maintained
-	// along that row — no multiplier BTRAN, no dot per candidate — and
-	// recomputed exactly whenever pivotUpdate refactorizes.
+	// over a valid dj (warmSolve's priceScan has just read it); it is
+	// maintained along that row — no multiplier BTRAN, no dot per
+	// candidate — and recomputed exactly whenever pivotUpdate
+	// refactorizes.
 	for iter := 0; iter < maxIters; iter++ {
-		ftol := r.feasTol()
 		tPrice := time.Now()
-		leave := -1
-		below := false
-		if bland {
-			// Bland's rule needs the smallest *variable* index among
-			// the violating basics (row order is not a valid
-			// anti-cycling order).
-			for i := 0; i < r.m; i++ {
-				isBelow := r.xb[i] < -ftol
-				above := false
-				if u := r.U[r.basis[i]]; !math.IsInf(u, 1) && r.xb[i] > u+ftol {
-					above = true
-				}
-				if (isBelow || above) && (leave == -1 || r.basis[i] < r.basis[leave]) {
-					leave, below = i, isBelow
-				}
-			}
-		} else {
-			// Leaving row maximizes violation²/γ_i.
-			bestScore := 0.0
-			for i := 0; i < r.m; i++ {
-				v := -r.xb[i]
-				isBelow := true
-				if u := r.U[r.basis[i]]; !math.IsInf(u, 1) {
-					if above := r.xb[i] - u; above > v {
-						v, isBelow = above, false
-					}
-				}
-				if v <= ftol {
-					continue
-				}
-				if score := v * v / r.dseW[i]; score > bestScore {
-					bestScore, leave, below = score, i, isBelow
-				}
-			}
-		}
+		leave, below := r.chooseLeaving(bland, r.feasTol())
 		r.stats.Phase.PricingNanos += int64(time.Since(tPrice))
 		if leave == -1 {
 			return Optimal, nil
@@ -370,7 +337,7 @@ func (r *Revised) dual() (Status, error) {
 		// column's breakpoint (ratio_j, |α_j|) into the dc* buffers;
 		// dualEnterFlips then walks them in ratio order and enters the
 		// largest |α| within dtol of its stop ratio. The dtol slack (the
-		// same tolerance dualFeasible accepts) lets near-tied — typically
+		// tolerance the dual's entry test accepts) lets near-tied — typically
 		// degenerate — breakpoints trade a ≤dtol reduced-cost violation
 		// for a well-scaled pivot, which both stabilizes the eta file and
 		// cuts the degenerate mini-steps that dominate restarts on
@@ -539,14 +506,7 @@ func (r *Revised) dual() (Status, error) {
 			}
 			r.stats.Phase.PricingNanos += int64(time.Since(tD))
 		}
-		infeas := 0.0
-		for i := 0; i < r.m; i++ {
-			if r.xb[i] < 0 {
-				infeas -= r.xb[i]
-			} else if u := r.U[r.basis[i]]; !math.IsInf(u, 1) && r.xb[i] > u {
-				infeas += r.xb[i] - u
-			}
-		}
+		infeas := r.infeasibility()
 		if infeas >= lastInfeas-eps {
 			stall++
 			if stall >= stallLimit {
@@ -584,32 +544,99 @@ func (r *Revised) dual() (Status, error) {
 // later violation²/γ score.
 const dseFloor = 1e-10
 
-// dualFeasible reports whether every nonbasic non-artificial column
-// prices out on the right side for its bound (within the dual
-// tolerance) under the phase-2 costs — the precondition for restarting
-// with the dual simplex. It is a scan of the reduced costs, which it
-// computes first only if nothing valid is being carried.
-func (r *Revised) dualFeasible() bool {
-	if !r.djOK {
-		r.computeDJ()
+// chooseLeaving picks the dual's leaving row among the rows of the
+// infeasibility set, in ascending order: under Bland's rule the
+// violating row whose basic column has the smallest index (row order is
+// not a valid anti-cycling order), otherwise the one maximizing
+// violation²/γ_i. below reports a violation of the lower bound. A row
+// outside the set violates neither bound, so the dense loops over all m
+// rows this replaced skipped it, and the choice is theirs.
+func (r *Revised) chooseLeaving(bland bool, ftol float64) (leave int, below bool) {
+	leave = -1
+	bestScore := 0.0
+	for w, word := range r.infeas {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			u := r.U[r.basis[i]]
+			if bland {
+				isBelow := r.xb[i] < -ftol
+				above := !math.IsInf(u, 1) && r.xb[i] > u+ftol
+				if (isBelow || above) && (leave == -1 || r.basis[i] < r.basis[leave]) {
+					leave, below = i, isBelow
+				}
+				continue
+			}
+			v := -r.xb[i]
+			isBelow := true
+			if !math.IsInf(u, 1) {
+				if above := r.xb[i] - u; above > v {
+					v, isBelow = above, false
+				}
+			}
+			if v <= ftol {
+				continue
+			}
+			if score := v * v / r.dseW[i]; score > bestScore {
+				bestScore, leave, below = score, i, isBelow
+			}
+		}
 	}
-	return !r.pricesOut(r.dualTol())
+	return leave, below
 }
 
-// pricesOut reports whether some nonbasic non-artificial column's
-// reduced cost sits on the wrong side for its bound by more than tol:
-// positive at a lower bound, negative at an upper bound. Fixed (U = 0)
-// columns cannot move and are exempt. With tol = eps this is the
-// primal's own entering test.
-func (r *Revised) pricesOut(tol float64) bool {
+// infeasibility sums the basic values' distances outside their boxes
+// over the infeasibility set in ascending row order — the terms, and the
+// order, of the dense sum over all m rows, whose other rows add nothing.
+// It feeds the dual's stall → Bland switch.
+func (r *Revised) infeasibility() float64 {
+	sum := 0.0
+	for w, word := range r.infeas {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if r.xb[i] < 0 {
+				sum -= r.xb[i]
+			} else if u := r.U[r.basis[i]]; !math.IsInf(u, 1) && r.xb[i] > u {
+				sum += r.xb[i] - u
+			}
+		}
+	}
+	return sum
+}
+
+// priceScan reports, in one pass over the reduced costs, whether some
+// nonbasic non-artificial column's reduced cost sits on the wrong side
+// for its bound — positive at a lower bound, negative at an upper bound
+// — by more than wide, and whether by more than narrow (narrow ≤ wide).
+// Fixed (U = 0) columns cannot move and are exempt. With wide = dualTol
+// the first answer is the dual's entry test (the basis is not dual
+// feasible); with narrow = eps the second is the primal's own entering
+// test, the safety net after the dual.
+//
+// Every column over wide is over narrow, so none comes before the first
+// column over narrow: the pass tests narrow up to that column and only
+// wide from it on.
+func (r *Revised) priceScan(wide, narrow float64) (overWide, overNarrow bool) {
 	t0 := time.Now()
-	out := false
-	for j, cbar := range r.dj {
-		if (cbar > tol && !r.atUpper[j] || cbar < -tol && r.atUpper[j]) && !r.inBasis[j] && r.U[j] > 0 {
-			out = true
+	j := 0
+	for ; j < len(r.dj); j++ {
+		if r.outBy(j, narrow) {
+			overNarrow = true
+			break
+		}
+	}
+	for ; j < len(r.dj); j++ {
+		if r.outBy(j, wide) {
+			overWide = true
 			break
 		}
 	}
 	r.stats.Phase.PricingNanos += int64(time.Since(t0))
-	return out
+	return overWide, overNarrow
+}
+
+// outBy reports whether column j's reduced cost sits on the wrong side
+// for its bound by more than tol (see priceScan).
+func (r *Revised) outBy(j int, tol float64) bool {
+	cbar := r.dj[j]
+	return (cbar > tol && !r.atUpper[j] || cbar < -tol && r.atUpper[j]) && !r.inBasis[j] && r.U[j] > 0
 }

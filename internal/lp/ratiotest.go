@@ -143,12 +143,12 @@ func (r *Revised) dualEnterFlips(nc int, viol, dtol float64) (enter int) {
 // applyBoundFlips flips each breakpoint candidate in idxs (indices
 // into the dc* buffers) across its box and applies their aggregate
 // effect on the basic values with a single FTRAN:
-// xb -= B⁻¹·Σ_j ±U_j·A_j.
+// xb -= B⁻¹·Σ_j ±U_j·A_j. The sum is built in beff, computeXB's scratch:
+// acc, which it used to borrow, now keeps the rows' lower-bound shifts
+// from one refresh to the next.
 func (r *Revised) applyBoundFlips(idxs []int32) {
-	agg := r.acc
-	for i := range agg {
-		agg[i] = 0
-	}
+	agg := r.beff
+	clear(agg)
 	for _, t := range idxs {
 		j := int(r.dcJ[t])
 		du := r.U[j]

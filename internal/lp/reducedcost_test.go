@@ -63,7 +63,10 @@ func (c *djChecker) stepDual(r *Revised, where string) {
 	c.t.Helper()
 	r.refreshRHS()
 	r.computeXB()
-	if !r.dualFeasible() {
+	if !r.djOK {
+		r.computeDJ()
+	}
+	if dualInfeasible, _ := r.priceScan(r.dualTol(), eps); dualInfeasible {
 		return
 	}
 	r.budgetOverride = 1
@@ -137,13 +140,100 @@ func TestReducedCostsTrackBasis(t *testing.T) {
 	}
 }
 
+// TestSafetyNetRescansAfterDualMoves: warmSolve's one scan of dj answers
+// the dual's entry test and the safety net after it, and the second
+// answer is reused only if the dual left dj, the basis and the at-upper
+// set as it found them. On small integer programs whose costs differ by a
+// few 1e-8 — between eps and the dual tolerance, where the dual's Harris
+// pass may enter a column that leaves another's reduced cost on the wrong
+// side by more than eps — the entry scan finds nothing at eps, the dual
+// pivots, and the rescan sends the primal in. Every answer equals a cold
+// solve's. No clock is read.
+func TestSafetyNetRescansAfterDualMoves(t *testing.T) {
+	rescued := 0
+	for seed := int64(0); seed < 3000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nv, m := 2+rng.Intn(4), 2+rng.Intn(5)
+		p := New(nv)
+		for j := 0; j < nv; j++ {
+			p.SetObjective(j, float64(rng.Intn(5))+float64(rng.Intn(4))*3e-8)
+			if rng.Intn(2) == 0 {
+				p.SetVarBounds(j, 0, float64(1+rng.Intn(6)))
+			}
+		}
+		for i := 0; i < m; i++ {
+			var terms []Term
+			for j := 0; j < nv; j++ {
+				if c := rng.Intn(5) - 1; c != 0 {
+					terms = append(terms, Term{j, float64(c)})
+				}
+			}
+			p.AddConstraint(terms, LE, float64(2+rng.Intn(10)))
+		}
+		r := NewRevised(p)
+		sol, bas, err := r.SolveFrom(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != Optimal {
+			continue
+		}
+		if err := r.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		committed := saveProblem(p)
+		for k := 0; k < 5; k++ {
+			// A right-hand side only, so the rewound dj and at-upper set
+			// are exactly what warmSolve's entry scan reads.
+			p.SetRHS(rng.Intn(m), float64(rng.Intn(12)-1))
+			_, entry := r.priceScan(eps, eps)
+			before := r.stats
+			sol, _, err := r.SolveFrom(bas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !entry && r.stats.ColdSolves == before.ColdSolves &&
+				r.stats.DualPivots > before.DualPivots && r.stats.PrimalPivots > before.PrimalPivots {
+				rescued++
+			}
+			want, _, err := NewRevised(p.clone()).SolveFrom(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Status != want.Status || sol.Status == Optimal && math.Abs(sol.Objective-want.Objective) > objTol(want.Objective) {
+				t.Fatalf("seed %d step %d: %v %.15g, cold %v %.15g", seed, k, sol.Status, sol.Objective, want.Status, want.Objective)
+			}
+			committed.restore(p)
+			r.Rewind()
+		}
+	}
+	t.Logf("%d warm solves had the primal pivot after a pivoting dual with nothing pricing out at entry", rescued)
+	if rescued == 0 {
+		t.Fatal("no dual left work for the safety net: the test lost its teeth")
+	}
+}
+
 // basisSchedule drives c over boxed, degenerate and network-shaped
 // instances, through continued solves from a carried basis (the
 // branch-and-bound sibling pattern), Freeze…Rewind rounds, a solve long
 // enough to refactorize inside the dual, one that ends Infeasible, a fork
 // and a fork of that fork. born sees every context before its first solve:
-// a root before its cold solve, a fork at birth.
+// a root before its cold solve, a fork at birth. Every context is also
+// under a warmAudit: each refresh held to a full one, and before every
+// pivot the infeasibility set, the walks over it and the reduced-cost
+// scan to the dense loops.
 func basisSchedule(t *testing.T, c *djChecker, born func(r *Revised)) {
+	audit := &warmAudit{t: t}
+	defer func() {
+		if audit.pivots < 500 || audit.inSet == 0 || audit.choices == 0 || audit.out == 0 || audit.refreshes == 0 {
+			t.Fatalf("the warm audit saw too little: %+v", *audit)
+		}
+	}()
+	bornOnly := born
+	born = func(r *Revised) {
+		bornOnly(r)
+		audit.attach(r)
+	}
 	// rounds runs continued solves, then what-if rounds around a Freeze,
 	// on r and — once — on a fork and a fork of it.
 	var rounds func(r *Revised, bas *Basis, rng *rand.Rand, mutate func(*rand.Rand, *Problem), depth int, who string)

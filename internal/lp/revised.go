@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Revised is a revised-simplex solve context bound to one Problem.
 // It keeps the constraint matrix (in sparse column form), the basis
@@ -46,11 +49,16 @@ import "math"
 //
 // The constraint structure (row count, relations, coefficients) must
 // be frozen after NewRevised; only right-hand sides and variable
-// bounds may change between solves.
+// bounds may change between solves. The Problem lists what those
+// changes touched for one context — the last one whose refresh drained
+// the list — so the context that solves a Problem alone refreshes only
+// that; contexts taking turns on one Problem refresh in full. A fork
+// owns the list of its own cloned Problem.
 type Revised struct {
 	*Factorization
 
-	p *Problem
+	p  *Problem
+	id uint64 // names this context as the owner of p's change list
 
 	// sign[i] is the row normalization chosen at the last cold start
 	// so that the effective rhs was nonnegative; effective matrix
@@ -67,6 +75,14 @@ type Revised struct {
 	lbs []float64 // structural lower bounds (extraction shift)
 	U   []float64 // shifted bound range per column
 
+	// rhsOK marks lbs, U, acc, b and scale as describing the owning
+	// Problem as of this context's last drain of its change list, under
+	// the current sign; refreshRHS then recomputes only what the list
+	// names. It is cleared wherever that stops holding: Rebase and cold
+	// solves rewrite sign, a foreign-basis install replaces the at-upper
+	// set wholesale, a Rewind puts back other signs.
+	rhsOK bool
+
 	// Working state, valid between solves while factorized is true.
 	// Invariant: while factorized, the current basis (with its
 	// atUpper statuses) is dual feasible for the phase-2 costs (every
@@ -82,6 +98,16 @@ type Revised struct {
 	b          []float64
 	scale      float64
 	factorized bool
+
+	// infeas is the set of rows whose basic value lies outside its box
+	// (xb_i < 0 or xb_i > U of the basic column), a bitset rebuilt by
+	// computeXB and kept by every other write to xb: clampXB, which each
+	// of pivotUpdate, boundFlip and applyBoundFlips calls on the rows they
+	// move, and pivotUpdate on the row that changes column. The dual's
+	// leaving-row choice and its stall sum walk it in ascending row order;
+	// every row outside it is one the dense loops skipped, so both give
+	// those loops' answer bit for bit.
+	infeas []uint64
 
 	stats Stats
 
@@ -123,8 +149,11 @@ type Revised struct {
 	// onPivot, when set, runs before each pivot and primal bound flip is
 	// applied, while d, rho, ws and their lists describe it and the factor
 	// is still the one they were solved on — where tests audit the lists.
+	// onRefresh, when set, runs at the end of every refreshRHS — where
+	// tests hold an incremental refresh to a full one.
 	budgetOverride int
 	onPivot        func()
+	onRefresh      func()
 
 	// Scratch buffers reused across solves. All per-context: a forked
 	// context allocates its own set, so concurrent solves against the
@@ -147,11 +176,17 @@ type Revised struct {
 	// neither is touched in between, so there is no separate validity.
 	dIdx, rhoIdx []int32
 
-	bfOrder   []int32   // ratio-sorted breakpoint order (BFRT)
-	acc       []float64 // per-row lower-bound shift accumulator
-	beff      []float64 // bound-adjusted effective rhs
-	seen      []bool    // basis validation
-	candList  []int32   // dual pricing candidates (rho-support columns)
+	bfOrder []int32 // ratio-sorted breakpoint order (BFRT)
+	// acc[i] = Σ_j A_ij·lb_j, row i's lower-bound shift, kept with b
+	// while rhsOK; shifted lists (under shiftMark) the rows an incremental
+	// refresh re-sums. beff is scratch: the bound-adjusted effective rhs
+	// (computeXB) and the aggregated flips (applyBoundFlips).
+	acc       []float64
+	shifted   []int32
+	shiftMark []uint64
+	beff      []float64
+	seen      []bool  // basis validation
+	candList  []int32 // dual pricing candidates (rho-support columns)
 	candStamp []int32
 	candAlpha []float64 // pivot-row entry α_j per column the dual's pricing pass visited
 	candCur   int32
@@ -165,6 +200,9 @@ type Revised struct {
 	ephemeral bool
 	xscratch  []float64
 }
+
+// contexts numbers the solve contexts NewRevised and Fork make, from 1.
+var contexts atomic.Uint64
 
 // infeasTol is the phase-1 acceptance (the lptest oracle uses the same).
 const infeasTol = 1e-7
@@ -305,9 +343,11 @@ func NewRevised(p *Problem) *Revised {
 // factor and the scratch buffers. Shared by NewRevised and Fork so a
 // forked context never aliases writable memory of its parent.
 func (r *Revised) alloc() {
+	r.id = contexts.Add(1)
 	r.sign = make([]float64, r.m)
 	r.b = make([]float64, r.m)
 	r.xb = make([]float64, r.m)
+	r.infeas = make([]uint64, (r.m+63)/64)
 	r.basis = make([]int, r.m)
 	r.inBasis = make([]bool, r.ncols)
 	r.atUpper = make([]bool, r.ncols)

@@ -195,6 +195,46 @@ func TestAnswerCacheCorrectness(t *testing.T) {
 	}
 }
 
+// TestWhatIfBoundsKeyAsRelaxed: a β box implies the relaxation, so a
+// boxed what-if spelled with and without "relax": true is one question —
+// whichever spelling comes second is an answer-cache hit on the entry the
+// first filed, as the two spellings coalesce inside a batch.
+func TestWhatIfBoundsKeyAsRelaxed(t *testing.T) {
+	pl := testPlatform(t, 8, 62)
+	ts, pool := newTestServer(t, 4)
+	resp := createSession(t, ts, &CreateSessionRequest{Platform: platformJSON(t, pl)}, http.StatusCreated)
+	base := ts.URL + "/sessions/" + resp.ID
+	routes := pool.Get(resp.ID).model.BetaVars()
+	if len(routes) < 2 {
+		t.Fatalf("platform has %d β routes", len(routes))
+	}
+	for i, relaxFirst := range []bool{false, true} {
+		box := []RouteBounds{{From: routes[i].K, To: routes[i].L, Lb: 0, Ub: 1}}
+		first := &WhatIfRequest{Bounds: box, Relax: relaxFirst}
+		second := &WhatIfRequest{Bounds: box, Relax: !relaxFirst}
+		var w1, w2 SolveReport
+		_, raw1, err := doJSONRaw(ts.Client(), "POST", base+"/whatif", first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, raw2, err := doJSONRaw(ts.Client(), "POST", base+"/whatif", second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		json.Unmarshal(raw1, &w1) //nolint:errcheck
+		json.Unmarshal(raw2, &w2) //nolint:errcheck
+		if w1.Cached || !w1.Relaxed {
+			t.Fatalf("relax %v first: cached %v, relaxed %v", relaxFirst, w1.Cached, w1.Relaxed)
+		}
+		if !w2.Cached {
+			t.Fatalf("relax %v second: the other spelling of the same box was solved again", !relaxFirst)
+		}
+		if stripVolatile(t, raw1) != stripVolatile(t, raw2) {
+			t.Fatalf("the two spellings answer differently:\n%s\nvs\n%s", raw1, raw2)
+		}
+	}
+}
+
 // TestAnswerCacheInvalidationOnEpoch pins that a stale hit after a
 // commit is impossible: answers cached before an epoch commit must
 // never be served after it, for the query and the what-if paths both.

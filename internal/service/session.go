@@ -479,7 +479,8 @@ func (s *Session) relaxReportLocked(sol *core.RelaxedSolution) *SolveReport {
 // exactly, so the same request against the same committed state is
 // the same answer). Identical *concurrent* requests (same canonical
 // JSON) coalesce onto one solve; every caller gets the shared report
-// (waiters see Coalesced=true).
+// (waiters see Coalesced=true). A request with Bounds comes back marked
+// Relax, which Bounds imply.
 func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) { return asReport(s.whatIf(req)) }
 
 // whatIf is WhatIf as the HTTP layer consumes it; see query. The owner
@@ -488,6 +489,11 @@ func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) { return asRe
 // committed-state digest while mu is still held, so it can never be
 // filed against a state other than the one it was computed on.
 func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
+	if len(req.Bounds) > 0 {
+		// Bounds imply a relaxation: say so, so both spellings of one key
+		// alike — one cache entry and one flight, as in a batch.
+		req.Relax = true
+	}
 	key, err := json.Marshal(req)
 	if err != nil {
 		return nil, nil, err
