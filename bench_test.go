@@ -3,17 +3,15 @@
 // report the measured mean objective ratios via b.ReportMetric, so
 // `go test -bench=.` regenerates the numbers behind every table and
 // figure at benchmark scale; cmd/experiments runs the same sweeps at
-// full scale. E9–E11 time the solver stack under the paper's loop at
-// library level (cold LP, warm BnB, warm-vs-cold adaptive epochs);
-// everything about the schedd serving path is measured by bench/
-// (BENCHMARK.json), not here.
+// full scale. E9–E10 time the solver stack at library level (cold LP,
+// warm BnB); everything about the schedd serving path, the epoch commit
+// included, is measured by bench/ (BENCHMARK.json), not here.
 package repro
 
 import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/heuristics"
@@ -200,88 +198,6 @@ func benchBnB(b *testing.B, k int) {
 func BenchmarkE10_BnBWarm_K4(b *testing.B) { benchBnB(b, 4) }
 func BenchmarkE10_BnBWarm_K6(b *testing.B) { benchBnB(b, 6) }
 func BenchmarkE10_BnBWarm_K8(b *testing.B) { benchBnB(b, 8) }
-
-// BenchmarkE11_Adaptive* time the §1 adaptability loop over 20
-// epochs on a network-bound platform: the cold path rebuilds and
-// cold-solves its LPs every epoch (pre-engine behavior), the warm
-// path drives adapt's epoch engine — one persistent core.Model,
-// RHS-only capacity mutations, root-basis reuse and (for BnB)
-// incumbent carry-over. The warm/cold ratio of each Cold/Warm pair is
-// the measured payoff of the engine; these pairs are the `go test
-// -bench` home of the E11 comparison.
-const benchAdaptiveEpochs = 20
-
-// benchAdaptiveModel is the E11 perturbation sequence: uniform gateway
-// load plus a mild uniform squeeze on every backbone link budget, so
-// the warm path exercises the full capacity-injection surface (speeds,
-// gateways and link budgets → natural β bound updates) every epoch.
-// Linkless platforms get gateway modulation only.
-func benchAdaptiveModel(pr *core.Problem) adapt.UniformLoadModel {
-	m := adapt.UniformLoadModel{K: pr.K(), Min: 0.4, Max: 1.0, Seed: 7}
-	if links := len(pr.Platform.Links); links > 0 {
-		m.Links, m.LinkMin, m.LinkMax = links, 0.7, 1.0
-	}
-	return m
-}
-
-func BenchmarkE11_AdaptiveColdBnB_K6(b *testing.B) {
-	pr := benchBnBProblem(b, 6)
-	model := benchAdaptiveModel(pr)
-	solve := func(p *core.Problem) (*core.Allocation, error) {
-		a, _, err := heuristics.BranchAndBound(p, core.SUM, 4000)
-		if err == heuristics.ErrNodeBudget {
-			err = nil
-		}
-		return a, err
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := adapt.Run(pr, solve, model, core.SUM, benchAdaptiveEpochs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE11_AdaptiveWarmBnB_K6(b *testing.B) {
-	pr := benchBnBProblem(b, 6)
-	model := benchAdaptiveModel(pr)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := adapt.RunWarm(pr, adapt.WarmBnBBudgetTolerant(4000), model, core.SUM, benchAdaptiveEpochs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE11_AdaptiveColdLPRG_K12(b *testing.B) {
-	pr := benchBnBProblem(b, 12)
-	model := benchAdaptiveModel(pr)
-	solve := func(p *core.Problem) (*core.Allocation, error) {
-		m, err := p.NewModel(core.SUM)
-		if err != nil {
-			return nil, err
-		}
-		a, _, err := heuristics.LPRGOnModel(m, p, core.SUM, nil)
-		return a, err
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := adapt.Run(pr, solve, model, core.SUM, benchAdaptiveEpochs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE11_AdaptiveWarmLPRG_K12(b *testing.B) {
-	pr := benchBnBProblem(b, 12)
-	model := benchAdaptiveModel(pr)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := adapt.RunWarm(pr, adapt.WarmLPRG(), model, core.SUM, benchAdaptiveEpochs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkE7_ReductionExactSolve builds the §4 instance for a
 // 5-cycle and solves it exactly (Theorem 1 equivalence).

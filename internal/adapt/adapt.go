@@ -1,30 +1,21 @@
-// Package adapt implements the paper's §1 adaptability argument as a
-// library: "because the schedule is periodic, it is possible to
-// dynamically record the observed performance during the current
-// period, and to inject this information into the algorithm that will
-// compute the optimal schedule for the next period". It provides
-// perturbation models for non-dedicated platforms (time-varying
-// gateway and speed availability), epoch drivers that re-solve the
-// steady-state problem each epoch, and a static baseline that keeps
-// the initial allocation and lets the platform throttle it — so the
-// value of re-optimization can be quantified.
+// Package adapt holds the inputs and the baseline of the paper's §1
+// adaptability argument: "because the schedule is periodic, it is
+// possible to dynamically record the observed performance during the
+// current period, and to inject this information into the algorithm
+// that will compute the optimal schedule for the next period".
 //
-// Two epoch drivers exist. Run is the generic cold loop: any Solver
-// function, a fresh problem per epoch, no state carried across
-// epochs. RunWarm is the warm epoch engine: it holds one persistent
-// core.Model for the whole run under the structure-frozen /
-// capacities-mutate contract — the constraint rows are built once
-// from the nominal platform, each epoch's Perturbation lands as
-// RHS-only SetSpeed/SetGateway mutations, and the WarmSolver
-// restarts the revised simplex from the previous epoch's optimal
-// basis. WarmLPRG, WarmLPRR and WarmBnB package the heuristics
-// layer's OnModel variants as WarmSolvers; WarmBnB additionally
-// carries the previous epoch's optimum across epochs (throttled to
-// the new capacities) as the starting incumbent — the paper's
-// record-and-inject idea applied to the search itself. RunWarmBounds
-// and RunWarmMulti trace the single- and multi-application
-// relaxation optima the same way on persistent models (multiapp's
-// mutators handle the latter).
+// A Perturbation rescales a platform's gateways, speeds and link
+// budgets for one period; UniformLoadModel (external traffic on a
+// non-dedicated Grid) and DiurnalModel (desktop grids gaining capacity
+// at night) generate one per epoch. Throttle is the static baseline: a
+// stale allocation as the perturbed network delivers it, so the value
+// of re-optimizing can be measured.
+//
+// The loop that re-optimizes is not here. The scheduling service's
+// epoch commit applies a Perturbation to the session's platform,
+// injects it into the session's core.Model (core.Model.Inject) and
+// re-solves warm from the carried basis; examples/adaptive runs the
+// same steps offline against Throttle.
 package adapt
 
 import (
@@ -140,8 +131,9 @@ func (m UniformLoadModel) Epoch(e int) Perturbation {
 	return p
 }
 
-// Validate implements Validator: factors must stay in (0, +inf), so
-// the bounds must be finite, positive and ordered.
+// Validate checks the model before it drives a loop: factors must
+// stay in (0, +inf), so the bounds must be finite, positive and
+// ordered.
 func (m UniformLoadModel) Validate() error {
 	if m.K < 1 {
 		return fmt.Errorf("adapt: UniformLoadModel.K = %d, want >= 1", m.K)
@@ -157,7 +149,7 @@ func (m UniformLoadModel) Validate() error {
 // nonzero Link bound; an enabled model must then carry the
 // platform's (positive) link count — a forgotten Links field would
 // otherwise surface only as a confusing length-mismatch error in the
-// middle of an epoch run. Linkless platforms simply leave the link
+// middle of an epoch loop. Linkless platforms simply leave the link
 // bounds zero.
 func validateLinkModulation(model string, links int, lo, hi float64) error {
 	if lo == 0 && hi == 0 {
@@ -176,8 +168,8 @@ func validateLinkModulation(model string, links int, lo, hi float64) error {
 // given period (in epochs) between Min and Max of nominal — desktop
 // grids gaining capacity at night. Period must be >= 1: Epoch divides
 // by it, and a non-positive period would otherwise produce NaN speed
-// factors. Run and RunWarm reject a misconfigured model up front via
-// Validate; Epoch itself panics on direct misuse.
+// factors. Validate rejects a misconfigured model up front; Epoch
+// itself panics on direct misuse.
 //
 // With LinkMax > 0 the same sinusoid also modulates every backbone
 // link budget between LinkMin and LinkMax of nominal (Links must
@@ -219,7 +211,7 @@ func (m DiurnalModel) Epoch(e int) Perturbation {
 	return p
 }
 
-// Validate implements Validator.
+// Validate checks the model before it drives a loop.
 func (m DiurnalModel) Validate() error {
 	if m.K < 1 {
 		return fmt.Errorf("adapt: DiurnalModel.K = %d, want >= 1", m.K)
@@ -231,64 +223,6 @@ func (m DiurnalModel) Validate() error {
 		return fmt.Errorf("adapt: DiurnalModel bounds [%g, %g] invalid, want 0 < Min <= Max < +inf", m.Min, m.Max)
 	}
 	return validateLinkModulation("DiurnalModel", m.Links, m.LinkMin, m.LinkMax)
-}
-
-// Solver computes an allocation for a problem (an adapter over the
-// heuristics so this package does not depend on internal/heuristics).
-type Solver func(pr *core.Problem) (*core.Allocation, error)
-
-// EpochResult records one epoch of a run.
-type EpochResult struct {
-	Epoch    int
-	Adaptive float64 // objective of the re-optimized allocation
-	Static   float64 // objective of the throttled initial allocation
-}
-
-// Run drives epochs: at each epoch the model perturbs the nominal
-// platform; the adaptive schedule re-solves on the perturbed
-// platform, while the static baseline keeps the epoch-0 nominal
-// allocation with its remote transfers throttled to the shrunken
-// capacities (what the network would do to a stale schedule). Both
-// are scored under obj.
-func Run(pr *core.Problem, solve Solver, model Model, obj core.Objective, epochs int) ([]EpochResult, error) {
-	if epochs < 1 {
-		return nil, fmt.Errorf("adapt: epochs = %d, want >= 1", epochs)
-	}
-	if err := pr.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateModel(model); err != nil {
-		return nil, err
-	}
-	staticAlloc, err := solve(pr)
-	if err != nil {
-		return nil, fmt.Errorf("adapt: solving nominal platform: %w", err)
-	}
-	if err := pr.CheckAllocation(staticAlloc, core.DefaultTol); err != nil {
-		return nil, fmt.Errorf("adapt: nominal allocation invalid: %w", err)
-	}
-	out := make([]EpochResult, 0, epochs)
-	for e := 0; e < epochs; e++ {
-		pert := model.Epoch(e)
-		epl, err := pert.Apply(pr.Platform)
-		if err != nil {
-			return nil, err
-		}
-		epr := &core.Problem{Platform: epl, Payoffs: pr.Payoffs}
-		adaptive, err := solve(epr)
-		if err != nil {
-			return nil, fmt.Errorf("adapt: epoch %d: %w", e, err)
-		}
-		if err := epr.CheckAllocation(adaptive, core.DefaultTol); err != nil {
-			return nil, fmt.Errorf("adapt: epoch %d allocation invalid: %w", e, err)
-		}
-		out = append(out, EpochResult{
-			Epoch:    e,
-			Adaptive: epr.Objective(obj, adaptive),
-			Static:   epr.Objective(obj, Throttle(epr, staticAlloc)),
-		})
-	}
-	return out, nil
 }
 
 // Throttle evaluates a stale allocation on a (possibly degraded)
@@ -399,35 +333,4 @@ func Throttle(pr *core.Problem, a *core.Allocation) *core.Allocation {
 		}
 	}
 	return out
-}
-
-// Summary aggregates a run.
-type Summary struct {
-	Epochs       int
-	MeanAdaptive float64
-	MeanStatic   float64
-	// Gain is MeanAdaptive/MeanStatic − 1 (0 when static is 0 and
-	// adaptive is too; +Inf when only static is 0).
-	Gain float64
-}
-
-// Summarize reduces epoch results to means and the adaptive gain.
-func Summarize(results []EpochResult) Summary {
-	s := Summary{Epochs: len(results)}
-	if len(results) == 0 {
-		return s
-	}
-	for _, r := range results {
-		s.MeanAdaptive += r.Adaptive
-		s.MeanStatic += r.Static
-	}
-	s.MeanAdaptive /= float64(len(results))
-	s.MeanStatic /= float64(len(results))
-	switch {
-	case s.MeanStatic > 0:
-		s.Gain = s.MeanAdaptive/s.MeanStatic - 1
-	case s.MeanAdaptive > 0:
-		s.Gain = math.Inf(1)
-	}
-	return s
 }

@@ -11,30 +11,13 @@ import (
 	"repro/internal/platgen"
 )
 
-// inject writes pl's capacities into m exactly as adapt.InjectCapacities
-// does (adapt imports core, so these tests cannot call it).
-func inject(t *testing.T, m *Model, pl *platform.Platform) {
-	t.Helper()
-	for k, c := range pl.Clusters {
-		if err := m.SetSpeed(k, c.Speed); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetGateway(k, c.Gateway); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for li, l := range pl.Links {
-		if err := m.SetLinkBudget(li, float64(l.MaxConnect)); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // retract returns m to the committed platform the way the scheduling
 // service does after a what-if: inject it again, reset the β boxes.
 func retract(t *testing.T, m *Model, committed *platform.Platform) {
 	t.Helper()
-	inject(t, m, committed)
+	if err := m.Inject(committed); err != nil {
+		t.Fatal(err)
+	}
 	m.ResetBounds()
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/lp"
+	"repro/internal/platform"
 )
 
 // Model is a reusable handle on the explicit (α, β) encoding of program
@@ -23,17 +24,17 @@ import (
 //
 // Platform capacities are equally mutable: SetSpeed, SetGateway and
 // SetLinkBudget rewrite the right-hand sides of the (7b), (7c) and
-// (7d) rows in place, mirroring multiapp.Model's mutators. This is
-// the §1 adaptability contract — the constraint structure is frozen
-// at build time, capacities and bounds drift epoch to epoch —
-// exploited by adapt's warm epoch engine.
+// (7d) rows in place, and Inject writes a whole platform's worth of
+// them. This is the §1 adaptability contract — the constraint
+// structure is frozen at build time, capacities and bounds drift epoch
+// to epoch.
 //
 // The model keeps no history of those writes and offers no snapshot of
 // them: its mutable state is a function of the last capacities written
-// (adapt.InjectCapacities, from a platform) and the current β boxes,
-// whatever the order or number of writes before. A caller that posed a
-// hypothetical returns to its committed state by injecting the
-// committed platform again and calling ResetBounds.
+// (Inject, from a platform) and the current β boxes, whatever the order
+// or number of writes before. A caller that posed a hypothetical
+// returns to its committed state by injecting the committed platform
+// again and calling ResetBounds.
 type Model struct {
 	pr  *Problem
 	obj Objective
@@ -328,6 +329,35 @@ func (m *Model) SetLinkBudget(li int, maxConnect float64) error {
 		if nat := m.naturalCap(int(ord)); nat != m.natural[ord] {
 			m.natural[ord] = nat
 			m.applyBounds(int(ord))
+		}
+	}
+	return nil
+}
+
+// Inject writes pl's cluster capacities and link budgets into the
+// model: speeds and gateways as RHS mutations, link budgets as RHS plus
+// the affected routes' natural β caps (SetLinkBudget recomputes them) —
+// all within the warm-start contract, so the next solve still restarts
+// from the previous basis. pl must share the model's platform structure
+// (routes and links); only capacities may differ.
+//
+// Every capacity is overwritten, so the model ends where a single
+// injection of pl would have put it: the scheduling service's epoch
+// commit injects the period's platform, and a what-if poses its
+// hypothetical platform the same way and is retracted by injecting the
+// committed platform again.
+func (m *Model) Inject(pl *platform.Platform) error {
+	for k, c := range pl.Clusters {
+		if err := m.SetSpeed(k, c.Speed); err != nil {
+			return err
+		}
+		if err := m.SetGateway(k, c.Gateway); err != nil {
+			return err
+		}
+	}
+	for li, l := range pl.Links {
+		if err := m.SetLinkBudget(li, float64(l.MaxConnect)); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -247,7 +247,9 @@ func TestRetractLeavesFreshModelState(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				inject(t, m, hyp)
+				if err := m.Inject(hyp); err != nil {
+					t.Fatal(err)
+				}
 				m.ResetBounds()
 				for i := rng.Intn(4); i > 0; i-- {
 					p := routes[rng.Intn(len(routes))]

@@ -34,7 +34,7 @@ func BranchAndBound(pr *core.Problem, obj core.Objective, maxNodes int) (*core.A
 	if err != nil {
 		return nil, 0, err
 	}
-	alloc, best, _, err := BranchAndBoundOnModel(model, pr, obj, maxNodes, nil, nil)
+	alloc, best, _, err := BranchAndBoundOnModel(model, pr, obj, maxNodes, nil)
 	return alloc, best, err
 }
 
@@ -43,19 +43,17 @@ func BranchAndBound(pr *core.Problem, obj core.Objective, maxNodes int) (*core.A
 // (β bounds are reset per node as usual) and warm-starts the root
 // relaxation from `root`, typically the previous epoch's root basis.
 // pr must share the model's platform structure; its capacities may
-// differ — inject the epoch's capacities into the model with
-// SetSpeed / SetGateway / SetLinkBudget before calling.
+// differ — inject the epoch's platform into the model with
+// core.Model.Inject before calling.
 //
-// A non-nil `warmIncumbent` seeds the search with a known feasible
-// allocation — the §1 adaptability scenario injects the previous
-// epoch's optimum, throttled to the new capacities (adapt.Throttle),
-// so most of the tree prunes immediately when the platform drifts
-// only a little. An incumbent that fails CheckAllocation on pr is
-// ignored rather than rejected.
+// The search starts from LPRG's incumbent only, never from a previous
+// epoch's optimum: the proven value is the same either way, but a
+// carried incumbent could change which of several tied allocations is
+// returned, making the answer depend on solve history.
 //
 // The returned basis snapshots the root relaxation's optimal basis
 // for the next epoch's warm start.
-func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objective, maxNodes int, root *lp.Basis, warmIncumbent *core.Allocation) (*core.Allocation, float64, *lp.Basis, error) {
+func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objective, maxNodes int, root *lp.Basis) (*core.Allocation, float64, *lp.Basis, error) {
 	if maxNodes <= 0 {
 		maxNodes = 10000
 	}
@@ -70,12 +68,6 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 		return nil, 0, nil, fmt.Errorf("heuristics: LPRG produced an invalid incumbent: %w", err)
 	}
 	best := pr.Objective(obj, incumbent)
-	if warmIncumbent != nil && pr.CheckAllocation(warmIncumbent, core.DefaultTol) == nil {
-		if val := pr.Objective(obj, warmIncumbent); val > best {
-			best = val
-			incumbent = warmIncumbent
-		}
-	}
 
 	type node struct {
 		bounds map[core.Pair]core.BetaBounds

@@ -124,9 +124,9 @@ func LPRG(pr *core.Problem, obj core.Objective) (*core.Allocation, error) {
 // refinement evaluates against pr's capacities. pr must share the
 // model's platform structure (routes and links); its capacities may
 // differ — the adaptability scenario, where the caller has already
-// injected the epoch's capacities into the model with SetSpeed /
-// SetGateway / SetLinkBudget. The returned basis snapshots the
-// relaxation's optimal basis for the next warm start.
+// injected the epoch's platform into the model with core.Model.Inject.
+// The returned basis snapshots the relaxation's optimal basis for the
+// next warm start.
 func LPRGOnModel(model *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
 	model.ResetBounds()
 	rel, basis, ok, err := model.Solve(from)

@@ -60,10 +60,10 @@ func LPRR(pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.R
 // core.Model: previous pins are cleared (ResetBounds) and the initial
 // relaxation warm-starts from `from`, typically the previous epoch's
 // root basis. pr must share the model's platform structure; its
-// capacities may differ — inject the epoch's capacities into the
-// model with SetSpeed / SetGateway / SetLinkBudget before calling.
-// The returned basis snapshots the initial (pin-free) relaxation's
-// optimal basis for the next epoch's warm start.
+// capacities may differ — inject the epoch's platform into the model
+// with core.Model.Inject before calling. The returned basis snapshots
+// the initial (pin-free) relaxation's optimal basis for the next
+// epoch's warm start.
 func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.Rand, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
 	routes := model.BetaVars() // row-major: the order the rng draws over
 	fixed := make(map[core.Pair]int, len(routes))

@@ -2,9 +2,9 @@ package lp
 
 // sparseCols stores the structural and slack/surplus part of the
 // constraint matrix in compressed sparse column (CSC) form. The
-// builders in core/multiapp emit sparse []Term rows; this keeps that
-// sparsity so the revised simplex can price a column in O(nnz(col))
-// instead of O(m).
+// builders in core and multiapp.Relaxed emit sparse []Term rows; this
+// keeps that sparsity so the revised simplex can price a column in
+// O(nnz(col)) instead of O(m).
 type sparseCols struct {
 	n      int
 	colPtr []int32

@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/lp"
 	"repro/internal/platform"
 )
 
@@ -146,10 +147,7 @@ func (pr *Problem) CheckAllocation(al *Allocation, tol float64) error {
 		for a := 0; a < A; a++ {
 			origin := pr.Apps[a].Origin
 			for l := 0; l < K; l++ {
-				if origin == k && l != k {
-					traffic += al.Alpha[a][l]
-				}
-				if origin != k && l == k {
+				if (origin == k) != (l == k) {
 					traffic += al.Alpha[a][l]
 				}
 			}
@@ -225,17 +223,129 @@ type RelaxedSolution struct {
 // core.Relaxed but with one variable row per application. Pooled
 // connections are eliminated the same way: route (k,l) consumes
 // (Σ_{a at k} α_{a,l})/bw_min connection-equivalents on each of its
-// links.
-//
-// This is the one-shot convenience wrapper over Model: callers that
-// re-solve under shifting capacities (the §1 adaptability loop)
-// should hold a Model and use its warm-started Solve instead.
+// links. The LP is built and cold-solved once per call.
 func (pr *Problem) Relaxed(obj core.Objective) (*RelaxedSolution, error) {
-	m, err := pr.NewModel(obj)
+	if err := pr.Validate(); err != nil {
+		return nil, err
+	}
+	K := pr.Platform.K()
+	pl := pr.Platform
+	// col[a][l] is the LP column of α_{a,l}, -1 where no route leads
+	// from a's origin to l.
+	col := make([][]int, len(pr.Apps))
+	nv := 0
+	for a, app := range pr.Apps {
+		col[a] = make([]int, K)
+		for l := range col[a] {
+			col[a][l] = -1
+			if l == app.Origin || pl.Route(app.Origin, l).Exists {
+				col[a][l] = nv
+				nv++
+			}
+		}
+	}
+	total := nv
+	if obj == core.MAXMIN {
+		total++ // the level t, column nv
+	}
+	prob := lp.New(total)
+	addLE := func(terms []lp.Term, rhs float64) {
+		if len(terms) > 0 {
+			prob.AddConstraint(terms, lp.LE, rhs)
+		}
+	}
+	switch obj {
+	case core.SUM:
+		for a, app := range pr.Apps {
+			for _, c := range col[a] {
+				if c >= 0 {
+					prob.SetObjective(c, app.Payoff)
+				}
+			}
+		}
+	case core.MAXMIN:
+		// t ≤ π_a·Σ_l α_{a,l} for every application with positive payoff.
+		prob.SetObjective(nv, 1)
+		any := false
+		for a, app := range pr.Apps {
+			if app.Payoff <= 0 {
+				continue
+			}
+			any = true
+			terms := []lp.Term{{Var: nv, Coeff: 1}}
+			for _, c := range col[a] {
+				if c >= 0 {
+					terms = append(terms, lp.Term{Var: c, Coeff: -app.Payoff})
+				}
+			}
+			prob.AddConstraint(terms, lp.LE, 0)
+		}
+		if !any {
+			return nil, fmt.Errorf("multiapp: MAXMIN with no positive payoff")
+		}
+	default:
+		return nil, fmt.Errorf("multiapp: unknown objective %v", obj)
+	}
+
+	// (7b) speeds.
+	for l := 0; l < K; l++ {
+		var terms []lp.Term
+		for a := range col {
+			if c := col[a][l]; c >= 0 {
+				terms = append(terms, lp.Term{Var: c, Coeff: 1})
+			}
+		}
+		addLE(terms, pl.Clusters[l].Speed)
+	}
+	// (7c) gateways: all remote traffic in or out of cluster k.
+	for k := 0; k < K; k++ {
+		var terms []lp.Term
+		for a, app := range pr.Apps {
+			for l, c := range col[a] {
+				if c >= 0 && (app.Origin == k) != (l == k) {
+					terms = append(terms, lp.Term{Var: c, Coeff: 1})
+				}
+			}
+		}
+		addLE(terms, pl.Clusters[k].Gateway)
+	}
+	// (7d)+(7e) per link, pooled per origin route.
+	linkUse := make([][]lp.Term, len(pl.Links))
+	for a, app := range pr.Apps {
+		for l, c := range col[a] {
+			if c < 0 || l == app.Origin {
+				continue
+			}
+			rt := pl.Route(app.Origin, l)
+			if rt.MinBW <= 0 || math.IsInf(rt.MinBW, 1) {
+				continue
+			}
+			for _, li := range rt.Links {
+				linkUse[li] = append(linkUse[li], lp.Term{Var: c, Coeff: 1 / rt.MinBW})
+			}
+		}
+	}
+	for li, terms := range linkUse {
+		addLE(terms, float64(pl.Links[li].MaxConnect))
+	}
+
+	sol, err := prob.Solve()
 	if err != nil {
 		return nil, err
 	}
-	return m.Solve()
+	if sol.Status != lp.Optimal {
+		return nil, fmt.Errorf("multiapp: relaxation %v (zero is always feasible)", sol.Status)
+	}
+	out := &RelaxedSolution{Alpha: make([][]float64, len(col)), Objective: sol.Objective}
+	for a := range col {
+		out.Alpha[a] = make([]float64, K)
+		for l, c := range col[a] {
+			if c >= 0 && sol.X[c] > 0 {
+				out.Alpha[a][l] = sol.X[c]
+			}
+		}
+	}
+	return out, nil
 }
 
 // Greedy is the §5.1 heuristic generalized to applications: at every

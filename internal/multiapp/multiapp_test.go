@@ -47,7 +47,8 @@ func TestValidate(t *testing.T) {
 
 func TestSingleAppPerClusterMatchesCore(t *testing.T) {
 	// With exactly one app per cluster the multi-app relaxation must
-	// agree with the core relaxation.
+	// agree with the core relaxation — on the generated platform, and
+	// with its link budgets scaled into [0, nominal], link 0's to zero.
 	rng := rand.New(rand.NewSource(5))
 	for seed := int64(0); seed < 8; seed++ {
 		params := platgen.Params{
@@ -62,25 +63,111 @@ func TestSingleAppPerClusterMatchesCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp := core.NewProblem(pl)
-		mp := &Problem{Platform: pl}
-		for k := 0; k < pl.K(); k++ {
-			mp.Apps = append(mp.Apps, App{Origin: k, Payoff: 1})
+		squeezed := pl.Clone()
+		srng := rand.New(rand.NewSource(seed)) // leaves rng's platform sequence as it was
+		for li := range squeezed.Links {
+			squeezed.Links[li].MaxConnect = srng.Intn(pl.Links[li].MaxConnect + 1)
 		}
-		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-			want, ok, err := cp.Relaxed(obj)
-			if err != nil || !ok {
-				t.Fatal(err)
+		if len(squeezed.Links) > 0 {
+			squeezed.Links[0].MaxConnect = 0
+		}
+		for _, p := range []*platform.Platform{pl, squeezed} {
+			cp := core.NewProblem(p)
+			mp := &Problem{Platform: p}
+			for k := 0; k < p.K(); k++ {
+				mp.Apps = append(mp.Apps, App{Origin: k, Payoff: 1})
 			}
-			got, err := mp.Relaxed(obj)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got.Objective-want.Objective) > 1e-5*(1+want.Objective) {
-				t.Fatalf("seed %d %v: multiapp %g vs core %g", seed, obj, got.Objective, want.Objective)
+			for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
+				want, ok, err := cp.Relaxed(obj)
+				if err != nil || !ok {
+					t.Fatal(err)
+				}
+				got, err := mp.Relaxed(obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(got.Objective-want.Objective) > 1e-5*(1+want.Objective) {
+					t.Fatalf("seed %d %v (squeezed %v): multiapp %g vs core %g", seed, obj, p == squeezed, got.Objective, want.Objective)
+				}
 			}
 		}
 	}
+}
+
+// TestModelLinkBudgetBoundEncoding: with several applications per
+// origin, every backbone link budget — zero included — bounds the
+// pooled connection-equivalents of the relaxed flows crossing it, a
+// zero budget closes every route through its link, and squeezing
+// budgets never raises the relaxed optimum.
+func TestModelLinkBudgetBoundEncoding(t *testing.T) {
+	closedUsed := 0 // zeroed links that carried flow at nominal
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(900 + seed))
+		params := platgen.Params{K: 3 + rng.Intn(4), Connectivity: 0.6, Heterogeneity: 0.4, MeanG: 150, MeanBW: 20, MeanMaxCon: 5}
+		pl, err := platgen.Generate(params, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		K := pl.K()
+		var apps []App
+		for a := 0; a < K; a++ {
+			apps = append(apps, App{Name: "a", Origin: rng.Intn(K), Payoff: float64(1 + rng.Intn(3))})
+		}
+		obj := []core.Objective{core.SUM, core.MAXMIN}[seed%2]
+		nominal, err := (&Problem{Platform: pl, Apps: apps}).Relaxed(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nomUse := linkUse(pl, apps, nominal.Alpha)
+		for epoch := 0; epoch < 5; epoch++ {
+			mod := pl.Clone()
+			for li := range mod.Links {
+				if rng.Float64() < 0.5 {
+					mod.Links[li].MaxConnect = rng.Intn(pl.Links[li].MaxConnect + 1)
+				}
+			}
+			sol, err := (&Problem{Platform: mod, Apps: apps}).Relaxed(obj)
+			if err != nil {
+				t.Fatalf("seed %d epoch %d: %v", seed, epoch, err)
+			}
+			if sol.Objective > nominal.Objective+1e-9*(1+nominal.Objective) {
+				t.Fatalf("seed %d epoch %d: squeezed optimum %.12g above nominal %.12g", seed, epoch, sol.Objective, nominal.Objective)
+			}
+			for li, u := range linkUse(mod, apps, sol.Alpha) {
+				budget := float64(mod.Links[li].MaxConnect)
+				if u > budget+1e-9*(1+budget) {
+					t.Fatalf("seed %d epoch %d: link %d carries %.12g connection-equivalents, budget %g", seed, epoch, li, u, budget)
+				}
+				if budget == 0 && nomUse[li] > 1e-9 {
+					closedUsed++
+				}
+			}
+		}
+	}
+	if closedUsed == 0 {
+		t.Fatal("no zeroed link ever carried flow at nominal; zero-budget path untested")
+	}
+}
+
+// linkUse returns, per backbone link, Σ over the routes crossing it of
+// the pooled route flow divided by the route's bottleneck bandwidth.
+func linkUse(pl *platform.Platform, apps []App, alpha [][]float64) []float64 {
+	use := make([]float64, len(pl.Links))
+	for a, app := range apps {
+		for l, x := range alpha[a] {
+			if l == app.Origin || x == 0 {
+				continue
+			}
+			rt := pl.Route(app.Origin, l)
+			if math.IsInf(rt.MinBW, 1) {
+				continue
+			}
+			for _, li := range rt.Links {
+				use[li] += x / rt.MinBW
+			}
+		}
+	}
+	return use
 }
 
 func TestTwoAppsShareOriginGateway(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/heuristics"
 	"repro/internal/platform"
@@ -267,8 +268,7 @@ func TestWhatIfAnswersAndRollsBack(t *testing.T) {
 	// The LP optimum is unique in value, so the warm what-if bound
 	// must equal a cold batch bound on the mutated platform at 1e-9.
 	// (The LPRG value itself is vertex-dependent — warm and cold
-	// relaxations may land on different optimal vertices, exactly as
-	// the adapt warm-vs-cold property tests document — so the
+	// relaxations may land on different optimal vertices — so the
 	// heuristic value is pinned by feasibility and the bound instead;
 	// TestWhatIfBnBMatchesBatch pins value equality on the exact
 	// solver, whose optimum is unique.)
@@ -366,6 +366,85 @@ func TestEpochCommitsDrift(t *testing.T) {
 	}
 	if e2.Value <= 0 || e2.Value > e2.LPBound+tol*(1+math.Abs(e2.LPBound)) {
 		t.Fatalf("epoch-2 value %g outside (0, bound %g]", e2.Value, e2.LPBound)
+	}
+}
+
+// TestEpochCommitsMatchColdRebuild holds the epoch commit — the one
+// loop that re-optimizes as capacities drift — to a cold rebuild of
+// every epoch's platform. lprg, lprr and bnb sessions on a
+// network-bound platform take 6 commits of each load model, cluster
+// factors plus link factors, under both objectives; a session checks
+// every committed allocation against its platform before answering. Commits compound (each applies to the
+// session's drifted platform), so the test applies the same
+// perturbation to its own running copy. After every commit the
+// relaxation bound must equal a cold heuristics.UpperBound, and a bnb
+// session's value a cold BranchAndBound, at 1e-9: both optima are unique
+// in value, whatever basis the warm solve started from. Some bnb commits
+// must land below their bound, or the value check would only repeat the
+// bound check.
+func TestEpochCommitsMatchColdRebuild(t *testing.T) {
+	pl0, payoffs := tightPlatform(t, 4, 11)
+	k, links := pl0.K(), len(pl0.Links)
+	loads := []adapt.Model{
+		adapt.UniformLoadModel{K: k, Min: 0.6, Max: 1.2, Seed: 7, Links: links, LinkMin: 0.7, LinkMax: 1.3},
+		adapt.DiurnalModel{K: k, Min: 0.7, Max: 1.3, Period: 5, Links: links, LinkMin: 0.8, LinkMax: 1.25},
+	}
+	pool := NewPool(8)
+	branched := 0
+	for _, heur := range []string{"lprg", "lprr", "bnb"} {
+		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
+			for li, load := range loads {
+				sess, _, _, err := pool.GetOrCreate(&CreateSessionRequest{
+					Platform:  platformJSON(t, pl0),
+					Heuristic: heur,
+					Objective: map[core.Objective]string{core.SUM: "sum", core.MAXMIN: "maxmin"}[obj],
+					Payoffs:   payoffs,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pl := pl0
+				for e := 0; e < 6; e++ {
+					pert := load.Epoch(e)
+					rep, err := sess.Epoch(&EpochRequest{
+						GatewayFactor: pert.GatewayFactor,
+						SpeedFactor:   pert.SpeedFactor,
+						LinkFactor:    pert.LinkFactor,
+					})
+					if err != nil {
+						t.Fatalf("%s %v load %d epoch %d: %v", heur, obj, li, e, err)
+					}
+					if pl, err = pert.Apply(pl); err != nil {
+						t.Fatal(err)
+					}
+					pr := &core.Problem{Platform: pl, Payoffs: payoffs}
+					bound, _, err := heuristics.UpperBound(pr, obj)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(rep.LPBound-bound) > tol*(1+math.Abs(bound)) {
+						t.Fatalf("%s %v load %d epoch %d: committed bound %.12g, cold bound %.12g", heur, obj, li, e, rep.LPBound, bound)
+					}
+					if heur != "bnb" {
+						continue
+					}
+					_, value, err := heuristics.BranchAndBound(pr, obj, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(rep.Value-value) > tol*(1+math.Abs(value)) {
+						t.Fatalf("bnb %v load %d epoch %d: committed value %.12g, cold value %.12g", obj, li, e, rep.Value, value)
+					}
+					if value < bound-tol*(1+bound) {
+						branched++
+					}
+				}
+				pool.Evict(sess.id)
+			}
+		}
+	}
+	if branched == 0 {
+		t.Fatal("every bnb commit's relaxation was integral: the value check lost its teeth")
 	}
 }
 

@@ -153,7 +153,7 @@ type commitRecord struct {
 // committed state is the current platform pl/pr, the carried
 // warm-start basis, and the epoch counter. The platform is the only
 // holder of the committed capacities: outside a what-if the model holds
-// exactly adapt.InjectCapacities(pl) and default β bounds, so a what-if
+// exactly what model.Inject(pl) wrote and default β bounds, so a what-if
 // poses its hypothetical under mu and retracts it by re-injecting pl
 // before releasing it; the solver it rewinds to the factorization the
 // last commit left (whatIfOn).
@@ -369,7 +369,7 @@ func (s *Session) heuristicSolve(epr *core.Problem) (*core.Allocation, *lp.Basis
 		rng := rand.New(rand.NewSource(s.cfg.seed))
 		return heuristics.LPRROnModel(s.model, epr, s.cfg.obj, heuristics.EqualRounding, rng, s.basis)
 	case "bnb":
-		alloc, _, basis, err := heuristics.BranchAndBoundOnModel(s.model, epr, s.cfg.obj, s.cfg.maxNodes, s.basis, nil)
+		alloc, _, basis, err := heuristics.BranchAndBoundOnModel(s.model, epr, s.cfg.obj, s.cfg.maxNodes, s.basis)
 		return alloc, basis, err
 	}
 	return nil, nil, fmt.Errorf("unknown heuristic %q", s.cfg.heur)
@@ -615,7 +615,7 @@ func (s *Session) hypotheticalLocked(req *WhatIfRequest) (hypothetical, error) {
 // bounds. Every capacity and every box is overwritten, so what m held
 // before does not matter.
 func pose(m *core.Model, h hypothetical) error {
-	if err := adapt.InjectCapacities(m, h.pl); err != nil {
+	if err := m.Inject(h.pl); err != nil {
 		return err
 	}
 	m.ResetBounds()
@@ -634,7 +634,7 @@ func pose(m *core.Model, h hypothetical) error {
 // that only ever saw the committed platform. That platform was injected
 // before: a failure here is a bug, and leaves the model unusable.
 func retract(m *core.Model, committed *platform.Platform) {
-	if err := adapt.InjectCapacities(m, committed); err != nil {
+	if err := m.Inject(committed); err != nil {
 		panic(fmt.Sprintf("service: re-injecting the committed platform: %v", err))
 	}
 	m.ResetBounds()
@@ -721,7 +721,7 @@ func (s *Session) epochLocked(req *EpochRequest) (*SolveReport, error) {
 	// A failed injection (e.g. a factor driving a capacity out of
 	// range) must not leave the model half-updated: return it to the
 	// committed state and report.
-	if err := adapt.InjectCapacities(s.model, epl); err != nil {
+	if err := s.model.Inject(epl); err != nil {
 		retract(s.model, s.pl)
 		return nil, err
 	}

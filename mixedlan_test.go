@@ -15,6 +15,7 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/heuristics"
+	"repro/internal/lp"
 	"repro/internal/multiapp"
 	"repro/internal/platform"
 	"repro/internal/schedule"
@@ -89,26 +90,40 @@ func TestMixedLANMultiApp(t *testing.T) {
 	}
 }
 
+// TestMixedLANAdaptEpochs runs the §1 re-optimizing loop over the mixed
+// platform: one core.Model, each epoch's perturbed capacities injected
+// into it (the same-LAN routes carry no β and no link row) and LPRG
+// re-solved warm from the previous basis. No ±Inf may reach the LP
+// layer, and every epoch must produce a useful allocation that is valid
+// on its platform.
 func TestMixedLANAdaptEpochs(t *testing.T) {
 	pl := mixedLANPlatform(t)
 	pr := core.NewProblem(pl)
-	model := adapt.UniformLoadModel{K: 3, Min: 0.5, Max: 1, Seed: 1}
-	coldSolve := func(p *core.Problem) (*core.Allocation, error) {
-		return heuristics.LPRG(p, core.SUM)
-	}
-	if _, err := adapt.Run(pr, coldSolve, model, core.SUM, 3); err != nil {
-		t.Errorf("adapt.Run: %v", err)
-	}
-	// The warm engine's persistent model must build and re-solve
-	// across epochs without ±Inf reaching the LP layer, and keep
-	// producing useful allocations.
-	results, err := adapt.RunWarm(pr, heuristics.LPRGOnModel, model, core.SUM, 6)
+	load := adapt.UniformLoadModel{K: 3, Min: 0.5, Max: 1, Seed: 1, Links: len(pl.Links), LinkMin: 0.5, LinkMax: 1}
+	m, err := pr.NewModel(core.SUM)
 	if err != nil {
-		t.Fatalf("adapt.RunWarm: %v", err)
+		t.Fatal(err)
 	}
-	for _, r := range results {
-		if r.Adaptive <= 0 {
-			t.Errorf("epoch %d: nonpositive adaptive objective %g", r.Epoch, r.Adaptive)
+	var basis *lp.Basis
+	for e := 0; e < 6; e++ {
+		epl, err := load.Epoch(e).Apply(pl)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := m.Inject(epl); err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		epr := &core.Problem{Platform: epl, Payoffs: pr.Payoffs}
+		alloc, next, err := heuristics.LPRGOnModel(m, epr, core.SUM, basis)
+		if err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		if err := epr.CheckAllocation(alloc, core.DefaultTol); err != nil {
+			t.Errorf("epoch %d: invalid allocation: %v", e, err)
+		}
+		if v := epr.Objective(core.SUM, alloc); v <= 0 {
+			t.Errorf("epoch %d: nonpositive objective %g", e, v)
+		}
+		basis = next
 	}
 }
