@@ -3,13 +3,19 @@ package core
 import "repro/internal/lp"
 
 // Freeze makes the solver's current state — after a commit, the
-// committed factorization — the one Rewind returns to; it is a no-op
-// until something solves again (lp.Revised.Freeze).
+// committed factorization — the one Rewind returns to, and records the
+// optimum a solve from it starts at; it is a no-op until something
+// solves again (lp.Revised.Freeze). The first zero-pivot SolveEphemeral
+// after it extracts that optimum once, into a block of its own that
+// later answers share and no later Freeze writes.
 func (m *Model) Freeze() error { return m.rev.Freeze() }
 
-// Rewind puts the solver back on its frozen state in O(rows + columns)
-// (lp.Revised.Rewind). With the capacities and bounds retracted, the
-// next solve costs and answers what the first one after Freeze did.
+// Rewind puts the solver back on its frozen state (lp.Revised.Rewind):
+// after a what-if that took no pivot it puts back only what that solve
+// wrote, after any other it copies the frozen state back in O(rows +
+// columns). With the capacities and bounds retracted, the next solve
+// answers what the first one after Freeze did, at the cost of what it
+// moves.
 func (m *Model) Rewind() { m.rev.Rewind() }
 
 // Fork returns a second solve context over the same program in

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/lp"
 	"repro/internal/platform"
@@ -66,6 +67,14 @@ type Model struct {
 	linkRow    []int     // LP row of link li's (7d) constraint, -1 if absent
 	budget     []float64 // current per-link connection budgets
 	linkRoutes [][]int32 // β ordinals whose route crosses each link
+
+	// cellOf maps an LP column to its cell in a RelaxedSolution's block
+	// (-1: MAXMIN's t). frozen is the optimum the solver's frozen start
+	// extracts to (frozenOf), read off on the first zero-pivot
+	// SolveEphemeral after each Freeze.
+	cellOf   []int32
+	frozen   *RelaxedSolution
+	frozenOf *lp.Solution
 }
 
 // BetaBounds carries bounds for one route's β variable — a
@@ -154,6 +163,14 @@ func (pr *Problem) NewModel(obj Objective) (*Model, error) {
 		m.applyBounds(ord)
 	}
 
+	K := pr.K()
+	m.cellOf = slices.Repeat([]int32{-1}, n)
+	for i, p := range m.alphaVars {
+		m.cellOf[i] = int32(p.K*K + p.L)
+	}
+	for ord, p := range m.betaVars {
+		m.cellOf[m.betaVarIdx[ord]] = int32((K+p.K)*K + p.L)
+	}
 	m.rev = lp.NewRevised(prob)
 	return m, nil
 }
@@ -390,7 +407,10 @@ func (m *Model) Solve(from *lp.Basis) (*RelaxedSolution, *lp.Basis, bool, error)
 // basis — the what-if pattern: pose, solve, retract. It skips the
 // lp layer's per-solve basis snapshot and X allocation (the solution
 // is extracted from a scratch buffer before returning), and never
-// mutates `from`, so the caller's committed basis stays valid.
+// mutates `from`, so the caller's committed basis stays valid. After a
+// solve that started from the frozen state and took no pivot, the answer
+// is the frozen optimum where nothing moved: that optimum itself, shared,
+// or a copy of it patched at the cells that did (RelaxedSolution.Patched).
 func (m *Model) SolveEphemeral(from *lp.Basis) (*RelaxedSolution, bool, error) {
 	if m.numCrossed > 0 {
 		return nil, false, nil
@@ -399,7 +419,46 @@ func (m *Model) SolveEphemeral(from *lp.Basis) (*RelaxedSolution, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	if base, _, cols := m.rev.Moved(); base != nil {
+		return m.patch(sol, base, cols), true, nil
+	}
 	return m.extract(sol)
+}
+
+// patch answers a zero-pivot solve whose X equals base.X outside cols.
+func (m *Model) patch(sol lp.Solution, base *lp.Solution, cols []int32) *RelaxedSolution {
+	if m.frozenOf != base {
+		m.frozen, _, _ = m.extract(*base)
+		m.frozen.base, m.frozenOf = m.frozen, base
+	}
+	f := m.frozen
+	var moved []int32
+	for _, j := range cols {
+		if c := m.cellOf[j]; c >= 0 && math.Float64bits(nonneg(sol.X[j])) != math.Float64bits(f.cells[c]) {
+			moved = append(moved, c)
+		}
+	}
+	if len(moved) == 0 && math.Float64bits(sol.Objective) == math.Float64bits(f.Objective) {
+		return f
+	}
+	out := newRelaxedSolution(m.pr.K())
+	copy(out.cells, f.cells)
+	for _, j := range cols {
+		if c := m.cellOf[j]; c >= 0 {
+			out.cells[c] = nonneg(sol.X[j])
+		}
+	}
+	slices.Sort(moved)
+	out.Objective, out.base, out.moved = sol.Objective, f, slices.Compact(moved)
+	return out
+}
+
+// Moved reports what the last SolveEphemeral moved off the frozen state
+// (lp.Revised.Moved): the basis rows it refiled and the X entries it
+// wrote; ok is false unless it started there and took no pivot.
+func (m *Model) Moved() (rows, cols int, ok bool) {
+	base, rows, c := m.rev.Moved()
+	return rows, len(c), base != nil
 }
 
 // SolveWith runs a one-shot cold solve of the current bound set
@@ -416,7 +475,7 @@ func (m *Model) SolveWith(s lp.Solver) (*RelaxedSolution, bool, error) {
 	return m.extract(sol)
 }
 
-// extract reads an optimum back by ordinal: α from the layout's
+// extract reads an optimum back column by column: α from the layout's
 // columns, β from each route's own.
 func (m *Model) extract(sol lp.Solution) (*RelaxedSolution, bool, error) {
 	if ok, err := verdict(sol); !ok {
@@ -424,11 +483,10 @@ func (m *Model) extract(sol lp.Solution) (*RelaxedSolution, bool, error) {
 	}
 	out := newRelaxedSolution(m.pr.K())
 	out.Objective = sol.Objective
-	for i, p := range m.alphaVars {
-		out.Alpha[p.K][p.L] = nonneg(sol.X[i])
-	}
-	for ord, p := range m.betaVars {
-		out.Beta[p.K][p.L] = nonneg(sol.X[m.betaVarIdx[ord]])
+	for j, c := range m.cellOf {
+		if c >= 0 {
+			out.cells[c] = nonneg(sol.X[j])
+		}
 	}
 	return out, true, nil
 }

@@ -28,6 +28,10 @@ type RelaxedSolution struct {
 	Alpha     [][]float64
 	Beta      [][]float64
 	Objective float64
+
+	cells []float64        // the block both tables are cut from: α row-major, then β
+	base  *RelaxedSolution // see Patched
+	moved []int32
 }
 
 // newRelaxedSolution returns the all-zero solution for K clusters. Both
@@ -39,7 +43,18 @@ func newRelaxedSolution(K int) *RelaxedSolution {
 	for i := range rows {
 		rows[i] = cells[i*K : (i+1)*K : (i+1)*K]
 	}
-	return &RelaxedSolution{Alpha: rows[:K:K], Beta: rows[K:]}
+	return &RelaxedSolution{Alpha: rows[:K:K], Beta: rows[K:], cells: cells}
+}
+
+// Patched reports what a solution Model.SolveEphemeral returned was
+// derived from: base is the optimum of the model's frozen state (see
+// Model.Freeze), and s equals it outside cells, ascending cell numbers —
+// α_{k,l} is cell k·K+l, β_{k,l} cell K²+k·K+l. A zero-pivot what-if
+// answers with its base itself (no cells) or a copy of it patched at the
+// cells that moved. base is nil for a solution extracted whole. Either
+// way the tables are shared: read-only.
+func (s *RelaxedSolution) Patched() (base *RelaxedSolution, cells []int32) {
+	return s.base, s.moved
 }
 
 // MostFractional returns the β route whose relaxed value is farthest

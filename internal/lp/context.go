@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -24,6 +25,7 @@ func (r *Revised) SolveFrom(bas *Basis) (Solution, *Basis, error) {
 		panic(fmt.Sprintf("lp: Revised built over %d rows, problem now has %d (structure is frozen)", r.m, len(r.p.rows)))
 	}
 	r.gen++ // any solve may move the basis: the frozen state goes stale
+	r.light = false
 	if bas != nil && r.signInit {
 		sol, snap, ok, err := r.warmSolve(bas)
 		if err != nil {
@@ -77,7 +79,7 @@ func (r *Revised) Rebase() {
 	}
 	r.signInit = true
 	r.rhsOK = false // b was computed under the old signs
-	r.factorized = false
+	r.factorized, r.light = false, false
 	r.dseOK, r.djOK = false, false
 }
 
@@ -152,6 +154,7 @@ func (r *Revised) refreshRHS() {
 		r.refreshListed(rows, vars)
 	} else {
 		r.refreshAll()
+		r.redrift()
 	}
 	r.rhsOK = true
 	if r.onRefresh != nil {
@@ -186,7 +189,9 @@ func (r *Revised) refreshAll() {
 // of every row a moved lower bound reaches, re-summed along the row
 // mirror in ascending column order — the order refreshAll adds the same
 // terms in; and the rhs of those rows and of the listed ones. Every
-// value is the bit pattern refreshAll would write.
+// value is the bit pattern refreshAll would write, the scale included: a
+// max is exact, so it is rescanned only when the row holding it shrank.
+// What it rewrites joins the drift record (see startFrozen).
 func (r *Revised) refreshListed(rows, vars []int32) {
 	for _, j32 := range vars {
 		j := int(j32)
@@ -195,11 +200,15 @@ func (r *Revised) refreshListed(rows, vars []int32) {
 				r.shifted, r.shiftMark = note(r.shifted, r.shiftMark, int(r.sp.rowIdx[t]), r.m)
 			}
 		}
+		if r.driftOK {
+			r.driftVars, r.driftVarMark = note(r.driftVars, r.driftVarMark, j, r.nstruct)
+		}
 		r.loadVar(j)
 	}
 	for _, j := range r.frozen.upper {
 		r.sanitizeUpper(int(j))
 	}
+	shrank := false
 	for _, i := range r.shifted {
 		acc := 0.0
 		vals := r.rowVals[i]
@@ -212,21 +221,58 @@ func (r *Revised) refreshListed(rows, vars []int32) {
 			}
 		}
 		r.acc[i] = acc
-		r.b[i] = r.sign[i] * (r.p.rows[i].rhs - acc)
+		shrank = r.setB(int(i), r.sign[i]*(r.p.rows[i].rhs-acc)) || shrank
 	}
 	r.shifted = unmark(r.shifted, r.shiftMark)
 	for _, i := range rows {
-		r.b[i] = r.sign[i] * (r.p.rows[i].rhs - r.acc[i])
+		shrank = r.setB(int(i), r.sign[i]*(r.p.rows[i].rhs-r.acc[i])) || shrank
 	}
-	r.rescale()
+	if shrank {
+		r.rescale()
+	}
+}
+
+// setB writes b_i = v, recording the drift and raising the scale; it
+// reports whether the row holding the scale shrank.
+func (r *Revised) setB(i int, v float64) (shrank bool) {
+	if r.driftOK {
+		r.driftRows, r.driftRowMark = note(r.driftRows, r.driftRowMark, i, r.m)
+	}
+	r.b[i] = v
+	if a := math.Abs(v); a > r.scale {
+		r.scale, r.scaleRow = a, i
+	} else if i == r.scaleRow && a < r.scale {
+		return true
+	}
+	return false
+}
+
+// redrift rebuilds the drift record — every row whose b and every
+// structural column whose bounds differ from the frozen start's, kept
+// since by refreshListed — by comparison, which the row signs must allow.
+func (r *Revised) redrift() {
+	st := r.frozen.start
+	r.driftRows = unmark(r.driftRows, r.driftRowMark)
+	r.driftVars = unmark(r.driftVars, r.driftVarMark)
+	r.driftOK = st != nil && slices.Equal(r.sign, r.frozen.sign)
+	for i := 0; r.driftOK && i < r.m; i++ {
+		if r.b[i] != st.b[i] {
+			r.driftRows, r.driftRowMark = note(r.driftRows, r.driftRowMark, i, r.m)
+		}
+	}
+	for j := 0; r.driftOK && j < r.nstruct; j++ {
+		if !sameBits(r.lbs[j], st.lbs[j]) || !sameBits(r.U[j], st.u[j]) {
+			r.driftVars, r.driftVarMark = note(r.driftVars, r.driftVarMark, j, r.nstruct)
+		}
+	}
 }
 
 // rescale sets the tolerance scale to max_i |b_i|.
 func (r *Revised) rescale() {
-	r.scale = 0
-	for _, v := range r.b {
+	r.scale, r.scaleRow = 0, -1
+	for i, v := range r.b {
 		if a := math.Abs(v); a > r.scale {
-			r.scale = a
+			r.scale, r.scaleRow = a, i
 		}
 	}
 }
@@ -272,6 +318,7 @@ func (r *Revised) coldSolve() (Solution, *Basis, error) {
 	}
 	r.signInit, r.rhsOK = true, false
 	r.refreshRHS()
+	r.driftOK = false // b and the signs are rewritten below
 	for i := range r.b {
 		if r.b[i] < 0 {
 			r.sign[i] = -1
@@ -375,17 +422,23 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 	// refreshRHS sanitizes the at-upper set against the (possibly
 	// mutated) bounds before computeXB prices the nonbasic columns in.
 	r.refreshRHS()
-	r.computeXB()
-
-	costs := r.fullCosts()
-	if !r.djOK {
-		r.computeDJ()
-	}
 	// One pass over dj answers the dual's entry test and, unless the dual
 	// moves the basis or the bounds it reads, the safety net after it.
-	dualInfeasible, pricesOut := r.priceScan(r.dualTol(), eps)
+	var dualInfeasible, pricesOut bool
+	start := r.gen == r.frozen.gen+1 && r.driftOK // the state is the frozen one
+	if start {
+		dualInfeasible, pricesOut = r.startFrozen()
+	} else {
+		r.computeXB()
+		if !r.djOK {
+			r.computeDJ()
+		}
+		dualInfeasible, pricesOut = r.priceScan(r.dualTol(), eps)
+	}
+	costs := r.fullCosts()
+	moves := r.stats.Pivots + r.stats.BoundFlips + r.stats.Refactorizations
+	still := func() bool { return r.stats.Pivots+r.stats.BoundFlips+r.stats.Refactorizations == moves }
 	if !dualInfeasible {
-		moves := r.stats.DualPivots + r.stats.BoundFlips + r.stats.Refactorizations
 		status, err := r.dual()
 		if err != nil {
 			r.factorized = false
@@ -427,7 +480,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 		// primal's entering test finds nothing in the reduced costs the
 		// dual carried here unless roundoff says otherwise; only then does
 		// the primal run.
-		if r.stats.DualPivots+r.stats.BoundFlips+r.stats.Refactorizations != moves {
+		if !still() {
 			_, pricesOut = r.priceScan(eps, eps)
 		}
 		if pricesOut {
@@ -436,7 +489,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 				return Solution{}, nil, false, nil
 			}
 		}
-		return r.finishWarm(status)
+		return r.finishWarm(status, start && still())
 	}
 	if r.primalFeasible() {
 		status, err := r.primal(costs)
@@ -444,7 +497,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 			r.factorized = false
 			return Solution{}, nil, false, nil
 		}
-		return r.finishWarm(status)
+		return r.finishWarm(status, start && still())
 	}
 	return Solution{}, nil, false, nil
 }
@@ -454,12 +507,18 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 // into the new rhs (phase 1 never ran), so no verdict built on it is
 // authoritative — an Optimal claim may hide infeasibility and an
 // Unbounded ray may lean on the artificial subspace. Hand every such
-// outcome to a cold solve instead of misreporting.
-func (r *Revised) finishWarm(status Status) (Solution, *Basis, bool, error) {
-	if r.artificialResidue() > infeasTol*(1+r.scale) {
+// outcome to a cold solve instead of misreporting. A light solve has the
+// residue its start left.
+func (r *Revised) finishWarm(status Status, light bool) (Solution, *Basis, bool, error) {
+	resid := r.resid
+	if !light {
+		resid = r.artificialResidue()
+	}
+	if resid > infeasTol*(1+r.scale) {
 		r.factorized = false
 		return Solution{}, nil, false, nil
 	}
+	r.light = light && status == Optimal && r.ephemeral
 	sol, snap := r.extract(status)
 	return sol, snap, true, nil
 }
@@ -488,32 +547,92 @@ func (r *Revised) extract(status Status) (Solution, *Basis) {
 	if !r.ephemeral {
 		x = make([]float64, r.nstruct)
 	}
-	for j := 0; j < r.nstruct; j++ {
-		v := 0.0
-		if !r.inBasis[j] && r.atUpper[j] {
-			v = r.U[j]
-		}
-		x[j] = r.lbs[j] + v
+	if r.light {
+		r.patchX()
+	} else {
+		r.xAtStart = r.xAtStart && !r.ephemeral
+		r.extractX(x)
+	}
+	return Solution{Status: Optimal, X: x, Objective: r.objective(x)}, r.snapshot()
+}
+
+// extractX writes every structural value into x.
+func (r *Revised) extractX(x []float64) {
+	for j := range x {
+		x[j] = r.xValue(j, -1)
 	}
 	for i, bj := range r.basis {
 		if bj < r.nstruct {
-			v := r.xb[i]
-			if v < 0 {
-				v = 0 // tolerance clamp
-			}
-			if u := r.U[bj]; !math.IsInf(u, 1) && v > u {
-				v = u
-			}
-			x[bj] = r.lbs[bj] + v
+			x[bj] = r.xValue(bj, i)
 		}
 	}
-	// A zero cost adds ±0 to a sum that starts at +0 and never becomes −0,
-	// so summing over the cost-bearing columns alone changes no bit.
+}
+
+// xValue is structural column j's value: basic in row i, clamped into its
+// box, or (i < 0) nonbasic at the bound it rests at.
+func (r *Revised) xValue(j, i int) float64 {
+	v := 0.0
+	if i >= 0 {
+		if v = r.xb[i]; v < 0 {
+			v = 0 // tolerance clamp
+		} else if u := r.U[j]; !math.IsInf(u, 1) && v > u {
+			v = u
+		}
+	} else if !r.inBasis[j] && r.atUpper[j] {
+		v = r.U[j]
+	}
+	return r.lbs[j] + v
+}
+
+// objective is c·x. A zero cost adds ±0 to a sum that starts at +0 and
+// never becomes −0, so summing over the cost-bearing columns alone
+// changes no bit.
+func (r *Revised) objective(x []float64) float64 {
 	obj := 0.0
 	for _, j := range r.costCols {
 		obj += r.c[j] * x[j]
 	}
-	return Solution{Status: Optimal, X: x, Objective: obj}, r.snapshot()
+	return obj
+}
+
+// patchX extracts a light solve's X into xscratch: the start's x, put
+// back where the last patch wrote, then rewritten at the basic columns of
+// the refiled rows and at the drifted columns — the bits extractX writes.
+func (r *Revised) patchX() {
+	st, x := r.frozen.start, r.xscratch
+	if r.xAtStart {
+		for _, j := range r.xPatched {
+			x[j] = st.sol.X[j]
+		}
+	} else {
+		copy(x, st.sol.X)
+		r.xAtStart = true
+	}
+	r.xPatched = r.xPatched[:0]
+	for _, i := range r.refiled {
+		if j := r.basis[i]; j < r.nstruct {
+			x[j] = r.xValue(j, int(i))
+			r.xPatched = append(r.xPatched, int32(j))
+		}
+	}
+	for _, j := range r.driftVars {
+		x[j] = r.xValue(int(j), int(st.rowOf[j]))
+		r.xPatched = append(r.xPatched, j)
+	}
+}
+
+// Moved says how the X of the last solve relates to the frozen start's.
+// After a SolveEphemeral that started there (the first solve after Freeze
+// or Rewind) and took no pivot, bound flip or refactorization, base is the
+// solution the start extracts to — one per Freeze, shared and read-only —
+// and X equals base.X outside cols, the columns the solve wrote (maybe
+// repeated or unchanged); rows counts the basis rows it refiled. After any
+// other solve, a Freeze or a Rebase, base is nil.
+func (r *Revised) Moved() (base *Solution, rows int, cols []int32) {
+	if !r.light {
+		return nil, 0, nil
+	}
+	return &r.frozen.start.sol, len(r.refiled), r.xPatched
 }
 
 // setBasis installs cols as the basic column set.
@@ -605,6 +724,88 @@ func (r *Revised) computeXB() {
 		r.fileRow(i)
 	}
 }
+
+// startFrozen is computeXB, computeDJ and the entry priceScan of a solve
+// from the frozen start, at the cost of what moved since. The effective
+// rhs moved by Δ: the drifted rows' change of b, and A_j times the change
+// of the bound each frozen at-upper column rests at. So xb is the start's
+// plus B⁻¹Δ, one FTRAN of a sparse rhs. It refiles, and lists in refiled,
+// the rows that moved and those whose basic column's box drifted. The
+// residue is the start's unless an artificial's row moved; dj is the
+// start's, and so is the verdict but at the drifted columns. Drift back
+// at its frozen value leaves the record.
+func (r *Revised) startFrozen() (overWide, overNarrow bool) {
+	st := r.frozen.start
+	delta, rows, mark := r.beff, r.shifted[:0], r.shiftMark
+	add := func(i int, v float64) {
+		n := len(rows)
+		if rows, mark = note(rows, mark, i, r.m); len(rows) > n {
+			delta[i] = v
+		} else {
+			delta[i] += v
+		}
+	}
+	kept := r.driftRows[:0]
+	for _, i := range r.driftRows {
+		if d := r.b[i] - st.b[i]; d != 0 {
+			add(int(i), d)
+			kept = append(kept, i)
+		} else {
+			r.driftRowMark[i>>6] &^= 1 << (i & 63)
+		}
+	}
+	r.driftRows = kept
+	for _, j := range r.frozen.upper {
+		if du := r.nonbasicValue(int(j)) - st.u[j]; du != 0 {
+			r.effCol(int(j), func(i int, v float64) { add(i, -v*du) })
+		}
+	}
+	r.dIdx = r.dIdx[:0]
+	if len(rows) > 0 {
+		t0 := time.Now()
+		r.dIdx = r.fac.ftranRows(rows, delta, r.d, r.dIdx)
+		r.stats.Phase.FTRANNanos += int64(time.Since(t0))
+	}
+	r.shifted, r.shiftMark = unmark(rows, mark), mark
+	r.refiled, r.resid = append(r.refiled[:0], r.dIdx...), st.residue
+	for _, i := range r.dIdx {
+		r.xb[i] += r.d[i]
+		r.fileRow(int(i))
+		if r.basis[i] >= r.artStart {
+			r.resid = -1
+		}
+	}
+	if r.resid < 0 { // an artificial's row moved
+		r.resid = r.artificialResidue()
+	}
+	overWide, overNarrow = st.overWide, st.overNarrow
+	rescan := overNarrow // overWide implies it
+	kept = r.driftVars[:0]
+	for _, j := range r.driftVars {
+		if sameBits(r.lbs[j], st.lbs[j]) && sameBits(r.U[j], st.u[j]) {
+			r.driftVarMark[j>>6] &^= 1 << (j & 63)
+			continue
+		}
+		kept = append(kept, j)
+		if i := st.rowOf[j]; i >= 0 {
+			r.fileRow(int(i))
+			r.refiled = append(r.refiled, i)
+		} else if !rescan && r.outBy(int(j), eps) {
+			overNarrow = true
+			overWide = overWide || r.outBy(int(j), r.dualTol())
+		}
+	}
+	r.driftVars = kept
+	if rescan {
+		overWide, overNarrow = r.priceScan(r.dualTol(), eps)
+	}
+	if r.onStart != nil {
+		r.onStart(overWide, overNarrow)
+	}
+	return overWide, overNarrow
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // fileRow files row i in or out of the infeasibility set by its basic
 // value and the box of its basic column.

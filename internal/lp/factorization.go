@@ -84,14 +84,16 @@ func newFactorization(p *Problem) *Factorization {
 
 // frozenState is a context's rewind point: the clean LU of the basis it
 // stood on when Freeze ran, and the simplex state that goes with it —
-// basis, at-upper statuses, row signs, steepest-edge weights and the
-// reduced costs derived from that clean LU.
+// basis, at-upper statuses, row signs, steepest-edge weights, the
+// reduced costs derived from that clean LU and, with a live
+// factorization, the start.
 // Nothing writes the LU arrays afterwards — luFactor.update only appends
 // to a context's private eta file, and commit allocates fresh storage
 // while the borrowed flag is set — so the context and any number of its
 // forks FTRAN/BTRAN against them concurrently. The state slices are the
 // context's own, overwritten by its next Freeze, which is why Fork
-// copies them.
+// copies them; each Freeze allocates a new start and nothing writes it
+// after, so forks share it.
 type frozenState struct {
 	gen uint64
 	luArrays
@@ -99,6 +101,21 @@ type frozenState struct {
 	upper                   []int32 // the columns resting at their upper bound, ascending
 	sign, dseW, dj          []float64
 	dseOK, djOK, factorized bool
+	start                   *frozenStart
+}
+
+// frozenStart is the state the first solve after a Freeze or Rewind
+// starts from: the effective rhs and structural bounds (u: U of the
+// structural columns), the basic values computeXB gives on the clean LU,
+// the infeasibility set, residue and entry verdict over them, the
+// solution they extract to, and each structural column's basis row.
+type frozenStart struct {
+	b, lbs, u, xb        []float64
+	infeas               []uint64
+	sol                  Solution
+	rowOf                []int32 // -1: nonbasic
+	residue              float64
+	overWide, overNarrow bool // priceScan(dualTol, eps)
 }
 
 // Freeze makes the context's current state the one Rewind returns to
@@ -108,6 +125,9 @@ type frozenState struct {
 // refactorized first only if it carries an eta file — its committed
 // arrays are marked borrowed, and the reduced costs are recomputed once
 // from it, so every solve that starts here reads the same exact vector.
+// With a live factorization it also records the start, at one computeXB
+// and one priceScan, from which a solve then starts at the cost of what
+// moved since (startFrozen).
 func (r *Revised) Freeze() error {
 	fz := &r.frozen
 	if fz.basis != nil && fz.gen == r.gen {
@@ -132,35 +152,71 @@ func (r *Revised) Freeze() error {
 	fz.dseW = append(fz.dseW[:0], r.dseW...)
 	fz.dj = append(fz.dj[:0], r.dj...)
 	fz.dseOK, fz.djOK, fz.factorized = r.dseOK, r.djOK, r.factorized
+	fz.start, r.xAtStart, r.light = nil, false, false
+	if r.factorized && r.rhsOK {
+		r.computeXB()
+		st := &frozenStart{b: slices.Clone(r.b), lbs: slices.Clone(r.lbs), u: slices.Clone(r.U[:r.nstruct]),
+			xb: slices.Clone(r.xb), infeas: slices.Clone(r.infeas), rowOf: slices.Repeat([]int32{-1}, r.nstruct),
+			sol: Solution{Status: Optimal, X: make([]float64, r.nstruct)}, residue: r.artificialResidue()}
+		for i, bj := range r.basis {
+			if bj < r.nstruct {
+				st.rowOf[bj] = int32(i)
+			}
+		}
+		r.extractX(st.sol.X)
+		st.sol.Objective = r.objective(st.sol.X)
+		st.overWide, st.overNarrow = r.priceScan(r.dualTol(), eps)
+		fz.start = st
+	}
+	r.redrift()
 	return nil
 }
 
-// Rewind returns the context to its frozen state in O(m + ncols), with
-// no allocation and no refactorization: the frozen LU arrays are
-// aliased again (a refactorization since then wrote to fresh storage),
-// the eta file is emptied, and basis, at-upper statuses, row signs,
-// steepest-edge weights and reduced costs are copied back. Every solve
-// after a Rewind therefore starts where the first one after Freeze did,
-// whatever was solved in between and however it ended; the owning
-// Problem's rhs and bounds are the caller's to put back.
+// Rewind returns the context to its frozen state with no allocation and
+// no refactorization. After a SolveEphemeral that started from the
+// frozen start and moved nothing (no pivot, bound flip or
+// refactorization) it puts back only what that solve wrote: the rows it
+// refiled and the frozen at-upper bits its refresh cleared. After any
+// other solve it is O(m + ncols): the frozen LU arrays are aliased again
+// (a refactorization since then wrote to fresh storage), the eta file is
+// emptied, and basis, at-upper statuses, row signs, steepest-edge
+// weights, reduced costs and the start's basic values are copied back.
+// Every solve after a Rewind therefore starts where the first one after
+// Freeze did, whatever was solved in between and however it ended; the
+// owning Problem's rhs and bounds are the caller's to put back.
 func (r *Revised) Rewind() {
 	fz := &r.frozen
 	if fz.basis == nil {
 		panic("lp: Rewind before Freeze")
 	}
-	f := r.fac
-	f.luArrays, f.borrowed = fz.luArrays, true
-	f.etas, f.etaIdx, f.etaVal, f.minEtas = f.etas[:0], f.etaIdx[:0], f.etaVal[:0], 0
-	r.setBasis(fz.basis)
-	clear(r.atUpper)
+	if r.light {
+		for _, i := range r.refiled {
+			r.xb[i] = fz.start.xb[i]
+			w, bit := i>>6, uint64(1)<<(i&63)
+			r.infeas[w] = r.infeas[w]&^bit | fz.start.infeas[w]&bit
+		}
+	} else {
+		f := r.fac
+		f.luArrays, f.borrowed = fz.luArrays, true
+		f.etas, f.etaIdx, f.etaVal, f.minEtas = f.etas[:0], f.etaIdx[:0], f.etaVal[:0], 0
+		r.setBasis(fz.basis)
+		clear(r.atUpper)
+		// b holds under the signs it was computed with, and the drift record
+		// is rebuilt by a full refresh.
+		r.rhsOK = r.rhsOK && slices.Equal(r.sign, fz.sign) && (r.driftOK || fz.start == nil)
+		copy(r.sign, fz.sign)
+		copy(r.dseW, fz.dseW)
+		copy(r.dj, fz.dj)
+		r.djOK, r.factorized = fz.djOK, fz.factorized
+		if fz.start != nil {
+			copy(r.xb, fz.start.xb)
+			copy(r.infeas, fz.start.infeas)
+		}
+	}
 	for _, j := range fz.upper {
 		r.atUpper[j] = true
 	}
-	r.rhsOK = r.rhsOK && slices.Equal(r.sign, fz.sign) // b holds under the signs it was computed with
-	copy(r.sign, fz.sign)
-	copy(r.dseW, fz.dseW)
-	copy(r.dj, fz.dj)
-	r.dseOK, r.djOK, r.factorized, r.gen = fz.dseOK, fz.djOK, fz.factorized, fz.gen
+	r.dseOK, r.gen = fz.dseOK, fz.gen
 }
 
 // Fork returns a new solve context over the same constraint structure,

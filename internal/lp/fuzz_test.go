@@ -96,8 +96,13 @@ func (b *fuzzBytes) problem() *Problem {
 // through to the primal, an Infeasible verdict followed by a rewound
 // Optimal, a cold fallback in mid-sequence, a zero-pivot solve after
 // equal writes, a lower-bound shift on a column in several rows that the
-// dual pivots through, one after a Rewind, one that ends Infeasible)
-// runs as a plain test under
+// dual pivots through, one after a Rewind, one that ends Infeasible; and
+// the seq-start-* files, one per kind of drift a solve from the frozen
+// start adds up: a lower-bound shift on a column in several rows, the
+// box of a frozen at-upper column, the rhs of a row whose slack is basic,
+// equal writes, and an Infeasible verdict from that start; and
+// seq-rewind-after-cold-fallback, whose Rewind takes the full path and
+// leaves a full refresh) runs as a plain test under
 // `go test`; `go test -fuzz=FuzzSolveVsOracle ./internal/lp` explores
 // further.
 func FuzzSolveVsOracle(f *testing.F) {

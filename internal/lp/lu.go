@@ -36,14 +36,16 @@ import "math"
 // the effective column of r.basis[p]), so ftran solves B·x = v (v
 // indexed by row, result by position) and btran solves Bᵀ·y = v (v
 // indexed by position, result by row). Those two take a dense right-hand
-// side of length m. The two solves a pivot starts from something sparse
-// — ftranCol from one matrix column, btranRow from a unit vector — place
-// their few entries straight into position space, start the first
-// triangular sweep at the earliest of them, and hand back the result as
-// a dense slice of length m plus the list of its nonzeros (the contract
-// is on Revised.dIdx), so the simplex walks the list instead of
-// sweeping m entries to find them. Every float either pair computes is
-// the same: a sweep that starts later skips only positions holding 0.
+// side of length m. The solves that start from something sparse —
+// ftranCol from one matrix column and btranRow from a unit vector, which a
+// pivot needs, and ftranRows from the rhs change a solve from the frozen
+// state starts with — place their few entries straight into position
+// space, start the first triangular sweep at the earliest of them, and
+// hand back the result as a dense slice of length m plus the list of its
+// nonzeros (the contract is on Revised.dIdx), so the simplex walks the
+// list instead of sweeping m entries to find them. Every float a sparse
+// solve and its general twin compute is the same: a sweep that starts
+// later skips only positions holding 0.
 type luFactor struct {
 	r *Revised
 	m int
@@ -522,6 +524,27 @@ func (f *luFactor) ftranCol(j int, dst []float64, idx []int32) []int32 {
 		w[k] = v
 		from = min(from, k)
 	})
+	return f.solveListed(from, dst, idx)
+}
+
+// ftranRows solves B·x = src for a right-hand side that is zero outside
+// rows (each listed once; src is read there only): x overwrites dst, and
+// the positions of its nonzeros, ascending, are appended to idx.
+func (f *luFactor) ftranRows(rows []int32, src, dst []float64, idx []int32) []int32 {
+	w := f.w
+	clear(w)
+	from := f.m
+	for _, i := range rows {
+		k := int(f.posOfRow[i])
+		w[k] = src[i]
+		from = min(from, k)
+	}
+	return f.solveListed(from, dst, idx)
+}
+
+// solveListed finishes a sparse-entry FTRAN whose entries sit in w, all
+// at position from or later, into dst and lists dst's nonzeros.
+func (f *luFactor) solveListed(from int, dst []float64, idx []int32) []int32 {
 	f.solveLU(from)
 	f.ftranOut(dst)
 	// Only now: an eta can fill a position the base solve left at 0, or

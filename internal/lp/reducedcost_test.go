@@ -61,6 +61,7 @@ func (c *djChecker) check(r *Revised, where string) {
 // the dual stopped; the caller's SolveFrom finishes the solve.
 func (c *djChecker) stepDual(r *Revised, where string) {
 	c.t.Helper()
+	r.gen++ // a solve by hand: the state leaves the frozen one, as SolveFrom's does
 	r.refreshRHS()
 	r.computeXB()
 	if !r.djOK {
@@ -219,13 +220,16 @@ func TestSafetyNetRescansAfterDualMoves(t *testing.T) {
 // enough to refactorize inside the dual, one that ends Infeasible, a fork
 // and a fork of that fork. born sees every context before its first solve:
 // a root before its cold solve, a fork at birth. Every context is also
-// under a warmAudit: each refresh held to a full one, and before every
+// under a warmAudit: each refresh held to a full one, each start from the
+// frozen state to a full computeXB and full scans, and before every
 // pivot the infeasibility set, the walks over it and the reduced-cost
 // scan to the dense loops.
 func basisSchedule(t *testing.T, c *djChecker, born func(r *Revised)) {
 	audit := &warmAudit{t: t}
 	defer func() {
-		if audit.pivots < 500 || audit.inSet == 0 || audit.choices == 0 || audit.out == 0 || audit.refreshes == 0 {
+		t.Logf("%d starts from the frozen state (%d moved xb), worst |xb − computeXB's| %.3g·(1+scale)", audit.starts, audit.moved, audit.worst)
+		if audit.pivots < 500 || audit.inSet == 0 || audit.choices == 0 || audit.out == 0 || audit.refreshes == 0 ||
+			audit.starts < 50 || audit.moved == 0 {
 			t.Fatalf("the warm audit saw too little: %+v", *audit)
 		}
 	}()

@@ -9,20 +9,26 @@ import (
 
 // warmAudit holds what a context keeps or computes in one pass to what
 // recomputing it gives: after every refreshRHS, the bound state, row
-// shifts, effective rhs and scale of a full refresh, bit for bit; before
-// every pivot and primal bound flip, the infeasibility set, the
-// leaving-row choice and stall sum walked over it, and priceScan's two
-// answers against two dense scans. It counts what it saw so a test can
-// show it was not vacuous.
+// shifts, effective rhs and scale of a full refresh, bit for bit; after
+// every start from the frozen state, the basic values to a full
+// computeXB's within 1e-9·(1+scale) and the infeasibility set, scale,
+// residue and entry verdict to full recomputations exactly; before every
+// pivot and primal bound flip, the infeasibility set, the leaving-row
+// choice and stall sum walked over it, and priceScan's two answers
+// against two dense scans. It counts what it saw so a test can show it
+// was not vacuous.
 type warmAudit struct {
 	t                   *testing.T
 	refreshes, pivots   int
 	inSet, choices, out int
+	starts, moved       int     // starts from the frozen state; those that moved some xb
+	worst               float64 // the largest |xb − computeXB's| / (1+scale) a start left
 }
 
 // attach audits r from here on, after whatever r.onPivot already does.
 func (a *warmAudit) attach(r *Revised) {
 	r.onRefresh = func() { a.refresh(r) }
+	r.onStart = func(wide, narrow bool) { a.start(r, wide, narrow) }
 	prev := r.onPivot
 	r.onPivot = func() {
 		if prev != nil {
@@ -32,7 +38,61 @@ func (a *warmAudit) attach(r *Revised) {
 	}
 }
 
-func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+// start fails unless the state startFrozen left is, within roundoff, the
+// one computeXB, artificialResidue and priceScan give over it.
+func (a *warmAudit) start(r *Revised, wide, narrow bool) {
+	a.t.Helper()
+	a.starts++
+	if len(r.dIdx) > 0 {
+		a.moved++
+	}
+	ref := slices.Clone(r.b)
+	for j := 0; j < r.nstruct; j++ {
+		if r.atUpper[j] {
+			u := r.U[j]
+			r.effCol(j, func(i int, v float64) { ref[i] -= v * u })
+		}
+	}
+	r.fac.ftran(ref, ref)
+	for i, x := range ref {
+		gap := math.Abs(r.xb[i]-x) / (1 + r.scale)
+		if !(gap <= 1e-9) {
+			a.t.Fatalf("start: xb[%d] = %v, a full computeXB gives %v (gap %g·(1+scale) > 1e-9·(1+scale))", i, r.xb[i], x, gap)
+		}
+		a.worst = math.Max(a.worst, gap)
+	}
+	a.inSet += a.infeasSet(r, "start")
+	scale := 0.0
+	for _, v := range r.b {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	if !sameBits(scale, r.scale) {
+		a.t.Fatalf("start: scale %v, max |b| %v", r.scale, scale)
+	}
+	if res := r.artificialResidue(); !sameBits(res, r.resid) {
+		a.t.Fatalf("start: residue %v, a full sum %v", r.resid, res)
+	}
+	if dw, dn := densePricesOut(r, r.dualTol()), densePricesOut(r, eps); dw != wide || dn != narrow {
+		a.t.Fatalf("start: entry verdict %v, %v; the dense scans %v, %v", wide, narrow, dw, dn)
+	}
+}
+
+// infeasSet fails unless the infeasibility set is exactly {i : xb_i < 0
+// or xb_i > U}, and returns its size.
+func (a *warmAudit) infeasSet(r *Revised, where string) (n int) {
+	a.t.Helper()
+	for i := 0; i < r.m; i++ {
+		x, u := r.xb[i], r.U[r.basis[i]]
+		want := x < 0 || x > u
+		if got := r.infeas[i>>6]>>(i&63)&1 == 1; got != want {
+			a.t.Fatalf("%s: row %d in the infeasibility set = %v, xb %v, U %v", where, i, got, x, u)
+		}
+		if want {
+			n++
+		}
+	}
+	return n
+}
 
 // refresh fails unless a full refresh, run over the state the refresh
 // just left, changes no bit of it.
@@ -121,16 +181,7 @@ func densePricesOut(r *Revised, tol float64) bool {
 func (a *warmAudit) pivot(r *Revised) {
 	a.t.Helper()
 	a.pivots++
-	for i := 0; i < r.m; i++ {
-		x, u := r.xb[i], r.U[r.basis[i]]
-		want := x < 0 || x > u
-		if got := r.infeas[i>>6]>>(i&63)&1 == 1; got != want {
-			a.t.Fatalf("pivot: row %d in the infeasibility set = %v, xb %v, U %v", i, got, x, u)
-		}
-		if want {
-			a.inSet++
-		}
-	}
+	a.inSet += a.infeasSet(r, "pivot")
 	for _, ftol := range []float64{r.feasTol(), 0} {
 		for _, bland := range []bool{false, true} {
 			l, b := r.chooseLeaving(bland, ftol)

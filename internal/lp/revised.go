@@ -96,7 +96,8 @@ type Revised struct {
 	atUpper    []bool // nonbasic-at-upper-bound status per column
 	xb         []float64
 	b          []float64
-	scale      float64
+	scale      float64 // max_i |b_i|, at row scaleRow
+	scaleRow   int
 	factorized bool
 
 	// infeas is the set of rows whose basic value lies outside its box
@@ -116,6 +117,18 @@ type Revised struct {
 	// forks are born on.
 	gen    uint64
 	frozen frozenState
+
+	// The solve from the frozen start (startFrozen). driftOK: driftRows /
+	// driftVars list every row whose b and every structural column whose
+	// bounds may differ from the start's. light: the last solve was a
+	// SolveEphemeral that started there and moved nothing but the rows it
+	// refiled, with resid the residue its start left. xAtStart: xscratch
+	// holds the start's x but at xPatched.
+	driftOK, light, xAtStart   bool
+	driftRows, driftVars       []int32
+	driftRowMark, driftVarMark []uint64
+	refiled, xPatched          []int32
+	resid                      float64
 
 	// Devex reference-framework weights pricing entering candidates in
 	// the primal; each primal run resets the framework.
@@ -150,10 +163,12 @@ type Revised struct {
 	// applied, while d, rho, ws and their lists describe it and the factor
 	// is still the one they were solved on — where tests audit the lists.
 	// onRefresh, when set, runs at the end of every refreshRHS — where
-	// tests hold an incremental refresh to a full one.
+	// tests hold an incremental refresh to a full one; onStart, at the end
+	// of every startFrozen, with its verdict.
 	budgetOverride int
 	onPivot        func()
 	onRefresh      func()
+	onStart        func(overWide, overNarrow bool)
 
 	// Scratch buffers reused across solves. All per-context: a forked
 	// context allocates its own set, so concurrent solves against the

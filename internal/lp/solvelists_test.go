@@ -68,9 +68,10 @@ func (c *listChecker) attach(r *Revised) {
 }
 
 // check holds, on r's factor as it stands, ftranCol(j) to ftran of the
-// scattered column and btranRow(p) to btran of the unit vector — for a few
-// columns, and for the positions eliminated first and last plus a few
-// more — with each result's list, ws and ‖ρ‖² checked against the vector.
+// scattered column, ftranRows to ftran of the few-row vector and
+// btranRow(p) to btran of the unit vector — for a few columns and row
+// sets, and for the positions eliminated first and last plus a few more —
+// with each result's list, ws and ‖ρ‖² checked against the vector.
 func (c *listChecker) check(r *Revised, where string) {
 	c.t.Helper()
 	f := r.fac
@@ -112,6 +113,29 @@ func (c *listChecker) check(r *Revised, where string) {
 		}
 		c.solves++
 	}
+	// ftranRows of a right-hand side on a few rows — with the rows
+	// eliminated first and last among them — against ftran of the vector.
+	for _, ends := range [][]int32{{f.rowOfPos[0]}, {f.rowOfPos[m-1]}, nil} {
+		clear(y)
+		rows := ends
+		for n := 0; n < 3; n++ {
+			if i := c.rng.Intn(m); y[i] == 0 && (len(ends) == 0 || int32(i) != ends[0]) {
+				rows = append(rows, int32(i))
+			}
+		}
+		for _, i := range rows {
+			y[i] = c.rng.NormFloat64()
+		}
+		idx := f.ftranRows(rows, y, x, c.idx[:0])
+		c.listed("ftranRows", where, x, idx)
+		f.ftran(y, y)
+		for i := range x {
+			if !sameFloat(x[i], y[i]) {
+				c.t.Fatalf("%s: ftranRows(%v)[%d] = %v, ftran of the vector %v (%d etas)", where, rows, i, x[i], y[i], len(f.etas))
+			}
+		}
+		c.solves++
+	}
 	for n, p := range []int{int(f.colOfPos[0]), int(f.colOfPos[m-1]), c.rng.Intn(m), c.rng.Intn(m)} {
 		amult := float64(1 - 2*(n%2))
 		idx, gamma := f.btranRow(p, amult, x, ws, c.idx[:0])
@@ -142,8 +166,10 @@ func (c *listChecker) check(r *Revised, where string) {
 // verdict, a fork and a fork of it — before every pivot and primal bound
 // flip d's and ρ's lists are exactly the ascending nonzero positions of
 // their vectors, and there, right after every Rewind and on a fork that
-// still aliases its parent's frozen arrays, the sparse-entry solves equal
-// the general ones float for float, with an empty eta file, one eta and a
+// still aliases its parent's frozen arrays, the sparse-entry solves —
+// FTRAN of a column, of a few-row rhs (a start from the frozen state's),
+// BTRAN of a unit vector — list their nonzeros exactly and equal the
+// general ones float for float, with an empty eta file, one eta and a
 // full one. No clock is read.
 func TestSolveListsMatchDense(t *testing.T) {
 	c := &listChecker{t: t, rng: rand.New(rand.NewSource(24))}

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"repro/internal/core"
 )
 
 // The one encoder of top-level SolveReport bodies: a single-pass
@@ -157,6 +159,7 @@ func array[T any](e *wireEnc, depth int, v []T, elem func(*wireEnc, int, T)) {
 // appendReport appends rep's wire bytes to b; ok is false, and the
 // bytes garbage, when rep holds a non-finite float. Members follow the
 // json tags of SolveReport, lp.Stats and lp.PhaseTimes (a test holds it).
+// A spliced report's tables are copied from the frozen answer's bytes.
 func appendReport(b []byte, rep *SolveReport) (_ []byte, ok bool) {
 	e := wireEnc{b: append(b, '{')}
 	e.key(1, "heuristic")
@@ -172,17 +175,21 @@ func appendReport(b []byte, rep *SolveReport) (_ []byte, ok bool) {
 		e.key(1, "throughputs")
 		floatRow(&e, 1, rep.Throughputs)
 	}
-	if len(rep.Alpha) > 0 {
-		e.key(1, "alpha")
-		array(&e, 1, rep.Alpha, floatRow)
-	}
-	if len(rep.Beta) > 0 {
-		e.key(1, "beta")
-		array(&e, 1, rep.Beta, intRow)
-	}
-	if len(rep.BetaFrac) > 0 {
-		e.key(1, "betaFrac")
-		array(&e, 1, rep.BetaFrac, floatRow)
+	if t := rep.spliced; t != nil {
+		t.splice(&e, rep)
+	} else {
+		if len(rep.Alpha) > 0 {
+			e.key(1, "alpha")
+			array(&e, 1, rep.Alpha, floatRow)
+		}
+		if len(rep.Beta) > 0 {
+			e.key(1, "beta")
+			array(&e, 1, rep.Beta, intRow)
+		}
+		if len(rep.BetaFrac) > 0 {
+			e.key(1, "betaFrac")
+			array(&e, 1, rep.BetaFrac, floatRow)
+		}
 	}
 	if rep.Relaxed {
 		e.boolField(1, "relaxed", true)
@@ -221,4 +228,45 @@ func appendReport(b []byte, rep *SolveReport) (_ []byte, ok bool) {
 	}
 	e.close(0)
 	return append(e.b, '\n'), !e.bad
+}
+
+// tableBody is a frozen relaxed answer's "alpha" and "betaFrac" members
+// as appendReport writes them after another member, and the start and
+// end offset there of every cell, numbered as
+// core.RelaxedSolution.Patched numbers them.
+type tableBody struct {
+	sol *core.RelaxedSolution
+	b   []byte
+	at  []int32
+}
+
+func newTableBody(sol *core.RelaxedSolution) *tableBody {
+	at := make([]int32, 0, 4*len(sol.Alpha)*len(sol.Alpha))
+	cell := func(e *wireEnc, _ int, f float64) {
+		at = append(at, int32(len(e.b)-1)) // less the byte before the members
+		floatElem(e, 0, f)
+		at = append(at, int32(len(e.b)-1))
+	}
+	row := func(e *wireEnc, depth int, r []float64) { array(e, depth, r, cell) }
+	e := wireEnc{b: []byte{'}'}} // a member ended: "alpha" opens with a comma
+	e.key(1, "alpha")
+	array(&e, 1, sol.Alpha, row)
+	e.key(1, "betaFrac")
+	array(&e, 1, sol.Beta, row)
+	return &tableBody{sol: sol, b: e.b[1:], at: at}
+}
+
+// splice writes rep's tables: t's, but at rep.cells (ascending).
+func (t *tableBody) splice(e *wireEnc, rep *SolveReport) {
+	K, from := int32(len(rep.Alpha)), int32(0)
+	for _, c := range rep.cells {
+		e.b = append(e.b, t.b[from:t.at[2*c]]...)
+		if c < K*K {
+			floatElem(e, 0, rep.Alpha[c/K][c%K])
+		} else {
+			floatElem(e, 0, rep.BetaFrac[c/K-K][c%K])
+		}
+		from = t.at[2*c+1]
+	}
+	e.b = append(e.b, t.b[from:]...)
 }

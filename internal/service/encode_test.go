@@ -245,10 +245,14 @@ func TestEncodeReportNonFinite(t *testing.T) {
 	}
 }
 
-// jsonTags lists a struct's JSON member names in declaration order.
+// jsonTags lists a struct's JSON member names in declaration order; an
+// unexported field is none.
 func jsonTags(t reflect.Type) []string {
 	var out []string
 	for i := 0; i < t.NumField(); i++ {
+		if !t.Field(i).IsExported() {
+			continue
+		}
 		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
 		out = append(out, name)
 	}

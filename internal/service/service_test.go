@@ -737,17 +737,17 @@ func TestSnapshotRestoreExactness(t *testing.T) {
 	routes := model.BetaVars()
 	for trial := 0; trial < 25; trial++ {
 		// Random capacity and bound mutations.
-		h := hypothetical{pl: pl.Clone()}
+		var h hypothetical
 		for i := 0; i < 5; i++ {
 			k := rng.Intn(pl.K())
 			switch rng.Intn(3) {
 			case 0:
-				h.pl.Clusters[k].Speed = pl.Clusters[k].Speed * (0.3 + 0.7*rng.Float64())
+				h.speeds = append(h.speeds, ClusterValue{k, pl.Clusters[k].Speed * (0.3 + 0.7*rng.Float64())})
 			case 1:
-				h.pl.Clusters[k].Gateway = pl.Clusters[k].Gateway * (0.3 + 0.7*rng.Float64())
+				h.gateways = append(h.gateways, ClusterValue{k, pl.Clusters[k].Gateway * (0.3 + 0.7*rng.Float64())})
 			case 2:
 				li := rng.Intn(len(pl.Links))
-				h.pl.Links[li].MaxConnect = int(float64(pl.Links[li].MaxConnect) * rng.Float64())
+				h.links = append(h.links, LinkValue{li, math.Trunc(float64(pl.Links[li].MaxConnect) * rng.Float64())})
 			}
 		}
 		if len(routes) > 0 && rng.Intn(2) == 0 {
@@ -761,7 +761,7 @@ func TestSnapshotRestoreExactness(t *testing.T) {
 		if _, _, _, err := model.Solve(basis); err != nil {
 			t.Fatal(err)
 		}
-		retract(model, pl)
+		retract(model, h, pl)
 		sol, nextBasis, ok, err := model.Solve(basis)
 		if err != nil || !ok {
 			t.Fatalf("trial %d: restored solve ok=%v err=%v", trial, ok, err)
@@ -795,14 +795,14 @@ func TestSnapshotRestoreCrossedBounds(t *testing.T) {
 	base := sol.Objective
 
 	// Cross the box: lower bound far above the natural cap.
-	crossed := hypothetical{pl: pl, boxes: []RouteBounds{{From: routes[0].K, To: routes[0].L, Lb: 1e6, Ub: -1}}}
+	crossed := hypothetical{boxes: []RouteBounds{{From: routes[0].K, To: routes[0].L, Lb: 1e6, Ub: -1}}}
 	if err := pose(model, crossed); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok, _ := model.Solve(basis); ok {
 		t.Fatal("crossed box must be infeasible")
 	}
-	retract(model, pl)
+	retract(model, crossed, pl)
 	sol, _, ok, err = model.Solve(basis)
 	if err != nil || !ok {
 		t.Fatalf("restored solve: ok=%v err=%v", ok, err)

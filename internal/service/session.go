@@ -11,9 +11,9 @@
 //
 //   - query    — the current allocation and objective,
 //   - what-if  — temporary speed/gateway/link-budget/β-bound
-//     mutations, posed as a hypothetical platform, answered from the
-//     committed factorization, and undone exactly — the model by
-//     re-injecting the committed platform, the solver by rewinding to
+//     mutations, posed on the model one capacity at a time, answered
+//     from the committed factorization, and undone exactly — the model by
+//     writing back the committed capacities, the solver by rewinding to
 //     the state frozen after the commit (whatIfOn below) — so an answer
 //     and its cost depend on the committed state and the request, not
 //     on what was asked before; identical concurrent what-ifs are
@@ -154,9 +154,9 @@ type commitRecord struct {
 // warm-start basis, and the epoch counter. The platform is the only
 // holder of the committed capacities: outside a what-if the model holds
 // exactly what model.Inject(pl) wrote and default β bounds, so a what-if
-// poses its hypothetical under mu and retracts it by re-injecting pl
-// before releasing it; the solver it rewinds to the factorization the
-// last commit left (whatIfOn).
+// poses its hypothetical under mu and retracts it by writing pl's value
+// back at every capacity it wrote before releasing it; the solver it
+// rewinds to the factorization the last commit left (whatIfOn).
 type Session struct {
 	id          string
 	fingerprint string
@@ -172,6 +172,11 @@ type Session struct {
 	// betaRoutes is the set of routes carrying a β variable — frozen
 	// with the model's structure, so read without mu.
 	betaRoutes map[core.Pair]bool
+
+	// tables is the frozen relaxed answer's encoded tables, which a
+	// zero-pivot relaxed what-if's body is spliced from: built on the first
+	// such what-if after each Freeze, never by a commit. Guarded by mu.
+	tables *tableBody
 
 	queries   atomic.Uint64
 	whatIfs   atomic.Uint64
@@ -448,7 +453,9 @@ func (s *Session) reportFor(epr *core.Problem, alloc *core.Allocation) *SolveRep
 
 // relaxReportLocked assembles a relaxation-answer SolveReport around a
 // relaxed optimum's own tables (β̃ fractional), or the bare infeasible
-// verdict when the hypothetical left no optimum (sol == nil).
+// verdict when the hypothetical left no optimum (sol == nil). An optimum
+// patched from the frozen one is tied to the frozen answer's encoded
+// tables, so its body copies them but for the cells that moved.
 func (s *Session) relaxReportLocked(sol *core.RelaxedSolution) *SolveReport {
 	stats := s.model.SolverStats().Deterministic()
 	rep := &SolveReport{
@@ -469,6 +476,12 @@ func (s *Session) relaxReportLocked(sol *core.RelaxedSolution) *SolveReport {
 		for _, a := range row {
 			rep.Throughputs[k] += a
 		}
+	}
+	if base, cells := sol.Patched(); base != nil {
+		if s.tables == nil || s.tables.sol != base {
+			s.tables = newTableBody(base)
+		}
+		rep.spliced, rep.cells = s.tables, cells
 	}
 	return rep
 }
@@ -521,7 +534,7 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 	if err == nil {
 		rep, err = whatIfOn(s.model, h, s.pl, func() (*SolveReport, error) {
 			if !req.Relax && len(req.Bounds) == 0 {
-				return s.solveLocked(&core.Problem{Platform: h.pl, Payoffs: s.pr.Payoffs}, false)
+				return s.solveLocked(&core.Problem{Platform: h.platform(s.pl), Payoffs: s.pr.Payoffs}, false)
 			}
 			sol, _, err := s.model.SolveEphemeral(s.basis) // nil when infeasible
 			if err != nil {
@@ -547,7 +560,7 @@ func whatIfOn(m *core.Model, h hypothetical, committed *platform.Platform, extra
 		return nil, err
 	}
 	defer func() {
-		retract(m, committed)
+		retract(m, h, committed)
 		m.Rewind()
 	}()
 	if err := pose(m, h); err != nil {
@@ -556,45 +569,70 @@ func whatIfOn(m *core.Model, h hypothetical, committed *platform.Platform, extra
 	return extract()
 }
 
-// hypothetical is one validated what-if: the platform it poses — the
-// committed one with the request's capacity mutations applied, which
-// the heuristic also evaluates residual capacities against — and the β
-// boxes it installs over the default bounds. Every index, value and
-// "route has a β variable" check is made while building it, so posing
-// one cannot fail half-way.
+// hypothetical is one validated what-if: the request's capacity
+// mutations and the β boxes it installs over the default bounds. Every
+// index, value and "route has a β variable" check is made while building
+// it, so posing one cannot fail half-way. It holds no platform: pose and
+// retract write only the capacities it lists, and a heuristic what-if,
+// which evaluates residual capacities against the hypothetical platform,
+// builds that (platform).
 type hypothetical struct {
-	pl    *platform.Platform
-	boxes []RouteBounds
+	speeds, gateways []ClusterValue
+	links            []LinkValue
+	boxes            []RouteBounds
 }
 
+// platform is the committed platform with h's capacity mutations.
+func (h hypothetical) platform(committed *platform.Platform) *platform.Platform {
+	pl := committed.Clone()
+	for _, m := range h.speeds {
+		pl.Clusters[m.Cluster].Speed = m.Value
+	}
+	for _, m := range h.gateways {
+		pl.Clusters[m.Cluster].Gateway = m.Value
+	}
+	for _, m := range h.links {
+		pl.Links[m.Link].MaxConnect = int(m.MaxConnect)
+	}
+	return pl
+}
+
+// hypotheticalLocked validates req against the committed platform and
+// the model. A capacity value Validate would refuse makes it validate the
+// hypothetical platform, so a rejected request gets that error.
 func (s *Session) hypotheticalLocked(req *WhatIfRequest) (hypothetical, error) {
-	epl := s.pl.Clone()
-	K := epl.K()
+	h := hypothetical{speeds: req.Speeds, gateways: req.Gateways, links: req.Links, boxes: req.Bounds}
+	K := s.pl.K()
 	for _, m := range req.Speeds {
 		if m.Cluster < 0 || m.Cluster >= K {
 			return hypothetical{}, fmt.Errorf("speed mutation: cluster %d out of range [0,%d)", m.Cluster, K)
 		}
-		epl.Clusters[m.Cluster].Speed = m.Value
 	}
 	for _, m := range req.Gateways {
 		if m.Cluster < 0 || m.Cluster >= K {
 			return hypothetical{}, fmt.Errorf("gateway mutation: cluster %d out of range [0,%d)", m.Cluster, K)
 		}
-		epl.Clusters[m.Cluster].Gateway = m.Value
 	}
 	for _, m := range req.Links {
-		if m.Link < 0 || m.Link >= len(epl.Links) {
-			return hypothetical{}, fmt.Errorf("link mutation: link %d out of range [0,%d)", m.Link, len(epl.Links))
+		if m.Link < 0 || m.Link >= len(s.pl.Links) {
+			return hypothetical{}, fmt.Errorf("link mutation: link %d out of range [0,%d)", m.Link, len(s.pl.Links))
 		}
-		// Refused before the conversion below, which is
+		// Refused before any conversion to int, which is
 		// implementation-defined out of range; NaN fails the first test.
 		if !(m.MaxConnect >= 0 && m.MaxConnect <= platform.MaxConnectCeiling) || m.MaxConnect != math.Trunc(m.MaxConnect) {
 			return hypothetical{}, fmt.Errorf("link mutation: max-connect %g invalid (budgets are whole connection counts, at most %d)", m.MaxConnect, platform.MaxConnectCeiling)
 		}
-		epl.Links[m.Link].MaxConnect = int(m.MaxConnect)
 	}
-	if err := epl.Validate(); err != nil {
-		return hypothetical{}, err
+	refused := false // a negative, NaN or infinite capacity
+	for _, ms := range [...][]ClusterValue{req.Speeds, req.Gateways} {
+		for _, m := range ms {
+			refused = refused || !(m.Value >= 0) || math.IsInf(m.Value, 1)
+		}
+	}
+	if refused {
+		if err := h.platform(s.pl).Validate(); err != nil {
+			return hypothetical{}, err
+		}
 	}
 	for _, b := range req.Bounds {
 		if b.Lb < 0 || math.IsNaN(b.Lb) || math.IsInf(b.Lb, 0) {
@@ -607,18 +645,30 @@ func (s *Session) hypotheticalLocked(req *WhatIfRequest) (hypothetical, error) {
 			return hypothetical{}, fmt.Errorf("β bounds on route (%d,%d) with no β variable", b.From, b.To)
 		}
 	}
-	return hypothetical{pl: epl, boxes: req.Bounds}, nil
+	return h, nil
 }
 
-// pose writes h into m — the session model, or a fork of it: the
-// hypothetical platform's capacities, then h's boxes over default β
-// bounds. Every capacity and every box is overwritten, so what m held
-// before does not matter.
+// pose writes h into m — the session model, or a fork of it, holding the
+// committed state: each capacity h lists, in request order (the last
+// write to a capacity wins, as in the hypothetical platform), then h's
+// boxes over the default β bounds. Whatever h does not list already
+// holds its committed value.
 func pose(m *core.Model, h hypothetical) error {
-	if err := m.Inject(h.pl); err != nil {
-		return err
+	for _, c := range h.speeds {
+		if err := m.SetSpeed(c.Cluster, c.Value); err != nil {
+			return err
+		}
 	}
-	m.ResetBounds()
+	for _, c := range h.gateways {
+		if err := m.SetGateway(c.Cluster, c.Value); err != nil {
+			return err
+		}
+	}
+	for _, l := range h.links {
+		if err := m.SetLinkBudget(l.Link, l.MaxConnect); err != nil {
+			return err
+		}
+	}
 	for _, b := range h.boxes {
 		if err := m.SetBounds(core.Pair{K: b.From, L: b.To}, core.BetaBounds{Lb: b.Lb, Ub: b.Ub}); err != nil {
 			return err
@@ -627,17 +677,30 @@ func pose(m *core.Model, h hypothetical) error {
 	return nil
 }
 
-// retract returns m to the committed state after a pose, complete or
-// abandoned half-way: the committed platform's capacities and default β
-// bounds (clearing whatever pins or node bounds a heuristic left). The
-// model keeps no history (see core.Model), so m ends bit-equal to one
-// that only ever saw the committed platform. That platform was injected
-// before: a failure here is a bug, and leaves the model unusable.
-func retract(m *core.Model, committed *platform.Platform) {
-	if err := m.Inject(committed); err != nil {
-		panic(fmt.Sprintf("service: re-injecting the committed platform: %v", err))
+// retract returns m to the committed state after a pose of h, complete
+// or abandoned half-way: the committed platform's value at every
+// capacity h lists, and default β bounds (clearing h's boxes and
+// whatever pins or node bounds a heuristic left). The model keeps no
+// history (see core.Model), so m ends bit-equal to one that only ever saw
+// the committed platform. Those values were written before: a failure
+// here is a bug, and leaves the model unusable.
+func retract(m *core.Model, h hypothetical, committed *platform.Platform) {
+	for _, c := range h.speeds {
+		mustRestore(m.SetSpeed(c.Cluster, committed.Clusters[c.Cluster].Speed))
+	}
+	for _, c := range h.gateways {
+		mustRestore(m.SetGateway(c.Cluster, committed.Clusters[c.Cluster].Gateway))
+	}
+	for _, l := range h.links {
+		mustRestore(m.SetLinkBudget(l.Link, float64(committed.Links[l.Link].MaxConnect)))
 	}
 	m.ResetBounds()
+}
+
+func mustRestore(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("service: restoring the committed platform: %v", err))
+	}
 }
 
 // Epoch commits a capacity update: the perturbation factors apply to
@@ -722,7 +785,7 @@ func (s *Session) epochLocked(req *EpochRequest) (*SolveReport, error) {
 	// range) must not leave the model half-updated: return it to the
 	// committed state and report.
 	if err := s.model.Inject(epl); err != nil {
-		retract(s.model, s.pl)
+		mustRestore(s.model.Inject(s.pl))
 		return nil, err
 	}
 	s.pl = epl

@@ -192,6 +192,11 @@ type SolveReport struct {
 	// this solve (for a batch CLI report: the counters of just this
 	// run).
 	Stats *lp.Stats `json:"stats,omitempty"`
+
+	// Not on the wire: a zero-pivot what-if's tables are spliced's but at
+	// cells (ascending), and appendReport copies them from its bytes.
+	spliced *tableBody
+	cells   []int32
 }
 
 // SessionStats is one session's /stats row.
