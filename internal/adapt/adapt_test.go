@@ -431,18 +431,18 @@ func TestRunWarmBoundsMatchesColdRebuild(t *testing.T) {
 				for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
 					var basis *lp.Basis
 					injectEpochs(t, pr, load, obj, 8, func(e int, m *core.Model, epr *core.Problem) {
-						warm, next, ok, err := m.Solve(basis)
+						warm, ok, err := m.Solve(basis)
 						if err != nil || !ok {
 							t.Fatalf("warm solve: ok=%v err=%v", ok, err)
 						}
-						basis = next
+						basis = m.Basis()
 						cold, ok, err := epr.Relaxed(obj)
 						if err != nil || !ok {
 							t.Fatalf("cold solve: ok=%v err=%v", ok, err)
 						}
-						if !almostEqual(warm.Objective, cold.Objective) {
+						if !almostEqual(warm, cold.Objective) {
 							t.Fatalf("seed %d K %d %T %v epoch %d: warm %.12g != cold %.12g",
-								seed, k, load, obj, e, warm.Objective, cold.Objective)
+								seed, k, load, obj, e, warm, cold.Objective)
 						}
 					})
 				}

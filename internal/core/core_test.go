@@ -306,8 +306,8 @@ func solveBoxed(pr *Problem, obj Objective, boxes map[Pair]BetaBounds) (*Relaxed
 			return nil, false, err
 		}
 	}
-	sol, _, ok, err := m.Solve(nil)
-	return sol, ok, err
+	_, ok, err := m.Solve(nil)
+	return m.Solution(), ok, err
 }
 
 func TestMixedRelaxedBoundsBind(t *testing.T) {

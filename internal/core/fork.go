@@ -5,9 +5,9 @@ import "repro/internal/lp"
 // Freeze makes the solver's current state — after a commit, the
 // committed factorization — the one Rewind returns to, and records the
 // optimum a solve from it starts at; it is a no-op until something
-// solves again (lp.Revised.Freeze). The first zero-pivot SolveEphemeral
-// after it extracts that optimum once, into a block of its own that
-// later answers share and no later Freeze writes.
+// solves again (lp.Revised.Freeze). The first Solution read after a
+// zero-pivot Solve from it extracts that optimum once, into a block of
+// its own that later answers share and no later Freeze writes.
 func (m *Model) Freeze() error { return m.rev.Freeze() }
 
 // Rewind puts the solver back on its frozen state (lp.Revised.Rewind):
@@ -21,7 +21,7 @@ func (m *Model) Rewind() { m.rev.Rewind() }
 // Fork returns a second solve context over the same program in
 // O(rows + nonzeros) — no pivots. The receiver must have solved at
 // least once: the fork is born frozen on its state (lp.Revised.Fork),
-// so a SolveEphemeral on it warm-starts from the parent's basis with
+// so a Solve on it warm-starts from the parent's basis with
 // zero lost pivots, and again after every Rewind. Fork may refactorize
 // the parent once per commit; a committed solve starts from Rebase, so
 // committed answers are unaffected.
@@ -40,6 +40,7 @@ func (m *Model) Fork() (*Model, error) {
 	f := *m
 	f.rev = frev
 	f.prob = frev.Problem()
+	f.last = lp.Solution{} // the parent's, in the parent's buffer
 	f.natural = append([]float64(nil), m.natural...)
 	f.curLb = append([]float64(nil), m.curLb...)
 	f.curUb = append([]float64(nil), m.curUb...)
@@ -57,23 +58,3 @@ func (m *Model) Fork() (*Model, error) {
 // fork's solve activity after its batch completes — into this model's
 // stats, so pool-wide aggregation sees work done on forked contexts.
 func (m *Model) AbsorbSolverStats(s lp.Stats) { m.rev.AbsorbStats(s) }
-
-// SolveBound is SolveEphemeral for callers that need only the verdict
-// and the relaxation bound — a batched what-if, whose report carries no
-// per-route tables, or the lpBound beside a heuristic answer. It skips
-// the solution extraction entirely: feasible=false reports an
-// infeasible bound set (crossed box or simplex verdict), and err a
-// solver failure or an unbounded relaxation (a model bug).
-func (m *Model) SolveBound(from *lp.Basis) (bound float64, feasible bool, err error) {
-	if m.numCrossed > 0 {
-		return 0, false, nil
-	}
-	sol, err := m.rev.SolveEphemeral(from)
-	if err != nil {
-		return 0, false, err
-	}
-	if ok, err := verdict(sol); !ok {
-		return 0, false, err
-	}
-	return sol.Objective, true, nil
-}

@@ -58,10 +58,11 @@ func TestForkMatchesSerialWhatIf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, basis, ok, err := m.Solve(nil)
+		base, ok, err := m.Solve(nil)
 		if err != nil || !ok {
 			t.Fatalf("nominal solve: ok=%v err=%v", ok, err)
 		}
+		basis := m.Basis()
 		routes := m.BetaVars()
 
 		for trial := 0; trial < 8; trial++ {
@@ -69,7 +70,7 @@ func TestForkMatchesSerialWhatIf(t *testing.T) {
 
 			// Serial reference: mutate the parent, solve, retract.
 			forkMutate(t, m, pr, routes, rand.New(rand.NewSource(mutSeed)))
-			wantBound, wantOK, err := m.SolveBound(basis)
+			wantBound, wantOK, err := m.Solve(basis)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +81,7 @@ func TestForkMatchesSerialWhatIf(t *testing.T) {
 				t.Fatal(err)
 			}
 			forkMutate(t, f, pr, routes, rand.New(rand.NewSource(mutSeed)))
-			gotBound, gotOK, err := f.SolveBound(basis)
+			gotBound, gotOK, err := f.Solve(basis)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,12 +95,12 @@ func TestForkMatchesSerialWhatIf(t *testing.T) {
 		}
 
 		// The parent's committed state survived every fork.
-		again, _, ok, err := m.Solve(basis)
+		again, ok, err := m.Solve(basis)
 		if err != nil || !ok {
 			t.Fatalf("parent re-solve: ok=%v err=%v", ok, err)
 		}
-		if math.Abs(again.Objective-base.Objective) > 1e-9*(1+math.Abs(base.Objective)) {
-			t.Fatalf("parent disturbed: base %.12g, after forks %.12g", base.Objective, again.Objective)
+		if math.Abs(again-base) > 1e-9*(1+math.Abs(base)) {
+			t.Fatalf("parent disturbed: base %.12g, after forks %.12g", base, again)
 		}
 	}
 }
@@ -113,10 +114,10 @@ func TestForkConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, basis, ok, err := m.Solve(nil)
-	if err != nil || !ok {
+	if _, ok, err := m.Solve(nil); err != nil || !ok {
 		t.Fatalf("nominal solve: ok=%v err=%v", ok, err)
 	}
+	basis := m.Basis()
 	routes := m.BetaVars()
 
 	const n = 24
@@ -127,7 +128,7 @@ func TestForkConcurrent(t *testing.T) {
 	want := make([]answer, n)
 	for i := 0; i < n; i++ {
 		forkMutate(t, m, pr, routes, rand.New(rand.NewSource(int64(i))))
-		b, okq, err := m.SolveBound(basis)
+		b, okq, err := m.Solve(basis)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func TestForkConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			forkMutate(t, forks[i], pr, routes, rand.New(rand.NewSource(int64(i))))
-			b, okq, err := forks[i].SolveBound(basis)
+			b, okq, err := forks[i].Solve(basis)
 			switch {
 			case err != nil:
 				errs[i] = err.Error()
@@ -189,7 +190,7 @@ func TestForkAllocatesNoDeadFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, err := m.Solve(nil); err != nil || !ok {
+	if _, ok, err := m.Solve(nil); err != nil || !ok {
 		t.Fatalf("nominal solve: ok=%v err=%v", ok, err)
 	}
 	if _, err := m.Fork(); err != nil { // the first fork also pays the parent's Freeze

@@ -30,6 +30,12 @@ import (
 // structure is frozen at build time, capacities and bounds drift epoch
 // to epoch.
 //
+// Solve is the model's one solve, warm or cold, and returns only the
+// bound. What a caller keeps of it it reads afterwards, before the next
+// solve: Solution, the optimum, and Basis, the warm start for a later
+// solve. A branch-and-bound node that is pruned, a batched what-if and
+// a commit's bound read neither.
+//
 // The model keeps no history of those writes and offers no snapshot of
 // them: its mutable state is a function of the last capacities written
 // (Inject, from a platform) and the current β boxes, whatever the order
@@ -68,10 +74,12 @@ type Model struct {
 	budget     []float64 // current per-link connection budgets
 	linkRoutes [][]int32 // β ordinals whose route crosses each link
 
-	// cellOf maps an LP column to its cell in a RelaxedSolution's block
-	// (-1: MAXMIN's t). frozen is the optimum the solver's frozen start
-	// extracts to (frozenOf), read off on the first zero-pivot
-	// SolveEphemeral after each Freeze.
+	// last is the last Solve's optimum, its X the solver's buffer (zero
+	// unless that solve was feasible). cellOf maps an LP column to its
+	// cell in a RelaxedSolution's block (-1: MAXMIN's t). frozen is the
+	// optimum the solver's frozen start extracts to (frozenOf), read off
+	// on the first Solution after a zero-pivot solve from it.
+	last     lp.Solution
 	cellOf   []int32
 	frozen   *RelaxedSolution
 	frozenOf *lp.Solution
@@ -384,46 +392,52 @@ func (m *Model) Inject(pl *platform.Platform) error {
 // dimension every simplex iteration pays for.
 func (m *Model) Rows() int { return m.prob.NumConstraints() }
 
-// Solve solves the relaxation under the current bounds. A non-nil
-// `from` basis warm-starts the revised simplex (pass the basis
-// returned by the parent/previous solve); the returned basis
-// snapshots this solve's final basis for future warm starts.
-// ok=false reports infeasibility of the current bound set — found
-// either by the solver, or immediately when a route's lower bound
-// crossed its effective cap (an empty box needs no LP).
-func (m *Model) Solve(from *lp.Basis) (*RelaxedSolution, *lp.Basis, bool, error) {
+// Solve solves the relaxation under the current bounds and returns its
+// bound, the optimal objective. A non-nil `from` basis warm-starts the
+// revised simplex (pass a Basis taken after the parent/previous solve);
+// it is never mutated. ok=false reports infeasibility of the current
+// bound set — found either by the solver, or immediately when a route's
+// lower bound crossed its effective cap (an empty box needs no LP) —
+// and err a solver failure or an unbounded relaxation (a model bug).
+// Solve extracts nothing: Solution reads the optimum, Basis the basis,
+// each only for a caller that keeps it.
+func (m *Model) Solve(from *lp.Basis) (bound float64, ok bool, err error) {
+	m.last = lp.Solution{}
 	if m.numCrossed > 0 {
-		return nil, nil, false, nil
+		return 0, false, nil
 	}
-	sol, basis, err := m.rev.SolveFrom(from)
+	sol, err := m.rev.SolveFrom(from)
 	if err != nil {
-		return nil, nil, false, err
+		return 0, false, err
 	}
-	out, ok, err := m.extract(sol)
-	return out, basis, ok, err
+	if ok, err = verdict(sol); !ok {
+		return 0, false, err
+	}
+	m.last = sol
+	return sol.Objective, true, nil
 }
 
-// SolveEphemeral is Solve for callers that discard the resulting
-// basis — the what-if pattern: pose, solve, retract. It skips the
-// lp layer's per-solve basis snapshot and X allocation (the solution
-// is extracted from a scratch buffer before returning), and never
-// mutates `from`, so the caller's committed basis stays valid. After a
-// solve that started from the frozen state and took no pivot, the answer
-// is the frozen optimum where nothing moved: that optimum itself, shared,
-// or a copy of it patched at the cells that did (RelaxedSolution.Patched).
-func (m *Model) SolveEphemeral(from *lp.Basis) (*RelaxedSolution, bool, error) {
-	if m.numCrossed > 0 {
-		return nil, false, nil
-	}
-	sol, err := m.rev.SolveEphemeral(from)
-	if err != nil {
-		return nil, false, err
+// Solution reads the last Solve's optimum, nil when it was not feasible;
+// call it before the next solve or Rewind on the model. After a solve
+// that started from the frozen state (the first after Freeze or Rewind)
+// and took no pivot, the answer is the frozen optimum where nothing
+// moved: that optimum itself, shared, or a copy of it patched at the
+// cells that did (RelaxedSolution.Patched) — read-only either way.
+// Otherwise it is a fresh extraction.
+func (m *Model) Solution() *RelaxedSolution {
+	if m.last.X == nil {
+		return nil
 	}
 	if base, _, cols := m.rev.Moved(); base != nil {
-		return m.patch(sol, base, cols), true, nil
+		return m.patch(m.last, base, cols)
 	}
-	return m.extract(sol)
+	out, _, _ := m.extract(m.last)
+	return out
 }
+
+// Basis snapshots the basis the last solve ended on, for a later warm
+// start (lp.Revised.Basis).
+func (m *Model) Basis() *lp.Basis { return m.rev.Basis() }
 
 // patch answers a zero-pivot solve whose X equals base.X outside cols.
 func (m *Model) patch(sol lp.Solution, base *lp.Solution, cols []int32) *RelaxedSolution {
@@ -453,7 +467,7 @@ func (m *Model) patch(sol lp.Solution, base *lp.Solution, cols []int32) *Relaxed
 	return out
 }
 
-// Moved reports what the last SolveEphemeral moved off the frozen state
+// Moved reports what the last Solve moved off the frozen state
 // (lp.Revised.Moved): the basis rows it refiled and the X entries it
 // wrote; ok is false unless it started there and took no pivot.
 func (m *Model) Moved() (rows, cols int, ok bool) {

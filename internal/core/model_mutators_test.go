@@ -38,10 +38,10 @@ func TestModelCapacityMutatorsMatchRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, basis, ok, err := m.Solve(nil)
-			if err != nil || !ok {
+			if _, ok, err := m.Solve(nil); err != nil || !ok {
 				t.Fatalf("nominal solve: ok=%v err=%v", ok, err)
 			}
+			basis := m.Basis()
 			rng := rand.New(rand.NewSource(seed * 101))
 			for trial := 0; trial < 5; trial++ {
 				pl2 := pr.Platform.Clone()
@@ -65,11 +65,11 @@ func TestModelCapacityMutatorsMatchRebuild(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				warm, nextBasis, ok, err := m.Solve(basis)
+				warm, ok, err := m.Solve(basis)
 				if err != nil || !ok {
 					t.Fatalf("warm solve: ok=%v err=%v", ok, err)
 				}
-				basis = nextBasis
+				basis = m.Basis()
 				// Routes are hop-count shortest paths, independent of
 				// capacities, so the rebuilt model is structure-identical.
 				pr2 := &Problem{Platform: pl2, Payoffs: pr.Payoffs}
@@ -77,13 +77,13 @@ func TestModelCapacityMutatorsMatchRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sol, _, ok, err := cold.Solve(nil)
+				want, ok, err := cold.Solve(nil)
 				if err != nil || !ok {
 					t.Fatalf("cold solve: ok=%v err=%v", ok, err)
 				}
-				if diff := math.Abs(warm.Objective - sol.Objective); diff > 1e-9*(1+math.Abs(sol.Objective)) {
+				if diff := math.Abs(warm - want); diff > 1e-9*(1+math.Abs(want)) {
 					t.Fatalf("seed %d %v trial %d: warm %.12g != rebuild %.12g",
-						seed, obj, trial, warm.Objective, sol.Objective)
+						seed, obj, trial, warm, want)
 				}
 			}
 		}
@@ -116,7 +116,7 @@ func TestSetLinkBudgetRespectsExplicitBounds(t *testing.T) {
 	if err := m.SetLinkBudget(li, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, _, ok, err := m.Solve(nil)
+	_, ok, err := m.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +127,12 @@ func TestSetLinkBudgetRespectsExplicitBounds(t *testing.T) {
 	if err := m.SetLinkBudget(li, orig); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, err = m.Solve(nil); err != nil || !ok {
+	if _, ok, err = m.Solve(nil); err != nil || !ok {
 		t.Fatalf("restored budget: ok=%v err=%v", ok, err)
 	}
 	// ResetBounds clears the pin; the default solve succeeds too.
 	m.ResetBounds()
-	if _, _, ok, err = m.Solve(nil); err != nil || !ok {
+	if _, ok, err = m.Solve(nil); err != nil || !ok {
 		t.Fatalf("after reset: ok=%v err=%v", ok, err)
 	}
 }
@@ -212,10 +212,10 @@ func TestRetractLeavesFreshModelState(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := stateOf(fresh)
-		_, basis, ok, err := m.Solve(nil)
-		if err != nil || !ok {
+		if _, ok, err := m.Solve(nil); err != nil || !ok {
 			t.Fatalf("nominal solve: ok=%v err=%v", ok, err)
 		}
+		basis := m.Basis()
 		routes := m.BetaVars()
 		if len(routes) == 0 || len(pl.Links) == 0 {
 			t.Fatal("platform has no backbone routes")
@@ -263,7 +263,7 @@ func TestRetractLeavesFreshModelState(t *testing.T) {
 					}
 				}
 				sawCrossed = sawCrossed || m.numCrossed > 0
-				_, feasible, err := m.SolveEphemeral(basis)
+				_, feasible, err := m.Solve(basis)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -279,16 +279,16 @@ func TestRetractLeavesFreshModelState(t *testing.T) {
 			t.Fatalf("%v: rounds never crossed a box (%v) or went infeasible (%v): the test lost its teeth", obj, sawCrossed, sawInfeasible)
 		}
 		// And the committed optimum is still there, warm.
-		sol, _, ok, err := m.Solve(basis)
+		bound, ok, err := m.Solve(basis)
 		if err != nil || !ok {
 			t.Fatalf("%v: committed re-solve: ok=%v err=%v", obj, ok, err)
 		}
-		cold, _, ok, err := fresh.Solve(nil)
+		cold, ok, err := fresh.Solve(nil)
 		if err != nil || !ok {
 			t.Fatalf("%v: fresh solve: ok=%v err=%v", obj, ok, err)
 		}
-		if math.Abs(sol.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
-			t.Fatalf("%v: committed optimum %.12g, fresh model %.12g", obj, sol.Objective, cold.Objective)
+		if math.Abs(bound-cold) > 1e-9*(1+math.Abs(cold)) {
+			t.Fatalf("%v: committed optimum %.12g, fresh model %.12g", obj, bound, cold)
 		}
 	}
 }

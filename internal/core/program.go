@@ -46,7 +46,7 @@ func newRelaxedSolution(K int) *RelaxedSolution {
 	return &RelaxedSolution{Alpha: rows[:K:K], Beta: rows[K:], cells: cells}
 }
 
-// Patched reports what a solution Model.SolveEphemeral returned was
+// Patched reports what a solution Model.Solution returned was
 // derived from: base is the optimum of the model's frozen state (see
 // Model.Freeze), and s equals it outside cells, ascending cell numbers —
 // α_{k,l} is cell k·K+l, β_{k,l} cell K²+k·K+l. A zero-pivot what-if

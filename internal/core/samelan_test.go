@@ -33,7 +33,7 @@ func TestModelSameLAN(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewModel(%v): %v", obj, err)
 		}
-		sol, _, ok, err := m.Solve(nil)
+		bound, ok, err := m.Solve(nil)
 		if err != nil || !ok {
 			t.Fatalf("Solve(%v): ok=%v err=%v", obj, ok, err)
 		}
@@ -41,11 +41,11 @@ func TestModelSameLAN(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("Relaxed(%v): ok=%v err=%v", obj, ok, err)
 		}
-		if diff := sol.Objective - rs.Objective; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("%v: model obj %g != relaxed obj %g", obj, sol.Objective, rs.Objective)
+		if diff := bound - rs.Objective; diff > 1e-6 || diff < -1e-6 {
+			t.Fatalf("%v: model obj %g != relaxed obj %g", obj, bound, rs.Objective)
 		}
 		m.ResetBounds()
-		if _, _, ok, err := m.Solve(nil); err != nil || !ok {
+		if _, ok, err := m.Solve(nil); err != nil || !ok {
 			t.Fatalf("re-Solve(%v) after ResetBounds: ok=%v err=%v", obj, ok, err)
 		}
 	}

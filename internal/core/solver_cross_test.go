@@ -194,17 +194,19 @@ func TestModelWarmMatchesOracle(t *testing.T) {
 				if len(m.BetaVars()) == 0 {
 					continue
 				}
-				last, basis, lastOK, err := m.Solve(nil)
+				_, lastOK, err := m.Solve(nil)
 				if err != nil || !lastOK {
 					t.Fatalf("seed %d: root solve: ok=%v err=%v", seed, lastOK, err)
 				}
+				last, basis := m.Solution(), m.Basis()
 				mutate := tc.mutator()
 				for step := 0; step < tc.steps; step++ {
 					mutate(rng, m, pr, last, lastOK)
-					warm, wBasis, wOK, err := m.Solve(basis)
+					_, wOK, err := m.Solve(basis)
 					if err != nil {
 						t.Fatalf("seed %d step %d: warm: %v", seed, step, err)
 					}
+					warm, wBasis := m.Solution(), m.Basis()
 					cold, cOK, err := m.SolveWith(lp.RevisedSolver{})
 					if err != nil {
 						t.Fatalf("seed %d step %d: cold: %v", seed, step, err)
@@ -244,9 +246,9 @@ func TestModelWarmMatchesOracle(t *testing.T) {
 
 // TestRelaxedSolveAllocsIndependentOfK is the clock-free guard on what
 // every relaxed what-if pays to get its optimum out of the solver. A
-// warm SolveEphemeral allocates the solution — the struct, one block of
-// cells, the row headers sliced from it — and nothing per route, so the
-// count is the same small constant at K = 5 and K = 20.
+// warm Solve allocates nothing and Solution the solution — the struct,
+// one block of cells, the row headers sliced from it — and nothing per
+// route, so the count is the same small constant at K = 5 and K = 20.
 func TestRelaxedSolveAllocsIndependentOfK(t *testing.T) {
 	allocs := func(k int) float64 {
 		pr := randomPlatformProblem(t, rand.New(rand.NewSource(int64(k))), k)
@@ -257,10 +259,10 @@ func TestRelaxedSolveAllocsIndependentOfK(t *testing.T) {
 		if len(m.BetaVars()) < k {
 			t.Fatalf("K=%d: only %d β routes, the guard needs the route count to grow with K", k, len(m.BetaVars()))
 		}
-		_, basis, ok, err := m.Solve(nil)
-		if err != nil || !ok {
+		if _, ok, err := m.Solve(nil); err != nil || !ok {
 			t.Fatalf("K=%d: root solve: ok=%v err=%v", k, ok, err)
 		}
+		basis := m.Basis()
 		// Alternate two gateway capacities so every run is a real warm
 		// re-solve, not a zero-pivot repeat.
 		g, flip := pr.Platform.Clusters[0].Gateway, false
@@ -273,13 +275,16 @@ func TestRelaxedSolveAllocsIndependentOfK(t *testing.T) {
 			if err := m.SetGateway(0, g*scale); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok, err := m.SolveEphemeral(basis); err != nil || !ok {
+			if _, ok, err := m.Solve(basis); err != nil || !ok {
 				t.Fatalf("K=%d: warm solve: ok=%v err=%v", k, ok, err)
+			}
+			if m.Solution() == nil {
+				t.Fatalf("K=%d: no optimum after a feasible solve", k)
 			}
 		})
 	}
 	small, large := allocs(5), allocs(20)
 	if small != large || small > 4 {
-		t.Fatalf("warm SolveEphemeral allocates %v objects at K=5 and %v at K=20, want the same count, at most 4", small, large)
+		t.Fatalf("warm Solve + Solution allocates %v objects at K=5 and %v at K=20, want the same count, at most 4", small, large)
 	}
 }

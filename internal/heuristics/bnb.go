@@ -92,16 +92,17 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 				return nil, 0, nil, err
 			}
 		}
-		rel, basis, ok, err := model.Solve(nd.basis)
+		bound, ok, err := model.Solve(nd.basis)
 		if err != nil {
 			return nil, 0, nil, err
 		}
 		if !ok {
 			continue // infeasible subtree
 		}
-		if rel.Objective <= best+1e-9*(1+math.Abs(best)) {
+		if bound <= best+1e-9*(1+math.Abs(best)) {
 			continue // bound cannot beat the incumbent
 		}
+		rel := model.Solution()
 		p, fractional := rel.MostFractional(core.IntegralityTol)
 		if !fractional {
 			// Integer-feasible: round the (near-integral) β and keep
@@ -139,6 +140,7 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 			b.Lb = floor + 1
 		}
 		up[p] = b
+		basis := model.Basis() // the one snapshot a node takes, and only to branch
 		stack = append(stack, node{bounds: down, basis: basis}, node{bounds: up, basis: basis})
 	}
 	return incumbent, best, rootBasis, nil

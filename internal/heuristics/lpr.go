@@ -129,14 +129,15 @@ func LPRG(pr *core.Problem, obj core.Objective) (*core.Allocation, error) {
 // next warm start.
 func LPRGOnModel(model *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
 	model.ResetBounds()
-	rel, basis, ok, err := model.Solve(from)
+	_, ok, err := model.Solve(from)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !ok {
 		return nil, nil, fmt.Errorf("heuristics: relaxation infeasible on an unconstrained platform (model bug)")
 	}
-	alloc, res := roundDown(pr, rel.Alpha)
+	basis := model.Basis()
+	alloc, res := roundDown(pr, model.Solution().Alpha)
 	greedyFill(pr, res, alloc, false)
 	return alloc, basis, nil
 }

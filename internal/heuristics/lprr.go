@@ -73,13 +73,14 @@ func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, varian
 	}
 
 	model.ResetBounds()
-	rel, basis, ok, err := model.Solve(from)
+	_, ok, err := model.Solve(from)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !ok {
 		return nil, nil, fmt.Errorf("heuristics: initial relaxation infeasible (model bug)")
 	}
+	rel, basis := model.Solution(), model.Basis()
 	rootBasis := basis
 
 	// betaFrac is the β̃ the rounding rule draws on: the fractional
@@ -138,7 +139,7 @@ func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, varian
 		fixed[p] = value
 		delete(remaining, p)
 
-		next, nextBasis, ok, err := model.Solve(basis)
+		_, ok, err := model.Solve(basis)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -148,26 +149,25 @@ func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, varian
 				return nil, nil, err
 			}
 			fixed[p] = floor
-			next, nextBasis, ok, err = model.Solve(basis)
-			if err != nil {
+			if _, ok, err = model.Solve(basis); err != nil {
 				return nil, nil, err
 			}
 		}
 		if !ok {
 			return nil, nil, fmt.Errorf("heuristics: LPRR pin set became infeasible at route (%d,%d)", p.K, p.L)
 		}
-		rel, basis = next, nextBasis
+		rel, basis = model.Solution(), model.Basis()
 	}
 
 	// Final solve with every route pinned gives the α values.
-	final, _, ok, err := model.Solve(basis)
+	_, ok, err = model.Solve(basis)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !ok {
 		return nil, nil, fmt.Errorf("heuristics: final LPRR relaxation infeasible")
 	}
-	return allocationFromPinned(pr, final.Alpha, fixed), rootBasis, nil
+	return allocationFromPinned(pr, model.Solution().Alpha, fixed), rootBasis, nil
 }
 
 func pin(model *core.Model, p core.Pair, v int) error {

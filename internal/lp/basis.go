@@ -11,7 +11,7 @@ package lp
 // indices cover the solver's internal column space, so a Basis is
 // only meaningful to the instance family that produced it; SolveFrom
 // validates and silently falls back to a cold solve on any mismatch.
-// A Basis is immutable once returned (snapshot copies out of the
+// A Basis is immutable once returned (Revised.Basis copies out of the
 // solver state), so sharing one pointer across branch-and-bound
 // siblings is safe.
 type Basis struct {

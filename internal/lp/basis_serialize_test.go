@@ -19,19 +19,21 @@ func TestBasisSerializeRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(27000 + seed))
 		p := randomBoundedProblem(rng, seed%2 == 0)
 		src := NewRevised(p)
-		sol, bas, err := src.SolveFrom(nil)
+		sol, err := src.SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("seed %d: source cold: %v", seed, err)
 		}
+		bas := src.Basis()
 		// Drive a few warm mutations so the exported basis is a
 		// "lived-in" one (etas absorbed, at-upper statuses set),
 		// not just the first cold optimum.
 		for step := 0; step < 3; step++ {
 			mutateProblem(rng, p)
-			sol, bas, err = src.SolveFrom(bas)
+			sol, err = src.SolveFrom(bas)
 			if err != nil {
 				t.Fatalf("seed %d step %d: source warm: %v", seed, step, err)
 			}
+			bas = src.Basis()
 		}
 		if sol.Status != Optimal {
 			continue
@@ -54,7 +56,7 @@ func TestBasisSerializeRoundTrip(t *testing.T) {
 
 		dst := NewRevised(p)
 		dst.Rebase()
-		got, _, err := dst.SolveFrom(imported)
+		got, err := dst.SolveFrom(imported)
 		if err != nil {
 			t.Fatalf("seed %d: rebuilt warm: %v", seed, err)
 		}
@@ -82,11 +84,11 @@ func TestImportBasisCorruptFallsBackCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(28000))
 	p := randomBoundedProblem(rng, true)
 	src := NewRevised(p)
-	sol, bas, err := src.SolveFrom(nil)
+	sol, err := src.SolveFrom(nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("source cold: %v status %v", err, sol.Status)
 	}
-	cols, upper := bas.Export()
+	cols, upper := src.Basis().Export()
 	corruptions := map[string]*Basis{
 		"truncated":  ImportBasis(cols[:len(cols)-1], upper),
 		"outOfRange": func() *Basis { c := append([]int(nil), cols...); c[0] = 1 << 30; return ImportBasis(c, upper) }(),
@@ -95,7 +97,7 @@ func TestImportBasisCorruptFallsBackCold(t *testing.T) {
 	for name, bad := range corruptions {
 		dst := NewRevised(p)
 		dst.Rebase()
-		got, _, err := dst.SolveFrom(bad)
+		got, err := dst.SolveFrom(bad)
 		if err != nil {
 			t.Fatalf("%s: solve failed hard: %v", name, err)
 		}

@@ -102,13 +102,14 @@ func TestWarmMatchesColdAfterBoundChange(t *testing.T) {
 		rng := rand.New(rand.NewSource(7000 + seed))
 		p := RandomBoundedProblem(rng, seed%2 == 0)
 		r := NewRevised(p)
-		sol, basis, err := r.SolveFrom(nil)
+		sol, err := r.SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
 		}
 		if sol.Status != Optimal {
 			t.Fatalf("seed %d: cold status %v", seed, sol.Status)
 		}
+		basis := r.Basis()
 		for step := 0; step < 25; step++ {
 			for c := 0; c < 1+rng.Intn(3); c++ {
 				j := rng.Intn(p.NumVars())
@@ -128,11 +129,11 @@ func TestWarmMatchesColdAfterBoundChange(t *testing.T) {
 					p.SetRHS(i, p.RHS(i)*(0.3+rng.Float64()*1.4))
 				}
 			}
-			var warm Solution
-			warm, basis, err = r.SolveFrom(basis)
+			warm, err := r.SolveFrom(basis)
 			if err != nil {
 				t.Fatalf("seed %d step %d: warm: %v", seed, step, err)
 			}
+			basis = r.Basis()
 			cold, err := rowEncoded(p).SolveWith(lptest.DenseSolver{})
 			if err != nil {
 				t.Fatalf("seed %d step %d: row-encoded dense: %v", seed, step, err)
@@ -164,38 +165,5 @@ func TestSetVarBoundsValidation(t *testing.T) {
 	}
 	if lb, ub := p.VarBounds(1); lb != 2 || !math.IsInf(ub, 1) {
 		t.Fatalf("VarBounds(1) = [%g, %g], want [2, +Inf)", lb, ub)
-	}
-}
-
-// TestSolveBasisSeedsWarmStart: the one-shot SolveBasis entry returns
-// a basis that a Revised instance over the same problem accepts for a
-// dual-simplex restart after a bound mutation.
-func TestSolveBasisSeedsWarmStart(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	p := RandomBoundedProblem(rng, false)
-	sol, basis, err := p.SolveBasis()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal || basis == nil {
-		t.Fatalf("SolveBasis: status %v, basis %v", sol.Status, basis)
-	}
-	p.SetVarBounds(0, 0, sol.X[0]*0.5+0.1)
-	warm, next, err := NewRevised(p).SolveFrom(basis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next == nil {
-		t.Fatal("warm solve returned nil basis")
-	}
-	cold, err := rowEncoded(p).SolveWith(lptest.DenseSolver{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Status != cold.Status {
-		t.Fatalf("warm %v, cold %v", warm.Status, cold.Status)
-	}
-	if warm.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > ObjTol(cold.Objective) {
-		t.Fatalf("warm obj %.12g, cold obj %.12g", warm.Objective, cold.Objective)
 	}
 }

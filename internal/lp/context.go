@@ -17,27 +17,32 @@ import (
 // sides and variable bounds. With a nil basis (or whenever the basis
 // turns out to be unusable — wrong size, singular, stale beyond
 // repair) it runs a cold two-phase solve; otherwise it warm-starts
-// from the basis with the dual simplex. The returned Basis snapshots
-// the final basis (including at-upper-bound statuses) for future
-// warm starts; it is non-nil whenever err is nil.
-func (r *Revised) SolveFrom(bas *Basis) (Solution, *Basis, error) {
+// from the basis with the dual simplex, which never mutates it. The
+// returned Solution.X is the context's own buffer, valid until the next
+// solve or Rewind on this context: copy out anything that must survive.
+// Basis snapshots the final basis for a later warm start.
+func (r *Revised) SolveFrom(bas *Basis) (Solution, error) {
 	if len(r.p.rows) != r.m {
 		panic(fmt.Sprintf("lp: Revised built over %d rows, problem now has %d (structure is frozen)", r.m, len(r.p.rows)))
 	}
 	r.gen++ // any solve may move the basis: the frozen state goes stale
 	r.light = false
 	if bas != nil && r.signInit {
-		sol, snap, ok, err := r.warmSolve(bas)
-		if err != nil {
-			return Solution{}, nil, err
-		}
-		if ok {
+		if sol, ok := r.warmSolve(bas); ok {
 			r.stats.WarmSolves++
-			return sol, snap, nil
+			return sol, nil
 		}
 		r.stats.ColdFallbacks++
 	}
 	return r.coldSolve()
+}
+
+// Basis snapshots the context's current basis — the basic column set
+// and the at-upper statuses — as the last solve left it, for a later
+// warm start of this context or of any other over the same constraint
+// structure.
+func (r *Revised) Basis() *Basis {
+	return &Basis{cols: slices.Clone(r.basis), upper: slices.Clone(r.atUpper)}
 }
 
 // Rebase forces the next SolveFrom onto one canonical footing, the
@@ -81,23 +86,6 @@ func (r *Revised) Rebase() {
 	r.rhsOK = false // b was computed under the old signs
 	r.factorized, r.light = false, false
 	r.dseOK, r.djOK = false, false
-}
-
-// SolveEphemeral is SolveFrom for callers that will not keep the
-// result: it solves identically (warm from bas when usable, cold
-// otherwise) but skips the final Basis snapshot and extracts the
-// solution into a scratch buffer owned by the instance, so a warm
-// re-solve performs no per-solve allocations. The returned
-// Solution.X is valid only until the next solve on this instance —
-// copy out anything that must survive. The supplied basis is never
-// mutated, so the caller's committed basis stays valid for future
-// warm starts. This is the engine of the scheduling service's
-// what-if path: mutate, SolveEphemeral, roll back, Rewind.
-func (r *Revised) SolveEphemeral(bas *Basis) (Solution, error) {
-	r.ephemeral = true
-	defer func() { r.ephemeral = false }()
-	sol, _, err := r.SolveFrom(bas)
-	return sol, err
 }
 
 // warmPivotBudget bounds the pivots a dual-simplex warm restart may
@@ -307,7 +295,7 @@ func (r *Revised) refactorize() bool {
 
 // coldSolve runs the classical two-phase method from a slack basis,
 // with every structural variable starting at its lower bound.
-func (r *Revised) coldSolve() (Solution, *Basis, error) {
+func (r *Revised) coldSolve() (Solution, error) {
 	r.stats.ColdSolves++
 	r.dseOK, r.djOK = false, false // the basis is rebuilt from scratch below
 	for j := range r.atUpper {
@@ -350,40 +338,39 @@ func (r *Revised) coldSolve() (Solution, *Basis, error) {
 	// columns are ±e_i, artificials +e_i); factorizing it is all
 	// singleton pivots.
 	if !r.refactorize() {
-		return Solution{}, nil, fmt.Errorf("lp: internal error: initial diagonal basis singular")
+		return Solution{}, fmt.Errorf("lp: internal error: initial diagonal basis singular")
 	}
 	r.computeXB()
 
 	if hasArt {
 		status, err := r.primal(r.c1)
 		if err != nil {
-			return Solution{}, nil, err
+			return Solution{}, err
 		}
 		if status == Unbounded {
-			return Solution{}, nil, fmt.Errorf("lp: internal error: phase 1 unbounded")
+			return Solution{}, fmt.Errorf("lp: internal error: phase 1 unbounded")
 		}
 		if r.artificialResidue() > infeasTol*(1+r.scale) {
 			r.factorized = false
-			return Solution{Status: Infeasible}, r.snapshot(), nil
+			return Solution{Status: Infeasible}, nil
 		}
 		r.driveOutArtificials()
 	}
 	status, err := r.primal(r.fullCosts())
 	if err != nil {
-		return Solution{}, nil, err
+		return Solution{}, err
 	}
-	return r.finish(status)
+	return r.finish(status), nil
 }
 
 // warmSolve attempts a restart from bas. ok=false means the basis was
-// unusable and the caller should cold-solve; err is only a hard
-// solver failure.
-func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
+// unusable, or the restart failed, and the caller should cold-solve.
+func (r *Revised) warmSolve(bas *Basis) (Solution, bool) {
 	if len(bas.cols) != r.m {
-		return Solution{}, nil, false, nil
+		return Solution{}, false
 	}
 	if bas.upper != nil && len(bas.upper) != r.ncols {
-		return Solution{}, nil, false, nil
+		return Solution{}, false
 	}
 	// While the live factorization is valid its basis is already dual
 	// feasible (see the struct invariant), so the cheapest restart is
@@ -400,7 +387,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 		}
 		for _, c := range bas.cols {
 			if c < 0 || c >= r.ncols || r.seen[c] {
-				return Solution{}, nil, false, nil
+				return Solution{}, false
 			}
 			r.seen[c] = true
 		}
@@ -415,7 +402,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 		r.rhsOK = false
 		if !r.refactorize() {
 			r.factorized = false
-			return Solution{}, nil, false, nil
+			return Solution{}, false
 		}
 		r.dseOK, r.djOK = false, false // weights and reduced costs described the old basis
 	}
@@ -442,7 +429,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 		status, err := r.dual()
 		if err != nil {
 			r.factorized = false
-			return Solution{}, nil, false, nil // e.g. iteration limit: retry cold
+			return Solution{}, false // e.g. iteration limit: retry cold
 		}
 		if status == Infeasible {
 			// Confirm the verdict on a fresh factorization: update
@@ -454,7 +441,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 			// path below takes over.
 			if !r.refactorize() {
 				r.factorized = false
-				return Solution{}, nil, false, nil
+				return Solution{}, false
 			}
 			r.computeXB()
 			r.computeDJ()
@@ -462,7 +449,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 				status = Optimal
 			} else if status, err = r.dual(); err != nil {
 				r.factorized = false
-				return Solution{}, nil, false, nil
+				return Solution{}, false
 			}
 		}
 		if status == Infeasible {
@@ -471,10 +458,10 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 				// still carrying a stale artificial at macroscopic
 				// value; don't trust it — recheck cold.
 				r.factorized = false
-				return Solution{}, nil, false, nil
+				return Solution{}, false
 			}
 			r.factorized = false
-			return Solution{Status: Infeasible}, r.snapshot(), true, nil
+			return Solution{Status: Infeasible}, true
 		}
 		// Safety net: the dual simplex ends primal+dual feasible, so the
 		// primal's entering test finds nothing in the reduced costs the
@@ -486,7 +473,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 		if pricesOut {
 			if status, err = r.primal(costs); err != nil {
 				r.factorized = false
-				return Solution{}, nil, false, nil
+				return Solution{}, false
 			}
 		}
 		return r.finishWarm(status, start && still())
@@ -495,11 +482,11 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 		status, err := r.primal(costs)
 		if err != nil {
 			r.factorized = false
-			return Solution{}, nil, false, nil
+			return Solution{}, false
 		}
 		return r.finishWarm(status, start && still())
 	}
-	return Solution{}, nil, false, nil
+	return Solution{}, false
 }
 
 // finishWarm wraps finish for warm restarts: a sizeable residue on a
@@ -509,51 +496,46 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, *Basis, bool, error) {
 // Unbounded ray may lean on the artificial subspace. Hand every such
 // outcome to a cold solve instead of misreporting. A light solve has the
 // residue its start left.
-func (r *Revised) finishWarm(status Status, light bool) (Solution, *Basis, bool, error) {
+func (r *Revised) finishWarm(status Status, light bool) (Solution, bool) {
 	resid := r.resid
 	if !light {
 		resid = r.artificialResidue()
 	}
 	if resid > infeasTol*(1+r.scale) {
 		r.factorized = false
-		return Solution{}, nil, false, nil
+		return Solution{}, false
 	}
-	r.light = light && status == Optimal && r.ephemeral
-	sol, snap := r.extract(status)
-	return sol, snap, true, nil
+	r.light = light && status == Optimal
+	return r.extract(status), true
 }
 
 // finish converts the final simplex state of a cold solve into a
 // Solution.
-func (r *Revised) finish(status Status) (Solution, *Basis, error) {
+func (r *Revised) finish(status Status) Solution {
 	if status == Optimal && r.artificialResidue() > infeasTol*(1+r.scale) {
 		// A basic artificial kept a nonzero value: the (possibly
 		// mutated) rhs is inconsistent with a dependent row set.
 		r.factorized = false
-		return Solution{Status: Infeasible}, r.snapshot(), nil
+		return Solution{Status: Infeasible}
 	}
-	sol, snap := r.extract(status)
-	return sol, snap, nil
+	return r.extract(status)
 }
 
-// extract reads the verdict and, when optimal, the structural values and
-// the objective off the final simplex state.
-func (r *Revised) extract(status Status) (Solution, *Basis) {
+// extract reads the verdict and, when optimal, the structural values
+// (into xscratch) and the objective off the final simplex state.
+func (r *Revised) extract(status Status) Solution {
 	if status != Optimal {
 		r.factorized = false
-		return Solution{Status: status}, r.snapshot()
+		return Solution{Status: status}
 	}
 	x := r.xscratch
-	if !r.ephemeral {
-		x = make([]float64, r.nstruct)
-	}
 	if r.light {
 		r.patchX()
 	} else {
-		r.xAtStart = r.xAtStart && !r.ephemeral
+		r.xAtStart = false
 		r.extractX(x)
 	}
-	return Solution{Status: Optimal, X: x, Objective: r.objective(x)}, r.snapshot()
+	return Solution{Status: Optimal, X: x, Objective: r.objective(x)}
 }
 
 // extractX writes every structural value into x.
@@ -622,8 +604,8 @@ func (r *Revised) patchX() {
 }
 
 // Moved says how the X of the last solve relates to the frozen start's.
-// After a SolveEphemeral that started there (the first solve after Freeze
-// or Rewind) and took no pivot, bound flip or refactorization, base is the
+// After a solve that started there (the first solve after Freeze or
+// Rewind) and took no pivot, bound flip or refactorization, base is the
 // solution the start extracts to — one per Freeze, shared and read-only —
 // and X equals base.X outside cols, the columns the solve wrote (maybe
 // repeated or unchanged); rows counts the basis rows it refiled. After any
@@ -644,17 +626,6 @@ func (r *Revised) setBasis(cols []int) {
 	for _, c := range r.basis {
 		r.inBasis[c] = true
 	}
-}
-
-func (r *Revised) snapshot() *Basis {
-	if r.ephemeral {
-		return nil
-	}
-	cp := make([]int, r.m)
-	copy(cp, r.basis)
-	up := make([]bool, r.ncols)
-	copy(up, r.atUpper)
-	return &Basis{cols: cp, upper: up}
 }
 
 func (r *Revised) fullCosts() []float64 { return r.c2 }

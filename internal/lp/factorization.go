@@ -173,8 +173,8 @@ func (r *Revised) Freeze() error {
 }
 
 // Rewind returns the context to its frozen state with no allocation and
-// no refactorization. After a SolveEphemeral that started from the
-// frozen start and moved nothing (no pivot, bound flip or
+// no refactorization. After a solve that started from the frozen start
+// and moved nothing (no pivot, bound flip or
 // refactorization) it puts back only what that solve wrote: the rows it
 // refiled and the frozen at-upper bits its refresh cleared. After any
 // other solve it is O(m + ncols): the frozen LU arrays are aliased again

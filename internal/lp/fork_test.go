@@ -49,12 +49,12 @@ func (m forkMutation) applyTo(p *Problem) func() {
 
 // serialWhatIf answers the mutation the way the scheduling service's
 // single-query path does: mutate the parent's problem, warm
-// SolveEphemeral from the committed basis, roll back.
+// SolveFrom the committed basis, roll back.
 func serialWhatIf(t *testing.T, r *Revised, bas *Basis, m forkMutation) Solution {
 	t.Helper()
 	undo := m.applyTo(r.Problem())
 	defer undo()
-	sol, err := r.SolveEphemeral(bas)
+	sol, err := r.SolveFrom(bas)
 	if err != nil {
 		t.Fatalf("serial what-if: %v", err)
 	}
@@ -70,16 +70,17 @@ func TestForkMatchesSerialWhatIf(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomFeasibleProblem(rng, seed%2 == 1)
 		r := NewRevised(p)
-		base, bas, err := r.SolveFrom(nil)
+		base, err := r.SolveFrom(nil)
 		if err != nil || base.Status != Optimal {
 			t.Fatalf("seed %d: base solve: %v status %v", seed, err, base.Status)
 		}
+		bas := r.Basis()
 
 		muts := randomForkMutations(rng, p, 6)
 		// Reference answers from an independent instance so the parent
 		// under test stays untouched between base solve and forking.
 		ref := NewRevised(p.clone())
-		if _, _, err := ref.SolveFrom(nil); err != nil {
+		if _, err := ref.SolveFrom(nil); err != nil {
 			t.Fatalf("seed %d: ref solve: %v", seed, err)
 		}
 		want := make([]Solution, len(muts))
@@ -96,7 +97,7 @@ func TestForkMatchesSerialWhatIf(t *testing.T) {
 				t.Fatalf("seed %d: fork %d: %v", seed, k, err)
 			}
 			m.applyTo(f.Problem())
-			got, err := f.SolveEphemeral(bas)
+			got, err := f.SolveFrom(bas)
 			if err != nil {
 				t.Fatalf("seed %d: fork %d solve: %v", seed, k, err)
 			}
@@ -119,7 +120,7 @@ func TestForkMatchesSerialWhatIf(t *testing.T) {
 		if got := r.Stats().Forks; got != len(muts) {
 			t.Fatalf("seed %d: parent counted %d forks, want %d", seed, got, len(muts))
 		}
-		again, _, err := r.SolveFrom(bas)
+		again, err := r.SolveFrom(bas)
 		if err != nil {
 			t.Fatalf("seed %d: parent re-solve: %v", seed, err)
 		}
@@ -143,10 +144,11 @@ func TestForkConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	p := randomFeasibleProblem(rng, false)
 	r := NewRevised(p)
-	base, bas, err := r.SolveFrom(nil)
+	base, err := r.SolveFrom(nil)
 	if err != nil || base.Status != Optimal {
 		t.Fatalf("base solve: %v status %v", err, base.Status)
 	}
+	bas := r.Basis()
 
 	const nForks = 32
 	muts := randomForkMutations(rng, p, nForks)
@@ -159,7 +161,7 @@ func TestForkConcurrent(t *testing.T) {
 	}
 
 	ref := NewRevised(p.clone())
-	if _, _, err := ref.SolveFrom(nil); err != nil {
+	if _, err := ref.SolveFrom(nil); err != nil {
 		t.Fatalf("ref solve: %v", err)
 	}
 	want := make([]Solution, nForks)
@@ -184,7 +186,7 @@ func TestForkConcurrent(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			muts[k].applyTo(forks[k].Problem())
-			got, err := forks[k].SolveEphemeral(bas)
+			got, err := forks[k].SolveFrom(bas)
 			switch {
 			case err != nil:
 				errs[k] = err.Error()
@@ -202,7 +204,7 @@ func TestForkConcurrent(t *testing.T) {
 		}
 	}
 
-	again, _, err := r.SolveFrom(bas)
+	again, err := r.SolveFrom(bas)
 	if err != nil || math.Abs(again.Objective-base.Objective) > objTol(base.Objective) {
 		t.Fatalf("parent disturbed: base %.12g, after %.12g (err %v)", base.Objective, again.Objective, err)
 	}
@@ -214,20 +216,20 @@ func TestForkOfFork(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randomFeasibleProblem(rng, false)
 	r := NewRevised(p)
-	_, bas, err := r.SolveFrom(nil)
-	if err != nil {
+	if _, err := r.SolveFrom(nil); err != nil {
 		t.Fatalf("base solve: %v", err)
 	}
+	bas := r.Basis()
 	f, err := r.Fork()
 	if err != nil {
 		t.Fatalf("fork: %v", err)
 	}
-	if _, err := f.SolveEphemeral(bas); err != nil {
+	if _, err := f.SolveFrom(bas); err != nil {
 		t.Fatalf("fork solve: %v", err)
 	}
 	m := randomForkMutations(rng, p, 1)[0]
 	ref := NewRevised(p.clone())
-	if _, _, err := ref.SolveFrom(nil); err != nil {
+	if _, err := ref.SolveFrom(nil); err != nil {
 		t.Fatalf("ref solve: %v", err)
 	}
 	want := serialWhatIf(t, ref, bas, m)
@@ -237,7 +239,7 @@ func TestForkOfFork(t *testing.T) {
 		t.Fatalf("fork of fork: %v", err)
 	}
 	m.applyTo(g.Problem())
-	got, err := g.SolveEphemeral(bas)
+	got, err := g.SolveFrom(bas)
 	if err != nil {
 		t.Fatalf("grandchild solve: %v", err)
 	}
@@ -268,7 +270,7 @@ func TestForkFrozenSnapshotReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomFeasibleProblem(rng, false)
 	r := NewRevised(p)
-	if _, _, err := r.SolveFrom(nil); err != nil {
+	if _, err := r.SolveFrom(nil); err != nil {
 		t.Fatalf("base solve: %v", err)
 	}
 	for _, round := range []string{"after a solve", "already frozen"} {

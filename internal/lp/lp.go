@@ -67,18 +67,27 @@
 // the property the branch-and-bound and pin-sequence layers above
 // are built on.
 //
-// Problem.Solve runs one cold revised-simplex solve; Problem.SolveBasis
-// additionally returns the optimal basis for later warm starts;
-// Problem.SolveWith runs the problem through an explicit Solver.
+// Problem.Solve runs one cold revised-simplex solve on a throwaway
+// instance; Problem.SolveWith runs the problem through an explicit
+// Solver.
 //
 // # Warm starts
 //
 // A Revised instance is bound to one Problem and may re-solve it many
-// times. The warm-start contract: after the constraint structure is
-// frozen (rows, relations and coefficients fixed), the right-hand
-// sides AND the variable bounds may be mutated freely through
-// Problem.SetRHS and Problem.SetVarBounds, and Revised.SolveFrom
-// (basis) re-solves from a previously returned Basis. Because
+// times. Revised.SolveFrom(basis) is its one solve, warm or cold: it
+// warm-starts from the supplied Basis when one is usable and
+// cold-solves otherwise. The returned Solution.X is the context's own
+// buffer, valid until the next solve or Rewind on that context; a
+// caller that keeps X across either copies it. Revised.Basis snapshots
+// the basis the last solve ended on, on request, so a caller pays for a
+// snapshot only where it keeps one (a branch-and-bound node it
+// branches, an LPRR pin, a committed epoch).
+//
+// The warm-start contract: after the constraint structure is frozen
+// (rows, relations and coefficients fixed), the right-hand sides AND
+// the variable bounds may be mutated freely through Problem.SetRHS and
+// Problem.SetVarBounds, and SolveFrom(basis) re-solves from a
+// previously snapshot Basis, which it never mutates. Because
 // neither mutation touches a reduced cost — and hence dual
 // feasibility of the old optimal basis stays intact — the re-solve
 // runs the dual simplex from the old basis (including its
@@ -88,7 +97,7 @@
 // pivot row, so a restart's entry check, ratio tests and final
 // optimality check read it instead of re-deriving it. Branching bounds
 // and route pins in the layers above are therefore native bound
-// mutations, never added or dedicated rows. A Basis snapshot records
+// mutations, never added or dedicated rows. A Basis records
 // the basic column set and the at-upper statuses, not the
 // factorization, so it round-trips between instances built over the
 // same constraint structure (and through Export/ImportBasis between
@@ -137,7 +146,10 @@
 // and the basis, at-upper statuses, row signs, steepest-edge weights and
 // reduced costs beside it — the point Revised.Rewind returns to in
 // O(m + ncols), without refactorizing, so a solve posed after a Rewind
-// costs and answers the same whatever was solved before it. Revised.Fork
+// costs and answers the same whatever was solved before it. That solve
+// starts from the basic values Freeze recorded plus B⁻¹ of what moved
+// since; if it then takes no pivot, X is the frozen optimum's patched at
+// the columns it moved (Revised.Moved), and Rewind puts back only those. Revised.Fork
 // splits a new context off a solved instance in O(m + nnz): the child is
 // born frozen on the parent's snapshot (frozen once per generation, its LU aliased
 // read-only by the parent and every sibling), shares the parent's

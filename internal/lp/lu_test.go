@@ -75,10 +75,11 @@ func TestLUFactorSolvesRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(7000 + seed))
 		p := randomBoundedProblem(rng, seed%2 == 0)
 		r := NewRevised(p)
-		sol, bas, err := r.SolveFrom(nil)
+		sol, err := r.SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("seed %d: cold solve: %v", seed, err)
 		}
+		bas := r.Basis()
 		if sol.Status == Optimal {
 			checkFactorSolves(t, r, rng, "cold")
 		}
@@ -86,10 +87,11 @@ func TestLUFactorSolvesRandom(t *testing.T) {
 		// factor, re-checking the inverse property each round.
 		for step := 0; step < 4; step++ {
 			mutateProblem(rng, p)
-			sol, bas, err = r.SolveFrom(bas)
+			sol, err = r.SolveFrom(bas)
 			if err != nil {
 				t.Fatalf("seed %d step %d: warm solve: %v", seed, step, err)
 			}
+			bas = r.Basis()
 			if sol.Status == Optimal {
 				checkFactorSolves(t, r, rng, "warm")
 			}
@@ -108,7 +110,7 @@ func TestLUUpdateAgainstRefactor(t *testing.T) {
 		rng := rand.New(rand.NewSource(23000 + seed))
 		p := randomBoundedProblem(rng, seed%2 == 0)
 		r := NewRevised(p)
-		if sol, _, err := r.SolveFrom(nil); err != nil || sol.Status != Optimal || !r.factorized {
+		if sol, err := r.SolveFrom(nil); err != nil || sol.Status != Optimal || !r.factorized {
 			continue
 		}
 		d := r.d
@@ -207,18 +209,19 @@ func TestStatsCounters(t *testing.T) {
 	for seed := 0; seed < 20; seed++ {
 		p := randomBoundedProblem(rng, seed%2 == 0)
 		r := NewRevised(p)
-		_, bas, err := r.SolveFrom(nil)
-		if err != nil {
+		if _, err := r.SolveFrom(nil); err != nil {
 			t.Fatal(err)
 		}
+		bas := r.Basis()
 		if st := r.Stats(); st.ColdSolves != 1 || st.Refactorizations == 0 {
 			t.Fatalf("seed %d: after one cold solve: %+v", seed, st)
 		}
 		for step := 0; step < 3; step++ {
 			mutateProblem(rng, p)
-			if _, bas, err = r.SolveFrom(bas); err != nil {
+			if _, err := r.SolveFrom(bas); err != nil {
 				t.Fatal(err)
 			}
+			bas = r.Basis()
 		}
 		st := r.Stats()
 		if st.WarmSolves+st.ColdFallbacks != 3 {

@@ -73,11 +73,11 @@ func TestRevisedMatchesOracle(t *testing.T) {
 				bases := make([]*Basis, tc.instances)
 				for k := range rs {
 					rs[k] = NewRevised(p)
-					sol, bas, err := rs[k].SolveFrom(nil)
+					sol, err := rs[k].SolveFrom(nil)
 					if err != nil {
 						t.Fatalf("seed %d instance %d: cold: %v", seed, k, err)
 					}
-					bases[k] = bas
+					bases[k] = rs[k].Basis()
 					checkOracle(t, p, sol, fmt.Sprintf("seed %d instance %d cold", seed, k))
 				}
 				for step := 0; step < tc.steps; step++ {
@@ -85,11 +85,11 @@ func TestRevisedMatchesOracle(t *testing.T) {
 					prev := append([]*Basis(nil), bases...)
 					for k, r := range rs {
 						from := tc.via(prev[(k+1)%len(prev)])
-						sol, bas, err := r.SolveFrom(from)
+						sol, err := r.SolveFrom(from)
 						if err != nil {
 							t.Fatalf("seed %d step %d instance %d: warm: %v", seed, step, k, err)
 						}
-						bases[k] = bas
+						bases[k] = r.Basis()
 						checkOracle(t, p, sol, fmt.Sprintf("seed %d step %d instance %d", seed, step, k))
 					}
 					if !tc.fork {
@@ -100,7 +100,7 @@ func TestRevisedMatchesOracle(t *testing.T) {
 						t.Fatalf("seed %d step %d: fork: %v", seed, step, err)
 					}
 					MutateProblem(rng, f.Problem())
-					sol, err := f.SolveEphemeral(bases[0])
+					sol, err := f.SolveFrom(bases[0])
 					if err != nil {
 						t.Fatalf("seed %d step %d: fork solve: %v", seed, step, err)
 					}
@@ -123,21 +123,21 @@ func TestStaleBasisDegradesToColdFallback(t *testing.T) {
 		p := RandomBoundedProblem(rng, true)
 		r := NewRevised(p)
 		r.SetBudgetOverride(1) // no useful dual restart fits in one pivot
-		_, bas, err := r.SolveFrom(nil)
-		if err != nil {
+		if _, err := r.SolveFrom(nil); err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
 		}
+		bas := r.Basis()
 		for step := 0; step < 5; step++ {
 			// Large mutations guarantee real dual work, so the budget of
 			// one pivot cannot complete a restart that needs any.
 			for i := 0; i < p.NumConstraints(); i++ {
 				p.SetRHS(i, p.RHS(i)+rng.NormFloat64()*20)
 			}
-			var sol Solution
-			sol, bas, err = r.SolveFrom(bas)
+			sol, err := r.SolveFrom(bas)
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
+			bas = r.Basis()
 			checkOracle(t, p, sol, fmt.Sprintf("seed %d step %d", seed, step))
 		}
 		fallbacks += r.Stats().ColdFallbacks

@@ -13,17 +13,18 @@ func TestPhaseTimesAccounting(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	p := whatIfLP(r, 120, 80)
 	rev := NewRevised(p)
-	sol, basis, err := rev.SolveFrom(nil)
+	sol, err := rev.SolveFrom(nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("cold solve: status %v err %v", sol.Status, err)
 	}
+	basis := rev.Basis()
 	ph := rev.Stats().Phase
 	if ph.FTRANNanos <= 0 || ph.BTRANNanos <= 0 || ph.PricingNanos <= 0 || ph.RatioTestNanos <= 0 {
 		t.Fatalf("cold solve left phases unaccounted: %+v", ph)
 	}
 	// A warm restart after a mutation accumulates on top.
 	p.SetRHS(0, p.RHS(0)*0.5)
-	if _, _, err := rev.SolveFrom(basis); err != nil {
+	if _, err := rev.SolveFrom(basis); err != nil {
 		t.Fatal(err)
 	}
 	ph2 := rev.Stats().Phase
@@ -53,18 +54,19 @@ func TestPhaseTimesAccounting(t *testing.T) {
 }
 
 // TestWarmWhatIfZeroAlloc is the guard the observability layer must
-// not regress: the ephemeral warm what-if path stays allocation-free
-// with phase-timing instrumentation enabled (time.Now does not
-// allocate; this test exists to keep it that way if the timing code
-// is ever restructured).
+// not regress: a warm what-if — mutate, SolveFrom the committed basis,
+// undo, Rewind — stays allocation-free with phase-timing
+// instrumentation enabled (time.Now does not allocate; this test exists
+// to keep it that way if the timing code is ever restructured).
 func TestWarmWhatIfZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	p := whatIfLP(r, 120, 80)
 	rev := NewRevised(p)
-	sol, basis, err := rev.SolveFrom(nil)
+	sol, err := rev.SolveFrom(nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("cold solve: status %v err %v", sol.Status, err)
 	}
+	basis := rev.Basis()
 	rhs0 := make([]float64, p.NumConstraints())
 	for i := range rhs0 {
 		rhs0[i] = p.RHS(i)
@@ -76,7 +78,7 @@ func TestWarmWhatIfZeroAlloc(t *testing.T) {
 	whatIf := func() {
 		row := i % p.NumConstraints()
 		p.SetRHS(row, rhs0[row]*0.8)
-		if _, err := rev.SolveEphemeral(basis); err != nil {
+		if _, err := rev.SolveFrom(basis); err != nil {
 			t.Fatal(err)
 		}
 		p.SetRHS(row, rhs0[row])
@@ -90,7 +92,7 @@ func TestWarmWhatIfZeroAlloc(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(50, whatIf)
 	if allocs != 0 {
-		t.Fatalf("warm ephemeral what-if allocates %v per op, want 0", allocs)
+		t.Fatalf("warm what-if allocates %v per op, want 0", allocs)
 	}
 	if st := rev.Stats(); st.ColdSolves != 1 || st.ColdFallbacks != 0 {
 		t.Fatalf("the what-ifs measured were not warm: %d cold solves, %d cold fallbacks", st.ColdSolves, st.ColdFallbacks)

@@ -175,8 +175,8 @@ func (r *Revised) applyBoundFlips(idxs []int32) {
 
 // siftDownIdxMin restores the min-heap property (keyed ascending by
 // key[idx[t]]) on idx[:n] from root down, without allocating
-// (sort.Slice's closure would defeat the ephemeral-solve
-// zero-allocation warm path).
+// (sort.Slice's closure would defeat the zero-allocation warm
+// what-if path).
 func siftDownIdxMin(idx []int32, key []float64, root, n int) {
 	for {
 		child := 2*root + 1

@@ -92,7 +92,7 @@ func (c *djChecker) solve(r *Revised, bas *Basis, stepped bool, where string) *B
 		c.stepDual(r, where+" (stepped)")
 	}
 	before := r.stats
-	sol, next, err := r.SolveFrom(bas)
+	sol, err := r.SolveFrom(bas)
 	if err != nil {
 		c.t.Fatalf("%s: %v", where, err)
 	}
@@ -104,7 +104,7 @@ func (c *djChecker) solve(r *Revised, bas *Basis, stepped bool, where string) *B
 		c.zeroPivot++
 	}
 	c.check(r, where)
-	return next
+	return r.Basis()
 }
 
 // problemState saves and restores a problem's rhs and bounds.
@@ -172,13 +172,14 @@ func TestSafetyNetRescansAfterDualMoves(t *testing.T) {
 			p.AddConstraint(terms, LE, float64(2+rng.Intn(10)))
 		}
 		r := NewRevised(p)
-		sol, bas, err := r.SolveFrom(nil)
+		sol, err := r.SolveFrom(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sol.Status != Optimal {
 			continue
 		}
+		bas := r.Basis()
 		if err := r.Freeze(); err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func TestSafetyNetRescansAfterDualMoves(t *testing.T) {
 			p.SetRHS(rng.Intn(m), float64(rng.Intn(12)-1))
 			_, entry := r.priceScan(eps, eps)
 			before := r.stats
-			sol, _, err := r.SolveFrom(bas)
+			sol, err := r.SolveFrom(bas)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +198,7 @@ func TestSafetyNetRescansAfterDualMoves(t *testing.T) {
 				r.stats.DualPivots > before.DualPivots && r.stats.PrimalPivots > before.PrimalPivots {
 				rescued++
 			}
-			want, _, err := NewRevised(p.clone()).SolveFrom(nil)
+			want, err := NewRevised(p.clone()).SolveFrom(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,11 +283,10 @@ func basisSchedule(t *testing.T, c *djChecker, born func(r *Revised)) {
 		}
 		r := NewRevised(p)
 		born(r)
-		if _, bas, err := r.SolveFrom(nil); err != nil {
+		if _, err := r.SolveFrom(nil); err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
-		} else {
-			rounds(r, bas, rng, mutateProblem, 0, "random")
 		}
+		rounds(r, r.Basis(), rng, mutateProblem, 0, "random")
 	}
 
 	// The scheduling models' shape, large enough that a heavy mutation
@@ -295,10 +295,11 @@ func basisSchedule(t *testing.T, c *djChecker, born func(r *Revised)) {
 	p := whatIfLP(rng, 120, 80)
 	r := NewRevised(p)
 	born(r)
-	sol, bas, err := r.SolveFrom(nil)
+	sol, err := r.SolveFrom(nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("network-shaped cold solve: status %v err %v", sol.Status, err)
 	}
+	bas := r.Basis()
 	nudge := func(rng *rand.Rand, p *Problem) {
 		for n := 0; n < 3; n++ {
 			i := rng.Intn(p.NumConstraints())

@@ -120,10 +120,10 @@ type Revised struct {
 
 	// The solve from the frozen start (startFrozen). driftOK: driftRows /
 	// driftVars list every row whose b and every structural column whose
-	// bounds may differ from the start's. light: the last solve was a
-	// SolveEphemeral that started there and moved nothing but the rows it
-	// refiled, with resid the residue its start left. xAtStart: xscratch
-	// holds the start's x but at xPatched.
+	// bounds may differ from the start's. light: the last solve started
+	// there and moved nothing but the rows it refiled, with resid the
+	// residue its start left. xAtStart: xscratch holds the start's x but
+	// at xPatched.
 	driftOK, light, xAtStart   bool
 	driftRows, driftVars       []int32
 	driftRowMark, driftVarMark []uint64
@@ -208,12 +208,7 @@ type Revised struct {
 	dcJ       []int32 // dual ratio-test breakpoint buffers
 	dcAlpha   []float64
 	dcRatio   []float64
-
-	// Ephemeral-solve state (SolveEphemeral): while ephemeral is set,
-	// finish skips the Basis snapshot and extracts X into xscratch,
-	// eliminating the per-solve allocations of the warm what-if path.
-	ephemeral bool
-	xscratch  []float64
+	xscratch  []float64 // Solution.X of every solve on this context
 }
 
 // contexts numbers the solve contexts NewRevised and Fork make, from 1.

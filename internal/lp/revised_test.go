@@ -40,13 +40,14 @@ func TestWarmMatchesColdAfterRHSChange(t *testing.T) {
 		rng := rand.New(rand.NewSource(2000 + seed))
 		p := RandomFeasibleProblem(rng, seed%2 == 0)
 		r := NewRevised(p)
-		sol, basis, err := r.SolveFrom(nil)
+		sol, err := r.SolveFrom(nil)
 		if err != nil {
 			t.Fatalf("seed %d: cold: %v", seed, err)
 		}
 		if sol.Status != Optimal {
 			t.Fatalf("seed %d: cold status %v", seed, sol.Status)
 		}
+		basis := r.Basis()
 		// Mutate a few right-hand sides, keeping signs (the typical
 		// bound-change pattern of the layers above).
 		n := p.NumConstraints()
@@ -54,7 +55,7 @@ func TestWarmMatchesColdAfterRHSChange(t *testing.T) {
 			i := rng.Intn(n)
 			p.SetRHS(i, p.RHS(i)*(0.3+rng.Float64()*1.4))
 		}
-		warm, _, err := r.SolveFrom(basis)
+		warm, err := r.SolveFrom(basis)
 		if err != nil {
 			t.Fatalf("seed %d: warm: %v", seed, err)
 		}
@@ -90,19 +91,19 @@ func TestWarmRepeatedTightenLoosen(t *testing.T) {
 		{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}, {Var: 2, Coeff: 1}, {Var: 3, Coeff: 1},
 	}, LE, 25))
 	r := NewRevised(p)
-	_, basis, err := r.SolveFrom(nil)
-	if err != nil {
+	if _, err := r.SolveFrom(nil); err != nil {
 		t.Fatal(err)
 	}
+	basis := r.Basis()
 	for step := 0; step < 60; step++ {
 		i := rows[rng.Intn(len(rows))]
 		p.SetRHS(i, rng.Float64()*12)
-		var warm Solution
-		warm, basis, err = r.SolveFrom(basis)
+		warm, err := r.SolveFrom(basis)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		checkOracle(t, p, warm, fmt.Sprintf("step %d", step))
+		basis = r.Basis()
 	}
 }
 
@@ -123,9 +124,9 @@ func TestRevisedFrozenStructure(t *testing.T) {
 	p.SetObjective(0, 1)
 	p.AddConstraint([]Term{{Var: 0, Coeff: 1}}, LE, 1)
 	r := NewRevised(p)
-	if _, _, err := r.SolveFrom(nil); err != nil {
+	if _, err := r.SolveFrom(nil); err != nil {
 		t.Fatal(err)
 	}
 	p.AddConstraint([]Term{{Var: 0, Coeff: 1}}, LE, 2)
-	MustPanic(t, func() { _, _, _ = r.SolveFrom(nil) })
+	MustPanic(t, func() { _, _ = r.SolveFrom(nil) })
 }

@@ -35,7 +35,7 @@ func (a rewindResult) equal(b rewindResult) bool {
 }
 
 // TestRewindRestoresFrozenState: after Freeze, a round of (mutate rhs
-// and bounds, SolveEphemeral, undo, Rewind) reports the same verdict,
+// and bounds, SolveFrom, undo, Rewind) reports the same verdict,
 // the same bits of X and the same pivots, flips, refactorizations and
 // weight resets whatever rounds ran before it — on the frozen context,
 // on a fork of it and on a fork of that fork. The rounds include one
@@ -48,10 +48,11 @@ func TestRewindRestoresFrozenState(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := whatIfLP(rng, 120, 80)
 	r := NewRevised(p)
-	sol, basis, err := r.SolveFrom(nil)
+	sol, err := r.SolveFrom(nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("cold solve: status %v err %v", sol.Status, err)
 	}
+	basis := r.Basis()
 	if err := r.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +90,12 @@ func TestRewindRestoresFrozenState(t *testing.T) {
 		committed := saveProblem(q)
 		c.ResetStats()
 		rd.mutate(q)
-		sol, err := c.SolveEphemeral(basis)
+		sol, err := c.SolveFrom(basis)
 		if err != nil {
 			t.Fatalf("%s: %v", rd.name, err)
 		}
 		res := rewindResult{status: sol.Status, obj: sol.Objective, cost: c.Stats().Deterministic()}
-		res.x = append(res.x, sol.X...)
+		res.x = append(res.x, sol.X...) // X is c's buffer: the next solve rewrites it
 		committed.restore(q)
 		c.Rewind()
 		if !c.djOK || !c.frozen.djOK {
@@ -179,7 +180,7 @@ func TestRewindRestoresFrozenState(t *testing.T) {
 	forkDJ := append([]float64(nil), f.frozen.dj...)
 	parentDJ := append([]float64(nil), r.frozen.dj...)
 	rounds[len(rounds)-2].mutate(p) // the long round: many pivots away
-	if sol, _, err := r.SolveFrom(basis); err != nil || sol.Status != Optimal {
+	if sol, err := r.SolveFrom(basis); err != nil || sol.Status != Optimal {
 		t.Fatalf("parent commit: status %v err %v", sol.Status, err)
 	}
 	if err := r.Freeze(); err != nil {

@@ -191,7 +191,7 @@ func TestSolveListsMatchDense(t *testing.T) {
 	// length that forces a refactorization. The density budget usually
 	// rebuilds sooner, so append the etas by hand.
 	r := NewRevised(whatIfLP(rand.New(rand.NewSource(5)), 120, 80))
-	if sol, _, err := r.SolveFrom(nil); err != nil || sol.Status != Optimal {
+	if sol, err := r.SolveFrom(nil); err != nil || sol.Status != Optimal {
 		t.Fatalf("cold solve: status %v err %v", sol.Status, err)
 	}
 	for try := 0; len(r.fac.etas) < luMaxEtas-1; try++ {
@@ -220,7 +220,7 @@ func TestSolveListsMatchDense(t *testing.T) {
 	p.AddConstraint([]Term{{Var: 0, Coeff: 1}, {Var: 2, Coeff: 1}}, LE, 4)
 	p.AddConstraint([]Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}, {Var: 2, Coeff: 1}}, LE, 6)
 	r = NewRevised(p)
-	if _, _, err := r.SolveFrom(nil); err != nil {
+	if _, err := r.SolveFrom(nil); err != nil {
 		t.Fatal(err)
 	}
 	r.setBasis([]int{0, 1})

@@ -144,7 +144,7 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 			defer wg.Done()
 			for d := w; d < nd; d += workers {
 				rep, err := whatIfOn(forks[w], hyps[d], committed, func() (*SolveReport, error) {
-					bound, ok, err := forks[w].SolveBound(basis)
+					bound, ok, err := forks[w].Solve(basis)
 					if err != nil {
 						return nil, err
 					}

@@ -727,11 +727,11 @@ func TestSnapshotRestoreExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, basis, ok, err := model.Solve(nil)
+	base, ok, err := model.Solve(nil)
 	if err != nil || !ok {
 		t.Fatalf("base solve: ok=%v err=%v", ok, err)
 	}
-	base := sol.Objective
+	basis := model.Basis()
 
 	rng := rand.New(rand.NewSource(5))
 	routes := model.BetaVars()
@@ -758,18 +758,18 @@ func TestSnapshotRestoreExactness(t *testing.T) {
 		if err := pose(model, h); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := model.Solve(basis); err != nil {
+		if _, _, err := model.Solve(basis); err != nil {
 			t.Fatal(err)
 		}
 		retract(model, h, pl)
-		sol, nextBasis, ok, err := model.Solve(basis)
+		bound, ok, err := model.Solve(basis)
 		if err != nil || !ok {
 			t.Fatalf("trial %d: restored solve ok=%v err=%v", trial, ok, err)
 		}
-		if math.Abs(sol.Objective-base) > tol*(1+math.Abs(base)) {
-			t.Fatalf("trial %d: restored optimum %g, want %g (diff %g)", trial, sol.Objective, base, sol.Objective-base)
+		if math.Abs(bound-base) > tol*(1+math.Abs(base)) {
+			t.Fatalf("trial %d: restored optimum %g, want %g (diff %g)", trial, bound, base, bound-base)
 		}
-		basis = nextBasis
+		basis = model.Basis()
 	}
 }
 
@@ -788,27 +788,27 @@ func TestSnapshotRestoreCrossedBounds(t *testing.T) {
 	if len(routes) == 0 {
 		t.Skip("no backbone routes")
 	}
-	sol, basis, ok, err := model.Solve(nil)
+	base, ok, err := model.Solve(nil)
 	if err != nil || !ok {
 		t.Fatal("base solve failed")
 	}
-	base := sol.Objective
+	basis := model.Basis()
 
 	// Cross the box: lower bound far above the natural cap.
 	crossed := hypothetical{boxes: []RouteBounds{{From: routes[0].K, To: routes[0].L, Lb: 1e6, Ub: -1}}}
 	if err := pose(model, crossed); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, _ := model.Solve(basis); ok {
+	if _, ok, _ := model.Solve(basis); ok {
 		t.Fatal("crossed box must be infeasible")
 	}
 	retract(model, crossed, pl)
-	sol, _, ok, err = model.Solve(basis)
+	bound, ok, err := model.Solve(basis)
 	if err != nil || !ok {
 		t.Fatalf("restored solve: ok=%v err=%v", ok, err)
 	}
-	if math.Abs(sol.Objective-base) > tol*(1+math.Abs(base)) {
-		t.Fatalf("restored optimum %g, want %g", sol.Objective, base)
+	if math.Abs(bound-base) > tol*(1+math.Abs(base)) {
+		t.Fatalf("restored optimum %g, want %g", bound, base)
 	}
 }
 

@@ -382,8 +382,8 @@ func (s *Session) heuristicSolve(epr *core.Problem) (*core.Allocation, *lp.Basis
 
 // solveLocked computes a heuristic answer against epr — the session's
 // current problem (commit), or a posed hypothetical's: heuristic solve,
-// then the relaxation bound via an ephemeral warm re-solve from the
-// carried root basis (on a commit, the one the heuristic just produced:
+// then the relaxation bound via a warm re-solve from the carried root
+// basis, which extracts nothing (on a commit, the one the heuristic just produced:
 // typically zero pivots — it is already optimal for the unpinned
 // relaxation). Only a commit rebases the solver, advances the carried
 // basis and files the answer as the committed one; a what-if's root
@@ -415,7 +415,7 @@ func (s *Session) solveLocked(epr *core.Problem, commit bool) (*SolveReport, err
 		s.basis = basis
 	}
 	s.model.ResetBounds()
-	bound, ok, err := s.model.SolveBound(s.basis)
+	bound, ok, err := s.model.Solve(s.basis)
 	if err != nil {
 		return nil, err
 	}
@@ -536,11 +536,10 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 			if !req.Relax && len(req.Bounds) == 0 {
 				return s.solveLocked(&core.Problem{Platform: h.platform(s.pl), Payoffs: s.pr.Payoffs}, false)
 			}
-			sol, _, err := s.model.SolveEphemeral(s.basis) // nil when infeasible
-			if err != nil {
+			if _, _, err := s.model.Solve(s.basis); err != nil {
 				return nil, err
 			}
-			return s.relaxReportLocked(sol), nil
+			return s.relaxReportLocked(s.model.Solution()), nil // nil when infeasible
 		})
 	}
 	s.answers.resolve(a, rep, err)
