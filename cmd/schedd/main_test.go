@@ -1,58 +1,167 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/platgen"
 	"repro/internal/service"
 )
 
 // TestDocCatalogueMatchesDaemon holds the package doc to what the daemon
 // serves: the metric families its two lists name (always, and in cluster
-// mode) are exactly the # TYPE families a ring node's /metrics exposes,
-// and its condition list is exactly the service's Cond* condition types.
-// A failure names the drift in both directions.
+// mode) are exactly the # TYPE families a ring node's /metrics exposes;
+// the labels it names on them ({endpoint}, {session}, …) are exactly the
+// label keys on the sample lines of a two-node ring that has heartbeated
+// and served one session (bar a histogram's le); and its condition list
+// is exactly the service's Cond* condition types. A failure names the
+// drift in both directions.
 func TestDocCatalogueMatchesDaemon(t *testing.T) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "main.go", nil, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	docMetrics, docConds := docCatalogue(f.Doc.Text())
+	docMetrics, docLabels, docConds := docCatalogue(f.Doc.Text())
 
-	ts := httptest.NewServer(service.NewNode(service.NewServer(service.NewPool(4)), "http://node-a", nil, nil).Handler())
-	defer ts.Close()
+	ring := newRing(t, 2)
+	client := ring[0].Client()
+	// Each node has probed the other once: the per-peer RTT gauge is set.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		probed := true
+		for _, ts := range ring {
+			probed = probed && strings.Contains(scrape(t, ts), "schedd_heartbeat_rtt_seconds{")
+		}
+		if probed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the ring's nodes did not probe each other within 10s")
+		}
+	}
+	pl, err := platgen.Generate(platgen.Params{
+		K: 4, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5,
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := pl.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(service.CreateSessionRequest{Platform: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Post(ring[0].URL+"/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var created service.CreateSessionResponse
+	err = json.NewDecoder(resp.Body).Decode(&created)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: status %d err %v", resp.StatusCode, err)
+	}
+	if resp, err = client.Post(ring[0].URL+"/sessions/"+created.ID+"/query", "application/json", nil); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	var served, labels []string
+	for i, ts := range ring {
+		families, keys := exposition(scrape(t, ts))
+		if i == 0 {
+			served = families
+		}
+		labels = append(labels, keys...)
+	}
+	drift(t, "metric family", "/metrics", docMetrics, served)
+	drift(t, "metric label", "the ring's /metrics samples", docLabels, labels)
+	drift(t, "condition type", "internal/service's Cond* constants", docConds, conditionTypes(t))
+}
+
+// newRing starts n in-process ring nodes that know each other and
+// heartbeat, and stops them when the test ends.
+func newRing(t *testing.T, n int) []*httptest.Server {
+	t.Helper()
+	servers := make([]*httptest.Server, n)
+	urls := make([]string, n)
+	for i := range servers {
+		servers[i] = httptest.NewUnstartedServer(nil)
+		urls[i] = "http://" + servers[i].Listener.Addr().String()
+	}
+	for i, ts := range servers {
+		node := service.NewNodeWithConfig(service.NewServer(service.NewPool(4)), urls[i], urls, nil,
+			service.NodeConfig{Heartbeat: 20 * time.Millisecond})
+		ts.Config.Handler = node.Handler()
+		ts.Start()
+		node.Start()
+		t.Cleanup(ts.Close)
+		t.Cleanup(node.Stop)
+	}
+	return servers
+}
+
+// scrape returns one /metrics body.
+func scrape(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var served []string
-	for _, line := range strings.Split(string(body), "\n") {
+	return string(body)
+}
+
+// exposition reads a /metrics body's # TYPE families and, as
+// family{key}, the label keys on each family's sample lines — the family
+// being the last # TYPE line above the sample — but a histogram bucket's
+// le.
+func exposition(body string) (families, labels []string) {
+	family := ""
+	for _, line := range strings.Split(body, "\n") {
 		if fields := strings.Fields(line); len(fields) >= 3 && fields[0] == "#" && fields[1] == "TYPE" {
-			served = append(served, fields[2])
+			family = fields[2]
+			families = append(families, family)
+			continue
+		}
+		_, set, ok := strings.Cut(line, "{")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		set, _, _ = strings.Cut(set, "}")
+		for _, pair := range strings.Split(set, ",") {
+			if key, _, _ := strings.Cut(pair, "="); key != "le" {
+				labels = append(labels, family+"{"+key+"}")
+			}
 		}
 	}
-	drift(t, "metric family", "/metrics", docMetrics, served)
-	drift(t, "condition type", "internal/service's Cond* constants", docConds, conditionTypes(t))
+	return families, labels
 }
 
 // docCatalogue reads the package doc's two metric lists — the schedd_*
-// names, comma-separated, ahead of the description on each indented line
-// — and its condition list, the first word of each indented line in the
-// block that follows the paragraph introducing the health conditions.
-func docCatalogue(doc string) (metrics, conds []string) {
+// names, comma-separated, ahead of the description on each indented line,
+// and the family{label} each names a label on — and its condition list,
+// the first word of each indented line in the block that follows the
+// paragraph introducing the health conditions.
+func docCatalogue(doc string) (metrics, labels, conds []string) {
 	inConds := false
 	for _, line := range strings.Split(doc, "\n") {
 		indented := strings.HasPrefix(line, "\t")
@@ -67,12 +176,15 @@ func docCatalogue(doc string) (metrics, conds []string) {
 		case indented && strings.HasPrefix(body, "schedd_"):
 			names, _, _ := strings.Cut(body, "  ") // the description follows two spaces
 			for _, name := range strings.Split(names, ",") {
-				name, _, _ = strings.Cut(strings.TrimSpace(name), "{")
+				name, label, ok := strings.Cut(strings.TrimSpace(name), "{")
 				metrics = append(metrics, name)
+				if ok {
+					labels = append(labels, name+"{"+label)
+				}
 			}
 		}
 	}
-	return metrics, conds
+	return metrics, labels, conds
 }
 
 // conditionTypes reads the values of the service's "Condition types."

@@ -19,12 +19,15 @@ func (m *Model) Freeze() error { return m.rev.Freeze() }
 func (m *Model) Rewind() { m.rev.Rewind() }
 
 // Fork returns a second solve context over the same program in
-// O(rows + nonzeros) — no pivots. The receiver must have solved at
-// least once: the fork is born frozen on its state (lp.Revised.Fork),
-// so a Solve on it warm-starts from the parent's basis with
-// zero lost pivots, and again after every Rewind. Fork may refactorize
-// the parent once per commit; a committed solve starts from Rebase, so
-// committed answers are unaffected.
+// O(rows + nonzeros) — no pivots: it allocates the fork's state and
+// brings it onto the receiver's with Refork. The receiver must have
+// solved at least once: the fork is born frozen on its state
+// (lp.Revised.Fork), so a Solve on it warm-starts from the parent's basis
+// with zero lost pivots, and again after every Rewind. Fork may
+// refactorize the parent once per commit; a committed solve starts from
+// Rebase, so committed answers are unaffected. A fork is ~260 KiB at
+// K = 20 and ~1 MiB at K = 40; a caller that forks repeatedly keeps its
+// forks and reforks them.
 //
 // A fork is a Model. Its mutable state — the LP problem (lp's private
 // clone), the solver context, the link budgets and the per-route bound
@@ -38,20 +41,46 @@ func (m *Model) Fork() (*Model, error) {
 		return nil, err
 	}
 	f := *m
-	f.rev = frev
-	f.prob = frev.Problem()
-	f.last = lp.Solution{} // the parent's, in the parent's buffer
-	f.natural = append([]float64(nil), m.natural...)
-	f.curLb = append([]float64(nil), m.curLb...)
-	f.curUb = append([]float64(nil), m.curUb...)
+	f.rev, f.prob = frev, frev.Problem()
+	f.natural = make([]float64, len(m.natural))
+	f.curLb = make([]float64, len(m.curLb))
+	f.curUb = make([]float64, len(m.curUb))
+	f.crossed = make([]bool, len(m.crossed))
+	f.budget = make([]float64, len(m.budget))
 	f.moved, f.movedMark = nil, nil // a fork's own SetBounds grows its own
-	if len(m.moved) > 0 {
-		f.moved = append([]int32(nil), m.moved...)
-		f.movedMark = append([]uint64(nil), m.movedMark...)
-	}
-	f.crossed = append([]bool(nil), m.crossed...)
-	f.budget = append([]float64(nil), m.budget...)
+	f.copyState(m)
 	return &f, nil
+}
+
+// Refork brings f, a fork of m, onto m's current state in place
+// (lp.Revised.Refork): afterwards it answers what a fresh Fork would, bit
+// for bit, and allocates nothing to get there. Same conditions as Fork: m
+// quiescent, f idle — between what-ifs, each retracted and rewound.
+func (m *Model) Refork(f *Model) error {
+	if err := m.rev.Refork(f.rev); err != nil {
+		return err
+	}
+	f.copyState(m)
+	return nil
+}
+
+// copyState copies m's link budgets and per-route bound state into f's
+// own slices, and drops what f read off its last solve.
+func (f *Model) copyState(m *Model) {
+	copy(f.natural, m.natural)
+	copy(f.curLb, m.curLb)
+	copy(f.curUb, m.curUb)
+	copy(f.crossed, m.crossed)
+	copy(f.budget, m.budget)
+	f.numCrossed = m.numCrossed
+	for _, ord := range f.moved {
+		f.movedMark[ord>>6] &^= 1 << (ord & 63)
+	}
+	f.moved = f.moved[:0]
+	for _, ord := range m.moved {
+		f.markMoved(ord)
+	}
+	f.last, f.frozen, f.frozenOf = lp.Solution{}, nil, nil
 }
 
 // AbsorbSolverStats folds counters accumulated elsewhere — typically a

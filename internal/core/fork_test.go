@@ -177,8 +177,9 @@ func TestForkConcurrent(t *testing.T) {
 // ones at once (362.7 KiB on this instance; 359.6 without them), and the
 // whole Markowitz elimination scratch although a fork almost never
 // refactorizes. With that scratch left to the first factorize, and the
-// two m-long nonzero lists a context now carries, it reads 260.8 KiB; the
-// bound is that plus 2 %.
+// two m-long nonzero lists a context now carries, it reads 259.5 KiB; the
+// bound is that plus 2.5 %. A caller that forks repeatedly keeps its forks
+// and reforks them, which allocates nothing (TestReforkAllocatesNothing).
 func TestForkAllocatesNoDeadFactor(t *testing.T) {
 	pl, err := platgen.Generate(platgen.Params{
 		K: 20, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5,
@@ -213,5 +214,83 @@ func TestForkAllocatesNoDeadFactor(t *testing.T) {
 	t.Logf("one Model.Fork() at K=20: %.1f KiB", kib)
 	if kib >= 266 {
 		t.Fatalf("one Model.Fork() at K=20 allocated %.1f KiB, want below 266: a fork builds no factor and no elimination scratch", kib)
+	}
+}
+
+// TestReforkAllocatesNothing holds a stale fork's in-place refresh to zero
+// allocations on the same K=20 model. Two committed states of one
+// structure — the model's, and a fork's that committed a capacity change
+// (Rebase, re-solve) and froze it — take turns as the state a kept fork is
+// reforked onto, so every Refork measured is the full refresh a commit
+// leaves: copy the frozen state and the capacities, re-alias the LU arrays,
+// rewind. And the kept fork answers on the new state what a fresh fork does.
+func TestReforkAllocatesNothing(t *testing.T) {
+	pl, err := platgen.Generate(platgen.Params{
+		K: 20, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5,
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewProblem(pl).NewModel(SUM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := m.Solve(nil); err != nil || !ok {
+		t.Fatalf("nominal solve: ok=%v err=%v", ok, err)
+	}
+	basis := m.Basis()
+	committed, err := m.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := committed.SetGateway(0, pl.Clusters[0].Gateway/2); err != nil {
+		t.Fatal(err)
+	}
+	committed.Rebase()
+	if _, ok, err := committed.Solve(basis); err != nil || !ok {
+		t.Fatalf("commit: ok=%v err=%v", ok, err)
+	}
+	kept, err := m.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reforkErr error
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, from := range []*Model{committed, m} {
+			if err := from.Refork(kept); err != nil {
+				reforkErr = err
+			}
+		}
+	})
+	if reforkErr != nil {
+		t.Fatal(reforkErr)
+	}
+	t.Logf("two stale Reforks at K=20: %.0f allocs", allocs)
+	if allocs != 0 {
+		t.Fatalf("a stale Refork at K=20 allocated %.1f times per pair, want 0", allocs)
+	}
+
+	if err := committed.Refork(kept); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := committed.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*Model{kept, fresh} {
+		if err := f.SetSpeed(3, pl.Clusters[3].Speed*0.7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, gotOK, err := kept.Solve(basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantOK, err := fresh.Solve(basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("reforked fork answered %v %v, fresh fork %v %v", got, gotOK, want, wantOK)
 	}
 }

@@ -273,16 +273,21 @@ func (m *Model) SetBounds(p Pair, b BetaBounds) error {
 	m.curLb[ord] = lb
 	m.curUb[ord] = ub
 	if lb != 0 || ub != -1 {
-		if m.movedMark == nil {
-			m.movedMark = make([]uint64, (len(m.betaVars)+63)/64)
-		}
-		if w, bit := ord>>6, uint64(1)<<(ord&63); m.movedMark[w]&bit == 0 {
-			m.movedMark[w] |= bit
-			m.moved = append(m.moved, int32(ord))
-		}
+		m.markMoved(int32(ord))
 	}
 	m.applyBounds(ord)
 	return nil
+}
+
+// markMoved lists ordinal ord in moved unless it is there already.
+func (m *Model) markMoved(ord int32) {
+	if m.movedMark == nil {
+		m.movedMark = make([]uint64, (len(m.betaVars)+63)/64)
+	}
+	if w, bit := ord>>6, uint64(1)<<(ord&63); m.movedMark[w]&bit == 0 {
+		m.movedMark[w] |= bit
+		m.moved = append(m.moved, ord)
+	}
 }
 
 // ResetBounds restores every β bound to its default [0, natural cap].

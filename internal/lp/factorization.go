@@ -220,15 +220,16 @@ func (r *Revised) Rewind() {
 }
 
 // Fork returns a new solve context over the same constraint structure,
-// born frozen on this instance's snapshot: it shares the immutable
-// Factorization and the frozen LU arrays, and owns private copies of
-// everything mutable — a cloned Problem (so rhs/bound mutations stay
-// local), the frozen simplex state (reduced costs included) and the
-// working state rewound to it, statistics and scratch; it allocates no
-// LU arrays and no elimination scratch until it refactorizes. The fork
-// is O(m + nnz) — no pivots, no phase-1: its first solve continues from
-// the parent's basis with zero lost warmth, exactly as the parent itself
-// would, and Rewind means the same thing on it as on the parent.
+// born frozen on this instance's snapshot: it allocates the context — a
+// cloned Problem (so rhs/bound mutations stay local), the basis state,
+// statistics and scratch, but no LU arrays and no elimination scratch
+// until it refactorizes — and brings it onto the snapshot with Refork.
+// It shares the immutable Factorization and the frozen LU arrays and owns
+// private copies of everything else. The fork is O(m + nnz) — no pivots,
+// no phase-1: its first solve continues from the parent's basis with zero
+// lost warmth, exactly as the parent itself would, and Rewind means the
+// same thing on it as on the parent. Stats.Forks counts the contexts Fork
+// allocates; a Refork is not one.
 //
 // Fork must be called while the parent is quiescent (no solve in
 // flight and no other goroutine mutating it); the forks themselves may
@@ -241,23 +242,57 @@ func (r *Revised) Rewind() {
 // Infeasible) returns a context that warm-starts through the ordinary
 // basis-install path instead of the shared snapshot.
 func (r *Revised) Fork() (*Revised, error) {
-	if !r.signInit {
-		return nil, errors.New("lp: Fork before first solve")
-	}
-	if err := r.Freeze(); err != nil {
-		return nil, err
-	}
 	f := &Revised{Factorization: r.Factorization, p: r.p.clone(), signInit: true}
 	f.alloc()
-	f.frozen = r.frozen
-	f.frozen.basis = append([]int(nil), r.frozen.basis...)
-	f.frozen.upper = append([]int32(nil), r.frozen.upper...)
-	f.frozen.sign = append([]float64(nil), r.frozen.sign...)
-	f.frozen.dseW = append([]float64(nil), r.frozen.dseW...)
-	f.frozen.dj = append([]float64(nil), r.frozen.dj...)
-	f.Rewind()
+	if err := r.Refork(f); err != nil {
+		return nil, err
+	}
 	r.stats.Forks++
 	return f, nil
+}
+
+// Refork brings f, a context Fork split off r, onto r's current frozen
+// state in place, so that it answers what a fresh Fork would, bit for bit,
+// without allocating one. Same conditions as Fork: r quiescent, f idle. It
+// zeroes f's statistics. When f already stands rewound on the snapshot of
+// r's current Freeze (each Freeze records a start of its own, which the
+// forks born on it share) that is all: f keeps its refresh state and drift
+// record, so its next solve refreshes only what its last one changed, and
+// its Problem must hold what r's did when f was last forked or reforked —
+// what a retracted what-if leaves. Otherwise it copies r's frozen basis,
+// at-upper set, row signs, steepest-edge weights and reduced costs, and
+// r's Problem's rhs and bounds, into f's own storage, re-aliases the
+// frozen LU arrays and rewinds f onto them, leaving a full refresh to its
+// next solve: O(m + ncols), no allocation once f's slices have grown.
+func (r *Revised) Refork(f *Revised) error {
+	if !r.signInit {
+		return errors.New("lp: Fork before first solve")
+	}
+	if err := r.Freeze(); err != nil {
+		return err
+	}
+	f.stats = Stats{}
+	fz, ffz := &r.frozen, &f.frozen
+	if fz.start != nil && ffz.start == fz.start && f.gen == fz.gen {
+		return nil
+	}
+	basis, upper, sign, dseW, dj := ffz.basis, ffz.upper, ffz.sign, ffz.dseW, ffz.dj
+	*ffz = *fz
+	ffz.basis = append(basis[:0], fz.basis...)
+	ffz.upper = append(upper[:0], fz.upper...)
+	ffz.sign = append(sign[:0], fz.sign...)
+	ffz.dseW = append(dseW[:0], fz.dseW...)
+	ffz.dj = append(dj[:0], fz.dj...)
+	for i := range f.p.rows {
+		f.p.rows[i].rhs = r.p.rows[i].rhs
+	}
+	copy(f.p.lb, r.p.lb)
+	copy(f.p.ub, r.p.ub)
+	ch := &f.p.ch
+	ch.rows, ch.vars = unmark(ch.rows, ch.rowMark), unmark(ch.vars, ch.varMark)
+	f.rhsOK, f.light, f.xAtStart = false, false, false
+	f.Rewind()
+	return nil
 }
 
 // Problem returns the Problem this context solves. For a forked

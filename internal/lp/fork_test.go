@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -248,6 +249,121 @@ func TestForkOfFork(t *testing.T) {
 		t.Fatalf("grandchild obj %.12g status %v, serial %.12g %v",
 			got.Objective, got.Status, want.Objective, want.Status)
 	}
+}
+
+// forkAnswer answers m on c the way the scheduling service's what-if
+// body does — pose, solve, retract, Rewind — and reports the verdict, the
+// optimum bit for bit and what the solve cost.
+func forkAnswer(t *testing.T, c *Revised, bas *Basis, m forkMutation) rewindResult {
+	t.Helper()
+	c.ResetStats()
+	undo := m.applyTo(c.Problem())
+	sol, err := c.SolveFrom(bas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rewindResult{status: sol.Status, obj: sol.Objective, x: slices.Clone(sol.X), cost: c.Stats().Deterministic()}
+	undo()
+	c.Rewind()
+	return res
+}
+
+// reforkPaths are the states TestReforkMatchesFork reforks a fork from.
+var reforkPaths = []string{"parent unmoved", "parent committed", "fork fell back cold", "fork not rewound"}
+
+// TestReforkMatchesFork pins Refork to Fork: over random sequences of
+// what-ifs, a fork kept across them and brought onto the parent's state in
+// place answers every what-if with the verdict, the bits of X and the
+// pivots, flips, refactorizations and weight resets a fresh Fork does — when
+// the parent did not move (the fork keeps its refresh state), after the
+// parent committed (Rebase, re-solve; Refork freezes it anew), after the
+// fork itself fell back cold and after a solve on the fork that nothing
+// rewound. Refork zeroes the fork's counters and never counts as a fork.
+func TestReforkMatchesFork(t *testing.T) {
+	paths := make(map[string]int)
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := randomFeasibleProblem(rng, seed%2 == 1)
+		if seed%4 == 3 { // long enough for eta files and refactorizations
+			p = whatIfLP(rng, 60, 40)
+		}
+		r := NewRevised(p)
+		if sol, err := r.SolveFrom(nil); err != nil || sol.Status != Optimal {
+			t.Fatalf("seed %d: base solve: %v status %v", seed, err, sol.Status)
+		}
+		bas := r.Basis()
+		f, err := r.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		forks := 1
+		for step := 0; step < 6; step++ {
+			muts := randomForkMutations(rng, p, 3)
+			path := reforkPaths[rng.Intn(len(reforkPaths))]
+			switch path {
+			case "parent committed":
+				m := randomForkMutations(rng, p, 1)[0]
+				if m.col >= 0 { // move the lower bound too
+					m.lb = rng.Float64()
+					m.ub += m.lb
+				}
+				m.applyTo(p)
+				r.Rebase()
+				sol, err := r.SolveFrom(bas)
+				if err != nil {
+					t.Fatalf("seed %d step %d: commit: %v", seed, step, err)
+				}
+				if sol.Status == Optimal {
+					bas = r.Basis()
+				}
+			case "fork fell back cold":
+				f.budgetOverride = 1
+				fell := 0
+				for _, m := range muts {
+					forkAnswer(t, f, bas, m)
+					fell += f.Stats().ColdFallbacks
+				}
+				f.budgetOverride = 0
+				if fell == 0 {
+					path = "parent unmoved"
+				}
+			case "fork not rewound":
+				undo := muts[0].applyTo(f.Problem())
+				if _, err := f.SolveFrom(bas); err != nil {
+					t.Fatal(err)
+				}
+				undo()
+			}
+			paths[path]++
+			if err := r.Refork(f); err != nil {
+				t.Fatalf("seed %d step %d (%s): refork: %v", seed, step, path, err)
+			}
+			if f.Stats() != (Stats{}) {
+				t.Fatalf("seed %d step %d (%s): Refork left counters %+v", seed, step, path, f.Stats())
+			}
+			fresh, err := r.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			forks++
+			for k, m := range muts {
+				got, want := forkAnswer(t, f, bas, m), forkAnswer(t, fresh, bas, m)
+				if !got.equal(want) {
+					t.Fatalf("seed %d step %d (%s) what-if %d: reforked status %v obj %v cost %+v, fresh fork status %v obj %v cost %+v",
+						seed, step, path, k, got.status, got.obj, got.cost, want.status, want.obj, want.cost)
+				}
+			}
+		}
+		if got := r.Stats().Forks; got != forks {
+			t.Fatalf("seed %d: parent counted %d forks, want %d (a Refork is not one)", seed, got, forks)
+		}
+	}
+	for _, path := range reforkPaths {
+		if paths[path] == 0 {
+			t.Errorf("no step took the %q path", path)
+		}
+	}
+	t.Logf("steps per path: %v", paths)
 }
 
 // TestForkBeforeSolve pins the error contract: an instance that has

@@ -88,8 +88,11 @@ func (b *fuzzBytes) problem() *Problem {
 // carried basis — with a Freeze after the first warm solve and a Rewind
 // before a byte-chosen later one, then up to three steps that write
 // back the bits a row and a box already hold or shift a box's lower
-// bound, each maybe after a Rewind. Every answer must match the lptest
-// oracle on verdict and, when optimal, objective to 1e-9. The seed
+// bound, each maybe after a Rewind, then maybe a refork step: a fork
+// taken at the Freeze answers a what-if, is reforked onto the parent's
+// final state (Revised.Refork) and answers a second what-if there with the
+// verdict and objective bits of a fresh fork. Every answer must match the
+// lptest oracle on verdict and, when optimal, objective to 1e-9. The seed
 // corpus (testdata/fuzz/FuzzSolveVsOracle: one file per cold/warm
 // verdict pair and warm path, then the seq-* files, one per path a
 // sequence reaches — a zero-pivot warm solve, the safety net falling
@@ -102,7 +105,8 @@ func (b *fuzzBytes) problem() *Problem {
 // box of a frozen at-upper column, the rhs of a row whose slack is basic,
 // equal writes, and an Infeasible verdict from that start; and
 // seq-rewind-after-cold-fallback, whose Rewind takes the full path and
-// leaves a full refresh) runs as a plain test under
+// leaves a full refresh; and seq-refork-after-commit, whose refork follows
+// a parent that solved past the fork's snapshot) runs as a plain test under
 // `go test`; `go test -fuzz=FuzzSolveVsOracle ./internal/lp` explores
 // further.
 func FuzzSolveVsOracle(f *testing.F) {
@@ -132,6 +136,10 @@ func FuzzSolveVsOracle(f *testing.F) {
 		warmStep("warm")
 		if err := r.Freeze(); err != nil {
 			t.Fatalf("freeze: %v", err)
+		}
+		f, err := r.Fork() // for the refork step at the end
+		if err != nil {
+			t.Fatalf("fork: %v", err)
 		}
 		// Up to five more steps; the solver (not the problem) is rewound
 		// to the frozen state before step rewindAt, if there is one.
@@ -173,6 +181,49 @@ func FuzzSolveVsOracle(f *testing.F) {
 			}
 			checkOracle(t, p, sol, label)
 			bas = r.Basis()
+		}
+		// Then maybe a refork: the fork taken at the Freeze answers a
+		// what-if (a row's rhs and a box, retracted and rewound after),
+		// Refork brings it onto r's state as the steps above left it, and
+		// there it answers a second what-if as a fresh fork does.
+		if b.next()%2 == 0 {
+			return
+		}
+		whatIf := func() (i int, rhs float64, j int, lb, ub float64) {
+			i, rhs, j = b.next()%p.NumConstraints(), b.rhs(), b.next()%p.NumVars()
+			lb, ub = b.bounds()
+			return i, rhs, j, lb, ub
+		}
+		solveOn := func(c *Revised, i int, rhs float64, j int, lb, ub float64, label string) Solution {
+			q := c.Problem()
+			oldRHS := q.RHS(i)
+			oldLb, oldUb := q.VarBounds(j)
+			q.SetRHS(i, rhs)
+			q.SetVarBounds(j, lb, ub)
+			sol, err := c.SolveFrom(bas)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkOracle(t, q, sol, label)
+			q.SetRHS(i, oldRHS)
+			q.SetVarBounds(j, oldLb, oldUb)
+			c.Rewind()
+			return sol
+		}
+		i, rhs, j, lb, ub := whatIf()
+		solveOn(f, i, rhs, j, lb, ub, "fork")
+		if err := r.Refork(f); err != nil {
+			t.Fatalf("refork: %v", err)
+		}
+		g, err := r.Fork()
+		if err != nil {
+			t.Fatalf("fresh fork: %v", err)
+		}
+		i, rhs, j, lb, ub = whatIf()
+		got := solveOn(f, i, rhs, j, lb, ub, "reforked")
+		want := solveOn(g, i, rhs, j, lb, ub, "fresh fork")
+		if got.Status != want.Status || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+			t.Fatalf("reforked: %v %v, fresh fork %v %v", got.Status, got.Objective, want.Status, want.Objective)
 		}
 	})
 }

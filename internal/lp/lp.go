@@ -161,7 +161,8 @@
 // construction. This is the engine under the scheduling service's
 // what-ifs: the single one rewinds the session's context, and a batch
 // fans out over forked contexts instead of serializing behind the
-// session lock.
+// session lock — contexts the session keeps between batches and
+// Revised.Refork brings onto the parent's newest snapshot in place.
 package lp
 
 import (

@@ -248,8 +248,10 @@ type Stats struct {
 	// basis outside the dual's own recurrence, plus the rare
 	// non-finite-weight bailouts.
 	DSEWeightResets int `json:"dseWeightResets"`
-	// Forks counts solve contexts split off this instance by
-	// Revised.Fork. PeakForks, Batches and BatchMaxSize are recorded
+	// Forks counts the solve contexts Revised.Fork allocated off this
+	// instance; bringing an existing one onto a newer snapshot in place
+	// (Revised.Refork) is not a fork, so a caller that keeps its forks
+	// counts each once. PeakForks, Batches and BatchMaxSize are recorded
 	// by the layer that fans solves out over forked contexts (the
 	// scheduling service's batched what-if engine): the widest
 	// concurrent fork pool, the number of batch rounds, and the

@@ -17,16 +17,20 @@ import (
 //
 // The flow: decode once, dedupe identical queries by the same
 // canonical-JSON key the single-query endpoint's in-flight coalescing
-// uses, validate every distinct query into a hypothetical and fork a
-// bounded pool of models under the session lock, release the lock, fan
-// the distinct queries out over the forks, and finally merge every
-// fork's solver counters back into the session aggregate. A fork answers
-// a query with the body the session model does (whatIfOn), from the same
-// committed factorization, so which fork a query lands on changes
-// neither its answer nor its cost. The session lock is held only for
-// validation and forking, never for solving: queries, epochs and single
-// what-ifs proceed concurrently with a running batch, and the batch's
-// answers are pinned to the committed state captured at its start.
+// uses, validate every distinct query into a hypothetical under the
+// session lock, and take the batch's workers from the session's pool of
+// idle forks, each brought onto the committed state in place
+// (core.Model.Refork) — a fork is allocated only when the pool runs
+// short. Then release the lock, fan the distinct queries out over the
+// forks, and finally merge every fork's solver counters back into the
+// session aggregate and return the forks to the pool. A fork answers a
+// query with the body the session model does (whatIfOn), from the same
+// committed factorization, so which fork a query lands on — fresh or
+// pooled — changes neither its answer nor its cost. The session lock is
+// held only for validation and for taking and returning forks, never for
+// solving: queries, epochs and single what-ifs proceed concurrently with
+// a running batch, and the batch's answers are pinned to the committed
+// state captured at its start.
 //
 // Batch reports are lean on purpose — verdict, value and bound, no
 // allocation tables, no stats snapshot — which makes the response a
@@ -34,18 +38,22 @@ import (
 // byte-diffable between the HTTP endpoint and cmd/dlsched -batch.
 
 // defaultBatchWorkers is the fork-pool width when the request does
-// not set one. Four contexts keep the pool useful on multicore hosts
-// without ballooning per-batch fork cost on small sessions; the pool
-// is additionally capped by the number of distinct queries.
+// not set one, and the most idle forks a session keeps between batches.
+// Four contexts keep the pool useful on multicore hosts; between commits a
+// default-width batch then allocates no fork at all, and after one it
+// refreshes the four in place. The idle forks are what a session retains
+// for it: ~1 MiB at K = 20, ~4.1 MiB at K = 40. The pool a batch uses is
+// additionally capped by the number of distinct queries.
 const defaultBatchWorkers = 4
 
 // maxBatchWorkers is the widest fork pool a request may ask for: each
-// worker is a goroutine plus a Model.Fork (1 061 KiB at K = 40, measured:
-// the cloned problem, the scratch set and a private copy of the frozen
-// simplex state) and `workers` is outside input. A constant, not GOMAXPROCS:
-// the response's `workers` and each answer's fork assignment must not
-// depend on the host, or cmd/dlsched -batch stops diffing byte for byte
-// against the endpoint.
+// worker is a goroutine plus a fork (1 061 KiB at K = 40, measured: the
+// cloned problem, the scratch set and a private copy of the frozen
+// simplex state), of which the session keeps defaultBatchWorkers, and
+// `workers` is outside input. A constant, not GOMAXPROCS: the response's
+// `workers` and each answer's fork assignment must not depend on the
+// host, or cmd/dlsched -batch stops diffing byte for byte against the
+// endpoint.
 const maxBatchWorkers = 64
 
 // errEmptyBatch rejects batches with nothing to solve.
@@ -57,7 +65,8 @@ var errEmptyBatch = errors.New("batch what-if: queries invalid (empty batch)")
 // Coalesced — the intra-batch analogue of the single-query endpoint's
 // in-flight coalescing, using the same key. Any invalid query, or a
 // fork pool wider than maxBatchWorkers, fails the whole batch before
-// anything is forked or solved.
+// anything is forked or solved, and leaves the session's idle forks as
+// they were.
 func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, error) {
 	n := len(req.Queries)
 	if n == 0 {
@@ -100,7 +109,7 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 		workers = nd
 	}
 
-	// Validate every distinct query and fork the worker models under
+	// Validate every distinct query and take the worker models under
 	// the session lock; the solves run outside it. The captured
 	// platform (immutable once published), basis and epoch pin every
 	// answer to the committed state at batch start, whatever the
@@ -117,13 +126,22 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 		hyps[d] = h
 	}
 	forks := make([]*core.Model, workers)
+	pooled := copy(forks, s.idleForks[max(0, len(s.idleForks)-workers):])
+	s.idleForks = s.idleForks[:len(s.idleForks)-pooled]
 	for w := range forks {
-		f, err := s.model.Fork()
+		var err error
+		if w < pooled {
+			err = s.model.Refork(forks[w])
+		} else {
+			forks[w], err = s.model.Fork()
+		}
 		if err != nil {
+			// Refork fails only in the parent's Freeze, before it
+			// touches the fork: the pooled forks go back as they were.
+			s.idleForks = append(s.idleForks, forks[:pooled]...)
 			s.mu.Unlock()
 			return nil, fmt.Errorf("batch what-if: fork: %w", err)
 		}
-		forks[w] = f
 	}
 	s.model.AbsorbSolverStats(lp.Stats{PeakForks: workers, Batches: 1, BatchMaxSize: n})
 	s.mu.Unlock()
@@ -161,11 +179,14 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 	wg.Wait()
 
 	// Fold each fork's solve activity into the session aggregate, so
-	// /stats sees batched work exactly like serialized work.
+	// /stats sees batched work exactly like serialized work, and return
+	// the forks to the pool (whose Refork zeroes what was folded).
 	s.mu.Lock()
 	for _, f := range forks {
 		s.model.AbsorbSolverStats(f.SolverStats())
 	}
+	keep := min(len(forks), defaultBatchWorkers-len(s.idleForks))
+	s.idleForks = append(s.idleForks, forks[:max(0, keep)]...)
 	s.mu.Unlock()
 
 	for d := range results {

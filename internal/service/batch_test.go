@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -165,6 +168,26 @@ func TestBatchWhatIfDedupe(t *testing.T) {
 		t.Fatalf("gauges PeakForks=%d BatchMaxSize=%d, want >= %d / %d",
 			after.PeakForks, after.BatchMaxSize, resp.Workers, len(queries))
 	}
+
+	// A second batch of the same width borrows the first one's forks: no
+	// fork is allocated, and each solve is folded into the session once.
+	again, err := sess.WhatIfBatch(&BatchWhatIfRequest{Queries: queries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := sess.Stats().Solver
+	if d := second.Forks - after.Forks; d != 0 || again.Workers != resp.Workers {
+		t.Fatalf("second batch of width %d forked %d contexts, want 0 (pool of %d)", again.Workers, d, resp.Workers)
+	}
+	if d := (second.WarmSolves + second.ColdSolves) - (after.WarmSolves + after.ColdSolves); d != distinct {
+		t.Fatalf("second batch counted %d solves for %d distinct mutations", d, distinct)
+	}
+	for i, rep := range again.Reports {
+		if first := resp.Reports[i]; rep.Feasible != first.Feasible || rep.Coalesced != first.Coalesced ||
+			math.Float64bits(rep.LPBound) != math.Float64bits(first.LPBound) {
+			t.Fatalf("report %d: pooled %+v, first batch %+v", i, rep, first)
+		}
+	}
 }
 
 // TestBatchWhatIfForkRace is the stress gate: 64 concurrent forks on
@@ -236,11 +259,64 @@ func TestBatchWhatIfForkRace(t *testing.T) {
 			math.Float64bits(baseBefore.Value), math.Float64bits(baseAfter.Value),
 			math.Float64bits(baseBefore.LPBound), math.Float64bits(baseAfter.LPBound))
 	}
+
+	// Two default-width batches share the session's fork pool while an
+	// epoch commit races them: each is pinned to the epoch it started on
+	// and answers what the serial path does there, and the pool keeps at
+	// most defaultBatchWorkers forks.
+	answers := map[int][]*SolveReport{0: want}
+	var wg sync.WaitGroup
+	resps := make([]*BatchWhatIfResponse, 2)
+	errs := make([]error, 3)
+	for b := range resps {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			resps[b], errs[b] = sess.WhatIfBatch(&BatchWhatIfRequest{Queries: queries})
+		}(b)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, errs[2] = sess.Epoch(&EpochRequest{SpeedFactor: driftFactors(pl.K(), 0.9)})
+	}()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	answers[1] = make([]*SolveReport, len(queries))
+	for i := range queries {
+		q := queries[i]
+		q.Relax = true
+		if answers[1][i], err = sess.WhatIf(&q); err != nil {
+			t.Fatalf("serial what-if %d after the commit: %v", i, err)
+		}
+	}
+	for b, resp := range resps {
+		for i, rep := range resp.Reports {
+			w := answers[resp.Epoch][i]
+			if rep.Feasible != w.Feasible || rep.Feasible && math.Abs(rep.LPBound-w.LPBound) > tol*(1+math.Abs(w.LPBound)) {
+				t.Fatalf("racing batch %d (epoch %d) query %d: feasible=%v bound %.12g, serial %v %.12g",
+					b, resp.Epoch, i, rep.Feasible, rep.LPBound, w.Feasible, w.LPBound)
+			}
+		}
+	}
+	sess.mu.Lock()
+	idle := len(sess.idleForks)
+	sess.mu.Unlock()
+	if idle > defaultBatchWorkers {
+		t.Fatalf("the pool kept %d idle forks, at most %d", idle, defaultBatchWorkers)
+	}
 }
 
 // TestBatchWhatIfDeterministic pins the byte-diffability contract:
 // two identical batch requests produce byte-identical response
-// bodies over HTTP.
+// bodies over HTTP — the second on the first one's pooled forks — and
+// after an epoch commit, a batch on forks pooled before it (reforked onto
+// the new state) and the one after that are byte for byte a fresh
+// session's at that state, whose forks are all new.
 func TestBatchWhatIfDeterministic(t *testing.T) {
 	pl := testPlatform(t, 9, 21)
 	ts, pool := newTestServer(t, 2)
@@ -248,17 +324,35 @@ func TestBatchWhatIfDeterministic(t *testing.T) {
 	sess := pool.Get(resp.ID)
 	queries := batchMutations(pl, sess.model.BetaVars(), 17)
 	req := &BatchWhatIfRequest{Queries: queries}
+	batch := func(ts *httptest.Server, id, label string) string {
+		t.Helper()
+		status, raw, err := doJSONRaw(ts.Client(), "POST", ts.URL+"/sessions/"+id+"/whatif/batch", req)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("%s: status %d err %v", label, status, err)
+		}
+		return string(raw)
+	}
+	epoch := &EpochRequest{SpeedFactor: driftFactors(pl.K(), 0.9), GatewayFactor: driftFactors(pl.K(), 1.1)}
 
-	status1, raw1, err := doJSONRaw(ts.Client(), "POST", ts.URL+"/sessions/"+resp.ID+"/whatif/batch", req)
-	if err != nil || status1 != http.StatusOK {
-		t.Fatalf("first batch: status %d err %v", status1, err)
-	}
-	status2, raw2, err := doJSONRaw(ts.Client(), "POST", ts.URL+"/sessions/"+resp.ID+"/whatif/batch", req)
-	if err != nil || status2 != http.StatusOK {
-		t.Fatalf("second batch: status %d err %v", status2, err)
-	}
-	if string(raw1) != string(raw2) {
+	raw1 := batch(ts, resp.ID, "first batch")
+	if raw2 := batch(ts, resp.ID, "second batch"); raw1 != raw2 {
 		t.Fatalf("batch responses differ between identical requests:\n%s\n---\n%s", raw1, raw2)
+	}
+	doJSON(t, ts.Client(), "POST", ts.URL+"/sessions/"+resp.ID+"/epoch", epoch, &SolveReport{}, http.StatusOK)
+	stale := batch(ts, resp.ID, "batch after the commit")
+	again := batch(ts, resp.ID, "second batch after the commit")
+
+	freshTS, _ := newTestServer(t, 2)
+	fresh := createSession(t, freshTS, &CreateSessionRequest{Platform: platformJSON(t, pl)}, http.StatusCreated)
+	doJSON(t, freshTS.Client(), "POST", freshTS.URL+"/sessions/"+fresh.ID+"/epoch", epoch, &SolveReport{}, http.StatusOK)
+	want := batch(freshTS, fresh.ID, "fresh session's batch")
+	if stale == raw1 {
+		t.Fatal("the commit moved no answer: the pooled batch after it shows nothing")
+	}
+	for label, got := range map[string]string{"reforked": stale, "kept": again} {
+		if got != want {
+			t.Fatalf("%s forks' batch differs from a fresh session's at the same state:\n%s\n---\n%s", label, got, want)
+		}
 	}
 }
 
@@ -271,6 +365,16 @@ func TestBatchWhatIfErrors(t *testing.T) {
 	sess := pool.Get(resp.ID)
 	url := ts.URL + "/sessions/" + resp.ID + "/whatif/batch"
 
+	// One answered batch fills the session's fork pool; a refused batch
+	// leaves it as it found it.
+	doJSON(t, ts.Client(), "POST", url, &BatchWhatIfRequest{Queries: batchMutations(pl, sess.model.BetaVars(), 8)},
+		&BatchWhatIfResponse{}, http.StatusOK)
+	sess.mu.Lock()
+	pooled := slices.Clone(sess.idleForks)
+	sess.mu.Unlock()
+	if len(pooled) != defaultBatchWorkers {
+		t.Fatalf("a default-width batch left %d idle forks, want %d", len(pooled), defaultBatchWorkers)
+	}
 	before := sess.Stats().Solver
 	// A refused batch answered nothing, so it counts nothing.
 	counted := sess.Stats()
@@ -279,6 +383,12 @@ func TestBatchWhatIfErrors(t *testing.T) {
 		if st := sess.Stats(); st.WhatIfs != counted.WhatIfs || st.CoalescedWhatIfs != counted.CoalescedWhatIfs {
 			t.Fatalf("%s: a refused batch moved whatIfs %d -> %d, coalescedWhatIfs %d -> %d",
 				row, counted.WhatIfs, st.WhatIfs, counted.CoalescedWhatIfs, st.CoalescedWhatIfs)
+		}
+		sess.mu.Lock()
+		idle := slices.Clone(sess.idleForks)
+		sess.mu.Unlock()
+		if !slices.Equal(idle, pooled) {
+			t.Fatalf("%s: a refused batch changed the fork pool", row)
 		}
 	}
 

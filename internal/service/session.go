@@ -169,6 +169,11 @@ type Session struct {
 	basis *lp.Basis // committed root basis carried solve to solve
 	epoch int
 
+	// idleForks holds up to defaultBatchWorkers forks of model between
+	// batches, each retracted and rewound; a batch reforks them onto the
+	// committed state instead of allocating (see batch.go).
+	idleForks []*core.Model
+
 	// betaRoutes is the set of routes carrying a β variable — frozen
 	// with the model's structure, so read without mu.
 	betaRoutes map[core.Pair]bool
@@ -551,7 +556,8 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 // reads out what its caller reports (the heuristic answer, the relaxed
 // tables, or the bare bound), then retracts to the committed platform
 // and rewinds the solver to the committed factorization, frozen here on
-// the first what-if after a commit (a fork is born frozen). Both halves
+// the first what-if after a commit (a fork is born or reforked frozen),
+// which also leaves a pooled fork ready for its next Refork. Both halves
 // of m therefore end where they started: what extract returns, and what
 // it costs, is a function of the committed state and h alone.
 func whatIfOn(m *core.Model, h hypothetical, committed *platform.Platform, extract func() (*SolveReport, error)) (*SolveReport, error) {
