@@ -33,6 +33,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -108,33 +109,10 @@ func run() error {
 		return emitJSON(data, strings.ToLower(*heur), strings.ToLower(*objName), obj, pr, *seed)
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	var alloc *core.Allocation
-	switch strings.ToLower(*heur) {
-	case "g":
-		alloc = heuristics.Greedy(pr)
-	case "g-full":
-		alloc = heuristics.GreedyFullDrain(pr)
-	case "lpr":
-		alloc, err = heuristics.LPR(pr, obj)
-	case "lprg":
-		alloc, err = heuristics.LPRG(pr, obj)
-	case "lprr":
-		alloc, err = heuristics.LPRR(pr, obj, heuristics.ProportionalRounding, rng)
-	case "lprr-eq":
-		alloc, err = heuristics.LPRR(pr, obj, heuristics.EqualRounding, rng)
-	case "bnb":
-		alloc, _, err = heuristics.BranchAndBound(pr, obj, 0)
-	default:
-		return fmt.Errorf("unknown heuristic %q", *heur)
-	}
+	alloc, err := solve(*heur, pr, obj, *seed)
 	if err != nil {
 		return err
 	}
-	if err := pr.CheckAllocation(alloc, core.DefaultTol); err != nil {
-		return fmt.Errorf("internal error: heuristic produced invalid allocation: %w", err)
-	}
-
 	ub, _, err := heuristics.UpperBound(pr, obj)
 	if err != nil {
 		return err
@@ -174,6 +152,33 @@ func run() error {
 	return nil
 }
 
+// solve runs the named heuristic on pr and checks its allocation:
+// heuristics.Run for every heuristic of §5 (names are Run's, in lower
+// case), BranchAndBound for bnb, the one solver Run does not know.
+func solve(heur string, pr *core.Problem, obj core.Objective, seed int64) (*core.Allocation, error) {
+	var (
+		alloc *core.Allocation
+		err   error
+	)
+	switch name := heuristics.Name(strings.ToUpper(heur)); {
+	case name == "BNB":
+		alloc, _, err = heuristics.BranchAndBound(pr, obj, 0)
+	case slices.Contains(heuristics.All, name) || name == heuristics.NameGFull:
+		var res heuristics.Result
+		res, err = heuristics.Run(name, pr, obj, rand.New(rand.NewSource(seed)))
+		alloc = res.Alloc
+	default:
+		return nil, fmt.Errorf("unknown heuristic %q", heur)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := pr.CheckAllocation(alloc, core.DefaultTol); err != nil {
+		return nil, fmt.Errorf("internal error: heuristic produced invalid allocation: %w", err)
+	}
+	return alloc, nil
+}
+
 // emitJSON writes the machine-readable report. Model-backed
 // heuristics go through service.Batch — the scheduling service's own
 // batch entry point — so the output is identical to a fresh schedd
@@ -195,24 +200,10 @@ func emitJSON(platformJSON []byte, heur, objName string, obj core.Objective, pr 
 		if err != nil {
 			return err
 		}
-	case "g", "g-full", "lpr":
-		var (
-			alloc *core.Allocation
-			err   error
-		)
-		switch heur {
-		case "g":
-			alloc = heuristics.Greedy(pr)
-		case "g-full":
-			alloc = heuristics.GreedyFullDrain(pr)
-		case "lpr":
-			alloc, err = heuristics.LPR(pr, obj)
-		}
+	default:
+		alloc, err := solve(heur, pr, obj, seed)
 		if err != nil {
 			return err
-		}
-		if err := pr.CheckAllocation(alloc, core.DefaultTol); err != nil {
-			return fmt.Errorf("internal error: heuristic produced invalid allocation: %w", err)
 		}
 		ub, _, err := heuristics.UpperBound(pr, obj)
 		if err != nil {
@@ -231,8 +222,6 @@ func emitJSON(platformJSON []byte, heur, objName string, obj core.Objective, pr 
 		for k := 0; k < pr.K(); k++ {
 			rep.Throughputs[k] = alloc.AppThroughput(k)
 		}
-	default:
-		return fmt.Errorf("unknown heuristic %q", heur)
 	}
 	return service.EncodeReport(os.Stdout, rep)
 }

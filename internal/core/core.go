@@ -1,7 +1,7 @@
 // Package core implements the paper's steady-state multi-application
 // divisible-load scheduling problem (§3): the activity variables
-// α_{k,l} (load of application A_k shipped from its home cluster C^k
-// and computed on cluster C^l per time unit) and β_{k,l} (number of
+// α_{k,l} (load of application A_k shipped from its origin C^k and
+// computed on cluster C^l per time unit) and β_{k,l} (number of
 // network connections opened from C^k to C^l), the steady-state
 // constraints of Equations (7a)-(7g), the SUM and MAXMIN objectives
 // of Equations (5)/(6), and the linear-program builders used by the
@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/lp"
 	"repro/internal/platform"
@@ -76,9 +77,11 @@ func (pr *Problem) Validate() error {
 // K returns the number of applications (= clusters).
 func (pr *Problem) K() int { return pr.Platform.K() }
 
-// Allocation is a candidate steady-state operating point: Alpha[k][l]
-// is α_{k,l}, Beta[k][l] is β_{k,l}. The diagonal of Beta is unused
-// (local computation opens no connection) and must be 0.
+// Allocation is a candidate steady-state operating point: Alpha[a][l]
+// is application a's α_{a,l}, one row per application, and Beta[k][l]
+// is β_{k,l}, the connections opened on route (k, l), one row per
+// cluster. The diagonal of Beta is unused (local computation opens no
+// connection) and must be 0.
 type Allocation struct {
 	Alpha [][]float64
 	Beta  [][]int
@@ -97,10 +100,12 @@ func NewAllocation(k int) *Allocation {
 
 // Clone deep-copies the allocation.
 func (a *Allocation) Clone() *Allocation {
-	c := NewAllocation(len(a.Alpha))
-	for i := range a.Alpha {
-		copy(c.Alpha[i], a.Alpha[i])
-		copy(c.Beta[i], a.Beta[i])
+	c := &Allocation{Alpha: make([][]float64, len(a.Alpha)), Beta: make([][]int, len(a.Beta))}
+	for i, row := range a.Alpha {
+		c.Alpha[i] = slices.Clone(row)
+	}
+	for k, row := range a.Beta {
+		c.Beta[k] = slices.Clone(row)
 	}
 	return c
 }
@@ -116,20 +121,25 @@ func (a *Allocation) AppThroughput(k int) float64 {
 }
 
 // Objective evaluates the allocation under the given criterion.
-// MAXMIN is taken over applications with π_k > 0; if there are none
-// it returns 0.
 func (pr *Problem) Objective(obj Objective, a *Allocation) float64 {
-	switch obj {
+	return obj.Value(pr.Payoffs, a)
+}
+
+// Value evaluates allocation a under o for the applications whose
+// payoffs are payoffs, one per row of a.Alpha. MAXMIN is taken over
+// applications with π > 0; if there are none it returns 0.
+func (o Objective) Value(payoffs []float64, a *Allocation) float64 {
+	switch o {
 	case SUM:
 		total := 0.0
-		for k := range pr.Payoffs {
-			total += pr.Payoffs[k] * a.AppThroughput(k)
+		for k := range payoffs {
+			total += payoffs[k] * a.AppThroughput(k)
 		}
 		return total
 	case MAXMIN:
 		minv := math.Inf(1)
 		seen := false
-		for k, pi := range pr.Payoffs {
+		for k, pi := range payoffs {
 			if pi <= 0 {
 				continue
 			}
@@ -143,7 +153,7 @@ func (pr *Problem) Objective(obj Objective, a *Allocation) float64 {
 		}
 		return minv
 	}
-	panic(fmt.Sprintf("core: unknown objective %d", int(obj)))
+	panic(fmt.Sprintf("core: unknown objective %d", int(o)))
 }
 
 // DefaultTol is the feasibility tolerance used by CheckAllocation for
@@ -163,7 +173,7 @@ const IntegralityTol = DefaultTol
 // returns nil iff the allocation is a valid steady-state operating
 // point. Additionally it enforces the model-level invariants that
 // work only flows over existing routes and that the Beta diagonal is
-// zero.
+// zero. Several applications of one origin are checked summed (multiapp).
 func (pr *Problem) CheckAllocation(a *Allocation, tol float64) error {
 	K := pr.K()
 	if len(a.Alpha) != K || len(a.Beta) != K {
@@ -256,29 +266,49 @@ func (pr *Problem) CheckAllocation(a *Allocation, tol float64) error {
 	return nil
 }
 
-// Pair identifies a (source application, target cluster) route.
+// Pair identifies an ordered pair of indices (K, L): the route from
+// origin cluster C^K to cluster C^L, or application K's load α_{K,L} on
+// C^L. Under Problem, application A_K's origin is C^K, so the two
+// readings coincide.
 type Pair struct{ K, L int }
 
 // Relaxed solves the rational relaxation of linear program (7) in the
 // α-space encoding: β is eliminated, collapsing (7d)+(7e) into one row
 // per backbone link over α (see addAlphaLinkRows for the argument), and
 // the solution's Beta is the α/bw_min that elimination implies. Returns
-// ok=false when the solver reports the constraints infeasible.
+// ok=false when the solver reports the constraints infeasible. It is
+// RelaxedApps with application A_k of origin C^k.
 func (pr *Problem) Relaxed(obj Objective) (*RelaxedSolution, bool, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, false, err
 	}
-	lay := pr.alphaLayout()
+	return relaxed(pr.alphaLayout(), obj)
+}
+
+// RelaxedApps is Relaxed for any set of applications on platform pl:
+// application a has origin C^origins[a] and payoff payoffs[a]. Several
+// applications may share an origin, and a cluster may be the origin of
+// none; the applications of one origin pool the connections of its
+// routes, so the solution's Beta[k][l] is route (k,l)'s flow over
+// bw_min(k,l). Alpha has one row per application. The caller validates:
+// pl is routed, every origin is a cluster, every payoff finite and
+// nonnegative.
+func RelaxedApps(pl *platform.Platform, origins []int, payoffs []float64, obj Objective) (*RelaxedSolution, bool, error) {
+	return relaxed(newAlphaLayout(pl, origins, payoffs), obj)
+}
+
+// relaxed builds the α-space program over lay and cold-solves it once.
+func relaxed(lay alphaLayout, obj Objective) (*RelaxedSolution, bool, error) {
 	n := len(lay.vars)
 	if obj == MAXMIN {
 		n++ // the level t
 	}
 	prob := lp.New(n)
-	if err := pr.addObjective(prob, lay, obj); err != nil {
+	if err := lay.addObjective(prob, obj); err != nil {
 		return nil, false, err
 	}
-	pr.addClusterRows(prob, lay)
-	pr.addAlphaLinkRows(prob, lay)
+	lay.addClusterRows(prob)
+	lay.addAlphaLinkRows(prob)
 
 	sol, err := prob.Solve()
 	if err != nil {
@@ -287,5 +317,5 @@ func (pr *Problem) Relaxed(obj Objective) (*RelaxedSolution, bool, error) {
 	if ok, err := verdict(sol); !ok {
 		return nil, false, err
 	}
-	return pr.alphaSpaceSolution(lay, sol), true, nil
+	return lay.alphaSpaceSolution(sol), true, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/lp"
 )
@@ -69,7 +70,9 @@ func (pr *Problem) LexMaxMin() (*LexMaxMinSolution, error) {
 					probe[j] = t
 				}
 			}
-			best, _, err := pr.lexRound(allFixedExcept(fixed, k), probe, k)
+			solo := slices.Repeat([]bool{true}, K) // everyone fixed but k
+			solo[k] = false
+			best, _, err := pr.lexRound(solo, probe, k)
 			if err != nil {
 				return nil, err
 			}
@@ -95,17 +98,6 @@ func (pr *Problem) LexMaxMin() (*LexMaxMinSolution, error) {
 	return &LexMaxMinSolution{Alpha: lastAlpha, Levels: levels}, nil
 }
 
-// allFixedExcept returns a fixed-mask where everything is fixed
-// except application k (used by the stuck test).
-func allFixedExcept(fixed []bool, k int) []bool {
-	out := make([]bool, len(fixed))
-	for i := range out {
-		out[i] = true
-	}
-	out[k] = false
-	return out
-}
-
 // lexRound solves one step of the lexicographic algorithm: maximize
 // the common payoff level t of the unfixed applications, subject to
 // every fixed application keeping at least its recorded level. When
@@ -119,11 +111,11 @@ func (pr *Problem) lexRound(fixed []bool, levels []float64, soloApp int) (float6
 	if soloApp >= 0 {
 		// t <= π_solo·α_solo, maximize t (equivalently maximize the
 		// solo payoff, but keeps the objective uniform).
-		pr.addLevelRow(prob, lay, soloApp)
+		lay.addLevelRow(prob, soloApp)
 	} else {
 		for k := range pr.Payoffs {
 			if !fixed[k] && pr.Payoffs[k] > 0 {
-				pr.addLevelRow(prob, lay, k)
+				lay.addLevelRow(prob, k)
 			}
 		}
 	}
@@ -135,8 +127,8 @@ func (pr *Problem) lexRound(fixed []bool, levels []float64, soloApp int) (float6
 		prob.AddConstraint(lay.appTerms(nil, k, pr.Payoffs[k]), lp.GE, levels[k])
 	}
 	// Platform constraints (7b), (7c), (7d)+(7e) in α-space.
-	pr.addClusterRows(prob, lay)
-	pr.addAlphaLinkRows(prob, lay)
+	lay.addClusterRows(prob)
+	lay.addAlphaLinkRows(prob)
 
 	sol, err := prob.Solve()
 	if err != nil {
@@ -145,5 +137,5 @@ func (pr *Problem) lexRound(fixed []bool, levels []float64, soloApp int) (float6
 	if sol.Status != lp.Optimal {
 		return 0, nil, fmt.Errorf("core: lexicographic round %v (floors should always be feasible)", sol.Status)
 	}
-	return sol.Objective, pr.alphaSpaceSolution(lay, sol).Alpha, nil
+	return sol.Objective, lay.alphaSpaceSolution(sol).Alpha, nil
 }

@@ -123,10 +123,10 @@ func (pr *Problem) NewModel(obj Objective) (*Model, error) {
 		n++
 	}
 	prob := lp.New(n)
-	if err := pr.addObjective(prob, lay, obj); err != nil {
+	if err := lay.addObjective(prob, obj); err != nil {
 		return nil, err
 	}
-	m.speedRow, m.gatewayRow = pr.addClusterRows(prob, lay)
+	m.speedRow, m.gatewayRow = lay.addClusterRows(prob)
 
 	// (7d) per-link connection budgets over β.
 	linkUse := make([][]lp.Term, len(pl.Links))
@@ -460,7 +460,8 @@ func (m *Model) patch(sol lp.Solution, base *lp.Solution, cols []int32) *Relaxed
 	if len(moved) == 0 && math.Float64bits(sol.Objective) == math.Float64bits(f.Objective) {
 		return f
 	}
-	out := newRelaxedSolution(m.pr.K())
+	K := m.pr.K()
+	out := newRelaxedSolution(K, K)
 	copy(out.cells, f.cells)
 	for _, j := range cols {
 		if c := m.cellOf[j]; c >= 0 {
@@ -500,7 +501,8 @@ func (m *Model) extract(sol lp.Solution) (*RelaxedSolution, bool, error) {
 	if ok, err := verdict(sol); !ok {
 		return nil, false, err
 	}
-	out := newRelaxedSolution(m.pr.K())
+	K := m.pr.K()
+	out := newRelaxedSolution(K, K)
 	out.Objective = sol.Objective
 	for j, c := range m.cellOf {
 		if c >= 0 {

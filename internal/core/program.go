@@ -6,22 +6,29 @@ import (
 	"math"
 
 	"repro/internal/lp"
+	"repro/internal/platform"
 )
 
 // This file writes linear program (7) down once: the α variable layout,
 // the objective rows and the row families (7b)-(7e), as builders the
-// two encodings assemble. The α-space encoding (Relaxed, LexMaxMin's
-// rounds) eliminates β and is what the one-shot solves of the §6 sweeps
-// use; the explicit (α, β) encoding (Model) keeps β as columns for
-// everything that bounds, pins or branches on it. Which one a caller
-// gets follows from whether it needs β as a variable, not from an
-// option; addAlphaLinkRows says why the two agree.
+// two encodings assemble, for one or several applications per origin —
+// the cluster an application's input data lives on and its load is
+// shipped from. Problem has one application per cluster, A_k of origin
+// C^k; RelaxedApps (§3.1) lets applications share an origin. The
+// α-space encoding (Relaxed, RelaxedApps, LexMaxMin's rounds) eliminates
+// β and is what the one-shot solves use; the explicit (α, β) encoding
+// (Model) keeps β as columns for everything that bounds, pins or
+// branches on it. Which one a caller gets follows from whether it needs
+// β as a variable, not from an option; addAlphaLinkRows says why the
+// two agree.
 
 // RelaxedSolution is an optimum of program (7) with β's integrality
 // relaxed — the paper's "LP" comparator, an upper bound on the
 // mixed-integer optimum, and the point every §5.2 heuristic rounds.
-// Beta[k][l] is the fractional connection count β̃_{k,l}: the LP's value
-// under the explicit encoding, α̃_{k,l}/bw_min(k,l) under the α-space
+// Alpha[a][l] is application a's α̃_{a,l}, one row per application.
+// Beta[k][l] is the fractional connection count β̃_{k,l} of route (k, l):
+// the LP's value under the explicit encoding, the route's flow (summed
+// over the applications of origin k) over bw_min(k,l) under the α-space
 // one, and 0 where the route carries no β variable (the diagonal,
 // missing routes, and routes that cross no backbone link).
 type RelaxedSolution struct {
@@ -34,16 +41,16 @@ type RelaxedSolution struct {
 	moved []int32
 }
 
-// newRelaxedSolution returns the all-zero solution for K clusters. Both
-// tables are cut from one block of cells, so a solve's extraction costs
-// the same few allocations whatever K is.
-func newRelaxedSolution(K int) *RelaxedSolution {
-	cells := make([]float64, 2*K*K)
-	rows := make([][]float64, 2*K)
+// newRelaxedSolution returns the all-zero solution for A applications
+// on K clusters. Both tables are cut from one block of cells, so a
+// solve's extraction costs the same few allocations whatever K is.
+func newRelaxedSolution(A, K int) *RelaxedSolution {
+	cells := make([]float64, (A+K)*K)
+	rows := make([][]float64, A+K)
 	for i := range rows {
 		rows[i] = cells[i*K : (i+1)*K : (i+1)*K]
 	}
-	return &RelaxedSolution{Alpha: rows[:K:K], Beta: rows[K:], cells: cells}
+	return &RelaxedSolution{Alpha: rows[:A:A], Beta: rows[A:], cells: cells}
 }
 
 // Patched reports what a solution Model.Solution returned was
@@ -101,35 +108,52 @@ func nonneg(v float64) float64 {
 }
 
 // alphaLayout is the α half of every encoding's variable layout: one LP
-// column per ordered pair (k, l) with a route — the diagonal, local
-// computation, always has one — numbered row-major from 0. Whatever
-// else an encoding needs (β columns, MAXMIN's level t) follows, with t
-// last.
+// column per application a and cluster C^l its origin has a route to —
+// the origin itself, local computation, always has one — numbered
+// application-major from 0. Whatever else an encoding needs (β columns,
+// MAXMIN's level t) follows, with t last.
 type alphaLayout struct {
-	vars []Pair  // column i carries α of vars[i]
-	col  [][]int // col[k][l] is α_{k,l}'s column, -1 where C^k has no route to C^l
+	pl     *platform.Platform
+	origin []int     // origin[a] is application a's origin
+	payoff []float64 // payoff[a] is π_a
+	from   [][]int   // from[k] lists, ascending, the applications of origin C^k
+	vars   []Pair    // column i carries α_{a,l} for vars[i] = (a, l)
+	col    [][]int   // col[a][l] is α_{a,l}'s column, -1 where a's origin has no route to C^l
 }
 
-func (pr *Problem) alphaLayout() alphaLayout {
-	K := pr.K()
-	lay := alphaLayout{col: make([][]int, K)}
-	cells := make([]int, K*K)
-	for k := 0; k < K; k++ {
-		lay.col[k] = cells[k*K : (k+1)*K]
+// newAlphaLayout lays out applications a = 0, 1, …, len(origin)-1, a of
+// origin C^origin[a] with payoff payoff[a].
+func newAlphaLayout(pl *platform.Platform, origin []int, payoff []float64) alphaLayout {
+	K, A := pl.K(), len(origin)
+	lay := alphaLayout{pl: pl, origin: origin, payoff: payoff, from: make([][]int, K), col: make([][]int, A)}
+	cells := make([]int, A*K)
+	for a, k := range origin {
+		lay.from[k] = append(lay.from[k], a)
+		lay.col[a] = cells[a*K : (a+1)*K]
 		for l := 0; l < K; l++ {
-			lay.col[k][l] = -1
-			if k == l || pr.Platform.Route(k, l).Exists {
-				lay.col[k][l] = len(lay.vars)
-				lay.vars = append(lay.vars, Pair{k, l})
+			lay.col[a][l] = -1
+			if k == l || pl.Route(k, l).Exists {
+				lay.col[a][l] = len(lay.vars)
+				lay.vars = append(lay.vars, Pair{a, l})
 			}
 		}
 	}
 	return lay
 }
 
-// appTerms appends coeff·α_k = coeff·Σ_l α_{k,l} (Equation 7a) to terms.
-func (lay alphaLayout) appTerms(terms []lp.Term, k int, coeff float64) []lp.Term {
-	for _, c := range lay.col[k] {
+// alphaLayout is the layout of the paper's §3 case: application A_k's
+// origin is C^k, so column i carries α on route vars[i].
+func (pr *Problem) alphaLayout() alphaLayout {
+	origin := make([]int, pr.K())
+	for k := range origin {
+		origin[k] = k
+	}
+	return newAlphaLayout(pr.Platform, origin, pr.Payoffs)
+}
+
+// appTerms appends coeff·α_a = coeff·Σ_l α_{a,l} (Equation 7a) to terms.
+func (lay alphaLayout) appTerms(terms []lp.Term, a int, coeff float64) []lp.Term {
+	for _, c := range lay.col[a] {
 		if c >= 0 {
 			terms = append(terms, lp.Term{Var: c, Coeff: coeff})
 		}
@@ -146,29 +170,29 @@ func addLE(prob *lp.Problem, terms []lp.Term, rhs float64) int {
 	return prob.AddConstraint(terms, lp.LE, rhs)
 }
 
-// addLevelRow adds t − π_k·α_k ≤ 0, application k's share of Equation
+// addLevelRow adds t − π_a·α_a ≤ 0, application a's share of Equation
 // (6): the common level t (prob's last column) cannot exceed its payoff.
-func (pr *Problem) addLevelRow(prob *lp.Problem, lay alphaLayout, k int) {
+func (lay alphaLayout) addLevelRow(prob *lp.Problem, a int) {
 	t := lp.Term{Var: prob.NumVars() - 1, Coeff: 1}
-	prob.AddConstraint(lay.appTerms([]lp.Term{t}, k, -pr.Payoffs[k]), lp.LE, 0)
+	prob.AddConstraint(lay.appTerms([]lp.Term{t}, a, -lay.payoff[a]), lp.LE, 0)
 }
 
-// addObjective installs obj: SUM as the weight π_k on every α_{k,l}
+// addObjective installs obj: SUM as the weight π_a on every α_{a,l}
 // (Equation 5, no row); MAXMIN as "maximize t" under one level row per
-// application with π_k > 0.
-func (pr *Problem) addObjective(prob *lp.Problem, lay alphaLayout, obj Objective) error {
+// application with π_a > 0.
+func (lay alphaLayout) addObjective(prob *lp.Problem, obj Objective) error {
 	switch obj {
 	case SUM:
 		for i, v := range lay.vars {
-			prob.SetObjective(i, pr.Payoffs[v.K])
+			prob.SetObjective(i, lay.payoff[v.K])
 		}
 	case MAXMIN:
 		prob.SetObjective(prob.NumVars()-1, 1)
 		positive := false
-		for k, pi := range pr.Payoffs {
+		for a, pi := range lay.payoff {
 			if pi > 0 {
 				positive = true
-				pr.addLevelRow(prob, lay, k)
+				lay.addLevelRow(prob, a)
 			}
 		}
 		if !positive {
@@ -180,23 +204,23 @@ func (pr *Problem) addObjective(prob *lp.Problem, lay alphaLayout, obj Objective
 	return nil
 }
 
-// addClusterRows adds (7b), one row per cluster's computing speed, then
-// (7c), one per cluster's gateway, and returns each cluster's row in
-// the two families (-1 where it has none) — the handles Model's
-// capacity mutators write through.
-func (pr *Problem) addClusterRows(prob *lp.Problem, lay alphaLayout) (speedRow, gatewayRow []int) {
-	K := pr.K()
-	pl := pr.Platform
+// addClusterRows adds (7b), one row per cluster's computing speed over
+// every application's load there, then (7c), one per cluster's gateway
+// over the remote traffic leaving or entering it, and returns each
+// cluster's row in the two families (-1 where it has none) — the
+// handles Model's capacity mutators write through.
+func (lay alphaLayout) addClusterRows(prob *lp.Problem) (speedRow, gatewayRow []int) {
+	K := lay.pl.K()
 	speedRow, gatewayRow = make([]int, K), make([]int, K)
 	var terms []lp.Term
 	for l := 0; l < K; l++ {
 		terms = terms[:0]
-		for k := 0; k < K; k++ {
-			if c := lay.col[k][l]; c >= 0 {
+		for _, row := range lay.col {
+			if c := row[l]; c >= 0 {
 				terms = append(terms, lp.Term{Var: c, Coeff: 1})
 			}
 		}
-		speedRow[l] = addLE(prob, terms, pl.Clusters[l].Speed)
+		speedRow[l] = addLE(prob, terms, lay.pl.Clusters[l].Speed)
 	}
 	for k := 0; k < K; k++ {
 		terms = terms[:0]
@@ -204,35 +228,41 @@ func (pr *Problem) addClusterRows(prob *lp.Problem, lay alphaLayout) (speedRow, 
 			if l == k {
 				continue
 			}
-			if c := lay.col[k][l]; c >= 0 {
-				terms = append(terms, lp.Term{Var: c, Coeff: 1})
+			for _, a := range lay.from[k] {
+				if c := lay.col[a][l]; c >= 0 {
+					terms = append(terms, lp.Term{Var: c, Coeff: 1})
+				}
 			}
-			if c := lay.col[l][k]; c >= 0 {
-				terms = append(terms, lp.Term{Var: c, Coeff: 1})
+			for _, a := range lay.from[l] {
+				if c := lay.col[a][k]; c >= 0 {
+					terms = append(terms, lp.Term{Var: c, Coeff: 1})
+				}
 			}
 		}
-		gatewayRow[k] = addLE(prob, terms, pl.Clusters[k].Gateway)
+		gatewayRow[k] = addLE(prob, terms, lay.pl.Clusters[k].Gateway)
 	}
 	return speedRow, gatewayRow
 }
 
 // addAlphaLinkRows adds (7d) and (7e) with β eliminated — the only rows
 // the α-space encoding does not share with the explicit one. Per
-// backbone link li:
+// backbone link li, over the routes (k,l) that cross it:
 //
-//	Σ_{(k,l): li ∈ L_{k,l}} α_{k,l}/bw_min(k,l) ≤ max-connect(li)
+//	Σ_{(k,l): li ∈ L_{k,l}} Σ_{a of origin k} α_{a,l}/bw_min(k,l) ≤ max-connect(li)
 //
 // The β-elimination argument. β_{k,l} appears in two rows and not in the
-// objective: (7e) α_{k,l} ≤ β_{k,l}·bw_min(k,l) is the only one a larger
-// β helps, (7d) Σ β ≤ max-connect only charges for it. With integrality
-// relaxed, any feasible (α, β) therefore stays feasible, at the same α
-// and the same objective, when every β_{k,l} is lowered to
-// α_{k,l}/bw_min(k,l): (7e) holds with equality and (7d) can only
-// loosen. So the relaxation has an optimum of that form, and
+// objective: (7e) Σ_a α_{a,l} ≤ β_{k,l}·bw_min(k,l) is the only one a
+// larger β helps, (7d) Σ β ≤ max-connect only charges for it. With
+// integrality relaxed, any feasible (α, β) therefore stays feasible, at
+// the same α and the same objective, when every β_{k,l} is lowered to
+// the route's flow over bw_min(k,l): (7e) holds with equality and (7d)
+// can only loosen. So the relaxation has an optimum of that form, and
 // substituting it makes (7e) an identity and (7d) the row above: the
 // two encodings have the same optimal value and the same optimal α
 // (TestMixedRelaxedAgreesWithReduced is this argument made executable),
 // and an α-space solve reports the β it implies (alphaSpaceSolution).
+// The argument never asks how many applications share a route, which is
+// why one builder serves one or several applications per origin.
 //
 // What elimination buys is size: no β column and no (7e) row per remote
 // route, roughly 590 rows against Model's 2 151 at K = 40, which is what
@@ -242,11 +272,11 @@ func (pr *Problem) addClusterRows(prob *lp.Problem, lay alphaLayout) (speedRow, 
 // Model. Routes between clusters on one router cross no backbone link
 // (bw_min = +Inf, as on the diagonal): they carry no β in either
 // encoding and no term here.
-func (pr *Problem) addAlphaLinkRows(prob *lp.Problem, lay alphaLayout) {
-	pl := pr.Platform
+func (lay alphaLayout) addAlphaLinkRows(prob *lp.Problem) {
+	pl := lay.pl
 	linkUse := make([][]lp.Term, len(pl.Links))
 	for i, v := range lay.vars {
-		rt := pl.Route(v.K, v.L)
+		rt := pl.Route(lay.origin[v.K], v.L)
 		if rt.MinBW <= 0 || math.IsInf(rt.MinBW, 1) {
 			continue
 		}
@@ -262,15 +292,25 @@ func (pr *Problem) addAlphaLinkRows(prob *lp.Problem, lay alphaLayout) {
 
 // alphaSpaceSolution reads an optimum of the α-space encoding back: α
 // per layout column, and on every route that crosses a backbone link
-// the β the eliminated program implies, α/bw_min.
-func (pr *Problem) alphaSpaceSolution(lay alphaLayout, sol lp.Solution) *RelaxedSolution {
-	out := newRelaxedSolution(pr.K())
+// the β the eliminated program implies, the route's flow over bw_min.
+func (lay alphaLayout) alphaSpaceSolution(sol lp.Solution) *RelaxedSolution {
+	K := lay.pl.K()
+	out := newRelaxedSolution(len(lay.col), K)
 	out.Objective = sol.Objective
 	for i, v := range lay.vars {
-		a := nonneg(sol.X[i])
-		out.Alpha[v.K][v.L] = a
-		if bw := pr.Platform.Route(v.K, v.L).MinBW; bw > 0 && !math.IsInf(bw, 1) {
-			out.Beta[v.K][v.L] = a / bw
+		out.Alpha[v.K][v.L] = nonneg(sol.X[i])
+	}
+	for k, apps := range lay.from {
+		for l := 0; l < K && len(apps) > 0; l++ {
+			bw := lay.pl.Route(k, l).MinBW
+			if lay.col[apps[0]][l] < 0 || bw <= 0 || math.IsInf(bw, 1) {
+				continue
+			}
+			flow := out.Alpha[apps[0]][l]
+			for _, a := range apps[1:] {
+				flow += out.Alpha[a][l]
+			}
+			out.Beta[k][l] = flow / bw
 		}
 	}
 	return out

@@ -15,6 +15,13 @@ import (
 // verdict and, when optimal, the same objective to 1e-9.
 func checkOracle(t *testing.T, p *Problem, got Solution, label string) {
 	t.Helper()
+	checkOracleWithin(t, p, got, label, func(want Solution) float64 { return ObjTol(want.Objective) })
+}
+
+// checkOracleWithin is checkOracle with the objective tolerance tol
+// gives for the oracle's optimum.
+func checkOracleWithin(t *testing.T, p *Problem, got Solution, label string, tol func(want Solution) float64) {
+	t.Helper()
 	want, err := p.SolveWith(lptest.DenseSolver{})
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", label, err)
@@ -25,8 +32,8 @@ func checkOracle(t *testing.T, p *Problem, got Solution, label string) {
 	if got.Status != Optimal {
 		return
 	}
-	if d := math.Abs(got.Objective - want.Objective); d > ObjTol(want.Objective) {
-		t.Fatalf("%s: objective %.12g, oracle %.12g (diff %g)", label, got.Objective, want.Objective, d)
+	if d, tol := math.Abs(got.Objective-want.Objective), tol(want); d > tol {
+		t.Fatalf("%s: objective %.12g, oracle %.12g (diff %g > %g)", label, got.Objective, want.Objective, d, tol)
 	}
 }
 

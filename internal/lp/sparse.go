@@ -1,10 +1,10 @@
 package lp
 
 // sparseCols stores the structural and slack/surplus part of the
-// constraint matrix in compressed sparse column (CSC) form. The
-// builders in core and multiapp.Relaxed emit sparse []Term rows; this
-// keeps that sparsity so the revised simplex can price a column in
-// O(nnz(col)) instead of O(m).
+// constraint matrix in compressed sparse column (CSC) form. Core's
+// builders of program (7), one set for one or several applications per
+// origin, emit sparse []Term rows; this keeps that sparsity so the
+// revised simplex can price a column in O(nnz(col)) instead of O(m).
 type sparseCols struct {
 	n      int
 	colPtr []int32

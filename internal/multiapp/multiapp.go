@@ -1,12 +1,15 @@
-// Package multiapp implements the extension the paper sketches in
-// §3.1: "our method is easily extensible to the case in which more
-// than one application originate from the same cluster". Activity
-// variables become α_{a,l} — the load of application a (with origin
-// cluster origin(a)) computed on cluster l — while the platform
-// constraints stay per-cluster: the cluster speeds (7b), the gateway
-// capacities (7c) and the per-route connection budgets (7d)/(7e) are
-// shared by all applications of a cluster. Connections on a route
-// (k,l) are pooled across the applications originating at k.
+// Package multiapp is the extension the paper sketches in §3.1: "our
+// method is easily extensible to the case in which more than one
+// application originate from the same cluster". Any number of
+// applications may share an origin (as core defines it), and a cluster
+// may be the origin of none. α_{a,l} is application a's load on cluster
+// l; speeds (7b) and gateways (7c) are shared by all applications, and
+// the connections of route (k,l) (7d)/(7e) are pooled across the
+// applications of origin k. Program (7) itself is core's, written down
+// once for one or several applications per origin (core.RelaxedApps,
+// core.Problem.CheckAllocation, core.Objective.Value). What this
+// package adds is the applications (App, Problem, Validate) and Greedy,
+// §5.1's greedy on pooled connections.
 package multiapp
 
 import (
@@ -14,13 +17,11 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/lp"
 	"repro/internal/platform"
 )
 
-// App is one divisible-load application: it originates at cluster
-// Origin (where its input data lives) and carries payoff factor
-// Payoff (π_a of §3.1).
+// App is one divisible-load application: its origin is cluster Origin,
+// and it carries payoff factor Payoff (π_a of §3.1).
 type App struct {
 	Name   string
 	Origin int
@@ -57,309 +58,87 @@ func (pr *Problem) Validate() error {
 	return nil
 }
 
-// Allocation is a steady-state operating point: Alpha[a][l] is the
-// load of application a computed on cluster l per time unit;
-// Beta[k][l] is the pooled connection count from cluster k to l.
-type Allocation struct {
-	Alpha [][]float64
-	Beta  [][]int
-}
-
-// AppThroughput returns Σ_l α_{a,l}.
-func (al *Allocation) AppThroughput(a int) float64 {
-	sum := 0.0
-	for _, v := range al.Alpha[a] {
-		sum += v
+// split returns each application's origin and payoff, in order.
+func (pr *Problem) split() (origins []int, payoffs []float64) {
+	origins, payoffs = make([]int, len(pr.Apps)), make([]float64, len(pr.Apps))
+	for a, app := range pr.Apps {
+		origins[a], payoffs[a] = app.Origin, app.Payoff
 	}
-	return sum
+	return origins, payoffs
 }
 
 // Objective evaluates SUM or MAXMIN over the applications (MAXMIN
-// over those with positive payoff).
-func (pr *Problem) Objective(obj core.Objective, al *Allocation) float64 {
-	switch obj {
-	case core.SUM:
-		total := 0.0
-		for a, app := range pr.Apps {
-			total += app.Payoff * al.AppThroughput(a)
-		}
-		return total
-	case core.MAXMIN:
-		minv := math.Inf(1)
-		seen := false
-		for a, app := range pr.Apps {
-			if app.Payoff <= 0 {
-				continue
-			}
-			seen = true
-			if v := app.Payoff * al.AppThroughput(a); v < minv {
-				minv = v
-			}
-		}
-		if !seen {
-			return 0
-		}
-		return minv
-	}
-	panic(fmt.Sprintf("multiapp: unknown objective %d", int(obj)))
+// over those with positive payoff); see core.Objective.Value.
+func (pr *Problem) Objective(obj core.Objective, al *core.Allocation) float64 {
+	_, payoffs := pr.split()
+	return obj.Value(payoffs, al)
 }
 
-// CheckAllocation verifies the shared-platform analogues of
-// Equations (7) within tolerance tol.
-func (pr *Problem) CheckAllocation(al *Allocation, tol float64) error {
+// CheckAllocation verifies al, one α row per application, against
+// program (7) within tolerance tol. What is per application is checked
+// here: α_{a,l} ≥ −tol, and α_{a,l} ≤ tol off the routes a's origin has.
+// The rest is core.Problem.CheckAllocation on the allocation pooled by
+// origin, α_{k,l} = Σ_{a of origin k} α_{a,l} with β as given. A pooled
+// check alone would pass α_{u,l} = −5 beside α_{v,l} = +5 from one
+// origin.
+func (pr *Problem) CheckAllocation(al *core.Allocation, tol float64) error {
 	if err := pr.Validate(); err != nil {
 		return err
 	}
 	K := pr.Platform.K()
-	A := len(pr.Apps)
-	if len(al.Alpha) != A || len(al.Beta) != K {
-		return fmt.Errorf("multiapp: allocation shape mismatch")
+	if len(al.Alpha) != len(pr.Apps) {
+		return fmt.Errorf("multiapp: %d alpha rows for %d applications", len(al.Alpha), len(pr.Apps))
 	}
-	pl := pr.Platform
-	// Signs, route existence.
-	for a := 0; a < A; a++ {
+	pooled := core.NewAllocation(K)
+	pooled.Beta = al.Beta
+	for a, app := range pr.Apps {
 		if len(al.Alpha[a]) != K {
 			return fmt.Errorf("multiapp: alpha row %d has wrong width", a)
 		}
-		for l := 0; l < K; l++ {
-			if al.Alpha[a][l] < -tol {
-				return fmt.Errorf("multiapp: α_{%d,%d} = %g < 0", a, l, al.Alpha[a][l])
+		for l, v := range al.Alpha[a] {
+			if v < -tol {
+				return fmt.Errorf("multiapp: α_{%d,%d} = %g < 0", a, l, v)
 			}
-			k := pr.Apps[a].Origin
-			if l != k && al.Alpha[a][l] > tol && !pl.Route(k, l).Exists {
+			if l != app.Origin && v > tol && !pr.Platform.Route(app.Origin, l).Exists {
 				return fmt.Errorf("multiapp: α_{%d,%d} over nonexistent route", a, l)
 			}
+			pooled.Alpha[app.Origin][l] += v
 		}
 	}
-	// (7b) speeds.
-	for l := 0; l < K; l++ {
-		in := 0.0
-		for a := 0; a < A; a++ {
-			in += al.Alpha[a][l]
-		}
-		if s := pl.Clusters[l].Speed; in > s+tol*(1+s) {
-			return fmt.Errorf("multiapp: cluster %d overloaded: %g > %g", l, in, s)
-		}
-	}
-	// (7c) gateways: all remote traffic in or out of cluster k.
-	for k := 0; k < K; k++ {
-		traffic := 0.0
-		for a := 0; a < A; a++ {
-			origin := pr.Apps[a].Origin
-			for l := 0; l < K; l++ {
-				if (origin == k) != (l == k) {
-					traffic += al.Alpha[a][l]
-				}
-			}
-		}
-		if g := pl.Clusters[k].Gateway; traffic > g+tol*(1+g) {
-			return fmt.Errorf("multiapp: gateway %d overloaded: %g > %g", k, traffic, g)
-		}
-	}
-	// (7d) pooled connection budgets.
-	used := make([]int, len(pl.Links))
-	for k := 0; k < K; k++ {
-		if len(al.Beta[k]) != K {
-			return fmt.Errorf("multiapp: beta row %d has wrong width", k)
-		}
-		for l := 0; l < K; l++ {
-			b := al.Beta[k][l]
-			if b < 0 {
-				return fmt.Errorf("multiapp: β_{%d,%d} < 0", k, l)
-			}
-			if b == 0 || k == l {
-				continue
-			}
-			rt := pl.Route(k, l)
-			if !rt.Exists {
-				return fmt.Errorf("multiapp: β_{%d,%d} over nonexistent route", k, l)
-			}
-			for _, li := range rt.Links {
-				used[li] += b
-			}
-		}
-	}
-	for li, u := range used {
-		if u > pl.Links[li].MaxConnect {
-			return fmt.Errorf("multiapp: link %d carries %d connections, max %d", li, u, pl.Links[li].MaxConnect)
-		}
-	}
-	// (7e) pooled route bandwidth.
-	for k := 0; k < K; k++ {
-		for l := 0; l < K; l++ {
-			if k == l {
-				continue
-			}
-			flow := 0.0
-			for a := 0; a < A; a++ {
-				if pr.Apps[a].Origin == k {
-					flow += al.Alpha[a][l]
-				}
-			}
-			if flow <= tol {
-				continue
-			}
-			bw := pl.RouteBW(k, l)
-			if math.IsInf(bw, 1) {
-				continue
-			}
-			capF := float64(al.Beta[k][l]) * bw
-			if flow > capF+tol*(1+capF) {
-				return fmt.Errorf("multiapp: route (%d,%d) flow %g exceeds β·bw %g", k, l, flow, capF)
-			}
-		}
-	}
-	return nil
+	return (&core.Problem{Platform: pr.Platform}).CheckAllocation(pooled, tol)
 }
 
-// RelaxedSolution is the rational relaxation optimum for the
-// multi-application problem.
-type RelaxedSolution struct {
-	Alpha     [][]float64 // [app][cluster]
-	Objective float64
-}
-
-// Relaxed solves the rational relaxation in α-space, exactly like
-// core.Relaxed but with one variable row per application. Pooled
-// connections are eliminated the same way: route (k,l) consumes
-// (Σ_{a at k} α_{a,l})/bw_min connection-equivalents on each of its
-// links. The LP is built and cold-solved once per call.
-func (pr *Problem) Relaxed(obj core.Objective) (*RelaxedSolution, error) {
+// Relaxed solves the rational relaxation in α-space with one α row per
+// application: core.RelaxedApps, whose routes pool their connections
+// over the applications of their origin. The LP is built and
+// cold-solved once per call.
+func (pr *Problem) Relaxed(obj core.Objective) (*core.RelaxedSolution, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
-	K := pr.Platform.K()
-	pl := pr.Platform
-	// col[a][l] is the LP column of α_{a,l}, -1 where no route leads
-	// from a's origin to l.
-	col := make([][]int, len(pr.Apps))
-	nv := 0
-	for a, app := range pr.Apps {
-		col[a] = make([]int, K)
-		for l := range col[a] {
-			col[a][l] = -1
-			if l == app.Origin || pl.Route(app.Origin, l).Exists {
-				col[a][l] = nv
-				nv++
-			}
-		}
-	}
-	total := nv
-	if obj == core.MAXMIN {
-		total++ // the level t, column nv
-	}
-	prob := lp.New(total)
-	addLE := func(terms []lp.Term, rhs float64) {
-		if len(terms) > 0 {
-			prob.AddConstraint(terms, lp.LE, rhs)
-		}
-	}
-	switch obj {
-	case core.SUM:
-		for a, app := range pr.Apps {
-			for _, c := range col[a] {
-				if c >= 0 {
-					prob.SetObjective(c, app.Payoff)
-				}
-			}
-		}
-	case core.MAXMIN:
-		// t ≤ π_a·Σ_l α_{a,l} for every application with positive payoff.
-		prob.SetObjective(nv, 1)
-		any := false
-		for a, app := range pr.Apps {
-			if app.Payoff <= 0 {
-				continue
-			}
-			any = true
-			terms := []lp.Term{{Var: nv, Coeff: 1}}
-			for _, c := range col[a] {
-				if c >= 0 {
-					terms = append(terms, lp.Term{Var: c, Coeff: -app.Payoff})
-				}
-			}
-			prob.AddConstraint(terms, lp.LE, 0)
-		}
-		if !any {
-			return nil, fmt.Errorf("multiapp: MAXMIN with no positive payoff")
-		}
-	default:
-		return nil, fmt.Errorf("multiapp: unknown objective %v", obj)
-	}
-
-	// (7b) speeds.
-	for l := 0; l < K; l++ {
-		var terms []lp.Term
-		for a := range col {
-			if c := col[a][l]; c >= 0 {
-				terms = append(terms, lp.Term{Var: c, Coeff: 1})
-			}
-		}
-		addLE(terms, pl.Clusters[l].Speed)
-	}
-	// (7c) gateways: all remote traffic in or out of cluster k.
-	for k := 0; k < K; k++ {
-		var terms []lp.Term
-		for a, app := range pr.Apps {
-			for l, c := range col[a] {
-				if c >= 0 && (app.Origin == k) != (l == k) {
-					terms = append(terms, lp.Term{Var: c, Coeff: 1})
-				}
-			}
-		}
-		addLE(terms, pl.Clusters[k].Gateway)
-	}
-	// (7d)+(7e) per link, pooled per origin route.
-	linkUse := make([][]lp.Term, len(pl.Links))
-	for a, app := range pr.Apps {
-		for l, c := range col[a] {
-			if c < 0 || l == app.Origin {
-				continue
-			}
-			rt := pl.Route(app.Origin, l)
-			if rt.MinBW <= 0 || math.IsInf(rt.MinBW, 1) {
-				continue
-			}
-			for _, li := range rt.Links {
-				linkUse[li] = append(linkUse[li], lp.Term{Var: c, Coeff: 1 / rt.MinBW})
-			}
-		}
-	}
-	for li, terms := range linkUse {
-		addLE(terms, float64(pl.Links[li].MaxConnect))
-	}
-
-	sol, err := prob.Solve()
+	origins, payoffs := pr.split()
+	rel, ok, err := core.RelaxedApps(pr.Platform, origins, payoffs, obj)
 	if err != nil {
 		return nil, err
 	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("multiapp: relaxation %v (zero is always feasible)", sol.Status)
+	if !ok {
+		return nil, fmt.Errorf("multiapp: relaxation infeasible (zero is always feasible)")
 	}
-	out := &RelaxedSolution{Alpha: make([][]float64, len(col)), Objective: sol.Objective}
-	for a := range col {
-		out.Alpha[a] = make([]float64, K)
-		for l, c := range col[a] {
-			if c >= 0 && sol.X[c] > 0 {
-				out.Alpha[a][l] = sol.X[c]
-			}
-		}
-	}
-	return out, nil
+	return rel, nil
 }
 
 // Greedy is the §5.1 heuristic generalized to applications: at every
 // step the application with the smallest relative share α_a·π_a picks
 // its most profitable cluster; pooled route connections are opened on
 // demand. Applications with payoff 0 are excluded.
-func (pr *Problem) Greedy() (*Allocation, error) {
+func (pr *Problem) Greedy() (*core.Allocation, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
 	K := pr.Platform.K()
 	A := len(pr.Apps)
 	pl := pr.Platform
-	al := &Allocation{Alpha: make([][]float64, A), Beta: make([][]int, K)}
+	al := &core.Allocation{Alpha: make([][]float64, A), Beta: make([][]int, K)}
 	for a := 0; a < A; a++ {
 		al.Alpha[a] = make([]float64, K)
 	}

@@ -46,9 +46,10 @@ func TestValidate(t *testing.T) {
 }
 
 func TestSingleAppPerClusterMatchesCore(t *testing.T) {
-	// With exactly one app per cluster the multi-app relaxation must
-	// agree with the core relaxation — on the generated platform, and
-	// with its link budgets scaled into [0, nominal], link 0's to zero.
+	// With exactly one app per cluster the multi-app relaxation is the
+	// core relaxation — one program, so the objective and every α and β
+	// agree bit for bit — on the generated platform, and with its link
+	// budgets scaled into [0, nominal], link 0's to zero.
 	rng := rand.New(rand.NewSource(5))
 	for seed := int64(0); seed < 8; seed++ {
 		params := platgen.Params{
@@ -86,8 +87,17 @@ func TestSingleAppPerClusterMatchesCore(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if math.Abs(got.Objective-want.Objective) > 1e-5*(1+want.Objective) {
+				if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
 					t.Fatalf("seed %d %v (squeezed %v): multiapp %g vs core %g", seed, obj, p == squeezed, got.Objective, want.Objective)
+				}
+				for _, tab := range [][2][][]float64{{got.Alpha, want.Alpha}, {got.Beta, want.Beta}} {
+					for k := range tab[1] {
+						for l, w := range tab[1][k] {
+							if g := tab[0][k][l]; math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("seed %d %v (squeezed %v): cell (%d,%d) multiapp %v vs core %v", seed, obj, p == squeezed, k, l, g, w)
+							}
+						}
+					}
 				}
 			}
 		}
@@ -198,7 +208,7 @@ func TestObjectiveAndThroughput(t *testing.T) {
 		{Origin: 0, Payoff: 2},
 		{Origin: 0, Payoff: 1},
 	}}
-	al := &Allocation{
+	al := &core.Allocation{
 		Alpha: [][]float64{{10, 5}, {20, 0}},
 		Beta:  [][]int{{0, 1}, {0, 0}},
 	}
@@ -219,8 +229,8 @@ func TestCheckAllocationViolations(t *testing.T) {
 		{Origin: 0, Payoff: 1},
 		{Origin: 0, Payoff: 1},
 	}}
-	mk := func() *Allocation {
-		return &Allocation{
+	mk := func() *core.Allocation {
+		return &core.Allocation{
 			Alpha: [][]float64{{0, 0}, {0, 0}},
 			Beta:  [][]int{{0, 0}, {0, 0}},
 		}
@@ -248,6 +258,17 @@ func TestCheckAllocationViolations(t *testing.T) {
 		a.Beta[0][1] = 2
 		if err := pr.CheckAllocation(a, 1e-6); err != nil {
 			t.Fatal(err)
+		}
+	})
+	t.Run("one app negative beside another", func(t *testing.T) {
+		// Pooled by origin, α_{0,1} = −5 and α_{1,1} = +5 sum to 0 and
+		// pass every platform row; only the per-application check sees
+		// the negative load.
+		a := mk()
+		a.Alpha[0][1] = -5
+		a.Alpha[1][1] = 5
+		if err := pr.CheckAllocation(a, 1e-6); err == nil {
+			t.Fatal("expected a negative α violation")
 		}
 	})
 	t.Run("connections", func(t *testing.T) {
