@@ -228,8 +228,8 @@ func emitJSON(platformJSON []byte, heur, objName string, obj core.Objective, pr 
 
 // emitBatch answers a batched what-if request through the service's
 // engine (fresh warm session, forked solve contexts) and prints the
-// response in the HTTP endpoint's exact encoding — two-space indent
-// plus trailing newline — so the CLI output byte-diffs clean against
+// response through the HTTP endpoint's own encoder,
+// service.EncodeBatch, so the CLI output byte-diffs clean against
 // POST /sessions/{id}/whatif/batch.
 func emitBatch(platformJSON []byte, heur, objName string, pr *core.Problem, seed int64, batchFile string) error {
 	bdata, err := os.ReadFile(batchFile)
@@ -256,12 +256,7 @@ func emitBatch(platformJSON []byte, heur, objName string, pr *core.Problem, seed
 	if err != nil {
 		return err
 	}
-	out, err := json.MarshalIndent(resp, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = os.Stdout.Write(append(out, '\n'))
-	return err
+	return service.EncodeBatch(os.Stdout, resp)
 }
 
 func safeRatio(a, b float64) float64 {

@@ -81,8 +81,10 @@ func testSnapshot() *SessionSnapshot {
 		Seed:        7,
 		Epoch:       3,
 		Platform:    json.RawMessage(`{"routers":1}`),
+		BasisCols:   []int{4, 2, 9},
+		BasisUpper:  []int{1, 4},
+		BasisNcols:  6,
 	}
-	s.SetBasis([]int{4, 2, 9}, []bool{false, true, false, false, true, false})
 	return s
 }
 

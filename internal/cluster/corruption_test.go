@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -34,8 +35,10 @@ func sealedSnapshot(t testing.TB) (*SessionSnapshot, []byte) {
 		Seed:        42,
 		Epoch:       7,
 		Platform:    json.RawMessage(`{"hosts":[{"name":"h0","compute":1.5}],"links":[]}`),
+		BasisCols:   []int{3, 1, 4, 1, 5},
+		BasisUpper:  []int{1, 4},
+		BasisNcols:  6,
 	}
-	snap.SetBasis([]int{3, 1, 4, 1, 5}, []bool{false, true, false, false, true, false})
 	for i := 0; i < recordDepth; i++ {
 		snap.RecentCommits = append(snap.RecentCommits, CommitRecord{
 			ID:     fmt.Sprintf("commit-%02d", i),
@@ -141,6 +144,21 @@ func TestSnapshotDecodeTruncation(t *testing.T) {
 	}
 }
 
+// corpusFile reads a []byte literal of the committed fuzz corpus.
+func corpusFile(t *testing.T, name string) []byte {
+	t.Helper()
+	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	literal := strings.TrimSuffix(strings.TrimPrefix(string(file), "go test fuzz v1\n[]byte("), ")\n")
+	data, err := strconv.Unquote(literal)
+	if err != nil {
+		t.Fatalf("corpus file %s is not a []byte literal: %v", name, err)
+	}
+	return []byte(data)
+}
+
 func TestSnapshotDecodeVersionSkew(t *testing.T) {
 	_, data := sealedSnapshot(t)
 	// The checksum covers the body, not the frame, so these still carry
@@ -151,16 +169,18 @@ func TestSnapshotDecodeVersionSkew(t *testing.T) {
 		binary.BigEndian.PutUint32(skewed[versionAt:], v)
 		mustFailOnVersion(t, skewed, fmt.Sprintf("version %d", v))
 	}
-	// A format-2 document is refused at the same gate: no second
-	// decoder, no migration.
+	// A format-2 document and a format-3 frame (its basis in the JSON
+	// header) are refused at the same gate: no second decoder, no
+	// migration.
 	mustFailOnVersion(t, []byte(formatTwoDocument), "format-2 document")
+	mustFailOnVersion(t, corpusFile(t, "format3-full-record"), "format-3 snapshot")
 }
 
 func TestSnapshotDecodeSectionLengths(t *testing.T) {
 	_, data := sealedSnapshot(t)
 	at := sectionOffsets(t, data)
-	if len(at) != 2+recordDepth {
-		t.Fatalf("sealed snapshot has %d sections, want header + platform + %d reports", len(at), recordDepth)
+	if len(at) != 3+recordDepth {
+		t.Fatalf("sealed snapshot has %d sections, want header + platform + basis + %d reports", len(at), recordDepth)
 	}
 	// A length that lies — by one byte, by the whole remainder, by all a
 	// uint32 can say — on every section, behind a valid checksum.
@@ -253,11 +273,110 @@ func TestSnapshotDecodeHostileInputs(t *testing.T) {
 		withHeader(hdr + " "),
 		withHeader(strings.Replace(hdr, `"epoch":7`, `"epoch":"7"`, 1)),
 		withHeader(strings.Replace(hdr, `"id":"deadbeef`, `"id":"","x":"`, 1)),
-		withHeader(strings.Replace(hdr, `"basisCols":[3,1,4,1,5]`, `"basisCols":[]`, 1)),
+		withHeader(`{"basisCols":[3,1,4,1,5],` + hdr[1:]), // format 3's basis, in the header
 		withHeader("null"),
 		withHeader(""),
 	} {
 		mustFail(t, in, fmt.Sprintf("hostile input %.60q", in))
+	}
+}
+
+// basisWords is the sealed snapshot's basis section with its words
+// replaced, resealed, in front of the sections that follow it.
+func basisWords(t testing.TB, data []byte, words ...uint32) []byte {
+	t.Helper()
+	at := sectionOffsets(t, data)
+	var sec []byte
+	for _, w := range words {
+		sec = binary.BigEndian.AppendUint32(sec, w)
+	}
+	out := appendSection(append([]byte(nil), data[:at[2]]...), sec)
+	return reseal(append(out, data[at[3]:]...))
+}
+
+// TestSnapshotDecodeBasisSection holds the binary basis section's
+// strictness, each case behind a valid checksum and a section length
+// that tells the truth: every count is compared with the words that
+// remain, the at-upper columns ascend strictly below ncols, m > 0.
+func TestSnapshotDecodeBasisSection(t *testing.T) {
+	_, data := sealedSnapshot(t)
+	if _, err := DecodeSnapshot(basisWords(t, data, 6, 5, 3, 1, 4, 1, 5, 2, 1, 4)); err != nil {
+		t.Fatalf("the honest basis section, rebuilt, must decode: %v", err)
+	}
+	for name, words := range map[string][]uint32{
+		"empty section":              nil,
+		"ncols only":                 {6},
+		"no basic columns":           {6, 0, 0},
+		"m past the section":         {6, 6, 3, 1, 4, 1, 5, 0},
+		"m of 4 Gi":                  {6, math.MaxUint32, 3, 1, 4, 1, 5, 0},
+		"no at-upper count":          {6, 5, 3, 1, 4, 1, 5},
+		"at-upper count over":        {6, 5, 3, 1, 4, 1, 5, 3, 1, 4},
+		"at-upper count of 4 Gi":     {6, 5, 3, 1, 4, 1, 5, math.MaxUint32, 1, 4},
+		"at-upper count under":       {6, 5, 3, 1, 4, 1, 5, 1, 1, 4},
+		"trailing word":              {6, 5, 3, 1, 4, 1, 5, 2, 1, 4, 0},
+		"at-upper column = ncols":    {6, 5, 3, 1, 4, 1, 5, 2, 1, 6},
+		"at-upper column past ncols": {6, 5, 3, 1, 4, 1, 5, 1, math.MaxUint32},
+		"at-upper without ncols":     {0, 5, 3, 1, 4, 1, 5, 1, 0},
+		"at-upper descending":        {6, 5, 3, 1, 4, 1, 5, 2, 4, 1},
+		"at-upper repeated":          {6, 5, 3, 1, 4, 1, 5, 2, 4, 4},
+	} {
+		mustFail(t, basisWords(t, data, words...), name)
+	}
+	// A trailing byte short of a word, and a truncated last word.
+	at := sectionOffsets(t, data)
+	for name, sec := range map[string][]byte{
+		"a byte past the words": append(append([]byte(nil), data[at[2]+4:at[3]]...), 0),
+		"a torn last word":      data[at[2]+4 : at[3]-1],
+	} {
+		out := appendSection(append([]byte(nil), data[:at[2]]...), sec)
+		mustFail(t, reseal(append(out, data[at[3]:]...)), name)
+	}
+	// Basic columns out of the receiving solver's range are its
+	// business (lp.ImportBasis falls back cold), not the codec's.
+	if _, err := DecodeSnapshot(basisWords(t, data, 6, 5, math.MaxUint32, 1, 4, 1, 5, 0)); err != nil {
+		t.Fatalf("an out-of-range basic column is the solver's to refuse: %v", err)
+	}
+}
+
+// TestSnapshotSealsLiveBasisInPlace: a snapshot pointed at a live
+// basis's dense slices (SetBasis, as the service seals) encodes the
+// bytes its sparse form does, and copies neither slice.
+func TestSnapshotSealsLiveBasisInPlace(t *testing.T) {
+	sparse, want := sealedSnapshot(t)
+	live := *sparse
+	cols, upper := []int{3, 1, 4, 1, 5}, []bool{false, true, false, false, true, false}
+	live.SetBasis(cols, upper)
+	if &live.BasisCols[0] != &cols[0] {
+		t.Fatal("SetBasis copied the basic columns")
+	}
+	got, err := live.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sealed from the live basis:\n%q\nfrom its sparse form:\n%q", got, want)
+	}
+	if gc, gu := live.Basis(); !reflect.DeepEqual(gc, cols) || !reflect.DeepEqual(gu, upper) {
+		t.Fatalf("Basis() of a live-basis snapshot = %v, %v", gc, gu)
+	}
+	// Appending seals after what the buffer already holds.
+	prefix := []byte("kept")
+	again, err := live.AppendEncode(prefix)
+	if err != nil || string(again[:4]) != "kept" || !bytes.Equal(again[4:], want) {
+		t.Fatalf("AppendEncode after a prefix: %q, %v", again, err)
+	}
+	// What decode would refuse does not seal.
+	for name, bad := range map[string]func(*SessionSnapshot){
+		"negative column":     func(s *SessionSnapshot) { s.BasisCols = []int{-1} },
+		"column past uint32":  func(s *SessionSnapshot) { s.BasisCols = []int{math.MaxUint32 + 1} },
+		"at-upper descending": func(s *SessionSnapshot) { s.BasisUpper = []int{4, 1} },
+		"at-upper at ncols":   func(s *SessionSnapshot) { s.BasisUpper = []int{6} },
+	} {
+		s := *sparse
+		bad(&s)
+		if _, err := s.Encode(); err == nil {
+			t.Fatalf("%s: sealed cleanly", name)
+		}
 	}
 }
 
@@ -268,6 +387,21 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(sealed)
 	f.Add([]byte(formatTwoDocument))
 	f.Add(reseal(lying))
+	// Format-4 basis sections a decoder must refuse: truncated, counts
+	// overflowing it, a trailing word, an at-upper column at ncols, and
+	// a non-ascending at-upper list.
+	at := sectionOffsets(f, sealed)
+	truncated := appendSection(append([]byte(nil), sealed[:at[2]]...), sealed[at[2]+4:at[3]-4])
+	f.Add(reseal(append(truncated, sealed[at[3]:]...)))
+	for _, words := range [][]uint32{
+		{6, math.MaxUint32, 3, 1, 4, 1, 5, 2, 1, 4},
+		{6, 5, 3, 1, 4, 1, 5, math.MaxUint32, 1, 4},
+		{6, 5, 3, 1, 4, 1, 5, 2, 1, 4, 0},
+		{6, 5, 3, 1, 4, 1, 5, 2, 1, 6},
+		{6, 5, 3, 1, 4, 1, 5, 2, 4, 1},
+	} {
+		f.Add(basisWords(f, sealed, words...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Never panics; on success the invariants hold.
 		snap, err := DecodeSnapshot(data)
@@ -360,23 +494,15 @@ func TestStoreSweep(t *testing.T) {
 	}
 }
 
-// TestSnapshotWireFormatIsPinned holds format 3 to the bytes committed
+// TestSnapshotWireFormatIsPinned holds format 4 to the bytes committed
 // in the fuzz corpus: a change to the frame, the header's fields or
-// their order fails here until SnapshotVersion moves and the corpus is
-// regenerated with it — so the corpus cannot quietly turn into three
-// inputs that are refused at the gate.
+// their order, or the basis section fails here until SnapshotVersion
+// moves and the corpus is regenerated with it — so the corpus cannot
+// quietly turn into inputs that are refused at the gate. The format-3
+// files stay in the corpus as seeds that must be refused there.
 func TestSnapshotWireFormatIsPinned(t *testing.T) {
 	_, sealed := sealedSnapshot(t)
-	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot", "format3-full-record"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	literal := strings.TrimSuffix(strings.TrimPrefix(string(file), "go test fuzz v1\n[]byte("), ")\n")
-	committed, err := strconv.Unquote(literal)
-	if err != nil {
-		t.Fatalf("corpus file is not a []byte literal: %v", err)
-	}
-	if committed != string(sealed) {
+	if committed := corpusFile(t, "format4-full-record"); !bytes.Equal(committed, sealed) {
 		t.Fatalf("format %d no longer encodes to the committed corpus bytes:\n got %q\nwant %q", SnapshotVersion, sealed, committed)
 	}
 }

@@ -21,26 +21,42 @@
 // footing every committed solve starts from (lp.Revised.Rebase) — one
 // warm dual-simplex restart, typically zero pivots, zero cold solves.
 //
-// The wire form (SnapshotVersion 3) is a frame — a magic line, the
+// The wire form (SnapshotVersion 4) is a frame — a magic line, the
 // format version, the hex sha256 of the body bytes exactly as sent —
 // and a body of length-prefixed sections: a small JSON header
-// (identity, configuration, epoch, basis, the commit-dedup record's IDs
-// in order), the platform, and one report per recorded commit. Only
-// the header is marshalled per snapshot. The platform and the reports
-// are appended as bytes their owner already holds (a commit's report is
-// encoded once, when it is recorded, however many snapshots it rides
-// in), so sealing costs one small marshal, a copy and one hash, and
-// opening costs one hash and the header.
+// (identity, configuration, epoch, the commit-dedup record's IDs in
+// order), the platform, the basis, and one report per recorded commit.
+// The basis section is uint32 BE words: the solver's column count
+// ncols, the basis size m, the m basic columns in basis order, the
+// number of nonbasic columns resting at their upper bound, and those
+// columns, strictly ascending.
+//
+// The basis is binary because it is most of what the header used to
+// parse: at K = 20 a basis is ~560 columns, and decoding them as JSON
+// ints was ~130 µs of a replica's ~170 µs decode of an eight-deep
+// snapshot. As words it is read with one bounds check per count and no
+// parse, and sealed straight from the live lp.Basis (lp.Basis.View),
+// with no exported copy. Only the header is marshalled per snapshot.
+// The platform and the reports are appended as bytes their owner
+// already holds (a commit's report is encoded once, when it is
+// recorded, however many snapshots it rides in), so sealing costs one
+// small marshal, the basis words, a copy and one hash — into a buffer
+// the caller reuses (AppendEncode) — and opening costs one hash, the
+// header and the basis words.
 //
 //   - At receipt (DecodeSnapshot: replication, migration, recovery —
 //     before anything is acked or installed): the version, exactly; the
 //     checksum over the received bytes, so a torn write or corrupted
 //     transfer, down to any single flipped bit, is an error instead of
 //     a subtly wrong warm state; the header, decoded strictly (unknown
-//     fields and trailing bytes are errors); and the section structure
-//     (every declared length fits the bytes that remain and is never
-//     allocated from, one report per commit ID, nothing left over). The
-//     sections are handed on as slices of the received bytes, unparsed.
+//     fields and trailing bytes are errors, a basis in the header
+//     among them); the section structure (every declared length fits
+//     the bytes that remain and is never allocated from, one report per
+//     commit ID, nothing left over); and the basis section, as strictly
+//     (m > 0, each count compared with the words that remain before
+//     anything is allocated from it, at-upper columns strictly
+//     ascending below ncols, no trailing bytes). The platform and the
+//     reports are handed on as slices of the received bytes, unparsed.
 //   - At install (service.RestoreSession: promotion, migration arrival,
 //     recovery): the ID must digest from the carried fingerprint and
 //     configuration, the platform is validated like an uploaded one, a
@@ -48,9 +64,13 @@
 //     validates the imported basis, falling back to a cold solve. A
 //     snapshot that fails here installs nothing.
 //   - Across versions: nothing. A format-2 snapshot (one JSON document)
-//     is refused at the version gate wherever it arrives, never
-//     migrated; the *.snap.json files it left in a store are not read
-//     and go with the next sweep. A rolling upgrade must finish before
+//     and a format-3 one (this frame, its basis as JSON ints in the
+//     header) are refused at the version gate wherever they arrive,
+//     never migrated: their sessions rebuild cold from traffic. The
+//     *.snap.json files format 2 left in a store are not read and go
+//     with the next sweep; a format-3 *.snap file is skipped (and
+//     counted) at recovery, and goes with the next sweep unless its
+//     session is live again, whose next commit overwrites it. A rolling upgrade must finish before
 //     the format moves: until then old and new replicas refuse each
 //     other's snapshots — fan-out between them goes unacked
 //     (ReplicationLag degrades), a migration between them fails and

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // SnapshotVersion is the current session-snapshot format version.
@@ -14,12 +15,14 @@ import (
 // carrier between replicas of one deployment, not an archival format,
 // so "reject and rebuild cold from traffic" is the right behavior for
 // a version skew — never a guessed migration of solver state.
-const SnapshotVersion = 3
+const SnapshotVersion = 4
 
 // The wire form: frameMagic, the version (uint32 BE), the hex sha256 of
 // the body, then the body — sections of a uint32 BE length and that
-// many bytes each: the JSON header, the platform, and one report per
-// entry of the header's commitIds, in order.
+// many bytes each: the JSON header, the platform, the basis, and one
+// report per entry of the header's commitIds, in order. The basis
+// section is uint32 BE words: ncols, m, the m basic columns, the
+// at-upper count and that many strictly ascending at-upper columns.
 const (
 	frameMagic = "schedd-snapshot\n"
 	versionAt  = len(frameMagic)
@@ -59,13 +62,16 @@ type SessionSnapshot struct {
 	Platform json.RawMessage `json:"-"`
 
 	// BasisCols is the exported basic column set; BasisUpper lists the
-	// indices of nonbasic-at-upper columns (sparse — the dense bool
-	// vector is almost entirely false) out of BasisNcols total solver
-	// columns. BasisNcols 0 with nil BasisUpper means the producing
-	// basis carried no at-upper statuses.
-	BasisCols  []int `json:"basisCols"`
-	BasisUpper []int `json:"basisUpper,omitempty"`
-	BasisNcols int   `json:"basisNcols,omitempty"`
+	// indices of nonbasic-at-upper columns, strictly ascending (sparse —
+	// the dense bool vector is almost entirely false), out of BasisNcols
+	// total solver columns. BasisNcols 0 with nil BasisUpper means the
+	// producing basis carried no at-upper statuses. A snapshot sealed
+	// from a live basis (SetBasis) reads its at-upper statuses from that
+	// basis instead, and leaves BasisUpper nil.
+	BasisCols  []int `json:"-"`
+	BasisUpper []int `json:"-"`
+	BasisNcols int   `json:"-"`
+	atUpper    []bool
 
 	// RecentCommits records the most recently applied tagged epoch
 	// commits, oldest first (the router's idempotency tags and the
@@ -97,24 +103,23 @@ type header struct {
 	CommitIDs []string `json:"commitIds,omitempty"`
 }
 
-// SetBasis stores an exported basis (lp.Basis.Export's two slices) in
-// the snapshot's sparse serialized form.
+// SetBasis points the snapshot at a live basis in lp.Basis's exported
+// form (lp.Basis.View's two slices): cols becomes BasisCols and the
+// at-upper statuses are read from upper when the snapshot is sealed.
+// Neither slice is copied, so they must not change until the snapshot
+// is sealed; a basis never does.
 func (s *SessionSnapshot) SetBasis(cols []int, upper []bool) {
-	s.BasisCols = append([]int(nil), cols...)
-	s.BasisUpper = nil
-	s.BasisNcols = len(upper)
-	for j, at := range upper {
-		if at {
-			s.BasisUpper = append(s.BasisUpper, j)
-		}
-	}
+	s.BasisCols, s.BasisUpper, s.BasisNcols, s.atUpper = cols, nil, len(upper), upper
 }
 
 // Basis reconstructs the exported-basis slices for lp.ImportBasis.
 // upper is nil when the snapshot carried no at-upper vector.
 func (s *SessionSnapshot) Basis() (cols []int, upper []bool) {
 	cols = append([]int(nil), s.BasisCols...)
-	if s.BasisNcols > 0 {
+	switch {
+	case s.atUpper != nil:
+		upper = append([]bool(nil), s.atUpper...)
+	case s.BasisNcols > 0:
 		upper = make([]bool, s.BasisNcols)
 		for _, j := range s.BasisUpper {
 			if j >= 0 && j < s.BasisNcols {
@@ -146,43 +151,141 @@ func appendSection(out, section []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(out, uint32(len(section))), section...)
 }
 
-// Encode seals the snapshot (Version stamped, Checksum computed) and
-// returns its wire form: the header is marshalled, the platform and
-// the commit reports are appended as the bytes they already are.
+// appendWord appends v as one uint32 BE word of the basis section; ok
+// is false when v does not fit one.
+func appendWord(out []byte, v int) ([]byte, bool) {
+	return binary.BigEndian.AppendUint32(out, uint32(v)), v >= 0 && uint64(v) <= math.MaxUint32
+}
+
+// appendBasis appends the basis section, length prefix included. It
+// refuses what DecodeSnapshot would: a word out of uint32 range, an
+// at-upper list that is not strictly ascending below BasisNcols.
+func (s *SessionSnapshot) appendBasis(out []byte) ([]byte, error) {
+	at := len(out)
+	out, fits := appendWord(append(out, 0, 0, 0, 0), s.BasisNcols)
+	out, ok := appendWord(out, len(s.BasisCols))
+	fits = fits && ok
+	for _, c := range s.BasisCols {
+		out, ok = appendWord(out, c)
+		fits = fits && ok
+	}
+	if s.atUpper != nil {
+		n := 0
+		for _, up := range s.atUpper {
+			if up {
+				n++
+			}
+		}
+		out = binary.BigEndian.AppendUint32(out, uint32(n))
+		for j, up := range s.atUpper {
+			if up {
+				out = binary.BigEndian.AppendUint32(out, uint32(j))
+			}
+		}
+	} else {
+		out, ok = appendWord(out, len(s.BasisUpper))
+		fits = fits && ok
+		for i, j := range s.BasisUpper {
+			out, ok = appendWord(out, j)
+			fits = fits && ok && j < s.BasisNcols && (i == 0 || j > s.BasisUpper[i-1])
+		}
+	}
+	if !fits {
+		return nil, fmt.Errorf("cluster: snapshot basis out of range (a column outside uint32, or at-upper columns not strictly ascending below %d)", s.BasisNcols)
+	}
+	binary.BigEndian.PutUint32(out[at:], uint32(len(out)-at-4))
+	return out, nil
+}
+
+// decodeBasis opens the basis section into s. Each count is compared
+// with the words that remain before anything is allocated from it; the
+// at-upper columns must ascend strictly below ncols. Whether the basic
+// columns fit the receiving solver is its business (lp.ImportBasis).
+func (s *SessionSnapshot) decodeBasis(sec []byte) error {
+	word := func() uint32 {
+		w := binary.BigEndian.Uint32(sec)
+		sec = sec[4:]
+		return w
+	}
+	if len(sec) < 8 {
+		return fmt.Errorf("cluster: snapshot basis section is %d bytes, too short for its counts", len(sec))
+	}
+	ncols, m := word(), uint64(word())
+	if m == 0 || m >= uint64(len(sec)/4) {
+		return fmt.Errorf("cluster: snapshot basis declares %d basic columns, %d bytes remain", m, len(sec))
+	}
+	s.BasisNcols = int(ncols)
+	s.BasisCols = make([]int, m)
+	for i := range s.BasisCols {
+		s.BasisCols[i] = int(word())
+	}
+	n := uint64(word())
+	if n != uint64(len(sec)/4) || len(sec)%4 != 0 {
+		return fmt.Errorf("cluster: snapshot basis declares %d at-upper columns in %d bytes", n, len(sec))
+	}
+	if n > 0 {
+		s.BasisUpper = make([]int, n)
+	}
+	for i := range s.BasisUpper {
+		j := word()
+		if j >= ncols || (i > 0 && int(j) <= s.BasisUpper[i-1]) {
+			return fmt.Errorf("cluster: snapshot at-upper column %d out of order or not below %d", j, ncols)
+		}
+		s.BasisUpper[i] = int(j)
+	}
+	return nil
+}
+
+// Encode seals the snapshot into a buffer of its own; see AppendEncode.
 func (s *SessionSnapshot) Encode() ([]byte, error) {
+	size := frameLen + 512 + len(s.Platform) + 4*(len(s.BasisCols)+len(s.BasisUpper)+4)
+	for _, rec := range s.RecentCommits {
+		size += 4 + len(rec.Report)
+	}
+	return s.AppendEncode(make([]byte, 0, size))
+}
+
+// AppendEncode seals the snapshot (Version stamped, Checksum computed)
+// and appends its wire form to dst: the header is marshalled, the
+// basis written word by word, the platform and the commit reports
+// appended as the bytes they already are.
+func (s *SessionSnapshot) AppendEncode(dst []byte) ([]byte, error) {
 	if !s.complete() {
-		return nil, fmt.Errorf("cluster: snapshot missing session id, platform or basis (session never solved?)")
+		return dst, fmt.Errorf("cluster: snapshot missing session id, platform or basis (session never solved?)")
 	}
 	ids := make([]string, len(s.RecentCommits))
-	size := frameLen + 8 + len(s.Platform)
 	for i, rec := range s.RecentCommits {
 		ids[i] = rec.ID
-		size += 4 + len(rec.Report)
 	}
 	hdr, err := json.Marshal(header{s, ids})
 	if err != nil {
-		return nil, fmt.Errorf("cluster: encoding snapshot header: %w", err)
+		return dst, fmt.Errorf("cluster: encoding snapshot header: %w", err)
 	}
-	out := make([]byte, frameLen, size+len(hdr))
-	copy(out, frameMagic)
-	binary.BigEndian.PutUint32(out[versionAt:], SnapshotVersion)
+	start := len(dst)
+	out := append(dst, frameMagic...)
+	out = binary.BigEndian.AppendUint32(out, SnapshotVersion)
+	out = append(out, make([]byte, frameLen-checksumAt)...)
 	out = appendSection(appendSection(out, hdr), s.Platform)
+	if out, err = s.appendBasis(out); err != nil {
+		return dst, err
+	}
 	for _, rec := range s.RecentCommits {
 		out = appendSection(out, rec.Report)
 	}
-	sum := sha256.Sum256(out[frameLen:])
-	hex.Encode(out[checksumAt:frameLen], sum[:])
-	s.Version, s.Checksum = SnapshotVersion, string(out[checksumAt:frameLen])
+	frame := out[start:]
+	sum := sha256.Sum256(frame[frameLen:])
+	hex.Encode(frame[checksumAt:frameLen], sum[:])
+	s.Version, s.Checksum = SnapshotVersion, string(frame[checksumAt:frameLen])
 	return out, nil
 }
 
 // DecodeSnapshot verifies and opens a snapshot: the frame's version
 // first, then the checksum over the received body bytes, then a strict
-// decode of the header; the platform and the commit reports are sliced
-// out of data — the snapshot aliases it — with every section length
-// checked against the bytes that remain. Any failure is an error — the
-// caller falls back to building the session cold from traffic rather
-// than trusting damaged warm state.
+// decode of the header and of the basis; the platform and the commit
+// reports are sliced out of data — the snapshot aliases it — with every
+// section length checked against the bytes that remain. Any failure is
+// an error — the caller falls back to building the session cold from
+// traffic rather than trusting damaged warm state.
 func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
 	if len(data) < frameLen || string(data[:versionAt]) != frameMagic {
 		return nil, fmt.Errorf("cluster: snapshot version: no format-%d frame (older formats are refused, not migrated)", SnapshotVersion)
@@ -212,6 +315,13 @@ func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
 		return nil, fmt.Errorf("cluster: snapshot header has trailing bytes")
 	}
 	if s.Platform, body, err = cutSection(body); err != nil {
+		return nil, err
+	}
+	basis, body, err := cutSection(body)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.decodeBasis(basis); err != nil {
 		return nil, err
 	}
 	s.RecentCommits = make([]CommitRecord, len(h.CommitIDs))

@@ -34,6 +34,15 @@ func (b *Basis) Export() (cols []int, upper []bool) {
 	return cols, upper
 }
 
+// View returns the basis's own two slices, in Export's form, without
+// copying them: for a caller that only reads them, such as a snapshot
+// sealer writing them onto the wire. A Basis never changes once
+// returned, so they stay valid as long as the Basis; the caller must
+// not write to them.
+func (b *Basis) View() (cols []int, upper []bool) {
+	return b.cols, b.upper
+}
+
 // ImportBasis is the inverse of Export: it rebuilds a Basis from a
 // serialized column set and at-upper statuses. The slices are copied,
 // so the caller may reuse its buffers. Indices are NOT validated here

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -50,6 +51,15 @@ func TestBasisSerializeRoundTrip(t *testing.T) {
 			if cols[0] == -99 {
 				t.Fatalf("seed %d: Export aliases internal state", seed)
 			}
+		}
+		// View is Export without the copy: the same two slices' contents,
+		// the basis's own arrays.
+		vcols, vupper := bas.View()
+		if !slices.Equal(vcols, cols) || !slices.Equal(vupper, upper) || (vupper == nil) != (upper == nil) {
+			t.Fatalf("seed %d: View differs from Export", seed)
+		}
+		if again, _ := bas.View(); len(again) > 0 && &again[0] != &vcols[0] {
+			t.Fatalf("seed %d: View copies", seed)
 		}
 		imported := ImportBasis(cols, upper)
 		cols[0] = -7 // mutating the caller's buffers must not affect the import

@@ -638,7 +638,7 @@ func TestNodeRecoverFromStore(t *testing.T) {
 }
 
 // TestRecoverSkipsForeignVersion: a store written partly by a format-2
-// build does not fail start-up. The good format-3 file recovers warm;
+// build does not fail start-up. The good current-format file recovers warm;
 // a .snap file holding a well-formed format-2 document (exactly what
 // the last format-2 build's Encode produced) is counted in skipped, as
 // any undecodable file is; a leftover .snap.json is not read at all and

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -11,11 +12,15 @@ import (
 	"repro/internal/core"
 )
 
-// The one encoder of top-level SolveReport bodies: a single-pass
-// append encoder emitting exactly the bytes of json.Encoder in its
-// two-space indent mode, which reflects and then re-walks its output
-// to indent it. The format is a frozen contract; encoding/json stays
-// the encoder of every other type and this one's oracle in tests.
+// The one encoder of SolveReport bytes: a single-pass append encoder
+// emitting exactly what encoding/json writes, in three forms — a query,
+// what-if or epoch body (json.Encoder's two-space indent mode plus its
+// trailing newline, which reflects and then re-walks its output to
+// indent it), a /whatif/batch body, whose reports sit nested two levels
+// deep in the same indent mode, and the compact bytes json.Marshal
+// renders a commit record in. The format is a frozen contract;
+// encoding/json stays the encoder of every other type and this one's
+// oracle in tests.
 
 // reportBufs pools the encode buffers: no allocation per body.
 var reportBufs = sync.Pool{New: func() any { return new([]byte) }}
@@ -33,31 +38,70 @@ func EncodeReport(w io.Writer, rep *SolveReport) error {
 	return err
 }
 
+// EncodeBatch is EncodeReport's twin for a batch: it writes resp as
+// POST /sessions/{id}/whatif/batch answers it, in one Write, or — when
+// a report holds a non-finite float — fails with encoding/json's error.
+func EncodeBatch(w io.Writer, resp *BatchWhatIfResponse) error {
+	bp, ok := batchBytes(resp)
+	defer reportBufs.Put(bp)
+	if !ok {
+		return encodeIndented(w, resp)
+	}
+	_, err := w.Write(*bp)
+	return err
+}
+
 // reportBytes encodes rep into a pooled buffer, which the caller puts
 // back into reportBufs once done with the bytes; ok is false, and the
 // bytes garbage, when rep holds a non-finite float.
 func reportBytes(rep *SolveReport) (bp *[]byte, ok bool) {
 	bp = reportBufs.Get().(*[]byte)
-	*bp, ok = appendReport((*bp)[:0], rep)
+	*bp, ok = appendReport((*bp)[:0], rep, 0, false)
 	return bp, ok
 }
 
+// batchBytes is reportBytes for a batch body.
+func batchBytes(resp *BatchWhatIfResponse) (bp *[]byte, ok bool) {
+	bp = reportBufs.Get().(*[]byte)
+	*bp, ok = appendBatch((*bp)[:0], resp)
+	return bp, ok
+}
+
+// marshalReport returns the bytes json.Marshal renders rep in, as a
+// slice of their own, exactly sized: what a commit record keeps. Nil
+// when rep holds a non-finite float, where json.Marshal fails.
+func marshalReport(rep *SolveReport) []byte {
+	bp := reportBufs.Get().(*[]byte)
+	defer reportBufs.Put(bp)
+	var ok bool
+	if *bp, ok = appendReport((*bp)[:0], rep, 0, true); !ok {
+		return nil
+	}
+	return bytes.Clone(*bp)
+}
+
 // encodeIndented is the generic encoder of every wire type but a
-// top-level SolveReport.
+// SolveReport and a batch of them.
 func encodeIndented(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
 }
 
-// wireEnc appends indented JSON to b.
+// wireEnc appends JSON to b: indented, or compact as json.Marshal
+// writes it.
 type wireEnc struct {
-	b   []byte
-	bad bool // met a NaN or ±Inf
+	b       []byte
+	compact bool
+	bad     bool // met a NaN or ±Inf
 }
 
+// nl starts a line at depth; the compact form has none. The deepest
+// line written is a batch report's phase member, at depth 5.
 func (e *wireEnc) nl(depth int) {
-	e.b = append(e.b, "\n        "[:1+2*depth]...)
+	if !e.compact {
+		e.b = append(e.b, "\n                "[:1+2*depth]...)
+	}
 }
 
 // key starts a member of the open object, whose members sit at depth.
@@ -68,7 +112,11 @@ func (e *wireEnc) key(depth int, name string) {
 	e.nl(depth)
 	e.b = append(e.b, '"')
 	e.b = append(e.b, name...)
-	e.b = append(e.b, `": `...)
+	if e.compact {
+		e.b = append(e.b, `":`...)
+	} else {
+		e.b = append(e.b, `": `...)
+	}
 }
 
 // open starts the member name, whose value is an object.
@@ -156,78 +204,131 @@ func array[T any](e *wireEnc, depth int, v []T, elem func(*wireEnc, int, T)) {
 	e.b = append(e.b, ']')
 }
 
-// appendReport appends rep's wire bytes to b; ok is false, and the
-// bytes garbage, when rep holds a non-finite float. Members follow the
-// json tags of SolveReport, lp.Stats and lp.PhaseTimes (a test holds it).
-// A spliced report's tables are copied from the frozen answer's bytes.
-func appendReport(b []byte, rep *SolveReport) (_ []byte, ok bool) {
-	e := wireEnc{b: append(b, '{')}
-	e.key(1, "heuristic")
-	e.str(rep.Heuristic)
-	e.key(1, "objective")
-	e.str(rep.Objective)
-	e.boolField(1, "feasible", rep.Feasible)
-	e.key(1, "value")
-	floatElem(&e, 1, rep.Value)
-	e.key(1, "lpBound")
-	floatElem(&e, 1, rep.LPBound)
-	if len(rep.Throughputs) > 0 {
-		e.key(1, "throughputs")
-		floatRow(&e, 1, rep.Throughputs)
+// appendReport appends rep's JSON to b, its braces at depth: indented
+// at depth 0, a whole body with its trailing newline; compact,
+// json.Marshal's bytes. ok is false, and the bytes garbage, when rep
+// holds a non-finite float.
+func appendReport(b []byte, rep *SolveReport, depth int, compact bool) (_ []byte, ok bool) {
+	e := encoder(b, compact)
+	report(e, depth, rep)
+	if depth == 0 && !compact {
+		e.b = append(e.b, '\n')
 	}
-	if t := rep.spliced; t != nil {
-		t.splice(&e, rep)
+	return e.done()
+}
+
+// appendBatch appends resp as a whole body, exactly as encodeIndented
+// writes it; ok as appendReport's.
+func appendBatch(b []byte, resp *BatchWhatIfResponse) (_ []byte, ok bool) {
+	e := encoder(append(b, '{'), false)
+	e.key(1, "reports")
+	array(e, 1, resp.Reports, report)
+	e.intField(1, "distinct", int64(resp.Distinct))
+	e.intField(1, "workers", int64(resp.Workers))
+	e.intField(1, "epoch", int64(resp.Epoch))
+	e.close(0)
+	e.b = append(e.b, '\n')
+	return e.done()
+}
+
+// encoders pools the encoder state. The element writers take it through
+// function values, which escape analysis cannot see into, so an encoder
+// on the stack would move to the heap: one allocation per body.
+var encoders = sync.Pool{New: func() any { return new(wireEnc) }}
+
+// encoder takes a pooled encoder appending to b.
+func encoder(b []byte, compact bool) *wireEnc {
+	e := encoders.Get().(*wireEnc)
+	*e = wireEnc{b: b, compact: compact}
+	return e
+}
+
+// done returns what e wrote and whether it was all finite, and puts e
+// back.
+func (e *wireEnc) done() ([]byte, bool) {
+	b, ok := e.b, !e.bad
+	*e = wireEnc{}
+	encoders.Put(e)
+	return b, ok
+}
+
+// report appends rep, whose braces sit at depth. Members follow the
+// json tags of SolveReport, lp.Stats and lp.PhaseTimes (a test holds
+// it). A spliced body's tables are copied from the frozen answer's
+// bytes, which hold them as a top-level indented body does; any other
+// form writes them whole.
+func report(e *wireEnc, depth int, rep *SolveReport) {
+	if rep == nil {
+		e.b = append(e.b, "null"...)
+		return
+	}
+	d := depth + 1
+	e.b = append(e.b, '{')
+	e.key(d, "heuristic")
+	e.str(rep.Heuristic)
+	e.key(d, "objective")
+	e.str(rep.Objective)
+	e.boolField(d, "feasible", rep.Feasible)
+	e.key(d, "value")
+	floatElem(e, d, rep.Value)
+	e.key(d, "lpBound")
+	floatElem(e, d, rep.LPBound)
+	if len(rep.Throughputs) > 0 {
+		e.key(d, "throughputs")
+		floatRow(e, d, rep.Throughputs)
+	}
+	if t := rep.spliced; t != nil && depth == 0 && !e.compact {
+		t.splice(e, rep)
 	} else {
 		if len(rep.Alpha) > 0 {
-			e.key(1, "alpha")
-			array(&e, 1, rep.Alpha, floatRow)
+			e.key(d, "alpha")
+			array(e, d, rep.Alpha, floatRow)
 		}
 		if len(rep.Beta) > 0 {
-			e.key(1, "beta")
-			array(&e, 1, rep.Beta, intRow)
+			e.key(d, "beta")
+			array(e, d, rep.Beta, intRow)
 		}
 		if len(rep.BetaFrac) > 0 {
-			e.key(1, "betaFrac")
-			array(&e, 1, rep.BetaFrac, floatRow)
+			e.key(d, "betaFrac")
+			array(e, d, rep.BetaFrac, floatRow)
 		}
 	}
 	if rep.Relaxed {
-		e.boolField(1, "relaxed", true)
+		e.boolField(d, "relaxed", true)
 	}
-	e.intField(1, "epoch", int64(rep.Epoch))
+	e.intField(d, "epoch", int64(rep.Epoch))
 	if rep.Coalesced {
-		e.boolField(1, "coalesced", true)
+		e.boolField(d, "coalesced", true)
 	}
 	if rep.Cached {
-		e.boolField(1, "cached", true)
+		e.boolField(d, "cached", true)
 	}
 	if s := rep.Stats; s != nil {
-		e.open(1, "stats")
-		e.intField(2, "pivots", int64(s.Pivots))
-		e.intField(2, "primalPivots", int64(s.PrimalPivots))
-		e.intField(2, "dualPivots", int64(s.DualPivots))
-		e.intField(2, "boundFlips", int64(s.BoundFlips))
-		e.intField(2, "refactorizations", int64(s.Refactorizations))
-		e.intField(2, "coldSolves", int64(s.ColdSolves))
-		e.intField(2, "warmSolves", int64(s.WarmSolves))
-		e.intField(2, "coldFallbacks", int64(s.ColdFallbacks))
-		e.intField(2, "ftUpdates", int64(s.FTUpdates))
-		e.intField(2, "dseWeightResets", int64(s.DSEWeightResets))
-		e.intField(2, "forks", int64(s.Forks))
-		e.intField(2, "peakForks", int64(s.PeakForks))
-		e.intField(2, "batches", int64(s.Batches))
-		e.intField(2, "batchMaxSize", int64(s.BatchMaxSize))
-		e.open(2, "phase")
-		e.intField(3, "ftranNanos", s.Phase.FTRANNanos)
-		e.intField(3, "btranNanos", s.Phase.BTRANNanos)
-		e.intField(3, "pricingNanos", s.Phase.PricingNanos)
-		e.intField(3, "ratioTestNanos", s.Phase.RatioTestNanos)
-		e.intField(3, "refactorNanos", s.Phase.RefactorNanos)
-		e.close(2)
-		e.close(1)
+		e.open(d, "stats")
+		e.intField(d+1, "pivots", int64(s.Pivots))
+		e.intField(d+1, "primalPivots", int64(s.PrimalPivots))
+		e.intField(d+1, "dualPivots", int64(s.DualPivots))
+		e.intField(d+1, "boundFlips", int64(s.BoundFlips))
+		e.intField(d+1, "refactorizations", int64(s.Refactorizations))
+		e.intField(d+1, "coldSolves", int64(s.ColdSolves))
+		e.intField(d+1, "warmSolves", int64(s.WarmSolves))
+		e.intField(d+1, "coldFallbacks", int64(s.ColdFallbacks))
+		e.intField(d+1, "ftUpdates", int64(s.FTUpdates))
+		e.intField(d+1, "dseWeightResets", int64(s.DSEWeightResets))
+		e.intField(d+1, "forks", int64(s.Forks))
+		e.intField(d+1, "peakForks", int64(s.PeakForks))
+		e.intField(d+1, "batches", int64(s.Batches))
+		e.intField(d+1, "batchMaxSize", int64(s.BatchMaxSize))
+		e.open(d+1, "phase")
+		e.intField(d+2, "ftranNanos", s.Phase.FTRANNanos)
+		e.intField(d+2, "btranNanos", s.Phase.BTRANNanos)
+		e.intField(d+2, "pricingNanos", s.Phase.PricingNanos)
+		e.intField(d+2, "ratioTestNanos", s.Phase.RatioTestNanos)
+		e.intField(d+2, "refactorNanos", s.Phase.RefactorNanos)
+		e.close(d + 1)
+		e.close(d)
 	}
-	e.close(0)
-	return append(e.b, '\n'), !e.bad
+	e.close(depth)
 }
 
 // tableBody is a frozen relaxed answer's "alpha" and "betaFrac" members

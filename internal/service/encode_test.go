@@ -52,6 +52,48 @@ func checkAgainstOracle(t *testing.T, rep *SolveReport) {
 	}
 }
 
+// checkFormsAgainstOracle holds all three forms of the one encoder to
+// encoding/json: the body (checkAgainstOracle), the compact bytes a
+// commit record keeps against json.Marshal, and rep nested in a batch
+// body — twice, around a nil report — against encodeIndented of the
+// BatchWhatIfResponse. A report encoding/json rejects gets its error
+// and no bytes in every form.
+func checkFormsAgainstOracle(t *testing.T, rep *SolveReport) {
+	t.Helper()
+	checkAgainstOracle(t, rep)
+	want, wantErr := json.Marshal(rep)
+	got, ok := appendReport(nil, rep, 0, true)
+	switch {
+	case wantErr != nil && ok:
+		t.Fatalf("json.Marshal fails with %v, the compact form accepts\nreport: %+v", wantErr, rep)
+	case wantErr == nil && (!ok || !bytes.Equal(got, want)):
+		t.Fatalf("compact form differs from json.Marshal (ok %v)\ngot:  %s\nwant: %s", ok, got, want)
+	case wantErr == nil && !bytes.Equal(marshalReport(rep), want):
+		t.Fatalf("a commit record's bytes differ from json.Marshal\ngot:  %s\nwant: %s", marshalReport(rep), want)
+	}
+	checkBatchAgainstOracle(t, &BatchWhatIfResponse{
+		Reports: []*SolveReport{rep, nil, rep}, Distinct: 2, Workers: 1 + rep.Epoch%3, Epoch: rep.Epoch,
+	})
+}
+
+// checkBatchAgainstOracle requires EncodeBatch to write encodeIndented's
+// bytes for resp, or to fail with its error and write nothing.
+func checkBatchAgainstOracle(t *testing.T, resp *BatchWhatIfResponse) {
+	t.Helper()
+	var want, got bytes.Buffer
+	wantErr := encodeIndented(&want, resp)
+	err := EncodeBatch(&got, resp)
+	if wantErr != nil {
+		if err == nil || err.Error() != wantErr.Error() || got.Len() != 0 {
+			t.Fatalf("oracle fails with %v, batch encoder with %v after %d bytes", wantErr, err, got.Len())
+		}
+		return
+	}
+	if err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("batch encoder differs from encoding/json (%v)\ngot:\n%s\nwant:\n%s", err, got.Bytes(), want.Bytes())
+	}
+}
+
 // edgeFloats are the values whose text form has a rule of its own in
 // encoding/json: signed zero, the 1e-6 and 1e21 format switches, the
 // exponent clean-up, the extremes, and integers stored as floats.
@@ -177,19 +219,22 @@ func TestEncodeReportMatchesOracle(t *testing.T) {
 		if _, err := oracleBytes(rep); err != nil {
 			rejected++
 		}
-		checkAgainstOracle(t, rep)
+		checkFormsAgainstOracle(t, rep)
 	}
 	if rejected == 0 || rejected > 2000 {
 		t.Fatalf("%d of 4000 reports held a non-finite float; the generator should draw some, not mostly", rejected)
 	}
 	// Every edge value alone and in a table, whatever the draw above hit.
 	for _, f := range edgeFloats {
-		checkAgainstOracle(t, &SolveReport{Value: f, LPBound: -f, Alpha: [][]float64{{f}, nil, {}}})
+		checkFormsAgainstOracle(t, &SolveReport{Value: f, LPBound: -f, Alpha: [][]float64{{f}, nil, {}}})
 	}
 	for _, s := range edgeStrings {
-		checkAgainstOracle(t, &SolveReport{Heuristic: s, Objective: s + s})
+		checkFormsAgainstOracle(t, &SolveReport{Heuristic: s, Objective: s + s})
 	}
-	checkAgainstOracle(t, &SolveReport{})
+	checkFormsAgainstOracle(t, &SolveReport{})
+	for _, reports := range [][]*SolveReport{nil, {}, {nil}} {
+		checkBatchAgainstOracle(t, &BatchWhatIfResponse{Reports: reports})
+	}
 }
 
 // FuzzEncodeSolveReport explores report shapes beyond the seeded draw;
@@ -211,8 +256,39 @@ func FuzzEncodeSolveReport(f *testing.F) {
 		seed = binary.LittleEndian.AppendUint64(seed, w)
 	}
 	f.Add(seed)
+	// The same words name edge floats by index (genFloat's first arm),
+	// slices by length class (0 nil, 1 empty, n n−1 elements), and flags:
+	// 1 feasible, 2 relaxed, 4 coalesced, 8 cached, 16 stats.
+	edge := func(f float64) uint64 {
+		for i, e := range edgeFloats {
+			if math.Float64bits(e) == math.Float64bits(f) {
+				return uint64(i) << 2
+			}
+		}
+		panic(f)
+	}
+	for _, words := range [][]uint64{
+		// −0 and the exponent-form boundaries on each side, a nil alpha,
+		// an empty beta and a betaFrac of one empty row, under the three
+		// batch-visible flags and a stats block.
+		{2 | 4 | 8 | 16, 0, 1, edge(math.Copysign(0, -1)), edge(1e-7),
+			4, edge(1e-6), edge(0.99e-6), edge(1e21),
+			0, 1, 2, 1},
+		// An empty alpha, a nil beta, a betaFrac of a nil row and a row of
+		// 1e20 | 0.99e21 | 999999e-12, relaxed and cached only.
+		{1 | 2 | 8, 1, 0, edge(1e20), edge(0.99e21),
+			1, 1, 0, 3, 0, 4, edge(1e20), edge(0.99e21), edge(999999e-12)},
+		// Every flag but stats off, tables absent.
+		{1 | 4, 2, 2, edge(0), edge(1e-7), 0, 0, 0, 0},
+	} {
+		var b []byte
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkAgainstOracle(t, genReport(&byteSource{data}))
+		checkFormsAgainstOracle(t, genReport(&byteSource{data}))
 	})
 }
 
@@ -298,7 +374,7 @@ func TestEncoderKeysMatchTags(t *testing.T) {
 		Throughputs: []float64{1}, Alpha: [][]float64{{1}}, Beta: [][]int{{1}}, BetaFrac: [][]float64{{1}},
 		Relaxed: true, Epoch: 1, Coalesced: true, Cached: true, Stats: &lp.Stats{},
 	}
-	b, ok := appendReport(nil, full)
+	b, ok := appendReport(nil, full, 0, false)
 	if !ok {
 		t.Fatal("appendReport rejected a finite report")
 	}
@@ -311,5 +387,47 @@ func TestEncoderKeysMatchTags(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("encoder keys drifted from the struct tags\nencoder: %v\ntags:    %v", got, want)
+	}
+	b, ok = appendBatch(nil, &BatchWhatIfResponse{Reports: []*SolveReport{full}})
+	if !ok {
+		t.Fatal("appendBatch rejected a finite batch")
+	}
+	got = map[string][]string{}
+	objectKeys(t, json.NewDecoder(bytes.NewReader(b)), "", got)
+	if want := jsonTags(reflect.TypeOf(BatchWhatIfResponse{})); !reflect.DeepEqual(got[""], want) {
+		t.Fatalf("batch encoder keys drifted from the struct tags\nencoder: %v\ntags:    %v", got[""], want)
+	}
+}
+
+// TestBatchEncodeAllocatesNothing is the clock-free guard on the batch
+// body: a 64-report /whatif/batch body — lean reports as WhatIfBatch
+// returns them, coalesced twins included — encodes into a warmed pooled
+// buffer with 0 allocations. encoding/json reflected over it and then
+// re-walked its output into a fresh indent buffer.
+func TestBatchEncodeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a quarter of what is put back")
+	}
+	resp := &BatchWhatIfResponse{Distinct: 48, Workers: 4, Epoch: 3}
+	for i := 0; i < 64; i++ {
+		rep := &SolveReport{Heuristic: "lprg", Objective: "maxmin", Relaxed: true, Epoch: 3,
+			Feasible: i%7 != 0, Coalesced: i >= 48}
+		if rep.Feasible {
+			rep.Value = 1000 / float64(i+3)
+			rep.LPBound = rep.Value
+		}
+		resp.Reports = append(resp.Reports, rep)
+	}
+	checkBatchAgainstOracle(t, resp)
+	allocs := testing.AllocsPerRun(100, func() {
+		bp, ok := batchBytes(resp)
+		if !ok {
+			t.Fatal("batchBytes rejected a finite batch")
+		}
+		reportBufs.Put(bp)
+	})
+	t.Logf("64-report batch body: %.0f allocs", allocs)
+	if allocs != 0 {
+		t.Fatalf("encoding a 64-report batch body into a warmed buffer allocates %.0f times, want 0", allocs)
 	}
 }

@@ -78,7 +78,7 @@ func (n *Node) probe(peer string) bool {
 	}
 	sent := time.Now()
 	var ans healthMessage
-	if n.call(peer, "/cluster/health", n.healthTimeout(), nil, data, &ans) != nil {
+	if n.call(peer, "/cluster/health", n.healthTimeout(), nil, data, nil, &ans) != nil {
 		return false
 	}
 	now := time.Now()

@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -12,9 +16,12 @@ import (
 
 // A replica is a passive copy of another member's session: the sealed
 // snapshot bytes plus their decoded form, whose platform and commit
-// reports are slices of those bytes. It costs no solver state —
-// promotion to a live warm session happens only when this node
-// becomes (or is asked to act as) the session's holder.
+// reports are slices of those bytes. The bytes are the replica's own,
+// read into an allocation of their own rather than a pooled buffer:
+// promoteIfReplica reads the decoded snapshot outside repMu, so no
+// later request may reuse them. It costs no solver state — promotion
+// to a live warm session happens only when this node becomes (or is
+// asked to act as) the session's holder.
 type replica struct {
 	data []byte
 	snap *cluster.SessionSnapshot
@@ -90,16 +97,70 @@ func (n *Node) replicationTargets(id string) []string {
 	return out
 }
 
+// sealBufs pools sealed-snapshot buffers: a ring commit seals ~40 KiB
+// at K = 20 with a full commit record, and every destination reads the
+// one buffer.
+var sealBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// sealed is one seal's wire bytes in a sealBufs buffer, with a
+// reference per holder: the shipper, and every request body a send
+// opened over them. net/http's transport may read a request body after
+// RoundTrip returned and closes it once done, so a body releases its
+// reference on Close; the buffer goes back to the pool when the last
+// reference does, and never while any reader may still see it.
+type sealed struct {
+	buf  *[]byte
+	refs atomic.Int32
+}
+
+func (sb *sealed) bytes() []byte { return *sb.buf }
+
+func (sb *sealed) release() {
+	if sb.refs.Add(-1) == 0 {
+		sealBufs.Put(sb.buf)
+	}
+}
+
+// body opens one request body over the sealed bytes, holding a
+// reference until it is closed.
+func (sb *sealed) body() io.ReadCloser {
+	sb.refs.Add(1)
+	b := &sealedBody{sb: sb}
+	b.Reset(*sb.buf)
+	return b
+}
+
+// sealedBody is a reader over sealed bytes that releases its reference
+// on the first Close.
+type sealedBody struct {
+	bytes.Reader
+	sb     *sealed
+	closed atomic.Bool
+}
+
+func (b *sealedBody) Close() error {
+	if b.closed.CompareAndSwap(false, true) {
+		b.sb.release()
+	}
+	return nil
+}
+
 // seal serializes sess's committed state once: the snapshot and its
-// sealed (versioned, checksummed) wire bytes. Every destination — the
-// store, the ring successors, a new owner — gets these same bytes.
-func seal(sess *Session) (*cluster.SessionSnapshot, []byte, error) {
+// sealed (versioned, checksummed) wire bytes, in a pooled buffer the
+// caller releases. Every destination — the store, the ring successors,
+// a new owner — gets these same bytes.
+func seal(sess *Session) (*cluster.SessionSnapshot, *sealed, error) {
 	snap, err := sess.Snapshot()
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := snap.Encode()
-	return snap, data, err
+	sb := &sealed{buf: sealBufs.Get().(*[]byte)}
+	sb.refs.Store(1)
+	if *sb.buf, err = snap.AppendEncode((*sb.buf)[:0]); err != nil {
+		sb.release()
+		return nil, nil, err
+	}
+	return snap, sb, nil
 }
 
 // ship persists and replicates sess's committed state: the pool's
@@ -111,19 +172,20 @@ func seal(sess *Session) (*cluster.SessionSnapshot, []byte, error) {
 // does not ack is counted in ReplicaErrors and degrades the session's
 // ReplicationLag.
 func (n *Node) ship(sess *Session) {
-	snap, data, err := seal(sess)
+	snap, sb, err := seal(sess)
 	if err != nil {
 		n.srv.Logger().Warn("snapshot not sealed", "session", sess.id, "err", err)
 		return
 	}
+	defer sb.release()
 	if n.store != nil {
-		if err := n.store.Save(snap.ID, data); err != nil {
+		if err := n.store.Save(snap.ID, sb.bytes()); err != nil {
 			n.srv.Logger().Warn("snapshot not persisted", "session", snap.ID, "err", err)
 		} else {
-			n.snapshotBytes.Add(uint64(len(data)))
+			n.snapshotBytes.Add(uint64(len(sb.bytes())))
 		}
 	}
-	n.replicateOut(snap, data)
+	n.replicateOut(snap, sb)
 }
 
 // install is the one way a snapshot becomes a live session here —
@@ -148,7 +210,7 @@ func (n *Node) install(snap *cluster.SessionSnapshot) (*Session, *SolveReport, b
 // strictly (version, checksum, completeness — fail closed), answering
 // 400 itself on failure.
 func readSnapshot(w http.ResponseWriter, r *http.Request) (*cluster.SessionSnapshot, []byte, bool) {
-	data, err := readBounded(r.Body, r.ContentLength)
+	data, err := readBounded(nil, r.Body, r.ContentLength)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading snapshot: %w", err))
 		return nil, nil, false
@@ -167,7 +229,7 @@ func readSnapshot(w http.ResponseWriter, r *http.Request) (*cluster.SessionSnaps
 // — so an acked commit is always either replicated or counted in
 // ReplicaErrors; there is no window where an ack implies durability
 // the cluster doesn't have.
-func (n *Node) replicateOut(snap *cluster.SessionSnapshot, data []byte) {
+func (n *Node) replicateOut(snap *cluster.SessionSnapshot, sb *sealed) {
 	targets := n.replicationTargets(snap.ID)
 	if len(targets) == 0 {
 		return
@@ -175,7 +237,7 @@ func (n *Node) replicateOut(snap *cluster.SessionSnapshot, data []byte) {
 	failed := 0
 	for _, target := range targets {
 		start := time.Now()
-		err := n.sendReplica(target, snap, data)
+		err := n.sendReplica(target, snap, sb)
 		n.fanout.Observe(time.Since(start))
 		if err != nil {
 			n.replicaErrors.Add(1)
@@ -187,12 +249,12 @@ func (n *Node) replicateOut(snap *cluster.SessionSnapshot, data []byte) {
 	n.lastFanout.Store(snap.ID, fanoutRecord{targets: len(targets), failed: failed, at: time.Now()})
 }
 
-func (n *Node) sendReplica(target string, snap *cluster.SessionSnapshot, data []byte) error {
+func (n *Node) sendReplica(target string, snap *cluster.SessionSnapshot, sb *sealed) error {
 	hdr := make(http.Header, 3)
 	hdr.Set(fromHeader, n.self)
 	hdr.Set(incarnationHeader, strconv.FormatUint(n.membership.Incarnation(), 10))
 	var ack replicateAck
-	if err := n.call(target, "/cluster/replicate", transferTimeout, hdr, data, &ack); err != nil {
+	if err := n.call(target, "/cluster/replicate", transferTimeout, hdr, sb.bytes(), sb, &ack); err != nil {
 		return fmt.Errorf("replicate %s: %w", snap.ID, err)
 	}
 	if ack.Checksum != snap.Checksum {
@@ -292,7 +354,7 @@ func (n *Node) forgetSession(id string) {
 	}
 	for _, target := range n.membership.Known() {
 		if target != n.self {
-			n.call(target, "/cluster/forget", n.cfg.WriteTimeout, nil, data, nil) //nolint:errcheck // best effort: an unreachable member has nothing to resurrect from while it is down
+			n.call(target, "/cluster/forget", n.cfg.WriteTimeout, nil, data, nil, nil) //nolint:errcheck // best effort: an unreachable member has nothing to resurrect from while it is down
 		}
 	}
 }

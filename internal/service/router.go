@@ -353,7 +353,7 @@ func (n *Node) routed(inner http.Handler) http.Handler {
 		if body == nil && r.Body != nil && r.Method != http.MethodGet && r.Method != http.MethodDelete {
 			// Buffer the body once so retries can re-send it.
 			var err error
-			body, err = readBounded(r.Body, r.ContentLength)
+			body, err = readBounded(nil, r.Body, r.ContentLength)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 				return
@@ -492,7 +492,7 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, inner http.Handler,
 				ti.decision = "failover"
 			}
 		}
-		status, header, respBody, err := n.send(r, target, body, n.timeoutFor(class))
+		status, header, resp, err := n.send(r, target, body, n.timeoutFor(class))
 		if err != nil {
 			// Transport errors retry for every class: reads and creates
 			// are idempotent by nature, commits by their idempotency tag
@@ -507,6 +507,7 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, inner http.Handler,
 			// A fenced (or not-yet-ready) peer rejected the commit
 			// without applying it: safe to retry against the ring's
 			// current owner.
+			releaseResp(resp)
 			lastErr = fmt.Errorf("%s answered %d", target, status)
 			continue
 		case class != opCommit && (status == http.StatusNotFound || status == http.StatusServiceUnavailable):
@@ -515,29 +516,59 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, inner http.Handler,
 			// answers — every holder is reachable and none has it —
 			// the 404 is genuine; relay instead of burning retries.
 			if cycleAllHTTP && idx == len(cands)-1 {
-				relay(w, status, header, respBody)
+				relay(w, status, header, *resp)
+				releaseResp(resp)
 				return
 			}
+			releaseResp(resp)
 			lastErr = fmt.Errorf("%s answered %d", target, status)
 			continue
 		}
-		relay(w, status, header, respBody)
+		relay(w, status, header, *resp)
+		releaseResp(resp)
 		return
 	}
 	writeError(w, http.StatusBadGateway, fmt.Errorf("forwarding %s %s: retries exhausted: %w", r.Method, r.URL.Path, lastErr))
+}
+
+// respBufs pools the buffers peer response bodies are read into; a
+// buffer grown past maxPooledResp by an outsized answer is left to the
+// collector rather than kept.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResp = 1 << 20
+
+// releaseResp returns a response buffer from do to respBufs. Nothing
+// may hold the bytes past it.
+func releaseResp(bp *[]byte) {
+	if bp != nil && cap(*bp) <= maxPooledResp {
+		respBufs.Put(bp)
+	}
 }
 
 // do is the one outbound HTTP call of the package: it owns the
 // deadline, the request build, client.Do, and the full read of the
 // peer's response — bounded at maxBodyBytes like every inbound body, so
 // the deadline covers the body and a retry never holds a half-read
-// connection — and the close.
-func (n *Node) do(ctx context.Context, timeout time.Duration, method, url string, header http.Header, body []byte) (int, http.Header, []byte, error) {
+// connection — and the close. The body is sent from body, or, when sb
+// is set, from its sealed bytes, each request body holding a reference
+// until the transport closes it. The response body is read into a
+// respBufs buffer the caller hands to releaseResp once it has relayed
+// or decoded it.
+func (n *Node) do(ctx context.Context, timeout time.Duration, method, url string, header http.Header, body []byte, sb *sealed) (int, http.Header, *[]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	var rd io.Reader
+	if sb == nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return 0, nil, nil, err
+	}
+	if sb != nil {
+		req.Body, req.ContentLength = sb.body(), int64(len(sb.bytes()))
+		req.GetBody = func() (io.ReadCloser, error) { return sb.body(), nil }
 	}
 	req.Header = header
 	resp, err := n.client.Do(req)
@@ -545,40 +576,43 @@ func (n *Node) do(ctx context.Context, timeout time.Duration, method, url string
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := readBounded(resp.Body, resp.ContentLength)
-	if err != nil {
+	bp := respBufs.Get().(*[]byte)
+	if *bp, err = readBounded(*bp, resp.Body, resp.ContentLength); err != nil {
+		releaseResp(bp)
 		return 0, nil, nil, fmt.Errorf("reading response from %s: %w", url, err)
 	}
-	return resp.StatusCode, resp.Header, data, nil
+	return resp.StatusCode, resp.Header, bp, nil
 }
 
-// call posts one JSON /cluster/* control message to peer and decodes
-// its 200 answer into out (nil discards it); any other status is an
-// error. hdr carries extra headers and may be nil.
-func (n *Node) call(peer, path string, timeout time.Duration, hdr http.Header, body []byte, out any) error {
+// call posts one JSON /cluster/* control message to peer — body, or
+// sb's sealed bytes when sb is set — and decodes its 200 answer into
+// out (nil discards it); any other status is an error. hdr carries
+// extra headers and may be nil.
+func (n *Node) call(peer, path string, timeout time.Duration, hdr http.Header, body []byte, sb *sealed, out any) error {
 	if hdr == nil {
 		hdr = make(http.Header, 1)
 	}
 	hdr.Set("Content-Type", "application/json")
-	status, _, data, err := n.do(context.Background(), timeout, http.MethodPost, peer+path, hdr, body)
+	status, _, bp, err := n.do(context.Background(), timeout, http.MethodPost, peer+path, hdr, body, sb)
 	if err != nil {
 		return err
 	}
+	defer releaseResp(bp)
 	if status != http.StatusOK {
-		return fmt.Errorf("%s%s: status %d: %.200s", peer, path, status, data)
+		return fmt.Errorf("%s%s: status %d: %.200s", peer, path, status, *bp)
 	}
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := json.Unmarshal(*bp, out); err != nil {
 		return fmt.Errorf("%s%s: decoding answer: %w", peer, path, err)
 	}
 	return nil
 }
 
 // send forwards the request once to target under a per-operation
-// deadline, returning the response fully read.
-func (n *Node) send(r *http.Request, target string, body []byte, timeout time.Duration) (int, http.Header, []byte, error) {
+// deadline, returning the response fully read into a respBufs buffer.
+func (n *Node) send(r *http.Request, target string, body []byte, timeout time.Duration) (int, http.Header, *[]byte, error) {
 	hdr := make(http.Header, 5)
 	for _, name := range []string{"Content-Type", commitIDHeader, traceHeader} {
 		if v := r.Header.Get(name); v != "" {
@@ -588,7 +622,7 @@ func (n *Node) send(r *http.Request, target string, body []byte, timeout time.Du
 	hops, _ := strconv.Atoi(r.Header.Get(hopsHeader))
 	hdr.Set(hopsHeader, strconv.Itoa(hops+1))
 	hdr.Set(forwardedHeader, n.self)
-	return n.do(r.Context(), timeout, r.Method, target+r.URL.RequestURI(), hdr, body)
+	return n.do(r.Context(), timeout, r.Method, target+r.URL.RequestURI(), hdr, body, nil)
 }
 
 func relay(w http.ResponseWriter, status int, header http.Header, body []byte) {
@@ -615,7 +649,7 @@ func (n *Node) routingKey(r *http.Request, id string) (key string, body []byte, 
 	if r.Method != http.MethodPost {
 		return "", nil, false // GET /sessions lists local sessions
 	}
-	body, err := readBounded(r.Body, r.ContentLength)
+	body, err := readBounded(nil, r.Body, r.ContentLength)
 	if err != nil {
 		return "", body, false
 	}
@@ -691,11 +725,12 @@ func (n *Node) rebalance(ring *cluster.Ring) {
 }
 
 func (n *Node) migrate(sess *Session, owner string) error {
-	_, data, err := seal(sess)
+	_, sb, err := seal(sess)
 	if err != nil {
 		return err
 	}
-	if err := n.call(owner, "/cluster/migrate", transferTimeout, nil, data, nil); err != nil {
+	defer sb.release()
+	if err := n.call(owner, "/cluster/migrate", transferTimeout, nil, nil, sb, nil); err != nil {
 		return fmt.Errorf("migrate %s: %w", sess.id, err)
 	}
 	n.srv.Pool().Evict(sess.id)
@@ -745,7 +780,7 @@ func (n *Node) broadcastMembers(member string, members []string) {
 	if err != nil {
 		return
 	}
-	n.call(member, "/cluster/members", n.cfg.WriteTimeout, nil, data, nil) //nolint:errcheck // best effort: the heartbeats converge membership anyway
+	n.call(member, "/cluster/members", n.cfg.WriteTimeout, nil, data, nil, nil) //nolint:errcheck // best effort: the heartbeats converge membership anyway
 }
 
 // handleMigrate receives a session from another replica: verify the
@@ -817,7 +852,7 @@ func (n *Node) Join(seed string) error {
 		return err
 	}
 	var msg membersMessage
-	if err := n.call(seed, "/cluster/join", n.cfg.WriteTimeout, nil, data, &msg); err != nil {
+	if err := n.call(seed, "/cluster/join", n.cfg.WriteTimeout, nil, data, nil, &msg); err != nil {
 		return fmt.Errorf("joining %s: %w", seed, err)
 	}
 	n.SetMembers(msg.Members)

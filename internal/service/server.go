@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,7 +35,8 @@ const maxBodyBytes = 16 << 20
 //	GET    /healthz                health probe: 200 ok, 503 when any condition is Degraded
 //	GET    /metrics                Prometheus text exposition
 //
-// SolveReport answers (query, what-if, epoch) carry Content-Length. A
+// SolveReport answers (query, what-if, epoch) and batch answers carry
+// Content-Length: the report encoder writes each body whole. A
 // query or what-if answer-cache hit is the entry's stored bytes — the
 // populating solve's body with "cached": true, encoded once, on the
 // first hit — so it costs a key lookup, the header and one Write.
@@ -163,24 +165,28 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
 
 // readBounded reads a whole body — a request's, or a peer's response —
-// that is not decoded as it streams: in one exactly-sized allocation
-// when the sender declared its length (Content-Length; -1 when absent)
-// within maxBodyBytes, by doubling up to the bound otherwise. A longer
-// body is an error either way, never a truncation.
-func readBounded(r io.Reader, declared int64) ([]byte, error) {
+// that is not decoded as it streams, appending it to dst[:0]: in one
+// exactly-sized allocation (none when dst has the room) when the sender
+// declared its length (Content-Length; -1 when absent) within
+// maxBodyBytes, by growing up to the bound otherwise. A longer body is
+// an error either way, never a truncation.
+func readBounded(dst []byte, r io.Reader, declared int64) ([]byte, error) {
 	switch {
 	case declared > maxBodyBytes:
-		return nil, errBodyTooLarge
+		return dst[:0], errBodyTooLarge
 	case declared >= 0:
-		data := make([]byte, declared)
-		n, err := io.ReadFull(r, data)
-		return data[:n], err
+		if int64(cap(dst)) < declared {
+			dst = make([]byte, declared)
+		}
+		n, err := io.ReadFull(r, dst[:declared])
+		return dst[:n], err
 	}
-	data, err := io.ReadAll(io.LimitReader(r, maxBodyBytes+1))
-	if err == nil && len(data) > maxBodyBytes {
+	b := bytes.NewBuffer(dst[:0])
+	_, err := b.ReadFrom(io.LimitReader(r, maxBodyBytes+1))
+	if err == nil && b.Len() > maxBodyBytes {
 		err = errBodyTooLarge
 	}
-	return data, err
+	return b.Bytes(), err
 }
 
 // isClientError classifies solve-path errors: validation and
@@ -326,7 +332,13 @@ func (s *Server) handleWhatIfBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, solveStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	bp, ok := batchBytes(resp)
+	defer reportBufs.Put(bp)
+	if ok {
+		writeBody(w, *bp)
+	} else {
+		writeJSON(w, http.StatusOK, resp)
+	}
 }
 
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {

@@ -138,10 +138,11 @@ func sessionID(fp string, cfg sessionConfig) string {
 const commitDedupDepth = 8
 
 // commitRecord is one applied tagged commit: the idempotency ID, a
-// private copy of the report it answered with, and that report as
-// json.Marshal renders it — encoded once, when the commit is recorded
-// (or kept as received by RestoreSession); every snapshot appends these
-// bytes. A report with no JSON form has nil wire and no place in one.
+// private copy of the report it answered with, and that report in
+// json.Marshal's bytes (marshalReport) — encoded once, when the commit
+// is recorded (or kept as received by RestoreSession); every snapshot
+// appends these bytes. A report with no JSON form has nil wire and no
+// place in one.
 type commitRecord struct {
 	id   string
 	rep  *SolveReport
@@ -741,8 +742,7 @@ func (s *Session) EpochIdempotent(req *EpochRequest, commitID string) (*SolveRep
 		s.lastCommit = time.Now()
 		if commitID != "" {
 			cp := *rep
-			wire, _ := json.Marshal(&cp) // nil on error: see commitRecord
-			s.recordCommitLocked(commitRecord{id: commitID, rep: &cp, wire: wire})
+			s.recordCommitLocked(commitRecord{id: commitID, rep: &cp, wire: marshalReport(&cp)})
 		}
 	}
 	hook := s.onCommit

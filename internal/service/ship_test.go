@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -9,9 +10,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/platform"
 )
 
 // lockedBuffer is a log sink safe for the handler goroutines.
@@ -184,54 +188,84 @@ func TestOversizedRequestIsRefusedBeforeForwarding(t *testing.T) {
 	}
 }
 
+// sealAllocs counts the allocations of one seal of sess into a warmed
+// pooled buffer.
+func sealAllocs(t *testing.T, sess *Session) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(50, func() {
+		_, sb, err := seal(sess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.release()
+	})
+}
+
+// taggedCommit posts one tagged epoch commit that leaves the platform
+// and the basis as they are, and returns its body.
+func taggedCommit(t testing.TB, h http.Handler, base string, k int, id string) []byte {
+	t.Helper()
+	still := fmt.Sprintf(`{"speedFactor":[1%s]}`, strings.Repeat(",1", k-1))
+	req := httptest.NewRequest("POST", base+"/epoch", strings.NewReader(still))
+	req.Header.Set(commitIDHeader, id)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("commit %s: status %d: %s", id, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
 // TestSealCostIndependentOfRecordDepth is the clock-free guard on the
 // commit path: a commit's report is encoded once, when it is recorded,
-// and every later seal appends those bytes. So (a) sealing allocates
-// the same with one commit on record as with a full record — format 2
-// re-marshalled every recorded report on every seal, ten allocations
-// more at depth 8; (b) snapshots share the record's bytes instead of
-// copying them; and (c) a replica promoted from those bytes answers a
-// retry with the original body and passes the bytes on as received.
+// and every later seal appends those bytes into a pooled buffer,
+// writing the basis from the live one in place. So (a) sealing
+// allocates the same with one commit on record as with a full record —
+// format 2 re-marshalled every recorded report on every seal, ten
+// allocations more at depth 8; (b) sealing a full record allocates the
+// same at K=5 as at K=20 — nothing per basis column, per cell or per
+// byte of the snapshot; (c) snapshots share the record's bytes instead
+// of copying them; and (d) a replica promoted from those bytes answers
+// a retry with the original body and passes the bytes on as received.
 func TestSealCostIndependentOfRecordDepth(t *testing.T) {
 	const k = 8
 	h, sess, base := imageFixture(t, k, 95, "lprg")
-	still := fmt.Sprintf(`{"speedFactor":[1%s]}`, strings.Repeat(",1", k-1)) // same platform, same basis at every depth
-	commit := func(h http.Handler, id string) []byte {
-		req := httptest.NewRequest("POST", base+"/epoch", strings.NewReader(still))
-		req.Header.Set(commitIDHeader, id)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("commit %s: status %d: %s", id, rec.Code, rec.Body)
-		}
-		return rec.Body.Bytes()
-	}
-	sealAllocs := func() float64 {
-		return testing.AllocsPerRun(50, func() {
-			if _, _, err := seal(sess); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	commit := func(h http.Handler, id string) []byte { return taggedCommit(t, h, base, k, id) }
 	bodies := map[string][]byte{"commit-0": commit(h, "commit-0")}
-	shallow := sealAllocs()
+	shallow := sealAllocs(t, sess)
 	for i := 1; i < commitDedupDepth; i++ {
 		id := fmt.Sprintf("commit-%d", i)
 		bodies[id] = commit(h, id)
 	}
-	deep := sealAllocs()
+	deep := sealAllocs(t, sess)
 	t.Logf("seal: %.0f allocs at record depth 1, %.0f at depth %d", shallow, deep, commitDedupDepth)
+
+	perK := map[int]float64{}
+	for _, kk := range []int{5, 20} {
+		hk, sk, basek := imageFixture(t, kk, 96, "lprg")
+		for i := 0; i < commitDedupDepth; i++ {
+			taggedCommit(t, hk, basek, kk, fmt.Sprintf("commit-%d", i))
+		}
+		perK[kk] = sealAllocs(t, sk)
+	}
+	t.Logf("seal of a full record: %.0f allocs at K=5, %.0f at K=20", perK[5], perK[20])
 	// Not compared under the race detector: it makes sync.Pool drop a
-	// quarter of what is put back, so encoding/json's pooled encoder
-	// state turns up as allocations at random. (b) and (c) hold there too.
+	// quarter of what is put back, so the pooled buffers and
+	// encoding/json's pooled encoder state turn up as allocations at
+	// random. (c) and (d) hold there too.
 	if !raceEnabled && deep > shallow+2 {
 		t.Fatalf("seal allocates %.0f times at record depth %d and %.0f at depth 1: something per record is back", deep, commitDedupDepth, shallow)
 	}
+	if !raceEnabled && perK[20] != perK[5] {
+		t.Fatalf("seal allocates %.0f times at K=20 and %.0f at K=5: something per basis column or per byte is back", perK[20], perK[5])
+	}
 
-	first, data, err := seal(sess)
+	first, sb, err := seal(sess)
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := bytes.Clone(sb.bytes())
+	sb.release()
 	second, err := sess.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -276,6 +310,216 @@ func TestSealCostIndependentOfRecordDepth(t *testing.T) {
 		sent, got := first.RecentCommits[i], held.snap.RecentCommits[i]
 		if rec.ID != sent.ID || !bytes.Equal(rec.Report, sent.Report) || &rec.Report[0] != &got.Report[0] {
 			t.Fatalf("record %d: the promoted session's snapshot does not carry the report bytes it received", i)
+		}
+	}
+}
+
+// TestSnapshotEncodesOffTheLock holds Session.Snapshot's lock hold to
+// reading which state is committed: while the platform is encoded the
+// session mutex is free (checked by ownership, not by a clock), a query
+// and an epoch commit run to completion on the session, and the
+// snapshot still carries the state it read — the pre-commit epoch, the
+// pre-commit platform and the basis that went with them.
+func TestSnapshotEncodesOffTheLock(t *testing.T) {
+	const k = 6
+	_, sess, _ := imageFixture(t, k, 97, "lprg")
+	sess.mu.Lock()
+	pl, basis, epoch := sess.pl, sess.basis, sess.epoch
+	sess.mu.Unlock()
+	wantPlatform, err := json.Marshal(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	encoded := 0
+	orig := encodePlatform
+	t.Cleanup(func() { encodePlatform = orig })
+	encodePlatform = func(p *platform.Platform) ([]byte, error) {
+		if p == pl {
+			encoded++
+			if !sess.mu.TryLock() {
+				t.Fatal("the platform is encoded under the session lock")
+			}
+			sess.mu.Unlock()
+			if _, err := sess.Query(); err != nil {
+				t.Fatalf("query during the encode: %v", err)
+			}
+			if _, err := sess.Epoch(&EpochRequest{SpeedFactor: driftFactors(k, 0.9)}); err != nil {
+				t.Fatalf("commit during the encode: %v", err)
+			}
+		}
+		return orig(p)
+	}
+	snap, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if encoded != 1 {
+		t.Fatalf("the committed platform was encoded %d times, want 1", encoded)
+	}
+	if snap.Epoch != epoch || !bytes.Equal(snap.Platform, wantPlatform) {
+		t.Fatalf("snapshot carries epoch %d and a platform of %d bytes, want the pre-commit epoch %d and its %d bytes",
+			snap.Epoch, len(snap.Platform), epoch, len(wantPlatform))
+	}
+	if cols, _ := basis.View(); &snap.BasisCols[0] != &cols[0] {
+		t.Fatal("the snapshot does not read the basis committed with its platform")
+	}
+	if sess.Info().Epoch != epoch+1 {
+		t.Fatalf("the commit during the encode left epoch %d, want %d", sess.Info().Epoch, epoch+1)
+	}
+}
+
+// TestForwardedReadAllocsIndependentOfK is the clock-free guard on the
+// forward hop: a cached /query entering a two-node ring at the member
+// that does not own the session, forwarded to the owner and relayed
+// back, makes the same number of allocations at K=5 as at K=20 — client,
+// both nodes and the loopback transport counted — and no buffer that
+// scales with the body: the owner's answer is read into a pooled buffer
+// and released once relayed.
+func TestForwardedReadAllocsIndependentOfK(t *testing.T) {
+	type cost struct {
+		allocs float64
+		bytes  uint64
+		body   int
+	}
+	measure := func(k int) cost {
+		nodes, servers := startRing(t, 2, false)
+		client := servers[0].Client()
+		created := ringCreate(t, client, servers[0].URL, &CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, k, 410))})
+		_, other := ringOwnerOf(t, nodes, created.ID)
+		url := servers[other].URL + "/sessions/" + created.ID + "/query"
+		var c cost
+		sink := bytes.NewBuffer(nil)
+		query := func() {
+			resp, err := client.Post(url, "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink.Reset()
+			sink.ReadFrom(resp.Body) //nolint:errcheck // the length is checked
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || (c.body != 0 && sink.Len() != c.body) {
+				t.Fatalf("forwarded query: status %d, %d bytes", resp.StatusCode, sink.Len())
+			}
+			c.body = sink.Len()
+		}
+		query() // the first hit builds the owner's wire image
+		query()
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.allocs = testing.AllocsPerRun(runs, query)
+		runtime.ReadMemStats(&after)
+		c.bytes = (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		if got := nodes[other].forwarded.Value(); got < runs {
+			t.Fatalf("the non-owner forwarded %d of %d queries", got, runs)
+		}
+		return c
+	}
+	small, big := measure(5), measure(20)
+	t.Logf("forwarded cached query: K=5 %.0f allocs, %d bytes per %d-byte body; K=20 %.0f allocs, %d bytes per %d-byte body",
+		small.allocs, small.bytes, small.body, big.allocs, big.bytes, big.body)
+	if big.body-small.body < 6<<10 {
+		t.Fatalf("bodies are %d and %d bytes: too close to tell a body-sized buffer from noise", big.body, small.body)
+	}
+	if raceEnabled {
+		return // the race detector makes sync.Pool drop a quarter of what is put back
+	}
+	if big.allocs != small.allocs {
+		t.Fatalf("a forwarded cached query allocates %.0f times at K=20 and %.0f at K=5: something per cell or per byte is back", big.allocs, small.allocs)
+	}
+	if big.bytes > small.bytes+1<<10 {
+		t.Fatalf("a forwarded query allocates %d bytes on a %d-byte body and %d on a %d-byte one: something proportional to the body is back",
+			big.bytes, big.body, small.bytes, small.body)
+	}
+}
+
+// BenchmarkShipTaggedCommit is the ship layer on the object a ring
+// commit ships: the benchmark's K=20 network-bound ring_adapt session
+// with eight tagged commits on its dedup record (~40 KiB sealed). One op
+// seals the session's snapshot and runs a successor's
+// /cluster/replicate handler on it in process — read, strict decode,
+// the fences, the held replica, the ack.
+func BenchmarkShipTaggedCommit(b *testing.B) {
+	sess, pl := benchSession(b, "ring_adapt", 20)
+	still := make([]float64, pl.K())
+	for i := range still {
+		still[i] = 1
+	}
+	for i := 0; i < commitDedupDepth; i++ {
+		if _, err := sess.EpochIdempotent(&EpochRequest{SpeedFactor: still}, fmt.Sprintf("commit-%d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	successor := NewNode(NewServer(NewPool(4)), "http://successor", nil, nil).Handler()
+	rec := httptest.NewRecorder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, sb, err := seal(sess)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := httptest.NewRequest("POST", "/cluster/replicate", sb.body())
+		req.ContentLength = int64(len(sb.bytes()))
+		rec.Body.Reset()
+		successor.ServeHTTP(rec, req)
+		req.Body.Close()
+		sb.release()
+		if rec.Code != http.StatusOK {
+			b.Fatalf("replicate: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestSealedBytesOutliveEveryReader holds the sealed buffer's lifetime
+// under concurrency: the shipper lets go first, while request bodies
+// opened over the bytes are still being read on other goroutines (as
+// net/http's transport may after RoundTrip returned), and another
+// session seals into whatever the pool hands out meanwhile. Every
+// reader sees the sealed bytes intact, a second Close releases nothing,
+// and the buffer is released once, by the last holder. Run with -race:
+// a buffer recycled early is a reported race as well as a mismatch.
+func TestSealedBytesOutliveEveryReader(t *testing.T) {
+	_, sess, _ := imageFixture(t, 6, 98, "lprg")
+	_, other, _ := imageFixture(t, 9, 99, "lprg")
+	for round := 0; round < 20; round++ {
+		_, sb, err := seal(sess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bytes.Clone(sb.bytes())
+		bodies := make([]io.ReadCloser, 4)
+		for i := range bodies {
+			bodies[i] = sb.body()
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, body := range bodies {
+			wg.Add(1)
+			go func(body io.ReadCloser) {
+				defer wg.Done()
+				<-start
+				got, err := io.ReadAll(body)
+				body.Close()
+				body.Close()
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("a reader saw %d bytes (%v), not the %d sealed", len(got), err, len(want))
+				}
+			}(body)
+		}
+		sb.release()
+		close(start)
+		for i := 0; i < 4; i++ {
+			_, ob, err := seal(other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ob.release()
+		}
+		wg.Wait()
+		if refs := sb.refs.Load(); refs != 0 {
+			t.Fatalf("round %d: %d references left after every holder let go", round, refs)
 		}
 	}
 }

@@ -17,19 +17,29 @@ import (
 // and every solve re-injects its capacities, so no mutation history
 // needs shipping.
 
-// Snapshot serializes the session's committed state under the session
-// mutex: identity, configuration, epoch, the current drifted platform
-// and the carried basis in exported form, plus the commit-dedup record
-// as the bytes it already holds (shared with the record, not copied).
-// The returned snapshot is not yet sealed — the store or transfer path
-// calls Encode, which stamps the version and checksum.
+// encodePlatform renders a snapshot's platform; a test replaces it to
+// watch the session lock while it runs.
+var encodePlatform = func(pl *platform.Platform) ([]byte, error) { return json.Marshal(pl) }
+
+// Snapshot serializes the session's committed state: identity,
+// configuration, epoch, the current drifted platform and the carried
+// basis (read in place, not copied), plus the commit-dedup record as
+// the bytes it already holds (shared with the record, not copied). The
+// session mutex is held only to read which platform, basis, epoch and
+// record are committed; the encoding runs after it is released, which
+// is safe because none of them is written once published — a commit
+// replaces the platform and the basis, and appends to the record or
+// moves it to a new array. The returned snapshot is not yet sealed —
+// the store or transfer path calls Encode, which stamps the version
+// and checksum.
 func (s *Session) Snapshot() (*cluster.SessionSnapshot, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.basis == nil {
+	pl, basis, epoch, records := s.pl, s.basis, s.epoch, s.recentCommits
+	s.mu.Unlock()
+	if basis == nil {
 		return nil, fmt.Errorf("session %s has no carried basis yet", s.id)
 	}
-	plJSON, err := json.Marshal(s.pl)
+	plJSON, err := encodePlatform(pl)
 	if err != nil {
 		return nil, fmt.Errorf("encoding platform: %w", err)
 	}
@@ -41,12 +51,12 @@ func (s *Session) Snapshot() (*cluster.SessionSnapshot, error) {
 		Payoffs:     s.cfg.payoffs,
 		Seed:        s.cfg.seed,
 		MaxNodes:    s.cfg.maxNodes,
-		Epoch:       s.epoch,
+		Epoch:       epoch,
 		Platform:    plJSON,
 	}
-	snap.SetBasis(s.basis.Export())
-	snap.RecentCommits = make([]cluster.CommitRecord, 0, len(s.recentCommits))
-	for _, rec := range s.recentCommits {
+	snap.SetBasis(basis.View())
+	snap.RecentCommits = make([]cluster.CommitRecord, 0, len(records))
+	for _, rec := range records {
 		if rec.wire != nil {
 			snap.RecentCommits = append(snap.RecentCommits, cluster.CommitRecord{ID: rec.id, Report: rec.wire})
 		}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -36,10 +37,36 @@ func benchStream(seed int64, workload string, stream int) *rand.Rand {
 // box with a gateway.
 func pinnedWhatIfMix(t testing.TB, k, n int) (*Session, []WhatIfRequest) {
 	t.Helper()
-	const pinnedSeed, workload, streamOps, streamPlatform = 2005, "whatif_solve", 0, 3
+	const workload, streamOps = "whatif_solve", 0
+	s, pl := benchSession(t, workload, k)
+	var routes [][2]int
+	for a := 0; a < k; a++ {
+		for b := 0; b < k; b++ {
+			if rt := pl.Route(a, b); a != b && rt.Exists && len(rt.Links) > 0 {
+				routes = append(routes, [2]int{a, b})
+			}
+		}
+	}
+	rng := benchStream(benchPinnedSeed, workload, streamOps)
+	ops := make([]WhatIfRequest, n)
+	for i := range ops {
+		ops[i] = pinnedMutation(pl, routes, i, rng)
+	}
+	return s, ops
+}
+
+// benchPinnedSeed and benchStreamPlatform are the harness's pinnedSeed
+// and the stream its first session's platform is drawn from.
+const benchPinnedSeed, benchStreamPlatform = 2005, 3
+
+// benchSession is a benchmark workload's first session at K clusters:
+// the network-bound platform the harness draws for it and a maxmin /
+// lprg session with payoffs 1, 2, 3, 1, ….
+func benchSession(t testing.TB, workload string, k int) (*Session, *platform.Platform) {
+	t.Helper()
 	pl, err := platgen.Generate(platgen.Params{
 		K: k, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5,
-	}, benchStream(pinnedSeed, workload, streamPlatform))
+	}, benchStream(benchPinnedSeed, workload, benchStreamPlatform))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,20 +80,7 @@ func pinnedWhatIfMix(t testing.TB, k, n int) (*Session, []WhatIfRequest) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var routes [][2]int
-	for a := 0; a < k; a++ {
-		for b := 0; b < k; b++ {
-			if rt := pl.Route(a, b); a != b && rt.Exists && len(rt.Links) > 0 {
-				routes = append(routes, [2]int{a, b})
-			}
-		}
-	}
-	rng := benchStream(pinnedSeed, workload, streamOps)
-	ops := make([]WhatIfRequest, n)
-	for i := range ops {
-		ops[i] = pinnedMutation(pl, routes, i, rng)
-	}
-	return s, ops
+	return s, pl
 }
 
 // pinnedMutation is the harness's mutation(s, kind, randomPick(s, rng)).
@@ -118,9 +132,13 @@ func askSpliced(t *testing.T, s *Session, q WhatIfRequest) (cost spliceCost, ok 
 	defer reportBufs.Put(bp)
 	whole := *rep
 	whole.spliced, whole.cells = nil, nil
-	want, _ := appendReport(nil, &whole)
+	want, _ := appendReport(nil, &whole, 0, false)
 	if !bytes.Equal(*bp, want) {
 		t.Fatalf("%+v: the spliced body differs from the one encoded whole\n got %s\nwant %s", q, *bp, want)
+	}
+	// The other forms write a spliced report's tables whole.
+	if compact, err := json.Marshal(rep); err != nil || !bytes.Equal(marshalReport(rep), compact) {
+		t.Fatalf("%+v: a spliced report's compact bytes differ from json.Marshal's (%v)", q, err)
 	}
 	rows, cols, moved := s.model.Moved()
 	if s.Stats().Solver.Pivots != pivots || !moved || rep.spliced == nil {
