@@ -5,9 +5,9 @@ import "repro/internal/lp"
 // Freeze makes the solver's current state — after a commit, the
 // committed factorization — the one Rewind returns to, and records the
 // optimum a solve from it starts at; it is a no-op until something
-// solves again (lp.Revised.Freeze). The first Solution read after a
-// zero-pivot Solve from it extracts that optimum once, into a block of
-// its own that later answers share and no later Freeze writes.
+// solves again (lp.Revised.Freeze). The first Diff (or Solution) read
+// after a Solve from it extracts that optimum once, into a block of its
+// own that later answers share and no later Freeze writes.
 func (m *Model) Freeze() error { return m.rev.Freeze() }
 
 // Rewind puts the solver back on its frozen state (lp.Revised.Rewind):
@@ -47,7 +47,8 @@ func (m *Model) Fork() (*Model, error) {
 	f.curUb = make([]float64, len(m.curUb))
 	f.crossed = make([]bool, len(m.crossed))
 	f.budget = make([]float64, len(m.budget))
-	f.moved, f.movedMark = nil, nil // a fork's own SetBounds grows its own
+	f.moved, f.movedMark = nil, nil    // a fork's own SetBounds grows its own
+	f.diffCells, f.diffVals = nil, nil // and its own Diff its own
 	f.copyState(m)
 	return &f, nil
 }

@@ -32,9 +32,10 @@ import (
 //
 // Solve is the model's one solve, warm or cold, and returns only the
 // bound. What a caller keeps of it it reads afterwards, before the next
-// solve: Solution, the optimum, and Basis, the warm start for a later
-// solve. A branch-and-bound node that is pruned, a batched what-if and
-// a commit's bound read neither.
+// solve: Solution, the optimum's tables, or Diff, the optimum as the
+// frozen one plus the cells that moved, and Basis, the warm start for a
+// later solve. A branch-and-bound node that is pruned, a batched what-if
+// and a commit's bound read none of them.
 //
 // The model keeps no history of those writes and offers no snapshot of
 // them: its mutable state is a function of the last capacities written
@@ -76,13 +77,17 @@ type Model struct {
 
 	// last is the last Solve's optimum, its X the solver's buffer (zero
 	// unless that solve was feasible). cellOf maps an LP column to its
-	// cell in a RelaxedSolution's block (-1: MAXMIN's t). frozen is the
-	// optimum the solver's frozen start extracts to (frozenOf), read off
-	// on the first Solution after a zero-pivot solve from it.
-	last     lp.Solution
-	cellOf   []int32
-	frozen   *RelaxedSolution
-	frozenOf *lp.Solution
+	// cell in a RelaxedSolution's block (-1: MAXMIN's t), colOf a cell to
+	// its column (-1: none). frozen is the optimum the solver's frozen
+	// start extracts to (frozenOf), read off by the first Diff after a
+	// solve from it; diffCells and diffVals are the cells and values the
+	// last Diff handed out.
+	last          lp.Solution
+	cellOf, colOf []int32
+	frozen        *RelaxedSolution
+	frozenOf      *lp.Solution
+	diffCells     []int32
+	diffVals      []float64
 }
 
 // BetaBounds carries bounds for one route's β variable — a
@@ -178,6 +183,12 @@ func (pr *Problem) NewModel(obj Objective) (*Model, error) {
 	}
 	for ord, p := range m.betaVars {
 		m.cellOf[m.betaVarIdx[ord]] = int32((K+p.K)*K + p.L)
+	}
+	m.colOf = slices.Repeat([]int32{-1}, 2*K*K)
+	for j, c := range m.cellOf {
+		if c >= 0 {
+			m.colOf[c] = int32(j)
+		}
 	}
 	m.rev = lp.NewRevised(prob)
 	return m, nil
@@ -423,59 +434,64 @@ func (m *Model) Solve(from *lp.Basis) (bound float64, ok bool, err error) {
 }
 
 // Solution reads the last Solve's optimum, nil when it was not feasible;
-// call it before the next solve or Rewind on the model. After a solve
-// that started from the frozen state (the first after Freeze or Rewind)
-// and took no pivot, the answer is the frozen optimum where nothing
-// moved: that optimum itself, shared, or a copy of it patched at the
-// cells that did (RelaxedSolution.Patched) — read-only either way.
-// Otherwise it is a fresh extraction.
+// call it before the next solve or Rewind on the model. It writes Diff
+// out for callers that read tables: the frozen optimum itself, shared,
+// when nothing moved, else a solution of its own. After a solve Diff
+// does not tell, it is a fresh extraction. Read-only either way.
 func (m *Model) Solution() *RelaxedSolution {
+	if d, ok := m.Diff(); ok {
+		if len(d.Cells) == 0 && math.Float64bits(d.Objective) == math.Float64bits(d.Base.Objective) {
+			return d.Base
+		}
+		return d.Dense()
+	}
 	if m.last.X == nil {
 		return nil
 	}
-	if base, _, cols := m.rev.Moved(); base != nil {
-		return m.patch(m.last, base, cols)
-	}
 	out, _, _ := m.extract(m.last)
 	return out
+}
+
+// Diff reads the last Solve's optimum as the frozen optimum plus the
+// cells that moved, and writes out no dense block. It tells every solve
+// that started from the frozen state (the first after Freeze or Rewind)
+// and ended optimal without a refactorization or a cold fallback,
+// whether it pivoted or not (lp.Revised.Moved); ok is false after any
+// other. Cells and Values are the model's, valid until the next Diff:
+// copy what you keep. The first Diff after a Freeze extracts the frozen
+// optimum once, into a block of its own that later answers share and no
+// later Freeze writes.
+func (m *Model) Diff() (d Diff, ok bool) {
+	base, _, cols := m.rev.Moved()
+	if base == nil || m.last.X == nil {
+		return Diff{}, false
+	}
+	if m.frozenOf != base {
+		m.frozen, _, _ = m.extract(*base)
+		m.frozenOf = base
+	}
+	f, x := m.frozen, m.last.X
+	m.diffCells = m.diffCells[:0]
+	for _, j := range cols {
+		if c := m.cellOf[j]; c >= 0 && math.Float64bits(nonneg(x[j])) != math.Float64bits(f.cells[c]) {
+			m.diffCells = append(m.diffCells, c)
+		}
+	}
+	slices.Sort(m.diffCells)
+	m.diffVals = m.diffVals[:0]
+	for _, c := range m.diffCells {
+		m.diffVals = append(m.diffVals, nonneg(x[m.colOf[c]]))
+	}
+	return Diff{Base: f, Cells: m.diffCells, Values: m.diffVals, Objective: m.last.Objective}, true
 }
 
 // Basis snapshots the basis the last solve ended on, for a later warm
 // start (lp.Revised.Basis).
 func (m *Model) Basis() *lp.Basis { return m.rev.Basis() }
 
-// patch answers a zero-pivot solve whose X equals base.X outside cols.
-func (m *Model) patch(sol lp.Solution, base *lp.Solution, cols []int32) *RelaxedSolution {
-	if m.frozenOf != base {
-		m.frozen, _, _ = m.extract(*base)
-		m.frozen.base, m.frozenOf = m.frozen, base
-	}
-	f := m.frozen
-	var moved []int32
-	for _, j := range cols {
-		if c := m.cellOf[j]; c >= 0 && math.Float64bits(nonneg(sol.X[j])) != math.Float64bits(f.cells[c]) {
-			moved = append(moved, c)
-		}
-	}
-	if len(moved) == 0 && math.Float64bits(sol.Objective) == math.Float64bits(f.Objective) {
-		return f
-	}
-	K := m.pr.K()
-	out := newRelaxedSolution(K, K)
-	copy(out.cells, f.cells)
-	for _, j := range cols {
-		if c := m.cellOf[j]; c >= 0 {
-			out.cells[c] = nonneg(sol.X[j])
-		}
-	}
-	slices.Sort(moved)
-	out.Objective, out.base, out.moved = sol.Objective, f, slices.Compact(moved)
-	return out
-}
-
 // Moved reports what the last Solve moved off the frozen state
-// (lp.Revised.Moved): the basis rows it refiled and the X entries it
-// wrote; ok is false unless it started there and took no pivot.
+// (lp.Revised.Moved): the basis rows whose basic value or column it
+// moved and the X entries it wrote; ok is false unless Diff tells it.
 func (m *Model) Moved() (rows, cols int, ok bool) {
 	base, rows, c := m.rev.Moved()
 	return rows, len(c), base != nil

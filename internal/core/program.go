@@ -36,9 +36,7 @@ type RelaxedSolution struct {
 	Beta      [][]float64
 	Objective float64
 
-	cells []float64        // the block both tables are cut from: α row-major, then β
-	base  *RelaxedSolution // see Patched
-	moved []int32
+	cells []float64 // the block both tables are cut from: α row-major, then β
 }
 
 // newRelaxedSolution returns the all-zero solution for A applications
@@ -53,15 +51,27 @@ func newRelaxedSolution(A, K int) *RelaxedSolution {
 	return &RelaxedSolution{Alpha: rows[:A:A], Beta: rows[A:], cells: cells}
 }
 
-// Patched reports what a solution Model.Solution returned was
-// derived from: base is the optimum of the model's frozen state (see
-// Model.Freeze), and s equals it outside cells, ascending cell numbers —
-// α_{k,l} is cell k·K+l, β_{k,l} cell K²+k·K+l. A zero-pivot what-if
-// answers with its base itself (no cells) or a copy of it patched at the
-// cells that moved. base is nil for a solution extracted whole. Either
-// way the tables are shared: read-only.
-func (s *RelaxedSolution) Patched() (base *RelaxedSolution, cells []int32) {
-	return s.base, s.moved
+// Diff is a relaxed optimum told as another plus what moved: it equals
+// Base but at Cells, ascending cell numbers of Base's block — α_{a,l} is
+// cell a·K+l, β_{k,l} cell A·K+k·K+l for A applications on K clusters —
+// where it holds Values, and its objective is Objective. Base is shared:
+// read-only.
+type Diff struct {
+	Base      *RelaxedSolution
+	Cells     []int32
+	Values    []float64
+	Objective float64
+}
+
+// Dense writes d out whole, into a solution of its own.
+func (d Diff) Dense() *RelaxedSolution {
+	out := newRelaxedSolution(len(d.Base.Alpha), len(d.Base.Beta))
+	copy(out.cells, d.Base.cells)
+	for i, c := range d.Cells {
+		out.cells[c] = d.Values[i]
+	}
+	out.Objective = d.Objective
+	return out
 }
 
 // MostFractional returns the β route whose relaxed value is farthest

@@ -245,10 +245,12 @@ func TestModelWarmMatchesOracle(t *testing.T) {
 }
 
 // TestRelaxedSolveAllocsIndependentOfK is the clock-free guard on what
-// every relaxed what-if pays to get its optimum out of the solver. A
-// warm Solve allocates nothing and Solution the solution — the struct,
-// one block of cells, the row headers sliced from it — and nothing per
-// route, so the count is the same small constant at K = 5 and K = 20.
+// every relaxed what-if pays to get its optimum out of the solver, run as
+// the service serves one: Freeze once, then per run pose a speed cut,
+// Solve warm, read the answer as the frozen optimum plus what moved
+// (Diff), retract and Rewind. Each run takes at least one dual pivot and
+// no refactorization, and allocates nothing per cell or per route, so
+// the count is the same small constant at K = 5 and K = 20.
 func TestRelaxedSolveAllocsIndependentOfK(t *testing.T) {
 	allocs := func(k int) float64 {
 		pr := randomPlatformProblem(t, rand.New(rand.NewSource(int64(k))), k)
@@ -263,28 +265,53 @@ func TestRelaxedSolveAllocsIndependentOfK(t *testing.T) {
 			t.Fatalf("K=%d: root solve: ok=%v err=%v", k, ok, err)
 		}
 		basis := m.Basis()
-		// Alternate two gateway capacities so every run is a real warm
-		// re-solve, not a zero-pivot repeat.
-		g, flip := pr.Platform.Clusters[0].Gateway, false
-		return testing.AllocsPerRun(20, func() {
-			flip = !flip
-			scale := 1.0
-			if flip {
-				scale = 0.5
-			}
-			if err := m.SetGateway(0, g*scale); err != nil {
+		if err := m.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		cluster, speed := 0, 0.0
+		whatIf := func(scale float64) {
+			if err := m.SetSpeed(cluster, speed*scale); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok, err := m.Solve(basis); err != nil || !ok {
 				t.Fatalf("K=%d: warm solve: ok=%v err=%v", k, ok, err)
 			}
-			if m.Solution() == nil {
-				t.Fatalf("K=%d: no optimum after a feasible solve", k)
+			if _, ok := m.Diff(); !ok {
+				t.Fatalf("K=%d: the solve from the frozen state was not told as a diff", k)
 			}
+			if err := m.SetSpeed(cluster, speed); err != nil {
+				t.Fatal(err)
+			}
+			m.Rewind()
+		}
+		// The first cluster whose speed, halved, the committed basis
+		// cannot absorb without a dual pivot.
+		for cluster = 0; cluster < k; cluster++ {
+			speed = pr.Platform.Clusters[cluster].Speed
+			before := m.SolverStats()
+			whatIf(0.5)
+			if after := m.SolverStats(); after.DualPivots > before.DualPivots && after.Refactorizations == before.Refactorizations {
+				break
+			}
+		}
+		if cluster == k {
+			t.Fatalf("K=%d: no speed cut takes a dual pivot without refactorizing", k)
+		}
+		before, runs := m.SolverStats(), 0
+		n := testing.AllocsPerRun(20, func() {
+			whatIf(0.5)
+			runs++
 		})
+		after := m.SolverStats()
+		if pivots := after.DualPivots - before.DualPivots; pivots < runs || after.Refactorizations != before.Refactorizations {
+			t.Fatalf("K=%d: %d runs took %d dual pivots and %d refactorizations, want at least one pivot and no refactorization each",
+				k, runs, pivots, after.Refactorizations-before.Refactorizations)
+		}
+		t.Logf("K=%d: cluster %d's speed cut, %d dual pivots per run, %v allocations", k, cluster, (after.DualPivots-before.DualPivots)/runs, n)
+		return n
 	}
 	small, large := allocs(5), allocs(20)
 	if small != large || small > 4 {
-		t.Fatalf("warm Solve + Solution allocates %v objects at K=5 and %v at K=20, want the same count, at most 4", small, large)
+		t.Fatalf("a warm what-if's Solve + Diff allocates %v objects at K=5 and %v at K=20, want the same count, at most 4", small, large)
 	}
 }

@@ -13,9 +13,10 @@ import (
 )
 
 // TestHeuristicsLeaveSharedOptimumUnwritten: a solve from a model's
-// frozen state that takes no pivot hands its caller the frozen optimum
-// itself, or a copy patched where it moved, so every caller shares one
-// block of cells (core.Model.Solution). On network-bound platforms, with
+// frozen state is told as the frozen optimum plus what moved
+// (core.Model.Diff), and Solution hands its caller that optimum itself
+// when nothing moved, or a copy written out where it did, so every caller
+// shares one block of cells. On network-bound platforms, with
 // the model frozen after a commit and a capacity raised by a mutation
 // that the committed basis absorbs without a pivot, LPRG, LPRR (fixed
 // seed) and branch-and-bound each run twice from the frozen state: the
@@ -81,7 +82,7 @@ func TestHeuristicsLeaveSharedOptimumUnwritten(t *testing.T) {
 					}
 					if name == "lprg" {
 						if _, _, ok := m.Moved(); !ok {
-							t.Fatalf("seed %d %v: LPRG's solve from the frozen state pivoted", seed, obj)
+							t.Fatalf("seed %d %v: LPRG's solve from the frozen state was not told as a diff", seed, obj)
 						}
 						shared++
 					}
@@ -118,13 +119,12 @@ func zeroPivotGatewayRaise(t *testing.T, m *core.Model, pl *platform.Platform, b
 			t.Fatal(err)
 		}
 		m.Rewind()
+		pivots := m.SolverStats().Pivots
 		if _, ok, err := m.Solve(basis); err != nil || !ok {
 			t.Fatalf("what-if solve: ok=%v err=%v", ok, err)
 		}
-		if _, _, ok := m.Moved(); ok {
-			if base, _ := m.Solution().Patched(); base != nil {
-				return hyp, base
-			}
+		if d, ok := m.Diff(); ok && m.SolverStats().Pivots == pivots {
+			return hyp, d.Base
 		}
 		if err := m.Inject(pl); err != nil {
 			t.Fatal(err)

@@ -26,7 +26,7 @@ func (r *Revised) SolveFrom(bas *Basis) (Solution, error) {
 		panic(fmt.Sprintf("lp: Revised built over %d rows, problem now has %d (structure is frozen)", r.m, len(r.p.rows)))
 	}
 	r.gen++ // any solve may move the basis: the frozen state goes stale
-	r.light = false
+	r.tracking, r.patched, r.light = false, false, false
 	if bas != nil && r.signInit {
 		if sol, ok := r.warmSolve(bas); ok {
 			r.stats.WarmSolves++
@@ -84,7 +84,7 @@ func (r *Revised) Rebase() {
 	}
 	r.signInit = true
 	r.rhsOK = false // b was computed under the old signs
-	r.factorized, r.light = false, false
+	r.factorized, r.patched, r.light = false, false, false
 	r.dseOK, r.djOK = false, false
 }
 
@@ -280,7 +280,8 @@ func (r *Revised) nonbasicValue(j int) float64 {
 // refactorize rebuilds the basis factorization from the current
 // basis, counting it in the stats. Returns false when the basis
 // matrix is numerically singular (the previous factorization is then
-// still the live one).
+// still the live one). Every caller then recomputes the basic values
+// whole, so a solve that refactorizes is extracted whole.
 func (r *Revised) refactorize() bool {
 	t0 := time.Now()
 	ok := r.fac.refactor()
@@ -289,7 +290,7 @@ func (r *Revised) refactorize() bool {
 		return false
 	}
 	r.stats.Refactorizations++
-	r.factorized = true
+	r.factorized, r.tracking = true, false
 	return true
 }
 
@@ -415,6 +416,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, bool) {
 	start := r.gen == r.frozen.gen+1 && r.driftOK // the state is the frozen one
 	if start {
 		dualInfeasible, pricesOut = r.startFrozen()
+		r.tracking = true
 	} else {
 		r.computeXB()
 		if !r.djOK {
@@ -505,7 +507,8 @@ func (r *Revised) finishWarm(status Status, light bool) (Solution, bool) {
 		r.factorized = false
 		return Solution{}, false
 	}
-	r.light = light && status == Optimal
+	r.patched = r.tracking && status == Optimal
+	r.light = light && r.patched
 	return r.extract(status), true
 }
 
@@ -529,7 +532,7 @@ func (r *Revised) extract(status Status) Solution {
 		return Solution{Status: status}
 	}
 	x := r.xscratch
-	if r.light {
+	if r.patched {
 		r.patchX()
 	} else {
 		r.xAtStart = false
@@ -577,9 +580,10 @@ func (r *Revised) objective(x []float64) float64 {
 	return obj
 }
 
-// patchX extracts a light solve's X into xscratch: the start's x, put
-// back where the last patch wrote, then rewritten at the basic columns of
-// the refiled rows and at the drifted columns — the bits extractX writes.
+// patchX extracts a patched solve's X into xscratch: the start's x, put
+// back where the last patch wrote, then rewritten at the basic column of
+// every refiled row and at every drifted or left column now nonbasic —
+// the bits extractX writes, since nothing else differs from the start.
 func (r *Revised) patchX() {
 	st, x := r.frozen.start, r.xscratch
 	if r.xAtStart {
@@ -590,31 +594,50 @@ func (r *Revised) patchX() {
 		copy(x, st.sol.X)
 		r.xAtStart = true
 	}
-	r.xPatched = r.xPatched[:0]
+	if r.xMark == nil {
+		r.xMark = make([]uint64, (r.nstruct+63)/64)
+	}
+	r.xPatched = unmark(r.xPatched, r.xMark)
 	for _, i := range r.refiled {
 		if j := r.basis[i]; j < r.nstruct {
 			x[j] = r.xValue(j, int(i))
 			r.xPatched = append(r.xPatched, int32(j))
 		}
 	}
-	for _, j := range r.driftVars {
-		x[j] = r.xValue(int(j), int(st.rowOf[j]))
-		r.xPatched = append(r.xPatched, j)
+	for _, cols := range [2][]int32{r.driftVars, r.left} {
+		for _, j := range cols {
+			if w, bit := j>>6, uint64(1)<<(j&63); int(j) < r.nstruct && !r.inBasis[j] && r.xMark[w]&bit == 0 {
+				r.xMark[w] |= bit
+				x[j] = r.xValue(int(j), -1)
+				r.xPatched = append(r.xPatched, j)
+			}
+		}
 	}
 }
 
 // Moved says how the X of the last solve relates to the frozen start's.
 // After a solve that started there (the first solve after Freeze or
-// Rewind) and took no pivot, bound flip or refactorization, base is the
-// solution the start extracts to — one per Freeze, shared and read-only —
-// and X equals base.X outside cols, the columns the solve wrote (maybe
-// repeated or unchanged); rows counts the basis rows it refiled. After any
-// other solve, a Freeze or a Rebase, base is nil.
+// Rewind) and ended optimal without a refactorization or a cold fallback
+// — with or without pivots and bound flips — base is the solution the
+// start extracts to, one per Freeze, shared and read-only; X equals
+// base.X outside cols, the columns the solve wrote, each once, in no
+// order (a written value may equal base's); and rows counts the basis
+// rows whose basic value or basic column it moved. After any other
+// solve, a Freeze or a Rebase, base is nil and X was extracted whole.
 func (r *Revised) Moved() (base *Solution, rows int, cols []int32) {
-	if !r.light {
+	if !r.patched {
 		return nil, 0, nil
 	}
 	return &r.frozen.start.sol, len(r.refiled), r.xPatched
+}
+
+// refile lists row i among the rows the solve in progress moved off the
+// start, unless it is there already.
+func (r *Revised) refile(i int32) {
+	if w, bit := i>>6, uint64(1)<<(i&63); r.refiledMark[w]&bit == 0 {
+		r.refiledMark[w] |= bit
+		r.refiled = append(r.refiled, i)
+	}
 }
 
 // setBasis installs cols as the basic column set.
@@ -738,10 +761,14 @@ func (r *Revised) startFrozen() (overWide, overNarrow bool) {
 		r.stats.Phase.FTRANNanos += int64(time.Since(t0))
 	}
 	r.shifted, r.shiftMark = unmark(rows, mark), mark
-	r.refiled, r.resid = append(r.refiled[:0], r.dIdx...), st.residue
+	if r.refiledMark == nil {
+		r.refiledMark = make([]uint64, (r.m+63)/64)
+	}
+	r.refiled, r.left, r.resid = unmark(r.refiled, r.refiledMark), r.left[:0], st.residue
 	for _, i := range r.dIdx {
 		r.xb[i] += r.d[i]
 		r.fileRow(int(i))
+		r.refile(i)
 		if r.basis[i] >= r.artStart {
 			r.resid = -1
 		}
@@ -760,7 +787,7 @@ func (r *Revised) startFrozen() (overWide, overNarrow bool) {
 		kept = append(kept, j)
 		if i := st.rowOf[j]; i >= 0 {
 			r.fileRow(int(i))
-			r.refiled = append(r.refiled, i)
+			r.refile(i)
 		} else if !rescan && r.outBy(int(j), eps) {
 			overNarrow = true
 			overWide = overWide || r.outBy(int(j), r.dualTol())
@@ -824,6 +851,12 @@ func (r *Revised) pivotUpdate(leave, enter int, step float64, leaveAtUpper bool)
 	ftol := r.feasTol()
 	d := r.d
 	okUpd := r.fac.update(leave, d, r.dIdx, false)
+	if r.tracking {
+		for _, i := range r.dIdx { // the leaving row among them: d[leave] is the pivot
+			r.refile(i)
+		}
+		r.left = append(r.left, int32(leaveCol))
+	}
 	for _, i32 := range r.dIdx {
 		if i := int(i32); i != leave {
 			r.xb[i] -= step * d[i]
@@ -878,6 +911,12 @@ func (r *Revised) boundFlip(j int, dir float64) {
 	for _, i := range r.dIdx {
 		r.xb[i] -= step * r.d[i]
 		r.clampXB(int(i), ftol)
+	}
+	if r.tracking {
+		for _, i := range r.dIdx {
+			r.refile(i)
+		}
+		r.left = append(r.left, int32(j))
 	}
 	r.atUpper[j] = !r.atUpper[j]
 	r.stats.BoundFlips++

@@ -152,7 +152,7 @@ func (r *Revised) Freeze() error {
 	fz.dseW = append(fz.dseW[:0], r.dseW...)
 	fz.dj = append(fz.dj[:0], r.dj...)
 	fz.dseOK, fz.djOK, fz.factorized = r.dseOK, r.djOK, r.factorized
-	fz.start, r.xAtStart, r.light = nil, false, false
+	fz.start, r.xAtStart, r.patched, r.light = nil, false, false, false
 	if r.factorized && r.rhsOK {
 		r.computeXB()
 		st := &frozenStart{b: slices.Clone(r.b), lbs: slices.Clone(r.lbs), u: slices.Clone(r.U[:r.nstruct]),
@@ -290,7 +290,7 @@ func (r *Revised) Refork(f *Revised) error {
 	copy(f.p.ub, r.p.ub)
 	ch := &f.p.ch
 	ch.rows, ch.vars = unmark(ch.rows, ch.rowMark), unmark(ch.vars, ch.varMark)
-	f.rhsOK, f.light, f.xAtStart = false, false, false
+	f.rhsOK, f.patched, f.light, f.xAtStart = false, false, false, false
 	f.Rewind()
 	return nil
 }

@@ -148,8 +148,15 @@
 // O(m + ncols), without refactorizing, so a solve posed after a Rewind
 // costs and answers the same whatever was solved before it. That solve
 // starts from the basic values Freeze recorded plus B⁻¹ of what moved
-// since; if it then takes no pivot, X is the frozen optimum's patched at
-// the columns it moved (Revised.Moved), and Rewind puts back only those. Revised.Fork
+// since, and keeps account of what it moves from there: the rows the
+// start refiled or any pivot's or bound flip's direction touched, and
+// the columns that left the basis or crossed their box. Unless it
+// refactorizes or falls back cold, its X is the frozen optimum's
+// rewritten at the basic columns of those rows and at the drifted and
+// left columns (Revised.Moved) — a full extraction's bits, pivots or
+// not, at the cost of what moved. If it took no pivot either, Rewind
+// puts back only the rows it refiled; otherwise it copies the frozen
+// state back whole. Revised.Fork
 // splits a new context off a solved instance in O(m + nnz): the child is
 // born frozen on the parent's snapshot (frozen once per generation, its LU aliased
 // read-only by the parent and every sibling), shares the parent's

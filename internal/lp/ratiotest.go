@@ -156,6 +156,9 @@ func (r *Revised) applyBoundFlips(idxs []int32) {
 			du = -du
 		}
 		r.atUpper[j] = !r.atUpper[j]
+		if r.tracking {
+			r.left = append(r.left, int32(j))
+		}
 		r.effCol(j, func(i int, v float64) {
 			agg[i] += v * du
 		})
@@ -169,6 +172,9 @@ func (r *Revised) applyBoundFlips(idxs []int32) {
 		if agg[i] != 0 {
 			r.xb[i] -= agg[i]
 			r.clampXB(i, ftol)
+			if r.tracking {
+				r.refile(int32(i))
+			}
 		}
 	}
 }

@@ -120,14 +120,21 @@ type Revised struct {
 
 	// The solve from the frozen start (startFrozen). driftOK: driftRows /
 	// driftVars list every row whose b and every structural column whose
-	// bounds may differ from the start's. light: the last solve started
-	// there and moved nothing but the rows it refiled, with resid the
-	// residue its start left. xAtStart: xscratch holds the start's x but
-	// at xPatched.
-	driftOK, light, xAtStart   bool
+	// bounds may differ from the start's. tracking: the solve in progress
+	// started there and has not refactorized, so refiled (once each, under
+	// refiledMark) lists every row whose basic value or basic column it
+	// moved and left every column that left the basis or crossed its box.
+	// patched: the last solve ended so, optimal, and its X is the start's
+	// rewritten where that moved it (patchX); light: it also took no pivot,
+	// bound flip or refactorization, with resid the residue its start left.
+	// xAtStart: xscratch holds the start's x but at xPatched (once each;
+	// xMark marks the nonbasic ones).
+	driftOK, tracking, patched bool
+	light, xAtStart            bool
 	driftRows, driftVars       []int32
 	driftRowMark, driftVarMark []uint64
-	refiled, xPatched          []int32
+	refiled, left, xPatched    []int32
+	refiledMark, xMark         []uint64
 	resid                      float64
 
 	// Devex reference-framework weights pricing entering candidates in

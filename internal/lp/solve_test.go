@@ -134,8 +134,9 @@ func TestBasisWarmStartsFreshContext(t *testing.T) {
 			break
 		}
 	}
+	before = r.Stats()
 	sol = solve("zero-pivot", bas, Optimal)
-	if base, _, _ := r.Moved(); base == nil {
+	if base, _, _ := r.Moved(); base == nil || r.Stats().Pivots != before.Pivots {
 		t.Fatal("the solve from the frozen start pivoted: the case shows nothing")
 	}
 	check("zero-pivot", sol)

@@ -72,15 +72,18 @@ func zeroPivotMutation(rng *rand.Rand, r *Revised, p *Problem) string {
 // within 1e-9·(1+scale) of a full computeXB —
 // the worst gap is printed — and the infeasibility set, scale, residue
 // and entry verdict equal full recomputations exactly (warmAudit.start).
-// A solve that then moves nothing extracts X bit for bit as a full
-// extraction would, and equal to the frozen X outside the columns Moved
-// names. Every answer is a cold solve's. No clock is read.
+// A solve that then ends optimal without a refactorization, whether it
+// pivoted or not, extracts X bit for bit as a full extraction would, and
+// equal to the frozen X outside the columns Moved names, each named once,
+// and every row whose basic value or basic column moved off the start is
+// among the rows it counts; one that refactorized names none. Every
+// answer is a cold solve's. No clock is read.
 func TestZeroPivotStateMatchesFull(t *testing.T) {
 	a := &warmAudit{t: t}
 	kinds := map[string]int{}
-	var light, nothingMoved, infeasible, fallbacks int
+	var light, nothingMoved, pivoted, refactored, infeasible, fallbacks int
 	x := make([]float64, 64)
-	for seed := int64(0); seed < 80; seed++ {
+	for seed := int64(0); seed < 240; seed++ {
 		rng := rand.New(rand.NewSource(700 + seed))
 		p := whatIfLP(rng, 30, 20)
 		if seed%2 == 1 {
@@ -122,19 +125,40 @@ func TestZeroPivotStateMatchesFull(t *testing.T) {
 		for k := 0; k < 16; k++ {
 			kind := zeroPivotMutation(rng, r, p)
 			kinds[kind]++
+			before := r.stats
 			sol := solve(kind)
 			if sol.Status == Infeasible {
 				infeasible++
 			}
-			if base, rows, cols := r.Moved(); base != nil {
-				light++
+			moves := r.stats.Pivots + r.stats.BoundFlips - before.Pivots - before.BoundFlips
+			base, rows, cols := r.Moved()
+			if r.stats.Refactorizations != before.Refactorizations {
+				refactored++
+				if base != nil {
+					t.Fatalf("seed %d %s: a solve that refactorized answers as the frozen X patched", seed, kind)
+				}
+			}
+			if base != nil {
+				if moves == 0 {
+					light++
+				} else {
+					pivoted++
+				}
 				if rows == 0 && len(cols) == 0 {
 					nothingMoved++
+				}
+				for i := range r.xb {
+					if listed := r.refiledMark[i>>6]&(1<<(i&63)) != 0; !listed && (!sameBits(r.xb[i], r.frozen.start.xb[i]) || r.basis[i] != r.frozen.basis[i]) {
+						t.Fatalf("seed %d %s: row %d moved off the start but is not among the %d rows Moved counts", seed, kind, i, rows)
+					}
 				}
 				x = append(x[:0], make([]float64, r.nstruct)...)
 				r.extractX(x)
 				written := map[int32]bool{}
 				for _, j := range cols {
+					if written[j] {
+						t.Fatalf("seed %d %s: Moved names column %d twice", seed, kind, j)
+					}
 					written[j] = true
 				}
 				for j := range x {
@@ -176,14 +200,14 @@ func TestZeroPivotStateMatchesFull(t *testing.T) {
 		}
 		solve("rewound after a fallback")
 	}
-	t.Logf("%d starts (%d moved xb, %d light, %d of those moved nothing, %d Infeasible), %d cold fallbacks; worst |xb − computeXB's| %.3g·(1+scale); writes %v",
-		a.starts, a.moved, light, nothingMoved, infeasible, fallbacks, a.worst, kinds)
+	t.Logf("%d starts (%d moved xb, %d patched without a pivot, %d of those moved nothing, %d patched after pivots, %d refactorized, %d Infeasible), %d cold fallbacks; worst |xb − computeXB's| %.3g·(1+scale); writes %v",
+		a.starts, a.moved, light, nothingMoved, pivoted, refactored, infeasible, fallbacks, a.worst, kinds)
 	for _, kind := range []string{"lb shift", "at-upper box", "basic-slack rhs", "equal writes", "lb 1e6", "rhs"} {
 		if kinds[kind] < 20 {
 			t.Fatalf("only %d %q rounds: the test lost its reach (%v)", kinds[kind], kind, kinds)
 		}
 	}
-	if a.moved < 100 || light < 100 || nothingMoved == 0 || infeasible < 20 || fallbacks < 20 {
+	if a.moved < 100 || light < 100 || nothingMoved == 0 || pivoted < 100 || infeasible < 20 || fallbacks < 20 {
 		t.Fatal("the rounds reached too little")
 	}
 }

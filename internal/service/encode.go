@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -32,7 +33,7 @@ func EncodeReport(w io.Writer, rep *SolveReport) error {
 	bp, ok := reportBytes(rep)
 	defer reportBufs.Put(bp)
 	if !ok {
-		return encodeIndented(w, rep)
+		return encodeIndented(w, rep.dense())
 	}
 	_, err := w.Write(*bp)
 	return err
@@ -254,13 +255,17 @@ func (e *wireEnc) done() ([]byte, bool) {
 
 // report appends rep, whose braces sit at depth. Members follow the
 // json tags of SolveReport, lp.Stats and lp.PhaseTimes (a test holds
-// it). A spliced body's tables are copied from the frozen answer's
-// bytes, which hold them as a top-level indented body does; any other
-// form writes them whole.
+// it). A body told as a diff has its tables spliced from the frozen
+// answer's bytes, which hold them as a top-level indented body does; any
+// other form writes them out whole (no report the service files is
+// written in another form).
 func report(e *wireEnc, depth int, rep *SolveReport) {
 	if rep == nil {
 		e.b = append(e.b, "null"...)
 		return
+	}
+	if rep.diff != nil && (depth != 0 || e.compact) {
+		rep = rep.dense()
 	}
 	d := depth + 1
 	e.b = append(e.b, '{')
@@ -277,8 +282,8 @@ func report(e *wireEnc, depth int, rep *SolveReport) {
 		e.key(d, "throughputs")
 		floatRow(e, d, rep.Throughputs)
 	}
-	if t := rep.spliced; t != nil && depth == 0 && !e.compact {
-		t.splice(e, rep)
+	if t := rep.diff; t != nil {
+		t.splice(e)
 	} else {
 		if len(rep.Alpha) > 0 {
 			e.key(d, "alpha")
@@ -332,13 +337,14 @@ func report(e *wireEnc, depth int, rep *SolveReport) {
 }
 
 // tableBody is a frozen relaxed answer's "alpha" and "betaFrac" members
-// as appendReport writes them after another member, and the start and
-// end offset there of every cell, numbered as
-// core.RelaxedSolution.Patched numbers them.
+// as appendReport writes them after another member, the start and end
+// offset there of every cell, numbered as core.Diff numbers them, and
+// the answer's throughputs.
 type tableBody struct {
 	sol *core.RelaxedSolution
 	b   []byte
 	at  []int32
+	thr []float64
 }
 
 func newTableBody(sol *core.RelaxedSolution) *tableBody {
@@ -354,20 +360,57 @@ func newTableBody(sol *core.RelaxedSolution) *tableBody {
 	array(&e, 1, sol.Alpha, row)
 	e.key(1, "betaFrac")
 	array(&e, 1, sol.Beta, row)
-	return &tableBody{sol: sol, b: e.b[1:], at: at}
+	return &tableBody{sol: sol, b: e.b[1:], at: at, thr: throughputs(sol.Alpha)}
 }
 
-// splice writes rep's tables: t's, but at rep.cells (ascending).
-func (t *tableBody) splice(e *wireEnc, rep *SolveReport) {
-	K, from := int32(len(rep.Alpha)), int32(0)
-	for _, c := range rep.cells {
-		e.b = append(e.b, t.b[from:t.at[2*c]]...)
-		if c < K*K {
-			floatElem(e, 0, rep.Alpha[c/K][c%K])
-		} else {
-			floatElem(e, 0, rep.BetaFrac[c/K-K][c%K])
-		}
-		from = t.at[2*c+1]
+// tableDiff is a relaxed answer's tables told as the frozen answer's,
+// whose encoded members body holds, plus the Diff: its Cells and Values
+// the report's own, its Base body's solution.
+type tableDiff struct {
+	body *tableBody
+	core.Diff
+}
+
+// splice writes the tables: the body's bytes, but at the moved cells.
+func (t *tableDiff) splice(e *wireEnc) {
+	from := int32(0)
+	for i, c := range t.Cells {
+		e.b = append(e.b, t.body.b[from:t.body.at[2*c]]...)
+		floatElem(e, 0, t.Values[i])
+		from = t.body.at[2*c+1]
 	}
-	e.b = append(e.b, t.b[from:]...)
+	e.b = append(e.b, t.body.b[from:]...)
+}
+
+// throughputs is the answer's throughputs: the frozen answer's, with the
+// α rows that hold a moved cell summed anew as throughputs sums them.
+func (t *tableDiff) throughputs() []float64 {
+	out := slices.Clone(t.body.thr)
+	alpha := t.Base.Alpha
+	K := int32(len(t.Base.Beta))
+	for i := 0; i < len(t.Cells) && t.Cells[i] < int32(len(alpha))*K; {
+		a, sum := t.Cells[i]/K, 0.0
+		for l, v := range alpha[a] {
+			if i < len(t.Cells) && t.Cells[i] == a*K+int32(l) {
+				v = t.Values[i]
+				i++
+			}
+			sum += v
+		}
+		out[a] = sum
+	}
+	return out
+}
+
+// dense returns rep with its tables whole: rep itself, or — told as a
+// diff — a copy with the diff written out into tables of its own, so
+// the report filed for other readers is never written.
+func (rep *SolveReport) dense() *SolveReport {
+	if rep == nil || rep.diff == nil {
+		return rep
+	}
+	cp := *rep
+	sol := rep.diff.Dense()
+	cp.Alpha, cp.BetaFrac, cp.diff = sol.Alpha, sol.Beta, nil
+	return &cp
 }

@@ -295,7 +295,8 @@ func FuzzEncodeSolveReport(f *testing.F) {
 // TestEncodeReportNonFinite pins what a NaN or ±Inf does: the encoder
 // steps aside, the caller gets encoding/json's UnsupportedValueError
 // and no bytes, and the HTTP path answers as it did before (200, empty
-// body, no Content-Length).
+// body, no Content-Length) — also for a relaxed answer told as a diff,
+// whose tables encoding/json sees only written out.
 func TestEncodeReportNonFinite(t *testing.T) {
 	for _, rep := range []*SolveReport{
 		{Value: math.NaN()},
@@ -303,6 +304,7 @@ func TestEncodeReportNonFinite(t *testing.T) {
 		{Throughputs: []float64{1, math.Inf(-1)}},
 		{Alpha: [][]float64{{1}, {2, math.NaN()}}},
 		{BetaFrac: [][]float64{{math.Inf(1)}}},
+		nonFiniteDiff(t),
 	} {
 		var buf bytes.Buffer
 		err := EncodeReport(&buf, rep)
@@ -319,6 +321,28 @@ func TestEncodeReportNonFinite(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nonFiniteDiff is a relaxed what-if's report told as a diff, with a
+// NaN in place of its first moved cell's value.
+func nonFiniteDiff(t *testing.T) *SolveReport {
+	t.Helper()
+	s, ops := pinnedWhatIfMix(t, 10, 40)
+	for _, q := range ops {
+		rep, _, err := s.whatIf(&q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.diff != nil && len(rep.diff.Cells) > 0 {
+			d := *rep.diff
+			d.Values = append([]float64{math.NaN()}, d.Values[1:]...)
+			bad := *rep
+			bad.diff = &d
+			return &bad
+		}
+	}
+	t.Fatal("no relaxed what-if in the pinned mix moved a cell")
+	return nil
 }
 
 // jsonTags lists a struct's JSON member names in declaration order; an

@@ -136,7 +136,7 @@ func writeAnswer(w http.ResponseWriter, rep *SolveReport, hit *answer, err error
 	if ok {
 		writeBody(w, *bp)
 	} else {
-		writeJSON(w, http.StatusOK, rep)
+		writeJSON(w, http.StatusOK, rep.dense())
 	}
 }
 

@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,8 +180,8 @@ type Session struct {
 	// with the model's structure, so read without mu.
 	betaRoutes map[core.Pair]bool
 
-	// tables is the frozen relaxed answer's encoded tables, which a
-	// zero-pivot relaxed what-if's body is spliced from: built on the first
+	// tables is the frozen relaxed answer's encoded tables, which every
+	// relaxed what-if told as a diff is spliced from: built on the first
 	// such what-if after each Freeze, never by a commit. Guarded by mu.
 	tables *tableBody
 
@@ -342,12 +343,13 @@ func (s *Session) Stats() SessionStats {
 func (s *Session) Query() (*SolveReport, error) { return asReport(s.query()) }
 
 // asReport turns an HTTP-layer answer into the exported API's: a cache
-// hit becomes a copy of its report with Cached set.
+// hit becomes a copy of its report with Cached set, and a report told as
+// a diff a copy with its tables written out (dense).
 func asReport(rep *SolveReport, hit *answer, err error) (*SolveReport, error) {
 	if hit != nil {
-		return hit.report(), nil
+		return hit.report().dense(), nil
 	}
-	return rep, err
+	return rep.dense(), err
 }
 
 // query is Query as the HTTP layer consumes it: a cache hit comes back
@@ -457,12 +459,13 @@ func (s *Session) reportFor(epr *core.Problem, alloc *core.Allocation) *SolveRep
 	return rep
 }
 
-// relaxReportLocked assembles a relaxation-answer SolveReport around a
-// relaxed optimum's own tables (β̃ fractional), or the bare infeasible
-// verdict when the hypothetical left no optimum (sol == nil). An optimum
-// patched from the frozen one is tied to the frozen answer's encoded
-// tables, so its body copies them but for the cells that moved.
-func (s *Session) relaxReportLocked(sol *core.RelaxedSolution) *SolveReport {
+// relaxReportLocked assembles a relaxation-answer SolveReport around
+// the model's last relaxed optimum (β̃ fractional), or the bare
+// infeasible verdict when the hypothetical left none. An optimum the
+// model tells as the frozen one plus what moved (core.Model.Diff) keeps
+// just that: its body is spliced from the frozen answer's encoded
+// tables, and only the α rows with a moved cell are summed anew.
+func (s *Session) relaxReportLocked() *SolveReport {
 	stats := s.model.SolverStats().Deterministic()
 	rep := &SolveReport{
 		Heuristic: s.cfg.heur,
@@ -471,25 +474,37 @@ func (s *Session) relaxReportLocked(sol *core.RelaxedSolution) *SolveReport {
 		Epoch:     s.epoch,
 		Stats:     &stats,
 	}
+	if d, ok := s.model.Diff(); ok {
+		if s.tables == nil || s.tables.sol != d.Base {
+			s.tables = newTableBody(d.Base)
+		}
+		d.Cells, d.Values = slices.Clone(d.Cells), slices.Clone(d.Values)
+		rep.diff = &tableDiff{body: s.tables, Diff: d}
+		rep.Feasible = true
+		rep.Value, rep.LPBound = d.Objective, d.Objective
+		rep.Throughputs = rep.diff.throughputs()
+		return rep
+	}
+	sol := s.model.Solution()
 	if sol == nil {
 		return rep
 	}
 	rep.Feasible = true
 	rep.Value, rep.LPBound = sol.Objective, sol.Objective
 	rep.Alpha, rep.BetaFrac = sol.Alpha, sol.Beta
-	rep.Throughputs = make([]float64, len(sol.Alpha))
-	for k, row := range sol.Alpha {
-		for _, a := range row {
-			rep.Throughputs[k] += a
-		}
-	}
-	if base, cells := sol.Patched(); base != nil {
-		if s.tables == nil || s.tables.sol != base {
-			s.tables = newTableBody(base)
-		}
-		rep.spliced, rep.cells = s.tables, cells
-	}
+	rep.Throughputs = throughputs(sol.Alpha)
 	return rep
+}
+
+// throughputs sums each application's row of α̃, in column order.
+func throughputs(alpha [][]float64) []float64 {
+	out := make([]float64, len(alpha))
+	for k, row := range alpha {
+		for _, a := range row {
+			out[k] += a
+		}
+	}
+	return out
 }
 
 // WhatIf answers a hypothetical without committing it. A repeat of an
@@ -545,7 +560,7 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 			if _, _, err := s.model.Solve(s.basis); err != nil {
 				return nil, err
 			}
-			return s.relaxReportLocked(s.model.Solution()), nil // nil when infeasible
+			return s.relaxReportLocked(), nil
 		})
 	}
 	s.answers.resolve(a, rep, err)

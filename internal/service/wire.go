@@ -193,10 +193,10 @@ type SolveReport struct {
 	// run).
 	Stats *lp.Stats `json:"stats,omitempty"`
 
-	// Not on the wire: a zero-pivot what-if's tables are spliced's but at
-	// cells (ascending), and appendReport copies them from its bytes.
-	spliced *tableBody
-	cells   []int32
+	// Not on the wire: a relaxed what-if's tables told as the frozen
+	// answer's plus the cells that moved, in place of Alpha and BetaFrac
+	// (see tableDiff). Shared by every copy of the report: read-only.
+	diff *tableDiff
 }
 
 // SessionStats is one session's /stats row.

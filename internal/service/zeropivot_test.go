@@ -6,7 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/platform"
 	"repro/internal/platgen"
@@ -117,68 +122,109 @@ func pinnedMutation(pl *platform.Platform, routes [][2]int, kind int, rng *rand.
 // (through core.Model.Moved) and the table cells the encoder wrote anew.
 type spliceCost struct{ rows, cols, cells int }
 
+// splicedAnswer is what askSpliced saw: whether the answer was told as a
+// diff (spliced), whether its solve pivoted or flipped a bound, and
+// whether it refactorized or fell back cold.
+type splicedAnswer struct {
+	cost                      spliceCost
+	spliced, pivoted, rebuilt bool
+}
+
 // askSpliced answers q afresh and holds its body, as the server writes
-// it, to the one-pass encoder's bytes. ok is false when the solve took a
-// pivot or was not spliced.
-func askSpliced(t *testing.T, s *Session, q WhatIfRequest) (cost spliceCost, ok bool) {
+// it, to the one-pass encoder's bytes for the report with its tables
+// written out whole (dense), its throughputs to those tables' row sums,
+// and the compact form to json.Marshal's of that dense report.
+func askSpliced(t *testing.T, s *Session, q WhatIfRequest) splicedAnswer {
 	t.Helper()
 	s.answers.flush()
-	pivots := s.Stats().Solver.Pivots
+	s.mu.Lock()
+	err := s.model.Freeze() // the what-if's own Freeze is then a no-op: the counts are its solve's
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().Solver
 	rep, _, err := s.whatIf(&q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	after := s.Stats().Solver
 	bp, _ := reportBytes(rep)
 	defer reportBufs.Put(bp)
-	whole := *rep
-	whole.spliced, whole.cells = nil, nil
-	want, _ := appendReport(nil, &whole, 0, false)
+	whole := rep.dense()
+	if rep.diff != nil && (whole == rep || len(whole.Alpha) == 0) {
+		t.Fatalf("%+v: dense left the tables told as a diff", q)
+	}
+	if sums := throughputs(whole.Alpha); !slices.EqualFunc(sums, rep.Throughputs, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		t.Fatalf("%+v: throughputs %v, the tables' row sums %v", q, rep.Throughputs, sums)
+	}
+	want, _ := appendReport(nil, whole, 0, false)
 	if !bytes.Equal(*bp, want) {
 		t.Fatalf("%+v: the spliced body differs from the one encoded whole\n got %s\nwant %s", q, *bp, want)
 	}
-	// The other forms write a spliced report's tables whole.
-	if compact, err := json.Marshal(rep); err != nil || !bytes.Equal(marshalReport(rep), compact) {
+	// The other forms write a diff's tables whole.
+	if compact, err := json.Marshal(whole); err != nil || !bytes.Equal(marshalReport(rep), compact) {
 		t.Fatalf("%+v: a spliced report's compact bytes differ from json.Marshal's (%v)", q, err)
 	}
 	rows, cols, moved := s.model.Moved()
-	if s.Stats().Solver.Pivots != pivots || !moved || rep.spliced == nil {
-		return spliceCost{}, false
+	a := splicedAnswer{
+		spliced: rep.diff != nil,
+		pivoted: after.Pivots != before.Pivots || after.BoundFlips != before.BoundFlips,
+		rebuilt: after.Refactorizations != before.Refactorizations || after.ColdFallbacks != before.ColdFallbacks,
 	}
-	return spliceCost{rows, cols, len(rep.cells)}, true
+	if a.spliced != moved {
+		t.Fatalf("%+v: spliced %v, but the model says moved %v", q, a.spliced, moved)
+	}
+	if a.spliced {
+		a.cost = spliceCost{rows, cols, len(rep.diff.Cells)}
+	}
+	return a
 }
 
 // TestZeroPivotWhatIfCostsWhatMoved is the clock-free guard on the
-// zero-pivot what-if: above one sparse FTRAN, it costs what the request
-// moved, not what the session holds. On the benchmark's network-bound
-// platform at K=10 and at K=40, a gateway what-if on a cluster whose
-// gateway row has a basic slack (its answer keeps every cell) refiles
-// one basis row, writes no X entry and encodes no table cell anew — the
-// same counts at both sizes — and over the pinned mix every body the
-// server writes, spliced or not, is byte for byte the one-pass
-// encoder's.
+// relaxed what-if's answer: it costs what the request moved, not what the
+// session holds. Over the pinned mix on the benchmark's network-bound
+// platform at K=10 and at K=40, every what-if whose solve did not
+// refactorize or fall back cold — pivoting or not — is told as the frozen
+// answer plus its moved cells, and every body the server writes, spliced
+// or not, is byte for byte the one-pass encoder's for the tables written
+// out whole. A gateway what-if on a cluster whose gateway row has a basic
+// slack (its answer keeps every cell) refiles one basis row, writes no X
+// entry and encodes no table cell anew — the same counts at both sizes.
 func TestZeroPivotWhatIfCostsWhatMoved(t *testing.T) {
 	costs := map[int]spliceCost{}
 	for _, k := range []int{10, 40} {
 		s, ops := pinnedWhatIfMix(t, k, 200)
-		spliced, moved := 0, 0
+		spliced, pivoted, moved, rebuilt := 0, 0, 0, 0
 		for _, q := range ops {
-			if c, ok := askSpliced(t, s, q); ok {
-				spliced++
-				if c.cells > 0 {
-					moved++
-				}
+			a := askSpliced(t, s, q)
+			if a.rebuilt {
+				rebuilt++
+			}
+			if a.spliced == a.rebuilt {
+				t.Fatalf("K=%d %+v: spliced %v after a solve that refactorized or fell back: %v", k, q, a.spliced, a.rebuilt)
+			}
+			if !a.spliced {
+				continue
+			}
+			spliced++
+			if a.pivoted {
+				pivoted++
+			}
+			if a.cost.cells > 0 {
+				moved++
 			}
 		}
-		if spliced < 40 || moved == 0 {
-			t.Fatalf("K=%d: %d of %d what-ifs spliced, %d of those with moved cells: the mix lost its reach", k, spliced, len(ops), moved)
+		if pivoted < 40 || spliced-pivoted < 40 || moved == 0 {
+			t.Fatalf("K=%d: %d of %d what-ifs spliced, %d of those pivoted, %d with moved cells: the mix lost its reach", k, spliced, len(ops), pivoted, moved)
 		}
 		found := false
 		for c := 0; c < k && !found; c++ {
 			g := s.pl.Clusters[c].Gateway
 			for _, scale := range []float64{1.25, 1.5, 2} {
-				cost, ok := askSpliced(t, s, WhatIfRequest{Relax: true, Gateways: []ClusterValue{{Cluster: c, Value: g * scale}}})
-				if ok && cost.cols == 0 && cost.cells == 0 {
-					costs[k], found = cost, true
+				a := askSpliced(t, s, WhatIfRequest{Relax: true, Gateways: []ClusterValue{{Cluster: c, Value: g * scale}}})
+				if a.spliced && !a.pivoted && a.cost.cols == 0 && a.cost.cells == 0 {
+					costs[k], found = a.cost, true
 					break
 				}
 			}
@@ -186,8 +232,8 @@ func TestZeroPivotWhatIfCostsWhatMoved(t *testing.T) {
 		if !found {
 			t.Fatalf("K=%d: no gateway what-if left every cell in place", k)
 		}
-		t.Logf("K=%d: %d of %d pinned what-ifs spliced (%d with moved cells); a basic-slack gateway what-if refiles %d rows, writes %d X entries, encodes %d cells",
-			k, spliced, len(ops), moved, costs[k].rows, costs[k].cols, costs[k].cells)
+		t.Logf("K=%d: %d of %d pinned what-ifs spliced (%d after pivots, %d with moved cells), %d refactorized or fell back; a basic-slack gateway what-if refiles %d rows, writes %d X entries, encodes %d cells",
+			k, spliced, len(ops), pivoted, moved, rebuilt, costs[k].rows, costs[k].cols, costs[k].cells)
 	}
 	if costs[10] != costs[40] || costs[40] != (spliceCost{rows: 1}) {
 		t.Fatalf("a basic-slack gateway what-if costs %+v at K=10 and %+v at K=40, want one row refiled at both", costs[10], costs[40])
@@ -248,23 +294,32 @@ func TestWhatIfRejectsAsValidate(t *testing.T) {
 // the benchmark's K=40 network-bound session over the pinned mix's
 // requests that take no pivot, each asked afresh (the answer table is
 // flushed first), and reports ns/op and B/op.
-func BenchmarkWhatIfZeroPivot(b *testing.B) {
+func BenchmarkWhatIfZeroPivot(b *testing.B) { benchWhatIfs(b, false) }
+
+// BenchmarkWhatIfPivoting is BenchmarkWhatIfZeroPivot's twin over the
+// pinned mix's requests whose solve pivots: the what-ifs that set
+// whatif_solve's tail and most of its bytes.
+func BenchmarkWhatIfPivoting(b *testing.B) { benchWhatIfs(b, true) }
+
+// benchWhatIfs times the pinned K=40 mix's relaxed what-ifs that pivot,
+// or those that do not, each asked afresh and its body written.
+func benchWhatIfs(b *testing.B, pivoting bool) {
 	s, ops := pinnedWhatIfMix(b, 40, 600)
-	var zero []WhatIfRequest
+	var picked []WhatIfRequest
 	for _, q := range ops {
 		s.answers.flush()
 		pivots := s.Stats().Solver.Pivots
 		if _, _, err := s.whatIf(&q); err != nil {
 			b.Fatal(err)
 		}
-		if s.Stats().Solver.Pivots == pivots {
-			zero = append(zero, q)
+		if (s.Stats().Solver.Pivots != pivots) == pivoting {
+			picked = append(picked, q)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := zero[i%len(zero)]
+		q := picked[i%len(picked)]
 		s.answers.flush()
 		rep, _, err := s.whatIf(&q)
 		if err != nil {
@@ -273,4 +328,180 @@ func BenchmarkWhatIfZeroPivot(b *testing.B) {
 		bp, _ := reportBytes(rep)
 		reportBufs.Put(bp)
 	}
+}
+
+// TestSharedDiffServesEveryReader: a relaxed what-if told as a diff is
+// filed once and read by everyone who asks for its key. On a pivoting
+// what-if with moved cells, asked afresh in three rounds, each round's
+// owner, coalesced waiters and cache hits, through the HTTP layer's path
+// (the entry's stored bytes or the spliced encode) and through the
+// exported Session.WhatIf (tables written out into a copy), all get the
+// owner's body but for the one "cached" or "coalesced" line, and every
+// owner the first answer's but for its cumulative solver stats. The
+// exported callers then overwrite the
+// tables they were handed, and the filed diff and a later hit's bytes are
+// what they were: the filed report is never written. Under -race this
+// also holds that no reader writes what another one reads.
+func TestSharedDiffServesEveryReader(t *testing.T) {
+	s, ops := pinnedWhatIfMix(t, 10, 200)
+	var q WhatIfRequest
+	found := false
+	for _, op := range ops {
+		if a := askSpliced(t, s, op); a.spliced && a.pivoted && a.cost.cells > 0 {
+			q, found = op, true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no pivoting what-if with moved cells in the pinned mix")
+	}
+	s.answers.flush()
+	rep, _, err := s.whatIf(&q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(encodeWhole(t, rep))
+	filed := *rep.diff
+	filed.Cells, filed.Values = slices.Clone(filed.Cells), slices.Clone(filed.Values)
+
+	strip := func(body []byte) string {
+		b := bytes.Replace(body, []byte("  \"cached\": true,\n"), nil, 1)
+		return string(bytes.Replace(b, []byte("  \"coalesced\": true,\n"), nil, 1))
+	}
+	inFlight := func() bool {
+		s.answers.mu.Lock()
+		defer s.answers.mu.Unlock()
+		for _, a := range s.answers.entries {
+			if a.elem == nil {
+				return true
+			}
+		}
+		return false
+	}
+	type got struct {
+		body  string
+		kind  string
+		owned *SolveReport // an exported caller's report
+	}
+	ask := func(exported bool) got {
+		req := q
+		if exported {
+			rep, err := s.WhatIf(&req)
+			if err != nil {
+				t.Error(err)
+				return got{}
+			}
+			var b bytes.Buffer
+			if err := EncodeReport(&b, rep); err != nil {
+				t.Error(err)
+			}
+			kind := "owner"
+			if rep.Cached {
+				kind = "hit"
+			} else if rep.Coalesced {
+				kind = "coalesced"
+			}
+			return got{strip(b.Bytes()), kind, rep}
+		}
+		rep, hit, err := s.whatIf(&req)
+		if err != nil {
+			t.Error(err)
+			return got{}
+		}
+		if hit != nil {
+			return got{strip(hit.wire()), "hit", nil}
+		}
+		bp, _ := reportBytes(rep)
+		defer reportBufs.Put(bp)
+		kind := "owner"
+		if rep.Coalesced {
+			kind = "coalesced"
+		}
+		return got{strip(*bp), kind, nil}
+	}
+	kinds := map[string]int{}
+	for round := 0; round < 3; round++ {
+		s.answers.flush()
+		const n = 16
+		results := make([]got, 2*n)
+		var wg sync.WaitGroup
+		run := func(from, to int) {
+			for i := from; i < to; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					results[i] = ask(i%2 == 1)
+				}(i)
+			}
+		}
+		// The owner claims the key and waits for the session; everyone
+		// who claims it before the session is released waits on the flight.
+		s.mu.Lock()
+		run(0, 1) // results[0] is the owner
+		for !inFlight() {
+			runtime.Gosched()
+		}
+		run(1, n)
+		time.Sleep(20 * time.Millisecond)
+		s.mu.Unlock()
+		wg.Wait()
+		run(n, 2*n) // the entry is filed: hits
+		wg.Wait()
+		if !strings.HasPrefix(results[0].body, beforeStats(want)) {
+			t.Fatalf("round %d: the owner's answer differs from the first one\n got %s\nwant %s", round, results[0].body, want)
+		}
+		for i, g := range results {
+			if g.body != results[0].body {
+				t.Fatalf("round %d reader %d (%s): the body differs from the owner's\n got %s\nwant %s", round, i, g.kind, g.body, results[0].body)
+			}
+			kinds[g.kind]++
+			if g.owned != nil {
+				for _, rows := range [][][]float64{g.owned.Alpha, g.owned.BetaFrac} {
+					for _, row := range rows {
+						for l := range row {
+							row[l] = -1
+						}
+					}
+				}
+			}
+		}
+		a := s.answers.lookup(string(mustJSON(t, q)))
+		if a == nil || a.rep.diff == nil {
+			t.Fatalf("round %d: the answer was not filed as a diff", round)
+		}
+		if d := a.rep.diff; d.body != filed.body || !slices.Equal(d.Cells, filed.Cells) || !slices.Equal(d.Values, filed.Values) {
+			t.Fatalf("round %d: the filed diff was written", round)
+		}
+		if got := strip(a.wire()); got != results[0].body {
+			t.Fatalf("round %d: after the exported callers wrote their tables, a hit serves\n%s\nwant\n%s", round, got, want)
+		}
+	}
+	if kinds["owner"] != 3 || kinds["coalesced"] == 0 || kinds["hit"] == 0 {
+		t.Fatalf("readers by kind %v: want one owner a round, and waiters and hits", kinds)
+	}
+	t.Logf("readers by kind: %v", kinds)
+}
+
+// beforeStats is a body up to its cumulative solver stats.
+func beforeStats(body string) string { return body[:strings.Index(body, `"stats"`)] }
+
+// encodeWhole is rep's body with its tables written out whole, through
+// the one-pass encoder.
+func encodeWhole(t *testing.T, rep *SolveReport) []byte {
+	t.Helper()
+	b, ok := appendReport(nil, rep.dense(), 0, false)
+	if !ok {
+		t.Fatal("the report has no JSON form")
+	}
+	return b
+}
+
+// mustJSON is the canonical answer-table key of a what-if.
+func mustJSON(t *testing.T, q WhatIfRequest) []byte {
+	t.Helper()
+	b, err := json.Marshal(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
