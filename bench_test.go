@@ -35,7 +35,14 @@ func benchProblem(b *testing.B, k int, seed int64) *core.Problem {
 // (a sweep sample) per iteration.
 func BenchmarkE1_Table1PlatformGeneration(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	grid := platgen.SampleGrid(32, 45, rng)
+	var grid []platgen.Params
+	for i := 0; i < 32; i++ {
+		p, err := platgen.Sample(5+10*(i%5), rng, nil) // K = 5..45
+		if err != nil {
+			b.Fatal(err)
+		}
+		grid = append(grid, p)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range grid {

@@ -625,6 +625,21 @@ func TestCLIExperimentsBadFlags(t *testing.T) {
 	if out, err := run(t, bin, "-exp", "fig5", "-ks", "banana"); err == nil {
 		t.Fatalf("bad -ks must fail:\n%s", out)
 	}
+	// Out-of-range sizes fail before any sweep runs: no artifact is
+	// printed. (-platforms -1 once ran the default 8 platforms, and
+	// -ks 5,0 ran K=5's sweeps before failing at K=0.)
+	for _, args := range [][]string{
+		{"-platforms", "-1"},
+		{"-workers", "-1"},
+		{"-lprr-max-k", "-1"},
+		{"-ks", "5,0"},
+		{"-ks", "-5"},
+	} {
+		out, err := run(t, bin, append([]string{"-exp", "all"}, args...)...)
+		if err == nil || strings.Contains(out, "==") {
+			t.Fatalf("%v must fail before any sweep: err %v\n%s", args, err, out)
+		}
+	}
 	// An -exp outside the §6 artifacts (a typo, or a retired sweep) must
 	// fail naming the valid values, not succeed printing nothing.
 	for _, exp := range []string{"bogus", "chaos"} {

@@ -17,7 +17,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/core"
@@ -37,8 +36,9 @@ type Options struct {
 	// doc comment) and only parallelizes on an explicit Workers > 1.
 	Workers int
 	// GridFilter optionally restricts which Table 1 grid points are
-	// sampled (nil = whole grid). TightNetworkFilter reproduces the
-	// §6.2 rounding-sensitivity regime.
+	// sampled (nil = whole grid), at a K the grid lists or not
+	// (platgen.Sample). TightNetworkFilter reproduces the §6.2
+	// rounding-sensitivity regime.
 	GridFilter func(platgen.Params) bool
 }
 
@@ -63,34 +63,77 @@ func DefaultOptions() Options {
 	}
 }
 
-// samplePlatform draws one Table 1 grid point with the given K and
-// instantiates it. filter optionally restricts the candidate points.
-func samplePlatform(k int, rng *rand.Rand, filter func(platgen.Params) bool) (*core.Problem, error) {
-	grid := platgen.Table1()
-	var candidates []platgen.Params
-	for _, p := range grid {
-		if p.K == k && (filter == nil || filter(p)) {
-			candidates = append(candidates, p)
+// objectives are the two objectives every sweep measures, in order.
+var objectives = []core.Objective{core.SUM, core.MAXMIN}
+
+// degenerate is the LP bound at or below which a platform forms no
+// ratio; no heuristic is run against it.
+const degenerate = 1e-9
+
+// measure is one sampled platform under one objective: the LP upper
+// bound, how long its solve took, and each heuristic's result (nil
+// when the bound is degenerate).
+type measure struct {
+	bound   float64
+	lpTime  time.Duration
+	results map[heuristics.Name]heuristics.Result
+}
+
+// record is one sampled platform: the Table 1 point it was drawn from
+// and a measure per objective, in objectives' order.
+type record struct {
+	params platgen.Params
+	by     []measure
+}
+
+// sweep draws opts.PlatformsPer platforms at K = k on a pool of
+// workers and measures each under both objectives. Platform i draws
+// from subRNG(opts.Seed, k, i, salt) alone — its Table 1 point, its
+// instance and the randomized heuristics' coins — so an artifact's
+// salt fixes its platforms and no record depends on workers. The
+// named heuristics run in order, each objective in turn; LPRR and
+// LPRR-EQ only up to opts.LPRRMaxK (their K² LP solves dominate any
+// sweep, exactly as the paper notes in §6.3).
+func sweep(opts Options, k int, salt int64, names []heuristics.Name, workers int) ([]record, error) {
+	recs := make([]record, opts.PlatformsPer)
+	err := forEach(workers, opts.PlatformsPer, func(i int) error {
+		rng := subRNG(opts.Seed, k, i, salt)
+		params, err := platgen.Sample(k, rng, opts.GridFilter)
+		if err != nil {
+			return err
 		}
-	}
-	if len(candidates) == 0 {
-		// K outside the Table 1 set: synthesize a point with the
-		// grid's marginal distributions.
-		candidates = []platgen.Params{{
-			K:             k,
-			Connectivity:  0.1 + 0.7*rng.Float64(),
-			Heterogeneity: 0.2 + 0.6*rng.Float64(),
-			MeanG:         []float64{50, 250, 350, 450}[rng.Intn(4)],
-			MeanBW:        10 * float64(1+rng.Intn(9)),
-			MeanMaxCon:    5 + 10*float64(rng.Intn(10)),
-		}}
-	}
-	params := candidates[rng.Intn(len(candidates))]
-	pl, err := platgen.Generate(params, rng)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewProblem(pl), nil
+		pl, err := platgen.Generate(params, rng)
+		if err != nil {
+			return err
+		}
+		pr := core.NewProblem(pl)
+		rec := record{params: params, by: make([]measure, len(objectives))}
+		for j, obj := range objectives {
+			m := &rec.by[j]
+			if m.bound, m.lpTime, err = heuristics.UpperBound(pr, obj); err != nil {
+				return fmt.Errorf("experiments: LP bound K=%d: %w", k, err)
+			}
+			if m.bound <= degenerate {
+				continue
+			}
+			m.results = make(map[heuristics.Name]heuristics.Result, len(names))
+			for _, name := range names {
+				if isLPRR(name) && k > opts.LPRRMaxK {
+					continue
+				}
+				if m.results[name], err = heuristics.Run(name, pr, obj, rng); err != nil {
+					return fmt.Errorf("experiments: %s K=%d: %w", name, k, err)
+				}
+			}
+		}
+		recs[i] = rec
+		return nil
+	})
+	return recs, err
+}
+
+func isLPRR(n heuristics.Name) bool {
+	return n == heuristics.NameLPRR || n == heuristics.NameLPRREQ
 }
 
 // RatioPoint is one K value of a ratio sweep: for each objective and
@@ -102,78 +145,38 @@ type RatioPoint struct {
 	Ratio     map[core.Objective]map[heuristics.Name]float64
 }
 
-// ratioSample is one platform's contribution to a RatioPoint.
-type ratioSample struct {
-	ratios map[core.Objective]map[heuristics.Name]float64
-}
-
-const saltRatio = 1
+// Each artifact family draws its own platforms; the salts are fixed,
+// since changing one changes every number of its artifacts.
+const (
+	saltRatio     = 1
+	saltAggregate = 2
+	saltTime      = 3
+)
 
 // RatioSweep runs the named heuristics on opts.PlatformsPer seeded
-// random platforms per K — in parallel on the worker pool — and
-// reports mean ratios to the LP upper bound for both objectives.
-// Heuristics whose name contains LPRR are skipped above opts.LPRRMaxK
-// (their K² LP solves dominate any sweep, exactly as the paper notes
-// in §6.3).
+// random platforms per K and reports, per objective, each heuristic's
+// mean ratio to the LP upper bound over the platforms whose bound is
+// not degenerate. LPRR and LPRR-EQ are skipped above opts.LPRRMaxK.
 func RatioSweep(opts Options, names []heuristics.Name) ([]RatioPoint, error) {
-	objs := []core.Objective{core.SUM, core.MAXMIN}
 	var out []RatioPoint
 	for _, k := range opts.Ks {
-		samples := make([]ratioSample, opts.PlatformsPer)
-		err := forEach(opts.Workers, opts.PlatformsPer, func(i int) error {
-			rng := subRNG(opts.Seed, k, i, saltRatio)
-			pr, err := samplePlatform(k, rng, opts.GridFilter)
-			if err != nil {
-				return err
-			}
-			res := make(map[core.Objective]map[heuristics.Name]float64)
-			for _, obj := range objs {
-				ub, _, err := heuristics.UpperBound(pr, obj)
-				if err != nil {
-					return fmt.Errorf("experiments: LP bound K=%d: %w", k, err)
-				}
-				if ub <= 1e-9 {
-					continue // degenerate platform; cannot form a ratio
-				}
-				res[obj] = make(map[heuristics.Name]float64)
-				for _, name := range names {
-					if isLPRR(name) && k > opts.LPRRMaxK {
-						continue
-					}
-					r, err := heuristics.Run(name, pr, obj, rng)
-					if err != nil {
-						return fmt.Errorf("experiments: %s K=%d: %w", name, k, err)
-					}
-					res[obj][name] = r.Value / ub
-				}
-			}
-			samples[i] = ratioSample{ratios: res}
-			return nil
-		})
+		recs, err := sweep(opts, k, saltRatio, names, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
-		pt := RatioPoint{K: k, Ratio: make(map[core.Objective]map[heuristics.Name]float64)}
-		sums := make(map[core.Objective]map[heuristics.Name]float64)
-		counts := make(map[core.Objective]map[heuristics.Name]int)
-		for _, obj := range objs {
+		pt := RatioPoint{K: k, Platforms: len(recs), Ratio: make(map[core.Objective]map[heuristics.Name]float64)}
+		for j, obj := range objectives {
 			pt.Ratio[obj] = make(map[heuristics.Name]float64)
-			sums[obj] = make(map[heuristics.Name]float64)
-			counts[obj] = make(map[heuristics.Name]int)
-		}
-		for _, s := range samples {
-			pt.Platforms++
-			for obj, byName := range s.ratios {
-				for name, v := range byName {
-					sums[obj][name] += v
-					counts[obj][name]++
+			for _, name := range names {
+				sum, n := 0.0, 0
+				for _, rec := range recs {
+					if r, ok := rec.by[j].results[name]; ok {
+						sum += r.Value / rec.by[j].bound
+						n++
+					}
 				}
-			}
-		}
-		for _, obj := range objs {
-			for name, s := range sums[obj] {
-				if c := counts[obj][name]; c > 0 {
-					pt.Ratio[obj][name] = s / float64(c)
+				if n > 0 {
+					pt.Ratio[obj][name] = sum / float64(n)
 				}
 			}
 		}
@@ -182,14 +185,15 @@ func RatioSweep(opts Options, names []heuristics.Name) ([]RatioPoint, error) {
 	return out, nil
 }
 
-func isLPRR(n heuristics.Name) bool {
-	return n == heuristics.NameLPRR || n == heuristics.NameLPRREQ
-}
-
 // Figure5 reproduces Figure 5: LPRG and G relative to the LP upper
 // bound, SUM and MAXMIN, as K grows.
 func Figure5(opts Options) ([]RatioPoint, error) {
 	return RatioSweep(opts, []heuristics.Name{heuristics.NameG, heuristics.NameLPRG})
+}
+
+// figure6Names are the heuristics Figure 6 compares.
+var figure6Names = []heuristics.Name{
+	heuristics.NameG, heuristics.NameLPRG, heuristics.NameLPRR, heuristics.NameLPRREQ,
 }
 
 // Figure6 reproduces Figure 6 (§6.2): on a small set of topologies,
@@ -197,9 +201,7 @@ func Figure5(opts Options) ([]RatioPoint, error) {
 // paper uses 80 topologies with K between 10 and 25; opts controls
 // the actual count.
 func Figure6(opts Options) ([]RatioPoint, error) {
-	return RatioSweep(opts, []heuristics.Name{
-		heuristics.NameG, heuristics.NameLPRG, heuristics.NameLPRR, heuristics.NameLPRREQ,
-	})
+	return RatioSweep(opts, figure6Names)
 }
 
 // Aggregate reproduces the §6.1 headline numbers over a sampled
@@ -214,21 +216,10 @@ type Aggregate struct {
 	LPRGOverLP map[core.Objective]float64
 }
 
-// aggSample is one platform's contribution to the §6.1 aggregates.
-type aggSample struct {
-	counted  map[core.Objective]bool
-	lprOver  map[core.Objective]float64
-	gOver    map[core.Objective]float64
-	lprgOver map[core.Objective]float64
-	ratioG   map[core.Objective]float64
-}
-
-const saltAggregate = 2
-
-// AggregateRatios computes the §6.1 aggregates over the sweep
-// defined by opts, one pooled task per sampled platform.
+// AggregateRatios computes the §6.1 aggregates over the sweep defined
+// by opts: means over every sampled platform whose bound is not
+// degenerate, all K values pooled.
 func AggregateRatios(opts Options) (*Aggregate, error) {
-	objs := []core.Objective{core.SUM, core.MAXMIN}
 	agg := &Aggregate{
 		LPRGOverG:  make(map[core.Objective]float64),
 		LPROverLP:  make(map[core.Objective]float64),
@@ -236,84 +227,43 @@ func AggregateRatios(opts Options) (*Aggregate, error) {
 		LPRGOverLP: make(map[core.Objective]float64),
 	}
 	counts := make(map[core.Objective]int)
-	ratioG := make(map[core.Objective]float64)
+	names := []heuristics.Name{heuristics.NameG, heuristics.NameLPR, heuristics.NameLPRG}
 	for _, k := range opts.Ks {
-		samples := make([]aggSample, opts.PlatformsPer)
-		err := forEach(opts.Workers, opts.PlatformsPer, func(i int) error {
-			rng := subRNG(opts.Seed, k, i, saltAggregate)
-			pr, err := samplePlatform(k, rng, opts.GridFilter)
-			if err != nil {
-				return err
-			}
-			s := aggSample{
-				counted:  make(map[core.Objective]bool),
-				lprOver:  make(map[core.Objective]float64),
-				gOver:    make(map[core.Objective]float64),
-				lprgOver: make(map[core.Objective]float64),
-				ratioG:   make(map[core.Objective]float64),
-			}
-			for _, obj := range objs {
-				ub, _, err := heuristics.UpperBound(pr, obj)
-				if err != nil {
-					return err
-				}
-				if ub <= 1e-9 {
-					continue
-				}
-				g, err := heuristics.Run(heuristics.NameG, pr, obj, rng)
-				if err != nil {
-					return err
-				}
-				lpr, err := heuristics.Run(heuristics.NameLPR, pr, obj, rng)
-				if err != nil {
-					return err
-				}
-				lprg, err := heuristics.Run(heuristics.NameLPRG, pr, obj, rng)
-				if err != nil {
-					return err
-				}
-				s.counted[obj] = true
-				s.lprOver[obj] = lpr.Value / ub
-				s.gOver[obj] = g.Value / ub
-				s.lprgOver[obj] = lprg.Value / ub
-				switch {
-				case g.Value > 1e-9:
-					s.ratioG[obj] = lprg.Value / g.Value
-				case lprg.Value > 1e-9:
-					// G scored zero but LPRG did not; count a large
-					// finite advantage rather than an infinity.
-					s.ratioG[obj] = 10
-				default:
-					s.ratioG[obj] = 1
-				}
-			}
-			samples[i] = s
-			return nil
-		})
+		recs, err := sweep(opts, k, saltAggregate, names, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range samples {
-			agg.Platforms++
-			for _, obj := range objs {
-				if !s.counted[obj] {
+		agg.Platforms += len(recs)
+		for _, rec := range recs {
+			for j, obj := range objectives {
+				m := rec.by[j]
+				if m.results == nil {
 					continue
 				}
+				g := m.results[heuristics.NameG].Value
+				lprg := m.results[heuristics.NameLPRG].Value
 				counts[obj]++
-				agg.LPROverLP[obj] += s.lprOver[obj]
-				agg.GOverLP[obj] += s.gOver[obj]
-				agg.LPRGOverLP[obj] += s.lprgOver[obj]
-				ratioG[obj] += s.ratioG[obj]
+				agg.LPROverLP[obj] += m.results[heuristics.NameLPR].Value / m.bound
+				agg.GOverLP[obj] += g / m.bound
+				agg.LPRGOverLP[obj] += lprg / m.bound
+				switch {
+				case g > 1e-9:
+					agg.LPRGOverG[obj] += lprg / g
+				case lprg > 1e-9:
+					// G scored zero but LPRG did not; count a large
+					// finite advantage rather than an infinity.
+					agg.LPRGOverG[obj] += 10
+				default:
+					agg.LPRGOverG[obj]++
+				}
 			}
 		}
 	}
-	for _, obj := range objs {
-		if c := counts[obj]; c > 0 {
-			agg.LPRGOverG[obj] = ratioG[obj] / float64(c)
-			agg.LPROverLP[obj] /= float64(c)
-			agg.GOverLP[obj] /= float64(c)
-			agg.LPRGOverLP[obj] /= float64(c)
-		}
+	for obj, c := range counts {
+		agg.LPRGOverG[obj] /= float64(c)
+		agg.LPROverLP[obj] /= float64(c)
+		agg.GOverLP[obj] /= float64(c)
+		agg.LPRGOverLP[obj] /= float64(c)
 	}
 	return agg, nil
 }
@@ -327,16 +277,6 @@ type TimePoint struct {
 	LPSeconds float64
 }
 
-// timeSample is one platform's contribution to a TimePoint.
-type timeSample struct {
-	seconds map[heuristics.Name]float64
-	counts  map[heuristics.Name]int
-	lpSecs  float64
-	lpCount int
-}
-
-const saltTime = 3
-
 // Figure7 reproduces Figure 7: mean running time of G, LPR, LPRG and
 // LPRR versus K (log scale when plotted). LPRR is skipped above
 // opts.LPRRMaxK. Times are averaged over opts.PlatformsPer platforms
@@ -348,65 +288,28 @@ const saltTime = 3
 // silently inflate the very quantity being plotted.
 func Figure7(opts Options) ([]TimePoint, error) {
 	names := []heuristics.Name{heuristics.NameG, heuristics.NameLPR, heuristics.NameLPRG, heuristics.NameLPRR}
-	objs := []core.Objective{core.SUM, core.MAXMIN}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
+	workers := max(opts.Workers, 1)
 	var out []TimePoint
 	for _, k := range opts.Ks {
-		samples := make([]timeSample, opts.PlatformsPer)
-		err := forEach(workers, opts.PlatformsPer, func(i int) error {
-			rng := subRNG(opts.Seed, k, i, saltTime)
-			pr, err := samplePlatform(k, rng, opts.GridFilter)
-			if err != nil {
-				return err
-			}
-			s := timeSample{
-				seconds: make(map[heuristics.Name]float64),
-				counts:  make(map[heuristics.Name]int),
-			}
-			for _, obj := range objs {
-				_, lpTime, err := heuristics.UpperBound(pr, obj)
-				if err != nil {
-					return err
-				}
-				s.lpSecs += lpTime.Seconds()
-				s.lpCount++
-				for _, name := range names {
-					if isLPRR(name) && k > opts.LPRRMaxK {
-						continue
-					}
-					start := time.Now()
-					if _, err := heuristics.Run(name, pr, obj, rng); err != nil {
-						return err
-					}
-					s.seconds[name] += time.Since(start).Seconds()
-					s.counts[name]++
-				}
-			}
-			samples[i] = s
-			return nil
-		})
+		recs, err := sweep(opts, k, saltTime, names, workers)
 		if err != nil {
 			return nil, err
 		}
-		pt := TimePoint{K: k, Seconds: make(map[heuristics.Name]float64)}
+		pt := TimePoint{K: k, Platforms: len(recs), Seconds: make(map[heuristics.Name]float64)}
 		counts := make(map[heuristics.Name]int)
 		lpCount := 0
-		for _, s := range samples {
-			pt.Platforms++
-			pt.LPSeconds += s.lpSecs
-			lpCount += s.lpCount
-			for name, secs := range s.seconds {
-				pt.Seconds[name] += secs
-				counts[name] += s.counts[name]
+		for _, rec := range recs {
+			for _, m := range rec.by {
+				pt.LPSeconds += m.lpTime.Seconds()
+				lpCount++
+				for name, r := range m.results {
+					pt.Seconds[name] += r.Elapsed.Seconds()
+					counts[name]++
+				}
 			}
 		}
 		for name, c := range counts {
-			if c > 0 {
-				pt.Seconds[name] /= float64(c)
-			}
+			pt.Seconds[name] /= float64(c)
 		}
 		if lpCount > 0 {
 			pt.LPSeconds /= float64(lpCount)

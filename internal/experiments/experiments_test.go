@@ -233,7 +233,8 @@ func TestGridFilterRestrictsSamples(t *testing.T) {
 }
 
 func TestSamplePlatformOffGrid(t *testing.T) {
-	// K=7 is not a Table 1 value; the sampler must synthesize one.
+	// K=7 is not a Table 1 value; the sampler draws the other five
+	// parameters from the grid with K replaced.
 	opts := tinyOptions()
 	opts.Ks = []int{7}
 	pts, err := Figure5(opts)
@@ -245,32 +246,120 @@ func TestSamplePlatformOffGrid(t *testing.T) {
 	}
 }
 
+// TestTightFilterHoldsOffGrid: every platform Figure6 samples under
+// TightNetworkFilter, at the K values fig6-tight runs by default (10
+// and 20 are not Table 1 values), comes from a point the filter
+// accepts. The draw precedes every heuristic, so LPRRMaxK does not
+// change which points are drawn.
+func TestTightFilterHoldsOffGrid(t *testing.T) {
+	opts := Options{Seed: 1, PlatformsPer: 4, GridFilter: TightNetworkFilter}
+	for _, k := range []int{10, 15, 20} {
+		recs, err := sweep(opts, k, saltRatio, figure6Names, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range recs {
+			if rec.params.K != k || !TightNetworkFilter(rec.params) {
+				t.Fatalf("K=%d platform %d drawn from %+v, which the filter rejects", k, i, rec.params)
+			}
+		}
+	}
+}
+
+// TestSweepRecordsHoldSection6Invariants gates §6's inequalities on
+// every record of a sweep, never golden values: no heuristic beats the
+// LP bound, and LPRG (LPR plus a greedy fill that only adds) is never
+// below LPR. Degenerate bounds (≤ 1e-9) form no ratio and are
+// skipped, but the sweep must meet some bound that is not.
+func TestSweepRecordsHoldSection6Invariants(t *testing.T) {
+	names := []heuristics.Name{heuristics.NameG, heuristics.NameLPR, heuristics.NameLPRG, heuristics.NameLPRR, heuristics.NameLPRREQ}
+	checked := 0
+	for _, filter := range []func(platgen.Params) bool{nil, TightNetworkFilter} {
+		opts := Options{Seed: 3, PlatformsPer: 4, LPRRMaxK: 15, GridFilter: filter}
+		for _, k := range []int{5, 10, 15, 25} {
+			recs, err := sweep(opts, k, saltRatio, names, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, rec := range recs {
+				for j, m := range rec.by {
+					if m.bound <= degenerate {
+						continue
+					}
+					where := fmt.Sprintf("K=%d platform %d %v (%+v)", k, i, objectives[j], rec.params)
+					for name, r := range m.results {
+						if r.Value > m.bound*(1+1e-9) {
+							t.Errorf("%s: %s = %g above the LP bound %g", where, name, r.Value, m.bound)
+						}
+					}
+					if lprg, lpr := m.results[heuristics.NameLPRG].Value, m.results[heuristics.NameLPR].Value; lprg < lpr {
+						t.Errorf("%s: LPRG %g below LPR %g", where, lprg, lpr)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("every bound was degenerate; nothing was checked")
+	}
+	t.Logf("%d records checked", checked)
+}
+
+// sameRatios fails unless two ratio sweeps report the same points,
+// bit for bit.
+func sameRatios(t *testing.T, what string, a, b []RatioPoint) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d points against %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if a[i].K != b[i].K || a[i].Platforms != b[i].Platforms {
+			t.Fatalf("%s: point %d differs", what, i)
+		}
+		for obj, m := range a[i].Ratio {
+			if len(m) != len(b[i].Ratio[obj]) {
+				t.Fatalf("%s K=%d %v: columns differ", what, a[i].K, obj)
+			}
+			for name, v := range m {
+				if w, ok := b[i].Ratio[obj][name]; !ok || w != v {
+					t.Fatalf("%s K=%d %v %s: %g against %g", what, a[i].K, obj, name, v, w)
+				}
+			}
+		}
+	}
+}
+
 // TestSweepIndependentOfWorkerCount: the pooled driver must be
 // bitwise reproducible regardless of parallelism — each platform owns
-// a sub-RNG derived from (seed, K, index), never a shared stream.
+// a sub-RNG derived from (seed, K, index), never a shared stream. That
+// covers LPRR, which draws from it, and filtered sweeps.
 func TestSweepIndependentOfWorkerCount(t *testing.T) {
 	seq := tinyOptions()
 	seq.Workers = 1
 	par := tinyOptions()
 	par.Workers = 4
-	a, err := Figure5(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Figure5(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		for obj, m := range a[i].Ratio {
-			for name, v := range m {
-				if b[i].Ratio[obj][name] != v {
-					t.Fatalf("K=%d %v %s: 1 worker %g, 4 workers %g",
-						a[i].K, obj, name, v, b[i].Ratio[obj][name])
-				}
-			}
+	for _, c := range []struct {
+		what   string
+		figure func(Options) ([]RatioPoint, error)
+		filter func(platgen.Params) bool
+	}{
+		{"Figure5", Figure5, nil},
+		{"Figure6", Figure6, nil},
+		{"tight Figure6", Figure6, TightNetworkFilter},
+	} {
+		seq.GridFilter, par.GridFilter = c.filter, c.filter
+		a, err := c.figure(seq)
+		if err != nil {
+			t.Fatal(err)
 		}
+		b, err := c.figure(par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRatios(t, c.what, a, b)
 	}
+	seq.GridFilter, par.GridFilter = nil, nil
 	aggA, err := AggregateRatios(seq)
 	if err != nil {
 		t.Fatal(err)

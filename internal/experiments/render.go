@@ -1,13 +1,42 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/heuristics"
 )
+
+// ratioCol is one (objective, heuristic) column of a ratio sweep.
+type ratioCol struct {
+	obj  core.Objective
+	name heuristics.Name
+}
+
+// ratioColumns lists every (objective, heuristic) pair any point
+// reports, objective first, then heuristic name.
+func ratioColumns(points []RatioPoint) []ratioCol {
+	var cols []ratioCol
+	for _, pt := range points {
+		for _, obj := range objectives {
+			for name := range pt.Ratio[obj] {
+				if c := (ratioCol{obj, name}); !slices.Contains(cols, c) {
+					cols = append(cols, c)
+				}
+			}
+		}
+	}
+	slices.SortFunc(cols, func(a, b ratioCol) int {
+		if a.obj != b.obj {
+			return cmp.Compare(a.obj, b.obj)
+		}
+		return cmp.Compare(a.name, b.name)
+	})
+	return cols
+}
 
 // RenderRatioTable formats a ratio sweep as an aligned ASCII table,
 // one row per K, one column per (objective, heuristic) pair — the
@@ -16,29 +45,7 @@ func RenderRatioTable(points []RatioPoint) string {
 	if len(points) == 0 {
 		return "(no data)\n"
 	}
-	type col struct {
-		obj  core.Objective
-		name heuristics.Name
-	}
-	var cols []col
-	seen := map[string]bool{}
-	for _, pt := range points {
-		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-			for name := range pt.Ratio[obj] {
-				key := obj.String() + "/" + string(name)
-				if !seen[key] {
-					seen[key] = true
-					cols = append(cols, col{obj, name})
-				}
-			}
-		}
-	}
-	sort.Slice(cols, func(i, j int) bool {
-		if cols[i].obj != cols[j].obj {
-			return cols[i].obj < cols[j].obj
-		}
-		return cols[i].name < cols[j].name
-	})
+	cols := ratioColumns(points)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%4s %6s", "K", "plats")
 	for _, c := range cols {
@@ -65,29 +72,7 @@ func RenderRatioCSV(points []RatioPoint) string {
 	if len(points) == 0 {
 		return ""
 	}
-	type col struct {
-		obj  core.Objective
-		name heuristics.Name
-	}
-	var cols []col
-	seen := map[string]bool{}
-	for _, pt := range points {
-		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-			for name := range pt.Ratio[obj] {
-				key := obj.String() + "/" + string(name)
-				if !seen[key] {
-					seen[key] = true
-					cols = append(cols, col{obj, name})
-				}
-			}
-		}
-	}
-	sort.Slice(cols, func(i, j int) bool {
-		if cols[i].obj != cols[j].obj {
-			return cols[i].obj < cols[j].obj
-		}
-		return cols[i].name < cols[j].name
-	})
+	cols := ratioColumns(points)
 	var b strings.Builder
 	b.WriteString("k,platforms")
 	for _, c := range cols {
@@ -162,17 +147,15 @@ func RenderTimeCSV(points []TimePoint) string {
 }
 
 func timeColumns(points []TimePoint) []heuristics.Name {
-	seen := map[heuristics.Name]bool{}
 	var names []heuristics.Name
 	for _, pt := range points {
 		for n := range pt.Seconds {
-			if !seen[n] {
-				seen[n] = true
+			if !slices.Contains(names, n) {
 				names = append(names, n)
 			}
 		}
 	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
+	slices.Sort(names)
 	return names
 }
 

@@ -9,10 +9,10 @@
 // fluid approximation of TCP sharing on uncongested backbones.
 //
 // The paper evaluates its heuristics with a (never released)
-// simulator; this package is the substitute substrate (DESIGN.md §2)
-// and is used to execute reconstructed periodic schedules and confirm
-// that the steady-state throughput predicted by the allocation is
-// actually achieved.
+// simulator; this package is the substitute substrate (DESIGN.md,
+// "§2 simulator substitute") and is used to execute reconstructed
+// periodic schedules and confirm that the steady-state throughput
+// predicted by the allocation is actually achieved.
 package netsim
 
 import (
@@ -187,6 +187,21 @@ type Completion struct {
 // is returned if some flow can never progress (rate 0 with positive
 // size).
 func SimulateFlows(pl *platform.Platform, flows []Flow) ([]Completion, float64, error) {
+	return simulate(flows, nil, func(cur []Flow) ([]float64, error) { return Rates(pl, cur) })
+}
+
+// simulate is the discrete-event loop of both network models. Flow i
+// starts moving at start[i] (nil: every flow at 0); whenever a flow
+// starts or drains, rates assigns the moving flows their rates, and
+// the loop ends when every flow has drained. A flow of size 0
+// completes at its start.
+func simulate(flows []Flow, start []float64, rates func([]Flow) ([]float64, error)) ([]Completion, float64, error) {
+	startOf := func(i int) float64 {
+		if start == nil {
+			return 0
+		}
+		return start[i]
+	}
 	n := len(flows)
 	done := make([]Completion, 0, n)
 	remaining := make([]float64, n)
@@ -196,42 +211,60 @@ func SimulateFlows(pl *platform.Platform, flows []Flow) ([]Completion, float64, 
 			return nil, 0, fmt.Errorf("netsim: flow %d has negative size", i)
 		}
 		if f.Size == 0 {
-			done = append(done, Completion{Flow: i, Finished: 0})
+			done = append(done, Completion{Flow: i, Finished: startOf(i)})
 			continue
 		}
 		remaining[i] = f.Size
 		active = append(active, i)
 	}
 	now := 0.0
+	moving := make([]int, 0, n) // the active flows that have started, in active's order
 	for len(active) > 0 {
-		cur := make([]Flow, len(active))
-		for j, i := range active {
+		moving = moving[:0]
+		nextStart := math.Inf(1)
+		for _, i := range active {
+			if s := startOf(i); s <= now+1e-15 {
+				moving = append(moving, i)
+			} else if s < nextStart {
+				nextStart = s
+			}
+		}
+		if len(moving) == 0 {
+			now = nextStart
+			continue
+		}
+		cur := make([]Flow, len(moving))
+		for j, i := range moving {
 			cur[j] = flows[i]
 			cur[j].Size = remaining[i]
 		}
-		rates, err := Rates(pl, cur)
+		r, err := rates(cur)
 		if err != nil {
 			return nil, 0, err
 		}
-		// Earliest completion under current rates.
-		dt := math.Inf(1)
-		for j, i := range active {
-			if rates[j] <= rateEps {
+		// Next event: a flow starting, or one draining under the
+		// current rates.
+		dt := nextStart - now
+		for j, i := range moving {
+			if r[j] <= rateEps {
 				return nil, 0, fmt.Errorf("netsim: flow %d stalled with %g units left", i, remaining[i])
 			}
-			if d := remaining[i] / rates[j]; d < dt {
+			if d := remaining[i] / r[j]; d < dt {
 				dt = d
 			}
 		}
 		now += dt
-		next := active[:0]
-		for j, i := range active {
-			remaining[i] -= rates[j] * dt
-			if remaining[i] <= 1e-9*(1+flows[i].Size) {
-				done = append(done, Completion{Flow: i, Finished: now})
-			} else {
-				next = append(next, i)
+		next, j := active[:0], 0
+		for _, i := range active {
+			if j < len(moving) && moving[j] == i {
+				remaining[i] -= r[j] * dt
+				j++
+				if remaining[i] <= 1e-9*(1+flows[i].Size) {
+					done = append(done, Completion{Flow: i, Finished: now})
+					continue
+				}
 			}
+			next = append(next, i)
 		}
 		active = next
 	}

@@ -223,10 +223,10 @@ func TestSimulateFlowsWorkConservation(t *testing.T) {
 }
 
 func TestSimulateFlowsCapStretchesMakespan(t *testing.T) {
-	// The DESIGN.md example: g0=2 shared by A(size 3, cap 1.5) and
-	// B(size 1): max-min gives both 1; B done at 1; then A at 1.5:
-	// 2 remaining → t = 1 + 4/3 ≈ 2.333 — exceeding the "period" 2
-	// that a paced schedule would meet.
+	// The example of DESIGN.md, "§2 simulator substitute": g0=2
+	// shared by A(size 3, cap 1.5) and B(size 1): max-min gives both
+	// 1; B done at 1; then A at 1.5: 2 remaining → t = 1 + 4/3 ≈ 2.333
+	// — exceeding the "period" 2 that a paced schedule would meet.
 	pl := triangle(2, 100, 100)
 	flows := []Flow{
 		{Src: 0, Dst: 1, Size: 3, Cap: 1.5, Limit: inf()},
@@ -311,8 +311,8 @@ func TestExecuteSchedulePacedFits(t *testing.T) {
 	}
 }
 
-// TestScheduleAchievesThroughput is experiment E8 of DESIGN.md: the
-// end-to-end integration check generate → solve → reconstruct →
+// TestScheduleAchievesThroughput is the end-to-end check of DESIGN.md,
+// "§2 simulator substitute": generate → solve → reconstruct →
 // simulate, asserting the measured steady-state throughput matches
 // the allocation's prediction within the startup transient.
 func TestScheduleAchievesThroughput(t *testing.T) {

@@ -107,84 +107,11 @@ func SimulateFlowsTCP(pl *platform.Platform, flows []Flow, opt *TCPOptions) ([]C
 	if err := opt.Validate(pl); err != nil {
 		return nil, 0, err
 	}
-	n := len(flows)
-	done := make([]Completion, 0, n)
-	remaining := make([]float64, n)
-	start := make([]float64, n)
-	active := make([]int, 0, n)
+	start := make([]float64, len(flows)) // the handshake completes at t = RTT
 	for i, f := range flows {
-		if f.Size < 0 {
-			return nil, 0, fmt.Errorf("netsim: flow %d has negative size", i)
-		}
-		rtt := opt.RouteRTT(pl, f.Src, f.Dst)
-		if math.IsInf(rtt, 1) {
+		if start[i] = opt.RouteRTT(pl, f.Src, f.Dst); math.IsInf(start[i], 1) {
 			return nil, 0, fmt.Errorf("netsim: flow %d has no route (%d,%d)", i, f.Src, f.Dst)
 		}
-		if f.Size == 0 {
-			done = append(done, Completion{Flow: i, Finished: rtt})
-			continue
-		}
-		remaining[i] = f.Size
-		start[i] = rtt // handshake completes at t = RTT
-		active = append(active, i)
 	}
-	now := 0.0
-	for len(active) > 0 {
-		// Flows still in handshake do not consume bandwidth.
-		var moving []int
-		nextStart := math.Inf(1)
-		for _, i := range active {
-			if start[i] <= now+1e-15 {
-				moving = append(moving, i)
-			} else if start[i] < nextStart {
-				nextStart = start[i]
-			}
-		}
-		if len(moving) == 0 {
-			now = nextStart
-			continue
-		}
-		cur := make([]Flow, len(moving))
-		for j, i := range moving {
-			cur[j] = flows[i]
-			cur[j].Size = remaining[i]
-		}
-		rates, err := RatesTCP(pl, cur, opt)
-		if err != nil {
-			return nil, 0, err
-		}
-		dt := nextStart - now // next event: a handshake completing...
-		for j, i := range moving {
-			if rates[j] <= rateEps {
-				return nil, 0, fmt.Errorf("netsim: flow %d stalled with %g units left", i, remaining[i])
-			}
-			if d := remaining[i] / rates[j]; d < dt {
-				dt = d // ... or a flow draining
-			}
-		}
-		now += dt
-		next := active[:0]
-		rateOf := make(map[int]float64, len(moving))
-		for j, i := range moving {
-			rateOf[i] = rates[j]
-		}
-		for _, i := range active {
-			if r, ok := rateOf[i]; ok {
-				remaining[i] -= r * dt
-				if remaining[i] <= 1e-9*(1+flows[i].Size) {
-					done = append(done, Completion{Flow: i, Finished: now})
-					continue
-				}
-			}
-			next = append(next, i)
-		}
-		active = next
-	}
-	makespan := 0.0
-	for _, c := range done {
-		if c.Finished > makespan {
-			makespan = c.Finished
-		}
-	}
-	return done, makespan, nil
+	return simulate(flows, start, func(cur []Flow) ([]float64, error) { return RatesTCP(pl, cur, opt) })
 }

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"repro/internal/platform"
 )
@@ -95,7 +97,7 @@ func Generate(p Params, rng *rand.Rand) (*platform.Platform, error) {
 	return pl, nil
 }
 
-// Table1 returns the full parameter grid of the paper's Table 1:
+// The axes of the paper's Table 1, K outermost:
 //
 //	K             5, 15, ..., 95
 //	connectivity  0.1, 0.2, ..., 0.8
@@ -104,42 +106,28 @@ func Generate(p Params, rng *rand.Rand) (*platform.Platform, error) {
 //	mean bw       10, 20, ..., 90
 //	mean maxcon   5, 15, ..., 95
 //
-// The paper instantiated 10 random platforms per grid point for a
-// total of 269,835 configurations; callers typically sample this grid
-// (see internal/experiments).
-func Table1() []Params {
-	var ks, conns, hets, gs, bws, mcs []float64
-	for k := 5.0; k <= 95; k += 10 {
-		ks = append(ks, k)
-	}
-	for c := 0.1; c <= 0.8+1e-9; c += 0.1 {
-		conns = append(conns, math.Round(c*10)/10)
-	}
-	for h := 0.2; h <= 0.8+1e-9; h += 0.2 {
-		hets = append(hets, math.Round(h*10)/10)
-	}
-	gs = []float64{50, 250, 350, 450}
-	for b := 10.0; b <= 90; b += 10 {
-		bws = append(bws, b)
-	}
-	for m := 5.0; m <= 95; m += 10 {
-		mcs = append(mcs, m)
-	}
-	var grid []Params
-	for _, k := range ks {
-		for _, c := range conns {
-			for _, h := range hets {
-				for _, g := range gs {
-					for _, b := range bws {
-						for _, m := range mcs {
-							grid = append(grid, Params{
-								K:             int(k),
-								Connectivity:  c,
-								Heterogeneity: h,
-								MeanG:         g,
-								MeanBW:        b,
-								MeanMaxCon:    m,
-							})
+// The paper instantiated about 10 random platforms per grid point, for
+// a total of 269,835 configurations; callers draw from the grid with
+// Sample (see internal/experiments).
+var (
+	table1K    = []int{5, 15, 25, 35, 45, 55, 65, 75, 85, 95}
+	table1Conn = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
+	table1Het  = []float64{0.2, 0.4, 0.6, 0.8}
+	table1G    = []float64{50, 250, 350, 450}
+	table1BW   = []float64{10, 20, 30, 40, 50, 60, 70, 80, 90}
+	table1MC   = []float64{5, 15, 25, 35, 45, 55, 65, 75, 85, 95}
+)
+
+// table1 is the full grid, built on first use and never written after.
+var table1 = sync.OnceValue(func() []Params {
+	grid := make([]Params, 0, len(table1K)*len(table1Conn)*len(table1Het)*len(table1G)*len(table1BW)*len(table1MC))
+	for _, k := range table1K {
+		for _, c := range table1Conn {
+			for _, h := range table1Het {
+				for _, g := range table1G {
+					for _, b := range table1BW {
+						for _, m := range table1MC {
+							grid = append(grid, Params{K: k, Connectivity: c, Heterogeneity: h, MeanG: g, MeanBW: b, MeanMaxCon: m})
 						}
 					}
 				}
@@ -147,26 +135,35 @@ func Table1() []Params {
 		}
 	}
 	return grid
-}
+})
 
-// SampleGrid returns n parameter settings drawn uniformly (with a
-// deterministic rng) from the Table 1 grid, optionally filtered by
-// maxK (0 = no limit). It is the scaled-down stand-in for the paper's
-// exhaustive sweep.
-func SampleGrid(n int, maxK int, rng *rand.Rand) []Params {
-	grid := Table1()
-	if maxK > 0 {
-		var f []Params
-		for _, p := range grid {
-			if p.K <= maxK {
-				f = append(f, p)
+// Sample draws one Table 1 point with K = k, uniformly (one
+// rng.Intn, in grid order) among those keep accepts; nil keeps all.
+// At a K that Table 1 does not list, the candidates are the grid's
+// points at any one K with K replaced by k: the grid is a full
+// product, so that is its own distribution at k. It is an error if
+// keep accepts no candidate.
+func Sample(k int, rng *rand.Rand, keep func(Params) bool) (Params, error) {
+	grid := table1()
+	n := len(grid) / len(table1K)
+	cands := grid[:n]
+	if i := slices.Index(table1K, k); i >= 0 {
+		cands = grid[i*n : (i+1)*n]
+	}
+	if keep != nil {
+		var kept []Params
+		for _, p := range cands {
+			p.K = k
+			if keep(p) {
+				kept = append(kept, p)
 			}
 		}
-		grid = f
+		cands = kept
 	}
-	out := make([]Params, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, grid[rng.Intn(len(grid))])
+	if len(cands) == 0 {
+		return Params{}, fmt.Errorf("platgen: no Table 1 point at K=%d passes the filter", k)
 	}
-	return out
+	p := cands[rng.Intn(len(cands))]
+	p.K = k
+	return p, nil
 }

@@ -111,7 +111,7 @@ func TestGenerateRejectsBadParams(t *testing.T) {
 }
 
 func TestTable1GridShape(t *testing.T) {
-	grid := Table1()
+	grid := table1()
 	// 10 K values x 8 connectivity x 4 heterogeneity x 4 g x 9 bw x
 	// 10 maxcon = 115,200 settings; the paper's 269,835 platform count
 	// is ~10 random platforms per (not exactly divisible because of
@@ -132,21 +132,39 @@ func TestTable1GridShape(t *testing.T) {
 	}
 }
 
-func TestSampleGrid(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := SampleGrid(50, 25, rng)
-	if len(s) != 50 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for _, p := range s {
-		if p.K > 25 {
-			t.Fatalf("sample K=%d exceeds maxK", p.K)
+// TestSample: a draw has the asked K, passes the filter (which sees
+// that K, on the grid or off it), and on the grid is one rng.Intn over
+// Table 1's points at K that the filter keeps, in grid order.
+func TestSample(t *testing.T) {
+	tight := func(p Params) bool { return p.MeanMaxCon <= 5 && p.MeanBW <= 30 && p.K != 25 }
+	grid := table1()
+	for _, k := range []int{5, 7, 20, 95, 120} {
+		var want []Params
+		for _, p := range grid {
+			if p.K == k && tight(p) {
+				want = append(want, p)
+			}
+		}
+		for seed := int64(0); seed < 20; seed++ {
+			rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			p, err := Sample(k, rng, tight)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.K != k || !tight(p) || p.Validate() != nil {
+				t.Fatalf("K=%d seed %d: drew %+v", k, seed, p)
+			}
+			if want != nil && p != want[ref.Intn(len(want))] {
+				t.Fatalf("K=%d seed %d: %+v is not the filtered grid's draw", k, seed, p)
+			}
 		}
 	}
-	// Unfiltered sampling can return any K.
-	s2 := SampleGrid(10, 0, rng)
-	if len(s2) != 10 {
-		t.Fatalf("len = %d", len(s2))
+	if _, err := Sample(25, rand.New(rand.NewSource(1)), tight); err == nil {
+		t.Fatal("a filter that keeps no point at K must fail")
+	}
+	p, err := Sample(15, rand.New(rand.NewSource(1)), nil)
+	if err != nil || p.K != 15 {
+		t.Fatalf("unfiltered draw %+v, %v", p, err)
 	}
 }
 
