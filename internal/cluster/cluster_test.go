@@ -102,7 +102,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, s) {
 		t.Fatalf("fields lost:\n got %+v\nwant %+v", got, s)
 	}
-	cols, upper := got.Basis()
+	cols, upper, err := got.Basis(6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(cols, []int{4, 2, 9}) {
 		t.Fatalf("basis cols %v", cols)
 	}

@@ -91,6 +91,9 @@ func mustFail(t *testing.T, data []byte, what string) error {
 	if err == nil {
 		t.Fatalf("%s: decode accepted corrupt snapshot %+v", what, snap)
 	}
+	if opened, err := OpenSnapshot(data); err == nil {
+		t.Fatalf("%s: OpenSnapshot accepted corrupt snapshot %+v", what, opened)
+	}
 	return err
 }
 
@@ -338,6 +341,65 @@ func TestSnapshotDecodeBasisSection(t *testing.T) {
 	}
 }
 
+// TestSnapshotBasisRefusesForeignWidth: a basis section forged behind
+// a valid checksum to span 4 Gi solver columns opens and decodes — the
+// codec cannot know the receiving solver's width — but Basis refuses it
+// against the solver's column count before expanding anything that
+// size, as it refuses any width but the solver's; the honest width
+// expands, opened or decoded, to the same slices.
+func TestSnapshotBasisRefusesForeignWidth(t *testing.T) {
+	_, data := sealedSnapshot(t)
+	forged := basisWords(t, data, math.MaxUint32, 5, 3, 1, 4, 1, 5, 2, 1, 4)
+	for name, open := range map[string]func([]byte) (*SessionSnapshot, error){"decoded": DecodeSnapshot, "opened": OpenSnapshot} {
+		snap, err := open(forged)
+		if err != nil {
+			t.Fatalf("%s: a forged width is the solver's to refuse, not the codec's: %v", name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err = snap.Basis(6)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a basis over %d columns expanded for a 6-column solver", name, snap.BasisNcols)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: refusing a 4 Gi-column basis allocated %d bytes", name, grew)
+		}
+		honest, err := open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := honest.Basis(7); err == nil {
+			t.Fatalf("%s: a 6-column basis expanded for a 7-column solver", name)
+		}
+		cols, upper, err := honest.Basis(6)
+		if err != nil || !reflect.DeepEqual(cols, []int{3, 1, 4, 1, 5}) || !reflect.DeepEqual(upper, []bool{false, true, false, false, true, false}) {
+			t.Fatalf("%s: the honest basis expanded to %v %v (%v)", name, cols, upper, err)
+		}
+	}
+}
+
+// TestSnapshotOpensInPlace: OpenSnapshot leaves the basis as the
+// section it arrived in — no basic or at-upper slice, the section a
+// slice of the input like the platform — and re-seals to the input's
+// bytes.
+func TestSnapshotOpensInPlace(t *testing.T) {
+	_, data := sealedSnapshot(t)
+	opened, err := OpenSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opened.BasisCols != nil || opened.BasisUpper != nil || opened.BasisNcols != 6 {
+		t.Fatalf("opened basis: cols %v, upper %v, ncols %d", opened.BasisCols, opened.BasisUpper, opened.BasisNcols)
+	}
+	if off := bytes.Index(data, opened.basisSec); off < 0 || &data[off] != &opened.basisSec[0] {
+		t.Fatal("the opened basis section is not a slice of the input")
+	}
+	if again, err := opened.Encode(); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("the opened snapshot re-seals to %d different bytes (%v)", len(again), err)
+	}
+}
+
 // TestSnapshotSealsLiveBasisInPlace: a snapshot pointed at a live
 // basis's dense slices (SetBasis, as the service seals) encodes the
 // bytes its sparse form does, and copies neither slice.
@@ -356,8 +418,8 @@ func TestSnapshotSealsLiveBasisInPlace(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("sealed from the live basis:\n%q\nfrom its sparse form:\n%q", got, want)
 	}
-	if gc, gu := live.Basis(); !reflect.DeepEqual(gc, cols) || !reflect.DeepEqual(gu, upper) {
-		t.Fatalf("Basis() of a live-basis snapshot = %v, %v", gc, gu)
+	if gc, gu, err := live.Basis(len(upper)); err != nil || !reflect.DeepEqual(gc, cols) || !reflect.DeepEqual(gu, upper) {
+		t.Fatalf("Basis() of a live-basis snapshot = %v, %v, %v", gc, gu, err)
 	}
 	// Appending seals after what the buffer already holds.
 	prefix := []byte("kept")
@@ -405,6 +467,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Never panics; on success the invariants hold.
 		snap, err := DecodeSnapshot(data)
+		opened, openErr := OpenSnapshot(data)
+		if (err == nil) != (openErr == nil) {
+			t.Fatalf("DecodeSnapshot says %v, OpenSnapshot %v", err, openErr)
+		}
 		if err != nil {
 			return
 		}
@@ -423,6 +489,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, snap) {
 			t.Fatalf("snapshot changed across a re-seal:\n got %+v\nwant %+v", back, snap)
+		}
+		// The opened twin re-seals to the same bytes and expands to the
+		// same basis.
+		if reopened, err := opened.Encode(); err != nil || !bytes.Equal(reopened, again) {
+			t.Fatalf("re-sealing the opened snapshot: %v, %d bytes vs %d", err, len(reopened), len(again))
+		}
+		wc, wu, werr := snap.Basis(snap.BasisNcols)
+		gc, gu, gerr := opened.Basis(snap.BasisNcols)
+		if werr != nil || gerr != nil || !reflect.DeepEqual(gc, wc) || !reflect.DeepEqual(gu, wu) {
+			t.Fatalf("opened basis %v %v (%v), decoded %v %v (%v)", gc, gu, gerr, wc, wu, werr)
 		}
 	})
 }

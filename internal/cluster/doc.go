@@ -42,27 +42,38 @@
 // recorded, however many snapshots it rides in), so sealing costs one
 // small marshal, the basis words, a copy and one hash — into a buffer
 // the caller reuses (AppendEncode) — and opening costs one hash, the
-// header and the basis words.
+// header and the basis words. A receiver that holds a snapshot it may
+// never restore opens it with OpenSnapshot, which validates the basis
+// words in place and expands them only when Basis is asked, against the
+// receiving solver's column count; DecodeSnapshot expands them at once.
 //
-//   - At receipt (DecodeSnapshot: replication, migration, recovery —
-//     before anything is acked or installed): the version, exactly; the
-//     checksum over the received bytes, so a torn write or corrupted
-//     transfer, down to any single flipped bit, is an error instead of
-//     a subtly wrong warm state; the header, decoded strictly (unknown
-//     fields and trailing bytes are errors, a basis in the header
-//     among them); the section structure (every declared length fits
-//     the bytes that remain and is never allocated from, one report per
-//     commit ID, nothing left over); and the basis section, as strictly
-//     (m > 0, each count compared with the words that remain before
-//     anything is allocated from it, at-upper columns strictly
+// Between replicas (POST /cluster/replicate and /cluster/migrate) a
+// snapshot travels as the request body with no declared length —
+// chunked — so the sender hands its sealed buffer to the transport in
+// one write instead of copying it through a per-send buffer; the
+// receiver reads it into a pooled buffer of its own, bounded like every
+// inbound body, and a replica holds that buffer as received.
+//
+//   - At receipt (OpenSnapshot: replication, migration; DecodeSnapshot:
+//     recovery — before anything is acked or installed): the version,
+//     exactly; the checksum over the received bytes, so a torn write or
+//     corrupted transfer, down to any single flipped bit, is an error
+//     instead of a subtly wrong warm state; the header, decoded strictly
+//     (unknown fields and trailing bytes are errors, a basis in the
+//     header among them); the section structure (every declared length
+//     fits the bytes that remain and is never allocated from, one report
+//     per commit ID, nothing left over); and the basis section, as
+//     strictly (m > 0, each count compared with the words that remain
+//     before anything is allocated from it, at-upper columns strictly
 //     ascending below ncols, no trailing bytes). The platform and the
 //     reports are handed on as slices of the received bytes, unparsed.
 //   - At install (service.RestoreSession: promotion, migration arrival,
 //     recovery): the ID must digest from the carried fingerprint and
 //     configuration, the platform is validated like an uploaded one, a
-//     report that does not parse drops its record entry, and the solver
-//     validates the imported basis, falling back to a cold solve. A
-//     snapshot that fails here installs nothing.
+//     report that does not parse drops its record entry, a basis whose
+//     column count is not the rebuilt solver's is refused before it is
+//     expanded, and the solver validates the imported basis, falling
+//     back to a cold solve. A snapshot that fails here installs nothing.
 //   - Across versions: nothing. A format-2 snapshot (one JSON document)
 //     and a format-3 one (this frame, its basis as JSON ints in the
 //     header) are refused at the version gate wherever they arrive,

@@ -72,6 +72,10 @@ type SessionSnapshot struct {
 	BasisUpper []int `json:"-"`
 	BasisNcols int   `json:"-"`
 	atUpper    []bool
+	// basisSec is the basis section of a snapshot OpenSnapshot opened,
+	// validated and not yet expanded: it stands in for BasisCols and
+	// BasisUpper, which stay nil, until Basis expands it.
+	basisSec []byte
 
 	// RecentCommits records the most recently applied tagged epoch
 	// commits, oldest first (the router's idempotency tags and the
@@ -112,26 +116,40 @@ func (s *SessionSnapshot) SetBasis(cols []int, upper []bool) {
 	s.BasisCols, s.BasisUpper, s.BasisNcols, s.atUpper = cols, nil, len(upper), upper
 }
 
-// Basis reconstructs the exported-basis slices for lp.ImportBasis.
-// upper is nil when the snapshot carried no at-upper vector.
-func (s *SessionSnapshot) Basis() (cols []int, upper []bool) {
-	cols = append([]int(nil), s.BasisCols...)
+// Basis reconstructs the exported-basis slices for lp.ImportBasis on a
+// solver of ncols internal columns. upper is nil when the snapshot
+// carried no at-upper vector. An at-upper vector of any other length
+// than ncols is refused before it is expanded: BasisNcols comes off the
+// wire, and a forged one would otherwise size the allocation.
+func (s *SessionSnapshot) Basis(ncols int) (cols []int, upper []bool, err error) {
+	n := s.BasisNcols
+	if s.atUpper != nil {
+		n = len(s.atUpper)
+	}
+	if n != 0 && n != ncols {
+		return nil, nil, fmt.Errorf("cluster: snapshot basis spans %d columns, the solver has %d", n, ncols)
+	}
+	cols, atUpper := append([]int(nil), s.BasisCols...), s.BasisUpper
+	if s.basisSec != nil {
+		_, basic, up, _ := splitBasis(s.basisSec) // validated when opened
+		cols, atUpper = words(basic), words(up)
+	}
 	switch {
 	case s.atUpper != nil:
 		upper = append([]bool(nil), s.atUpper...)
-	case s.BasisNcols > 0:
-		upper = make([]bool, s.BasisNcols)
-		for _, j := range s.BasisUpper {
-			if j >= 0 && j < s.BasisNcols {
+	case n > 0:
+		upper = make([]bool, n)
+		for _, j := range atUpper {
+			if j >= 0 && j < n {
 				upper[j] = true
 			}
 		}
 	}
-	return cols, upper
+	return cols, upper, nil
 }
 
 func (s *SessionSnapshot) complete() bool {
-	return s.ID != "" && len(s.Platform) > 0 && len(s.BasisCols) > 0
+	return s.ID != "" && len(s.Platform) > 0 && (len(s.BasisCols) > 0 || s.basisSec != nil)
 }
 
 // cutSection splits the next section off body. Its declared length is
@@ -157,10 +175,14 @@ func appendWord(out []byte, v int) ([]byte, bool) {
 	return binary.BigEndian.AppendUint32(out, uint32(v)), v >= 0 && uint64(v) <= math.MaxUint32
 }
 
-// appendBasis appends the basis section, length prefix included. It
-// refuses what DecodeSnapshot would: a word out of uint32 range, an
-// at-upper list that is not strictly ascending below BasisNcols.
+// appendBasis appends the basis section, length prefix included — an
+// opened snapshot's as it arrived. It refuses what DecodeSnapshot
+// would: a word out of uint32 range, an at-upper list that is not
+// strictly ascending below BasisNcols.
 func (s *SessionSnapshot) appendBasis(out []byte) ([]byte, error) {
+	if s.basisSec != nil {
+		return appendSection(out, s.basisSec), nil
+	}
 	at := len(out)
 	out, fits := appendWord(append(out, 0, 0, 0, 0), s.BasisNcols)
 	out, ok := appendWord(out, len(s.BasisCols))
@@ -197,48 +219,49 @@ func (s *SessionSnapshot) appendBasis(out []byte) ([]byte, error) {
 	return out, nil
 }
 
-// decodeBasis opens the basis section into s. Each count is compared
-// with the words that remain before anything is allocated from it; the
-// at-upper columns must ascend strictly below ncols. Whether the basic
-// columns fit the receiving solver is its business (lp.ImportBasis).
-func (s *SessionSnapshot) decodeBasis(sec []byte) error {
-	word := func() uint32 {
-		w := binary.BigEndian.Uint32(sec)
-		sec = sec[4:]
-		return w
-	}
+// splitBasis validates a basis section in place and returns its
+// column count and the words of its basic and its at-upper columns.
+// Each count is compared with the words that remain, and the at-upper
+// columns must ascend strictly below ncols; nothing is allocated.
+// Whether the basic columns fit the receiving solver is its business
+// (lp.ImportBasis).
+func splitBasis(sec []byte) (ncols uint32, basic, atUpper []byte, err error) {
 	if len(sec) < 8 {
-		return fmt.Errorf("cluster: snapshot basis section is %d bytes, too short for its counts", len(sec))
+		return 0, nil, nil, fmt.Errorf("cluster: snapshot basis section is %d bytes, too short for its counts", len(sec))
 	}
-	ncols, m := word(), uint64(word())
-	if m == 0 || m >= uint64(len(sec)/4) {
-		return fmt.Errorf("cluster: snapshot basis declares %d basic columns, %d bytes remain", m, len(sec))
+	ncols, m := binary.BigEndian.Uint32(sec), uint64(binary.BigEndian.Uint32(sec[4:]))
+	if sec = sec[8:]; m == 0 || m >= uint64(len(sec)/4) {
+		return 0, nil, nil, fmt.Errorf("cluster: snapshot basis declares %d basic columns, %d bytes remain", m, len(sec))
 	}
-	s.BasisNcols = int(ncols)
-	s.BasisCols = make([]int, m)
-	for i := range s.BasisCols {
-		s.BasisCols[i] = int(word())
+	basic, sec = sec[:4*m], sec[4*m:]
+	n, atUpper := uint64(binary.BigEndian.Uint32(sec)), sec[4:]
+	if n != uint64(len(atUpper)/4) || len(atUpper)%4 != 0 {
+		return 0, nil, nil, fmt.Errorf("cluster: snapshot basis declares %d at-upper columns in %d bytes", n, len(atUpper))
 	}
-	n := uint64(word())
-	if n != uint64(len(sec)/4) || len(sec)%4 != 0 {
-		return fmt.Errorf("cluster: snapshot basis declares %d at-upper columns in %d bytes", n, len(sec))
-	}
-	if n > 0 {
-		s.BasisUpper = make([]int, n)
-	}
-	for i := range s.BasisUpper {
-		j := word()
-		if j >= ncols || (i > 0 && int(j) <= s.BasisUpper[i-1]) {
-			return fmt.Errorf("cluster: snapshot at-upper column %d out of order or not below %d", j, ncols)
+	for i := 0; i < len(atUpper); i += 4 {
+		j := binary.BigEndian.Uint32(atUpper[i:])
+		if j >= ncols || (i > 0 && j <= binary.BigEndian.Uint32(atUpper[i-4:])) {
+			return 0, nil, nil, fmt.Errorf("cluster: snapshot at-upper column %d out of order or not below %d", j, ncols)
 		}
-		s.BasisUpper[i] = int(j)
 	}
-	return nil
+	return ncols, basic, atUpper, nil
+}
+
+// words expands uint32 BE words into ints; nil for none.
+func words(b []byte) []int {
+	if len(b) == 0 {
+		return nil
+	}
+	out := make([]int, len(b)/4)
+	for i := range out {
+		out[i] = int(binary.BigEndian.Uint32(b[4*i:]))
+	}
+	return out
 }
 
 // Encode seals the snapshot into a buffer of its own; see AppendEncode.
 func (s *SessionSnapshot) Encode() ([]byte, error) {
-	size := frameLen + 512 + len(s.Platform) + 4*(len(s.BasisCols)+len(s.BasisUpper)+4)
+	size := frameLen + 512 + len(s.Platform) + len(s.basisSec) + 4*(len(s.BasisCols)+len(s.BasisUpper)+4)
 	for _, rec := range s.RecentCommits {
 		size += 4 + len(rec.Report)
 	}
@@ -287,6 +310,22 @@ func (s *SessionSnapshot) AppendEncode(dst []byte) ([]byte, error) {
 // an error — the caller falls back to building the session cold from
 // traffic rather than trusting damaged warm state.
 func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
+	s, err := OpenSnapshot(data)
+	if err != nil {
+		return nil, err
+	}
+	_, basic, atUpper, _ := splitBasis(s.basisSec)
+	s.BasisCols, s.BasisUpper, s.basisSec = words(basic), words(atUpper), nil
+	return s, nil
+}
+
+// OpenSnapshot is DecodeSnapshot with the basis validated in place
+// rather than expanded: the snapshot keeps its basis section, a slice of
+// data like the platform and the reports, until Basis expands it — for
+// a receiver that holds a snapshot it may never restore. It accepts and
+// refuses exactly what DecodeSnapshot does, and re-encodes to the same
+// bytes.
+func OpenSnapshot(data []byte) (*SessionSnapshot, error) {
 	if len(data) < frameLen || string(data[:versionAt]) != frameMagic {
 		return nil, fmt.Errorf("cluster: snapshot version: no format-%d frame (older formats are refused, not migrated)", SnapshotVersion)
 	}
@@ -317,13 +356,14 @@ func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
 	if s.Platform, body, err = cutSection(body); err != nil {
 		return nil, err
 	}
-	basis, body, err := cutSection(body)
+	if s.basisSec, body, err = cutSection(body); err != nil {
+		return nil, err
+	}
+	ncols, _, _, err := splitBasis(s.basisSec)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.decodeBasis(basis); err != nil {
-		return nil, err
-	}
+	s.BasisNcols = int(ncols)
 	s.RecentCommits = make([]CommitRecord, len(h.CommitIDs))
 	for i, id := range h.CommitIDs {
 		s.RecentCommits[i].ID = id

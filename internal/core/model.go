@@ -489,6 +489,10 @@ func (m *Model) Diff() (d Diff, ok bool) {
 // start (lp.Revised.Basis).
 func (m *Model) Basis() *lp.Basis { return m.rev.Basis() }
 
+// SolverCols is the solver's internal column count, the length of a
+// Basis's at-upper statuses (lp.Revised.NumCols).
+func (m *Model) SolverCols() int { return m.rev.NumCols() }
+
 // Moved reports what the last Solve moved off the frozen state
 // (lp.Revised.Moved): the basis rows whose basic value or column it
 // moved and the X entries it wrote; ok is false unless Diff tells it.

@@ -74,6 +74,7 @@ type luFactor struct {
 	rowsCand           [][]int32
 	rowCount, colCount []int32
 	rowDone, colDone   []bool
+	liveCols           []int32 // ascending; a superset of the columns not yet eliminated
 	singleCols         []int32
 	singleRows         []int32
 	pivR, pivC         []int32
@@ -162,6 +163,7 @@ func (f *luFactor) allocScratch() {
 	f.colCount = make([]int32, m)
 	f.rowDone = make([]bool, m)
 	f.colDone = make([]bool, m)
+	f.liveCols = make([]int32, 0, m)
 	f.pivR = make([]int32, m)
 	f.pivC = make([]int32, m)
 	f.pivV = make([]float64, m)
@@ -213,8 +215,10 @@ func (f *luFactor) factorize() bool {
 		f.mark[j] = 0
 	}
 	f.stamp = 0
+	f.liveCols = f.liveCols[:0]
 	for j := 0; j < m; j++ {
 		jj := int32(j)
+		f.liveCols = append(f.liveCols, jj)
 		f.r.effCol(f.r.basis[j], func(i int, v float64) {
 			if v == 0 {
 				return
@@ -302,14 +306,21 @@ func (f *luFactor) pickPivot() (pi, pj int32, pv float64) {
 		// Tiny, ill-scaled or stale; the full scan deals with the row.
 	}
 	// Full Markowitz scan: minimize (r_i−1)(c_j−1) over entries that
-	// pass the threshold test, breaking ties toward larger magnitude.
+	// pass the threshold test, breaking ties toward larger magnitude. It
+	// walks liveCols in ascending order, dropping the columns eliminated
+	// since the last scan as it goes — the same columns in the same
+	// order as a walk of all m behind colDone, so the same pivot.
 	bestCost := int64(math.MaxInt64)
 	bestAbs := 0.0
 	pi, pj = -1, -1
-	for j := 0; j < f.m; j++ {
+	live := f.liveCols
+	n := 0
+	for t, j := range live {
 		if f.colDone[j] {
 			continue
 		}
+		live[n] = j
+		n++
 		col := f.cols[j]
 		colMax := 0.0
 		for _, e := range col {
@@ -330,13 +341,15 @@ func (f *luFactor) pickPivot() (pi, pj int32, pv float64) {
 			cost := int64(f.rowCount[e.row]-1) * cc
 			if cost < bestCost || (cost == bestCost && a > bestAbs) {
 				bestCost, bestAbs = cost, a
-				pi, pj, pv = e.row, int32(j), e.val
+				pi, pj, pv = e.row, j, e.val
 			}
 		}
 		if bestCost == 0 {
+			n += copy(live[n:], live[t+1:])
 			break
 		}
 	}
+	f.liveCols = live[:n]
 	return pi, pj, pv
 }
 

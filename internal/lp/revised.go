@@ -341,6 +341,11 @@ func (s *Stats) Add(other Stats) {
 // Stats returns the accumulated solver counters.
 func (r *Revised) Stats() Stats { return r.stats }
 
+// NumCols is the instance's internal column count — structural, slack
+// and artificial columns — which is the length of the at-upper
+// statuses a Basis of this instance exports.
+func (r *Revised) NumCols() int { return r.ncols }
+
 // ResetStats zeroes the accumulated solver counters.
 func (r *Revised) ResetStats() { r.stats = Stats{} }
 

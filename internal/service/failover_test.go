@@ -235,7 +235,7 @@ func TestPromotionConsumesReplicaAndPrefersStore(t *testing.T) {
 	// LRU-evict the live session, then park the stale replica.
 	n.srv.Pool().Evict(id)
 	n.repMu.Lock()
-	n.replicas[id] = &replica{data: data0, snap: stale}
+	n.replicas[id] = &replica{sb: sealedCopy(data0), snap: stale}
 	n.repMu.Unlock()
 
 	// Next touch: promotion installs the fresher source and consumes
@@ -293,6 +293,7 @@ func TestForgetReachesFormerSuccessors(t *testing.T) {
 	if rep == nil {
 		t.Fatalf("successor holds no replica to strand")
 	}
+	rep.sb.hold() // the stray's reference, released by its drop
 	nodes[stray].repMu.Lock()
 	nodes[stray].replicas[resp.ID] = rep
 	nodes[stray].repMu.Unlock()

@@ -1,0 +1,351 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+	"testing/iotest"
+
+	"repro/internal/cluster"
+	"repro/internal/platform"
+)
+
+// taggedSession builds a K-cluster session with a full commit-dedup
+// record, the object a ring commit ships.
+func taggedSession(t *testing.T, k int, seed int64) *Session {
+	t.Helper()
+	h, sess, base := imageFixture(t, k, seed, "lprg")
+	for i := 0; i < commitDedupDepth; i++ {
+		taggedCommit(t, h, base, k, fmt.Sprintf("commit-%d", i))
+	}
+	return sess
+}
+
+// sealBytes seals sess and returns a copy of the wire bytes.
+func sealBytes(t *testing.T, sess *Session) []byte {
+	t.Helper()
+	_, sb, err := seal(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.release()
+	return bytes.Clone(sb.bytes())
+}
+
+// replicate runs one /cluster/replicate receive of data on h, sent as
+// the ring sends a sealed body: without a declared length. It reports a
+// refusal with t.Errorf, so any goroutine may call it.
+func replicate(t testing.TB, h http.Handler, data []byte) bool {
+	req := httptest.NewRequest("POST", "/cluster/replicate", struct{ io.Reader }{bytes.NewReader(data)})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Errorf("replicate: status %d: %s", rec.Code, rec.Body)
+		return false
+	}
+	return true
+}
+
+// TestReplicaReceiveAllocsIndependentOfK is the clock-free guard on the
+// replica side of a ring commit: /cluster/replicate receives of one
+// session's sealed snapshot, sent as the ring sends it (no declared
+// length), make the same number of allocations at K=5 as at K=20 and
+// no buffer that scales with the snapshot. Each is read into the pooled
+// buffer the replica it displaces let go, opened with its basis
+// validated in place rather than expanded, and held as received.
+func TestReplicaReceiveAllocsIndependentOfK(t *testing.T) {
+	type cost struct {
+		allocs float64
+		bytes  uint64
+		size   int
+	}
+	measure := func(k int) cost {
+		sess := taggedSession(t, k, 412)
+		_, sb, err := seal(sess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sb.release()
+		n := NewNode(NewServer(NewPool(4)), "http://successor", nil, nil)
+		h := n.Handler()
+		receive := func() {
+			body := sb.body()
+			req := httptest.NewRequest("POST", "/cluster/replicate", body)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			body.Close()
+			if rec.Code != http.StatusOK {
+				t.Fatalf("replicate: status %d: %s", rec.Code, rec.Body)
+			}
+		}
+		receive() // the first receive grows a pooled buffer to the snapshot
+		receive()
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := cost{allocs: testing.AllocsPerRun(runs, receive), size: len(sb.bytes())}
+		runtime.ReadMemStats(&after)
+		c.bytes = (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		if held := n.getReplica(sess.id); held == nil || !bytes.Equal(held.sb.bytes(), sb.bytes()) {
+			t.Fatal("the successor does not hold the bytes it was sent")
+		}
+		return c
+	}
+	small, big := measure(5), measure(20)
+	t.Logf("replica receive: K=5 %.0f allocs, %d bytes per %d-byte snapshot; K=20 %.0f allocs, %d bytes per %d-byte snapshot",
+		small.allocs, small.bytes, small.size, big.allocs, big.bytes, big.size)
+	if big.size-small.size < 16<<10 {
+		t.Fatalf("snapshots are %d and %d bytes: too close to tell a snapshot-sized buffer from noise", big.size, small.size)
+	}
+	if raceEnabled {
+		return // the race detector makes sync.Pool drop a quarter of what is put back
+	}
+	if big.allocs != small.allocs {
+		t.Fatalf("a replica receive allocates %.0f times at K=20 and %.0f at K=5: something per column, cell or byte is back", big.allocs, small.allocs)
+	}
+	if big.bytes > small.bytes+1<<10 {
+		t.Fatalf("a replica receive allocates %d bytes on a %d-byte snapshot and %d on a %d-byte one: something proportional to the snapshot is back",
+			big.bytes, big.size, small.bytes, small.size)
+	}
+}
+
+// TestReplicaBytesOutlivePromotion holds a held replica's pooled bytes
+// under a promotion that reads them outside repMu: while the promotion
+// rebuilds from the replica it took, newer snapshots of the session
+// displace that replica and other receives and seals churn the buffer
+// pool. The promotion's own reference keeps the bytes from being
+// recycled, so the live session it installs carries the commit records
+// of the snapshot it took, byte for byte, and the taken bytes are
+// released once, by their last holder. Run with -race: a buffer
+// recycled early is a reported race as well as a mismatch.
+func TestReplicaBytesOutlivePromotion(t *testing.T) {
+	sess := taggedSession(t, 6, 413)
+	other := taggedSession(t, 9, 414)
+	taken := sealBytes(t, sess)
+	wants := map[int]*cluster.SessionSnapshot{}
+	var newer [][]byte
+	for i := 0; i < 4; i++ {
+		data := taken
+		if i > 0 {
+			if _, err := sess.Epoch(&EpochRequest{SpeedFactor: driftFactors(6, 0.95)}); err != nil {
+				t.Fatal(err)
+			}
+			data = sealBytes(t, sess)
+			newer = append(newer, data)
+		}
+		want, err := cluster.DecodeSnapshot(bytes.Clone(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[want.Epoch] = want
+	}
+	otherData := sealBytes(t, other)
+
+	for round := 0; round < 20; round++ {
+		n := NewNode(NewServer(NewPool(4)), "http://successor", nil, nil)
+		h := n.Handler()
+		if !replicate(t, h, taken) {
+			t.FailNow()
+		}
+		held := n.getReplica(sess.id)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			n.promoteIfReplica(sess.id)
+		}()
+		// Displace and churn until the promotion is over.
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+			default:
+				sb := sealedCopy(newer[i%len(newer)])
+				snap, err := cluster.OpenSnapshot(sb.bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.putReplica(&replica{sb: sb, snap: snap})
+				if !replicate(t, h, otherData) {
+					t.FailNow()
+				}
+				_, ob, err := seal(other)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ob.release()
+				continue
+			}
+			break
+		}
+
+		live := n.srv.Pool().Get(sess.id)
+		if live == nil || n.promotions.Value() != 1 {
+			t.Fatalf("round %d: nothing promoted (promotions %d, errors %d)", round, n.promotions.Value(), n.replicaErrors.Value())
+		}
+		want := wants[live.Info().Epoch]
+		if want == nil {
+			t.Fatalf("round %d: promoted epoch %d, which no replica carried", round, live.Info().Epoch)
+		}
+		live.mu.Lock()
+		records := live.recentCommits
+		live.mu.Unlock()
+		if len(records) != len(want.RecentCommits) {
+			t.Fatalf("round %d: %d records installed, want %d", round, len(records), len(want.RecentCommits))
+		}
+		for i, rec := range records {
+			if rec.id != want.RecentCommits[i].ID || !bytes.Equal(rec.wire, want.RecentCommits[i].Report) {
+				t.Fatalf("round %d: record %d installed as %s %q, want %s %q", round, i, rec.id, rec.wire, want.RecentCommits[i].ID, want.RecentCommits[i].Report)
+			}
+		}
+		if refs := held.sb.refs.Load(); refs != 0 {
+			t.Fatalf("round %d: the taken replica's bytes keep %d references after the promotion and their displacement", round, refs)
+		}
+	}
+}
+
+func mustOpen(t testing.TB, data []byte) *cluster.SessionSnapshot {
+	t.Helper()
+	snap, err := cluster.OpenSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestForgedBasisWidthIsRefused: a snapshot forged behind a valid
+// checksum to claim a basis over 4 Gi solver columns opens (the codec
+// cannot know the solver's width) but is refused at restore against the
+// rebuilt model's column count, before anything that size is
+// allocated; a replica holding it fails its promotion closed.
+func TestForgedBasisWidthIsRefused(t *testing.T) {
+	sess := taggedSession(t, 6, 415)
+	snap, err := cluster.DecodeSnapshot(sealBytes(t, sess))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.BasisNcols = math.MaxUint32
+	forged, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := mustOpen(t, forged)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err = RestoreSession(opened)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "columns") {
+		t.Fatalf("restoring a basis over %d columns returned %v, want a refusal", snap.BasisNcols, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("refusing a 4 Gi-column basis allocated %d bytes", grew)
+	}
+
+	n := NewNode(NewServer(NewPool(4)), "http://successor", nil, nil)
+	if !replicate(t, n.Handler(), forged) {
+		t.FailNow()
+	}
+	n.promoteIfReplica(sess.id)
+	if n.srv.Pool().Get(sess.id) != nil || n.getReplica(sess.id) != nil || n.replicaErrors.Value() != 1 {
+		t.Fatalf("the forged replica was not failed closed (errors %d)", n.replicaErrors.Value())
+	}
+}
+
+// TestReadBoundedUndeclaredLength: a body of undeclared length is read
+// into dst's spare capacity and grows it only when it is full. One that
+// exactly fills cap(dst) allocates nothing — bytes.Buffer's 512-byte
+// read probe grew such a buffer — and the bytes are right whatever the
+// reader's chunking, including a reader that answers a zero-length read
+// with 0, nil.
+func TestReadBoundedUndeclaredLength(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789abcdef"), 256) // 4 KiB
+	dst := make([]byte, 0, len(body))
+	r := bytes.NewReader(body)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(body)
+		got, err := readBounded(dst, r, -1)
+		if err != nil || len(got) != len(body) || &got[0] != &dst[:1][0] {
+			t.Fatalf("read %d bytes (%v), not the %d-byte body into dst", len(got), err, len(body))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a body that exactly fills dst allocates %.0f times, want 0", allocs)
+	}
+	for name, tc := range map[string]struct {
+		dst  []byte
+		size int
+		wrap func(io.Reader) io.Reader
+	}{
+		"empty into nil":         {nil, 0, nil},
+		"into nil":               {nil, 3000, nil},
+		"one byte over":          {make([]byte, 0, 4096), 4097, nil},
+		"under":                  {make([]byte, 0, 4096), 100, nil},
+		"one byte at a time":     {make([]byte, 0, 64), 1000, iotest.OneByteReader},
+		"data with EOF":          {make([]byte, 0, 4096), 4096, iotest.DataErrReader},
+		"half reads, exact fill": {make([]byte, 0, 4096), 4096, iotest.HalfReader},
+	} {
+		want := bytes.Repeat([]byte("x"), tc.size)
+		var rd io.Reader = bytes.NewReader(want)
+		if tc.wrap != nil {
+			rd = tc.wrap(rd)
+		}
+		got, err := readBounded(tc.dst, rd, -1)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: read %d bytes (%v), want %d", name, len(got), err, tc.size)
+		}
+	}
+	if _, err := readBounded(nil, iotest.ErrReader(io.ErrUnexpectedEOF), -1); err != io.ErrUnexpectedEOF {
+		t.Fatalf("a failing reader's error was %v", err)
+	}
+}
+
+// TestPlatformEncodesAsMarshal pins encodePlatform, which encodes a
+// seal's platform straight into the seal's buffer, to json.Marshal byte
+// for byte on the edge cases: no links, routes whose bottleneck is +Inf
+// (clusters on one router: not on the wire), names outside ASCII and
+// ones encoding/json escapes; and it refuses what Marshal refuses,
+// handing dst back as it came.
+func TestPlatformEncodesAsMarshal(t *testing.T) {
+	oneRouter := &platform.Platform{Routers: 1, Clusters: []platform.Cluster{
+		{Name: "a", Speed: 100, Gateway: 50}, {Name: "b", Speed: 80, Gateway: 1e-300},
+	}}
+	if err := oneRouter.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	if bw := oneRouter.Route(0, 1).MinBW; !math.IsInf(bw, 1) {
+		t.Fatalf("the one-router route's bottleneck is %g, want +Inf", bw)
+	}
+	named := testPlatform(t, 4, 416)
+	for i, name := range []string{"Grenoble–Lyon", "東京クラスタ", "<a&b>", "line sep \x00\"\\"} {
+		named.Clusters[i].Name = name
+	}
+	for name, pl := range map[string]*platform.Platform{
+		"no links":      {Routers: 2, Clusters: []platform.Cluster{{Name: "x", Speed: 1, Gateway: 2, Router: 1}}},
+		"+Inf MinBW":    oneRouter,
+		"non-ASCII":     named,
+		"nil links":     {},
+		"generated K=9": testPlatform(t, 9, 417),
+	} {
+		want, err := json.Marshal(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := encodePlatform([]byte("head"), pl)
+		if err != nil || string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
+			t.Fatalf("%s: encoded %q (%v), want %q after the head", name, got, err, want)
+		}
+	}
+	bad := &platform.Platform{Clusters: []platform.Cluster{{Speed: math.Inf(1)}}}
+	if _, err := json.Marshal(bad); err == nil {
+		t.Fatal("json.Marshal accepted an infinite speed")
+	}
+	dst := []byte("head")
+	if got, err := encodePlatform(dst, bad); err == nil || string(got) != "head" {
+		t.Fatalf("an infinite speed encoded to %q (%v)", got, err)
+	}
+}

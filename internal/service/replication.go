@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -15,15 +16,19 @@ import (
 )
 
 // A replica is a passive copy of another member's session: the sealed
-// snapshot bytes plus their decoded form, whose platform and commit
-// reports are slices of those bytes. The bytes are the replica's own,
-// read into an allocation of their own rather than a pooled buffer:
-// promoteIfReplica reads the decoded snapshot outside repMu, so no
-// later request may reuse them. It costs no solver state — promotion
-// to a live warm session happens only when this node becomes (or is
-// asked to act as) the session's holder.
+// snapshot bytes as received, read into a sealBufs buffer the replica
+// holds a reference to (whatever buffer the pool handed out, grown to
+// fit: it may be larger than the bytes), plus their opened form, whose
+// platform, basis and commit reports are slices of those bytes. A newer
+// snapshot or a drop releases the replica's reference; a promotion
+// reading the opened snapshot outside repMu holds one of its own
+// (holdReplica), so a receive that displaces the replica meanwhile
+// cannot recycle the bytes under it, and the session it installs keeps
+// copies (RestoreSession). It costs no solver state — promotion to a
+// live warm session happens only when this node becomes (or is asked to
+// act as) the session's holder.
 type replica struct {
-	data []byte
+	sb   *sealed
 	snap *cluster.SessionSnapshot
 }
 
@@ -55,10 +60,32 @@ func (n *Node) getReplica(id string) *replica {
 	return n.replicas[id]
 }
 
-func (n *Node) dropReplica(id string) {
+// holdReplica is getReplica plus a reference on the replica's bytes,
+// taken under repMu; the caller releases it.
+func (n *Node) holdReplica(id string) *replica {
 	n.repMu.Lock()
-	delete(n.replicas, id)
+	defer n.repMu.Unlock()
+	r := n.replicas[id]
+	if r != nil {
+		r.sb.hold()
+	}
+	return r
+}
+
+// putReplica holds r as the replica of its session, releasing the one
+// it displaces.
+func (n *Node) putReplica(r *replica) {
+	n.repMu.Lock()
+	old := n.replicas[r.snap.ID]
+	n.replicas[r.snap.ID] = r
 	n.repMu.Unlock()
+	if old != nil {
+		old.sb.release()
+	}
+}
+
+func (n *Node) dropReplica(id string) {
+	n.dropReplicaThrough(id, math.MaxInt)
 }
 
 // dropReplicaThrough drops the replica for id only if it is no newer
@@ -67,10 +94,16 @@ func (n *Node) dropReplica(id string) {
 // was rebuilding.
 func (n *Node) dropReplicaThrough(id string, epoch int) {
 	n.repMu.Lock()
-	if r, ok := n.replicas[id]; ok && r.snap.Epoch <= epoch {
+	r, ok := n.replicas[id]
+	if ok && r.snap.Epoch <= epoch {
 		delete(n.replicas, id)
+	} else {
+		r = nil
 	}
 	n.repMu.Unlock()
+	if r != nil {
+		r.sb.release()
+	}
 }
 
 // replicationTargets lists the members that should hold passive
@@ -98,22 +131,37 @@ func (n *Node) replicationTargets(id string) []string {
 }
 
 // sealBufs pools sealed-snapshot buffers: a ring commit seals ~40 KiB
-// at K = 20 with a full commit record, and every destination reads the
-// one buffer.
+// at K = 20 with a full commit record, every destination reads the one
+// buffer, and a successor reads what it receives into another.
 var sealBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// sealed is one seal's wire bytes in a sealBufs buffer, with a
-// reference per holder: the shipper, and every request body a send
-// opened over them. net/http's transport may read a request body after
-// RoundTrip returned and closes it once done, so a body releases its
-// reference on Close; the buffer goes back to the pool when the last
-// reference does, and never while any reader may still see it.
+// sealed is one snapshot's wire bytes in a sealBufs buffer, with a
+// reference per holder. On the sending side the holders are the shipper
+// and every request body a send opened over the bytes: net/http's
+// transport may read a request body after RoundTrip returned and closes
+// it once done, so a body releases its reference on Close. On the
+// receiving side they are the held replica and a promotion rebuilding
+// from it. The buffer goes back to the pool when the last reference
+// does, and never while any reader may still see it. A seal's buffer
+// starts with the platform JSON its snapshot's Platform reads (off
+// bytes), then the wire bytes.
 type sealed struct {
 	buf  *[]byte
+	off  int
 	refs atomic.Int32
 }
 
-func (sb *sealed) bytes() []byte { return *sb.buf }
+// newSealed takes a pooled buffer, emptied, with one reference.
+func newSealed() *sealed {
+	sb := &sealed{buf: sealBufs.Get().(*[]byte)}
+	*sb.buf = (*sb.buf)[:0]
+	sb.refs.Store(1)
+	return sb
+}
+
+func (sb *sealed) bytes() []byte { return (*sb.buf)[sb.off:] }
+
+func (sb *sealed) hold() { sb.refs.Add(1) }
 
 func (sb *sealed) release() {
 	if sb.refs.Add(-1) == 0 {
@@ -124,14 +172,16 @@ func (sb *sealed) release() {
 // body opens one request body over the sealed bytes, holding a
 // reference until it is closed.
 func (sb *sealed) body() io.ReadCloser {
-	sb.refs.Add(1)
+	sb.hold()
 	b := &sealedBody{sb: sb}
-	b.Reset(*sb.buf)
+	b.Reset(sb.bytes())
 	return b
 }
 
 // sealedBody is a reader over sealed bytes that releases its reference
-// on the first Close.
+// on the first Close. Its WriteTo, promoted from bytes.Reader, writes
+// the remaining bytes in one call, which is how io.Copy — and so
+// net/http's transport, for a body of undeclared length — sends it.
 type sealedBody struct {
 	bytes.Reader
 	sb     *sealed
@@ -147,16 +197,21 @@ func (b *sealedBody) Close() error {
 
 // seal serializes sess's committed state once: the snapshot and its
 // sealed (versioned, checksummed) wire bytes, in a pooled buffer the
-// caller releases. Every destination — the store, the ring successors,
-// a new owner — gets these same bytes.
+// caller releases. The platform JSON is encoded into the head of that
+// buffer and the wire bytes appended after it, so the snapshot's
+// Platform is valid while the caller holds the reference. Every
+// destination — the store, the ring successors, a new owner — gets
+// these same bytes.
 func seal(sess *Session) (*cluster.SessionSnapshot, *sealed, error) {
-	snap, err := sess.Snapshot()
+	sb := newSealed()
+	snap, buf, err := sess.snapshotInto(*sb.buf)
+	*sb.buf = buf
 	if err != nil {
+		sb.release()
 		return nil, nil, err
 	}
-	sb := &sealed{buf: sealBufs.Get().(*[]byte)}
-	sb.refs.Store(1)
-	if *sb.buf, err = snap.AppendEncode((*sb.buf)[:0]); err != nil {
+	sb.off = len(buf)
+	if *sb.buf, err = snap.AppendEncode(buf); err != nil {
 		sb.release()
 		return nil, nil, err
 	}
@@ -206,21 +261,26 @@ func (n *Node) install(snap *cluster.SessionSnapshot) (*Session, *SolveReport, b
 	return sess, rep, warm, nil
 }
 
-// readSnapshot reads an inbound snapshot body, bounded, and decodes it
-// strictly (version, checksum, completeness — fail closed), answering
-// 400 itself on failure.
-func readSnapshot(w http.ResponseWriter, r *http.Request) (*cluster.SessionSnapshot, []byte, bool) {
-	data, err := readBounded(nil, r.Body, r.ContentLength)
-	if err != nil {
+// readSnapshot reads an inbound snapshot body, bounded, into a pooled
+// buffer and opens it strictly (version, checksum, completeness, the
+// basis validated in place — fail closed), answering 400 itself on
+// failure. The snapshot aliases the returned buffer, whose one
+// reference the caller holds.
+func readSnapshot(w http.ResponseWriter, r *http.Request) (*cluster.SessionSnapshot, *sealed, bool) {
+	sb := newSealed()
+	var err error
+	if *sb.buf, err = readBounded(*sb.buf, r.Body, r.ContentLength); err != nil {
+		sb.release()
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading snapshot: %w", err))
 		return nil, nil, false
 	}
-	snap, err := cluster.DecodeSnapshot(data)
+	snap, err := cluster.OpenSnapshot(sb.bytes())
 	if err != nil {
+		sb.release()
 		writeError(w, http.StatusBadRequest, err)
 		return nil, nil, false
 	}
-	return snap, data, true
+	return snap, sb, true
 }
 
 // replicateOut fans the sealed snapshot to the ring successors and
@@ -271,31 +331,32 @@ func (n *Node) sendReplica(target string, snap *cluster.SessionSnapshot, sb *sea
 // marks state the cluster has moved past — a partitioned old owner's
 // late fan-out hits both.
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	snap, data, ok := readSnapshot(w, r)
+	snap, sb, ok := readSnapshot(w, r)
 	if !ok {
 		return
+	}
+	refuse := func(err error) {
+		sb.release()
+		writeError(w, http.StatusConflict, err)
 	}
 	if from := r.Header.Get(fromHeader); from != "" {
 		inc, _ := strconv.ParseUint(r.Header.Get(incarnationHeader), 10, 64)
 		if known := n.membership.KnownIncarnation(from); inc < known {
-			writeError(w, http.StatusConflict,
-				fmt.Errorf("replica of %s from %s: stale incarnation %d < %d", snap.ID, from, inc, known))
+			refuse(fmt.Errorf("replica of %s from %s: stale incarnation %d < %d", snap.ID, from, inc, known))
 			return
 		}
 		// A replica push is direct evidence the sender is alive.
 		n.membership.ObserveAck(from, inc, time.Now())
 	}
 	if held := n.getReplica(snap.ID); held != nil && snap.Epoch < held.snap.Epoch {
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("replica of %s: epoch %d below held %d", snap.ID, snap.Epoch, held.snap.Epoch))
+		refuse(fmt.Errorf("replica of %s: epoch %d below held %d", snap.ID, snap.Epoch, held.snap.Epoch))
 		return
 	}
 	if live := n.srv.Pool().Get(snap.ID); live != nil {
 		liveEpoch := live.Info().Epoch
 		switch {
 		case snap.Epoch < liveEpoch:
-			writeError(w, http.StatusConflict,
-				fmt.Errorf("replica of %s: epoch %d below live %d", snap.ID, snap.Epoch, liveEpoch))
+			refuse(fmt.Errorf("replica of %s: epoch %d below live %d", snap.ID, snap.Epoch, liveEpoch))
 			return
 		case snap.Epoch > liveEpoch:
 			// The cluster committed past our live copy. Epochs only
@@ -310,9 +371,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			n.srv.Pool().Evict(snap.ID)
 		}
 	}
-	n.repMu.Lock()
-	n.replicas[snap.ID] = &replica{data: data, snap: snap}
-	n.repMu.Unlock()
+	n.putReplica(&replica{sb: sb, snap: snap})
 	writeJSON(w, http.StatusOK, replicateAck{ID: snap.ID, Epoch: snap.Epoch, Checksum: snap.Checksum})
 }
 
@@ -372,10 +431,11 @@ func (n *Node) forgetSession(id string) {
 // epoch, so a replica parked before this node last owned the session
 // can never roll back the store's fresher history.
 func (n *Node) promoteIfReplica(id string) {
-	rep := n.getReplica(id)
+	rep := n.holdReplica(id)
 	if rep == nil {
 		return
 	}
+	defer rep.sb.release() // install copies what the live session keeps
 	n.promoteMu.Lock()
 	defer n.promoteMu.Unlock()
 	if n.srv.Pool().Get(id) != nil {

@@ -567,7 +567,11 @@ func (n *Node) do(ctx context.Context, timeout time.Duration, method, url string
 		return 0, nil, nil, err
 	}
 	if sb != nil {
-		req.Body, req.ContentLength = sb.body(), int64(len(sb.bytes()))
+		// Sealed bytes go without a declared length: the transport then
+		// sends them chunked through the body's WriteTo, one write of the
+		// whole buffer, where a Content-Length would have it copy them
+		// through a LimitedReader and a fresh 32 KiB buffer per send.
+		req.Body = sb.body()
 		req.GetBody = func() (io.ReadCloser, error) { return sb.body(), nil }
 	}
 	req.Header = header
@@ -788,10 +792,11 @@ func (n *Node) broadcastMembers(member string, members []string) {
 // replicates it through the session hook), and answer with the
 // rebuilt committed report.
 func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	snap, _, ok := readSnapshot(w, r)
+	snap, sb, ok := readSnapshot(w, r)
 	if !ok {
 		return
 	}
+	defer sb.release() // install copies what the live session keeps
 	if live := n.srv.Pool().Get(snap.ID); live != nil && live.Info().Epoch >= snap.Epoch {
 		// Our live copy is at least as far along as the incoming one —
 		// installing it would erase committed epochs. This happens when

@@ -1,13 +1,13 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -168,8 +168,9 @@ var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
 // that is not decoded as it streams, appending it to dst[:0]: in one
 // exactly-sized allocation (none when dst has the room) when the sender
 // declared its length (Content-Length; -1 when absent) within
-// maxBodyBytes, by growing up to the bound otherwise. A longer body is
-// an error either way, never a truncation.
+// maxBodyBytes, and otherwise into dst's spare capacity, growing it
+// only when it is full, up to the bound. A longer body is an error
+// either way, never a truncation.
 func readBounded(dst []byte, r io.Reader, declared int64) ([]byte, error) {
 	switch {
 	case declared > maxBodyBytes:
@@ -181,12 +182,32 @@ func readBounded(dst []byte, r io.Reader, declared int64) ([]byte, error) {
 		n, err := io.ReadFull(r, dst[:declared])
 		return dst[:n], err
 	}
-	b := bytes.NewBuffer(dst[:0])
-	_, err := b.ReadFrom(io.LimitReader(r, maxBodyBytes+1))
-	if err == nil && b.Len() > maxBodyBytes {
-		err = errBodyTooLarge
+	b := dst[:0]
+	for {
+		if len(b) == cap(b) {
+			// Full: ask for the end before growing. A zero-length read at
+			// the end answers io.EOF from net/http's bodies and the bytes
+			// readers, so a body that exactly fills dst grows nothing; a
+			// reader that answers 0, nil there costs one growth.
+			if _, err := r.Read(b[len(b):]); err != nil {
+				if err == io.EOF {
+					err = nil
+				}
+				return b, err
+			}
+			b = slices.Grow(b, max(512, len(b)))
+		}
+		n, err := r.Read(b[len(b):min(cap(b), maxBodyBytes+1)])
+		b = b[:len(b)+n]
+		switch {
+		case len(b) > maxBodyBytes:
+			return b, errBodyTooLarge
+		case err == io.EOF:
+			return b, nil
+		case err != nil:
+			return b, err
+		}
 	}
-	return b.Bytes(), err
 }
 
 // isClientError classifies solve-path errors: validation and

@@ -36,6 +36,14 @@ func (b *lockedBuffer) String() string {
 	return b.Buffer.String()
 }
 
+// sealedCopy holds a copy of data in a pooled buffer with one
+// reference, as a received replica's bytes are held.
+func sealedCopy(data []byte) *sealed {
+	sb := newSealed()
+	*sb.buf = append(*sb.buf, data...)
+	return sb
+}
+
 // TestStoreAndReplicaGetTheSameBytes pins the one seal per commit: on a
 // 3-node ring with stores, the owner's snapshot file and the replica
 // its successor holds for the same commit are byte-identical — both are
@@ -56,8 +64,8 @@ func TestStoreAndReplicaGetTheSameBytes(t *testing.T) {
 	if held == nil || held.snap.Epoch != 1 {
 		t.Fatalf("successor holds %+v, want the epoch-1 replica", held)
 	}
-	if !bytes.Equal(stored, held.data) {
-		t.Fatalf("store file (%d bytes) and held replica (%d bytes) of one commit differ", len(stored), len(held.data))
+	if !bytes.Equal(stored, held.sb.bytes()) {
+		t.Fatalf("store file (%d bytes) and held replica (%d bytes) of one commit differ", len(stored), len(held.sb.bytes()))
 	}
 	if got := nodes[owner].snapshotBytes.Value(); got < uint64(len(stored)) {
 		t.Fatalf("snapshotBytes %d does not cover the %d-byte snapshot just saved", got, len(stored))
@@ -334,7 +342,7 @@ func TestSnapshotEncodesOffTheLock(t *testing.T) {
 	encoded := 0
 	orig := encodePlatform
 	t.Cleanup(func() { encodePlatform = orig })
-	encodePlatform = func(p *platform.Platform) ([]byte, error) {
+	encodePlatform = func(dst []byte, p *platform.Platform) ([]byte, error) {
 		if p == pl {
 			encoded++
 			if !sess.mu.TryLock() {
@@ -348,7 +356,7 @@ func TestSnapshotEncodesOffTheLock(t *testing.T) {
 				t.Fatalf("commit during the encode: %v", err)
 			}
 		}
-		return orig(p)
+		return orig(dst, p)
 	}
 	snap, err := sess.Snapshot()
 	if err != nil {
@@ -460,8 +468,7 @@ func BenchmarkShipTaggedCommit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		req := httptest.NewRequest("POST", "/cluster/replicate", sb.body())
-		req.ContentLength = int64(len(sb.bytes()))
+		req := httptest.NewRequest("POST", "/cluster/replicate", sb.body()) // no declared length, as sent
 		rec.Body.Reset()
 		successor.ServeHTTP(rec, req)
 		req.Body.Close()

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -17,9 +18,17 @@ import (
 // and every solve re-injects its capacities, so no mutation history
 // needs shipping.
 
-// encodePlatform renders a snapshot's platform; a test replaces it to
-// watch the session lock while it runs.
-var encodePlatform = func(pl *platform.Platform) ([]byte, error) { return json.Marshal(pl) }
+// encodePlatform appends a snapshot's platform to dst as the bytes
+// json.Marshal(pl) returns, encoded straight into dst rather than
+// copied out of encoding/json's buffer; a test replaces it to watch the
+// session lock while it runs.
+var encodePlatform = func(dst []byte, pl *platform.Platform) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	if err := json.NewEncoder(buf).Encode(pl); err != nil {
+		return dst, err
+	}
+	return buf.Bytes()[:buf.Len()-1], nil // Encode ends the value with a newline Marshal does not write
+}
 
 // Snapshot serializes the session's committed state: identity,
 // configuration, epoch, the current drifted platform and the carried
@@ -33,16 +42,25 @@ var encodePlatform = func(pl *platform.Platform) ([]byte, error) { return json.M
 // the store or transfer path calls Encode, which stamps the version
 // and checksum.
 func (s *Session) Snapshot() (*cluster.SessionSnapshot, error) {
+	snap, _, err := s.snapshotInto(nil)
+	return snap, err
+}
+
+// snapshotInto is Snapshot with the platform JSON appended to dst: the
+// snapshot's Platform is the appended tail of the returned slice, which
+// seal encodes into the buffer it seals into.
+func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, error) {
 	s.mu.Lock()
 	pl, basis, epoch, records := s.pl, s.basis, s.epoch, s.recentCommits
 	s.mu.Unlock()
 	if basis == nil {
-		return nil, fmt.Errorf("session %s has no carried basis yet", s.id)
+		return nil, dst, fmt.Errorf("session %s has no carried basis yet", s.id)
 	}
-	plJSON, err := encodePlatform(pl)
+	out, err := encodePlatform(dst, pl)
 	if err != nil {
-		return nil, fmt.Errorf("encoding platform: %w", err)
+		return nil, dst, fmt.Errorf("encoding platform: %w", err)
 	}
+	plJSON := out[len(dst):len(out):len(out)]
 	snap := &cluster.SessionSnapshot{
 		ID:          s.id,
 		Fingerprint: s.fingerprint,
@@ -61,7 +79,7 @@ func (s *Session) Snapshot() (*cluster.SessionSnapshot, error) {
 			snap.RecentCommits = append(snap.RecentCommits, cluster.CommitRecord{ID: rec.id, Report: rec.wire})
 		}
 	}
-	return snap, nil
+	return snap, out, nil
 }
 
 // RestoreSession rebuilds a session from a (verified) snapshot: the
@@ -72,9 +90,15 @@ func (s *Session) Snapshot() (*cluster.SessionSnapshot, error) {
 // warm: one dual-simplex restart, typically zero pivots. warm reports
 // whether the rebuild really was warm (no cold solves, no cold
 // fallbacks); a basis the solver rejects degrades to a correct cold
-// rebuild rather than an error. The initial report is returned so the
-// caller (recovery, migration) can verify bit-compatibility against
+// rebuild rather than an error, but one sized for another column count
+// is refused before it is expanded. The initial report is returned so
+// the caller (recovery, migration) can verify bit-compatibility against
 // the pre-transfer answers.
+//
+// The session keeps no byte of the buffer snap was decoded from, so
+// that buffer may be recycled once this returns: the commit reports are
+// copied into one allocation of the session's own, and snap's records
+// are pointed at those copies.
 func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool, error) {
 	cfg, err := parseConfig(&CreateSessionRequest{
 		Objective: snap.Objective,
@@ -104,7 +128,20 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 	s.fingerprint = snap.Fingerprint
 	s.epoch = snap.Epoch
 	s.refreshStateLocked() // unshared: rekey the cache to the true epoch
+	cols, upper, err := snap.Basis(s.model.SolverCols())
+	if err != nil {
+		return nil, nil, false, err
+	}
+	size := 0
 	for _, rec := range snap.RecentCommits {
+		size += len(rec.Report)
+	}
+	kept := make([]byte, 0, size)
+	for i, rec := range snap.RecentCommits {
+		at := len(kept)
+		kept = append(kept, rec.Report...)
+		rec.Report = kept[at:len(kept):len(kept)]
+		snap.RecentCommits[i].Report = rec.Report
 		// Restore the commit-dedup record entry by entry (an ID and its
 		// report together or not at all, so a matched ID always has a
 		// report to answer with).
@@ -117,7 +154,7 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 			s.recordCommitLocked(commitRecord{id: rec.ID, rep: &rep, wire: rec.Report})
 		}
 	}
-	s.basis = lp.ImportBasis(snap.Basis())
+	s.basis = lp.ImportBasis(cols, upper)
 	rep, err := s.Query()
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("rebuild solve: %w", err)
