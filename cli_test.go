@@ -331,6 +331,24 @@ func TestCLIDlschedErrors(t *testing.T) {
 	if out, err := run(t, dlsched, "-platform", plat, "-payoffs", "1,2"); err == nil {
 		t.Fatalf("wrong payoff count must fail:\n%s", out)
 	}
+	// A horizon or period length the simulation or the schedule would
+	// refuse fails before the solve: nothing reaches stdout.
+	for _, args := range [][]string{
+		{"-simulate", "-periods", "0"},
+		{"-simulate", "-periods", "1"},
+		{"-schedule", "-denom", "0"},
+		{"-simulate", "-denom", "-1"},
+	} {
+		cmd := exec.Command(dlsched, append([]string{"-platform", plat}, args...)...)
+		stdout, err := cmd.Output()
+		if err == nil || len(stdout) != 0 {
+			t.Fatalf("%v must fail before the solve: err %v, stdout:\n%s", args, err, stdout)
+		}
+	}
+	// Without -simulate the horizon is not read.
+	if out, err := run(t, dlsched, "-platform", plat, "-periods", "0", "-schedule"); err != nil {
+		t.Fatalf("-periods 0 without -simulate must succeed: %v\n%s", err, out)
+	}
 }
 
 // TestCLISchedd drives the scheduling daemon end to end at the binary

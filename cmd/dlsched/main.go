@@ -70,6 +70,14 @@ func run() error {
 	if *platFile == "" {
 		return fmt.Errorf("-platform is required")
 	}
+	// Checked before the solve, which at large K takes seconds and prints
+	// the allocation before the schedule or the simulation would refuse.
+	if *doSim && *periods < 2 {
+		return fmt.Errorf("-periods %d: the simulation needs at least 2", *periods)
+	}
+	if (*doSched || *doSim) && *denom < 1 {
+		return fmt.Errorf("-denom %d: the schedule needs a positive period length", *denom)
+	}
 	data, err := os.ReadFile(*platFile)
 	if err != nil {
 		return err

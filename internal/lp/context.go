@@ -26,7 +26,6 @@ func (r *Revised) SolveFrom(bas *Basis) (Solution, error) {
 		panic(fmt.Sprintf("lp: Revised built over %d rows, problem now has %d (structure is frozen)", r.m, len(r.p.rows)))
 	}
 	r.gen++ // any solve may move the basis: the frozen state goes stale
-	r.tracking, r.patched, r.light = false, false, false
 	if bas != nil && r.signInit {
 		if sol, ok := r.warmSolve(bas); ok {
 			r.stats.WarmSolves++
@@ -84,8 +83,8 @@ func (r *Revised) Rebase() {
 	}
 	r.signInit = true
 	r.rhsOK = false // b was computed under the old signs
-	r.factorized, r.patched, r.light = false, false, false
-	r.dseOK, r.djOK = false, false
+	r.factorized, r.dseOK, r.djOK = false, false, false
+	r.wholeMoved()
 }
 
 // warmPivotBudget bounds the pivots a dual-simplex warm restart may
@@ -179,25 +178,23 @@ func (r *Revised) refreshAll() {
 // terms in; and the rhs of those rows and of the listed ones. Every
 // value is the bit pattern refreshAll would write, the scale included: a
 // max is exact, so it is rescanned only when the row holding it shrank.
-// What it rewrites joins the drift record (see startFrozen).
+// What it rewrites joins the drift journal (see startFrozen).
 func (r *Revised) refreshListed(rows, vars []int32) {
 	for _, j32 := range vars {
 		j := int(j32)
 		if r.p.lb[j] != r.lbs[j] {
 			for t := r.sp.colPtr[j]; t < r.sp.colPtr[j+1]; t++ {
-				r.shifted, r.shiftMark = note(r.shifted, r.shiftMark, int(r.sp.rowIdx[t]), r.m)
+				r.shifted.note(int(r.sp.rowIdx[t]), r.m)
 			}
 		}
-		if r.driftOK {
-			r.driftVars, r.driftVarMark = note(r.driftVars, r.driftVarMark, j, r.nstruct)
-		}
+		r.driftCols.note(j, r.nstruct)
 		r.loadVar(j)
 	}
 	for _, j := range r.frozen.upper {
 		r.sanitizeUpper(int(j))
 	}
 	shrank := false
-	for _, i := range r.shifted {
+	for _, i := range r.shifted.list {
 		acc := 0.0
 		vals := r.rowVals[i]
 		for t, j := range r.rowCols[i] {
@@ -211,7 +208,7 @@ func (r *Revised) refreshListed(rows, vars []int32) {
 		r.acc[i] = acc
 		shrank = r.setB(int(i), r.sign[i]*(r.p.rows[i].rhs-acc)) || shrank
 	}
-	r.shifted = unmark(r.shifted, r.shiftMark)
+	r.shifted.open()
 	for _, i := range rows {
 		shrank = r.setB(int(i), r.sign[i]*(r.p.rows[i].rhs-r.acc[i])) || shrank
 	}
@@ -223,9 +220,7 @@ func (r *Revised) refreshListed(rows, vars []int32) {
 // setB writes b_i = v, recording the drift and raising the scale; it
 // reports whether the row holding the scale shrank.
 func (r *Revised) setB(i int, v float64) (shrank bool) {
-	if r.driftOK {
-		r.driftRows, r.driftRowMark = note(r.driftRows, r.driftRowMark, i, r.m)
-	}
+	r.driftRows.note(i, r.m)
 	r.b[i] = v
 	if a := math.Abs(v); a > r.scale {
 		r.scale, r.scaleRow = a, i
@@ -235,22 +230,26 @@ func (r *Revised) setB(i int, v float64) (shrank bool) {
 	return false
 }
 
-// redrift rebuilds the drift record — every row whose b and every
+// redrift rebuilds the drift journal — every row whose b and every
 // structural column whose bounds differ from the frozen start's, kept
-// since by refreshListed — by comparison, which the row signs must allow.
+// since by refreshListed — by comparison; whole if no start or other signs.
 func (r *Revised) redrift() {
 	st := r.frozen.start
-	r.driftRows = unmark(r.driftRows, r.driftRowMark)
-	r.driftVars = unmark(r.driftVars, r.driftVarMark)
-	r.driftOK = st != nil && slices.Equal(r.sign, r.frozen.sign)
-	for i := 0; r.driftOK && i < r.m; i++ {
+	if st == nil || !slices.Equal(r.sign, r.frozen.sign) {
+		r.driftRows.setWhole()
+		r.driftCols.setWhole()
+		return
+	}
+	r.driftRows.open()
+	r.driftCols.open()
+	for i := 0; i < r.m; i++ {
 		if r.b[i] != st.b[i] {
-			r.driftRows, r.driftRowMark = note(r.driftRows, r.driftRowMark, i, r.m)
+			r.driftRows.note(i, r.m)
 		}
 	}
-	for j := 0; r.driftOK && j < r.nstruct; j++ {
+	for j := 0; j < r.nstruct; j++ {
 		if !sameBits(r.lbs[j], st.lbs[j]) || !sameBits(r.U[j], st.u[j]) {
-			r.driftVars, r.driftVarMark = note(r.driftVars, r.driftVarMark, j, r.nstruct)
+			r.driftCols.note(j, r.nstruct)
 		}
 	}
 }
@@ -281,7 +280,7 @@ func (r *Revised) nonbasicValue(j int) float64 {
 // basis, counting it in the stats. Returns false when the basis
 // matrix is numerically singular (the previous factorization is then
 // still the live one). Every caller then recomputes the basic values
-// whole, so a solve that refactorizes is extracted whole.
+// whole (computeXB), which makes the moved journal whole.
 func (r *Revised) refactorize() bool {
 	t0 := time.Now()
 	ok := r.fac.refactor()
@@ -290,8 +289,14 @@ func (r *Revised) refactorize() bool {
 		return false
 	}
 	r.stats.Refactorizations++
-	r.factorized, r.tracking = true, false
+	r.factorized = true
 	return true
+}
+
+// wholeMoved makes the moved journal whole: a write covered a whole vector.
+func (r *Revised) wholeMoved() {
+	r.movedRows.setWhole()
+	r.movedCols.setWhole()
 }
 
 // coldSolve runs the classical two-phase method from a slack basis,
@@ -299,15 +304,15 @@ func (r *Revised) refactorize() bool {
 func (r *Revised) coldSolve() (Solution, error) {
 	r.stats.ColdSolves++
 	r.dseOK, r.djOK = false, false // the basis is rebuilt from scratch below
-	for j := range r.atUpper {
-		r.atUpper[j] = false
-	}
+	r.wholeMoved()
+	clear(r.atUpper)
 	for i := range r.sign {
 		r.sign[i] = 1
 	}
 	r.signInit, r.rhsOK = true, false
 	r.refreshRHS()
-	r.driftOK = false // b and the signs are rewritten below
+	r.driftRows.setWhole() // b and the signs are rewritten below
+	r.driftCols.setWhole()
 	for i := range r.b {
 		if r.b[i] < 0 {
 			r.sign[i] = -1
@@ -317,9 +322,7 @@ func (r *Revised) coldSolve() (Solution, error) {
 
 	// Initial basis: the slack column where it is basic-feasible
 	// (effective coefficient +1, or rhs 0), the artificial otherwise.
-	for j := range r.inBasis {
-		r.inBasis[j] = false
-	}
+	clear(r.inBasis)
 	hasArt := false
 	for i := range r.basis {
 		col := r.artStart + i
@@ -383,9 +386,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, bool) {
 	// live factorization exists. A caller that wants a solve not to
 	// depend on the ones before it calls Rewind between them.
 	if !r.factorized {
-		for j := range r.seen {
-			r.seen[j] = false
-		}
+		clear(r.seen)
 		for _, c := range bas.cols {
 			if c < 0 || c >= r.ncols || r.seen[c] {
 				return Solution{}, false
@@ -413,10 +414,9 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, bool) {
 	// One pass over dj answers the dual's entry test and, unless the dual
 	// moves the basis or the bounds it reads, the safety net after it.
 	var dualInfeasible, pricesOut bool
-	start := r.gen == r.frozen.gen+1 && r.driftOK // the state is the frozen one
+	start := r.gen == r.frozen.gen+1 && !r.driftRows.whole() // the state is the frozen one
 	if start {
 		dualInfeasible, pricesOut = r.startFrozen()
-		r.tracking = true
 	} else {
 		r.computeXB()
 		if !r.djOK {
@@ -462,8 +462,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, bool) {
 				r.factorized = false
 				return Solution{}, false
 			}
-			r.factorized = false
-			return Solution{Status: Infeasible}, true
+			return r.extract(Infeasible), true
 		}
 		// Safety net: the dual simplex ends primal+dual feasible, so the
 		// primal's entering test finds nothing in the reduced costs the
@@ -496,8 +495,8 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, bool) {
 // into the new rhs (phase 1 never ran), so no verdict built on it is
 // authoritative — an Optimal claim may hide infeasibility and an
 // Unbounded ray may lean on the artificial subspace. Hand every such
-// outcome to a cold solve instead of misreporting. A light solve has the
-// residue its start left.
+// outcome to a cold solve instead of misreporting. A light solve — from
+// the frozen start, moving nothing — has the residue its start left.
 func (r *Revised) finishWarm(status Status, light bool) (Solution, bool) {
 	resid := r.resid
 	if !light {
@@ -507,8 +506,6 @@ func (r *Revised) finishWarm(status Status, light bool) (Solution, bool) {
 		r.factorized = false
 		return Solution{}, false
 	}
-	r.patched = r.tracking && status == Optimal
-	r.light = light && r.patched
 	return r.extract(status), true
 }
 
@@ -525,18 +522,20 @@ func (r *Revised) finish(status Status) Solution {
 }
 
 // extract reads the verdict and, when optimal, the structural values
-// (into xscratch) and the objective off the final simplex state.
+// (into xscratch) and the objective off the final simplex state: patched
+// from the start's while the moved journal lists what the solve moved.
 func (r *Revised) extract(status Status) Solution {
 	if status != Optimal {
 		r.factorized = false
+		r.wholeMoved()
 		return Solution{Status: status}
 	}
 	x := r.xscratch
-	if r.patched {
-		r.patchX()
-	} else {
-		r.xAtStart = false
+	if r.movedRows.whole() {
+		r.xMoved.setWhole()
 		r.extractX(x)
+	} else {
+		r.patchX()
 	}
 	return Solution{Status: Optimal, X: x, Objective: r.objective(x)}
 }
@@ -581,35 +580,30 @@ func (r *Revised) objective(x []float64) float64 {
 }
 
 // patchX extracts a patched solve's X into xscratch: the start's x, put
-// back where the last patch wrote, then rewritten at the basic column of
-// every refiled row and at every drifted or left column now nonbasic —
-// the bits extractX writes, since nothing else differs from the start.
+// back where the X journal lists (all of it when whole), then rewritten,
+// and journaled, at the basic column of every moved row and at every
+// drifted or moved column now nonbasic: nothing else differs from the start.
 func (r *Revised) patchX() {
 	st, x := r.frozen.start, r.xscratch
-	if r.xAtStart {
-		for _, j := range r.xPatched {
+	if r.xMoved.whole() {
+		copy(x, st.sol.X)
+	} else {
+		for _, j := range r.xMoved.list {
 			x[j] = st.sol.X[j]
 		}
-	} else {
-		copy(x, st.sol.X)
-		r.xAtStart = true
 	}
-	if r.xMark == nil {
-		r.xMark = make([]uint64, (r.nstruct+63)/64)
-	}
-	r.xPatched = unmark(r.xPatched, r.xMark)
-	for _, i := range r.refiled {
+	r.xMoved.open()
+	for _, i := range r.movedRows.list {
 		if j := r.basis[i]; j < r.nstruct {
 			x[j] = r.xValue(j, int(i))
-			r.xPatched = append(r.xPatched, int32(j))
+			r.xMoved.note(j, r.nstruct)
 		}
 	}
-	for _, cols := range [2][]int32{r.driftVars, r.left} {
+	for _, cols := range [2][]int32{r.driftCols.list, r.movedCols.list} {
 		for _, j := range cols {
-			if w, bit := j>>6, uint64(1)<<(j&63); int(j) < r.nstruct && !r.inBasis[j] && r.xMark[w]&bit == 0 {
-				r.xMark[w] |= bit
+			if int(j) < r.nstruct && !r.inBasis[j] {
 				x[j] = r.xValue(int(j), -1)
-				r.xPatched = append(r.xPatched, j)
+				r.xMoved.note(int(j), r.nstruct)
 			}
 		}
 	}
@@ -620,32 +614,21 @@ func (r *Revised) patchX() {
 // Rewind) and ended optimal without a refactorization or a cold fallback
 // — with or without pivots and bound flips — base is the solution the
 // start extracts to, one per Freeze, shared and read-only; X equals
-// base.X outside cols, the columns the solve wrote, each once, in no
-// order (a written value may equal base's); and rows counts the basis
-// rows whose basic value or basic column it moved. After any other
-// solve, a Freeze or a Rebase, base is nil and X was extracted whole.
+// base.X outside cols, the columns the solve wrote, each once, in no order
+// (a written value may equal base's); and rows counts the basis rows it
+// moved. After any other solve, a Freeze or a Rebase, base is nil and X
+// was extracted whole.
 func (r *Revised) Moved() (base *Solution, rows int, cols []int32) {
-	if !r.patched {
+	if r.movedRows.whole() || r.xMoved.whole() {
 		return nil, 0, nil
 	}
-	return &r.frozen.start.sol, len(r.refiled), r.xPatched
-}
-
-// refile lists row i among the rows the solve in progress moved off the
-// start, unless it is there already.
-func (r *Revised) refile(i int32) {
-	if w, bit := i>>6, uint64(1)<<(i&63); r.refiledMark[w]&bit == 0 {
-		r.refiledMark[w] |= bit
-		r.refiled = append(r.refiled, i)
-	}
+	return &r.frozen.start.sol, len(r.movedRows.list), r.xMoved.list
 }
 
 // setBasis installs cols as the basic column set.
 func (r *Revised) setBasis(cols []int) {
 	copy(r.basis, cols)
-	for j := range r.inBasis {
-		r.inBasis[j] = false
-	}
+	clear(r.inBasis)
 	for _, c := range r.basis {
 		r.inBasis[c] = true
 	}
@@ -714,6 +697,7 @@ func (r *Revised) computeXB() {
 	t0 := time.Now()
 	r.fac.ftran(r.xb, beff)
 	r.stats.Phase.FTRANNanos += int64(time.Since(t0))
+	r.wholeMoved()
 	for i := range r.xb {
 		r.fileRow(i)
 	}
@@ -723,52 +707,48 @@ func (r *Revised) computeXB() {
 // from the frozen start, at the cost of what moved since. The effective
 // rhs moved by Δ: the drifted rows' change of b, and A_j times the change
 // of the bound each frozen at-upper column rests at. So xb is the start's
-// plus B⁻¹Δ, one FTRAN of a sparse rhs. It refiles, and lists in refiled,
-// the rows that moved and those whose basic column's box drifted. The
-// residue is the start's unless an artificial's row moved; dj is the
-// start's, and so is the verdict but at the drifted columns. Drift back
-// at its frozen value leaves the record.
+// plus B⁻¹Δ, one FTRAN of a sparse rhs. It refiles, and so journals, the
+// rows that moved and those whose basic column's box drifted. The residue
+// is the start's unless an artificial's row moved; dj is the start's, and
+// so is the verdict but at the drifted columns. Drift back at its frozen
+// value leaves the journal.
 func (r *Revised) startFrozen() (overWide, overNarrow bool) {
 	st := r.frozen.start
-	delta, rows, mark := r.beff, r.shifted[:0], r.shiftMark
+	delta, rows := r.beff, &r.shifted
 	add := func(i int, v float64) {
-		n := len(rows)
-		if rows, mark = note(rows, mark, i, r.m); len(rows) > n {
+		n := len(rows.list)
+		if rows.note(i, r.m); len(rows.list) > n {
 			delta[i] = v
 		} else {
 			delta[i] += v
 		}
 	}
-	kept := r.driftRows[:0]
-	for _, i := range r.driftRows {
-		if d := r.b[i] - st.b[i]; d != 0 {
+	r.driftRows.retain(func(i int32) bool {
+		d := r.b[i] - st.b[i]
+		if d != 0 {
 			add(int(i), d)
-			kept = append(kept, i)
-		} else {
-			r.driftRowMark[i>>6] &^= 1 << (i & 63)
 		}
-	}
-	r.driftRows = kept
+		return d != 0
+	})
 	for _, j := range r.frozen.upper {
 		if du := r.nonbasicValue(int(j)) - st.u[j]; du != 0 {
 			r.effCol(int(j), func(i int, v float64) { add(i, -v*du) })
 		}
 	}
 	r.dIdx = r.dIdx[:0]
-	if len(rows) > 0 {
+	if len(rows.list) > 0 {
 		t0 := time.Now()
-		r.dIdx = r.fac.ftranRows(rows, delta, r.d, r.dIdx)
+		r.dIdx = r.fac.ftranRows(rows.list, delta, r.d, r.dIdx)
 		r.stats.Phase.FTRANNanos += int64(time.Since(t0))
 	}
-	r.shifted, r.shiftMark = unmark(rows, mark), mark
-	if r.refiledMark == nil {
-		r.refiledMark = make([]uint64, (r.m+63)/64)
-	}
-	r.refiled, r.left, r.resid = unmark(r.refiled, r.refiledMark), r.left[:0], st.residue
+	rows.open()
+	r.movedRows.open() // the state was the frozen one: Freeze or Rewind
+	r.movedCols.open()
+	r.resid = st.residue
 	for _, i := range r.dIdx {
 		r.xb[i] += r.d[i]
 		r.fileRow(int(i))
-		r.refile(i)
+		r.movedRows.note(int(i), r.m)
 		if r.basis[i] >= r.artStart {
 			r.resid = -1
 		}
@@ -778,22 +758,19 @@ func (r *Revised) startFrozen() (overWide, overNarrow bool) {
 	}
 	overWide, overNarrow = st.overWide, st.overNarrow
 	rescan := overNarrow // overWide implies it
-	kept = r.driftVars[:0]
-	for _, j := range r.driftVars {
+	r.driftCols.retain(func(j int32) bool {
 		if sameBits(r.lbs[j], st.lbs[j]) && sameBits(r.U[j], st.u[j]) {
-			r.driftVarMark[j>>6] &^= 1 << (j & 63)
-			continue
+			return false
 		}
-		kept = append(kept, j)
 		if i := st.rowOf[j]; i >= 0 {
 			r.fileRow(int(i))
-			r.refile(i)
+			r.movedRows.note(int(i), r.m)
 		} else if !rescan && r.outBy(int(j), eps) {
 			overNarrow = true
 			overWide = overWide || r.outBy(int(j), r.dualTol())
 		}
-	}
-	r.driftVars = kept
+		return true
+	})
 	if rescan {
 		overWide, overNarrow = r.priceScan(r.dualTol(), eps)
 	}
@@ -817,9 +794,10 @@ func (r *Revised) fileRow(i int) {
 }
 
 // clampXB absorbs roundoff residue just outside the basic variable's
-// box back onto the violated bound, then files the row: every loop that
-// moves xb outside computeXB ends each row here.
+// box back onto the violated bound, then files and journals the row:
+// every loop that moves xb outside computeXB ends each row here.
 func (r *Revised) clampXB(i int, ftol float64) {
+	r.movedRows.note(i, r.m)
 	if r.xb[i] < 0 {
 		if r.xb[i] > -ftol {
 			r.xb[i] = 0
@@ -851,12 +829,8 @@ func (r *Revised) pivotUpdate(leave, enter int, step float64, leaveAtUpper bool)
 	ftol := r.feasTol()
 	d := r.d
 	okUpd := r.fac.update(leave, d, r.dIdx, false)
-	if r.tracking {
-		for _, i := range r.dIdx { // the leaving row among them: d[leave] is the pivot
-			r.refile(i)
-		}
-		r.left = append(r.left, int32(leaveCol))
-	}
+	r.movedCols.note(leaveCol, r.ncols)
+	r.movedCols.note(enter, r.ncols)
 	for _, i32 := range r.dIdx {
 		if i := int(i32); i != leave {
 			r.xb[i] -= step * d[i]
@@ -870,6 +844,7 @@ func (r *Revised) pivotUpdate(leave, enter int, step float64, leaveAtUpper bool)
 	r.atUpper[enter] = false
 	r.xb[leave] = newVal
 	r.fileRow(leave)
+	r.movedRows.note(leave, r.m) // d's other rows, where the DSE update wrote too, in clampXB
 	r.stats.Pivots++
 	if !okUpd {
 		// The factor refused the update as numerically unsafe:
@@ -912,12 +887,7 @@ func (r *Revised) boundFlip(j int, dir float64) {
 		r.xb[i] -= step * r.d[i]
 		r.clampXB(int(i), ftol)
 	}
-	if r.tracking {
-		for _, i := range r.dIdx {
-			r.refile(i)
-		}
-		r.left = append(r.left, int32(j))
-	}
+	r.movedCols.note(j, r.ncols)
 	r.atUpper[j] = !r.atUpper[j]
 	r.stats.BoundFlips++
 }

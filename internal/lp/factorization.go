@@ -152,7 +152,8 @@ func (r *Revised) Freeze() error {
 	fz.dseW = append(fz.dseW[:0], r.dseW...)
 	fz.dj = append(fz.dj[:0], r.dj...)
 	fz.dseOK, fz.djOK, fz.factorized = r.dseOK, r.djOK, r.factorized
-	fz.start, r.xAtStart, r.patched, r.light = nil, false, false, false
+	fz.start = nil
+	r.xMoved.setWhole()
 	if r.factorized && r.rhsOK {
 		r.computeXB()
 		st := &frozenStart{b: slices.Clone(r.b), lbs: slices.Clone(r.lbs), u: slices.Clone(r.U[:r.nstruct]),
@@ -169,54 +170,65 @@ func (r *Revised) Freeze() error {
 		fz.start = st
 	}
 	r.redrift()
+	r.movedRows.open() // the state is the frozen one
+	r.movedCols.open()
 	return nil
 }
 
 // Rewind returns the context to its frozen state with no allocation and
-// no refactorization. After a solve that started from the frozen start
-// and moved nothing (no pivot, bound flip or
-// refactorization) it puts back only what that solve wrote: the rows it
-// refiled and the frozen at-upper bits its refresh cleared. After any
-// other solve it is O(m + ncols): the frozen LU arrays are aliased again
-// (a refactorization since then wrote to fresh storage), the eta file is
-// emptied, and basis, at-upper statuses, row signs, steepest-edge
-// weights, reduced costs and the start's basic values are copied back.
-// Every solve after a Rewind therefore starts where the first one after
-// Freeze did, whatever was solved in between and however it ended; the
-// owning Problem's rhs and bounds are the caller's to put back.
+// no refactorization, by undoing the moved journal: it aliases the frozen
+// LU arrays again and empties the eta file, then puts back what the
+// journal lists — the reduced costs whole once a column is listed (a dual
+// pivot rewrites a dense share of them; DESIGN.md "Serving: the frozen
+// state and its journal") — or, when it is whole, copies the frozen state
+// back in O(m + ncols). The journal stays as it was, so Moved still tells
+// the last solve. Every solve after a Rewind therefore starts where the
+// first one after Freeze did, whatever was solved in between and however
+// it ended; the owning Problem's rhs and bounds are the caller's to put
+// back.
 func (r *Revised) Rewind() {
 	fz := &r.frozen
 	if fz.basis == nil {
 		panic("lp: Rewind before Freeze")
 	}
-	if r.light {
-		for _, i := range r.refiled {
-			r.xb[i] = fz.start.xb[i]
-			w, bit := i>>6, uint64(1)<<(i&63)
-			r.infeas[w] = r.infeas[w]&^bit | fz.start.infeas[w]&bit
-		}
-	} else {
-		f := r.fac
-		f.luArrays, f.borrowed = fz.luArrays, true
-		f.etas, f.etaIdx, f.etaVal, f.minEtas = f.etas[:0], f.etaIdx[:0], f.etaVal[:0], 0
+	f := r.fac
+	f.luArrays, f.borrowed = fz.luArrays, true
+	f.etas, f.etaIdx, f.etaVal, f.minEtas = f.etas[:0], f.etaIdx[:0], f.etaVal[:0], 0
+	if r.movedRows.whole() {
 		r.setBasis(fz.basis)
 		clear(r.atUpper)
-		// b holds under the signs it was computed with, and the drift record
+		// b holds under the signs it was computed with, and the drift journal
 		// is rebuilt by a full refresh.
-		r.rhsOK = r.rhsOK && slices.Equal(r.sign, fz.sign) && (r.driftOK || fz.start == nil)
+		r.rhsOK = r.rhsOK && slices.Equal(r.sign, fz.sign) && (!r.driftRows.whole() || fz.start == nil)
 		copy(r.sign, fz.sign)
 		copy(r.dseW, fz.dseW)
 		copy(r.dj, fz.dj)
-		r.djOK, r.factorized = fz.djOK, fz.factorized
 		if fz.start != nil {
 			copy(r.xb, fz.start.xb)
 			copy(r.infeas, fz.start.infeas)
+		}
+		r.xMoved.setWhole()
+	} else {
+		// A listed column basic at the Freeze left from a listed row: clear
+		// the listed columns, then set the listed rows' frozen ones.
+		for _, j := range r.movedCols.list {
+			r.inBasis[j], r.atUpper[j] = false, false
+		}
+		for _, i := range r.movedRows.list {
+			bj := fz.basis[i]
+			r.basis[i], r.inBasis[bj] = bj, true
+			r.xb[i], r.dseW[i] = fz.start.xb[i], fz.dseW[i]
+			w, bit := i>>6, uint64(1)<<(i&63)
+			r.infeas[w] = r.infeas[w]&^bit | fz.start.infeas[w]&bit
+		}
+		if len(r.movedCols.list) > 0 {
+			copy(r.dj, fz.dj)
 		}
 	}
 	for _, j := range fz.upper {
 		r.atUpper[j] = true
 	}
-	r.dseOK, r.gen = fz.dseOK, fz.gen
+	r.djOK, r.dseOK, r.factorized, r.gen = fz.djOK, fz.dseOK, fz.factorized, fz.gen
 }
 
 // Fork returns a new solve context over the same constraint structure,
@@ -257,13 +269,14 @@ func (r *Revised) Fork() (*Revised, error) {
 // zeroes f's statistics. When f already stands rewound on the snapshot of
 // r's current Freeze (each Freeze records a start of its own, which the
 // forks born on it share) that is all: f keeps its refresh state and drift
-// record, so its next solve refreshes only what its last one changed, and
+// journal, so its next solve refreshes only what its last one changed, and
 // its Problem must hold what r's did when f was last forked or reforked —
 // what a retracted what-if leaves. Otherwise it copies r's frozen basis,
 // at-upper set, row signs, steepest-edge weights and reduced costs, and
-// r's Problem's rhs and bounds, into f's own storage, re-aliases the
-// frozen LU arrays and rewinds f onto them, leaving a full refresh to its
-// next solve: O(m + ncols), no allocation once f's slices have grown.
+// r's Problem's rhs and bounds, into f's own storage, and rewinds f onto
+// them with a whole moved journal, so Rewind copies every vector back,
+// leaving a full refresh to its next solve: O(m + ncols), no allocation
+// once f's slices have grown.
 func (r *Revised) Refork(f *Revised) error {
 	if !r.signInit {
 		return errors.New("lp: Fork before first solve")
@@ -288,9 +301,8 @@ func (r *Revised) Refork(f *Revised) error {
 	}
 	copy(f.p.lb, r.p.lb)
 	copy(f.p.ub, r.p.ub)
-	ch := &f.p.ch
-	ch.rows, ch.vars = unmark(ch.rows, ch.rowMark), unmark(ch.vars, ch.varMark)
-	f.rhsOK, f.patched, f.light, f.xAtStart = false, false, false, false
+	f.rhsOK = false // f's Problem changed behind its change list
+	f.wholeMoved()  // nothing f wrote is listed against r's frozen state
 	f.Rewind()
 	return nil
 }

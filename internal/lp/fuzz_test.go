@@ -125,8 +125,9 @@ func (b *fuzzBytes) problem() *Problem {
 // bound, each maybe after a Rewind, then maybe a refork step: a fork
 // taken at the Freeze answers a what-if, is reforked onto the parent's
 // final state (Revised.Refork) and answers a second what-if there with the
-// verdict and objective bits of a fresh fork. Every answer must match the
-// lptest oracle on verdict and, when optimal, objective to 1e-9, or to
+// verdict and objective bits of a fresh fork. After every Rewind the
+// solve state must be the frozen copy (CheckRewound). Every answer must
+// match the lptest oracle on verdict and, when optimal, objective to 1e-9, or to
 // perturbedObjTol when a cost carries a perturbation. The seed
 // corpus (testdata/fuzz/FuzzSolveVsOracle: one file per cold/warm
 // verdict pair and warm path, then the seq-* files, one per path a
@@ -151,6 +152,13 @@ func FuzzSolveVsOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := &fuzzBytes{data: data}
 		p := b.problem()
+		rewind := func(c *Revised, label string) {
+			t.Helper()
+			c.Rewind()
+			if err := c.CheckRewound(); err != nil {
+				t.Fatalf("%s: after Rewind: %v", label, err)
+			}
+		}
 		check := func(q *Problem, sol Solution, label string) {
 			t.Helper()
 			if !b.perturbed {
@@ -192,8 +200,8 @@ func FuzzSolveVsOracle(f *testing.F) {
 		for k := 0; k < more; k++ {
 			label := fmt.Sprintf("warm %d", k+2)
 			if k == rewindAt {
-				r.Rewind()
 				label += " (rewound)"
+				rewind(r, label)
 			}
 			warmStep(label)
 		}
@@ -208,8 +216,8 @@ func FuzzSolveVsOracle(f *testing.F) {
 			mode, i, j := b.next(), b.next()%p.NumConstraints(), b.next()%p.NumVars()
 			label := fmt.Sprintf("extra %d", k+1)
 			if mode&2 != 0 {
-				r.Rewind()
 				label += " (rewound)"
+				rewind(r, label)
 			}
 			lb, ub := p.VarBounds(j)
 			if mode&1 == 0 {
@@ -252,7 +260,7 @@ func FuzzSolveVsOracle(f *testing.F) {
 			check(q, sol, label)
 			q.SetRHS(i, oldRHS)
 			q.SetVarBounds(j, oldLb, oldUb)
-			c.Rewind()
+			rewind(c, label)
 			return sol
 		}
 		i, rhs, j, lb, ub := whatIf()

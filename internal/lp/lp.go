@@ -144,19 +144,16 @@
 //
 // Revised.Freeze makes the context's current state — its own clean LU
 // and the basis, at-upper statuses, row signs, steepest-edge weights and
-// reduced costs beside it — the point Revised.Rewind returns to in
-// O(m + ncols), without refactorizing, so a solve posed after a Rewind
-// costs and answers the same whatever was solved before it. That solve
-// starts from the basic values Freeze recorded plus B⁻¹ of what moved
-// since, and keeps account of what it moves from there: the rows the
-// start refiled or any pivot's or bound flip's direction touched, and
-// the columns that left the basis or crossed their box. Unless it
-// refactorizes or falls back cold, its X is the frozen optimum's
-// rewritten at the basic columns of those rows and at the drifted and
-// left columns (Revised.Moved) — a full extraction's bits, pivots or
-// not, at the cost of what moved. If it took no pivot either, Rewind
-// puts back only the rows it refiled; otherwise it copies the frozen
-// state back whole. Revised.Fork
+// reduced costs beside it — the point Revised.Rewind returns to without
+// refactorizing, so a solve posed after a Rewind costs and answers the
+// same whatever was solved before it. That solve starts from the basic
+// values Freeze recorded plus B⁻¹ of what moved since and journals what
+// it writes from there. Unless it refactorizes or falls back cold, its X
+// is the frozen optimum's rewritten where the journal says (Revised.Moved)
+// — a full extraction's bits, pivots or not, at the cost of what moved —
+// and Rewind undoes exactly the journal; otherwise Rewind copies the
+// frozen state back in O(m + ncols) (DESIGN.md "Serving: the frozen state
+// and its journal"). Revised.Fork
 // splits a new context off a solved instance in O(m + nnz): the child is
 // born frozen on the parent's snapshot (frozen once per generation, its LU aliased
 // read-only by the parent and every sibling), shares the parent's
@@ -246,36 +243,13 @@ type Problem struct {
 // SetRHS / SetVarBounds changed — a write of the bits already there is
 // not a change — since the one context that owns the list last drained
 // it (Revised.refreshRHS). The owner is named by its id, so the Problem
-// does not keep it alive; 0 is nobody, and nothing is recorded until some
-// context drains the list: before that every context refreshes in full
-// anyway. The marks are bitsets and the lists grow on first use, so a
-// Problem that is never re-solved, or a fork's clone until its first
-// solve, pays nothing.
+// does not keep it alive; 0 is nobody, and until some context drains the
+// list its two journals are whole and record nothing: before that every
+// context refreshes in full anyway. A Problem that is never re-solved,
+// or a fork's clone until its first solve, pays nothing.
 type changeList struct {
-	owner            uint64
-	rows, vars       []int32
-	rowMark, varMark []uint64
-}
-
-// note adds i, one of n indices, to list under mark unless it is
-// already there; mark and list are allocated on first use.
-func note(list []int32, mark []uint64, i, n int) ([]int32, []uint64) {
-	if mark == nil {
-		mark, list = make([]uint64, (n+63)/64), make([]int32, 0, 16)
-	}
-	if w, bit := i>>6, uint64(1)<<(i&63); mark[w]&bit == 0 {
-		mark[w] |= bit
-		list = append(list, int32(i))
-	}
-	return list, mark
-}
-
-// unmark clears list's marks and empties it, keeping its storage.
-func unmark(list []int32, mark []uint64) []int32 {
-	for _, i := range list {
-		mark[i>>6] &^= 1 << (i & 63)
-	}
-	return list[:0]
+	owner      uint64
+	rows, vars journal
 }
 
 // drain hands context id the rows and variables changed since it last
@@ -284,11 +258,60 @@ func unmark(list []int32, mark []uint64) []int32 {
 // context did since — and then the caller must refresh in full. The
 // returned slices stay valid until the next SetRHS or SetVarBounds.
 func (c *changeList) drain(id uint64) (rows, vars []int32, ok bool) {
-	rows, vars, ok = c.rows, c.vars, c.owner == id
+	rows, vars, ok = c.rows.list, c.vars.list, c.owner == id
 	c.owner = id
-	c.rows = unmark(c.rows, c.rowMark)
-	c.vars = unmark(c.vars, c.varMark)
+	c.rows.open()
+	c.vars.open()
 	return rows, vars, ok
+}
+
+// journal lists indices into a vector, each once, under a bitset mark:
+// the entries some write touched. One that is not listing is whole: it
+// names nothing, and its reader assumes every entry moved. The zero
+// journal is whole; the mark and the list grow on first use.
+type journal struct {
+	list    []int32
+	mark    []uint64
+	listing bool
+}
+
+// note lists i, one of n indices, unless it is listed or the journal whole.
+func (j *journal) note(i, n int) {
+	if !j.listing {
+		return
+	}
+	if j.mark == nil {
+		j.mark, j.list = make([]uint64, (n+63)/64), make([]int32, 0, 16)
+	}
+	if w, bit := i>>6, uint64(1)<<(i&63); j.mark[w]&bit == 0 {
+		j.mark[w] |= bit
+		j.list = append(j.list, int32(i))
+	}
+}
+
+func (j *journal) whole() bool { return !j.listing }
+
+// open empties the journal, keeping its storage, and starts it listing;
+// setWhole empties it and makes it whole.
+func (j *journal) open() {
+	for _, i := range j.list {
+		j.mark[i>>6] &^= 1 << (i & 63)
+	}
+	j.list, j.listing = j.list[:0], true
+}
+func (j *journal) setWhole() { j.open(); j.listing = false }
+
+// retain keeps, in order, the listed indices keep reports true for.
+func (j *journal) retain(keep func(i int32) bool) {
+	kept := j.list[:0]
+	for _, i := range j.list {
+		if keep(i) {
+			kept = append(kept, i)
+		} else {
+			j.mark[i>>6] &^= 1 << (i & 63)
+		}
+	}
+	j.list = kept
 }
 
 type row struct {
@@ -351,8 +374,8 @@ func (p *Problem) AddConstraint(terms []Term, rel Rel, rhs float64) int {
 func (p *Problem) SetRHS(i int, rhs float64) {
 	p.checkRow(i)
 	checkRHS(rhs)
-	if p.ch.owner != 0 && math.Float64bits(rhs) != math.Float64bits(p.rows[i].rhs) {
-		p.ch.rows, p.ch.rowMark = note(p.ch.rows, p.ch.rowMark, i, len(p.rows))
+	if math.Float64bits(rhs) != math.Float64bits(p.rows[i].rhs) {
+		p.ch.rows.note(i, len(p.rows))
 	}
 	p.rows[i].rhs = rhs
 }
@@ -376,8 +399,8 @@ func (p *Problem) SetVarBounds(j int, lb, ub float64) {
 	if lb > ub {
 		panic(fmt.Sprintf("lp: crossed bounds [%g, %g] for variable %d", lb, ub, j))
 	}
-	if p.ch.owner != 0 && (math.Float64bits(lb) != math.Float64bits(p.lb[j]) || math.Float64bits(ub) != math.Float64bits(p.ub[j])) {
-		p.ch.vars, p.ch.varMark = note(p.ch.vars, p.ch.varMark, j, p.nvars)
+	if math.Float64bits(lb) != math.Float64bits(p.lb[j]) || math.Float64bits(ub) != math.Float64bits(p.ub[j]) {
+		p.ch.vars.note(j, p.nvars)
 	}
 	p.lb[j], p.ub[j] = lb, ub
 }

@@ -57,7 +57,10 @@ func TestPhaseTimesAccounting(t *testing.T) {
 // not regress: a warm what-if — mutate, SolveFrom the committed basis,
 // undo, Rewind — stays allocation-free with phase-timing
 // instrumentation enabled (time.Now does not allocate; this test exists
-// to keep it that way if the timing code is ever restructured).
+// to keep it that way if the timing code is ever restructured). The runs
+// measured include what-ifs that pivot and what-ifs that do not, so both
+// the journal's lists and the Rewind that undoes them are under the
+// bound.
 func TestWarmWhatIfZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	p := whatIfLP(r, 120, 80)
@@ -74,12 +77,18 @@ func TestWarmWhatIfZeroAlloc(t *testing.T) {
 	if err := rev.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	i := 0
+	i, pivoting, still := 0, 0, 0
 	whatIf := func() {
 		row := i % p.NumConstraints()
 		p.SetRHS(row, rhs0[row]*0.8)
+		before := rev.stats.Pivots
 		if _, err := rev.SolveFrom(basis); err != nil {
 			t.Fatal(err)
+		}
+		if rev.stats.Pivots != before {
+			pivoting++
+		} else {
+			still++
 		}
 		p.SetRHS(row, rhs0[row])
 		rev.Rewind()
@@ -90,9 +99,14 @@ func TestWarmWhatIfZeroAlloc(t *testing.T) {
 	for i < 2*p.NumConstraints() {
 		whatIf()
 	}
+	pivoting, still = 0, 0
 	allocs := testing.AllocsPerRun(50, whatIf)
 	if allocs != 0 {
 		t.Fatalf("warm what-if allocates %v per op, want 0", allocs)
+	}
+	t.Logf("measured %d what-ifs that pivoted and %d that did not", pivoting, still)
+	if pivoting == 0 || still == 0 {
+		t.Fatalf("of the what-ifs measured %d pivoted and %d did not: the bound must hold on both paths", pivoting, still)
 	}
 	if st := rev.Stats(); st.ColdSolves != 1 || st.ColdFallbacks != 0 {
 		t.Fatalf("the what-ifs measured were not warm: %d cold solves, %d cold fallbacks", st.ColdSolves, st.ColdFallbacks)

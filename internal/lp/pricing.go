@@ -298,6 +298,8 @@ func (r *Revised) dual() (Status, error) {
 	// anything else invalidated them and they restart from unit values —
 	// exact for the cold diagonal basis, and self-correcting elsewhere
 	// because the pivot row's weight is recomputed from ρ_r every pivot.
+	// The weights are state only while dseOK, so a Rewind that puts back a
+	// frozen dseOK = false undoes this reset without listing it.
 	if !r.dseOK {
 		for i := range r.dseW {
 			r.dseW[i] = 1
@@ -469,6 +471,7 @@ func (r *Revised) dual() (Status, error) {
 				r.dseW[i] = 1
 			}
 			r.stats.DSEWeightResets++
+			r.wholeMoved()
 		}
 		leaveCol := r.basis[leave]
 		refac := r.pivotUpdate(leave, enter, step, !below)

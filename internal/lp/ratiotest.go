@@ -156,9 +156,7 @@ func (r *Revised) applyBoundFlips(idxs []int32) {
 			du = -du
 		}
 		r.atUpper[j] = !r.atUpper[j]
-		if r.tracking {
-			r.left = append(r.left, int32(j))
-		}
+		r.movedCols.note(j, r.ncols)
 		r.effCol(j, func(i int, v float64) {
 			agg[i] += v * du
 		})
@@ -172,9 +170,6 @@ func (r *Revised) applyBoundFlips(idxs []int32) {
 		if agg[i] != 0 {
 			r.xb[i] -= agg[i]
 			r.clampXB(i, ftol)
-			if r.tracking {
-				r.refile(int32(i))
-			}
 		}
 	}
 }

@@ -342,8 +342,8 @@ func TestRefreshTracksChanges(t *testing.T) {
 		// there lists nothing.
 		p.SetRHS(0, p.rows[0].rhs)
 		p.SetVarBounds(0, p.lb[0], p.ub[0])
-		if len(p.ch.rows)+len(p.ch.vars) != 0 || p.ch.owner != r.id {
-			t.Fatalf("seed %d: equal writes listed %v / %v (owner %d, context %d)", seed, p.ch.rows, p.ch.vars, p.ch.owner, r.id)
+		if len(p.ch.rows.list)+len(p.ch.vars.list) != 0 || p.ch.owner != r.id {
+			t.Fatalf("seed %d: equal writes listed %v / %v (owner %d, context %d)", seed, p.ch.rows.list, p.ch.vars.list, p.ch.owner, r.id)
 		}
 
 		// A basis install onto bounds that moved since it was taken: its

@@ -118,24 +118,19 @@ type Revised struct {
 	gen    uint64
 	frozen frozenState
 
-	// The solve from the frozen start (startFrozen). driftOK: driftRows /
-	// driftVars list every row whose b and every structural column whose
-	// bounds may differ from the start's. tracking: the solve in progress
-	// started there and has not refactorized, so refiled (once each, under
-	// refiledMark) lists every row whose basic value or basic column it
-	// moved and left every column that left the basis or crossed its box.
-	// patched: the last solve ended so, optimal, and its X is the start's
-	// rewritten where that moved it (patchX); light: it also took no pivot,
-	// bound flip or refactorization, with resid the residue its start left.
-	// xAtStart: xscratch holds the start's x but at xPatched (once each;
-	// xMark marks the nonbasic ones).
-	driftOK, tracking, patched bool
-	light, xAtStart            bool
-	driftRows, driftVars       []int32
-	driftRowMark, driftVarMark []uint64
-	refiled, left, xPatched    []int32
-	refiledMark, xMark         []uint64
-	resid                      float64
+	// Journals of where the state differs from the frozen one (DESIGN.md
+	// "Serving: the frozen state and its journal"). drift: the rows whose b
+	// and the structural columns whose bounds differ from the start's; it
+	// lives across Rewinds and a full refresh rebuilds it (redrift). moved:
+	// the rows whose xb, infeasibility bit, basic column or DSE weight and
+	// the columns whose basic or at-upper status the solve from the start
+	// wrote — whole once a write covered a whole vector (wholeMoved); Rewind
+	// undoes it. xMoved: where xscratch differs from the start's X. resid is
+	// the residue the last start left.
+	driftRows, driftCols journal
+	movedRows, movedCols journal
+	xMoved               journal
+	resid                float64
 
 	// Devex reference-framework weights pricing entering candidates in
 	// the primal; each primal run resets the framework.
@@ -200,12 +195,11 @@ type Revised struct {
 
 	bfOrder []int32 // ratio-sorted breakpoint order (BFRT)
 	// acc[i] = Σ_j A_ij·lb_j, row i's lower-bound shift, kept with b
-	// while rhsOK; shifted lists (under shiftMark) the rows an incremental
-	// refresh re-sums. beff is scratch: the bound-adjusted effective rhs
-	// (computeXB) and the aggregated flips (applyBoundFlips).
+	// while rhsOK; shifted lists the rows an incremental refresh re-sums.
+	// beff is scratch: the bound-adjusted effective rhs (computeXB) and the
+	// aggregated flips (applyBoundFlips).
 	acc       []float64
-	shifted   []int32
-	shiftMark []uint64
+	shifted   journal
 	beff      []float64
 	seen      []bool  // basis validation
 	candList  []int32 // dual pricing candidates (rho-support columns)
@@ -404,4 +398,5 @@ func (r *Revised) alloc() {
 	r.dcRatio = make([]float64, 0, r.sp.n)
 	r.bfOrder = make([]int32, 0, r.sp.n)
 	r.xscratch = make([]float64, r.nstruct)
+	r.shifted.open()
 }

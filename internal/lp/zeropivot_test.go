@@ -148,7 +148,7 @@ func TestZeroPivotStateMatchesFull(t *testing.T) {
 					nothingMoved++
 				}
 				for i := range r.xb {
-					if listed := r.refiledMark[i>>6]&(1<<(i&63)) != 0; !listed && (!sameBits(r.xb[i], r.frozen.start.xb[i]) || r.basis[i] != r.frozen.basis[i]) {
+					if listed := r.movedRows.has(i); !listed && (!sameBits(r.xb[i], r.frozen.start.xb[i]) || r.basis[i] != r.frozen.basis[i]) {
 						t.Fatalf("seed %d %s: row %d moved off the start but is not among the %d rows Moved counts", seed, kind, i, rows)
 					}
 				}
@@ -194,8 +194,8 @@ func TestZeroPivotStateMatchesFull(t *testing.T) {
 		r.Rewind()
 		if r.stats.ColdFallbacks > before {
 			fallbacks++
-			if r.rhsOK || r.driftOK {
-				t.Fatalf("seed %d: rewound after a cold fallback onto rhsOK %v, driftOK %v: the next refresh must be full", seed, r.rhsOK, r.driftOK)
+			if drifting := !r.driftRows.whole(); r.rhsOK || drifting {
+				t.Fatalf("seed %d: rewound after a cold fallback onto rhsOK %v, a listing drift journal %v: the next refresh must be full", seed, r.rhsOK, drifting)
 			}
 		}
 		solve("rewound after a fallback")
