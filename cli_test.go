@@ -80,9 +80,20 @@ func TestCLIPlatgenEmitsValidJSON(t *testing.T) {
 
 func TestCLIPlatgenRejectsBadParams(t *testing.T) {
 	bin := buildTool(t, "platgen")
-	out, err := run(t, bin, "-k", "0")
-	if err == nil {
-		t.Fatalf("k=0 must fail, got:\n%s", out)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-k", "0"}, "K = 0"},
+		{[]string{"-maxcon", "NaN"}, "mean maxcon = NaN, want a finite number"},
+		{[]string{"-maxcon", "Inf"}, "mean maxcon = +Inf, want a finite number"},
+		{[]string{"-connectivity", "NaN"}, "connectivity = NaN, want a finite number"},
+		{[]string{"-maxcon", "3e9"}, "exceeds the link budget ceiling"},
+	} {
+		out, err := run(t, bin, tc.args...)
+		if err == nil || !strings.Contains(out, tc.want) {
+			t.Fatalf("platgen %v: err = %v, want failure mentioning %q, got:\n%s", tc.args, err, tc.want, out)
+		}
 	}
 }
 

@@ -117,14 +117,15 @@ func run() error {
 		return emitJSON(data, strings.ToLower(*heur), strings.ToLower(*objName), obj, pr, *seed)
 	}
 
-	alloc, err := solve(*heur, pr, obj, *seed)
+	rel, err := heuristics.Relax(pr, obj)
 	if err != nil {
 		return err
 	}
-	ub, _, err := heuristics.UpperBound(pr, obj)
+	alloc, err := solve(*heur, pr, obj, rel, *seed)
 	if err != nil {
 		return err
 	}
+	ub := rel.Objective
 	val := pr.Objective(obj, alloc)
 	fmt.Printf("platform: K=%d routers=%d links=%d\n", pr.K(), pl.Routers, len(pl.Links))
 	fmt.Printf("heuristic=%s objective=%s value=%.4f lp-bound=%.4f ratio=%.4f\n",
@@ -162,8 +163,9 @@ func run() error {
 
 // solve runs the named heuristic on pr and checks its allocation:
 // heuristics.Run for every heuristic of §5 (names are Run's, in lower
-// case), BranchAndBound for bnb, the one solver Run does not know.
-func solve(heur string, pr *core.Problem, obj core.Objective, seed int64) (*core.Allocation, error) {
+// case), BranchAndBound for bnb, the one solver Run does not know. rel
+// is pr's relaxed optimum under obj, which LPR and LPRG round.
+func solve(heur string, pr *core.Problem, obj core.Objective, rel *core.RelaxedSolution, seed int64) (*core.Allocation, error) {
 	var (
 		alloc *core.Allocation
 		err   error
@@ -173,7 +175,7 @@ func solve(heur string, pr *core.Problem, obj core.Objective, seed int64) (*core
 		alloc, _, err = heuristics.BranchAndBound(pr, obj, 0)
 	case slices.Contains(heuristics.All, name) || name == heuristics.NameGFull:
 		var res heuristics.Result
-		res, err = heuristics.Run(name, pr, obj, rand.New(rand.NewSource(seed)))
+		res, err = heuristics.Run(name, pr, obj, rel, rand.New(rand.NewSource(seed)))
 		alloc = res.Alloc
 	default:
 		return nil, fmt.Errorf("unknown heuristic %q", heur)
@@ -209,11 +211,11 @@ func emitJSON(platformJSON []byte, heur, objName string, obj core.Objective, pr 
 			return err
 		}
 	default:
-		alloc, err := solve(heur, pr, obj, seed)
+		rel, err := heuristics.Relax(pr, obj)
 		if err != nil {
 			return err
 		}
-		ub, _, err := heuristics.UpperBound(pr, obj)
+		alloc, err := solve(heur, pr, obj, rel, seed)
 		if err != nil {
 			return err
 		}
@@ -222,7 +224,7 @@ func emitJSON(platformJSON []byte, heur, objName string, obj core.Objective, pr 
 			Objective:   objName,
 			Feasible:    true,
 			Value:       pr.Objective(obj, alloc),
-			LPBound:     ub,
+			LPBound:     rel.Objective,
 			Alpha:       alloc.Alpha,
 			Beta:        alloc.Beta,
 			Throughputs: make([]float64, pr.K()),

@@ -80,16 +80,13 @@ func main() {
 	// tree institution only lends capacity (payoff 0).
 	pr := core.NewProblem(pl)
 	pr.Payoffs = []float64{1, 0, 1}
-	alloc, err := heuristics.LPRG(pr, core.MAXMIN)
+	rel, err := heuristics.Relax(pr, core.MAXMIN)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ub, _, err := heuristics.UpperBound(pr, core.MAXMIN)
-	if err != nil {
-		log.Fatal(err)
-	}
+	alloc := heuristics.LPRG(pr, rel)
 	fmt.Printf("\nMAXMIN schedule (LPRG): min payoff %.2f, LP bound %.2f\n",
-		pr.Objective(core.MAXMIN, alloc), ub)
+		pr.Objective(core.MAXMIN, alloc), rel.Objective)
 	for k := 0; k < pr.K(); k++ {
 		fmt.Printf("  %-6s runs %.1f units/time", names[k], alloc.AppThroughput(k))
 		for l := 0; l < pr.K(); l++ {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/heuristics"
@@ -33,18 +34,26 @@ func main() {
 	pr := core.NewProblem(pl)
 	fmt.Printf("random platform: K=%d, %d backbone links\n\n", pr.K(), len(pl.Links))
 
-	// Compare the paper's heuristics against the LP upper bound.
+	// Compare the paper's heuristics against the LP upper bound. LPR
+	// and LPRG round that one relaxation, so their time counts its
+	// solve, as the paper's Figure 7 does.
 	for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-		ub, _, err := heuristics.UpperBound(pr, obj)
+		start := time.Now()
+		rel, err := heuristics.Relax(pr, obj)
 		if err != nil {
 			log.Fatal(err)
 		}
+		lpTime := time.Since(start)
+		ub := rel.Objective
 		fmt.Printf("%s: LP upper bound %.1f\n", obj, ub)
 		rng := rand.New(rand.NewSource(7))
 		for _, name := range heuristics.All {
-			r, err := heuristics.Run(name, pr, obj, rng)
+			r, err := heuristics.Run(name, pr, obj, rel, rng)
 			if err != nil {
 				log.Fatal(err)
+			}
+			if name.ReadsRelaxation() {
+				r.Elapsed += lpTime
 			}
 			fmt.Printf("  %-8s value %8.1f  ratio %.3f  time %s\n", name, r.Value, r.Value/ub, r.Elapsed.Round(1000))
 		}
@@ -58,10 +67,11 @@ func main() {
 	fmt.Println("payoff study (MAXMIN, LPRG): raising app 0's payoff")
 	for _, pi0 := range []float64{1, 2, 4} {
 		pr.Payoffs[0] = pi0
-		alloc, err := heuristics.LPRG(pr, core.MAXMIN)
+		rel, err := heuristics.Relax(pr, core.MAXMIN)
 		if err != nil {
 			log.Fatal(err)
 		}
+		alloc := heuristics.LPRG(pr, rel)
 		minPayoff := pr.Objective(core.MAXMIN, alloc)
 		fmt.Printf("  π_0=%.0f: app0 load %7.2f, min payoff %7.2f\n",
 			pi0, alloc.AppThroughput(0), minPayoff)

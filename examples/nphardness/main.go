@@ -64,10 +64,11 @@ func main() {
 
 	// LP relaxation vs exact optimum: the relaxation splits
 	// connections fractionally across the shared unit links.
-	ub, _, err := heuristics.UpperBound(inst.Problem, core.SUM)
+	rel, err := heuristics.Relax(inst.Problem, core.SUM)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ub := rel.Objective
 	_, exact, err := heuristics.BranchAndBound(inst.Problem, core.SUM, 0)
 	if err != nil {
 		log.Fatal(err)

@@ -44,18 +44,15 @@ func main() {
 
 	// Solve for MAX-MIN fairness (Equation 6) and compare with the
 	// LP upper bound.
-	alloc, err := heuristics.LPRG(pr, core.MAXMIN)
+	rel, err := heuristics.Relax(pr, core.MAXMIN)
 	if err != nil {
 		log.Fatal(err)
 	}
+	alloc := heuristics.LPRG(pr, rel)
 	if err := pr.CheckAllocation(alloc, core.DefaultTol); err != nil {
 		log.Fatal(err)
 	}
-	ub, _, err := heuristics.UpperBound(pr, core.MAXMIN)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("MAXMIN value: %.2f (LP upper bound %.2f)\n", pr.Objective(core.MAXMIN, alloc), ub)
+	fmt.Printf("MAXMIN value: %.2f (LP upper bound %.2f)\n", pr.Objective(core.MAXMIN, alloc), rel.Objective)
 	for k := 0; k < pr.K(); k++ {
 		fmt.Printf("  %-5s throughput %.2f load/time-unit (payoff %.0f)\n",
 			pl.Clusters[k].Name, alloc.AppThroughput(k), pr.Payoffs[k])

@@ -30,7 +30,16 @@ func testProblem(seed int64, k int) *core.Problem {
 }
 
 func lprgSolver(pr *core.Problem) (*core.Allocation, error) {
-	return heuristics.LPRG(pr, core.MAXMIN)
+	return lprg(pr, core.MAXMIN)
+}
+
+// lprg is LPRG from cold: pr's relaxation solved afresh, then rounded.
+func lprg(pr *core.Problem, obj core.Objective) (*core.Allocation, error) {
+	rel, err := heuristics.Relax(pr, obj)
+	if err != nil {
+		return nil, err
+	}
+	return heuristics.LPRG(pr, rel), nil
 }
 
 func TestPerturbationApply(t *testing.T) {
@@ -284,7 +293,7 @@ type epochSolver func(m *core.Model, epr *core.Problem, obj core.Objective, from
 
 // coldLPRG ignores the model and basis: a fresh LPRG per epoch.
 func coldLPRG(_ *core.Model, epr *core.Problem, obj core.Objective, _ *lp.Basis) (*core.Allocation, *lp.Basis, error) {
-	a, err := heuristics.LPRG(epr, obj)
+	a, err := lprg(epr, obj)
 	return a, nil, err
 }
 

@@ -71,8 +71,9 @@ var objectives = []core.Objective{core.SUM, core.MAXMIN}
 const degenerate = 1e-9
 
 // measure is one sampled platform under one objective: the LP upper
-// bound, how long its solve took, and each heuristic's result (nil
-// when the bound is degenerate).
+// bound, how long its one solve took, and each heuristic's result (nil
+// when the bound is degenerate). LPR and LPRG round that solve's
+// optimum, so their Elapsed is the rounding's own time.
 type measure struct {
 	bound   float64
 	lpTime  time.Duration
@@ -91,9 +92,10 @@ type record struct {
 // from subRNG(opts.Seed, k, i, salt) alone — its Table 1 point, its
 // instance and the randomized heuristics' coins — so an artifact's
 // salt fixes its platforms and no record depends on workers. The
-// named heuristics run in order, each objective in turn; LPRR and
-// LPRR-EQ only up to opts.LPRRMaxK (their K² LP solves dominate any
-// sweep, exactly as the paper notes in §6.3).
+// relaxation is solved once per objective: its optimum is the LP bound,
+// and LPR and LPRG round it. The named heuristics run in order, each
+// objective in turn; LPRR and LPRR-EQ only up to opts.LPRRMaxK (their
+// K² LP solves dominate any sweep, exactly as the paper notes in §6.3).
 func sweep(opts Options, k int, salt int64, names []heuristics.Name, workers int) ([]record, error) {
 	recs := make([]record, opts.PlatformsPer)
 	err := forEach(workers, opts.PlatformsPer, func(i int) error {
@@ -110,9 +112,12 @@ func sweep(opts Options, k int, salt int64, names []heuristics.Name, workers int
 		rec := record{params: params, by: make([]measure, len(objectives))}
 		for j, obj := range objectives {
 			m := &rec.by[j]
-			if m.bound, m.lpTime, err = heuristics.UpperBound(pr, obj); err != nil {
+			start := time.Now()
+			rel, err := heuristics.Relax(pr, obj)
+			if err != nil {
 				return fmt.Errorf("experiments: LP bound K=%d: %w", k, err)
 			}
+			m.bound, m.lpTime = rel.Objective, time.Since(start)
 			if m.bound <= degenerate {
 				continue
 			}
@@ -121,7 +126,7 @@ func sweep(opts Options, k int, salt int64, names []heuristics.Name, workers int
 				if isLPRR(name) && k > opts.LPRRMaxK {
 					continue
 				}
-				if m.results[name], err = heuristics.Run(name, pr, obj, rng); err != nil {
+				if m.results[name], err = heuristics.Run(name, pr, obj, rel, rng); err != nil {
 					return fmt.Errorf("experiments: %s K=%d: %w", name, k, err)
 				}
 			}
@@ -269,7 +274,9 @@ func AggregateRatios(opts Options) (*Aggregate, error) {
 }
 
 // TimePoint is one K value of the Figure 7 running-time sweep: mean
-// wall-clock seconds per heuristic (and for the bare LP solve).
+// wall-clock seconds per heuristic (and for the bare LP solve). LPR's
+// and LPRG's seconds are the LP solve's plus their rounding's, the one
+// solve the paper's Figure 7 charges each of them.
 type TimePoint struct {
 	K         int
 	Platforms int
@@ -304,6 +311,9 @@ func Figure7(opts Options) ([]TimePoint, error) {
 				lpCount++
 				for name, r := range m.results {
 					pt.Seconds[name] += r.Elapsed.Seconds()
+					if name.ReadsRelaxation() {
+						pt.Seconds[name] += m.lpTime.Seconds()
+					}
 					counts[name]++
 				}
 			}

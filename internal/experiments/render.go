@@ -94,7 +94,9 @@ func RenderRatioCSV(points []RatioPoint) string {
 }
 
 // RenderTimeTable formats a Figure 7 sweep as an ASCII table of mean
-// seconds per heuristic.
+// seconds per heuristic. The LP column is the relaxation's one solve;
+// LPR's and LPRG's columns are that solve plus their own rounding, and
+// G's and LPRR's are their whole run (see TimePoint).
 func RenderTimeTable(points []TimePoint) string {
 	if len(points) == 0 {
 		return "(no data)\n"
@@ -120,7 +122,8 @@ func RenderTimeTable(points []TimePoint) string {
 	return b.String()
 }
 
-// RenderTimeCSV formats a Figure 7 sweep as CSV.
+// RenderTimeCSV formats a Figure 7 sweep as CSV, with the columns
+// RenderTimeTable counts.
 func RenderTimeCSV(points []TimePoint) string {
 	if len(points) == 0 {
 		return ""

@@ -21,10 +21,11 @@ func oracleBranchAndBound(t *testing.T, pr *core.Problem, obj core.Objective, ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	incumbent, err := LPRG(pr, obj)
+	rel, err := Relax(pr, obj)
 	if err != nil {
 		t.Fatal(err)
 	}
+	incumbent := LPRG(pr, rel)
 	best = pr.Objective(obj, incumbent)
 	stack := []map[core.Pair]core.BetaBounds{{}}
 	for nodes := 0; len(stack) > 0; nodes++ {

@@ -21,25 +21,14 @@ import (
 const greedyTol = 1e-9
 
 // Greedy runs the paper's greedy heuristic G (§5.1) on the full
-// platform and returns the resulting valid allocation.
-//
-// Applications with payoff π_k ≤ 0 are excluded from the candidate
-// list: they would otherwise always have the minimal relative share
-// α_k·π_k = 0 and would soak up resources for zero payoff (the paper
-// introduces zero payoffs precisely for clusters that do not wish to
-// run an application).
-//
-// Faithful to §5.1, the local-computation step allocates only as much
-// work as some other application could have executed on the cluster
-// ("to prevent over-utilization of the local cluster early on").
-// When that guard quantity is zero the application is dropped, which
-// can strand residual local speed — observable in the paper's own
-// Figure 5, where SUM(G) stays below the (trivially all-local) SUM
-// upper bound. GreedyFullDrain is the ablation variant that instead
-// allocates the full residual speed in that situation; the guard can
-// only be zero when no other application can ever again use the
-// cluster (all the quantities in it are non-increasing), so the
-// variant strictly dominates G. See the ablation benchmarks.
+// platform and returns the resulting valid allocation. Applications
+// with payoff 0 never run: their share α_k·π_k would always be the
+// smallest, and would soak up resources for nothing. Faithful to §5.1,
+// a local step ships only what some other application could still send
+// to the cluster, and an application whose guard is zero drops out,
+// stranding residual local speed (visible in the paper's Figure 5,
+// where SUM(G) stays below the all-local SUM bound). GreedyFullDrain
+// drains it instead (DESIGN.md "Heuristics (§5)").
 func Greedy(pr *core.Problem) *core.Allocation {
 	return greedy(pr, false)
 }
@@ -52,65 +41,93 @@ func GreedyFullDrain(pr *core.Problem) *core.Allocation {
 	return greedy(pr, true)
 }
 
+// GreedyApps is Greedy for any set of applications on platform pl, in
+// core.RelaxedApps' layout: application a has origin C^origins[a] and
+// payoff payoffs[a], and the returned allocation has one α row per
+// application. The applications of one origin share its routes'
+// budgets, and each remote step opens a connection of its own: spare
+// capacity on one opened earlier never helps (DESIGN.md "Heuristics
+// (§5)"). The caller validates, as for core.RelaxedApps.
+func GreedyApps(pl *platform.Platform, origins []int, payoffs []float64) *core.Allocation {
+	K := pl.K()
+	alloc := &core.Allocation{Alpha: make([][]float64, len(origins)), Beta: make([][]int, K)}
+	for a := range alloc.Alpha {
+		alloc.Alpha[a] = make([]float64, K)
+	}
+	for k := range alloc.Beta {
+		alloc.Beta[k] = make([]int, K)
+	}
+	greedyFill(pl, origins, payoffs, platform.NewResidual(pl), alloc, false)
+	return alloc
+}
+
 func greedy(pr *core.Problem, fullDrain bool) *core.Allocation {
 	alloc := core.NewAllocation(pr.K())
-	res := platform.NewResidual(pr.Platform)
-	greedyFill(pr, res, alloc, fullDrain)
+	greedyFill(pr.Platform, nil, pr.Payoffs, platform.NewResidual(pr.Platform), alloc, fullDrain)
 	return alloc
 }
 
 // greedyFill applies the §5.1 greedy loop on top of an existing
-// allocation and residual platform state. It is shared between G
-// (fresh state) and LPRG (state left over after LP rounding).
-func greedyFill(pr *core.Problem, res *platform.Residual, alloc *core.Allocation, fullDrain bool) {
-	K := pr.K()
-	live := make([]bool, K)
+// allocation and residual platform state: application a, of payoff
+// payoffs[a], has origin C^origins[a], or C^a when origins is nil (the
+// paper's one application per cluster). It is shared between G and
+// GreedyApps (fresh state) and LPRG (state left over after LP
+// rounding).
+func greedyFill(pl *platform.Platform, origins []int, payoffs []float64, res *platform.Residual, alloc *core.Allocation, fullDrain bool) {
+	K, A := pl.K(), len(payoffs)
+	live := make([]bool, A)
 	n := 0
-	for k := 0; k < K; k++ {
-		if pr.Payoffs[k] > 0 {
-			live[k] = true
+	for a := 0; a < A; a++ {
+		if payoffs[a] > 0 {
+			live[a] = true
 			n++
 		}
 	}
 	// Safety valve: each remote step consumes a connection slot and
 	// each local step consumes residual speed, so the loop terminates;
-	// the cap only guards against floating-point pathologies.
+	// the cap only guards against floating-point pathologies. Budgets
+	// are at most platform.MaxConnectCeiling, so the sum cannot
+	// overflow.
 	totalSlots := 0
 	for _, mc := range res.MaxConnect {
 		totalSlots += mc
 	}
-	maxSteps := 100*K + totalSlots + 1000
+	maxSteps := 100*A + totalSlots + 1000
 
 	for step := 0; n > 0 && step < maxSteps; step++ {
 		// Step 3: select the application with the smallest relative
-		// share α_k·π_k, breaking ties by the larger payoff, then by
+		// share α_a·π_a, breaking ties by the larger payoff, then by
 		// index (deterministic).
-		k := -1
-		for cand := 0; cand < K; cand++ {
+		a := -1
+		for cand := 0; cand < A; cand++ {
 			if !live[cand] {
 				continue
 			}
-			if k == -1 {
-				k = cand
+			if a == -1 {
+				a = cand
 				continue
 			}
-			sk := alloc.AppThroughput(cand) * pr.Payoffs[cand]
-			sb := alloc.AppThroughput(k) * pr.Payoffs[k]
-			if sk < sb-greedyTol || (math.Abs(sk-sb) <= greedyTol && pr.Payoffs[cand] > pr.Payoffs[k]) {
-				k = cand
+			sc := alloc.AppThroughput(cand) * payoffs[cand]
+			sa := alloc.AppThroughput(a) * payoffs[a]
+			if sc < sa-greedyTol || (math.Abs(sc-sa) <= greedyTol && payoffs[cand] > payoffs[a]) {
+				a = cand
 			}
+		}
+		k := a
+		if origins != nil {
+			k = origins[a]
 		}
 
 		// Step 4: select the most profitable target cluster.
 		bestL, bestBenefit := -1, 0.0
 		for l := 0; l < K; l++ {
-			if b := benefit(pr, res, k, l); b > bestBenefit+greedyTol {
+			if b := benefit(pl, res, k, l); b > bestBenefit+greedyTol {
 				bestBenefit = b
 				bestL = l
 			}
 		}
 		if bestL == -1 || bestBenefit <= greedyTol {
-			live[k] = false
+			live[a] = false
 			n--
 			continue
 		}
@@ -127,7 +144,7 @@ func greedyFill(pr *core.Problem, res *platform.Residual, alloc *core.Allocation
 				if m == k {
 					continue
 				}
-				cand := minFloat(res.Gateway[k], pr.Platform.RouteBW(m, k), res.Gateway[m], res.Speed[k])
+				cand := minFloat(res.Gateway[k], pl.RouteBW(m, k), res.Gateway[m], res.Speed[k])
 				if !res.RouteOpen(m, k) {
 					cand = 0
 				}
@@ -148,12 +165,12 @@ func greedyFill(pr *core.Problem, res *platform.Residual, alloc *core.Allocation
 			if amount <= greedyTol {
 				// Faithful §5.1: drop the application, stranding any
 				// residual local speed.
-				live[k] = false
+				live[a] = false
 				n--
 				continue
 			}
 			res.Speed[k] -= amount
-			alloc.Alpha[k][k] += amount
+			alloc.Alpha[a][k] += amount
 			continue
 		}
 		// Remote: open one connection and ship the single-connection
@@ -163,7 +180,7 @@ func greedyFill(pr *core.Problem, res *platform.Residual, alloc *core.Allocation
 		res.Gateway[k] -= amount
 		res.Gateway[l] -= amount
 		res.OpenConnection(k, l)
-		alloc.Alpha[k][l] += amount
+		alloc.Alpha[a][l] += amount
 		alloc.Beta[k][l]++
 	}
 	clampResidual(res)
@@ -174,14 +191,14 @@ func greedyFill(pr *core.Problem, res *platform.Residual, alloc *core.Allocation
 // speed for a local run, or the work a single new connection can
 // carry for a remote run — min{g_k, g_{k,l}, g_l, s_l}, zero when the
 // route has no free connection slot.
-func benefit(pr *core.Problem, res *platform.Residual, k, l int) float64 {
+func benefit(pl *platform.Platform, res *platform.Residual, k, l int) float64 {
 	if l == k {
 		return res.Speed[k]
 	}
 	if !res.RouteOpen(k, l) {
 		return 0
 	}
-	b := minFloat(res.Gateway[k], pr.Platform.RouteBW(k, l), res.Gateway[l], res.Speed[l])
+	b := minFloat(res.Gateway[k], pl.RouteBW(k, l), res.Gateway[l], res.Speed[l])
 	if b < 0 {
 		return 0
 	}

@@ -33,9 +33,14 @@ const (
 // experiments report them.
 var All = []Name{NameG, NameLPR, NameLPRG, NameLPRR, NameLPRREQ}
 
+// ReadsRelaxation reports whether heuristic n rounds a relaxed optimum
+// its caller holds (LPR, LPRG) rather than solving on its own.
+func (n Name) ReadsRelaxation() bool { return n == NameLPR || n == NameLPRG }
+
 // Result is the outcome of one heuristic run: the allocation, its
-// objective value, and the wall-clock time spent (the quantity
-// plotted in Figure 7).
+// objective value, and the wall-clock time spent. For LPR and LPRG
+// that is the rounding alone; what Figure 7 plots for them is the
+// relaxation's solve time plus this (DESIGN.md "Heuristics (§5)").
 type Result struct {
 	Heuristic Name
 	Objective core.Objective
@@ -45,9 +50,14 @@ type Result struct {
 }
 
 // Run executes the named heuristic on the problem under the given
-// objective. rng is only consulted by the randomized heuristics; it
+// objective. rel is pr's relaxed optimum under obj (Relax), which LPR
+// and LPRG round; the other heuristics do not read it, and it may be
+// nil for them. rng is only consulted by the randomized heuristics; it
 // may be nil for the deterministic ones.
-func Run(name Name, pr *core.Problem, obj core.Objective, rng *rand.Rand) (Result, error) {
+func Run(name Name, pr *core.Problem, obj core.Objective, rel *core.RelaxedSolution, rng *rand.Rand) (Result, error) {
+	if name.ReadsRelaxation() && rel == nil {
+		return Result{}, fmt.Errorf("heuristics: %s requires the relaxation", name)
+	}
 	start := time.Now()
 	var (
 		alloc *core.Allocation
@@ -59,9 +69,9 @@ func Run(name Name, pr *core.Problem, obj core.Objective, rng *rand.Rand) (Resul
 	case NameGFull:
 		alloc = GreedyFullDrain(pr)
 	case NameLPR:
-		alloc, err = LPR(pr, obj)
+		alloc = LPR(pr, rel)
 	case NameLPRG:
-		alloc, err = LPRG(pr, obj)
+		alloc = LPRG(pr, rel)
 	case NameLPRR:
 		if rng == nil {
 			return Result{}, fmt.Errorf("heuristics: %s requires an rng", name)
@@ -85,16 +95,4 @@ func Run(name Name, pr *core.Problem, obj core.Objective, rng *rand.Rand) (Resul
 		Value:     pr.Objective(obj, alloc),
 		Elapsed:   time.Since(start),
 	}, nil
-}
-
-// UpperBound solves the rational relaxation and returns its objective
-// value — the paper's "LP" comparator, an upper bound on the optimal
-// mixed-integer throughput, together with the time spent.
-func UpperBound(pr *core.Problem, obj core.Objective) (float64, time.Duration, error) {
-	start := time.Now()
-	rel, err := relax(pr, obj)
-	if err != nil {
-		return 0, 0, err
-	}
-	return rel.Objective, time.Since(start), nil
 }

@@ -82,10 +82,11 @@ func TestGreedyFullDrainReachesTrivialSUMOptimum(t *testing.T) {
 	// work local); the full-drain variant always attains it.
 	for seed := int64(0); seed < 8; seed++ {
 		pr := randomProblem(seed, 8)
-		ub, _, err := UpperBound(pr, core.SUM)
+		rel, err := Relax(pr, core.SUM)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ub := rel.Objective
 		got := pr.Objective(core.SUM, GreedyFullDrain(pr))
 		if math.Abs(got-ub) > 1e-6*(1+ub) {
 			t.Fatalf("seed %d: G-FULL SUM %g != LP %g", seed, got, ub)
@@ -130,6 +131,32 @@ func TestGreedyRespectsZeroPayoff(t *testing.T) {
 	}
 }
 
+// TestGreedyAtBudgetCeiling: G's step cap adds the link budgets up, so
+// on a platform whose every link sits at platform.MaxConnectCeiling the
+// loop must still run and return a valid, non-empty allocation.
+func TestGreedyAtBudgetCeiling(t *testing.T) {
+	pl, err := platgen.Generate(platgen.Params{
+		K: 4, Connectivity: 0.9, Heterogeneity: 0.4, MeanG: 250, MeanBW: 50, MeanMaxCon: 15,
+	}, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li := range pl.Links {
+		pl.Links[li].MaxConnect = platform.MaxConnectCeiling
+	}
+	if err := pl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	pr := core.NewProblem(pl)
+	a := Greedy(pr)
+	if err := pr.CheckAllocation(a, core.DefaultTol); err != nil {
+		t.Fatal(err)
+	}
+	if v := pr.Objective(core.MAXMIN, a); v <= 0 {
+		t.Fatalf("MAXMIN(G) = %g at the budget ceiling, want > 0", v)
+	}
+}
+
 func TestGreedyFairnessUnderContention(t *testing.T) {
 	// Two symmetric clusters with equal payoffs: greedy should treat
 	// them symmetrically (equal throughput).
@@ -159,14 +186,12 @@ func TestLPRNeverExceedsRelaxation(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		pr := randomProblem(seed, 8)
 		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-			ub, _, err := UpperBound(pr, obj)
+			rel, err := Relax(pr, obj)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := LPR(pr, obj)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ub := rel.Objective
+			a := LPR(pr, rel)
 			if err := pr.CheckAllocation(a, core.DefaultTol); err != nil {
 				t.Fatalf("seed %d %v: %v", seed, obj, err)
 			}
@@ -183,14 +208,11 @@ func TestLPRGDominatesLPR(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		pr := randomProblem(seed, 9)
 		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-			lpr, err := LPR(pr, obj)
+			rel, err := Relax(pr, obj)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lprg, err := LPRG(pr, obj)
-			if err != nil {
-				t.Fatal(err)
-			}
+			lpr, lprg := LPR(pr, rel), LPRG(pr, rel)
 			if err := pr.CheckAllocation(lprg, core.DefaultTol); err != nil {
 				t.Fatalf("seed %d %v: %v", seed, obj, err)
 			}
@@ -215,10 +237,11 @@ func TestLPRRProducesValidAllocations(t *testing.T) {
 				if err := pr.CheckAllocation(a, core.DefaultTol); err != nil {
 					t.Fatalf("seed %d %v %v: %v", seed, obj, variant, err)
 				}
-				ub, _, err := UpperBound(pr, obj)
+				rel, err := Relax(pr, obj)
 				if err != nil {
 					t.Fatal(err)
 				}
+				ub := rel.Objective
 				if v := pr.Objective(obj, a); v > ub*(1+1e-6)+1e-6 {
 					t.Fatalf("seed %d: LPRR %g beats upper bound %g", seed, v, ub)
 				}
@@ -272,15 +295,16 @@ func TestBranchAndBoundBeatsOrMatchesHeuristics(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, obj, err)
 			}
-			ub, _, err := UpperBound(pr, obj)
+			rel, err := Relax(pr, obj)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ub := rel.Objective
 			if exact > ub*(1+1e-6)+1e-6 {
 				t.Fatalf("seed %d %v: exact %g beats LP bound %g", seed, obj, exact, ub)
 			}
 			for _, name := range []Name{NameG, NameLPR, NameLPRG} {
-				r, err := Run(name, pr, obj, rng)
+				r, err := Run(name, pr, obj, rel, rng)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,8 +319,12 @@ func TestBranchAndBoundBeatsOrMatchesHeuristics(t *testing.T) {
 func TestRunDispatch(t *testing.T) {
 	pr := randomProblem(3, 5)
 	rng := rand.New(rand.NewSource(2))
+	rel, err := Relax(pr, core.SUM)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range All {
-		r, err := Run(name, pr, core.SUM, rng)
+		r, err := Run(name, pr, core.SUM, rel, rng)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -310,21 +338,26 @@ func TestRunDispatch(t *testing.T) {
 			t.Fatalf("%s: Value field inconsistent", name)
 		}
 	}
-	if _, err := Run("nope", pr, core.SUM, rng); err == nil {
+	if _, err := Run("nope", pr, core.SUM, rel, rng); err == nil {
 		t.Fatal("unknown heuristic must error")
 	}
-	if _, err := Run(NameLPRR, pr, core.SUM, nil); err == nil {
+	if _, err := Run(NameLPRR, pr, core.SUM, rel, nil); err == nil {
 		t.Fatal("LPRR without rng must error")
+	}
+	for _, name := range []Name{NameLPR, NameLPRG} {
+		if _, err := Run(name, pr, core.SUM, nil, rng); err == nil {
+			t.Fatalf("%s without the relaxation must error", name)
+		}
 	}
 }
 
 func TestRunDeterministicHeuristicsStable(t *testing.T) {
 	pr := randomProblem(11, 7)
-	a1, err := Run(NameG, pr, core.SUM, nil)
+	a1, err := Run(NameG, pr, core.SUM, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Run(NameG, pr, core.SUM, nil)
+	a2, err := Run(NameG, pr, core.SUM, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,12 +374,13 @@ func TestPropertyAllHeuristicsValidAndBounded(t *testing.T) {
 		pr := randomProblem(seed, 7)
 		rng := rand.New(rand.NewSource(seed + 1))
 		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-			ub, _, err := UpperBound(pr, obj)
+			rel, err := Relax(pr, obj)
 			if err != nil {
 				return false
 			}
+			ub := rel.Objective
 			for _, name := range []Name{NameG, NameLPR, NameLPRG, NameLPRR} {
-				r, err := Run(name, pr, obj, rng)
+				r, err := Run(name, pr, obj, rel, rng)
 				if err != nil {
 					return false
 				}
@@ -379,9 +413,11 @@ func BenchmarkLPRGK10(b *testing.B) {
 	pr := randomProblem(5, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LPRG(pr, core.SUM); err != nil {
+		rel, err := Relax(pr, core.SUM)
+		if err != nil {
 			b.Fatal(err)
 		}
+		LPRG(pr, rel)
 	}
 }
 

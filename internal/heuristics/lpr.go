@@ -13,36 +13,41 @@ import (
 // rounds down to 3, not 2.
 const snapEps = 1e-7
 
-// LPR is the paper's round-off heuristic (§5.2.1): solve the rational
-// relaxation, floor every β̃_{k,l} to an integer, and shrink each
-// α̃_{k,l} to fit the rounded connection count:
+// LPR is the paper's round-off heuristic (§5.2.1) applied to rel, a
+// relaxed optimum of pr (Relax, or a core.Model's Solution): floor
+// every β̃_{k,l} to an integer, and shrink each α̃_{k,l} to fit the
+// rounded connection count:
 //
 //	β̂_{k,l} = ⌊β̃_{k,l}⌋
 //	α̂_{k,l} = min(α̃_{k,l}, β̂_{k,l}·min bw(L_{k,l}))
 //
 // Routes whose path crosses no backbone link keep their α unchanged
-// (no connection constraint applies there).
-func LPR(pr *core.Problem, obj core.Objective) (*core.Allocation, error) {
-	rel, err := relax(pr, obj)
-	if err != nil {
-		return nil, err
-	}
+// (no connection constraint applies there). LPR solves nothing: the
+// paper charges it, like LPRG, the one relaxation its caller holds
+// (DESIGN.md "Heuristics (§5)").
+func LPR(pr *core.Problem, rel *core.RelaxedSolution) *core.Allocation {
 	alloc, _ := roundDown(pr, rel.Alpha)
-	return alloc, nil
+	return alloc
 }
 
-// relax cold-solves pr's relaxation in α-space. The all-zero allocation
-// is always valid, so an infeasible verdict is a bug, not an answer.
-func relax(pr *core.Problem, obj core.Objective) (*core.RelaxedSolution, error) {
+// Relax cold-solves pr's relaxation in α-space: its Objective is the
+// paper's "LP" comparator, an upper bound on the mixed optimum, and
+// LPR and LPRG round it. The all-zero allocation is always valid, so
+// an infeasible verdict is a bug, not an answer.
+func Relax(pr *core.Problem, obj core.Objective) (*core.RelaxedSolution, error) {
 	rel, ok, err := pr.Relaxed(obj)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("heuristics: relaxation infeasible on an unconstrained platform (model bug)")
+		return nil, errInfeasible
 	}
 	return rel, nil
 }
+
+// errInfeasible reports a relaxation found infeasible, which the
+// all-zero allocation rules out.
+var errInfeasible = fmt.Errorf("heuristics: relaxation infeasible on an unconstrained platform (model bug)")
 
 // roundDown applies the LPR rounding to a relaxed optimum's α, taking
 // β̃ = α̃/bw_min — the least connection count that carries α̃, whichever
@@ -104,29 +109,25 @@ func roundDown(pr *core.Problem, alpha [][]float64) (*core.Allocation, *platform
 	return alloc, res
 }
 
-// LPRG is the paper's round-off + greedy heuristic (§5.2.2): LPR
-// gives the basic framework of the solution, and the greedy pass of
-// §5.1 reclaims the residual network and compute capacity that the
-// flooring discarded.
-func LPRG(pr *core.Problem, obj core.Objective) (*core.Allocation, error) {
-	rel, err := relax(pr, obj)
-	if err != nil {
-		return nil, err
-	}
+// LPRG is the paper's round-off + greedy heuristic (§5.2.2) applied
+// to rel, a relaxed optimum of pr: LPR gives the basic framework of the
+// solution, and the greedy pass of §5.1 reclaims the residual network
+// and compute capacity that the flooring discarded. Like LPR, it
+// solves nothing.
+func LPRG(pr *core.Problem, rel *core.RelaxedSolution) *core.Allocation {
 	alloc, res := roundDown(pr, rel.Alpha)
-	greedyFill(pr, res, alloc, false)
-	return alloc, nil
+	greedyFill(pr.Platform, nil, pr.Payoffs, res, alloc, false)
+	return alloc
 }
 
-// LPRGOnModel is LPRG running over a caller-provided persistent
-// core.Model instead of a fresh one-shot LP: β bounds are reset, the
-// relaxation re-solves warm from `from`, and the round-off + greedy
-// refinement evaluates against pr's capacities. pr must share the
-// model's platform structure (routes and links); its capacities may
-// differ — the adaptability scenario, where the caller has already
-// injected the epoch's platform into the model with core.Model.Inject.
-// The returned basis snapshots the relaxation's optimal basis for the
-// next warm start.
+// LPRGOnModel is LPRG over a caller-provided persistent core.Model
+// instead of a fresh one-shot LP: β bounds are reset, the relaxation
+// re-solves warm from `from`, and LPRG rounds its optimum against pr's
+// capacities. pr must share the model's platform structure (routes and
+// links); its capacities may differ — the adaptability scenario, where
+// the caller has already injected the epoch's platform into the model
+// with core.Model.Inject. The returned basis snapshots the relaxation's
+// optimal basis for the next warm start.
 func LPRGOnModel(model *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
 	model.ResetBounds()
 	_, ok, err := model.Solve(from)
@@ -134,10 +135,8 @@ func LPRGOnModel(model *core.Model, pr *core.Problem, obj core.Objective, from *
 		return nil, nil, err
 	}
 	if !ok {
-		return nil, nil, fmt.Errorf("heuristics: relaxation infeasible on an unconstrained platform (model bug)")
+		return nil, nil, errInfeasible
 	}
 	basis := model.Basis()
-	alloc, res := roundDown(pr, model.Solution().Alpha)
-	greedyFill(pr, res, alloc, false)
-	return alloc, basis, nil
+	return LPRG(pr, model.Solution()), basis, nil
 }

@@ -43,10 +43,10 @@ func (v LPRRVariant) String() string {
 // matrix untouched), so every re-solve warm-starts the revised
 // simplex from the previous pin's optimal basis.
 //
-// With integral max-connect values a round-up can never make the pin
-// set infeasible (DESIGN.md); if infeasibility is ever reported (for
-// hand-built platforms with exotic routes), the round-up is retried
-// as a round-down.
+// With integral max-connect values a round-up to ⌈β̃⌉ can never make
+// the pin set infeasible (DESIGN.md "Heuristics (§5)"); if
+// infeasibility is ever reported (LPRR-EQ rounding an integral β̃ up,
+// or the solver's tolerance), the round-up is retried as a round-down.
 func LPRR(pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.Rand) (*core.Allocation, error) {
 	model, err := pr.NewModel(obj)
 	if err != nil {

@@ -8,8 +8,8 @@
 // applications of origin k. Program (7) itself is core's, written down
 // once for one or several applications per origin (core.RelaxedApps,
 // core.Problem.CheckAllocation, core.Objective.Value). What this
-// package adds is the applications (App, Problem, Validate) and Greedy,
-// §5.1's greedy on pooled connections.
+// package adds is the applications (App, Problem, Validate); Greedy is
+// heuristics' one §5.1 loop run over them.
 package multiapp
 
 import (
@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/heuristics"
 	"repro/internal/platform"
 )
 
@@ -127,152 +128,15 @@ func (pr *Problem) Relaxed(obj core.Objective) (*core.RelaxedSolution, error) {
 	return rel, nil
 }
 
-// Greedy is the §5.1 heuristic generalized to applications: at every
-// step the application with the smallest relative share α_a·π_a picks
-// its most profitable cluster; pooled route connections are opened on
-// demand. Applications with payoff 0 are excluded.
+// Greedy is §5.1's greedy heuristic over the applications
+// (heuristics.GreedyApps): at every step the application with the
+// smallest relative share α_a·π_a picks its most profitable cluster,
+// opening one connection of its origin's route per remote step.
+// Applications with payoff 0 are excluded.
 func (pr *Problem) Greedy() (*core.Allocation, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
-	K := pr.Platform.K()
-	A := len(pr.Apps)
-	pl := pr.Platform
-	al := &core.Allocation{Alpha: make([][]float64, A), Beta: make([][]int, K)}
-	for a := 0; a < A; a++ {
-		al.Alpha[a] = make([]float64, K)
-	}
-	for k := 0; k < K; k++ {
-		al.Beta[k] = make([]int, K)
-	}
-	res := platform.NewResidual(pl)
-	// Residual per-route capacity opened so far but not yet used:
-	// pooled connections can carry more than one app's traffic.
-	routeSpare := make(map[core.Pair]float64)
-
-	live := make([]bool, A)
-	n := 0
-	for a := 0; a < A; a++ {
-		if pr.Apps[a].Payoff > 0 {
-			live[a] = true
-			n++
-		}
-	}
-	totalSlots := 0
-	for _, mc := range res.MaxConnect {
-		totalSlots += mc
-	}
-	maxSteps := 100*A + totalSlots + 1000
-	const tol = 1e-9
-
-	for step := 0; n > 0 && step < maxSteps; step++ {
-		// Select the app with the smallest share.
-		sel := -1
-		for a := 0; a < A; a++ {
-			if !live[a] {
-				continue
-			}
-			if sel == -1 {
-				sel = a
-				continue
-			}
-			sa := al.AppThroughput(a) * pr.Apps[a].Payoff
-			sb := al.AppThroughput(sel) * pr.Apps[sel].Payoff
-			if sa < sb-tol || (math.Abs(sa-sb) <= tol && pr.Apps[a].Payoff > pr.Apps[sel].Payoff) {
-				sel = a
-			}
-		}
-		origin := pr.Apps[sel].Origin
-		// Pick the best target.
-		bestL, bestB := -1, 0.0
-		for l := 0; l < K; l++ {
-			var b float64
-			if l == origin {
-				b = res.Speed[l]
-			} else {
-				rt := pl.Route(origin, l)
-				if !rt.Exists {
-					continue
-				}
-				// Either spare pooled capacity or a fresh connection.
-				spare := math.Min(routeSpare[core.Pair{K: origin, L: l}],
-					minFloat(res.Gateway[origin], res.Gateway[l], res.Speed[l]))
-				fresh := 0.0
-				if res.RouteOpen(origin, l) {
-					fresh = minFloat(res.Gateway[origin], rt.MinBW, res.Gateway[l], res.Speed[l])
-				}
-				b = math.Max(spare, fresh)
-			}
-			if b > bestB+tol {
-				bestB = b
-				bestL = l
-			}
-		}
-		if bestL == -1 || bestB <= tol {
-			live[sel] = false
-			n--
-			continue
-		}
-		if bestL == origin {
-			// Local step with the §5.1 contention guard, pooled form.
-			amount := 0.0
-			for m := 0; m < K; m++ {
-				if m == origin {
-					continue
-				}
-				cand := minFloat(res.Gateway[origin], pl.RouteBW(m, origin), res.Gateway[m], res.Speed[origin])
-				if !res.RouteOpen(m, origin) {
-					cand = 0
-				}
-				if cand > amount {
-					amount = cand
-				}
-			}
-			if amount > res.Speed[origin] {
-				amount = res.Speed[origin]
-			}
-			if amount <= tol {
-				live[sel] = false
-				n--
-				continue
-			}
-			res.Speed[origin] -= amount
-			al.Alpha[sel][origin] += amount
-			continue
-		}
-		// Remote step: use spare pooled capacity first, else open a
-		// new connection.
-		l := bestL
-		pair := core.Pair{K: origin, L: l}
-		amount := bestB
-		spare := routeSpare[pair]
-		if amount <= spare+tol && spare > tol {
-			if amount > spare {
-				amount = spare
-			}
-			routeSpare[pair] = spare - amount
-		} else {
-			res.OpenConnection(origin, l)
-			al.Beta[origin][l]++
-			bw := pl.RouteBW(origin, l)
-			if !math.IsInf(bw, 1) {
-				routeSpare[pair] = spare + bw - amount
-			}
-		}
-		res.Speed[l] -= amount
-		res.Gateway[origin] -= amount
-		res.Gateway[l] -= amount
-		al.Alpha[sel][l] += amount
-	}
-	return al, nil
-}
-
-func minFloat(vs ...float64) float64 {
-	m := math.Inf(1)
-	for _, v := range vs {
-		if v < m {
-			m = v
-		}
-	}
-	return m
+	origins, payoffs := pr.split()
+	return heuristics.GreedyApps(pr.Platform, origins, payoffs), nil
 }

@@ -1,12 +1,14 @@
 package multiapp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/heuristics"
 	"repro/internal/platform"
 	"repro/internal/platgen"
 )
@@ -48,8 +50,11 @@ func TestValidate(t *testing.T) {
 func TestSingleAppPerClusterMatchesCore(t *testing.T) {
 	// With exactly one app per cluster the multi-app relaxation is the
 	// core relaxation — one program, so the objective and every α and β
-	// agree bit for bit — on the generated platform, and with its link
-	// budgets scaled into [0, nominal], link 0's to zero.
+	// agree bit for bit — and the multi-app greedy is heuristics.Greedy,
+	// one §5.1 loop, so every α and β of theirs agree bit for bit too:
+	// on the generated platform, and with its link budgets scaled into
+	// [0, nominal], link 0's to zero; with unit payoffs, and with payoffs
+	// of 0, 1 and 2 in turn.
 	rng := rand.New(rand.NewSource(5))
 	for seed := int64(0); seed < 8; seed++ {
 		params := platgen.Params{
@@ -73,28 +78,41 @@ func TestSingleAppPerClusterMatchesCore(t *testing.T) {
 			squeezed.Links[0].MaxConnect = 0
 		}
 		for _, p := range []*platform.Platform{pl, squeezed} {
-			cp := core.NewProblem(p)
-			mp := &Problem{Platform: p}
-			for k := 0; k < p.K(); k++ {
-				mp.Apps = append(mp.Apps, App{Origin: k, Payoff: 1})
-			}
-			for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-				want, ok, err := cp.Relaxed(obj)
-				if err != nil || !ok {
-					t.Fatal(err)
+			for _, zeroed := range []bool{false, true} {
+				cp := core.NewProblem(p)
+				mp := &Problem{Platform: p}
+				for k := 0; k < p.K(); k++ {
+					if zeroed {
+						cp.Payoffs[k] = float64((k + int(seed)) % 3)
+					}
+					mp.Apps = append(mp.Apps, App{Origin: k, Payoff: cp.Payoffs[k]})
 				}
-				got, err := mp.Relaxed(obj)
+				at := fmt.Sprintf("seed %d (squeezed %v, zeroed %v)", seed, p == squeezed, zeroed)
+				mg, err := mp.Greedy()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
-					t.Fatalf("seed %d %v (squeezed %v): multiapp %g vs core %g", seed, obj, p == squeezed, got.Objective, want.Objective)
+				if d := allocDiff(mg, heuristics.Greedy(cp)); d != "" {
+					t.Fatalf("%s: greedy %s", at, d)
 				}
-				for _, tab := range [][2][][]float64{{got.Alpha, want.Alpha}, {got.Beta, want.Beta}} {
-					for k := range tab[1] {
-						for l, w := range tab[1][k] {
-							if g := tab[0][k][l]; math.Float64bits(g) != math.Float64bits(w) {
-								t.Fatalf("seed %d %v (squeezed %v): cell (%d,%d) multiapp %v vs core %v", seed, obj, p == squeezed, k, l, g, w)
+				for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
+					want, ok, err := cp.Relaxed(obj)
+					if err != nil || !ok {
+						t.Fatal(err)
+					}
+					got, err := mp.Relaxed(obj)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+						t.Fatalf("%s %v: multiapp %g vs core %g", at, obj, got.Objective, want.Objective)
+					}
+					for _, tab := range [][2][][]float64{{got.Alpha, want.Alpha}, {got.Beta, want.Beta}} {
+						for k := range tab[1] {
+							for l, w := range tab[1][k] {
+								if g := tab[0][k][l]; math.Float64bits(g) != math.Float64bits(w) {
+									t.Fatalf("%s %v: cell (%d,%d) multiapp %v vs core %v", at, obj, k, l, g, w)
+								}
 							}
 						}
 					}
@@ -102,6 +120,29 @@ func TestSingleAppPerClusterMatchesCore(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allocDiff names the first cell where got and want differ in their
+// bits, or returns "" when they are the same allocation.
+func allocDiff(got, want *core.Allocation) string {
+	if len(got.Alpha) != len(want.Alpha) || len(got.Beta) != len(want.Beta) {
+		return fmt.Sprintf("shape %dx%d vs %dx%d", len(got.Alpha), len(got.Beta), len(want.Alpha), len(want.Beta))
+	}
+	for a, row := range want.Alpha {
+		for l, w := range row {
+			if g := got.Alpha[a][l]; math.Float64bits(g) != math.Float64bits(w) {
+				return fmt.Sprintf("α_{%d,%d} %v vs %v", a, l, g, w)
+			}
+		}
+	}
+	for k, row := range want.Beta {
+		for l, w := range row {
+			if g := got.Beta[k][l]; g != w {
+				return fmt.Sprintf("β_{%d,%d} %d vs %d", k, l, g, w)
+			}
+		}
+	}
+	return ""
 }
 
 // TestModelLinkBudgetBoundEncoding: with several applications per

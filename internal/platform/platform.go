@@ -38,11 +38,13 @@ type Link struct {
 	MaxConnect int     `json:"maxConnect"`
 }
 
-// MaxConnectCeiling is the largest budget a request may give a link. A
-// budget arrives as a float (a what-if's value, an epoch's factor times
-// the current budget) and converting one beyond the int range is
-// implementation-defined, so callers refuse anything above this before
-// converting; the paper's budgets are tens.
+// MaxConnectCeiling is the largest budget a link may have: Validate
+// refuses any above it, and so do the requests that set one. A budget
+// that arrives as a float (a what-if's value, an epoch's factor times
+// the current budget) beyond the int range converts in an
+// implementation-defined way, so those callers refuse it before
+// converting. The ceiling also keeps a sum of budgets, such as the
+// greedy's step cap, far from overflow; the paper's budgets are tens.
 const MaxConnectCeiling = math.MaxInt32
 
 // Route is the fixed routing path between two clusters: the ordered
@@ -72,8 +74,8 @@ type Platform struct {
 func (p *Platform) K() int { return len(p.Clusters) }
 
 // Validate checks structural sanity: router indices in range, finite
-// nonnegative speeds and capacities, and positive finite link
-// parameters. It deliberately permits parallel links between the same
+// nonnegative speeds and capacities, positive finite link bandwidths,
+// and link budgets in [0, MaxConnectCeiling]. It deliberately permits parallel links between the same
 // router pair — programmatic constructions such as the NP-hardness
 // reduction build dedicated parallel links with separate connection
 // budgets. ValidateStrict adds the checks appropriate for untrusted
@@ -91,6 +93,9 @@ func (p *Platform) Validate() error {
 		}
 		if l.MaxConnect < 0 {
 			return fmt.Errorf("platform: link %d has negative max-connect %d", i, l.MaxConnect)
+		}
+		if l.MaxConnect > MaxConnectCeiling {
+			return fmt.Errorf("platform: link %d has max-connect %d above the ceiling %d", i, l.MaxConnect, MaxConnectCeiling)
 		}
 	}
 	for k, c := range p.Clusters {

@@ -44,6 +44,7 @@ func TestValidateErrors(t *testing.T) {
 		{"link out of range", func(p *Platform) { p.Links[0].V = 9 }, "out of range"},
 		{"zero bandwidth", func(p *Platform) { p.Links[0].BW = 0 }, "bandwidth"},
 		{"negative maxconnect", func(p *Platform) { p.Links[0].MaxConnect = -1 }, "max-connect"},
+		{"maxconnect above ceiling", func(p *Platform) { p.Links[0].MaxConnect = MaxConnectCeiling + 1 }, "above the ceiling"},
 		{"cluster router", func(p *Platform) { p.Clusters[0].Router = 5 }, "router 5"},
 		{"negative speed", func(p *Platform) { p.Clusters[0].Speed = -1 }, "speed"},
 		{"NaN speed", func(p *Platform) { p.Clusters[0].Speed = math.NaN() }, "speed"},
@@ -272,6 +273,9 @@ func TestDecodeRejectsUntrusted(t *testing.T) {
 		{"negative max-connect",
 			`{"routers":2,"links":[{"u":0,"v":1,"bw":10,"maxConnect":-4}],"clusters":[]}`,
 			"max-connect"},
+		{"max-connect above the ceiling",
+			`{"routers":2,"links":[{"u":0,"v":1,"bw":10,"maxConnect":4611686018427387904}],"clusters":[]}`,
+			"above the ceiling"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

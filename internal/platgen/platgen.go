@@ -33,10 +33,23 @@ type Params struct {
 // paper's experiments.
 const Speed = 100.0
 
-// Validate checks that the parameters are in their meaningful ranges.
+// Validate checks that the parameters are finite and in their
+// meaningful ranges, and that no sampled connection budget can exceed
+// platform.MaxConnectCeiling.
 func (p Params) Validate() error {
 	if p.K < 1 {
 		return fmt.Errorf("platgen: K = %d, want >= 1", p.K)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"connectivity", p.Connectivity}, {"heterogeneity", p.Heterogeneity},
+		{"mean g", p.MeanG}, {"mean bw", p.MeanBW}, {"mean maxcon", p.MeanMaxCon},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("platgen: %s = %g, want a finite number", f.name, f.v)
+		}
 	}
 	if p.Connectivity < 0 || p.Connectivity > 1 {
 		return fmt.Errorf("platgen: connectivity = %g, want in [0,1]", p.Connectivity)
@@ -46,6 +59,9 @@ func (p Params) Validate() error {
 	}
 	if p.MeanG <= 0 || p.MeanBW <= 0 || p.MeanMaxCon <= 0 {
 		return fmt.Errorf("platgen: means must be positive (g=%g bw=%g maxcon=%g)", p.MeanG, p.MeanBW, p.MeanMaxCon)
+	}
+	if top := p.MeanMaxCon * (1 + p.Heterogeneity); top > platform.MaxConnectCeiling {
+		return fmt.Errorf("platgen: maxcon %g·(1+%g) = %g exceeds the link budget ceiling %d", p.MeanMaxCon, p.Heterogeneity, top, platform.MaxConnectCeiling)
 	}
 	return nil
 }
@@ -60,7 +76,7 @@ func sample(rng *rand.Rand, mean, het float64) float64 {
 // routing table is computed before returning. Connection budgets are
 // rounded to the nearest integer and floored at 1, keeping
 // max-connect integral (required for the LPRR feasibility guarantee,
-// see DESIGN.md).
+// see DESIGN.md "Heuristics (§5)").
 func Generate(p Params, rng *rand.Rand) (*platform.Platform, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -1,9 +1,13 @@
 package platgen
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/platform"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -11,17 +15,38 @@ func TestParamsValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Params{
-		{K: 0, Connectivity: 0.5, Heterogeneity: 0.2, MeanG: 50, MeanBW: 10, MeanMaxCon: 5},
-		{K: 5, Connectivity: 1.5, Heterogeneity: 0.2, MeanG: 50, MeanBW: 10, MeanMaxCon: 5},
-		{K: 5, Connectivity: 0.5, Heterogeneity: 1.0, MeanG: 50, MeanBW: 10, MeanMaxCon: 5},
-		{K: 5, Connectivity: 0.5, Heterogeneity: 0.2, MeanG: 0, MeanBW: 10, MeanMaxCon: 5},
-		{K: 5, Connectivity: 0.5, Heterogeneity: 0.2, MeanG: 50, MeanBW: -1, MeanMaxCon: 5},
+	base := func(mut func(*Params)) Params {
+		p := good
+		mut(&p)
+		return p
 	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Fatalf("case %d: expected validation error for %+v", i, p)
+	bad := []struct {
+		p    Params
+		want string
+	}{
+		{base(func(p *Params) { p.K = 0 }), "K = 0"},
+		{base(func(p *Params) { p.Connectivity = 1.5 }), "want in [0,1]"},
+		{base(func(p *Params) { p.Heterogeneity = 1 }), "want in [0,1)"},
+		{base(func(p *Params) { p.MeanG = 0 }), "positive"},
+		{base(func(p *Params) { p.MeanBW = -1 }), "positive"},
+		{base(func(p *Params) { p.Connectivity = math.NaN() }), "connectivity = NaN, want a finite number"},
+		{base(func(p *Params) { p.Heterogeneity = math.NaN() }), "heterogeneity = NaN, want a finite number"},
+		{base(func(p *Params) { p.MeanG = math.Inf(1) }), "mean g = +Inf, want a finite number"},
+		{base(func(p *Params) { p.MeanBW = math.NaN() }), "mean bw = NaN, want a finite number"},
+		{base(func(p *Params) { p.MeanMaxCon = math.NaN() }), "mean maxcon = NaN, want a finite number"},
+		{base(func(p *Params) { p.MeanMaxCon = math.Inf(1) }), "mean maxcon = +Inf, want a finite number"},
+		// 3e9·(1+0.2) is above platform.MaxConnectCeiling.
+		{base(func(p *Params) { p.MeanMaxCon = 3e9 }), "exceeds the link budget ceiling"},
+	}
+	for i, tc := range bad {
+		if err := tc.p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("case %d (%+v): err = %v, want substring %q", i, tc.p, err, tc.want)
 		}
+	}
+	// The largest mean whose top budget sits at the ceiling still passes.
+	edge := base(func(p *Params) { p.MeanMaxCon = platform.MaxConnectCeiling / 1.2 })
+	if err := edge.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -248,10 +248,11 @@ func TestTriangleRelaxationExceedsInteger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, _, err := heuristics.UpperBound(inst.Problem, core.SUM)
+	rel, err := heuristics.Relax(inst.Problem, core.SUM)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ub := rel.Objective
 	if ub < 1.5-1e-6 {
 		t.Fatalf("LP bound = %g, want 1.5", ub)
 	}

@@ -63,7 +63,7 @@ func TestLoadConcurrentMixedTraffic(t *testing.T) {
 			mut.Links[li].MaxConnect = int(mc)
 			req.Links = append(req.Links, LinkValue{Link: li, MaxConnect: mc})
 		}
-		variants = append(variants, variant{req: req, bound: batchUpperBound(t, mut, core.MAXMIN)})
+		variants = append(variants, variant{req: req, bound: batchBound(t, mut, core.MAXMIN)})
 	}
 
 	const total = 240 // concurrent requests, ~half queries half what-ifs
@@ -268,7 +268,7 @@ func TestConcurrentWhatIfsAndEpochCommits(t *testing.T) {
 	}
 	var qA SolveReport
 	doJSON(t, ts.Client(), "POST", ts.URL+"/sessions/"+respA.ID+"/query", nil, &qA, http.StatusOK)
-	wantBound := batchUpperBound(t, drifted, core.MAXMIN)
+	wantBound := batchBound(t, drifted, core.MAXMIN)
 	if math.Abs(qA.LPBound-wantBound) > tol*(1+math.Abs(wantBound)) {
 		t.Fatalf("post-storm warm bound %g != cold bound %g on the served platform (rollback leak?)", qA.LPBound, wantBound)
 	}

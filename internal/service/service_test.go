@@ -137,16 +137,16 @@ func doJSON(t testing.TB, client *http.Client, method, url string, body, out any
 	}
 }
 
-// batchUpperBound computes the rational relaxation's optimum cold on
-// a fresh one-shot problem — unique in value, so warm service bounds
-// must match it at 1e-9.
-func batchUpperBound(t testing.TB, pl *platform.Platform, obj core.Objective) float64 {
+// batchBound computes the rational relaxation's optimum cold on a
+// fresh one-shot problem — unique in value, so warm service bounds must
+// match it at 1e-9.
+func batchBound(t testing.TB, pl *platform.Platform, obj core.Objective) float64 {
 	t.Helper()
-	ub, _, err := heuristics.UpperBound(core.NewProblem(pl), obj)
+	rel, err := heuristics.Relax(core.NewProblem(pl), obj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ub
+	return rel.Objective
 }
 
 // batchValue runs the named batch heuristic cold on pl, returning the
@@ -161,7 +161,10 @@ func batchValue(t testing.TB, pl *platform.Platform, heur string, obj core.Objec
 	)
 	switch heur {
 	case "lprg":
-		alloc, err = heuristics.LPRG(pr, obj)
+		var rel *core.RelaxedSolution
+		if rel, err = heuristics.Relax(pr, obj); err == nil {
+			alloc = heuristics.LPRG(pr, rel)
+		}
 	case "lprr":
 		alloc, err = heuristics.LPRR(pr, obj, heuristics.ProportionalRounding, rng)
 	case "bnb":
@@ -208,7 +211,7 @@ func TestSessionLifecycle(t *testing.T) {
 	// must equal the batch bound at 1e-9. The LPRG value is
 	// vertex-dependent (see TestWhatIfAnswersAndRollsBack), so it is
 	// pinned by feasibility and the bound.
-	wantBound := batchUpperBound(t, pl, core.MAXMIN)
+	wantBound := batchBound(t, pl, core.MAXMIN)
 	if math.Abs(resp.Report.LPBound-wantBound) > tol*(1+math.Abs(wantBound)) {
 		t.Fatalf("service bound %g, batch bound %g", resp.Report.LPBound, wantBound)
 	}
@@ -272,7 +275,7 @@ func TestWhatIfAnswersAndRollsBack(t *testing.T) {
 	// heuristic value is pinned by feasibility and the bound instead;
 	// TestWhatIfBnBMatchesBatch pins value equality on the exact
 	// solver, whose optimum is unique.)
-	wantBound := batchUpperBound(t, mut, core.MAXMIN)
+	wantBound := batchBound(t, mut, core.MAXMIN)
 	if math.Abs(rep.LPBound-wantBound) > tol*(1+math.Abs(wantBound)) {
 		t.Fatalf("what-if bound %g, batch bound on mutated platform %g", rep.LPBound, wantBound)
 	}
@@ -360,7 +363,7 @@ func TestEpochCommitsDrift(t *testing.T) {
 			t.Fatalf("cluster %d gateway %g, want %g", k, drifted.Clusters[k].Gateway, want)
 		}
 	}
-	want := batchUpperBound(t, drifted, core.MAXMIN)
+	want := batchBound(t, drifted, core.MAXMIN)
 	if math.Abs(e2.LPBound-want) > tol*(1+math.Abs(want)) {
 		t.Fatalf("epoch-2 bound %g, batch bound on drifted platform %g", e2.LPBound, want)
 	}
@@ -377,7 +380,7 @@ func TestEpochCommitsDrift(t *testing.T) {
 // every committed allocation against its platform before answering. Commits compound (each applies to the
 // session's drifted platform), so the test applies the same
 // perturbation to its own running copy. After every commit the
-// relaxation bound must equal a cold heuristics.UpperBound, and a bnb
+// relaxation bound must equal a cold heuristics.Relax, and a bnb
 // session's value a cold BranchAndBound, at 1e-9: both optima are unique
 // in value, whatever basis the warm solve started from. Some bnb commits
 // must land below their bound, or the value check would only repeat the
@@ -418,10 +421,11 @@ func TestEpochCommitsMatchColdRebuild(t *testing.T) {
 						t.Fatal(err)
 					}
 					pr := &core.Problem{Platform: pl, Payoffs: payoffs}
-					bound, _, err := heuristics.UpperBound(pr, obj)
+					rel, err := heuristics.Relax(pr, obj)
 					if err != nil {
 						t.Fatal(err)
 					}
+					bound := rel.Objective
 					if math.Abs(rep.LPBound-bound) > tol*(1+math.Abs(bound)) {
 						t.Fatalf("%s %v load %d epoch %d: committed bound %.12g, cold bound %.12g", heur, obj, li, e, rep.LPBound, bound)
 					}

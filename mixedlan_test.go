@@ -44,9 +44,13 @@ func TestMixedLANFullStack(t *testing.T) {
 	pl := mixedLANPlatform(t)
 	pr := core.NewProblem(pl)
 	for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
+		rel, err := heuristics.Relax(pr, obj)
+		if err != nil {
+			t.Fatalf("Relax(%v): %v", obj, err)
+		}
 		for _, name := range heuristics.All {
 			rng := rand.New(rand.NewSource(7))
-			res, err := heuristics.Run(name, pr, obj, rng)
+			res, err := heuristics.Run(name, pr, obj, rel, rng)
 			if err != nil {
 				t.Errorf("%s(%v): %v", name, obj, err)
 				continue
@@ -62,7 +66,7 @@ func TestMixedLANFullStack(t *testing.T) {
 	if _, err := pr.LexMaxMin(); err != nil {
 		t.Errorf("LexMaxMin: %v", err)
 	}
-	res, err := heuristics.Run(heuristics.NameG, pr, core.SUM, nil)
+	res, err := heuristics.Run(heuristics.NameG, pr, core.SUM, nil, nil)
 	if err != nil {
 		t.Fatalf("Greedy: %v", err)
 	}
