@@ -56,12 +56,17 @@
 // promote their passive replicas to live warm sessions — zero cold
 // solves, answers identical to the dead owner's. Forwarded requests
 // carry per-operation deadlines and retry with capped exponential
-// backoff; idempotent reads fail over to successor replicas, while
-// epoch commits go to the owner only, tagged with a commit ID so a
-// retried commit is applied at most once, and fenced by epoch and
-// incarnation so a partitioned stale owner cannot clobber newer
-// state. A replica that loses contact with a majority of the ring
-// refuses commits (503) until quorum returns.
+// backoff for at least 8 sends and until -suspect-after + -dead-after
+// + 2 probe rounds + 1 s has passed (a round is -heartbeat, or the
+// 3×-heartbeat probe timeout when a peer hangs: 20 s at the defaults),
+// so a commit sent as its owner dies or hangs waits out the death's
+// confirmation and lands on the promoted replica.
+// Idempotent reads fail over to successor replicas, while epoch
+// commits go to the owner only, tagged with a commit ID so a retried
+// commit is applied at most once, and fenced by epoch and incarnation
+// so a partitioned stale owner cannot clobber newer state. A replica
+// that loses contact with a majority of the ring refuses commits (503)
+// until quorum returns.
 //
 // # Walkthrough
 //
@@ -212,7 +217,7 @@ func run() error {
 		replication  = flag.Int("replication", 2, "warm copies of each session kept on the ring (owner + successors)")
 		heartbeat    = flag.Duration("heartbeat", time.Second, "peer health-probe cadence in cluster mode")
 		suspectAfter = flag.Duration("suspect-after", 3*time.Second, "silence before a peer is suspected (demoted in forwarding order)")
-		deadAfter    = flag.Duration("dead-after", 10*time.Second, "silence before a peer is declared dead and its replicas promoted")
+		deadAfter    = flag.Duration("dead-after", 10*time.Second, "silence before a peer is declared dead and its replicas promoted; forwarded commits retry until suspect-after + dead-after + 2 probe rounds + 1s has passed")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty disables)")
 		quiet        = flag.Bool("quiet", false, "suppress per-request log lines")
 	)

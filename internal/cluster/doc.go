@@ -154,7 +154,12 @@
 // ring assigns to it (snapshot → warm rebuild → pool install, zero
 // cold solves). Requests ride the same machinery: per-operation
 // deadlines, capped exponential backoff with equal jitter, and for
-// idempotent reads failover across the key's successor list.
+// idempotent reads failover across the key's successor list. While
+// the detector runs, a forwarded request keeps retrying until
+// SuspectAfter + DeadAfter + 2 probe rounds (see
+// Membership.Confirmation) + one back-off step has passed, and for at
+// least 8 sends, so a commit sent as its owner dies or hangs waits out
+// the death's confirmation and lands on the promoted replica.
 // Commits are deliberately less available than reads: they go to the
 // ring owner only, are fenced by epoch (a snapshot or migration below
 // the receiver's committed epoch is rejected with 409) and by sender
@@ -242,9 +247,10 @@
 //     recoveries), migrations, and snapshot bytes persisted to the
 //     store.
 //   - schedd_answer_cache_hits_total / schedd_answer_cache_misses_total
-//     — the hit ratio of the sessions' answer tables (service.answerTable);
-//     the per-session CacheHitRate health condition degrades when a
-//     warm session's ratio collapses.
+//     — the hit ratio of the sessions' answer tables (service.answerTable,
+//     keyed on the committed epoch, so every commit misses afresh); the
+//     per-session CacheHitRate health condition degrades when a warm
+//     session's ratio collapses.
 //
 // Every request carries an X-Schedd-Trace ID (client-supplied or
 // minted at ingress) that is propagated across forward and failover

@@ -275,6 +275,16 @@ func (m *Membership) Tick(now time.Time) bool {
 	return changed
 }
 
+// Confirmation bounds how long a peer that stops answering stays in
+// the ring when Tick runs once per round: SuspectAfter of silence,
+// then DeadAfter of suspicion, each found up to one round late. A
+// round is the probe interval, or longer when a probe hangs to its
+// timeout. A forwarding that retries this long after a death outlasts
+// its confirmation.
+func (m *Membership) Confirmation(round time.Duration) time.Duration {
+	return m.cfg.SuspectAfter + m.cfg.DeadAfter + 2*round
+}
+
 // State returns a peer's current state; ok is false for unknown URLs
 // (and for self, which is always alive from its own point of view).
 func (m *Membership) State(url string) (PeerState, bool) {

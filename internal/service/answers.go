@@ -20,12 +20,12 @@ const queryCacheKey = "\x01query"
 // answer is one answerTable entry. While its solve is in flight only
 // done is live: identical requests wait on it. Resolved, it holds the
 // populating solve's report — immutable once filed — under the
-// committed-state digest the solve ran against, and its lazily built
-// wire image.
+// committed epoch the solve ran against, and its lazily built wire
+// image.
 type answer struct {
 	query string
 	done  chan struct{} // closed when the flight resolves; nil for entries filed resolved
-	state string
+	epoch int
 	rep   SolveReport
 	err   error         // a failed flight's error, for its waiters
 	elem  *list.Element // LRU slot; nil while in flight and once dropped
@@ -61,18 +61,19 @@ func (a *answer) wire() []byte {
 // answerTable is a session's one table of answers, keyed by canonical
 // query: the memo of solved answers and the single-flight registry of
 // solves still running, under one mutex. An entry is either in flight
-// or resolved at a committed-state digest; a lookup hits only an entry
-// resolved at the table's current digest, state.
+// or resolved at a committed epoch; a lookup hits only an entry
+// resolved at the table's current epoch.
 //
-// Correctness does not rest on eviction: the digest folds in a strictly
-// increasing epoch counter, so every commit rotates it and an entry
-// resolved before the commit can never match a lookup made after it —
-// rotate's sweep just reclaims the capacity eagerly. Resolved entries
+// Correctness does not rest on eviction: the epoch strictly increases
+// and only a commit moves a session's platform, so every commit rotates
+// the table and an entry resolved before the commit can never match a
+// lookup made after it — rotate's sweep just reclaims the capacity
+// eagerly. Resolved entries
 // are a bounded LRU; in-flight entries are outside it (there is at most
 // one per request in progress) and are never evicted.
 type answerTable struct {
 	mu      sync.Mutex
-	state   string // the committed-state digest; moves only under the session mutex
+	epoch   int // the committed epoch; moves only under the session mutex
 	entries map[string]*answer
 	order   *list.List // resolved entries, front = most recently used
 
@@ -85,11 +86,11 @@ func newAnswerTable() *answerTable {
 }
 
 // hitLocked returns query's entry if it is resolved at the current
-// digest, counting the hit or the miss. A hit is an answer that was
+// epoch, counting the hit or the miss. A hit is an answer that was
 // valid at lookup time, exactly as a solve that finished just before a
 // concurrent commit would be.
 func (t *answerTable) hitLocked(query string) *answer {
-	if a := t.entries[query]; a != nil && a.elem != nil && a.state == t.state {
+	if a := t.entries[query]; a != nil && a.elem != nil && a.epoch == t.epoch {
 		t.order.MoveToFront(a.elem)
 		t.hits++
 		return a
@@ -119,7 +120,7 @@ func (t *answerTable) claim(query string) (a *answer, hit, owner bool) {
 		if a.elem == nil {
 			return a, false, false
 		}
-		t.dropLocked(a) // resolved at a superseded digest
+		t.dropLocked(a) // resolved at a superseded epoch
 	}
 	a = &answer{query: query, done: make(chan struct{})}
 	t.entries[query] = a
@@ -127,7 +128,7 @@ func (t *answerTable) claim(query string) (a *answer, hit, owner bool) {
 }
 
 // resolve ends a's flight. The caller holds the session mutex, so a
-// solved answer is filed under the digest it was computed against —
+// solved answer is filed under the epoch it was computed against —
 // the current one as the solve finishes, not the one its claim looked
 // up: a commit may have landed in between — and the least recently used
 // resolved entries past the bound are evicted. A failed solve leaves no
@@ -145,7 +146,7 @@ func (t *answerTable) resolve(a *answer, rep *SolveReport, err error) {
 		if old != nil && old.elem != nil {
 			t.dropLocked(old) // a concurrent uncoalesced solve filed first
 		}
-		a.state, a.rep = t.state, *rep
+		a.epoch, a.rep = t.epoch, *rep
 		a.elem = t.order.PushFront(a)
 		t.entries[a.query] = a
 		for t.order.Len() > sessionCacheCap {
@@ -172,14 +173,14 @@ func (t *answerTable) dropLocked(a *answer) {
 	delete(t.entries, a.query)
 }
 
-// rotate moves the table to a new committed-state digest — a commit,
+// rotate moves the table to a new committed epoch — a commit,
 // under the session mutex — and sweeps the resolved answers, all now
 // unreachable. Flights, and the hit/miss counters (which feed monotone
 // /stats aggregates), are left alone.
-func (t *answerTable) rotate(state string) {
+func (t *answerTable) rotate(epoch int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.state = state
+	t.epoch = epoch
 	t.flushLocked()
 }
 

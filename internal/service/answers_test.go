@@ -69,15 +69,15 @@ func TestAnswerTable(t *testing.T) {
 		{name: "miss at a rotated digest while the stale entry is resident", hits: 1, misses: 2, inFlight: 1,
 			run: func(t *testing.T, tb *answerTable) {
 				tb.file("q", rep(1))
-				tb.state = "s2" // a rotation whose sweep has not run: the digest alone must fence the entry
+				tb.epoch = 2 // a rotation whose sweep has not run: the epoch alone must fence the entry
 				if got := value(tb, "q"); got != -1 {
-					t.Fatalf("lookup at s2 served the s1 answer %v", got)
+					t.Fatalf("lookup at epoch 2 served the epoch-1 answer %v", got)
 				}
-				tb.state = "s1"
+				tb.epoch = 1
 				if tb.order.Len() != 1 || value(tb, "q") != 1 {
 					t.Fatal("the miss disturbed the resident entry")
 				}
-				tb.state = "s2"
+				tb.epoch = 2
 				own(t, tb, "q") // the re-solve takes the stale entry's slot
 			}},
 		{name: "second claimant joins the flight", hits: 1, misses: 3, resolved: 1,
@@ -109,13 +109,13 @@ func TestAnswerTable(t *testing.T) {
 		{name: "commit between claim and resolve files under the new digest", hits: 1, misses: 1, resolved: 1,
 			run: func(t *testing.T, tb *answerTable) {
 				a := own(t, tb, "q")
-				tb.rotate("s2") // the commit's sweep leaves flights alone
+				tb.rotate(2) // the commit's sweep leaves flights alone
 				tb.resolve(a, rep(9), nil)
-				if a.state != "s2" {
-					t.Fatalf("the answer solved after the commit is filed under %q, the digest its claim saw", a.state)
+				if a.epoch != 2 {
+					t.Fatalf("the answer solved after the commit is filed under epoch %d, the one its claim saw", a.epoch)
 				}
 				if got := value(tb, "q"); got != 9 {
-					t.Fatalf("lookup at s2 served %v, want 9", got)
+					t.Fatalf("lookup at epoch 2 served %v, want 9", got)
 				}
 			}},
 		{name: "LRU evicts the oldest resolved entry, never one in flight", hits: 2, misses: 3, resolved: sessionCacheCap,
@@ -145,7 +145,7 @@ func TestAnswerTable(t *testing.T) {
 				tb.file("b", rep(2))
 				value(tb, "a")
 				value(tb, "nope")
-				tb.rotate("s2")
+				tb.rotate(2)
 				if h, m := tb.counters(); tb.order.Len() != 0 || h != 1 || m != 1 {
 					t.Fatalf("after the commit: %d resolved, %d hits, %d misses; want 0, 1, 1", tb.order.Len(), h, m)
 				}
@@ -166,7 +166,7 @@ func TestAnswerTable(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			tb := newAnswerTable()
-			tb.rotate("s1")
+			tb.rotate(1)
 			row.run(t, tb)
 			hits, misses := tb.counters()
 			resolved, inFlight := tb.order.Len(), len(tb.entries)-tb.order.Len()
@@ -181,8 +181,8 @@ func TestAnswerTable(t *testing.T) {
 // TestWhatIfFiledUnderTheDigestItWasSolvedAt is the Session half of the
 // "commit between claim and resolve" row: a what-if that claimed its
 // flight at epoch 0 and got the session mutex only after a commit is
-// solved at epoch 1, filed under epoch 1's digest, and served from
-// there — never under the digest its claim looked up.
+// solved at epoch 1, filed under epoch 1, and served from
+// there — never under the epoch its claim looked up.
 func TestWhatIfFiledUnderTheDigestItWasSolvedAt(t *testing.T) {
 	pl := testPlatform(t, 6, 14)
 	sess, _, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg"})
@@ -190,7 +190,7 @@ func TestWhatIfFiledUnderTheDigestItWasSolvedAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	wi := &WhatIfRequest{Gateways: []ClusterValue{{Cluster: 0, Value: pl.Clusters[0].Gateway * 0.5}}}
-	before := sess.answers.state
+	before := sess.answers.epoch
 
 	sess.mu.Lock()
 	done := make(chan *SolveReport, 1)
@@ -216,8 +216,8 @@ func TestWhatIfFiledUnderTheDigestItWasSolvedAt(t *testing.T) {
 		t.Fatalf("the in-flight what-if answered %+v, want a solve at epoch 1", solved)
 	}
 	key, _ := json.Marshal(wi)
-	if a := sess.answers.entries[string(key)]; a == nil || a.state == before || a.state != sess.answers.state {
-		t.Fatalf("the answer is not filed under the post-commit digest: %+v", a)
+	if a := sess.answers.entries[string(key)]; a == nil || a.epoch == before || a.epoch != sess.answers.epoch {
+		t.Fatalf("the answer is not filed under the post-commit epoch: %+v", a)
 	}
 	again, err := sess.WhatIf(wi)
 	if err != nil || !again.Cached || again.Epoch != 1 || again.Value != solved.Value {

@@ -332,7 +332,7 @@ func startRing(t *testing.T, count int, withStores bool) ([]*Node, []*httptest.S
 				t.Fatal(err)
 			}
 		}
-		nodes[i] = NewNode(NewServer(NewPool(16)), urls[i], urls, store)
+		nodes[i] = NewNodeWithConfig(NewServer(NewPool(16)), urls[i], urls, store, NodeConfig{})
 		handlers[i].set(nodes[i].Handler())
 	}
 	return nodes, servers
@@ -462,9 +462,9 @@ func TestRingMembershipChangeMigratesWarm(t *testing.T) {
 	// Nodes 0 and 1 form the initial ring; node 2 exists but is not a
 	// member yet.
 	nodes := make([]*Node, 3)
-	nodes[0] = NewNode(NewServer(NewPool(16)), servers[0].URL, []string{servers[1].URL}, stores[0])
-	nodes[1] = NewNode(NewServer(NewPool(16)), servers[1].URL, []string{servers[0].URL}, stores[1])
-	nodes[2] = NewNode(NewServer(NewPool(16)), servers[2].URL, nil, stores[2])
+	nodes[0] = NewNodeWithConfig(NewServer(NewPool(16)), servers[0].URL, []string{servers[1].URL}, stores[0], NodeConfig{})
+	nodes[1] = NewNodeWithConfig(NewServer(NewPool(16)), servers[1].URL, []string{servers[0].URL}, stores[1], NodeConfig{})
+	nodes[2] = NewNodeWithConfig(NewServer(NewPool(16)), servers[2].URL, nil, stores[2], NodeConfig{})
 	for i := range nodes {
 		handlers[i].set(nodes[i].Handler())
 	}
@@ -587,7 +587,7 @@ func TestNodeRecoverFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1 := NewNode(NewServer(NewPool(8)), "http://a", nil, store)
+	n1 := NewNodeWithConfig(NewServer(NewPool(8)), "http://a", nil, store, NodeConfig{})
 	pl := testPlatform(t, 8, 90)
 	sess, _, created, err := n1.srv.Pool().GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, pl)})
 	if err != nil || !created {
@@ -612,7 +612,7 @@ func TestNodeRecoverFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2 := NewNode(NewServer(NewPool(8)), "http://a", nil, store2)
+	n2 := NewNodeWithConfig(NewServer(NewPool(8)), "http://a", nil, store2, NodeConfig{})
 	warm, cold, skipped, err := n2.Recover()
 	if err != nil {
 		t.Fatalf("recover: %v", err)
@@ -650,7 +650,7 @@ func TestRecoverSkipsForeignVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1 := NewNode(NewServer(NewPool(8)), "http://a", nil, store)
+	n1 := NewNodeWithConfig(NewServer(NewPool(8)), "http://a", nil, store, NodeConfig{})
 	sess, _, created, err := n1.srv.Pool().GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 6, 91))})
 	if err != nil || !created {
 		t.Fatalf("create: %v created=%v", err, created)
@@ -665,7 +665,7 @@ func TestRecoverSkipsForeignVersion(t *testing.T) {
 		}
 	}
 
-	n2 := NewNode(NewServer(NewPool(8)), "http://a", nil, store)
+	n2 := NewNodeWithConfig(NewServer(NewPool(8)), "http://a", nil, store, NodeConfig{})
 	warm, cold, skipped, err := n2.Recover()
 	if err != nil {
 		t.Fatalf("recover: %v", err)

@@ -57,7 +57,7 @@ func TestSessionConditionsTable(t *testing.T) {
 		}
 	}
 
-	n := NewNode(NewServer(NewPool(1)), "http://self", nil, nil)
+	n := NewNodeWithConfig(NewServer(NewPool(1)), "http://self", nil, nil, NodeConfig{})
 	n.lastFanout.Store("reached", fanoutRecord{targets: 1, at: now})
 	n.lastFanout.Store("lost", fanoutRecord{targets: 2, failed: 1, at: now})
 	for id, want := range map[string]string{"reached": CondHealthy, "lost": CondDegraded, "never fanned out": ""} {

@@ -59,10 +59,6 @@ func fastDetect() NodeConfig {
 		Heartbeat:    25 * time.Millisecond,
 		SuspectAfter: 80 * time.Millisecond,
 		DeadAfter:    150 * time.Millisecond,
-		ReadTimeout:  2 * time.Second,
-		WriteTimeout: 5 * time.Second,
-		RetryBase:    20 * time.Millisecond,
-		RetryCap:     250 * time.Millisecond,
 	}
 }
 
@@ -796,14 +792,11 @@ func e17Run(t *testing.T, chaotic bool) e17Outcome {
 	// owner and its successor, and commits applied on the losing side
 	// of that split are gone (the drift gate would catch it).
 	nodes, servers := startRingCfg(t, ringSize, NodeConfig{
-		Replication:   2,
-		Heartbeat:     25 * time.Millisecond,
-		SuspectAfter:  250 * time.Millisecond,
-		DeadAfter:     time.Second,
-		RetryAttempts: 14,
-		RetryBase:     20 * time.Millisecond,
-		RetryCap:      400 * time.Millisecond,
-		Transport:     tr,
+		Replication:  2,
+		Heartbeat:    25 * time.Millisecond,
+		SuspectAfter: 250 * time.Millisecond,
+		DeadAfter:    time.Second,
+		Transport:    tr,
 	})
 	if chaotic {
 		tr.Enable()

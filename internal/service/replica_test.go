@@ -73,7 +73,7 @@ func TestReplicaReceiveAllocsIndependentOfK(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sb.release()
-		n := NewNode(NewServer(NewPool(4)), "http://successor", nil, nil)
+		n := NewNodeWithConfig(NewServer(NewPool(4)), "http://successor", nil, nil, NodeConfig{})
 		h := n.Handler()
 		receive := func() {
 			body := sb.body()
@@ -149,7 +149,7 @@ func TestReplicaBytesOutlivePromotion(t *testing.T) {
 	otherData := sealBytes(t, other)
 
 	for round := 0; round < 20; round++ {
-		n := NewNode(NewServer(NewPool(4)), "http://successor", nil, nil)
+		n := NewNodeWithConfig(NewServer(NewPool(4)), "http://successor", nil, nil, NodeConfig{})
 		h := n.Handler()
 		if !replicate(t, h, taken) {
 			t.FailNow()
@@ -246,7 +246,7 @@ func TestForgedBasisWidthIsRefused(t *testing.T) {
 		t.Fatalf("refusing a 4 Gi-column basis allocated %d bytes", grew)
 	}
 
-	n := NewNode(NewServer(NewPool(4)), "http://successor", nil, nil)
+	n := NewNodeWithConfig(NewServer(NewPool(4)), "http://successor", nil, nil, NodeConfig{})
 	if !replicate(t, n.Handler(), forged) {
 		t.FailNow()
 	}

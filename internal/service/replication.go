@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,14 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+)
+
+// incarnationHeader and fromHeader fence internal cluster transfers
+// (replicate): a message from a peer's previous life, or carrying
+// state older than what the receiver already holds, is rejected.
+const (
+	incarnationHeader = "X-Schedd-Incarnation"
+	fromHeader        = "X-Schedd-From"
 )
 
 // A replica is a passive copy of another member's session: the sealed
@@ -413,7 +422,7 @@ func (n *Node) forgetSession(id string) {
 	}
 	for _, target := range n.membership.Known() {
 		if target != n.self {
-			n.call(target, "/cluster/forget", n.cfg.WriteTimeout, nil, data, nil, nil) //nolint:errcheck // best effort: an unreachable member has nothing to resurrect from while it is down
+			n.call(target, "/cluster/forget", writeTimeout, nil, data, nil, nil) //nolint:errcheck // best effort: an unreachable member has nothing to resurrect from while it is down
 		}
 	}
 }
@@ -472,4 +481,178 @@ func (n *Node) promoteOwned(ring *cluster.Ring) {
 	for _, id := range ids {
 		n.promoteIfReplica(id)
 	}
+}
+
+func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, n.Stats())
+}
+
+// Stats is the pool's /stats response with the node's cluster
+// counters and ring view filled in.
+func (n *Node) Stats() PoolStatsResponse {
+	resp := n.srv.Stats()
+	resp.Cluster.Forwarded = n.forwarded.Value()
+	resp.Cluster.Migrations = n.migrations.Value()
+	resp.Cluster.WarmRebuilds = n.warmRebuilds.Value()
+	resp.Cluster.ColdRebuilds = n.coldRebuilds.Value()
+	resp.Cluster.SnapshotBytes = n.snapshotBytes.Value()
+	resp.Cluster.Replication = n.cfg.Replication
+	resp.Cluster.Retries = n.retries.Value()
+	resp.Cluster.Failovers = n.failovers.Value()
+	resp.Cluster.Promotions = n.promotions.Value()
+	resp.Cluster.ReplicasHeld = n.replicaCount()
+	resp.Cluster.ReplicasSent = n.replicasSent.Value()
+	resp.Cluster.ReplicaErrors = n.replicaErrors.Value()
+	resp.Cluster.FencedCommits = n.fencedCommits.Value()
+	resp.Cluster.RoutingLoops = n.routingLoops.Value()
+	resp.Cluster.Incarnation = n.membership.Incarnation()
+	resp.Cluster.PeersAlive, resp.Cluster.PeersSuspect, resp.Cluster.PeersDead = n.membership.Counts()
+	resp.Cluster.Self = n.self
+	resp.Cluster.Members = n.Members()
+	return resp
+}
+
+// Recover rebuilds every decodable session snapshot in the store,
+// installing each into the pool warm. Corrupt snapshots are skipped
+// (their sessions rebuild cold from traffic later); the return counts
+// warm rebuilds, cold rebuilds and skipped files.
+func (n *Node) Recover() (warm, cold, skipped int, err error) {
+	if n.store == nil {
+		return 0, 0, 0, nil
+	}
+	snaps, sk, err := n.store.LoadAll()
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	skipped = sk
+	for _, snap := range snaps {
+		_, _, w, rerr := n.install(snap)
+		switch {
+		case rerr != nil:
+			skipped++
+		case w:
+			warm++
+		default:
+			cold++
+		}
+	}
+	return warm, cold, skipped, nil
+}
+
+// PersistAll snapshots every live session to the store and re-fans
+// replicas to the ring successors — the periodic persistence tick and
+// the graceful-shutdown flush — then garbage-collects snapshot files
+// whose session is neither live here nor held as a replica.
+func (n *Node) PersistAll() {
+	for _, sess := range n.srv.Pool().Sessions() {
+		n.ship(sess)
+	}
+	if n.store != nil {
+		live := make(map[string]bool)
+		for _, sess := range n.srv.Pool().Sessions() {
+			live[sess.id] = true
+		}
+		n.repMu.Lock()
+		for id := range n.replicas {
+			live[id] = true
+		}
+		n.repMu.Unlock()
+		n.store.Sweep(func(id string) bool { return live[id] }) //nolint:errcheck // best-effort GC
+	}
+}
+
+// defaultTransport pools connections per peer: the mesh talks to a
+// handful of stable base URLs, so idle keep-alives per host are cheap
+// and save a dial per forward. MaxIdleConnsPerHost keeps one slow peer
+// from monopolizing the default transport's tiny (2) per-host idle
+// pool and forcing re-dials everywhere else.
+func defaultTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 256
+	t.MaxIdleConnsPerHost = 32
+	t.IdleConnTimeout = 90 * time.Second
+	return t
+}
+
+// respBufs pools the buffers peer response bodies are read into; a
+// buffer grown past maxPooledResp by an outsized answer is left to the
+// collector rather than kept.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResp = 1 << 20
+
+// releaseResp returns a response buffer from do to respBufs. Nothing
+// may hold the bytes past it.
+func releaseResp(bp *[]byte) {
+	if bp != nil && cap(*bp) <= maxPooledResp {
+		respBufs.Put(bp)
+	}
+}
+
+// do is the one outbound HTTP call of the package: it owns the
+// deadline, the request build, client.Do, and the full read of the
+// peer's response — bounded at maxBodyBytes like every inbound body, so
+// the deadline covers the body and a retry never holds a half-read
+// connection — and the close. The body is sent from body, or, when sb
+// is set, from its sealed bytes, each request body holding a reference
+// until the transport closes it. The response body is read into a
+// respBufs buffer the caller hands to releaseResp once it has relayed
+// or decoded it.
+func (n *Node) do(ctx context.Context, timeout time.Duration, method, url string, header http.Header, body []byte, sb *sealed) (int, http.Header, *[]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	var rd io.Reader
+	if sb == nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if sb != nil {
+		// Sealed bytes go without a declared length: the transport then
+		// sends them chunked through the body's WriteTo, one write of the
+		// whole buffer, where a Content-Length would have it copy them
+		// through a LimitedReader and a fresh 32 KiB buffer per send.
+		req.Body = sb.body()
+		req.GetBody = func() (io.ReadCloser, error) { return sb.body(), nil }
+	}
+	req.Header = header
+	resp, err := n.client.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer resp.Body.Close()
+	bp := respBufs.Get().(*[]byte)
+	if *bp, err = readBounded(*bp, resp.Body, resp.ContentLength); err != nil {
+		releaseResp(bp)
+		return 0, nil, nil, fmt.Errorf("reading response from %s: %w", url, err)
+	}
+	return resp.StatusCode, resp.Header, bp, nil
+}
+
+// call posts one JSON /cluster/* control message to peer — body, or
+// sb's sealed bytes when sb is set — and decodes its 200 answer into
+// out (nil discards it); any other status is an error. hdr carries
+// extra headers and may be nil.
+func (n *Node) call(peer, path string, timeout time.Duration, hdr http.Header, body []byte, sb *sealed, out any) error {
+	if hdr == nil {
+		hdr = make(http.Header, 1)
+	}
+	hdr.Set("Content-Type", "application/json")
+	status, _, bp, err := n.do(context.Background(), timeout, http.MethodPost, peer+path, hdr, body, sb)
+	if err != nil {
+		return err
+	}
+	defer releaseResp(bp)
+	if status != http.StatusOK {
+		return fmt.Errorf("%s%s: status %d: %.200s", peer, path, status, *bp)
+	}
+	if out == nil {
+		return nil
+	}
+	if err := json.Unmarshal(*bp, out); err != nil {
+		return fmt.Errorf("%s%s: decoding answer: %w", peer, path, err)
+	}
+	return nil
 }

@@ -2,14 +2,12 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -37,14 +35,6 @@ const hopsHeader = "X-Schedd-Hops"
 // carry and still be served.
 const maxForwardHops = 3
 
-// incarnationHeader and epochHeader fence internal cluster transfers
-// (replicate): a message from a peer's previous life, or carrying
-// state older than what the receiver already holds, is rejected.
-const (
-	incarnationHeader = "X-Schedd-Incarnation"
-	fromHeader        = "X-Schedd-From"
-)
-
 // commitIDHeader tags every epoch commit with an idempotency ID (set
 // by the first ring member that sees the request, preserved across
 // forwards and retries). The serving session records the last applied
@@ -54,11 +44,33 @@ const (
 // send died mid-flight and may or may not have been applied.
 const commitIDHeader = "X-Schedd-Commit-ID"
 
-// NodeConfig tunes a ring node's replication, failure detection and
-// forwarding behavior. The zero value takes every default, which
-// reproduces the static-membership behavior plus replication factor
-// 2: heartbeats only run after an explicit Start, so a config that
-// never starts the loop never suspects anyone.
+// Per-operation deadlines: readTimeout bounds health probes and
+// forwarded reads (query/what-if/batch/GET), writeTimeout forwarded
+// creates, epoch commits and the small /cluster/* control messages;
+// migrate and replicate transfers get transferTimeout.
+const (
+	readTimeout     = 5 * time.Second
+	writeTimeout    = 15 * time.Second
+	transferTimeout = 30 * time.Second
+)
+
+// The back-off between full candidate cycles grows from retryBase,
+// doubling, capped at retryCap, each step with equal jitter (half
+// fixed, half random). A forwarding gives up at the end of a cycle
+// once it has made staticAttempts sends and its retry window, if any,
+// has passed: a floor that holds against an owner that hangs rather
+// than refuses, each send running to its deadline (see route).
+const (
+	retryBase      = 50 * time.Millisecond
+	retryCap       = time.Second
+	staticAttempts = 8
+)
+
+// NodeConfig tunes a ring node's replication and failure detection.
+// The zero value takes every default, which reproduces the
+// static-membership behavior plus replication factor 2: heartbeats
+// only run after an explicit Start, so a config that never starts the
+// loop never suspects anyone.
 type NodeConfig struct {
 	// Replication is the total number of copies of each session's
 	// snapshot on the ring, the live owner included; default 2 (owner
@@ -71,73 +83,22 @@ type NodeConfig struct {
 	// suspicion) even if Start is called.
 	Heartbeat time.Duration
 	// SuspectAfter / DeadAfter are the failure detector's timeouts
-	// (see cluster.MembershipConfig).
+	// (see cluster.MembershipConfig). With the loop running, they and
+	// Heartbeat also set how long a forwarding keeps retrying.
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
 	// Incarnation seeds this member's incarnation; 0 derives one from
 	// the wall clock so a restart outranks the previous life.
 	Incarnation uint64
 
-	// Per-operation deadlines: ReadTimeout bounds health probes and
-	// forwarded reads (query/what-if/batch/GET), WriteTimeout bounds
-	// forwarded creates, epoch commits and the small /cluster/* control
-	// messages (migrate and replicate transfers get transferTimeout).
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-
-	// RetryAttempts bounds the forwarding loop's tries per request
-	// (failovers included); backoff between full candidate cycles
-	// grows RetryBase, RetryBase*2, ... capped at RetryCap, each with
-	// equal jitter (half fixed, half random). RetrySeed seeds the
-	// jitter RNG; 0 uses wall-clock.
-	RetryAttempts int
-	RetryBase     time.Duration
-	RetryCap      time.Duration
-	RetrySeed     int64
+	// RetrySeed seeds the RNG behind back-off jitter and commit IDs;
+	// 0 uses wall-clock.
+	RetrySeed int64
 
 	// Transport overrides the HTTP transport for all outbound cluster
 	// traffic (the chaos harness injects here); nil uses a pooled
 	// transport tuned for a small mesh of long-lived peers.
 	Transport http.RoundTripper
-}
-
-func (c NodeConfig) withDefaults() NodeConfig {
-	if c.Replication <= 0 {
-		c.Replication = 2
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 15 * time.Second
-	}
-	if c.RetryAttempts <= 0 {
-		c.RetryAttempts = 8
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = time.Second
-	}
-	return c
-}
-
-// transferTimeout bounds one snapshot transfer (migrate, replicate).
-const transferTimeout = 30 * time.Second
-
-// defaultTransport pools connections per peer: the mesh talks to a
-// handful of stable base URLs, so idle keep-alives per host are cheap
-// and save a dial per forward. MaxIdleConnsPerHost is the fix for the
-// PR 8 failure mode where one slow peer could monopolize the default
-// transport's tiny (2) per-host idle pool and force re-dials
-// everywhere else.
-func defaultTransport() *http.Transport {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.MaxIdleConns = 256
-	t.MaxIdleConnsPerHost = 32
-	t.IdleConnTimeout = 90 * time.Second
-	return t
 }
 
 // Node wraps a Server in the cluster role: consistent-hash routing of
@@ -179,13 +140,6 @@ type Node struct {
 	lastFanout   sync.Map // session ID → fanoutRecord
 }
 
-// NewNode makes srv a ring member with the default NodeConfig —
-// static membership (until Start), replication factor 2. Kept as the
-// common constructor; NewNodeWithConfig exposes the full surface.
-func NewNode(srv *Server, self string, peers []string, store *cluster.Store) *Node {
-	return NewNodeWithConfig(srv, self, peers, store, NodeConfig{})
-}
-
 // NewNodeWithConfig makes srv a ring member advertised as self (a
 // base URL, e.g. "http://10.0.0.3:8080"), with peers as the initial
 // member list (self is always included) and store as the snapshot
@@ -195,7 +149,9 @@ func NewNode(srv *Server, self string, peers []string, store *cluster.Store) *No
 // commit is acked to the client only after its snapshot reached the
 // store and the ring successors.
 func NewNodeWithConfig(srv *Server, self string, peers []string, store *cluster.Store, cfg NodeConfig) *Node {
-	cfg = cfg.withDefaults()
+	if cfg.Replication <= 0 {
+		cfg.Replication = 2
+	}
 	transport := cfg.Transport
 	if transport == nil {
 		transport = defaultTransport()
@@ -204,7 +160,6 @@ func NewNodeWithConfig(srv *Server, self string, peers []string, store *cluster.
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	now := time.Now()
 	n := &Node{
 		srv:   srv,
 		self:  self,
@@ -217,7 +172,7 @@ func NewNodeWithConfig(srv *Server, self string, peers []string, store *cluster.
 			SuspectAfter: cfg.SuspectAfter,
 			DeadAfter:    cfg.DeadAfter,
 			Incarnation:  cfg.Incarnation,
-		}, now),
+		}, time.Now()),
 		replicas: make(map[string]*replica),
 		rng:      rand.New(rand.NewSource(seed)),
 		stopCh:   make(chan struct{}),
@@ -229,18 +184,6 @@ func NewNodeWithConfig(srv *Server, self string, peers []string, store *cluster.
 	srv.Pool().SetSessionHook(n.ship)
 	return n
 }
-
-// Self returns this replica's advertised URL.
-func (n *Node) Self() string { return n.self }
-
-func (n *Node) currentRing() *cluster.Ring {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ring
-}
-
-// Members returns the current (non-dead) member list.
-func (n *Node) Members() []string { return n.currentRing().Members() }
 
 // Handler returns the node's route table: the cluster control
 // endpoints, the /stats interception that adds the cluster section,
@@ -286,8 +229,9 @@ const (
 	opCommit
 )
 
-func classify(method, path string) opClass {
-	id, sub, ok := sessionPath(path)
+// classify maps a request, its path as sessionPath parsed it, to its
+// class.
+func classify(method, id, sub string, ok bool) opClass {
 	switch {
 	case !ok:
 		return opLocal
@@ -301,25 +245,17 @@ func classify(method, path string) opClass {
 	return opLocal // GET /sessions lists local sessions
 }
 
-// timeoutFor maps an operation class to its forwarding deadline.
-func (n *Node) timeoutFor(class opClass) time.Duration {
-	if class == opRead {
-		return n.cfg.ReadTimeout
-	}
-	return n.cfg.WriteTimeout
-}
-
 // routed forwards session traffic to its ring owner (with retry and
 // successor failover); everything else — and everything this replica
 // owns or was explicitly forwarded — is served by the inner handler.
 func (n *Node) routed(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id, _, ok := sessionPath(r.URL.Path)
-		if !ok {
+		id, sub, ok := sessionPath(r.URL.Path)
+		class := classify(r.Method, id, sub, ok)
+		if class == opLocal {
 			inner.ServeHTTP(w, r)
 			return
 		}
-		class := classify(r.Method, r.URL.Path)
 		if class == opCommit && r.Header.Get(commitIDHeader) == "" {
 			// First ring member to see this commit: tag it. Forwards
 			// and retries preserve the tag.
@@ -339,30 +275,45 @@ func (n *Node) routed(inner http.Handler) http.Handler {
 			n.serveLocal(w, r, inner, class, id)
 			return
 		}
-		key, body, ok := n.routingKey(r, id)
-		if body != nil {
-			// The body was consumed to compute the key; hand the
-			// buffered copy to whoever serves the request.
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			r.ContentLength = int64(len(body))
-		}
-		if !ok {
-			inner.ServeHTTP(w, r) // let the service produce the error
-			return
-		}
-		if body == nil && r.Body != nil && r.Method != http.MethodGet && r.Method != http.MethodDelete {
-			// Buffer the body once so retries can re-send it.
+		var body []byte
+		if r.Body != nil && r.Method != http.MethodGet && r.Method != http.MethodDelete {
+			// Buffer the body once: a create's key is computed from it,
+			// retries re-send it, and whoever serves the request reads
+			// the buffered copy.
 			var err error
-			body, err = readBounded(nil, r.Body, r.ContentLength)
-			if err != nil {
+			if body, err = readBounded(nil, r.Body, r.ContentLength); err != nil {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 				return
 			}
 			r.Body = io.NopCloser(bytes.NewReader(body))
 			r.ContentLength = int64(len(body))
 		}
+		key := ringKey(class, id, body)
+		if key == "" {
+			inner.ServeHTTP(w, r) // let the service produce the error
+			return
+		}
 		n.route(w, r, inner, class, id, key, body)
 	})
+}
+
+// ringKey is the key a session request routes on: the session ID from
+// the path, or, for a create, the ID the create will resolve to,
+// computed from its body exactly as the pool does. "" means an
+// undecodable create, which is served locally so the service produces
+// the error.
+func ringKey(class opClass, id string, body []byte) string {
+	if class != opCreate {
+		return id
+	}
+	var req CreateSessionRequest
+	if json.Unmarshal(body, &req) != nil {
+		return ""
+	}
+	if _, _, key, err := decodeCreate(&req); err == nil {
+		return key
+	}
+	return ""
 }
 
 // serveLocal serves the request from this replica: fence commits when
@@ -386,35 +337,6 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, inner http.Han
 	}
 }
 
-// candidates lists the members to try for key, best first: commits go
-// to the owner only; reads and creates may fail over along the
-// replication chain (the ring successors holding the key's replicas),
-// with suspected members moved behind the others so the common case
-// skips a peer that is probably down without waiting to confirm it.
-func (n *Node) candidates(key string, class opClass) []string {
-	ring := n.currentRing()
-	if class == opCommit {
-		if owner := ring.Owner(key); owner != "" {
-			return []string{owner}
-		}
-		return nil
-	}
-	width := n.cfg.Replication
-	if width < 1 {
-		width = 1
-	}
-	succ := ring.Successors(key, width)
-	var healthy, suspect []string
-	for _, m := range succ {
-		if st, known := n.membership.State(m); known && st != cluster.StateAlive {
-			suspect = append(suspect, m)
-			continue
-		}
-		healthy = append(healthy, m)
-	}
-	return append(healthy, suspect...)
-}
-
 // newCommitID draws a commit idempotency tag: this node's identity
 // hashed in (two tagging routers can never collide even with equal
 // RNG seeds) plus 128 random bits.
@@ -427,196 +349,226 @@ func (n *Node) newCommitID() string {
 	return fmt.Sprintf("%016x%016x%016x", h.Sum64(), a, b)
 }
 
-// backoff returns the sleep before retry cycle (1-based) with equal
-// jitter: half the capped exponential step fixed, half random. The
-// fixed half guarantees the total retry window actually spans the
-// failure detector's confirmation time instead of collapsing to
-// near-zero on an unlucky jitter draw.
-func (n *Node) backoff(cycle int) time.Duration {
-	d := n.cfg.RetryBase << (cycle - 1)
-	if d > n.cfg.RetryCap || d <= 0 {
-		d = n.cfg.RetryCap
-	}
-	half := d / 2
-	n.rngMu.Lock()
-	j := time.Duration(n.rng.Int63n(int64(half) + 1))
-	n.rngMu.Unlock()
-	return half + j
+// view is what next decides on: the key's ring successors, owner
+// first, and which of them the failure detector no longer calls alive
+// (nil: none).
+type view struct {
+	self    string
+	succ    []string
+	suspect []bool
 }
 
-// route drives the forwarding loop: recompute the candidate list each
-// attempt (the ring may recompute under us — exactly what we want
-// while a death is being confirmed), forward, and on failure retry
-// per the operation's contract. Serving locally is a terminal state:
-// the ring says the session is (now) ours.
+// candidates lists the members to try, best first: a commit goes to
+// the owner only; a read or create may fail over along the key's
+// successors (the members holding its replicas), suspects last, so the
+// common case skips a peer that is probably down without waiting for
+// the death to be confirmed.
+func (v view) candidates(class opClass) []string {
+	if class == opCommit {
+		return v.succ[:min(len(v.succ), 1)]
+	}
+	if v.suspect == nil {
+		return v.succ
+	}
+	out := make([]string, 0, len(v.succ))
+	for _, suspect := range [2]bool{false, true} {
+		for i, m := range v.succ {
+			if v.suspect[i] == suspect {
+				out = append(out, m)
+			}
+		}
+	}
+	return out
+}
+
+// outcome is what the last step came to: the HTTP status a peer
+// answered, or one of these.
+type outcome int
+
+const (
+	noOutcome      outcome = 0  // the first decision, or a back-off just ended
+	transportError outcome = -1 // the send got no HTTP answer
+	cancelled      outcome = -2 // the client went away
+)
+
+// attempt is a forwarding's progress, handed from one next to the next.
+type attempt struct {
+	sends    int       // forwards made so far
+	mixed    bool      // a send of this candidate cycle got no HTTP answer
+	deadline time.Time // retry until then; zero: at most staticAttempts sends
+}
+
+// step is one decision of next.
+type step struct {
+	act      action
+	target   string        // actSend: the member to forward to
+	failover bool          // actSend: target is not the first candidate
+	wait     time.Duration // actWait: back off this long, plus a uniform
+	jitter   time.Duration // draw of up to jitter more
+}
+
+type action uint8
+
+const (
+	actServe  action = iota // serve the request here
+	actSend                 // forward it to target
+	actWait                 // back off, then ask next again
+	actRelay                // relay the last answer to the client
+	actGiveUp               // answer 502
+)
+
+// next is the forwarding policy, the retry contract of DESIGN.md
+// "Routing" as one pure function: from the view, the class, the
+// progress so far, what the last step came to and the time, it decides
+// the next step. It reads no clock, no RNG and no Node state; route
+// carries its steps out. A full failed cycle of candidates backs off
+// before the next. Only a cycle that fails with staticAttempts sends
+// made and the deadline passed (a zero deadline always has) gives up,
+// so the last try is made once the window has passed. Serving here is
+// terminal: the ring says the session is (now) ours.
+func next(v view, class opClass, a attempt, last outcome, now time.Time) (step, attempt) {
+	cands := v.candidates(class)
+	i := a.sends % max(len(cands), 1) // 0 after a send: it ended a cycle
+	switch {
+	case last == cancelled:
+		return step{act: actGiveUp}, a
+	case last == transportError:
+		// Retried for every class: reads and creates are idempotent by
+		// nature, commits by their idempotency tag.
+		a.mixed = true
+	case last > 0:
+		// A commit's 503 is an owner that refused it unapplied (fenced,
+		// or not ready); a read's or create's 404 or 503 is a holder
+		// without the session (yet). Any other answer goes back to the
+		// client, and so does the last of a cycle of HTTP answers only:
+		// every holder is reachable and none has the session.
+		retry := last == http.StatusServiceUnavailable || class != opCommit && last == http.StatusNotFound
+		if !retry || class != opCommit && i == 0 && !a.mixed {
+			return step{act: actRelay}, a
+		}
+	}
+	switch {
+	case len(cands) == 0:
+		return step{act: actServe}, a
+	case i == 0 && a.sends > 0 && last != noOutcome:
+		if a.sends >= staticAttempts && !now.Before(a.deadline) {
+			return step{act: actGiveUp}, a
+		}
+		a.mixed = false
+		d := retryBase << (a.sends/len(cands) - 1)
+		if d > retryCap || d <= 0 {
+			d = retryCap
+		}
+		return step{act: actWait, wait: d - d/2, jitter: d / 2}, a
+	case cands[i] == v.self:
+		return step{act: actServe}, a
+	}
+	a.sends++
+	return step{act: actSend, target: cands[i], failover: i != 0}, a
+}
+
+// route carries out next's steps for one request: snapshot the ring
+// and the member states (afresh for each decision but one on an HTTP
+// answer, which reuses its send's view), ask next, then serve, send,
+// wait, relay or give up, counting retries and failovers and tracing
+// what was done. With the failure detector running, the retry window
+// is the detector's confirmation time, its probe rounds stretched by a
+// hung peer (cluster.Membership.Confirmation), plus one back-off step
+// in which the promoted owner is tried.
 func (n *Node) route(w http.ResponseWriter, r *http.Request, inner http.Handler, class opClass, id, key string, body []byte) {
 	n.forwarded.Add(1)
 	ti := requestTrace(r)
-	var lastErr error
-	cycleAllHTTP := true
-	for attempt := 0; attempt < n.cfg.RetryAttempts; attempt++ {
-		if ti != nil {
-			ti.attempts = attempt + 1
+	var a attempt
+	if n.started.Load() {
+		round := max(n.cfg.Heartbeat, n.healthTimeout())
+		a.deadline = time.Now().Add(n.membership.Confirmation(round) + retryCap)
+	}
+	var (
+		v      view
+		st     step
+		last   outcome
+		header http.Header
+		resp   *[]byte
+		err    error
+	)
+	defer func() { releaseResp(resp) }()
+	for {
+		target := st.target
+		if last <= noOutcome {
+			v = n.view(key)
 		}
-		cands := n.candidates(key, class)
-		if len(cands) == 0 {
+		st, a = next(v, class, a, last, time.Now())
+		switch st.act {
+		case actServe:
 			n.serveLocal(w, r, inner, class, id)
 			return
-		}
-		idx := attempt % len(cands)
-		if idx == 0 && attempt > 0 {
-			// A full candidate cycle failed; back off before the next.
-			slept := n.backoff(attempt / len(cands))
-			time.Sleep(slept)
-			if ti != nil {
-				ti.backoff += slept
+		case actRelay:
+			relay(w, int(last), header, *resp)
+			return
+		case actGiveUp:
+			if err == nil {
+				err = fmt.Errorf("%s answered %d", target, last)
 			}
-			cycleAllHTTP = true
-		}
-		target := cands[idx]
-		if target == n.self {
-			n.serveLocal(w, r, inner, class, id)
+			writeError(w, http.StatusBadGateway, fmt.Errorf("forwarding %s %s: retries exhausted: %w", r.Method, r.URL.Path, err))
 			return
+		case actWait:
+			n.rngMu.Lock()
+			d := st.wait + time.Duration(n.rng.Int63n(int64(st.jitter)+1))
+			n.rngMu.Unlock()
+			if ti != nil {
+				ti.backoff += d
+			}
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+				last = noOutcome
+			case <-r.Context().Done():
+				t.Stop()
+				last, err = cancelled, r.Context().Err()
+			}
+			continue
 		}
-		if attempt > 0 {
+		if a.sends > 1 {
 			n.retries.Add(1)
-			if idx != 0 {
+			if st.failover {
 				n.failovers.Add(1)
 			}
 		}
 		if ti != nil {
-			ti.target = target
-			if idx == 0 {
-				ti.decision = "owner"
-			} else {
+			ti.attempts, ti.target, ti.decision = a.sends, st.target, "owner"
+			if st.failover {
 				ti.decision = "failover"
 			}
 		}
-		status, header, resp, err := n.send(r, target, body, n.timeoutFor(class))
-		if err != nil {
-			// Transport errors retry for every class: reads and creates
-			// are idempotent by nature, commits by their idempotency tag
-			// (a retry of an applied commit is answered from the dedup
-			// record, never re-applied).
-			lastErr = err
-			cycleAllHTTP = false
-			continue
-		}
-		switch {
-		case class == opCommit && status == http.StatusServiceUnavailable:
-			// A fenced (or not-yet-ready) peer rejected the commit
-			// without applying it: safe to retry against the ring's
-			// current owner.
-			releaseResp(resp)
-			lastErr = fmt.Errorf("%s answered %d", target, status)
-			continue
-		case class != opCommit && (status == http.StatusNotFound || status == http.StatusServiceUnavailable):
-			// This holder doesn't have the session (yet); another
-			// candidate might. But if a full cycle produced only HTTP
-			// answers — every holder is reachable and none has it —
-			// the 404 is genuine; relay instead of burning retries.
-			if cycleAllHTTP && idx == len(cands)-1 {
-				relay(w, status, header, *resp)
-				releaseResp(resp)
-				return
-			}
-			releaseResp(resp)
-			lastErr = fmt.Errorf("%s answered %d", target, status)
-			continue
-		}
-		relay(w, status, header, *resp)
 		releaseResp(resp)
-		return
-	}
-	writeError(w, http.StatusBadGateway, fmt.Errorf("forwarding %s %s: retries exhausted: %w", r.Method, r.URL.Path, lastErr))
-}
-
-// respBufs pools the buffers peer response bodies are read into; a
-// buffer grown past maxPooledResp by an outsized answer is left to the
-// collector rather than kept.
-var respBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxPooledResp = 1 << 20
-
-// releaseResp returns a response buffer from do to respBufs. Nothing
-// may hold the bytes past it.
-func releaseResp(bp *[]byte) {
-	if bp != nil && cap(*bp) <= maxPooledResp {
-		respBufs.Put(bp)
+		var status int
+		status, header, resp, err = n.send(r, st.target, body, class)
+		if last = outcome(status); err != nil {
+			last = transportError
+			if r.Context().Err() != nil {
+				last = cancelled
+			}
+		}
 	}
 }
 
-// do is the one outbound HTTP call of the package: it owns the
-// deadline, the request build, client.Do, and the full read of the
-// peer's response — bounded at maxBodyBytes like every inbound body, so
-// the deadline covers the body and a retry never holds a half-read
-// connection — and the close. The body is sent from body, or, when sb
-// is set, from its sealed bytes, each request body holding a reference
-// until the transport closes it. The response body is read into a
-// respBufs buffer the caller hands to releaseResp once it has relayed
-// or decoded it.
-func (n *Node) do(ctx context.Context, timeout time.Duration, method, url string, header http.Header, body []byte, sb *sealed) (int, http.Header, *[]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	var rd io.Reader
-	if sb == nil {
-		rd = bytes.NewReader(body)
+// view snapshots what next decides on for key.
+func (n *Node) view(key string) view {
+	v := view{self: n.self, succ: n.currentRing().Successors(key, n.cfg.Replication)}
+	for i, m := range v.succ {
+		if st, known := n.membership.State(m); known && st != cluster.StateAlive {
+			if v.suspect == nil {
+				v.suspect = make([]bool, len(v.succ))
+			}
+			v.suspect[i] = true
+		}
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	if sb != nil {
-		// Sealed bytes go without a declared length: the transport then
-		// sends them chunked through the body's WriteTo, one write of the
-		// whole buffer, where a Content-Length would have it copy them
-		// through a LimitedReader and a fresh 32 KiB buffer per send.
-		req.Body = sb.body()
-		req.GetBody = func() (io.ReadCloser, error) { return sb.body(), nil }
-	}
-	req.Header = header
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	bp := respBufs.Get().(*[]byte)
-	if *bp, err = readBounded(*bp, resp.Body, resp.ContentLength); err != nil {
-		releaseResp(bp)
-		return 0, nil, nil, fmt.Errorf("reading response from %s: %w", url, err)
-	}
-	return resp.StatusCode, resp.Header, bp, nil
+	return v
 }
 
-// call posts one JSON /cluster/* control message to peer — body, or
-// sb's sealed bytes when sb is set — and decodes its 200 answer into
-// out (nil discards it); any other status is an error. hdr carries
-// extra headers and may be nil.
-func (n *Node) call(peer, path string, timeout time.Duration, hdr http.Header, body []byte, sb *sealed, out any) error {
-	if hdr == nil {
-		hdr = make(http.Header, 1)
-	}
-	hdr.Set("Content-Type", "application/json")
-	status, _, bp, err := n.do(context.Background(), timeout, http.MethodPost, peer+path, hdr, body, sb)
-	if err != nil {
-		return err
-	}
-	defer releaseResp(bp)
-	if status != http.StatusOK {
-		return fmt.Errorf("%s%s: status %d: %.200s", peer, path, status, *bp)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(*bp, out); err != nil {
-		return fmt.Errorf("%s%s: decoding answer: %w", peer, path, err)
-	}
-	return nil
-}
-
-// send forwards the request once to target under a per-operation
+// send forwards the request once to target under its class's
 // deadline, returning the response fully read into a respBufs buffer.
-func (n *Node) send(r *http.Request, target string, body []byte, timeout time.Duration) (int, http.Header, *[]byte, error) {
+func (n *Node) send(r *http.Request, target string, body []byte, class opClass) (int, http.Header, *[]byte, error) {
 	hdr := make(http.Header, 5)
 	for _, name := range []string{"Content-Type", commitIDHeader, traceHeader} {
 		if v := r.Header.Get(name); v != "" {
@@ -626,6 +578,10 @@ func (n *Node) send(r *http.Request, target string, body []byte, timeout time.Du
 	hops, _ := strconv.Atoi(r.Header.Get(hopsHeader))
 	hdr.Set(hopsHeader, strconv.Itoa(hops+1))
 	hdr.Set(forwardedHeader, n.self)
+	timeout := writeTimeout
+	if class == opRead {
+		timeout = readTimeout
+	}
 	return n.do(r.Context(), timeout, r.Method, target+r.URL.RequestURI(), hdr, body, nil)
 }
 
@@ -637,278 +593,4 @@ func relay(w http.ResponseWriter, status int, header http.Header, body []byte) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body) //nolint:errcheck // nothing to do about a failed relay
-}
-
-// routingKey derives the ring key for a session request: the session
-// ID from the path, or — for POST /sessions — the ID the create will
-// resolve to, computed from the decoded body exactly as the pool
-// does. ok=false means the request has no routable key (the list
-// endpoint, or an undecodable create) and is served locally, so the
-// service produces the error; body is non-nil whenever the request body
-// was consumed.
-func (n *Node) routingKey(r *http.Request, id string) (key string, body []byte, ok bool) {
-	if id != "" {
-		return id, nil, true
-	}
-	if r.Method != http.MethodPost {
-		return "", nil, false // GET /sessions lists local sessions
-	}
-	body, err := readBounded(nil, r.Body, r.ContentLength)
-	if err != nil {
-		return "", body, false
-	}
-	var req CreateSessionRequest
-	if json.Unmarshal(body, &req) != nil {
-		return "", body, false
-	}
-	_, _, key, err = decodeCreate(&req)
-	return key, body, err == nil
-}
-
-// membersMessage is the wire form of a full member list (broadcast on
-// membership change, and the join response).
-type membersMessage struct {
-	Members []string `json:"members"`
-}
-
-// joinRequest announces a new member to a seed node.
-type joinRequest struct {
-	Member string `json:"member"`
-}
-
-// migrateResponse answers POST /cluster/migrate.
-type migrateResponse struct {
-	ID   string `json:"id"`
-	Warm bool   `json:"warm"`
-	// Report is the rebuilt session's committed answer, so the sender
-	// can verify bit-compatibility before dropping its copy.
-	Report *SolveReport `json:"report"`
-}
-
-// SetMembers installs a new member list (self is always included),
-// rebuilds the ring, and synchronously migrates away every local
-// session the new ring assigns elsewhere. A failed transfer keeps the
-// session local — it stays reachable through forwarding.
-func (n *Node) SetMembers(members []string) {
-	n.membership.SetPeers(members, time.Now())
-	n.syncRing()
-}
-
-// syncRing rebuilds the ring from the membership's non-dead member
-// set. On a change it promotes every replica the new ring assigns to
-// this node (the failover path: a confirmed death lands here) and
-// rebalances live sessions the new ring assigns elsewhere (the
-// join/revival path).
-func (n *Node) syncRing() {
-	ring := cluster.NewRing(n.membership.Active(), 0)
-	n.mu.Lock()
-	old := n.ring
-	n.ring = ring
-	n.mu.Unlock()
-	if slices.Equal(old.Members(), ring.Members()) {
-		return
-	}
-	n.logRingChange(old.Members(), ring.Members())
-	n.promoteOwned(ring)
-	n.rebalance(ring)
-}
-
-// rebalance ships every local session whose owner under ring is some
-// other member: snapshot → POST /cluster/migrate → on success evict
-// the local copy and its snapshot file.
-func (n *Node) rebalance(ring *cluster.Ring) {
-	for _, sess := range n.srv.Pool().Sessions() {
-		owner := ring.Owner(sess.id)
-		if owner == "" || owner == n.self {
-			continue
-		}
-		if err := n.migrate(sess, owner); err != nil {
-			continue // keep serving locally; forwarding still finds us
-		}
-	}
-}
-
-func (n *Node) migrate(sess *Session, owner string) error {
-	_, sb, err := seal(sess)
-	if err != nil {
-		return err
-	}
-	defer sb.release()
-	if err := n.call(owner, "/cluster/migrate", transferTimeout, nil, nil, sb, nil); err != nil {
-		return fmt.Errorf("migrate %s: %w", sess.id, err)
-	}
-	n.srv.Pool().Evict(sess.id)
-	if n.store != nil {
-		n.store.Delete(sess.id) //nolint:errcheck // best effort: a stale file is re-skipped at recovery
-	}
-	n.lastFanout.Delete(sess.id)
-	n.migrations.Add(1)
-	return nil
-}
-
-func (n *Node) handleSetMembers(w http.ResponseWriter, r *http.Request) {
-	var msg membersMessage
-	if !decodeBody(w, r, &msg) {
-		return
-	}
-	n.SetMembers(msg.Members)
-	writeJSON(w, http.StatusOK, membersMessage{Members: n.Members()})
-}
-
-// handleJoin admits a new member: union it into the member list,
-// broadcast the full list to every member (best effort — the joiner
-// also gets it in the response), and answer with the list.
-func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req joinRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Member == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("join: empty member"))
-		return
-	}
-	members := append(n.Members(), req.Member)
-	n.SetMembers(members)
-	full := n.Members()
-	for _, m := range full {
-		if m == n.self || m == req.Member {
-			continue // self already applied; the joiner applies the response
-		}
-		n.broadcastMembers(m, full)
-	}
-	writeJSON(w, http.StatusOK, membersMessage{Members: full})
-}
-
-func (n *Node) broadcastMembers(member string, members []string) {
-	data, err := json.Marshal(membersMessage{Members: members})
-	if err != nil {
-		return
-	}
-	n.call(member, "/cluster/members", n.cfg.WriteTimeout, nil, data, nil, nil) //nolint:errcheck // best effort: the heartbeats converge membership anyway
-}
-
-// handleMigrate receives a session from another replica: verify the
-// snapshot, rebuild warm, install into the pool (which persists and
-// replicates it through the session hook), and answer with the
-// rebuilt committed report.
-func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	snap, sb, ok := readSnapshot(w, r)
-	if !ok {
-		return
-	}
-	defer sb.release() // install copies what the live session keeps
-	if live := n.srv.Pool().Get(snap.ID); live != nil && live.Info().Epoch >= snap.Epoch {
-		// Our live copy is at least as far along as the incoming one —
-		// installing it would erase committed epochs. This happens when
-		// a holder rebalances after a false death confirmation healed:
-		// both sides applied commits during the split, and the longer
-		// (or equal, in which case ours — we are the owner the sender
-		// is shipping to) history wins. The sender keeps its copy; the
-		// next commit's replication fan-out evicts it as stale.
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("migrate %s: live epoch %d >= incoming %d", snap.ID, live.Info().Epoch, snap.Epoch))
-		return
-	}
-	sess, rep, warm, err := n.install(snap)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("rebuilding session: %w", err))
-		return
-	}
-	n.dropReplica(snap.ID) // the live session supersedes any passive copy
-	writeJSON(w, http.StatusOK, migrateResponse{ID: sess.id, Warm: warm, Report: rep})
-}
-
-func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, n.Stats())
-}
-
-// Stats is the pool's /stats response with the node's cluster
-// counters and ring view filled in.
-func (n *Node) Stats() PoolStatsResponse {
-	resp := n.srv.Stats()
-	resp.Cluster.Forwarded = n.forwarded.Value()
-	resp.Cluster.Migrations = n.migrations.Value()
-	resp.Cluster.WarmRebuilds = n.warmRebuilds.Value()
-	resp.Cluster.ColdRebuilds = n.coldRebuilds.Value()
-	resp.Cluster.SnapshotBytes = n.snapshotBytes.Value()
-	resp.Cluster.Replication = n.cfg.Replication
-	resp.Cluster.Retries = n.retries.Value()
-	resp.Cluster.Failovers = n.failovers.Value()
-	resp.Cluster.Promotions = n.promotions.Value()
-	resp.Cluster.ReplicasHeld = n.replicaCount()
-	resp.Cluster.ReplicasSent = n.replicasSent.Value()
-	resp.Cluster.ReplicaErrors = n.replicaErrors.Value()
-	resp.Cluster.FencedCommits = n.fencedCommits.Value()
-	resp.Cluster.RoutingLoops = n.routingLoops.Value()
-	resp.Cluster.Incarnation = n.membership.Incarnation()
-	resp.Cluster.PeersAlive, resp.Cluster.PeersSuspect, resp.Cluster.PeersDead = n.membership.Counts()
-	resp.Cluster.Self = n.self
-	resp.Cluster.Members = n.Members()
-	return resp
-}
-
-// Join announces this replica to a seed member and adopts the member
-// list the seed answers with (the seed also broadcasts it to the rest
-// of the ring). Sessions the new ring assigns to this replica migrate
-// over as each current holder rebalances.
-func (n *Node) Join(seed string) error {
-	data, err := json.Marshal(joinRequest{Member: n.self})
-	if err != nil {
-		return err
-	}
-	var msg membersMessage
-	if err := n.call(seed, "/cluster/join", n.cfg.WriteTimeout, nil, data, nil, &msg); err != nil {
-		return fmt.Errorf("joining %s: %w", seed, err)
-	}
-	n.SetMembers(msg.Members)
-	return nil
-}
-
-// Recover rebuilds every decodable session snapshot in the store,
-// installing each into the pool warm. Corrupt snapshots are skipped
-// (their sessions rebuild cold from traffic later); the return counts
-// warm rebuilds, cold rebuilds and skipped files.
-func (n *Node) Recover() (warm, cold, skipped int, err error) {
-	if n.store == nil {
-		return 0, 0, 0, nil
-	}
-	snaps, sk, err := n.store.LoadAll()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	skipped = sk
-	for _, snap := range snaps {
-		_, _, w, rerr := n.install(snap)
-		switch {
-		case rerr != nil:
-			skipped++
-		case w:
-			warm++
-		default:
-			cold++
-		}
-	}
-	return warm, cold, skipped, nil
-}
-
-// PersistAll snapshots every live session to the store and re-fans
-// replicas to the ring successors — the periodic persistence tick and
-// the graceful-shutdown flush — then garbage-collects snapshot files
-// whose session is neither live here nor held as a replica.
-func (n *Node) PersistAll() {
-	for _, sess := range n.srv.Pool().Sessions() {
-		n.ship(sess)
-	}
-	if n.store != nil {
-		live := make(map[string]bool)
-		for _, sess := range n.srv.Pool().Sessions() {
-			live[sess.id] = true
-		}
-		n.repMu.Lock()
-		for id := range n.replicas {
-			live[id] = true
-		}
-		n.repMu.Unlock()
-		n.store.Sweep(func(id string) bool { return live[id] }) //nolint:errcheck // best-effort GC
-	}
 }

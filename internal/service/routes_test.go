@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -22,8 +21,6 @@ func TestSessionPathRouteTable(t *testing.T) {
 	}
 	const created = "created" // stands for the ID the create body digests to
 	createdID := sessionID(testPlatform(t, 4, 7).Fingerprint(), sessionConfig{objName: "maxmin", heur: "lprg"})
-	n := NewNode(NewServer(NewPool(1)), "http://self", nil, nil)
-
 	rows := []struct {
 		method, path string
 		id, sub      string
@@ -57,15 +54,16 @@ func TestSessionPathRouteTable(t *testing.T) {
 		if id != row.id || sub != row.sub {
 			t.Errorf("%s %s: parsed id %q sub %q, want %q %q", row.method, row.path, id, sub, row.id, row.sub)
 		}
-		if got := classify(row.method, row.path); got != row.class {
-			t.Errorf("%s %s: class %d, want %d", row.method, row.path, got, row.class)
+		class := classify(row.method, id, sub, ok)
+		if class != row.class {
+			t.Errorf("%s %s: class %d, want %d", row.method, row.path, class, row.class)
 		}
 		if got := endpointLabel(row.method, row.path); got != row.label {
 			t.Errorf("%s %s: endpoint label %q, want %q", row.method, row.path, got, row.label)
 		}
 		key := ""
-		if ok { // off the grammar, routed serves locally without asking for a key
-			key, _, _ = n.routingKey(httptest.NewRequest(row.method, row.path, bytes.NewReader(create)), id)
+		if class != opLocal { // routed serves opLocal without asking for a key
+			key = ringKey(class, id, create)
 		}
 		want := row.key
 		if want == created {
@@ -84,7 +82,7 @@ func TestSessionPathRouteTable(t *testing.T) {
 func TestRequestBodiesDecodeStrictly(t *testing.T) {
 	const K = 4
 	pl := testPlatform(t, K, 7)
-	n := NewNode(NewServer(NewPool(2)), "http://self", nil, nil)
+	n := NewNodeWithConfig(NewServer(NewPool(2)), "http://self", nil, nil, NodeConfig{})
 	create, err := json.Marshal(&CreateSessionRequest{Platform: platformJSON(t, pl)})
 	if err != nil {
 		t.Fatal(err)

@@ -28,14 +28,14 @@
 // Repeated and concurrent requests meet in one place, the session's
 // answerTable: entries keyed by canonical query that are either in
 // flight (identical what-ifs wait for the one solve and are marked
-// Coalesced) or resolved at the committed-state digest — drifted
-// platform fingerprint plus epoch counter — stamped under the session
-// mutex as the solve finishes (a repeat is a hit, marked Cached, served
-// from bytes encoded once). The digest rotates on every commit because
-// the epoch counter strictly increases, so an answer resolved before a
-// commit can never be looked up after it: correctness never rests on
-// the table's LRU eviction or on the commit's invalidation sweep, which
-// only reclaim capacity.
+// Coalesced) or resolved at the committed epoch, stamped under the
+// session mutex as the solve finishes (a repeat is a hit, marked
+// Cached, served from bytes encoded once). Within a session only a
+// commit moves the platform, and every commit advances the epoch, so
+// the epoch names the committed state: an answer resolved before a
+// commit can never be looked up after it, and correctness never rests
+// on the table's LRU eviction or on the commit's invalidation sweep,
+// which only reclaim capacity.
 package service
 
 import (
@@ -196,11 +196,9 @@ type Session struct {
 	// Guarded by mu.
 	lastCommit time.Time
 
-	// answers memoizes and coalesces solves under (committed-state
-	// digest, canonical query key); see answerTable, which also holds
-	// the digest — the drifted platform's fingerprint plus the epoch
-	// counter — rotated under mu on every commit. Because the epoch
-	// counter strictly increases, a commit always changes the digest: a
+	// answers memoizes and coalesces solves under (committed epoch,
+	// canonical query key); see answerTable, whose epoch is rotated
+	// under mu on every commit. Because the epoch strictly increases, a
 	// stale hit after a commit is impossible even before the commit's
 	// sweep.
 	answers *answerTable
@@ -255,7 +253,6 @@ func buildSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 		s.betaRoutes[p] = true
 	}
 	s.id = sessionID(s.fingerprint, cfg)
-	s.refreshStateLocked() // unshared yet, so "locked" trivially holds
 	return s, nil
 }
 
@@ -273,13 +270,6 @@ func newSession(pl *platform.Platform, cfg sessionConfig) (*Session, *SolveRepor
 		return nil, nil, fmt.Errorf("initial solve: %w", err)
 	}
 	return s, rep, nil
-}
-
-// refreshStateLocked recomputes the committed-state digest from the
-// current (drifted) platform and epoch counter and rotates the answer
-// table to it. Called under mu at every commit.
-func (s *Session) refreshStateLocked() {
-	s.answers.rotate(s.pl.Fingerprint() + "@" + fmt.Sprint(s.epoch))
 }
 
 // Info snapshots the session's description.
@@ -520,7 +510,7 @@ func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) { return asRe
 // whatIf is WhatIf as the HTTP layer consumes it; see query. The owner
 // of a flight answers the hypothetical on the session model (whatIfOn)
 // before releasing the session. The answer is resolved under the
-// committed-state digest while mu is still held, so it can never be
+// committed epoch while mu is still held, so it can never be
 // filed against a state other than the one it was computed on.
 func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 	if len(req.Bounds) > 0 {
@@ -728,9 +718,9 @@ func mustRestore(err error) {
 // the session's current platform (drift accumulates), the new
 // capacities are injected into the model as RHS/bound mutations, and
 // the answer re-solves warm from the carried basis. The commit
-// rotates the committed-state digest and invalidates the previous
-// state's cached answers — a post-commit query can only ever see a
-// post-commit answer — and runs the commit hook (snapshot
+// advances the epoch the answer table is keyed on and invalidates the
+// previous state's cached answers — a post-commit query can only ever
+// see a post-commit answer — and runs the commit hook (snapshot
 // persistence) outside the session mutex.
 func (s *Session) Epoch(req *EpochRequest) (*SolveReport, error) {
 	return s.EpochIdempotent(req, "")
@@ -811,6 +801,6 @@ func (s *Session) epochLocked(req *EpochRequest) (*SolveReport, error) {
 	s.pl = epl
 	s.pr = &core.Problem{Platform: epl, Payoffs: s.pr.Payoffs}
 	s.epoch++
-	s.refreshStateLocked()
+	s.answers.rotate(s.epoch)
 	return s.solveLocked(s.pr, true)
 }

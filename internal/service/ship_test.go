@@ -142,7 +142,7 @@ func TestOversizedPeerResponseIsAnError(t *testing.T) {
 		w.Write([]byte(`"]}`))                           //nolint:errcheck
 	}))
 	defer seed.Close()
-	n := NewNode(NewServer(NewPool(1)), "http://self", nil, nil)
+	n := NewNodeWithConfig(NewServer(NewPool(1)), "http://self", nil, nil, NodeConfig{})
 	err := n.Join(seed.URL)
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("Join against an oversized answer returned %v, want a bounded-read error", err)
@@ -289,7 +289,7 @@ func TestSealCostIndependentOfRecordDepth(t *testing.T) {
 
 	// Promotion: a successor receives the sealed bytes, holds them, and
 	// becomes the session's owner.
-	n := NewNode(NewServer(NewPool(4)), "http://successor", nil, nil)
+	n := NewNodeWithConfig(NewServer(NewPool(4)), "http://successor", nil, nil, NodeConfig{})
 	nh := n.Handler()
 	rec := httptest.NewRecorder()
 	nh.ServeHTTP(rec, httptest.NewRequest("POST", "/cluster/replicate", bytes.NewReader(data)))
@@ -459,7 +459,7 @@ func BenchmarkShipTaggedCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	successor := NewNode(NewServer(NewPool(4)), "http://successor", nil, nil).Handler()
+	successor := NewNodeWithConfig(NewServer(NewPool(4)), "http://successor", nil, nil, NodeConfig{}).Handler()
 	rec := httptest.NewRecorder()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -127,7 +127,7 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 	s.id = snap.ID
 	s.fingerprint = snap.Fingerprint
 	s.epoch = snap.Epoch
-	s.refreshStateLocked() // unshared: rekey the cache to the true epoch
+	s.answers.rotate(s.epoch) // unshared: rekey the table to the true epoch
 	cols, upper, err := snap.Basis(s.model.SolverCols())
 	if err != nil {
 		return nil, nil, false, err
