@@ -39,10 +39,12 @@
 // hashes to; requests landing elsewhere are forwarded transparently,
 // so clients may talk to any replica. -advertise is the URL peers use
 // to reach this replica (defaults to http://ADDR once the listener is
-// up — set it explicitly behind NAT or a proxy). -join asks a running
-// replica to admit this one; membership is broadcast and sessions
-// whose ownership moved migrate warm (serialize → transfer → rebuild
-// from basis) to their new owner.
+// up — set it explicitly behind NAT or a proxy). -join enters the ring
+// through a running replica in one round of health probes: the seed's
+// answer carries its view of the ring, and every member then probed
+// learns this replica and hands it, warm (serialize → transfer →
+// rebuild from basis), the sessions it now owns before the join
+// returns.
 //
 // # Replication and failover
 //

@@ -47,14 +47,14 @@
 // words in place and expands them only when Basis is asked, against the
 // receiving solver's column count; DecodeSnapshot expands them at once.
 //
-// Between replicas (POST /cluster/replicate and /cluster/migrate) a
-// snapshot travels as the request body with no declared length —
+// Between replicas (POST /cluster/replicate, which carries replicas
+// and ownership transfers alike) a snapshot travels as the request body with no declared length —
 // chunked — so the sender hands its sealed buffer to the transport in
 // one write instead of copying it through a per-send buffer; the
 // receiver reads it into a pooled buffer of its own, bounded like every
 // inbound body, and a replica holds that buffer as received.
 //
-//   - At receipt (OpenSnapshot: replication, migration; DecodeSnapshot:
+//   - At receipt (OpenSnapshot: replication; DecodeSnapshot:
 //     recovery — before anything is acked or installed): the version,
 //     exactly; the checksum over the received bytes, so a torn write or
 //     corrupted transfer, down to any single flipped bit, is an error
@@ -67,8 +67,8 @@
 //     before anything is allocated from it, at-upper columns strictly
 //     ascending below ncols, no trailing bytes). The platform and the
 //     reports are handed on as slices of the received bytes, unparsed.
-//   - At install (service.RestoreSession: promotion, migration arrival,
-//     recovery): the ID must digest from the carried fingerprint and
+//   - At install (service.RestoreSession: promotion, a transfer's
+//     included, and recovery): the ID must digest from the carried fingerprint and
 //     configuration, the platform is validated like an uploaded one, a
 //     report that does not parse drops its record entry, a basis whose
 //     column count is not the rebuilt solver's is refused before it is
@@ -84,8 +84,8 @@
 //     session is live again, whose next commit overwrites it. A rolling upgrade must finish before
 //     the format moves: until then old and new replicas refuse each
 //     other's snapshots — fan-out between them goes unacked
-//     (ReplicationLag degrades), a migration between them fails and
-//     leaves the session serving where it was.
+//     (ReplicationLag degrades), an ownership transfer between them
+//     fails and leaves the session serving where it was.
 //
 // # Consistent-hash ring
 //
@@ -102,40 +102,51 @@
 // ~1/N of the keyspace; the service layer migrates exactly the
 // sessions whose owner changed (snapshot → transfer → warm rebuild).
 //
-// # Migration protocol
+// # Ownership transfer
 //
-// The service's router (service.Node) drives migration on membership
-// change; the protocol is one round trip per moved session:
+// A session changes owner the way a replica travels. When a membership
+// change makes another member the owner of a session held live here,
+// the service's router (service.Node) seals it and POSTs it to the new
+// owner's /cluster/replicate endpoint with its incarnation, like any
+// replica push, so the same fences apply. The receiver's own ring
+// decides what arrived:
 //
-//  1. The current holder serializes the session (SessionSnapshot,
-//     checksum sealed) and POSTs it to the new owner's
-//     /cluster/migrate endpoint.
-//  2. The receiver verifies version + checksum, rebuilds the session
-//     warm, installs it in its pool, persists it to its own snapshot
-//     store, and answers with the rebuilt session's committed report.
-//  3. Only on success does the sender evict its local copy and delete
-//     its snapshot file. A failed transfer leaves the session where
-//     it was — requests keep being forwarded to the ring owner, which
-//     forwards are answered locally by whichever node holds the
-//     session, so availability degrades to an extra hop, never to a
-//     lost session.
+//  1. A member that does not own the session holds it as a passive
+//     replica, as it holds any other.
+//  2. The owner promotes it on receipt (warm rebuild from the carried
+//     basis, pool install, which persists it and fans it out to the
+//     owner's successors) and acks the checksum only once the session
+//     is live. The promotion cannot wait for the session's first
+//     request: on the ack the sender evicts its copy and deletes its
+//     snapshot file, so the received bytes are then the only copy.
+//  3. A failed transfer or promotion is not acked, and leaves the
+//     session where it was — requests keep being forwarded to the ring
+//     owner, which forwards are answered locally by whichever node
+//     holds the session, so availability degrades to an extra hop,
+//     never to a lost session.
+//
+// A join needs no message of its own: the joiner probes a seed on
+// /cluster/health, adopts the view the seed answers with, then probes
+// every other member at once. Each member learns the joiner from its
+// probe and transfers the sessions the joiner now owns before it
+// answers, so the ring has converged when the join returns.
 //
 // Because the rebuilt model restarts from the exact exported basis
-// under the exact committed capacities, the migrated session's
+// under the exact committed capacities, the transferred session's
 // answers are bit-compatible with the originals (the service's tests
 // pin this, modulo the process-lifetime solver counters riding along
 // in reports).
 //
 // # Replication
 //
-// Migration alone leaves every session with exactly one live copy, so
-// a crashed replica takes its sessions' solver state with it and the
-// survivors rebuild cold. The service layer therefore fans each
+// Ownership transfer alone leaves every session with exactly one live
+// copy, so a crashed replica takes its sessions' solver state with it
+// and the survivors rebuild cold. The service layer therefore fans each
 // session's sealed snapshot out to the next R−1 distinct ring
 // successors of its key (R = NodeConfig.Replication, default 2) — on
-// creation, on every epoch commit, and on migration — synchronously,
-// before the client's commit response is written, with each receiver's
-// ack carrying the checksum back for verification. Successors hold
+// creation, on every epoch commit, and on arrival at a new owner —
+// synchronously, before the client's commit response is written, with
+// each receiver's ack carrying the checksum back for verification. Successors hold
 // the copy passively (bytes + decoded snapshot, no solver state), so
 // a replica costs memory but no simplex work until promotion.
 // Placement is by ring successor rather than a separate replica map:
@@ -161,9 +172,10 @@
 // least 8 sends, so a commit sent as its owner dies or hangs waits out
 // the death's confirmation and lands on the promoted replica.
 // Commits are deliberately less available than reads: they go to the
-// ring owner only, are fenced by epoch (a snapshot or migration below
-// the receiver's committed epoch is rejected with 409) and by sender
-// incarnation (a message from a previous life of a peer is rejected),
+// ring owner only, are fenced by epoch (a snapshot, replica or
+// transfer, below the replica or live session the receiver holds is
+// rejected with 409) and by sender incarnation (a message from a
+// previous life of a peer is rejected),
 // are deduplicated by client commit ID (a bounded per-session record
 // of recently applied commits, carried in snapshots — bounded rather
 // than last-commit-only so distinct clients interleaving commits
@@ -178,8 +190,9 @@
 // believe they own the same session. The design does not pretend to
 // rule this out (that would need consensus); it bounds the damage
 // instead. The resurrected owner's stale live copy is evicted the
-// moment a higher-epoch replica push reaches it, a migration cannot
-// clobber an equal-or-newer live session, commits on the minority
+// moment a higher-epoch replica push reaches it, a transfer cannot
+// clobber an equal-or-newer live session (its owner keeps serving an
+// equal one and refuses an older one with 409), commits on the minority
 // side of a partition are refused by the quorum fence, and the E17
 // chaos guard's epoch-trace and drift gates (TestE17ChaosRegression
 // in internal/service) verify end to end that the surviving history

@@ -121,7 +121,11 @@ func NewMembership(self string, peers []string, cfg MembershipConfig, now time.T
 		peers: make(map[string]*peerInfo),
 	}
 	m.inc = m.cfg.Incarnation
-	m.SetPeers(peers, now)
+	for _, p := range peers {
+		if p != "" && p != self {
+			m.peers[p] = &peerInfo{state: StateAlive, lastAck: now}
+		}
+	}
 	return m
 }
 
@@ -133,37 +137,6 @@ func (m *Membership) Incarnation() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.inc
-}
-
-// SetPeers replaces the peer set (the explicit join/broadcast
-// membership path). New peers start alive as of now; peers already
-// known keep their state and incarnation; peers absent from the list
-// are forgotten. Self is always excluded. Reports whether the
-// non-dead member set changed.
-func (m *Membership) SetPeers(peers []string, now time.Time) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keep := make(map[string]bool, len(peers))
-	changed := false
-	for _, p := range peers {
-		if p == "" || p == m.self {
-			continue
-		}
-		keep[p] = true
-		if _, ok := m.peers[p]; !ok {
-			m.peers[p] = &peerInfo{state: StateAlive, lastAck: now}
-			changed = true
-		}
-	}
-	for url, info := range m.peers {
-		if !keep[url] {
-			delete(m.peers, url)
-			if info.state != StateDead {
-				changed = true
-			}
-		}
-	}
-	return changed
 }
 
 // ObserveAck records direct evidence of life from a peer (a health
@@ -199,10 +172,10 @@ func (m *Membership) ObserveAck(url string, inc uint64, now time.Time) bool {
 // Merge folds a gossiped view in. Higher incarnations win outright;
 // equal incarnations adopt the worse state. Hearing ourselves called
 // suspect or dead refutes the accusation by bumping our incarnation
-// past it. Unknown members are learned (gossip repairs a missed
-// membership broadcast). Reports whether the non-dead member set — or
-// our own incarnation — changed, i.e. whether the caller should
-// re-gossip and rebuild its ring.
+// past it. Unknown members are learned: this is how a joiner learns
+// the ring from its seed's answer. Reports whether the non-dead member
+// set — or our own incarnation — changed, i.e. whether the caller
+// should re-gossip and rebuild its ring.
 func (m *Membership) Merge(views []PeerView, now time.Time) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

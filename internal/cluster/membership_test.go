@@ -197,32 +197,6 @@ func TestMembershipQuorum(t *testing.T) {
 	}
 }
 
-func TestMembershipSetPeers(t *testing.T) {
-	m := NewMembership("a", []string{"b"}, testCfg(), t0)
-	if !m.SetPeers([]string{"a", "b", "c"}, t0) {
-		t.Fatal("adding c should report a change")
-	}
-	if m.SetPeers([]string{"a", "b", "c"}, t0) {
-		t.Fatal("no-op SetPeers should report no change")
-	}
-	// Existing peers keep their state across SetPeers.
-	m.Tick(t0.Add(150 * time.Millisecond))
-	m.SetPeers([]string{"b", "c", "d"}, t0.Add(150*time.Millisecond))
-	if st, _ := m.State("b"); st != StateSuspect {
-		t.Fatalf("b lost suspect state across SetPeers: %v", st)
-	}
-	// d is brand new and alive with a fresh grace period.
-	if st, _ := m.State("d"); st != StateAlive {
-		t.Fatalf("d = %v, want alive", st)
-	}
-	if !m.SetPeers([]string{"b"}, t0.Add(150*time.Millisecond)) {
-		t.Fatal("dropping live peers should report a change")
-	}
-	if got := m.Known(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("Known = %v", got)
-	}
-}
-
 func TestMembershipViewRoundTrip(t *testing.T) {
 	m := NewMembership("a", []string{"b", "c"}, testCfg(), t0)
 	m.Tick(t0.Add(150 * time.Millisecond)) // b, c suspect

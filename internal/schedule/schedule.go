@@ -93,112 +93,6 @@ func Build(pr *core.Problem, a *core.Allocation, denom int64) (*Schedule, error)
 	return s, nil
 }
 
-// BuildLCM reconstructs a schedule the way §3.2 describes it
-// literally: each α_{k,l} is approximated by a rational u/v with
-// v ≤ maxDenom using continued-fraction convergents (adjusted to
-// never exceed α), and the period is lcm of all the v. When the lcm
-// overflows maxPeriod the builder falls back to the common
-// denominator maxDenom.
-func BuildLCM(pr *core.Problem, a *core.Allocation, maxDenom, maxPeriod int64) (*Schedule, error) {
-	if maxDenom <= 0 || maxPeriod <= 0 {
-		return nil, fmt.Errorf("schedule: bad bounds maxDenom=%d maxPeriod=%d", maxDenom, maxPeriod)
-	}
-	if err := pr.CheckAllocation(a, core.DefaultTol); err != nil {
-		return nil, fmt.Errorf("schedule: allocation invalid: %w", err)
-	}
-	K := pr.K()
-	dens := make([][]int64, K)
-	period := int64(1)
-	overflow := false
-	for k := 0; k < K && !overflow; k++ {
-		dens[k] = make([]int64, K)
-		for l := 0; l < K; l++ {
-			_, v := RationalBelow(a.Alpha[k][l], maxDenom)
-			dens[k][l] = v
-			period = lcm(period, v)
-			if period > maxPeriod || period <= 0 {
-				overflow = true
-				break
-			}
-		}
-	}
-	if overflow {
-		return Build(pr, a, maxDenom)
-	}
-	s := &Schedule{
-		Period:   float64(period),
-		Compute:  make([][]int64, K),
-		Transfer: make([][]int64, K),
-		Beta:     make([][]int, K),
-	}
-	for k := 0; k < K; k++ {
-		s.Compute[k] = make([]int64, K)
-		s.Transfer[k] = make([]int64, K)
-		s.Beta[k] = append([]int(nil), a.Beta[k]...)
-		for l := 0; l < K; l++ {
-			u, v := RationalBelow(a.Alpha[k][l], maxDenom)
-			units := u * (period / v)
-			s.Compute[k][l] = units
-			if k != l {
-				s.Transfer[k][l] = units
-			}
-		}
-	}
-	if err := s.Validate(pr); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// RationalBelow returns a rational u/v ≤ x with v ≤ maxDenom that is
-// a best-effort approximation of x ≥ 0 (continued-fraction
-// convergent, decremented if it overshoots). For x = 0 it returns
-// 0/1.
-func RationalBelow(x float64, maxDenom int64) (u, v int64) {
-	if x <= 0 || math.IsNaN(x) {
-		return 0, 1
-	}
-	if math.IsInf(x, 1) {
-		panic("schedule: RationalBelow(+Inf)")
-	}
-	// Continued fraction expansion of x.
-	var h0, h1 int64 = 1, int64(math.Floor(x)) // numerators
-	var k0, k1 int64 = 0, 1                    // denominators
-	frac := x - math.Floor(x)
-	for i := 0; i < 64 && frac > 1e-12; i++ {
-		inv := 1 / frac
-		ai := int64(math.Floor(inv))
-		frac = inv - math.Floor(inv)
-		h2 := ai*h1 + h0
-		k2 := ai*k1 + k0
-		if k2 > maxDenom || k2 <= 0 || h2 < 0 {
-			break
-		}
-		h0, h1 = h1, h2
-		k0, k1 = k1, k2
-	}
-	u, v = h1, k1
-	// Ensure u/v ≤ x (round down on overshoot).
-	for u > 0 && float64(u)/float64(v) > x+1e-15 {
-		u--
-	}
-	return u, v
-}
-
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return a / gcd(a, b) * b
-}
-
 // Validate re-checks Equations (7) for the integer schedule against
 // the platform, in exact integer/float arithmetic with no tolerance
 // on the integer side: per period, cluster speeds (7b), gateway
@@ -351,16 +245,4 @@ func (s *Schedule) Timeline(numPeriods int) ([]Event, error) {
 		}
 	}
 	return events, nil
-}
-
-// AchievedThroughput returns the average load per time unit processed
-// for application k over a horizon of numPeriods periods, including
-// the empty first period — the quantity that converges to
-// Throughput(k) as the horizon grows (steady-state argument of §1).
-func (s *Schedule) AchievedThroughput(k, numPeriods int) float64 {
-	if numPeriods < 2 {
-		return 0
-	}
-	total := float64(s.AppLoadPerPeriod(k)) * float64(numPeriods-1)
-	return total / (float64(numPeriods) * s.Period)
 }

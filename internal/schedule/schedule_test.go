@@ -113,91 +113,6 @@ func TestBuildSnapsNearIntegers(t *testing.T) {
 	}
 }
 
-func TestRationalBelow(t *testing.T) {
-	cases := []struct {
-		x        float64
-		maxDenom int64
-		wantU    int64
-		wantV    int64
-	}{
-		{0, 100, 0, 1},
-		{-1, 100, 0, 1},
-		{0.5, 100, 1, 2},
-		{1.0 / 3, 100, 1, 3},
-		{2.5, 10, 5, 2},
-		{7, 100, 7, 1},
-	}
-	for _, tc := range cases {
-		u, v := RationalBelow(tc.x, tc.maxDenom)
-		if u != tc.wantU || v != tc.wantV {
-			t.Fatalf("RationalBelow(%g,%d) = %d/%d, want %d/%d", tc.x, tc.maxDenom, u, v, tc.wantU, tc.wantV)
-		}
-	}
-}
-
-// TestPropertyRationalBelow: result is ≤ x, within 1/maxDenom of x,
-// and the denominator respects the bound.
-func TestPropertyRationalBelow(t *testing.T) {
-	prop := func(raw float64, d int64) bool {
-		x := math.Abs(raw)
-		if math.IsInf(x, 0) || math.IsNaN(x) || x > 1e9 {
-			return true
-		}
-		maxDenom := 1 + d%10000
-		if maxDenom < 1 {
-			maxDenom = 1
-		}
-		u, v := RationalBelow(x, maxDenom)
-		if v < 1 || v > maxDenom || u < 0 {
-			return false
-		}
-		val := float64(u) / float64(v)
-		return val <= x+1e-12 && x-val <= 1.0/float64(maxDenom)+1e-9*x+1e-12
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBuildLCMExactRationals(t *testing.T) {
-	// α values 1/2 and 1/3: period lcm(2,3)=6, loads 3 and 2.
-	pr := twoClusterProblem()
-	a := core.NewAllocation(2)
-	a.Alpha[0][0] = 0.5
-	a.Alpha[1][1] = 1.0 / 3
-	s, err := BuildLCM(pr, a, 1000, 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Period != 6 {
-		t.Fatalf("period = %g, want 6", s.Period)
-	}
-	if s.Compute[0][0] != 3 || s.Compute[1][1] != 2 {
-		t.Fatalf("compute = %v", s.Compute)
-	}
-	// Exact rationals lose nothing.
-	if s.Throughput(0) != 0.5 || math.Abs(s.Throughput(1)-1.0/3) > 1e-15 {
-		t.Fatalf("throughputs %g %g", s.Throughput(0), s.Throughput(1))
-	}
-}
-
-func TestBuildLCMFallsBackOnOverflow(t *testing.T) {
-	// Irrational-ish α force huge denominators; with a tiny maxPeriod
-	// the builder must fall back to the common-denominator scheme and
-	// still validate.
-	pr := twoClusterProblem()
-	a := core.NewAllocation(2)
-	a.Alpha[0][0] = math.Pi * 10
-	a.Alpha[1][1] = math.E * 10
-	s, err := BuildLCM(pr, a, 997, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Period != 997 {
-		t.Fatalf("period = %g, want fallback 997", s.Period)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	pr := twoClusterProblem()
 	a := core.NewAllocation(2)
@@ -270,34 +185,6 @@ func TestTimelineStructure(t *testing.T) {
 	}
 	if _, err := s.Timeline(1); err == nil {
 		t.Fatal("timeline with < 2 periods must fail")
-	}
-}
-
-func TestAchievedThroughputConverges(t *testing.T) {
-	pr := twoClusterProblem()
-	a := core.NewAllocation(2)
-	a.Alpha[0][0] = 80
-	s, err := Build(pr, a, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := s.Throughput(0)
-	prev := 0.0
-	for _, n := range []int{2, 10, 100, 1000} {
-		got := s.AchievedThroughput(0, n)
-		if got <= prev-1e-12 {
-			t.Fatalf("achieved throughput not monotone at %d periods", n)
-		}
-		if got > want+1e-12 {
-			t.Fatalf("achieved %g exceeds steady-state %g", got, want)
-		}
-		prev = got
-	}
-	if math.Abs(s.AchievedThroughput(0, 1000)-want) > want*2e-3 {
-		t.Fatalf("achieved %g far from steady-state %g", s.AchievedThroughput(0, 1000), want)
-	}
-	if s.AchievedThroughput(0, 1) != 0 {
-		t.Fatal("horizon < 2 must yield 0")
 	}
 }
 

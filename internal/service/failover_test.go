@@ -308,6 +308,41 @@ func TestForgetReachesFormerSuccessors(t *testing.T) {
 	}
 }
 
+// slowForgets holds every /cluster/forget send for a second.
+type slowForgets struct{ http.RoundTripper }
+
+func (s slowForgets) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/cluster/forget" {
+		time.Sleep(time.Second)
+	}
+	return s.RoundTripper.RoundTrip(r)
+}
+
+// TestDeleteForgetsAtOnce: the tombstones of a DELETE go to every other
+// member at once, so with three members each taking a second to answer
+// a forget, the DELETE is answered in about one second, not three, and
+// every member has dropped the session.
+func TestDeleteForgetsAtOnce(t *testing.T) {
+	nodes, servers := startRingCfg(t, 4, NodeConfig{Transport: slowForgets{defaultTransport()}})
+	client := servers[0].Client()
+	resp := ringCreate(t, client, servers[0].URL, &CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 6, 211))})
+	owner, _ := ringOwnerOf(t, nodes, resp.ID)
+	start := time.Now()
+	status, raw, err := doJSONRaw(client, "DELETE", servers[owner].URL+"/sessions/"+resp.ID, nil)
+	took := time.Since(start)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("delete: status %d err %v body %s", status, err, raw)
+	}
+	if took >= 2*time.Second {
+		t.Fatalf("delete answered after %v: the forgets went one member at a time", took)
+	}
+	for i, n := range nodes {
+		if n.getReplica(resp.ID) != nil || n.srv.Pool().Get(resp.ID) != nil {
+			t.Fatalf("node %d still holds the session after delete", i)
+		}
+	}
+}
+
 // TestOwnerDeathPromotionAndCommit runs the full failover story with
 // live failure detection: kill the owner under a 3-node heartbeating
 // ring, wait for confirmation, and check (a) the survivors' rings
@@ -478,8 +513,6 @@ func TestReplicateHandlerFencing(t *testing.T) {
 	handler := &lateHandler{}
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
-	n := NewNodeWithConfig(NewServer(NewPool(8)), srv.URL, nil, nil, NodeConfig{})
-	handler.set(n.Handler())
 	client := srv.Client()
 
 	// Build two sealed snapshots of one session at epochs 1 and 2.
@@ -514,6 +547,8 @@ func TestReplicateHandlerFencing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := passiveHolder(t, srv.URL, snap2.ID)
+	handler.set(n.Handler())
 
 	post := func(data []byte, from string, inc uint64) (int, replicateAck) {
 		req, _ := http.NewRequest("POST", srv.URL+"/cluster/replicate", bytes.NewReader(data))

@@ -70,14 +70,15 @@ func (n *Node) healthTimeout() time.Duration {
 	return t
 }
 
-// probe sends one heartbeat to peer and folds the answer in. Failures
-// are deliberately silent: silence is the signal, and Tick turns it
+// probe sends one heartbeat to peer, bounded by timeout, and folds the
+// answer in, reporting whether the member set changed. The heartbeat
+// loop ignores its errors: silence is the signal, and Tick turns it
 // into suspicion on schedule. The ack is timestamped when the answer
 // arrives, not at round start — reusing the round-start clock would
 // backdate lastAck by up to the probe timeout every round, enough to
 // push a consistently slow-but-alive peer over an aggressive
 // SuspectAfter.
-func (n *Node) probe(peer string) bool {
+func (n *Node) probe(peer string, timeout time.Duration) (bool, error) {
 	msg := healthMessage{
 		From:        n.self,
 		Incarnation: n.membership.Incarnation(),
@@ -85,12 +86,12 @@ func (n *Node) probe(peer string) bool {
 	}
 	data, err := json.Marshal(msg)
 	if err != nil {
-		return false
+		return false, err
 	}
 	sent := time.Now()
 	var ans healthMessage
-	if n.call(peer, "/cluster/health", n.healthTimeout(), nil, data, nil, &ans) != nil {
-		return false
+	if err := n.call(peer, "/cluster/health", timeout, nil, data, nil, &ans); err != nil {
+		return false, err
 	}
 	now := time.Now()
 	n.hbRTT.With(peerLabel(peer)).Set(now.Sub(sent).Seconds())
@@ -98,7 +99,7 @@ func (n *Node) probe(peer string) bool {
 	if n.membership.Merge(ans.Views, now) {
 		changed = true
 	}
-	return changed
+	return changed, nil
 }
 
 // Start launches the failure-detection loop: every Heartbeat, probe
@@ -150,7 +151,7 @@ func (n *Node) heartbeatOnce() {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			if n.probe(peer) {
+			if moved, _ := n.probe(peer, n.healthTimeout()); moved {
 				mu.Lock()
 				changed = true
 				mu.Unlock()
@@ -164,35 +165,6 @@ func (n *Node) heartbeatOnce() {
 	if changed {
 		n.syncRing()
 	}
-}
-
-// membersMessage is the wire form of a full member list (broadcast on
-// membership change, and the join response).
-type membersMessage struct {
-	Members []string `json:"members"`
-}
-
-// joinRequest announces a new member to a seed node.
-type joinRequest struct {
-	Member string `json:"member"`
-}
-
-// migrateResponse answers POST /cluster/migrate.
-type migrateResponse struct {
-	ID   string `json:"id"`
-	Warm bool   `json:"warm"`
-	// Report is the rebuilt session's committed answer, so the sender
-	// can verify bit-compatibility before dropping its copy.
-	Report *SolveReport `json:"report"`
-}
-
-// SetMembers installs a new member list (self is always included),
-// rebuilds the ring, and synchronously migrates away every local
-// session the new ring assigns elsewhere. A failed transfer keeps the
-// session local — it stays reachable through forwarding.
-func (n *Node) SetMembers(members []string) {
-	n.membership.SetPeers(members, time.Now())
-	n.syncRing()
 }
 
 // syncRing rebuilds the ring from the membership's non-dead member
@@ -214,9 +186,8 @@ func (n *Node) syncRing() {
 	n.rebalance(ring)
 }
 
-// rebalance ships every local session whose owner under ring is some
-// other member: snapshot → POST /cluster/migrate → on success evict
-// the local copy and its snapshot file.
+// rebalance hands every local session whose owner under ring is some
+// other member to that owner.
 func (n *Node) rebalance(ring *cluster.Ring) {
 	for _, sess := range n.srv.Pool().Sessions() {
 		owner := ring.Owner(sess.id)
@@ -229,14 +200,17 @@ func (n *Node) rebalance(ring *cluster.Ring) {
 	}
 }
 
+// migrate sends sess to owner as a replica, which the owner promotes on
+// receipt (handleReplicate); on the ack, the local copy, its snapshot
+// file and its fan-out record go.
 func (n *Node) migrate(sess *Session, owner string) error {
-	_, sb, err := seal(sess)
+	snap, sb, err := seal(sess)
 	if err != nil {
 		return err
 	}
 	defer sb.release()
-	if err := n.call(owner, "/cluster/migrate", transferTimeout, nil, nil, sb, nil); err != nil {
-		return fmt.Errorf("migrate %s: %w", sess.id, err)
+	if err := n.sendReplica(owner, snap, sb); err != nil {
+		return err
 	}
 	n.srv.Pool().Evict(sess.id)
 	if n.store != nil {
@@ -247,91 +221,26 @@ func (n *Node) migrate(sess *Session, owner string) error {
 	return nil
 }
 
-func (n *Node) handleSetMembers(w http.ResponseWriter, r *http.Request) {
-	var msg membersMessage
-	if !decodeBody(w, r, &msg) {
-		return
-	}
-	n.SetMembers(msg.Members)
-	writeJSON(w, http.StatusOK, membersMessage{Members: n.Members()})
-}
-
-// handleJoin admits a new member: union it into the member list,
-// broadcast the full list to every member (best effort — the joiner
-// also gets it in the response), and answer with the list.
-func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req joinRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Member == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("join: empty member"))
-		return
-	}
-	members := append(n.Members(), req.Member)
-	n.SetMembers(members)
-	full := n.Members()
-	for _, m := range full {
-		if m == n.self || m == req.Member {
-			continue // self already applied; the joiner applies the response
-		}
-		n.broadcastMembers(m, full)
-	}
-	writeJSON(w, http.StatusOK, membersMessage{Members: full})
-}
-
-func (n *Node) broadcastMembers(member string, members []string) {
-	data, err := json.Marshal(membersMessage{Members: members})
-	if err != nil {
-		return
-	}
-	n.call(member, "/cluster/members", writeTimeout, nil, data, nil, nil) //nolint:errcheck // best effort: the heartbeats converge membership anyway
-}
-
-// handleMigrate receives a session from another replica: verify the
-// snapshot, rebuild warm, install into the pool (which persists and
-// replicates it through the session hook), and answer with the
-// rebuilt committed report.
-func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	snap, sb, ok := readSnapshot(w, r)
-	if !ok {
-		return
-	}
-	defer sb.release() // install copies what the live session keeps
-	if live := n.srv.Pool().Get(snap.ID); live != nil && live.Info().Epoch >= snap.Epoch {
-		// Our live copy is at least as far along as the incoming one —
-		// installing it would erase committed epochs. This happens when
-		// a holder rebalances after a false death confirmation healed:
-		// both sides applied commits during the split, and the longer
-		// (or equal, in which case ours — we are the owner the sender
-		// is shipping to) history wins. The sender keeps its copy; the
-		// next commit's replication fan-out evicts it as stale.
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("migrate %s: live epoch %d >= incoming %d", snap.ID, live.Info().Epoch, snap.Epoch))
-		return
-	}
-	sess, rep, warm, err := n.install(snap)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("rebuilding session: %w", err))
-		return
-	}
-	n.dropReplica(snap.ID) // the live session supersedes any passive copy
-	writeJSON(w, http.StatusOK, migrateResponse{ID: sess.id, Warm: warm, Report: rep})
-}
-
-// Join announces this replica to a seed member and adopts the member
-// list the seed answers with (the seed also broadcasts it to the rest
-// of the ring). Sessions the new ring assigns to this replica migrate
-// over as each current holder rebalances.
+// Join enters the ring through seed in one probe round: probe the seed
+// and adopt its view, then probe every other member at once, so each
+// learns this replica, and hands it the sessions it now owns, before
+// Join returns.
 func (n *Node) Join(seed string) error {
-	data, err := json.Marshal(joinRequest{Member: n.self})
-	if err != nil {
-		return err
-	}
-	var msg membersMessage
-	if err := n.call(seed, "/cluster/join", writeTimeout, nil, data, nil, &msg); err != nil {
+	if _, err := n.probe(seed, writeTimeout); err != nil {
 		return fmt.Errorf("joining %s: %w", seed, err)
 	}
-	n.SetMembers(msg.Members)
+	n.syncRing()
+	var wg sync.WaitGroup
+	for _, m := range n.Members() {
+		if m != n.self && m != seed {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n.probe(m, writeTimeout) //nolint:errcheck // the heartbeats reach a member this probe missed
+			}()
+		}
+	}
+	wg.Wait()
+	n.syncRing()
 	return nil
 }

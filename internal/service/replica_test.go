@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/platform"
@@ -53,6 +55,24 @@ func replicate(t testing.TB, h http.Handler, data []byte) bool {
 	return true
 }
 
+// passiveHolder returns a node at self in a two-member ring in which a
+// loopback peer owns every one of ids, so the node holds what it
+// receives of them as passive replicas instead of promoting it.
+// Replication 1 keeps a promotion from fanning out to that peer, which
+// nothing serves.
+func passiveHolder(t testing.TB, self string, ids ...string) *Node {
+	t.Helper()
+	for port := 1; port < 1<<10; port++ {
+		peer := fmt.Sprintf("http://127.0.0.1:%d", port)
+		ring := cluster.NewRing([]string{self, peer}, 0)
+		if !slices.ContainsFunc(ids, func(id string) bool { return ring.Owner(id) != peer }) {
+			return NewNodeWithConfig(NewServer(NewPool(8)), self, []string{peer}, nil, NodeConfig{Replication: 1})
+		}
+	}
+	t.Fatalf("no loopback peer owns all of %v", ids)
+	return nil
+}
+
 // TestReplicaReceiveAllocsIndependentOfK is the clock-free guard on the
 // replica side of a ring commit: /cluster/replicate receives of one
 // session's sealed snapshot, sent as the ring sends it (no declared
@@ -73,7 +93,7 @@ func TestReplicaReceiveAllocsIndependentOfK(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sb.release()
-		n := NewNodeWithConfig(NewServer(NewPool(4)), "http://successor", nil, nil, NodeConfig{})
+		n := passiveHolder(t, "http://successor", sess.id)
 		h := n.Handler()
 		receive := func() {
 			body := sb.body()
@@ -149,7 +169,7 @@ func TestReplicaBytesOutlivePromotion(t *testing.T) {
 	otherData := sealBytes(t, other)
 
 	for round := 0; round < 20; round++ {
-		n := NewNodeWithConfig(NewServer(NewPool(4)), "http://successor", nil, nil, NodeConfig{})
+		n := passiveHolder(t, "http://successor", sess.id, other.id)
 		h := n.Handler()
 		if !replicate(t, h, taken) {
 			t.FailNow()
@@ -246,13 +266,121 @@ func TestForgedBasisWidthIsRefused(t *testing.T) {
 		t.Fatalf("refusing a 4 Gi-column basis allocated %d bytes", grew)
 	}
 
-	n := NewNodeWithConfig(NewServer(NewPool(4)), "http://successor", nil, nil, NodeConfig{})
+	n := passiveHolder(t, "http://successor", sess.id)
 	if !replicate(t, n.Handler(), forged) {
 		t.FailNow()
 	}
 	n.promoteIfReplica(sess.id)
 	if n.srv.Pool().Get(sess.id) != nil || n.getReplica(sess.id) != nil || n.replicaErrors.Value() != 1 {
 		t.Fatalf("the forged replica was not failed closed (errors %d)", n.replicaErrors.Value())
+	}
+}
+
+// TestReplicateOutcomeTable holds /cluster/replicate, the one way a
+// snapshot arrives, to the receipt table of DESIGN.md "Cluster control
+// plane": an epoch-2 snapshot of one session, sent to a receiver that
+// owns the session and to one that does not, over no copy, a held
+// replica or a live session below or above it (live equal too), from a
+// stale incarnation, as corrupt bytes, and forged with a basis width no
+// rebuild accepts. Each row checks the status, the replica and the live
+// session left behind (their epochs, -1 for none), and the promotion
+// and error counts. An owner promotes before it acks, so what it acks
+// is live; an owner never lets an equal-or-newer live session be
+// clobbered.
+func TestReplicateOutcomeTable(t *testing.T) {
+	_, sess, _ := imageFixture(t, 6, 416, "lprg")
+	data := map[int][]byte{}
+	for e := 1; e <= 3; e++ {
+		if _, err := sess.Epoch(&EpochRequest{SpeedFactor: driftFactors(6, 0.95)}); err != nil {
+			t.Fatal(err)
+		}
+		data[e] = sealBytes(t, sess)
+	}
+	snap, err := cluster.DecodeSnapshot(bytes.Clone(data[2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.BasisNcols = math.MaxUint32
+	forged, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := bytes.Clone(data[2])
+	corrupt[len(corrupt)/2] ^= 0x40
+
+	const peer, inc = "http://peer", 7
+	held := func(e int) func(*Node) {
+		return func(n *Node) {
+			sb := sealedCopy(data[e])
+			n.putReplica(&replica{sb: sb, snap: mustOpen(t, sb.bytes())})
+		}
+	}
+	live := func(e int) func(*Node) {
+		return func(n *Node) {
+			s, _, _, err := RestoreSession(mustOpen(t, bytes.Clone(data[e])))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.srv.Pool().Install(s)
+		}
+	}
+	knownLater := func(n *Node) { n.membership.ObserveAck(peer, inc+1, time.Now()) }
+
+	type outcome struct {
+		status, held, live   int
+		promotions, failures uint64
+	}
+	rows := []struct {
+		name  string
+		owner bool
+		pre   func(*Node)
+		body  []byte
+		want  outcome
+	}{
+		{"owner/no copy", true, nil, data[2], outcome{200, -1, 2, 1, 0}},
+		{"owner/held below", true, held(1), data[2], outcome{200, -1, 2, 1, 0}},
+		{"owner/held above", true, held(3), data[2], outcome{409, 3, -1, 0, 0}},
+		{"owner/live below", true, live(1), data[2], outcome{200, -1, 2, 1, 0}},
+		{"owner/live equal", true, live(2), data[2], outcome{200, -1, 2, 0, 0}},
+		{"owner/live above", true, live(3), data[2], outcome{409, -1, 3, 0, 0}},
+		{"owner/stale incarnation", true, knownLater, data[2], outcome{409, -1, -1, 0, 0}},
+		{"owner/corrupt", true, nil, corrupt, outcome{400, -1, -1, 0, 0}},
+		{"owner/forged basis width", true, nil, forged, outcome{400, -1, -1, 0, 1}},
+		{"holder/no copy", false, nil, data[2], outcome{200, 2, -1, 0, 0}},
+		{"holder/held below", false, held(1), data[2], outcome{200, 2, -1, 0, 0}},
+		{"holder/held above", false, held(3), data[2], outcome{409, 3, -1, 0, 0}},
+		{"holder/live below", false, live(1), data[2], outcome{200, 2, -1, 0, 0}},
+		{"holder/live equal", false, live(2), data[2], outcome{200, 2, 2, 0, 0}},
+		{"holder/live above", false, live(3), data[2], outcome{409, -1, 3, 0, 0}},
+		{"holder/stale incarnation", false, knownLater, data[2], outcome{409, -1, -1, 0, 0}},
+		{"holder/corrupt", false, nil, corrupt, outcome{400, -1, -1, 0, 0}},
+		{"holder/forged basis width", false, nil, forged, outcome{200, 2, -1, 0, 0}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			n := passiveHolder(t, "http://self", sess.id)
+			if row.owner {
+				n = NewNodeWithConfig(NewServer(NewPool(8)), "http://self", nil, nil, NodeConfig{})
+			}
+			if row.pre != nil {
+				row.pre(n)
+			}
+			req := httptest.NewRequest("POST", "/cluster/replicate", bytes.NewReader(row.body))
+			req.Header.Set(fromHeader, peer)
+			req.Header.Set(incarnationHeader, fmt.Sprint(inc))
+			rec := httptest.NewRecorder()
+			n.Handler().ServeHTTP(rec, req)
+			got := outcome{rec.Code, -1, -1, n.promotions.Value(), n.replicaErrors.Value()}
+			if r := n.getReplica(sess.id); r != nil {
+				got.held = r.snap.Epoch
+			}
+			if s := n.srv.Pool().Get(sess.id); s != nil {
+				got.live = s.Info().Epoch
+			}
+			if got != row.want {
+				t.Fatalf("got %+v, want %+v (body %s)", got, row.want, rec.Body)
+			}
+		})
 	}
 }
 

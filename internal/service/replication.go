@@ -118,7 +118,7 @@ func (n *Node) dropReplicaThrough(id string, epoch int) {
 // replicationTargets lists the members that should hold passive
 // replicas of id: the first Replication distinct members clockwise
 // from the key, minus self. For the owner that is its R−1 successors;
-// for a non-owner stuck holding a session after a failed migration it
+// for a non-owner stuck holding a session after a failed transfer it
 // includes the true owner — which repairs the PR 8 hole where such a
 // session was reachable only through forwarding and died with its
 // holder.
@@ -228,8 +228,8 @@ func seal(sess *Session) (*cluster.SessionSnapshot, *sealed, error) {
 }
 
 // ship persists and replicates sess's committed state: the pool's
-// session hook (creation, epoch commits, migration arrivals) and the
-// body of the periodic PersistAll. It runs synchronously, so a commit
+// session hook (creation, epoch commits, arrivals at a new owner) and
+// the body of the periodic PersistAll. It runs synchronously, so a commit
 // is acked to the client only after its snapshot was offered to the
 // store and the ring successors. No failure here fails the commit: a
 // snapshot that cannot be sealed or saved is logged, a successor that
@@ -253,13 +253,13 @@ func (n *Node) ship(sess *Session) {
 }
 
 // install is the one way a snapshot becomes a live session here —
-// recovery, inbound migration and replica promotion: rebuild warm,
-// install into the pool (which ships it onward through the session
-// hook), count the rebuild's temperature.
-func (n *Node) install(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool, error) {
-	sess, rep, warm, err := RestoreSession(snap)
+// recovery and replica promotion, an ownership transfer's included:
+// rebuild warm, install into the pool (which ships it onward through
+// the session hook), count the rebuild's temperature.
+func (n *Node) install(snap *cluster.SessionSnapshot) (bool, error) {
+	sess, _, warm, err := RestoreSession(snap)
 	if err != nil {
-		return nil, nil, false, err
+		return false, err
 	}
 	n.srv.Pool().Install(sess)
 	if warm {
@@ -267,7 +267,7 @@ func (n *Node) install(snap *cluster.SessionSnapshot) (*Session, *SolveReport, b
 	} else {
 		n.coldRebuilds.Add(1)
 	}
-	return sess, rep, warm, nil
+	return warm, nil
 }
 
 // readSnapshot reads an inbound snapshot body, bounded, into a pooled
@@ -332,13 +332,17 @@ func (n *Node) sendReplica(target string, snap *cluster.SessionSnapshot, sb *sea
 	return nil
 }
 
-// handleReplicate receives a passive replica. The snapshot is read
-// and decoded strictly (readSnapshot), then fenced two ways before it
-// can displace anything: a sender incarnation below the freshest one
-// known for that peer marks a message from a previous life, and a
-// snapshot epoch below what this node already holds (replica or live)
-// marks state the cluster has moved past — a partitioned old owner's
-// late fan-out hits both.
+// handleReplicate receives a sealed snapshot, the one way a session
+// arrives from another member (DESIGN.md "Cluster control plane"). The
+// snapshot is read and decoded strictly (readSnapshot), then fenced two
+// ways before it can displace anything: a sender incarnation below the
+// freshest one known for that peer marks a message from a previous
+// life, and a snapshot epoch below what this node already holds
+// (replica or live) marks state the cluster has moved past — a
+// partitioned old owner's late fan-out hits both. What passes is held
+// as a passive replica, unless this node's ring makes it the session's
+// owner: then it is promoted before the ack, since a sender handing the
+// session over deletes its own copy on that ack.
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	snap, sb, ok := readSnapshot(w, r)
 	if !ok {
@@ -361,6 +365,8 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		refuse(fmt.Errorf("replica of %s: epoch %d below held %d", snap.ID, snap.Epoch, held.snap.Epoch))
 		return
 	}
+	ack := replicateAck{ID: snap.ID, Epoch: snap.Epoch, Checksum: snap.Checksum}
+	owner := n.currentRing().Owner(snap.ID) == n.self
 	if live := n.srv.Pool().Get(snap.ID); live != nil {
 		liveEpoch := live.Info().Epoch
 		switch {
@@ -375,13 +381,24 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			// resurrected owner whose sessions moved on while peers
 			// had us confirmed dead. Either way the snapshot is
 			// authoritative even if the ring says the session is ours:
-			// drop the stale live session, keep the fresh replica (the
-			// next touch promotes it warm).
+			// drop the stale live session and take the snapshot's.
 			n.srv.Pool().Evict(snap.ID)
+		case owner:
+			// Already serving this state: nothing to hold.
+			sb.release()
+			n.dropReplica(snap.ID)
+			writeJSON(w, http.StatusOK, ack)
+			return
 		}
 	}
 	n.putReplica(&replica{sb: sb, snap: snap})
-	writeJSON(w, http.StatusOK, replicateAck{ID: snap.ID, Epoch: snap.Epoch, Checksum: snap.Checksum})
+	if owner {
+		if err := n.promoteIfReplica(snap.ID); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+	}
+	writeJSON(w, http.StatusOK, ack)
 }
 
 // handleForget drops every trace of a deleted session.
@@ -409,7 +426,9 @@ func (n *Node) handleForget(w http.ResponseWriter, r *http.Request) {
 // not just the current replication targets — because membership
 // changes strand replicas on former successors, and a later ring
 // change could otherwise resurrect the deleted session from one of
-// them via promoteOwned. Deletes are rare; the extra sends are cheap.
+// them via promoteOwned. Deletes are rare; the extra sends are cheap,
+// and they go out at once, so one slow member holds the DELETE at most
+// one writeTimeout.
 func (n *Node) forgetSession(id string) {
 	n.dropReplica(id)
 	n.lastFanout.Delete(id)
@@ -420,17 +439,24 @@ func (n *Node) forgetSession(id string) {
 	if err != nil {
 		return
 	}
+	var wg sync.WaitGroup
 	for _, target := range n.membership.Known() {
 		if target != n.self {
-			n.call(target, "/cluster/forget", writeTimeout, nil, data, nil, nil) //nolint:errcheck // best effort: an unreachable member has nothing to resurrect from while it is down
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n.call(target, "/cluster/forget", writeTimeout, nil, data, nil, nil) //nolint:errcheck // best effort: an unreachable member has nothing to resurrect from while it is down
+			}()
 		}
 	}
+	wg.Wait()
 }
 
 // promoteIfReplica turns a passive replica into a live warm session
-// when this node is asked to serve it (ownership moved here, a read
-// failed over here, or a forwarded request landed here). Promotion is
-// serialized: concurrent requests for the same session promote once.
+// when this node is asked to serve it (ownership moved here, a transfer
+// arrived, a read failed over here, or a forwarded request landed
+// here). Promotion is serialized: concurrent requests for the same
+// session promote once.
 // The passive copy is consumed by a successful promotion: once the
 // session is live here, replication fan-out excludes self, so a kept
 // replica would freeze at the promotion-time epoch and — were the pool
@@ -438,17 +464,18 @@ func (n *Node) forgetSession(id string) {
 // committed epochs. The store snapshot (refreshed by the commit hook)
 // is also consulted, preferring whichever source is at the higher
 // epoch, so a replica parked before this node last owned the session
-// can never roll back the store's fresher history.
-func (n *Node) promoteIfReplica(id string) {
+// can never roll back the store's fresher history. It reports a
+// promotion that failed.
+func (n *Node) promoteIfReplica(id string) error {
 	rep := n.holdReplica(id)
 	if rep == nil {
-		return
+		return nil
 	}
 	defer rep.sb.release() // install copies what the live session keeps
 	n.promoteMu.Lock()
 	defer n.promoteMu.Unlock()
 	if n.srv.Pool().Get(id) != nil {
-		return // lost the race: someone else promoted (or it was live all along)
+		return nil // lost the race: someone else promoted (or it was live all along)
 	}
 	snap := rep.snap
 	if n.store != nil {
@@ -456,13 +483,14 @@ func (n *Node) promoteIfReplica(id string) {
 			snap = stored
 		}
 	}
-	if _, _, _, err := n.install(snap); err != nil {
+	if _, err := n.install(snap); err != nil {
 		n.replicaErrors.Add(1)
 		n.dropReplica(id) // fail closed: never install from damaged state
-		return
+		return fmt.Errorf("promoting %s: %w", id, err)
 	}
 	n.dropReplicaThrough(id, snap.Epoch) // the live session supersedes the passive copy
 	n.promotions.Add(1)
+	return nil
 }
 
 // promoteOwned promotes every replica the ring (after a membership
@@ -526,7 +554,7 @@ func (n *Node) Recover() (warm, cold, skipped int, err error) {
 	}
 	skipped = sk
 	for _, snap := range snaps {
-		_, _, w, rerr := n.install(snap)
+		w, rerr := n.install(snap)
 		switch {
 		case rerr != nil:
 			skipped++

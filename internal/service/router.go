@@ -47,7 +47,7 @@ const commitIDHeader = "X-Schedd-Commit-ID"
 // Per-operation deadlines: readTimeout bounds health probes and
 // forwarded reads (query/what-if/batch/GET), writeTimeout forwarded
 // creates, epoch commits and the small /cluster/* control messages;
-// migrate and replicate transfers get transferTimeout.
+// replicate transfers get transferTimeout.
 const (
 	readTimeout     = 5 * time.Second
 	writeTimeout    = 15 * time.Second
@@ -105,7 +105,7 @@ type NodeConfig struct {
 // session traffic to its ring owner with retry, backoff and successor
 // failover; snapshot replication to ring successors on every commit;
 // heartbeat-driven failure detection that promotes replicas on a
-// confirmed death; session migration on membership change; snapshot
+// confirmed death; session transfer on membership change; snapshot
 // persistence for crash recovery; and the cluster section of /stats.
 // The ring key is the session ID — a digest of platform.Fingerprint()
 // plus the solver configuration — computed from the request body for
@@ -145,7 +145,7 @@ type Node struct {
 // member list (self is always included) and store as the snapshot
 // directory for crash recovery — nil disables persistence. The pool's
 // session hook persists and replicates every committed state change
-// (creation, epoch commit, migration arrival) synchronously, so a
+// (creation, epoch commit, arrival at a new owner) synchronously, so a
 // commit is acked to the client only after its snapshot reached the
 // store and the ring successors.
 func NewNodeWithConfig(srv *Server, self string, peers []string, store *cluster.Store, cfg NodeConfig) *Node {
@@ -191,12 +191,6 @@ func NewNodeWithConfig(srv *Server, self string, peers []string, store *cluster.
 func (n *Node) Handler() http.Handler {
 	inner := n.srv.Handler()
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /cluster/members", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, membersMessage{Members: n.Members()})
-	})
-	mux.HandleFunc("POST /cluster/members", n.handleSetMembers)
-	mux.HandleFunc("POST /cluster/join", n.handleJoin)
-	mux.HandleFunc("POST /cluster/migrate", n.handleMigrate)
 	mux.HandleFunc("POST /cluster/replicate", n.handleReplicate)
 	mux.HandleFunc("POST /cluster/forget", n.handleForget)
 	mux.HandleFunc("POST /cluster/health", n.handleHealth)

@@ -100,7 +100,6 @@ func TestRequestBodiesDecodeStrictly(t *testing.T) {
 		{"/sessions/" + sess.id + "/whatif", `{"relax":true}`},
 		{"/sessions/" + sess.id + "/whatif/batch", `{"queries":[{"relax":true}]}`},
 		{"/sessions/" + sess.id + "/epoch", string(epoch)},
-		{"/cluster/members", `{"members":["http://self"]}`},
 		{"/cluster/forget", `{"id":"no-such-session"}`},
 	}
 	post := func(path, body string) (int, string) {

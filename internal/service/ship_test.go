@@ -132,8 +132,8 @@ func TestFanoutRecordLeavesWithItsSession(t *testing.T) {
 }
 
 // TestOversizedPeerResponseIsAnError pins what the one outbound call
-// primitive bounds: a seed answering /cluster/join with more than
-// maxBodyBytes is an error, not an unbounded decode.
+// primitive bounds: a seed answering a join's /cluster/health probe
+// with more than maxBodyBytes is an error, not an unbounded decode.
 func TestOversizedPeerResponseIsAnError(t *testing.T) {
 	seed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -287,8 +287,8 @@ func TestSealCostIndependentOfRecordDepth(t *testing.T) {
 		}
 	}
 
-	// Promotion: a successor receives the sealed bytes, holds them, and
-	// becomes the session's owner.
+	// Promotion: the session's new owner receives the sealed bytes and
+	// promotes them on receipt.
 	n := NewNodeWithConfig(NewServer(NewPool(4)), "http://successor", nil, nil, NodeConfig{})
 	nh := n.Handler()
 	rec := httptest.NewRecorder()
@@ -296,12 +296,13 @@ func TestSealCostIndependentOfRecordDepth(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("replicate: status %d: %s", rec.Code, rec.Body)
 	}
-	held := n.getReplica(sess.id)
-	n.promoteIfReplica(sess.id)
 	promoted := n.srv.Pool().Get(sess.id)
 	if promoted == nil || n.promotions.Value() != 1 {
 		t.Fatalf("replica was not promoted (promotions %d)", n.promotions.Value())
 	}
+	promoted.mu.Lock()
+	kept := promoted.recentCommits
+	promoted.mu.Unlock()
 	for id, original := range bodies {
 		if retry := commit(nh, id); !bytes.Equal(retry, original) {
 			t.Fatalf("retry of %s on the promoted replica differs from the owner's original answer:\n%s\nvs\n%s", id, retry, original)
@@ -315,8 +316,8 @@ func TestSealCostIndependentOfRecordDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rec := range next.RecentCommits {
-		sent, got := first.RecentCommits[i], held.snap.RecentCommits[i]
-		if rec.ID != sent.ID || !bytes.Equal(rec.Report, sent.Report) || &rec.Report[0] != &got.Report[0] {
+		sent, got := first.RecentCommits[i], kept[i]
+		if rec.ID != sent.ID || !bytes.Equal(rec.Report, sent.Report) || &rec.Report[0] != &got.wire[0] {
 			t.Fatalf("record %d: the promoted session's snapshot does not carry the report bytes it received", i)
 		}
 	}

@@ -92,8 +92,8 @@ func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, er
 // fallbacks); a basis the solver rejects degrades to a correct cold
 // rebuild rather than an error, but one sized for another column count
 // is refused before it is expanded. The initial report is returned so
-// the caller (recovery, migration) can verify bit-compatibility against
-// the pre-transfer answers.
+// a caller can check bit-compatibility against the pre-transfer
+// answers.
 //
 // The session keeps no byte of the buffer snap was decoded from, so
 // that buffer may be recycled once this returns: the commit reports are
