@@ -177,8 +177,9 @@ func TestForkConcurrent(t *testing.T) {
 // ones at once (362.7 KiB on this instance; 359.6 without them), and the
 // whole Markowitz elimination scratch although a fork almost never
 // refactorizes. With that scratch left to the first factorize, and the
-// two m-long nonzero lists a context now carries, it reads 259.5 KiB; the
-// bound is that plus 2.5 %. A caller that forks repeatedly keeps its forks
+// two m-long nonzero lists a context then carried, it read 259.5 KiB; the
+// bound is that plus 2.5 %. A third list (τ's) and the sparse FTRANs' two
+// touched-position bitsets bring it to 262.3 KiB. A caller that forks repeatedly keeps its forks
 // and reforks them, which allocates nothing (TestReforkAllocatesNothing).
 func TestForkAllocatesNoDeadFactor(t *testing.T) {
 	pl, err := platgen.Generate(platgen.Params{

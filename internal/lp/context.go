@@ -667,18 +667,26 @@ func (r *Revised) colDotSigned(ys []float64, j int) float64 {
 // its nonzero list into r.dIdx (an FTRAN of column j).
 func (r *Revised) direction(j int) {
 	t0 := time.Now()
-	r.dIdx = r.fac.ftranCol(j, r.d, r.dIdx[:0])
+	r.dIdx = r.fac.ftranCol(j, r.d, r.dIdx)
 	r.stats.Phase.FTRANNanos += int64(time.Since(t0))
 }
 
 // leavingRow computes ρ = e_pᵀB^{-1} into r.rho with its nonzero list in
-// r.rhoIdx and the signed pricing row ws = amult·ρ·sign in r.ws (a BTRAN
-// of a unit vector), and returns ‖ρ‖².
-func (r *Revised) leavingRow(p int, amult float64) (gamma float64) {
+// r.rhoIdx (a BTRAN of a unit vector), and returns ‖ρ‖².
+func (r *Revised) leavingRow(p int) (gamma float64) {
 	t0 := time.Now()
-	r.rhoIdx, gamma = r.fac.btranRow(p, amult, r.rho, r.ws, r.rhoIdx[:0])
+	r.rhoIdx, gamma = r.fac.btranRow(p, r.rho, r.rhoIdx[:0])
 	r.stats.Phase.BTRANNanos += int64(time.Since(t0))
 	return gamma
+}
+
+// signedRow fills ws whole with the signed leaving row amult·ρ·sign that
+// the dense pricing arms dot the stored columns with, and returns it.
+func (r *Revised) signedRow(amult float64) []float64 {
+	for i, x := range r.rho {
+		r.ws[i] = amult * x * r.sign[i]
+	}
+	return r.ws
 }
 
 // computeXB sets xb = B^{-1}·(b - Σ_{j at upper} A_j·U_j): the basic
@@ -735,12 +743,9 @@ func (r *Revised) startFrozen() (overWide, overNarrow bool) {
 			r.effCol(int(j), func(i int, v float64) { add(i, -v*du) })
 		}
 	}
-	r.dIdx = r.dIdx[:0]
-	if len(rows.list) > 0 {
-		t0 := time.Now()
-		r.dIdx = r.fac.ftranRows(rows.list, delta, r.d, r.dIdx)
-		r.stats.Phase.FTRANNanos += int64(time.Since(t0))
-	}
+	t0 := time.Now()
+	r.dIdx = r.fac.ftranRows(rows.list, delta, r.d, r.dIdx)
+	r.stats.Phase.FTRANNanos += int64(time.Since(t0))
 	rows.open()
 	r.movedRows.open() // the state was the frozen one: Freeze or Rewind
 	r.movedCols.open()
@@ -942,13 +947,14 @@ func (r *Revised) artificialResidue() float64 {
 // negligible, mirroring primalRatioTest's guard: ejection is an
 // optimization, never worth corrupting feasibility over.
 func (r *Revised) driveOutArtificials() {
-	ws, d := r.ws, r.d
+	d := r.d
 	ftol := r.feasTol()
 	for i := 0; i < r.m; i++ {
 		if r.basis[i] < r.artStart || r.xb[i] > ftol {
 			continue
 		}
-		r.leavingRow(i, 1)
+		r.leavingRow(i)
+		ws := r.signedRow(1)
 		enter := -1
 		bestPiv := eps
 		for j := 0; j < r.artStart; j++ {

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // luFactor represents the basis as a sparse LU factorization
 // maintained across pivots by an eta file.
@@ -14,8 +17,7 @@ import "math"
 // slack and artificial columns — peeled off first as fill-free O(1)
 // pivots. L (unit lower triangular) and U are stored column-wise in
 // elimination-position space, so FTRAN is a forward L-solve plus a
-// backward U-solve and BTRAN the two transposed sweeps, each
-// O(m + nnz).
+// backward U-solve and BTRAN the two transposed sweeps.
 //
 // Basis changes append to an eta file instead of touching L/U: a
 // pivot replacing position p's column with an entering column whose
@@ -36,16 +38,19 @@ import "math"
 // the effective column of r.basis[p]), so ftran solves B·x = v (v
 // indexed by row, result by position) and btran solves Bᵀ·y = v (v
 // indexed by position, result by row). Those two take a dense right-hand
-// side of length m. The solves that start from something sparse —
-// ftranCol from one matrix column and btranRow from a unit vector, which a
-// pivot needs, and ftranRows from the rhs change a solve from the frozen
-// state starts with — place their few entries straight into position
-// space, start the first triangular sweep at the earliest of them, and
-// hand back the result as a dense slice of length m plus the list of its
-// nonzeros (the contract is on Revised.dIdx), so the simplex walks the
-// list instead of sweeping m entries to find them. Every float a sparse
-// solve and its general twin compute is the same: a sweep that starts
-// later skips only positions holding 0.
+// side of length m and cost O(m + nnz). The FTRANs a dual pivot runs start
+// from something sparse — a matrix column (ftranCol), a few rows
+// (ftranRows: the rhs change a solve from the frozen state starts with,
+// τ = B⁻¹ρ from ρ's list), the flipped columns' aggregate (add, then
+// solve) — and cost what they touch: add places the entries in position
+// space and marks them in a touched-position bitset, the L sweep ascends
+// and the U sweep descends over its set bits only, the gather and the eta
+// file mark an output bitset, and the ascending nonzero list (the contract
+// is on Revised.dIdx) is read off it. Each nonzero gets the dense sweep's
+// operations in the dense sweep's order, so the values are the general
+// solve's bit for bit but for a zero's sign (DESIGN.md "Pivot path: what a
+// dual pivot touches"). btranRow, ρ, stays a sweep that starts at the
+// earliest position the unit vector and the eta file reach.
 type luFactor struct {
 	r *Revised
 	m int
@@ -66,7 +71,12 @@ type luFactor struct {
 	// borrowed — every context owns its own.
 	borrowed bool
 
-	w []float64 // dense solve workspace (position space)
+	// The solve workspace (position space) and the two touched-position
+	// bitsets of the sparse FTRANs: wMark over w's positions, outMark over
+	// the result's. Every solve leaves w all zero and both bitsets empty,
+	// which is what the next one assumes.
+	w              []float64
+	wMark, outMark []uint64
 
 	// Factorization scratch, allocated by the first factorize — a fork
 	// almost never refactorizes — and reused across refactors.
@@ -152,7 +162,9 @@ const (
 
 func newLUFactor(r *Revised) *luFactor {
 	m := r.m
-	return &luFactor{r: r, m: m, borrowed: true, w: make([]float64, m)}
+	words := (m + 63) / 64
+	return &luFactor{r: r, m: m, borrowed: true, w: make([]float64, m),
+		wMark: make([]uint64, words), outMark: make([]uint64, words)}
 }
 
 func (f *luFactor) allocScratch() {
@@ -522,60 +534,19 @@ func (f *luFactor) ftran(dst, src []float64) {
 	for k, i := range f.rowOfPos {
 		w[k] = src[i]
 	}
-	f.solveLU(0)
-	f.ftranOut(dst)
-}
-
-// ftranCol solves B·x = A_j for the effective column j: x overwrites dst,
-// and the positions of its nonzeros, ascending, are appended to idx.
-func (f *luFactor) ftranCol(j int, dst []float64, idx []int32) []int32 {
-	w := f.w
-	clear(w)
-	from := f.m
-	f.r.effCol(j, func(i int, v float64) {
-		k := int(f.posOfRow[i])
-		w[k] = v
-		from = min(from, k)
-	})
-	return f.solveListed(from, dst, idx)
-}
-
-// ftranRows solves B·x = src for a right-hand side that is zero outside
-// rows (each listed once; src is read there only): x overwrites dst, and
-// the positions of its nonzeros, ascending, are appended to idx.
-func (f *luFactor) ftranRows(rows []int32, src, dst []float64, idx []int32) []int32 {
-	w := f.w
-	clear(w)
-	from := f.m
-	for _, i := range rows {
-		k := int(f.posOfRow[i])
-		w[k] = src[i]
-		from = min(from, k)
+	f.solveLU()
+	for i, k := range f.posOfCol {
+		dst[i], w[k] = w[k], 0
 	}
-	return f.solveListed(from, dst, idx)
+	f.ftranEtas(dst)
+	clear(f.outMark) // the eta file's marks; only solve reads them
 }
 
-// solveListed finishes a sparse-entry FTRAN whose entries sit in w, all
-// at position from or later, into dst and lists dst's nonzeros.
-func (f *luFactor) solveListed(from int, dst []float64, idx []int32) []int32 {
-	f.solveLU(from)
-	f.ftranOut(dst)
-	// Only now: an eta can fill a position the base solve left at 0, or
-	// cancel one it did not.
-	for i, v := range dst {
-		if v != 0 {
-			idx = append(idx, int32(i))
-		}
-	}
-	return idx
-}
-
-// solveLU runs the forward L sweep and the backward U sweep over w, which
-// holds nothing but zeros before position from.
-func (f *luFactor) solveLU(from int) {
+// solveLU runs the forward L sweep and the backward U sweep over w.
+func (f *luFactor) solveLU() {
 	w := f.w
 	ptr, idx, val := f.lPtr, f.lIdx, f.lVal
-	for k := from; k < len(w); k++ {
+	for k := range w {
 		t := w[k]
 		if t == 0 {
 			continue
@@ -598,13 +569,10 @@ func (f *luFactor) solveLU(from int) {
 	}
 }
 
-// ftranOut gathers the base solve out of position space into v and
-// applies the eta file to it, oldest eta first.
-func (f *luFactor) ftranOut(v []float64) {
-	w := f.w
-	for i, k := range f.posOfCol {
-		v[i] = w[k]
-	}
+// ftranEtas applies the eta file to v, oldest eta first, marking in
+// outMark every position an eta writes.
+func (f *luFactor) ftranEtas(v []float64) {
+	out := f.outMark
 	for ei := range f.etas {
 		e := &f.etas[ei]
 		t := v[e.p]
@@ -614,9 +582,104 @@ func (f *luFactor) ftranOut(v []float64) {
 		t /= e.piv
 		v[e.p] = t
 		for s := e.start; s < e.end; s++ {
-			v[f.etaIdx[s]] -= f.etaVal[s] * t
+			i := f.etaIdx[s]
+			v[i] -= f.etaVal[s] * t
+			out[i>>6] |= 1 << (i & 63)
 		}
 	}
+}
+
+// ftranCol solves B·x = A_j for the effective column j into dst, which is
+// zero outside its nonzero list idx, and returns the new list (see solve).
+func (f *luFactor) ftranCol(j int, dst []float64, idx []int32) []int32 {
+	f.r.effCol(j, f.add)
+	return f.solve(dst, idx)
+}
+
+// ftranRows solves B·x = src for a right-hand side that is zero outside
+// rows (each listed once; src is read there only) into dst, which is zero
+// outside its nonzero list idx, and returns the new list (see solve).
+func (f *luFactor) ftranRows(rows []int32, src, dst []float64, idx []int32) []int32 {
+	for _, i := range rows {
+		f.add(int(i), src[i])
+	}
+	return f.solve(dst, idx)
+}
+
+// add adds v to row i of the right-hand side the next solve solves,
+// marking its position.
+func (f *luFactor) add(i int, v float64) {
+	k := f.posOfRow[i]
+	f.w[k] += v
+	f.wMark[k>>6] |= 1 << (k & 63)
+}
+
+// solve finishes the sparse FTRAN of what add placed in w: the L sweep
+// ascends and the U sweep descends over the marked positions only, marking
+// every position they write; the gather moves them into dst, clearing w,
+// and marks them in outMark, as the eta file does the positions it writes.
+// dst must be zero outside idx, its nonzero list: solve zeroes it there
+// first, and appends to idx[:0] the positions of the result's nonzeros,
+// ascending, read off outMark — after the eta file, which can fill a
+// position the base solve left at 0 or cancel one it did not. It leaves w
+// zero and both bitsets empty.
+func (f *luFactor) solve(dst []float64, idx []int32) []int32 {
+	for _, i := range idx {
+		dst[i] = 0
+	}
+	idx = idx[:0]
+	w, mark := f.w, f.wMark
+	ptr, ix, val := f.lPtr, f.lIdx, f.lVal
+	for b := range mark {
+		for word := mark[b]; word != 0; {
+			z := bits.TrailingZeros64(word)
+			if k := b<<6 | z; w[k] != 0 {
+				t := w[k]
+				for s := ptr[k]; s < ptr[k+1]; s++ {
+					i := ix[s]
+					w[i] -= val[s] * t
+					mark[i>>6] |= 1 << (i & 63)
+				}
+			}
+			word = mark[b] &^ (uint64(2)<<z - 1) // L writes only later positions
+		}
+	}
+	ptr, ix, val = f.uPtr, f.uIdx, f.uVal
+	for b := len(mark) - 1; b >= 0; b-- {
+		for word := mark[b]; word != 0; {
+			z := 63 - bits.LeadingZeros64(word)
+			if k := b<<6 | z; w[k] != 0 {
+				t := w[k] / f.uDiag[k]
+				w[k] = t
+				for s := ptr[k]; s < ptr[k+1]; s++ {
+					i := ix[s]
+					w[i] -= val[s] * t
+					mark[i>>6] |= 1 << (i & 63)
+				}
+			}
+			word = mark[b] & (uint64(1)<<z - 1) // U writes only earlier positions
+		}
+	}
+	out := f.outMark
+	for b, word := range mark {
+		for ; word != 0; word &= word - 1 {
+			k := b<<6 | bits.TrailingZeros64(word)
+			i := f.colOfPos[k]
+			dst[i], w[k] = w[k], 0
+			out[i>>6] |= 1 << (i & 63)
+		}
+		mark[b] = 0
+	}
+	f.ftranEtas(dst)
+	for b, word := range out {
+		for ; word != 0; word &= word - 1 {
+			if i := b<<6 | bits.TrailingZeros64(word); dst[i] != 0 {
+				idx = append(idx, int32(i))
+			}
+		}
+		out[b] = 0
+	}
+	return idx
 }
 
 // btran solves Bᵀ·y = v in place.
@@ -635,22 +698,20 @@ func (f *luFactor) btran(v []float64) {
 	}
 	f.solveUtLt(0)
 	for i, k := range f.posOfRow {
-		v[i] = w[k]
+		v[i], w[k] = w[k], 0
 	}
 }
 
 // btranRow computes ρ = eₚᵀB⁻¹, row p of B⁻¹ — the vector both simplex
 // methods price the leaving row with — into rho, and in the one pass
 // that writes it out also appends the ascending positions of its
-// nonzeros to idx, fills ws[i] = amult·ρ_i·sign_i (the signed row
-// dualCandidates scatters) and returns ‖ρ‖², the row's exact
-// steepest-edge weight. The eta file applied to a unit vector can only
-// fill the positions its own pivots sit at, so e_p and those entries
-// are placed directly in position space and the Uᵀ sweep starts at the
-// earliest of them.
-func (f *luFactor) btranRow(p int, amult float64, rho, ws []float64, idx []int32) ([]int32, float64) {
+// nonzeros to idx and returns ‖ρ‖², the row's exact steepest-edge weight.
+// The eta file applied to a unit vector can only fill the positions its
+// own pivots sit at, so e_p and those entries are placed directly in
+// position space (w is zero between solves) and the Uᵀ sweep starts at
+// the earliest of them.
+func (f *luFactor) btranRow(p int, rho []float64, idx []int32) ([]int32, float64) {
 	w, pos := f.w, f.posOfCol
-	clear(w)
 	from := int(pos[p])
 	w[from] = 1
 	for ei := len(f.etas) - 1; ei >= 0; ei-- {
@@ -667,11 +728,10 @@ func (f *luFactor) btranRow(p int, amult float64, rho, ws []float64, idx []int32
 		}
 	}
 	f.solveUtLt(from)
-	sign, gamma := f.r.sign, 0.0
+	gamma := 0.0
 	for i, k := range f.posOfRow {
 		x := w[k]
-		rho[i] = x
-		ws[i] = amult * x * sign[i]
+		rho[i], w[k] = x, 0
 		if x != 0 {
 			idx = append(idx, int32(i))
 			gamma += x * x

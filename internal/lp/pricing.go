@@ -12,26 +12,32 @@ import (
 // walk, the reduced-cost vector the dual maintains along its pivot rows
 // — and the primal/dual iteration loops built on them.
 
-// dualCandidates collects the non-artificial columns that can have a
-// nonzero pivot-row entry for the leaving row leavingRow just computed:
-// the union of the column lists of the rows in r.rhoIdx. Columns outside
-// the list have α = 0 and could never be dual ratio-test candidates, so
-// pricing skips them — for a sparse leaving row this shrinks the
-// entering pass from the full column space to a handful of columns.
-// The walk down ρ's nonzero list also accumulates each candidate's
-// pivot-row entry α_j = ws·A_j into candAlpha (a scatter along the
-// row-major mirror, in ascending row order), so the caller never gathers
-// down a CSC column — a column gather reads every stored row of the
-// column when typically only one or two intersect ρ's support. A dense
-// leaving row would make the union walk cost more than it saves, so
-// past a work cutoff the result is (nil, false) and the caller prices
-// the full column space directly with per-column dots.
-func (r *Revised) dualCandidates() ([]int32, bool) {
+// dualCandidates collects the nonbasic non-artificial columns that can
+// have a nonzero pivot-row entry for the leaving row leavingRow just
+// computed: the union of the column lists of the rows in r.rhoIdx, less
+// the basic columns, which pricing would discard. Columns outside the list
+// have α = 0 and could never be dual ratio-test candidates, so pricing
+// skips them — for a sparse leaving row this shrinks the entering pass
+// from the full column space to a handful of columns. The walk down ρ's
+// nonzero list also accumulates each candidate's pivot-row entry
+// α_j = amult·(ρ·sign)·A_j into candAlpha (a scatter along the row-major
+// mirror, in ascending row order, the signed entry formed where it is
+// read), so the caller never gathers down a CSC column — a column gather
+// reads every stored row of the column when typically only one or two
+// intersect ρ's support. The skip reads inBasis, so the nonbasic columns
+// keep the order they had among all (DESIGN.md "Pivot path: what a dual
+// pivot touches"). A dense leaving row would make the union walk cost
+// more than it saves, so past a work cutoff the result is (nil, false)
+// and the caller prices the full column space directly with per-column
+// dots.
+func (r *Revised) dualCandidates(amult float64) ([]int32, bool) {
 	// Cutoff by work, not by support count: the scatter visits
 	// Σ nnz(row i) over ρ's support, the full scan visits every
 	// stored nonzero. Below half the full-scan work the scatter wins
 	// even after the stamp bookkeeping; beyond that the contiguous
-	// CSC sweep's locality takes over.
+	// CSC sweep's locality takes over. The count includes the basic
+	// columns the scatter skips: the arm fixes α's summation order, so
+	// which arm runs must not depend on the skip.
 	work, budget := 0, len(r.sp.val)/2
 	for _, i := range r.rhoIdx {
 		if work += len(r.rowCols[i]); work > budget {
@@ -45,17 +51,21 @@ func (r *Revised) dualCandidates() ([]int32, bool) {
 		}
 		r.candCur = 1
 	}
-	lst := r.candList[:0]
+	lst, cur := r.candList[:0], r.candCur
+	basic, stamp, alpha := r.inBasis, r.candStamp, r.candAlpha
 	for _, i := range r.rhoIdx {
-		s := r.ws[i]
+		s := amult * r.rho[i] * r.sign[i]
 		cols, vals := r.rowCols[i], r.rowVals[i]
 		for t, j := range cols {
-			if r.candStamp[j] != r.candCur {
-				r.candStamp[j] = r.candCur
-				r.candAlpha[j] = 0
+			if basic[j] {
+				continue
+			}
+			if stamp[j] != cur {
+				stamp[j] = cur
+				alpha[j] = 0
 				lst = append(lst, j)
 			}
-			r.candAlpha[j] += s * vals[t]
+			alpha[j] += s * vals[t]
 		}
 	}
 	r.candList = lst
@@ -111,13 +121,13 @@ func (r *Revised) resetDevexCols() {
 }
 
 // updateDevexCols applies the primal devex weight update after a
-// pivot: leavingRow(leave, 1) must have run on the pre-pivot basis, aq is
+// pivot: leavingRow(leave) must have run on the pre-pivot basis, aq is
 // the pivot element d_leave, wq the entering column's weight and leaveCol
 // the column that left the basis. For every nonbasic candidate j the
 // reference weight becomes max(w_j, (α_rj/α_rq)²·w_q) with α_rj the
 // pivot-row entry — one sparse pricing pass against rho.
 func (r *Revised) updateDevexCols(aq, wq float64, enter, leaveCol int) {
-	ws := r.ws
+	ws := r.signedRow(1)
 	aq2 := aq * aq
 	maxW := 0.0
 	upd := func(j int) {
@@ -138,7 +148,7 @@ func (r *Revised) updateDevexCols(aq, wq float64, enter, leaveCol int) {
 	// Only columns intersecting the leaving row's support can have a
 	// nonzero pivot-row entry; walk them via the CSR view when the
 	// row is sparse, exactly like the dual's entering pass.
-	if cands, ok := r.dualCandidates(); ok {
+	if cands, ok := r.dualCandidates(1); ok {
 		for _, j32 := range cands {
 			upd(int(j32))
 		}
@@ -238,7 +248,7 @@ func (r *Revised) primal(costs []float64) (Status, error) {
 		default:
 			// Capture the pre-pivot leaving row and pivot element for
 			// the devex update before the factorization moves on.
-			r.leavingRow(leave, 1)
+			r.leavingRow(leave)
 			aq, wq, leaveCol := d[leave], r.dwCol[enter], r.basis[leave]
 			r.pivotUpdate(leave, enter, dir*t, leaveAtUpper)
 			r.stats.PrimalPivots++
@@ -287,7 +297,7 @@ func (r *Revised) dual() (Status, error) {
 	// into an ErrIterationLimit that SolveFrom converts into that
 	// fallback.
 	maxIters := r.warmPivotBudget()
-	ws, d, dj := r.ws, r.d, r.dj
+	d, dj := r.d, r.dj
 	bland := false
 	stall := 0
 	sinceBest := 0
@@ -326,15 +336,15 @@ func (r *Revised) dual() (Status, error) {
 		if !below {
 			viol = r.xb[leave] - r.U[r.basis[leave]]
 		}
-		// rho = e_leave·B^{-1}; ws is rho sign-normalized for sparse
-		// pricing and oriented so eligible columns always price out
+		// rho = e_leave·B^{-1}; pricing reads it sign-normalized and
+		// oriented by amult, so eligible columns always price out
 		// negative for at-lower and positive for at-upper candidates;
 		// gr = ‖rho‖² is γ_r exactly, for the weight update below.
 		amult := 1.0
 		if !below {
 			amult = -1
 		}
-		gr := r.leavingRow(leave, amult)
+		gr := r.leavingRow(leave)
 		// Entering ratio test. This pass collects every eligible
 		// column's breakpoint (ratio_j, |α_j|) into the dc* buffers;
 		// dualEnterFlips then walks them in ratio order and enters the
@@ -352,8 +362,8 @@ func (r *Revised) dual() (Status, error) {
 		bestRatio := math.Inf(1)
 		nc := 0
 		cJ, cAlpha, cRatio := r.dcJ[:0], r.dcAlpha[:0], r.dcRatio[:0]
-		price := func(j int, alpha float64) {
-			if r.inBasis[j] || r.U[j] <= 0 {
+		price := func(j int, alpha float64) { // j is nonbasic: neither arm passes a basic column
+			if r.U[j] <= 0 {
 				return
 			}
 			cbar := dj[j]
@@ -392,7 +402,7 @@ func (r *Revised) dual() (Status, error) {
 		// Either arm leaves α_j in candAlpha for every nonbasic column it
 		// visits, fixed ones included: the reduced-cost update below reads
 		// it back.
-		cands, sparse := r.dualCandidates()
+		cands, sparse := r.dualCandidates(amult)
 		if sparse {
 			// α was accumulated during the candidate row walk; the CSC
 			// store is not touched again.
@@ -400,6 +410,7 @@ func (r *Revised) dual() (Status, error) {
 				price(int(j32), r.candAlpha[j32])
 			}
 		} else {
+			ws := r.signedRow(amult)
 			for j := 0; j < r.artStart; j++ {
 				if r.inBasis[j] {
 					continue
@@ -407,6 +418,9 @@ func (r *Revised) dual() (Status, error) {
 				r.candAlpha[j] = r.sp.dot(ws, j)
 				price(j, r.candAlpha[j])
 			}
+		}
+		if r.onPrice != nil {
+			r.onPrice(amult, cands)
 		}
 		r.stats.Phase.PricingNanos += int64(time.Since(tEnter))
 		tRatio := time.Now()
@@ -441,7 +455,7 @@ func (r *Revised) dual() (Status, error) {
 		// wherever d_i = 0, so the update walks d's list.
 		tau := r.tau
 		tF := time.Now()
-		r.fac.ftran(tau, r.rho)
+		r.tauIdx = r.fac.ftranRows(r.rhoIdx, r.rho, tau, r.tauIdx)
 		r.stats.Phase.FTRANNanos += int64(time.Since(tF))
 		dr := d[leave]
 		finite := true
@@ -490,10 +504,10 @@ func (r *Revised) dual() (Status, error) {
 			gamma := dj[enter] / d[leave]
 			if g := gamma * amult; g != 0 {
 				if sparse {
+					// The candidates were nonbasic before the pivot; of them
+					// only enter is basic now, and it is set below.
 					for _, j32 := range cands {
-						if !r.inBasis[j32] {
-							dj[j32] -= g * r.candAlpha[j32]
-						}
+						dj[j32] -= g * r.candAlpha[j32]
 					}
 				} else {
 					for j := 0; j < r.artStart; j++ {

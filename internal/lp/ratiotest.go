@@ -142,13 +142,12 @@ func (r *Revised) dualEnterFlips(nc int, viol, dtol float64) (enter int) {
 
 // applyBoundFlips flips each breakpoint candidate in idxs (indices
 // into the dc* buffers) across its box and applies their aggregate
-// effect on the basic values with a single FTRAN:
-// xb -= B⁻¹·Σ_j ±U_j·A_j. The sum is built in beff, computeXB's scratch:
-// acc, which it used to borrow, now keeps the rows' lower-bound shifts
-// from one refresh to the next.
+// effect on the basic values with a single sparse FTRAN:
+// xb -= B⁻¹·Σ_j ±U_j·A_j. The sum is added straight into the solve's
+// right-hand side, column by column in idxs' order, and the result lands
+// in d and its list — free until the entering column's direction, which
+// the dual solves next, overwrites them.
 func (r *Revised) applyBoundFlips(idxs []int32) {
-	agg := r.beff
-	clear(agg)
 	for _, t := range idxs {
 		j := int(r.dcJ[t])
 		du := r.U[j]
@@ -158,19 +157,17 @@ func (r *Revised) applyBoundFlips(idxs []int32) {
 		r.atUpper[j] = !r.atUpper[j]
 		r.movedCols.note(j, r.ncols)
 		r.effCol(j, func(i int, v float64) {
-			agg[i] += v * du
+			r.fac.add(i, v*du)
 		})
 		r.stats.BoundFlips++
 	}
 	t0 := time.Now()
-	r.fac.ftran(agg, agg)
+	r.dIdx = r.fac.solve(r.d, r.dIdx)
 	r.stats.Phase.FTRANNanos += int64(time.Since(t0))
 	ftol := r.feasTol()
-	for i := 0; i < r.m; i++ {
-		if agg[i] != 0 {
-			r.xb[i] -= agg[i]
-			r.clampXB(i, ftol)
-		}
+	for _, i := range r.dIdx {
+		r.xb[i] -= r.d[i]
+		r.clampXB(int(i), ftol)
 	}
 }
 

@@ -162,42 +162,52 @@ type Revised struct {
 	// budgetOverride, when positive, replaces warmPivotBudget — the
 	// hook tests use to force a warm restart into the cold fallback.
 	// onPivot, when set, runs before each pivot and primal bound flip is
-	// applied, while d, rho, ws and their lists describe it and the factor
+	// applied, while d, rho and their lists describe it and the factor
 	// is still the one they were solved on — where tests audit the lists.
 	// onRefresh, when set, runs at the end of every refreshRHS — where
 	// tests hold an incremental refresh to a full one; onStart, at the end
-	// of every startFrozen, with its verdict.
+	// of every startFrozen, with its verdict; onPrice, after every dual
+	// pricing pass, with the row's orientation and the candidate list (nil
+	// when the dense arm priced) — where tests audit candAlpha.
 	budgetOverride int
 	onPivot        func()
 	onRefresh      func()
 	onStart        func(overWide, overNarrow bool)
+	onPrice        func(amult float64, cands []int32)
 
 	// Scratch buffers reused across solves. All per-context: a forked
 	// context allocates its own set, so concurrent solves against the
 	// shared Factorization never share writable memory.
-	ys  []float64 // signed simplex multipliers (primal, computeDJ)
-	ws  []float64 // signed leaving-row vector amult·rho·sign (leavingRow)
+	ys []float64 // signed simplex multipliers (primal, computeDJ)
+	// ws is the signed leaving row amult·rho·sign, filled whole (signedRow)
+	// only where a dense arm dots it with stored columns: the dual's
+	// full-column pricing, updateDevexCols and driveOutArtificials. The
+	// sparse scatter forms each entry where it reads it (DESIGN.md "Pivot
+	// path: what a dual pivot touches").
+	ws  []float64
 	d   []float64 // entering direction B^{-1}A_j (direction)
 	rho []float64 // leaving row of B^{-1} (leavingRow)
 	tau []float64 // B^{-1}ρ_r (dual steepest-edge weight update)
-	// dIdx and rhoIdx list the nonzeros of d and rho, and every loop over
-	// either vector's nonzeros walks its list. The contract, kept by the
-	// solve that writes the vector (luFactor.ftranCol, btranRow) in its
-	// own output pass: position i is listed exactly when v[i] != 0 in the
-	// finished vector — after the eta file, which can fill a position the
-	// base solve left at 0; a value that cancelled to 0 or −0 is not
-	// listed, whatever the sparsity pattern promised — once, in ascending
-	// order, so a walk accumulates in the order the dense sweep it
-	// replaced did. The vectors stay dense and valid at every position
-	// (d[leave], tau against d); the list is rewritten with the vector and
-	// neither is touched in between, so there is no separate validity.
-	dIdx, rhoIdx []int32
+	// dIdx, rhoIdx and tauIdx list the nonzeros of d, rho and tau, and
+	// every loop over one of those vectors' nonzeros walks its list. The
+	// contract, kept by the solve that writes the vector (luFactor.solve,
+	// btranRow) in its own output pass: position i is listed exactly when
+	// v[i] != 0 in the finished vector — after the eta file, which can fill
+	// a position the base solve left at 0; a value that cancelled to 0 or
+	// −0 is not listed, whatever the sparsity pattern promised — once, in
+	// ascending order, so a walk accumulates in the order the dense sweep
+	// it replaced did. The vectors stay valid at every position (d[leave],
+	// tau against d): rho is written whole, and the sparse FTRANs that
+	// write d and tau zero them at their old list first, so each is zero
+	// outside its list. The list is rewritten with the vector and neither
+	// is touched in between, so there is no separate validity.
+	dIdx, rhoIdx, tauIdx []int32
 
 	bfOrder []int32 // ratio-sorted breakpoint order (BFRT)
 	// acc[i] = Σ_j A_ij·lb_j, row i's lower-bound shift, kept with b
 	// while rhsOK; shifted lists the rows an incremental refresh re-sums.
 	// beff is scratch: the bound-adjusted effective rhs (computeXB) and the
-	// aggregated flips (applyBoundFlips).
+	// rhs change of a start from the frozen state (startFrozen).
 	acc       []float64
 	shifted   journal
 	beff      []float64
@@ -385,6 +395,7 @@ func (r *Revised) alloc() {
 	r.tau = make([]float64, r.m)
 	r.dIdx = make([]int32, 0, r.m)
 	r.rhoIdx = make([]int32, 0, r.m)
+	r.tauIdx = make([]int32, 0, r.m)
 	r.acc = make([]float64, r.m)
 	r.beff = make([]float64, r.m)
 	r.seen = make([]bool, r.ncols)
