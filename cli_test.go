@@ -3,6 +3,7 @@ package repro
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -185,6 +186,53 @@ func TestCLIDlschedJSON(t *testing.T) {
 	if !rep.Feasible || rep.Value <= 0 {
 		t.Fatalf("report = %+v", rep)
 	}
+
+	// Text and -json print the run's one report. On a network-bound
+	// platform, where MAXMIN's relaxation is degenerate and LPRG's value
+	// depends on the vertex it rounds, a second solve path would show.
+	tight := filepath.Join(t.TempDir(), "tight.json")
+	if out, err := run(t, platgen, "-k", "10", "-seed", "1", "-maxcon", "4", "-bw", "20", "-o", tight); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, h := range []string{"g", "lpr", "lprg", "lprr"} {
+		for _, obj := range []string{"maxmin", "sum"} {
+			args := []string{"-platform", tight, "-heuristic", h, "-objective", obj, "-payoffs", "1,2,3,1,2,3,1,2,3,1"}
+			text, err := run(t, dlsched, args...)
+			if err != nil {
+				t.Fatalf("%s %s: %v\n%s", h, obj, err, text)
+			}
+			js, err := run(t, dlsched, append(args, "-json")...)
+			if err != nil {
+				t.Fatalf("%s %s -json: %v\n%s", h, obj, err, js)
+			}
+			rep = service.SolveReport{}
+			if err := json.Unmarshal([]byte(js), &rep); err != nil {
+				t.Fatalf("%s %s -json malformed: %v", h, obj, err)
+			}
+			want := fmt.Sprintf("value=%.4f lp-bound=%.4f", rep.Value, rep.LPBound)
+			for k, thr := range rep.Throughputs {
+				want += fmt.Sprintf("\n  app %-3d throughput=%.4f", k, thr)
+			}
+			if got := textAnswer(text); got != want {
+				t.Fatalf("%s %s: text prints\n%s\n-json says\n%s", h, obj, got, want)
+			}
+		}
+	}
+}
+
+// textAnswer is dlsched's text output cut to what a report decides: the
+// value and bound, and each application's throughput.
+func textAnswer(out string) string {
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		if i := strings.Index(line, "value="); i >= 0 {
+			lines = append(lines, strings.TrimSpace(line[i:strings.Index(line, " ratio=")]))
+		}
+		if before, _, ok := strings.Cut(line, " (payoff"); ok && strings.HasPrefix(line, "  app ") {
+			lines = append(lines, before)
+		}
+	}
+	return strings.Join(lines, "\n")
 }
 
 // wantIndented pins dlsched -json's bytes: the CLI writes through the

@@ -10,14 +10,16 @@
 //	dlsched -platform platform.json -heuristic g -schedule -simulate
 //	dlsched -platform platform.json -heuristic lprg -json
 //
-// -json emits a machine-readable service.SolveReport (allocation,
-// objective value, LP bound, solver stats), the same wire type the
-// schedd scheduling service answers with, so CLI and service results
-// are directly diffable. For the model-backed heuristics (lprg, lprr,
-// lprr-eq, bnb) the report is computed through the service's batch
-// path — identical numbers to a fresh schedd session on the same
-// platform; for the model-free heuristics (g, g-full, lpr) the report
-// carries no solver stats. -json skips the schedule/simulation output.
+// Every run computes one service.SolveReport (allocation, objective
+// value, LP bound, solver stats), the wire type the schedd scheduling
+// service answers with, and prints it: as text, or with -json as the
+// service's bytes, so CLI and service results are directly diffable.
+// For the model-backed heuristics (lprg, lprr, lprr-eq, bnb) the report
+// is computed through the service's batch path — identical numbers to a
+// fresh schedd session on the same platform; for the model-free
+// heuristics (g, g-full, lpr) it is computed here and carries no solver
+// stats. -schedule and -simulate run on the report's allocation; -json
+// skips them.
 //
 // -batch reads a service.BatchWhatIfRequest JSON file and answers
 // every query against a fresh warm session through the service's
@@ -113,25 +115,19 @@ func run() error {
 	if *batchIn != "" {
 		return emitBatch(data, strings.ToLower(*heur), strings.ToLower(*objName), pr, *seed, *batchIn)
 	}
+	rep, err := report(data, strings.ToLower(*heur), strings.ToLower(*objName), obj, pr, *seed)
+	if err != nil {
+		return err
+	}
 	if *jsonOut {
-		return emitJSON(data, strings.ToLower(*heur), strings.ToLower(*objName), obj, pr, *seed)
+		return service.EncodeReport(os.Stdout, rep)
 	}
-
-	rel, err := heuristics.Relax(pr, obj)
-	if err != nil {
-		return err
-	}
-	alloc, err := solve(*heur, pr, obj, rel, *seed)
-	if err != nil {
-		return err
-	}
-	ub := rel.Objective
-	val := pr.Objective(obj, alloc)
+	alloc := &core.Allocation{Alpha: rep.Alpha, Beta: rep.Beta}
 	fmt.Printf("platform: K=%d routers=%d links=%d\n", pr.K(), pl.Routers, len(pl.Links))
 	fmt.Printf("heuristic=%s objective=%s value=%.4f lp-bound=%.4f ratio=%.4f\n",
-		strings.ToUpper(*heur), obj, val, ub, safeRatio(val, ub))
+		strings.ToUpper(*heur), obj, rep.Value, rep.LPBound, safeRatio(rep.Value, rep.LPBound))
 	for k := 0; k < pr.K(); k++ {
-		fmt.Printf("  app %-3d throughput=%.4f (payoff %.2f)\n", k, alloc.AppThroughput(k), pr.Payoffs[k])
+		fmt.Printf("  app %-3d throughput=%.4f (payoff %.2f)\n", k, rep.Throughputs[k], pr.Payoffs[k])
 	}
 	printNonzero(alloc)
 
@@ -149,91 +145,65 @@ func run() error {
 	if !*doSim {
 		return nil
 	}
-	rep, err := netsim.ExecuteSchedule(pr, s, *periods, true)
+	sim, err := netsim.ExecuteSchedule(pr, s, *periods, true)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("simulation: periods=%d transfer-makespan=%.1f cycle=%.1f fits=%v\n",
-		rep.Periods, rep.TransferMakespan, rep.CycleTime, rep.FitsPeriod)
+		sim.Periods, sim.TransferMakespan, sim.CycleTime, sim.FitsPeriod)
 	for k := 0; k < pr.K(); k++ {
-		fmt.Printf("  app %-3d achieved=%.4f predicted=%.4f\n", k, rep.Achieved[k], rep.Predicted[k])
+		fmt.Printf("  app %-3d achieved=%.4f predicted=%.4f\n", k, sim.Achieved[k], sim.Predicted[k])
 	}
 	return nil
 }
 
-// solve runs the named heuristic on pr and checks its allocation:
-// heuristics.Run for every heuristic of §5 (names are Run's, in lower
-// case), BranchAndBound for bnb, the one solver Run does not know. rel
-// is pr's relaxed optimum under obj, which LPR and LPRG round.
-func solve(heur string, pr *core.Problem, obj core.Objective, rel *core.RelaxedSolution, seed int64) (*core.Allocation, error) {
-	var (
-		alloc *core.Allocation
-		err   error
-	)
-	switch name := heuristics.Name(strings.ToUpper(heur)); {
-	case name == "BNB":
-		alloc, _, err = heuristics.BranchAndBound(pr, obj, 0)
-	case slices.Contains(heuristics.All, name) || name == heuristics.NameGFull:
-		var res heuristics.Result
-		res, err = heuristics.Run(name, pr, obj, rel, rand.New(rand.NewSource(seed)))
-		alloc = res.Alloc
-	default:
-		return nil, fmt.Errorf("unknown heuristic %q", heur)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := pr.CheckAllocation(alloc, core.DefaultTol); err != nil {
-		return nil, fmt.Errorf("internal error: heuristic produced invalid allocation: %w", err)
-	}
-	return alloc, nil
-}
-
-// emitJSON writes the machine-readable report. Model-backed
-// heuristics go through service.Batch — the scheduling service's own
-// batch entry point — so the output is identical to a fresh schedd
-// session's answer on the same platform; the model-free ones are
-// computed here and report no solver stats.
-func emitJSON(platformJSON []byte, heur, objName string, obj core.Objective, pr *core.Problem, seed int64) error {
-	var rep *service.SolveReport
+// report computes the run's one report. Model-backed heuristics go
+// through service.Batch — the scheduling service's own batch entry
+// point — so it is identical to a fresh schedd session's answer on the
+// same platform; the model-free ones (heuristics.Run, names in lower
+// case) are computed here, round pr's relaxed optimum where they round
+// one, and report no solver stats.
+func report(platformJSON []byte, heur, objName string, obj core.Objective, pr *core.Problem, seed int64) (*service.SolveReport, error) {
 	switch heur {
 	case "lprg", "lprr", "lprr-eq", "bnb":
-		req := &service.CreateSessionRequest{
+		return service.Batch(&service.CreateSessionRequest{
 			Platform:  platformJSON,
 			Objective: objName,
 			Heuristic: heur,
 			Payoffs:   pr.Payoffs,
 			Seed:      seed,
-		}
-		var err error
-		rep, err = service.Batch(req)
-		if err != nil {
-			return err
-		}
-	default:
-		rel, err := heuristics.Relax(pr, obj)
-		if err != nil {
-			return err
-		}
-		alloc, err := solve(heur, pr, obj, rel, seed)
-		if err != nil {
-			return err
-		}
-		rep = &service.SolveReport{
-			Heuristic:   heur,
-			Objective:   objName,
-			Feasible:    true,
-			Value:       pr.Objective(obj, alloc),
-			LPBound:     rel.Objective,
-			Alpha:       alloc.Alpha,
-			Beta:        alloc.Beta,
-			Throughputs: make([]float64, pr.K()),
-		}
-		for k := 0; k < pr.K(); k++ {
-			rep.Throughputs[k] = alloc.AppThroughput(k)
-		}
+		})
 	}
-	return service.EncodeReport(os.Stdout, rep)
+	name := heuristics.Name(strings.ToUpper(heur))
+	if !slices.Contains(heuristics.All, name) && name != heuristics.NameGFull {
+		return nil, fmt.Errorf("unknown heuristic %q", heur)
+	}
+	rel, err := heuristics.Relax(pr, obj)
+	if err != nil {
+		return nil, err
+	}
+	res, err := heuristics.Run(name, pr, obj, rel, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return nil, err
+	}
+	alloc := res.Alloc
+	if err := pr.CheckAllocation(alloc, core.DefaultTol); err != nil {
+		return nil, fmt.Errorf("internal error: heuristic produced invalid allocation: %w", err)
+	}
+	rep := &service.SolveReport{
+		Heuristic:   heur,
+		Objective:   objName,
+		Feasible:    true,
+		Value:       pr.Objective(obj, alloc),
+		LPBound:     rel.Objective,
+		Alpha:       alloc.Alpha,
+		Beta:        alloc.Beta,
+		Throughputs: make([]float64, pr.K()),
+	}
+	for k := 0; k < pr.K(); k++ {
+		rep.Throughputs[k] = alloc.AppThroughput(k)
+	}
+	return rep, nil
 }
 
 // emitBatch answers a batched what-if request through the service's

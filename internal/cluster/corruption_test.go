@@ -35,10 +35,8 @@ func sealedSnapshot(t testing.TB) (*SessionSnapshot, []byte) {
 		Seed:        42,
 		Epoch:       7,
 		Platform:    json.RawMessage(`{"hosts":[{"name":"h0","compute":1.5}],"links":[]}`),
-		BasisCols:   []int{3, 1, 4, 1, 5},
-		BasisUpper:  []int{1, 4},
-		BasisNcols:  6,
 	}
+	snap.SetBasis([]int{3, 1, 4, 1, 5}, []bool{false, true, false, false, true, false})
 	for i := 0; i < recordDepth; i++ {
 		snap.RecentCommits = append(snap.RecentCommits, CommitRecord{
 			ID:     fmt.Sprintf("commit-%02d", i),
@@ -91,9 +89,6 @@ func mustFail(t *testing.T, data []byte, what string) error {
 	if err == nil {
 		t.Fatalf("%s: decode accepted corrupt snapshot %+v", what, snap)
 	}
-	if opened, err := OpenSnapshot(data); err == nil {
-		t.Fatalf("%s: OpenSnapshot accepted corrupt snapshot %+v", what, opened)
-	}
 	return err
 }
 
@@ -110,7 +105,7 @@ func TestSnapshotDecodeBitFlips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pristine snapshot must decode: %v", err)
 	}
-	if !reflect.DeepEqual(got, orig) {
+	if !sameSnapshot(got, orig) {
 		t.Fatalf("pristine snapshot decoded to a different one:\n got %+v\nwant %+v", got, orig)
 	}
 	// Flip every bit of every byte — frame, header, platform and all
@@ -223,8 +218,8 @@ func TestSnapshotDecodeFieldTampering(t *testing.T) {
 		func(s *SessionSnapshot) { s.Epoch++ },
 		func(s *SessionSnapshot) { s.ID = "00" + s.ID[2:] },
 		func(s *SessionSnapshot) { s.Platform = json.RawMessage(`{"hosts":[],"links":[]}`) },
-		func(s *SessionSnapshot) { s.BasisCols[0]++ },
-		func(s *SessionSnapshot) { s.BasisUpper = nil },
+		func(s *SessionSnapshot) { s.SetBasis([]int{4, 1, 4, 1, 5}, s.atUpper) },
+		func(s *SessionSnapshot) { s.SetBasis(s.cols, make([]bool, 6)) },
 		func(s *SessionSnapshot) { s.Payoffs[1] = 99 },
 		func(s *SessionSnapshot) { s.RecentCommits[3].ID = "commit-xx" },
 		func(s *SessionSnapshot) { s.RecentCommits[3].Report = json.RawMessage(`{"value":0}`) },
@@ -236,8 +231,6 @@ func TestSnapshotDecodeFieldTampering(t *testing.T) {
 	for i, mutate := range tamper {
 		cp := *snap
 		cp.Payoffs = append([]float64(nil), snap.Payoffs...)
-		cp.BasisCols = append([]int(nil), snap.BasisCols...)
-		cp.BasisUpper = append([]int(nil), snap.BasisUpper...)
 		cp.RecentCommits = append([]CommitRecord(nil), snap.RecentCommits...)
 		mutate(&cp)
 		tampered, err := cp.Encode()
@@ -342,33 +335,32 @@ func TestSnapshotDecodeBasisSection(t *testing.T) {
 }
 
 // TestSnapshotBasisRefusesForeignWidth: a basis section forged behind
-// a valid checksum to span 4 Gi solver columns opens and decodes — the
-// codec cannot know the receiving solver's width — but Basis refuses it
+// a valid checksum to span 4 Gi solver columns decodes — the codec
+// cannot know the receiving solver's width — but Basis refuses it
 // against the solver's column count before expanding anything that
-// size, as it refuses any width but the solver's; the honest width
-// expands, opened or decoded, to the same slices.
+// size, as it refuses any width but the solver's, decoded or live; the
+// honest width expands, decoded or live, to the same slices.
 func TestSnapshotBasisRefusesForeignWidth(t *testing.T) {
-	_, data := sealedSnapshot(t)
-	forged := basisWords(t, data, math.MaxUint32, 5, 3, 1, 4, 1, 5, 2, 1, 4)
-	for name, open := range map[string]func([]byte) (*SessionSnapshot, error){"decoded": DecodeSnapshot, "opened": OpenSnapshot} {
-		snap, err := open(forged)
-		if err != nil {
-			t.Fatalf("%s: a forged width is the solver's to refuse, not the codec's: %v", name, err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, _, err = snap.Basis(6)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("%s: a basis over %d columns expanded for a 6-column solver", name, snap.BasisNcols)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Fatalf("%s: refusing a 4 Gi-column basis allocated %d bytes", name, grew)
-		}
-		honest, err := open(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+	live, data := sealedSnapshot(t)
+	snap, err := DecodeSnapshot(basisWords(t, data, math.MaxUint32, 5, 3, 1, 4, 1, 5, 2, 1, 4))
+	if err != nil {
+		t.Fatalf("a forged width is the solver's to refuse, not the codec's: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = snap.Basis(6)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a basis over %d columns expanded for a 6-column solver", width(snap))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing a 4 Gi-column basis allocated %d bytes", grew)
+	}
+	decoded, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, honest := range map[string]*SessionSnapshot{"decoded": decoded, "live": live} {
 		if _, _, err := honest.Basis(7); err == nil {
 			t.Fatalf("%s: a 6-column basis expanded for a 7-column solver", name)
 		}
@@ -379,18 +371,18 @@ func TestSnapshotBasisRefusesForeignWidth(t *testing.T) {
 	}
 }
 
-// TestSnapshotOpensInPlace: OpenSnapshot leaves the basis as the
+// TestSnapshotOpensInPlace: DecodeSnapshot leaves the basis as the
 // section it arrived in — no basic or at-upper slice, the section a
 // slice of the input like the platform — and re-seals to the input's
 // bytes.
 func TestSnapshotOpensInPlace(t *testing.T) {
 	_, data := sealedSnapshot(t)
-	opened, err := OpenSnapshot(data)
+	opened, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opened.BasisCols != nil || opened.BasisUpper != nil || opened.BasisNcols != 6 {
-		t.Fatalf("opened basis: cols %v, upper %v, ncols %d", opened.BasisCols, opened.BasisUpper, opened.BasisNcols)
+	if opened.cols != nil || opened.atUpper != nil || width(opened) != 6 {
+		t.Fatalf("opened basis: cols %v, upper %v, ncols %d", opened.cols, opened.atUpper, width(opened))
 	}
 	if off := bytes.Index(data, opened.basisSec); off < 0 || &data[off] != &opened.basisSec[0] {
 		t.Fatal("the opened basis section is not a slice of the input")
@@ -401,44 +393,19 @@ func TestSnapshotOpensInPlace(t *testing.T) {
 }
 
 // TestSnapshotSealsLiveBasisInPlace: a snapshot pointed at a live
-// basis's dense slices (SetBasis, as the service seals) encodes the
-// bytes its sparse form does, and copies neither slice.
+// basis's slices (SetBasis, as the service seals) copies neither slice,
+// and seals after what its buffer already holds.
 func TestSnapshotSealsLiveBasisInPlace(t *testing.T) {
-	sparse, want := sealedSnapshot(t)
-	live := *sparse
+	live, want := sealedSnapshot(t)
 	cols, upper := []int{3, 1, 4, 1, 5}, []bool{false, true, false, false, true, false}
 	live.SetBasis(cols, upper)
-	if &live.BasisCols[0] != &cols[0] {
-		t.Fatal("SetBasis copied the basic columns")
+	if &live.cols[0] != &cols[0] || &live.atUpper[0] != &upper[0] {
+		t.Fatal("SetBasis copied the basis")
 	}
-	got, err := live.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("sealed from the live basis:\n%q\nfrom its sparse form:\n%q", got, want)
-	}
-	if gc, gu, err := live.Basis(len(upper)); err != nil || !reflect.DeepEqual(gc, cols) || !reflect.DeepEqual(gu, upper) {
-		t.Fatalf("Basis() of a live-basis snapshot = %v, %v, %v", gc, gu, err)
-	}
-	// Appending seals after what the buffer already holds.
 	prefix := []byte("kept")
 	again, err := live.AppendEncode(prefix)
 	if err != nil || string(again[:4]) != "kept" || !bytes.Equal(again[4:], want) {
 		t.Fatalf("AppendEncode after a prefix: %q, %v", again, err)
-	}
-	// What decode would refuse does not seal.
-	for name, bad := range map[string]func(*SessionSnapshot){
-		"negative column":     func(s *SessionSnapshot) { s.BasisCols = []int{-1} },
-		"column past uint32":  func(s *SessionSnapshot) { s.BasisCols = []int{math.MaxUint32 + 1} },
-		"at-upper descending": func(s *SessionSnapshot) { s.BasisUpper = []int{4, 1} },
-		"at-upper at ncols":   func(s *SessionSnapshot) { s.BasisUpper = []int{6} },
-	} {
-		s := *sparse
-		bad(&s)
-		if _, err := s.Encode(); err == nil {
-			t.Fatalf("%s: sealed cleanly", name)
-		}
 	}
 }
 
@@ -467,10 +434,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Never panics; on success the invariants hold.
 		snap, err := DecodeSnapshot(data)
-		opened, openErr := OpenSnapshot(data)
-		if (err == nil) != (openErr == nil) {
-			t.Fatalf("DecodeSnapshot says %v, OpenSnapshot %v", err, openErr)
-		}
 		if err != nil {
 			return
 		}
@@ -478,7 +441,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("decode accepted incomplete snapshot: %+v", snap)
 		}
 		// What was accepted survives a re-seal: same fields, and the same
-		// platform and report bytes section for section.
+		// platform, basis and report bytes section for section.
 		again, err := snap.Encode()
 		if err != nil {
 			t.Fatalf("re-encoding an accepted snapshot: %v", err)
@@ -490,15 +453,20 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if !reflect.DeepEqual(back, snap) {
 			t.Fatalf("snapshot changed across a re-seal:\n got %+v\nwant %+v", back, snap)
 		}
-		// The opened twin re-seals to the same bytes and expands to the
-		// same basis.
-		if reopened, err := opened.Encode(); err != nil || !bytes.Equal(reopened, again) {
-			t.Fatalf("re-sealing the opened snapshot: %v, %d bytes vs %d", err, len(reopened), len(again))
+		// The basis, expanded and sealed as a live one, seals to the same
+		// bytes — for a width a solver could have: a forged one is Basis's
+		// to refuse (TestSnapshotBasisRefusesForeignWidth).
+		if width(snap) > 1<<16 {
+			return
 		}
-		wc, wu, werr := snap.Basis(snap.BasisNcols)
-		gc, gu, gerr := opened.Basis(snap.BasisNcols)
-		if werr != nil || gerr != nil || !reflect.DeepEqual(gc, wc) || !reflect.DeepEqual(gu, wu) {
-			t.Fatalf("opened basis %v %v (%v), decoded %v %v (%v)", gc, gu, gerr, wc, wu, werr)
+		cols, upper, err := snap.Basis(width(snap))
+		if err != nil {
+			t.Fatalf("expanding an accepted basis: %v", err)
+		}
+		live := *snap
+		live.SetBasis(cols, upper)
+		if relive, err := live.Encode(); err != nil || !bytes.Equal(relive, again) {
+			t.Fatalf("re-sealing the expanded basis: %v, %d bytes vs %d", err, len(relive), len(again))
 		}
 	})
 }

@@ -42,10 +42,12 @@
 // recorded, however many snapshots it rides in), so sealing costs one
 // small marshal, the basis words, a copy and one hash — into a buffer
 // the caller reuses (AppendEncode) — and opening costs one hash, the
-// header and the basis words. A receiver that holds a snapshot it may
-// never restore opens it with OpenSnapshot, which validates the basis
-// words in place and expands them only when Basis is asked, against the
-// receiving solver's column count; DecodeSnapshot expands them at once.
+// header and the basis words. One decoder, DecodeSnapshot, opens every
+// snapshot in place, wherever it arrives: it validates the basis words
+// where they lie and expands them only when Basis is asked, against the
+// receiving solver's column count. A snapshot's basis is therefore in
+// one of two forms, the live lp.Basis it is sealed from or the section
+// it was decoded from, and each seals to the same bytes.
 //
 // Between replicas (POST /cluster/replicate, which carries replicas
 // and ownership transfers alike) a snapshot travels as the request body with no declared length —
@@ -54,8 +56,8 @@
 // receiver reads it into a pooled buffer of its own, bounded like every
 // inbound body, and a replica holds that buffer as received.
 //
-//   - At receipt (OpenSnapshot: replication; DecodeSnapshot:
-//     recovery — before anything is acked or installed): the version,
+//   - At receipt (DecodeSnapshot, for replication and store recovery
+//     alike — before anything is acked or installed): the version,
 //     exactly; the checksum over the received bytes, so a torn write or
 //     corrupted transfer, down to any single flipped bit, is an error
 //     instead of a subtly wrong warm state; the header, decoded strictly

@@ -7,7 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
+	"slices"
 )
 
 // SnapshotVersion is the current session-snapshot format version.
@@ -32,11 +32,11 @@ const (
 
 // SessionSnapshot is the serialized form of one warm scheduling
 // session: identity, solver configuration, committed epoch, the
-// current (drifted) platform description, and the carried basis in
-// its exported form. See the package documentation for the format
-// contract; Encode/Decode seal and verify Version and Checksum. The
-// JSON tags are the header section's; fields tagged "-" travel in the
-// frame or in sections of their own.
+// current (drifted) platform description, and the carried basis. See
+// the package documentation for the format contract; Encode and
+// DecodeSnapshot seal and verify Version and Checksum. The JSON tags are
+// the header section's; fields tagged "-" travel in the frame or in
+// sections of their own.
 type SessionSnapshot struct {
 	Version int `json:"-"`
 	// ID is the pool key (digest of creation fingerprint + solver
@@ -61,20 +61,13 @@ type SessionSnapshot struct {
 	Epoch    int             `json:"epoch"`
 	Platform json.RawMessage `json:"-"`
 
-	// BasisCols is the exported basic column set; BasisUpper lists the
-	// indices of nonbasic-at-upper columns, strictly ascending (sparse —
-	// the dense bool vector is almost entirely false), out of BasisNcols
-	// total solver columns. BasisNcols 0 with nil BasisUpper means the
-	// producing basis carried no at-upper statuses. A snapshot sealed
-	// from a live basis (SetBasis) reads its at-upper statuses from that
-	// basis instead, and leaves BasisUpper nil.
-	BasisCols  []int `json:"-"`
-	BasisUpper []int `json:"-"`
-	BasisNcols int   `json:"-"`
-	atUpper    []bool
-	// basisSec is the basis section of a snapshot OpenSnapshot opened,
-	// validated and not yet expanded: it stands in for BasisCols and
-	// BasisUpper, which stay nil, until Basis expands it.
+	// The carried basis, in one of two forms: the live lp.Basis the
+	// snapshot is sealed from (SetBasis: its basic columns and at-upper
+	// statuses, read in place), or the basis section it was decoded from
+	// (validated, and a slice of DecodeSnapshot's input like the platform
+	// and the reports). Basis expands either for the receiving solver.
+	cols     []int
+	atUpper  []bool
 	basisSec []byte
 
 	// RecentCommits records the most recently applied tagged epoch
@@ -108,48 +101,47 @@ type header struct {
 }
 
 // SetBasis points the snapshot at a live basis in lp.Basis's exported
-// form (lp.Basis.View's two slices): cols becomes BasisCols and the
-// at-upper statuses are read from upper when the snapshot is sealed.
-// Neither slice is copied, so they must not change until the snapshot
-// is sealed; a basis never does.
+// form (lp.Basis.View's two slices), which are read when the snapshot
+// is sealed. Neither slice is copied, so they must not change until the
+// snapshot is sealed; a basis never does.
 func (s *SessionSnapshot) SetBasis(cols []int, upper []bool) {
-	s.BasisCols, s.BasisUpper, s.BasisNcols, s.atUpper = cols, nil, len(upper), upper
+	s.cols, s.atUpper, s.basisSec = cols, upper, nil
 }
 
-// Basis reconstructs the exported-basis slices for lp.ImportBasis on a
-// solver of ncols internal columns. upper is nil when the snapshot
-// carried no at-upper vector. An at-upper vector of any other length
-// than ncols is refused before it is expanded: BasisNcols comes off the
-// wire, and a forged one would otherwise size the allocation.
+// Basis returns the carried basis in lp.ImportBasis's form, in slices
+// of its own, for a solver of ncols internal columns; upper is nil when
+// the basis carried no at-upper statuses. A basis over any other column
+// count than ncols is refused before it is expanded: a decoded
+// section's width comes off the wire, and a forged one would otherwise
+// size the allocation.
 func (s *SessionSnapshot) Basis(ncols int) (cols []int, upper []bool, err error) {
-	n := s.BasisNcols
-	if s.atUpper != nil {
-		n = len(s.atUpper)
+	n, basic, atUpper := len(s.atUpper), []byte(nil), []byte(nil)
+	if s.basisSec != nil {
+		var w uint32
+		w, basic, atUpper, _ = splitBasis(s.basisSec) // validated when decoded
+		n = int(w)
 	}
 	if n != 0 && n != ncols {
 		return nil, nil, fmt.Errorf("cluster: snapshot basis spans %d columns, the solver has %d", n, ncols)
 	}
-	cols, atUpper := append([]int(nil), s.BasisCols...), s.BasisUpper
-	if s.basisSec != nil {
-		_, basic, up, _ := splitBasis(s.basisSec) // validated when opened
-		cols, atUpper = words(basic), words(up)
+	if s.basisSec == nil {
+		return slices.Clone(s.cols), slices.Clone(s.atUpper), nil
 	}
-	switch {
-	case s.atUpper != nil:
-		upper = append([]bool(nil), s.atUpper...)
-	case n > 0:
+	cols = make([]int, len(basic)/4)
+	for i := range cols {
+		cols[i] = int(binary.BigEndian.Uint32(basic[4*i:]))
+	}
+	if n > 0 {
 		upper = make([]bool, n)
-		for _, j := range atUpper {
-			if j >= 0 && j < n {
-				upper[j] = true
-			}
+		for i := 0; i < len(atUpper); i += 4 {
+			upper[binary.BigEndian.Uint32(atUpper[i:])] = true
 		}
 	}
 	return cols, upper, nil
 }
 
 func (s *SessionSnapshot) complete() bool {
-	return s.ID != "" && len(s.Platform) > 0 && (len(s.BasisCols) > 0 || s.basisSec != nil)
+	return s.ID != "" && len(s.Platform) > 0 && (len(s.cols) > 0 || s.basisSec != nil)
 }
 
 // cutSection splits the next section off body. Its declared length is
@@ -169,54 +161,32 @@ func appendSection(out, section []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(out, uint32(len(section))), section...)
 }
 
-// appendWord appends v as one uint32 BE word of the basis section; ok
-// is false when v does not fit one.
-func appendWord(out []byte, v int) ([]byte, bool) {
-	return binary.BigEndian.AppendUint32(out, uint32(v)), v >= 0 && uint64(v) <= math.MaxUint32
-}
-
-// appendBasis appends the basis section, length prefix included — an
-// opened snapshot's as it arrived. It refuses what DecodeSnapshot
-// would: a word out of uint32 range, an at-upper list that is not
-// strictly ascending below BasisNcols.
-func (s *SessionSnapshot) appendBasis(out []byte) ([]byte, error) {
+// appendBasis appends the basis section, length prefix included: a
+// decoded snapshot's as it arrived, a live basis's word by word.
+func (s *SessionSnapshot) appendBasis(out []byte) []byte {
 	if s.basisSec != nil {
-		return appendSection(out, s.basisSec), nil
+		return appendSection(out, s.basisSec)
 	}
 	at := len(out)
-	out, fits := appendWord(append(out, 0, 0, 0, 0), s.BasisNcols)
-	out, ok := appendWord(out, len(s.BasisCols))
-	fits = fits && ok
-	for _, c := range s.BasisCols {
-		out, ok = appendWord(out, c)
-		fits = fits && ok
+	out = binary.BigEndian.AppendUint32(append(out, 0, 0, 0, 0), uint32(len(s.atUpper)))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(s.cols)))
+	for _, c := range s.cols {
+		out = binary.BigEndian.AppendUint32(out, uint32(c))
 	}
-	if s.atUpper != nil {
-		n := 0
-		for _, up := range s.atUpper {
-			if up {
-				n++
-			}
-		}
-		out = binary.BigEndian.AppendUint32(out, uint32(n))
-		for j, up := range s.atUpper {
-			if up {
-				out = binary.BigEndian.AppendUint32(out, uint32(j))
-			}
-		}
-	} else {
-		out, ok = appendWord(out, len(s.BasisUpper))
-		fits = fits && ok
-		for i, j := range s.BasisUpper {
-			out, ok = appendWord(out, j)
-			fits = fits && ok && j < s.BasisNcols && (i == 0 || j > s.BasisUpper[i-1])
+	n := 0
+	for _, up := range s.atUpper {
+		if up {
+			n++
 		}
 	}
-	if !fits {
-		return nil, fmt.Errorf("cluster: snapshot basis out of range (a column outside uint32, or at-upper columns not strictly ascending below %d)", s.BasisNcols)
+	out = binary.BigEndian.AppendUint32(out, uint32(n))
+	for j, up := range s.atUpper {
+		if up {
+			out = binary.BigEndian.AppendUint32(out, uint32(j))
+		}
 	}
 	binary.BigEndian.PutUint32(out[at:], uint32(len(out)-at-4))
-	return out, nil
+	return out
 }
 
 // splitBasis validates a basis section in place and returns its
@@ -247,21 +217,9 @@ func splitBasis(sec []byte) (ncols uint32, basic, atUpper []byte, err error) {
 	return ncols, basic, atUpper, nil
 }
 
-// words expands uint32 BE words into ints; nil for none.
-func words(b []byte) []int {
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]int, len(b)/4)
-	for i := range out {
-		out[i] = int(binary.BigEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
 // Encode seals the snapshot into a buffer of its own; see AppendEncode.
 func (s *SessionSnapshot) Encode() ([]byte, error) {
-	size := frameLen + 512 + len(s.Platform) + len(s.basisSec) + 4*(len(s.BasisCols)+len(s.BasisUpper)+4)
+	size := frameLen + 512 + len(s.Platform) + len(s.basisSec) + 4*(len(s.cols)+4)
 	for _, rec := range s.RecentCommits {
 		size += 4 + len(rec.Report)
 	}
@@ -289,9 +247,7 @@ func (s *SessionSnapshot) AppendEncode(dst []byte) ([]byte, error) {
 	out = binary.BigEndian.AppendUint32(out, SnapshotVersion)
 	out = append(out, make([]byte, frameLen-checksumAt)...)
 	out = appendSection(appendSection(out, hdr), s.Platform)
-	if out, err = s.appendBasis(out); err != nil {
-		return dst, err
-	}
+	out = s.appendBasis(out)
 	for _, rec := range s.RecentCommits {
 		out = appendSection(out, rec.Report)
 	}
@@ -302,30 +258,16 @@ func (s *SessionSnapshot) AppendEncode(dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeSnapshot verifies and opens a snapshot: the frame's version
-// first, then the checksum over the received body bytes, then a strict
-// decode of the header and of the basis; the platform and the commit
-// reports are sliced out of data — the snapshot aliases it — with every
-// section length checked against the bytes that remain. Any failure is
-// an error — the caller falls back to building the session cold from
-// traffic rather than trusting damaged warm state.
+// DecodeSnapshot verifies and opens a snapshot in place: the frame's
+// version first, then the checksum over the received body bytes, then a
+// strict decode of the header and a validation of the basis section.
+// The platform, the basis section and the commit reports are slices of
+// data — the snapshot aliases it, so data must outlive it — with every
+// section length checked against the bytes that remain; the basis is
+// expanded only when Basis is asked. Any failure is an error — the
+// caller falls back to building the session cold from traffic rather
+// than trusting damaged warm state.
 func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
-	s, err := OpenSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	_, basic, atUpper, _ := splitBasis(s.basisSec)
-	s.BasisCols, s.BasisUpper, s.basisSec = words(basic), words(atUpper), nil
-	return s, nil
-}
-
-// OpenSnapshot is DecodeSnapshot with the basis validated in place
-// rather than expanded: the snapshot keeps its basis section, a slice of
-// data like the platform and the reports, until Basis expands it — for
-// a receiver that holds a snapshot it may never restore. It accepts and
-// refuses exactly what DecodeSnapshot does, and re-encodes to the same
-// bytes.
-func OpenSnapshot(data []byte) (*SessionSnapshot, error) {
 	if len(data) < frameLen || string(data[:versionAt]) != frameMagic {
 		return nil, fmt.Errorf("cluster: snapshot version: no format-%d frame (older formats are refused, not migrated)", SnapshotVersion)
 	}
@@ -359,11 +301,9 @@ func OpenSnapshot(data []byte) (*SessionSnapshot, error) {
 	if s.basisSec, body, err = cutSection(body); err != nil {
 		return nil, err
 	}
-	ncols, _, _, err := splitBasis(s.basisSec)
-	if err != nil {
+	if _, _, _, err := splitBasis(s.basisSec); err != nil {
 		return nil, err
 	}
-	s.BasisNcols = int(ncols)
 	s.RecentCommits = make([]CommitRecord, len(h.CommitIDs))
 	for i, id := range h.CommitIDs {
 		s.RecentCommits[i].ID = id

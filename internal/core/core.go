@@ -55,6 +55,24 @@ func NewProblem(pl *platform.Platform) *Problem {
 	return &Problem{Platform: pl, Payoffs: pi}
 }
 
+// MaxScale bounds a problem's scale, max_k π_k × Σ_l s_l, which
+// bounds every objective value, throughput and α cell of the problem
+// (DESIGN.md "Heuristics (§5)"). Validate refuses a problem above it,
+// so nothing downstream of a valid problem meets a NaN or ±Inf.
+const MaxScale = 1e300
+
+// Scale returns the problem's largest payoff and its platform's total
+// speed, whose product Validate holds to MaxScale.
+func (pr *Problem) Scale() (payoff, speed float64) {
+	for _, pi := range pr.Payoffs {
+		payoff = max(payoff, pi)
+	}
+	for _, c := range pr.Platform.Clusters {
+		speed += c.Speed
+	}
+	return payoff, speed
+}
+
 // Validate checks the problem's structural invariants.
 func (pr *Problem) Validate() error {
 	if pr.Platform == nil {
@@ -70,6 +88,9 @@ func (pr *Problem) Validate() error {
 		if pi < 0 || math.IsNaN(pi) || math.IsInf(pi, 0) {
 			return fmt.Errorf("core: payoff %d = %g, want finite nonnegative", k, pi)
 		}
+	}
+	if payoff, speed := pr.Scale(); !(payoff*speed <= MaxScale) {
+		return fmt.Errorf("core: max payoff %g × total speed %g is above %g", payoff, speed, MaxScale)
 	}
 	return nil
 }

@@ -46,7 +46,7 @@ func (a *answer) report() *SolveReport {
 // read-only by every hit. It is encoded on the first hit, not when the
 // entry is filed: most entries of an adapting session are evicted or
 // invalidated unread and must not pay for an encode. Nil when the
-// report has no JSON form (a non-finite float).
+// encoder cannot write the report (a NaN or ±Inf).
 func (a *answer) wire() []byte {
 	a.once.Do(func() {
 		bp, ok := reportBytes(a.report())

@@ -57,7 +57,7 @@ const defaultBatchWorkers = 4
 const maxBatchWorkers = 64
 
 // errEmptyBatch rejects batches with nothing to solve.
-var errEmptyBatch = errors.New("batch what-if: queries invalid (empty batch)")
+var errEmptyBatch = clientError{errors.New("batch what-if: queries invalid (empty batch)")}
 
 // WhatIfBatch answers every query in req against the session's
 // committed state. Identical queries (same canonical JSON after Relax
@@ -73,7 +73,7 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 		return nil, errEmptyBatch
 	}
 	if req.Workers > maxBatchWorkers {
-		return nil, fmt.Errorf("batch what-if: workers %d out of range (at most %d)", req.Workers, maxBatchWorkers)
+		return nil, clientError{fmt.Errorf("batch what-if: workers %d out of range (at most %d)", req.Workers, maxBatchWorkers)}
 	}
 
 	// Dedupe. Every batch query is answered as a relaxation, so Relax

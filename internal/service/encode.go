@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"slices"
@@ -16,39 +17,45 @@ import (
 // The one encoder of SolveReport bytes: a single-pass append encoder
 // emitting exactly what encoding/json writes, in three forms — a query,
 // what-if or epoch body (json.Encoder's two-space indent mode plus its
-// trailing newline, which reflects and then re-walks its output to
-// indent it), a /whatif/batch body, whose reports sit nested two levels
-// deep in the same indent mode, and the compact bytes json.Marshal
-// renders a commit record in. The format is a frozen contract;
+// trailing newline), a /whatif/batch body, whose reports sit nested two
+// levels deep in the same indent mode, and the compact bytes
+// json.Marshal renders a commit record in. It is the only encoder of
+// those bodies: a report it cannot write — a NaN or ±Inf, which JSON
+// has no form for — is an error (errNonFinite; a 500 over HTTP), never
+// a second encoder's attempt. The format is a frozen contract;
 // encoding/json stays the encoder of every other type and this one's
 // oracle in tests.
+
+// errNonFinite is the encoder's one failure.
+var errNonFinite = errors.New("service: the report holds a NaN or ±Inf, which JSON cannot carry")
 
 // reportBufs pools the encode buffers: no allocation per body.
 var reportBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // EncodeReport writes rep as the service writes it on the wire:
-// two-space indented JSON plus a trailing newline. A report holding a
-// NaN or ±Inf has no JSON form; it gets encoding/json's error.
+// two-space indented JSON plus a trailing newline, in one Write. A
+// report holding a NaN or ±Inf has no JSON form: nothing is written,
+// and the error is errNonFinite.
 func EncodeReport(w io.Writer, rep *SolveReport) error {
 	bp, ok := reportBytes(rep)
 	defer reportBufs.Put(bp)
-	if !ok {
-		return encodeIndented(w, rep.dense())
-	}
-	_, err := w.Write(*bp)
-	return err
+	return emit(w, *bp, ok)
 }
 
-// EncodeBatch is EncodeReport's twin for a batch: it writes resp as
-// POST /sessions/{id}/whatif/batch answers it, in one Write, or — when
-// a report holds a non-finite float — fails with encoding/json's error.
+// EncodeBatch is EncodeReport for a batch: it writes resp as POST
+// /sessions/{id}/whatif/batch answers it.
 func EncodeBatch(w io.Writer, resp *BatchWhatIfResponse) error {
 	bp, ok := batchBytes(resp)
 	defer reportBufs.Put(bp)
+	return emit(w, *bp, ok)
+}
+
+// emit writes an encoded body, or fails when the encoder did (ok false).
+func emit(w io.Writer, body []byte, ok bool) error {
 	if !ok {
-		return encodeIndented(w, resp)
+		return errNonFinite
 	}
-	_, err := w.Write(*bp)
+	_, err := w.Write(body)
 	return err
 }
 
@@ -79,14 +86,6 @@ func marshalReport(rep *SolveReport) []byte {
 		return nil
 	}
 	return bytes.Clone(*bp)
-}
-
-// encodeIndented is the generic encoder of every wire type but a
-// SolveReport and a batch of them.
-func encodeIndented(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }
 
 // wireEnc appends JSON to b: indented, or compact as json.Marshal
@@ -218,8 +217,8 @@ func appendReport(b []byte, rep *SolveReport, depth int, compact bool) (_ []byte
 	return e.done()
 }
 
-// appendBatch appends resp as a whole body, exactly as encodeIndented
-// writes it; ok as appendReport's.
+// appendBatch appends resp as a whole body, exactly as an indenting
+// json.Encoder writes it; ok as appendReport's.
 func appendBatch(b []byte, resp *BatchWhatIfResponse) (_ []byte, ok bool) {
 	e := encoder(append(b, '{'), false)
 	e.key(1, "reports")

@@ -17,26 +17,26 @@ import (
 )
 
 // oracleBytes is the encoder's reference: encoding/json's indenting
-// Encoder, the code that wrote every SolveReport body before the
-// append encoder existed.
-func oracleBytes(rep *SolveReport) ([]byte, error) {
+// Encoder, the code that wrote every SolveReport and batch body before
+// the append encoder existed.
+func oracleBytes(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	err := enc.Encode(rep)
+	err := enc.Encode(v)
 	return buf.Bytes(), err
 }
 
 // checkAgainstOracle requires EncodeReport to write the oracle's
-// bytes, or — for a report encoding/json rejects — to fail with the
-// oracle's error and write nothing.
+// bytes, or — for a report encoding/json rejects — to fail with
+// errNonFinite and write nothing.
 func checkAgainstOracle(t *testing.T, rep *SolveReport) {
 	t.Helper()
 	want, wantErr := oracleBytes(rep)
 	var got bytes.Buffer
 	err := EncodeReport(&got, rep)
 	if wantErr != nil {
-		if err == nil || err.Error() != wantErr.Error() {
+		if !errors.Is(err, errNonFinite) {
 			t.Fatalf("oracle fails with %v, encoder with %v\nreport: %+v", wantErr, err, rep)
 		}
 		if got.Len() != 0 {
@@ -55,8 +55,8 @@ func checkAgainstOracle(t *testing.T, rep *SolveReport) {
 // checkFormsAgainstOracle holds all three forms of the one encoder to
 // encoding/json: the body (checkAgainstOracle), the compact bytes a
 // commit record keeps against json.Marshal, and rep nested in a batch
-// body — twice, around a nil report — against encodeIndented of the
-// BatchWhatIfResponse. A report encoding/json rejects gets its error
+// body — twice, around a nil report — against the oracle's bytes of the
+// BatchWhatIfResponse. A report encoding/json rejects gets errNonFinite
 // and no bytes in every form.
 func checkFormsAgainstOracle(t *testing.T, rep *SolveReport) {
 	t.Helper()
@@ -76,21 +76,21 @@ func checkFormsAgainstOracle(t *testing.T, rep *SolveReport) {
 	})
 }
 
-// checkBatchAgainstOracle requires EncodeBatch to write encodeIndented's
-// bytes for resp, or to fail with its error and write nothing.
+// checkBatchAgainstOracle requires EncodeBatch to write the oracle's
+// bytes for resp, or to fail with errNonFinite and write nothing.
 func checkBatchAgainstOracle(t *testing.T, resp *BatchWhatIfResponse) {
 	t.Helper()
-	var want, got bytes.Buffer
-	wantErr := encodeIndented(&want, resp)
+	var got bytes.Buffer
+	want, wantErr := oracleBytes(resp)
 	err := EncodeBatch(&got, resp)
 	if wantErr != nil {
-		if err == nil || err.Error() != wantErr.Error() || got.Len() != 0 {
+		if !errors.Is(err, errNonFinite) || got.Len() != 0 {
 			t.Fatalf("oracle fails with %v, batch encoder with %v after %d bytes", wantErr, err, got.Len())
 		}
 		return
 	}
-	if err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("batch encoder differs from encoding/json (%v)\ngot:\n%s\nwant:\n%s", err, got.Bytes(), want.Bytes())
+	if err != nil || !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("batch encoder differs from encoding/json (%v)\ngot:\n%s\nwant:\n%s", err, got.Bytes(), want)
 	}
 }
 
@@ -292,11 +292,10 @@ func FuzzEncodeSolveReport(f *testing.F) {
 	})
 }
 
-// TestEncodeReportNonFinite pins what a NaN or ±Inf does: the encoder
-// steps aside, the caller gets encoding/json's UnsupportedValueError
-// and no bytes, and the HTTP path answers as it did before (200, empty
-// body, no Content-Length) — also for a relaxed answer told as a diff,
-// whose tables encoding/json sees only written out.
+// TestEncodeReportNonFinite pins what a NaN or ±Inf does: the caller
+// gets errNonFinite and no bytes, and the HTTP path — a solved answer
+// and a cache hit alike — answers 500 with an ErrorResponse, never a
+// 2xx with an empty body; also for a relaxed answer told as a diff.
 func TestEncodeReportNonFinite(t *testing.T) {
 	for _, rep := range []*SolveReport{
 		{Value: math.NaN()},
@@ -307,17 +306,19 @@ func TestEncodeReportNonFinite(t *testing.T) {
 		nonFiniteDiff(t),
 	} {
 		var buf bytes.Buffer
-		err := EncodeReport(&buf, rep)
-		var unsupported *json.UnsupportedValueError
-		if !errors.As(err, &unsupported) || buf.Len() != 0 {
-			t.Fatalf("EncodeReport(%+v) = %v with %d bytes, want encoding/json's UnsupportedValueError and none", rep, err, buf.Len())
+		if err := EncodeReport(&buf, rep); !errors.Is(err, errNonFinite) || buf.Len() != 0 {
+			t.Fatalf("EncodeReport(%+v) = %v with %d bytes, want errNonFinite and none", rep, err, buf.Len())
+		}
+		batch := &BatchWhatIfResponse{Reports: []*SolveReport{rep}}
+		if err := EncodeBatch(&buf, batch); !errors.Is(err, errNonFinite) || buf.Len() != 0 {
+			t.Fatalf("EncodeBatch = %v with %d bytes, want errNonFinite and none", err, buf.Len())
 		}
 		for _, hit := range []*answer{nil, {rep: *rep}} {
 			rec := httptest.NewRecorder()
 			writeAnswer(rec, rep, hit, nil)
-			if rec.Code != http.StatusOK || rec.Body.Len() != 0 || rec.Header().Get("Content-Length") != "" {
-				t.Fatalf("non-finite report over HTTP: status %d, %d body bytes, Content-Length %q",
-					rec.Code, rec.Body.Len(), rec.Header().Get("Content-Length"))
+			var body ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body.Error == "" {
+				t.Fatalf("non-finite report over HTTP: status %d, body %q", rec.Code, rec.Body.Bytes())
 			}
 		}
 	}

@@ -196,16 +196,10 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 // instrument is the ingress middleware: adopt or mint the trace ID,
 // echo it on the response, time the request into the per-endpoint and
 // per-session histograms, and emit one structured request line with
-// the route decision. It is idempotent — a Node handler wrapping an
-// already-instrumented Server handler instruments only at the
-// outermost layer, so forwarded-and-served-locally requests are
-// counted once.
+// the route decision. Every handler wraps its route table in it once
+// (Server.Handler, Node.Handler), so each request is counted once.
 func (s *Server) instrument(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if requestTrace(r) != nil {
-			h.ServeHTTP(w, r)
-			return
-		}
 		ti := &traceInfo{id: r.Header.Get(traceHeader), decision: "local"}
 		if ti.id == "" {
 			ti.id = newTraceID()

@@ -283,7 +283,7 @@ func readSnapshot(w http.ResponseWriter, r *http.Request) (*cluster.SessionSnaps
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading snapshot: %w", err))
 		return nil, nil, false
 	}
-	snap, err := cluster.OpenSnapshot(sb.bytes())
+	snap, err := cluster.DecodeSnapshot(sb.bytes())
 	if err != nil {
 		sb.release()
 		writeError(w, http.StatusBadRequest, err)

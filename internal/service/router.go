@@ -187,9 +187,10 @@ func NewNodeWithConfig(srv *Server, self string, peers []string, store *cluster.
 
 // Handler returns the node's route table: the cluster control
 // endpoints, the /stats interception that adds the cluster section,
-// and the owner-routing wrapper around the plain service routes.
+// and the owner-routing wrapper around the plain service routes (Server
+// routes), instrumented once.
 func (n *Node) Handler() http.Handler {
-	inner := n.srv.Handler()
+	inner := n.srv.routes()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /cluster/replicate", n.handleReplicate)
 	mux.HandleFunc("POST /cluster/forget", n.handleForget)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +11,9 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
+	"repro/internal/heuristics"
 	"repro/internal/obs"
 )
 
@@ -69,8 +72,12 @@ func NewServer(pool *Pool) *Server {
 // Pool returns the server's session pool.
 func (s *Server) Pool() *Pool { return s.pool }
 
-// Handler returns the service's route table.
-func (s *Server) Handler() http.Handler {
+// Handler returns the service's route table, instrumented.
+func (s *Server) Handler() http.Handler { return s.instrument(s.routes()) }
+
+// routes is the route table, uninstrumented: Handler and a ring node's
+// handler (Node.Handler) each wrap it in instrument once.
+func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", s.handleCreate)
 	mux.HandleFunc("GET /sessions", s.handleList)
@@ -84,7 +91,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", s.reg.Handler())
-	return s.instrument(mux)
+	return mux
 }
 
 // sessionPath parses the /sessions[/{id}[/{sub}]] grammar every
@@ -100,44 +107,61 @@ func sessionPath(path string) (id, sub string, ok bool) {
 	return id, sub, true
 }
 
+// jsonBufs pools writeJSON's encode buffers.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON answers status with v as encoding/json writes it indented,
+// encoded whole before the status is written: a value it cannot encode
+// answers 500 with an ErrorResponse instead.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	encodeIndented(w, v) //nolint:errcheck // nothing to do about a failed write
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		enc.Encode(ErrorResponse{Error: err.Error()}) //nolint:errcheck // a string always encodes
+	}
+	writeBody(w, status, buf.Bytes())
 }
 
-// writeBody answers 200 with a complete JSON body in one Write; the
+// writeBody answers status with a whole JSON body in one Write; the
 // length is known, so net/http does no chunked framing.
-func writeBody(w http.ResponseWriter, body []byte) {
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
+	w.WriteHeader(status)
 	w.Write(body) //nolint:errcheck // nothing to do about a failed write
+}
+
+// writeEncoded answers 200 with a body the report encoder wrote, or 500
+// when it could not write it (ok false).
+func writeEncoded(w http.ResponseWriter, body []byte, ok bool) {
+	if !ok {
+		writeError(w, http.StatusInternalServerError, errNonFinite)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // writeAnswer answers a query, what-if or epoch: a cache hit with its
 // entry's stored wire image, a solved report through the report
-// encoder. A report holding a non-finite float has neither; writeJSON
-// answers it as it always did.
+// encoder.
 func writeAnswer(w http.ResponseWriter, rep *SolveReport, hit *answer, err error) {
 	if err != nil {
 		writeError(w, solveStatus(err), err)
 		return
 	}
 	if hit != nil {
-		if image := hit.wire(); image != nil {
-			writeBody(w, image)
-			return
-		}
-		rep = hit.report()
+		image := hit.wire()
+		writeEncoded(w, image, image != nil)
+		return
 	}
 	bp, ok := reportBytes(rep)
 	defer reportBufs.Put(bp)
-	if ok {
-		writeBody(w, *bp)
-	} else {
-		writeJSON(w, http.StatusOK, rep.dense())
-	}
+	writeEncoded(w, *bp, ok)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -210,28 +234,25 @@ func readBounded(dst []byte, r io.Reader, declared int64) ([]byte, error) {
 	}
 }
 
-// isClientError classifies solve-path errors: validation and
-// modelling complaints are the client's fault (400), anything else is
-// a server failure (500). Session code marks its own invariant
-// violations with an "internal error" prefix, which always wins —
-// "heuristic produced an invalid allocation" is a server bug even
-// though it contains "invalid".
-func isClientError(err error) bool {
-	msg := err.Error()
-	if strings.Contains(msg, "internal error") {
-		return false
-	}
-	for _, marker := range []string{"invalid", "out of range", "unknown", "platform:", "adapt:", "no β variable", "payoffs for"} {
-		if strings.Contains(msg, marker) {
-			return true
-		}
-	}
-	return false
-}
+// clientError marks an error as the client's fault: a request — or a
+// platform, configuration or perturbation it carries — that fails
+// validation. The sites that validate wrap what they refuse in it;
+// solveStatus reads the mark, never the message.
+type clientError struct{ error }
 
+func (e clientError) Unwrap() error { return e.error }
+
+// solveStatus is the status of every session-path error: 400 for a
+// request that fails validation (clientError); 422 for a valid bnb
+// session whose search exhausts its node budget (the budget is the
+// client's configuration, and no retry can change the outcome); 500 for
+// anything else, a server failure.
 func solveStatus(err error) int {
-	if isClientError(err) {
+	switch {
+	case errors.As(err, new(clientError)):
 		return http.StatusBadRequest
+	case errors.Is(err, heuristics.ErrNodeBudget):
+		return http.StatusUnprocessableEntity
 	}
 	return http.StatusInternalServerError
 }
@@ -243,7 +264,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, rep, created, err := s.pool.GetOrCreate(&req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, solveStatus(err), err)
 		return
 	}
 	if rep == nil {
@@ -303,9 +324,7 @@ func (s *Server) handlePlatform(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)         //nolint:errcheck
-	w.Write([]byte("\n")) //nolint:errcheck
+	writeBody(w, http.StatusOK, append(data, '\n'))
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -355,11 +374,7 @@ func (s *Server) handleWhatIfBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	bp, ok := batchBytes(resp)
 	defer reportBufs.Put(bp)
-	if ok {
-		writeBody(w, *bp)
-	} else {
-		writeJSON(w, http.StatusOK, resp)
-	}
+	writeEncoded(w, *bp, ok)
 }
 
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -542,6 +543,9 @@ func TestCreateRejectsBadRequests(t *testing.T) {
 		{"unknown objective", CreateSessionRequest{Platform: platformJSON(t, pl), Objective: "median"}},
 		{"unknown heuristic", CreateSessionRequest{Platform: platformJSON(t, pl), Heuristic: "magic"}},
 		{"wrong payoffs", CreateSessionRequest{Platform: platformJSON(t, pl), Payoffs: []float64{1, 2}}},
+		// max payoff × Σ speeds past core.MaxScale: the answer's values
+		// would overflow, and the report would have no JSON form.
+		{"overflowing payoffs", CreateSessionRequest{Platform: platformJSON(t, pl), Payoffs: []float64{1e308, 1e308, 1e308, 1e308}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -568,6 +572,7 @@ func TestCreateRejectsBadRequests(t *testing.T) {
 		// refused as what it is, not as whatever it converted to.
 		{WhatIfRequest{Links: []LinkValue{{Link: 0, MaxConnect: 1e300}}}, "max-connect 1e+300 invalid"},
 		{WhatIfRequest{Links: []LinkValue{{Link: 0, MaxConnect: 1 << 31}}}, "at most 2147483647"},
+		{WhatIfRequest{Speeds: []ClusterValue{{Cluster: 0, Value: 1e308}, {Cluster: 1, Value: 1e308}}, Relax: true}, "total speed"},
 	} {
 		var e ErrorResponse
 		doJSON(t, ts.Client(), "POST", ts.URL+"/sessions/"+resp.ID+"/whatif", tc.wi, &e, http.StatusBadRequest)
@@ -575,10 +580,26 @@ func TestCreateRejectsBadRequests(t *testing.T) {
 			t.Fatalf("what-if %+v: error %q does not say %q", tc.wi, e.Error, tc.want)
 		}
 	}
+	// Bad epochs 400 too, and commit nothing.
+	for _, tc := range []struct {
+		ep   EpochRequest
+		want string
+	}{
+		{EpochRequest{SpeedFactor: []float64{1, 1}}, "adapt:"},
+		{EpochRequest{GatewayFactor: []float64{1, -1, 1, 1}}, "adapt:"},
+		// Every speed stays finite, their sum does not.
+		{EpochRequest{SpeedFactor: []float64{1e306, 1e306, 1e306, 1e306}}, "total speed"},
+	} {
+		var e ErrorResponse
+		doJSON(t, ts.Client(), "POST", ts.URL+"/sessions/"+resp.ID+"/epoch", tc.ep, &e, http.StatusBadRequest)
+		if !strings.Contains(e.Error, tc.want) {
+			t.Fatalf("epoch %+v: error %q does not say %q", tc.ep, e.Error, tc.want)
+		}
+	}
 	var q SolveReport
 	doJSON(t, ts.Client(), "POST", ts.URL+"/sessions/"+resp.ID+"/query", nil, &q, http.StatusOK)
-	if math.Abs(q.Value-resp.Report.Value) > tol*(1+math.Abs(resp.Report.Value)) {
-		t.Fatalf("session corrupted by rejected what-ifs: %g, want %g", q.Value, resp.Report.Value)
+	if math.Abs(q.Value-resp.Report.Value) > tol*(1+math.Abs(resp.Report.Value)) || q.Epoch != 0 {
+		t.Fatalf("session corrupted by rejected what-ifs and epochs: %g at epoch %d, want %g at 0", q.Value, q.Epoch, resp.Report.Value)
 	}
 }
 
@@ -851,5 +872,40 @@ func TestFuzzLikeDecodeBody(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestErrorStatus holds solveStatus, the one status function of the
+// session path, create included: a validation failure is 400 however
+// deeply it is wrapped, an exhausted bnb node budget 422 wherever it
+// surfaces, anything else 500. A bnb session whose first search runs
+// out of nodes is refused at create with that 422.
+func TestErrorStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{clientError{errors.New("speed mutation: cluster 9 out of range")}, http.StatusBadRequest},
+		{fmt.Errorf("batch query 3: %w", clientError{errors.New("no β variable")}), http.StatusBadRequest},
+		{errEmptyBatch, http.StatusBadRequest},
+		{fmt.Errorf("initial solve: %w", heuristics.ErrNodeBudget), http.StatusUnprocessableEntity},
+		{heuristics.ErrNodeBudget, http.StatusUnprocessableEntity},
+		{errors.New("relaxation infeasible on an unconstrained platform (model bug)"), http.StatusInternalServerError},
+		// A message's wording sets no status.
+		{errors.New("platform: invalid unknown out of range"), http.StatusInternalServerError},
+	} {
+		if got := solveStatus(tc.err); got != tc.want {
+			t.Errorf("solveStatus(%v) = %d, want %d", tc.err, got, tc.want)
+		}
+	}
+
+	ts, _ := newTestServer(t, 2)
+	pl, payoffs := tightPlatform(t, 6, 11)
+	var e ErrorResponse
+	doJSON(t, ts.Client(), "POST", ts.URL+"/sessions", CreateSessionRequest{
+		Platform: platformJSON(t, pl), Payoffs: payoffs, Heuristic: "bnb", Objective: "sum", MaxNodes: 1,
+	}, &e, http.StatusUnprocessableEntity)
+	if !strings.Contains(e.Error, "node budget exhausted") {
+		t.Fatalf("create error %q does not name the node budget", e.Error)
 	}
 }

@@ -79,7 +79,7 @@ func parseConfig(req *CreateSessionRequest) (sessionConfig, error) {
 	case "sum":
 		cfg.obj, cfg.objName = core.SUM, "sum"
 	default:
-		return cfg, fmt.Errorf("unknown objective %q (want sum or maxmin)", req.Objective)
+		return cfg, clientError{fmt.Errorf("unknown objective %q (want sum or maxmin)", req.Objective)}
 	}
 	switch req.Heuristic {
 	case "", "lprg":
@@ -87,7 +87,7 @@ func parseConfig(req *CreateSessionRequest) (sessionConfig, error) {
 	case "lprr", "lprr-eq", "bnb":
 		cfg.heur = req.Heuristic
 	default:
-		return cfg, fmt.Errorf("unknown heuristic %q (want lprg, lprr, lprr-eq or bnb)", req.Heuristic)
+		return cfg, clientError{fmt.Errorf("unknown heuristic %q (want lprg, lprr, lprr-eq or bnb)", req.Heuristic)}
 	}
 	return cfg, nil
 }
@@ -101,11 +101,11 @@ func decodeCreate(req *CreateSessionRequest) (*platform.Platform, sessionConfig,
 		return nil, cfg, "", err
 	}
 	if len(req.Platform) == 0 {
-		return nil, cfg, "", errors.New("missing platform")
+		return nil, cfg, "", clientError{errors.New("missing platform")}
 	}
 	pl, err := platform.Decode(req.Platform)
 	if err != nil {
-		return nil, cfg, "", err
+		return nil, cfg, "", clientError{err}
 	}
 	return pl, cfg, sessionID(pl.Fingerprint(), cfg), nil
 }
@@ -230,14 +230,11 @@ type Session struct {
 func buildSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 	pr := core.NewProblem(pl)
 	if cfg.payoffs != nil {
-		if len(cfg.payoffs) != pr.K() {
-			return nil, fmt.Errorf("%d payoffs for %d clusters", len(cfg.payoffs), pr.K())
-		}
-		pr.Payoffs = append([]float64(nil), cfg.payoffs...)
+		pr.Payoffs = slices.Clone(cfg.payoffs)
 	}
 	model, err := pr.NewModel(cfg.obj)
 	if err != nil {
-		return nil, err
+		return nil, clientError{err} // NewModel refuses only a problem that fails validation
 	}
 	s := &Session{
 		fingerprint: pl.Fingerprint(),
@@ -608,52 +605,57 @@ func (h hypothetical) platform(committed *platform.Platform) *platform.Platform 
 	return pl
 }
 
-// hypotheticalLocked validates req against the committed platform and
-// the model. A capacity value Validate would refuse makes it validate the
-// hypothetical platform, so a rejected request gets that error.
+// hypotheticalLocked validates req against the committed problem and
+// the model; what it refuses is the client's fault.
 func (s *Session) hypotheticalLocked(req *WhatIfRequest) (hypothetical, error) {
 	h := hypothetical{speeds: req.Speeds, gateways: req.Gateways, links: req.Links, boxes: req.Bounds}
 	K := s.pl.K()
 	for _, m := range req.Speeds {
 		if m.Cluster < 0 || m.Cluster >= K {
-			return hypothetical{}, fmt.Errorf("speed mutation: cluster %d out of range [0,%d)", m.Cluster, K)
+			return hypothetical{}, clientError{fmt.Errorf("speed mutation: cluster %d out of range [0,%d)", m.Cluster, K)}
 		}
 	}
 	for _, m := range req.Gateways {
 		if m.Cluster < 0 || m.Cluster >= K {
-			return hypothetical{}, fmt.Errorf("gateway mutation: cluster %d out of range [0,%d)", m.Cluster, K)
+			return hypothetical{}, clientError{fmt.Errorf("gateway mutation: cluster %d out of range [0,%d)", m.Cluster, K)}
 		}
 	}
 	for _, m := range req.Links {
 		if m.Link < 0 || m.Link >= len(s.pl.Links) {
-			return hypothetical{}, fmt.Errorf("link mutation: link %d out of range [0,%d)", m.Link, len(s.pl.Links))
+			return hypothetical{}, clientError{fmt.Errorf("link mutation: link %d out of range [0,%d)", m.Link, len(s.pl.Links))}
 		}
 		// Refused before any conversion to int, which is
 		// implementation-defined out of range; NaN fails the first test.
 		if !(m.MaxConnect >= 0 && m.MaxConnect <= platform.MaxConnectCeiling) || m.MaxConnect != math.Trunc(m.MaxConnect) {
-			return hypothetical{}, fmt.Errorf("link mutation: max-connect %g invalid (budgets are whole connection counts, at most %d)", m.MaxConnect, platform.MaxConnectCeiling)
+			return hypothetical{}, clientError{fmt.Errorf("link mutation: max-connect %g invalid (budgets are whole connection counts, at most %d)", m.MaxConnect, platform.MaxConnectCeiling)}
 		}
 	}
-	refused := false // a negative, NaN or infinite capacity
-	for _, ms := range [...][]ClusterValue{req.Speeds, req.Gateways} {
-		for _, m := range ms {
-			refused = refused || !(m.Value >= 0) || math.IsInf(m.Value, 1)
-		}
+	// A negative, NaN or infinite capacity, or speeds whose sum may pass
+	// core.MaxScale (it is at most the committed sum plus every speed
+	// written), make it validate the hypothetical problem, so a rejected
+	// request gets that error.
+	payoff, speed := s.pr.Scale()
+	refused := false
+	for _, m := range req.Gateways {
+		refused = refused || !(m.Value >= 0) || math.IsInf(m.Value, 1)
 	}
-	if refused {
-		if err := h.platform(s.pl).Validate(); err != nil {
-			return hypothetical{}, err
+	for _, m := range req.Speeds {
+		refused, speed = refused || !(m.Value >= 0), speed+m.Value
+	}
+	if refused || !(payoff*speed <= core.MaxScale) {
+		if err := (&core.Problem{Platform: h.platform(s.pl), Payoffs: s.pr.Payoffs}).Validate(); err != nil {
+			return hypothetical{}, clientError{err}
 		}
 	}
 	for _, b := range req.Bounds {
 		if b.Lb < 0 || math.IsNaN(b.Lb) || math.IsInf(b.Lb, 0) {
-			return hypothetical{}, fmt.Errorf("bound mutation (%d,%d): lb %g invalid", b.From, b.To, b.Lb)
+			return hypothetical{}, clientError{fmt.Errorf("bound mutation (%d,%d): lb %g invalid", b.From, b.To, b.Lb)}
 		}
 		if math.IsNaN(b.Ub) || math.IsInf(b.Ub, 0) {
-			return hypothetical{}, fmt.Errorf("bound mutation (%d,%d): ub %g invalid", b.From, b.To, b.Ub)
+			return hypothetical{}, clientError{fmt.Errorf("bound mutation (%d,%d): ub %g invalid", b.From, b.To, b.Ub)}
 		}
 		if !s.betaRoutes[core.Pair{K: b.From, L: b.To}] {
-			return hypothetical{}, fmt.Errorf("β bounds on route (%d,%d) with no β variable", b.From, b.To)
+			return hypothetical{}, clientError{fmt.Errorf("β bounds on route (%d,%d) with no β variable", b.From, b.To)}
 		}
 	}
 	return h, nil
@@ -786,20 +788,21 @@ func (s *Session) epochLocked(req *EpochRequest) (*SolveReport, error) {
 	}
 	epl, err := pert.Apply(s.pl)
 	if err != nil {
-		return nil, err
+		return nil, clientError{err}
 	}
-	if err := epl.Validate(); err != nil {
-		return nil, fmt.Errorf("perturbed platform invalid: %w", err)
+	epr := &core.Problem{Platform: epl, Payoffs: s.pr.Payoffs}
+	if err := epr.Validate(); err != nil {
+		return nil, clientError{fmt.Errorf("perturbed problem invalid: %w", err)}
 	}
 	// A failed injection (e.g. a factor driving a capacity out of
 	// range) must not leave the model half-updated: return it to the
 	// committed state and report.
 	if err := s.model.Inject(epl); err != nil {
 		mustRestore(s.model.Inject(s.pl))
-		return nil, err
+		return nil, clientError{err}
 	}
 	s.pl = epl
-	s.pr = &core.Problem{Platform: epl, Payoffs: s.pr.Payoffs}
+	s.pr = epr
 	s.epoch++
 	s.answers.rotate(s.epoch)
 	return s.solveLocked(s.pr, true)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -370,7 +371,9 @@ func TestSnapshotEncodesOffTheLock(t *testing.T) {
 		t.Fatalf("snapshot carries epoch %d and a platform of %d bytes, want the pre-commit epoch %d and its %d bytes",
 			snap.Epoch, len(snap.Platform), epoch, len(wantPlatform))
 	}
-	if cols, _ := basis.View(); &snap.BasisCols[0] != &cols[0] {
+	// The snapshot reads that basis in place: its basic columns are the
+	// basis's own array, not a copy and not a later commit's.
+	if cols, _ := basis.View(); reflect.ValueOf(snap).Elem().FieldByName("cols").Pointer() != reflect.ValueOf(cols).Pointer() {
 		t.Fatal("the snapshot does not read the basis committed with its platform")
 	}
 	if sess.Info().Epoch != epoch+1 {
