@@ -219,12 +219,16 @@ func TestForkAllocatesNoDeadFactor(t *testing.T) {
 }
 
 // TestReforkAllocatesNothing holds a stale fork's in-place refresh to zero
-// allocations on the same K=20 model. Two committed states of one
-// structure — the model's, and a fork's that committed a capacity change
-// (Rebase, re-solve) and froze it — take turns as the state a kept fork is
-// reforked onto, so every Refork measured is the full refresh a commit
-// leaves: copy the frozen state and the capacities, re-alias the LU arrays,
-// rewind. And the kept fork answers on the new state what a fresh fork does.
+// allocations on the same K=20 platform, under MAXMIN. Two committed
+// states of one structure — the model's, and a fork's that committed a
+// capacity change (Rebase, re-solve) and froze it — take turns as the
+// state a kept fork is reforked onto, so every Refork measured is the full
+// refresh a commit leaves: copy the frozen state and the capacities,
+// re-alias the LU arrays, rewind. After each Refork the kept fork answers
+// a what-if that pivots and retracts it, so every first pivot measured
+// misses the fork's first-pivot cache — filed under the other state — and
+// files its entry in the storage the other state's entries left. And the
+// kept fork answers on the new state what a fresh fork does.
 func TestReforkAllocatesNothing(t *testing.T) {
 	pl, err := platgen.Generate(platgen.Params{
 		K: 20, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5,
@@ -232,7 +236,8 @@ func TestReforkAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewProblem(pl).NewModel(SUM)
+	// MAXMIN: a speed cut moves its balanced optimum, so what-ifs pivot.
+	m, err := NewProblem(pl).NewModel(MAXMIN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,20 +260,70 @@ func TestReforkAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reforkErr error
+	// whatIf reforks kept onto from, cuts the cluster's speed to half,
+	// solves, retracts the cut and rewinds; it reports the solve's dual
+	// pivots and refactorizations (Refork zeroed kept's counters).
+	whatIf := func(from *Model, cluster int) (pivots, refactors int, err error) {
+		if err := from.Refork(kept); err != nil {
+			return 0, 0, err
+		}
+		speed := pl.Clusters[cluster].Speed
+		if err := kept.SetSpeed(cluster, speed/2); err != nil {
+			return 0, 0, err
+		}
+		if _, _, err := kept.Solve(basis); err != nil {
+			return 0, 0, err
+		}
+		st := kept.SolverStats()
+		if err := kept.SetSpeed(cluster, speed); err != nil {
+			return 0, 0, err
+		}
+		kept.Rewind()
+		return st.DualPivots, st.Refactorizations, nil
+	}
+	// The first cluster whose speed cut pivots off both states without a
+	// refactorization, which would give the fork a factor of its own.
+	cluster := 0
+	for ; cluster < pl.K(); cluster++ {
+		both := true
+		for _, from := range []*Model{committed, m} {
+			pivots, refactors, err := whatIf(from, cluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			both = both && pivots > 0 && refactors == 0
+		}
+		if both {
+			break
+		}
+	}
+	if cluster == pl.K() {
+		t.Fatal("no speed cut pivots off both states without a refactorization")
+	}
+	var runErr error
+	runs, bad := 0, 0
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, from := range []*Model{committed, m} {
-			if err := from.Refork(kept); err != nil {
-				reforkErr = err
+			pivots, refactors, err := whatIf(from, cluster)
+			if err != nil {
+				runErr = err
+				return
+			}
+			runs++
+			if pivots == 0 || refactors != 0 {
+				bad++
 			}
 		}
 	})
-	if reforkErr != nil {
-		t.Fatal(reforkErr)
+	if runErr != nil {
+		t.Fatal(runErr)
 	}
-	t.Logf("two stale Reforks at K=20: %.0f allocs", allocs)
+	t.Logf("two stale Reforks at K=20, each followed by a what-if on cluster %d's speed: %.0f allocs", cluster, allocs)
 	if allocs != 0 {
-		t.Fatalf("a stale Refork at K=20 allocated %.1f times per pair, want 0", allocs)
+		t.Fatalf("a stale Refork and a what-if at K=20 allocated %.1f times per pair, want 0", allocs)
+	}
+	if bad != 0 {
+		t.Fatalf("%d of %d what-ifs took no pivot or refactorized", bad, runs)
 	}
 
 	if err := committed.Refork(kept); err != nil {

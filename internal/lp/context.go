@@ -83,7 +83,7 @@ func (r *Revised) Rebase() {
 	}
 	r.signInit = true
 	r.rhsOK = false // b was computed under the old signs
-	r.factorized, r.dseOK, r.djOK = false, false, false
+	r.factorized, r.dseOK, r.djOK, r.pend.on = false, false, false, false
 	r.wholeMoved()
 }
 
@@ -282,6 +282,7 @@ func (r *Revised) nonbasicValue(j int) float64 {
 // still the live one). Every caller then recomputes the basic values
 // whole (computeXB), which makes the moved journal whole.
 func (r *Revised) refactorize() bool {
+	r.settleDSE() // τ is solved on the factor this replaces
 	t0 := time.Now()
 	ok := r.fac.refactor()
 	r.stats.Phase.RefactorNanos += int64(time.Since(t0))
@@ -303,7 +304,7 @@ func (r *Revised) wholeMoved() {
 // with every structural variable starting at its lower bound.
 func (r *Revised) coldSolve() (Solution, error) {
 	r.stats.ColdSolves++
-	r.dseOK, r.djOK = false, false // the basis is rebuilt from scratch below
+	r.dseOK, r.djOK, r.pend.on = false, false, false // the basis is rebuilt from scratch below
 	r.wholeMoved()
 	clear(r.atUpper)
 	for i := range r.sign {
@@ -386,6 +387,7 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, bool) {
 	// live factorization exists. A caller that wants a solve not to
 	// depend on the ones before it calls Rewind between them.
 	if !r.factorized {
+		r.dseOK, r.djOK, r.pend.on = false, false, false // weights and reduced costs describe the old basis
 		clear(r.seen)
 		for _, c := range bas.cols {
 			if c < 0 || c >= r.ncols || r.seen[c] {
@@ -406,7 +408,6 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, bool) {
 			r.factorized = false
 			return Solution{}, false
 		}
-		r.dseOK, r.djOK = false, false // weights and reduced costs described the old basis
 	}
 	// refreshRHS sanitizes the at-upper set against the (possibly
 	// mutated) bounds before computeXB prices the nonbasic columns in.
@@ -669,6 +670,15 @@ func (r *Revised) direction(j int) {
 	t0 := time.Now()
 	r.dIdx = r.fac.ftranCol(j, r.d, r.dIdx)
 	r.stats.Phase.FTRANNanos += int64(time.Since(t0))
+}
+
+// onFrozenFactor reports whether the live factor is the frozen LU with an
+// empty eta file. Every pivot appends an eta or refactorizes, and only a
+// refactorization, which allocates, ends the borrowing, so the basis and
+// the row signs are then the frozen ones as well: what the first-pivot
+// cache files is a function of the frozen state.
+func (r *Revised) onFrozenFactor() bool {
+	return r.frozen.start != nil && r.fac.borrowed && len(r.fac.etas) == 0
 }
 
 // leavingRow computes ρ = e_pᵀB^{-1} into r.rho with its nonzero list in

@@ -118,6 +118,108 @@ type frozenStart struct {
 	overWide, overNarrow bool // priceScan(dualTol, eps)
 }
 
+// firstPivotCap bounds a context's first-pivot cache: it keeps the first
+// firstPivotCap (row, side) pairs a frozen state's first pivots leave by
+// and files no more. DESIGN.md "Pivot path: what a dual pivot touches"
+// gives the repeat rates it was sized on and its memory.
+const firstPivotCap = 32
+
+// firstPivots is a context's first-pivot cache. While the live factor is
+// the frozen LU with an empty eta file (onFrozenFactor), the basis and the
+// row signs are the frozen ones too, so what a dual pivot leaving by row r
+// computes before it pivots — ρ_r = e_rᵀB⁻¹ with its list and ‖ρ_r‖², the
+// scatter's candidate list with each α (the side orients α), and
+// τ_r = B⁻¹ρ_r for the steepest-edge update — is a function of the
+// frozen state, the row and the side alone. The cache keeps that per
+// (row, side) for the frozen state start names, sparse: each entry's lists
+// and values lie in two arenas. A Freeze empties it, and so does a lookup
+// under another start (a fork reforked onto a newer Freeze); the arenas
+// keep their storage, so a context that has seen its largest entries
+// allocates nothing more. Dense-arm pivots are not filed: that arm leaves
+// α at every nonbasic column.
+type firstPivots struct {
+	start *frozenStart
+	ents  []firstPivot
+	idx   []int32
+	val   []float64
+}
+
+// firstPivot is one cache entry; rho, cand and tau are [from, to) spans of
+// the arenas, and tau is valid once tauOK.
+type firstPivot struct {
+	row            int
+	below, tauOK   bool
+	gamma          float64
+	rho, cand, tau [2]int
+}
+
+// reset empties the cache, keeping its storage.
+func (c *firstPivots) reset() {
+	c.start, c.ents, c.idx, c.val = nil, c.ents[:0], c.idx[:0], c.val[:0]
+}
+
+// find returns the entry for (row, below) under start, or -1; a cache
+// filed under another start is emptied first.
+func (c *firstPivots) find(start *frozenStart, row int, below bool) int {
+	if c.start != start {
+		c.reset()
+		c.start = start
+	}
+	for e := range c.ents {
+		if c.ents[e].row == row && c.ents[e].below == below {
+			return e
+		}
+	}
+	return -1
+}
+
+// file adds the entry for (row, below) — ρ with its list and ‖ρ‖², the
+// candidates with α — and returns it, or -1 when the cache is full. find
+// must have run first, for the same start.
+func (c *firstPivots) file(row int, below bool, gamma float64, rhoIdx []int32, rho []float64, cands []int32, alpha []float64) int {
+	if len(c.ents) == firstPivotCap {
+		return -1
+	}
+	c.ents = append(c.ents, firstPivot{row: row, below: below, gamma: gamma,
+		rho: c.put(rhoIdx, rho), cand: c.put(cands, alpha)})
+	return len(c.ents) - 1
+}
+
+// put appends v at the listed positions to the arenas and returns the span.
+func (c *firstPivots) put(idx []int32, v []float64) [2]int {
+	from := len(c.idx)
+	c.idx = append(c.idx, idx...)
+	for _, i := range idx {
+		c.val = append(c.val, v[i])
+	}
+	return [2]int{from, len(c.idx)}
+}
+
+// load writes span s into v, which is zero outside its list old, zeroing
+// it there first, and returns the new list in old's storage: v is then
+// zero outside it again, as a sparse solve would leave it.
+func (c *firstPivots) load(s [2]int, v []float64, old []int32) []int32 {
+	for _, i := range old {
+		v[i] = 0
+	}
+	idx := c.idx[s[0]:s[1]]
+	for t, i := range idx {
+		v[i] = c.val[s[0]+t]
+	}
+	return append(old[:0], idx...)
+}
+
+// cands writes entry e's α into alpha at its candidates and returns them,
+// read-only.
+func (c *firstPivots) cands(e int, alpha []float64) []int32 {
+	s := c.ents[e].cand
+	idx := c.idx[s[0]:s[1]:s[1]]
+	for t, j := range idx {
+		alpha[j] = c.val[s[0]+t]
+	}
+	return idx
+}
+
 // Freeze makes the context's current state the one Rewind returns to
 // and forks are born on. It is a no-op while nothing has solved since
 // the last Freeze or Rewind (gen counts solves; any solve may move the
@@ -129,10 +231,12 @@ type frozenStart struct {
 // and one priceScan, from which a solve then starts at the cost of what
 // moved since (startFrozen).
 func (r *Revised) Freeze() error {
+	r.settleDSE() // the frozen copy takes the weights
 	fz := &r.frozen
 	if fz.basis != nil && fz.gen == r.gen {
 		return nil
 	}
+	r.firstPivots.reset()
 	if r.factorized && len(r.fac.etas) > 0 && !r.refactorize() {
 		return errors.New("lp: Freeze: current basis is numerically singular")
 	}
@@ -191,6 +295,7 @@ func (r *Revised) Rewind() {
 	if fz.basis == nil {
 		panic("lp: Rewind before Freeze")
 	}
+	r.pend.on = false // it would write only rows the journal puts back
 	f := r.fac
 	f.luArrays, f.borrowed = fz.luArrays, true
 	f.etas, f.etaIdx, f.etaVal, f.minEtas = f.etas[:0], f.etaIdx[:0], f.etaVal[:0], 0

@@ -606,6 +606,17 @@ func (f *luFactor) ftranRows(rows []int32, src, dst []float64, idx []int32) []in
 	return f.solve(dst, idx)
 }
 
+// ftranRowsAt is ftranRows against the factor as it stood when the eta
+// file held its first n etas: the steepest-edge update of a pivot whose
+// eta is already filed solves τ on the basis before that pivot.
+func (f *luFactor) ftranRowsAt(n int, rows []int32, src, dst []float64, idx []int32) []int32 {
+	etas := f.etas
+	f.etas = etas[:n]
+	idx = f.ftranRows(rows, src, dst, idx)
+	f.etas = etas
+	return idx
+}
+
 // add adds v to row i of the right-hand side the next solve solves,
 // marking its position.
 func (f *luFactor) add(i int, v float64) {

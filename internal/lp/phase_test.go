@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -55,12 +56,14 @@ func TestPhaseTimesAccounting(t *testing.T) {
 
 // TestWarmWhatIfZeroAlloc is the guard the observability layer must
 // not regress: a warm what-if — mutate, SolveFrom the committed basis,
-// undo, Rewind — stays allocation-free with phase-timing
-// instrumentation enabled (time.Now does not allocate; this test exists
-// to keep it that way if the timing code is ever restructured). The runs
-// measured include what-ifs that pivot and what-ifs that do not, so both
-// the journal's lists and the Rewind that undoes them are under the
-// bound.
+// undo, Rewind — stays allocation-free with phase timing and solver
+// counters enabled (time.Now does not allocate; this test exists to keep
+// it that way if the timing code is ever restructured). The runs measured
+// include what-ifs that pivot and what-ifs that do not, so both the
+// journal's lists and the Rewind that undoes them are under the bound, and
+// they start right after a commit moved the frozen state, so first pivots
+// the emptied first-pivot cache misses file their entries in storage
+// earlier frozen states left.
 func TestWarmWhatIfZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	p := whatIfLP(r, 120, 80)
@@ -74,14 +77,29 @@ func TestWarmWhatIfZeroAlloc(t *testing.T) {
 	for i := range rhs0 {
 		rhs0[i] = p.RHS(i)
 	}
-	if err := rev.Freeze(); err != nil {
-		t.Fatal(err)
+	committed := slices.Clone(rhs0)
+	// commit moves the committed rhs to rhs0 scaled by 1 + by·(i mod 3),
+	// solves there and freezes: a new frozen state.
+	i := 0
+	commit := func(by float64) {
+		for row := range committed {
+			committed[row] = rhs0[row] * (1 + by*float64(row%3))
+			p.SetRHS(row, committed[row])
+		}
+		if _, err := rev.SolveFrom(basis); err != nil {
+			t.Fatal(err)
+		}
+		if err := rev.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		i = 0
 	}
-	i, pivoting, still := 0, 0, 0
+	commit(0)
+	pivoting, still, filing := 0, 0, 0
 	whatIf := func() {
 		row := i % p.NumConstraints()
-		p.SetRHS(row, rhs0[row]*0.8)
-		before := rev.stats.Pivots
+		p.SetRHS(row, committed[row]*0.8)
+		before, filed := rev.stats.Pivots, len(rev.firstPivots.ents)
 		if _, err := rev.SolveFrom(basis); err != nil {
 			t.Fatal(err)
 		}
@@ -90,23 +108,33 @@ func TestWarmWhatIfZeroAlloc(t *testing.T) {
 		} else {
 			still++
 		}
-		p.SetRHS(row, rhs0[row])
+		if len(rev.firstPivots.ents) > filed {
+			filing++
+		}
+		p.SetRHS(row, committed[row])
 		rev.Rewind()
 		i++
 	}
 	// Prime before measuring: the first warm solves still grow the eta
-	// arena and the ratio-test buffers to their working size.
-	for i < 2*p.NumConstraints() {
-		whatIf()
+	// arena, the ratio-test buffers and the first-pivot cache's arenas to
+	// their working size, on this frozen state and on a second one.
+	for _, by := range []float64{0.1, 0} {
+		for i < 2*p.NumConstraints() {
+			whatIf()
+		}
+		commit(by)
 	}
-	pivoting, still = 0, 0
+	pivoting, still, filing = 0, 0, 0
 	allocs := testing.AllocsPerRun(50, whatIf)
 	if allocs != 0 {
 		t.Fatalf("warm what-if allocates %v per op, want 0", allocs)
 	}
-	t.Logf("measured %d what-ifs that pivoted and %d that did not", pivoting, still)
+	t.Logf("measured %d what-ifs that pivoted and %d that did not; %d filed a first pivot", pivoting, still, filing)
 	if pivoting == 0 || still == 0 {
 		t.Fatalf("of the what-ifs measured %d pivoted and %d did not: the bound must hold on both paths", pivoting, still)
+	}
+	if filing < 2 {
+		t.Fatalf("%d of the runs filed a first pivot: the bound must hold on a cache miss after a Freeze", filing)
 	}
 	if st := rev.Stats(); st.ColdSolves != 1 || st.ColdFallbacks != 0 {
 		t.Fatalf("the what-ifs measured were not warm: %d cold solves, %d cold fallbacks", st.ColdSolves, st.ColdFallbacks)

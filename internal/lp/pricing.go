@@ -234,6 +234,7 @@ func (r *Revised) primal(costs []float64) (Status, error) {
 		if enter == -1 {
 			return Optimal, nil
 		}
+		r.settleDSE() // a pending dual update reads d, which direction rewrites
 		r.direction(enter)
 		tRatio := time.Now()
 		leave, leaveAtUpper, t := r.primalRatioTest(dir)
@@ -326,6 +327,11 @@ func (r *Revised) dual() (Status, error) {
 	// candidate — and recomputed exactly whenever pivotUpdate
 	// refactorizes.
 	for iter := 0; iter < maxIters; iter++ {
+		if r.anyInfeasible() {
+			// chooseLeaving reads the weights, and once a row leaves, its
+			// pivot rewrites ρ and d, which a pending update reads.
+			r.settleDSE()
+		}
 		tPrice := time.Now()
 		leave, below := r.chooseLeaving(bland, r.feasTol())
 		r.stats.Phase.PricingNanos += int64(time.Since(tPrice))
@@ -339,12 +345,27 @@ func (r *Revised) dual() (Status, error) {
 		// rho = e_leave·B^{-1}; pricing reads it sign-normalized and
 		// oriented by amult, so eligible columns always price out
 		// negative for at-lower and positive for at-upper candidates;
-		// gr = ‖rho‖² is γ_r exactly, for the weight update below.
+		// gr = ‖rho‖² is γ_r exactly, for the weight update below. A first
+		// pivot off the frozen state reads ρ, and below the candidates and
+		// α, from the first-pivot cache when an earlier one left by the
+		// same row on the same side, and files them there otherwise.
 		amult := 1.0
 		if !below {
 			amult = -1
 		}
-		gr := r.leavingRow(leave)
+		fp, first := -1, !r.eagerPivots && r.onFrozenFactor()
+		if first {
+			fp = r.firstPivots.find(r.frozen.start, leave, below)
+		}
+		var gr float64
+		if fp >= 0 {
+			tB := time.Now()
+			e := &r.firstPivots.ents[fp]
+			r.rhoIdx, gr = r.firstPivots.load(e.rho, r.rho, r.rhoIdx), e.gamma
+			r.stats.Phase.BTRANNanos += int64(time.Since(tB))
+		} else {
+			gr = r.leavingRow(leave)
+		}
 		// Entering ratio test. This pass collects every eligible
 		// column's breakpoint (ratio_j, |α_j|) into the dc* buffers;
 		// dualEnterFlips then walks them in ratio order and enters the
@@ -402,7 +423,13 @@ func (r *Revised) dual() (Status, error) {
 		// Either arm leaves α_j in candAlpha for every nonbasic column it
 		// visits, fixed ones included: the reduced-cost update below reads
 		// it back.
-		cands, sparse := r.dualCandidates(amult)
+		var cands []int32
+		sparse := fp >= 0
+		if sparse {
+			cands = r.firstPivots.cands(fp, r.candAlpha)
+		} else if cands, sparse = r.dualCandidates(amult); first && sparse {
+			fp = r.firstPivots.file(leave, below, gr, r.rhoIdx, r.rho, cands, r.candAlpha)
+		}
 		if sparse {
 			// α was accumulated during the candidate row walk; the CSC
 			// store is not touched again.
@@ -442,50 +469,12 @@ func (r *Revised) dual() (Status, error) {
 			target = r.U[r.basis[leave]]
 		}
 		step := (r.xb[leave] - target) / d[leave]
-		// Forrest–Goldfarb exact steepest-edge update, against the
-		// pre-pivot basis: γ_r was recomputed exactly as ‖ρ_r‖² (the
-		// stored weight served pricing only, so the recurrence
-		// self-corrects), τ = B⁻¹ρ_r costs the one extra FTRAN this
-		// pricing scheme is known for, and then
-		//
-		//	γ_i ← γ_i − 2(d_i/d_r)·τ_i + (d_i/d_r)²·γ_r   (i ≠ r)
-		//	γ_r ← γ_r/d_r²
-		//
-		// is the exact new ‖e_iᵀB⁻¹‖² for every row — and the old one
-		// wherever d_i = 0, so the update walks d's list.
-		tau := r.tau
-		tF := time.Now()
-		r.tauIdx = r.fac.ftranRows(r.rhoIdx, r.rho, tau, r.tauIdx)
-		r.stats.Phase.FTRANNanos += int64(time.Since(tF))
-		dr := d[leave]
-		finite := true
-		for _, i32 := range r.dIdx {
-			i := int(i32)
-			if i == leave {
-				continue
-			}
-			q := d[i] / dr
-			g := r.dseW[i] - 2*q*tau[i] + q*q*gr
-			if g < dseFloor {
-				g = dseFloor // exact value is ‖ρ_i − q·ρ_r‖² ≥ 0: roundoff
-			}
-			if math.IsNaN(g) || math.IsInf(g, 0) {
-				finite = false
-				break
-			}
-			r.dseW[i] = g
-		}
-		gl := gr / (dr * dr)
-		if gl < dseFloor {
-			gl = dseFloor
-		}
-		r.dseW[leave] = gl
-		if !finite || math.IsNaN(gl) || math.IsInf(gl, 0) {
-			for i := range r.dseW {
-				r.dseW[i] = 1
-			}
-			r.stats.DSEWeightResets++
-			r.wholeMoved()
+		// The steepest-edge update of this pivot waits for the first
+		// reader of the weights (settleDSE): the last pivot of a what-if
+		// is usually rewound before anything reads them.
+		r.pend = dsePending{on: true, leave: leave, gamma: gr, etas: len(r.fac.etas), fp: fp}
+		if r.eagerPivots {
+			r.applyDSE()
 		}
 		leaveCol := r.basis[leave]
 		refac := r.pivotUpdate(leave, enter, step, !below)
@@ -560,6 +549,108 @@ func (r *Revised) dual() (Status, error) {
 // zero is roundoff and is clamped rather than allowed to blow up a
 // later violation²/γ score.
 const dseFloor = 1e-10
+
+// dsePending is a dual pivot's steepest-edge update, deferred: the
+// leaving row, its exact weight ‖ρ_r‖², the eta-file length before the
+// pivot and the first-pivot cache entry the pivot was served from or filed
+// in (-1: none). ρ and its list, d and its list stay as the pivot left them
+// until the update is settled: nothing rewrites them before the next
+// settle point.
+type dsePending struct {
+	on          bool
+	leave, etas int
+	gamma       float64
+	fp          int
+}
+
+// settleDSE applies the pending steepest-edge update, if any. It runs
+// before every reader of the weights and before anything that would
+// change what the update reads: the dual's leaving-row choice over a
+// non-empty infeasibility set (whose pivot then rewrites ρ and d), the
+// primal's entering direction (which rewrites d), every refactorization
+// (which replaces the factor τ is solved on), Freeze and so Refork. Rewind
+// drops the update instead — it puts back every row the update would
+// write — and so do Rebase, basis installs and cold solves, which reset
+// the weights.
+func (r *Revised) settleDSE() {
+	applied := r.pend.on
+	if applied {
+		r.applyDSE()
+	}
+	if r.onSettle != nil {
+		r.onSettle(applied)
+	}
+}
+
+// applyDSE is the Forrest–Goldfarb exact steepest-edge update of the
+// pending pivot, against its pre-pivot basis: γ_r was recomputed exactly as
+// ‖ρ_r‖² (the stored weight served pricing only, so the recurrence
+// self-corrects), τ = B⁻¹ρ_r costs the one extra FTRAN this pricing scheme
+// is known for, and then
+//
+//	γ_i ← γ_i − 2(d_i/d_r)·τ_i + (d_i/d_r)²·γ_r   (i ≠ r)
+//	γ_r ← γ_r/d_r²
+//
+// is the exact new ‖e_iᵀB⁻¹‖² for every row — and the old one wherever
+// d_i = 0, so the update walks d's list. τ is solved on the factor as it
+// stood before the pivot — the eta file at its pre-pivot length — or read
+// from the first-pivot cache, which files it after its first solve.
+func (r *Revised) applyDSE() {
+	pd := &r.pend
+	pd.on = false
+	d, tau, leave, gr := r.d, r.tau, pd.leave, pd.gamma
+	tF := time.Now()
+	if fc := &r.firstPivots; pd.fp >= 0 && fc.ents[pd.fp].tauOK {
+		r.tauIdx = fc.load(fc.ents[pd.fp].tau, tau, r.tauIdx)
+	} else {
+		r.tauIdx = r.fac.ftranRowsAt(pd.etas, r.rhoIdx, r.rho, tau, r.tauIdx)
+		if pd.fp >= 0 {
+			e := &fc.ents[pd.fp]
+			e.tau, e.tauOK = fc.put(r.tauIdx, tau), true
+		}
+	}
+	r.stats.Phase.FTRANNanos += int64(time.Since(tF))
+	dr := d[leave]
+	finite := true
+	for _, i32 := range r.dIdx {
+		i := int(i32)
+		if i == leave {
+			continue
+		}
+		q := d[i] / dr
+		g := r.dseW[i] - 2*q*tau[i] + q*q*gr
+		if g < dseFloor {
+			g = dseFloor // exact value is ‖ρ_i − q·ρ_r‖² ≥ 0: roundoff
+		}
+		if math.IsNaN(g) || math.IsInf(g, 0) {
+			finite = false
+			break
+		}
+		r.dseW[i] = g
+	}
+	gl := gr / (dr * dr)
+	if gl < dseFloor {
+		gl = dseFloor
+	}
+	r.dseW[leave] = gl
+	if !finite || math.IsNaN(gl) || math.IsInf(gl, 0) {
+		for i := range r.dseW {
+			r.dseW[i] = 1
+		}
+		r.stats.DSEWeightResets++
+		r.wholeMoved()
+	}
+}
+
+// anyInfeasible reports whether the infeasibility set is non-empty.
+func (r *Revised) anyInfeasible() bool {
+	for _, word := range r.infeas {
+		if word != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // chooseLeaving picks the dual's leaving row among the rows of the
 // infeasibility set, in ascending order: under Bland's rule the

@@ -144,9 +144,15 @@ type Revised struct {
 	// describing the current basis; it is cleared by anything that
 	// changes the basis outside the dual's own updates (cold solves,
 	// primal pivots, foreign-basis installs) and the next dual run
-	// then restarts from unit weights.
+	// then restarts from unit weights. A dual pivot's update waits in pend
+	// until something reads the weights (settleDSE).
 	dseW  []float64
 	dseOK bool
+	pend  dsePending
+
+	// firstPivots serves a solve's first dual pivot off the frozen state
+	// what an earlier one leaving by the same row computed (firstPivots).
+	firstPivots firstPivots
 
 	// dj[j] = c_j − y·A_j over the priced (non-artificial) columns for
 	// the current basis under the phase-2 costs: 0 on basic columns,
@@ -168,12 +174,19 @@ type Revised struct {
 	// tests hold an incremental refresh to a full one; onStart, at the end
 	// of every startFrozen, with its verdict; onPrice, after every dual
 	// pricing pass, with the row's orientation and the candidate list (nil
-	// when the dense arm priced) — where tests audit candAlpha.
+	// when the dense arm priced) — where tests audit candAlpha; onSettle, at
+	// the end of every settleDSE, with whether it applied a pending update —
+	// where tests hold the weights to those of a context with eagerPivots
+	// set, whose dual pivots compute ρ, the candidates and τ afresh and apply
+	// each steepest-edge update before the pivot, as they did before the
+	// first-pivot cache and the deferred update.
 	budgetOverride int
 	onPivot        func()
 	onRefresh      func()
 	onStart        func(overWide, overNarrow bool)
 	onPrice        func(amult float64, cands []int32)
+	onSettle       func(applied bool)
+	eagerPivots    bool
 
 	// Scratch buffers reused across solves. All per-context: a forked
 	// context allocates its own set, so concurrent solves against the
@@ -198,9 +211,10 @@ type Revised struct {
 	// ascending order, so a walk accumulates in the order the dense sweep
 	// it replaced did. The vectors stay valid at every position (d[leave],
 	// tau against d): rho is written whole, and the sparse FTRANs that
-	// write d and tau zero them at their old list first, so each is zero
-	// outside its list. The list is rewritten with the vector and neither
-	// is touched in between, so there is no separate validity.
+	// write d and tau, and the first-pivot cache where it serves rho or
+	// tau, zero them at their old list first, so each is zero outside its
+	// list. The list is rewritten with the vector and neither is touched
+	// in between, so there is no separate validity.
 	dIdx, rhoIdx, tauIdx []int32
 
 	bfOrder []int32 // ratio-sorted breakpoint order (BFRT)

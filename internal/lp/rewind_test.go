@@ -145,18 +145,20 @@ func TestRewindRestoresFrozenState(t *testing.T) {
 		{"sparse", sparseWhatIfLP(rand.New(rand.NewSource(5)), 240, 120)},
 		{"dense", whatIfLP(rand.New(rand.NewSource(5)), 120, 80)},
 	} {
-		t.Run(inst.name, func(t *testing.T) { testRewindRestoresFrozenState(t, inst.p, inst.name == "dense") })
+		t.Run(inst.name, func(t *testing.T) { testRewindRestoresFrozenState(t, inst.p, inst.name == "dense", func(*Revised) {}) })
 	}
 }
 
-// testRewindRestoresFrozenState runs TestRewindRestoresFrozenState on p.
-// On a dense p some pivoting round must list every row; on a sparse one
-// some must list fewer than half.
-func testRewindRestoresFrozenState(t *testing.T, p *Problem, dense bool) {
+// testRewindRestoresFrozenState runs TestRewindRestoresFrozenState on p,
+// passing each context it makes to born first: the schedule other tests
+// audit. On a dense p some pivoting round must list every row; on a sparse
+// one some must list fewer than half.
+func testRewindRestoresFrozenState(t *testing.T, p *Problem, dense bool, born func(*Revised)) {
 	for j := 3; j < 60; j += 6 {
 		p.SetVarBounds(j, 0, 0) // fixed: the flip round opens one whose reduced cost is positive
 	}
 	r := NewRevised(p)
+	born(r)
 	sol, err := r.SolveFrom(nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("cold solve: status %v err %v", sol.Status, err)
@@ -330,6 +332,7 @@ func testRewindRestoresFrozenState(t *testing.T, p *Problem, dense bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	born(f)
 	if err := f.checkRewound(); err != nil {
 		t.Fatalf("a fresh fork: %v", err)
 	}
@@ -338,6 +341,7 @@ func testRewindRestoresFrozenState(t *testing.T, p *Problem, dense bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	born(g)
 	check("fork of fork", g, rand.New(rand.NewSource(10)).Perm(len(rounds)), want)
 	check("parent, after its forks solved", r, reversed, want)
 

@@ -44,20 +44,27 @@ func pinnedWhatIfMix(t testing.TB, k, n int) (*Session, []WhatIfRequest) {
 	t.Helper()
 	const workload, streamOps = "whatif_solve", 0
 	s, pl := benchSession(t, workload, k)
-	var routes [][2]int
-	for a := 0; a < k; a++ {
-		for b := 0; b < k; b++ {
-			if rt := pl.Route(a, b); a != b && rt.Exists && len(rt.Links) > 0 {
-				routes = append(routes, [2]int{a, b})
-			}
-		}
-	}
+	routes := remoteRoutes(pl)
 	rng := benchStream(benchPinnedSeed, workload, streamOps)
 	ops := make([]WhatIfRequest, n)
 	for i := range ops {
 		ops[i] = pinnedMutation(pl, routes, i, rng)
 	}
 	return s, ops
+}
+
+// remoteRoutes lists the routes that carry a β variable, as the harness
+// does.
+func remoteRoutes(pl *platform.Platform) [][2]int {
+	var routes [][2]int
+	for a := 0; a < pl.K(); a++ {
+		for b := 0; b < pl.K(); b++ {
+			if rt := pl.Route(a, b); a != b && rt.Exists && len(rt.Links) > 0 {
+				routes = append(routes, [2]int{a, b})
+			}
+		}
+	}
+	return routes
 }
 
 // benchPinnedSeed and benchStreamPlatform are the harness's pinnedSeed
@@ -300,6 +307,44 @@ func BenchmarkWhatIfZeroPivot(b *testing.B) { benchWhatIfs(b, false) }
 // pinned mix's requests whose solve pivots: the what-ifs that set
 // whatif_solve's tail and most of its bytes.
 func BenchmarkWhatIfPivoting(b *testing.B) { benchWhatIfs(b, true) }
+
+// BenchmarkWhatIfBatch times one batch_fork op at the session layer: a
+// 64-query batch, 48 of them distinct and drawn as the harness draws
+// them, answered over 4 pooled forks of the benchmark's K=20 session,
+// and its body written. Every iteration answers the same batch from the
+// same committed state, as the workload's replays do, so the forks'
+// first-pivot caches are warm after the first.
+func BenchmarkWhatIfBatch(b *testing.B) {
+	const workload, streamOps, size, distinct = "batch_fork", 0, 64, 48
+	s, pl := benchSession(b, workload, 20)
+	routes := remoteRoutes(pl)
+	rng := benchStream(benchPinnedSeed, workload, streamOps)
+	req := &BatchWhatIfRequest{Queries: make([]WhatIfRequest, size), Workers: defaultBatchWorkers}
+	for d := range req.Queries {
+		if d < distinct {
+			req.Queries[d] = pinnedMutation(pl, routes, d, rng)
+		} else {
+			req.Queries[d] = req.Queries[rng.Intn(distinct)]
+		}
+	}
+	rng.Shuffle(size, func(x, y int) { req.Queries[x], req.Queries[y] = req.Queries[y], req.Queries[x] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := s.WhatIfBatch(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.Distinct != distinct {
+			b.Fatalf("%d distinct queries answered, want %d", resp.Distinct, distinct)
+		}
+		bp, ok := batchBytes(resp)
+		if !ok {
+			b.Fatal("a batch body the encoder cannot write")
+		}
+		reportBufs.Put(bp)
+	}
+}
 
 // benchWhatIfs times the pinned K=40 mix's relaxed what-ifs that pivot,
 // or those that do not, each asked afresh and its body written.
