@@ -173,8 +173,6 @@
 // mode — when the node lacks membership quorum):
 //
 //	WarmPivotHeadroom  warm restarts nearing (or falling through) the warm pivot budget
-//	CacheHitRate       answer cache seeing traffic but essentially never hitting
-//	CommitStaleness    no committed epoch within the configured window (age always reported)
 //	ReplicationLag     the session's last snapshot fan-out missed one or more replicas
 //
 // -debug-addr serves net/http/pprof on a separate listener (never on

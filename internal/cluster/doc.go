@@ -263,9 +263,8 @@
 //     store.
 //   - schedd_answer_cache_hits_total / schedd_answer_cache_misses_total
 //     — the hit ratio of the sessions' answer tables (service.answerTable,
-//     keyed on the committed epoch, so every commit misses afresh); the
-//     per-session CacheHitRate health condition degrades when a warm
-//     session's ratio collapses.
+//     keyed on the committed epoch, so every commit misses afresh). A
+//     low ratio is no fault: distinct what-ifs miss by construction.
 //
 // Every request carries an X-Schedd-Trace ID (client-supplied or
 // minted at ingress) that is propagated across forward and failover

@@ -129,9 +129,6 @@ func NewMembership(self string, peers []string, cfg MembershipConfig, now time.T
 	return m
 }
 
-// Self returns this member's URL.
-func (m *Membership) Self() string { return m.self }
-
 // Incarnation returns this member's current incarnation number.
 func (m *Membership) Incarnation() uint64 {
 	m.mu.Lock()

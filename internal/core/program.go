@@ -15,12 +15,11 @@ import (
 // the cluster an application's input data lives on and its load is
 // shipped from. Problem has one application per cluster, A_k of origin
 // C^k; RelaxedApps (§3.1) lets applications share an origin. The
-// α-space encoding (Relaxed, RelaxedApps, LexMaxMin's rounds) eliminates
-// β and is what the one-shot solves use; the explicit (α, β) encoding
-// (Model) keeps β as columns for everything that bounds, pins or
-// branches on it. Which one a caller gets follows from whether it needs
-// β as a variable, not from an option; addAlphaLinkRows says why the
-// two agree.
+// α-space encoding (Relaxed, RelaxedApps) eliminates β and is what the
+// one-shot solves use; the explicit (α, β) encoding (Model) keeps β as
+// columns for everything that bounds, pins or branches on it. Which one
+// a caller gets follows from whether it needs β as a variable, not from
+// an option; addAlphaLinkRows says why the two agree.
 
 // RelaxedSolution is an optimum of program (7) with β's integrality
 // relaxed — the paper's "LP" comparator, an upper bound on the

@@ -1,8 +1,8 @@
 // Package graph provides a small undirected multigraph with weighted
-// edges and the shortest-path routing primitives needed to build the
-// fixed inter-cluster routing tables of the platform model
-// (paper §2: the ordered list L_{k,l} of backbone links between two
-// cluster routers).
+// edges and the single-source shortest paths from which
+// platform.ComputeRoutes builds the fixed inter-cluster routing tables
+// of the platform model (paper §2: the ordered list L_{k,l} of backbone
+// links between two cluster routers).
 package graph
 
 import (
@@ -41,19 +41,6 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]halfEdge, n)}
 }
 
-// N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
-
-// M returns the number of edges.
-func (g *Graph) M() int { return len(g.Edges) }
-
-// AddNode appends a new node and returns its index.
-func (g *Graph) AddNode() int {
-	g.adj = append(g.adj, nil)
-	g.n++
-	return g.n - 1
-}
-
 // AddEdge inserts an undirected edge {u,v} with the given weight and
 // returns its edge index. Parallel edges and self-loops are allowed
 // (self-loops are never part of a shortest path between distinct
@@ -73,36 +60,10 @@ func (g *Graph) AddEdge(u, v int, weight float64) int {
 	return id
 }
 
-// Degree returns the number of incident half-edges of node u
-// (self-loops count once).
-func (g *Graph) Degree(u int) int {
-	g.checkNode(u)
-	return len(g.adj[u])
-}
-
-// Neighbors returns the neighbour node of each incident edge of u, in
-// insertion order. The same neighbour appears once per parallel edge.
-func (g *Graph) Neighbors(u int) []int {
-	g.checkNode(u)
-	out := make([]int, len(g.adj[u]))
-	for i, h := range g.adj[u] {
-		out[i] = h.to
-	}
-	return out
-}
-
 func (g *Graph) checkNode(u int) {
 	if u < 0 || u >= g.n {
 		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", u, g.n))
 	}
-}
-
-// Path is a route through the graph: the ordered edge indices
-// traversed from the source to the destination.
-type Path struct {
-	Nodes []int // visited nodes, source first, destination last
-	Edges []int // edge indices, len(Edges) == len(Nodes)-1
-	Cost  float64
 }
 
 // ShortestPaths computes shortest paths from src to every node using
@@ -137,70 +98,6 @@ func (g *Graph) ShortestPaths(src int) (dist []float64, prevEdge []int, prevNode
 		}
 	}
 	return dist, prevEdge, prevNode
-}
-
-// ShortestPath returns the shortest path from src to dst, or ok=false
-// if dst is unreachable. A path from a node to itself is the empty
-// path with cost 0.
-func (g *Graph) ShortestPath(src, dst int) (Path, bool) {
-	g.checkNode(dst)
-	dist, prevEdge, prevNode := g.ShortestPaths(src)
-	if math.IsInf(dist[dst], 1) {
-		return Path{}, false
-	}
-	var nodes, edges []int
-	for at := dst; at != src; at = prevNode[at] {
-		nodes = append(nodes, at)
-		edges = append(edges, prevEdge[at])
-	}
-	nodes = append(nodes, src)
-	reverseInts(nodes)
-	reverseInts(edges)
-	return Path{Nodes: nodes, Edges: edges, Cost: dist[dst]}, true
-}
-
-// Components labels each node with a connected-component id in
-// [0,numComponents) and returns the labels and the component count.
-func (g *Graph) Components() (label []int, count int) {
-	label = make([]int, g.n)
-	for i := range label {
-		label[i] = -1
-	}
-	var stack []int
-	for s := 0; s < g.n; s++ {
-		if label[s] != -1 {
-			continue
-		}
-		label[s] = count
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, h := range g.adj[u] {
-				if label[h.to] == -1 {
-					label[h.to] = count
-					stack = append(stack, h.to)
-				}
-			}
-		}
-		count++
-	}
-	return label, count
-}
-
-// Connected reports whether u and v are in the same connected
-// component.
-func (g *Graph) Connected(u, v int) bool {
-	g.checkNode(u)
-	g.checkNode(v)
-	label, _ := g.Components()
-	return label[u] == label[v]
-}
-
-func reverseInts(s []int) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }
 
 type nodeItem struct {

@@ -7,49 +7,52 @@ import (
 	"testing/quick"
 )
 
-func TestEmptyGraph(t *testing.T) {
-	g := New(0)
-	if g.N() != 0 || g.M() != 0 {
-		t.Fatalf("empty graph has N=%d M=%d", g.N(), g.M())
+// pathTo walks ShortestPaths' predecessor arrays back from dst, the way
+// platform.ComputeRoutes builds a route: the visited nodes and the
+// traversed edge ids, source first. ok is false when dst is
+// unreachable.
+func pathTo(g *Graph, src, dst int) (nodes, edges []int, cost float64, ok bool) {
+	dist, prevEdge, prevNode := g.ShortestPaths(src)
+	if math.IsInf(dist[dst], 1) {
+		return nil, nil, 0, false
 	}
-	_, count := g.Components()
-	if count != 0 {
-		t.Fatalf("empty graph has %d components, want 0", count)
+	nodes = []int{dst}
+	for at := dst; at != src; at = prevNode[at] {
+		nodes = append([]int{prevNode[at]}, nodes...)
+		edges = append([]int{prevEdge[at]}, edges...)
 	}
+	return nodes, edges, dist[dst], true
 }
 
-func TestAddNodeAndEdge(t *testing.T) {
-	g := New(2)
-	id := g.AddNode()
-	if id != 2 || g.N() != 3 {
-		t.Fatalf("AddNode returned %d, N=%d", id, g.N())
+func TestEmptyGraph(t *testing.T) {
+	g := New(0)
+	if len(g.Edges) != 0 {
+		t.Fatalf("empty graph has %d edges", len(g.Edges))
 	}
-	e := g.AddEdge(0, 2, 1.5)
-	if e != 0 || g.M() != 1 {
-		t.Fatalf("AddEdge returned %d, M=%d", e, g.M())
-	}
-	if g.Degree(0) != 1 || g.Degree(1) != 0 || g.Degree(2) != 1 {
-		t.Fatalf("degrees %d %d %d", g.Degree(0), g.Degree(1), g.Degree(2))
-	}
-	nb := g.Neighbors(0)
-	if len(nb) != 1 || nb[0] != 2 {
-		t.Fatalf("neighbors of 0 = %v", nb)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ShortestPaths on an empty graph must panic: it has no source node")
+		}
+	}()
+	g.ShortestPaths(0)
 }
 
 func TestParallelEdges(t *testing.T) {
 	g := New(2)
 	e1 := g.AddEdge(0, 1, 3)
 	e2 := g.AddEdge(0, 1, 1)
-	if e1 == e2 {
-		t.Fatal("parallel edges must get distinct ids")
+	if e1 != 0 || e2 != 1 || len(g.Edges) != 2 {
+		t.Fatalf("parallel edges must get successive ids: %d %d, %d edges", e1, e2, len(g.Edges))
 	}
-	p, ok := g.ShortestPath(0, 1)
+	if g.Edges[e1] != (Edge{U: 0, V: 1, Weight: 3}) {
+		t.Fatalf("edge %d = %+v", e1, g.Edges[e1])
+	}
+	_, edges, cost, ok := pathTo(g, 0, 1)
 	if !ok {
 		t.Fatal("path must exist")
 	}
-	if p.Cost != 1 || len(p.Edges) != 1 || p.Edges[0] != e2 {
-		t.Fatalf("shortest path should use the cheaper parallel edge: %+v", p)
+	if cost != 1 || len(edges) != 1 || edges[0] != e2 {
+		t.Fatalf("shortest path should use the cheaper parallel edge: edges %v cost %g", edges, cost)
 	}
 }
 
@@ -57,9 +60,9 @@ func TestSelfLoopIgnoredInPaths(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 0, 0.1)
 	g.AddEdge(0, 1, 2)
-	p, ok := g.ShortestPath(0, 1)
-	if !ok || p.Cost != 2 || len(p.Edges) != 1 {
-		t.Fatalf("path = %+v ok=%v", p, ok)
+	_, edges, cost, ok := pathTo(g, 0, 1)
+	if !ok || cost != 2 || len(edges) != 1 || edges[0] != 1 {
+		t.Fatalf("path edges %v cost %g ok=%v", edges, cost, ok)
 	}
 }
 
@@ -69,29 +72,33 @@ func TestShortestPathTriangle(t *testing.T) {
 	a := g.AddEdge(0, 1, 1)
 	b := g.AddEdge(1, 2, 1)
 	g.AddEdge(0, 2, 3)
-	p, ok := g.ShortestPath(0, 2)
+	nodes, edges, cost, ok := pathTo(g, 0, 2)
 	if !ok {
 		t.Fatal("unreachable")
 	}
-	if p.Cost != 2 {
-		t.Fatalf("cost = %g, want 2", p.Cost)
+	if cost != 2 {
+		t.Fatalf("cost = %g, want 2", cost)
 	}
-	if len(p.Edges) != 2 || p.Edges[0] != a || p.Edges[1] != b {
-		t.Fatalf("edges = %v, want [%d %d]", p.Edges, a, b)
+	if len(edges) != 2 || edges[0] != a || edges[1] != b {
+		t.Fatalf("edges = %v, want [%d %d]", edges, a, b)
 	}
 	wantNodes := []int{0, 1, 2}
-	for i, n := range p.Nodes {
+	for i, n := range nodes {
 		if n != wantNodes[i] {
-			t.Fatalf("nodes = %v", p.Nodes)
+			t.Fatalf("nodes = %v", nodes)
 		}
 	}
 }
 
 func TestShortestPathToSelf(t *testing.T) {
 	g := New(1)
-	p, ok := g.ShortestPath(0, 0)
-	if !ok || p.Cost != 0 || len(p.Edges) != 0 || len(p.Nodes) != 1 {
-		t.Fatalf("self path = %+v ok=%v", p, ok)
+	dist, prevEdge, prevNode := g.ShortestPaths(0)
+	if dist[0] != 0 || prevEdge[0] != -1 || prevNode[0] != -1 {
+		t.Fatalf("self: dist %g prevEdge %d prevNode %d", dist[0], prevEdge[0], prevNode[0])
+	}
+	nodes, edges, cost, ok := pathTo(g, 0, 0)
+	if !ok || cost != 0 || len(edges) != 0 || len(nodes) != 1 {
+		t.Fatalf("self path nodes %v edges %v cost %g ok=%v", nodes, edges, cost, ok)
 	}
 }
 
@@ -99,21 +106,14 @@ func TestUnreachable(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(2, 3, 1)
-	if _, ok := g.ShortestPath(0, 3); ok {
-		t.Fatal("0 and 3 must be unreachable")
+	dist, prevEdge, prevNode := g.ShortestPaths(0)
+	for _, v := range []int{2, 3} {
+		if !math.IsInf(dist[v], 1) || prevEdge[v] != -1 || prevNode[v] != -1 {
+			t.Fatalf("0 and %d must be unreachable: dist %g prevEdge %d prevNode %d", v, dist[v], prevEdge[v], prevNode[v])
+		}
 	}
-	if g.Connected(0, 3) {
-		t.Fatal("Connected(0,3) must be false")
-	}
-	if !g.Connected(0, 1) || !g.Connected(2, 3) {
-		t.Fatal("within-component connectivity lost")
-	}
-	label, count := g.Components()
-	if count != 2 {
-		t.Fatalf("components = %d, want 2", count)
-	}
-	if label[0] != label[1] || label[2] != label[3] || label[0] == label[2] {
-		t.Fatalf("labels = %v", label)
+	if dist[1] != 1 || prevEdge[1] != 0 || prevNode[1] != 0 {
+		t.Fatalf("within-component route lost: dist %g prevEdge %d prevNode %d", dist[1], prevEdge[1], prevNode[1])
 	}
 }
 
@@ -145,7 +145,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 	g := New(1)
 	assertPanics("edge to missing node", func() { g.AddEdge(0, 1, 1) })
 	assertPanics("negative weight", func() { g.AddEdge(0, 0, -1) })
-	assertPanics("degree out of range", func() { g.Degree(5) })
+	assertPanics("source out of range", func() { g.ShortestPaths(5) })
 }
 
 // randomGraph builds a seeded Erdos-Renyi style graph with unit
@@ -162,9 +162,10 @@ func randomGraph(rng *rand.Rand, n int, p float64) *Graph {
 	return g
 }
 
-// TestPathPropertyValid checks, on random graphs, that every returned
-// shortest path is a real path: consecutive, edge ids match node
-// pairs, and cost equals the sum of traversed weights.
+// TestPathPropertyValid checks, on random graphs, that every route read
+// back from ShortestPaths is a real path: consecutive, edge ids match
+// node pairs, and cost equals the sum of traversed weights. A pair is
+// unreachable exactly when no edge leaves the source's reached set.
 func TestPathPropertyValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	prop := func(seed int64) bool {
@@ -172,23 +173,29 @@ func TestPathPropertyValid(t *testing.T) {
 		n := 2 + r.Intn(12)
 		g := randomGraph(r, n, 0.4)
 		src, dst := r.Intn(n), r.Intn(n)
-		p, ok := g.ShortestPath(src, dst)
+		nodes, edges, cost, ok := pathTo(g, src, dst)
 		if !ok {
-			return !g.Connected(src, dst)
+			dist, _, _ := g.ShortestPaths(src)
+			for _, e := range g.Edges {
+				if math.IsInf(dist[e.U], 1) != math.IsInf(dist[e.V], 1) {
+					return false
+				}
+			}
+			return true
 		}
-		if p.Nodes[0] != src || p.Nodes[len(p.Nodes)-1] != dst {
+		if nodes[0] != src || nodes[len(nodes)-1] != dst {
 			return false
 		}
 		sum := 0.0
-		for i, e := range p.Edges {
+		for i, e := range edges {
 			ed := g.Edges[e]
-			a, b := p.Nodes[i], p.Nodes[i+1]
+			a, b := nodes[i], nodes[i+1]
 			if !(ed.U == a && ed.V == b) && !(ed.U == b && ed.V == a) {
 				return false
 			}
 			sum += ed.Weight
 		}
-		return math.Abs(sum-p.Cost) < 1e-12
+		return math.Abs(sum-cost) < 1e-12
 	}
 	cfg := &quick.Config{MaxCount: 200, Rand: rng}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -219,11 +226,11 @@ func TestTriangleInequalityProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkShortestPath(b *testing.B) {
+func BenchmarkShortestPaths(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(rng, 200, 0.1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.ShortestPath(0, 199)
+		g.ShortestPaths(0)
 	}
 }

@@ -22,10 +22,9 @@ type Basis struct {
 // Export copies the basis out of its opaque form: the basic column
 // set (length m, internal column indices) and the nonbasic-at-upper
 // statuses (length ncols, nil when the producing solve recorded
-// none). It exists for serialization — the scheduling cluster ships
-// (platform, committed state, basis) snapshots between replicas so a
-// session rebuilt elsewhere restarts warm instead of cold-solving.
-// The returned slices are fresh copies; the Basis stays immutable.
+// none). The returned slices are fresh copies; the Basis stays
+// immutable. The snapshot sealer reads View instead; Export is for a
+// caller that keeps the slices.
 func (b *Basis) Export() (cols []int, upper []bool) {
 	cols = append([]int(nil), b.cols...)
 	if b.upper != nil {

@@ -3,8 +3,10 @@
 // rational α_{k,l} are expressed as integer loads over a common
 // period T_p, and each period of the steady state (i) computes the
 // chunks received during the previous period and (ii) transfers the
-// chunks to be computed during the next one. The first period only
-// communicates and the last one only computes.
+// chunks to be computed during the next one. A Schedule is one period's
+// loads, which every period repeats; netsim.ExecuteSchedule plays it
+// out period by period, the first only communicating and the last only
+// computing.
 package schedule
 
 import (
@@ -168,81 +170,4 @@ func (s *Schedule) Validate(pr *core.Problem) error {
 		}
 	}
 	return nil
-}
-
-// EventKind tags timeline entries.
-type EventKind int
-
-const (
-	// EventTransfer is a data chunk shipped from one cluster to
-	// another during a period.
-	EventTransfer EventKind = iota
-	// EventCompute is a cluster processing a chunk during a period.
-	EventCompute
-)
-
-func (e EventKind) String() string {
-	if e == EventCompute {
-		return "compute"
-	}
-	return "transfer"
-}
-
-// Event is one activity in the unrolled timeline. Amounts are in load
-// units; Start/End in time units. In the fluid steady-state view each
-// activity spans its whole period at constant rate.
-type Event struct {
-	Kind     EventKind
-	Period   int
-	App      int
-	From, To int // From==To for compute events (the executing cluster is To)
-	Amount   int64
-	Start    float64
-	End      float64
-}
-
-// Timeline unrolls numPeriods periods (numPeriods ≥ 2) into explicit
-// events following §3.2: during period p < numPeriods-1 every
-// transfer for the next period takes place, and during period p ≥ 1
-// every cluster computes the chunks received in period p-1 (local
-// chunks are computed from period 1 on as well, keeping all periods
-// identical). Period 0 only communicates and the last period only
-// computes.
-func (s *Schedule) Timeline(numPeriods int) ([]Event, error) {
-	if numPeriods < 2 {
-		return nil, fmt.Errorf("schedule: timeline needs >= 2 periods, got %d", numPeriods)
-	}
-	K := s.K()
-	var events []Event
-	for p := 0; p < numPeriods; p++ {
-		start := float64(p) * s.Period
-		end := start + s.Period
-		if p < numPeriods-1 {
-			for k := 0; k < K; k++ {
-				for l := 0; l < K; l++ {
-					if k == l || s.Transfer[k][l] == 0 {
-						continue
-					}
-					events = append(events, Event{
-						Kind: EventTransfer, Period: p, App: k, From: k, To: l,
-						Amount: s.Transfer[k][l], Start: start, End: end,
-					})
-				}
-			}
-		}
-		if p >= 1 {
-			for k := 0; k < K; k++ {
-				for l := 0; l < K; l++ {
-					if s.Compute[k][l] == 0 {
-						continue
-					}
-					events = append(events, Event{
-						Kind: EventCompute, Period: p, App: k, From: l, To: l,
-						Amount: s.Compute[k][l], Start: start, End: end,
-					})
-				}
-			}
-		}
-	}
-	return events, nil
 }

@@ -143,51 +143,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestTimelineStructure(t *testing.T) {
-	pr := twoClusterProblem()
-	a := core.NewAllocation(2)
-	a.Alpha[0][0] = 50
-	a.Alpha[0][1] = 20
-	a.Beta[0][1] = 2
-	s, err := Build(pr, a, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const periods = 4
-	events, err := s.Timeline(periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var transfers, computes int
-	for _, e := range events {
-		switch e.Kind {
-		case EventTransfer:
-			transfers++
-			if e.Period >= periods-1 {
-				t.Fatalf("transfer in final period: %+v", e)
-			}
-			if e.From != 0 || e.To != 1 {
-				t.Fatalf("unexpected transfer %+v", e)
-			}
-		case EventCompute:
-			computes++
-			if e.Period == 0 {
-				t.Fatalf("compute in first period: %+v", e)
-			}
-		}
-		if e.End-e.Start != s.Period {
-			t.Fatalf("event does not span a period: %+v", e)
-		}
-	}
-	// 3 transfer periods x 1 route; 3 compute periods x 2 compute cells.
-	if transfers != 3 || computes != 6 {
-		t.Fatalf("transfers=%d computes=%d", transfers, computes)
-	}
-	if _, err := s.Timeline(1); err == nil {
-		t.Fatal("timeline with < 2 periods must fail")
-	}
-}
-
 // TestPropertyScheduleFromHeuristics: schedules built from greedy
 // allocations on random platforms always validate, and their
 // throughput is within K/denom of the allocation's.
@@ -213,12 +168,6 @@ func TestPropertyScheduleFromHeuristics(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	if EventTransfer.String() != "transfer" || EventCompute.String() != "compute" {
-		t.Fatal("event kind strings wrong")
 	}
 }
 

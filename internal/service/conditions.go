@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"net/http"
-	"time"
 )
 
 // Condition status values. Two states on purpose: a condition is
@@ -20,14 +19,6 @@ const (
 	// fall through) the warm pivot budget — the session is paying for
 	// cold solves it was built to avoid.
 	CondWarmHeadroom = "WarmPivotHeadroom"
-	// CondCacheHitRate degrades when the answer cache sees traffic but
-	// essentially never hits — e.g. a client mutating state on every
-	// query, defeating the cache it is paying digests for.
-	CondCacheHitRate = "CacheHitRate"
-	// CondCommitStaleness degrades when the session has not committed
-	// an epoch within the configured window (0 disables; the condition
-	// is still reported Healthy with the observed age).
-	CondCommitStaleness = "CommitStaleness"
 	// CondReplicationLag degrades when the session's most recent
 	// snapshot fan-out failed to reach one or more replicas — a
 	// failover now would lose the last committed epochs on those peers.
@@ -43,43 +34,14 @@ type Condition struct {
 	Message string `json:"message,omitempty"`
 }
 
-// HealthThresholds parameterizes the condition evaluator. The zero
-// value is NOT useful — use DefaultHealthThresholds and override
-// fields as needed.
-type HealthThresholds struct {
-	// WarmBudgetFraction flags CondWarmHeadroom when the average pivot
-	// count per warm solve exceeds this fraction of the session's warm
-	// pivot budget, or when any warm solve has already fallen back
-	// cold.
-	WarmBudgetFraction float64
-	// CacheMinLookups is the minimum answer-cache traffic before
-	// CondCacheHitRate is judged at all (small samples say nothing).
-	CacheMinLookups uint64
-	// CacheMinHitRate is the hit-rate floor below which
-	// CondCacheHitRate degrades.
-	CacheMinHitRate float64
-	// StaleCommitAfter bounds the age of the last committed state
-	// change before CondCommitStaleness degrades; 0 disables the
-	// degradation (the age is still reported).
-	StaleCommitAfter time.Duration
-}
-
-// DefaultHealthThresholds returns the evaluator defaults.
-func DefaultHealthThresholds() HealthThresholds {
-	return HealthThresholds{
-		WarmBudgetFraction: 0.5,
-		CacheMinLookups:    64,
-		CacheMinHitRate:    0.01,
-	}
-}
+// warmBudgetFraction is the share of the warm pivot budget an average
+// solve may use before CondWarmHeadroom degrades.
+const warmBudgetFraction = 0.5
 
 // sessionConditions evaluates the server-side conditions of one
 // session from its /stats row — a pure function, so every surface that
 // reports conditions judges the same snapshot.
-func sessionConditions(st *SessionStats, th HealthThresholds, now time.Time) []Condition {
-	conds := make([]Condition, 0, 4)
-
-	// Warm-pivot headroom.
+func sessionConditions(st *SessionStats) []Condition {
 	budget := st.warmPivotBudget
 	warm := st.Solver.WarmSolves
 	wc := Condition{Type: CondWarmHeadroom, Status: CondHealthy}
@@ -90,45 +52,16 @@ func sessionConditions(st *SessionStats, th HealthThresholds, now time.Time) []C
 			wc.Status = CondDegraded
 			wc.Message = fmt.Sprintf("%d of %d warm solves fell back cold (budget %d pivots)",
 				st.Solver.ColdFallbacks, warm, budget)
-		case avg > th.WarmBudgetFraction*float64(budget):
+		case avg > warmBudgetFraction*float64(budget):
 			wc.Status = CondDegraded
 			wc.Message = fmt.Sprintf("avg %.0f pivots/solve above %.0f%% of warm budget %d",
-				avg, 100*th.WarmBudgetFraction, budget)
+				avg, 100*warmBudgetFraction, budget)
 		default:
 			wc.Message = fmt.Sprintf("avg %.0f pivots/solve, budget %d", avg, budget)
 		}
 	}
-	conds = append(conds, wc)
-
-	// Answer-cache effectiveness.
-	lookups := st.CacheHits + st.CacheMisses
-	cc := Condition{Type: CondCacheHitRate, Status: CondHealthy}
-	if lookups >= th.CacheMinLookups && th.CacheMinLookups > 0 {
-		rate := float64(st.CacheHits) / float64(lookups)
-		if rate < th.CacheMinHitRate {
-			cc.Status = CondDegraded
-			cc.Message = fmt.Sprintf("hit rate %.3f below %.3f over %d lookups",
-				rate, th.CacheMinHitRate, lookups)
-		} else {
-			cc.Message = fmt.Sprintf("hit rate %.3f over %d lookups", rate, lookups)
-		}
-	}
-	conds = append(conds, cc)
-
-	// Last-commit staleness.
-	age := now.Sub(st.lastCommit)
-	sc := Condition{Type: CondCommitStaleness, Status: CondHealthy,
-		Message: fmt.Sprintf("last commit %s ago", age.Round(time.Millisecond))}
-	if th.StaleCommitAfter > 0 && age > th.StaleCommitAfter {
-		sc.Status = CondDegraded
-		sc.Message = fmt.Sprintf("no commit for %s (threshold %s)",
-			age.Round(time.Millisecond), th.StaleCommitAfter)
-	}
-	return append(conds, sc)
+	return []Condition{wc}
 }
-
-// SetHealthThresholds replaces the condition-evaluator thresholds.
-func (s *Server) SetHealthThresholds(th HealthThresholds) { s.health = th }
 
 // SetConditionHook installs an extra per-session condition source.
 // The cluster Node uses it to contribute replication-lag conditions,
@@ -143,10 +76,9 @@ func (s *Server) SetConditionHook(fn func(sessionID string) []Condition) { s.con
 // so a scrape takes each session's mutex once.
 func (s *Server) Stats() PoolStatsResponse {
 	resp := s.pool.Stats()
-	now := time.Now()
 	for i := range resp.Sessions {
 		row := &resp.Sessions[i]
-		row.Conditions = sessionConditions(row, s.health, now)
+		row.Conditions = sessionConditions(row)
 		if s.condHook != nil {
 			row.Conditions = append(row.Conditions, s.condHook(row.ID)...)
 		}

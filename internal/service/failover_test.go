@@ -37,7 +37,6 @@ func startRingCfg(t *testing.T, count int, cfg NodeConfig) ([]*Node, []*httptest
 	for i := range nodes {
 		c := cfg
 		c.RetrySeed = int64(1000 + i)
-		c.Incarnation = uint64(100 + i)
 		nodes[i] = NewNodeWithConfig(NewServer(NewPool(16)), urls[i], urls, nil, c)
 		handlers[i].set(nodes[i].Handler())
 	}

@@ -217,10 +217,12 @@ func TestTraceHeaderEcho(t *testing.T) {
 }
 
 // TestHealthzConditions drives the health evaluator end to end: a
-// healthy pool answers /healthz 200; tightening the staleness
-// threshold degrades the session's CommitStaleness condition, which
-// flips /healthz to 503, surfaces in the /stats row and in the
-// degraded-conditions gauge.
+// healthy pool answers /healthz 200, and stays healthy through a run of
+// distinct relaxed what-ifs — every one an answer-cache miss, the
+// traffic a what-if service exists for, which must not fail the probe.
+// A condition degraded through the hook flips /healthz to 503 and
+// surfaces in the /stats row and in the degraded-conditions gauge;
+// removing the hook clears it.
 func TestHealthzConditions(t *testing.T) {
 	srv := NewServer(NewPool(4))
 	ts := httptest.NewServer(srv.Handler())
@@ -243,13 +245,39 @@ func TestHealthzConditions(t *testing.T) {
 	if len(st.Sessions) != 1 || len(st.Sessions[0].Conditions) == 0 {
 		t.Fatalf("stats rows carry no conditions: %+v", st.Sessions)
 	}
+	sessSeries := fmt.Sprintf("schedd_session_healthy{session=%q}", sessionLabel(created.ID))
 
-	// Degrade: any commit older than a nanosecond is stale.
-	srv.SetHealthThresholds(HealthThresholds{
-		WarmBudgetFraction: 0.5,
-		StaleCommitAfter:   time.Nanosecond,
+	// Distinct what-ifs never hit the answer cache; the session is
+	// still healthy on every surface.
+	const distinct = 70
+	for i := 0; i < distinct; i++ {
+		var rep SolveReport
+		doJSON(t, client, "POST", ts.URL+"/sessions/"+created.ID+"/whatif", &WhatIfRequest{
+			Gateways: []ClusterValue{{Cluster: 0, Value: pl.Clusters[0].Gateway * (0.5 + float64(i)/100)}},
+			Relax:    true,
+		}, &rep, http.StatusOK)
+	}
+	doJSON(t, client, "GET", ts.URL+"/stats", nil, &st, http.StatusOK)
+	if row := st.Sessions[0]; row.CacheMisses < distinct || row.CacheHits != 0 {
+		t.Fatalf("cache hits %d misses %d, want 0 hits over >= %d misses", row.CacheHits, row.CacheMisses, distinct)
+	}
+	for _, c := range st.Sessions[0].Conditions {
+		if c.Status != CondHealthy {
+			t.Fatalf("after %d distinct what-ifs: %s is %s (%s)", distinct, c.Type, c.Status, c.Message)
+		}
+	}
+	doJSON(t, client, "GET", ts.URL+"/healthz", nil, &healthy, http.StatusOK)
+	if healthy.Status != "ok" || len(healthy.Degraded) != 0 {
+		t.Fatalf("probe after %d distinct what-ifs = %+v", distinct, healthy)
+	}
+	if got := metricValue(t, scrape(t, client, ts.URL+"/metrics"), sessSeries); got != 1 {
+		t.Fatalf("session healthy gauge after %d distinct what-ifs = %v, want 1", distinct, got)
+	}
+
+	// Degrade through the hook, the seam the ring node contributes by.
+	srv.SetConditionHook(func(string) []Condition {
+		return []Condition{{Type: CondReplicationLag, Status: CondDegraded, Message: "1 of 2 replicas unreached"}}
 	})
-	time.Sleep(time.Millisecond)
 	var degraded HealthResponse
 	doJSON(t, client, "GET", ts.URL+"/healthz", nil, &degraded, http.StatusServiceUnavailable)
 	if degraded.Status != "degraded" || len(degraded.Degraded) == 0 {
@@ -257,44 +285,35 @@ func TestHealthzConditions(t *testing.T) {
 	}
 	found := false
 	for _, d := range degraded.Degraded {
-		if strings.Contains(d, CondCommitStaleness) {
+		if strings.Contains(d, CondReplicationLag) {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("degraded list lacks %s: %v", CondCommitStaleness, degraded.Degraded)
+		t.Fatalf("degraded list lacks %s: %v", CondReplicationLag, degraded.Degraded)
 	}
 	doJSON(t, client, "GET", ts.URL+"/stats", nil, &st, http.StatusOK)
 	sawDegraded := false
 	for _, c := range st.Sessions[0].Conditions {
-		if c.Type == CondCommitStaleness && c.Status == CondDegraded {
+		if c.Type == CondReplicationLag && c.Status == CondDegraded {
 			sawDegraded = true
 		}
 	}
 	if !sawDegraded {
-		t.Fatalf("stats row lacks degraded staleness condition: %+v", st.Sessions[0].Conditions)
+		t.Fatalf("stats row lacks the degraded hooked condition: %+v", st.Sessions[0].Conditions)
 	}
 	body := scrape(t, client, ts.URL+"/metrics")
 	if got := metricValue(t, body, "schedd_health_degraded_conditions"); got < 1 {
 		t.Fatalf("degraded gauge = %v, want >= 1", got)
 	}
-	sessSeries := fmt.Sprintf("schedd_session_healthy{session=%q}", sessionLabel(created.ID))
 	if got := metricValue(t, body, sessSeries); got != 0 {
 		t.Fatalf("session healthy gauge = %v, want 0", got)
 	}
 
-	// An applied epoch commit refreshes the staleness clock.
-	srv.SetHealthThresholds(HealthThresholds{
-		WarmBudgetFraction: 0.5,
-		StaleCommitAfter:   time.Hour,
-	})
-	var erep SolveReport
-	doJSON(t, client, "POST", ts.URL+"/sessions/"+created.ID+"/epoch", &EpochRequest{
-		SpeedFactor: driftFactors(created.K, 0.95),
-	}, &erep, http.StatusOK)
+	srv.SetConditionHook(nil)
 	doJSON(t, client, "GET", ts.URL+"/healthz", nil, &healthy, http.StatusOK)
 	if healthy.Status != "ok" {
-		t.Fatalf("post-commit probe = %+v", healthy)
+		t.Fatalf("probe after the hook is removed = %+v", healthy)
 	}
 }
 
@@ -492,7 +511,9 @@ func TestSessionGaugeLeavesWithItsSession(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()
-	srv.SetHealthThresholds(HealthThresholds{WarmBudgetFraction: 0.5, StaleCommitAfter: time.Nanosecond}) // Degraded from the start
+	srv.SetConditionHook(func(string) []Condition { // Degraded from the start
+		return []Condition{{Type: CondReplicationLag, Status: CondDegraded, Message: "replica unreached"}}
+	})
 
 	var gone, stays CreateSessionResponse
 	doJSON(t, client, "POST", ts.URL+"/sessions", &CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 5, 305))}, &gone, http.StatusCreated)
@@ -516,10 +537,10 @@ func TestSessionGaugeLeavesWithItsSession(t *testing.T) {
 	}
 }
 
-// TestOneConditionSetOnEverySurface degrades a session two ways — a
-// server-side condition and one contributed through the condition hook
-// — and checks that /stats, /healthz and /metrics, which all render
-// from one Server.Stats() walk, report the same condition set.
+// TestOneConditionSetOnEverySurface degrades a session through the
+// condition hook, beside its Healthy server-side condition, and checks
+// that /stats, /healthz and /metrics, which all render from one
+// Server.Stats() walk, report the same condition set.
 func TestOneConditionSetOnEverySurface(t *testing.T) {
 	srv := NewServer(NewPool(4))
 	ts := httptest.NewServer(srv.Handler())
@@ -528,20 +549,23 @@ func TestOneConditionSetOnEverySurface(t *testing.T) {
 	var created CreateSessionResponse
 	doJSON(t, client, "POST", ts.URL+"/sessions", &CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 5, 307))}, &created, http.StatusCreated)
 
-	srv.SetHealthThresholds(HealthThresholds{WarmBudgetFraction: 0.5, StaleCommitAfter: time.Nanosecond})
 	srv.SetConditionHook(func(id string) []Condition {
 		return []Condition{{Type: CondReplicationLag, Status: CondDegraded, Message: "hooked for " + sessionLabel(id)}}
 	})
 
 	var st PoolStatsResponse
 	doJSON(t, client, "GET", ts.URL+"/stats", nil, &st, http.StatusOK)
-	var fromStats []string
+	var all, fromStats []string
 	for _, c := range st.Sessions[0].Conditions {
+		all = append(all, c.Type+"="+c.Status)
 		if c.Status == CondDegraded {
 			fromStats = append(fromStats, sessionLabel(created.ID)+": "+c.Type)
 		}
 	}
-	want := []string{sessionLabel(created.ID) + ": " + CondCommitStaleness, sessionLabel(created.ID) + ": " + CondReplicationLag}
+	if wantAll := []string{CondWarmHeadroom + "=" + CondHealthy, CondReplicationLag + "=" + CondDegraded}; !slices.Equal(all, wantAll) {
+		t.Fatalf("/stats condition set %v, want %v", all, wantAll)
+	}
+	want := []string{sessionLabel(created.ID) + ": " + CondReplicationLag}
 	if !slices.Equal(fromStats, want) {
 		t.Fatalf("/stats degraded set %v, want %v", fromStats, want)
 	}

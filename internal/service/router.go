@@ -87,9 +87,6 @@ type NodeConfig struct {
 	// Heartbeat also set how long a forwarding keeps retrying.
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
-	// Incarnation seeds this member's incarnation; 0 derives one from
-	// the wall clock so a restart outranks the previous life.
-	Incarnation uint64
 
 	// RetrySeed seeds the RNG behind back-off jitter and commit IDs;
 	// 0 uses wall-clock.
@@ -171,7 +168,6 @@ func NewNodeWithConfig(srv *Server, self string, peers []string, store *cluster.
 		membership: cluster.NewMembership(self, peers, cluster.MembershipConfig{
 			SuspectAfter: cfg.SuspectAfter,
 			DeadAfter:    cfg.DeadAfter,
-			Incarnation:  cfg.Incarnation,
 		}, time.Now()),
 		replicas: make(map[string]*replica),
 		rng:      rand.New(rand.NewSource(seed)),

@@ -53,7 +53,6 @@ type Server struct {
 	reg      *obs.Registry
 	metrics  *serverMetrics
 	logger   *slog.Logger
-	health   HealthThresholds
 	condHook func(sessionID string) []Condition
 }
 
@@ -63,7 +62,6 @@ func NewServer(pool *Pool) *Server {
 		pool:   pool,
 		reg:    obs.NewRegistry(),
 		logger: discardLogger(),
-		health: DefaultHealthThresholds(),
 	}
 	s.metrics = newServerMetrics(s.reg, s)
 	return s

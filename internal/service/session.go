@@ -50,7 +50,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/core"
@@ -190,12 +189,6 @@ type Session struct {
 	coalesced atomic.Uint64
 	epochs    atomic.Uint64
 
-	// lastCommit is the wall time of the last committed state change
-	// this process saw — session creation, restore, or an applied epoch
-	// commit — for the health evaluator's CommitStaleness condition.
-	// Guarded by mu.
-	lastCommit time.Time
-
 	// answers memoizes and coalesces solves under (committed epoch,
 	// canonical query key); see answerTable, whose epoch is rotated
 	// under mu on every commit. Because the epoch strictly increases, a
@@ -244,7 +237,6 @@ func buildSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 		model:       model,
 		betaRoutes:  make(map[core.Pair]bool),
 		answers:     newAnswerTable(),
-		lastCommit:  time.Now(),
 	}
 	for _, p := range model.BetaVars() {
 		s.betaRoutes[p] = true
@@ -299,16 +291,15 @@ func (s *Session) PlatformJSON() ([]byte, error) {
 }
 
 // Stats snapshots the session's activity and solver counters, and —
-// in the same critical section — the warm pivot budget and last-commit
-// time the health conditions are judged from, so one /stats, /metrics
-// or /healthz scrape takes the session mutex once.
+// in the same critical section — the warm pivot budget the health
+// conditions are judged from, so one /stats, /metrics or /healthz
+// scrape takes the session mutex once.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	st := SessionStats{
 		SessionInfo:     s.infoLocked(),
 		Solver:          s.model.SolverStats(),
 		warmPivotBudget: s.model.WarmPivotBudget(),
-		lastCommit:      s.lastCommit,
 	}
 	s.mu.Unlock()
 	st.Queries = s.queries.Load()
@@ -745,12 +736,9 @@ func (s *Session) EpochIdempotent(req *EpochRequest, commitID string) (*SolveRep
 	}
 	s.epochs.Add(1)
 	rep, err := s.epochLocked(req)
-	if err == nil {
-		s.lastCommit = time.Now()
-		if commitID != "" {
-			cp := *rep
-			s.recordCommitLocked(commitRecord{id: commitID, rep: &cp, wire: marshalReport(&cp)})
-		}
+	if err == nil && commitID != "" {
+		cp := *rep
+		s.recordCommitLocked(commitRecord{id: commitID, rep: &cp, wire: marshalReport(&cp)})
 	}
 	hook := s.onCommit
 	s.mu.Unlock()

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"time"
 
 	"repro/internal/lp"
 )
@@ -216,15 +215,13 @@ type SessionStats struct {
 	// and, since the observability layer, wall time per simplex phase.
 	Solver lp.Stats `json:"solver"`
 	// Conditions are the session's evaluated health conditions
-	// (warm-pivot headroom, cache hit rate, commit staleness and — on
-	// ring nodes — replication lag). Empty in responses assembled
+	// (warm-pivot headroom and — on ring nodes — replication lag). Empty in responses assembled
 	// without a condition evaluator (bare Pool.Stats).
 	Conditions []Condition `json:"conditions,omitempty"`
 
-	// warmPivotBudget and lastCommit are captured with the counters
-	// above for the condition evaluator; they are not on the wire.
+	// warmPivotBudget is captured with the counters above for the
+	// condition evaluator; it is not on the wire.
 	warmPivotBudget int
-	lastCommit      time.Time
 }
 
 // PoolStatsResponse is the /stats response body.

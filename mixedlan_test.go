@@ -63,9 +63,6 @@ func TestMixedLANFullStack(t *testing.T) {
 			t.Errorf("BnB(%v): %v", obj, err)
 		}
 	}
-	if _, err := pr.LexMaxMin(); err != nil {
-		t.Errorf("LexMaxMin: %v", err)
-	}
 	res, err := heuristics.Run(heuristics.NameG, pr, core.SUM, nil, nil)
 	if err != nil {
 		t.Fatalf("Greedy: %v", err)
