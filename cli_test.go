@@ -364,6 +364,25 @@ func TestCLIDlschedBatch(t *testing.T) {
 		t.Fatalf("CLI batch output does not byte-diff clean against the endpoint:\nCLI:\n%s\nHTTP:\n%s", cliOut, raw)
 	}
 
+	// One decoder for both: a batch the endpoint refuses (an unknown
+	// member inside a query), the CLI refuses.
+	refused := `{"queries":[{"speeds":[{"cluster":0,"value":150,"weight":1}]}]}`
+	resp, err = http.Post(base+"/sessions/"+created.ID+"/whatif/batch", "application/json", strings.NewReader(refused))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "decoding request: ") {
+		t.Fatalf("batch endpoint on %s: status %d\n%s, want 400 decoding request: …", refused, resp.StatusCode, raw)
+	}
+	if err := os.WriteFile(batchFile, []byte(refused), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := run(t, dlsched, "-platform", plat, "-batch", batchFile); err == nil || !strings.Contains(out, "decoding batch request") {
+		t.Fatalf("-batch file %s: err %v output %s, want a decoding error", refused, err, out)
+	}
+
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"slices"
@@ -206,24 +204,21 @@ func report(platformJSON []byte, heur, objName string, obj core.Objective, pr *c
 	return rep, nil
 }
 
-// emitBatch answers a batched what-if request through the service's
+// emitBatch answers a batched what-if request — decoded as the
+// endpoint decodes its body, service.DecodeBatch — through the service's
 // engine (fresh warm session, forked solve contexts) and prints the
 // response through the HTTP endpoint's own encoder,
 // service.EncodeBatch, so the CLI output byte-diffs clean against
 // POST /sessions/{id}/whatif/batch.
 func emitBatch(platformJSON []byte, heur, objName string, pr *core.Problem, seed int64, batchFile string) error {
-	bdata, err := os.ReadFile(batchFile)
+	f, err := os.Open(batchFile)
 	if err != nil {
 		return err
 	}
-	var batchReq service.BatchWhatIfRequest
-	dec := json.NewDecoder(strings.NewReader(string(bdata)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batchReq); err != nil {
+	defer f.Close()
+	batchReq, err := service.DecodeBatch(f)
+	if err != nil {
 		return fmt.Errorf("decoding batch request: %w", err)
-	}
-	if _, more := dec.Token(); more != io.EOF {
-		return fmt.Errorf("decoding batch request: trailing data after the JSON value")
 	}
 	createReq := &service.CreateSessionRequest{
 		Platform:  platformJSON,
@@ -232,7 +227,7 @@ func emitBatch(platformJSON []byte, heur, objName string, pr *core.Problem, seed
 		Payoffs:   pr.Payoffs,
 		Seed:      seed,
 	}
-	resp, err := service.BatchWhatIf(createReq, &batchReq)
+	resp, err := service.BatchWhatIf(createReq, batchReq)
 	if err != nil {
 		return err
 	}

@@ -85,45 +85,50 @@ func newAnswerTable() *answerTable {
 	return &answerTable{entries: make(map[string]*answer), order: list.New()}
 }
 
-// hitLocked returns query's entry if it is resolved at the current
-// epoch, counting the hit or the miss. A hit is an answer that was
-// valid at lookup time, exactly as a solve that finished just before a
-// concurrent commit would be.
-func (t *answerTable) hitLocked(query string) *answer {
-	if a := t.entries[query]; a != nil && a.elem != nil && a.epoch == t.epoch {
+// hitLocked reports whether a — the entry filed under a lookup's query,
+// or nil — is resolved at the current epoch, counting the hit or the
+// miss. A hit is an answer that was valid at lookup time, exactly as a
+// solve that finished just before a concurrent commit would be.
+func (t *answerTable) hitLocked(a *answer) bool {
+	if a != nil && a.elem != nil && a.epoch == t.epoch {
 		t.order.MoveToFront(a.elem)
 		t.hits++
-		return a
+		return true
 	}
 	t.misses++
-	return nil
+	return false
 }
 
 // lookup returns the answer resolved for query, or nil.
 func (t *answerTable) lookup(query string) *answer {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.hitLocked(query)
+	if a := t.entries[query]; t.hitLocked(a) {
+		return a
+	}
+	return nil
 }
 
-// claim is lookup for a coalescing caller. On a miss the caller either
+// claim is lookup for a coalescing caller, keyed by the query's bytes
+// (the lookup copies nothing). On a miss the caller either
 // joins the flight already in the air for query (owner false: wait on
 // done, then read rep or err) or registers its own (owner true: solve,
 // then resolve the entry).
-func (t *answerTable) claim(query string) (a *answer, hit, owner bool) {
+func (t *answerTable) claim(query []byte) (a *answer, hit, owner bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if a := t.hitLocked(query); a != nil {
+	a = t.entries[string(query)]
+	if t.hitLocked(a) {
 		return a, true, false
 	}
-	if a := t.entries[query]; a != nil {
+	if a != nil {
 		if a.elem == nil {
 			return a, false, false
 		}
 		t.dropLocked(a) // resolved at a superseded epoch
 	}
-	a = &answer{query: query, done: make(chan struct{})}
-	t.entries[query] = a
+	a = &answer{query: string(query), done: make(chan struct{})}
+	t.entries[a.query] = a
 	return a, false, true
 }
 

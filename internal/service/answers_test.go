@@ -25,7 +25,7 @@ func TestAnswerTable(t *testing.T) {
 	}
 	own := func(t *testing.T, tb *answerTable, query string) *answer {
 		t.Helper()
-		a, hit, owner := tb.claim(query)
+		a, hit, owner := tb.claim([]byte(query))
 		if hit || !owner {
 			t.Fatalf("claim(%s): hit=%v owner=%v, want a new flight", query, hit, owner)
 		}
@@ -33,7 +33,7 @@ func TestAnswerTable(t *testing.T) {
 	}
 	join := func(t *testing.T, tb *answerTable, query string, flight *answer) {
 		t.Helper()
-		if a, hit, owner := tb.claim(query); a != flight || hit || owner {
+		if a, hit, owner := tb.claim([]byte(query)); a != flight || hit || owner {
 			t.Fatalf("claim(%s): hit=%v owner=%v same=%v, want to join the flight", query, hit, owner, a == flight)
 		}
 	}
@@ -58,7 +58,7 @@ func TestAnswerTable(t *testing.T) {
 				if got := value(tb, "q"); got != 1 {
 					t.Fatalf("lookup served %v, want 1", got)
 				}
-				if a, hit, owner := tb.claim("q"); !hit || owner || a.rep.Value != 1 || !a.report().Cached {
+				if a, hit, owner := tb.claim([]byte("q")); !hit || owner || a.rep.Value != 1 || !a.report().Cached {
 					t.Fatalf("claim on a resolved answer: hit=%v owner=%v", hit, owner)
 				}
 				tb.file("q", rep(2)) // a second uncoalesced solve replaces the first

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -15,22 +14,25 @@ import (
 // contexts (core.Model.Fork over lp.Revised.Fork) instead of
 // serialized behind the session mutex.
 //
-// The flow: decode once, dedupe identical queries by the same
-// canonical-JSON key the single-query endpoint's in-flight coalescing
-// uses, validate every distinct query into a hypothetical under the
-// session lock, and take the batch's workers from the session's pool of
-// idle forks, each brought onto the committed state in place
-// (core.Model.Refork) — a fork is allocated only when the pool runs
-// short. Then release the lock, fan the distinct queries out over the
-// forks, and finally merge every fork's solver counters back into the
-// session aggregate and return the forks to the pool. A fork answers a
-// query with the body the session model does (whatIfOn), from the same
-// committed factorization, so which fork a query lands on — fresh or
-// pooled — changes neither its answer nor its cost. The session lock is
-// held only for validation and for taking and returning forks, never for
-// solving: queries, epochs and single what-ifs proceed concurrently with
-// a running batch, and the batch's answers are pinned to the committed
-// state captured at its start.
+// The flow: the body is decoded once, in one pass, by the per-op
+// decoder (decode.go); each query's canonical-JSON key — the one the
+// single-query endpoint's answer table and in-flight coalescing use —
+// is appended from the decoded value (appendWhatIfKey), and identical
+// queries are deduped by it. Then validate every distinct query into
+// a hypothetical under the session lock, and take the batch's workers
+// from the session's pool of idle forks, each brought onto the
+// committed state in place (core.Model.Refork) — a fork is allocated
+// only when the pool runs short. Then release the lock, fan the
+// distinct queries out over the forks, and finally merge every fork's
+// solver counters back into the session aggregate and return the
+// forks to the pool. A fork answers a query with the body the session
+// model does (whatIfOn), from the same committed factorization, so
+// which fork a query lands on — fresh or pooled — changes neither its
+// answer nor its cost. The session lock is held only for validation
+// and for taking and returning forks, never for solving: queries,
+// epochs and single what-ifs proceed concurrently with a running
+// batch, and the batch's answers are pinned to the committed state
+// captured at its start.
 //
 // Batch reports are lean on purpose — verdict, value and bound, no
 // allocation tables, no stats snapshot — which makes the response a
@@ -78,29 +80,40 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 
 	// Dedupe. Every batch query is answered as a relaxation, so Relax
 	// is normalized into the key: "relax:true" and an implied relax
-	// via bounds are the same solve.
-	assign := make([]int, n)
-	var distinct []*WhatIfRequest
-	var firstIdx []int
-	keys := make(map[string]int, n)
+	// via bounds are the same solve. The keys are appended end to end
+	// and held in one string, which the map's keys slice.
+	kp := reportBufs.Get().(*[]byte)
+	kb, ends := (*kp)[:0], make([]int, n)
 	for i := range req.Queries {
 		q := req.Queries[i]
 		q.Relax = true
-		key, err := json.Marshal(&q)
-		if err != nil {
-			return nil, err
-		}
-		d, ok := keys[string(key)]
+		var ok bool
+		kb, ok = appendWhatIfKey(kb, &q)
 		if !ok {
-			d = len(distinct)
-			keys[string(key)] = d
-			qq := q
-			distinct = append(distinct, &qq)
+			*kp = kb
+			reportBufs.Put(kp)
+			return nil, fmt.Errorf("batch query %d: %w", i, errNonFiniteQuery)
+		}
+		ends[i] = len(kb)
+	}
+	all := string(kb)
+	*kp = kb
+	reportBufs.Put(kp)
+	assign := make([]int, n)
+	var firstIdx []int // the distinct queries, by their first index
+	keys := make(map[string]int, n)
+	start := 0
+	for i, end := range ends {
+		d, ok := keys[all[start:end]]
+		if !ok {
+			d = len(firstIdx)
+			keys[all[start:end]] = d
 			firstIdx = append(firstIdx, i)
 		}
 		assign[i] = d
+		start = end
 	}
-	nd := len(distinct)
+	nd := len(firstIdx)
 	workers := req.Workers
 	if workers <= 0 {
 		workers = defaultBatchWorkers
@@ -117,11 +130,11 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 	s.mu.Lock()
 	committed, basis, epoch := s.pl, s.basis, s.epoch
 	hyps := make([]hypothetical, nd)
-	for d, q := range distinct {
-		h, err := s.hypotheticalLocked(q)
+	for d, i := range firstIdx {
+		h, err := s.hypotheticalLocked(&req.Queries[i])
 		if err != nil {
 			s.mu.Unlock()
-			return nil, fmt.Errorf("batch query %d: %w", firstIdx[d], err)
+			return nil, fmt.Errorf("batch query %d: %w", i, err)
 		}
 		hyps[d] = h
 	}

@@ -29,7 +29,9 @@ import (
 // errNonFinite is the encoder's one failure.
 var errNonFinite = errors.New("service: the report holds a NaN or ±Inf, which JSON cannot carry")
 
-// reportBufs pools the encode buffers: no allocation per body.
+// reportBufs pools the wire path's byte buffers — the encode buffers,
+// and the request bodies and what-if keys of the decode side (decode.go):
+// no allocation per body.
 var reportBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // EncodeReport writes rep as the service writes it on the wire:

@@ -130,4 +130,65 @@ func TestRequestBodiesDecodeStrictly(t *testing.T) {
 	if got := sess.Info().Epoch; got != 1 {
 		t.Fatalf("epoch %d after one accepted commit, want 1", got)
 	}
+
+	// The decoding contract, one row per rule, each with the status
+	// encoding/json's strict decode answered: names match after
+	// unescaping, exactly or under simple case folding (U+017F, the
+	// Kelvin sign); null leaves a number or bool as it is and sets a slice
+	// to nil; integers parse as integers and floats within range; a
+	// repeated member decodes in place; an unknown member is refused at
+	// any depth.
+	whatIf, batch, epochPath := "/sessions/"+sess.id+"/whatif", "/sessions/"+sess.id+"/whatif/batch", "/sessions/"+sess.id+"/epoch"
+	commits := 1
+	for _, row := range []struct {
+		path, body string
+		want       int
+	}{
+		{whatIf, `{"RELAX":true}`, http.StatusOK},
+		{whatIf, `{"ſpeeds":[{"cluster":0,"value":50}],"relax":true}`, http.StatusOK},
+		{whatIf, `{"\u0073peeds":[{"cluster":0,"value":50}],"relax":true}`, http.StatusOK},
+		{whatIf, `{"linKs":[{"linK":0,"maxConnect":3}],"relax":true}`, http.StatusOK},
+		{whatIf, `{"speeds":null,"gateways":[],"relax":null}`, http.StatusOK},
+		{whatIf, `null`, http.StatusOK},
+		{whatIf, `{"speeds":[{"cluster":1e0,"value":50}]}`, http.StatusBadRequest},
+		{whatIf, `{"speeds":[{"cluster":1.0,"value":50}]}`, http.StatusBadRequest},
+		{whatIf, `{"speeds":[{"cluster":0,"value":1e400}]}`, http.StatusBadRequest},
+		{whatIf, `{"speeds":[{"cluster":3,"value":1}],"speeds":[{"value":60}],"relax":true}`, http.StatusOK},
+		{whatIf, `{"speeds":[{"cluster":3,"value":60}],"speeds":[{"value":-1}],"relax":true}`, http.StatusBadRequest},
+		{whatIf, `{"gateways":[{"cluster":-0,"value":-0}],"relax":true}`, http.StatusOK},
+		{whatIf, `{"speeds":[{"cluster":0,"value":50,"extra":1}]}`, http.StatusBadRequest},
+		{whatIf, `{"relax":true} ` + "\r\n", http.StatusOK},
+		{batch, `{"QUERIES":[{"relax":true}],"workers":null}`, http.StatusOK},
+		{batch, `{"queries":[{"relax":true,"nope":1}]}`, http.StatusBadRequest},
+		{batch, `{"queries":[{"relax":true}],"workers":1e0}`, http.StatusBadRequest},
+		{batch, `{"queries":null}`, http.StatusBadRequest},
+		{epochPath, `{"speedFactor":[1e400,1,1,1]}`, http.StatusBadRequest},
+		{epochPath, `{"speedFactor":[0.9,0.9,0.9,0.9],"bogus":[]}`, http.StatusBadRequest},
+		{epochPath, `{"ſpeedFactor":[1,1,1,1],"linkFactor":null}`, http.StatusOK},
+		{epochPath, `{"gatewayFactor":[1,null,1,1]}`, http.StatusBadRequest},
+	} {
+		code, body := post(row.path, row.body)
+		if code != row.want {
+			t.Errorf("POST %s %s: status %d body %q, want %d", row.path, row.body, code, body, row.want)
+		}
+		if row.path == epochPath && code == http.StatusOK {
+			commits++
+		}
+	}
+	if got := sess.Info().Epoch; got != commits {
+		t.Fatalf("epoch %d after %d accepted commits", got, commits)
+	}
+
+	// A name spelt in another case is the same query: one entry, and the
+	// second spelling is a hit on it.
+	if code, body := post(whatIf, `{"relax":true}`); code != http.StatusOK || strings.Contains(body, `"cached"`) {
+		t.Fatalf(`{"relax":true} after a commit: status %d, want 200 and a solve: %s`, code, body)
+	}
+	hits, misses := sess.answers.counters()
+	if code, body := post(whatIf, `{"RELAX":true}`); code != http.StatusOK || !strings.Contains(body, `"cached": true`) {
+		t.Fatalf(`{"RELAX":true} after {"relax":true}: status %d, want 200 and a cache hit: %s`, code, body)
+	}
+	if h, m := sess.answers.counters(); h != hits+1 || m != misses {
+		t.Fatalf(`{"RELAX":true}: %d hits and %d misses, want 1 and 0`, h-hits, m-misses)
+	}
 }

@@ -38,6 +38,14 @@ const maxBodyBytes = 16 << 20
 //	GET    /healthz                health probe: 200 ok, 503 when any condition is Degraded
 //	GET    /metrics                Prometheus text exposition
 //
+// The what-if, batch and epoch bodies are read whole and decoded in one
+// pass by the per-op decoder (decode.go), which accepts and decodes
+// exactly what encoding/json's strict decode does; the create body and
+// the cluster messages, rare and carrying platform JSON, stay on
+// encoding/json (decodeBody). Either way a body is one JSON value with
+// nothing after it but whitespace, and anything else is a 400
+// "decoding request: …".
+//
 // SolveReport answers (query, what-if, epoch) and batch answers carry
 // Content-Length: the report encoder writes each body whole. A
 // query or what-if answer-cache hit is the entry's stored bytes — the
@@ -166,8 +174,10 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// decodeBody strictly decodes the body into dst: one JSON value with no
-// unknown fields, and nothing after it but whitespace.
+// decodeBody strictly decodes a create body or a cluster message into
+// dst through encoding/json: one JSON value with no unknown fields, and
+// nothing after it but whitespace. The per-op bodies go through
+// readBody.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -349,7 +359,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req WhatIfRequest
-	if !decodeBody(w, r, &req) {
+	if !readBody(w, r, func(b []byte) error { return decodeWhatIf(b, &req) }) {
 		return
 	}
 	rep, hit, err := sess.whatIf(&req)
@@ -362,7 +372,7 @@ func (s *Server) handleWhatIfBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchWhatIfRequest
-	if !decodeBody(w, r, &req) {
+	if !readBody(w, r, func(b []byte) error { return decodeBatch(b, &req) }) {
 		return
 	}
 	resp, err := sess.WhatIfBatch(&req)
@@ -381,7 +391,7 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EpochRequest
-	if !decodeBody(w, r, &req) {
+	if !readBody(w, r, func(b []byte) error { return decodeEpoch(b, &req) }) {
 		return
 	}
 	rep, err := sess.EpochIdempotent(&req, r.Header.Get(commitIDHeader))

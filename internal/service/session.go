@@ -42,7 +42,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -506,11 +505,15 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 		// alike — one cache entry and one flight, as in a batch.
 		req.Relax = true
 	}
-	key, err := json.Marshal(req)
-	if err != nil {
-		return nil, nil, err
+	kp := reportBufs.Get().(*[]byte)
+	var ok bool
+	*kp, ok = appendWhatIfKey((*kp)[:0], req)
+	if !ok {
+		reportBufs.Put(kp)
+		return nil, nil, errNonFiniteQuery
 	}
-	a, hit, owner := s.answers.claim(string(key))
+	a, hit, owner := s.answers.claim(*kp)
+	reportBufs.Put(kp)
 	if hit {
 		s.whatIfs.Add(1)
 		return nil, a, nil

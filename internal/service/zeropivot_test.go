@@ -310,10 +310,11 @@ func BenchmarkWhatIfPivoting(b *testing.B) { benchWhatIfs(b, true) }
 
 // BenchmarkWhatIfBatch times one batch_fork op at the session layer: a
 // 64-query batch, 48 of them distinct and drawn as the harness draws
-// them, answered over 4 pooled forks of the benchmark's K=20 session,
-// and its body written. Every iteration answers the same batch from the
-// same committed state, as the workload's replays do, so the forks'
-// first-pivot caches are warm after the first.
+// them, its body decoded, answered over 4 pooled forks of the
+// benchmark's K=20 session, and the answer's body written. Every
+// iteration answers the same batch from the same committed state, as
+// the workload's replays do, so the forks' first-pivot caches are warm
+// after the first.
 func BenchmarkWhatIfBatch(b *testing.B) {
 	const workload, streamOps, size, distinct = "batch_fork", 0, 64, 48
 	s, pl := benchSession(b, workload, 20)
@@ -328,10 +329,18 @@ func BenchmarkWhatIfBatch(b *testing.B) {
 		}
 	}
 	rng.Shuffle(size, func(x, y int) { req.Queries[x], req.Queries[y] = req.Queries[y], req.Queries[x] })
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := s.WhatIfBatch(req)
+		var req BatchWhatIfRequest
+		if err := decodeBatch(body, &req); err != nil {
+			b.Fatal(err)
+		}
+		resp, err := s.WhatIfBatch(&req)
 		if err != nil {
 			b.Fatal(err)
 		}
