@@ -131,45 +131,11 @@ func (m UniformLoadModel) Epoch(e int) Perturbation {
 	return p
 }
 
-// Validate checks the model before it drives a loop: factors must
-// stay in (0, +inf), so the bounds must be finite, positive and
-// ordered.
-func (m UniformLoadModel) Validate() error {
-	if m.K < 1 {
-		return fmt.Errorf("adapt: UniformLoadModel.K = %d, want >= 1", m.K)
-	}
-	if !(m.Min > 0) || m.Max < m.Min || math.IsNaN(m.Max) || math.IsInf(m.Max, 0) {
-		return fmt.Errorf("adapt: UniformLoadModel bounds [%g, %g] invalid, want 0 < Min <= Max < +inf", m.Min, m.Max)
-	}
-	return validateLinkModulation("UniformLoadModel", m.Links, m.LinkMin, m.LinkMax)
-}
-
-// validateLinkModulation checks the shared link-budget-modulation
-// fields of the perturbation models. Modulation is enabled by any
-// nonzero Link bound; an enabled model must then carry the
-// platform's (positive) link count — a forgotten Links field would
-// otherwise surface only as a confusing length-mismatch error in the
-// middle of an epoch loop. Linkless platforms simply leave the link
-// bounds zero.
-func validateLinkModulation(model string, links int, lo, hi float64) error {
-	if lo == 0 && hi == 0 {
-		return nil
-	}
-	if links < 1 {
-		return fmt.Errorf("adapt: %s.Links = %d with link modulation enabled, want >= 1 (leave LinkMin/LinkMax zero on linkless platforms)", model, links)
-	}
-	if !(lo > 0) || hi < lo || math.IsNaN(hi) || math.IsInf(hi, 0) {
-		return fmt.Errorf("adapt: %s link bounds [%g, %g] invalid, want 0 < LinkMin <= LinkMax < +inf", model, lo, hi)
-	}
-	return nil
-}
-
 // DiurnalModel modulates every cluster's speed sinusoidally with the
 // given period (in epochs) between Min and Max of nominal — desktop
 // grids gaining capacity at night. Period must be >= 1: Epoch divides
 // by it, and a non-positive period would otherwise produce NaN speed
-// factors. Validate rejects a misconfigured model up front; Epoch
-// itself panics on direct misuse.
+// factors, so Epoch panics on one.
 //
 // With LinkMax > 0 the same sinusoid also modulates every backbone
 // link budget between LinkMin and LinkMax of nominal (Links must
@@ -187,7 +153,7 @@ type DiurnalModel struct {
 }
 
 // Epoch implements Model. It panics if Period < 1 (see the type
-// documentation); use Validate to check a model before driving it.
+// documentation).
 func (m DiurnalModel) Epoch(e int) Perturbation {
 	if m.Period < 1 {
 		panic(fmt.Sprintf("adapt: DiurnalModel.Period = %d, want >= 1", m.Period))
@@ -209,20 +175,6 @@ func (m DiurnalModel) Epoch(e int) Perturbation {
 		p.LinkFactor = lf
 	}
 	return p
-}
-
-// Validate checks the model before it drives a loop.
-func (m DiurnalModel) Validate() error {
-	if m.K < 1 {
-		return fmt.Errorf("adapt: DiurnalModel.K = %d, want >= 1", m.K)
-	}
-	if m.Period < 1 {
-		return fmt.Errorf("adapt: DiurnalModel.Period = %d, want >= 1", m.Period)
-	}
-	if !(m.Min > 0) || m.Max < m.Min || math.IsNaN(m.Max) || math.IsInf(m.Max, 0) {
-		return fmt.Errorf("adapt: DiurnalModel bounds [%g, %g] invalid, want 0 < Min <= Max < +inf", m.Min, m.Max)
-	}
-	return validateLinkModulation("DiurnalModel", m.Links, m.LinkMin, m.LinkMax)
 }
 
 // Throttle evaluates a stale allocation on a (possibly degraded)

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -224,41 +225,17 @@ func TestThrottlePropertyRandomPerturbations(t *testing.T) {
 	}
 }
 
-// TestDiurnalModelValidation: a non-positive period is rejected by
-// Validate (before it existed, the period flowed NaN speed factors into
-// Perturbation.Apply, failing with a confusing error), and Epoch panics
-// on direct misuse.
+// TestDiurnalModelValidation: Epoch panics on a non-positive period,
+// which would otherwise flow NaN speed factors into Perturbation.Apply
+// and fail there with a confusing error.
 func TestDiurnalModelValidation(t *testing.T) {
 	bad := DiurnalModel{K: 4, Min: 0.5, Max: 1.0, Period: 0}
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "Period") {
-		t.Fatalf("Validate with Period=0 must fail mentioning Period, got %v", err)
-	}
 	defer func() {
-		if recover() == nil {
-			t.Fatal("Epoch with Period=0 must panic")
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Period") {
+			t.Fatalf("Epoch with Period=0 must panic mentioning Period, got %v", r)
 		}
 	}()
 	bad.Epoch(0)
-}
-
-// TestRunErrors: the checks an epoch loop makes before its first solve.
-// The zero value of either load model, and link modulation without a
-// link count, fail Validate naming the field to set. (A model sized for
-// another platform fails Perturbation.Apply: TestPerturbationApplyErrors.)
-func TestRunErrors(t *testing.T) {
-	for _, tc := range []struct {
-		m    interface{ Validate() error }
-		want string
-	}{
-		{UniformLoadModel{}, "K = 0"},
-		{DiurnalModel{K: 4}, "Period = 0"},
-		{UniformLoadModel{K: 4, Min: 0.5, Max: 1, LinkMin: 0.5, LinkMax: 1}, "Links = 0"},
-		{DiurnalModel{K: 4, Min: 0.5, Max: 1, Period: 6, LinkMax: 1}, "Links = 0"},
-	} {
-		if err := tc.m.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%+v: Validate() = %v, want an error naming %q", tc.m, err, tc.want)
-		}
-	}
 }
 
 // tightProblem is the network-bound platform the re-optimizing loop is
@@ -511,33 +488,6 @@ func TestRunWarmLPRRIsValid(t *testing.T) {
 			t.Fatalf("epoch %d: objective %g, want > 0", e, v)
 		}
 	})
-}
-
-// TestUniformLoadModelValidation covers the companion Validate.
-func TestUniformLoadModelValidation(t *testing.T) {
-	cases := []UniformLoadModel{
-		{K: 0, Min: 0.5, Max: 1},
-		{K: 3, Min: 0, Max: 1},
-		{K: 3, Min: 0.5, Max: 0.4},
-		{K: 3, Min: 0.5, Max: math.Inf(1)},
-		{K: 3, Min: 0.5, Max: 1, Links: 2, LinkMin: 0, LinkMax: 1},
-		{K: 3, Min: 0.5, Max: 1, Links: 2, LinkMin: 0.8, LinkMax: 0.5},
-		{K: 3, Min: 0.5, Max: 1, Links: -1, LinkMin: 0.5, LinkMax: 1},
-	}
-	for i, m := range cases {
-		if err := m.Validate(); err == nil {
-			t.Fatalf("case %d must fail validation", i)
-		}
-	}
-	if err := (UniformLoadModel{K: 3, Min: 0.5, Max: 1}).Validate(); err != nil {
-		t.Fatalf("valid model rejected: %v", err)
-	}
-	if err := (UniformLoadModel{K: 3, Min: 0.5, Max: 1, Links: 4, LinkMin: 0.5, LinkMax: 1}).Validate(); err != nil {
-		t.Fatalf("valid link-modulating model rejected: %v", err)
-	}
-	if err := (DiurnalModel{K: 3, Min: 0.5, Max: 1, Period: 4, Links: 2, LinkMin: 0, LinkMax: 0.5}).Validate(); err == nil {
-		t.Fatal("DiurnalModel with LinkMin=0 must fail validation")
-	}
 }
 
 // TestPerturbationLinkFactors: Apply floors scaled budgets back to

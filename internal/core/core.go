@@ -194,7 +194,7 @@ const IntegralityTol = DefaultTol
 // returns nil iff the allocation is a valid steady-state operating
 // point. Additionally it enforces the model-level invariants that
 // work only flows over existing routes and that the Beta diagonal is
-// zero. Several applications of one origin are checked summed (multiapp).
+// zero.
 func (pr *Problem) CheckAllocation(a *Allocation, tol float64) error {
 	K := pr.K()
 	if len(a.Alpha) != K || len(a.Beta) != K {

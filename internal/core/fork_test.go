@@ -350,3 +350,56 @@ func TestReforkAllocatesNothing(t *testing.T) {
 		t.Fatalf("reforked fork answered %v %v, fresh fork %v %v", got, gotOK, want, wantOK)
 	}
 }
+
+// TestBasicSlackGatewayRaiseMovesOneRow is the model-level half of the
+// service's TestZeroPivotWhatIfCostsWhatMoved: a gateway raise on a
+// cluster whose gateway row has a basic slack, solved from the frozen
+// state as a what-if is, takes no pivot, writes no X entry and refiles
+// exactly one basis row — at K = 10 as at K = 40, so what it costs above
+// its pivots is what it moved, not the model's size.
+func TestBasicSlackGatewayRaiseMovesOneRow(t *testing.T) {
+	for _, k := range []int{10, 40} {
+		pr := randomPlatformProblem(t, rand.New(rand.NewSource(int64(k))), k)
+		m, err := pr.NewModel(SUM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := m.Solve(nil); err != nil || !ok {
+			t.Fatalf("K=%d: commit solve ok=%v err=%v", k, ok, err)
+		}
+		basis := m.Basis()
+		found := false
+		for c := 0; c < k && !found; c++ {
+			g := pr.Platform.Clusters[c].Gateway
+			for _, scale := range []float64{1.25, 1.5, 2} {
+				if err := m.Freeze(); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.SetGateway(c, g*scale); err != nil {
+					t.Fatal(err)
+				}
+				before := m.SolverStats()
+				if _, ok, err := m.Solve(basis); err != nil || !ok {
+					t.Fatalf("K=%d cluster %d: what-if solve ok=%v err=%v", k, c, ok, err)
+				}
+				after := m.SolverStats()
+				base, rows, cols := m.rev.Moved()
+				if err := m.SetGateway(c, g); err != nil {
+					t.Fatal(err)
+				}
+				m.Rewind()
+				if base == nil || after.Pivots != before.Pivots || after.BoundFlips != before.BoundFlips || len(cols) != 0 {
+					continue
+				}
+				if rows != 1 {
+					t.Fatalf("K=%d cluster %d ×%g: a zero-pivot gateway raise that wrote no X entry refiled %d basis rows, want 1", k, c, scale, rows)
+				}
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("K=%d: no gateway raise left X in place", k)
+		}
+	}
+}

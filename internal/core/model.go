@@ -493,28 +493,6 @@ func (m *Model) Basis() *lp.Basis { return m.rev.Basis() }
 // Basis's at-upper statuses (lp.Revised.NumCols).
 func (m *Model) SolverCols() int { return m.rev.NumCols() }
 
-// Moved reports what the last Solve moved off the frozen state
-// (lp.Revised.Moved): the basis rows whose basic value or column it
-// moved and the X entries it wrote; ok is false unless Diff tells it.
-func (m *Model) Moved() (rows, cols int, ok bool) {
-	base, rows, c := m.rev.Moved()
-	return rows, len(c), base != nil
-}
-
-// SolveWith runs a one-shot cold solve of the current bound set
-// through an explicit backend — the seam the tests use to check the
-// model's warm solves against the lptest oracle.
-func (m *Model) SolveWith(s lp.Solver) (*RelaxedSolution, bool, error) {
-	if m.numCrossed > 0 {
-		return nil, false, nil
-	}
-	sol, err := m.prob.SolveWith(s)
-	if err != nil {
-		return nil, false, err
-	}
-	return m.extract(sol)
-}
-
 // extract reads an optimum back column by column: α from the layout's
 // columns, β from each route's own.
 func (m *Model) extract(sol lp.Solution) (*RelaxedSolution, bool, error) {

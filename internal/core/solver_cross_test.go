@@ -10,6 +10,20 @@ import (
 	"repro/internal/platform"
 )
 
+// solveOnce cold-solves the model's current bound set once with solve
+// and reads the optimum back; a lower bound over its natural cap is
+// infeasible without a solve, as in Solve.
+func (m *Model) solveOnce(solve func(*lp.Problem) (lp.Solution, error)) (*RelaxedSolution, bool, error) {
+	if m.numCrossed > 0 {
+		return nil, false, nil
+	}
+	sol, err := solve(m.prob)
+	if err != nil {
+		return nil, false, err
+	}
+	return m.extract(sol)
+}
+
 // randomPlatformProblem draws a platgen-style platform directly (the
 // platgen package imports core's sibling platform package, so the
 // generator is inlined here to avoid an import cycle in tests):
@@ -67,7 +81,7 @@ func TestRelaxedMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, ok, err := m.SolveWith(lptest.DenseSolver{})
+			ref, ok, err := m.solveOnce(lptest.DenseSolver{}.Solve)
 			if err != nil || !ok {
 				t.Fatalf("seed %d: oracle: ok=%v err=%v", seed, ok, err)
 			}
@@ -207,11 +221,11 @@ func TestModelWarmMatchesOracle(t *testing.T) {
 						t.Fatalf("seed %d step %d: warm: %v", seed, step, err)
 					}
 					warm, wBasis := m.Solution(), m.Basis()
-					cold, cOK, err := m.SolveWith(lp.RevisedSolver{})
+					cold, cOK, err := m.solveOnce((*lp.Problem).Solve)
 					if err != nil {
 						t.Fatalf("seed %d step %d: cold: %v", seed, step, err)
 					}
-					ref, rOK, err := m.SolveWith(lptest.DenseSolver{})
+					ref, rOK, err := m.solveOnce(lptest.DenseSolver{}.Solve)
 					if err != nil {
 						t.Fatalf("seed %d step %d: oracle: %v", seed, step, err)
 					}

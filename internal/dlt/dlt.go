@@ -6,10 +6,6 @@
 // by classical formulas from divisible load theory" (refs [30, 6, 4]
 // of the paper). This package provides those formulas:
 //
-//   - the one-round star distribution with a one-port master
-//     (Bharadwaj et al.): closed-form load fractions under the
-//     all-finish-together principle and the bandwidth-ordering
-//     optimality result;
 //   - the steady-state star and tree throughput (Banino et al.,
 //     ref [4]): the equivalent speed used by this paper's
 //     steady-state model, computed by the fractional-knapsack
@@ -56,108 +52,6 @@ func (s *Star) Validate() error {
 		}
 	}
 	return nil
-}
-
-// OneRound is the outcome of a single-round distribution: the load
-// fractions (master first, then workers in the served order) and the
-// makespan, normalized to total load W.
-type OneRound struct {
-	MasterShare  float64
-	WorkerShares []float64 // in the order the workers were served
-	Order        []int     // served worker indices
-	Makespan     float64
-}
-
-// OneRoundFixedOrder computes the optimal single-round distribution
-// of load W when the workers are served in the given order (a
-// permutation of worker indices): by the classical all-finish-
-// together principle, every participating worker and the master
-// finish computing at the same instant T, which yields a linear
-// recursion for the shares.
-//
-// Worker i served after a communication prefix P finishes at
-// P + a_i/b_i + a_i/s_i = T, with prefixes accumulating a_j/b_j. The
-// master computes MasterSpeed·T concurrently. Workers whose
-// parameters force a negative share are given zero load (they do not
-// participate).
-func (s *Star) OneRoundFixedOrder(w float64, order []int) (*OneRound, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if w < 0 {
-		return nil, fmt.Errorf("dlt: negative load %g", w)
-	}
-	if len(order) != len(s.Workers) {
-		return nil, fmt.Errorf("dlt: order has %d entries for %d workers", len(order), len(s.Workers))
-	}
-	seen := make([]bool, len(s.Workers))
-	for _, i := range order {
-		if i < 0 || i >= len(s.Workers) || seen[i] {
-			return nil, fmt.Errorf("dlt: order is not a permutation")
-		}
-		seen[i] = true
-	}
-	// Shares are linear in T: a_i = c_i·(T − P_{i-1}), with
-	// c_i = s_i/(1+s_i/b_i) = s_i·b_i/(s_i+b_i), and prefixes
-	// P_i = P_{i-1} + a_i/b_i. Expand everything as λ + μ·T.
-	type lin struct{ l, m float64 }
-	prefix := lin{0, 0}
-	shares := make([]lin, len(order))
-	for idx, wi := range order {
-		wk := s.Workers[wi]
-		if wk.Speed == 0 {
-			shares[idx] = lin{0, 0}
-			continue
-		}
-		c := wk.Speed * wk.LinkBW / (wk.Speed + wk.LinkBW)
-		// a = c·(T − prefix) = −c·prefix.l + (c − c·prefix.m)·T
-		a := lin{-c * prefix.l, c * (1 - prefix.m)}
-		shares[idx] = a
-		prefix.l += a.l / wk.LinkBW
-		prefix.m += a.m / wk.LinkBW
-	}
-	// Total: masterSpeed·T + Σ a_i = W → solve for T.
-	suml, summ := 0.0, s.MasterSpeed
-	for _, a := range shares {
-		suml += a.l
-		summ += a.m
-	}
-	if summ <= 0 {
-		return nil, fmt.Errorf("dlt: star has no compute capacity")
-	}
-	t := (w - suml) / summ
-	out := &OneRound{
-		MasterShare:  s.MasterSpeed * t,
-		WorkerShares: make([]float64, len(order)),
-		Order:        append([]int(nil), order...),
-		Makespan:     t,
-	}
-	for idx, a := range shares {
-		v := a.l + a.m*t
-		if v < 0 {
-			v = 0 // non-participating worker under this order
-		}
-		out.WorkerShares[idx] = v
-	}
-	return out, nil
-}
-
-// OneRound computes the single-round distribution with the classical
-// optimal ordering: workers served by non-increasing link bandwidth
-// (ties broken by speed then index, deterministically).
-func (s *Star) OneRound(w float64) (*OneRound, error) {
-	order := make([]int, len(s.Workers))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		wa, wb := s.Workers[order[a]], s.Workers[order[b]]
-		if wa.LinkBW != wb.LinkBW {
-			return wa.LinkBW > wb.LinkBW
-		}
-		return wa.Speed > wb.Speed
-	})
-	return s.OneRoundFixedOrder(w, order)
 }
 
 // SteadyStateThroughput returns the maximum load per time unit the

@@ -29,148 +29,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestOneRoundSingleWorker(t *testing.T) {
-	// Master speed 0, one worker speed 2, link 2: chunk a with
-	// a/2 + a/2 = T and a = W → T = W.
-	s := &Star{Workers: []Worker{{Speed: 2, LinkBW: 2}}}
-	r, err := s.OneRound(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(r.Makespan, 10, 1e-12) || !approx(r.WorkerShares[0], 10, 1e-12) {
-		t.Fatalf("got %+v", r)
-	}
-}
-
-func TestOneRoundAllFinishTogether(t *testing.T) {
-	// The invariant behind the closed form: every participating
-	// worker's receive-then-compute completion equals the makespan.
-	s := &Star{
-		MasterSpeed: 3,
-		Workers: []Worker{
-			{Speed: 5, LinkBW: 9},
-			{Speed: 2, LinkBW: 4},
-			{Speed: 7, LinkBW: 2},
-		},
-	}
-	const w = 100.0
-	r, err := s.OneRound(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := r.MasterShare
-	prefix := 0.0
-	for idx, wi := range r.Order {
-		wk := s.Workers[wi]
-		a := r.WorkerShares[idx]
-		total += a
-		prefix += a / wk.LinkBW
-		if a <= 0 {
-			continue
-		}
-		finish := prefix + a/wk.Speed
-		if !approx(finish, r.Makespan, 1e-9*r.Makespan) {
-			t.Fatalf("worker %d finishes at %g, makespan %g", wi, finish, r.Makespan)
-		}
-	}
-	if !approx(total, w, 1e-9*w) {
-		t.Fatalf("shares sum to %g, want %g", total, w)
-	}
-	if !approx(r.MasterShare, 3*r.Makespan, 1e-12) {
-		t.Fatalf("master share %g, want speed*T = %g", r.MasterShare, 3*r.Makespan)
-	}
-}
-
-func TestOneRoundHomogeneousGeometricShares(t *testing.T) {
-	// Classic bus-network result: with identical workers
-	// (speed s, link b) the shares decrease geometrically with ratio
-	// q = b/(s+b).
-	s := &Star{Workers: []Worker{
-		{Speed: 4, LinkBW: 6}, {Speed: 4, LinkBW: 6}, {Speed: 4, LinkBW: 6},
-	}}
-	r, err := s.OneRound(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := 6.0 / (4 + 6)
-	for i := 1; i < 3; i++ {
-		got := r.WorkerShares[i] / r.WorkerShares[i-1]
-		if !approx(got, q, 1e-9) {
-			t.Fatalf("share ratio %d = %g, want %g", i, got, q)
-		}
-	}
-}
-
-func TestOneRoundOrderOptimality(t *testing.T) {
-	// The bandwidth-descending order must (weakly) beat every other
-	// permutation — the classical ordering theorem, brute-forced.
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		s := &Star{MasterSpeed: rng.Float64() * 3}
-		n := 2 + rng.Intn(3)
-		for i := 0; i < n; i++ {
-			s.Workers = append(s.Workers, Worker{
-				Speed:  0.5 + 5*rng.Float64(),
-				LinkBW: 0.5 + 5*rng.Float64(),
-			})
-		}
-		best, err := s.OneRound(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perms := permutations(n)
-		for _, p := range perms {
-			r, err := s.OneRoundFixedOrder(1, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Makespan < best.Makespan*(1-1e-9) {
-				t.Fatalf("trial %d: order %v (T=%g) beats bandwidth order %v (T=%g)",
-					trial, p, r.Makespan, best.Order, best.Makespan)
-			}
-		}
-	}
-}
-
-func permutations(n int) [][]int {
-	var out [][]int
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			out = append(out, append([]int(nil), perm...))
-			return
-		}
-		for i := k; i < n; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			rec(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-	}
-	rec(0)
-	return out
-}
-
-func TestOneRoundErrors(t *testing.T) {
-	s := &Star{Workers: []Worker{{Speed: 1, LinkBW: 1}}}
-	if _, err := s.OneRoundFixedOrder(-1, []int{0}); err == nil {
-		t.Fatal("negative load must fail")
-	}
-	if _, err := s.OneRoundFixedOrder(1, []int{0, 0}); err == nil {
-		t.Fatal("non-permutation must fail")
-	}
-	if _, err := s.OneRoundFixedOrder(1, nil); err == nil {
-		t.Fatal("wrong-length order must fail")
-	}
-	empty := &Star{}
-	if _, err := empty.OneRound(1); err == nil {
-		t.Fatal("zero-capacity star must fail")
-	}
-}
-
 func TestSteadyStateClosedForm(t *testing.T) {
 	// Master 10; workers (speed, bw): (5, 10) costs 0.5 port-time,
 	// (8, 4) costs 2 port-times but only 0.5 remains → 0.5·4 = 2.
@@ -299,19 +157,5 @@ func TestPropertyTreeMonotonicity(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkOneRound32Workers(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	s := &Star{MasterSpeed: 10}
-	for i := 0; i < 32; i++ {
-		s.Workers = append(s.Workers, Worker{Speed: 1 + rng.Float64()*9, LinkBW: 1 + rng.Float64()*9})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.OneRound(100); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -6,21 +6,20 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lp"
 	"repro/internal/lp/lptest"
 	"repro/internal/platgen"
 )
 
 // oracleBranchAndBound is the reference tree the production solver is
 // checked against: the same depth-first search and LPRG incumbent as
-// BranchAndBoundOnModel, but every node relaxation is a cold solve by
-// the lptest dense-tableau oracle — no warm starts, no shared basis.
-// budget=true reports that maxNodes ran out before the tree closed.
+// BranchAndBoundOnModel, but every node relaxation is program (7)
+// written out afresh by denseRelaxation and cold-solved by the lptest
+// dense-tableau oracle — no warm starts, no shared basis, and no code
+// of core's model builder. budget=true reports that maxNodes ran out
+// before the tree closed.
 func oracleBranchAndBound(t *testing.T, pr *core.Problem, obj core.Objective, maxNodes int) (best float64, budget bool) {
 	t.Helper()
-	model, err := pr.NewModel(obj)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rel, err := Relax(pr, obj)
 	if err != nil {
 		t.Fatal(err)
@@ -34,26 +33,17 @@ func oracleBranchAndBound(t *testing.T, pr *core.Problem, obj core.Objective, ma
 		}
 		bounds := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		model.ResetBounds()
-		for p, b := range bounds {
-			if err := model.SetBounds(p, b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rel, ok, err := model.SolveWith(lptest.DenseSolver{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok || rel.Objective <= best+1e-9*(1+math.Abs(best)) {
+		alpha, beta, value, ok := denseRelaxation(t, pr, obj, bounds)
+		if !ok || value <= best+1e-9*(1+math.Abs(best)) {
 			continue
 		}
-		p, fractional := rel.MostFractional(core.IntegralityTol)
+		p, fractional := mostFractional(beta)
 		if !fractional {
 			cand := core.NewAllocation(pr.K())
-			for k := range rel.Alpha {
-				copy(cand.Alpha[k], rel.Alpha[k])
+			for k := range alpha {
+				copy(cand.Alpha[k], alpha[k])
 			}
-			for k, row := range rel.Beta {
+			for k, row := range beta {
 				for l, v := range row {
 					cand.Beta[k][l] = int(math.Round(v))
 				}
@@ -66,7 +56,7 @@ func oracleBranchAndBound(t *testing.T, pr *core.Problem, obj core.Objective, ma
 			}
 			continue
 		}
-		floor := math.Floor(rel.Beta[p.K][p.L])
+		floor := math.Floor(beta[p.K][p.L])
 		down := cloneBounds(bounds)
 		b := boundsOf(down, p)
 		if b.Ub < 0 || floor < b.Ub {
@@ -82,6 +72,126 @@ func oracleBranchAndBound(t *testing.T, pr *core.Problem, obj core.Objective, ma
 		stack = append(stack, down, up)
 	}
 	return best, false
+}
+
+// denseRelaxation writes program (7) with β relaxed down directly from
+// the paper — α_{k,l} on every route and locally, β_{k,l} on every route
+// that crosses a backbone link, rows (7b)-(7e), and MAXMIN as "maximize
+// t" under t ≤ π_k Σ_l α_{k,l} — with each β in bounds's box (Ub < 0 is
+// none), and solves it with the dense oracle. It returns the optimum's α
+// and β tables and value, or ok=false when the box is infeasible.
+func denseRelaxation(t *testing.T, pr *core.Problem, obj core.Objective, bounds map[core.Pair]core.BetaBounds) (alpha, beta [][]float64, value float64, ok bool) {
+	t.Helper()
+	pl, K := pr.Platform, pr.K()
+	av, bv := make([][]int, K), make([][]int, K) // column of α_{k,l} / β_{k,l}, -1 for none
+	n := 0
+	for k := 0; k < K; k++ {
+		av[k], bv[k] = make([]int, K), make([]int, K)
+		for l := 0; l < K; l++ {
+			av[k][l], bv[k][l] = -1, -1
+			if l == k || pl.Route(k, l).Exists {
+				av[k][l] = n
+				n++
+			}
+		}
+	}
+	for k := 0; k < K; k++ {
+		for l := 0; l < K; l++ {
+			if l != k && pl.Route(k, l).Exists && !math.IsInf(pl.RouteBW(k, l), 1) {
+				bv[k][l] = n
+				n++
+			}
+		}
+	}
+	level := n
+	if obj == core.MAXMIN {
+		n++
+	}
+	prob := lp.New(n)
+	if obj == core.MAXMIN {
+		prob.SetObjective(level, 1)
+	}
+	speed := make([][]lp.Term, K)
+	gateway := make([][]lp.Term, K)
+	links := make([][]lp.Term, len(pl.Links))
+	for k := 0; k < K; k++ {
+		var own []lp.Term
+		for l := 0; l < K; l++ {
+			j := av[k][l]
+			if j < 0 {
+				continue
+			}
+			if obj == core.SUM {
+				prob.SetObjective(j, pr.Payoffs[k])
+			}
+			own = append(own, lp.Term{Var: j, Coeff: -pr.Payoffs[k]})
+			speed[l] = append(speed[l], lp.Term{Var: j, Coeff: 1})
+			if l != k {
+				gateway[k] = append(gateway[k], lp.Term{Var: j, Coeff: 1})
+				gateway[l] = append(gateway[l], lp.Term{Var: j, Coeff: 1})
+			}
+			if b := bv[k][l]; b >= 0 {
+				prob.AddConstraint([]lp.Term{{Var: j, Coeff: 1}, {Var: b, Coeff: -pl.RouteBW(k, l)}}, lp.LE, 0) // (7e)
+				for _, li := range pl.Route(k, l).Links {
+					links[li] = append(links[li], lp.Term{Var: b, Coeff: 1})
+				}
+				box := boundsOf(bounds, core.Pair{K: k, L: l})
+				ub := math.Inf(1)
+				if box.Ub >= 0 {
+					ub = box.Ub
+				}
+				if box.Lb > ub {
+					return nil, nil, 0, false
+				}
+				prob.SetVarBounds(b, box.Lb, ub)
+			}
+		}
+		if obj == core.MAXMIN && pr.Payoffs[k] > 0 {
+			prob.AddConstraint(append(own, lp.Term{Var: level, Coeff: 1}), lp.LE, 0)
+		}
+	}
+	for l := 0; l < K; l++ {
+		prob.AddConstraint(speed[l], lp.LE, pl.Clusters[l].Speed)     // (7b)
+		prob.AddConstraint(gateway[l], lp.LE, pl.Clusters[l].Gateway) // (7c)
+	}
+	for li, terms := range links {
+		prob.AddConstraint(terms, lp.LE, float64(pl.Links[li].MaxConnect)) // (7d)
+	}
+	sol, err := lptest.DenseSolver{}.Solve(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != lp.Optimal {
+		return nil, nil, 0, false
+	}
+	alpha, beta = make([][]float64, K), make([][]float64, K)
+	for k := 0; k < K; k++ {
+		alpha[k], beta[k] = make([]float64, K), make([]float64, K)
+		for l := 0; l < K; l++ {
+			if j := av[k][l]; j >= 0 {
+				alpha[k][l] = max(sol.X[j], 0)
+			}
+			if j := bv[k][l]; j >= 0 {
+				beta[k][l] = max(sol.X[j], 0)
+			}
+		}
+	}
+	return alpha, beta, sol.Objective, true
+}
+
+// mostFractional is core.RelaxedSolution.MostFractional over a β table:
+// the route farthest from an integer, the first in row-major order on a
+// tie, or ok=false when every β is integral within core.IntegralityTol.
+func mostFractional(beta [][]float64) (p core.Pair, ok bool) {
+	bestFrac := core.IntegralityTol
+	for k, row := range beta {
+		for l, v := range row {
+			if frac := math.Abs(v - math.Round(v)); frac > bestFrac {
+				bestFrac, p, ok = frac, core.Pair{K: k, L: l}, true
+			}
+		}
+	}
+	return p, ok
 }
 
 // TestBranchAndBoundMatchesOracleTree is the end-to-end acceptance

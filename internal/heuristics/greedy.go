@@ -41,26 +41,6 @@ func GreedyFullDrain(pr *core.Problem) *core.Allocation {
 	return greedy(pr, true)
 }
 
-// GreedyApps is Greedy for any set of applications on platform pl, in
-// core.RelaxedApps' layout: application a has origin C^origins[a] and
-// payoff payoffs[a], and the returned allocation has one α row per
-// application. The applications of one origin share its routes'
-// budgets, and each remote step opens a connection of its own: spare
-// capacity on one opened earlier never helps (DESIGN.md "Heuristics
-// (§5)"). The caller validates, as for core.RelaxedApps.
-func GreedyApps(pl *platform.Platform, origins []int, payoffs []float64) *core.Allocation {
-	K := pl.K()
-	alloc := &core.Allocation{Alpha: make([][]float64, len(origins)), Beta: make([][]int, K)}
-	for a := range alloc.Alpha {
-		alloc.Alpha[a] = make([]float64, K)
-	}
-	for k := range alloc.Beta {
-		alloc.Beta[k] = make([]int, K)
-	}
-	greedyFill(pl, origins, payoffs, platform.NewResidual(pl), alloc, false)
-	return alloc
-}
-
 func greedy(pr *core.Problem, fullDrain bool) *core.Allocation {
 	alloc := core.NewAllocation(pr.K())
 	greedyFill(pr.Platform, nil, pr.Payoffs, platform.NewResidual(pr.Platform), alloc, fullDrain)
@@ -70,9 +50,10 @@ func greedy(pr *core.Problem, fullDrain bool) *core.Allocation {
 // greedyFill applies the §5.1 greedy loop on top of an existing
 // allocation and residual platform state: application a, of payoff
 // payoffs[a], has origin C^origins[a], or C^a when origins is nil (the
-// paper's one application per cluster). It is shared between G and
-// GreedyApps (fresh state) and LPRG (state left over after LP
-// rounding).
+// paper's one application per cluster). It is shared between G (fresh
+// state) and LPRG (state left over after LP rounding); origins lets the
+// tests run §3.1's several applications per origin through the same
+// loop.
 func greedyFill(pl *platform.Platform, origins []int, payoffs []float64, res *platform.Residual, alloc *core.Allocation, fullDrain bool) {
 	K, A := pl.K(), len(payoffs)
 	live := make([]bool, A)

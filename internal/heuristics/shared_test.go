@@ -81,7 +81,7 @@ func TestHeuristicsLeaveSharedOptimumUnwritten(t *testing.T) {
 						t.Fatalf("seed %d %v %s run %d: %v", seed, obj, name, n, err)
 					}
 					if name == "lprg" {
-						if _, _, ok := m.Moved(); !ok {
+						if _, ok := m.Diff(); !ok {
 							t.Fatalf("seed %d %v: LPRG's solve from the frozen state was not told as a diff", seed, obj)
 						}
 						shared++

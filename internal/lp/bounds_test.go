@@ -42,37 +42,37 @@ func rowEncoded(p *Problem) *Problem {
 func checkAgainstRowEncoding(t *testing.T, p *Problem, seed int64, label string) {
 	t.Helper()
 	q := rowEncoded(p)
-	ref, err := q.SolveWith(lptest.DenseSolver{})
+	ref, err := lptest.DenseSolver{}.Solve(q)
 	if err != nil {
 		t.Fatalf("%s seed %d: row-encoded dense: %v", label, seed, err)
 	}
-	refRev, err := q.SolveWith(RevisedSolver{})
+	refRev, err := q.Solve()
 	if err != nil {
 		t.Fatalf("%s seed %d: row-encoded revised: %v", label, seed, err)
 	}
 	if ref.Status != refRev.Status {
 		t.Fatalf("%s seed %d: row-encoded dense %v, revised %v", label, seed, ref.Status, refRev.Status)
 	}
-	for _, s := range []Solver{lptest.DenseSolver{}, RevisedSolver{}} {
-		sol, err := p.SolveWith(s)
+	for _, s := range solvers {
+		sol, err := s.solve(p)
 		if err != nil {
-			t.Fatalf("%s seed %d: native %T: %v", label, seed, s, err)
+			t.Fatalf("%s seed %d: native %s: %v", label, seed, s.name, err)
 		}
 		if sol.Status != ref.Status {
-			t.Fatalf("%s seed %d: native %T %v, row-encoded %v", label, seed, s, sol.Status, ref.Status)
+			t.Fatalf("%s seed %d: native %s %v, row-encoded %v", label, seed, s.name, sol.Status, ref.Status)
 		}
 		if sol.Status != Optimal {
 			continue
 		}
 		if math.Abs(sol.Objective-ref.Objective) > ObjTol(ref.Objective) {
-			t.Fatalf("%s seed %d: native %T obj %.12g, row-encoded obj %.12g (Δ=%g)",
-				label, seed, s, sol.Objective, ref.Objective, math.Abs(sol.Objective-ref.Objective))
+			t.Fatalf("%s seed %d: native %s obj %.12g, row-encoded obj %.12g (Δ=%g)",
+				label, seed, s.name, sol.Objective, ref.Objective, math.Abs(sol.Objective-ref.Objective))
 		}
 		for j := 0; j < p.NumVars(); j++ {
 			lb, ub := p.VarBounds(j)
 			if sol.X[j] < lb-1e-7 || sol.X[j] > ub+1e-7 {
-				t.Fatalf("%s seed %d: native %T x[%d] = %g outside [%g, %g]",
-					label, seed, s, j, sol.X[j], lb, ub)
+				t.Fatalf("%s seed %d: native %s x[%d] = %g outside [%g, %g]",
+					label, seed, s.name, j, sol.X[j], lb, ub)
 			}
 		}
 	}
@@ -134,7 +134,7 @@ func TestWarmMatchesColdAfterBoundChange(t *testing.T) {
 				t.Fatalf("seed %d step %d: warm: %v", seed, step, err)
 			}
 			basis = r.Basis()
-			cold, err := rowEncoded(p).SolveWith(lptest.DenseSolver{})
+			cold, err := lptest.DenseSolver{}.Solve(rowEncoded(p))
 			if err != nil {
 				t.Fatalf("seed %d step %d: row-encoded dense: %v", seed, step, err)
 			}

@@ -19,11 +19,11 @@
 // sparse column form (sparse.go), maintains a factorized basis
 // representation, and prices columns with sparse dot products.
 // Equality and >= constraints are supported through a classical
-// phase-1 scheme with artificial variables. RevisedSolver wraps one
-// cold solve of it behind the Solver interface — the seam through
-// which the test suites run the same Problem through the independent
-// dense-tableau oracle in lptest (a test-support package nothing on
-// the serving path imports).
+// phase-1 scheme with artificial variables. The test suites check it
+// against an independent dense-tableau oracle, lptest.DenseSolver (a
+// test-support package nothing on the serving path imports), which
+// reads the same Problem through NumVars, NumConstraints, VarBounds,
+// Objective and Constraint.
 //
 // # Factorized basis
 //
@@ -68,8 +68,7 @@
 // are built on.
 //
 // Problem.Solve runs one cold revised-simplex solve on a throwaway
-// instance; Problem.SolveWith runs the problem through an explicit
-// Solver.
+// instance.
 //
 // # Warm starts
 //
@@ -425,7 +424,7 @@ func (p *Problem) Objective(j int) float64 {
 
 // Constraint returns constraint row i as AddConstraint received it
 // (with its current right-hand side). The terms are a copy. Together
-// with VarBounds and Objective this lets a Solver outside the package
+// with VarBounds and Objective this lets a solver outside the package
 // — the lptest oracle — read the whole program.
 func (p *Problem) Constraint(i int) (terms []Term, rel Rel, rhs float64) {
 	p.checkRow(i)
@@ -457,6 +456,13 @@ type Solution struct {
 	X         []float64 // values of the structural variables (nil unless Optimal)
 	Objective float64   // c·X (0 unless Optimal)
 }
+
+// Solve runs one cold revised-simplex solve of the problem on an
+// instance it then throws away, so the returned Solution.X is the
+// caller's. It returns an error only on ErrIterationLimit; model
+// properties (infeasible/unbounded) are reported through
+// Solution.Status.
+func (p *Problem) Solve() (Solution, error) { return NewRevised(p).SolveFrom(nil) }
 
 const (
 	eps = 1e-9 // pivot/feasibility tolerance

@@ -1,9 +1,9 @@
 // Package lptest holds the independent reference LP solver the test
 // suites check the production revised simplex (lp.Revised) against: a
 // two-phase primal simplex on a dense tableau that shares no code with
-// it. It is test support — reached through the lp.Solver seam
-// (Problem.SolveWith, core.Model.SolveWith) — and must not be imported
-// by non-test code.
+// it. It is test support — tests call DenseSolver{}.Solve on the
+// Problem they hand lp.Revised — and must not be imported by non-test
+// code.
 package lptest
 
 import (
@@ -18,7 +18,7 @@ import (
 // on every call.
 type DenseSolver struct{}
 
-// Solve implements lp.Solver.
+// Solve solves p from scratch; p is only read.
 func (DenseSolver) Solve(p *lp.Problem) (lp.Solution, error) { return solveDense(p) }
 
 const (

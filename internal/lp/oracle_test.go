@@ -10,6 +10,13 @@ import (
 	"repro/internal/lp/lptest"
 )
 
+// solvers are the two backends a Problem runs through: the production
+// revised simplex, cold, and the lptest dense-tableau oracle.
+var solvers = []struct {
+	name  string
+	solve func(*Problem) (Solution, error)
+}{{"revised", (*Problem).Solve}, {"dense", lptest.DenseSolver{}.Solve}}
+
 // checkOracle solves p with the lptest dense-tableau oracle and
 // requires got — a Revised answer for the same p — to reach the same
 // verdict and, when optimal, the same objective to 1e-9.
@@ -22,7 +29,7 @@ func checkOracle(t *testing.T, p *Problem, got Solution, label string) {
 // gives for the oracle's optimum.
 func checkOracleWithin(t *testing.T, p *Problem, got Solution, label string, tol func(want Solution) float64) {
 	t.Helper()
-	want, err := p.SolveWith(lptest.DenseSolver{})
+	want, err := lptest.DenseSolver{}.Solve(p)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", label, err)
 	}
@@ -231,23 +238,23 @@ func TestKnownAnswers(t *testing.T) {
 		}, Infeasible, 0, nil},
 	}
 	for _, tc := range cases {
-		for _, s := range []Solver{RevisedSolver{}, lptest.DenseSolver{}} {
-			sol, err := tc.build().SolveWith(s)
+		for _, s := range solvers {
+			sol, err := s.solve(tc.build())
 			if err != nil {
-				t.Fatalf("%s: %T: %v", tc.name, s, err)
+				t.Fatalf("%s: %s: %v", tc.name, s.name, err)
 			}
 			if sol.Status != tc.status {
-				t.Fatalf("%s: %T: status %v, want %v", tc.name, s, sol.Status, tc.status)
+				t.Fatalf("%s: %s: status %v, want %v", tc.name, s.name, sol.Status, tc.status)
 			}
 			if sol.Status != Optimal {
 				continue
 			}
 			if !Approx(sol.Objective, tc.obj, 1e-9) {
-				t.Fatalf("%s: %T: objective %g, want %g", tc.name, s, sol.Objective, tc.obj)
+				t.Fatalf("%s: %s: objective %g, want %g", tc.name, s.name, sol.Objective, tc.obj)
 			}
 			for j, want := range tc.x {
 				if !Approx(sol.X[j], want, 1e-9) {
-					t.Fatalf("%s: %T: x[%d] = %g, want %g", tc.name, s, j, sol.X[j], want)
+					t.Fatalf("%s: %s: x[%d] = %g, want %g", tc.name, s.name, j, sol.X[j], want)
 				}
 			}
 		}

@@ -11,7 +11,7 @@ import (
 
 func crossCheck(t *testing.T, p *Problem, seed int64, label string) {
 	t.Helper()
-	rs, err := p.SolveWith(RevisedSolver{})
+	rs, err := p.Solve()
 	if err != nil {
 		t.Fatalf("%s seed %d: revised: %v", label, seed, err)
 	}
@@ -59,7 +59,7 @@ func TestWarmMatchesColdAfterRHSChange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: warm: %v", seed, err)
 		}
-		cold, err := p.SolveWith(RevisedSolver{})
+		cold, err := p.Solve()
 		if err != nil {
 			t.Fatalf("seed %d: fresh cold: %v", seed, err)
 		}

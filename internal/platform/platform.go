@@ -116,12 +116,17 @@ func (p *Platform) Validate() error {
 // untrusted platform descriptions: self-loop links and duplicate
 // links between the same router pair are rejected (an uploaded
 // description has no business encoding either; hand-built multigraph
-// constructions use Validate directly). Decode — the boundary where
-// uploaded JSON enters — applies this, so services consuming decoded
-// platforms can rely on it.
+// constructions use Validate directly), and so is a router count above
+// what the clusters and link endpoints can touch — routing allocates
+// per router, so a short description must not name billions of them.
+// Decode — the boundary where uploaded JSON enters — applies this, so
+// services consuming decoded platforms can rely on it.
 func (p *Platform) ValidateStrict() error {
 	if err := p.Validate(); err != nil {
 		return err
+	}
+	if touched := len(p.Clusters) + 2*len(p.Links); p.Routers > touched {
+		return fmt.Errorf("platform: %d routers, but the clusters and links touch at most %d", p.Routers, touched)
 	}
 	seen := make(map[[2]int]int, len(p.Links))
 	for i, l := range p.Links {

@@ -273,6 +273,9 @@ func TestDecodeRejectsUntrusted(t *testing.T) {
 		{"negative max-connect",
 			`{"routers":2,"links":[{"u":0,"v":1,"bw":10,"maxConnect":-4}],"clusters":[]}`,
 			"max-connect"},
+		{"more routers than the clusters and links touch",
+			`{"routers":2000000000,"clusters":[{"name":"a","speed":5,"gateway":1,"router":0}]}`,
+			"routers"},
 		{"max-connect above the ceiling",
 			`{"routers":2,"links":[{"u":0,"v":1,"bw":10,"maxConnect":4611686018427387904}],"clusters":[]}`,
 			"above the ceiling"},

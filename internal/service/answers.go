@@ -189,15 +189,6 @@ func (t *answerTable) rotate(epoch int) {
 	t.flushLocked()
 }
 
-// flush drops every resolved answer; the hit/miss counters survive
-// (they feed monotone /stats aggregates). Tests use it to reach the
-// uncached solve path.
-func (t *answerTable) flush() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.flushLocked()
-}
-
 func (t *answerTable) flushLocked() {
 	for t.order.Len() > 0 {
 		t.dropLocked(t.order.Front().Value.(*answer))

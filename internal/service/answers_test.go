@@ -10,6 +10,15 @@ import (
 	"repro/internal/core"
 )
 
+// flush drops every resolved answer; the hit/miss counters survive
+// (they feed monotone /stats aggregates). Tests use it to reach the
+// uncached solve path.
+func (t *answerTable) flush() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.flushLocked()
+}
+
 // TestAnswerTable pins the table's contract row by row, each on a fresh
 // table: what a lookup or claim returns, and — checked after every row
 // — the hit/miss counters (every lookup that is not a hit is one miss,

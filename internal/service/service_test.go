@@ -24,6 +24,12 @@ import (
 
 const tol = 1e-9
 
+// Epoch is an untagged commit (EpochIdempotent with no commitID), as
+// the tests issue it.
+func (s *Session) Epoch(req *EpochRequest) (*SolveReport, error) {
+	return s.EpochIdempotent(req, "")
+}
+
 // testPlatform generates a reproducible random platform.
 func testPlatform(t testing.TB, k int, seed int64) *platform.Platform {
 	t.Helper()

@@ -710,24 +710,21 @@ func mustRestore(err error) {
 	}
 }
 
-// Epoch commits a capacity update: the perturbation factors apply to
-// the session's current platform (drift accumulates), the new
+// EpochIdempotent commits a capacity update: the perturbation factors
+// apply to the session's current platform (drift accumulates), the new
 // capacities are injected into the model as RHS/bound mutations, and
 // the answer re-solves warm from the carried basis. The commit
 // advances the epoch the answer table is keyed on and invalidates the
 // previous state's cached answers — a post-commit query can only ever
 // see a post-commit answer — and runs the commit hook (snapshot
 // persistence) outside the session mutex.
-func (s *Session) Epoch(req *EpochRequest) (*SolveReport, error) {
-	return s.EpochIdempotent(req, "")
-}
-
-// EpochIdempotent is Epoch with an idempotency tag: a non-empty
-// commitID matching a recently applied one returns the recorded
-// report without touching the model, so the cluster router can retry
-// a commit whose response was lost without ever double-applying its
-// perturbation — even when other clients' commits landed in between.
-// An empty commitID is a plain (untagged) commit.
+//
+// A non-empty commitID is an idempotency tag: one matching a recently
+// applied commit returns the recorded report without touching the
+// model, so the cluster router can retry a commit whose response was
+// lost without ever double-applying its perturbation — even when other
+// clients' commits landed in between. An empty commitID is a plain
+// (untagged) commit.
 func (s *Session) EpochIdempotent(req *EpochRequest, commitID string) (*SolveReport, error) {
 	s.mu.Lock()
 	if commitID != "" {

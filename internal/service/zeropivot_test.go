@@ -124,17 +124,13 @@ func pinnedMutation(pl *platform.Platform, routes [][2]int, kind int, rng *rand.
 	return q
 }
 
-// spliceCost is what a relaxed what-if's answer cost above the solver's
-// pivots: the basis rows the solver refiled and the X entries it wrote
-// (through core.Model.Moved) and the table cells the encoder wrote anew.
-type spliceCost struct{ rows, cols, cells int }
-
 // splicedAnswer is what askSpliced saw: whether the answer was told as a
-// diff (spliced), whether its solve pivoted or flipped a bound, and
-// whether it refactorized or fell back cold.
+// diff (spliced), whether its solve pivoted or flipped a bound, whether
+// it refactorized or fell back cold, and how many table cells the
+// encoder wrote anew.
 type splicedAnswer struct {
-	cost                      spliceCost
 	spliced, pivoted, rebuilt bool
+	cells                     int
 }
 
 // askSpliced answers q afresh and holds its body, as the server writes
@@ -173,7 +169,7 @@ func askSpliced(t *testing.T, s *Session, q WhatIfRequest) splicedAnswer {
 	if compact, err := json.Marshal(whole); err != nil || !bytes.Equal(marshalReport(rep), compact) {
 		t.Fatalf("%+v: a spliced report's compact bytes differ from json.Marshal's (%v)", q, err)
 	}
-	rows, cols, moved := s.model.Moved()
+	_, moved := s.model.Diff()
 	a := splicedAnswer{
 		spliced: rep.diff != nil,
 		pivoted: after.Pivots != before.Pivots || after.BoundFlips != before.BoundFlips,
@@ -183,7 +179,7 @@ func askSpliced(t *testing.T, s *Session, q WhatIfRequest) splicedAnswer {
 		t.Fatalf("%+v: spliced %v, but the model says moved %v", q, a.spliced, moved)
 	}
 	if a.spliced {
-		a.cost = spliceCost{rows, cols, len(rep.diff.Cells)}
+		a.cells = len(rep.diff.Cells)
 	}
 	return a
 }
@@ -196,10 +192,10 @@ func askSpliced(t *testing.T, s *Session, q WhatIfRequest) splicedAnswer {
 // answer plus its moved cells, and every body the server writes, spliced
 // or not, is byte for byte the one-pass encoder's for the tables written
 // out whole. A gateway what-if on a cluster whose gateway row has a basic
-// slack (its answer keeps every cell) refiles one basis row, writes no X
-// entry and encodes no table cell anew — the same counts at both sizes.
+// slack (its answer keeps every cell) takes no pivot and encodes no table
+// cell anew, at both sizes; core's TestBasicSlackGatewayRaiseMovesOneRow
+// holds that its solve refiles one basis row and writes no X entry.
 func TestZeroPivotWhatIfCostsWhatMoved(t *testing.T) {
-	costs := map[int]spliceCost{}
 	for _, k := range []int{10, 40} {
 		s, ops := pinnedWhatIfMix(t, k, 200)
 		spliced, pivoted, moved, rebuilt := 0, 0, 0, 0
@@ -218,7 +214,7 @@ func TestZeroPivotWhatIfCostsWhatMoved(t *testing.T) {
 			if a.pivoted {
 				pivoted++
 			}
-			if a.cost.cells > 0 {
+			if a.cells > 0 {
 				moved++
 			}
 		}
@@ -230,8 +226,8 @@ func TestZeroPivotWhatIfCostsWhatMoved(t *testing.T) {
 			g := s.pl.Clusters[c].Gateway
 			for _, scale := range []float64{1.25, 1.5, 2} {
 				a := askSpliced(t, s, WhatIfRequest{Relax: true, Gateways: []ClusterValue{{Cluster: c, Value: g * scale}}})
-				if a.spliced && !a.pivoted && a.cost.cols == 0 && a.cost.cells == 0 {
-					costs[k], found = a.cost, true
+				if a.spliced && !a.pivoted && a.cells == 0 {
+					found = true
 					break
 				}
 			}
@@ -239,11 +235,8 @@ func TestZeroPivotWhatIfCostsWhatMoved(t *testing.T) {
 		if !found {
 			t.Fatalf("K=%d: no gateway what-if left every cell in place", k)
 		}
-		t.Logf("K=%d: %d of %d pinned what-ifs spliced (%d after pivots, %d with moved cells), %d refactorized or fell back; a basic-slack gateway what-if refiles %d rows, writes %d X entries, encodes %d cells",
-			k, spliced, len(ops), pivoted, moved, rebuilt, costs[k].rows, costs[k].cols, costs[k].cells)
-	}
-	if costs[10] != costs[40] || costs[40] != (spliceCost{rows: 1}) {
-		t.Fatalf("a basic-slack gateway what-if costs %+v at K=10 and %+v at K=40, want one row refiled at both", costs[10], costs[40])
+		t.Logf("K=%d: %d of %d pinned what-ifs spliced (%d after pivots, %d with moved cells), %d refactorized or fell back",
+			k, spliced, len(ops), pivoted, moved, rebuilt)
 	}
 }
 
@@ -401,7 +394,7 @@ func TestSharedDiffServesEveryReader(t *testing.T) {
 	var q WhatIfRequest
 	found := false
 	for _, op := range ops {
-		if a := askSpliced(t, s, op); a.spliced && a.pivoted && a.cost.cells > 0 {
+		if a := askSpliced(t, s, op); a.spliced && a.pivoted && a.cells > 0 {
 			q, found = op, true
 			break
 		}

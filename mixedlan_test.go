@@ -4,8 +4,9 @@
 // the ISSUE 2 regression scenario. Every solver layer must handle
 // these routes without ±Inf reaching the LP layer: the rational
 // relaxations, all paper heuristics, the exact branch-and-bound
-// solver, the §3.2 schedule reconstruction, the multi-application
-// extension and the §1 adaptability loop.
+// solver, the §3.2 schedule reconstruction and the §1 adaptability
+// loop. The §3.1 multi-application extension's run over this platform
+// is heuristics' TestMixedLANMultiApp.
 package repro
 
 import (
@@ -16,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/heuristics"
 	"repro/internal/lp"
-	"repro/internal/multiapp"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
@@ -69,25 +69,6 @@ func TestMixedLANFullStack(t *testing.T) {
 	}
 	if _, err := schedule.Build(pr, res.Alloc, 1000); err != nil {
 		t.Errorf("schedule.Build: %v", err)
-	}
-}
-
-func TestMixedLANMultiApp(t *testing.T) {
-	pl := mixedLANPlatform(t)
-	mpr := &multiapp.Problem{Platform: pl, Apps: []multiapp.App{
-		{Name: "x", Origin: 0, Payoff: 1},
-		{Name: "y", Origin: 1, Payoff: 2},
-		{Name: "z", Origin: 2, Payoff: 1},
-	}}
-	if _, err := mpr.Relaxed(core.SUM); err != nil {
-		t.Errorf("multiapp.Relaxed: %v", err)
-	}
-	al, err := mpr.Greedy()
-	if err != nil {
-		t.Fatalf("multiapp.Greedy: %v", err)
-	}
-	if err := mpr.CheckAllocation(al, core.DefaultTol); err != nil {
-		t.Errorf("multiapp greedy allocation invalid: %v", err)
 	}
 }
 
