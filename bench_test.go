@@ -241,7 +241,7 @@ func BenchmarkE8_ScheduleSimulate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := netsim.ExecuteSchedule(pr, s, 50, true)
+		rep, err := netsim.ExecuteSchedule(pr, s, 50)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -143,7 +143,7 @@ func run() error {
 	if !*doSim {
 		return nil
 	}
-	sim, err := netsim.ExecuteSchedule(pr, s, *periods, true)
+	sim, err := netsim.ExecuteSchedule(pr, s, *periods)
 	if err != nil {
 		return err
 	}

@@ -78,7 +78,7 @@ func main() {
 	}
 
 	// ... and execute it on the simulated network.
-	rep, err := netsim.ExecuteSchedule(pr, s, 200, true)
+	rep, err := netsim.ExecuteSchedule(pr, s, 200)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,6 @@ var uncalledExports = map[string]string{
 // call, so a test is its caller. Every function in them is a root.
 var exemptExportDirs = map[string]bool{
 	"internal/lp/lptest": true,
-	"internal/chaos":     true,
 }
 
 // TestEveryExportHasACaller: every function and method declared in a

@@ -55,8 +55,8 @@ type PeerView struct {
 }
 
 // MembershipConfig tunes the failure detector. The defaults suit
-// LAN-scale heartbeats (500ms probes); tests and the chaos harness
-// compress them to tens of milliseconds.
+// LAN-scale heartbeats (500ms probes); tests compress them to tens of
+// milliseconds.
 type MembershipConfig struct {
 	// SuspectAfter is how long a peer may go without a direct ack
 	// before it turns suspect.

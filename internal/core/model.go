@@ -44,8 +44,7 @@ import (
 // returns to its committed state by injecting the committed platform
 // again and calling ResetBounds.
 type Model struct {
-	pr  *Problem
-	obj Objective
+	pr *Problem
 
 	prob *lp.Problem
 	rev  *lp.Revised
@@ -109,7 +108,7 @@ func (pr *Problem) NewModel(obj Objective) (*Model, error) {
 	}
 	pl := pr.Platform
 	lay := pr.alphaLayout()
-	m := &Model{pr: pr, obj: obj, alphaVars: lay.vars, betaOrd: make(map[Pair]int)}
+	m := &Model{pr: pr, alphaVars: lay.vars, betaOrd: make(map[Pair]int)}
 
 	// Columns: α by the shared layout, then one β per route that
 	// crosses a backbone link (local and same-router routes open no

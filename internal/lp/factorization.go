@@ -21,11 +21,11 @@ type Factorization struct {
 	slackOfRow []int
 	slackCoef  []float64
 
-	nstruct, nslack, m int
-	ncols, artStart    int
-	c                  []float64 // phase-2 costs (structural prefix of column space)
-	costCols           []int32   // the structural columns with c_j != 0, ascending
-	costScale          float64
+	nstruct, m      int
+	ncols, artStart int
+	c               []float64 // phase-2 costs (structural prefix of column space)
+	costCols        []int32   // the structural columns with c_j != 0, ascending
+	costScale       float64
 
 	// rowCols is the row-wise (CSR) view of the structural+slack
 	// column space: the columns with a nonzero in each constraint
@@ -47,7 +47,6 @@ func newFactorization(p *Problem) *Factorization {
 	fz := &Factorization{}
 	fz.sp, fz.slackOfRow, fz.slackCoef = newSparseCols(p)
 	fz.nstruct = p.nvars
-	fz.nslack = fz.sp.n - p.nvars
 	fz.m = len(p.rows)
 	fz.artStart = fz.sp.n
 	fz.ncols = fz.sp.n + fz.m

@@ -281,7 +281,6 @@ func simulate(flows []Flow, start []float64, rates func([]Flow) ([]float64, erro
 // simulated network (see ExecuteSchedule).
 type Report struct {
 	Periods          int
-	Paced            bool
 	TransferMakespan float64   // makespan of one period's transfer phase
 	ComputeTime      []float64 // per-cluster busy time within one period
 	CycleTime        float64   // effective period: max(transfer makespan, compute times)
@@ -297,17 +296,17 @@ type Report struct {
 // resources), so the effective cycle length is the maximum of the
 // transfer makespan and the per-cluster compute times.
 //
-// With paced=true every flow is rate-limited to its steady-state rate
-// size/T_p — the scheduler shaping of §3.2 — and the phase provably
-// fits in the period. With paced=false flows grab their max-min fair
-// share (greedy TCP behaviour); work conservation usually finishes
-// the phase early, but adversarial mixes can exceed T_p, which is
-// precisely why the reconstruction prescribes pacing.
+// Every flow is rate-limited to its steady-state rate size/T_p — the
+// scheduler shaping of §3.2 — so the phase provably fits in the
+// period. Flows left to their max-min fair share (greedy TCP
+// behaviour) usually finish the phase early, but adversarial mixes can
+// exceed T_p, which is precisely why the reconstruction prescribes
+// pacing.
 //
 // Achieved throughputs are measured over `periods` cycles including
 // the empty first one, so Achieved → Predicted·T_p/CycleTime as the
 // horizon grows.
-func ExecuteSchedule(pr *core.Problem, s *schedule.Schedule, periods int, paced bool) (*Report, error) {
+func ExecuteSchedule(pr *core.Problem, s *schedule.Schedule, periods int) (*Report, error) {
 	if periods < 2 {
 		return nil, fmt.Errorf("netsim: need >= 2 periods, got %d", periods)
 	}
@@ -328,16 +327,12 @@ func ExecuteSchedule(pr *core.Problem, s *schedule.Schedule, periods int, paced 
 			if !math.IsInf(bw, 1) {
 				cp = float64(s.Beta[k][l]) * bw
 			}
-			limit := math.Inf(1)
-			if paced {
-				limit = float64(s.Transfer[k][l]) / s.Period
-			}
-			flows = append(flows, Flow{Src: k, Dst: l, Size: float64(s.Transfer[k][l]), Cap: cp, Limit: limit, Conns: s.Beta[k][l]})
+			size := float64(s.Transfer[k][l])
+			flows = append(flows, Flow{Src: k, Dst: l, Size: size, Cap: cp, Limit: size / s.Period, Conns: s.Beta[k][l]})
 		}
 	}
 	rep := &Report{
 		Periods:     periods,
-		Paced:       paced,
 		ComputeTime: make([]float64, K),
 		Predicted:   make([]float64, K),
 		Achieved:    make([]float64, K),

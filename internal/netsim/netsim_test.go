@@ -292,7 +292,7 @@ func buildScheduleFor(t *testing.T, seed int64, maxK int) (*core.Problem, *sched
 func TestExecuteSchedulePacedFits(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		pr, s := buildScheduleFor(t, seed, 8)
-		rep, err := ExecuteSchedule(pr, s, 50, true)
+		rep, err := ExecuteSchedule(pr, s, 50)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -318,7 +318,7 @@ func TestExecuteSchedulePacedFits(t *testing.T) {
 func TestScheduleAchievesThroughput(t *testing.T) {
 	pr, s := buildScheduleFor(t, 42, 10)
 	const periods = 200
-	rep, err := ExecuteSchedule(pr, s, periods, true)
+	rep, err := ExecuteSchedule(pr, s, periods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,28 +330,9 @@ func TestScheduleAchievesThroughput(t *testing.T) {
 	}
 }
 
-func TestExecuteScheduleUnpacedReport(t *testing.T) {
-	pr, s := buildScheduleFor(t, 3, 6)
-	rep, err := ExecuteSchedule(pr, s, 20, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Paced {
-		t.Fatal("report should be unpaced")
-	}
-	if rep.CycleTime < s.Period {
-		t.Fatalf("cycle %g below period %g", rep.CycleTime, s.Period)
-	}
-	for k := 0; k < pr.K(); k++ {
-		if rep.Achieved[k] > rep.Predicted[k]+1e-9 {
-			t.Fatalf("app %d achieved %g > predicted %g", k, rep.Achieved[k], rep.Predicted[k])
-		}
-	}
-}
-
 func TestExecuteScheduleArgValidation(t *testing.T) {
 	pr, s := buildScheduleFor(t, 1, 5)
-	if _, err := ExecuteSchedule(pr, s, 1, true); err == nil {
+	if _, err := ExecuteSchedule(pr, s, 1); err == nil {
 		t.Fatal("periods < 2 must error")
 	}
 }
@@ -387,7 +368,7 @@ func BenchmarkExecuteSchedule(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ExecuteSchedule(pr, s, 20, true); err != nil {
+		if _, err := ExecuteSchedule(pr, s, 20); err != nil {
 			b.Fatal(err)
 		}
 	}

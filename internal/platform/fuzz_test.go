@@ -12,9 +12,10 @@ import (
 
 // FuzzPlatformDecode holds platform.Decode, where uploaded platforms
 // enter (POST /sessions, snapshot restore), to its contract on any
-// bytes: it never panics; what it accepts passes ValidateStrict, has a
-// route for every pair of clusters, and decodes from its own Encode to
-// an equal platform; what it refuses is an error and no platform.
+// bytes: it never panics; what it accepts passes ValidateStrict, is
+// within MaxClusters and MaxRouters, has a route for every pair of
+// clusters, and decodes from its own Encode to an equal platform; what
+// it refuses is an error and no platform.
 func FuzzPlatformDecode(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -47,6 +48,9 @@ func FuzzPlatformDecode(f *testing.F) {
 		}
 		if err := pl.ValidateStrict(); err != nil {
 			t.Fatalf("Decode accepted %q, which ValidateStrict refuses: %v", data, err)
+		}
+		if pl.K() > platform.MaxClusters || pl.Routers > platform.MaxRouters {
+			t.Fatalf("Decode accepted %d clusters and %d routers, past the bounds %d and %d", pl.K(), pl.Routers, platform.MaxClusters, platform.MaxRouters)
 		}
 		for k := 0; k < pl.K(); k++ {
 			for l := 0; l < pl.K(); l++ {

@@ -112,18 +112,34 @@ func (p *Platform) Validate() error {
 	return nil
 }
 
+// MaxClusters and MaxRouters bound what an untrusted description may
+// make a process build (ValidateStrict): routing allocates a K×K route
+// table and program (7) a column per route, so a description must not
+// name more than the paper's largest platforms (K = routers ≤ 95)
+// with room to spare. At the bounds the route table holds at most
+// 128² = 16 384 routes of at most 255 links each, so the link rows hold
+// at most 16 384 × 255 = 4 177 920 β nonzeros.
+const (
+	MaxClusters = 128
+	MaxRouters  = 256
+)
+
 // ValidateStrict is Validate plus the checks appropriate for
-// untrusted platform descriptions: self-loop links and duplicate
+// untrusted platform descriptions: more than MaxClusters clusters or
+// MaxRouters routers is refused, self-loop links and duplicate
 // links between the same router pair are rejected (an uploaded
 // description has no business encoding either; hand-built multigraph
 // constructions use Validate directly), and so is a router count above
 // what the clusters and link endpoints can touch — routing allocates
-// per router, so a short description must not name billions of them.
+// per router, so a router nothing touches costs without serving.
 // Decode — the boundary where uploaded JSON enters — applies this, so
 // services consuming decoded platforms can rely on it.
 func (p *Platform) ValidateStrict() error {
 	if err := p.Validate(); err != nil {
 		return err
+	}
+	if p.K() > MaxClusters || p.Routers > MaxRouters {
+		return fmt.Errorf("platform: %d clusters and %d routers, at most %d and %d", p.K(), p.Routers, MaxClusters, MaxRouters)
 	}
 	if touched := len(p.Clusters) + 2*len(p.Links); p.Routers > touched {
 		return fmt.Errorf("platform: %d routers, but the clusters and links touch at most %d", p.Routers, touched)

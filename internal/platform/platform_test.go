@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -276,6 +277,8 @@ func TestDecodeRejectsUntrusted(t *testing.T) {
 		{"more routers than the clusters and links touch",
 			`{"routers":2000000000,"clusters":[{"name":"a","speed":5,"gateway":1,"router":0}]}`,
 			"routers"},
+		{"one cluster past MaxClusters", clustersJSON(MaxClusters + 1), "129 clusters"},
+		{"one router past MaxRouters", routerChainJSON(MaxRouters + 1), "257 routers"},
 		{"max-connect above the ceiling",
 			`{"routers":2,"links":[{"u":0,"v":1,"bw":10,"maxConnect":4611686018427387904}],"clusters":[]}`,
 			"above the ceiling"},
@@ -288,6 +291,35 @@ func TestDecodeRejectsUntrusted(t *testing.T) {
 			}
 		})
 	}
+}
+
+// clustersJSON is a description of k clusters on one router.
+func clustersJSON(k int) string {
+	var b strings.Builder
+	b.WriteString(`{"routers":1,"clusters":[`)
+	for i := 0; i < k; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"name":"c%d","speed":1,"gateway":1,"router":0}`, i)
+	}
+	b.WriteString(`]}`)
+	return b.String()
+}
+
+// routerChainJSON is a description of one cluster at each end of a
+// chain of r routers.
+func routerChainJSON(r int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, `{"routers":%d,"links":[`, r)
+	for i := 0; i+1 < r; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"u":%d,"v":%d,"bw":1,"maxConnect":1}`, i, i+1)
+	}
+	fmt.Fprintf(&b, `],"clusters":[{"name":"a","speed":1,"gateway":1,"router":0},{"name":"b","speed":1,"gateway":1,"router":%d}]}`, r-1)
+	return b.String()
 }
 
 func TestFingerprint(t *testing.T) {

@@ -12,10 +12,10 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/cluster"
 )
 
@@ -779,6 +779,46 @@ func TestCommitDedupDepth(t *testing.T) {
 	}
 }
 
+// faultTransport injects seeded faults into the requests it sends,
+// before they leave: while on, each request outside /cluster/ draws one
+// Float64 — below fail it fails unsent (a dial that never happened, so
+// any retry is safe), else below fail+delay it is sent after a second
+// draw's uniform delay in (0, maxDelay]. The same seed and the same
+// serial requests draw the same faults.
+type faultTransport struct {
+	fail, delay float64
+	maxDelay    time.Duration
+	on          atomic.Bool
+	faults      atomic.Int64
+
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+func (t *faultTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if !t.on.Load() || strings.HasPrefix(r.URL.Path, "/cluster/") {
+		return http.DefaultTransport.RoundTrip(r)
+	}
+	t.mu.Lock()
+	u, d := t.rng.Float64(), time.Duration(0)
+	if u >= t.fail && u < t.fail+t.delay {
+		d = time.Duration(1 + t.rng.Int63n(int64(t.maxDelay)))
+	}
+	t.mu.Unlock()
+	if u < t.fail {
+		t.faults.Add(1)
+		return nil, fmt.Errorf("injected pre-send failure for %s", r.URL)
+	}
+	if d > 0 {
+		select {
+		case <-time.After(d):
+		case <-r.Context().Done():
+			return nil, r.Context().Err()
+		}
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
 // e17Outcome is what one run (control or chaos) of the E17 workload
 // produces.
 type e17Outcome struct {
@@ -788,7 +828,7 @@ type e17Outcome struct {
 	trace []int
 	final map[string][2]float64 // session ID -> {Value, LPBound} after the last commit
 
-	faults                          int64 // injected drops + errors
+	faults                          int64 // injected pre-send failures
 	retries, promotions, warm, cold uint64
 	killed                          int // sessions the killed replica owned
 }
@@ -809,16 +849,7 @@ func e17Run(t *testing.T, chaotic bool) e17Outcome {
 	// failure detector's timing, not fault luck, drives membership.
 	// One transport for the whole ring is enough: the gates are
 	// invariants, not per-node fault counts.
-	tr := chaos.NewTransport(nil, chaos.Config{
-		Seed:      11,
-		DropProb:  0.08,
-		ErrorProb: 0.07,
-		DelayProb: 0.15,
-		MaxDelay:  3 * time.Millisecond,
-		Exempt: func(r *http.Request) bool {
-			return strings.HasPrefix(r.URL.Path, "/cluster/")
-		},
-	})
+	tr := &faultTransport{fail: 0.08 + 0.07, delay: 0.15, maxDelay: 3 * time.Millisecond, rng: rand.New(rand.NewSource(11))}
 	// Failure detection is compressed so the kill phase confirms the
 	// death inside the commit-retry window — but the dead window stays
 	// wide relative to scheduler/GC stalls on a loaded host: a false
@@ -832,9 +863,7 @@ func e17Run(t *testing.T, chaotic bool) e17Outcome {
 		DeadAfter:    time.Second,
 		Transport:    tr,
 	})
-	if chaotic {
-		tr.Enable()
-	}
+	tr.on.Store(chaotic)
 	post := func(via int, path string, body, out any, wantStatus int) {
 		t.Helper()
 		doJSON(t, servers[via].Client(), "POST", servers[via].URL+path, body, out, wantStatus)
@@ -881,7 +910,7 @@ func e17Run(t *testing.T, chaotic bool) e17Outcome {
 	// successor, promotion, warm answer.
 	survivor := 0
 	if chaotic {
-		tr.Disable()
+		tr.on.Store(false)
 		owner, _ := ringOwnerOf(t, nodes, sessions[0].ID)
 		survivor = (owner + 1) % ringSize
 		ring := nodes[owner].currentRing()
@@ -909,8 +938,7 @@ func e17Run(t *testing.T, chaotic bool) e17Outcome {
 		out.final[s.ID] = [2]float64{rep.Value, rep.LPBound}
 	}
 
-	st := tr.Stats()
-	out.faults = st.Dropped + st.Errored
+	out.faults = tr.faults.Load()
 	for _, n := range nodes {
 		out.retries += n.retries.Value()
 		out.promotions += n.promotions.Value()

@@ -38,15 +38,12 @@ type healthMessage struct {
 // one member propagates promotion everywhere within one probe round.
 func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
 	var msg healthMessage
-	if !decodeBody(w, r, &msg) {
+	if !readBody(w, r, func(b []byte) error { return decodeJSON(b, &msg) }) {
 		return
 	}
 	now := time.Now()
 	changed := n.membership.ObserveAck(msg.From, msg.Incarnation, now)
-	if n.membership.Merge(msg.Views, now) {
-		changed = true
-	}
-	if changed {
+	if n.membership.Merge(msg.Views, now) || changed {
 		n.syncRing()
 	}
 	writeJSON(w, http.StatusOK, healthMessage{
@@ -96,10 +93,7 @@ func (n *Node) probe(peer string, timeout time.Duration) (bool, error) {
 	now := time.Now()
 	n.hbRTT.With(peerLabel(peer)).Set(now.Sub(sent).Seconds())
 	changed := n.membership.ObserveAck(peer, ans.Incarnation, now)
-	if n.membership.Merge(ans.Views, now) {
-		changed = true
-	}
-	return changed, nil
+	return n.membership.Merge(ans.Views, now) || changed, nil
 }
 
 // Start launches the failure-detection loop: every Heartbeat, probe

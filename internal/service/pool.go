@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/lp"
+	"repro/internal/platform"
 )
 
 // Pool is the LRU cache of warm sessions, keyed by session ID (a
@@ -72,18 +73,11 @@ func NewPool(capacity int) *Pool {
 	}
 }
 
-// GetOrCreate returns the warm session for the request's platform and
-// configuration, building it if absent. created reports whether this
-// call built it (false on a pool hit or when another in-flight create
-// was joined); when true, initial carries the creation solve's report
-// so the caller answers without a second solve. The platform JSON is
-// decoded and validated before anything is built.
-func (p *Pool) GetOrCreate(req *CreateSessionRequest) (sess *Session, initial *SolveReport, created bool, err error) {
-	pl, cfg, id, err := decodeCreate(req)
-	if err != nil {
-		return nil, nil, false, err
-	}
-
+// getOrCreate returns the warm session filed under id, building it
+// from pl and cfg, as decodeCreate returned them, if absent. created
+// reports whether this call built it; then initial carries the creation
+// solve's report, so the caller answers without a second solve.
+func (p *Pool) getOrCreate(pl *platform.Platform, cfg sessionConfig, id string) (sess *Session, initial *SolveReport, created bool, err error) {
 	p.mu.Lock()
 	if e, ok := p.entries[id]; ok {
 		p.hits++

@@ -404,7 +404,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // handleForget drops every trace of a deleted session.
 func (n *Node) handleForget(w http.ResponseWriter, r *http.Request) {
 	var msg forgetMessage
-	if !decodeBody(w, r, &msg) {
+	if !readBody(w, r, func(b []byte) error { return decodeJSON(b, &msg) }) {
 		return
 	}
 	if msg.ID == "" {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -93,7 +92,7 @@ type NodeConfig struct {
 	RetrySeed int64
 
 	// Transport overrides the HTTP transport for all outbound cluster
-	// traffic (the chaos harness injects here); nil uses a pooled
+	// traffic (fault-injection tests wrap it); nil uses a pooled
 	// transport tuned for a small mesh of long-lived peers.
 	Transport http.RoundTripper
 }
@@ -236,9 +235,11 @@ func classify(method, id, sub string, ok bool) opClass {
 	return opLocal // GET /sessions lists local sessions
 }
 
-// routed forwards session traffic to its ring owner (with retry and
-// successor failover); everything else — and everything this replica
-// owns or was explicitly forwarded — is served by the inner handler.
+// routed only decides and forwards (DESIGN.md "Routing"): session
+// traffic goes to its ring owner, with retry and successor failover;
+// everything else, and what this replica owns or was explicitly
+// forwarded, to inner, unread. A create routes on the ID its body
+// digests to, so it is read and decoded here, once, and served from that.
 func (n *Node) routed(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id, sub, ok := sessionPath(r.URL.Path)
@@ -266,45 +267,32 @@ func (n *Node) routed(inner http.Handler) http.Handler {
 			n.serveLocal(w, r, inner, class, id)
 			return
 		}
-		var body []byte
-		if r.Body != nil && r.Method != http.MethodGet && r.Method != http.MethodDelete {
-			// Buffer the body once: a create's key is computed from it,
-			// retries re-send it, and whoever serves the request reads
-			// the buffered copy.
-			var err error
-			if body, err = readBounded(nil, r.Body, r.ContentLength); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-				return
-			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			r.ContentLength = int64(len(body))
-		}
-		key := ringKey(class, id, body)
-		if key == "" {
-			inner.ServeHTTP(w, r) // let the service produce the error
+		if class != opCreate {
+			n.route(w, r, inner, class, id, id, nil)
 			return
 		}
-		n.route(w, r, inner, class, id, key, body)
+		var body []byte
+		if bufferBody(w, r, &body) {
+			if pl, cfg, key, ok := readCreate(w, r); ok {
+				create := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { n.srv.create(w, pl, cfg, key) })
+				n.route(w, r, create, class, id, key, body)
+			}
+		}
 	})
 }
 
-// ringKey is the key a session request routes on: the session ID from
-// the path, or, for a create, the ID the create will resolve to,
-// computed from its body exactly as the pool does. "" means an
-// undecodable create, which is served locally so the service produces
-// the error.
-func ringKey(class opClass, id string, body []byte) string {
-	if class != opCreate {
-		return id
+// bufferBody reads r's body for route's first send (a create's, to key
+// it), in one exactly-sized allocation when its length is declared, and
+// puts it back as r's body for a later serve here; 400 on failure.
+func bufferBody(w http.ResponseWriter, r *http.Request, body *[]byte) bool {
+	var err error
+	if *body, err = readBounded(nil, r.Body, r.ContentLength); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return false
 	}
-	var req CreateSessionRequest
-	if json.Unmarshal(body, &req) != nil {
-		return ""
-	}
-	if _, _, key, err := decodeCreate(&req); err == nil {
-		return key
-	}
-	return ""
+	r.Body = io.NopCloser(bytes.NewReader(*body))
+	r.ContentLength = int64(len(*body))
+	return true
 }
 
 // serveLocal serves the request from this replica: fence commits when
@@ -467,7 +455,6 @@ func next(v view, class opClass, a attempt, last outcome, now time.Time) (step, 
 // hung peer (cluster.Membership.Confirmation), plus one back-off step
 // in which the promoted owner is tried.
 func (n *Node) route(w http.ResponseWriter, r *http.Request, inner http.Handler, class opClass, id, key string, body []byte) {
-	n.forwarded.Add(1)
 	ti := requestTrace(r)
 	var a attempt
 	if n.started.Load() {
@@ -491,6 +478,9 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, inner http.Handler,
 		st, a = next(v, class, a, last, time.Now())
 		switch st.act {
 		case actServe:
+			if a.sends == 0 {
+				n.forwarded.Add(1)
+			}
 			n.serveLocal(w, r, inner, class, id)
 			return
 		case actRelay:
@@ -519,7 +509,13 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request, inner http.Handler,
 			}
 			continue
 		}
-		if a.sends > 1 {
+		switch {
+		case a.sends == 1:
+			if class != opCreate && !bufferBody(w, r, &body) {
+				return
+			}
+			n.forwarded.Add(1)
+		default:
 			n.retries.Add(1)
 			if st.failover {
 				n.failovers.Add(1)

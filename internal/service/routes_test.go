@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -61,9 +62,12 @@ func TestSessionPathRouteTable(t *testing.T) {
 		if got := endpointLabel(row.method, row.path); got != row.label {
 			t.Errorf("%s %s: endpoint label %q, want %q", row.method, row.path, got, row.label)
 		}
-		key := ""
-		if class != opLocal { // routed serves opLocal without asking for a key
-			key = ringKey(class, id, create)
+		key := "" // routed serves opLocal without asking for a key
+		switch class {
+		case opCreate: // the ID the create's body digests to
+			_, _, key, _ = readCreate(httptest.NewRecorder(), httptest.NewRequest(row.method, row.path, bytes.NewReader(create)))
+		case opRead, opCommit: // the ID in the path
+			key = id
 		}
 		want := row.key
 		if want == created {

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/heuristics"
 	"repro/internal/obs"
+	"repro/internal/platform"
 )
 
 // maxBodyBytes bounds uploaded request bodies (platform JSON included)
@@ -38,13 +39,13 @@ const maxBodyBytes = 16 << 20
 //	GET    /healthz                health probe: 200 ok, 503 when any condition is Degraded
 //	GET    /metrics                Prometheus text exposition
 //
-// The what-if, batch and epoch bodies are read whole and decoded in one
-// pass by the per-op decoder (decode.go), which accepts and decodes
-// exactly what encoding/json's strict decode does; the create body and
-// the cluster messages, rare and carrying platform JSON, stay on
-// encoding/json (decodeBody). Either way a body is one JSON value with
-// nothing after it but whitespace, and anything else is a 400
-// "decoding request: …".
+// Every JSON request body is read whole, bounded, by readBody. The
+// what-if, batch and epoch bodies are decoded in one pass by the per-op
+// decoder (decode.go), which accepts and decodes exactly what
+// encoding/json's strict decode does; the create body and the cluster
+// messages, rare and carrying platform JSON, by encoding/json
+// (decodeJSON). Either way a body is one JSON value with nothing after
+// it but whitespace, and anything else is a 400 "decoding request: …".
 //
 // SolveReport answers (query, what-if, epoch) and batch answers carry
 // Content-Length: the report encoder writes each body whole. A
@@ -174,24 +175,18 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// decodeBody strictly decodes a create body or a cluster message into
-// dst through encoding/json: one JSON value with no unknown fields, and
-// nothing after it but whitespace. The per-op bodies go through
-// readBody.
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeJSON decodes a create body or a cluster message strictly: one
+// JSON value with no unknown fields, and nothing after it but whitespace.
+func decodeJSON(b []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(dst)
-	if err == nil {
-		if _, more := dec.Token(); more != io.EOF {
-			err = errors.New("trailing data after the JSON value")
-		}
+	if err := dec.Decode(dst); err != nil {
+		return err
 	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
+	if _, more := dec.Token(); more != io.EOF {
+		return errors.New("trailing data after the JSON value")
 	}
-	return true
+	return nil
 }
 
 var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
@@ -266,11 +261,30 @@ func solveStatus(err error) int {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req CreateSessionRequest
-	if !decodeBody(w, r, &req) {
-		return
+	if pl, cfg, id, ok := readCreate(w, r); ok {
+		s.create(w, pl, cfg, id)
 	}
-	sess, rep, created, err := s.pool.GetOrCreate(&req)
+}
+
+// readCreate reads a create body through readBody and decodes what it
+// describes, answering a refusal itself: 400 "decoding request: …" for
+// a body that does not decode, decodeCreate's error for a bad request.
+func readCreate(w http.ResponseWriter, r *http.Request) (*platform.Platform, sessionConfig, string, bool) {
+	var req CreateSessionRequest
+	if !readBody(w, r, func(b []byte) error { return decodeJSON(b, &req) }) {
+		return nil, sessionConfig{}, "", false
+	}
+	pl, cfg, id, err := decodeCreate(&req)
+	if err != nil {
+		writeError(w, solveStatus(err), err)
+	}
+	return pl, cfg, id, err == nil
+}
+
+// create answers a decoded create: the session filed under id, built
+// from pl and cfg if absent.
+func (s *Server) create(w http.ResponseWriter, pl *platform.Platform, cfg sessionConfig, id string) {
+	sess, rep, created, err := s.pool.getOrCreate(pl, cfg, id)
 	if err != nil {
 		writeError(w, solveStatus(err), err)
 		return

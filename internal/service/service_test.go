@@ -185,6 +185,16 @@ func batchValue(t testing.TB, pl *platform.Platform, heur string, obj core.Objec
 	return pr.Objective(obj, alloc)
 }
 
+// GetOrCreate is POST /sessions without the HTTP: decodeCreate plus
+// the pool's decoded entry.
+func (p *Pool) GetOrCreate(req *CreateSessionRequest) (sess *Session, initial *SolveReport, created bool, err error) {
+	pl, cfg, id, err := decodeCreate(req)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return p.getOrCreate(pl, cfg, id)
+}
+
 func newTestServer(t testing.TB, capacity int) (*httptest.Server, *Pool) {
 	t.Helper()
 	pool := NewPool(capacity)
