@@ -25,7 +25,6 @@ import (
 // reached through it.
 var uncalledExports = map[string]string{
 	"lp.Problem.RHS":           "test accessor: tests read a row's right-hand side to perturb it",
-	"lp.Basis.Export":          "test accessor: tests keep a copy of a basis; the snapshot sealer reads View",
 	"lp.Revised.ResetStats":    "test accessor: tests zero the counters before measuring a solve",
 	"cluster.Ring.Has":         "test accessor: tests check which members a ring holds",
 	"cluster.Store.Dir":        "test accessor: tests read a node's snapshot files from its store's directory",

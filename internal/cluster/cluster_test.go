@@ -83,7 +83,7 @@ func testSnapshot() *SessionSnapshot {
 		Epoch:       3,
 		Platform:    json.RawMessage(`{"routers":1}`),
 	}
-	s.SetBasis([]int{4, 2, 9}, []bool{false, true, false, false, true, false})
+	s.SetBasis(6, []int32{4, 2, 9}, []int32{1, 4}, []float64{1, 0.5, 2.25})
 	return s
 }
 
@@ -93,18 +93,20 @@ func width(s *SessionSnapshot) int {
 	if s.basisSec != nil {
 		return int(binary.BigEndian.Uint32(s.basisSec))
 	}
-	return len(s.atUpper)
+	return s.ncols
 }
 
 // sameSnapshot reports whether a and b carry the same fields and the
-// same basis, whichever form each holds its basis in.
+// same basis and weights, whichever form each holds them in.
 func sameSnapshot(a, b *SessionSnapshot) bool {
-	ac, au, aerr := a.Basis(width(a))
-	bc, bu, berr := b.Basis(width(b))
+	ac, au, aw, aerr := a.Basis(width(a))
+	bc, bu, bw, berr := b.Basis(width(b))
 	x, y := *a, *b
-	x.cols, x.atUpper, x.basisSec = nil, nil, nil
-	y.cols, y.atUpper, y.basisSec = nil, nil, nil
-	return aerr == nil && berr == nil && reflect.DeepEqual(x, y) && reflect.DeepEqual(ac, bc) && reflect.DeepEqual(au, bu)
+	for _, s := range []*SessionSnapshot{&x, &y} {
+		s.ncols, s.cols, s.atUpper, s.weights, s.basisSec, s.wtsSec = 0, nil, nil, nil, nil, nil
+	}
+	return aerr == nil && berr == nil && reflect.DeepEqual(x, y) && reflect.DeepEqual(ac, bc) && reflect.DeepEqual(au, bu) &&
+		reflect.DeepEqual(aw, bw)
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -121,15 +123,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !sameSnapshot(got, s) {
 		t.Fatalf("fields lost:\n got %+v\nwant %+v", got, s)
 	}
-	cols, upper, err := got.Basis(6)
+	cols, upper, w, err := got.Basis(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cols, []int{4, 2, 9}) {
+	if !reflect.DeepEqual(cols, []int32{4, 2, 9}) {
 		t.Fatalf("basis cols %v", cols)
 	}
-	if !reflect.DeepEqual(upper, []bool{false, true, false, false, true, false}) {
+	if !reflect.DeepEqual(upper, []int32{1, 4}) {
 		t.Fatalf("basis upper %v", upper)
+	}
+	if !reflect.DeepEqual(w, []float64{1, 0.5, 2.25}) {
+		t.Fatalf("basis weights %v", w)
 	}
 	// The platform and the reports are handed over as the bytes that
 	// arrived — slices of the input, not copies, not re-renderings.
@@ -170,7 +175,7 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	for name, strip := range map[string]func(*SessionSnapshot){
 		"id":       func(s *SessionSnapshot) { s.ID = "" },
 		"platform": func(s *SessionSnapshot) { s.Platform = nil },
-		"basis":    func(s *SessionSnapshot) { s.SetBasis(nil, nil) },
+		"basis":    func(s *SessionSnapshot) { s.SetBasis(0, nil, nil, nil) },
 	} {
 		s := testSnapshot()
 		strip(s)

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func sealedSnapshot(t testing.TB) (*SessionSnapshot, []byte) {
 		Epoch:       7,
 		Platform:    json.RawMessage(`{"hosts":[{"name":"h0","compute":1.5}],"links":[]}`),
 	}
-	snap.SetBasis([]int{3, 1, 4, 1, 5}, []bool{false, true, false, false, true, false})
+	snap.SetBasis(6, []int32{3, 1, 4, 1, 5}, []int32{1, 4}, sealedWeights)
 	for i := 0; i < recordDepth; i++ {
 		snap.RecentCommits = append(snap.RecentCommits, CommitRecord{
 			ID:     fmt.Sprintf("commit-%02d", i),
@@ -49,6 +50,10 @@ func sealedSnapshot(t testing.TB) (*SessionSnapshot, []byte) {
 	}
 	return snap, data
 }
+
+// sealedWeights are the sealed snapshot's steepest-edge weights, one per
+// basic column.
+var sealedWeights = []float64{1, 2.5, 0.125, 3e-7, 1e6}
 
 // formatTwoDocument is a well-formed snapshot of the previous format —
 // one JSON document, checksum over its canonical re-marshal — byte for
@@ -167,18 +172,19 @@ func TestSnapshotDecodeVersionSkew(t *testing.T) {
 		binary.BigEndian.PutUint32(skewed[versionAt:], v)
 		mustFailOnVersion(t, skewed, fmt.Sprintf("version %d", v))
 	}
-	// A format-2 document and a format-3 frame (its basis in the JSON
-	// header) are refused at the same gate: no second decoder, no
-	// migration.
+	// A format-2 document, a format-3 frame (its basis in the JSON
+	// header) and a format-4 frame (no weights section) are refused at the
+	// same gate: no second decoder, no migration.
 	mustFailOnVersion(t, []byte(formatTwoDocument), "format-2 document")
 	mustFailOnVersion(t, corpusFile(t, "format3-full-record"), "format-3 snapshot")
+	mustFailOnVersion(t, corpusFile(t, "format4-full-record"), "format-4 snapshot")
 }
 
 func TestSnapshotDecodeSectionLengths(t *testing.T) {
 	_, data := sealedSnapshot(t)
 	at := sectionOffsets(t, data)
-	if len(at) != 3+recordDepth {
-		t.Fatalf("sealed snapshot has %d sections, want header + platform + basis + %d reports", len(at), recordDepth)
+	if len(at) != 4+recordDepth {
+		t.Fatalf("sealed snapshot has %d sections, want header + platform + basis + weights + %d reports", len(at), recordDepth)
 	}
 	// A length that lies — by one byte, by the whole remainder, by all a
 	// uint32 can say — on every section, behind a valid checksum.
@@ -218,8 +224,10 @@ func TestSnapshotDecodeFieldTampering(t *testing.T) {
 		func(s *SessionSnapshot) { s.Epoch++ },
 		func(s *SessionSnapshot) { s.ID = "00" + s.ID[2:] },
 		func(s *SessionSnapshot) { s.Platform = json.RawMessage(`{"hosts":[],"links":[]}`) },
-		func(s *SessionSnapshot) { s.SetBasis([]int{4, 1, 4, 1, 5}, s.atUpper) },
-		func(s *SessionSnapshot) { s.SetBasis(s.cols, make([]bool, 6)) },
+		func(s *SessionSnapshot) { s.SetBasis(6, []int32{4, 1, 4, 1, 5}, s.atUpper, s.weights) },
+		func(s *SessionSnapshot) { s.SetBasis(6, s.cols, nil, s.weights) },
+		func(s *SessionSnapshot) { s.SetBasis(6, s.cols, s.atUpper, []float64{1, 2.5, 0.125, 3e-7, 1e7}) },
+		func(s *SessionSnapshot) { s.SetBasis(6, s.cols, s.atUpper, nil) },
 		func(s *SessionSnapshot) { s.Payoffs[1] = 99 },
 		func(s *SessionSnapshot) { s.RecentCommits[3].ID = "commit-xx" },
 		func(s *SessionSnapshot) { s.RecentCommits[3].Report = json.RawMessage(`{"value":0}`) },
@@ -334,6 +342,58 @@ func TestSnapshotDecodeBasisSection(t *testing.T) {
 	}
 }
 
+// weightsSection is the sealed snapshot with its weights section
+// replaced by sec, resealed.
+func weightsSection(t testing.TB, data, sec []byte) []byte {
+	t.Helper()
+	at := sectionOffsets(t, data)
+	out := appendSection(append([]byte(nil), data[:at[3]]...), sec)
+	return reseal(append(out, data[at[4]:]...))
+}
+
+// TestSnapshotDecodeWeightsSection: the weights section is empty (the
+// basis carries no weights) or one float64 per basic column, each case
+// behind a valid checksum and a truthful section length; what the
+// weights say is the solver's to judge (lp adopts only finite weights
+// at least its floor), so a NaN or a negative weight decodes and comes
+// back bit for bit.
+func TestSnapshotDecodeWeightsSection(t *testing.T) {
+	_, data := sealedSnapshot(t)
+	at := sectionOffsets(t, data)
+	honest := data[at[3]+4 : at[4]]
+	if len(honest) != 8*len(sealedWeights) {
+		t.Fatalf("the weights section is %d bytes for %d weights", len(honest), len(sealedWeights))
+	}
+	none, err := DecodeSnapshot(weightsSection(t, data, nil))
+	if err != nil {
+		t.Fatalf("an empty weights section must decode: %v", err)
+	}
+	if _, _, w, err := none.Basis(6); err != nil || w != nil {
+		t.Fatalf("an empty weights section expanded to %v (%v)", w, err)
+	}
+	for _, n := range []int{1, 8, 32, 39, 41, 48, 80} {
+		mustFail(t, weightsSection(t, data, make([]byte, n)), fmt.Sprintf("%d-byte weights section", n))
+	}
+	odd := []float64{math.NaN(), -1, 0, math.Inf(1), math.Copysign(0, -1)}
+	var sec []byte
+	for _, w := range odd {
+		sec = binary.BigEndian.AppendUint64(sec, math.Float64bits(w))
+	}
+	snap, err := DecodeSnapshot(weightsSection(t, data, sec))
+	if err != nil {
+		t.Fatalf("weights the solver would refuse are its business, not the codec's: %v", err)
+	}
+	_, _, w, err := snap.Basis(6)
+	if err != nil || len(w) != len(odd) {
+		t.Fatalf("odd weights expanded to %v (%v)", w, err)
+	}
+	for i := range odd {
+		if math.Float64bits(w[i]) != math.Float64bits(odd[i]) {
+			t.Fatalf("weight %d came back as %v, sent %v", i, w[i], odd[i])
+		}
+	}
+}
+
 // TestSnapshotBasisRefusesForeignWidth: a basis section forged behind
 // a valid checksum to span 4 Gi solver columns decodes — the codec
 // cannot know the receiving solver's width — but Basis refuses it
@@ -348,7 +408,7 @@ func TestSnapshotBasisRefusesForeignWidth(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err = snap.Basis(6)
+	_, _, _, err = snap.Basis(6)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatalf("a basis over %d columns expanded for a 6-column solver", width(snap))
@@ -361,31 +421,33 @@ func TestSnapshotBasisRefusesForeignWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, honest := range map[string]*SessionSnapshot{"decoded": decoded, "live": live} {
-		if _, _, err := honest.Basis(7); err == nil {
+		if _, _, _, err := honest.Basis(7); err == nil {
 			t.Fatalf("%s: a 6-column basis expanded for a 7-column solver", name)
 		}
-		cols, upper, err := honest.Basis(6)
-		if err != nil || !reflect.DeepEqual(cols, []int{3, 1, 4, 1, 5}) || !reflect.DeepEqual(upper, []bool{false, true, false, false, true, false}) {
-			t.Fatalf("%s: the honest basis expanded to %v %v (%v)", name, cols, upper, err)
+		cols, upper, w, err := honest.Basis(6)
+		if err != nil || !reflect.DeepEqual(cols, []int32{3, 1, 4, 1, 5}) || !reflect.DeepEqual(upper, []int32{1, 4}) || !reflect.DeepEqual(w, sealedWeights) {
+			t.Fatalf("%s: the honest basis expanded to %v %v %v (%v)", name, cols, upper, w, err)
 		}
 	}
 }
 
-// TestSnapshotOpensInPlace: DecodeSnapshot leaves the basis as the
-// section it arrived in — no basic or at-upper slice, the section a
-// slice of the input like the platform — and re-seals to the input's
-// bytes.
+// TestSnapshotOpensInPlace: DecodeSnapshot leaves the basis and its
+// weights as the sections they arrived in — no basic, at-upper or weight
+// slice, the sections slices of the input like the platform — and
+// re-seals to the input's bytes.
 func TestSnapshotOpensInPlace(t *testing.T) {
 	_, data := sealedSnapshot(t)
 	opened, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opened.cols != nil || opened.atUpper != nil || width(opened) != 6 {
-		t.Fatalf("opened basis: cols %v, upper %v, ncols %d", opened.cols, opened.atUpper, width(opened))
+	if opened.cols != nil || opened.atUpper != nil || opened.weights != nil || width(opened) != 6 {
+		t.Fatalf("opened basis: cols %v, upper %v, weights %v, ncols %d", opened.cols, opened.atUpper, opened.weights, width(opened))
 	}
-	if off := bytes.Index(data, opened.basisSec); off < 0 || &data[off] != &opened.basisSec[0] {
-		t.Fatal("the opened basis section is not a slice of the input")
+	for name, sec := range map[string][]byte{"basis": opened.basisSec, "weights": opened.wtsSec} {
+		if off := bytes.Index(data, sec); off < 0 || &data[off] != &sec[0] {
+			t.Fatalf("the opened %s section is not a slice of the input", name)
+		}
 	}
 	if again, err := opened.Encode(); err != nil || !bytes.Equal(again, data) {
 		t.Fatalf("the opened snapshot re-seals to %d different bytes (%v)", len(again), err)
@@ -397,9 +459,9 @@ func TestSnapshotOpensInPlace(t *testing.T) {
 // and seals after what its buffer already holds.
 func TestSnapshotSealsLiveBasisInPlace(t *testing.T) {
 	live, want := sealedSnapshot(t)
-	cols, upper := []int{3, 1, 4, 1, 5}, []bool{false, true, false, false, true, false}
-	live.SetBasis(cols, upper)
-	if &live.cols[0] != &cols[0] || &live.atUpper[0] != &upper[0] {
+	cols, upper, w := []int32{3, 1, 4, 1, 5}, []int32{1, 4}, slices.Clone(sealedWeights)
+	live.SetBasis(6, cols, upper, w)
+	if &live.cols[0] != &cols[0] || &live.atUpper[0] != &upper[0] || &live.weights[0] != &w[0] {
 		t.Fatal("SetBasis copied the basis")
 	}
 	prefix := []byte("kept")
@@ -416,9 +478,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(sealed)
 	f.Add([]byte(formatTwoDocument))
 	f.Add(reseal(lying))
-	// Format-4 basis sections a decoder must refuse: truncated, counts
+	// Format-5 basis sections a decoder must refuse: truncated, counts
 	// overflowing it, a trailing word, an at-upper column at ncols, and
-	// a non-ascending at-upper list.
+	// a non-ascending at-upper list; weights sections one weight short,
+	// one byte over, and empty (which it accepts).
 	at := sectionOffsets(f, sealed)
 	truncated := appendSection(append([]byte(nil), sealed[:at[2]]...), sealed[at[2]+4:at[3]-4])
 	f.Add(reseal(append(truncated, sealed[at[3]:]...)))
@@ -430,6 +493,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		{6, 5, 3, 1, 4, 1, 5, 2, 4, 1},
 	} {
 		f.Add(basisWords(f, sealed, words...))
+	}
+	for _, n := range []int{32, 41, 0} {
+		f.Add(weightsSection(f, sealed, make([]byte, n)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Never panics; on success the invariants hold.
@@ -459,12 +525,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if width(snap) > 1<<16 {
 			return
 		}
-		cols, upper, err := snap.Basis(width(snap))
+		cols, upper, w, err := snap.Basis(width(snap))
 		if err != nil {
 			t.Fatalf("expanding an accepted basis: %v", err)
 		}
 		live := *snap
-		live.SetBasis(cols, upper)
+		live.SetBasis(width(snap), cols, upper, w)
 		if relive, err := live.Encode(); err != nil || !bytes.Equal(relive, again) {
 			t.Fatalf("re-sealing the expanded basis: %v, %d bytes vs %d", err, len(relive), len(again))
 		}
@@ -482,7 +548,7 @@ func TestStoreSweep(t *testing.T) {
 			ID: id, Fingerprint: "fp", Epoch: 1,
 			Platform: json.RawMessage(`{"hosts":[]}`),
 		}
-		snap.SetBasis([]int{0}, nil)
+		snap.SetBasis(0, []int32{0}, nil, nil)
 		data, err := snap.Encode()
 		if err != nil {
 			t.Fatalf("Encode(%s): %v", id, err)
@@ -538,15 +604,16 @@ func TestStoreSweep(t *testing.T) {
 	}
 }
 
-// TestSnapshotWireFormatIsPinned holds format 4 to the bytes committed
+// TestSnapshotWireFormatIsPinned holds format 5 to the bytes committed
 // in the fuzz corpus: a change to the frame, the header's fields or
-// their order, or the basis section fails here until SnapshotVersion
-// moves and the corpus is regenerated with it — so the corpus cannot
-// quietly turn into inputs that are refused at the gate. The format-3
-// files stay in the corpus as seeds that must be refused there.
+// their order, the basis section or the weights section fails here
+// until SnapshotVersion moves and the corpus is regenerated with it — so
+// the corpus cannot quietly turn into inputs that are refused at the
+// gate. The format-3 and format-4 files stay in the corpus as seeds
+// that must be refused there.
 func TestSnapshotWireFormatIsPinned(t *testing.T) {
 	_, sealed := sealedSnapshot(t)
-	if committed := corpusFile(t, "format4-full-record"); !bytes.Equal(committed, sealed) {
+	if committed := corpusFile(t, "format5-full-record"); !bytes.Equal(committed, sealed) {
 		t.Fatalf("format %d no longer encodes to the committed corpus bytes:\n got %q\nwant %q", SnapshotVersion, sealed, committed)
 	}
 }

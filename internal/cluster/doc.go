@@ -15,21 +15,30 @@
 // epoch counter, the *current drifted* platform description (epochs
 // mutate capacities in place — the committed capacity and bound state
 // is fully derivable from it), and the carried lp.Basis exported to
-// its serialized form. Rebuilding replays none of the history: the
+// its serialized form: its columns, at-upper set and dual
+// steepest-edge weights, which together with the platform are what a
+// commit is a pure function of. Rebuilding replays none of the history: the
 // receiver decodes the platform, builds a fresh model, installs the
 // imported basis and re-solves the committed answer on the canonical
 // footing every committed solve starts from (lp.Revised.Rebase) — one
 // warm dual-simplex restart, typically zero pivots, zero cold solves.
 //
-// The wire form (SnapshotVersion 4) is a frame — a magic line, the
+// The wire form (SnapshotVersion 5) is a frame — a magic line, the
 // format version, the hex sha256 of the body bytes exactly as sent —
 // and a body of length-prefixed sections: a small JSON header
 // (identity, configuration, epoch, the commit-dedup record's IDs in
-// order), the platform, the basis, and one report per recorded commit.
-// The basis section is uint32 BE words: the solver's column count
-// ncols, the basis size m, the m basic columns in basis order, the
-// number of nonbasic columns resting at their upper bound, and those
-// columns, strictly ascending.
+// order), the platform, the basis, the weights, and one report per
+// recorded commit. The basis section is uint32 BE words: the solver's
+// column count ncols, the basis size m, the m basic columns in basis
+// order, the number of nonbasic columns resting at their upper bound,
+// and those columns, strictly ascending. The weights section is the
+// basis's m steepest-edge weights γ_i = ‖e_iᵀB⁻¹‖² as float64 BE, or
+// empty when the basis carries none (a basis taken before any dual ran).
+// Format 5 added it: a commit's solve installs the carried basis and
+// prices from its weights (lp.Revised.Rebase), so a replica that rebuilt
+// from the columns alone would compute exact weights where the owner
+// carries the recurrence's — equal in exact arithmetic, not in bits —
+// and on a degenerate platform commit another vertex a few epochs on.
 //
 // The basis is binary because it is most of what the header used to
 // parse: at K = 20 a basis is ~560 columns, and decoding them as JSON
@@ -44,8 +53,8 @@
 // the caller reuses (AppendEncode) — and opening costs one hash, the
 // header and the basis words. One decoder, DecodeSnapshot, opens every
 // snapshot in place, wherever it arrives: it validates the basis words
-// where they lie and expands them only when Basis is asked, against the
-// receiving solver's column count. A snapshot's basis is therefore in
+// and the weights section's length where they lie and expands them only
+// when Basis is asked, against the receiving solver's column count. A snapshot's basis is therefore in
 // one of two forms, the live lp.Basis it is sealed from or the section
 // it was decoded from, and each seals to the same bytes.
 //
@@ -67,21 +76,25 @@
 //     per commit ID, nothing left over); and the basis section, as
 //     strictly (m > 0, each count compared with the words that remain
 //     before anything is allocated from it, at-upper columns strictly
-//     ascending below ncols, no trailing bytes). The platform and the
-//     reports are handed on as slices of the received bytes, unparsed.
+//     ascending below ncols, no trailing bytes), and the weights
+//     section's length (0 or 8·m). The platform and the reports are
+//     handed on as slices of the received bytes, unparsed.
 //   - At install (service.RestoreSession: promotion, a transfer's
 //     included, and recovery): the ID must digest from the carried fingerprint and
 //     configuration, the platform is validated like an uploaded one, a
 //     report that does not parse drops its record entry, a basis whose
 //     column count is not the rebuilt solver's is refused before it is
 //     expanded, and the solver validates the imported basis, falling
-//     back to a cold solve. A snapshot that fails here installs nothing.
-//   - Across versions: nothing. A format-2 snapshot (one JSON document)
-//     and a format-3 one (this frame, its basis as JSON ints in the
-//     header) are refused at the version gate wherever they arrive,
-//     never migrated: their sessions rebuild cold from traffic. The
-//     *.snap.json files format 2 left in a store are not read and go
-//     with the next sweep; a format-3 *.snap file is skipped (and
+//     back to a cold solve, and adopts its weights only when each is
+//     finite and at least its floor, computing them exactly otherwise.
+//     A snapshot that fails here installs nothing.
+//   - Across versions: nothing. A format-2 snapshot (one JSON document),
+//     a format-3 one (this frame, its basis as JSON ints in the header)
+//     and a format-4 one (no weights section) are refused at the version
+//     gate wherever they arrive, never migrated: their sessions rebuild
+//     cold from traffic. The *.snap.json files format 2 left in a store
+//     are not read and go with the next sweep; a format-3 or format-4
+//     *.snap file is skipped (and
 //     counted) at recovery, and goes with the next sweep unless its
 //     session is live again, whose next commit overwrites it. A rolling upgrade must finish before
 //     the format moves: until then old and new replicas refuse each

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -15,14 +16,16 @@ import (
 // carrier between replicas of one deployment, not an archival format,
 // so "reject and rebuild cold from traffic" is the right behavior for
 // a version skew — never a guessed migration of solver state.
-const SnapshotVersion = 4
+const SnapshotVersion = 5
 
 // The wire form: frameMagic, the version (uint32 BE), the hex sha256 of
 // the body, then the body — sections of a uint32 BE length and that
-// many bytes each: the JSON header, the platform, the basis, and one
-// report per entry of the header's commitIds, in order. The basis
-// section is uint32 BE words: ncols, m, the m basic columns, the
-// at-upper count and that many strictly ascending at-upper columns.
+// many bytes each: the JSON header, the platform, the basis, the
+// weights, and one report per entry of the header's commitIds, in
+// order. The basis section is uint32 BE words: ncols, m, the m basic
+// columns, the at-upper count and that many strictly ascending at-upper
+// columns. The weights section is the basis's m dual steepest-edge
+// weights as float64 BE, or empty when the basis carries none.
 const (
 	frameMagic = "schedd-snapshot\n"
 	versionAt  = len(frameMagic)
@@ -62,13 +65,15 @@ type SessionSnapshot struct {
 	Platform json.RawMessage `json:"-"`
 
 	// The carried basis, in one of two forms: the live lp.Basis the
-	// snapshot is sealed from (SetBasis: its basic columns and at-upper
-	// statuses, read in place), or the basis section it was decoded from
-	// (validated, and a slice of DecodeSnapshot's input like the platform
-	// and the reports). Basis expands either for the receiving solver.
-	cols     []int
-	atUpper  []bool
-	basisSec []byte
+	// snapshot is sealed from (SetBasis: the solver's column count, its
+	// basic columns, at-upper columns and weights, read in place), or the
+	// basis and weights sections it was decoded from (validated, and
+	// slices of DecodeSnapshot's input like the platform and the
+	// reports). Basis expands either for the receiving solver.
+	ncols            int
+	cols, atUpper    []int32
+	weights          []float64
+	basisSec, wtsSec []byte
 
 	// RecentCommits records the most recently applied tagged epoch
 	// commits, oldest first (the router's idempotency tags and the
@@ -100,44 +105,49 @@ type header struct {
 	CommitIDs []string `json:"commitIds,omitempty"`
 }
 
-// SetBasis points the snapshot at a live basis in lp.Basis's exported
-// form (lp.Basis.View's two slices), which are read when the snapshot
-// is sealed. Neither slice is copied, so they must not change until the
-// snapshot is sealed; a basis never does.
-func (s *SessionSnapshot) SetBasis(cols []int, upper []bool) {
-	s.cols, s.atUpper, s.basisSec = cols, upper, nil
+// SetBasis points the snapshot at a live basis of a solver with ncols
+// internal columns, in lp.Basis's exported form (lp.Basis.View's
+// slices), which are read when the snapshot is sealed. No slice is
+// copied, so they must not change until the snapshot is sealed; a basis
+// never does.
+func (s *SessionSnapshot) SetBasis(ncols int, cols, upper []int32, weights []float64) {
+	s.ncols, s.cols, s.atUpper, s.weights, s.basisSec, s.wtsSec = ncols, cols, upper, weights, nil, nil
 }
 
 // Basis returns the carried basis in lp.ImportBasis's form, in slices
-// of its own, for a solver of ncols internal columns; upper is nil when
-// the basis carried no at-upper statuses. A basis over any other column
-// count than ncols is refused before it is expanded: a decoded
-// section's width comes off the wire, and a forged one would otherwise
-// size the allocation.
-func (s *SessionSnapshot) Basis(ncols int) (cols []int, upper []bool, err error) {
-	n, basic, atUpper := len(s.atUpper), []byte(nil), []byte(nil)
-	if s.basisSec != nil {
-		var w uint32
-		w, basic, atUpper, _ = splitBasis(s.basisSec) // validated when decoded
-		n = int(w)
-	}
-	if n != 0 && n != ncols {
-		return nil, nil, fmt.Errorf("cluster: snapshot basis spans %d columns, the solver has %d", n, ncols)
-	}
+// of its own, for a solver of ncols internal columns: the basic
+// columns, the ascending at-upper columns and the weights (nil when the
+// basis carried none). A basis over any other column count than ncols
+// is refused before it is expanded: a decoded section's width comes off
+// the wire, and a forged one would otherwise size the allocation.
+func (s *SessionSnapshot) Basis(ncols int) (cols, upper []int32, weights []float64, err error) {
 	if s.basisSec == nil {
-		return slices.Clone(s.cols), slices.Clone(s.atUpper), nil
+		if s.ncols != 0 && s.ncols != ncols {
+			return nil, nil, nil, fmt.Errorf("cluster: snapshot basis spans %d columns, the solver has %d", s.ncols, ncols)
+		}
+		return slices.Clone(s.cols), slices.Clone(s.atUpper), slices.Clone(s.weights), nil
 	}
-	cols = make([]int, len(basic)/4)
-	for i := range cols {
-		cols[i] = int(binary.BigEndian.Uint32(basic[4*i:]))
+	n, basic, atUpper, _ := splitBasis(s.basisSec) // validated when decoded
+	if n != 0 && int(n) != ncols {
+		return nil, nil, nil, fmt.Errorf("cluster: snapshot basis spans %d columns, the solver has %d", n, ncols)
 	}
-	if n > 0 {
-		upper = make([]bool, n)
-		for i := 0; i < len(atUpper); i += 4 {
-			upper[binary.BigEndian.Uint32(atUpper[i:])] = true
+	cols, upper = words(basic), words(atUpper)
+	if len(s.wtsSec) > 0 {
+		weights = make([]float64, len(s.wtsSec)/8)
+		for i := range weights {
+			weights[i] = math.Float64frombits(binary.BigEndian.Uint64(s.wtsSec[8*i:]))
 		}
 	}
-	return cols, upper, nil
+	return cols, upper, weights, nil
+}
+
+// words expands uint32 BE words.
+func words(b []byte) []int32 {
+	out := make([]int32, len(b)/4)
+	for i := range out {
+		out[i] = int32(binary.BigEndian.Uint32(b[4*i:]))
+	}
+	return out
 }
 
 func (s *SessionSnapshot) complete() bool {
@@ -161,31 +171,27 @@ func appendSection(out, section []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(out, uint32(len(section))), section...)
 }
 
-// appendBasis appends the basis section, length prefix included: a
-// decoded snapshot's as it arrived, a live basis's word by word.
+// appendBasis appends the basis and weights sections, length prefixes
+// included: a decoded snapshot's as they arrived, a live basis's word by
+// word.
 func (s *SessionSnapshot) appendBasis(out []byte) []byte {
 	if s.basisSec != nil {
-		return appendSection(out, s.basisSec)
+		return appendSection(appendSection(out, s.basisSec), s.wtsSec)
 	}
-	at := len(out)
-	out = binary.BigEndian.AppendUint32(append(out, 0, 0, 0, 0), uint32(len(s.atUpper)))
+	out = binary.BigEndian.AppendUint32(out, uint32(4*(3+len(s.cols)+len(s.atUpper))))
+	out = binary.BigEndian.AppendUint32(out, uint32(s.ncols))
 	out = binary.BigEndian.AppendUint32(out, uint32(len(s.cols)))
 	for _, c := range s.cols {
 		out = binary.BigEndian.AppendUint32(out, uint32(c))
 	}
-	n := 0
-	for _, up := range s.atUpper {
-		if up {
-			n++
-		}
+	out = binary.BigEndian.AppendUint32(out, uint32(len(s.atUpper)))
+	for _, j := range s.atUpper {
+		out = binary.BigEndian.AppendUint32(out, uint32(j))
 	}
-	out = binary.BigEndian.AppendUint32(out, uint32(n))
-	for j, up := range s.atUpper {
-		if up {
-			out = binary.BigEndian.AppendUint32(out, uint32(j))
-		}
+	out = binary.BigEndian.AppendUint32(out, uint32(8*len(s.weights)))
+	for _, w := range s.weights {
+		out = binary.BigEndian.AppendUint64(out, math.Float64bits(w))
 	}
-	binary.BigEndian.PutUint32(out[at:], uint32(len(out)-at-4))
 	return out
 }
 
@@ -194,7 +200,7 @@ func (s *SessionSnapshot) appendBasis(out []byte) []byte {
 // Each count is compared with the words that remain, and the at-upper
 // columns must ascend strictly below ncols; nothing is allocated.
 // Whether the basic columns fit the receiving solver is its business
-// (lp.ImportBasis).
+// (lp.ImportBasis), and so are the weights' values.
 func splitBasis(sec []byte) (ncols uint32, basic, atUpper []byte, err error) {
 	if len(sec) < 8 {
 		return 0, nil, nil, fmt.Errorf("cluster: snapshot basis section is %d bytes, too short for its counts", len(sec))
@@ -219,7 +225,7 @@ func splitBasis(sec []byte) (ncols uint32, basic, atUpper []byte, err error) {
 
 // Encode seals the snapshot into a buffer of its own; see AppendEncode.
 func (s *SessionSnapshot) Encode() ([]byte, error) {
-	size := frameLen + 512 + len(s.Platform) + len(s.basisSec) + 4*(len(s.cols)+4)
+	size := frameLen + 512 + len(s.Platform) + len(s.basisSec) + len(s.wtsSec) + 4*(len(s.cols)+len(s.atUpper)+5) + 8*len(s.weights)
 	for _, rec := range s.RecentCommits {
 		size += 4 + len(rec.Report)
 	}
@@ -228,8 +234,8 @@ func (s *SessionSnapshot) Encode() ([]byte, error) {
 
 // AppendEncode seals the snapshot (Version stamped, Checksum computed)
 // and appends its wire form to dst: the header is marshalled, the
-// basis written word by word, the platform and the commit reports
-// appended as the bytes they already are.
+// basis and its weights written word by word, the platform and the
+// commit reports appended as the bytes they already are.
 func (s *SessionSnapshot) AppendEncode(dst []byte) ([]byte, error) {
 	if !s.complete() {
 		return dst, fmt.Errorf("cluster: snapshot missing session id, platform or basis (session never solved?)")
@@ -260,11 +266,12 @@ func (s *SessionSnapshot) AppendEncode(dst []byte) ([]byte, error) {
 
 // DecodeSnapshot verifies and opens a snapshot in place: the frame's
 // version first, then the checksum over the received body bytes, then a
-// strict decode of the header and a validation of the basis section.
-// The platform, the basis section and the commit reports are slices of
-// data — the snapshot aliases it, so data must outlive it — with every
-// section length checked against the bytes that remain; the basis is
-// expanded only when Basis is asked. Any failure is an error — the
+// strict decode of the header and a validation of the basis section
+// and of the weights section's length (none, or one float64 per basic
+// column). The platform, the basis and weights sections and the commit
+// reports are slices of data — the snapshot aliases it, so data must
+// outlive it — with every section length checked against the bytes
+// that remain; the basis is expanded only when Basis is asked. Any failure is an error — the
 // caller falls back to building the session cold from traffic rather
 // than trusting damaged warm state.
 func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
@@ -301,8 +308,15 @@ func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
 	if s.basisSec, body, err = cutSection(body); err != nil {
 		return nil, err
 	}
-	if _, _, _, err := splitBasis(s.basisSec); err != nil {
+	_, basic, _, err := splitBasis(s.basisSec)
+	if err != nil {
 		return nil, err
+	}
+	if s.wtsSec, body, err = cutSection(body); err != nil {
+		return nil, err
+	}
+	if n := len(s.wtsSec); n != 0 && n != 2*len(basic) {
+		return nil, fmt.Errorf("cluster: snapshot weights section is %d bytes, want 0 or %d for %d basic columns", n, 2*len(basic), len(basic)/4)
 	}
 	s.RecentCommits = make([]CommitRecord, len(h.CommitIDs))
 	for i, id := range h.CommitIDs {

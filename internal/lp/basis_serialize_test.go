@@ -8,8 +8,8 @@ import (
 )
 
 // TestBasisSerializeRoundTrip is the serialization property test
-// behind the cluster's portable warm sessions: a basis Exported from
-// one instance and Imported into a *freshly built* instance over an
+// behind the cluster's portable warm sessions: a basis Viewed on one
+// instance and Imported into a *freshly built* instance over an
 // equivalent problem — put on Rebase's canonical footing, exactly as a
 // snapshot-rebuilt replica's first committed solve does — must
 // warm-start to the same optimum at 1e-9 with zero cold solves and zero
@@ -40,29 +40,26 @@ func TestBasisSerializeRoundTrip(t *testing.T) {
 			continue
 		}
 
-		cols, upper := bas.Export()
-		// The exported form must be detached from the live basis.
-		if len(cols) > 0 {
-			cols2, upper2 := bas.Export()
-			cols2[0] = -99
-			if upper2 != nil && len(upper2) > 0 {
-				upper2[0] = !upper2[0]
-			}
-			if cols[0] == -99 {
-				t.Fatalf("seed %d: Export aliases internal state", seed)
-			}
-		}
-		// View is Export without the copy: the same two slices' contents,
-		// the basis's own arrays.
-		vcols, vupper := bas.View()
-		if !slices.Equal(vcols, cols) || !slices.Equal(vupper, upper) || (vupper == nil) != (upper == nil) {
-			t.Fatalf("seed %d: View differs from Export", seed)
-		}
-		if again, _ := bas.View(); len(again) > 0 && &again[0] != &vcols[0] {
+		// View is the basis's own arrays: the live basis, the ascending
+		// at-upper columns and the settled weights, not copies.
+		cols, upper, w := bas.View()
+		if again, _, _ := bas.View(); len(again) > 0 && &again[0] != &cols[0] {
 			t.Fatalf("seed %d: View copies", seed)
 		}
-		imported := ImportBasis(cols, upper)
+		if len(cols) != src.m || (w != nil) != src.dseOK || (w != nil && len(w) != src.m) || !slices.IsSorted(upper) {
+			t.Fatalf("seed %d: %d columns, %d weights, at-upper %v for %d rows", seed, len(cols), len(w), upper, src.m)
+		}
+		for i, c := range cols {
+			if int(c) != src.basis[i] {
+				t.Fatalf("seed %d: basic column %d is %d, the context's %d", seed, i, c, src.basis[i])
+			}
+		}
+		cols, upper, w = slices.Clone(cols), slices.Clone(upper), slices.Clone(w)
+		imported := ImportBasis(cols, upper, w)
 		cols[0] = -7 // mutating the caller's buffers must not affect the import
+		if w != nil {
+			w[0] = -7
+		}
 
 		dst := NewRevised(p)
 		dst.Rebase()
@@ -98,11 +95,12 @@ func TestImportBasisCorruptFallsBackCold(t *testing.T) {
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("source cold: %v status %v", err, sol.Status)
 	}
-	cols, upper := src.Basis().Export()
+	cols, upper, w := src.Basis().View()
 	corruptions := map[string]*Basis{
-		"truncated":  ImportBasis(cols[:len(cols)-1], upper),
-		"outOfRange": func() *Basis { c := append([]int(nil), cols...); c[0] = 1 << 30; return ImportBasis(c, upper) }(),
-		"duplicate":  func() *Basis { c := append([]int(nil), cols...); c[len(c)-1] = c[0]; return ImportBasis(c, upper) }(),
+		"truncated":       ImportBasis(cols[:len(cols)-1], upper, w),
+		"outOfRange":      func() *Basis { c := slices.Clone(cols); c[0] = 1 << 30; return ImportBasis(c, upper, w) }(),
+		"duplicate":       func() *Basis { c := slices.Clone(cols); c[len(c)-1] = c[0]; return ImportBasis(c, upper, w) }(),
+		"upperOutOfRange": ImportBasis(cols, append(slices.Clone(upper), int32(src.ncols)), w),
 	}
 	for name, bad := range corruptions {
 		dst := NewRevised(p)

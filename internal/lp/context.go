@@ -36,12 +36,33 @@ func (r *Revised) SolveFrom(bas *Basis) (Solution, error) {
 	return r.coldSolve()
 }
 
-// Basis snapshots the context's current basis — the basic column set
-// and the at-upper statuses — as the last solve left it, for a later
-// warm start of this context or of any other over the same constraint
-// structure.
+// Basis snapshots the context's current basis — the basic column set,
+// the at-upper columns and, when the context has them, the steepest-edge
+// weights with any pending update applied — as the last solve left it,
+// for a later warm start of this context or of any other over the same
+// constraint structure. The columns share one allocation.
 func (r *Revised) Basis() *Basis {
-	return &Basis{cols: slices.Clone(r.basis), upper: slices.Clone(r.atUpper)}
+	r.settleDSE()
+	n := r.m
+	for _, up := range r.atUpper {
+		if up {
+			n++
+		}
+	}
+	ids := make([]int32, r.m, n)
+	for i, c := range r.basis {
+		ids[i] = int32(c)
+	}
+	for j, up := range r.atUpper {
+		if up {
+			ids = append(ids, int32(j))
+		}
+	}
+	b := &Basis{cols: ids[:r.m:r.m], upper: ids[r.m:]}
+	if r.dseOK {
+		b.w = slices.Clone(r.dseW)
+	}
+	return b
 }
 
 // Rebase forces the next SolveFrom onto one canonical footing, the
@@ -50,8 +71,9 @@ func (r *Revised) Basis() *Basis {
 // sign vector is an arbitrary consistent row scaling, any fixed choice
 // yields the same solutions) and the live factorization and pricing
 // state are dropped, so the next solve installs the supplied basis,
-// refactorizes it from scratch and prices from unit steepest-edge
-// weights.
+// refactorizes it from scratch and prices from the steepest-edge
+// weights the basis carries, or from exact ones computed on that fresh
+// factorization when it carries none.
 //
 // On a fresh instance this is also what lets a basis imported from
 // another process (a migrated or crash-recovered scheduling session)
@@ -72,9 +94,11 @@ func (r *Revised) Basis() *Basis {
 // vertices, so downstream vertex-sensitive consumers (greedy rounding,
 // integer repair) diverge. Calling Rebase on both sides before the solve
 // collapses the histories: the result becomes a pure function of the
-// discrete inputs. The cost is one refactorization plus pricing
-// warm-up — the pivot count is still a warm restart's, not a cold
-// solve's. Forks are unaffected (they own private copies of all
+// supplied basis — its columns, at-upper set and weights, which is why
+// a snapshot ships the weights with the basis. The cost is one
+// refactorization, plus one exact weight initialization when the basis
+// carries no weights — the pivot count is still a warm restart's, not a
+// cold solve's. Forks are unaffected (they own private copies of all
 // mutable state, and a shared frozen snapshot is immutable).
 func (r *Revised) Rebase() {
 	r.gen++ // the frozen state no longer describes this context
@@ -374,9 +398,6 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, bool) {
 	if len(bas.cols) != r.m {
 		return Solution{}, false
 	}
-	if bas.upper != nil && len(bas.upper) != r.ncols {
-		return Solution{}, false
-	}
 	// While the live factorization is valid its basis is already dual
 	// feasible (see the struct invariant), so the cheapest restart is
 	// to continue from the instance's current state — even when it is
@@ -390,23 +411,37 @@ func (r *Revised) warmSolve(bas *Basis) (Solution, bool) {
 		r.dseOK, r.djOK, r.pend.on = false, false, false // weights and reduced costs describe the old basis
 		clear(r.seen)
 		for _, c := range bas.cols {
-			if c < 0 || c >= r.ncols || r.seen[c] {
+			if c < 0 || int(c) >= r.ncols || r.seen[c] {
 				return Solution{}, false
 			}
 			r.seen[c] = true
 		}
-		r.setBasis(bas.cols)
+		clear(r.inBasis)
+		for i, c := range bas.cols {
+			r.basis[i], r.inBasis[c] = int(c), true
+		}
 		clear(r.atUpper)
-		if bas.upper != nil {
+		for _, j := range bas.upper {
+			if j < 0 || int(j) >= r.ncols {
+				return Solution{}, false // the cold solve rebuilds what was installed
+			}
 			// Slack and artificial columns are unbounded above and can
 			// never rest at an upper bound: only structural claims count,
 			// and the full refresh below sanitizes those.
-			copy(r.atUpper[:r.nstruct], bas.upper)
+			if int(j) < r.nstruct {
+				r.atUpper[j] = true
+			}
 		}
 		r.rhsOK = false
 		if !r.refactorize() {
 			r.factorized = false
 			return Solution{}, false
+		}
+		// The basis's weights are adopted when they can price it; otherwise
+		// the dual computes them exactly on this factorization.
+		if usableWeights(bas.w, r.m) {
+			copy(r.dseW, bas.w)
+			r.dseOK = true
 		}
 	}
 	// refreshRHS sanitizes the at-upper set against the (possibly

@@ -225,7 +225,9 @@ func (c *firstPivots) cands(e int, alpha []float64) []int32 {
 // basis). Otherwise the live factor itself becomes the snapshot — it is
 // refactorized first only if it carries an eta file — its committed
 // arrays are marked borrowed, and the reduced costs are recomputed once
-// from it, so every solve that starts here reads the same exact vector.
+// from it, so every solve that starts here reads the same exact vector;
+// steepest-edge weights the context lacks are computed exactly from it
+// too.
 // With a live factorization it also records the start, at one computeXB
 // and one priceScan, from which a solve then starts at the cost of what
 // moved since (startFrozen).
@@ -240,6 +242,9 @@ func (r *Revised) Freeze() error {
 		return errors.New("lp: Freeze: current basis is numerically singular")
 	}
 	if r.factorized {
+		if !r.dseOK {
+			r.initDSE() // so no solve from here starts from a reset
+		}
 		r.computeDJ()
 	}
 	r.fac.borrowed = true

@@ -56,14 +56,14 @@ func checkOracleWithin(t *testing.T, p *Problem, got Solution, label string, tol
 //     the basis a *different* instance produced last step, so a Basis
 //     must carry across instances with different factorization history;
 //   - export-import: as round-trip, with every basis additionally
-//     passed through Export → ImportBasis, the serialized form the
+//     passed through View → ImportBasis, the serialized form the
 //     cluster ships between replicas;
 //   - fork: every step a context is forked off the warm instance,
 //     mutated privately and solved — fork == a serial solve of the
 //     same program, as judged by the oracle.
 func TestRevisedMatchesOracle(t *testing.T) {
 	same := func(b *Basis) *Basis { return b }
-	exportImport := func(b *Basis) *Basis { return ImportBasis(b.Export()) }
+	exportImport := func(b *Basis) *Basis { return ImportBasis(b.View()) }
 	cases := []struct {
 		name         string
 		seedBase     int64

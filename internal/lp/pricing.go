@@ -304,20 +304,6 @@ func (r *Revised) dual() (Status, error) {
 	sinceBest := 0
 	lastInfeas := math.Inf(1)
 	minInfeas := math.Inf(1)
-	// Exact steepest-edge weights persist across warm solves as long as
-	// only the dual itself has pivoted (the recurrence is exact);
-	// anything else invalidated them and they restart from unit values —
-	// exact for the cold diagonal basis, and self-correcting elsewhere
-	// because the pivot row's weight is recomputed from ρ_r every pivot.
-	// The weights are state only while dseOK, so a Rewind that puts back a
-	// frozen dseOK = false undoes this reset without listing it.
-	if !r.dseOK {
-		for i := range r.dseW {
-			r.dseW[i] = 1
-		}
-		r.dseOK = true
-		r.stats.DSEWeightResets++
-	}
 	// The simplex multipliers move by a multiple of the leaving row of
 	// B^{-1} per dual pivot (y' = y + γ·ρ_r, γ = c̄_enter/d_leave), so the
 	// reduced costs move by the same multiple of the pivot row this
@@ -331,6 +317,17 @@ func (r *Revised) dual() (Status, error) {
 			// chooseLeaving reads the weights, and once a row leaves, its
 			// pivot rewrites ρ and d, which a pending update reads.
 			r.settleDSE()
+		}
+		// Exact steepest-edge weights persist across warm solves as long as
+		// only the dual itself has pivoted (the recurrence is exact), and a
+		// basis install adopts the weights the basis carries; anything else
+		// invalidated them, and they are computed exactly here before the
+		// first leaving-row choice — and again after a settled update turned
+		// one non-finite, on the factor of the basis they then describe. The
+		// weights are state only while dseOK, so a Rewind that puts back a
+		// frozen dseOK = false undoes an initialization without listing it.
+		if !r.dseOK {
+			r.initDSE()
 		}
 		tPrice := time.Now()
 		leave, below := r.chooseLeaving(bland, r.feasTol())
@@ -550,6 +547,43 @@ func (r *Revised) dual() (Status, error) {
 // later violation²/γ score.
 const dseFloor = 1e-10
 
+// initDSE sets every steepest-edge weight exactly, γ_i = ‖e_iᵀB⁻¹‖², on
+// the live factor and its eta file. Unit weights are exact only for a
+// slack basis, so this replaces them wherever the weights reset. It reads
+// B⁻¹ column by column instead of row by row: column k, B⁻¹e_k, is one
+// sparse FTRAN of a unit vector that touches only what e_k reaches, and
+// adds (B⁻¹)_ik² to γ_i at each of its nonzeros — where m BTRANs of ρ_i
+// would each sweep from their first position on (DESIGN.md "Pivot path:
+// what a dual pivot touches" gives both costs). τ is its scratch: no
+// update is pending at a reset, and every user of τ solves it afresh.
+func (r *Revised) initDSE() {
+	t0 := time.Now()
+	r.tauIdx = r.exactWeights(r.dseW, r.tau, r.tauIdx)
+	r.stats.Phase.FTRANNanos += int64(time.Since(t0))
+	r.dseOK = true
+	r.stats.DSEWeightResets++
+}
+
+// exactWeights writes ‖e_iᵀB⁻¹‖² for every row into w, floored at
+// dseFloor, solving each column of B⁻¹ into x, which is zero outside its
+// nonzero list idx, and returns the list of the last column.
+func (r *Revised) exactWeights(w, x []float64, idx []int32) []int32 {
+	clear(w)
+	for k := 0; k < r.m; k++ {
+		r.fac.add(k, 1)
+		idx = r.fac.solve(x, idx)
+		for _, i := range idx {
+			w[i] += x[i] * x[i]
+		}
+	}
+	for i, g := range w {
+		if g < dseFloor {
+			w[i] = dseFloor
+		}
+	}
+	return idx
+}
+
 // dsePending is a dual pivot's steepest-edge update, deferred: the
 // leaving row, its exact weight ‖ρ_r‖², the eta-file length before the
 // pivot and the first-pivot cache entry the pivot was served from or filed
@@ -568,10 +602,10 @@ type dsePending struct {
 // change what the update reads: the dual's leaving-row choice over a
 // non-empty infeasibility set (whose pivot then rewrites ρ and d), the
 // primal's entering direction (which rewrites d), every refactorization
-// (which replaces the factor τ is solved on), Freeze and so Refork. Rewind
-// drops the update instead — it puts back every row the update would
-// write — and so do Rebase, basis installs and cold solves, which reset
-// the weights.
+// (which replaces the factor τ is solved on), Freeze and so Refork, and
+// Basis, which carries the weights. Rewind drops the update instead — it
+// puts back every row the update would write — and so do Rebase, basis
+// installs and cold solves, which reset the weights.
 func (r *Revised) settleDSE() {
 	applied := r.pend.on
 	if applied {
@@ -634,10 +668,11 @@ func (r *Revised) applyDSE() {
 	}
 	r.dseW[leave] = gl
 	if !finite || math.IsNaN(gl) || math.IsInf(gl, 0) {
-		for i := range r.dseW {
-			r.dseW[i] = 1
-		}
-		r.stats.DSEWeightResets++
+		// The next reader computes them exactly (the dual's loop, Freeze),
+		// on the factor of the basis they describe: a refactorization
+		// settles before it replaces the factor, which may not yet hold
+		// this pivot.
+		r.dseOK = false
 		r.wholeMoved()
 	}
 }

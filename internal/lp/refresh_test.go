@@ -351,9 +351,9 @@ func TestRefreshTracksChanges(t *testing.T) {
 		// then an Infeasible verdict dropped the factorization, so the
 		// next solve installs it and must re-sanitize every claim.
 		stale := 0
-		for j, up := range bas.upper[:p.nvars] {
-			if up {
-				p.SetVarBounds(j, p.lb[j], math.Inf(1))
+		for _, j := range bas.upper {
+			if int(j) < p.nvars {
+				p.SetVarBounds(int(j), p.lb[j], math.Inf(1))
 				stale++
 			}
 		}

@@ -143,9 +143,13 @@ type Revised struct {
 	// self-correct instead of drifting. dseOK marks the weights as
 	// describing the current basis; it is cleared by anything that
 	// changes the basis outside the dual's own updates (cold solves,
-	// primal pivots, foreign-basis installs) and the next dual run
-	// then restarts from unit weights. A dual pivot's update waits in pend
-	// until something reads the weights (settleDSE).
+	// primal pivots, Rebase, basis installs — which set it again when
+	// the basis carries weights that can price it) and by a non-finite
+	// update. Where it is clear, the dual's next leaving-row choice, or
+	// Freeze, computes the weights exactly from the factor (initDSE), so
+	// the recurrence always starts exact. Basis carries the settled
+	// weights out. A dual pivot's update waits in pend until something reads the
+	// weights (settleDSE).
 	dseW  []float64
 	dseOK bool
 	pend  dsePending
@@ -268,9 +272,11 @@ type Stats struct {
 	// bench/trace.go:370 and bench/run.go:270 read it and bench/ is
 	// frozen; drop it with lp.ft_updates_per_op in the next [benchmark] PR.
 	FTUpdates int `json:"ftUpdates"`
-	// DSEWeightResets counts dual steepest-edge weight rebuilds from
-	// unit values: the first dual run after anything that moved the
-	// basis outside the dual's own recurrence, plus the rare
+	// DSEWeightResets counts exact dual steepest-edge weight
+	// initializations (one sparse FTRAN per row): at the first dual run
+	// or Freeze after anything that moved the basis outside the dual's
+	// own recurrence without supplying weights — a cold solve, primal
+	// pivots, a basis installed without usable weights — plus the rare
 	// non-finite-weight bailouts.
 	DSEWeightResets int `json:"dseWeightResets"`
 	// Forks counts the solve contexts Revised.Fork allocated off this

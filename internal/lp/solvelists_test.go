@@ -21,7 +21,8 @@ type listChecker struct {
 	priced, scatters int // dual pricing passes audited; those the scatter priced
 	etasSeen         [luMaxEtas]bool
 	etaFill, negZero int // positions only the eta file filled; −0 entries left unlisted
-	x, y, z          []float64
+	weights, etaW    int // exact steepest-edge weight sets checked; those on an eta file
+	x, y, z, w, acc  []float64
 	xIdx, idx        []int32
 	inRow            []bool
 }
@@ -162,6 +163,7 @@ func (c *listChecker) check(r *Revised, where string) {
 	}
 	if len(c.x) < m {
 		c.x, c.y, c.z = make([]float64, m), make([]float64, m), make([]float64, m)
+		c.w, c.acc = make([]float64, m), make([]float64, m)
 		c.xIdx, c.idx = make([]int32, 0, m), make([]int32, 0, m)
 	}
 	c.xIdx = c.xIdx[:0]
@@ -243,6 +245,37 @@ func (c *listChecker) check(r *Revised, where string) {
 	c.xIdx = f.solve(x, c.xIdx)
 	f.ftran(y, y)
 	c.solved("flips", where, f, x, y, c.xIdx)
+
+	// The exact steepest-edge weights, summed down B⁻¹'s columns solved
+	// from unit vectors, against the same sums over ftran of each unit
+	// vector made dense: every column's nonzeros are the dense column's,
+	// float for float, and each γ_i adds them in the same order, so the
+	// weights agree bit for bit. Every few audits, and on every clean
+	// factor and one-eta file.
+	if len(f.etas) > 1 && c.audits%8 != 0 {
+		return
+	}
+	w, acc := c.w[:m], c.acc[:m]
+	c.xIdx = r.exactWeights(w, x, c.xIdx)
+	c.listed("last column of B⁻¹", where, x, c.xIdx)
+	clear(acc)
+	for k := 0; k < m; k++ {
+		clear(y)
+		y[k] = 1
+		f.ftran(y, y)
+		for i, v := range y {
+			acc[i] += v * v
+		}
+	}
+	for i := range w {
+		if a := max(acc[i], dseFloor); !sameFloat(w[i], a) {
+			c.t.Fatalf("%s: exact weight %d = %v, the dense columns' sum %v (%d etas)", where, i, w[i], a, len(f.etas))
+		}
+	}
+	c.weights++
+	if len(f.etas) > 0 {
+		c.etaW++
+	}
 }
 
 // TestSolveListsMatchDense: through basisSchedule — cold solves, so primal
@@ -259,7 +292,9 @@ func (c *listChecker) check(r *Revised, where string) {
 // start from the frozen state's), of ρ from its list (τ) and of a
 // bound-flip aggregate, BTRAN of a unit vector — list their nonzeros
 // exactly and equal the general ones float for float, with an empty eta
-// file, one eta and a full one. No clock is read.
+// file, one eta and a full one, and the exact steepest-edge weights summed
+// down B⁻¹'s sparse columns equal the sums over dense ones bit for bit. No
+// clock is read.
 func TestSolveListsMatchDense(t *testing.T) {
 	c := &listChecker{t: t, rng: rand.New(rand.NewSource(24))}
 	basisSchedule(t, &djChecker{t: t, also: c.check}, c.attach)
@@ -269,10 +304,11 @@ func TestSolveListsMatchDense(t *testing.T) {
 		st.Add(r.stats)
 	}
 	repair := st.Pivots - st.PrimalPivots - st.DualPivots
-	t.Logf("%d audits (%d primal, %d dual, %d repair pivots, %d flips), %d pricing passes (%d scattered), %d solve pairs, %d eta-only fills, %d unlisted −0",
-		c.audits, st.PrimalPivots, st.DualPivots, repair, st.BoundFlips, c.priced, c.scatters, c.solves, c.etaFill, c.negZero)
+	t.Logf("%d audits (%d primal, %d dual, %d repair pivots, %d flips), %d pricing passes (%d scattered), %d solve pairs, %d eta-only fills, %d unlisted −0, %d exact weight sets (%d on an eta file)",
+		c.audits, st.PrimalPivots, st.DualPivots, repair, st.BoundFlips, c.priced, c.scatters, c.solves, c.etaFill, c.negZero, c.weights, c.etaW)
 	if st.PrimalPivots == 0 || st.DualPivots < 500 || repair == 0 || c.audits < st.Pivots || c.priced < st.DualPivots ||
-		c.scatters == 0 || c.scatters == c.priced || !c.etasSeen[0] || !c.etasSeen[1] || c.etaFill == 0 || c.negZero == 0 {
+		c.scatters == 0 || c.scatters == c.priced || !c.etasSeen[0] || !c.etasSeen[1] || c.etaFill == 0 || c.negZero == 0 ||
+		c.weights < 50 || c.etaW == 0 {
 		t.Fatalf("the schedule reached too little: eta-file lengths seen %v", c.etasSeen)
 	}
 
@@ -366,7 +402,8 @@ func scratchClean(r *Revised) error {
 // the workspace zero, the bitsets empty and d and τ zero outside their
 // lists. That holds before every pivot and after every solve on a context,
 // on a fork, on a reforked fork, after a Rewind across a solve that
-// refactorized inside the dual and after a cold fallback. No clock is read.
+// refactorized inside the dual, after a cold fallback and after each exact
+// steepest-edge initialization. No clock is read.
 func TestSparseSolveScratchIsClean(t *testing.T) {
 	clean := func(r *Revised, where string) {
 		t.Helper()
@@ -479,6 +516,30 @@ func TestSparseSolveScratchIsClean(t *testing.T) {
 	}
 	committed.restore(p)
 	solve(r, "after the cold fallback")
+
+	// The exact steepest-edge initialization solves a column of B⁻¹ per row
+	// through the same workspace, bitsets and τ: at a Freeze after a cold
+	// solve left no weights, and at the dual's entry after a basis installed
+	// without any.
+	before = r.stats
+	if _, err := r.SolveFrom(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	clean(r, "exact weights at Freeze")
+	cols, upper, _ := r.Basis().View()
+	r.Rebase()
+	nudge(p)
+	if _, err := r.SolveFrom(ImportBasis(cols, upper, nil)); err != nil {
+		t.Fatal(err)
+	}
+	clean(r, "exact weights at the dual's entry")
+	if n := r.stats.DSEWeightResets - before.DSEWeightResets; n != 2 || r.stats.ColdFallbacks != before.ColdFallbacks {
+		t.Fatalf("%d exact initializations, %d cold fallbacks: want one at the Freeze and one at the weightless install",
+			n, r.stats.ColdFallbacks-before.ColdFallbacks)
+	}
 	if pivots < 100 {
 		t.Fatalf("only %d pivots checked", pivots)
 	}

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/platgen"
 )
 
 // TestRestoreCommitDeterminism pins the replica-independence property
@@ -76,6 +78,85 @@ func TestRestoreCommitDeterminism(t *testing.T) {
 		if repA.Value != repB.Value || repA.LPBound != repB.LPBound {
 			t.Errorf("seed %d: original (%.17g, %.17g) vs restored (%.17g, %.17g)",
 				seed, repA.Value, repA.LPBound, repB.Value, repB.LPBound)
+		}
+	}
+}
+
+// TestRestoredSessionCommitsAsLive holds the whole committed state to the
+// snapshot: a commit is a pure function of the platform and the carried
+// basis — its columns, at-upper set and steepest-edge weights (Rebase) —
+// so a session restored from a snapshot must commit every later epoch as
+// the live one does, not only the next. On 6 K = 20 platforms drawn as
+// the benchmark draws them, the live session commits 5 epochs, is
+// snapshotted, encoded, decoded and restored, and then both apply the
+// same 10 epochs: every report is the same bytes, stats aside. A basis
+// shipped without its weights passes the next commit here but not the
+// later ones: the restored solve prices its first pivots from weights the
+// live one does not hold.
+func TestRestoredSessionCommitsAsLive(t *testing.T) {
+	const K = 20
+	for seed := int64(1); seed <= 6; seed++ {
+		pl, err := platgen.Generate(platgen.Params{K: K, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5},
+			rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payoffs := make([]float64, K)
+		for i := range payoffs {
+			payoffs[i] = float64(1 + i%3)
+		}
+		cfg, err := parseConfig(&CreateSessionRequest{Objective: "maxmin", Heuristic: "lprg", Payoffs: payoffs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, _, err := newSession(pl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed * 131))
+		epoch := func() *EpochRequest {
+			f, g := make([]float64, K), make([]float64, K)
+			for i := range f {
+				f[i], g[i] = 0.85+0.3*rng.Float64(), 0.85+0.3*rng.Float64()
+			}
+			return &EpochRequest{SpeedFactor: f, GatewayFactor: g}
+		}
+		for e := 0; e < 5; e++ {
+			if _, err := live.Epoch(epoch()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := live.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := snap.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := cluster.DecodeSnapshot(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, _, warm, err := RestoreSession(dec)
+		if err != nil || !warm {
+			t.Fatalf("seed %d: restore: warm %v, %v", seed, warm, err)
+		}
+		for e := 0; e < 10; e++ {
+			req := epoch()
+			a, err := live.Epoch(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := restored.Epoch(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Stats, b.Stats = nil, nil
+			if wa, wb := marshalReport(a), marshalReport(b); wa == nil || !bytes.Equal(wa, wb) {
+				t.Fatalf("seed %d, commit %d after the restore: the reports differ (live value %.17g bound %.17g, restored %.17g bound %.17g)",
+					seed, e+1, a.Value, a.LPBound, b.Value, b.LPBound)
+			}
 		}
 	}
 }

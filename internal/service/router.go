@@ -7,7 +7,9 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"path"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,9 +185,12 @@ func NewNodeWithConfig(srv *Server, self string, peers []string, store *cluster.
 // Handler returns the node's route table: the cluster control
 // endpoints, the /stats interception that adds the cluster section,
 // and the owner-routing wrapper around the plain service routes (Server
-// routes), instrumented once.
+// routes), instrumented once. A clean session path can only match the
+// table's catch-all, so it goes to the router without the table's
+// match, which costs a cached hit five objects; a path that cleaning
+// would change still reaches the table, and its redirect.
 func (n *Node) Handler() http.Handler {
-	inner := n.srv.routes()
+	routed := n.routed(n.srv.routes())
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /cluster/replicate", n.handleReplicate)
 	mux.HandleFunc("POST /cluster/forget", n.handleForget)
@@ -193,8 +198,14 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", n.handleStats)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
 	mux.Handle("GET /metrics", n.srv.Registry().Handler())
-	mux.Handle("/", n.routed(inner))
-	return n.srv.instrument(mux)
+	mux.Handle("/", routed)
+	return n.srv.instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if p := r.URL.Path; strings.HasPrefix(p, "/sessions") && path.Clean(p) == p {
+			routed.ServeHTTP(w, r)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}))
 }
 
 // opClass partitions routed operations by their retry contract.

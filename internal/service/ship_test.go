@@ -373,7 +373,7 @@ func TestSnapshotEncodesOffTheLock(t *testing.T) {
 	}
 	// The snapshot reads that basis in place: its basic columns are the
 	// basis's own array, not a copy and not a later commit's.
-	if cols, _ := basis.View(); reflect.ValueOf(snap).Elem().FieldByName("cols").Pointer() != reflect.ValueOf(cols).Pointer() {
+	if cols, _, _ := basis.View(); reflect.ValueOf(snap).Elem().FieldByName("cols").Pointer() != reflect.ValueOf(cols).Pointer() {
 		t.Fatal("the snapshot does not read the basis committed with its platform")
 	}
 	if sess.Info().Epoch != epoch+1 {

@@ -72,7 +72,8 @@ func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, er
 		Epoch:       epoch,
 		Platform:    plJSON,
 	}
-	snap.SetBasis(basis.View())
+	cols, upper, weights := basis.View()
+	snap.SetBasis(s.model.SolverCols(), cols, upper, weights)
 	snap.RecentCommits = make([]cluster.CommitRecord, 0, len(records))
 	for _, rec := range records {
 		if rec.wire != nil {
@@ -128,7 +129,7 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 	s.fingerprint = snap.Fingerprint
 	s.epoch = snap.Epoch
 	s.answers.rotate(s.epoch) // unshared: rekey the table to the true epoch
-	cols, upper, err := snap.Basis(s.model.SolverCols())
+	cols, upper, weights, err := snap.Basis(s.model.SolverCols())
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -154,7 +155,7 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 			s.recordCommitLocked(commitRecord{id: rec.ID, rep: &rep, wire: rec.Report})
 		}
 	}
-	s.basis = lp.ImportBasis(cols, upper)
+	s.basis = lp.ImportBasis(cols, upper, weights)
 	rep, err := s.Query()
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("rebuild solve: %w", err)
