@@ -11,15 +11,14 @@
 //	dlsched -platform platform.json -heuristic lprg -json
 //
 // Every run computes one service.SolveReport (allocation, objective
-// value, LP bound, solver stats), the wire type the schedd scheduling
-// service answers with, and prints it: as text, or with -json as the
-// service's bytes, so CLI and service results are directly diffable.
-// For the model-backed heuristics (lprg, lprr, lprr-eq, bnb) the report
-// is computed through the service's batch path — identical numbers to a
-// fresh schedd session on the same platform; for the model-free
-// heuristics (g, g-full, lpr) it is computed here and carries no solver
-// stats. -schedule and -simulate run on the report's allocation; -json
-// skips them.
+// value, LP bound), the wire type the schedd scheduling service answers
+// with, and prints it: as text, or with -json as the service's bytes, so
+// CLI and service results are directly diffable. For the model-backed
+// heuristics (lprg, lprr, lprr-eq, bnb) the report is computed through
+// the service's batch path — the bytes of a fresh schedd session's
+// answer on the same platform; for the model-free heuristics (g, g-full,
+// lpr) it is computed here, with the same members. -schedule and
+// -simulate run on the report's allocation; -json skips them.
 //
 // -batch reads a service.BatchWhatIfRequest JSON file and answers
 // every query against a fresh warm session through the service's
@@ -159,8 +158,8 @@ func run() error {
 // through service.Batch — the scheduling service's own batch entry
 // point — so it is identical to a fresh schedd session's answer on the
 // same platform; the model-free ones (heuristics.Run, names in lower
-// case) are computed here, round pr's relaxed optimum where they round
-// one, and report no solver stats.
+// case) are computed here and round pr's relaxed optimum where they
+// round one.
 func report(platformJSON []byte, heur, objName string, obj core.Objective, pr *core.Problem, seed int64) (*service.SolveReport, error) {
 	switch heur {
 	case "lprg", "lprr", "lprr-eq", "bnb":

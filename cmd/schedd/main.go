@@ -111,9 +111,14 @@
 //
 //	curl -s http://127.0.0.1:8080/stats
 //
-// The answers are the same numbers the batch CLIs produce: a
-// dlsched -json run on the session's current platform (GET
-// /sessions/$SID/platform) is directly diffable against a query.
+// /stats and /metrics are the only home of those counters: an answer
+// (query, what-if, epoch) carries none, so its body is a function of the
+// session's committed state and the question. Asked again it is the
+// same bytes, a cache hit adds only "cached": true, and a replica
+// restored from a snapshot answers as the owner did. The answers are
+// the same numbers the batch CLIs produce: a dlsched -json run on the
+// session's current platform (GET /sessions/$SID/platform) is directly
+// diffable against a query.
 //
 // # Observability
 //

@@ -262,7 +262,7 @@ func forkAnswer(t *testing.T, c *Revised, bas *Basis, m forkMutation) rewindResu
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := rewindResult{status: sol.Status, obj: sol.Objective, x: slices.Clone(sol.X), cost: c.Stats().Deterministic()}
+	res := rewindResult{status: sol.Status, obj: sol.Objective, x: slices.Clone(sol.X), cost: countersOf(c.Stats())}
 	undo()
 	c.Rewind()
 	return res

@@ -201,8 +201,7 @@ func TestWarmPivotBudgetScales(t *testing.T) {
 // TestStatsCounters sanity-checks the Stats surface: a cold solve
 // counts as such, warm restarts and refactorizations register, a dual
 // run initializes its steepest-edge weights, Stats.Add sums the
-// counters and keeps the max of the fork-pool gauges, and ResetStats
-// zeroes everything.
+// counters, and ResetStats zeroes everything.
 func TestStatsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(515151))
 	var agg Stats
@@ -240,9 +239,9 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("aggregate lost counters: %+v", agg)
 	}
 	var one Stats
-	one.Add(Stats{Pivots: 3, DSEWeightResets: 1, PeakForks: 4, BatchMaxSize: 7})
-	one.Add(Stats{Pivots: 2, PeakForks: 2, BatchMaxSize: 9})
-	if one.Pivots != 5 || one.DSEWeightResets != 1 || one.PeakForks != 4 || one.BatchMaxSize != 9 {
-		t.Fatalf("Stats.Add mishandled sum/max fields: %+v", one)
+	one.Add(Stats{Pivots: 3, DSEWeightResets: 1, Forks: 4})
+	one.Add(Stats{Pivots: 2, Forks: 2})
+	if one.Pivots != 5 || one.DSEWeightResets != 1 || one.Forks != 6 {
+		t.Fatalf("Stats.Add mishandled a sum: %+v", one)
 	}
 }

@@ -33,19 +33,12 @@ func TestPhaseTimesAccounting(t *testing.T) {
 		t.Fatalf("phase totals went backwards: %+v -> %+v", ph, ph2)
 	}
 
-	// Aggregation and the deterministic embed.
+	// Aggregation.
 	var agg Stats
 	agg.Add(rev.Stats())
 	agg.Add(rev.Stats())
 	if want := 2 * ph2.FTRANNanos; agg.Phase.FTRANNanos != want {
 		t.Fatalf("Add: ftran %d, want %d", agg.Phase.FTRANNanos, want)
-	}
-	det := rev.Stats().Deterministic()
-	if det.Phase != (PhaseTimes{}) {
-		t.Fatalf("Deterministic kept phase times: %+v", det.Phase)
-	}
-	if det.Pivots != rev.Stats().Pivots {
-		t.Fatal("Deterministic altered a deterministic counter")
 	}
 
 	// The budget accessor the health conditions divide by.

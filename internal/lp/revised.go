@@ -282,21 +282,11 @@ type Stats struct {
 	// Forks counts the solve contexts Revised.Fork allocated off this
 	// instance; bringing an existing one onto a newer snapshot in place
 	// (Revised.Refork) is not a fork, so a caller that keeps its forks
-	// counts each once. PeakForks, Batches and BatchMaxSize are recorded
-	// by the layer that fans solves out over forked contexts (the
-	// scheduling service's batched what-if engine): the widest
-	// concurrent fork pool, the number of batch rounds, and the
-	// largest batch answered. Add keeps the max for PeakForks and
-	// BatchMaxSize and sums the other two.
-	Forks        int `json:"forks"`
-	PeakForks    int `json:"peakForks"`
-	Batches      int `json:"batches"`
-	BatchMaxSize int `json:"batchMaxSize"`
+	// counts each once.
+	Forks int `json:"forks"`
 	// Phase is the wall-time-per-phase breakdown of the solves behind
-	// the counters above. Unlike every other field it is nondeterministic
-	// (it measures the clock, not the arithmetic), so the layers that
-	// pin byte-identical answers embed Stats with Phase zeroed — see
-	// Deterministic.
+	// the counters above. Unlike every other field it is nondeterministic:
+	// it measures the clock, not the arithmetic.
 	Phase PhaseTimes `json:"phase"`
 }
 
@@ -329,15 +319,6 @@ func (p *PhaseTimes) Add(other PhaseTimes) {
 	p.RefactorNanos += other.RefactorNanos
 }
 
-// Deterministic returns a copy of s with the wall-clock phase
-// breakdown zeroed — the form safe to embed in answers that must be
-// byte-identical across runs and replicas (SolveReport bodies, the
-// answer cache, commit-dedup records).
-func (s Stats) Deterministic() Stats {
-	s.Phase = PhaseTimes{}
-	return s
-}
-
 // Add accumulates other's counters into s — the aggregation the
 // scheduling service's pool-wide /stats endpoint performs over its
 // sessions.
@@ -352,13 +333,6 @@ func (s *Stats) Add(other Stats) {
 	s.ColdFallbacks += other.ColdFallbacks
 	s.DSEWeightResets += other.DSEWeightResets
 	s.Forks += other.Forks
-	if other.PeakForks > s.PeakForks {
-		s.PeakForks = other.PeakForks
-	}
-	s.Batches += other.Batches
-	if other.BatchMaxSize > s.BatchMaxSize {
-		s.BatchMaxSize = other.BatchMaxSize
-	}
 	s.Phase.Add(other.Phase)
 }
 
@@ -374,8 +348,7 @@ func (r *Revised) NumCols() int { return r.ncols }
 func (r *Revised) ResetStats() { r.stats = Stats{} }
 
 // AbsorbStats folds counters accumulated elsewhere — a forked
-// context's solve activity, or the fork-pool gauges the batched
-// what-if engine records — into this instance's totals.
+// context's solve activity — into this instance's totals.
 func (r *Revised) AbsorbStats(other Stats) { r.stats.Add(other) }
 
 // NewRevised builds a revised-simplex instance over p's current

@@ -19,9 +19,10 @@ const queryCacheKey = "\x01query"
 
 // answer is one answerTable entry. While its solve is in flight only
 // done is live: identical requests wait on it. Resolved, it holds the
-// populating solve's report — immutable once filed — under the
-// committed epoch the solve ran against, and its lazily built wire
-// image.
+// populating solve's report — immutable once filed, and what a fresh
+// solve of the query at that epoch answers, since a report depends on
+// nothing else — under the committed epoch the solve ran against, and
+// its lazily built wire image.
 type answer struct {
 	query string
 	done  chan struct{} // closed when the flight resolves; nil for entries filed resolved

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/lp"
 )
 
 // This file is the batched what-if engine: N hypotheticals against
@@ -35,9 +34,9 @@ import (
 // captured at its start.
 //
 // Batch reports are lean on purpose — verdict, value and bound, no
-// allocation tables, no stats snapshot — which makes the response a
-// pure function of (session state, queries) and therefore
-// byte-diffable between the HTTP endpoint and cmd/dlsched -batch.
+// allocation tables — and, like every answer, a pure function of
+// (session state, queries), so the HTTP endpoint and cmd/dlsched -batch
+// byte-diff clean.
 
 // defaultBatchWorkers is the fork-pool width when the request does
 // not set one, and the most idle forks a session keeps between batches.
@@ -156,7 +155,6 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 			return nil, fmt.Errorf("batch what-if: fork: %w", err)
 		}
 	}
-	s.model.AbsorbSolverStats(lp.Stats{PeakForks: workers, Batches: 1, BatchMaxSize: n})
 	s.mu.Unlock()
 	s.whatIfs.Add(uint64(nd))
 	s.coalesced.Add(uint64(n - nd))

@@ -91,7 +91,7 @@ func TestBatchWhatIfMatchesSerial(t *testing.T) {
 		if rep.Feasible && math.Abs(rep.LPBound-want[i].LPBound) > tol*(1+math.Abs(want[i].LPBound)) {
 			t.Fatalf("query %d: batch bound %.12g, serial %.12g", i, rep.LPBound, want[i].LPBound)
 		}
-		if rep.Alpha != nil || rep.BetaFrac != nil || rep.Stats != nil {
+		if rep.Alpha != nil || rep.BetaFrac != nil {
 			t.Fatalf("query %d: batch report not lean: %+v", i, rep)
 		}
 	}
@@ -156,17 +156,10 @@ func TestBatchWhatIfDedupe(t *testing.T) {
 		}
 	}
 
-	// Fork accounting: one batch, a pool capped at the distinct count,
-	// batch size recorded.
+	// Fork accounting: one fork per worker of a pool capped at the
+	// distinct count.
 	if after.Forks-before.Forks != resp.Workers {
 		t.Fatalf("forks advanced %d, want %d", after.Forks-before.Forks, resp.Workers)
-	}
-	if after.Batches-before.Batches != 1 {
-		t.Fatalf("batches advanced %d, want 1", after.Batches-before.Batches)
-	}
-	if after.PeakForks < resp.Workers || after.BatchMaxSize < len(queries) {
-		t.Fatalf("gauges PeakForks=%d BatchMaxSize=%d, want >= %d / %d",
-			after.PeakForks, after.BatchMaxSize, resp.Workers, len(queries))
 	}
 
 	// A second batch of the same width borrows the first one's forks: no

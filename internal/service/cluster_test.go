@@ -14,17 +14,15 @@ import (
 )
 
 // stripVolatile removes the fields a report legitimately varies in
-// across processes and cache states — the process-lifetime solver
-// counters and the cached/coalesced markers — and re-marshals with
-// sorted keys, so two answers can be compared byte for byte on
-// everything that matters: values, bounds, allocations, epoch.
+// across cache states — the cached/coalesced markers — and re-marshals
+// with sorted keys, so two answers can be compared byte for byte on
+// everything else: values, bounds, allocations, epoch.
 func stripVolatile(t testing.TB, raw []byte) string {
 	t.Helper()
 	var m map[string]any
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatalf("stripVolatile: %v\n%s", err, raw)
 	}
-	delete(m, "stats")
 	delete(m, "cached")
 	delete(m, "coalesced")
 	out, err := json.Marshal(m)

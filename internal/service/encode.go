@@ -22,9 +22,12 @@ import (
 // json.Marshal renders a commit record in. It is the only encoder of
 // those bodies: a report it cannot write — a NaN or ±Inf, which JSON
 // has no form for — is an error (errNonFinite; a 500 over HTTP), never
-// a second encoder's attempt. The format is a frozen contract;
-// encoding/json stays the encoder of every other type and this one's
-// oracle in tests.
+// a second encoder's attempt. The format is a frozen contract: the
+// members of SolveReport, whose values depend only on the committed
+// state and the question — no solver counters, so a re-solve, a cache
+// hit (bar its "cached" member) and a restored replica write the same
+// bytes. encoding/json stays the encoder of every other type and this
+// one's oracle in tests.
 
 // errNonFinite is the encoder's one failure.
 var errNonFinite = errors.New("service: the report holds a NaN or ±Inf, which JSON cannot carry")
@@ -99,7 +102,8 @@ type wireEnc struct {
 }
 
 // nl starts a line at depth; the compact form has none. The deepest
-// line written is a batch report's phase member, at depth 5.
+// line written is a table cell of a report nested in a batch body, at
+// depth 5.
 func (e *wireEnc) nl(depth int) {
 	if !e.compact {
 		e.b = append(e.b, "\n                "[:1+2*depth]...)
@@ -119,12 +123,6 @@ func (e *wireEnc) key(depth int, name string) {
 	} else {
 		e.b = append(e.b, `": `...)
 	}
-}
-
-// open starts the member name, whose value is an object.
-func (e *wireEnc) open(depth int, name string) {
-	e.key(depth, name)
-	e.b = append(e.b, '{')
 }
 
 func (e *wireEnc) close(depth int) {
@@ -255,11 +253,10 @@ func (e *wireEnc) done() ([]byte, bool) {
 }
 
 // report appends rep, whose braces sit at depth. Members follow the
-// json tags of SolveReport, lp.Stats and lp.PhaseTimes (a test holds
-// it). A body told as a diff has its tables spliced from the frozen
-// answer's bytes, which hold them as a top-level indented body does; any
-// other form writes them out whole (no report the service files is
-// written in another form).
+// json tags of SolveReport (a test holds it). A body told as a diff has
+// its tables spliced from the frozen answer's bytes, which hold them as
+// a top-level indented body does; any other form writes them out whole
+// (no report the service files is written in another form).
 func report(e *wireEnc, depth int, rep *SolveReport) {
 	if rep == nil {
 		e.b = append(e.b, "null"...)
@@ -308,31 +305,6 @@ func report(e *wireEnc, depth int, rep *SolveReport) {
 	}
 	if rep.Cached {
 		e.boolField(d, "cached", true)
-	}
-	if s := rep.Stats; s != nil {
-		e.open(d, "stats")
-		e.intField(d+1, "pivots", int64(s.Pivots))
-		e.intField(d+1, "primalPivots", int64(s.PrimalPivots))
-		e.intField(d+1, "dualPivots", int64(s.DualPivots))
-		e.intField(d+1, "boundFlips", int64(s.BoundFlips))
-		e.intField(d+1, "refactorizations", int64(s.Refactorizations))
-		e.intField(d+1, "coldSolves", int64(s.ColdSolves))
-		e.intField(d+1, "warmSolves", int64(s.WarmSolves))
-		e.intField(d+1, "coldFallbacks", int64(s.ColdFallbacks))
-		e.intField(d+1, "ftUpdates", int64(s.FTUpdates))
-		e.intField(d+1, "dseWeightResets", int64(s.DSEWeightResets))
-		e.intField(d+1, "forks", int64(s.Forks))
-		e.intField(d+1, "peakForks", int64(s.PeakForks))
-		e.intField(d+1, "batches", int64(s.Batches))
-		e.intField(d+1, "batchMaxSize", int64(s.BatchMaxSize))
-		e.open(d+1, "phase")
-		e.intField(d+2, "ftranNanos", s.Phase.FTRANNanos)
-		e.intField(d+2, "btranNanos", s.Phase.BTRANNanos)
-		e.intField(d+2, "pricingNanos", s.Phase.PricingNanos)
-		e.intField(d+2, "ratioTestNanos", s.Phase.RatioTestNanos)
-		e.intField(d+2, "refactorNanos", s.Phase.RefactorNanos)
-		e.close(d + 1)
-		e.close(d)
 	}
 	e.close(depth)
 }

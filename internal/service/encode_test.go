@@ -12,8 +12,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/lp"
 )
 
 // oracleBytes is the encoder's reference: encoding/json's indenting
@@ -166,7 +164,7 @@ func genString(src reportSource) string {
 
 // genReport draws a report exercising every shape the encoder
 // branches on: each omitempty field present and absent, nil / empty /
-// ragged tables with nil and empty rows, Stats nil and set.
+// ragged tables with nil and empty rows.
 func genReport(src reportSource) *SolveReport {
 	floats := func(src reportSource) []float64 { return genSlice(src, genFloat) }
 	ints := func(src reportSource) []int {
@@ -188,25 +186,7 @@ func genReport(src reportSource) *SolveReport {
 		Coalesced:   flags&4 != 0,
 		Cached:      flags&8 != 0,
 	}
-	if flags&16 != 0 {
-		rep.Stats = new(lp.Stats)
-		fillInts(reflect.ValueOf(rep.Stats).Elem(), src)
-	}
 	return rep
-}
-
-// fillInts sets every integer field of a struct, nested structs
-// included, so a counter added to lp.Stats is drawn without a change
-// here.
-func fillInts(v reflect.Value, src reportSource) {
-	for i := 0; i < v.NumField(); i++ {
-		switch f := v.Field(i); f.Kind() {
-		case reflect.Struct:
-			fillInts(f, src)
-		case reflect.Int, reflect.Int64:
-			f.SetInt(int64(src.word()) >> (src.word() % 64))
-		}
-	}
 }
 
 // TestEncodeReportMatchesOracle is the encoder's differential test:
@@ -258,7 +238,7 @@ func FuzzEncodeSolveReport(f *testing.F) {
 	f.Add(seed)
 	// The same words name edge floats by index (genFloat's first arm),
 	// slices by length class (0 nil, 1 empty, n n−1 elements), and flags:
-	// 1 feasible, 2 relaxed, 4 coalesced, 8 cached, 16 stats.
+	// 1 feasible, 2 relaxed, 4 coalesced, 8 cached.
 	edge := func(f float64) uint64 {
 		for i, e := range edgeFloats {
 			if math.Float64bits(e) == math.Float64bits(f) {
@@ -270,15 +250,15 @@ func FuzzEncodeSolveReport(f *testing.F) {
 	for _, words := range [][]uint64{
 		// −0 and the exponent-form boundaries on each side, a nil alpha,
 		// an empty beta and a betaFrac of one empty row, under the three
-		// batch-visible flags and a stats block.
-		{2 | 4 | 8 | 16, 0, 1, edge(math.Copysign(0, -1)), edge(1e-7),
+		// batch-visible flags.
+		{2 | 4 | 8, 0, 1, edge(math.Copysign(0, -1)), edge(1e-7),
 			4, edge(1e-6), edge(0.99e-6), edge(1e21),
 			0, 1, 2, 1},
 		// An empty alpha, a nil beta, a betaFrac of a nil row and a row of
 		// 1e20 | 0.99e21 | 999999e-12, relaxed and cached only.
 		{1 | 2 | 8, 1, 0, edge(1e20), edge(0.99e21),
 			1, 1, 0, 3, 0, 4, edge(1e20), edge(0.99e21), edge(999999e-12)},
-		// Every flag but stats off, tables absent.
+		// Feasible and coalesced only, tables absent.
 		{1 | 4, 2, 2, edge(0), edge(1e-7), 0, 0, 0, 0},
 	} {
 		var b []byte
@@ -360,13 +340,13 @@ func jsonTags(t reflect.Type) []string {
 	return out
 }
 
-// objectKeys lists the member names of the JSON object dec is
-// positioned at, in order, descending into the objects named in nested
-// and skipping every other value.
-func objectKeys(t *testing.T, dec *json.Decoder, path string, nested map[string][]string) {
+// objectKeys lists the member names of the JSON object b holds, in
+// order.
+func objectKeys(t *testing.T, b []byte) []string {
 	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(b))
 	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		t.Fatalf("%s: want an object, got %v (%v)", path, tok, err)
+		t.Fatalf("want an object, got %v (%v)", tok, err)
 	}
 	var keys []string
 	for dec.More() {
@@ -374,53 +354,38 @@ func objectKeys(t *testing.T, dec *json.Decoder, path string, nested map[string]
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := tok.(string)
-		keys = append(keys, key)
-		if _, ok := nested[path+"."+key]; ok {
-			objectKeys(t, dec, path+"."+key, nested)
-			continue
-		}
+		keys = append(keys, tok.(string))
 		var skip json.RawMessage
 		if err := dec.Decode(&skip); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dec.Token() //nolint:errcheck // the closing brace
-	nested[path] = keys
+	return keys
 }
 
 // TestEncoderKeysMatchTags is the drift guard: the member names the
 // encoder writes for a fully populated report, in order, must be the
-// json tags of SolveReport, lp.Stats and lp.PhaseTimes. A field added
-// to any of the three without teaching appendReport fails here.
+// json tags of SolveReport. A field added to it without teaching
+// appendReport fails here.
 func TestEncoderKeysMatchTags(t *testing.T) {
 	full := &SolveReport{
 		Heuristic: "h", Objective: "o", Feasible: true, Value: 1, LPBound: 1,
 		Throughputs: []float64{1}, Alpha: [][]float64{{1}}, Beta: [][]int{{1}}, BetaFrac: [][]float64{{1}},
-		Relaxed: true, Epoch: 1, Coalesced: true, Cached: true, Stats: &lp.Stats{},
+		Relaxed: true, Epoch: 1, Coalesced: true, Cached: true,
 	}
 	b, ok := appendReport(nil, full, 0, false)
 	if !ok {
 		t.Fatal("appendReport rejected a finite report")
 	}
-	got := map[string][]string{".stats": nil, ".stats.phase": nil}
-	objectKeys(t, json.NewDecoder(bytes.NewReader(b)), "", got)
-	want := map[string][]string{
-		"":             jsonTags(reflect.TypeOf(SolveReport{})),
-		".stats":       jsonTags(reflect.TypeOf(lp.Stats{})),
-		".stats.phase": jsonTags(reflect.TypeOf(lp.PhaseTimes{})),
-	}
-	if !reflect.DeepEqual(got, want) {
+	if got, want := objectKeys(t, b), jsonTags(reflect.TypeOf(SolveReport{})); !reflect.DeepEqual(got, want) {
 		t.Fatalf("encoder keys drifted from the struct tags\nencoder: %v\ntags:    %v", got, want)
 	}
 	b, ok = appendBatch(nil, &BatchWhatIfResponse{Reports: []*SolveReport{full}})
 	if !ok {
 		t.Fatal("appendBatch rejected a finite batch")
 	}
-	got = map[string][]string{}
-	objectKeys(t, json.NewDecoder(bytes.NewReader(b)), "", got)
-	if want := jsonTags(reflect.TypeOf(BatchWhatIfResponse{})); !reflect.DeepEqual(got[""], want) {
-		t.Fatalf("batch encoder keys drifted from the struct tags\nencoder: %v\ntags:    %v", got[""], want)
+	if got, want := objectKeys(t, b), jsonTags(reflect.TypeOf(BatchWhatIfResponse{})); !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch encoder keys drifted from the struct tags\nencoder: %v\ntags:    %v", got, want)
 	}
 }
 

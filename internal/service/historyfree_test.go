@@ -8,8 +8,8 @@ import (
 	"repro/internal/lp"
 )
 
-// asked is what one uncached what-if reports and what it cost: the body
-// without the cumulative counters, and the counters it moved.
+// asked is what one uncached what-if reports and what it cost: the body,
+// and the counters it moved.
 type asked struct {
 	rep  *SolveReport
 	body []byte
@@ -20,13 +20,13 @@ type asked struct {
 func ask(t *testing.T, s *Session, q WhatIfRequest) asked {
 	t.Helper()
 	s.answers.flush()
-	before := s.Stats().Solver.Deterministic()
+	before := s.Stats().Solver
 	rep, err := s.WhatIf(&q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := s.Stats().Solver.Deterministic()
-	return asked{rep: rep, body: bodyWithoutStats(t, rep), cost: lp.Stats{
+	after := s.Stats().Solver
+	return asked{rep: rep, body: mustEncode(t, rep), cost: lp.Stats{
 		Pivots:           after.Pivots - before.Pivots,
 		PrimalPivots:     after.PrimalPivots - before.PrimalPivots,
 		DualPivots:       after.DualPivots - before.DualPivots,
@@ -44,9 +44,9 @@ func ask(t *testing.T, s *Session, q WhatIfRequest) asked {
 // function of (committed state, request). On lprg, lprr and bnb
 // sessions the same requests asked first, after 300 unrelated mixed
 // what-ifs (relaxed, boxed, crossed, heuristic, one box the simplex
-// finds infeasible) and after 64-query batches return the same bytes
-// apart from the cumulative stats, for the same pivots,
-// refactorizations, bound flips and weight resets; and a batch's report
+// finds infeasible) and after 64-query batches return the same bytes,
+// for the same pivots, refactorizations, bound flips and weight resets;
+// and a batch's report
 // for such a request carries the single what-if's verdict and bound
 // exactly, on whichever fork it ran. No clock is read.
 func TestWhatIfCostIsHistoryFree(t *testing.T) {

@@ -18,16 +18,16 @@ import (
 )
 
 // withCachedLine is what a cache hit's body must be: the body of the
-// response that populated the entry with the one line `  "cached":
-// true,` inserted where the encoder writes it, after "epoch".
+// response that populated the entry with the line `  "cached": true`
+// added where the encoder writes it, after "epoch", its last member.
 func withCachedLine(t testing.TB, populated []byte) []byte {
 	t.Helper()
 	at := bytes.LastIndex(populated, []byte("\n  \"epoch\": "))
 	if at < 0 || bytes.Contains(populated, []byte(`"cached"`)) || bytes.Contains(populated, []byte(`"coalesced"`)) {
 		t.Fatalf("not the body of a solved, unshared answer:\n%s", populated)
 	}
-	end := at + 1 + bytes.IndexByte(populated[at+1:], '\n') + 1
-	return append(append(append([]byte(nil), populated[:end]...), "  \"cached\": true,\n"...), populated[end:]...)
+	end := at + 1 + bytes.IndexByte(populated[at+1:], '\n')
+	return append(append(append([]byte(nil), populated[:end]...), ",\n  \"cached\": true"...), populated[end:]...)
 }
 
 // serve runs one request through h and returns the recorder.
@@ -133,7 +133,7 @@ func TestImageNeverOutlivesItsState(t *testing.T) {
 		t.Fatalf("query after the commit is not the commit's answer:\n%s", postQuery)
 	}
 	postWhatIf := okBody(t, h, base+"/whatif", whatIf)
-	if bytes.Contains(postWhatIf, []byte(`"cached"`)) || !bytes.Contains(postWhatIf, []byte("\n  \"epoch\": 1,")) || bytes.Equal(postWhatIf, preWhatIf) {
+	if bytes.Contains(postWhatIf, []byte(`"cached"`)) || !bytes.Contains(postWhatIf, []byte("\n  \"epoch\": 1\n")) || bytes.Equal(postWhatIf, preWhatIf) {
 		t.Fatalf("what-if after the commit was not re-solved at epoch 1:\n%s", postWhatIf)
 	}
 

@@ -101,6 +101,17 @@ func TestOneMemberNodeAnswersAsServer(t *testing.T) {
 		}
 	}
 
+	// A path off the session grammar is no session request: the route
+	// table's plain 404 on either stack, never a create.
+	for _, row := range []struct{ method, path string }{
+		{"POST", "/sessions/"}, {"GET", "/sessions/"}, {"POST", "/sessionsx"}, {"GET", "/sessionsx/query"},
+	} {
+		a, b := serveReq(server, row.method, row.path, nil), serveReq(node, row.method, row.path, nil)
+		if a.Code != http.StatusNotFound || a.Code != b.Code || a.Body.String() != b.Body.String() {
+			t.Fatalf("%s %s: Server.Handler %d %s, Node.Handler %d %s", row.method, row.path, a.Code, a.Body, b.Code, b.Body)
+		}
+	}
+
 	const ok, bad, none = http.StatusOK, http.StatusBadRequest, http.StatusNotFound
 	for _, row := range []struct {
 		method, path, body string

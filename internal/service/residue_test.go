@@ -10,8 +10,7 @@ import (
 
 // committedBody is the body POST /sessions/{id}/query would send for
 // the session's committed state, solved afresh (the answer table is
-// flushed first) — without the solver's cumulative counters, the one
-// part of a report that is history by design.
+// flushed first).
 func committedBody(t *testing.T, s *Session) []byte {
 	t.Helper()
 	s.answers.flush()
@@ -19,19 +18,7 @@ func committedBody(t *testing.T, s *Session) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bodyWithoutStats(t, rep)
-}
-
-// bodyWithoutStats encodes rep as the wire would, minus its stats.
-func bodyWithoutStats(t *testing.T, rep *SolveReport) []byte {
-	t.Helper()
-	cp := *rep
-	cp.Stats = nil
-	var buf bytes.Buffer
-	if err := EncodeReport(&buf, &cp); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return mustEncode(t, rep)
 }
 
 // TestWhatIfLeavesNoResidue: a what-if is posed on the session's one

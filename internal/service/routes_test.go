@@ -13,8 +13,9 @@ import (
 // /sessions[/{id}[/{sub}]] grammar — the retry class, the ring key and
 // the bounded endpoint label — for every route in the Server doc
 // comment and a few paths that are not routes. The expectations are
-// written out, not derived: they are what the four separate string
-// trimmers this table's one parser replaced computed.
+// written out, not derived. A path off the grammar (/sessions/,
+// /sessionsX) is served locally and labelled "other": no ring key, no
+// per-session series.
 func TestSessionPathRouteTable(t *testing.T) {
 	create, err := json.Marshal(&CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 4, 7))})
 	if err != nil {
@@ -45,8 +46,11 @@ func TestSessionPathRouteTable(t *testing.T) {
 		// classified, routed and labelled on the way there.
 		{"GET", "/sessions/x/nope", "x", "nope", opRead, "x", "other"},
 		{"GET", "/sessions/abc/epoch", "abc", "epoch", opRead, "abc", "epoch"},
-		{"GET", "/sessions/", "", "", opLocal, "", "list"},
-		{"GET", "/sessionsX", "X", "", opRead, "X", "info"},
+		{"GET", "/sessions/", "", "", opLocal, "", "other"},
+		{"POST", "/sessions/", "", "", opLocal, "", "other"},
+		{"GET", "/sessionsX", "", "", opLocal, "", "other"},
+		{"GET", "/sessionsX/query", "", "", opLocal, "", "other"},
+		{"POST", "/sessions//query", "", "", opLocal, "", "other"},
 		{"POST", "/cluster/health", "", "", opLocal, "", "cluster"},
 		{"GET", "/", "", "", opLocal, "", "other"},
 	}

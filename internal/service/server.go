@@ -102,15 +102,20 @@ func (s *Server) routes() http.Handler {
 }
 
 // sessionPath parses the /sessions[/{id}[/{sub}]] grammar every
-// routing and labelling decision is made on: ok is false off the
-// /sessions prefix, id is empty for the collection itself, and sub is
-// whatever follows the ID ("query", "whatif/batch", ...).
+// routing and labelling decision is made on: exactly /sessions, the
+// collection (id empty), or /sessions/ then a non-empty id, then
+// optionally / and whatever follows the ID ("query", "whatif/batch",
+// ...). Any other path — /sessions/, /sessionsx — is off the grammar:
+// ok is false.
 func sessionPath(path string) (id, sub string, ok bool) {
-	rest, ok := strings.CutPrefix(path, "/sessions")
-	if !ok {
+	if path == "/sessions" {
+		return "", "", true
+	}
+	rest, ok := strings.CutPrefix(path, "/sessions/")
+	id, sub, _ = strings.Cut(rest, "/")
+	if !ok || id == "" {
 		return "", "", false
 	}
-	id, sub, _ = strings.Cut(strings.TrimPrefix(rest, "/"), "/")
 	return id, sub, true
 }
 

@@ -742,7 +742,7 @@ func TestBatchMatchesService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, _ := newTestServer(t, 2)
+	ts, pool := newTestServer(t, 2)
 	resp := createSession(t, ts, req, http.StatusCreated)
 	if math.Abs(rep.Value-resp.Report.Value) > tol*(1+math.Abs(rep.Value)) {
 		t.Fatalf("batch value %g, service value %g", rep.Value, resp.Report.Value)
@@ -750,8 +750,8 @@ func TestBatchMatchesService(t *testing.T) {
 	if math.Abs(rep.LPBound-resp.Report.LPBound) > tol*(1+math.Abs(rep.LPBound)) {
 		t.Fatalf("batch bound %g, service bound %g", rep.LPBound, resp.Report.LPBound)
 	}
-	if rep.Stats == nil || rep.Stats.ColdSolves != 1 {
-		t.Fatalf("batch stats = %+v, want exactly one cold solve", rep.Stats)
+	if st := pool.Get(resp.ID).Stats().Solver; st.ColdSolves != 1 {
+		t.Fatalf("session solver stats = %+v, want exactly one cold solve", st)
 	}
 }
 

@@ -314,9 +314,8 @@ func (s *Session) Stats() SessionStats {
 // an unchanged committed state is an answer-table hit (the solve it
 // skips would have been a warm restart at ~zero pivots — the table
 // turns it into a map lookup); otherwise it solves warm from the
-// carried basis and files the answer. Cached answers carry the
-// solver-stats snapshot of the solve that produced them, so repeat
-// hits are byte-identical.
+// carried basis and files the answer. A hit is the solve's answer
+// with Cached set.
 func (s *Session) Query() (*SolveReport, error) { return asReport(s.query()) }
 
 // asReport turns an HTTP-layer answer into the exported API's: a cache
@@ -431,8 +430,6 @@ func (s *Session) reportFor(epr *core.Problem, alloc *core.Allocation) *SolveRep
 	for k := 0; k < K; k++ {
 		rep.Throughputs[k] = alloc.AppThroughput(k)
 	}
-	stats := s.model.SolverStats().Deterministic()
-	rep.Stats = &stats
 	return rep
 }
 
@@ -443,13 +440,11 @@ func (s *Session) reportFor(epr *core.Problem, alloc *core.Allocation) *SolveRep
 // just that: its body is spliced from the frozen answer's encoded
 // tables, and only the α rows with a moved cell are summed anew.
 func (s *Session) relaxReportLocked() *SolveReport {
-	stats := s.model.SolverStats().Deterministic()
 	rep := &SolveReport{
 		Heuristic: s.cfg.heur,
 		Objective: s.cfg.objName,
 		Relaxed:   true,
 		Epoch:     s.epoch,
-		Stats:     &stats,
 	}
 	if d, ok := s.model.Diff(); ok {
 		if s.tables == nil || s.tables.sol != d.Base {

@@ -126,8 +126,7 @@ type BatchWhatIfRequest struct {
 // BatchWhatIfResponse answers POST /sessions/{id}/whatif/batch.
 // Reports line up with Queries; a duplicate query's report is a copy
 // of its twin's with Coalesced set. Reports are lean — value, bound
-// and feasibility only, no allocation tables and no stats snapshot —
-// so the response is deterministic byte for byte and a batch over the
+// and feasibility only, no allocation tables — and a batch over the
 // wire diffs clean against cmd/dlsched -batch.
 type BatchWhatIfResponse struct {
 	Reports []*SolveReport `json:"reports"`
@@ -152,7 +151,10 @@ type EpochRequest struct {
 }
 
 // SolveReport is one solve's answer — the service's query/what-if/
-// epoch response body, and cmd/dlsched's -json output.
+// epoch response body, and cmd/dlsched's -json output. It is a function
+// of the committed state and the question asked, nothing else: the
+// solver's counters, which depend on what the session did before, are
+// served by /stats and /metrics, not in an answer.
 type SolveReport struct {
 	Heuristic string `json:"heuristic"`
 	Objective string `json:"objective"`
@@ -182,15 +184,10 @@ type SolveReport struct {
 	Coalesced bool `json:"coalesced,omitempty"`
 	// Cached marks an answer served from the committed-state answer
 	// cache instead of solved. Apart from this flag the report is
-	// byte-identical to the solve that populated the cache (including
-	// its solver-stats snapshot, which is frozen at population time):
-	// over HTTP a hit is that body with the one line `  "cached": true,`
-	// inserted, served from bytes stored with the cache entry.
+	// byte-identical to a fresh solve of the same question: over HTTP a
+	// hit is that body with the member `"cached": true` after "epoch",
+	// served from bytes stored with the cache entry.
 	Cached bool `json:"cached,omitempty"`
-	// Stats snapshots the session's cumulative solver counters after
-	// this solve (for a batch CLI report: the counters of just this
-	// run).
-	Stats *lp.Stats `json:"stats,omitempty"`
 
 	// Not on the wire: a relaxed what-if's tables told as the frozen
 	// answer's plus the cells that moved, in place of Alpha and BetaFrac
