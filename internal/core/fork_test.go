@@ -225,10 +225,12 @@ func TestForkAllocatesNoDeadFactor(t *testing.T) {
 // state a kept fork is reforked onto, so every Refork measured is the full
 // refresh a commit leaves: copy the frozen state and the capacities,
 // re-alias the LU arrays, rewind. After each Refork the kept fork answers
-// a what-if that pivots and retracts it, so every first pivot measured
-// misses the fork's first-pivot cache — filed under the other state — and
-// files its entry in the storage the other state's entries left. And the
-// kept fork answers on the new state what a fresh fork does.
+// a what-if that pivots at least twice, and retracts it, twice: the first
+// asking's first pivot misses the fork's path cache — filed under the
+// other state — and files its entry in the storage the other state's
+// entries left; the second asking is served that pivot and files the next
+// one's entry under it, a path a level deep. And the kept fork answers on
+// the new state what a fresh fork does.
 func TestReforkAllocatesNothing(t *testing.T) {
 	pl, err := platgen.Generate(platgen.Params{
 		K: 20, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5,
@@ -260,57 +262,64 @@ func TestReforkAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// whatIf reforks kept onto from, cuts the cluster's speed to half,
-	// solves, retracts the cut and rewinds; it reports the solve's dual
-	// pivots and refactorizations (Refork zeroed kept's counters).
-	whatIf := func(from *Model, cluster int) (pivots, refactors int, err error) {
+	// whatIf reforks kept onto from and asks twice: cut the cluster's speed
+	// to half, solve, retract the cut and rewind. It reports the first
+	// asking's dual pivots, whether the second took as many, and the
+	// refactorizations of both (Refork zeroed kept's counters).
+	whatIf := func(from *Model, cluster int) (pivots int, same bool, refactors int, err error) {
 		if err := from.Refork(kept); err != nil {
-			return 0, 0, err
+			return 0, false, 0, err
 		}
 		speed := pl.Clusters[cluster].Speed
-		if err := kept.SetSpeed(cluster, speed/2); err != nil {
-			return 0, 0, err
-		}
-		if _, _, err := kept.Solve(basis); err != nil {
-			return 0, 0, err
+		for n := 0; n < 2; n++ {
+			if err := kept.SetSpeed(cluster, speed/2); err != nil {
+				return 0, false, 0, err
+			}
+			if _, _, err := kept.Solve(basis); err != nil {
+				return 0, false, 0, err
+			}
+			if err := kept.SetSpeed(cluster, speed); err != nil {
+				return 0, false, 0, err
+			}
+			kept.Rewind()
+			if n == 0 {
+				pivots = kept.SolverStats().DualPivots
+			}
 		}
 		st := kept.SolverStats()
-		if err := kept.SetSpeed(cluster, speed); err != nil {
-			return 0, 0, err
-		}
-		kept.Rewind()
-		return st.DualPivots, st.Refactorizations, nil
+		return pivots, st.DualPivots == 2*pivots, st.Refactorizations, nil
 	}
-	// The first cluster whose speed cut pivots off both states without a
-	// refactorization, which would give the fork a factor of its own.
+	// The first cluster whose speed cut pivots at least twice off both
+	// states without a refactorization, which would give the fork a factor
+	// of its own.
 	cluster := 0
 	for ; cluster < pl.K(); cluster++ {
 		both := true
 		for _, from := range []*Model{committed, m} {
-			pivots, refactors, err := whatIf(from, cluster)
+			pivots, same, refactors, err := whatIf(from, cluster)
 			if err != nil {
 				t.Fatal(err)
 			}
-			both = both && pivots > 0 && refactors == 0
+			both = both && pivots >= 2 && same && refactors == 0
 		}
 		if both {
 			break
 		}
 	}
 	if cluster == pl.K() {
-		t.Fatal("no speed cut pivots off both states without a refactorization")
+		t.Fatal("no speed cut pivots twice off both states without a refactorization")
 	}
 	var runErr error
 	runs, bad := 0, 0
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, from := range []*Model{committed, m} {
-			pivots, refactors, err := whatIf(from, cluster)
+			pivots, same, refactors, err := whatIf(from, cluster)
 			if err != nil {
 				runErr = err
 				return
 			}
 			runs++
-			if pivots == 0 || refactors != 0 {
+			if pivots < 2 || !same || refactors != 0 {
 				bad++
 			}
 		}
@@ -318,12 +327,12 @@ func TestReforkAllocatesNothing(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	t.Logf("two stale Reforks at K=20, each followed by a what-if on cluster %d's speed: %.0f allocs", cluster, allocs)
+	t.Logf("two stale Reforks at K=20, each followed by a what-if on cluster %d's speed asked twice: %.0f allocs", cluster, allocs)
 	if allocs != 0 {
-		t.Fatalf("a stale Refork and a what-if at K=20 allocated %.1f times per pair, want 0", allocs)
+		t.Fatalf("a stale Refork and a what-if asked twice at K=20 allocated %.1f times per pair, want 0", allocs)
 	}
 	if bad != 0 {
-		t.Fatalf("%d of %d what-ifs took no pivot or refactorized", bad, runs)
+		t.Fatalf("%d of %d what-ifs took fewer than two pivots, pivoted differently when asked again, or refactorized", bad, runs)
 	}
 
 	if err := committed.Refork(kept); err != nil {

@@ -710,8 +710,8 @@ func (r *Revised) direction(j int) {
 // onFrozenFactor reports whether the live factor is the frozen LU with an
 // empty eta file. Every pivot appends an eta or refactorizes, and only a
 // refactorization, which allocates, ends the borrowing, so the basis and
-// the row signs are then the frozen ones as well: what the first-pivot
-// cache files is a function of the frozen state.
+// the row signs are then the frozen ones as well: a pivot path through the
+// path cache starts here.
 func (r *Revised) onFrozenFactor() bool {
 	return r.frozen.start != nil && r.fac.borrowed && len(r.fac.etas) == 0
 }

@@ -117,104 +117,179 @@ type frozenStart struct {
 	overWide, overNarrow bool // priceScan(dualTol, eps)
 }
 
-// firstPivotCap bounds a context's first-pivot cache: it keeps the first
-// firstPivotCap (row, side) pairs a frozen state's first pivots leave by
-// and files no more. DESIGN.md "Pivot path: what a dual pivot touches"
-// gives the repeat rates it was sized on and its memory.
-const firstPivotCap = 32
+// pathBudgetPairs is a context's pivot-path cache budget in index-value
+// pairs (12 bytes each) per 2m + n, the most one entry holds (n priced
+// columns): the cache's storage, capacity included, stays within
+// pathBudgetPairs·(2m + n) pairs' bytes. DESIGN.md "Pivot path: what a
+// dual pivot touches" gives the repeat rates and the memory it was sized
+// on.
+const pathBudgetPairs = 32
 
-// firstPivots is a context's first-pivot cache. While the live factor is
-// the frozen LU with an empty eta file (onFrozenFactor), the basis and the
-// row signs are the frozen ones too, so what a dual pivot leaving by row r
-// computes before it pivots — ρ_r = e_rᵀB⁻¹ with its list and ‖ρ_r‖², the
+// pathEntryBytes is what an entry's header costs the budget: at least
+// its size, which a test holds.
+const pathEntryBytes = 56
+
+// pathCache is a context's pivot-path cache. While the live factor is the
+// frozen LU plus only the etas a solve's own dual pivots appended since
+// it left the frozen state (onFrozenFactor), the basis, the row signs and
+// the eta file are functions of the frozen state and the path those
+// pivots took, and so is what the next dual pivot leaving by row r
+// computes before it pivots: ρ_r = e_rᵀB⁻¹ with its list and ‖ρ_r‖², the
 // scatter's candidate list with each α (the side orients α), and
-// τ_r = B⁻¹ρ_r for the steepest-edge update — is a function of the
-// frozen state, the row and the side alone. The cache keeps that per
-// (row, side) for the frozen state start names, sparse: each entry's lists
-// and values lie in two arenas. A Freeze empties it, and so does a lookup
-// under another start (a fork reforked onto a newer Freeze); the arenas
-// keep their storage, so a context that has seen its largest entries
-// allocates nothing more. Dense-arm pivots are not filed: that arm leaves
-// α at every nonbasic column.
-type firstPivots struct {
-	start *frozenStart
-	ents  []firstPivot
-	idx   []int32
-	val   []float64
+// τ_r = B⁻¹ρ_r for the steepest-edge update. The cache keeps that per
+// entry, keyed by the path (pathKey), for the frozen state start names.
+// Entries are sparse, their lists and values in two arenas, and found
+// through an open-addressed index of their keys. A Freeze empties it, and so does a lookup under
+// another start (a fork reforked onto a newer Freeze); the storage stays,
+// so a context that has seen its largest entries allocates nothing more.
+// The storage's capacity stays within budget bytes: the first entry or τ
+// that does not fit leaves the cache full, filing nothing more until it
+// is emptied.
+type pathCache struct {
+	start  *frozenStart
+	budget int
+	full   bool
+	ents   []pathEntry
+	slots  []int32 // entry+1 at each key's probe position, 0 empty; a power of two over twice the entries
+	idx    []int32
+	val    []float64
 }
 
-// firstPivot is one cache entry; rho, cand and tau are [from, to) spans of
-// the arenas, and tau is valid once tauOK.
-type firstPivot struct {
-	row            int
-	below, tauOK   bool
+// pathKey names a pivot on a path: its parent entry (-1: the frozen
+// state), the column the parent's pivot entered, and the row and side
+// this pivot leaves by.
+type pathKey struct {
+	parent, enter, row int32
+	below              bool
+}
+
+// pathEntry is one cache entry: its key, ‖ρ‖², and the [from, to) spans
+// of the arenas that hold ρ, the candidates with α and, once tauOK, τ.
+type pathEntry struct {
+	pathKey
+	tauOK          bool
 	gamma          float64
-	rho, cand, tau [2]int
+	rho, cand, tau [2]int32
 }
 
 // reset empties the cache, keeping its storage.
-func (c *firstPivots) reset() {
-	c.start, c.ents, c.idx, c.val = nil, c.ents[:0], c.idx[:0], c.val[:0]
+func (c *pathCache) reset() {
+	clear(c.slots)
+	c.start, c.full, c.ents, c.idx, c.val = nil, false, c.ents[:0], c.idx[:0], c.val[:0]
 }
 
-// find returns the entry for (row, below) under start, or -1; a cache
-// filed under another start is emptied first.
-func (c *firstPivots) find(start *frozenStart, row int, below bool) int {
+// probe returns the index slot that holds k's entry or, when none does,
+// the empty slot where it goes.
+func (c *pathCache) probe(k pathKey) int {
+	h := uint32(k.parent)*0x9e3779b1 ^ uint32(k.enter)*0x85ebca77 ^ uint32(k.row)*0xc2b2ae3d
+	if k.below {
+		h = ^h
+	}
+	mask := len(c.slots) - 1
+	for s := int(h^h>>15) & mask; ; s = (s + 1) & mask {
+		if e := c.slots[s] - 1; e < 0 || c.ents[e].pathKey == k {
+			return s
+		}
+	}
+}
+
+// find returns k's entry under start, or -1; a cache filed under another
+// start is emptied first.
+func (c *pathCache) find(start *frozenStart, k pathKey) int {
 	if c.start != start {
 		c.reset()
 		c.start = start
 	}
-	for e := range c.ents {
-		if c.ents[e].row == row && c.ents[e].below == below {
-			return e
-		}
-	}
-	return -1
-}
-
-// file adds the entry for (row, below) — ρ with its list and ‖ρ‖², the
-// candidates with α — and returns it, or -1 when the cache is full. find
-// must have run first, for the same start.
-func (c *firstPivots) file(row int, below bool, gamma float64, rhoIdx []int32, rho []float64, cands []int32, alpha []float64) int {
-	if len(c.ents) == firstPivotCap {
+	if len(c.slots) == 0 {
 		return -1
 	}
-	c.ents = append(c.ents, firstPivot{row: row, below: below, gamma: gamma,
-		rho: c.put(rhoIdx, rho), cand: c.put(cands, alpha)})
+	return int(c.slots[c.probe(k)]) - 1
+}
+
+// file adds k's entry, which find just missed — ρ with its list and ‖ρ‖²,
+// the candidates with α — and returns it, or -1 when it does not fit.
+func (c *pathCache) file(k pathKey, gamma float64, rhoIdx []int32, rho []float64, cands []int32, alpha []float64) int {
+	if !c.fits(1, len(rhoIdx)+len(cands)) {
+		return -1
+	}
+	c.ents = append(c.ents, pathEntry{pathKey: k, gamma: gamma, rho: c.put(rhoIdx, rho), cand: c.put(cands, alpha)})
+	c.slots[c.probe(k)] = int32(len(c.ents))
 	return len(c.ents) - 1
 }
 
+// fileTau files τ, listed by idx, in entry e when it fits.
+func (c *pathCache) fileTau(e int, idx []int32, tau []float64) {
+	if c.fits(0, len(idx)) {
+		c.ents[e].tau, c.ents[e].tauOK = c.put(idx, tau), true
+	}
+}
+
+// fits reports whether n more entries and pairs more arena pairs fit the
+// budget, and grows the storage to hold them: the index to a power of two
+// over twice the entries, the entries and the arenas to at most twice
+// what they hold, within what the budget leaves. A refusal fills the
+// cache.
+func (c *pathCache) fits(n, pairs int) bool {
+	ne, np := len(c.ents)+n, len(c.idx)+pairs
+	ns := max(len(c.slots), 16)
+	for ns < 2*ne {
+		ns *= 2
+	}
+	ce, cp := max(cap(c.ents), ne), max(cap(c.idx), np)
+	left := c.budget - pathEntryBytes*ce - 4*ns - 12*cp
+	if c.full || left < 0 {
+		c.full = true
+		return false
+	}
+	if ce > cap(c.ents) {
+		ce += min(ne, left/pathEntryBytes)
+		left -= pathEntryBytes * (ce - ne)
+		c.ents = append(make([]pathEntry, 0, ce), c.ents...)
+	}
+	if cp > cap(c.idx) {
+		cp += min(np, left/12)
+		c.idx, c.val = append(make([]int32, 0, cp), c.idx...), append(make([]float64, 0, cp), c.val...)
+	}
+	if ns > len(c.slots) {
+		c.slots = make([]int32, ns)
+		for e := range c.ents {
+			c.slots[c.probe(c.ents[e].pathKey)] = int32(e + 1)
+		}
+	}
+	return true
+}
+
 // put appends v at the listed positions to the arenas and returns the span.
-func (c *firstPivots) put(idx []int32, v []float64) [2]int {
+func (c *pathCache) put(idx []int32, v []float64) [2]int32 {
 	from := len(c.idx)
 	c.idx = append(c.idx, idx...)
 	for _, i := range idx {
 		c.val = append(c.val, v[i])
 	}
-	return [2]int{from, len(c.idx)}
+	return [2]int32{int32(from), int32(len(c.idx))}
 }
 
 // load writes span s into v, which is zero outside its list old, zeroing
 // it there first, and returns the new list in old's storage: v is then
 // zero outside it again, as a sparse solve would leave it.
-func (c *firstPivots) load(s [2]int, v []float64, old []int32) []int32 {
+func (c *pathCache) load(s [2]int32, v []float64, old []int32) []int32 {
 	for _, i := range old {
 		v[i] = 0
 	}
 	idx := c.idx[s[0]:s[1]]
 	for t, i := range idx {
-		v[i] = c.val[s[0]+t]
+		v[i] = c.val[int(s[0])+t]
 	}
 	return append(old[:0], idx...)
 }
 
 // cands writes entry e's α into alpha at its candidates and returns them,
 // read-only.
-func (c *firstPivots) cands(e int, alpha []float64) []int32 {
+func (c *pathCache) cands(e int, alpha []float64) []int32 {
 	s := c.ents[e].cand
 	idx := c.idx[s[0]:s[1]:s[1]]
 	for t, j := range idx {
-		alpha[j] = c.val[s[0]+t]
+		alpha[j] = c.val[int(s[0])+t]
 	}
 	return idx
 }
@@ -237,7 +312,7 @@ func (r *Revised) Freeze() error {
 	if fz.basis != nil && fz.gen == r.gen {
 		return nil
 	}
-	r.firstPivots.reset()
+	r.paths.reset()
 	if r.factorized && len(r.fac.etas) > 0 && !r.refactorize() {
 		return errors.New("lp: Freeze: current basis is numerically singular")
 	}

@@ -54,9 +54,11 @@ func TestPhaseTimesAccounting(t *testing.T) {
 // it that way if the timing code is ever restructured). The runs measured
 // include what-ifs that pivot and what-ifs that do not, so both the
 // journal's lists and the Rewind that undoes them are under the bound, and
-// they start right after a commit moved the frozen state, so first pivots
-// the emptied first-pivot cache misses file their entries in storage
-// earlier frozen states left.
+// they start right after a commit moved the frozen state, so pivots the
+// emptied path cache misses file their entries in storage earlier frozen
+// states left. Each what-if is asked twice: the second asking is served
+// its first pivot and files the next one's entry under it, a path a level
+// deep.
 func TestWarmWhatIfZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	p := whatIfLP(r, 120, 80)
@@ -88,11 +90,11 @@ func TestWarmWhatIfZeroAlloc(t *testing.T) {
 		i = 0
 	}
 	commit(0)
-	pivoting, still, filing := 0, 0, 0
+	pivoting, still, filing, deep := 0, 0, 0, 0
 	whatIf := func() {
-		row := i % p.NumConstraints()
+		row := i / 2 % p.NumConstraints()
 		p.SetRHS(row, committed[row]*0.8)
-		before, filed := rev.stats.Pivots, len(rev.firstPivots.ents)
+		before, filed := rev.stats.Pivots, len(rev.paths.ents)
 		if _, err := rev.SolveFrom(basis); err != nil {
 			t.Fatal(err)
 		}
@@ -101,33 +103,39 @@ func TestWarmWhatIfZeroAlloc(t *testing.T) {
 		} else {
 			still++
 		}
-		if len(rev.firstPivots.ents) > filed {
+		if len(rev.paths.ents) > filed {
 			filing++
+		}
+		for _, e := range rev.paths.ents[filed:] {
+			if e.parent >= 0 {
+				deep++
+				break
+			}
 		}
 		p.SetRHS(row, committed[row])
 		rev.Rewind()
 		i++
 	}
 	// Prime before measuring: the first warm solves still grow the eta
-	// arena, the ratio-test buffers and the first-pivot cache's arenas to
-	// their working size, on this frozen state and on a second one.
+	// arena, the ratio-test buffers and the path cache's storage to their
+	// working size, on this frozen state and on a second one.
 	for _, by := range []float64{0.1, 0} {
-		for i < 2*p.NumConstraints() {
+		for i < 4*p.NumConstraints() {
 			whatIf()
 		}
 		commit(by)
 	}
-	pivoting, still, filing = 0, 0, 0
+	pivoting, still, filing, deep = 0, 0, 0, 0
 	allocs := testing.AllocsPerRun(50, whatIf)
 	if allocs != 0 {
 		t.Fatalf("warm what-if allocates %v per op, want 0", allocs)
 	}
-	t.Logf("measured %d what-ifs that pivoted and %d that did not; %d filed a first pivot", pivoting, still, filing)
+	t.Logf("measured %d what-ifs that pivoted and %d that did not; %d filed an entry, %d of them a level deep", pivoting, still, filing, deep)
 	if pivoting == 0 || still == 0 {
 		t.Fatalf("of the what-ifs measured %d pivoted and %d did not: the bound must hold on both paths", pivoting, still)
 	}
-	if filing < 2 {
-		t.Fatalf("%d of the runs filed a first pivot: the bound must hold on a cache miss after a Freeze", filing)
+	if filing < 2 || deep == 0 {
+		t.Fatalf("%d of the runs filed an entry, %d a level deep: the bound must hold on cache misses after a Freeze, down a path too", filing, deep)
 	}
 	if st := rev.Stats(); st.ColdSolves != 1 || st.ColdFallbacks != 0 {
 		t.Fatalf("the what-ifs measured were not warm: %d cold solves, %d cold fallbacks", st.ColdSolves, st.ColdFallbacks)

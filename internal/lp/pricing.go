@@ -304,6 +304,12 @@ func (r *Revised) dual() (Status, error) {
 	sinceBest := 0
 	lastInfeas := math.Inf(1)
 	minInfeas := math.Inf(1)
+	// The path this solve's pivots took through the path cache: node is the
+	// entry of the last pivot (-1 at the frozen state, -2 off the cache),
+	// via the column it entered, depth the etas the path appended. It goes
+	// on only through entries the cache served, so a deeper entry is filed
+	// only under one this solve was served from.
+	node, via, depth := int32(-2), int32(-1), 0
 	// The simplex multipliers move by a multiple of the leaving row of
 	// B^{-1} per dual pivot (y' = y + γ·ρ_r, γ = c̄_enter/d_leave), so the
 	// reduced costs move by the same multiple of the pivot row this
@@ -329,6 +335,9 @@ func (r *Revised) dual() (Status, error) {
 		if !r.dseOK {
 			r.initDSE()
 		}
+		if !r.eagerPivots && r.onFrozenFactor() {
+			node, via, depth = -1, -1, 0
+		}
 		tPrice := time.Now()
 		leave, below := r.chooseLeaving(bland, r.feasTol())
 		r.stats.Phase.PricingNanos += int64(time.Since(tPrice))
@@ -342,23 +351,26 @@ func (r *Revised) dual() (Status, error) {
 		// rho = e_leave·B^{-1}; pricing reads it sign-normalized and
 		// oriented by amult, so eligible columns always price out
 		// negative for at-lower and positive for at-upper candidates;
-		// gr = ‖rho‖² is γ_r exactly, for the weight update below. A first
-		// pivot off the frozen state reads ρ, and below the candidates and
-		// α, from the first-pivot cache when an earlier one left by the
-		// same row on the same side, and files them there otherwise.
+		// gr = ‖rho‖² is γ_r exactly, for the weight update below. A pivot
+		// on the path reads ρ, and below the candidates and α, from the path
+		// cache when an earlier solve's path left the same node by the same
+		// row on the same side, and files them there otherwise. The path
+		// holds while the eta file is the one it appended.
 		amult := 1.0
 		if !below {
 			amult = -1
 		}
-		fp, first := -1, !r.eagerPivots && r.onFrozenFactor()
-		if first {
-			fp = r.firstPivots.find(r.frozen.start, leave, below)
+		key := pathKey{parent: node, enter: via, row: int32(leave), below: below}
+		fp, onPath := -1, node >= -1 && len(r.fac.etas) == depth
+		if onPath {
+			fp = r.paths.find(r.frozen.start, key)
 		}
+		hit := fp >= 0
 		var gr float64
-		if fp >= 0 {
+		if hit {
 			tB := time.Now()
-			e := &r.firstPivots.ents[fp]
-			r.rhoIdx, gr = r.firstPivots.load(e.rho, r.rho, r.rhoIdx), e.gamma
+			e := &r.paths.ents[fp]
+			r.rhoIdx, gr = r.paths.load(e.rho, r.rho, r.rhoIdx), e.gamma
 			r.stats.Phase.BTRANNanos += int64(time.Since(tB))
 		} else {
 			gr = r.leavingRow(leave)
@@ -421,11 +433,11 @@ func (r *Revised) dual() (Status, error) {
 		// visits, fixed ones included: the reduced-cost update below reads
 		// it back.
 		var cands []int32
-		sparse := fp >= 0
+		sparse := hit
 		if sparse {
-			cands = r.firstPivots.cands(fp, r.candAlpha)
-		} else if cands, sparse = r.dualCandidates(amult); first && sparse {
-			fp = r.firstPivots.file(leave, below, gr, r.rhoIdx, r.rho, cands, r.candAlpha)
+			cands = r.paths.cands(fp, r.candAlpha)
+		} else if cands, sparse = r.dualCandidates(amult); onPath && sparse {
+			fp = r.paths.file(key, gr, r.rhoIdx, r.rho, cands, r.candAlpha)
 		}
 		if sparse {
 			// α was accumulated during the candidate row walk; the CSC
@@ -476,6 +488,10 @@ func (r *Revised) dual() (Status, error) {
 		leaveCol := r.basis[leave]
 		refac := r.pivotUpdate(leave, enter, step, !below)
 		r.stats.DualPivots++
+		node, via, depth = -2, int32(enter), depth+1
+		if hit {
+			node = int32(fp)
+		}
 		if refac {
 			// pivotUpdate hit a refactorization checkpoint: the
 			// factorization was rebuilt, so refresh the reduced costs
@@ -586,8 +602,8 @@ func (r *Revised) exactWeights(w, x []float64, idx []int32) []int32 {
 
 // dsePending is a dual pivot's steepest-edge update, deferred: the
 // leaving row, its exact weight ‖ρ_r‖², the eta-file length before the
-// pivot and the first-pivot cache entry the pivot was served from or filed
-// in (-1: none). ρ and its list, d and its list stay as the pivot left them
+// pivot and the path-cache entry the pivot was served from or filed in
+// (-1: none). ρ and its list, d and its list stay as the pivot left them
 // until the update is settled: nothing rewrites them before the next
 // settle point.
 type dsePending struct {
@@ -628,19 +644,18 @@ func (r *Revised) settleDSE() {
 // is the exact new ‖e_iᵀB⁻¹‖² for every row — and the old one wherever
 // d_i = 0, so the update walks d's list. τ is solved on the factor as it
 // stood before the pivot — the eta file at its pre-pivot length — or read
-// from the first-pivot cache, which files it after its first solve.
+// from the path cache, which files it after its first solve.
 func (r *Revised) applyDSE() {
 	pd := &r.pend
 	pd.on = false
 	d, tau, leave, gr := r.d, r.tau, pd.leave, pd.gamma
 	tF := time.Now()
-	if fc := &r.firstPivots; pd.fp >= 0 && fc.ents[pd.fp].tauOK {
-		r.tauIdx = fc.load(fc.ents[pd.fp].tau, tau, r.tauIdx)
+	if pc := &r.paths; pd.fp >= 0 && pc.ents[pd.fp].tauOK {
+		r.tauIdx = pc.load(pc.ents[pd.fp].tau, tau, r.tauIdx)
 	} else {
 		r.tauIdx = r.fac.ftranRowsAt(pd.etas, r.rhoIdx, r.rho, tau, r.tauIdx)
 		if pd.fp >= 0 {
-			e := &fc.ents[pd.fp]
-			e.tau, e.tauOK = fc.put(r.tauIdx, tau), true
+			pc.fileTau(pd.fp, r.tauIdx, tau)
 		}
 	}
 	r.stats.Phase.FTRANNanos += int64(time.Since(tF))

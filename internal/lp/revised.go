@@ -154,9 +154,10 @@ type Revised struct {
 	dseOK bool
 	pend  dsePending
 
-	// firstPivots serves a solve's first dual pivot off the frozen state
-	// what an earlier one leaving by the same row computed (firstPivots).
-	firstPivots firstPivots
+	// paths serves a dual pivot what an earlier solve's pivot computed at
+	// the same place on the same pivot path off the frozen state
+	// (pathCache).
+	paths pathCache
 
 	// dj[j] = c_j − y·A_j over the priced (non-artificial) columns for
 	// the current basis under the phase-2 costs: 0 on basic columns,
@@ -183,7 +184,7 @@ type Revised struct {
 	// where tests hold the weights to those of a context with eagerPivots
 	// set, whose dual pivots compute ρ, the candidates and τ afresh and apply
 	// each steepest-edge update before the pivot, as they did before the
-	// first-pivot cache and the deferred update.
+	// path cache and the deferred update.
 	budgetOverride int
 	onPivot        func()
 	onRefresh      func()
@@ -215,7 +216,7 @@ type Revised struct {
 	// ascending order, so a walk accumulates in the order the dense sweep
 	// it replaced did. The vectors stay valid at every position (d[leave],
 	// tau against d): rho is written whole, and the sparse FTRANs that
-	// write d and tau, and the first-pivot cache where it serves rho or
+	// write d and tau, and the path cache where it serves rho or
 	// tau, zero them at their old list first, so each is zero outside its
 	// list. The list is rewritten with the vector and neither is touched
 	// in between, so there is no separate validity.
@@ -402,5 +403,6 @@ func (r *Revised) alloc() {
 	r.dcRatio = make([]float64, 0, r.sp.n)
 	r.bfOrder = make([]int32, 0, r.sp.n)
 	r.xscratch = make([]float64, r.nstruct)
+	r.paths.budget = 12 * pathBudgetPairs * (2*r.m + r.artStart)
 	r.shifted.open()
 }

@@ -276,11 +276,16 @@ func report(e *wireEnc, depth int, rep *SolveReport) {
 	floatElem(e, d, rep.Value)
 	e.key(d, "lpBound")
 	floatElem(e, d, rep.LPBound)
+	t := rep.diff
 	if len(rep.Throughputs) > 0 {
 		e.key(d, "throughputs")
-		floatRow(e, d, rep.Throughputs)
+		if t != nil {
+			t.spliceThroughputs(e, rep.Throughputs)
+		} else {
+			floatRow(e, d, rep.Throughputs)
+		}
 	}
-	if t := rep.diff; t != nil {
+	if t != nil {
 		t.splice(e)
 	} else {
 		if len(rep.Alpha) > 0 {
@@ -309,31 +314,37 @@ func report(e *wireEnc, depth int, rep *SolveReport) {
 	e.close(depth)
 }
 
-// tableBody is a frozen relaxed answer's "alpha" and "betaFrac" members
-// as appendReport writes them after another member, the start and end
-// offset there of every cell, numbered as core.Diff numbers them, and
-// the answer's throughputs.
+// tableBody is a frozen relaxed answer's throughputs array, as
+// appendReport writes it after its key, then its "alpha" and "betaFrac"
+// members as appendReport writes them after the throughputs, from split
+// on; the start and end offset there of every throughput and then of
+// every cell, numbered as core.Diff numbers them; and the throughputs.
 type tableBody struct {
-	sol *core.RelaxedSolution
-	b   []byte
-	at  []int32
-	thr []float64
+	sol   *core.RelaxedSolution
+	b     []byte
+	split int32
+	at    []int32
+	thr   []float64
 }
 
 func newTableBody(sol *core.RelaxedSolution) *tableBody {
-	at := make([]int32, 0, 4*len(sol.Alpha)*len(sol.Alpha))
+	t := &tableBody{sol: sol, thr: throughputs(sol.Alpha)}
+	t.at = make([]int32, 0, 2*len(t.thr)+4*len(sol.Alpha)*len(sol.Alpha))
 	cell := func(e *wireEnc, _ int, f float64) {
-		at = append(at, int32(len(e.b)-1)) // less the byte before the members
+		t.at = append(t.at, int32(len(e.b)-1)) // less the byte before the array
 		floatElem(e, 0, f)
-		at = append(at, int32(len(e.b)-1))
+		t.at = append(t.at, int32(len(e.b)-1))
 	}
 	row := func(e *wireEnc, depth int, r []float64) { array(e, depth, r, cell) }
-	e := wireEnc{b: []byte{'}'}} // a member ended: "alpha" opens with a comma
+	e := wireEnc{b: []byte{' '}}
+	array(&e, 1, t.thr, cell)
+	t.split = int32(len(e.b) - 1)
 	e.key(1, "alpha")
 	array(&e, 1, sol.Alpha, row)
 	e.key(1, "betaFrac")
 	array(&e, 1, sol.Beta, row)
-	return &tableBody{sol: sol, b: e.b[1:], at: at, thr: throughputs(sol.Alpha)}
+	t.b = e.b[1:]
+	return t
 }
 
 // tableDiff is a relaxed answer's tables told as the frozen answer's,
@@ -346,13 +357,33 @@ type tableDiff struct {
 
 // splice writes the tables: the body's bytes, but at the moved cells.
 func (t *tableDiff) splice(e *wireEnc) {
-	from := int32(0)
+	b, at, from := t.body.b, t.body.at[2*len(t.body.thr):], t.body.split
 	for i, c := range t.Cells {
-		e.b = append(e.b, t.body.b[from:t.body.at[2*c]]...)
+		e.b = append(e.b, b[from:at[2*c]]...)
 		floatElem(e, 0, t.Values[i])
-		from = t.body.at[2*c+1]
+		from = at[2*c+1]
 	}
-	e.b = append(e.b, t.body.b[from:]...)
+	e.b = append(e.b, b[from:]...)
+}
+
+// spliceThroughputs writes thr, the answer's throughputs: the body's
+// bytes, but at the α rows that hold a moved cell, the only ones
+// throughputs sums anew.
+func (t *tableDiff) spliceThroughputs(e *wireEnc, thr []float64) {
+	b, at := t.body.b, t.body.at
+	K, from, last := int32(len(t.Base.Beta)), int32(0), int32(-1)
+	for _, c := range t.Cells {
+		a := c / K
+		if a >= int32(len(thr)) {
+			break
+		}
+		if a != last {
+			e.b = append(e.b, b[from:at[2*a]]...)
+			floatElem(e, 0, thr[a])
+			from, last = at[2*a+1], a
+		}
+	}
+	e.b = append(e.b, b[from:t.body.split]...)
 }
 
 // throughputs is the answer's throughputs: the frozen answer's, with the

@@ -139,9 +139,8 @@ const commitDedupDepth = 8
 // commitRecord is one applied tagged commit: the idempotency ID, a
 // private copy of the report it answered with, and that report in
 // json.Marshal's bytes (marshalReport) — encoded once, when the commit
-// is recorded (or kept as received by RestoreSession); every snapshot
-// appends these bytes. A report with no JSON form has nil wire and no
-// place in one.
+// is recorded or RestoreSession decodes it; every snapshot appends these
+// bytes. A report with no JSON form has nil wire and no place in one.
 type commitRecord struct {
 	id   string
 	rep  *SolveReport

@@ -97,9 +97,12 @@ func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, er
 // answers.
 //
 // The session keeps no byte of the buffer snap was decoded from, so
-// that buffer may be recycled once this returns: the commit reports are
-// copied into one allocation of the session's own, and snap's records
-// are pointed at those copies.
+// that buffer may be recycled once this returns: each commit report is
+// written into one buffer of the session's own — in this build's wire
+// form (marshalReport) when it decodes, as received otherwise — and
+// snap's records are pointed at those copies. A record an older build
+// wrote therefore carries nothing that build added to a report into the
+// snapshots this session seals.
 func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool, error) {
 	cfg, err := parseConfig(&CreateSessionRequest{
 		Objective: snap.Objective,
@@ -139,18 +142,21 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 	}
 	kept := make([]byte, 0, size)
 	for i, rec := range snap.RecentCommits {
-		at := len(kept)
-		kept = append(kept, rec.Report...)
-		rec.Report = kept[at:len(kept):len(kept)]
-		snap.RecentCommits[i].Report = rec.Report
 		// Restore the commit-dedup record entry by entry (an ID and its
 		// report together or not at all, so a matched ID always has a
 		// report to answer with).
-		if rec.ID == "" || len(rec.Report) == 0 {
-			continue
-		}
 		var rep SolveReport
-		if json.Unmarshal(rec.Report, &rep) == nil {
+		ok := rec.ID != "" && len(rec.Report) > 0 && json.Unmarshal(rec.Report, &rep) == nil
+		at := len(kept)
+		if ok {
+			kept, ok = appendReport(kept, &rep, 0, true)
+		}
+		if !ok {
+			kept = append(kept[:at], rec.Report...)
+		}
+		rec.Report = kept[at:len(kept):len(kept)]
+		snap.RecentCommits[i].Report = rec.Report
+		if ok {
 			// unshared: "locked" trivially holds
 			s.recordCommitLocked(commitRecord{id: rec.ID, rep: &rep, wire: rec.Report})
 		}

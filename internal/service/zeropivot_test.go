@@ -125,11 +125,12 @@ func pinnedMutation(pl *platform.Platform, routes [][2]int, kind int, rng *rand.
 
 // splicedAnswer is what askSpliced saw: whether the answer was told as a
 // diff (spliced), whether its solve pivoted or flipped a bound, whether
-// it refactorized or fell back cold, and how many table cells the
-// encoder wrote anew.
+// it refactorized or fell back cold, how many table cells the encoder
+// wrote anew, how many throughputs it wrote anew, and how many α rows
+// hold a moved cell.
 type splicedAnswer struct {
 	spliced, pivoted, rebuilt bool
-	cells                     int
+	cells, throughputs, rows  int
 }
 
 // askSpliced answers q afresh and holds its body, as the server writes
@@ -179,8 +180,47 @@ func askSpliced(t *testing.T, s *Session, q WhatIfRequest) splicedAnswer {
 	}
 	if a.spliced {
 		a.cells = len(rep.diff.Cells)
+		a.throughputs, a.rows = throughputsAnew(t, rep)
 	}
 	return a
+}
+
+// throughputsAnew counts the throughputs the encoder writes anew for rep,
+// told as a diff, and the α rows that hold a moved cell: it encodes rep
+// against a copy of the frozen body whose throughputs are masked, and
+// counts the elements that come out unmasked.
+func throughputsAnew(t *testing.T, rep *SolveReport) (anew, rows int) {
+	t.Helper()
+	body := *rep.diff.body
+	body.b = bytes.Clone(body.b)
+	for k := 0; k < 2*len(body.thr); k += 2 {
+		for i := body.at[k]; i < body.at[k+1]; i++ {
+			body.b[i] = '#'
+		}
+	}
+	diff := *rep.diff
+	diff.body = &body
+	masked := *rep
+	masked.diff = &diff
+	out, _ := appendReport(nil, &masked, 0, false)
+	key := []byte(`"throughputs": [`)
+	from := bytes.Index(out, key) + len(key)
+	elems := bytes.Split(out[from:from+bytes.IndexByte(out[from:], ']')], []byte{','})
+	if len(elems) != len(rep.Throughputs) {
+		t.Fatalf("%d throughputs written, the report holds %d", len(elems), len(rep.Throughputs))
+	}
+	for _, el := range elems {
+		if !bytes.Contains(el, []byte{'#'}) {
+			anew++
+		}
+	}
+	K, last := int32(len(rep.diff.Base.Beta)), int32(-1)
+	for _, c := range rep.diff.Cells {
+		if a := c / K; a < K && a != last {
+			rows, last = rows+1, a
+		}
+	}
+	return anew, rows
 }
 
 // TestZeroPivotWhatIfCostsWhatMoved is the clock-free guard on the
@@ -197,9 +237,13 @@ func askSpliced(t *testing.T, s *Session, q WhatIfRequest) splicedAnswer {
 func TestZeroPivotWhatIfCostsWhatMoved(t *testing.T) {
 	for _, k := range []int{10, 40} {
 		s, ops := pinnedWhatIfMix(t, k, 200)
-		spliced, pivoted, moved, rebuilt := 0, 0, 0, 0
+		spliced, pivoted, moved, rebuilt, rows := 0, 0, 0, 0, 0
 		for _, q := range ops {
 			a := askSpliced(t, s, q)
+			if a.throughputs != a.rows {
+				t.Fatalf("K=%d %+v: %d throughputs encoded anew, %d α rows hold a moved cell", k, q, a.throughputs, a.rows)
+			}
+			rows += a.rows
 			if a.rebuilt {
 				rebuilt++
 			}
@@ -217,7 +261,7 @@ func TestZeroPivotWhatIfCostsWhatMoved(t *testing.T) {
 				moved++
 			}
 		}
-		if pivoted < 40 || spliced-pivoted < 40 || moved == 0 {
+		if pivoted < 40 || spliced-pivoted < 40 || moved == 0 || rows == 0 {
 			t.Fatalf("K=%d: %d of %d what-ifs spliced, %d of those pivoted, %d with moved cells: the mix lost its reach", k, spliced, len(ops), pivoted, moved)
 		}
 		found := false
@@ -234,8 +278,8 @@ func TestZeroPivotWhatIfCostsWhatMoved(t *testing.T) {
 		if !found {
 			t.Fatalf("K=%d: no gateway what-if left every cell in place", k)
 		}
-		t.Logf("K=%d: %d of %d pinned what-ifs spliced (%d after pivots, %d with moved cells), %d refactorized or fell back",
-			k, spliced, len(ops), pivoted, moved, rebuilt)
+		t.Logf("K=%d: %d of %d pinned what-ifs spliced (%d after pivots, %d with moved cells, %d throughputs encoded anew), %d refactorized or fell back",
+			k, spliced, len(ops), pivoted, moved, rows, rebuilt)
 	}
 }
 
@@ -301,35 +345,40 @@ func BenchmarkWhatIfZeroPivot(b *testing.B) { benchWhatIfs(b, false) }
 func BenchmarkWhatIfPivoting(b *testing.B) { benchWhatIfs(b, true) }
 
 // BenchmarkWhatIfBatch times one batch_fork op at the session layer: a
-// 64-query batch, 48 of them distinct and drawn as the harness draws
-// them, its body decoded, answered over 4 pooled forks of the
-// benchmark's K=20 session, and the answer's body written. Every
-// iteration answers the same batch from the same committed state, as
-// the workload's replays do, so the forks' first-pivot caches are warm
-// after the first.
+// 64-query batch, 48 of them distinct, its body decoded, answered over 4
+// pooled forks of the benchmark's K=20 session, and the answer's body
+// written. The iterations cycle through the workload's 200 batches, drawn
+// as the harness draws them, all off the same committed state: asked over
+// and over, one batch would have every pivot after its first asking
+// served by the forks' path caches, which the workload's replays of 200
+// batches are not.
 func BenchmarkWhatIfBatch(b *testing.B) {
-	const workload, streamOps, size, distinct = "batch_fork", 0, 64, 48
+	const workload, streamOps, batches, size, distinct = "batch_fork", 0, 200, 64, 48
 	s, pl := benchSession(b, workload, 20)
 	routes := remoteRoutes(pl)
 	rng := benchStream(benchPinnedSeed, workload, streamOps)
-	req := &BatchWhatIfRequest{Queries: make([]WhatIfRequest, size), Workers: defaultBatchWorkers}
-	for d := range req.Queries {
-		if d < distinct {
-			req.Queries[d] = pinnedMutation(pl, routes, d, rng)
-		} else {
-			req.Queries[d] = req.Queries[rng.Intn(distinct)]
+	bodies := make([][]byte, batches)
+	for i := range bodies {
+		req := &BatchWhatIfRequest{Queries: make([]WhatIfRequest, size), Workers: defaultBatchWorkers}
+		for d := range req.Queries {
+			if d < distinct {
+				req.Queries[d] = pinnedMutation(pl, routes, d, rng)
+			} else {
+				req.Queries[d] = req.Queries[rng.Intn(distinct)]
+			}
 		}
-	}
-	rng.Shuffle(size, func(x, y int) { req.Queries[x], req.Queries[y] = req.Queries[y], req.Queries[x] })
-	body, err := json.Marshal(req)
-	if err != nil {
-		b.Fatal(err)
+		rng.Shuffle(size, func(x, y int) { req.Queries[x], req.Queries[y] = req.Queries[y], req.Queries[x] })
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = body
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var req BatchWhatIfRequest
-		if err := decodeBatch(body, &req); err != nil {
+		if err := decodeBatch(bodies[i%batches], &req); err != nil {
 			b.Fatal(err)
 		}
 		resp, err := s.WhatIfBatch(&req)
