@@ -546,7 +546,9 @@ type stdImporter struct {
 func newStdImporter() *stdImporter {
 	ctx := build.Default
 	ctx.CgoEnabled = false // the walk reads declarations; cgo's would need the cgo tool
-	return &stdImporter{fset: token.NewFileSet(), ctx: ctx, pkgs: map[string]*types.Package{},
+	// unsafe has no source to type-check: go/types declares it, so its
+	// entry is that package from the start, with no files.
+	return &stdImporter{fset: token.NewFileSet(), ctx: ctx, pkgs: map[string]*types.Package{"unsafe": types.Unsafe},
 		files: map[string][]*ast.File{}, bodied: map[string]*types.Info{}}
 }
 
@@ -555,8 +557,8 @@ func (s *stdImporter) Import(importPath string) (*types.Package, error) {
 }
 
 func (s *stdImporter) ImportFrom(importPath, dir string, _ types.ImportMode) (*types.Package, error) {
-	if importPath == "unsafe" {
-		return types.Unsafe, nil
+	if p, ok := s.pkgs[importPath]; ok {
+		return p, nil
 	}
 	bp, err := s.ctx.Import(importPath, dir, 0)
 	if err != nil {

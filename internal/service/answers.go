@@ -6,29 +6,26 @@ import (
 	"sync"
 )
 
-// sessionCacheCap bounds each session's resolved answers. The hot set
-// is the repeat queries against the current committed state;
+// sessionCacheCap bounds each session's resolved what-ifs. The hot set
+// is the repeat what-ifs against the current committed state;
 // superseded epochs' entries are invalidated on commit, so a small
 // table holds everything that can still hit.
 const sessionCacheCap = 256
 
-// queryCacheKey is the answer-table key of the committed-state query
-// answer. Canonical what-if keys are JSON objects (they start with
-// '{'), so a control byte prefix cannot collide with them.
-const queryCacheKey = "\x01query"
-
-// answer is one answerTable entry. While its solve is in flight only
-// done is live: identical requests wait on it. Resolved, it holds the
-// populating solve's report — immutable once filed, and what a fresh
-// solve of the query at that epoch answers, since a report depends on
-// nothing else — under the committed epoch the solve ran against, and
-// its lazily built wire image.
+// answer is one answerTable entry, or a session's committed answer. While
+// an entry's solve is in flight only done is live: identical requests
+// wait on it. Resolved, it holds the populating solve's report —
+// immutable once filed, and what a fresh solve of the query at that
+// epoch answers, since a report depends on nothing else — under the
+// committed epoch the solve ran against, and its lazily built wire
+// image. The committed answer is published resolved, with no query,
+// epoch or slot.
 type answer struct {
 	query string
-	done  chan struct{} // closed when the flight resolves; nil for entries filed resolved
+	done  chan struct{} // closed when the flight resolves
 	epoch int
 	rep   SolveReport
-	err   error         // a failed flight's error, for its waiters
+	err   error         // a failed solve's error: for a flight's waiters, or a query of a failed commit
 	elem  *list.Element // LRU slot; nil while in flight and once dropped
 
 	once  sync.Once
@@ -59,11 +56,12 @@ func (a *answer) wire() []byte {
 	return a.image
 }
 
-// answerTable is a session's one table of answers, keyed by canonical
-// query: the memo of solved answers and the single-flight registry of
-// solves still running, under one mutex. An entry is either in flight
-// or resolved at a committed epoch; a lookup hits only an entry
-// resolved at the table's current epoch.
+// answerTable is a session's one table of what-if answers, keyed by
+// canonical what-if: the memo of solved answers and the single-flight
+// registry of solves still running, under one mutex. The committed
+// answer is not in it (Session.committed); a query counts as its hit.
+// An entry is either in flight or resolved at a committed epoch; a
+// lookup hits only an entry resolved at the table's current epoch.
 //
 // Correctness does not rest on eviction: the epoch strictly increases
 // and only a commit moves a session's platform, so every commit rotates
@@ -100,18 +98,15 @@ func (t *answerTable) hitLocked(a *answer) bool {
 	return false
 }
 
-// lookup returns the answer resolved for query, or nil.
-func (t *answerTable) lookup(query string) *answer {
+// countHit counts a read of the committed answer, which is always a hit.
+func (t *answerTable) countHit() {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if a := t.entries[query]; t.hitLocked(a) {
-		return a
-	}
-	return nil
+	t.hits++
+	t.mu.Unlock()
 }
 
-// claim is lookup for a coalescing caller, keyed by the query's bytes
-// (the lookup copies nothing). On a miss the caller either
+// claim looks query up, keyed by its bytes (the lookup copies nothing).
+// On a hit it returns the resolved entry; on a miss the caller either
 // joins the flight already in the air for query (owner false: wait on
 // done, then read rep or err) or registers its own (owner true: solve,
 // then resolve the entry).
@@ -139,36 +134,23 @@ func (t *answerTable) claim(query []byte) (a *answer, hit, owner bool) {
 // up: a commit may have landed in between — and the least recently used
 // resolved entries past the bound are evicted. A failed solve leaves no
 // entry; its waiters read err. The stored report is a private copy, so
-// the caller's stays mutable without aliasing the table.
+// the caller's stays mutable without aliasing the table. The flight
+// holds its key until it resolves: a claim joins it, and neither a
+// commit's sweep nor an eviction drops it.
 func (t *answerTable) resolve(a *answer, rep *SolveReport, err error) {
 	t.mu.Lock()
-	old := t.entries[a.query]
 	if err != nil {
 		a.err = err
-		if old == a {
-			delete(t.entries, a.query)
-		}
+		delete(t.entries, a.query)
 	} else {
-		if old != nil && old.elem != nil {
-			t.dropLocked(old) // a concurrent uncoalesced solve filed first
-		}
 		a.epoch, a.rep = t.epoch, *rep
 		a.elem = t.order.PushFront(a)
-		t.entries[a.query] = a
 		for t.order.Len() > sessionCacheCap {
 			t.dropLocked(t.order.Back().Value.(*answer))
 		}
 	}
 	t.mu.Unlock()
-	if a.done != nil {
-		close(a.done)
-	}
-}
-
-// file stores an answer nobody waited for: the committed-state query
-// answer, which is not coalesced.
-func (t *answerTable) file(query string, rep *SolveReport) {
-	t.resolve(&answer{query: query}, rep, nil)
+	close(a.done)
 }
 
 // dropLocked removes a resolved entry; hits already holding it keep

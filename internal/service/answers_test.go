@@ -19,6 +19,17 @@ func (t *answerTable) flush() {
 	t.flushLocked()
 }
 
+// lookup returns the answer resolved for query, or nil, counting the
+// hit or the miss as a claim does, but opening no flight.
+func (t *answerTable) lookup(query string) *answer {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if a := t.entries[query]; t.hitLocked(a) {
+		return a
+	}
+	return nil
+}
+
 // TestAnswerTable pins the table's contract row by row, each on a fresh
 // table: what a lookup or claim returns, and — checked after every row
 // — the hit/miss counters (every lookup that is not a hit is one miss,
@@ -46,6 +57,12 @@ func TestAnswerTable(t *testing.T) {
 			t.Fatalf("claim(%s): hit=%v owner=%v same=%v, want to join the flight", query, hit, owner, a == flight)
 		}
 	}
+	// file is a what-if solved and filed: a flight of its own (one miss),
+	// resolved to r.
+	file := func(t *testing.T, tb *answerTable, query string, r *SolveReport) {
+		t.Helper()
+		tb.resolve(own(t, tb, query), r, nil)
+	}
 	landed := func(t *testing.T, a *answer) {
 		t.Helper()
 		select {
@@ -61,23 +78,22 @@ func TestAnswerTable(t *testing.T) {
 		hits, misses       uint64
 		resolved, inFlight int
 	}{
-		{name: "hit", hits: 3, resolved: 1,
+		{name: "hit", hits: 3, misses: 1, resolved: 1,
 			run: func(t *testing.T, tb *answerTable) {
-				tb.file("q", rep(1))
+				file(t, tb, "q", rep(1))
 				if got := value(tb, "q"); got != 1 {
 					t.Fatalf("lookup served %v, want 1", got)
 				}
 				if a, hit, owner := tb.claim([]byte("q")); !hit || owner || a.rep.Value != 1 || !a.report().Cached {
 					t.Fatalf("claim on a resolved answer: hit=%v owner=%v", hit, owner)
 				}
-				tb.file("q", rep(2)) // a second uncoalesced solve replaces the first
-				if got := value(tb, "q"); got != 2 {
-					t.Fatalf("lookup after a re-file served %v, want 2", got)
+				if got := value(tb, "q"); got != 1 {
+					t.Fatalf("lookup after a hit served %v, want 1", got)
 				}
 			}},
-		{name: "miss at a rotated digest while the stale entry is resident", hits: 1, misses: 2, inFlight: 1,
+		{name: "miss at a rotated digest while the stale entry is resident", hits: 1, misses: 3, inFlight: 1,
 			run: func(t *testing.T, tb *answerTable) {
-				tb.file("q", rep(1))
+				file(t, tb, "q", rep(1))
 				tb.epoch = 2 // a rotation whose sweep has not run: the epoch alone must fence the entry
 				if got := value(tb, "q"); got != -1 {
 					t.Fatalf("lookup at epoch 2 served the epoch-1 answer %v", got)
@@ -127,16 +143,16 @@ func TestAnswerTable(t *testing.T) {
 					t.Fatalf("lookup at epoch 2 served %v, want 9", got)
 				}
 			}},
-		{name: "LRU evicts the oldest resolved entry, never one in flight", hits: 2, misses: 3, resolved: sessionCacheCap,
+		{name: "LRU evicts the oldest resolved entry, never one in flight", hits: 2, misses: 4 + sessionCacheCap, resolved: sessionCacheCap,
 			run: func(t *testing.T, tb *answerTable) {
 				flight := own(t, tb, "flight")
 				for i := 0; i < sessionCacheCap; i++ {
-					tb.file(fmt.Sprint("q", i), rep(float64(i)))
+					file(t, tb, fmt.Sprint("q", i), rep(float64(i)))
 				}
 				if got := value(tb, "q0"); got != 0 { // refresh q0: q1 is now the oldest
 					t.Fatalf("q0 served %v before the table was full", got)
 				}
-				tb.file("one more", rep(0))
+				file(t, tb, "one more", rep(0))
 				if value(tb, "q1") != -1 || value(tb, "q0") != 0 {
 					t.Fatal("eviction did not take the least recently used entry")
 				}
@@ -148,24 +164,24 @@ func TestAnswerTable(t *testing.T) {
 					t.Fatal("landing a flight in a full table evicted nothing")
 				}
 			}},
-		{name: "invalidate-on-commit and flush keep the counters", hits: 2, misses: 3,
+		{name: "invalidate-on-commit and flush keep the counters", hits: 2, misses: 6,
 			run: func(t *testing.T, tb *answerTable) {
-				tb.file("a", rep(1))
-				tb.file("b", rep(2))
+				file(t, tb, "a", rep(1))
+				file(t, tb, "b", rep(2))
 				value(tb, "a")
 				value(tb, "nope")
 				tb.rotate(2)
-				if h, m := tb.counters(); tb.order.Len() != 0 || h != 1 || m != 1 {
-					t.Fatalf("after the commit: %d resolved, %d hits, %d misses; want 0, 1, 1", tb.order.Len(), h, m)
+				if h, m := tb.counters(); tb.order.Len() != 0 || h != 1 || m != 3 {
+					t.Fatalf("after the commit: %d resolved, %d hits, %d misses; want 0, 1, 3", tb.order.Len(), h, m)
 				}
 				if got := value(tb, "a"); got != -1 {
 					t.Fatalf("pre-commit entry still served: %v", got)
 				}
-				tb.file("c", rep(3))
+				file(t, tb, "c", rep(3))
 				value(tb, "c")
 				tb.flush()
-				if h, m := tb.counters(); tb.order.Len() != 0 || h != 2 || m != 2 {
-					t.Fatalf("after flush: %d resolved, %d hits, %d misses; want 0, 2, 2", tb.order.Len(), h, m)
+				if h, m := tb.counters(); tb.order.Len() != 0 || h != 2 || m != 5 {
+					t.Fatalf("after flush: %d resolved, %d hits, %d misses; want 0, 2, 5", tb.order.Len(), h, m)
 				}
 				if got := value(tb, "c"); got != -1 {
 					t.Fatalf("flushed entry still served: %v", got)
@@ -194,7 +210,7 @@ func TestAnswerTable(t *testing.T) {
 // there — never under the epoch its claim looked up.
 func TestWhatIfFiledUnderTheDigestItWasSolvedAt(t *testing.T) {
 	pl := testPlatform(t, 6, 14)
-	sess, _, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg"})
+	sess, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,7 +230,7 @@ func BatchWhatIf(createReq *CreateSessionRequest, batchReq *BatchWhatIfRequest) 
 	if err != nil {
 		return nil, err
 	}
-	sess, _, err := newSession(pl, cfg)
+	sess, err := newSession(pl, cfg)
 	if err != nil {
 		return nil, err
 	}

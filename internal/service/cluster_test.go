@@ -59,7 +59,7 @@ func TestSessionSnapshotRestoreWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _, err := newSession(pl, cfg)
+		s, err := newSession(pl, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,8 +257,8 @@ func TestAnswerCacheInvalidationOnEpoch(t *testing.T) {
 		LinkFactor:    driftFactors(L, 0.85),
 	}, &erep, http.StatusOK)
 
-	// The committed query answer is cached by the commit itself — but
-	// it must be the POST-commit answer, never the stale one.
+	// The commit publishes the committed answer itself — and a query
+	// must read the POST-commit answer, never the stale one.
 	var q1 SolveReport
 	doJSON(t, ts.Client(), "POST", base+"/query", nil, &q1, http.StatusOK)
 	if q1.Epoch != 1 {
@@ -587,7 +587,7 @@ func TestNodeRecoverFromStore(t *testing.T) {
 	}
 	n1 := NewNodeWithConfig(NewServer(NewPool(8)), "http://a", nil, store, NodeConfig{})
 	pl := testPlatform(t, 8, 90)
-	sess, _, created, err := n1.srv.Pool().GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, pl)})
+	sess, created, err := n1.srv.Pool().GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, pl)})
 	if err != nil || !created {
 		t.Fatalf("create: %v created=%v", err, created)
 	}
@@ -649,7 +649,7 @@ func TestRecoverSkipsForeignVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	n1 := NewNodeWithConfig(NewServer(NewPool(8)), "http://a", nil, store, NodeConfig{})
-	sess, _, created, err := n1.srv.Pool().GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 6, 91))})
+	sess, created, err := n1.srv.Pool().GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 6, 91))})
 	if err != nil || !created {
 		t.Fatalf("create: %v created=%v", err, created)
 	}

@@ -213,7 +213,7 @@ func TestDecoderNamesMatchTags(t *testing.T) {
 // with a 400-class error before it claims a flight or solves — alone or
 // in a batch — as json.Marshal's failure refused it.
 func TestNonFiniteQueryRefused(t *testing.T) {
-	sess, _, _, err := NewPool(1).GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 4, 7))})
+	sess, _, err := NewPool(1).GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 4, 7))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func TestPromotionConsumesReplicaAndPrefersStore(t *testing.T) {
 	}
 	n := NewNodeWithConfig(NewServer(NewPool(8)), "http://self.invalid", nil, store, NodeConfig{})
 	pl := testPlatform(t, 6, 209)
-	sess, _, created, err := n.srv.Pool().GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, pl)})
+	sess, created, err := n.srv.Pool().GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, pl)})
 	if err != nil || !created {
 		t.Fatalf("create: created=%v err=%v", created, err)
 	}
@@ -520,7 +520,7 @@ func TestReplicateHandlerFencing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, _, err := newSession(pl, cfg)
+	sess, err := newSession(pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -750,7 +750,7 @@ func TestCommitDedupDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, _, err := newSession(pl, cfg)
+	sess, err := newSession(pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestWhatIfCostIsHistoryFree(t *testing.T) {
 	pl, payoffs := tightPlatform(t, K, 11)
 	for _, heur := range []string{"lprg", "lprr", "bnb"} {
 		t.Run(heur, func(t *testing.T) {
-			s, _, _, err := NewPool(1).GetOrCreate(&CreateSessionRequest{
+			s, _, err := NewPool(1).GetOrCreate(&CreateSessionRequest{
 				Platform: platformJSON(t, pl), Objective: "sum", Heuristic: heur, Payoffs: payoffs, Seed: 3,
 			})
 			if err != nil {

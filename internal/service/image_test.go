@@ -55,7 +55,7 @@ func okBody(t testing.TB, h http.Handler, path, body string) []byte {
 func imageFixture(t testing.TB, k int, seed int64, heur string) (http.Handler, *Session, string) {
 	t.Helper()
 	pool := NewPool(4)
-	sess, _, _, err := pool.GetOrCreate(&CreateSessionRequest{
+	sess, _, err := pool.GetOrCreate(&CreateSessionRequest{
 		Platform: platformJSON(t, testPlatform(t, k, seed)), Heuristic: heur,
 	})
 	if err != nil {
@@ -82,9 +82,15 @@ func TestCacheHitIsPopulatingBodyPlusCachedLine(t *testing.T) {
 			{"infeasible what-if", base + "/whatif", strings.NewReplacer("K", strconv.Itoa(route.K), "L", strconv.Itoa(route.L)).
 				Replace(`{"bounds":[{"from":K,"to":L,"lb":1e9,"ub":-1}]}`)},
 		}
-		sess.answers.flush() // the creation solve filed the query answer
 		for _, rq := range requests {
-			populated := okBody(t, h, rq.path, rq.body)
+			// A query reads the committed answer, populated by the commit
+			// solve: its populating body is that solve's, run again.
+			var populated []byte
+			if rq.body == "" {
+				populated = committedBody(t, sess)
+			} else {
+				populated = okBody(t, h, rq.path, rq.body)
+			}
 			want := withCachedLine(t, populated)
 			for hit := 1; hit <= 3; hit++ {
 				if got := okBody(t, h, rq.path, rq.body); !bytes.Equal(got, want) {
@@ -116,8 +122,10 @@ func mustEncode(t testing.TB, rep *SolveReport) []byte {
 
 // TestImageNeverOutlivesItsState is image test (b): once an epoch
 // commits, no read serves pre-commit bytes — the state digest rotates,
-// so the old entries and their images are unreachable — and a flush
-// drops images with their entries.
+// so the old entries and their images are unreachable, and the commit
+// publishes a new committed answer — a flush drops images with their
+// entries, and a committed answer solved again replaces the one a query
+// read, image and all.
 func TestImageNeverOutlivesItsState(t *testing.T) {
 	h, sess, base := imageFixture(t, 8, 92, "lprg")
 	whatIf := `{"gateways":[{"cluster":1,"value":100}],"relax":true}`
@@ -126,8 +134,8 @@ func TestImageNeverOutlivesItsState(t *testing.T) {
 	preWhatIf := okBody(t, h, base+"/whatif", whatIf) // a hit: the image exists
 
 	commit := okBody(t, h, base+"/epoch", `{"speedFactor":[0.8,0.8,0.8,0.8,0.8,0.8,0.8,0.8]}`)
-	// The commit filed its own answer, so the next query is a hit — on
-	// the post-commit entry, whose image is the commit's body.
+	// The commit published its own answer, so the next query reads it:
+	// its image is the commit's body.
 	postQuery := okBody(t, h, base+"/query", "")
 	if !bytes.Equal(postQuery, withCachedLine(t, commit)) || bytes.Equal(postQuery, preQuery) {
 		t.Fatalf("query after the commit is not the commit's answer:\n%s", postQuery)
@@ -142,16 +150,19 @@ func TestImageNeverOutlivesItsState(t *testing.T) {
 	if n := sess.answers.order.Len(); n != 0 {
 		t.Fatalf("%d entries survive a flush", n)
 	}
-	resolved := okBody(t, h, base+"/query", "")
+	resolved := committedBody(t, sess)
 	if bytes.Contains(resolved, []byte(`"cached"`)) {
-		t.Fatalf("query after a flush claims a hit:\n%s", resolved)
+		t.Fatalf("the committed answer solved again claims a hit:\n%s", resolved)
 	}
 	_, after, _ := sess.query()
 	if before == nil || after == nil || before == after || &before.wire()[0] == &after.wire()[0] {
-		t.Fatal("the flushed entry's image is still being served")
+		t.Fatal("the replaced committed answer's image is still being served")
 	}
 	if !bytes.Equal(after.wire(), withCachedLine(t, resolved)) {
 		t.Fatal("the re-populated entry's image is not its populating body plus the cached line")
+	}
+	if got := okBody(t, h, base+"/query", ""); !bytes.Equal(got, after.wire()) {
+		t.Fatalf("the query is not the re-populated answer's image:\n%s", got)
 	}
 }
 
@@ -340,7 +351,7 @@ func (c *countingHandler) WithGroup(string) slog.Handler      { return c }
 // the one line with its attributes in their order.
 func TestRequestLineOnlyWhenEnabled(t *testing.T) {
 	pool := NewPool(4)
-	sess, _, _, err := pool.GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 6, 97))})
+	sess, _, err := pool.GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 6, 97))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,7 +200,7 @@ func TestRouterAddsNoBodyCost(t *testing.T) {
 	}
 
 	pool := NewPool(4)
-	sess, _, _, err := pool.GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 20, 96))})
+	sess, _, err := pool.GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, testPlatform(t, 20, 96))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@ import (
 // Pool is the LRU cache of warm sessions, keyed by session ID (a
 // digest of the platform fingerprint plus solver configuration).
 // Creating a session for a platform already resident is a cache hit
-// that re-attaches to the warm model; past Capacity sessions, the
+// that re-attaches to the warm model (and is answered with its
+// committed answer, as a query is); past Capacity sessions, the
 // least recently used one is evicted (its solver counters are folded
 // into the retired aggregate so pool-wide stats stay monotone).
 //
@@ -52,12 +53,7 @@ type entry struct {
 	elem  *list.Element
 	ready chan struct{} // closed when sess/err are set
 	sess  *Session
-	// initial is the session-creation solve's report, handed to the
-	// creating caller so a fresh create answers without a second
-	// solve. Pool hits re-query instead (the session may have
-	// drifted).
-	initial *SolveReport
-	err     error
+	err   error
 }
 
 // NewPool returns a pool holding at most capacity warm sessions;
@@ -75,19 +71,15 @@ func NewPool(capacity int) *Pool {
 
 // getOrCreate returns the warm session filed under id, building it
 // from pl and cfg, as decodeCreate returned them, if absent. created
-// reports whether this call built it; then initial carries the creation
-// solve's report, so the caller answers without a second solve.
-func (p *Pool) getOrCreate(pl *platform.Platform, cfg sessionConfig, id string) (sess *Session, initial *SolveReport, created bool, err error) {
+// reports whether this call built it.
+func (p *Pool) getOrCreate(pl *platform.Platform, cfg sessionConfig, id string) (sess *Session, created bool, err error) {
 	p.mu.Lock()
 	if e, ok := p.entries[id]; ok {
 		p.hits++
 		p.order.MoveToFront(e.elem)
 		p.mu.Unlock()
 		<-e.ready
-		if e.err != nil {
-			return nil, nil, false, e.err
-		}
-		return e.sess, nil, false, nil
+		return e.sess, false, e.err
 	}
 	p.misses++
 	e := &entry{id: id, ready: make(chan struct{})}
@@ -97,7 +89,7 @@ func (p *Pool) getOrCreate(pl *platform.Platform, cfg sessionConfig, id string) 
 	p.mu.Unlock()
 	p.retire(evicted)
 
-	e.sess, e.initial, e.err = newSession(pl, cfg)
+	e.sess, e.err = newSession(pl, cfg)
 	if e.err == nil && p.hook != nil {
 		// Wire the commit hook before the session becomes reachable
 		// (ready closes below), then persist the creation state.
@@ -115,10 +107,7 @@ func (p *Pool) getOrCreate(pl *platform.Platform, cfg sessionConfig, id string) 
 		p.mu.Unlock()
 	}
 	close(e.ready)
-	if e.err != nil {
-		return nil, nil, false, e.err
-	}
-	return e.sess, e.initial, true, nil
+	return e.sess, e.err == nil, e.err
 }
 
 // evictOverflowLocked removes least-recently-used entries beyond

@@ -8,17 +8,27 @@ import (
 	"testing"
 )
 
-// committedBody is the body POST /sessions/{id}/query would send for
-// the session's committed state, solved afresh (the answer table is
-// flushed first).
-func committedBody(t *testing.T, s *Session) []byte {
+// recommit runs the commit solve (commitLocked) again on s's committed
+// state and returns the report it publishes as the committed answer. A
+// query never solves, so this is how a test holds the committed answer
+// to a fresh solve of the same state.
+func recommit(t testing.TB, s *Session) *SolveReport {
 	t.Helper()
-	s.answers.flush()
-	rep, err := s.Query()
+	s.mu.Lock()
+	rep, err := s.commitLocked()
+	s.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mustEncode(t, rep)
+	return rep
+}
+
+// committedBody is the body of the session's committed answer solved
+// afresh (recommit), as a create or commit response carries it: what
+// POST /sessions/{id}/query then sends, bar its "cached" line.
+func committedBody(t testing.TB, s *Session) []byte {
+	t.Helper()
+	return mustEncode(t, recommit(t, s))
 }
 
 // TestWhatIfLeavesNoResidue: a what-if is posed on the session's one
@@ -34,7 +44,7 @@ func TestWhatIfLeavesNoResidue(t *testing.T) {
 	for _, heur := range []string{"lprg", "lprr", "bnb"} {
 		t.Run(heur, func(t *testing.T) {
 			newSess := func() *Session {
-				s, _, _, err := NewPool(1).GetOrCreate(&CreateSessionRequest{
+				s, _, err := NewPool(1).GetOrCreate(&CreateSessionRequest{
 					Platform: platformJSON(t, pl), Objective: "sum", Heuristic: heur, Payoffs: payoffs, Seed: 3,
 				})
 				if err != nil {

@@ -18,7 +18,7 @@ import (
 // one carries its cold solve's data-dependent row-sign normalization,
 // an accumulated eta-file factorization and evolved pricing
 // weights, while the restored one runs on identity signs and a fresh
-// refactorization. Without Session.solveLocked's Rebase
+// refactorization. Without Session.commitLocked's Rebase
 // call those histories pick different optimal vertices on degenerate
 // platforms and the heuristic Value drifts at ~1e-13..1e-2 while the
 // LP bound still matches — exactly the failure this test reproduced
@@ -30,7 +30,7 @@ func TestRestoreCommitDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, _, err := newSession(pl, cfg)
+		sess, err := newSession(pl, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestRestoredSessionCommitsAsLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live, _, err := newSession(pl, cfg)
+		live, err := newSession(pl, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

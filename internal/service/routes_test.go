@@ -95,7 +95,7 @@ func TestRequestBodiesDecodeStrictly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, _, _, err := n.srv.Pool().GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, pl)})
+	sess, _, err := n.srv.Pool().GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, pl)})
 	if err != nil {
 		t.Fatal(err)
 	}

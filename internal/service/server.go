@@ -48,10 +48,11 @@ const maxBodyBytes = 16 << 20
 // it but whitespace, and anything else is a 400 "decoding request: …".
 //
 // SolveReport answers (query, what-if, epoch) and batch answers carry
-// Content-Length: the report encoder writes each body whole. A
-// query or what-if answer-cache hit is the entry's stored bytes — the
+// Content-Length: the report encoder writes each body whole. A query,
+// and a what-if answer-cache hit, is an answer's stored bytes — the
 // populating solve's body with "cached": true, encoded once, on the
-// first hit — so it costs a key lookup, the header and one Write.
+// first read — so it costs a pointer load or a key lookup, the header
+// and one Write.
 //
 // Every response carries the request's trace ID in X-Schedd-Trace
 // (adopted from the request when the client supplies one, minted at
@@ -158,9 +159,9 @@ func writeEncoded(w http.ResponseWriter, body []byte, ok bool) {
 	writeBody(w, http.StatusOK, body)
 }
 
-// writeAnswer answers a query, what-if or epoch: a cache hit with its
-// entry's stored wire image, a solved report through the report
-// encoder.
+// writeAnswer answers a query, what-if or epoch: a query or a cache hit
+// with its answer's stored wire image, a solved report through the
+// report encoder.
 func writeAnswer(w http.ResponseWriter, rep *SolveReport, hit *answer, err error) {
 	if err != nil {
 		writeError(w, solveStatus(err), err)
@@ -287,21 +288,21 @@ func readCreate(w http.ResponseWriter, r *http.Request) (*platform.Platform, ses
 }
 
 // create answers a decoded create: the session filed under id, built
-// from pl and cfg if absent.
+// from pl and cfg if absent, with its committed answer. A pool hit reads
+// it as a query does (cached, and counted as one); the creator is
+// answered with the report its own commit solve published, uncached.
 func (s *Server) create(w http.ResponseWriter, pl *platform.Platform, cfg sessionConfig, id string) {
-	sess, rep, created, err := s.pool.getOrCreate(pl, cfg, id)
+	sess, created, err := s.pool.getOrCreate(pl, cfg, id)
+	var rep *SolveReport
+	if err == nil && created {
+		a := sess.committed.Load() // published, so never written again
+		rep, err = &a.rep, a.err
+	} else if err == nil {
+		rep, err = sess.Query()
+	}
 	if err != nil {
 		writeError(w, solveStatus(err), err)
 		return
-	}
-	if rep == nil {
-		// Pool hit: the session may have drifted since its creation
-		// report, so answer with a fresh warm query.
-		rep, err = sess.Query()
-		if err != nil {
-			writeError(w, solveStatus(err), err)
-			return
-		}
 	}
 	status := http.StatusOK
 	if created {
@@ -422,14 +423,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // Batch runs the service's solve path once, without a server: decode
-// and validate the platform, build the warm model, cold-solve. It is
-// what cmd/dlsched -json uses, so a CLI report and a service query
-// for the same platform and configuration produce identical numbers.
+// and validate the platform, build the warm model, cold-solve, and
+// answer with the committed report that solve published. It is what
+// cmd/dlsched -json uses, so a CLI report and a service query for the
+// same platform and configuration produce identical numbers.
 func Batch(req *CreateSessionRequest) (*SolveReport, error) {
 	pl, cfg, _, err := decodeCreate(req)
 	if err != nil {
 		return nil, err
 	}
-	_, rep, err := newSession(pl, cfg)
-	return rep, err
+	sess, err := newSession(pl, cfg)
+	if err != nil {
+		return nil, err
+	}
+	rep := sess.committed.Load().rep
+	return &rep, nil
 }

@@ -187,10 +187,10 @@ func batchValue(t testing.TB, pl *platform.Platform, heur string, obj core.Objec
 
 // GetOrCreate is POST /sessions without the HTTP: decodeCreate plus
 // the pool's decoded entry.
-func (p *Pool) GetOrCreate(req *CreateSessionRequest) (sess *Session, initial *SolveReport, created bool, err error) {
+func (p *Pool) GetOrCreate(req *CreateSessionRequest) (sess *Session, created bool, err error) {
 	pl, cfg, id, err := decodeCreate(req)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	return p.getOrCreate(pl, cfg, id)
 }
@@ -414,7 +414,7 @@ func TestEpochCommitsMatchColdRebuild(t *testing.T) {
 	for _, heur := range []string{"lprg", "lprr", "bnb"} {
 		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
 			for li, load := range loads {
-				sess, _, _, err := pool.GetOrCreate(&CreateSessionRequest{
+				sess, _, err := pool.GetOrCreate(&CreateSessionRequest{
 					Platform:  platformJSON(t, pl0),
 					Heuristic: heur,
 					Objective: map[core.Objective]string{core.SUM: "sum", core.MAXMIN: "maxmin"}[obj],
@@ -662,7 +662,7 @@ func TestPoolLRUEviction(t *testing.T) {
 // what-ifs issued while one is in flight share its solve.
 func TestWhatIfCoalescing(t *testing.T) {
 	pl := testPlatform(t, 6, 13)
-	sess, _, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg"})
+	sess, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,9 @@
 // rebuild). This package is the serving layer on top: a Pool of
 // Sessions, each owning one warm model, answering
 //
-//   - query    — the current allocation and objective,
+//   - query    — the current allocation and objective: the answer the
+//     last commit's solve published, read without the session mutex
+//     and never solved again (see Session.committed),
 //   - what-if  — temporary speed/gateway/link-budget/β-bound
 //     mutations, posed on the model one capacity at a time, answered
 //     from the committed factorization, and undone exactly — the model by
@@ -25,8 +27,8 @@
 // mutations serialize) with lp.Revised.Stats surfaced per session and
 // pool-wide so the warm/cold split is observable in production.
 //
-// Repeated and concurrent requests meet in one place, the session's
-// answerTable: entries keyed by canonical query that are either in
+// Repeated and concurrent what-ifs meet in one place, the session's
+// answerTable: entries keyed by canonical what-if that are either in
 // flight (identical what-ifs wait for the one solve and are marked
 // Coalesced) or resolved at the committed epoch, stamped under the
 // session mutex as the solve finishes (a repeat is a hit, marked
@@ -35,7 +37,9 @@
 // the epoch names the committed state: an answer resolved before a
 // commit can never be looked up after it, and correctness never rests
 // on the table's LRU eviction or on the commit's invalidation sweep,
-// which only reclaim capacity.
+// which only reclaim capacity. The committed answer is not in the
+// table: it is session state, so no eviction can send a query to the
+// solver.
 package service
 
 import (
@@ -182,13 +186,19 @@ type Session struct {
 	// such what-if after each Freeze, never by a commit. Guarded by mu.
 	tables *tableBody
 
+	// committed is the committed state's answer, published by the
+	// commit solve (commitLocked) under mu and read by every query
+	// without it, as a cache hit's entry: its wire image is the query's
+	// body. It holds the solve's error instead when the solve failed.
+	committed atomic.Pointer[answer]
+
 	queries   atomic.Uint64
 	whatIfs   atomic.Uint64
 	coalesced atomic.Uint64
 	epochs    atomic.Uint64
 
-	// answers memoizes and coalesces solves under (committed epoch,
-	// canonical query key); see answerTable, whose epoch is rotated
+	// answers memoizes and coalesces what-ifs under (committed epoch,
+	// canonical what-if key); see answerTable, whose epoch is rotated
 	// under mu on every commit. Because the epoch strictly increases, a
 	// stale hit after a commit is impossible even before the commit's
 	// sweep.
@@ -216,8 +226,8 @@ type Session struct {
 
 // buildSession assembles a session's model and bookkeeping without
 // solving anything — the shared half of newSession (which follows
-// with the initial cold solve) and RestoreSession (which installs a
-// snapshot's basis and solves warm instead).
+// with the initial cold commit solve) and RestoreSession (which installs
+// a snapshot's basis and commits warm instead).
 func buildSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 	pr := core.NewProblem(pl)
 	if cfg.payoffs != nil {
@@ -244,19 +254,18 @@ func buildSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 }
 
 // newSession validates the platform, builds the warm model and runs
-// the initial (cold) solve to establish the carried basis, returning
-// its report alongside the session so creation does not pay a second
-// solve. Every later solve on the session is a warm restart.
-func newSession(pl *platform.Platform, cfg sessionConfig) (*Session, *SolveReport, error) {
+// the initial (cold) commit solve, which establishes the carried basis
+// and publishes the committed answer. Every later solve on the session
+// is a warm restart.
+func newSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 	s, err := buildSession(pl, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rep, err := s.Query()
-	if err != nil {
-		return nil, nil, fmt.Errorf("initial solve: %w", err)
+	if _, err := s.commitLocked(); err != nil { // unshared: "locked" trivially holds
+		return nil, fmt.Errorf("initial solve: %w", err)
 	}
-	return s, rep, nil
+	return s, nil
 }
 
 // Info snapshots the session's description.
@@ -309,12 +318,8 @@ func (s *Session) Stats() SessionStats {
 }
 
 // Query answers the committed state: the heuristic allocation and
-// objective on the session's current platform. A repeat query against
-// an unchanged committed state is an answer-table hit (the solve it
-// skips would have been a warm restart at ~zero pivots — the table
-// turns it into a map lookup); otherwise it solves warm from the
-// carried basis and files the answer. A hit is the solve's answer
-// with Cached set.
+// objective on the session's current platform, as the last commit
+// solve published them, with Cached set. It never solves.
 func (s *Session) Query() (*SolveReport, error) { return asReport(s.query()) }
 
 // asReport turns an HTTP-layer answer into the exported API's: a cache
@@ -327,18 +332,53 @@ func asReport(rep *SolveReport, hit *answer, err error) (*SolveReport, error) {
 	return rep.dense(), err
 }
 
-// query is Query as the HTTP layer consumes it: a cache hit comes back
-// as its entry, whose wire image is the response.
-// It is not coalesced: a miss solves on its own.
+// query is Query as the HTTP layer consumes it: the committed answer,
+// whose wire image is the response, comes back as a hit. It reads one
+// pointer and never reaches the solver; it counts as an answer-table
+// hit, which is what it is.
 func (s *Session) query() (*SolveReport, *answer, error) {
 	s.queries.Add(1)
-	if hit := s.answers.lookup(queryCacheKey); hit != nil {
-		return nil, hit, nil
+	a := s.committed.Load()
+	if a.err != nil {
+		return nil, nil, a.err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep, err := s.solveLocked(s.pr, true)
-	return rep, nil, err
+	s.answers.countHit()
+	return nil, a, nil
+}
+
+// commitLocked is the commit solve that creation, RestoreSession and
+// every epoch commit share: the heuristic on the committed problem,
+// which advances the carried basis, then the bound warm from that basis
+// (typically zero pivots: the heuristic has just left it optimal for the
+// unpinned relaxation). It publishes its report as the committed answer,
+// or its error, so a read never answers for a state it was not solved on.
+func (s *Session) commitLocked() (*SolveReport, error) {
+	// Committed answers must be replica-independent: a session
+	// promoted from a snapshot on a successor holds the same matrix,
+	// capacities and basis as the dead owner's live session did, but
+	// not its accumulated solver internals (sign normalization,
+	// eta-file factors, pricing weights), and on degenerate platforms
+	// those pick the optimal vertex — so the heuristic's tie-breaks,
+	// and therefore the committed Value, would drift across a
+	// failover. Rebase drops the history so this solve is a pure
+	// function of the committed discrete state on every replica.
+	// A what-if needs no rebase: it starts from the factorization
+	// this solve leaves, and is rewound to it.
+	s.model.Rebase()
+	alloc, basis, err := s.heuristicSolve(s.pr)
+	var rep *SolveReport
+	if err == nil {
+		if basis != nil {
+			s.basis = basis
+		}
+		rep, err = s.reportLocked(s.pr, alloc)
+	}
+	a := &answer{err: err}
+	if rep != nil {
+		a.rep = *rep
+	}
+	s.committed.Store(a)
+	return rep, err
 }
 
 // heuristicSolve runs the configured heuristic over the session model
@@ -363,39 +403,12 @@ func (s *Session) heuristicSolve(epr *core.Problem) (*core.Allocation, *lp.Basis
 	return nil, nil, fmt.Errorf("unknown heuristic %q", s.cfg.heur)
 }
 
-// solveLocked computes a heuristic answer against epr — the session's
-// current problem (commit), or a posed hypothetical's: heuristic solve,
-// then the relaxation bound via a warm re-solve from the carried root
-// basis, which extracts nothing (on a commit, the one the heuristic just produced:
-// typically zero pivots — it is already optimal for the unpinned
-// relaxation). Only a commit rebases the solver, advances the carried
-// basis and files the answer as the committed one; a what-if's root
-// basis is discarded, its answer is the caller's to file, and whatIfOn
-// rewinds the solver past every solve made here.
-func (s *Session) solveLocked(epr *core.Problem, commit bool) (*SolveReport, error) {
-	if commit {
-		// Committed answers must be replica-independent: a session
-		// promoted from a snapshot on a successor holds the same matrix,
-		// capacities and basis as the dead owner's live session did, but
-		// not its accumulated solver internals (sign normalization,
-		// eta-file factors, pricing weights), and on degenerate platforms
-		// those pick the optimal vertex — so the heuristic's tie-breaks,
-		// and therefore the committed Value, would drift across a
-		// failover. Rebase drops the history so this solve is a pure
-		// function of the committed discrete state on every replica.
-		// A what-if needs no rebase: it starts from the factorization
-		// this solve leaves, and is rewound to it.
-		s.model.Rebase()
-	}
-	alloc, basis, err := s.heuristicSolve(epr)
-	if err != nil {
-		return nil, err
-	}
+// reportLocked checks the heuristic allocation alloc against epr and
+// reports it with the relaxation bound: a warm re-solve from the carried
+// root basis under default β bounds, which extracts nothing.
+func (s *Session) reportLocked(epr *core.Problem, alloc *core.Allocation) (*SolveReport, error) {
 	if err := epr.CheckAllocation(alloc, core.DefaultTol); err != nil {
 		return nil, fmt.Errorf("internal error: heuristic produced an invalid allocation: %w", err)
-	}
-	if commit && basis != nil {
-		s.basis = basis
 	}
 	s.model.ResetBounds()
 	bound, ok, err := s.model.Solve(s.basis)
@@ -405,22 +418,13 @@ func (s *Session) solveLocked(epr *core.Problem, commit bool) (*SolveReport, err
 	if !ok {
 		return nil, fmt.Errorf("relaxation infeasible on an unconstrained platform (model bug)")
 	}
-	rep := s.reportFor(epr, alloc)
-	rep.LPBound = bound
-	if commit {
-		s.answers.file(queryCacheKey, rep)
-	}
-	return rep, nil
-}
-
-// reportFor assembles the heuristic-answer SolveReport.
-func (s *Session) reportFor(epr *core.Problem, alloc *core.Allocation) *SolveReport {
 	K := epr.K()
 	rep := &SolveReport{
 		Heuristic:   s.cfg.heur,
 		Objective:   s.cfg.objName,
 		Feasible:    true,
 		Value:       epr.Objective(s.cfg.obj, alloc),
+		LPBound:     bound,
 		Alpha:       alloc.Alpha,
 		Beta:        alloc.Beta,
 		Throughputs: make([]float64, K),
@@ -429,7 +433,7 @@ func (s *Session) reportFor(epr *core.Problem, alloc *core.Allocation) *SolveRep
 	for k := 0; k < K; k++ {
 		rep.Throughputs[k] = alloc.AppThroughput(k)
 	}
-	return rep
+	return rep, nil
 }
 
 // relaxReportLocked assembles a relaxation-answer SolveReport around
@@ -488,11 +492,14 @@ func throughputs(alpha [][]float64) []float64 {
 // Relax, which Bounds imply.
 func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) { return asReport(s.whatIf(req)) }
 
-// whatIf is WhatIf as the HTTP layer consumes it; see query. The owner
-// of a flight answers the hypothetical on the session model (whatIfOn)
-// before releasing the session. The answer is resolved under the
-// committed epoch while mu is still held, so it can never be
-// filed against a state other than the one it was computed on.
+// whatIf is WhatIf as the HTTP layer consumes it: a cache hit comes back
+// as its entry, whose wire image is the response. The owner of a flight
+// answers the hypothetical on the session model (whatIfOn) before
+// releasing the session; a heuristic what-if discards the root basis its
+// heuristic ends on, and whatIfOn rewinds the solver past its solves.
+// The answer is resolved under the committed epoch while mu is still
+// held, so it can never be filed against a state other than the one it
+// was computed on.
 func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 	if len(req.Bounds) > 0 {
 		// Bounds imply a relaxation: say so, so both spellings of one key
@@ -529,8 +536,13 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 	h, err := s.hypotheticalLocked(req)
 	if err == nil {
 		rep, err = whatIfOn(s.model, h, s.pl, func() (*SolveReport, error) {
-			if !req.Relax && len(req.Bounds) == 0 {
-				return s.solveLocked(&core.Problem{Platform: h.platform(s.pl), Payoffs: s.pr.Payoffs}, false)
+			if !req.Relax {
+				epr := &core.Problem{Platform: h.platform(s.pl), Payoffs: s.pr.Payoffs}
+				alloc, _, err := s.heuristicSolve(epr)
+				if err != nil {
+					return nil, err
+				}
+				return s.reportLocked(epr, alloc)
 			}
 			if _, _, err := s.model.Solve(s.basis); err != nil {
 				return nil, err
@@ -707,11 +719,11 @@ func mustRestore(err error) {
 // EpochIdempotent commits a capacity update: the perturbation factors
 // apply to the session's current platform (drift accumulates), the new
 // capacities are injected into the model as RHS/bound mutations, and
-// the answer re-solves warm from the carried basis. The commit
-// advances the epoch the answer table is keyed on and invalidates the
-// previous state's cached answers — a post-commit query can only ever
-// see a post-commit answer — and runs the commit hook (snapshot
-// persistence) outside the session mutex.
+// the commit solve re-solves warm from the carried basis and publishes
+// the committed answer. The commit advances the epoch the answer table
+// is keyed on and invalidates the previous state's cached what-ifs — a
+// post-commit read can only ever see a post-commit answer — and runs
+// the commit hook (snapshot persistence) outside the session mutex.
 //
 // A non-empty commitID is an idempotency tag: one matching a recently
 // applied commit returns the recorded report without touching the
@@ -787,5 +799,5 @@ func (s *Session) epochLocked(req *EpochRequest) (*SolveReport, error) {
 	s.pr = epr
 	s.epoch++
 	s.answers.rotate(s.epoch)
-	return s.solveLocked(s.pr, true)
+	return s.commitLocked()
 }

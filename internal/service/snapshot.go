@@ -86,15 +86,15 @@ func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, er
 // RestoreSession rebuilds a session from a (verified) snapshot: the
 // drifted platform is decoded and validated, a fresh model is built
 // over it, the snapshot's basis installed, and the committed answer is
-// re-solved — like every committed solve, from Rebase's canonical
-// footing, which is also what lets a fresh solver take a foreign basis
-// warm: one dual-simplex restart, typically zero pivots. warm reports
-// whether the rebuild really was warm (no cold solves, no cold
-// fallbacks); a basis the solver rejects degrades to a correct cold
-// rebuild rather than an error, but one sized for another column count
-// is refused before it is expanded. The initial report is returned so
-// a caller can check bit-compatibility against the pre-transfer
-// answers.
+// re-solved and published by the commit solve every commit runs — from
+// Rebase's canonical footing, which is also what lets a fresh solver
+// take a foreign basis warm: one dual-simplex restart, typically zero
+// pivots. warm reports whether the rebuild really was warm (no cold
+// solves, no cold fallbacks); a basis the solver rejects degrades to a
+// correct cold rebuild rather than an error, but one sized for another
+// column count is refused before it is expanded. The initial report is
+// returned so a caller can check bit-compatibility against the
+// pre-transfer answers.
 //
 // The session keeps no byte of the buffer snap was decoded from, so
 // that buffer may be recycled once this returns: each commit report is
@@ -162,7 +162,7 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 		}
 	}
 	s.basis = lp.ImportBasis(cols, upper, weights)
-	rep, err := s.Query()
+	rep, err := s.commitLocked() // unshared: "locked" trivially holds
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("rebuild solve: %w", err)
 	}

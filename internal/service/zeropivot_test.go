@@ -85,7 +85,7 @@ func benchSession(t testing.TB, workload string, k int) (*Session, *platform.Pla
 	for i := range payoffs {
 		payoffs[i] = float64(1 + i%3)
 	}
-	s, _, _, err := NewPool(1).GetOrCreate(&CreateSessionRequest{
+	s, _, err := NewPool(1).GetOrCreate(&CreateSessionRequest{
 		Platform: platformJSON(t, pl), Objective: "maxmin", Heuristic: "lprg", Payoffs: payoffs,
 	})
 	if err != nil {
