@@ -115,7 +115,10 @@
 // (query, what-if, epoch) carries none, so its body is a function of the
 // session's committed state and the question. Asked again it is the
 // same bytes, a cache hit adds only "cached": true, and a replica
-// restored from a snapshot answers as the owner did. The answers are
+// restored from a snapshot answers a query with the owner's bytes (the
+// snapshot carries the committed answer) and commits as the owner would;
+// its what-ifs before its next commit agree with the owner's to 1e-9,
+// solved from its own factorization of the same basis. The answers are
 // the same numbers the batch CLIs produce: a dlsched -json run on the
 // session's current platform (GET /sessions/$SID/platform) is directly
 // diffable against a query.

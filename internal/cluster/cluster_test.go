@@ -82,7 +82,9 @@ func testSnapshot() *SessionSnapshot {
 		Seed:        7,
 		Epoch:       3,
 		Platform:    json.RawMessage(`{"routers":1}`),
+		Answer:      json.RawMessage(`{"value":2.5,"epoch":3}`),
 	}
+	s.SetCapacities(sealedPlatform)
 	s.SetBasis(6, []int32{4, 2, 9}, []int32{1, 4}, []float64{1, 0.5, 2.25})
 	return s
 }
@@ -96,17 +98,27 @@ func width(s *SessionSnapshot) int {
 	return s.ncols
 }
 
+// capacityBytes is the capacities section s seals, whichever form it
+// holds them in.
+func capacityBytes(s *SessionSnapshot) []byte {
+	if s.caps != nil {
+		return capacityWords(nil, s.caps)
+	}
+	return s.capsSec
+}
+
 // sameSnapshot reports whether a and b carry the same fields and the
-// same basis and weights, whichever form each holds them in.
+// same capacities, basis and weights, whichever form each holds them in.
 func sameSnapshot(a, b *SessionSnapshot) bool {
 	ac, au, aw, aerr := a.Basis(width(a))
 	bc, bu, bw, berr := b.Basis(width(b))
 	x, y := *a, *b
 	for _, s := range []*SessionSnapshot{&x, &y} {
 		s.ncols, s.cols, s.atUpper, s.weights, s.basisSec, s.wtsSec = 0, nil, nil, nil, nil, nil
+		s.caps, s.capsSec = nil, nil
 	}
 	return aerr == nil && berr == nil && reflect.DeepEqual(x, y) && reflect.DeepEqual(ac, bc) && reflect.DeepEqual(au, bu) &&
-		reflect.DeepEqual(aw, bw)
+		reflect.DeepEqual(aw, bw) && bytes.Equal(capacityBytes(a), capacityBytes(b))
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -136,9 +148,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(w, []float64{1, 0.5, 2.25}) {
 		t.Fatalf("basis weights %v", w)
 	}
-	// The platform and the reports are handed over as the bytes that
-	// arrived — slices of the input, not copies, not re-renderings.
-	for name, section := range map[string][]byte{"platform": got.Platform, "report": got.RecentCommits[1].Report} {
+	// The platform, the answer and the reports are handed over as the
+	// bytes that arrived — slices of the input, not copies, not
+	// re-renderings.
+	for name, section := range map[string][]byte{"platform": got.Platform, "answer": got.Answer, "report": got.RecentCommits[1].Report} {
 		if off := bytes.Index(data, section); off < 0 || &data[off] != &section[0] {
 			t.Fatalf("decoded %s does not alias the wire bytes", name)
 		}
@@ -171,11 +184,13 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 			t.Fatalf("%s: damaged snapshot decoded cleanly", name)
 		}
 	}
-	// Encode refuses what Decode would: no id, no platform, no basis.
+	// Encode refuses what Decode would: no id, no platform, no basis, no
+	// committed answer (nor a record whose newest report it would be).
 	for name, strip := range map[string]func(*SessionSnapshot){
 		"id":       func(s *SessionSnapshot) { s.ID = "" },
 		"platform": func(s *SessionSnapshot) { s.Platform = nil },
 		"basis":    func(s *SessionSnapshot) { s.SetBasis(0, nil, nil, nil) },
+		"answer":   func(s *SessionSnapshot) { s.Answer = nil },
 	} {
 		s := testSnapshot()
 		strip(s)

@@ -16,6 +16,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/platform"
 )
 
 // recordDepth is the depth of the service's commit-dedup record
@@ -23,8 +25,31 @@ import (
 // many reports, and they are three quarters of its bytes.
 const recordDepth = 8
 
+// Sections of a sealed snapshot's body, in order, the commit reports
+// after them.
+const (
+	secHeader = iota
+	secPlatform
+	secCapacities
+	secBasis
+	secWeights
+	secAnswer
+	secReports
+)
+
+// sealedPlatform is the platform whose capacities the sealed snapshot
+// carries: three clusters and two links.
+var sealedPlatform = &platform.Platform{
+	Routers: 2,
+	Links:   []platform.Link{{U: 0, V: 1, BW: 10, MaxConnect: 5}, {U: 1, V: 0, BW: 2.5, MaxConnect: 7}},
+	Clusters: []platform.Cluster{
+		{Name: "a", Speed: 100, Gateway: 250.5}, {Name: "b", Speed: 80.25, Gateway: 1e-3, Router: 1}, {Name: "c", Gateway: 3},
+	},
+}
+
 // sealedSnapshot builds a realistic, sealed snapshot — with a full
-// commit record — and its wire bytes for corruption tests.
+// commit record, and the committed answer of an untagged commit after
+// it — and its wire bytes for corruption tests.
 func sealedSnapshot(t testing.TB) (*SessionSnapshot, []byte) {
 	t.Helper()
 	snap := &SessionSnapshot{
@@ -36,7 +61,9 @@ func sealedSnapshot(t testing.TB) (*SessionSnapshot, []byte) {
 		Seed:        42,
 		Epoch:       7,
 		Platform:    json.RawMessage(`{"hosts":[{"name":"h0","compute":1.5}],"links":[]}`),
+		Answer:      json.RawMessage(`{"heuristic":"lprg","value":48.5,"epoch":7}`),
 	}
+	snap.SetCapacities(sealedPlatform)
 	snap.SetBasis(6, []int32{3, 1, 4, 1, 5}, []int32{1, 4}, sealedWeights)
 	for i := 0; i < recordDepth; i++ {
 		snap.RecentCommits = append(snap.RecentCommits, CommitRecord{
@@ -113,8 +140,9 @@ func TestSnapshotDecodeBitFlips(t *testing.T) {
 	if !sameSnapshot(got, orig) {
 		t.Fatalf("pristine snapshot decoded to a different one:\n got %+v\nwant %+v", got, orig)
 	}
-	// Flip every bit of every byte — frame, header, platform and all
-	// eight reports: each one is an error. The checksum is over the bytes
+	// Flip every bit of every byte — frame, header, platform,
+	// capacities, basis, weights, answer and all eight reports: each one
+	// is an error. The checksum is over the bytes
 	// as sent, so there is no flip it cannot see (format 2 hashed a
 	// re-marshal, and a case flip in a key name slipped through).
 	buf := make([]byte, len(data))
@@ -173,18 +201,20 @@ func TestSnapshotDecodeVersionSkew(t *testing.T) {
 		mustFailOnVersion(t, skewed, fmt.Sprintf("version %d", v))
 	}
 	// A format-2 document, a format-3 frame (its basis in the JSON
-	// header) and a format-4 frame (no weights section) are refused at the
-	// same gate: no second decoder, no migration.
+	// header), a format-4 frame (no weights section) and a format-5 frame
+	// (the drifted platform as JSON, no capacities or answer section) are
+	// refused at the same gate: no second decoder, no migration.
 	mustFailOnVersion(t, []byte(formatTwoDocument), "format-2 document")
 	mustFailOnVersion(t, corpusFile(t, "format3-full-record"), "format-3 snapshot")
 	mustFailOnVersion(t, corpusFile(t, "format4-full-record"), "format-4 snapshot")
+	mustFailOnVersion(t, corpusFile(t, "format5-full-record"), "format-5 snapshot")
 }
 
 func TestSnapshotDecodeSectionLengths(t *testing.T) {
 	_, data := sealedSnapshot(t)
 	at := sectionOffsets(t, data)
-	if len(at) != 4+recordDepth {
-		t.Fatalf("sealed snapshot has %d sections, want header + platform + basis + weights + %d reports", len(at), recordDepth)
+	if len(at) != secReports+recordDepth {
+		t.Fatalf("sealed snapshot has %d sections, want header + platform + capacities + basis + weights + answer + %d reports", len(at), recordDepth)
 	}
 	// A length that lies — by one byte, by the whole remainder, by all a
 	// uint32 can say — on every section, behind a valid checksum.
@@ -202,7 +232,7 @@ func TestSnapshotDecodeSectionLengths(t *testing.T) {
 	}
 	// The declared length is compared, never allocated from.
 	lying := append([]byte(nil), data...)
-	binary.BigEndian.PutUint32(lying[at[1]:], math.MaxUint32)
+	binary.BigEndian.PutUint32(lying[at[secPlatform]:], math.MaxUint32)
 	lying = reseal(lying)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -224,6 +254,18 @@ func TestSnapshotDecodeFieldTampering(t *testing.T) {
 		func(s *SessionSnapshot) { s.Epoch++ },
 		func(s *SessionSnapshot) { s.ID = "00" + s.ID[2:] },
 		func(s *SessionSnapshot) { s.Platform = json.RawMessage(`{"hosts":[],"links":[]}`) },
+		func(s *SessionSnapshot) {
+			pl := sealedPlatform.Clone()
+			pl.Clusters[1].Gateway = math.Nextafter(pl.Clusters[1].Gateway, 1)
+			s.SetCapacities(pl)
+		},
+		func(s *SessionSnapshot) {
+			pl := sealedPlatform.Clone()
+			pl.Links[1].MaxConnect++
+			s.SetCapacities(pl)
+		},
+		func(s *SessionSnapshot) { s.Answer = json.RawMessage(`{"heuristic":"lprg","value":48.25,"epoch":7}`) },
+		func(s *SessionSnapshot) { s.Answer = nil },
 		func(s *SessionSnapshot) { s.SetBasis(6, []int32{4, 1, 4, 1, 5}, s.atUpper, s.weights) },
 		func(s *SessionSnapshot) { s.SetBasis(6, s.cols, nil, s.weights) },
 		func(s *SessionSnapshot) { s.SetBasis(6, s.cols, s.atUpper, []float64{1, 2.5, 0.125, 3e-7, 1e7}) },
@@ -285,17 +327,24 @@ func TestSnapshotDecodeHostileInputs(t *testing.T) {
 	}
 }
 
+// withSection is the sealed snapshot with its section i replaced by
+// sec, resealed.
+func withSection(t testing.TB, data []byte, i int, sec []byte) []byte {
+	t.Helper()
+	at := append(sectionOffsets(t, data), len(data))
+	out := appendSection(append([]byte(nil), data[:at[i]]...), sec)
+	return reseal(append(out, data[at[i+1]:]...))
+}
+
 // basisWords is the sealed snapshot's basis section with its words
 // replaced, resealed, in front of the sections that follow it.
 func basisWords(t testing.TB, data []byte, words ...uint32) []byte {
 	t.Helper()
-	at := sectionOffsets(t, data)
 	var sec []byte
 	for _, w := range words {
 		sec = binary.BigEndian.AppendUint32(sec, w)
 	}
-	out := appendSection(append([]byte(nil), data[:at[2]]...), sec)
-	return reseal(append(out, data[at[3]:]...))
+	return withSection(t, data, secBasis, sec)
 }
 
 // TestSnapshotDecodeBasisSection holds the binary basis section's
@@ -329,11 +378,10 @@ func TestSnapshotDecodeBasisSection(t *testing.T) {
 	// A trailing byte short of a word, and a truncated last word.
 	at := sectionOffsets(t, data)
 	for name, sec := range map[string][]byte{
-		"a byte past the words": append(append([]byte(nil), data[at[2]+4:at[3]]...), 0),
-		"a torn last word":      data[at[2]+4 : at[3]-1],
+		"a byte past the words": append(append([]byte(nil), data[at[secBasis]+4:at[secWeights]]...), 0),
+		"a torn last word":      data[at[secBasis]+4 : at[secWeights]-1],
 	} {
-		out := appendSection(append([]byte(nil), data[:at[2]]...), sec)
-		mustFail(t, reseal(append(out, data[at[3]:]...)), name)
+		mustFail(t, withSection(t, data, secBasis, sec), name)
 	}
 	// Basic columns out of the receiving solver's range are its
 	// business (lp.ImportBasis falls back cold), not the codec's.
@@ -346,9 +394,7 @@ func TestSnapshotDecodeBasisSection(t *testing.T) {
 // replaced by sec, resealed.
 func weightsSection(t testing.TB, data, sec []byte) []byte {
 	t.Helper()
-	at := sectionOffsets(t, data)
-	out := appendSection(append([]byte(nil), data[:at[3]]...), sec)
-	return reseal(append(out, data[at[4]:]...))
+	return withSection(t, data, secWeights, sec)
 }
 
 // TestSnapshotDecodeWeightsSection: the weights section is empty (the
@@ -360,7 +406,7 @@ func weightsSection(t testing.TB, data, sec []byte) []byte {
 func TestSnapshotDecodeWeightsSection(t *testing.T) {
 	_, data := sealedSnapshot(t)
 	at := sectionOffsets(t, data)
-	honest := data[at[3]+4 : at[4]]
+	honest := data[at[secWeights]+4 : at[secAnswer]]
 	if len(honest) != 8*len(sealedWeights) {
 		t.Fatalf("the weights section is %d bytes for %d weights", len(honest), len(sealedWeights))
 	}
@@ -431,20 +477,20 @@ func TestSnapshotBasisRefusesForeignWidth(t *testing.T) {
 	}
 }
 
-// TestSnapshotOpensInPlace: DecodeSnapshot leaves the basis and its
-// weights as the sections they arrived in — no basic, at-upper or weight
-// slice, the sections slices of the input like the platform — and
-// re-seals to the input's bytes.
+// TestSnapshotOpensInPlace: DecodeSnapshot leaves the capacities, the
+// basis and its weights as the sections they arrived in — no platform,
+// basic, at-upper or weight slice, the sections slices of the input like
+// the platform and the answer — and re-seals to the input's bytes.
 func TestSnapshotOpensInPlace(t *testing.T) {
 	_, data := sealedSnapshot(t)
 	opened, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opened.cols != nil || opened.atUpper != nil || opened.weights != nil || width(opened) != 6 {
+	if opened.caps != nil || opened.cols != nil || opened.atUpper != nil || opened.weights != nil || width(opened) != 6 {
 		t.Fatalf("opened basis: cols %v, upper %v, weights %v, ncols %d", opened.cols, opened.atUpper, opened.weights, width(opened))
 	}
-	for name, sec := range map[string][]byte{"basis": opened.basisSec, "weights": opened.wtsSec} {
+	for name, sec := range map[string][]byte{"capacities": opened.capsSec, "basis": opened.basisSec, "weights": opened.wtsSec, "answer": opened.Answer} {
 		if off := bytes.Index(data, sec); off < 0 || &data[off] != &sec[0] {
 			t.Fatalf("the opened %s section is not a slice of the input", name)
 		}
@@ -471,6 +517,83 @@ func TestSnapshotSealsLiveBasisInPlace(t *testing.T) {
 	}
 }
 
+// capacitiesOf is pl's capacities, cluster by cluster then link by
+// link, as float64 bits and budgets.
+func capacitiesOf(pl *platform.Platform) []uint64 {
+	var out []uint64
+	for _, c := range pl.Clusters {
+		out = append(out, math.Float64bits(c.Speed), math.Float64bits(c.Gateway))
+	}
+	for _, l := range pl.Links {
+		out = append(out, uint64(l.MaxConnect))
+	}
+	return out
+}
+
+// TestSnapshotCapacitiesSection: the capacities travel bit for bit —
+// sealed from a live platform in place or re-sealed from the section
+// they were decoded from — and ApplyCapacities writes them into a
+// platform of the same shape, whatever they say (a NaN speed, a budget
+// of 2³² − 1: judging values is the restore's, which validates the
+// platform), and refuses a platform of another shape, writing nothing.
+func TestSnapshotCapacitiesSection(t *testing.T) {
+	odd := sealedPlatform.Clone()
+	odd.Clusters[0].Speed = math.NaN()
+	odd.Clusters[2].Gateway = math.Copysign(0, -1)
+	odd.Links[1].MaxConnect = math.MaxUint32
+	live, _ := sealedSnapshot(t)
+	for name, pl := range map[string]*platform.Platform{"sealed": sealedPlatform, "odd": odd} {
+		live.SetCapacities(pl)
+		data, err := live.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 16*len(pl.Clusters) + 4*len(pl.Links); len(data[sectionOffsets(t, data)[secCapacities]+4:sectionOffsets(t, data)[secBasis]]) != want {
+			t.Fatalf("%s: the capacities section is not %d bytes", name, want)
+		}
+		decoded, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for form, snap := range map[string]*SessionSnapshot{"live": live, "decoded": decoded} {
+			dst := sealedPlatform.Clone()
+			for i := range dst.Clusters {
+				dst.Clusters[i].Speed, dst.Clusters[i].Gateway = 1, 1
+			}
+			if err := snap.ApplyCapacities(dst); err != nil || !reflect.DeepEqual(capacitiesOf(dst), capacitiesOf(pl)) {
+				t.Fatalf("%s, %s: applied %v (%v), want %v", name, form, capacitiesOf(dst), err, capacitiesOf(pl))
+			}
+			wider := sealedPlatform.Clone()
+			wider.Links = append(wider.Links, platform.Link{U: 0, V: 1, BW: 1, MaxConnect: 9})
+			want := capacitiesOf(wider)
+			if err := snap.ApplyCapacities(wider); err == nil || !reflect.DeepEqual(capacitiesOf(wider), want) {
+				t.Fatalf("%s, %s: capacities of 3 clusters and 2 links applied to 3 links (%v)", name, form, err)
+			}
+		}
+	}
+}
+
+// TestSnapshotNamesItsAnswer: the committed answer travels in its own
+// section, or — empty — is the newest commit record's report, so a
+// snapshot that names neither is refused at both ends.
+func TestSnapshotNamesItsAnswer(t *testing.T) {
+	_, data := sealedSnapshot(t)
+	recorded, err := DecodeSnapshot(withSection(t, data, secAnswer, nil))
+	if err != nil || len(recorded.Answer) != 0 {
+		t.Fatalf("an empty answer section in front of %d reports: %v", recordDepth, err)
+	}
+	lone, err := testSnapshot().Encode() // an answer and no record
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustFail(t, withSection(t, lone, secAnswer, nil), "no answer and no record")
+	snap := testSnapshot()
+	snap.Answer = nil
+	if _, err := snap.Encode(); err == nil {
+		t.Fatal("a snapshot naming no committed answer sealed cleanly")
+	}
+}
+
 func FuzzDecodeSnapshot(f *testing.F) {
 	_, sealed := sealedSnapshot(f)
 	lying := append([]byte(nil), sealed...)
@@ -483,8 +606,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	// a non-ascending at-upper list; weights sections one weight short,
 	// one byte over, and empty (which it accepts).
 	at := sectionOffsets(f, sealed)
-	truncated := appendSection(append([]byte(nil), sealed[:at[2]]...), sealed[at[2]+4:at[3]-4])
-	f.Add(reseal(append(truncated, sealed[at[3]:]...)))
+	f.Add(withSection(f, sealed, secBasis, sealed[at[secBasis]+4:at[secWeights]-4]))
 	for _, words := range [][]uint32{
 		{6, math.MaxUint32, 3, 1, 4, 1, 5, 2, 1, 4},
 		{6, 5, 3, 1, 4, 1, 5, math.MaxUint32, 1, 4},
@@ -497,6 +619,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	for _, n := range []int{32, 41, 0} {
 		f.Add(weightsSection(f, sealed, make([]byte, n)))
 	}
+	// Format 6's capacities sections of an odd length and none (the codec
+	// cannot know the platform, so it accepts them: a restore refuses
+	// them), and an empty answer, which stands for the newest record's.
+	for _, n := range []int{3, 0} {
+		f.Add(withSection(f, sealed, secCapacities, make([]byte, n)))
+	}
+	f.Add(withSection(f, sealed, secAnswer, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Never panics; on success the invariants hold.
 		snap, err := DecodeSnapshot(data)
@@ -546,7 +675,7 @@ func TestStoreSweep(t *testing.T) {
 	save := func(id string) {
 		snap := &SessionSnapshot{
 			ID: id, Fingerprint: "fp", Epoch: 1,
-			Platform: json.RawMessage(`{"hosts":[]}`),
+			Platform: json.RawMessage(`{"hosts":[]}`), Answer: json.RawMessage(`{"epoch":1}`),
 		}
 		snap.SetBasis(0, []int32{0}, nil, nil)
 		data, err := snap.Encode()
@@ -604,16 +733,16 @@ func TestStoreSweep(t *testing.T) {
 	}
 }
 
-// TestSnapshotWireFormatIsPinned holds format 5 to the bytes committed
+// TestSnapshotWireFormatIsPinned holds format 6 to the bytes committed
 // in the fuzz corpus: a change to the frame, the header's fields or
-// their order, the basis section or the weights section fails here
-// until SnapshotVersion moves and the corpus is regenerated with it — so
-// the corpus cannot quietly turn into inputs that are refused at the
-// gate. The format-3 and format-4 files stay in the corpus as seeds
-// that must be refused there.
+// their order, or any section's form fails here until SnapshotVersion
+// moves and the corpus is regenerated with it — so the corpus cannot
+// quietly turn into inputs that are refused at the gate. The format-3,
+// format-4 and format-5 files stay in the corpus as seeds that must be
+// refused there.
 func TestSnapshotWireFormatIsPinned(t *testing.T) {
 	_, sealed := sealedSnapshot(t)
-	if committed := corpusFile(t, "format5-full-record"); !bytes.Equal(committed, sealed) {
+	if committed := corpusFile(t, "format6-full-record"); !bytes.Equal(committed, sealed) {
 		t.Fatalf("format %d no longer encodes to the committed corpus bytes:\n got %q\nwant %q", SnapshotVersion, sealed, committed)
 	}
 }

@@ -12,23 +12,33 @@
 // session from nothing: the session identity (pool ID and the
 // creation-time platform fingerprint), the solver configuration
 // (objective, heuristic, payoffs, seed, node budget), the committed
-// epoch counter, the *current drifted* platform description (epochs
-// mutate capacities in place — the committed capacity and bound state
-// is fully derivable from it), and the carried lp.Basis exported to
-// its serialized form: its columns, at-upper set and dual
-// steepest-edge weights, which together with the platform are what a
-// commit is a pure function of. Rebuilding replays none of the history: the
-// receiver decodes the platform, builds a fresh model, installs the
-// imported basis and re-solves the committed answer on the canonical
-// footing every committed solve starts from (lp.Revised.Rebase) — one
-// warm dual-simplex restart, typically zero pivots, zero cold solves.
+// epoch counter, the platform description the session was created for
+// and the *committed capacities* over it (epochs change capacities
+// only — cluster speeds, gateways, link budgets, the paper's §2 state
+// between scheduling rounds — so the committed capacity and bound state
+// is fully derivable from them), the carried lp.Basis exported to its
+// serialized form: its columns, at-upper set and dual steepest-edge
+// weights, which together with the platform are what a commit is a pure
+// function of, and the committed answer. Rebuilding replays none of the
+// history: the receiver decodes the creation platform, checks it
+// against the fingerprint, writes the capacities in, builds a fresh
+// model, installs the imported basis and runs the commit solve on the
+// canonical footing every committed solve starts from
+// (lp.Revised.Rebase) — one warm dual-simplex restart, typically zero
+// pivots, zero cold solves — and publishes the answer it received.
 //
-// The wire form (SnapshotVersion 5) is a frame — a magic line, the
+// The wire form (SnapshotVersion 6) is a frame — a magic line, the
 // format version, the hex sha256 of the body bytes exactly as sent —
 // and a body of length-prefixed sections: a small JSON header
 // (identity, configuration, epoch, the commit-dedup record's IDs in
-// order), the platform, the basis, the weights, and one report per
-// recorded commit. The basis section is uint32 BE words: the solver's
+// order), the creation platform, the capacities, the basis, the
+// weights, the committed answer, and one report per recorded commit.
+// The capacities section is every cluster's speed and gateway as
+// float64 BE, cluster by cluster, then every link's connection budget as
+// a uint32 BE. The answer section is the committed answer's compact
+// report, or empty when the committed answer is the newest recorded
+// commit's report (every ring commit is tagged, so it rides once). The
+// basis section is uint32 BE words: the solver's
 // column count ncols, the basis size m, the m basic columns in basis
 // order, the number of nonbasic columns resting at their upper bound,
 // and those columns, strictly ascending. The weights section is the
@@ -39,6 +49,10 @@
 // from the columns alone would compute exact weights where the owner
 // carries the recurrence's — equal in exact arithmetic, not in bits —
 // and on a degenerate platform commit another vertex a few epochs on.
+// Format 6 replaced the drifted platform JSON, which every seal encoded
+// afresh (~60 µs of a ~100 µs seal at K = 20), with the creation
+// platform's bytes, encoded once when the session is created, and the
+// binary capacities section; and it added the answer section.
 //
 // The basis is binary because it is most of what the header used to
 // parse: at K = 20 a basis is ~560 columns, and decoding them as JSON
@@ -49,14 +63,18 @@
 // The platform and the reports are appended as bytes their owner
 // already holds (a commit's report is encoded once, when it is
 // recorded, however many snapshots it rides in), so sealing costs one
-// small marshal, the basis words, a copy and one hash — into a buffer
-// the caller reuses (AppendEncode) — and opening costs one hash, the
-// header and the basis words. One decoder, DecodeSnapshot, opens every
+// small marshal, the capacity and basis words, a copy and one hash —
+// into a buffer the caller reuses (AppendEncode) — plus, after an
+// untagged commit, the answer's compact encode; opening costs one hash,
+// the header and the basis words. One decoder, DecodeSnapshot, opens every
 // snapshot in place, wherever it arrives: it validates the basis words
 // and the weights section's length where they lie and expands them only
-// when Basis is asked, against the receiving solver's column count. A snapshot's basis is therefore in
-// one of two forms, the live lp.Basis it is sealed from or the section
-// it was decoded from, and each seals to the same bytes.
+// when Basis is asked, against the receiving solver's column count, and
+// the capacities when ApplyCapacities writes them into a platform of
+// the session's shape. A snapshot's basis and capacities are therefore
+// each in one of two forms, the live lp.Basis or platform it is sealed
+// from or the section it was decoded from, and each seals to the same
+// bytes.
 //
 // Between replicas (POST /cluster/replicate, which carries replicas
 // and ownership transfers alike) a snapshot travels as the request body with no declared length —
@@ -77,24 +95,32 @@
 //     strictly (m > 0, each count compared with the words that remain
 //     before anything is allocated from it, at-upper columns strictly
 //     ascending below ncols, no trailing bytes), and the weights
-//     section's length (0 or 8·m). The platform and the reports are
-//     handed on as slices of the received bytes, unparsed.
+//     section's length (0 or 8·m); and that a committed answer is named
+//     (an answer section, or a record whose newest report it is). The
+//     platform, the capacities, the answer and the reports are handed
+//     on as slices of the received bytes, unparsed.
 //   - At install (service.RestoreSession: promotion, a transfer's
 //     included, and recovery): the ID must digest from the carried fingerprint and
-//     configuration, the platform is validated like an uploaded one, a
-//     report that does not parse drops its record entry, a basis whose
+//     configuration, the creation platform is validated like an uploaded
+//     one and must hash to the fingerprint, the capacities section must
+//     fit its clusters and links and the platform they make must pass
+//     the same validation (no NaN or negative capacity, no budget above
+//     platform.MaxConnectCeiling), the committed answer must parse and
+//     name the snapshot's epoch, a report that does not parse drops its
+//     record entry, a basis whose
 //     column count is not the rebuilt solver's is refused before it is
 //     expanded, and the solver validates the imported basis, falling
 //     back to a cold solve, and adopts its weights only when each is
 //     finite and at least its floor, computing them exactly otherwise.
 //     A snapshot that fails here installs nothing.
 //   - Across versions: nothing. A format-2 snapshot (one JSON document),
-//     a format-3 one (this frame, its basis as JSON ints in the header)
-//     and a format-4 one (no weights section) are refused at the version
-//     gate wherever they arrive, never migrated: their sessions rebuild
-//     cold from traffic. The *.snap.json files format 2 left in a store
-//     are not read and go with the next sweep; a format-3 or format-4
-//     *.snap file is skipped (and
+//     a format-3 one (this frame, its basis as JSON ints in the header),
+//     a format-4 one (no weights section) and a format-5 one (the drifted
+//     platform as JSON, no capacities or answer section) are refused at
+//     the version gate wherever they arrive, never migrated: their
+//     sessions rebuild cold from traffic. The *.snap.json files format 2
+//     left in a store are not read and go with the next sweep; a
+//     format-3, -4 or -5 *.snap file is skipped (and
 //     counted) at recovery, and goes with the next sweep unless its
 //     session is live again, whose next commit overwrites it. A rolling upgrade must finish before
 //     the format moves: until then old and new replicas refuse each
@@ -146,11 +172,16 @@
 // probe and transfers the sessions the joiner now owns before it
 // answers, so the ring has converged when the join returns.
 //
-// Because the rebuilt model restarts from the exact exported basis
-// under the exact committed capacities, the transferred session's
-// answers are bit-compatible with the originals (the service's tests
-// pin this, modulo the process-lifetime solver counters riding along
-// in reports).
+// The transferred session answers its first query with the owner's
+// bytes: the snapshot carries the committed answer, and the rebuild
+// publishes it rather than its own solve's, which reaches the owner's
+// basis without the owner's pivots and so may differ from the owner's
+// answer in the last bits (up to ~3e-13 in an α cell on random-drift
+// commits at K = 10 to 40). Its later commits are the owner's bit for
+// bit (see "Promotion preserves answers" below). Its what-ifs before
+// the next commit are solved from the rebuild's own factorization of
+// the committed basis, so they agree with the owner's to rounding
+// (≤ 1e-9 relative), not in bits.
 //
 // # Replication
 //

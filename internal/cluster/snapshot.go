@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/platform"
 )
 
 // SnapshotVersion is the current session-snapshot format version.
@@ -16,16 +18,21 @@ import (
 // carrier between replicas of one deployment, not an archival format,
 // so "reject and rebuild cold from traffic" is the right behavior for
 // a version skew — never a guessed migration of solver state.
-const SnapshotVersion = 5
+const SnapshotVersion = 6
 
 // The wire form: frameMagic, the version (uint32 BE), the hex sha256 of
 // the body, then the body — sections of a uint32 BE length and that
-// many bytes each: the JSON header, the platform, the basis, the
-// weights, and one report per entry of the header's commitIds, in
-// order. The basis section is uint32 BE words: ncols, m, the m basic
-// columns, the at-upper count and that many strictly ascending at-upper
-// columns. The weights section is the basis's m dual steepest-edge
-// weights as float64 BE, or empty when the basis carries none.
+// many bytes each: the JSON header, the creation platform, the
+// capacities, the basis, the weights, the committed answer, and one
+// report per entry of the header's commitIds, in order. The capacities
+// section is every cluster's speed and gateway as float64 BE, cluster
+// by cluster, then every link's connection budget as a uint32 BE. The
+// basis section is uint32 BE words: ncols, m, the m basic columns, the
+// at-upper count and that many strictly ascending at-upper columns. The
+// weights section is the basis's m dual steepest-edge weights as
+// float64 BE, or empty when the basis carries none. The answer section
+// is the committed answer's compact report, or empty when that answer
+// is the newest commit record's report.
 const (
 	frameMagic = "schedd-snapshot\n"
 	versionAt  = len(frameMagic)
@@ -35,7 +42,8 @@ const (
 
 // SessionSnapshot is the serialized form of one warm scheduling
 // session: identity, solver configuration, committed epoch, the
-// current (drifted) platform description, and the carried basis. See
+// creation platform description and the committed capacities over it,
+// the carried basis and the committed answer. See
 // the package documentation for the format contract; Encode and
 // DecodeSnapshot seal and verify Version and Checksum. The JSON tags are
 // the header section's; fields tagged "-" travel in the frame or in
@@ -57,12 +65,23 @@ type SessionSnapshot struct {
 	Seed      int64     `json:"seed,omitempty"`
 	MaxNodes  int       `json:"maxNodes,omitempty"`
 
-	// Epoch is the committed epoch counter; Platform is the drifted
-	// platform description (standard platform JSON) whose capacities
-	// ARE the committed state — nothing else needs replaying. Decode
-	// hands it over as received: whoever rebuilds from it validates it.
+	// Epoch is the committed epoch counter; Platform is the platform
+	// description (standard platform JSON) the session was created for,
+	// which hashes to Fingerprint. Only capacities change after creation
+	// (cluster speeds, gateways, link budgets), so the committed platform
+	// is Platform with the carried capacities written in — nothing else
+	// needs replaying. Decode hands it over as received: whoever rebuilds
+	// from it validates it.
 	Epoch    int             `json:"epoch"`
 	Platform json.RawMessage `json:"-"`
+
+	// The committed capacities, in one of two forms: the live platform
+	// the snapshot is sealed from (SetCapacities, read in place), or the
+	// section it was decoded from (a slice of DecodeSnapshot's input).
+	// ApplyCapacities writes either into a platform of the session's
+	// shape.
+	caps    *platform.Platform
+	capsSec []byte
 
 	// The carried basis, in one of two forms: the live lp.Basis the
 	// snapshot is sealed from (SetBasis: the solver's column count, its
@@ -74,6 +93,13 @@ type SessionSnapshot struct {
 	cols, atUpper    []int32
 	weights          []float64
 	basisSec, wtsSec []byte
+
+	// Answer is the committed answer the session publishes to its
+	// queries, in compact report bytes, or empty when it is the newest
+	// entry of RecentCommits (a tagged commit's answer is its record's
+	// report, which rides in the snapshot once). Stored bytes, like the
+	// reports: Encode copies them, Decode slices them out of its input.
+	Answer json.RawMessage `json:"-"`
 
 	// RecentCommits records the most recently applied tagged epoch
 	// commits, oldest first (the router's idempotency tags and the
@@ -114,6 +140,64 @@ func (s *SessionSnapshot) SetBasis(ncols int, cols, upper []int32, weights []flo
 	s.ncols, s.cols, s.atUpper, s.weights, s.basisSec, s.wtsSec = ncols, cols, upper, weights, nil, nil
 }
 
+// SetCapacities points the snapshot at the committed platform whose
+// capacities it carries, read in place when the snapshot is sealed: pl
+// must not change until then, and a committed platform never does.
+func (s *SessionSnapshot) SetCapacities(pl *platform.Platform) {
+	s.caps, s.capsSec = pl, nil
+}
+
+// ApplyCapacities writes the carried capacities into pl, a platform of
+// the session's shape — its creation platform, decoded: each cluster's
+// speed and gateway, each link's budget. A section whose length does not
+// fit pl's clusters and links is refused before anything is written.
+// What the values say is the caller's to validate
+// (platform.Platform.ValidateStrict): the codec cannot know a platform.
+func (s *SessionSnapshot) ApplyCapacities(pl *platform.Platform) error {
+	sec := s.capsSec
+	if s.caps != nil {
+		sec = capacityWords(nil, s.caps)
+	}
+	if want := 16*len(pl.Clusters) + 4*len(pl.Links); len(sec) != want {
+		return fmt.Errorf("cluster: snapshot capacities section is %d bytes, want %d for %d clusters and %d links",
+			len(sec), want, len(pl.Clusters), len(pl.Links))
+	}
+	for k := range pl.Clusters {
+		c := &pl.Clusters[k]
+		c.Speed = math.Float64frombits(binary.BigEndian.Uint64(sec))
+		c.Gateway = math.Float64frombits(binary.BigEndian.Uint64(sec[8:]))
+		sec = sec[16:]
+	}
+	for i := range pl.Links {
+		pl.Links[i].MaxConnect = int(binary.BigEndian.Uint32(sec))
+		sec = sec[4:]
+	}
+	return nil
+}
+
+// appendCapacities appends the capacities section, length prefix
+// included: a decoded snapshot's as it arrived, a live platform's value
+// by value.
+func (s *SessionSnapshot) appendCapacities(out []byte) []byte {
+	if s.caps == nil {
+		return appendSection(out, s.capsSec)
+	}
+	out = binary.BigEndian.AppendUint32(out, uint32(16*len(s.caps.Clusters)+4*len(s.caps.Links)))
+	return capacityWords(out, s.caps)
+}
+
+// capacityWords appends pl's capacities in the section's form.
+func capacityWords(out []byte, pl *platform.Platform) []byte {
+	for _, c := range pl.Clusters {
+		out = binary.BigEndian.AppendUint64(out, math.Float64bits(c.Speed))
+		out = binary.BigEndian.AppendUint64(out, math.Float64bits(c.Gateway))
+	}
+	for _, l := range pl.Links {
+		out = binary.BigEndian.AppendUint32(out, uint32(l.MaxConnect))
+	}
+	return out
+}
+
 // Basis returns the carried basis in lp.ImportBasis's form, in slices
 // of its own, for a solver of ncols internal columns: the basic
 // columns, the ascending at-upper columns and the weights (nil when the
@@ -150,8 +234,11 @@ func words(b []byte) []int32 {
 	return out
 }
 
+// complete reports whether the snapshot names a session, a platform, a
+// basis and a committed answer — its own, or the newest record's.
 func (s *SessionSnapshot) complete() bool {
-	return s.ID != "" && len(s.Platform) > 0 && (len(s.cols) > 0 || s.basisSec != nil)
+	return s.ID != "" && len(s.Platform) > 0 && (len(s.cols) > 0 || s.basisSec != nil) &&
+		(len(s.Answer) > 0 || len(s.RecentCommits) > 0)
 }
 
 // cutSection splits the next section off body. Its declared length is
@@ -225,7 +312,11 @@ func splitBasis(sec []byte) (ncols uint32, basic, atUpper []byte, err error) {
 
 // Encode seals the snapshot into a buffer of its own; see AppendEncode.
 func (s *SessionSnapshot) Encode() ([]byte, error) {
-	size := frameLen + 512 + len(s.Platform) + len(s.basisSec) + len(s.wtsSec) + 4*(len(s.cols)+len(s.atUpper)+5) + 8*len(s.weights)
+	size := frameLen + 512 + len(s.Platform) + len(s.capsSec) + len(s.basisSec) + len(s.wtsSec) + len(s.Answer) +
+		4*(len(s.cols)+len(s.atUpper)+7) + 8*len(s.weights)
+	if s.caps != nil {
+		size += 16*len(s.caps.Clusters) + 4*len(s.caps.Links)
+	}
 	for _, rec := range s.RecentCommits {
 		size += 4 + len(rec.Report)
 	}
@@ -234,11 +325,12 @@ func (s *SessionSnapshot) Encode() ([]byte, error) {
 
 // AppendEncode seals the snapshot (Version stamped, Checksum computed)
 // and appends its wire form to dst: the header is marshalled, the
-// basis and its weights written word by word, the platform and the
-// commit reports appended as the bytes they already are.
+// capacities, the basis and its weights written word by word, the
+// platform, the answer and the commit reports appended as the bytes
+// they already are.
 func (s *SessionSnapshot) AppendEncode(dst []byte) ([]byte, error) {
 	if !s.complete() {
-		return dst, fmt.Errorf("cluster: snapshot missing session id, platform or basis (session never solved?)")
+		return dst, fmt.Errorf("cluster: snapshot missing session id, platform, basis or committed answer (session never solved?)")
 	}
 	ids := make([]string, len(s.RecentCommits))
 	for i, rec := range s.RecentCommits {
@@ -252,8 +344,8 @@ func (s *SessionSnapshot) AppendEncode(dst []byte) ([]byte, error) {
 	out := append(dst, frameMagic...)
 	out = binary.BigEndian.AppendUint32(out, SnapshotVersion)
 	out = append(out, make([]byte, frameLen-checksumAt)...)
-	out = appendSection(appendSection(out, hdr), s.Platform)
-	out = s.appendBasis(out)
+	out = s.appendCapacities(appendSection(appendSection(out, hdr), s.Platform))
+	out = appendSection(s.appendBasis(out), s.Answer)
 	for _, rec := range s.RecentCommits {
 		out = appendSection(out, rec.Report)
 	}
@@ -268,10 +360,13 @@ func (s *SessionSnapshot) AppendEncode(dst []byte) ([]byte, error) {
 // version first, then the checksum over the received body bytes, then a
 // strict decode of the header and a validation of the basis section
 // and of the weights section's length (none, or one float64 per basic
-// column). The platform, the basis and weights sections and the commit
+// column), and that a committed answer is named (an answer section, or
+// a commit record whose newest report it is). The platform, the
+// capacities, the basis and weights sections, the answer and the commit
 // reports are slices of data — the snapshot aliases it, so data must
 // outlive it — with every section length checked against the bytes
-// that remain; the basis is expanded only when Basis is asked. Any failure is an error — the
+// that remain; the basis is expanded only when Basis is asked, the
+// capacities only when ApplyCapacities is. Any failure is an error — the
 // caller falls back to building the session cold from traffic rather
 // than trusting damaged warm state.
 func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
@@ -305,6 +400,9 @@ func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
 	if s.Platform, body, err = cutSection(body); err != nil {
 		return nil, err
 	}
+	if s.capsSec, body, err = cutSection(body); err != nil {
+		return nil, err
+	}
 	if s.basisSec, body, err = cutSection(body); err != nil {
 		return nil, err
 	}
@@ -317,6 +415,9 @@ func DecodeSnapshot(data []byte) (*SessionSnapshot, error) {
 	}
 	if n := len(s.wtsSec); n != 0 && n != 2*len(basic) {
 		return nil, fmt.Errorf("cluster: snapshot weights section is %d bytes, want 0 or %d for %d basic columns", n, 2*len(basic), len(basic)/4)
+	}
+	if s.Answer, body, err = cutSection(body); err != nil {
+		return nil, err
 	}
 	s.RecentCommits = make([]CommitRecord, len(h.CommitIDs))
 	for i, id := range h.CommitIDs {

@@ -129,14 +129,23 @@ func LPRG(pr *core.Problem, rel *core.RelaxedSolution) *core.Allocation {
 // with core.Model.Inject. The returned basis snapshots the relaxation's
 // optimal basis for the next warm start.
 func LPRGOnModel(model *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
+	alloc, basis, _, err := LPRGBoundOnModel(model, pr, obj, from)
+	return alloc, basis, err
+}
+
+// LPRGBoundOnModel is LPRGOnModel that also returns the bound of the
+// relaxation it rounded: the unpinned relaxation's optimum under the
+// default β bounds, which a caller reporting the bound need not solve
+// again.
+func LPRGBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, float64, error) {
 	model.ResetBounds()
-	_, ok, err := model.Solve(from)
+	bound, ok, err := model.Solve(from)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if !ok {
-		return nil, nil, errInfeasible
+		return nil, nil, 0, errInfeasible
 	}
 	basis := model.Basis()
-	return LPRG(pr, model.Solution()), basis, nil
+	return LPRG(pr, model.Solution()), basis, bound, nil
 }

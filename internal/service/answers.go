@@ -25,7 +25,7 @@ type answer struct {
 	done  chan struct{} // closed when the flight resolves
 	epoch int
 	rep   SolveReport
-	err   error         // a failed solve's error: for a flight's waiters, or a query of a failed commit
+	err   error         // a failed solve's error, for a flight's waiters
 	elem  *list.Element // LRU slot; nil while in flight and once dropped
 
 	once  sync.Once

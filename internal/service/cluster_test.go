@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/platgen"
 )
 
 // stripVolatile removes the fields a report legitimately varies in
@@ -50,66 +54,118 @@ func driftFactors(n int, f float64) []float64 {
 
 // TestSessionSnapshotRestoreWarm is the portability contract at the
 // session layer: a session serialized after committed drift and
-// rebuilt from the snapshot (as replica B would) answers the
-// committed query byte-identically with zero cold solves.
+// rebuilt from the snapshot (as replica B would) answers the committed
+// query with the live session's bytes, with zero cold solves. On lprg,
+// lprr and bnb sessions over a K = 8 platform after uniform drift, and
+// on K = 20 sessions drawn as the benchmark draws ring_adapt's after
+// each of 12 commits of random drift (every factor in U[0.8, 1.2]),
+// tagged and untagged in turn, so both ways a snapshot carries the
+// answer are restored. The rebuild's own solve reaches the committed
+// basis without the owner's pivots, and on those platforms its floats
+// differ from the owner's in the last bits: a rebuild that published its
+// own answer fails here.
 func TestSessionSnapshotRestoreWarm(t *testing.T) {
-	for _, heur := range []string{"lprg", "lprr", "bnb"} {
-		pl := testPlatform(t, 8, 61)
-		cfg, err := parseConfig(&CreateSessionRequest{Heuristic: heur, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := newSession(pl, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Commit real drift so the snapshot carries a platform that
-		// differs from the creation one plus a nonzero epoch.
-		K, L := s.pl.K(), len(s.pl.Links)
-		for i := 0; i < 2; i++ {
-			if _, err := s.Epoch(&EpochRequest{
-				SpeedFactor:   driftFactors(K, 0.93),
-				GatewayFactor: driftFactors(K, 1.04),
-				LinkFactor:    driftFactors(L, 0.97),
-			}); err != nil {
-				t.Fatalf("%s: epoch: %v", heur, err)
-			}
-		}
-		before, err := s.Query()
-		if err != nil {
-			t.Fatal(err)
-		}
-		beforeRaw, _ := json.Marshal(before)
-
+	check := func(t *testing.T, s *Session) {
+		t.Helper()
 		snap, err := s.Snapshot()
 		if err != nil {
-			t.Fatalf("%s: snapshot: %v", heur, err)
+			t.Fatalf("snapshot: %v", err)
 		}
 		wire, err := snap.Encode()
 		if err != nil {
-			t.Fatalf("%s: encode: %v", heur, err)
+			t.Fatalf("encode: %v", err)
 		}
 		decoded, err := cluster.DecodeSnapshot(wire)
 		if err != nil {
-			t.Fatalf("%s: decode: %v", heur, err)
+			t.Fatalf("decode: %v", err)
 		}
 		restored, rep, warm, err := RestoreSession(decoded)
 		if err != nil {
-			t.Fatalf("%s: restore: %v", heur, err)
+			t.Fatalf("restore: %v", err)
 		}
 		if !warm {
-			t.Fatalf("%s: rebuild was not warm", heur)
+			t.Fatal("rebuild was not warm")
 		}
 		if st := restored.Stats().Solver; st.ColdSolves != 0 || st.ColdFallbacks != 0 {
-			t.Fatalf("%s: rebuilt session cold-solved: %+v", heur, st)
+			t.Fatalf("rebuilt session cold-solved: %+v", st)
 		}
 		if restored.id != s.id || restored.epoch != s.epoch {
-			t.Fatalf("%s: identity drifted: id %s vs %s, epoch %d vs %d", heur, restored.id, s.id, restored.epoch, s.epoch)
+			t.Fatalf("identity drifted: id %s vs %s, epoch %d vs %d", restored.id, s.id, restored.epoch, s.epoch)
 		}
-		repRaw, _ := json.Marshal(rep)
-		if got, want := stripVolatile(t, repRaw), stripVolatile(t, beforeRaw); got != want {
-			t.Fatalf("%s: rebuilt answer differs from committed answer:\n%s\nvs\n%s", heur, got, want)
+		_, live, _ := s.query()
+		_, got, _ := restored.query()
+		if !bytes.Equal(got.wire(), live.wire()) {
+			t.Fatalf("epoch %d: the restored query differs from the live one:\n%s\nvs\n%s", s.epoch, got.wire(), live.wire())
 		}
+		if !bytes.Equal(mustEncode(t, rep), mustEncode(t, &live.rep)) {
+			t.Fatalf("epoch %d: RestoreSession returned another report than the committed one", s.epoch)
+		}
+	}
+	for _, heur := range []string{"lprg", "lprr", "bnb"} {
+		t.Run(heur, func(t *testing.T) {
+			pl := testPlatform(t, 8, 61)
+			cfg, err := parseConfig(&CreateSessionRequest{Heuristic: heur, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := newSession(pl, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Commit real drift so the snapshot carries capacities that
+			// differ from the creation ones plus a nonzero epoch.
+			K, L := s.pl.K(), len(s.pl.Links)
+			for i := 0; i < 2; i++ {
+				if _, err := s.Epoch(&EpochRequest{
+					SpeedFactor:   driftFactors(K, 0.93),
+					GatewayFactor: driftFactors(K, 1.04),
+					LinkFactor:    driftFactors(L, 0.97),
+				}); err != nil {
+					t.Fatalf("epoch: %v", err)
+				}
+			}
+			check(t, s)
+		})
+	}
+	const K = 20
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("ring_adapt-%d", seed), func(t *testing.T) {
+			pl, err := platgen.Generate(platgen.Params{K: K, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5},
+				rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			payoffs := make([]float64, K)
+			for i := range payoffs {
+				payoffs[i] = float64(1 + i%3)
+			}
+			cfg, err := parseConfig(&CreateSessionRequest{Heuristic: "lprg", Payoffs: payoffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := newSession(pl, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed * 211))
+			factors := func(n int) []float64 {
+				f := make([]float64, n)
+				for i := range f {
+					f[i] = 0.8 + 0.4*rng.Float64()
+				}
+				return f
+			}
+			for e := 0; e < 12; e++ {
+				tag := ""
+				if e%2 == 0 {
+					tag = fmt.Sprintf("c%d", e)
+				}
+				if _, err := s.EpochIdempotent(&EpochRequest{SpeedFactor: factors(K), GatewayFactor: factors(K)}, tag); err != nil {
+					t.Fatal(err)
+				}
+				check(t, s)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -118,5 +121,89 @@ func TestQueryNeverSolves(t *testing.T) {
 			}
 			check("after a commit", withCachedLine(t, okBody(t, h, base+"/epoch", string(epoch))))
 		})
+	}
+}
+
+// TestFailedCommitRollsBack: a commit whose solve fails after its
+// perturbation was injected — here a bnb search out of its node budget,
+// 422 — leaves the session as it was before the commit: the platform and
+// the epoch, the carried basis and the committed answer, and a model a
+// what-if is answered on with the bytes it was answered with before. So
+// a retry under the same commit ID applies the perturbation to the same
+// platform again, and fails the same way, instead of halving the gateway
+// a second time: tight K = 6 seed 2, bnb / sum / maxNodes 3, every
+// gateway × 0.5 tagged "c1", sent twice. The session then still commits.
+func TestFailedCommitRollsBack(t *testing.T) {
+	const K = 6
+	pl, payoffs := tightPlatform(t, K, 2)
+	srv := NewServer(NewPool(1))
+	h := srv.Handler()
+	req, err := json.Marshal(&CreateSessionRequest{
+		Platform: platformJSON(t, pl), Objective: "sum", Heuristic: "bnb", Payoffs: payoffs, MaxNodes: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := serve(h, "/sessions", string(req))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+	}
+	var created CreateSessionResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil {
+		t.Fatal(err)
+	}
+	s := srv.Pool().Get(created.ID)
+	base := "/sessions/" + created.ID
+	gateway := pl.Clusters[0].Gateway
+	if math.Abs(gateway-270.34) > 0.005 {
+		t.Fatalf("gateway 0 is %g, not the 270.34 this case was found on", gateway)
+	}
+	whatIfs := []string{
+		`{"gateways":[{"cluster":1,"value":90}],"relax":true}`,
+		`{"speeds":[{"cluster":2,"value":40}],"relax":true}`,
+	}
+	// asked answers each what-if afresh: its answer is dropped from the
+	// table first.
+	asked := func() [][]byte {
+		var out [][]byte
+		for _, q := range whatIfs {
+			s.answers.flush()
+			out = append(out, okBody(t, h, base+"/whatif", q))
+		}
+		return out
+	}
+	before := asked()
+	query := okBody(t, h, base+"/query", "")
+	s.mu.Lock()
+	basis, answer := s.basis, s.committed.Load()
+	s.mu.Unlock()
+
+	halve := fmt.Sprintf(`{"gatewayFactor":[0.5%s]}`, strings.Repeat(",0.5", K-1))
+	for try := 1; try <= 2; try++ {
+		r := httptest.NewRequest("POST", base+"/epoch", strings.NewReader(halve))
+		r.Header.Set(commitIDHeader, "c1")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("commit try %d: status %d, want the node budget's 422: %s", try, rec.Code, rec.Body)
+		}
+		s.mu.Lock()
+		g, epoch, b, a, recs := s.pl.Clusters[0].Gateway, s.epoch, s.basis, s.committed.Load(), len(s.recentCommits)
+		s.mu.Unlock()
+		if g != gateway || epoch != 0 || s.answers.epoch != 0 || b != basis || a != answer || recs != 0 {
+			t.Fatalf("after failed try %d: gateway 0 %g (want %g), epoch %d and table epoch %d (want 0), basis kept %v, answer kept %v, %d records",
+				try, g, gateway, epoch, s.answers.epoch, b == basis, a == answer, recs)
+		}
+	}
+	if got := okBody(t, h, base+"/query", ""); !bytes.Equal(got, query) {
+		t.Fatalf("the query after the failed commits differs:\n%s\nvs\n%s", got, query)
+	}
+	for i, got := range asked() {
+		if !bytes.Equal(got, before[i]) {
+			t.Fatalf("what-if %s after the failed commits differs:\n%s\nvs\n%s", whatIfs[i], got, before[i])
+		}
+	}
+	if raised := okBody(t, h, base+"/epoch", fmt.Sprintf(`{"gatewayFactor":[1.5%s]}`, strings.Repeat(",1", K-1))); !bytes.Contains(raised, []byte("\n  \"epoch\": 1\n")) {
+		t.Fatalf("the commit after the failed ones is not epoch 1:\n%s", raised)
 	}
 }

@@ -80,17 +80,44 @@ func batchBytes(resp *BatchWhatIfResponse) (bp *[]byte, ok bool) {
 	return bp, ok
 }
 
-// marshalReport returns the bytes json.Marshal renders rep in, as a
-// slice of their own, exactly sized: what a commit record keeps. Nil
-// when rep holds a non-finite float, where json.Marshal fails.
-func marshalReport(rep *SolveReport) []byte {
+// compactReport returns body — a report as appendReport writes it,
+// indented — in the compact form json.Marshal renders the report in, as
+// a slice of its own, exactly sized: what a commit record keeps.
+func compactReport(body []byte) []byte {
 	bp := reportBufs.Get().(*[]byte)
 	defer reportBufs.Put(bp)
-	var ok bool
-	if *bp, ok = appendReport((*bp)[:0], rep, 0, true); !ok {
-		return nil
-	}
+	*bp = appendCompact((*bp)[:0], body)
 	return bytes.Clone(*bp)
+}
+
+// appendCompact appends src, JSON as the encoder writes it indented,
+// with the whitespace between its tokens removed, which leaves the
+// compact form of the same value: the encoder's two forms differ in
+// that whitespace alone. A string is copied through its closing quote
+// (an escaped quote does not close it), so its own bytes are kept.
+func appendCompact(dst, src []byte) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, len(src))
+	out := dst[at : at+len(src)]
+	n := 0
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case ' ', '\n':
+		case '"':
+			j := i + 1
+			for ; src[j] != '"'; j++ {
+				if src[j] == '\\' {
+					j++
+				}
+			}
+			n += copy(out[n:], src[i:j+1])
+			i = j
+		default:
+			out[n] = c
+			n++
+		}
+	}
+	return dst[:at+n]
 }
 
 // wireEnc appends JSON to b: indented, or compact as json.Marshal

@@ -51,8 +51,9 @@ func checkAgainstOracle(t *testing.T, rep *SolveReport) {
 }
 
 // checkFormsAgainstOracle holds all three forms of the one encoder to
-// encoding/json: the body (checkAgainstOracle), the compact bytes a
-// commit record keeps against json.Marshal, and rep nested in a batch
+// encoding/json: the body (checkAgainstOracle), the compact form and the
+// bytes a commit record keeps — the body stripped of its whitespace —
+// against json.Marshal, and rep nested in a batch
 // body — twice, around a nil report — against the oracle's bytes of the
 // BatchWhatIfResponse. A report encoding/json rejects gets errNonFinite
 // and no bytes in every form.
@@ -66,8 +67,13 @@ func checkFormsAgainstOracle(t *testing.T, rep *SolveReport) {
 		t.Fatalf("json.Marshal fails with %v, the compact form accepts\nreport: %+v", wantErr, rep)
 	case wantErr == nil && (!ok || !bytes.Equal(got, want)):
 		t.Fatalf("compact form differs from json.Marshal (ok %v)\ngot:  %s\nwant: %s", ok, got, want)
-	case wantErr == nil && !bytes.Equal(marshalReport(rep), want):
-		t.Fatalf("a commit record's bytes differ from json.Marshal\ngot:  %s\nwant: %s", marshalReport(rep), want)
+	}
+	if body, ok := reportBytes(rep); ok {
+		// A commit record keeps its body with the whitespace stripped.
+		if rec := compactReport(*body); wantErr != nil || !bytes.Equal(rec, want) {
+			t.Fatalf("a commit record's bytes differ from json.Marshal (%v)\ngot:  %s\nwant: %s", wantErr, rec, want)
+		}
+		reportBufs.Put(body)
 	}
 	checkBatchAgainstOracle(t, &BatchWhatIfResponse{
 		Reports: []*SolveReport{rep, nil, rep}, Distinct: 2, Workers: 1 + rep.Epoch%3, Epoch: rep.Epoch,
@@ -90,6 +96,16 @@ func checkBatchAgainstOracle(t *testing.T, resp *BatchWhatIfResponse) {
 	if err != nil || !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("batch encoder differs from encoding/json (%v)\ngot:\n%s\nwant:\n%s", err, got.Bytes(), want)
 	}
+}
+
+// marshalReport returns the bytes json.Marshal renders rep in, as the
+// compact encoder writes them; nil when rep holds a non-finite float.
+func marshalReport(rep *SolveReport) []byte {
+	b, ok := appendReport(nil, rep, 0, true)
+	if !ok {
+		return nil
+	}
+	return b
 }
 
 // edgeFloats are the values whose text form has a rule of its own in

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -241,23 +242,43 @@ func mustOpen(t testing.TB, data []byte) *cluster.SessionSnapshot {
 	return snap
 }
 
-// forgeBasisWidth is data resealed with its basis section claiming a
-// basis over ncols solver columns, behind a valid checksum. The frame is
+// Sections of a sealed snapshot's body, in order: the header, the
+// creation platform, the capacities, the basis, the weights, the
+// committed answer, then the commit reports.
+const (
+	platformSection   = 1
+	capacitiesSection = 2
+	basisSection      = 3
+)
+
+// forgeSection is data resealed with its section i replaced by what
+// edit returns for a copy of it, behind a valid checksum. The frame is
 // the magic line, the version and the hex sha256 of the body; the body's
-// sections — header, platform, basis, … — each follow a uint32 BE
-// length, and a basis section's first word is its column count.
-func forgeBasisWidth(data []byte, ncols uint32) []byte {
+// sections each follow a uint32 BE length.
+func forgeSection(data []byte, i int, edit func(sec []byte) []byte) []byte {
 	const checksumAt = len("schedd-snapshot\n") + 4
 	const frameLen = checksumAt + 2*sha256.Size
-	out := bytes.Clone(data)
 	off := frameLen
-	for range 2 {
-		off += 4 + int(binary.BigEndian.Uint32(out[off:]))
+	for range i {
+		off += 4 + int(binary.BigEndian.Uint32(data[off:]))
 	}
-	binary.BigEndian.PutUint32(out[off+4:], ncols)
+	end := off + 4 + int(binary.BigEndian.Uint32(data[off:]))
+	sec := edit(bytes.Clone(data[off+4 : end]))
+	out := append(binary.BigEndian.AppendUint32(bytes.Clone(data[:off]), uint32(len(sec))), sec...)
+	out = append(out, data[end:]...)
 	sum := sha256.Sum256(out[frameLen:])
 	hex.Encode(out[checksumAt:frameLen], sum[:])
 	return out
+}
+
+// forgeBasisWidth is data resealed with its basis section claiming a
+// basis over ncols solver columns (a basis section's first word is its
+// column count), behind a valid checksum.
+func forgeBasisWidth(data []byte, ncols uint32) []byte {
+	return forgeSection(data, basisSection, func(sec []byte) []byte {
+		binary.BigEndian.PutUint32(sec, ncols)
+		return sec
+	})
 }
 
 // TestForgedBasisWidthIsRefused: a snapshot forged behind a valid
@@ -282,6 +303,129 @@ func TestForgedBasisWidthIsRefused(t *testing.T) {
 
 	n := passiveHolder(t, "http://successor", sess.id)
 	if !replicate(t, n.Handler(), forged) {
+		t.FailNow()
+	}
+	n.promoteIfReplica(sess.id)
+	if n.srv.Pool().Get(sess.id) != nil || n.getReplica(sess.id) != nil || n.replicaErrors.Value() != 1 {
+		t.Fatalf("the forged replica was not failed closed (errors %d)", n.replicaErrors.Value())
+	}
+}
+
+// driftedSession is a K-cluster session after three untagged commits
+// that drift every speed, gateway and link budget by a factor of its own.
+func driftedSession(t *testing.T, k int, seed int64) *Session {
+	t.Helper()
+	_, sess, _ := imageFixture(t, k, seed, "lprg")
+	rng := rand.New(rand.NewSource(seed))
+	factors := func(n int) []float64 {
+		f := make([]float64, n)
+		for i := range f {
+			f[i] = 0.7 + 0.6*rng.Float64()
+		}
+		return f
+	}
+	if len(sess.pl.Links) == 0 {
+		t.Fatal("the platform has no links to drift")
+	}
+	for range 3 {
+		if _, err := sess.Epoch(&EpochRequest{
+			SpeedFactor: factors(k), GatewayFactor: factors(k), LinkFactor: factors(len(sess.pl.Links)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sess
+}
+
+// TestRestoredPlatformIsLive: a snapshot carries the creation platform
+// and the committed capacities over it, and the session restored from
+// its sealed bytes holds the live session's drifted platform — the same
+// fingerprint and the same description — under the creation identity.
+func TestRestoredPlatformIsLive(t *testing.T) {
+	live := driftedSession(t, 8, 418)
+	restored, _, warm, err := RestoreSession(mustOpen(t, sealBytes(t, live)))
+	if err != nil || !warm {
+		t.Fatalf("restore: warm %v, %v", warm, err)
+	}
+	created, err := platform.Decode(live.created)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if created.Fingerprint() == live.pl.Fingerprint() {
+		t.Fatal("the commits drifted nothing")
+	}
+	if got, want := restored.pl.Fingerprint(), live.pl.Fingerprint(); got != want {
+		t.Fatalf("restored platform fingerprint %s, live %s", got, want)
+	}
+	got, err := restored.PlatformJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := live.PlatformJSON()
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("restored platform differs from the live one (%v)\n%s\nvs\n%s", err, got, want)
+	}
+	if restored.fingerprint != created.Fingerprint() || restored.id != live.id || !bytes.Equal(restored.created, live.created) {
+		t.Fatal("the restored session does not keep the creation identity and platform")
+	}
+}
+
+// TestRestoreRefusesForgedCapacities: a snapshot forged behind a valid
+// checksum opens (the codec cannot know a platform), but the restore
+// refuses it when the capacities section does not fit the creation
+// platform's clusters and links, when it carries a capacity an uploaded
+// platform may not have (a NaN or negative speed, a budget above
+// platform.MaxConnectCeiling), and when the creation platform does not
+// hash to the snapshot's fingerprint; a replica holding one fails its
+// promotion closed.
+func TestRestoreRefusesForgedCapacities(t *testing.T) {
+	sess := driftedSession(t, 6, 419)
+	data := sealBytes(t, sess)
+	if _, _, _, err := RestoreSession(mustOpen(t, data)); err != nil {
+		t.Fatalf("the honest snapshot must restore: %v", err)
+	}
+	K := sess.pl.K()
+	caps := func(edit func(sec []byte) []byte) []byte { return forgeSection(data, capacitiesSection, edit) }
+	putFloat := func(at int, v float64) []byte {
+		return caps(func(sec []byte) []byte {
+			binary.BigEndian.PutUint64(sec[at:], math.Float64bits(v))
+			return sec
+		})
+	}
+	forged := map[string][]byte{
+		"a section a byte short":  caps(func(sec []byte) []byte { return sec[:len(sec)-1] }),
+		"a section a budget over": caps(func(sec []byte) []byte { return binary.BigEndian.AppendUint32(sec, 5) }),
+		"an empty section":        caps(func([]byte) []byte { return nil }),
+		"a NaN speed":             putFloat(0, math.NaN()),
+		"a negative speed":        putFloat(16*(K-1), -1),
+		"an infinite gateway":     putFloat(8, math.Inf(1)),
+		"a budget above the ceiling": caps(func(sec []byte) []byte {
+			binary.BigEndian.PutUint32(sec[16*K:], platform.MaxConnectCeiling+1)
+			return sec
+		}),
+		"another creation platform": forgeSection(data, platformSection, func(sec []byte) []byte {
+			pl, err := platform.Decode(sec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.Links[0].BW *= 2
+			out, err := json.Marshal(pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}),
+	}
+	for name, bad := range forged {
+		if _, _, _, err := RestoreSession(mustOpen(t, bad)); err == nil {
+			t.Fatalf("%s: restored", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+
+	n := passiveHolder(t, "http://successor", sess.id)
+	if !replicate(t, n.Handler(), forged["a NaN speed"]) {
 		t.FailNow()
 	}
 	n.promoteIfReplica(sess.id)
@@ -435,51 +579,5 @@ func TestReadBoundedUndeclaredLength(t *testing.T) {
 	}
 	if _, err := readBounded(nil, iotest.ErrReader(io.ErrUnexpectedEOF), -1); err != io.ErrUnexpectedEOF {
 		t.Fatalf("a failing reader's error was %v", err)
-	}
-}
-
-// TestPlatformEncodesAsMarshal pins encodePlatform, which encodes a
-// seal's platform straight into the seal's buffer, to json.Marshal byte
-// for byte on the edge cases: no links, routes whose bottleneck is +Inf
-// (clusters on one router: not on the wire), names outside ASCII and
-// ones encoding/json escapes; and it refuses what Marshal refuses,
-// handing dst back as it came.
-func TestPlatformEncodesAsMarshal(t *testing.T) {
-	oneRouter := &platform.Platform{Routers: 1, Clusters: []platform.Cluster{
-		{Name: "a", Speed: 100, Gateway: 50}, {Name: "b", Speed: 80, Gateway: 1e-300},
-	}}
-	if err := oneRouter.ComputeRoutes(); err != nil {
-		t.Fatal(err)
-	}
-	if bw := oneRouter.Route(0, 1).MinBW; !math.IsInf(bw, 1) {
-		t.Fatalf("the one-router route's bottleneck is %g, want +Inf", bw)
-	}
-	named := testPlatform(t, 4, 416)
-	for i, name := range []string{"Grenoble–Lyon", "東京クラスタ", "<a&b>", "line sep \x00\"\\"} {
-		named.Clusters[i].Name = name
-	}
-	for name, pl := range map[string]*platform.Platform{
-		"no links":      {Routers: 2, Clusters: []platform.Cluster{{Name: "x", Speed: 1, Gateway: 2, Router: 1}}},
-		"+Inf MinBW":    oneRouter,
-		"non-ASCII":     named,
-		"nil links":     {},
-		"generated K=9": testPlatform(t, 9, 417),
-	} {
-		want, err := json.Marshal(pl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := encodePlatform([]byte("head"), pl)
-		if err != nil || string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
-			t.Fatalf("%s: encoded %q (%v), want %q after the head", name, got, err, want)
-		}
-	}
-	bad := &platform.Platform{Clusters: []platform.Cluster{{Speed: math.Inf(1)}}}
-	if _, err := json.Marshal(bad); err == nil {
-		t.Fatal("json.Marshal accepted an infinite speed")
-	}
-	dst := []byte("head")
-	if got, err := encodePlatform(dst, bad); err == nil || string(got) != "head" {
-		t.Fatalf("an infinite speed encoded to %q (%v)", got, err)
 	}
 }

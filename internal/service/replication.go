@@ -139,7 +139,7 @@ func (n *Node) replicationTargets(id string) []string {
 	return out
 }
 
-// sealBufs pools sealed-snapshot buffers: a ring commit seals ~40 KiB
+// sealBufs pools sealed-snapshot buffers: a ring commit seals ~41 KiB
 // at K = 20 with a full commit record, every destination reads the one
 // buffer, and a successor reads what it receives into another.
 var sealBufs = sync.Pool{New: func() any { return new([]byte) }}
@@ -152,7 +152,7 @@ var sealBufs = sync.Pool{New: func() any { return new([]byte) }}
 // receiving side they are the held replica and a promotion rebuilding
 // from it. The buffer goes back to the pool when the last reference
 // does, and never while any reader may still see it. A seal's buffer
-// starts with the platform JSON its snapshot's Platform reads (off
+// starts with the answer bytes its snapshot's Answer reads, if any (off
 // bytes), then the wire bytes.
 type sealed struct {
 	buf  *[]byte
@@ -206,11 +206,11 @@ func (b *sealedBody) Close() error {
 
 // seal serializes sess's committed state once: the snapshot and its
 // sealed (versioned, checksummed) wire bytes, in a pooled buffer the
-// caller releases. The platform JSON is encoded into the head of that
-// buffer and the wire bytes appended after it, so the snapshot's
-// Platform is valid while the caller holds the reference. Every
-// destination — the store, the ring successors, a new owner — gets
-// these same bytes.
+// caller releases. A committed answer the snapshot carries in a section
+// of its own (an untagged commit's) is encoded into the head of that
+// buffer and the wire bytes appended after it, so the snapshot's Answer
+// is valid while the caller holds the reference. Every destination —
+// the store, the ring successors, a new owner — gets these same bytes.
 func seal(sess *Session) (*cluster.SessionSnapshot, *sealed, error) {
 	sb := newSealed()
 	snap, buf, err := sess.snapshotInto(*sb.buf)

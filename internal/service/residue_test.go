@@ -15,11 +15,12 @@ import (
 func recommit(t testing.TB, s *Session) *SolveReport {
 	t.Helper()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	rep, err := s.commitLocked()
-	s.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.publishLocked(rep, false)
 	return rep
 }
 

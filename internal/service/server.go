@@ -295,8 +295,7 @@ func (s *Server) create(w http.ResponseWriter, pl *platform.Platform, cfg sessio
 	sess, created, err := s.pool.getOrCreate(pl, cfg, id)
 	var rep *SolveReport
 	if err == nil && created {
-		a := sess.committed.Load() // published, so never written again
-		rep, err = &a.rep, a.err
+		rep = &sess.committed.Load().rep // published, so never written again
 	} else if err == nil {
 		rep, err = sess.Query()
 	}
@@ -414,8 +413,13 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, func(b []byte) error { return decodeEpoch(b, &req) }) {
 		return
 	}
-	rep, err := sess.EpochIdempotent(&req, r.Header.Get(commitIDHeader))
-	writeAnswer(w, rep, nil, err)
+	rep, body, err := sess.commitEpoch(&req, r.Header.Get(commitIDHeader), true)
+	if body == nil {
+		writeAnswer(w, rep, nil, err)
+		return
+	}
+	writeBody(w, http.StatusOK, *body)
+	reportBufs.Put(body)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -46,6 +46,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -142,9 +143,10 @@ const commitDedupDepth = 8
 
 // commitRecord is one applied tagged commit: the idempotency ID, a
 // private copy of the report it answered with, and that report in
-// json.Marshal's bytes (marshalReport) — encoded once, when the commit
-// is recorded or RestoreSession decodes it; every snapshot appends these
-// bytes. A report with no JSON form has nil wire and no place in one.
+// json.Marshal's bytes — the commit's response body with its whitespace
+// stripped (compactReport), or RestoreSession's compact encode of what
+// it decoded; every snapshot appends these bytes. A report with no JSON
+// form has nil wire and no place in one.
 type commitRecord struct {
 	id   string
 	rep  *SolveReport
@@ -164,6 +166,12 @@ type Session struct {
 	id          string
 	fingerprint string
 	cfg         sessionConfig
+
+	// created is the platform description the session was created for,
+	// as platform JSON: encoded once at creation, or the bytes a snapshot
+	// carried. Every snapshot carries these bytes and the committed
+	// capacities over them (cluster.SessionSnapshot.SetCapacities).
+	created []byte
 
 	mu    sync.Mutex
 	pl    *platform.Platform // current (drifted) platform
@@ -186,11 +194,15 @@ type Session struct {
 	// such what-if after each Freeze, never by a commit. Guarded by mu.
 	tables *tableBody
 
-	// committed is the committed state's answer, published by the
-	// commit solve (commitLocked) under mu and read by every query
-	// without it, as a cache hit's entry: its wire image is the query's
-	// body. It holds the solve's error instead when the solve failed.
+	// committed is the committed state's answer, published under mu by
+	// create, RestoreSession and every epoch commit whose solve
+	// succeeded (publishLocked), and read by every query without it, as a
+	// cache hit's entry: its wire image is the query's body. A failed
+	// commit is rolled back and publishes nothing. answerRec, under mu,
+	// reports that it is the newest recentCommits entry's report, which a
+	// snapshot then carries once.
 	committed atomic.Pointer[answer]
+	answerRec bool
 
 	queries   atomic.Uint64
 	whatIfs   atomic.Uint64
@@ -224,11 +236,13 @@ type Session struct {
 	onCommit func(*Session)
 }
 
-// buildSession assembles a session's model and bookkeeping without
-// solving anything — the shared half of newSession (which follows
-// with the initial cold commit solve) and RestoreSession (which installs
-// a snapshot's basis and commits warm instead).
-func buildSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
+// buildSession assembles a session's model and bookkeeping over pl, the
+// committed platform, without solving anything — the shared half of
+// newSession (which follows with the initial cold commit solve) and
+// RestoreSession (which installs a snapshot's basis and commits warm
+// instead). fp is the fingerprint of the platform the session was
+// created for, which with cfg names the session.
+func buildSession(pl *platform.Platform, cfg sessionConfig, fp string) (*Session, error) {
 	pr := core.NewProblem(pl)
 	if cfg.payoffs != nil {
 		pr.Payoffs = slices.Clone(cfg.payoffs)
@@ -238,7 +252,7 @@ func buildSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 		return nil, clientError{err} // NewModel refuses only a problem that fails validation
 	}
 	s := &Session{
-		fingerprint: pl.Fingerprint(),
+		fingerprint: fp,
 		cfg:         cfg,
 		pl:          pl,
 		pr:          pr,
@@ -256,15 +270,24 @@ func buildSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 // newSession validates the platform, builds the warm model and runs
 // the initial (cold) commit solve, which establishes the carried basis
 // and publishes the committed answer. Every later solve on the session
-// is a warm restart.
+// is a warm restart. The platform is encoded here, once: every snapshot
+// the session seals carries these bytes.
 func newSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
-	s, err := buildSession(pl, cfg)
+	created, err := json.Marshal(pl)
+	if err != nil {
+		return nil, clientError{err}
+	}
+	s, err := buildSession(pl, cfg, pl.Fingerprint())
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.commitLocked(); err != nil { // unshared: "locked" trivially holds
+	s.created = created
+	// unshared: "locked" trivially holds
+	rep, err := s.commitLocked()
+	if err != nil {
 		return nil, fmt.Errorf("initial solve: %w", err)
 	}
+	s.publishLocked(rep, false)
 	return s, nil
 }
 
@@ -338,20 +361,25 @@ func asReport(rep *SolveReport, hit *answer, err error) (*SolveReport, error) {
 // hit, which is what it is.
 func (s *Session) query() (*SolveReport, *answer, error) {
 	s.queries.Add(1)
-	a := s.committed.Load()
-	if a.err != nil {
-		return nil, nil, a.err
-	}
 	s.answers.countHit()
-	return nil, a, nil
+	return nil, s.committed.Load(), nil
+}
+
+// publishLocked makes rep the committed answer; recorded says it is the
+// newest commit record's report.
+func (s *Session) publishLocked(rep *SolveReport, recorded bool) {
+	s.committed.Store(&answer{rep: *rep})
+	s.answerRec = recorded
 }
 
 // commitLocked is the commit solve that creation, RestoreSession and
 // every epoch commit share: the heuristic on the committed problem,
-// which advances the carried basis, then the bound warm from that basis
-// (typically zero pivots: the heuristic has just left it optimal for the
-// unpinned relaxation). It publishes its report as the committed answer,
-// or its error, so a read never answers for a state it was not solved on.
+// which advances the carried basis, and the relaxation's bound. An lprg
+// commit rounds the unpinned relaxation, so the optimum it solved is
+// the bound; the other heuristics pin β bounds, and solve the bound
+// again warm from the new basis (typically zero pivots: the heuristic
+// has just left it optimal for the unpinned relaxation). It publishes
+// nothing: its caller publishes the report, or rolls the commit back.
 func (s *Session) commitLocked() (*SolveReport, error) {
 	// Committed answers must be replica-independent: a session
 	// promoted from a snapshot on a successor holds the same matrix,
@@ -365,20 +393,22 @@ func (s *Session) commitLocked() (*SolveReport, error) {
 	// A what-if needs no rebase: it starts from the factorization
 	// this solve leaves, and is rewound to it.
 	s.model.Rebase()
-	alloc, basis, err := s.heuristicSolve(s.pr)
-	var rep *SolveReport
-	if err == nil {
-		if basis != nil {
-			s.basis = basis
+	if s.cfg.heur == "lprg" {
+		alloc, basis, bound, err := heuristics.LPRGBoundOnModel(s.model, s.pr, s.cfg.obj, s.basis)
+		if err != nil {
+			return nil, err
 		}
-		rep, err = s.reportLocked(s.pr, alloc)
+		s.basis = basis
+		return s.reportOf(s.pr, alloc, bound)
 	}
-	a := &answer{err: err}
-	if rep != nil {
-		a.rep = *rep
+	alloc, basis, err := s.heuristicSolve(s.pr)
+	if err != nil {
+		return nil, err
 	}
-	s.committed.Store(a)
-	return rep, err
+	if basis != nil {
+		s.basis = basis
+	}
+	return s.reportLocked(s.pr, alloc)
 }
 
 // heuristicSolve runs the configured heuristic over the session model
@@ -403,13 +433,10 @@ func (s *Session) heuristicSolve(epr *core.Problem) (*core.Allocation, *lp.Basis
 	return nil, nil, fmt.Errorf("unknown heuristic %q", s.cfg.heur)
 }
 
-// reportLocked checks the heuristic allocation alloc against epr and
-// reports it with the relaxation bound: a warm re-solve from the carried
-// root basis under default β bounds, which extracts nothing.
+// reportLocked reports the heuristic allocation alloc with the
+// relaxation bound: a warm re-solve from the carried root basis under
+// default β bounds, which extracts nothing.
 func (s *Session) reportLocked(epr *core.Problem, alloc *core.Allocation) (*SolveReport, error) {
-	if err := epr.CheckAllocation(alloc, core.DefaultTol); err != nil {
-		return nil, fmt.Errorf("internal error: heuristic produced an invalid allocation: %w", err)
-	}
 	s.model.ResetBounds()
 	bound, ok, err := s.model.Solve(s.basis)
 	if err != nil {
@@ -417,6 +444,15 @@ func (s *Session) reportLocked(epr *core.Problem, alloc *core.Allocation) (*Solv
 	}
 	if !ok {
 		return nil, fmt.Errorf("relaxation infeasible on an unconstrained platform (model bug)")
+	}
+	return s.reportOf(epr, alloc, bound)
+}
+
+// reportOf checks the heuristic allocation alloc against epr and
+// reports it with the relaxation bound.
+func (s *Session) reportOf(epr *core.Problem, alloc *core.Allocation, bound float64) (*SolveReport, error) {
+	if err := epr.CheckAllocation(alloc, core.DefaultTol); err != nil {
+		return nil, fmt.Errorf("internal error: heuristic produced an invalid allocation: %w", err)
 	}
 	K := epr.K()
 	rep := &SolveReport{
@@ -723,7 +759,9 @@ func mustRestore(err error) {
 // the committed answer. The commit advances the epoch the answer table
 // is keyed on and invalidates the previous state's cached what-ifs — a
 // post-commit read can only ever see a post-commit answer — and runs
-// the commit hook (snapshot persistence) outside the session mutex.
+// the commit hook (snapshot persistence) outside the session mutex. A
+// commit whose solve fails is rolled back (epochLocked): the session
+// stays at the state before it, and nothing is recorded or shipped.
 //
 // A non-empty commitID is an idempotency tag: one matching a recently
 // applied commit returns the recorded report without touching the
@@ -732,26 +770,59 @@ func mustRestore(err error) {
 // clients' commits landed in between. An empty commitID is a plain
 // (untagged) commit.
 func (s *Session) EpochIdempotent(req *EpochRequest, commitID string) (*SolveReport, error) {
+	rep, body, err := s.commitEpoch(req, commitID, false)
+	if body != nil {
+		reportBufs.Put(body)
+	}
+	return rep, err
+}
+
+// commitEpoch is EpochIdempotent as the HTTP layer consumes it (wantBody):
+// a commit it applies comes back with its response body, EncodeReport's
+// bytes in a reportBufs buffer the caller puts back. The body is encoded
+// once, under the session mutex, and a tagged commit's record keeps it
+// with its structural whitespace stripped — json.Marshal's bytes — which
+// is also the committed answer a snapshot carries; so a tagged commit
+// encodes its body whether or not the caller wants it, and an untagged
+// one only when asked. A retry answered from the record, or a report the
+// encoder cannot write, comes back with a nil body.
+func (s *Session) commitEpoch(req *EpochRequest, commitID string, wantBody bool) (*SolveReport, *[]byte, error) {
 	s.mu.Lock()
 	if commitID != "" {
 		if rec, ok := s.commitLookupLocked(commitID); ok {
 			rep := *rec
 			s.mu.Unlock()
-			return &rep, nil
+			return &rep, nil, nil
 		}
 	}
 	s.epochs.Add(1)
 	rep, err := s.epochLocked(req)
-	if err == nil && commitID != "" {
-		cp := *rep
-		s.recordCommitLocked(commitRecord{id: commitID, rep: &cp, wire: marshalReport(&cp)})
+	var body *[]byte
+	if err == nil {
+		if wantBody || commitID != "" {
+			bp, ok := reportBytes(rep)
+			if ok {
+				body = bp
+			} else {
+				reportBufs.Put(bp)
+			}
+		}
+		var wire []byte
+		if commitID != "" {
+			if body != nil {
+				wire = compactReport(*body)
+			}
+			cp := *rep
+			s.recordCommitLocked(commitRecord{id: commitID, rep: &cp, wire: wire})
+		}
+		s.publishLocked(rep, wire != nil)
 	}
 	hook := s.onCommit
 	s.mu.Unlock()
 	if err == nil && hook != nil {
 		hook(s)
 	}
-	return rep, err
+	return rep, body, err
 }
 
 // commitLookupLocked finds the recorded report of an applied tagged
@@ -774,6 +845,15 @@ func (s *Session) recordCommitLocked(rec commitRecord) {
 	}
 }
 
+// epochLocked applies req to the committed platform and runs the commit
+// solve on the result, leaving the report for its caller to publish. A
+// commit whose solve fails — a bnb search out of its node budget, say —
+// is rolled back whole: the platform, problem, epoch, answer table and
+// carried basis are those before it, the committed answer was never
+// replaced, and the model holds the committed capacities again, rebased
+// and re-solved warm from the committed basis, so the solver stands on
+// that basis's factorization as it did after the last commit. A retry
+// then applies the perturbation to the same platform, not on top of it.
 func (s *Session) epochLocked(req *EpochRequest) (*SolveReport, error) {
 	pert := adapt.Perturbation{
 		GatewayFactor: req.GatewayFactor,
@@ -795,9 +875,22 @@ func (s *Session) epochLocked(req *EpochRequest) (*SolveReport, error) {
 		mustRestore(s.model.Inject(s.pl))
 		return nil, clientError{err}
 	}
-	s.pl = epl
-	s.pr = epr
+	pl, pr, basis := s.pl, s.pr, s.basis
+	s.pl, s.pr = epl, epr
 	s.epoch++
 	s.answers.rotate(s.epoch)
-	return s.commitLocked()
+	rep, err := s.commitLocked()
+	if err != nil {
+		s.pl, s.pr, s.basis = pl, pr, basis
+		s.epoch--
+		s.answers.rotate(s.epoch)
+		mustRestore(s.model.Inject(pl))
+		s.model.Rebase()
+		s.model.ResetBounds()
+		if _, _, serr := s.model.Solve(basis); serr != nil {
+			mustRestore(serr)
+		}
+		return nil, err
+	}
+	return rep, nil
 }

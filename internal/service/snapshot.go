@@ -13,54 +13,48 @@ import (
 // This file is the session half of the cluster integration: turning a
 // live warm session into a cluster.SessionSnapshot and rebuilding one
 // — warm — from a snapshot, on any replica. The committed state of a
-// session is fully derivable from (drifted platform, configuration,
-// carried basis, epoch counter): epochs mutate the platform in place
-// and every solve re-injects its capacities, so no mutation history
-// needs shipping.
+// session is fully derivable from (creation platform, committed
+// capacities, configuration, carried basis, epoch counter): epochs
+// change only capacities and every solve re-injects them, so no
+// mutation history needs shipping. The committed answer rides along,
+// so a rebuilt session answers its first query with the owner's bytes.
 
-// encodePlatform appends a snapshot's platform to dst as the bytes
-// json.Marshal(pl) returns, encoded straight into dst rather than
-// copied out of encoding/json's buffer; a test replaces it to watch the
-// session lock while it runs.
-var encodePlatform = func(dst []byte, pl *platform.Platform) ([]byte, error) {
-	buf := bytes.NewBuffer(dst)
-	if err := json.NewEncoder(buf).Encode(pl); err != nil {
-		return dst, err
-	}
-	return buf.Bytes()[:buf.Len()-1], nil // Encode ends the value with a newline Marshal does not write
+// encodeAnswer appends the committed answer rep to dst in its compact
+// form (json.Marshal's bytes); ok is false when rep has none. A test
+// replaces it to watch the session lock while it runs.
+var encodeAnswer = func(dst []byte, rep *SolveReport) ([]byte, bool) {
+	return appendReport(dst, rep, 0, true)
 }
 
 // Snapshot serializes the session's committed state: identity,
-// configuration, epoch, the current drifted platform and the carried
-// basis (read in place, not copied), plus the commit-dedup record as
-// the bytes it already holds (shared with the record, not copied). The
-// session mutex is held only to read which platform, basis, epoch and
-// record are committed; the encoding runs after it is released, which
-// is safe because none of them is written once published — a commit
-// replaces the platform and the basis, and appends to the record or
-// moves it to a new array. The returned snapshot is not yet sealed —
-// the store or transfer path calls Encode, which stamps the version
-// and checksum.
+// configuration, epoch, the creation platform's bytes and the committed
+// capacities over them (read in place from the committed platform), the
+// carried basis (read in place, not copied), the committed answer, plus
+// the commit-dedup record as the bytes it already holds (shared with the
+// record, not copied). The session mutex is held only to read which
+// platform, basis, epoch, answer and record are committed; the
+// encoding runs after it is released, which is safe because none of
+// them is written once published — a commit replaces the platform, the
+// basis and the answer, and appends to the record or moves it to a new
+// array. The returned snapshot is not yet sealed — the store or
+// transfer path calls Encode, which stamps the version and checksum.
 func (s *Session) Snapshot() (*cluster.SessionSnapshot, error) {
 	snap, _, err := s.snapshotInto(nil)
 	return snap, err
 }
 
-// snapshotInto is Snapshot with the platform JSON appended to dst: the
-// snapshot's Platform is the appended tail of the returned slice, which
-// seal encodes into the buffer it seals into.
+// snapshotInto is Snapshot with the committed answer, when it is not
+// the newest commit record's report, encoded onto dst: the snapshot's
+// Answer is the appended tail of the returned slice, which seal encodes
+// into the buffer it seals into.
 func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, error) {
 	s.mu.Lock()
 	pl, basis, epoch, records := s.pl, s.basis, s.epoch, s.recentCommits
+	answer, recorded := s.committed.Load(), s.answerRec
 	s.mu.Unlock()
 	if basis == nil {
 		return nil, dst, fmt.Errorf("session %s has no carried basis yet", s.id)
 	}
-	out, err := encodePlatform(dst, pl)
-	if err != nil {
-		return nil, dst, fmt.Errorf("encoding platform: %w", err)
-	}
-	plJSON := out[len(dst):len(out):len(out)]
 	snap := &cluster.SessionSnapshot{
 		ID:          s.id,
 		Fingerprint: s.fingerprint,
@@ -70,8 +64,17 @@ func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, er
 		Seed:        s.cfg.seed,
 		MaxNodes:    s.cfg.maxNodes,
 		Epoch:       epoch,
-		Platform:    plJSON,
+		Platform:    s.created,
 	}
+	out := dst
+	if !recorded {
+		var ok bool
+		if out, ok = encodeAnswer(dst, &answer.rep); !ok {
+			return nil, dst, errNonFinite
+		}
+		snap.Answer = out[len(dst):len(out):len(out)]
+	}
+	snap.SetCapacities(pl)
 	cols, upper, weights := basis.View()
 	snap.SetBasis(s.model.SolverCols(), cols, upper, weights)
 	snap.RecentCommits = make([]cluster.CommitRecord, 0, len(records))
@@ -84,25 +87,35 @@ func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, er
 }
 
 // RestoreSession rebuilds a session from a (verified) snapshot: the
-// drifted platform is decoded and validated, a fresh model is built
-// over it, the snapshot's basis installed, and the committed answer is
-// re-solved and published by the commit solve every commit runs — from
-// Rebase's canonical footing, which is also what lets a fresh solver
-// take a foreign basis warm: one dual-simplex restart, typically zero
-// pivots. warm reports whether the rebuild really was warm (no cold
-// solves, no cold fallbacks); a basis the solver rejects degrades to a
-// correct cold rebuild rather than an error, but one sized for another
-// column count is refused before it is expanded. The initial report is
-// returned so a caller can check bit-compatibility against the
-// pre-transfer answers.
+// creation platform is decoded, validated like an uploaded one and must
+// hash to the snapshot's fingerprint; the carried capacities are written
+// into it and the result validated again (platform.ValidateStrict); a
+// fresh model is built over it, the snapshot's basis installed, and the
+// commit solve every commit runs is run once — from Rebase's canonical
+// footing, which is also what lets a fresh solver take a foreign basis
+// warm: one dual-simplex restart, typically zero pivots. warm reports
+// whether the rebuild really was warm (no cold solves, no cold
+// fallbacks); a basis the solver rejects degrades to a correct cold
+// rebuild rather than an error, but one sized for another column count
+// is refused before it is expanded.
+//
+// The session publishes the committed answer the snapshot carries, not
+// its own solve's: that solve reaches the owner's basis without the
+// owner's pivots, so its floats may differ from the owner's in the last
+// bits, and a query must answer with the owner's bytes. That answer (the
+// answer section, or the newest commit record's report when the section
+// is empty) must decode and name the snapshot's epoch; it is the report
+// returned. The solve leaves the solver on the committed basis, so the
+// session's later commits are the owner's bit for bit, and its what-ifs
+// agree with the owner's to rounding.
 //
 // The session keeps no byte of the buffer snap was decoded from, so
-// that buffer may be recycled once this returns: each commit report is
-// written into one buffer of the session's own — in this build's wire
-// form (marshalReport) when it decodes, as received otherwise — and
-// snap's records are pointed at those copies. A record an older build
-// wrote therefore carries nothing that build added to a report into the
-// snapshots this session seals.
+// that buffer may be recycled once this returns: the creation platform
+// is copied, and each commit report is written into one buffer of the
+// session's own — in this build's wire form when it decodes, as
+// received otherwise — and snap's records are pointed at those copies. A
+// record an older build wrote therefore carries nothing that build added
+// to a report into the snapshots this session seals.
 func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool, error) {
 	cfg, err := parseConfig(&CreateSessionRequest{
 		Objective: snap.Objective,
@@ -121,15 +134,20 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("snapshot platform: %w", err)
 	}
-	s, err := buildSession(pl, cfg)
+	if fp := pl.Fingerprint(); fp != snap.Fingerprint {
+		return nil, nil, false, fmt.Errorf("snapshot platform hashes to %s, the snapshot names %s", fp, snap.Fingerprint)
+	}
+	if err := snap.ApplyCapacities(pl); err != nil {
+		return nil, nil, false, err
+	}
+	if err := pl.ValidateStrict(); err != nil {
+		return nil, nil, false, fmt.Errorf("snapshot capacities: %w", err)
+	}
+	s, err := buildSession(pl, cfg, snap.Fingerprint)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	// The session keeps its creation-time identity: the drifted
-	// platform hashes differently, but the pool key and fingerprint
-	// are those of the platform the session was created for.
-	s.id = snap.ID
-	s.fingerprint = snap.Fingerprint
+	s.created = bytes.Clone(snap.Platform)
 	s.epoch = snap.Epoch
 	s.answers.rotate(s.epoch) // unshared: rekey the table to the true epoch
 	cols, upper, weights, err := snap.Basis(s.model.SolverCols())
@@ -141,6 +159,7 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 		size += len(rec.Report)
 	}
 	kept := make([]byte, 0, size)
+	var newest *SolveReport // the newest record's report, when it decodes
 	for i, rec := range snap.RecentCommits {
 		// Restore the commit-dedup record entry by entry (an ID and its
 		// report together or not at all, so a matched ID always has a
@@ -156,17 +175,30 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 		}
 		rec.Report = kept[at:len(kept):len(kept)]
 		snap.RecentCommits[i].Report = rec.Report
+		newest = nil
 		if ok {
 			// unshared: "locked" trivially holds
 			s.recordCommitLocked(commitRecord{id: rec.ID, rep: &rep, wire: rec.Report})
+			newest = &rep
 		}
 	}
+	answer, recorded := newest, len(snap.Answer) == 0
+	if !recorded {
+		answer = new(SolveReport)
+		if err := json.Unmarshal(snap.Answer, answer); err != nil {
+			return nil, nil, false, fmt.Errorf("snapshot committed answer: %w", err)
+		}
+	}
+	if answer == nil || answer.Epoch != snap.Epoch {
+		return nil, nil, false, fmt.Errorf("snapshot names no committed answer at its epoch %d", snap.Epoch)
+	}
 	s.basis = lp.ImportBasis(cols, upper, weights)
-	rep, err := s.commitLocked() // unshared: "locked" trivially holds
-	if err != nil {
+	if _, err := s.commitLocked(); err != nil { // unshared: "locked" trivially holds
 		return nil, nil, false, fmt.Errorf("rebuild solve: %w", err)
 	}
+	s.publishLocked(answer, recorded)
 	st := s.model.SolverStats()
 	warm := st.ColdSolves == 0 && st.ColdFallbacks == 0
-	return s, rep, warm, nil
+	rep := *answer // the caller's copy: answer may be a record's
+	return s, &rep, warm, nil
 }
