@@ -36,7 +36,7 @@ const epochs = 12
 type solver func(m *core.Model, epr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error)
 
 func bnb(m *core.Model, epr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
-	alloc, _, basis, err := heuristics.BranchAndBoundOnModel(m, epr, obj, 0, from)
+	alloc, _, basis, _, err := heuristics.BranchAndBoundOnModel(m, epr, obj, 0, from)
 	return alloc, basis, err
 }
 

@@ -447,7 +447,7 @@ func TestRunWarmBnBMatchesColdRun(t *testing.T) {
 			for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
 				var basis *lp.Basis
 				injectEpochs(t, pr, load, obj, 6, func(e int, m *core.Model, epr *core.Problem) {
-					warm, _, next, err := heuristics.BranchAndBoundOnModel(m, epr, obj, 0, basis)
+					warm, _, next, _, err := heuristics.BranchAndBoundOnModel(m, epr, obj, 0, basis)
 					if err != nil {
 						t.Fatalf("warm: %v", err)
 					}
@@ -476,7 +476,7 @@ func TestRunWarmLPRRIsValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var basis *lp.Basis
 	injectEpochs(t, pr, load, core.MAXMIN, 8, func(e int, m *core.Model, epr *core.Problem) {
-		alloc, next, err := heuristics.LPRROnModel(m, epr, core.MAXMIN, heuristics.ProportionalRounding, rng, basis)
+		alloc, next, _, err := heuristics.LPRROnModel(m, epr, core.MAXMIN, heuristics.ProportionalRounding, rng, basis)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}

@@ -84,41 +84,24 @@ func testSnapshot() *SessionSnapshot {
 		Platform:    json.RawMessage(`{"routers":1}`),
 		Answer:      json.RawMessage(`{"value":2.5,"epoch":3}`),
 	}
-	s.SetCapacities(sealedPlatform)
-	s.SetBasis(6, []int32{4, 2, 9}, []int32{1, 4}, []float64{1, 0.5, 2.25})
+	s.AppendBasis(s.AppendCapacities(nil, sealedPlatform), 6, []int32{4, 2, 9}, []int32{1, 4}, []float64{1, 0.5, 2.25})
 	return s
 }
 
-// width is the solver column count s's basis spans, in whichever form
-// s holds it.
+// width is the solver column count s's basis spans.
 func width(s *SessionSnapshot) int {
-	if s.basisSec != nil {
-		return int(binary.BigEndian.Uint32(s.basisSec))
-	}
-	return s.ncols
-}
-
-// capacityBytes is the capacities section s seals, whichever form it
-// holds them in.
-func capacityBytes(s *SessionSnapshot) []byte {
-	if s.caps != nil {
-		return capacityWords(nil, s.caps)
-	}
-	return s.capsSec
+	return int(binary.BigEndian.Uint32(s.basisSec))
 }
 
 // sameSnapshot reports whether a and b carry the same fields and the
-// same capacities, basis and weights, whichever form each holds them in.
+// same capacities, basis and weights sections.
 func sameSnapshot(a, b *SessionSnapshot) bool {
-	ac, au, aw, aerr := a.Basis(width(a))
-	bc, bu, bw, berr := b.Basis(width(b))
 	x, y := *a, *b
 	for _, s := range []*SessionSnapshot{&x, &y} {
-		s.ncols, s.cols, s.atUpper, s.weights, s.basisSec, s.wtsSec = 0, nil, nil, nil, nil, nil
-		s.caps, s.capsSec = nil, nil
+		s.capsSec, s.basisSec, s.wtsSec = nil, nil, nil
 	}
-	return aerr == nil && berr == nil && reflect.DeepEqual(x, y) && reflect.DeepEqual(ac, bc) && reflect.DeepEqual(au, bu) &&
-		reflect.DeepEqual(aw, bw) && bytes.Equal(capacityBytes(a), capacityBytes(b))
+	return reflect.DeepEqual(x, y) && bytes.Equal(a.capsSec, b.capsSec) && bytes.Equal(a.basisSec, b.basisSec) &&
+		bytes.Equal(a.wtsSec, b.wtsSec)
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -189,7 +172,7 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	for name, strip := range map[string]func(*SessionSnapshot){
 		"id":       func(s *SessionSnapshot) { s.ID = "" },
 		"platform": func(s *SessionSnapshot) { s.Platform = nil },
-		"basis":    func(s *SessionSnapshot) { s.SetBasis(0, nil, nil, nil) },
+		"basis":    func(s *SessionSnapshot) { s.basisSec, s.wtsSec = nil, nil },
 		"answer":   func(s *SessionSnapshot) { s.Answer = nil },
 	} {
 		s := testSnapshot()

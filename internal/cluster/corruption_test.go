@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -63,8 +62,7 @@ func sealedSnapshot(t testing.TB) (*SessionSnapshot, []byte) {
 		Platform:    json.RawMessage(`{"hosts":[{"name":"h0","compute":1.5}],"links":[]}`),
 		Answer:      json.RawMessage(`{"heuristic":"lprg","value":48.5,"epoch":7}`),
 	}
-	snap.SetCapacities(sealedPlatform)
-	snap.SetBasis(6, []int32{3, 1, 4, 1, 5}, []int32{1, 4}, sealedWeights)
+	snap.AppendBasis(snap.AppendCapacities(nil, sealedPlatform), 6, sealedCols, sealedUpper, sealedWeights)
 	for i := 0; i < recordDepth; i++ {
 		snap.RecentCommits = append(snap.RecentCommits, CommitRecord{
 			ID:     fmt.Sprintf("commit-%02d", i),
@@ -78,9 +76,14 @@ func sealedSnapshot(t testing.TB) (*SessionSnapshot, []byte) {
 	return snap, data
 }
 
-// sealedWeights are the sealed snapshot's steepest-edge weights, one per
-// basic column.
-var sealedWeights = []float64{1, 2.5, 0.125, 3e-7, 1e6}
+// The sealed snapshot's basis: a solver of 6 columns, its basic columns,
+// its at-upper columns and its steepest-edge weights, one per basic
+// column.
+var (
+	sealedCols    = []int32{3, 1, 4, 1, 5}
+	sealedUpper   = []int32{1, 4}
+	sealedWeights = []float64{1, 2.5, 0.125, 3e-7, 1e6}
+)
 
 // formatTwoDocument is a well-formed snapshot of the previous format —
 // one JSON document, checksum over its canonical re-marshal — byte for
@@ -257,19 +260,21 @@ func TestSnapshotDecodeFieldTampering(t *testing.T) {
 		func(s *SessionSnapshot) {
 			pl := sealedPlatform.Clone()
 			pl.Clusters[1].Gateway = math.Nextafter(pl.Clusters[1].Gateway, 1)
-			s.SetCapacities(pl)
+			s.AppendCapacities(nil, pl)
 		},
 		func(s *SessionSnapshot) {
 			pl := sealedPlatform.Clone()
 			pl.Links[1].MaxConnect++
-			s.SetCapacities(pl)
+			s.AppendCapacities(nil, pl)
 		},
 		func(s *SessionSnapshot) { s.Answer = json.RawMessage(`{"heuristic":"lprg","value":48.25,"epoch":7}`) },
 		func(s *SessionSnapshot) { s.Answer = nil },
-		func(s *SessionSnapshot) { s.SetBasis(6, []int32{4, 1, 4, 1, 5}, s.atUpper, s.weights) },
-		func(s *SessionSnapshot) { s.SetBasis(6, s.cols, nil, s.weights) },
-		func(s *SessionSnapshot) { s.SetBasis(6, s.cols, s.atUpper, []float64{1, 2.5, 0.125, 3e-7, 1e7}) },
-		func(s *SessionSnapshot) { s.SetBasis(6, s.cols, s.atUpper, nil) },
+		func(s *SessionSnapshot) { s.AppendBasis(nil, 6, []int32{4, 1, 4, 1, 5}, sealedUpper, sealedWeights) },
+		func(s *SessionSnapshot) { s.AppendBasis(nil, 6, sealedCols, nil, sealedWeights) },
+		func(s *SessionSnapshot) {
+			s.AppendBasis(nil, 6, sealedCols, sealedUpper, []float64{1, 2.5, 0.125, 3e-7, 1e7})
+		},
+		func(s *SessionSnapshot) { s.AppendBasis(nil, 6, sealedCols, sealedUpper, nil) },
 		func(s *SessionSnapshot) { s.Payoffs[1] = 99 },
 		func(s *SessionSnapshot) { s.RecentCommits[3].ID = "commit-xx" },
 		func(s *SessionSnapshot) { s.RecentCommits[3].Report = json.RawMessage(`{"value":0}`) },
@@ -444,10 +449,11 @@ func TestSnapshotDecodeWeightsSection(t *testing.T) {
 // a valid checksum to span 4 Gi solver columns decodes — the codec
 // cannot know the receiving solver's width — but Basis refuses it
 // against the solver's column count before expanding anything that
-// size, as it refuses any width but the solver's, decoded or live; the
-// honest width expands, decoded or live, to the same slices.
+// size, as it refuses any width but the solver's, decoded or as written
+// by AppendBasis; the honest width expands, decoded or as written, to
+// the same slices.
 func TestSnapshotBasisRefusesForeignWidth(t *testing.T) {
-	live, data := sealedSnapshot(t)
+	written, data := sealedSnapshot(t)
 	snap, err := DecodeSnapshot(basisWords(t, data, math.MaxUint32, 5, 3, 1, 4, 1, 5, 2, 1, 4))
 	if err != nil {
 		t.Fatalf("a forged width is the solver's to refuse, not the codec's: %v", err)
@@ -466,29 +472,29 @@ func TestSnapshotBasisRefusesForeignWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, honest := range map[string]*SessionSnapshot{"decoded": decoded, "live": live} {
+	for name, honest := range map[string]*SessionSnapshot{"decoded": decoded, "written": written} {
 		if _, _, _, err := honest.Basis(7); err == nil {
 			t.Fatalf("%s: a 6-column basis expanded for a 7-column solver", name)
 		}
 		cols, upper, w, err := honest.Basis(6)
-		if err != nil || !reflect.DeepEqual(cols, []int32{3, 1, 4, 1, 5}) || !reflect.DeepEqual(upper, []int32{1, 4}) || !reflect.DeepEqual(w, sealedWeights) {
+		if err != nil || !reflect.DeepEqual(cols, sealedCols) || !reflect.DeepEqual(upper, sealedUpper) || !reflect.DeepEqual(w, sealedWeights) {
 			t.Fatalf("%s: the honest basis expanded to %v %v %v (%v)", name, cols, upper, w, err)
 		}
 	}
 }
 
-// TestSnapshotOpensInPlace: DecodeSnapshot leaves the capacities, the
-// basis and its weights as the sections they arrived in — no platform,
-// basic, at-upper or weight slice, the sections slices of the input like
-// the platform and the answer — and re-seals to the input's bytes.
+// TestSnapshotOpensInPlace: DecodeSnapshot opens the capacities, the
+// basis and its weights as the sections they arrived in — slices of the
+// input, like the platform and the answer — and re-seals to the input's
+// bytes.
 func TestSnapshotOpensInPlace(t *testing.T) {
 	_, data := sealedSnapshot(t)
 	opened, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opened.caps != nil || opened.cols != nil || opened.atUpper != nil || opened.weights != nil || width(opened) != 6 {
-		t.Fatalf("opened basis: cols %v, upper %v, weights %v, ncols %d", opened.cols, opened.atUpper, opened.weights, width(opened))
+	if width(opened) != 6 {
+		t.Fatalf("opened basis spans %d columns, want 6", width(opened))
 	}
 	for name, sec := range map[string][]byte{"capacities": opened.capsSec, "basis": opened.basisSec, "weights": opened.wtsSec, "answer": opened.Answer} {
 		if off := bytes.Index(data, sec); off < 0 || &data[off] != &sec[0] {
@@ -500,20 +506,27 @@ func TestSnapshotOpensInPlace(t *testing.T) {
 	}
 }
 
-// TestSnapshotSealsLiveBasisInPlace: a snapshot pointed at a live
-// basis's slices (SetBasis, as the service seals) copies neither slice,
-// and seals after what its buffer already holds.
+// TestSnapshotSealsLiveBasisInPlace: a live platform's capacities and a
+// live basis's slices (AppendCapacities and AppendBasis, as the service
+// seals) are written after what the caller's buffer already holds, and
+// the sections the snapshot seals are those written bytes, not copies
+// of them; sealed after them into the same buffer, the snapshot is the
+// same bytes and the buffer's head is left as it was.
 func TestSnapshotSealsLiveBasisInPlace(t *testing.T) {
 	live, want := sealedSnapshot(t)
-	cols, upper, w := []int32{3, 1, 4, 1, 5}, []int32{1, 4}, slices.Clone(sealedWeights)
-	live.SetBasis(6, cols, upper, w)
-	if &live.cols[0] != &cols[0] || &live.atUpper[0] != &upper[0] || &live.weights[0] != &w[0] {
-		t.Fatal("SetBasis copied the basis")
+	buf := append(make([]byte, 0, 4096), "kept"...)
+	buf = live.AppendCapacities(buf, sealedPlatform)
+	buf = live.AppendBasis(buf, 6, sealedCols, sealedUpper, sealedWeights)
+	head := bytes.Clone(buf)
+	basisAt := 4 + len(live.capsSec)
+	weightsAt := basisAt + len(live.basisSec)
+	if &live.capsSec[0] != &buf[4] || &live.basisSec[0] != &buf[basisAt] || &live.wtsSec[0] != &buf[weightsAt] ||
+		len(buf) != weightsAt+len(live.wtsSec) {
+		t.Fatal("the sections are not the bytes written into the buffer")
 	}
-	prefix := []byte("kept")
-	again, err := live.AppendEncode(prefix)
-	if err != nil || string(again[:4]) != "kept" || !bytes.Equal(again[4:], want) {
-		t.Fatalf("AppendEncode after a prefix: %q, %v", again, err)
+	again, err := live.AppendEncode(buf)
+	if err != nil || !bytes.Equal(again[:len(head)], head) || !bytes.Equal(again[len(head):], want) {
+		t.Fatalf("AppendEncode after the sections: %q, %v", again, err)
 	}
 }
 
@@ -531,8 +544,9 @@ func capacitiesOf(pl *platform.Platform) []uint64 {
 }
 
 // TestSnapshotCapacitiesSection: the capacities travel bit for bit —
-// sealed from a live platform in place or re-sealed from the section
-// they were decoded from — and ApplyCapacities writes them into a
+// sealed from the section AppendCapacities wrote from a platform or
+// re-sealed from the section they were decoded from — and
+// ApplyCapacities writes them into a
 // platform of the same shape, whatever they say (a NaN speed, a budget
 // of 2³² − 1: judging values is the restore's, which validates the
 // platform), and refuses a platform of another shape, writing nothing.
@@ -543,7 +557,7 @@ func TestSnapshotCapacitiesSection(t *testing.T) {
 	odd.Links[1].MaxConnect = math.MaxUint32
 	live, _ := sealedSnapshot(t)
 	for name, pl := range map[string]*platform.Platform{"sealed": sealedPlatform, "odd": odd} {
-		live.SetCapacities(pl)
+		live.AppendCapacities(nil, pl)
 		data, err := live.Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -555,7 +569,7 @@ func TestSnapshotCapacitiesSection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for form, snap := range map[string]*SessionSnapshot{"live": live, "decoded": decoded} {
+		for form, snap := range map[string]*SessionSnapshot{"written": live, "decoded": decoded} {
 			dst := sealedPlatform.Clone()
 			for i := range dst.Clusters {
 				dst.Clusters[i].Speed, dst.Clusters[i].Gateway = 1, 1
@@ -648,7 +662,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if !reflect.DeepEqual(back, snap) {
 			t.Fatalf("snapshot changed across a re-seal:\n got %+v\nwant %+v", back, snap)
 		}
-		// The basis, expanded and sealed as a live one, seals to the same
+		// The basis, expanded and written again as a live one, seals to the same
 		// bytes — for a width a solver could have: a forged one is Basis's
 		// to refuse (TestSnapshotBasisRefusesForeignWidth).
 		if width(snap) > 1<<16 {
@@ -659,7 +673,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("expanding an accepted basis: %v", err)
 		}
 		live := *snap
-		live.SetBasis(width(snap), cols, upper, w)
+		live.AppendBasis(nil, width(snap), cols, upper, w)
 		if relive, err := live.Encode(); err != nil || !bytes.Equal(relive, again) {
 			t.Fatalf("re-sealing the expanded basis: %v, %d bytes vs %d", err, len(relive), len(again))
 		}
@@ -677,7 +691,7 @@ func TestStoreSweep(t *testing.T) {
 			ID: id, Fingerprint: "fp", Epoch: 1,
 			Platform: json.RawMessage(`{"hosts":[]}`), Answer: json.RawMessage(`{"epoch":1}`),
 		}
-		snap.SetBasis(0, []int32{0}, nil, nil)
+		snap.AppendBasis(nil, 0, []int32{0}, nil, nil)
 		data, err := snap.Encode()
 		if err != nil {
 			t.Fatalf("Encode(%s): %v", id, err)

@@ -58,7 +58,7 @@
 // parse: at K = 20 a basis is ~560 columns, and decoding them as JSON
 // ints was ~130 µs of a replica's ~170 µs decode of an eight-deep
 // snapshot. As words it is read with one bounds check per count and no
-// parse, and sealed straight from the live lp.Basis (lp.Basis.View),
+// parse, and written straight from the live lp.Basis (lp.Basis.View),
 // with no exported copy. Only the header is marshalled per snapshot.
 // The platform and the reports are appended as bytes their owner
 // already holds (a commit's report is encoded once, when it is
@@ -71,10 +71,13 @@
 // and the weights section's length where they lie and expands them only
 // when Basis is asked, against the receiving solver's column count, and
 // the capacities when ApplyCapacities writes them into a platform of
-// the session's shape. A snapshot's basis and capacities are therefore
-// each in one of two forms, the live lp.Basis or platform it is sealed
-// from or the section it was decoded from, and each seals to the same
-// bytes.
+// the session's shape. A snapshot holds its capacities, its basis and
+// its weights in one form, the sections they travel in: slices of the
+// bytes it was decoded from, or the bytes AppendCapacities and
+// AppendBasis wrote from the committed platform and the live basis —
+// the service's sealer writes them into the head of the buffer it seals
+// into, off the session lock, so a seal copies them once more into the
+// frame (~7.4 KiB at K = 20) and allocates nothing for them.
 //
 // Between replicas (POST /cluster/replicate, which carries replicas
 // and ownership transfers alike) a snapshot travels as the request body with no declared length —

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/platform"
 )
@@ -75,24 +74,12 @@ type SessionSnapshot struct {
 	Epoch    int             `json:"epoch"`
 	Platform json.RawMessage `json:"-"`
 
-	// The committed capacities, in one of two forms: the live platform
-	// the snapshot is sealed from (SetCapacities, read in place), or the
-	// section it was decoded from (a slice of DecodeSnapshot's input).
-	// ApplyCapacities writes either into a platform of the session's
-	// shape.
-	caps    *platform.Platform
-	capsSec []byte
-
-	// The carried basis, in one of two forms: the live lp.Basis the
-	// snapshot is sealed from (SetBasis: the solver's column count, its
-	// basic columns, at-upper columns and weights, read in place), or the
-	// basis and weights sections it was decoded from (validated, and
-	// slices of DecodeSnapshot's input like the platform and the
-	// reports). Basis expands either for the receiving solver.
-	ncols            int
-	cols, atUpper    []int32
-	weights          []float64
-	basisSec, wtsSec []byte
+	// The committed capacities, the carried basis and its weights, as
+	// the sections they travel in: written by AppendCapacities and
+	// AppendBasis, or slices of DecodeSnapshot's input. ApplyCapacities
+	// writes the capacities into a platform of the session's shape, and
+	// Basis expands the basis for the receiving solver.
+	capsSec, basisSec, wtsSec []byte
 
 	// Answer is the committed answer the session publishes to its
 	// queries, in compact report bytes, or empty when it is the newest
@@ -131,20 +118,45 @@ type header struct {
 	CommitIDs []string `json:"commitIds,omitempty"`
 }
 
-// SetBasis points the snapshot at a live basis of a solver with ncols
-// internal columns, in lp.Basis's exported form (lp.Basis.View's
-// slices), which are read when the snapshot is sealed. No slice is
-// copied, so they must not change until the snapshot is sealed; a basis
-// never does.
-func (s *SessionSnapshot) SetBasis(ncols int, cols, upper []int32, weights []float64) {
-	s.ncols, s.cols, s.atUpper, s.weights, s.basisSec, s.wtsSec = ncols, cols, upper, weights, nil, nil
+// AppendCapacities appends pl's capacities to dst in the capacities
+// section's form and makes the appended bytes the snapshot's capacities
+// section: dst's tail, which must not change until the snapshot is
+// sealed.
+func (s *SessionSnapshot) AppendCapacities(dst []byte, pl *platform.Platform) []byte {
+	start := len(dst)
+	for _, c := range pl.Clusters {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.Speed))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c.Gateway))
+	}
+	for _, l := range pl.Links {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(l.MaxConnect))
+	}
+	s.capsSec = dst[start:len(dst):len(dst)]
+	return dst
 }
 
-// SetCapacities points the snapshot at the committed platform whose
-// capacities it carries, read in place when the snapshot is sealed: pl
-// must not change until then, and a committed platform never does.
-func (s *SessionSnapshot) SetCapacities(pl *platform.Platform) {
-	s.caps, s.capsSec = pl, nil
+// AppendBasis appends a basis of a solver with ncols internal columns,
+// in lp.Basis's exported form (lp.Basis.View's slices), to dst in the
+// basis and weights sections' forms and makes the appended bytes those
+// sections: dst's tail, which must not change until the snapshot is
+// sealed.
+func (s *SessionSnapshot) AppendBasis(dst []byte, ncols int, cols, upper []int32, weights []float64) []byte {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(ncols))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(cols)))
+	for _, c := range cols {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(c))
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(upper)))
+	for _, j := range upper {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(j))
+	}
+	mid := len(dst)
+	for _, w := range weights {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(w))
+	}
+	s.basisSec, s.wtsSec = dst[start:mid:mid], dst[mid:len(dst):len(dst)]
+	return dst
 }
 
 // ApplyCapacities writes the carried capacities into pl, a platform of
@@ -155,9 +167,6 @@ func (s *SessionSnapshot) SetCapacities(pl *platform.Platform) {
 // (platform.Platform.ValidateStrict): the codec cannot know a platform.
 func (s *SessionSnapshot) ApplyCapacities(pl *platform.Platform) error {
 	sec := s.capsSec
-	if s.caps != nil {
-		sec = capacityWords(nil, s.caps)
-	}
 	if want := 16*len(pl.Clusters) + 4*len(pl.Links); len(sec) != want {
 		return fmt.Errorf("cluster: snapshot capacities section is %d bytes, want %d for %d clusters and %d links",
 			len(sec), want, len(pl.Clusters), len(pl.Links))
@@ -175,29 +184,6 @@ func (s *SessionSnapshot) ApplyCapacities(pl *platform.Platform) error {
 	return nil
 }
 
-// appendCapacities appends the capacities section, length prefix
-// included: a decoded snapshot's as it arrived, a live platform's value
-// by value.
-func (s *SessionSnapshot) appendCapacities(out []byte) []byte {
-	if s.caps == nil {
-		return appendSection(out, s.capsSec)
-	}
-	out = binary.BigEndian.AppendUint32(out, uint32(16*len(s.caps.Clusters)+4*len(s.caps.Links)))
-	return capacityWords(out, s.caps)
-}
-
-// capacityWords appends pl's capacities in the section's form.
-func capacityWords(out []byte, pl *platform.Platform) []byte {
-	for _, c := range pl.Clusters {
-		out = binary.BigEndian.AppendUint64(out, math.Float64bits(c.Speed))
-		out = binary.BigEndian.AppendUint64(out, math.Float64bits(c.Gateway))
-	}
-	for _, l := range pl.Links {
-		out = binary.BigEndian.AppendUint32(out, uint32(l.MaxConnect))
-	}
-	return out
-}
-
 // Basis returns the carried basis in lp.ImportBasis's form, in slices
 // of its own, for a solver of ncols internal columns: the basic
 // columns, the ascending at-upper columns and the weights (nil when the
@@ -205,13 +191,10 @@ func capacityWords(out []byte, pl *platform.Platform) []byte {
 // is refused before it is expanded: a decoded section's width comes off
 // the wire, and a forged one would otherwise size the allocation.
 func (s *SessionSnapshot) Basis(ncols int) (cols, upper []int32, weights []float64, err error) {
-	if s.basisSec == nil {
-		if s.ncols != 0 && s.ncols != ncols {
-			return nil, nil, nil, fmt.Errorf("cluster: snapshot basis spans %d columns, the solver has %d", s.ncols, ncols)
-		}
-		return slices.Clone(s.cols), slices.Clone(s.atUpper), slices.Clone(s.weights), nil
+	n, basic, atUpper, err := splitBasis(s.basisSec)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	n, basic, atUpper, _ := splitBasis(s.basisSec) // validated when decoded
 	if n != 0 && int(n) != ncols {
 		return nil, nil, nil, fmt.Errorf("cluster: snapshot basis spans %d columns, the solver has %d", n, ncols)
 	}
@@ -237,7 +220,7 @@ func words(b []byte) []int32 {
 // complete reports whether the snapshot names a session, a platform, a
 // basis and a committed answer — its own, or the newest record's.
 func (s *SessionSnapshot) complete() bool {
-	return s.ID != "" && len(s.Platform) > 0 && (len(s.cols) > 0 || s.basisSec != nil) &&
+	return s.ID != "" && len(s.Platform) > 0 && len(s.basisSec) > 0 &&
 		(len(s.Answer) > 0 || len(s.RecentCommits) > 0)
 }
 
@@ -256,30 +239,6 @@ func cutSection(body []byte) (section, rest []byte, err error) {
 
 func appendSection(out, section []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(out, uint32(len(section))), section...)
-}
-
-// appendBasis appends the basis and weights sections, length prefixes
-// included: a decoded snapshot's as they arrived, a live basis's word by
-// word.
-func (s *SessionSnapshot) appendBasis(out []byte) []byte {
-	if s.basisSec != nil {
-		return appendSection(appendSection(out, s.basisSec), s.wtsSec)
-	}
-	out = binary.BigEndian.AppendUint32(out, uint32(4*(3+len(s.cols)+len(s.atUpper))))
-	out = binary.BigEndian.AppendUint32(out, uint32(s.ncols))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(s.cols)))
-	for _, c := range s.cols {
-		out = binary.BigEndian.AppendUint32(out, uint32(c))
-	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(s.atUpper)))
-	for _, j := range s.atUpper {
-		out = binary.BigEndian.AppendUint32(out, uint32(j))
-	}
-	out = binary.BigEndian.AppendUint32(out, uint32(8*len(s.weights)))
-	for _, w := range s.weights {
-		out = binary.BigEndian.AppendUint64(out, math.Float64bits(w))
-	}
-	return out
 }
 
 // splitBasis validates a basis section in place and returns its
@@ -312,11 +271,7 @@ func splitBasis(sec []byte) (ncols uint32, basic, atUpper []byte, err error) {
 
 // Encode seals the snapshot into a buffer of its own; see AppendEncode.
 func (s *SessionSnapshot) Encode() ([]byte, error) {
-	size := frameLen + 512 + len(s.Platform) + len(s.capsSec) + len(s.basisSec) + len(s.wtsSec) + len(s.Answer) +
-		4*(len(s.cols)+len(s.atUpper)+7) + 8*len(s.weights)
-	if s.caps != nil {
-		size += 16*len(s.caps.Clusters) + 4*len(s.caps.Links)
-	}
+	size := frameLen + 512 + len(s.Platform) + len(s.capsSec) + len(s.basisSec) + len(s.wtsSec) + len(s.Answer) + 4*6
 	for _, rec := range s.RecentCommits {
 		size += 4 + len(rec.Report)
 	}
@@ -324,10 +279,10 @@ func (s *SessionSnapshot) Encode() ([]byte, error) {
 }
 
 // AppendEncode seals the snapshot (Version stamped, Checksum computed)
-// and appends its wire form to dst: the header is marshalled, the
-// capacities, the basis and its weights written word by word, the
-// platform, the answer and the commit reports appended as the bytes
-// they already are.
+// and appends its wire form to dst: the header is marshalled, and every
+// other section — the platform, the capacities, the basis, its weights,
+// the answer and the commit reports — appended as the bytes it already
+// is.
 func (s *SessionSnapshot) AppendEncode(dst []byte) ([]byte, error) {
 	if !s.complete() {
 		return dst, fmt.Errorf("cluster: snapshot missing session id, platform, basis or committed answer (session never solved?)")
@@ -344,8 +299,9 @@ func (s *SessionSnapshot) AppendEncode(dst []byte) ([]byte, error) {
 	out := append(dst, frameMagic...)
 	out = binary.BigEndian.AppendUint32(out, SnapshotVersion)
 	out = append(out, make([]byte, frameLen-checksumAt)...)
-	out = s.appendCapacities(appendSection(appendSection(out, hdr), s.Platform))
-	out = appendSection(s.appendBasis(out), s.Answer)
+	for _, sec := range [][]byte{hdr, s.Platform, s.capsSec, s.basisSec, s.wtsSec, s.Answer} {
+		out = appendSection(out, sec)
+	}
 	for _, rec := range s.RecentCommits {
 		out = appendSection(out, rec.Report)
 	}

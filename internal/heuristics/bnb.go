@@ -34,7 +34,7 @@ func BranchAndBound(pr *core.Problem, obj core.Objective, maxNodes int) (*core.A
 	if err != nil {
 		return nil, 0, err
 	}
-	alloc, best, _, err := BranchAndBoundOnModel(model, pr, obj, maxNodes, nil)
+	alloc, best, _, _, err := BranchAndBoundOnModel(model, pr, obj, maxNodes, nil)
 	return alloc, best, err
 }
 
@@ -52,20 +52,22 @@ func BranchAndBound(pr *core.Problem, obj core.Objective, maxNodes int) (*core.A
 // returned, making the answer depend on solve history.
 //
 // The returned basis snapshots the root relaxation's optimal basis
-// for the next epoch's warm start.
-func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objective, maxNodes int, root *lp.Basis) (*core.Allocation, float64, *lp.Basis, error) {
+// for the next epoch's warm start, and the returned bound is that
+// relaxation's optimum, solved for the LPRG incumbent, which a caller
+// reporting the bound need not solve again.
+func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objective, maxNodes int, root *lp.Basis) (*core.Allocation, float64, *lp.Basis, float64, error) {
 	if maxNodes <= 0 {
 		maxNodes = 10000
 	}
 	// Incumbent: start from LPRG, which is cheap and always feasible,
 	// and reuses the model (and the root basis) so even the incumbent
 	// costs no cold LP build.
-	incumbent, rootBasis, err := LPRGOnModel(model, pr, obj, root)
+	incumbent, rootBasis, rootBound, err := LPRGBoundOnModel(model, pr, obj, root)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, nil, 0, err
 	}
 	if err := pr.CheckAllocation(incumbent, core.DefaultTol); err != nil {
-		return nil, 0, nil, fmt.Errorf("heuristics: LPRG produced an invalid incumbent: %w", err)
+		return nil, 0, nil, 0, fmt.Errorf("heuristics: LPRG produced an invalid incumbent: %w", err)
 	}
 	best := pr.Objective(obj, incumbent)
 
@@ -80,7 +82,7 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 	nodes := 0
 	for len(stack) > 0 {
 		if nodes >= maxNodes {
-			return incumbent, best, rootBasis, ErrNodeBudget
+			return incumbent, best, rootBasis, rootBound, ErrNodeBudget
 		}
 		nodes++
 		nd := stack[len(stack)-1]
@@ -89,12 +91,12 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 		model.ResetBounds()
 		for p, b := range nd.bounds {
 			if err := model.SetBounds(p, b); err != nil {
-				return nil, 0, nil, err
+				return nil, 0, nil, 0, err
 			}
 		}
 		bound, ok, err := model.Solve(nd.basis)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, nil, 0, err
 		}
 		if !ok {
 			continue // infeasible subtree
@@ -117,7 +119,7 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 				}
 			}
 			if err := pr.CheckAllocation(cand, core.DefaultTol); err != nil {
-				return nil, 0, nil, fmt.Errorf("heuristics: BnB produced an invalid candidate: %w", err)
+				return nil, 0, nil, 0, fmt.Errorf("heuristics: BnB produced an invalid candidate: %w", err)
 			}
 			if val := pr.Objective(obj, cand); val > best {
 				best = val
@@ -143,7 +145,7 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 		basis := model.Basis() // the one snapshot a node takes, and only to branch
 		stack = append(stack, node{bounds: down, basis: basis}, node{bounds: up, basis: basis})
 	}
-	return incumbent, best, rootBasis, nil
+	return incumbent, best, rootBasis, rootBound, nil
 }
 
 // boundsOf reads the effective bounds of p in m, defaulting absent

@@ -57,10 +57,14 @@ func greedy(pr *core.Problem, fullDrain bool) *core.Allocation {
 func greedyFill(pl *platform.Platform, origins []int, payoffs []float64, res *platform.Residual, alloc *core.Allocation, fullDrain bool) {
 	K, A := pl.K(), len(payoffs)
 	live := make([]bool, A)
+	// share[a] is application a's throughput α_a, summed along its row as
+	// Allocation.AppThroughput sums it, whenever a step writes the row.
+	share := make([]float64, A)
 	n := 0
 	for a := 0; a < A; a++ {
 		if payoffs[a] > 0 {
 			live[a] = true
+			share[a] = alloc.AppThroughput(a)
 			n++
 		}
 	}
@@ -88,8 +92,8 @@ func greedyFill(pl *platform.Platform, origins []int, payoffs []float64, res *pl
 				a = cand
 				continue
 			}
-			sc := alloc.AppThroughput(cand) * payoffs[cand]
-			sa := alloc.AppThroughput(a) * payoffs[a]
+			sc := share[cand] * payoffs[cand]
+			sa := share[a] * payoffs[a]
 			if sc < sa-greedyTol || (math.Abs(sc-sa) <= greedyTol && payoffs[cand] > payoffs[a]) {
 				a = cand
 			}
@@ -152,6 +156,7 @@ func greedyFill(pl *platform.Platform, origins []int, payoffs []float64, res *pl
 			}
 			res.Speed[k] -= amount
 			alloc.Alpha[a][k] += amount
+			share[a] = alloc.AppThroughput(a)
 			continue
 		}
 		// Remote: open one connection and ship the single-connection
@@ -163,6 +168,7 @@ func greedyFill(pl *platform.Platform, origins []int, payoffs []float64, res *pl
 		res.OpenConnection(k, l)
 		alloc.Alpha[a][l] += amount
 		alloc.Beta[k][l]++
+		share[a] = alloc.AppThroughput(a)
 	}
 	clampResidual(res)
 }

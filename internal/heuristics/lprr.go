@@ -52,7 +52,7 @@ func LPRR(pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.R
 	if err != nil {
 		return nil, err
 	}
-	alloc, _, err := LPRROnModel(model, pr, obj, variant, rng, nil)
+	alloc, _, _, err := LPRROnModel(model, pr, obj, variant, rng, nil)
 	return alloc, err
 }
 
@@ -63,8 +63,9 @@ func LPRR(pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.R
 // capacities may differ — inject the epoch's platform into the model
 // with core.Model.Inject before calling. The returned basis snapshots
 // the initial (pin-free) relaxation's optimal basis for the next
-// epoch's warm start.
-func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.Rand, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
+// epoch's warm start, and the returned bound is that relaxation's
+// optimum, which a caller reporting the bound need not solve again.
+func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.Rand, from *lp.Basis) (*core.Allocation, *lp.Basis, float64, error) {
 	routes := model.BetaVars() // row-major: the order the rng draws over
 	fixed := make(map[core.Pair]int, len(routes))
 	remaining := make(map[core.Pair]bool, len(routes))
@@ -73,12 +74,12 @@ func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, varian
 	}
 
 	model.ResetBounds()
-	_, ok, err := model.Solve(from)
+	bound, ok, err := model.Solve(from)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if !ok {
-		return nil, nil, fmt.Errorf("heuristics: initial relaxation infeasible (model bug)")
+		return nil, nil, 0, fmt.Errorf("heuristics: initial relaxation infeasible (model bug)")
 	}
 	rel, basis := model.Solution(), model.Basis()
 	rootBasis := basis
@@ -107,7 +108,7 @@ func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, varian
 			for p := range remaining {
 				fixed[p] = 0
 				if err := model.SetBounds(p, core.BetaBounds{Lb: 0, Ub: 0}); err != nil {
-					return nil, nil, err
+					return nil, nil, 0, err
 				}
 			}
 			break
@@ -130,31 +131,31 @@ func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, varian
 				up = 1
 			}
 		default:
-			return nil, nil, fmt.Errorf("heuristics: unknown LPRR variant %d", int(variant))
+			return nil, nil, 0, fmt.Errorf("heuristics: unknown LPRR variant %d", int(variant))
 		}
 		value := floor + up
 		if err := pin(model, p, value); err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		fixed[p] = value
 		delete(remaining, p)
 
 		_, ok, err := model.Solve(basis)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		if !ok && up == 1 {
 			// Exotic-platform fallback: retry with the floor.
 			if err := pin(model, p, floor); err != nil {
-				return nil, nil, err
+				return nil, nil, 0, err
 			}
 			fixed[p] = floor
 			if _, ok, err = model.Solve(basis); err != nil {
-				return nil, nil, err
+				return nil, nil, 0, err
 			}
 		}
 		if !ok {
-			return nil, nil, fmt.Errorf("heuristics: LPRR pin set became infeasible at route (%d,%d)", p.K, p.L)
+			return nil, nil, 0, fmt.Errorf("heuristics: LPRR pin set became infeasible at route (%d,%d)", p.K, p.L)
 		}
 		rel, basis = model.Solution(), model.Basis()
 	}
@@ -162,12 +163,12 @@ func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, varian
 	// Final solve with every route pinned gives the α values.
 	_, ok, err = model.Solve(basis)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if !ok {
-		return nil, nil, fmt.Errorf("heuristics: final LPRR relaxation infeasible")
+		return nil, nil, 0, fmt.Errorf("heuristics: final LPRR relaxation infeasible")
 	}
-	return allocationFromPinned(pr, model.Solution().Alpha, fixed), rootBasis, nil
+	return allocationFromPinned(pr, model.Solution().Alpha, fixed), rootBasis, bound, nil
 }
 
 func pin(model *core.Model, p core.Pair, v int) error {

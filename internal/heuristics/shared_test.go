@@ -29,11 +29,11 @@ func TestHeuristicsLeaveSharedOptimumUnwritten(t *testing.T) {
 			return a, err
 		},
 		"lprr": func(m *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, error) {
-			a, _, err := LPRROnModel(m, pr, obj, ProportionalRounding, rand.New(rand.NewSource(7)), from)
+			a, _, _, err := LPRROnModel(m, pr, obj, ProportionalRounding, rand.New(rand.NewSource(7)), from)
 			return a, err
 		},
 		"bnb": func(m *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, error) {
-			a, _, _, err := BranchAndBoundOnModel(m, pr, obj, 2000, from)
+			a, _, _, _, err := BranchAndBoundOnModel(m, pr, obj, 2000, from)
 			if err == ErrNodeBudget {
 				err = nil // the incumbent is still a deterministic answer
 			}

@@ -43,8 +43,10 @@ func (a *answer) report() *SolveReport {
 // (the report with "cached": true, as EncodeReport writes it), shared
 // read-only by every hit. It is encoded on the first hit, not when the
 // entry is filed: most entries of an adapting session are evicted or
-// invalidated unread and must not pay for an encode. Nil when the
-// encoder cannot write the report (a NaN or ±Inf).
+// invalidated unread and must not pay for an encode. (A committed answer
+// whose commit encoded a body is published with the image built from
+// that body instead: Session.publishLocked.) Nil when the encoder cannot
+// write the report (a NaN or ±Inf).
 func (a *answer) wire() []byte {
 	a.once.Do(func() {
 		bp, ok := reportBytes(a.report())
@@ -54,6 +56,17 @@ func (a *answer) wire() []byte {
 		reportBufs.Put(bp)
 	})
 	return a.image
+}
+
+// cachedImage is a commit's response body — a report as EncodeReport
+// writes it, whose last member is its epoch — with "cached": true written
+// after that member, in a slice of its own: EncodeReport's bytes for the
+// report with Cached set, the image a query of the committed answer
+// serves.
+func cachedImage(body []byte) []byte {
+	const end, cached = "\n}\n", ",\n  \"cached\": true\n}\n"
+	head := body[:len(body)-len(end)]
+	return append(append(make([]byte, 0, len(head)+len(cached)), head...), cached...)
 }
 
 // answerTable is a session's one table of what-if answers, keyed by

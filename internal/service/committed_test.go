@@ -207,3 +207,92 @@ func TestFailedCommitRollsBack(t *testing.T) {
 		t.Fatalf("the commit after the failed ones is not epoch 1:\n%s", raised)
 	}
 }
+
+// TestHeuristicWhatIfSolvesOnce: a heuristic what-if reports the bound
+// of the unpinned relaxation its heuristic solved first, so on an lprg
+// session it runs one warm solve — the relaxation LPRG rounds — and no
+// second one to read the bound. That bound is the hypothetical's
+// relaxed optimum: a relaxed what-if of the same hypothetical agrees
+// with it to 1e-9.
+func TestHeuristicWhatIfSolvesOnce(t *testing.T) {
+	const K = 8
+	pl, payoffs := tightPlatform(t, K, 11)
+	s, _, err := NewPool(1).GetOrCreate(&CreateSessionRequest{Platform: platformJSON(t, pl), Payoffs: payoffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range []WhatIfRequest{
+		{Speeds: []ClusterValue{{Cluster: 0, Value: pl.Clusters[0].Speed * 0.5}}},
+		{Gateways: []ClusterValue{{Cluster: 1, Value: pl.Clusters[1].Gateway * 0.7}}},
+		{Links: []LinkValue{{Link: 0, MaxConnect: 1}}, Speeds: []ClusterValue{{Cluster: 2, Value: pl.Clusters[2].Speed * 1.3}}},
+	} {
+		before := s.Stats().Solver.WarmSolves
+		rep, err := s.WhatIf(&h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().Solver.WarmSolves - before; got != 1 || rep.Relaxed || rep.Cached {
+			t.Fatalf("what-if %d: a heuristic what-if ran %d warm solves (relaxed %v, cached %v), want 1", i, got, rep.Relaxed, rep.Cached)
+		}
+		h.Relax = true
+		relaxed, err := s.WhatIf(&h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(rep.LPBound - relaxed.LPBound); d > 1e-9*math.Max(1, math.Abs(relaxed.LPBound)) {
+			t.Fatalf("what-if %d: the heuristic what-if's bound %v is not the relaxed optimum %v", i, rep.LPBound, relaxed.LPBound)
+		}
+	}
+}
+
+// TestCommittedImageBuiltFromBody: a commit answered over HTTP, tagged
+// or not, publishes its committed answer with the wire image already
+// built from the commit's body — EncodeReport's bytes for the report
+// with Cached set, which the next query answers with — on lprg, lprr
+// and bnb sessions. A library commit encodes no body, and its image is
+// built on the first query.
+func TestCommittedImageBuiltFromBody(t *testing.T) {
+	const K = 6
+	pl, payoffs := tightPlatform(t, K, 11)
+	for _, heur := range []string{"lprg", "lprr", "bnb"} {
+		t.Run(heur, func(t *testing.T) {
+			srv := NewServer(NewPool(1))
+			h := srv.Handler()
+			s, _, err := srv.Pool().GetOrCreate(&CreateSessionRequest{
+				Platform: platformJSON(t, pl), Objective: "sum", Heuristic: heur, Payoffs: payoffs, Seed: 3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := "/sessions/" + s.id
+			for _, id := range []string{"", "c1"} {
+				body := fmt.Sprintf(`{"gatewayFactor":[%s0.9]}`, strings.Repeat("0.9,", K-1))
+				req := httptest.NewRequest("POST", base+"/epoch", strings.NewReader(body))
+				if id != "" {
+					req.Header.Set(commitIDHeader, id)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("commit %q: status %d: %s", id, rec.Code, rec.Body)
+				}
+				a := s.committed.Load()
+				if a.image == nil {
+					t.Fatalf("commit %q: the committed answer was published with no wire image", id)
+				}
+				if want := mustEncode(t, a.report()); !bytes.Equal(a.image, want) {
+					t.Fatalf("commit %q: the built image is not EncodeReport's bytes for the cached report\n got %s\nwant %s", id, a.image, want)
+				}
+				if got := okBody(t, h, base+"/query", ""); !bytes.Equal(got, a.image) {
+					t.Fatalf("commit %q: the query answered\n%s\nnot the built image", id, got)
+				}
+			}
+			if _, err := s.EpochIdempotent(&EpochRequest{GatewayFactor: driftFactors(K, 1.1)}, ""); err != nil {
+				t.Fatal(err)
+			}
+			if a := s.committed.Load(); a.image != nil {
+				t.Fatal("a library commit published a wire image it had no body for")
+			}
+		})
+	}
+}

@@ -270,7 +270,11 @@ func TestCommitRetryBytesUnchanged(t *testing.T) {
 	if sess.Info().Epoch != 1 || len(sess.recentCommits) != 1 {
 		t.Fatalf("epoch %d with %d dedup records, want 1 and 1", sess.Info().Epoch, len(sess.recentCommits))
 	}
-	want, err := oracleBytes(sess.recentCommits[0].rep)
+	var recorded SolveReport
+	if err := json.Unmarshal(sess.recentCommits[0].wire, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracleBytes(&recorded)
 	if err != nil || !bytes.Equal(first, want) {
 		t.Fatalf("commit body is not encoding/json's rendering of the recorded report (%v):\n%s", err, first)
 	}

@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // oneMemberNode is a ring of one over pool: the stack schedd serves
@@ -244,6 +246,48 @@ func TestRouterAddsNoBodyCost(t *testing.T) {
 		t.Logf("repeated create at K=%d: Server.Handler %.0f allocs, Node.Handler %.0f", k, s.allocs, n.allocs)
 		if n.allocs > s.allocs+16 {
 			t.Errorf("a repeated create at K=%d costs %.0f objects through a one-member node, %.0f through the server: more than 16 apart", k, n.allocs, s.allocs)
+		}
+	}
+}
+
+// TestStandaloneNodeSealsNothing: a one-member node with no snapshot
+// store — a default standalone schedd — has nowhere to ship a commit,
+// so its create and its commits seal no snapshot (the commit hook never
+// writes the committed answer's section); with a store it seals each.
+func TestStandaloneNodeSealsNothing(t *testing.T) {
+	sealed := 0
+	orig := encodeAnswer
+	t.Cleanup(func() { encodeAnswer = orig })
+	encodeAnswer = func(dst []byte, rep *SolveReport) ([]byte, bool) {
+		sealed++
+		return orig(dst, rep)
+	}
+	const K = 4
+	pl := testPlatform(t, K, 1)
+	for _, withStore := range []bool{false, true} {
+		var store *cluster.Store
+		if withStore {
+			var err error
+			if store, err = cluster.NewStore(t.TempDir()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pool := NewPool(4)
+		h := NewNodeWithConfig(NewServer(pool), "http://self", nil, store, NodeConfig{}).Handler()
+		sealed = 0
+		rec := serveReq(h, "POST", "/sessions", []byte(`{"platform":`+string(platformJSON(t, pl))+`}`))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+		}
+		sess := pool.Sessions()[0]
+		if _, err := sess.EpochIdempotent(&EpochRequest{SpeedFactor: driftFactors(K, 0.9)}, ""); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case !withStore && sealed != 0:
+			t.Fatalf("a node with no store and no peers sealed %d snapshots", sealed)
+		case withStore && sealed != 2:
+			t.Fatalf("a node with a store sealed %d snapshots for a create and a commit, want 2", sealed)
 		}
 	}
 }

@@ -152,8 +152,9 @@ var sealBufs = sync.Pool{New: func() any { return new([]byte) }}
 // receiving side they are the held replica and a promotion rebuilding
 // from it. The buffer goes back to the pool when the last reference
 // does, and never while any reader may still see it. A seal's buffer
-// starts with the answer bytes its snapshot's Answer reads, if any (off
-// bytes), then the wire bytes.
+// starts with the sections its snapshot reads (off bytes: the committed
+// answer, when it has a section of its own, the capacities, the basis
+// and its weights), then the wire bytes.
 type sealed struct {
 	buf  *[]byte
 	off  int
@@ -206,11 +207,13 @@ func (b *sealedBody) Close() error {
 
 // seal serializes sess's committed state once: the snapshot and its
 // sealed (versioned, checksummed) wire bytes, in a pooled buffer the
-// caller releases. A committed answer the snapshot carries in a section
-// of its own (an untagged commit's) is encoded into the head of that
-// buffer and the wire bytes appended after it, so the snapshot's Answer
-// is valid while the caller holds the reference. Every destination —
-// the store, the ring successors, a new owner — gets these same bytes.
+// caller releases. The snapshot's sections — the committed answer, when
+// it carries one of its own (an untagged commit's), the capacities, the
+// basis and its weights — are written into the head of that buffer off
+// the session lock and the wire bytes appended after them, so the
+// snapshot reads them while the caller holds the reference. Every
+// destination — the store, the ring successors, a new owner — gets these
+// same bytes.
 func seal(sess *Session) (*cluster.SessionSnapshot, *sealed, error) {
 	sb := newSealed()
 	snap, buf, err := sess.snapshotInto(*sb.buf)
@@ -234,8 +237,13 @@ func seal(sess *Session) (*cluster.SessionSnapshot, *sealed, error) {
 // store and the ring successors. No failure here fails the commit: a
 // snapshot that cannot be sealed or saved is logged, a successor that
 // does not ack is counted in ReplicaErrors and degrades the session's
-// ReplicationLag.
+// ReplicationLag. A node with no store and no replication target (a
+// standalone schedd) has nowhere to ship, and seals nothing.
 func (n *Node) ship(sess *Session) {
+	targets := n.replicationTargets(sess.id)
+	if n.store == nil && len(targets) == 0 {
+		return
+	}
 	snap, sb, err := seal(sess)
 	if err != nil {
 		n.srv.Logger().Warn("snapshot not sealed", "session", sess.id, "err", err)
@@ -249,7 +257,7 @@ func (n *Node) ship(sess *Session) {
 			n.snapshotBytes.Add(uint64(len(sb.bytes())))
 		}
 	}
-	n.replicateOut(snap, sb)
+	n.replicateOut(snap, sb, targets)
 }
 
 // install is the one way a snapshot becomes a live session here —
@@ -292,14 +300,13 @@ func readSnapshot(w http.ResponseWriter, r *http.Request) (*cluster.SessionSnaps
 	return snap, sb, true
 }
 
-// replicateOut fans the sealed snapshot to the ring successors and
-// verifies each ack's checksum. It runs synchronously inside the
+// replicateOut fans the sealed snapshot to targets (the ring
+// successors) and verifies each ack's checksum. It runs synchronously inside the
 // session-commit hook — before the client's HTTP response is written
 // — so an acked commit is always either replicated or counted in
 // ReplicaErrors; there is no window where an ack implies durability
 // the cluster doesn't have.
-func (n *Node) replicateOut(snap *cluster.SessionSnapshot, sb *sealed) {
-	targets := n.replicationTargets(snap.ID)
+func (n *Node) replicateOut(snap *cluster.SessionSnapshot, sb *sealed, targets []string) {
 	if len(targets) == 0 {
 		return
 	}

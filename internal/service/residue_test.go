@@ -20,7 +20,7 @@ func recommit(t testing.TB, s *Session) *SolveReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.publishLocked(rep, false)
+	s.publishLocked(rep, false, nil)
 	return rep
 }
 

@@ -141,15 +141,14 @@ func sessionID(fp string, cfg sessionConfig) string {
 // interleaving commits on one session within a retry window.
 const commitDedupDepth = 8
 
-// commitRecord is one applied tagged commit: the idempotency ID, a
-// private copy of the report it answered with, and that report in
-// json.Marshal's bytes — the commit's response body with its whitespace
-// stripped (compactReport), or RestoreSession's compact encode of what
-// it decoded; every snapshot appends these bytes. A report with no JSON
-// form has nil wire and no place in one.
+// commitRecord is one applied tagged commit: the idempotency ID and the
+// report it answered with, in json.Marshal's bytes — the commit's
+// response body with its whitespace stripped (compactReport), or the
+// bytes a snapshot carried. A retry decodes them, and every snapshot
+// appends them. A report with no JSON form has nil wire: its retry
+// answers errNonFinite again, and it has no place in a snapshot.
 type commitRecord struct {
 	id   string
-	rep  *SolveReport
 	wire []byte
 }
 
@@ -170,7 +169,7 @@ type Session struct {
 	// created is the platform description the session was created for,
 	// as platform JSON: encoded once at creation, or the bytes a snapshot
 	// carried. Every snapshot carries these bytes and the committed
-	// capacities over them (cluster.SessionSnapshot.SetCapacities).
+	// capacities over them (cluster.SessionSnapshot.AppendCapacities).
 	created []byte
 
 	mu    sync.Mutex
@@ -287,7 +286,7 @@ func newSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("initial solve: %w", err)
 	}
-	s.publishLocked(rep, false)
+	s.publishLocked(rep, false, nil)
 	return s, nil
 }
 
@@ -366,9 +365,15 @@ func (s *Session) query() (*SolveReport, *answer, error) {
 }
 
 // publishLocked makes rep the committed answer; recorded says it is the
-// newest commit record's report.
-func (s *Session) publishLocked(rep *SolveReport, recorded bool) {
-	s.committed.Store(&answer{rep: *rep})
+// newest commit record's report. body, when the commit encoded one, is
+// rep as EncodeReport writes it, and the answer's wire image is built
+// from it (cachedImage) rather than encoded again on the first query.
+func (s *Session) publishLocked(rep *SolveReport, recorded bool, body *[]byte) {
+	a := &answer{rep: *rep}
+	if body != nil {
+		a.once.Do(func() { a.image = cachedImage(*body) })
+	}
+	s.committed.Store(a)
 	s.answerRec = recorded
 }
 
@@ -378,8 +383,10 @@ func (s *Session) publishLocked(rep *SolveReport, recorded bool) {
 // commit rounds the unpinned relaxation, so the optimum it solved is
 // the bound; the other heuristics pin β bounds, and solve the bound
 // again warm from the new basis (typically zero pivots: the heuristic
-// has just left it optimal for the unpinned relaxation). It publishes
-// nothing: its caller publishes the report, or rolls the commit back.
+// has just left it optimal for the unpinned relaxation), which also
+// returns the solver to the unpinned optimum the what-ifs freeze. It
+// publishes nothing: its caller publishes the report, or rolls the
+// commit back.
 func (s *Session) commitLocked() (*SolveReport, error) {
 	// Committed answers must be replica-independent: a session
 	// promoted from a snapshot on a successor holds the same matrix,
@@ -393,50 +400,14 @@ func (s *Session) commitLocked() (*SolveReport, error) {
 	// A what-if needs no rebase: it starts from the factorization
 	// this solve leaves, and is rewound to it.
 	s.model.Rebase()
-	if s.cfg.heur == "lprg" {
-		alloc, basis, bound, err := heuristics.LPRGBoundOnModel(s.model, s.pr, s.cfg.obj, s.basis)
-		if err != nil {
-			return nil, err
-		}
-		s.basis = basis
-		return s.reportOf(s.pr, alloc, bound)
-	}
-	alloc, basis, err := s.heuristicSolve(s.pr)
+	alloc, basis, bound, err := s.heuristicSolve(s.pr)
 	if err != nil {
 		return nil, err
 	}
-	if basis != nil {
-		s.basis = basis
+	s.basis = basis
+	if s.cfg.heur == "lprg" {
+		return s.reportOf(s.pr, alloc, bound)
 	}
-	return s.reportLocked(s.pr, alloc)
-}
-
-// heuristicSolve runs the configured heuristic over the session model
-// against epr's capacities, warm from the carried basis, returning
-// the allocation and the new root basis. The randomized heuristics
-// reseed from the session seed on every call, so answers are
-// deterministic and equal to a batch run with the same seed.
-func (s *Session) heuristicSolve(epr *core.Problem) (*core.Allocation, *lp.Basis, error) {
-	switch s.cfg.heur {
-	case "lprg":
-		return heuristics.LPRGOnModel(s.model, epr, s.cfg.obj, s.basis)
-	case "lprr":
-		rng := rand.New(rand.NewSource(s.cfg.seed))
-		return heuristics.LPRROnModel(s.model, epr, s.cfg.obj, heuristics.ProportionalRounding, rng, s.basis)
-	case "lprr-eq":
-		rng := rand.New(rand.NewSource(s.cfg.seed))
-		return heuristics.LPRROnModel(s.model, epr, s.cfg.obj, heuristics.EqualRounding, rng, s.basis)
-	case "bnb":
-		alloc, _, basis, err := heuristics.BranchAndBoundOnModel(s.model, epr, s.cfg.obj, s.cfg.maxNodes, s.basis)
-		return alloc, basis, err
-	}
-	return nil, nil, fmt.Errorf("unknown heuristic %q", s.cfg.heur)
-}
-
-// reportLocked reports the heuristic allocation alloc with the
-// relaxation bound: a warm re-solve from the carried root basis under
-// default β bounds, which extracts nothing.
-func (s *Session) reportLocked(epr *core.Problem, alloc *core.Allocation) (*SolveReport, error) {
 	s.model.ResetBounds()
 	bound, ok, err := s.model.Solve(s.basis)
 	if err != nil {
@@ -445,7 +416,30 @@ func (s *Session) reportLocked(epr *core.Problem, alloc *core.Allocation) (*Solv
 	if !ok {
 		return nil, fmt.Errorf("relaxation infeasible on an unconstrained platform (model bug)")
 	}
-	return s.reportOf(epr, alloc, bound)
+	return s.reportOf(s.pr, alloc, bound)
+}
+
+// heuristicSolve runs the configured heuristic over the session model
+// against epr's capacities, warm from the carried basis, returning
+// the allocation, the new root basis and the bound of the unpinned
+// relaxation the heuristic solved first. The randomized heuristics
+// reseed from the session seed on every call, so answers are
+// deterministic and equal to a batch run with the same seed.
+func (s *Session) heuristicSolve(epr *core.Problem) (*core.Allocation, *lp.Basis, float64, error) {
+	switch s.cfg.heur {
+	case "lprg":
+		return heuristics.LPRGBoundOnModel(s.model, epr, s.cfg.obj, s.basis)
+	case "lprr":
+		rng := rand.New(rand.NewSource(s.cfg.seed))
+		return heuristics.LPRROnModel(s.model, epr, s.cfg.obj, heuristics.ProportionalRounding, rng, s.basis)
+	case "lprr-eq":
+		rng := rand.New(rand.NewSource(s.cfg.seed))
+		return heuristics.LPRROnModel(s.model, epr, s.cfg.obj, heuristics.EqualRounding, rng, s.basis)
+	case "bnb":
+		alloc, _, basis, bound, err := heuristics.BranchAndBoundOnModel(s.model, epr, s.cfg.obj, s.cfg.maxNodes, s.basis)
+		return alloc, basis, bound, err
+	}
+	return nil, nil, 0, fmt.Errorf("unknown heuristic %q", s.cfg.heur)
 }
 
 // reportOf checks the heuristic allocation alloc against epr and
@@ -532,7 +526,9 @@ func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) { return asRe
 // as its entry, whose wire image is the response. The owner of a flight
 // answers the hypothetical on the session model (whatIfOn) before
 // releasing the session; a heuristic what-if discards the root basis its
-// heuristic ends on, and whatIfOn rewinds the solver past its solves.
+// heuristic ends on, reports the bound of the unpinned relaxation its
+// heuristic solved first, and whatIfOn rewinds the solver past its
+// solves.
 // The answer is resolved under the committed epoch while mu is still
 // held, so it can never be filed against a state other than the one it
 // was computed on.
@@ -574,11 +570,11 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 		rep, err = whatIfOn(s.model, h, s.pl, func() (*SolveReport, error) {
 			if !req.Relax {
 				epr := &core.Problem{Platform: h.platform(s.pl), Payoffs: s.pr.Payoffs}
-				alloc, _, err := s.heuristicSolve(epr)
+				alloc, _, bound, err := s.heuristicSolve(epr)
 				if err != nil {
 					return nil, err
 				}
-				return s.reportLocked(epr, alloc)
+				return s.reportOf(epr, alloc, bound)
 			}
 			if _, _, err := s.model.Solve(s.basis); err != nil {
 				return nil, err
@@ -789,9 +785,15 @@ func (s *Session) EpochIdempotent(req *EpochRequest, commitID string) (*SolveRep
 func (s *Session) commitEpoch(req *EpochRequest, commitID string, wantBody bool) (*SolveReport, *[]byte, error) {
 	s.mu.Lock()
 	if commitID != "" {
-		if rec, ok := s.commitLookupLocked(commitID); ok {
-			rep := *rec
+		if wire, ok := s.commitLookupLocked(commitID); ok {
 			s.mu.Unlock()
+			if wire == nil {
+				return nil, nil, errNonFinite
+			}
+			var rep SolveReport
+			if err := json.Unmarshal(wire, &rep); err != nil {
+				return nil, nil, fmt.Errorf("recorded commit %s: %w", commitID, err)
+			}
 			return &rep, nil, nil
 		}
 	}
@@ -812,10 +814,9 @@ func (s *Session) commitEpoch(req *EpochRequest, commitID string, wantBody bool)
 			if body != nil {
 				wire = compactReport(*body)
 			}
-			cp := *rep
-			s.recordCommitLocked(commitRecord{id: commitID, rep: &cp, wire: wire})
+			s.recordCommitLocked(commitRecord{id: commitID, wire: wire})
 		}
-		s.publishLocked(rep, wire != nil)
+		s.publishLocked(rep, wire != nil, body)
 	}
 	hook := s.onCommit
 	s.mu.Unlock()
@@ -825,12 +826,13 @@ func (s *Session) commitEpoch(req *EpochRequest, commitID string, wantBody bool)
 	return rep, body, err
 }
 
-// commitLookupLocked finds the recorded report of an applied tagged
-// commit; newest-first, since a retry is almost always of the latest.
-func (s *Session) commitLookupLocked(commitID string) (*SolveReport, bool) {
+// commitLookupLocked finds the recorded report bytes of an applied
+// tagged commit; newest-first, since a retry is almost always of the
+// latest.
+func (s *Session) commitLookupLocked(commitID string) ([]byte, bool) {
 	for i := len(s.recentCommits) - 1; i >= 0; i-- {
 		if s.recentCommits[i].id == commitID {
-			return s.recentCommits[i].rep, true
+			return s.recentCommits[i].wire, true
 		}
 	}
 	return nil, false

@@ -10,8 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -380,10 +380,19 @@ func TestSnapshotEncodesOffTheLock(t *testing.T) {
 	if err := snap.ApplyCapacities(carried); err != nil || carried.Fingerprint() != pl.Fingerprint() {
 		t.Fatalf("the snapshot does not carry the pre-commit capacities (%v)", err)
 	}
-	// The snapshot reads that basis in place: its basic columns are the
-	// basis's own array, not a copy and not a later commit's.
-	if cols, _, _ := basis.View(); reflect.ValueOf(snap).Elem().FieldByName("cols").Pointer() != reflect.ValueOf(cols).Pointer() {
-		t.Fatal("the snapshot does not read the basis committed with its platform")
+	// The snapshot writes its basis sections off the lock too, after the
+	// commit: from the basis committed with its platform, not a later
+	// commit's.
+	cols, upper, weights := basis.View()
+	gotCols, gotUpper, gotWeights, err := snap.Basis(sess.model.SolverCols())
+	if err != nil || !slices.Equal(gotCols, cols) || !slices.Equal(gotUpper, upper) || !slices.Equal(gotWeights, weights) {
+		t.Fatalf("the snapshot does not carry the basis committed with its platform (%v)", err)
+	}
+	sess.mu.Lock()
+	_, _, laterWeights := sess.basis.View()
+	sess.mu.Unlock()
+	if slices.Equal(laterWeights, weights) {
+		t.Fatal("the commit during the encode left the basis's weights as they were: the check above cannot tell the two bases apart")
 	}
 	if sess.Info().Epoch != epoch+1 {
 		t.Fatalf("the commit during the encode left epoch %d, want %d", sess.Info().Epoch, epoch+1)

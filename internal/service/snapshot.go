@@ -27,26 +27,27 @@ var encodeAnswer = func(dst []byte, rep *SolveReport) ([]byte, bool) {
 }
 
 // Snapshot serializes the session's committed state: identity,
-// configuration, epoch, the creation platform's bytes and the committed
-// capacities over them (read in place from the committed platform), the
-// carried basis (read in place, not copied), the committed answer, plus
-// the commit-dedup record as the bytes it already holds (shared with the
-// record, not copied). The session mutex is held only to read which
-// platform, basis, epoch, answer and record are committed; the
-// encoding runs after it is released, which is safe because none of
-// them is written once published — a commit replaces the platform, the
-// basis and the answer, and appends to the record or moves it to a new
-// array. The returned snapshot is not yet sealed — the store or
-// transfer path calls Encode, which stamps the version and checksum.
+// configuration, epoch, the creation platform's bytes and, as the
+// sections they travel in, the committed capacities, the carried basis
+// and its weights and the committed answer, plus the commit-dedup record
+// as the bytes it already holds (shared with the record, not copied).
+// The session mutex is held only to read which platform, basis, epoch,
+// answer and record are committed; the sections are written after it is
+// released, which is safe because none of them is written once
+// published — a commit replaces the platform, the basis and the answer,
+// and appends to the record or moves it to a new array. The returned
+// snapshot is not yet sealed — the store or transfer path calls Encode,
+// which stamps the version and checksum.
 func (s *Session) Snapshot() (*cluster.SessionSnapshot, error) {
 	snap, _, err := s.snapshotInto(nil)
 	return snap, err
 }
 
-// snapshotInto is Snapshot with the committed answer, when it is not
-// the newest commit record's report, encoded onto dst: the snapshot's
-// Answer is the appended tail of the returned slice, which seal encodes
-// into the buffer it seals into.
+// snapshotInto is Snapshot with its sections written onto dst: the
+// committed answer, when it is not the newest commit record's report,
+// then the capacities, the basis and its weights. The snapshot reads
+// them as the appended tail of the returned slice, which seal keeps at
+// the head of the buffer it seals into.
 func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, error) {
 	s.mu.Lock()
 	pl, basis, epoch, records := s.pl, s.basis, s.epoch, s.recentCommits
@@ -74,9 +75,9 @@ func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, er
 		}
 		snap.Answer = out[len(dst):len(out):len(out)]
 	}
-	snap.SetCapacities(pl)
+	out = snap.AppendCapacities(out, pl)
 	cols, upper, weights := basis.View()
-	snap.SetBasis(s.model.SolverCols(), cols, upper, weights)
+	out = snap.AppendBasis(out, s.model.SolverCols(), cols, upper, weights)
 	snap.RecentCommits = make([]cluster.CommitRecord, 0, len(records))
 	for _, rec := range records {
 		if rec.wire != nil {
@@ -113,9 +114,12 @@ func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, er
 // that buffer may be recycled once this returns: the creation platform
 // is copied, and each commit report is written into one buffer of the
 // session's own — in this build's wire form when it decodes, as
-// received otherwise — and snap's records are pointed at those copies. A
-// record an older build wrote therefore carries nothing that build added
-// to a report into the snapshots this session seals.
+// received otherwise — and snap's records are pointed at those copies.
+// A record an older build wrote therefore carries nothing that build
+// added to a report into the snapshots this session seals. The session
+// keeps a record as those bytes alone (a record whose ID is empty or
+// whose report does not decode is dropped); the decoded report is kept
+// only when it is the newest record's, to publish.
 func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool, error) {
 	cfg, err := parseConfig(&CreateSessionRequest{
 		Objective: snap.Objective,
@@ -178,7 +182,7 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 		newest = nil
 		if ok {
 			// unshared: "locked" trivially holds
-			s.recordCommitLocked(commitRecord{id: rec.ID, rep: &rep, wire: rec.Report})
+			s.recordCommitLocked(commitRecord{id: rec.ID, wire: rec.Report})
 			newest = &rep
 		}
 	}
@@ -196,9 +200,8 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 	if _, err := s.commitLocked(); err != nil { // unshared: "locked" trivially holds
 		return nil, nil, false, fmt.Errorf("rebuild solve: %w", err)
 	}
-	s.publishLocked(answer, recorded)
+	s.publishLocked(answer, recorded, nil)
 	st := s.model.SolverStats()
 	warm := st.ColdSolves == 0 && st.ColdFallbacks == 0
-	rep := *answer // the caller's copy: answer may be a record's
-	return s, &rep, warm, nil
+	return s, answer, warm, nil
 }

@@ -425,6 +425,36 @@ func benchWhatIfs(b *testing.B, pivoting bool) {
 	}
 }
 
+// BenchmarkHeuristicWhatIf times a heuristic what-if — the default,
+// non-relaxed kind — at the session layer on the benchmark's K=20
+// network-bound lprg session: validate, pose, LPRG on the hypothetical
+// (its relaxation solved warm, then rounded and filled), retract,
+// rewind, and write the body. It cycles through the pinned mix's 60
+// speed, gateway and link what-ifs with Relax cleared (β boxes imply a
+// relaxation, so those are left out), each asked afresh.
+func BenchmarkHeuristicWhatIf(b *testing.B) {
+	s, ops := pinnedWhatIfMix(b, 20, 80)
+	var picked []WhatIfRequest
+	for _, q := range ops {
+		if len(q.Bounds) == 0 && len(picked) < 60 {
+			q.Relax = false
+			picked = append(picked, q)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := picked[i%len(picked)]
+		s.answers.flush()
+		rep, _, err := s.whatIf(&q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bp, _ := reportBytes(rep)
+		reportBufs.Put(bp)
+	}
+}
+
 // TestSharedDiffServesEveryReader: a relaxed what-if told as a diff is
 // filed once and read by everyone who asks for its key. On a pivoting
 // what-if with moved cells, asked afresh in three rounds, each round's
