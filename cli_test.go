@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -653,21 +654,30 @@ func TestCLIScheddCrashRecovery(t *testing.T) {
 	cmd.Wait() //nolint:errcheck // the kill error is expected
 
 	cmd2, base2 := startSchedd(t, schedd, "-snapshot-dir", snapDir, "-snapshot-interval", "1h")
-	resp, err := http.Get(base2 + "/stats")
+	resp, err := http.Get(base2 + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var stats service.PoolStatsResponse
-	if err := json.Unmarshal(raw, &stats); err != nil {
-		t.Fatalf("stats: %v\n%s", err, raw)
+	sample := func(series string) float64 {
+		for _, line := range strings.Split(string(raw), "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", series, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("no %s in /metrics:\n%s", series, raw)
+		return 0
 	}
-	if stats.Cluster.ColdRebuilds != 0 || stats.Cluster.WarmRebuilds < 1 {
-		t.Fatalf("recovery rebuilds: warm=%d cold=%d, want >=1/0\n%s", stats.Cluster.WarmRebuilds, stats.Cluster.ColdRebuilds, raw)
+	if warm, cold := sample("schedd_cluster_warm_rebuilds_total"), sample("schedd_cluster_cold_rebuilds_total"); cold != 0 || warm < 1 {
+		t.Fatalf("recovery rebuilds: warm=%v cold=%v, want >=1/0", warm, cold)
 	}
-	if stats.Total.ColdSolves != 0 {
-		t.Fatalf("recovery cold-solved: %+v", stats.Total)
+	if got := sample("schedd_solver_cold_solves_total"); got != 0 {
+		t.Fatalf("recovery cold-solved %v times", got)
 	}
 	postRaw, _ := scheddPost(t, base2, "/sessions/"+id+"/query", "")
 	if got := canonicalAnswer(t, postRaw); got != pre {

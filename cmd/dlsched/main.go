@@ -183,24 +183,7 @@ func report(platformJSON []byte, heur, objName string, obj core.Objective, pr *c
 	if err != nil {
 		return nil, err
 	}
-	alloc := res.Alloc
-	if err := pr.CheckAllocation(alloc, core.DefaultTol); err != nil {
-		return nil, fmt.Errorf("internal error: heuristic produced invalid allocation: %w", err)
-	}
-	rep := &service.SolveReport{
-		Heuristic:   heur,
-		Objective:   objName,
-		Feasible:    true,
-		Value:       pr.Objective(obj, alloc),
-		LPBound:     rel.Objective,
-		Alpha:       alloc.Alpha,
-		Beta:        alloc.Beta,
-		Throughputs: make([]float64, pr.K()),
-	}
-	for k := 0; k < pr.K(); k++ {
-		rep.Throughputs[k] = alloc.AppThroughput(k)
-	}
-	return rep, nil
+	return service.HeuristicReport(heur, objName, obj, pr, res.Alloc, rel.Objective, 0)
 }
 
 // emitBatch answers a batched what-if request — decoded as the

@@ -27,7 +27,8 @@
 // directory is replayed: each snapshot rebuilds its session warm from
 // the carried basis — zero cold solves — so a killed daemon restarted
 // over the same directory answers exactly as before the crash
-// (/stats reports warmRebuilds and coldRebuilds). A file this build
+// (/metrics counts schedd_cluster_warm_rebuilds_total and
+// schedd_cluster_cold_rebuilds_total). A file this build
 // cannot verify — damaged, or written by a build with another snapshot
 // format — is counted as skipped, never fatal: that session rebuilds
 // cold from traffic.
@@ -86,7 +87,7 @@
 //	}"
 //
 // Re-POSTing the same platform re-attaches to the warm session (the
-// response says "created": false and /stats counts a pool hit).
+// response says "created": false and schedd_pool_hits_total counts it).
 // With its id (say $SID), query the committed allocation, ask
 // what-ifs — answered warm and rolled back exactly — and commit
 // capacity drift as epochs:
@@ -103,13 +104,19 @@
 //
 //	schedd -addr 127.0.0.1:8081 -join http://127.0.0.1:8080 &
 //
-// /stats surfaces the per-session and pool-wide lp.Revised counters
-// plus the cluster section (answer-cache hits, forwarded requests,
-// migrations, warm/cold rebuilds, snapshot bytes, ring members) —
-// after warm-up, warm solves and cache hits dominate and cold solves
-// stay pinned at one per session:
+// /metrics (below) counts the pool-wide lp.Revised
+// work, the answer cache and the cluster's forwarding, migrations,
+// rebuilds, snapshots and ring members — after warm-up, warm solves and
+// cache hits dominate and cold solves stay pinned at one per session:
 //
-//	curl -s http://127.0.0.1:8080/stats
+//	curl -s http://127.0.0.1:8080/metrics | grep schedd_solver_
+//
+// /stats answers JSON with only what the benchmark reads: the pool's
+// hits, misses, evictions and solver totals, each session's row (its
+// info, what-if and epoch counts, answer-cache and solver counters and
+// its conditions) and, under "cluster", the merged answer-cache
+// counters plus forwarding retries and failovers and replicas sent and
+// failed. Every other counter is on /metrics alone.
 //
 // /stats and /metrics are the only home of those counters: an answer
 // (query, what-if, epoch) carries none, so its body is a function of the
@@ -141,10 +148,11 @@
 // metrics are observed into pre-allocated atomics (the warm what-if
 // solve path stays at 0 allocs/op — guarded by a test), and so are the
 // cluster counters: the registry is their one home and /stats reads
-// them back. Pool and solver totals, which live under the pool and
-// session locks, are mirrored at scrape time from the same single walk
-// that renders /stats and /healthz, as are the membership gauges and
-// replicas_held. The families:
+// four of them back. Pool and solver totals, which live under the pool
+// and session locks, are mirrored at scrape time from the same single
+// walk that renders /stats and /healthz, as are the membership gauges
+// and replicas_held. A ring's size is 1 + schedd_cluster_peers{state=
+// "alive"} + {state="suspect"}. The families:
 //
 //	schedd_request_seconds{endpoint}          request latency histogram per endpoint
 //	                                          (create, list, info, platform, delete, query,

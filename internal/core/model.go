@@ -224,6 +224,13 @@ func (m *Model) BetaVars() []Pair {
 	return out
 }
 
+// HasBeta reports whether route p carries a β variable. The set is
+// frozen with the model's structure.
+func (m *Model) HasBeta(p Pair) bool {
+	_, ok := m.betaOrd[p]
+	return ok
+}
+
 // naturalCap returns the β cap link budgets imply on the ord-th β
 // route: the smallest current budget among the links its path
 // crosses.

@@ -413,8 +413,8 @@ func ringCreate(t *testing.T, client *http.Client, url string, req *CreateSessio
 // TestRingRoutingAndForwarding boots a 3-node ring, creates sessions
 // for several platforms through one node only, and checks that every
 // session lands on its ring owner, that queries through a non-owner
-// are forwarded and answer identically, and that /stats carries the
-// cluster section.
+// are forwarded and answer identically, and that /metrics reports the
+// ring and the forwarding.
 func TestRingRoutingAndForwarding(t *testing.T) {
 	nodes, servers := startRing(t, 3, false)
 	client := servers[0].Client()
@@ -480,15 +480,15 @@ func TestRingRoutingAndForwarding(t *testing.T) {
 		t.Fatalf("the three nodes answer the same session differently:\n%s\n%s\n%s", answers[0], answers[1], answers[2])
 	}
 
-	var stats PoolStatsResponse
-	if err := doJSONE(client, "GET", servers[0].URL+"/stats", nil, &stats); err != nil {
-		t.Fatal(err)
+	if got := nodes[0].Members(); len(got) != 3 {
+		t.Fatalf("ring members = %v, want 3", got)
 	}
-	if stats.Cluster.Self != nodes[0].self || len(stats.Cluster.Members) != 3 {
-		t.Fatalf("/stats cluster section wrong: %+v", stats.Cluster)
+	exp := scrape(t, client, servers[0].URL+"/metrics")
+	if got := metricValue(t, exp, `schedd_cluster_peers{state="alive"}`); got != 2 {
+		t.Fatalf("alive peers = %v, want 2", got)
 	}
-	if stats.Cluster.Forwarded == 0 {
-		t.Fatalf("/stats does not report forwarding")
+	if metricValue(t, exp, "schedd_cluster_forwarded_total") == 0 {
+		t.Fatalf("/metrics does not report forwarding")
 	}
 }
 
@@ -686,8 +686,8 @@ func TestNodeRecoverFromStore(t *testing.T) {
 	if got, want := stripVolatile(t, afterRaw), stripVolatile(t, beforeRaw); got != want {
 		t.Fatalf("post-recovery answer differs:\n%s\nvs\n%s", got, want)
 	}
-	if st := n2.Stats(); st.Cluster.WarmRebuilds != 1 || st.Cluster.ColdRebuilds != 0 || st.Cluster.SnapshotBytes == 0 {
-		t.Fatalf("node stats wrong after recovery: %+v", st.Cluster)
+	if w, c, b := n2.warmRebuilds.Value(), n2.coldRebuilds.Value(), n2.snapshotBytes.Value(); w != 1 || c != 0 || b == 0 {
+		t.Fatalf("node counters wrong after recovery: warm=%d cold=%d snapshotBytes=%d", w, c, b)
 	}
 }
 

@@ -166,12 +166,12 @@ func TestReadFailoverPromotesReplica(t *testing.T) {
 			t.Fatalf("failover answer differs:\n%s\nvs\n%s", got, pre)
 		}
 	}
-	st := nodes[successor].Stats()
-	if st.Cluster.Promotions != 1 {
-		t.Fatalf("successor promotions = %d, want 1", st.Cluster.Promotions)
+	succ := nodes[successor]
+	if got := succ.promotions.Value(); got != 1 {
+		t.Fatalf("successor promotions = %d, want 1", got)
 	}
-	if st.Cluster.ColdRebuilds != 0 || st.Cluster.WarmRebuilds != 1 {
-		t.Fatalf("successor rebuilt warm=%d cold=%d, want 1/0", st.Cluster.WarmRebuilds, st.Cluster.ColdRebuilds)
+	if w, c := succ.warmRebuilds.Value(), succ.coldRebuilds.Value(); c != 0 || w != 1 {
+		t.Fatalf("successor rebuilt warm=%d cold=%d, want 1/0", w, c)
 	}
 	// Promotion consumes the passive copy: replication fan-out excludes
 	// self, so a kept replica would freeze at the promotion-time epoch

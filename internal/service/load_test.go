@@ -148,7 +148,8 @@ func TestLoadConcurrentMixedTraffic(t *testing.T) {
 	if stats.Sessions[0].CacheHits == 0 {
 		t.Fatalf("cache hits = 0 under repeat traffic (answer cache not engaging)")
 	}
-	if got := stats.Sessions[0].Queries + stats.Sessions[0].WhatIfs + stats.Sessions[0].CoalescedWhatIfs; got < total {
+	queries := metricValue(t, scrape(t, ts.Client(), ts.URL+"/metrics"), `schedd_request_seconds_count{endpoint="query"}`)
+	if got := uint64(queries) + stats.Sessions[0].WhatIfs + stats.Sessions[0].CoalescedWhatIfs; got < total {
 		t.Fatalf("request counters %d, want >= %d", got, total)
 	}
 	if cs := stats.Cluster; cs.CacheHits != stats.Sessions[0].CacheHits || cs.CacheMisses != stats.Sessions[0].CacheMisses {

@@ -13,7 +13,7 @@ import (
 // nodeMetrics is the cluster layer's metric set, registered into the
 // wrapped Server's registry so one /metrics scrape covers the whole
 // node. The counters are the Node's counters — incremented where the
-// event happens, read back with Value for /stats — and the fan-out
+// event happens, four of them read back with Value for /stats — and the fan-out
 // histogram and heartbeat RTT gauges are observed inline (in the commit
 // hook and the heartbeat loop respectively). Only the membership gauges
 // and replicasHeld, which are views of state kept elsewhere, are

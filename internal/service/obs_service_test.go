@@ -361,8 +361,8 @@ func TestTraceForwardAndFailover(t *testing.T) {
 		t.Fatalf("forwarded trace echo = %q, want trace-forward-01", got)
 	}
 	// The forwarding node counted the proxy hop.
-	if st := nodes[other].Stats(); st.Cluster.Forwarded == 0 {
-		t.Fatalf("forwarding node counted no forwards: %+v", st.Cluster)
+	if nodes[other].forwarded.Value() == 0 {
+		t.Fatalf("forwarding node counted no forwards")
 	}
 
 	// Forced failover: kill the owner; the same request through the
@@ -454,8 +454,8 @@ func TestForwardHopBoundRejected(t *testing.T) {
 	if !strings.Contains(eresp.Error, "forwarding loop") {
 		t.Fatalf("loop rejection error = %q", eresp.Error)
 	}
-	if st := n.Stats(); st.Cluster.RoutingLoops != 1 {
-		t.Fatalf("routingLoops = %d, want 1", st.Cluster.RoutingLoops)
+	if got := n.routingLoops.Value(); got != 1 {
+		t.Fatalf("routingLoops = %d, want 1", got)
 	}
 	if got := metricValue(t, scrape(t, client, ts.URL+"/metrics"), "schedd_routing_loops_total"); got != 1 {
 		t.Fatalf("routing loops metric = %v, want 1", got)

@@ -251,27 +251,22 @@ func (p *Pool) sessionsLocked() []*Session {
 // solver counters plus the pool-wide aggregate (live + retired). The
 // live list and the retired aggregate are snapshotted in one critical
 // section, so a concurrent eviction cannot count a session both as a
-// live row and inside Retired; each session's own counters are then
-// read outside the pool lock (they need the session lock, which may
-// be held by a long solve).
+// live row and inside the retired aggregate; each session's own
+// counters are then read outside the pool lock (they need the session
+// lock, which may be held by a long solve).
 func (p *Pool) Stats() PoolStatsResponse {
 	p.mu.Lock()
 	sessions := p.sessionsLocked()
 	resp := PoolStatsResponse{
-		Capacity:  p.capacity,
 		Live:      len(p.entries),
 		Hits:      p.hits,
 		Misses:    p.misses,
 		Evictions: p.evictions,
-		Retired:   p.retired,
+		Total:     p.retired,
 	}
 	resp.Cluster.CacheHits = p.retiredCacheHits
 	resp.Cluster.CacheMisses = p.retiredCacheMisses
 	p.mu.Unlock()
-	if total := resp.Hits + resp.Misses; total > 0 {
-		resp.HitRate = float64(resp.Hits) / float64(total)
-	}
-	resp.Total = resp.Retired
 	resp.Sessions = make([]SessionStats, 0, len(sessions))
 	for _, s := range sessions {
 		st := s.Stats()

@@ -522,28 +522,14 @@ func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, n.Stats())
 }
 
-// Stats is the pool's /stats response with the node's cluster
-// counters and ring view filled in.
+// Stats is the pool's /stats response with the node's forwarding and
+// replication counters filled in.
 func (n *Node) Stats() PoolStatsResponse {
 	resp := n.srv.Stats()
-	resp.Cluster.Forwarded = n.forwarded.Value()
-	resp.Cluster.Migrations = n.migrations.Value()
-	resp.Cluster.WarmRebuilds = n.warmRebuilds.Value()
-	resp.Cluster.ColdRebuilds = n.coldRebuilds.Value()
-	resp.Cluster.SnapshotBytes = n.snapshotBytes.Value()
-	resp.Cluster.Replication = n.cfg.Replication
 	resp.Cluster.Retries = n.retries.Value()
 	resp.Cluster.Failovers = n.failovers.Value()
-	resp.Cluster.Promotions = n.promotions.Value()
-	resp.Cluster.ReplicasHeld = n.replicaCount()
 	resp.Cluster.ReplicasSent = n.replicasSent.Value()
 	resp.Cluster.ReplicaErrors = n.replicaErrors.Value()
-	resp.Cluster.FencedCommits = n.fencedCommits.Value()
-	resp.Cluster.RoutingLoops = n.routingLoops.Value()
-	resp.Cluster.Incarnation = n.membership.Incarnation()
-	resp.Cluster.PeersAlive, resp.Cluster.PeersSuspect, resp.Cluster.PeersDead = n.membership.Counts()
-	resp.Cluster.Self = n.self
-	resp.Cluster.Members = n.Members()
 	return resp
 }
 

@@ -639,12 +639,17 @@ func TestPoolLRUEviction(t *testing.T) {
 		t.Fatalf("pool stats = %+v", stats)
 	}
 	// The evicted session's solver work is retired, not lost: its
-	// cold solve stays in the pool-wide total.
-	if stats.Retired.ColdSolves != 1 {
-		t.Fatalf("retired stats = %+v, want the evicted session's cold solve", stats.Retired)
-	}
+	// cold solve stays in the pool-wide total, which the live rows
+	// alone fall one short of.
 	if stats.Total.ColdSolves != 3 {
 		t.Fatalf("total cold solves = %d, want 3 (one per session ever built)", stats.Total.ColdSolves)
+	}
+	var live int
+	for _, row := range stats.Sessions {
+		live += row.Solver.ColdSolves
+	}
+	if live != 2 {
+		t.Fatalf("live rows' cold solves = %d, want 2", live)
 	}
 	if len(pool.Sessions()) != 2 {
 		t.Fatalf("live sessions = %d, want 2", len(pool.Sessions()))
@@ -656,6 +661,13 @@ func TestPoolLRUEviction(t *testing.T) {
 	createSession(t, ts, &CreateSessionRequest{Platform: platformJSON(t, pl)}, http.StatusCreated)
 	doJSON(t, ts.Client(), "POST", ts.URL+"/sessions/"+ids[1]+"/query", nil, &q, http.StatusOK)
 	doJSON(t, ts.Client(), "POST", ts.URL+"/sessions/"+ids[2]+"/query", nil, &e, http.StatusNotFound)
+
+	// The second eviction drops no solver work from the total either.
+	before := stats.Total
+	doJSON(t, ts.Client(), "GET", ts.URL+"/stats", nil, &stats, http.StatusOK)
+	if stats.Evictions != 2 || stats.Total.ColdSolves != before.ColdSolves+1 || stats.Total.WarmSolves < before.WarmSolves {
+		t.Fatalf("after the second eviction: evictions %d, total %+v; before it %+v", stats.Evictions, stats.Total, before)
+	}
 }
 
 // TestWhatIfCoalescing pins the single-flight behavior: identical

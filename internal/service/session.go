@@ -184,10 +184,6 @@ type Session struct {
 	// committed state instead of allocating (see batch.go).
 	idleForks []*core.Model
 
-	// betaRoutes is the set of routes carrying a β variable — frozen
-	// with the model's structure, so read without mu.
-	betaRoutes map[core.Pair]bool
-
 	// tables is the frozen relaxed answer's encoded tables, which every
 	// relaxed what-if told as a diff is spliced from: built on the first
 	// such what-if after each Freeze, never by a commit. Guarded by mu.
@@ -203,7 +199,6 @@ type Session struct {
 	committed atomic.Pointer[answer]
 	answerRec bool
 
-	queries   atomic.Uint64
 	whatIfs   atomic.Uint64
 	coalesced atomic.Uint64
 	epochs    atomic.Uint64
@@ -256,11 +251,7 @@ func buildSession(pl *platform.Platform, cfg sessionConfig, fp string) (*Session
 		pl:          pl,
 		pr:          pr,
 		model:       model,
-		betaRoutes:  make(map[core.Pair]bool),
 		answers:     newAnswerTable(),
-	}
-	for _, p := range model.BetaVars() {
-		s.betaRoutes[p] = true
 	}
 	s.id = sessionID(s.fingerprint, cfg)
 	return s, nil
@@ -331,7 +322,6 @@ func (s *Session) Stats() SessionStats {
 		warmPivotBudget: s.model.WarmPivotBudget(),
 	}
 	s.mu.Unlock()
-	st.Queries = s.queries.Load()
 	st.WhatIfs = s.whatIfs.Load()
 	st.CoalescedWhatIfs = s.coalesced.Load()
 	st.Epochs = s.epochs.Load()
@@ -359,7 +349,6 @@ func asReport(rep *SolveReport, hit *answer, err error) (*SolveReport, error) {
 // pointer and never reaches the solver; it counts as an answer-table
 // hit, which is what it is.
 func (s *Session) query() (*SolveReport, *answer, error) {
-	s.queries.Add(1)
 	s.answers.countHit()
 	return nil, s.committed.Load(), nil
 }
@@ -405,18 +394,17 @@ func (s *Session) commitLocked() (*SolveReport, error) {
 		return nil, err
 	}
 	s.basis = basis
-	if s.cfg.heur == "lprg" {
-		return s.reportOf(s.pr, alloc, bound)
+	if s.cfg.heur != "lprg" {
+		s.model.ResetBounds()
+		var ok bool
+		if bound, ok, err = s.model.Solve(s.basis); err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("relaxation infeasible on an unconstrained platform (model bug)")
+		}
 	}
-	s.model.ResetBounds()
-	bound, ok, err := s.model.Solve(s.basis)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("relaxation infeasible on an unconstrained platform (model bug)")
-	}
-	return s.reportOf(s.pr, alloc, bound)
+	return HeuristicReport(s.cfg.heur, s.cfg.objName, s.cfg.obj, s.pr, alloc, bound, s.epoch)
 }
 
 // heuristicSolve runs the configured heuristic over the session model
@@ -442,23 +430,25 @@ func (s *Session) heuristicSolve(epr *core.Problem) (*core.Allocation, *lp.Basis
 	return nil, nil, 0, fmt.Errorf("unknown heuristic %q", s.cfg.heur)
 }
 
-// reportOf checks the heuristic allocation alloc against epr and
-// reports it with the relaxation bound.
-func (s *Session) reportOf(epr *core.Problem, alloc *core.Allocation, bound float64) (*SolveReport, error) {
-	if err := epr.CheckAllocation(alloc, core.DefaultTol); err != nil {
+// HeuristicReport checks heuristic heur's allocation alloc against pr
+// and reports it under objective obj (named objective) with the
+// relaxation bound, at epoch: the answer of a session's commit and
+// heuristic what-if, and of dlsched's model-free heuristics.
+func HeuristicReport(heur, objective string, obj core.Objective, pr *core.Problem, alloc *core.Allocation, bound float64, epoch int) (*SolveReport, error) {
+	if err := pr.CheckAllocation(alloc, core.DefaultTol); err != nil {
 		return nil, fmt.Errorf("internal error: heuristic produced an invalid allocation: %w", err)
 	}
-	K := epr.K()
+	K := pr.K()
 	rep := &SolveReport{
-		Heuristic:   s.cfg.heur,
-		Objective:   s.cfg.objName,
+		Heuristic:   heur,
+		Objective:   objective,
 		Feasible:    true,
-		Value:       epr.Objective(s.cfg.obj, alloc),
+		Value:       pr.Objective(obj, alloc),
 		LPBound:     bound,
 		Alpha:       alloc.Alpha,
 		Beta:        alloc.Beta,
 		Throughputs: make([]float64, K),
-		Epoch:       s.epoch,
+		Epoch:       epoch,
 	}
 	for k := 0; k < K; k++ {
 		rep.Throughputs[k] = alloc.AppThroughput(k)
@@ -574,7 +564,7 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 				if err != nil {
 					return nil, err
 				}
-				return s.reportOf(epr, alloc, bound)
+				return HeuristicReport(s.cfg.heur, s.cfg.objName, s.cfg.obj, epr, alloc, bound, s.epoch)
 			}
 			if _, _, err := s.model.Solve(s.basis); err != nil {
 				return nil, err
@@ -686,7 +676,7 @@ func (s *Session) hypotheticalLocked(req *WhatIfRequest) (hypothetical, error) {
 		if math.IsNaN(b.Ub) || math.IsInf(b.Ub, 0) {
 			return hypothetical{}, clientError{fmt.Errorf("bound mutation (%d,%d): ub %g invalid", b.From, b.To, b.Ub)}
 		}
-		if !s.betaRoutes[core.Pair{K: b.From, L: b.To}] {
+		if !s.model.HasBeta(core.Pair{K: b.From, L: b.To}) {
 			return hypothetical{}, clientError{fmt.Errorf("β bounds on route (%d,%d) with no β variable", b.From, b.To)}
 		}
 	}

@@ -198,7 +198,6 @@ type SolveReport struct {
 // SessionStats is one session's /stats row.
 type SessionStats struct {
 	SessionInfo
-	Queries          uint64 `json:"queries"`
 	WhatIfs          uint64 `json:"whatIfs"`
 	CoalescedWhatIfs uint64 `json:"coalescedWhatIfs"`
 	Epochs           uint64 `json:"epochs"`
@@ -221,23 +220,22 @@ type SessionStats struct {
 	warmPivotBudget int
 }
 
-// PoolStatsResponse is the /stats response body.
+// PoolStatsResponse is the /stats response body. It holds what one
+// pool walk gathers for /stats, /metrics and /healthz; every other
+// counter is on /metrics alone.
 type PoolStatsResponse struct {
-	Capacity  int     `json:"capacity"`
-	Live      int     `json:"live"`
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Evictions uint64  `json:"evictions"`
-	HitRate   float64 `json:"hitRate"`
-	// Retired aggregates the solver counters of evicted sessions.
-	Retired lp.Stats `json:"retired"`
-	// Total aggregates Retired plus every live session's counters.
+	Live      int    `json:"live"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	// Total aggregates the solver counters of every session the pool
+	// has held: the live ones and the evicted ones.
 	Total    lp.Stats       `json:"total"`
 	Sessions []SessionStats `json:"sessions"`
 	// Cluster aggregates the cluster counters pool-wide: answer-cache
 	// activity merged over live and retired sessions, plus — when the
-	// process runs as a ring node — this replica's routing, migration,
-	// rebuild and snapshot-persistence counters.
+	// process runs as a ring node — this replica's forwarding and
+	// replication counters.
 	Cluster ClusterStats `json:"cluster"`
 }
 
@@ -248,50 +246,14 @@ type ClusterStats struct {
 	// solver totals above.
 	CacheHits   uint64 `json:"cacheHits"`
 	CacheMisses uint64 `json:"cacheMisses"`
-	// Forwarded counts requests this replica proxied to their ring
-	// owner; Migrations counts sessions this replica shipped away on
-	// membership change.
-	Forwarded  uint64 `json:"forwarded"`
-	Migrations uint64 `json:"migrations"`
-	// WarmRebuilds/ColdRebuilds count sessions rebuilt from snapshots
-	// (recovery or inbound migration): warm means the restored basis
-	// restarted the solver with zero cold solves, cold that the solver
-	// had to fall back. SnapshotBytes accumulates the encoded size of
-	// every snapshot persisted to this replica's store.
-	WarmRebuilds  uint64 `json:"warmRebuilds"`
-	ColdRebuilds  uint64 `json:"coldRebuilds"`
-	SnapshotBytes uint64 `json:"snapshotBytes"`
-	// Replication is the configured copy count per session (owner
-	// included). ReplicasHeld counts passive replicas currently held
-	// for other members; ReplicasSent/ReplicaErrors count outbound
-	// snapshot fan-outs (acked vs failed); Promotions counts passive
-	// replicas turned into live sessions (failover or ownership
-	// change).
-	Replication   int    `json:"replication,omitempty"`
-	ReplicasHeld  int    `json:"replicasHeld,omitempty"`
-	ReplicasSent  uint64 `json:"replicasSent,omitempty"`
-	ReplicaErrors uint64 `json:"replicaErrors,omitempty"`
-	Promotions    uint64 `json:"promotions,omitempty"`
 	// Retries counts forwarding re-sends; Failovers the subset that
-	// went to a ring successor instead of the primary owner;
-	// FencedCommits the epoch commits rejected because this replica
-	// lacked membership quorum.
+	// went to a ring successor instead of the primary owner.
+	// ReplicasSent/ReplicaErrors count outbound snapshot fan-outs
+	// (acked vs failed).
 	Retries       uint64 `json:"retries,omitempty"`
 	Failovers     uint64 `json:"failovers,omitempty"`
-	FencedCommits uint64 `json:"fencedCommits,omitempty"`
-	// RoutingLoops counts forwarded requests rejected for exceeding
-	// the forwarding hop bound (508 Loop Detected).
-	RoutingLoops uint64 `json:"routingLoops,omitempty"`
-	// Incarnation is this member's failure-detector incarnation;
-	// PeersAlive/PeersSuspect/PeersDead count the peers per state.
-	Incarnation  uint64 `json:"incarnation,omitempty"`
-	PeersAlive   int    `json:"peersAlive,omitempty"`
-	PeersSuspect int    `json:"peersSuspect,omitempty"`
-	PeersDead    int    `json:"peersDead,omitempty"`
-	// Self and Members describe the ring from this replica's view;
-	// empty when the process is not running as a ring node.
-	Self    string   `json:"self,omitempty"`
-	Members []string `json:"members,omitempty"`
+	ReplicasSent  uint64 `json:"replicasSent,omitempty"`
+	ReplicaErrors uint64 `json:"replicaErrors,omitempty"`
 }
 
 // ErrorResponse is the body of every non-2xx answer.
