@@ -162,9 +162,11 @@
 //	schedd_pool_hits_total, schedd_pool_misses_total, schedd_pool_evictions_total
 //	schedd_sessions_live
 //	schedd_answer_cache_hits_total, schedd_answer_cache_misses_total
+//	schedd_whatifs_total, schedd_coalesced_whatifs_total, schedd_epochs_total
 //	schedd_solver_pivots_total, schedd_solver_refactorizations_total
 //	schedd_solver_warm_solves_total, schedd_solver_cold_solves_total
 //	schedd_solver_cold_fallbacks_total, schedd_solver_bound_flips_total
+//	schedd_solver_forks_total
 //	schedd_solver_phase_nanoseconds_total{phase}  solver wall time per simplex phase
 //	                                          (ftran, btran, pricing, ratio_test, refactor)
 //	schedd_session_healthy{session}           1 iff every condition Healthy

@@ -32,9 +32,8 @@ const olderStats = `,"stats":{"pivots":118,"primalPivots":0,"dualPivots":118,"bo
 //     and then each of the four, with the live session's bytes.
 //
 // And a commit record written when reports carried a "stats" member
-// restores, answers a retried commit ID with the live retry's bytes, and
-// is sealed into the restored session's snapshots in this build's form:
-// no "stats", the bytes marshalReport writes for the decoded report.
+// restores, is kept on record, and answers a retried commit ID with the
+// live retry's bytes.
 func TestAnswerBytesAreStateAndQueryOnly(t *testing.T) {
 	const K = 20
 	live, pl := benchSession(t, "ring_adapt", K)
@@ -149,15 +148,6 @@ func TestAnswerBytesAreStateAndQueryOnly(t *testing.T) {
 	}
 	if len(resealed.RecentCommits) != len(snap.RecentCommits) {
 		t.Fatalf("the restored session sealed %d commit records, it was restored with %d", len(resealed.RecentCommits), len(snap.RecentCommits))
-	}
-	for _, rec := range resealed.RecentCommits {
-		var rep SolveReport
-		if err := json.Unmarshal(rec.Report, &rep); err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Contains(rec.Report, []byte(`"stats"`)) || !bytes.Equal(rec.Report, marshalReport(&rep)) {
-			t.Fatalf("commit record %s sealed as\n%s\nwant\n%s", rec.ID, rec.Report, marshalReport(&rep))
-		}
 	}
 	if got := post(handler(older), older, "epoch", string(epoch), "c1"); !bytes.Equal(got, committed) {
 		t.Fatalf("a retried commit answered from an older record differs from the commit\n got %s\nwant %s", got, committed)

@@ -45,7 +45,7 @@ func (a *answer) report() *SolveReport {
 // entry is filed: most entries of an adapting session are evicted or
 // invalidated unread and must not pay for an encode. (A committed answer
 // whose commit encoded a body is published with the image built from
-// that body instead: Session.publishLocked.) Nil when the encoder cannot
+// that body instead: newAnswer.) Nil when the encoder cannot
 // write the report (a NaN or ±Inf).
 func (a *answer) wire() []byte {
 	a.once.Do(func() {
@@ -72,20 +72,22 @@ func cachedImage(body []byte) []byte {
 // answerTable is a session's one table of what-if answers, keyed by
 // canonical what-if: the memo of solved answers and the single-flight
 // registry of solves still running, under one mutex. The committed
-// answer is not in it (Session.committed); a query counts as its hit.
-// An entry is either in flight or resolved at a committed epoch; a
-// lookup hits only an entry resolved at the table's current epoch.
+// answer is not in it (it is committed state: Session.state); a query
+// counts as its hit. An entry is either in flight or resolved at a
+// committed epoch; a lookup hits only an entry resolved at the table's
+// current epoch.
 //
 // Correctness does not rest on eviction: the epoch strictly increases
-// and only a commit moves a session's platform, so every commit rotates
-// the table and an entry resolved before the commit can never match a
-// lookup made after it — rotate's sweep just reclaims the capacity
-// eagerly. Resolved entries
+// and only a published commit moves a session's platform, so the table
+// is rotated once per published state, at publish (a failed commit
+// publishes nothing and leaves the table alone), and an entry resolved
+// before a commit can never match a lookup made after it — rotate's
+// sweep just reclaims the capacity eagerly. Resolved entries
 // are a bounded LRU; in-flight entries are outside it (there is at most
 // one per request in progress) and are never evicted.
 type answerTable struct {
 	mu      sync.Mutex
-	epoch   int // the committed epoch; moves only under the session mutex
+	epoch   int // the published epoch; moves only at publish, under the session mutex
 	entries map[string]*answer
 	order   *list.List // resolved entries, front = most recently used
 
@@ -174,9 +176,9 @@ func (t *answerTable) dropLocked(a *answer) {
 	delete(t.entries, a.query)
 }
 
-// rotate moves the table to a new committed epoch — a commit,
-// under the session mutex — and sweeps the resolved answers, all now
-// unreachable. Flights, and the hit/miss counters (which feed monotone
+// rotate moves the table to the epoch of a newly published committed
+// state — under the session mutex — and sweeps the resolved answers,
+// all now unreachable. Flights, and the hit/miss counters (which feed monotone
 // /stats aggregates), are left alone.
 func (t *answerTable) rotate(epoch int) {
 	t.mu.Lock()

@@ -231,9 +231,12 @@ func TestWhatIfFiledUnderTheDigestItWasSolvedAt(t *testing.T) {
 			t.Fatal("the what-if never claimed its flight")
 		}
 	}
-	if _, err := sess.epochLocked(&EpochRequest{SpeedFactor: driftFactors(6, 0.9)}); err != nil {
+	c, rep, err := sess.epochLocked(sess.state.Load(), &EpochRequest{SpeedFactor: driftFactors(6, 0.9)})
+	if err != nil {
 		t.Fatal(err)
 	}
+	c.answer = newAnswer(rep, nil)
+	sess.publishLocked(c)
 	sess.mu.Unlock()
 
 	solved := <-done

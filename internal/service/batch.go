@@ -122,15 +122,15 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 	}
 
 	// Validate every distinct query and take the worker models under
-	// the session lock; the solves run outside it. The captured
-	// platform (immutable once published), basis and epoch pin every
-	// answer to the committed state at batch start, whatever the
-	// session does concurrently.
+	// the session lock, which the reforks need; the solves run outside
+	// it. The committed state loaded under it (never written once
+	// published) pins every answer to the state at batch start, whatever
+	// the session does concurrently.
 	s.mu.Lock()
-	committed, basis, epoch := s.pl, s.basis, s.epoch
+	c := s.state.Load()
 	hyps := make([]hypothetical, nd)
 	for d, i := range firstIdx {
-		h, err := s.hypotheticalLocked(&req.Queries[i])
+		h, err := s.hypotheticalLocked(c, &req.Queries[i])
 		if err != nil {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("batch query %d: %w", i, err)
@@ -172,12 +172,12 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 		go func(w int) {
 			defer wg.Done()
 			for d := w; d < nd; d += workers {
-				rep, err := whatIfOn(forks[w], hyps[d], committed, func() (*SolveReport, error) {
-					bound, ok, err := forks[w].Solve(basis)
+				rep, err := whatIfOn(forks[w], hyps[d], c.pl, func() (*SolveReport, error) {
+					bound, ok, err := forks[w].Solve(c.basis)
 					if err != nil {
 						return nil, err
 					}
-					rep := &SolveReport{Heuristic: s.cfg.heur, Objective: s.cfg.objName, Relaxed: true, Epoch: epoch}
+					rep := &SolveReport{Heuristic: s.cfg.heur, Objective: s.cfg.objName, Relaxed: true, Epoch: c.epoch}
 					if ok {
 						rep.Feasible, rep.Value, rep.LPBound = true, bound, bound
 					}
@@ -217,7 +217,7 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 		shared.Coalesced = true
 		reports[i] = &shared
 	}
-	return &BatchWhatIfResponse{Reports: reports, Distinct: nd, Workers: workers, Epoch: epoch}, nil
+	return &BatchWhatIfResponse{Reports: reports, Distinct: nd, Workers: workers, Epoch: c.epoch}, nil
 }
 
 // BatchWhatIf runs the batched what-if engine once without a server:

@@ -89,16 +89,16 @@ func TestSessionSnapshotRestoreWarm(t *testing.T) {
 		if st := restored.Stats().Solver; st.ColdSolves != 0 || st.ColdFallbacks != 0 {
 			t.Fatalf("rebuilt session cold-solved: %+v", st)
 		}
-		if restored.id != s.id || restored.epoch != s.epoch {
-			t.Fatalf("identity drifted: id %s vs %s, epoch %d vs %d", restored.id, s.id, restored.epoch, s.epoch)
+		if restored.id != s.id || restored.Info().Epoch != s.Info().Epoch {
+			t.Fatalf("identity drifted: id %s vs %s, epoch %d vs %d", restored.id, s.id, restored.Info().Epoch, s.Info().Epoch)
 		}
 		_, live, _ := s.query()
 		_, got, _ := restored.query()
 		if !bytes.Equal(got.wire(), live.wire()) {
-			t.Fatalf("epoch %d: the restored query differs from the live one:\n%s\nvs\n%s", s.epoch, got.wire(), live.wire())
+			t.Fatalf("epoch %d: the restored query differs from the live one:\n%s\nvs\n%s", s.Info().Epoch, got.wire(), live.wire())
 		}
 		if !bytes.Equal(mustEncode(t, rep), mustEncode(t, &live.rep)) {
-			t.Fatalf("epoch %d: RestoreSession returned another report than the committed one", s.epoch)
+			t.Fatalf("epoch %d: RestoreSession returned another report than the committed one", s.Info().Epoch)
 		}
 	}
 	for _, heur := range []string{"lprg", "lprr", "bnb"} {
@@ -114,7 +114,7 @@ func TestSessionSnapshotRestoreWarm(t *testing.T) {
 			}
 			// Commit real drift so the snapshot carries capacities that
 			// differ from the creation ones plus a nonzero epoch.
-			K, L := s.pl.K(), len(s.pl.Links)
+			K, L := s.state.Load().pl.K(), len(s.state.Load().pl.Links)
 			for i := 0; i < 2; i++ {
 				if _, err := s.Epoch(&EpochRequest{
 					SpeedFactor:   driftFactors(K, 0.93),

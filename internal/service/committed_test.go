@@ -126,9 +126,11 @@ func TestQueryNeverSolves(t *testing.T) {
 
 // TestFailedCommitRollsBack: a commit whose solve fails after its
 // perturbation was injected — here a bnb search out of its node budget,
-// 422 — leaves the session as it was before the commit: the platform and
-// the epoch, the carried basis and the committed answer, and a model a
-// what-if is answered on with the bytes it was answered with before. So
+// 422 — publishes nothing, so the session is as it was before the
+// commit: the same published committed state (the same pointer), so the
+// platform and the epoch, the carried basis and the committed answer,
+// and a model a what-if is answered on with the bytes it was answered
+// with before. So
 // a retry under the same commit ID applies the perturbation to the same
 // platform again, and fails the same way, instead of halving the gateway
 // a second time: tight K = 6 seed 2, bnb / sum / maxNodes 3, every
@@ -174,9 +176,8 @@ func TestFailedCommitRollsBack(t *testing.T) {
 	}
 	before := asked()
 	query := okBody(t, h, base+"/query", "")
-	s.mu.Lock()
-	basis, answer := s.basis, s.committed.Load()
-	s.mu.Unlock()
+	published := s.state.Load()
+	basis, answer := published.basis, published.answer
 
 	halve := fmt.Sprintf(`{"gatewayFactor":[0.5%s]}`, strings.Repeat(",0.5", K-1))
 	for try := 1; try <= 2; try++ {
@@ -187,9 +188,11 @@ func TestFailedCommitRollsBack(t *testing.T) {
 		if rec.Code != http.StatusUnprocessableEntity {
 			t.Fatalf("commit try %d: status %d, want the node budget's 422: %s", try, rec.Code, rec.Body)
 		}
-		s.mu.Lock()
-		g, epoch, b, a, recs := s.pl.Clusters[0].Gateway, s.epoch, s.basis, s.committed.Load(), len(s.recentCommits)
-		s.mu.Unlock()
+		c := s.state.Load()
+		if c != published {
+			t.Fatalf("after failed try %d: a new committed state was published", try)
+		}
+		g, epoch, b, a, recs := c.pl.Clusters[0].Gateway, c.epoch, c.basis, c.answer, len(c.records)
 		if g != gateway || epoch != 0 || s.answers.epoch != 0 || b != basis || a != answer || recs != 0 {
 			t.Fatalf("after failed try %d: gateway 0 %g (want %g), epoch %d and table epoch %d (want 0), basis kept %v, answer kept %v, %d records",
 				try, g, gateway, epoch, s.answers.epoch, b == basis, a == answer, recs)
@@ -276,7 +279,7 @@ func TestCommittedImageBuiltFromBody(t *testing.T) {
 				if rec.Code != http.StatusOK {
 					t.Fatalf("commit %q: status %d: %s", id, rec.Code, rec.Body)
 				}
-				a := s.committed.Load()
+				a := s.state.Load().answer
 				if a.image == nil {
 					t.Fatalf("commit %q: the committed answer was published with no wire image", id)
 				}
@@ -290,7 +293,7 @@ func TestCommittedImageBuiltFromBody(t *testing.T) {
 			if _, err := s.EpochIdempotent(&EpochRequest{GatewayFactor: driftFactors(K, 1.1)}, ""); err != nil {
 				t.Fatal(err)
 			}
-			if a := s.committed.Load(); a.image != nil {
+			if a := s.state.Load().answer; a.image != nil {
 				t.Fatal("a library commit published a wire image it had no body for")
 			}
 		})

@@ -763,7 +763,7 @@ func TestCommitDedupDepth(t *testing.T) {
 			t.Fatalf("commit %d: %v", i, err)
 		}
 	}
-	if got := len(sess.recentCommits); got != commitDedupDepth {
+	if got := len(sess.state.Load().records); got != commitDedupDepth {
 		t.Fatalf("record depth = %d, want %d", got, commitDedupDepth)
 	}
 	// The newest commitDedupDepth entries dedup (the retry returns the

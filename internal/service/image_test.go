@@ -267,11 +267,11 @@ func TestCommitRetryBytesUnchanged(t *testing.T) {
 	if !bytes.Equal(first, retry) || bytes.Contains(retry, []byte(`"cached"`)) {
 		t.Fatalf("retried commit differs from the original:\n%s\nvs\n%s", retry, first)
 	}
-	if sess.Info().Epoch != 1 || len(sess.recentCommits) != 1 {
-		t.Fatalf("epoch %d with %d dedup records, want 1 and 1", sess.Info().Epoch, len(sess.recentCommits))
+	if sess.Info().Epoch != 1 || len(sess.state.Load().records) != 1 {
+		t.Fatalf("epoch %d with %d dedup records, want 1 and 1", sess.Info().Epoch, len(sess.state.Load().records))
 	}
 	var recorded SolveReport
-	if err := json.Unmarshal(sess.recentCommits[0].wire, &recorded); err != nil {
+	if err := json.Unmarshal(sess.state.Load().records[0].wire, &recorded); err != nil {
 		t.Fatal(err)
 	}
 	want, err := oracleBytes(&recorded)

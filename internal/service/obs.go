@@ -36,6 +36,9 @@ type serverMetrics struct {
 	liveSess    *obs.Gauge
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
+	whatIfs     *obs.Counter
+	coalesced   *obs.Counter
+	epochs      *obs.Counter
 
 	pivots        *obs.Counter
 	refactors     *obs.Counter
@@ -43,6 +46,7 @@ type serverMetrics struct {
 	coldSolves    *obs.Counter
 	coldFallbacks *obs.Counter
 	boundFlips    *obs.Counter
+	forks         *obs.Counter
 	phaseNanos    *obs.CounterVec // schedd_solver_phase_nanoseconds_total{phase}
 
 	sessionHealthy *obs.GaugeVec // schedd_session_healthy{session}
@@ -67,6 +71,12 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			"Answer-cache hits across live and retired sessions."),
 		cacheMisses: reg.Counter("schedd_answer_cache_misses_total",
 			"Answer-cache consults that went on to solve."),
+		whatIfs: reg.Counter("schedd_whatifs_total",
+			"What-ifs answered by their own solve or from the answer cache, batched ones included."),
+		coalesced: reg.Counter("schedd_coalesced_whatifs_total",
+			"What-ifs answered by an identical one's solve: a flight's waiters and a batch's repeats."),
+		epochs: reg.Counter("schedd_epochs_total",
+			"Epoch commits run, failed ones included; a retry answered from the commit record is not one."),
 		pivots: reg.Counter("schedd_solver_pivots_total",
 			"Simplex pivots across all pool sessions (live + retired)."),
 		refactors: reg.Counter("schedd_solver_refactorizations_total",
@@ -79,6 +89,8 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			"Warm restarts abandoned into a cold solve."),
 		boundFlips: reg.Counter("schedd_solver_bound_flips_total",
 			"Pivot-free bound flips of the bounded-variable simplex."),
+		forks: reg.Counter("schedd_solver_forks_total",
+			"Solve contexts allocated for batch forks (a reforked pooled one is not counted)."),
 		phaseNanos: reg.CounterVec("schedd_solver_phase_nanoseconds_total",
 			"Cumulative solver wall time by simplex phase.", "phase"),
 		sessionHealthy: reg.GaugeVec("schedd_session_healthy",
@@ -101,12 +113,16 @@ func (s *Server) collect(m *serverMetrics) {
 	solver := ps.Total
 	m.cacheHits.Set(ps.Cluster.CacheHits)
 	m.cacheMisses.Set(ps.Cluster.CacheMisses)
+	m.whatIfs.Set(ps.work.whatIfs)
+	m.coalesced.Set(ps.work.coalesced)
+	m.epochs.Set(ps.work.epochs)
 	m.pivots.Set(uint64(solver.Pivots))
 	m.refactors.Set(uint64(solver.Refactorizations))
 	m.warmSolves.Set(uint64(solver.WarmSolves))
 	m.coldSolves.Set(uint64(solver.ColdSolves))
 	m.coldFallbacks.Set(uint64(solver.ColdFallbacks))
 	m.boundFlips.Set(uint64(solver.BoundFlips))
+	m.forks.Set(uint64(solver.Forks))
 	m.phaseNanos.With("ftran").Set(uint64(solver.Phase.FTRANNanos))
 	m.phaseNanos.With("btran").Set(uint64(solver.Phase.BTRANNanos))
 	m.phaseNanos.With("pricing").Set(uint64(solver.Phase.PricingNanos))

@@ -34,11 +34,12 @@ type Pool struct {
 	misses    uint64
 	evictions uint64
 	retired   lp.Stats
-	// retiredCacheHits/Misses carry evicted sessions' answer-cache
-	// counters so the pool-wide cluster stats stay monotone, exactly
-	// like the retired solver aggregate.
+	// retiredCacheHits/Misses and retiredWork carry evicted sessions'
+	// answer-cache and what-if / epoch counters so the pool-wide totals
+	// stay monotone, exactly like the retired solver aggregate.
 	retiredCacheHits   uint64
 	retiredCacheMisses uint64
+	retiredWork        workCounts
 
 	// hook, when set (before serving — there is no lock around reads),
 	// is installed as every session's onCommit callback and invoked
@@ -144,6 +145,7 @@ func (p *Pool) retire(evicted []*entry) {
 		p.retired.Add(st.Solver)
 		p.retiredCacheHits += st.CacheHits
 		p.retiredCacheMisses += st.CacheMisses
+		p.retiredWork.add(&st)
 		p.mu.Unlock()
 	}
 }
@@ -266,6 +268,7 @@ func (p *Pool) Stats() PoolStatsResponse {
 	}
 	resp.Cluster.CacheHits = p.retiredCacheHits
 	resp.Cluster.CacheMisses = p.retiredCacheMisses
+	resp.work = p.retiredWork
 	p.mu.Unlock()
 	resp.Sessions = make([]SessionStats, 0, len(sessions))
 	for _, s := range sessions {
@@ -274,6 +277,7 @@ func (p *Pool) Stats() PoolStatsResponse {
 		resp.Total.Add(st.Solver)
 		resp.Cluster.CacheHits += st.CacheHits
 		resp.Cluster.CacheMisses += st.CacheMisses
+		resp.work.add(&st)
 	}
 	return resp
 }

@@ -239,6 +239,12 @@ func seal(sess *Session) (*cluster.SessionSnapshot, *sealed, error) {
 // does not ack is counted in ReplicaErrors and degrades the session's
 // ReplicationLag. A node with no store and no replication target (a
 // standalone schedd) has nowhere to ship, and seals nothing.
+//
+// Two ships of one session — a commit's and PersistAll's — are not
+// ordered by the session lock, so a ship whose snapshot is older than
+// one already shipped skips its save and its sends: the store never
+// goes back an epoch behind an acked commit. One at an equal epoch
+// still saves and sends, which is PersistAll's repair.
 func (n *Node) ship(sess *Session) {
 	targets := n.replicationTargets(sess.id)
 	if n.store == nil && len(targets) == 0 {
@@ -250,6 +256,12 @@ func (n *Node) ship(sess *Session) {
 		return
 	}
 	defer sb.release()
+	sess.shipMu.Lock()
+	if snap.Epoch < sess.shipped {
+		sess.shipMu.Unlock()
+		return
+	}
+	sess.shipped = snap.Epoch
 	if n.store != nil {
 		if err := n.store.Save(snap.ID, sb.bytes()); err != nil {
 			n.srv.Logger().Warn("snapshot not persisted", "session", snap.ID, "err", err)
@@ -257,6 +269,7 @@ func (n *Node) ship(sess *Session) {
 			n.snapshotBytes.Add(uint64(len(sb.bytes())))
 		}
 	}
+	sess.shipMu.Unlock()
 	n.replicateOut(snap, sb, targets)
 }
 

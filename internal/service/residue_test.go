@@ -9,18 +9,21 @@ import (
 )
 
 // recommit runs the commit solve (commitLocked) again on s's committed
-// state and returns the report it publishes as the committed answer. A
-// query never solves, so this is how a test holds the committed answer
-// to a fresh solve of the same state.
+// state and returns the report it publishes as the committed answer, in
+// a new committed state at the same epoch (so the answer table keeps its
+// entries). A query never solves, so this is how a test holds the
+// committed answer to a fresh solve of the same state.
 func recommit(t testing.TB, s *Session) *SolveReport {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, err := s.commitLocked()
+	c := *s.state.Load()
+	rep, basis, err := s.commitLocked(c.pr, c.basis, c.epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.publishLocked(rep, false, nil)
+	c.basis, c.answer, c.recorded = basis, newAnswer(rep, nil), false
+	s.state.Store(&c)
 	return rep
 }
 

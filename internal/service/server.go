@@ -295,7 +295,7 @@ func (s *Server) create(w http.ResponseWriter, pl *platform.Platform, cfg sessio
 	sess, created, err := s.pool.getOrCreate(pl, cfg, id)
 	var rep *SolveReport
 	if err == nil && created {
-		rep = &sess.committed.Load().rep // published, so never written again
+		rep = &sess.state.Load().answer.rep // published, so never written again
 	} else if err == nil {
 		rep, err = sess.Query()
 	}
@@ -440,6 +440,6 @@ func Batch(req *CreateSessionRequest) (*SolveReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := sess.committed.Load().rep
+	rep := sess.state.Load().answer.rep
 	return &rep, nil
 }

@@ -11,7 +11,7 @@
 //
 //   - query    — the current allocation and objective: the answer the
 //     last commit's solve published, read without the session mutex
-//     and never solved again (see Session.committed),
+//     and never solved again (see committed),
 //   - what-if  — temporary speed/gateway/link-budget/β-bound
 //     mutations, posed on the model one capacity at a time, answered
 //     from the committed factorization, and undone exactly — the model by
@@ -27,19 +27,27 @@
 // mutations serialize) with lp.Revised.Stats surfaced per session and
 // pool-wide so the warm/cold split is observable in production.
 //
+// What a commit establishes — platform, problem, carried basis, epoch,
+// committed answer and commit-dedup record — is one immutable value
+// (committed), built whole and published in one store under the mutex
+// by creation, RestoreSession and every epoch commit whose solve
+// succeeded. A failed commit publishes nothing: only the model is
+// returned to the published state. Every reader of the committed state
+// (Info, PlatformJSON, a snapshot, a query) loads one pointer and never
+// waits for the mutex.
+//
 // Repeated and concurrent what-ifs meet in one place, the session's
 // answerTable: entries keyed by canonical what-if that are either in
 // flight (identical what-ifs wait for the one solve and are marked
 // Coalesced) or resolved at the committed epoch, stamped under the
 // session mutex as the solve finishes (a repeat is a hit, marked
 // Cached, served from bytes encoded once). Within a session only a
-// commit moves the platform, and every commit advances the epoch, so
-// the epoch names the committed state: an answer resolved before a
-// commit can never be looked up after it, and correctness never rests
-// on the table's LRU eviction or on the commit's invalidation sweep,
-// which only reclaim capacity. The committed answer is not in the
-// table: it is session state, so no eviction can send a query to the
-// solver.
+// commit moves the platform, and every published commit advances the
+// epoch, so the epoch names the committed state: an answer resolved
+// before a commit can never be looked up after it, and correctness never
+// rests on the table's LRU eviction or on the sweep at publish, which
+// only reclaim capacity. The committed answer is not in the table: it is
+// committed state, so no eviction can send a query to the solver.
 package service
 
 import (
@@ -152,19 +160,82 @@ type commitRecord struct {
 	wire []byte
 }
 
+// committed is one committed state of a session: what the last commit
+// solve established. It is built whole, published once (publishLocked)
+// and never written after, so a reader holding it needs no lock, and a
+// commit that fails leaves the published value in place untouched.
+type committed struct {
+	pl    *platform.Platform // current (drifted) platform
+	pr    *core.Problem
+	basis *lp.Basis // root basis the next commit solve starts from
+	epoch int
+
+	// answer is the committed answer, read by every query as a cache
+	// hit's entry: its wire image is the query's body. recorded says it is
+	// the newest entry of records, which a snapshot then carries once.
+	answer   *answer
+	recorded bool
+
+	// records holds the most recently applied tagged epoch commits,
+	// newest last (the cluster router tags every commit with an
+	// idempotency ID). A retry carrying a recorded ID returns the
+	// recorded report instead of applying the perturbation again — the
+	// commit-retry safety net for responses lost mid-flight. The record
+	// travels in snapshots, so it survives failover to a promoted
+	// replica. It is commitDedupDepth deep, not one-deep, because
+	// distinct clients' commits to one session are not serialized: if
+	// client A's applied commit loses its response and client B's
+	// commit lands before A retries, A's ID must still be on record or
+	// the retry would re-apply it.
+	records []commitRecord
+}
+
+// lookup finds the recorded report bytes of an applied tagged commit;
+// newest-first, since a retry is almost always of the latest.
+func (c *committed) lookup(commitID string) ([]byte, bool) {
+	for i := len(c.records) - 1; i >= 0; i-- {
+		if c.records[i].id == commitID {
+			return c.records[i].wire, true
+		}
+	}
+	return nil, false
+}
+
+// withRecord returns records with rec appended and the oldest entries
+// past commitDedupDepth dropped, in a new array: a published record is
+// never written.
+func withRecord(records []commitRecord, rec commitRecord) []commitRecord {
+	keep := records[max(0, len(records)-commitDedupDepth+1):]
+	return append(keep[:len(keep):len(keep)], rec)
+}
+
+// newAnswer is the committed answer for rep. body, when the commit
+// encoded one, is rep as EncodeReport writes it, and the answer's wire
+// image is built from it (cachedImage) rather than encoded again on the
+// first query.
+func newAnswer(rep *SolveReport, body *[]byte) *answer {
+	a := &answer{rep: *rep}
+	if body != nil {
+		a.once.Do(func() { a.image = cachedImage(*body) })
+	}
+	return a
+}
+
 // Session owns one warm solver model for one (platform,
 // configuration) pair. All model access is serialized by mu; the
-// committed state is the current platform pl/pr, the carried
-// warm-start basis, and the epoch counter. The platform is the only
-// holder of the committed capacities: outside a what-if the model holds
-// exactly what model.Inject(pl) wrote and default β bounds, so a what-if
-// poses its hypothetical under mu and retracts it by writing pl's value
-// back at every capacity it wrote before releasing it; the solver it
-// rewinds to the factorization the last commit left (whatIfOn).
+// committed state is the value published in state, which only a holder
+// of mu replaces. The
+// published platform is the only holder of the committed capacities:
+// outside a what-if the model holds exactly what model.Inject(pl) wrote
+// and default β bounds, so a what-if poses its hypothetical under mu and
+// retracts it by writing pl's value back at every capacity it wrote
+// before releasing it; the solver it rewinds to the factorization the
+// last commit left (whatIfOn).
 type Session struct {
 	id          string
 	fingerprint string
 	cfg         sessionConfig
+	rows, cols  int // the model's constraint rows and solver columns
 
 	// created is the platform description the session was created for,
 	// as platform JSON: encoded once at creation, or the bytes a snapshot
@@ -172,12 +243,11 @@ type Session struct {
 	// capacities over them (cluster.SessionSnapshot.AppendCapacities).
 	created []byte
 
+	// state is the published committed state; see committed.
+	state atomic.Pointer[committed]
+
 	mu    sync.Mutex
-	pl    *platform.Platform // current (drifted) platform
-	pr    *core.Problem
 	model *core.Model
-	basis *lp.Basis // committed root basis carried solve to solve
-	epoch int
 
 	// idleForks holds up to defaultBatchWorkers forks of model between
 	// batches, each retracted and rewound; a batch reforks them onto the
@@ -189,39 +259,23 @@ type Session struct {
 	// such what-if after each Freeze, never by a commit. Guarded by mu.
 	tables *tableBody
 
-	// committed is the committed state's answer, published under mu by
-	// create, RestoreSession and every epoch commit whose solve
-	// succeeded (publishLocked), and read by every query without it, as a
-	// cache hit's entry: its wire image is the query's body. A failed
-	// commit is rolled back and publishes nothing. answerRec, under mu,
-	// reports that it is the newest recentCommits entry's report, which a
-	// snapshot then carries once.
-	committed atomic.Pointer[answer]
-	answerRec bool
-
 	whatIfs   atomic.Uint64
 	coalesced atomic.Uint64
 	epochs    atomic.Uint64
 
 	// answers memoizes and coalesces what-ifs under (committed epoch,
 	// canonical what-if key); see answerTable, whose epoch is rotated
-	// under mu on every commit. Because the epoch strictly increases, a
-	// stale hit after a commit is impossible even before the commit's
-	// sweep.
+	// under mu when a commit is published. Because the epoch strictly
+	// increases, a stale hit after a commit is impossible even before
+	// the sweep.
 	answers *answerTable
 
-	// recentCommits records the most recently applied tagged epoch
-	// commits, newest last (the cluster router tags every commit with
-	// an idempotency ID). A retry carrying a recorded ID returns the
-	// recorded report instead of applying the perturbation again — the
-	// commit-retry safety net for responses lost mid-flight. The record
-	// travels in snapshots, so it survives failover to a promoted
-	// replica. It is commitDedupDepth deep, not one-deep, because
-	// distinct clients' commits to one session are not serialized: if
-	// client A's applied commit loses its response and client B's
-	// commit lands before A retries, A's ID must still be on record or
-	// the retry would re-apply it.
-	recentCommits []commitRecord
+	// shipMu orders the saves of this session's snapshots (Node.ship,
+	// which runs outside mu from a commit and from PersistAll): shipped
+	// is the highest epoch one was saved or sent at, and no older one is
+	// saved or sent after it.
+	shipMu  sync.Mutex
+	shipped int
 
 	// onCommit, when set (by the pool's session hook), runs after
 	// every committed state change — creation and epoch commits —
@@ -231,30 +285,31 @@ type Session struct {
 }
 
 // buildSession assembles a session's model and bookkeeping over pl, the
-// committed platform, without solving anything — the shared half of
-// newSession (which follows with the initial cold commit solve) and
-// RestoreSession (which installs a snapshot's basis and commits warm
-// instead). fp is the fingerprint of the platform the session was
-// created for, which with cfg names the session.
-func buildSession(pl *platform.Platform, cfg sessionConfig, fp string) (*Session, error) {
+// committed platform, and returns them with pl's problem, without
+// solving or publishing anything — the shared half of newSession (which
+// follows with the initial cold commit solve) and RestoreSession (which
+// installs a snapshot's basis and commits warm instead). fp is the
+// fingerprint of the platform the session was created for, which with
+// cfg names the session.
+func buildSession(pl *platform.Platform, cfg sessionConfig, fp string) (*Session, *core.Problem, error) {
 	pr := core.NewProblem(pl)
 	if cfg.payoffs != nil {
 		pr.Payoffs = slices.Clone(cfg.payoffs)
 	}
 	model, err := pr.NewModel(cfg.obj)
 	if err != nil {
-		return nil, clientError{err} // NewModel refuses only a problem that fails validation
+		return nil, nil, clientError{err} // NewModel refuses only a problem that fails validation
 	}
 	s := &Session{
+		id:          sessionID(fp, cfg),
 		fingerprint: fp,
 		cfg:         cfg,
-		pl:          pl,
-		pr:          pr,
+		rows:        model.Rows(),
+		cols:        model.SolverCols(),
 		model:       model,
 		answers:     newAnswerTable(),
 	}
-	s.id = sessionID(s.fingerprint, cfg)
-	return s, nil
+	return s, pr, nil
 }
 
 // newSession validates the platform, builds the warm model and runs
@@ -267,60 +322,48 @@ func newSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, clientError{err}
 	}
-	s, err := buildSession(pl, cfg, pl.Fingerprint())
+	s, pr, err := buildSession(pl, cfg, pl.Fingerprint())
 	if err != nil {
 		return nil, err
 	}
 	s.created = created
 	// unshared: "locked" trivially holds
-	rep, err := s.commitLocked()
+	rep, basis, err := s.commitLocked(pr, nil, 0)
 	if err != nil {
 		return nil, fmt.Errorf("initial solve: %w", err)
 	}
-	s.publishLocked(rep, false, nil)
+	s.publishLocked(&committed{pl: pl, pr: pr, basis: basis, answer: newAnswer(rep, nil)})
 	return s, nil
 }
 
-// Info snapshots the session's description.
+// Info describes the session at its committed state.
 func (s *Session) Info() SessionInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.infoLocked()
-}
-
-func (s *Session) infoLocked() SessionInfo {
+	c := s.state.Load()
 	return SessionInfo{
 		ID:          s.id,
 		Fingerprint: s.fingerprint,
-		K:           s.pl.K(),
-		Routers:     s.pl.Routers,
-		Links:       len(s.pl.Links),
-		Rows:        s.model.Rows(),
+		K:           c.pl.K(),
+		Routers:     c.pl.Routers,
+		Links:       len(c.pl.Links),
+		Rows:        s.rows,
 		Objective:   s.cfg.objName,
 		Heuristic:   s.cfg.heur,
-		Epoch:       s.epoch,
+		Epoch:       c.epoch,
 	}
 }
 
 // PlatformJSON returns the session's current (drifted) platform
 // description.
-func (s *Session) PlatformJSON() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pl.Encode()
-}
+func (s *Session) PlatformJSON() ([]byte, error) { return s.state.Load().pl.Encode() }
 
 // Stats snapshots the session's activity and solver counters, and —
 // in the same critical section — the warm pivot budget the health
 // conditions are judged from, so one /stats, /metrics or /healthz
 // scrape takes the session mutex once.
 func (s *Session) Stats() SessionStats {
+	st := SessionStats{SessionInfo: s.Info()}
 	s.mu.Lock()
-	st := SessionStats{
-		SessionInfo:     s.infoLocked(),
-		Solver:          s.model.SolverStats(),
-		warmPivotBudget: s.model.WarmPivotBudget(),
-	}
+	st.Solver, st.warmPivotBudget = s.model.SolverStats(), s.model.WarmPivotBudget()
 	s.mu.Unlock()
 	st.WhatIfs = s.whatIfs.Load()
 	st.CoalescedWhatIfs = s.coalesced.Load()
@@ -350,33 +393,28 @@ func asReport(rep *SolveReport, hit *answer, err error) (*SolveReport, error) {
 // hit, which is what it is.
 func (s *Session) query() (*SolveReport, *answer, error) {
 	s.answers.countHit()
-	return nil, s.committed.Load(), nil
+	return nil, s.state.Load().answer, nil
 }
 
-// publishLocked makes rep the committed answer; recorded says it is the
-// newest commit record's report. body, when the commit encoded one, is
-// rep as EncodeReport writes it, and the answer's wire image is built
-// from it (cachedImage) rather than encoded again on the first query.
-func (s *Session) publishLocked(rep *SolveReport, recorded bool, body *[]byte) {
-	a := &answer{rep: *rep}
-	if body != nil {
-		a.once.Do(func() { a.image = cachedImage(*body) })
-	}
-	s.committed.Store(a)
-	s.answerRec = recorded
+// publishLocked makes c the committed state, in one store, and rotates
+// the answer table to its epoch.
+func (s *Session) publishLocked(c *committed) {
+	s.state.Store(c)
+	s.answers.rotate(c.epoch)
 }
 
 // commitLocked is the commit solve that creation, RestoreSession and
-// every epoch commit share: the heuristic on the committed problem,
-// which advances the carried basis, and the relaxation's bound. An lprg
-// commit rounds the unpinned relaxation, so the optimum it solved is
-// the bound; the other heuristics pin β bounds, and solve the bound
-// again warm from the new basis (typically zero pivots: the heuristic
-// has just left it optimal for the unpinned relaxation), which also
-// returns the solver to the unpinned optimum the what-ifs freeze. It
-// publishes nothing: its caller publishes the report, or rolls the
-// commit back.
-func (s *Session) commitLocked() (*SolveReport, error) {
+// every epoch commit share: the heuristic on pr, the problem the model
+// holds, warm from the basis from, reported at epoch, with the new root
+// basis it ends on and the relaxation's bound. An lprg commit rounds the
+// unpinned relaxation, so the optimum it solved is the bound; the other
+// heuristics pin β bounds, and solve the bound again warm from the new
+// basis (typically zero pivots: the heuristic has just left it optimal
+// for the unpinned relaxation), which also returns the solver to the
+// unpinned optimum the what-ifs freeze. It writes no session field: its
+// caller publishes what it returns, or returns the model to the
+// published state.
+func (s *Session) commitLocked(pr *core.Problem, from *lp.Basis, epoch int) (*SolveReport, *lp.Basis, error) {
 	// Committed answers must be replica-independent: a session
 	// promoted from a snapshot on a successor holds the same matrix,
 	// capacities and basis as the dead owner's live session did, but
@@ -389,42 +427,42 @@ func (s *Session) commitLocked() (*SolveReport, error) {
 	// A what-if needs no rebase: it starts from the factorization
 	// this solve leaves, and is rewound to it.
 	s.model.Rebase()
-	alloc, basis, bound, err := s.heuristicSolve(s.pr)
+	alloc, basis, bound, err := s.heuristicSolve(pr, from)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s.basis = basis
 	if s.cfg.heur != "lprg" {
 		s.model.ResetBounds()
 		var ok bool
-		if bound, ok, err = s.model.Solve(s.basis); err != nil {
-			return nil, err
+		if bound, ok, err = s.model.Solve(basis); err != nil {
+			return nil, nil, err
 		}
 		if !ok {
-			return nil, fmt.Errorf("relaxation infeasible on an unconstrained platform (model bug)")
+			return nil, nil, fmt.Errorf("relaxation infeasible on an unconstrained platform (model bug)")
 		}
 	}
-	return HeuristicReport(s.cfg.heur, s.cfg.objName, s.cfg.obj, s.pr, alloc, bound, s.epoch)
+	rep, err := HeuristicReport(s.cfg.heur, s.cfg.objName, s.cfg.obj, pr, alloc, bound, epoch)
+	return rep, basis, err
 }
 
 // heuristicSolve runs the configured heuristic over the session model
-// against epr's capacities, warm from the carried basis, returning
-// the allocation, the new root basis and the bound of the unpinned
+// against epr's capacities, warm from the basis from, returning the
+// allocation, the new root basis and the bound of the unpinned
 // relaxation the heuristic solved first. The randomized heuristics
 // reseed from the session seed on every call, so answers are
 // deterministic and equal to a batch run with the same seed.
-func (s *Session) heuristicSolve(epr *core.Problem) (*core.Allocation, *lp.Basis, float64, error) {
+func (s *Session) heuristicSolve(epr *core.Problem, from *lp.Basis) (*core.Allocation, *lp.Basis, float64, error) {
 	switch s.cfg.heur {
 	case "lprg":
-		return heuristics.LPRGBoundOnModel(s.model, epr, s.cfg.obj, s.basis)
+		return heuristics.LPRGBoundOnModel(s.model, epr, s.cfg.obj, from)
 	case "lprr":
 		rng := rand.New(rand.NewSource(s.cfg.seed))
-		return heuristics.LPRROnModel(s.model, epr, s.cfg.obj, heuristics.ProportionalRounding, rng, s.basis)
+		return heuristics.LPRROnModel(s.model, epr, s.cfg.obj, heuristics.ProportionalRounding, rng, from)
 	case "lprr-eq":
 		rng := rand.New(rand.NewSource(s.cfg.seed))
-		return heuristics.LPRROnModel(s.model, epr, s.cfg.obj, heuristics.EqualRounding, rng, s.basis)
+		return heuristics.LPRROnModel(s.model, epr, s.cfg.obj, heuristics.EqualRounding, rng, from)
 	case "bnb":
-		alloc, _, basis, bound, err := heuristics.BranchAndBoundOnModel(s.model, epr, s.cfg.obj, s.cfg.maxNodes, s.basis)
+		alloc, _, basis, bound, err := heuristics.BranchAndBoundOnModel(s.model, epr, s.cfg.obj, s.cfg.maxNodes, from)
 		return alloc, basis, bound, err
 	}
 	return nil, nil, 0, fmt.Errorf("unknown heuristic %q", s.cfg.heur)
@@ -456,18 +494,18 @@ func HeuristicReport(heur, objective string, obj core.Objective, pr *core.Proble
 	return rep, nil
 }
 
-// relaxReportLocked assembles a relaxation-answer SolveReport around
-// the model's last relaxed optimum (β̃ fractional), or the bare
+// relaxReportLocked assembles a relaxation-answer SolveReport at epoch
+// around the model's last relaxed optimum (β̃ fractional), or the bare
 // infeasible verdict when the hypothetical left none. An optimum the
 // model tells as the frozen one plus what moved (core.Model.Diff) keeps
 // just that: its body is spliced from the frozen answer's encoded
 // tables, and only the α rows with a moved cell are summed anew.
-func (s *Session) relaxReportLocked() *SolveReport {
+func (s *Session) relaxReportLocked(epoch int) *SolveReport {
 	rep := &SolveReport{
 		Heuristic: s.cfg.heur,
 		Objective: s.cfg.objName,
 		Relaxed:   true,
-		Epoch:     s.epoch,
+		Epoch:     epoch,
 	}
 	if d, ok := s.model.Diff(); ok {
 		if s.tables == nil || s.tables.sol != d.Base {
@@ -555,21 +593,22 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep *SolveReport
-	h, err := s.hypotheticalLocked(req)
+	c := s.state.Load()
+	h, err := s.hypotheticalLocked(c, req)
 	if err == nil {
-		rep, err = whatIfOn(s.model, h, s.pl, func() (*SolveReport, error) {
+		rep, err = whatIfOn(s.model, h, c.pl, func() (*SolveReport, error) {
 			if !req.Relax {
-				epr := &core.Problem{Platform: h.platform(s.pl), Payoffs: s.pr.Payoffs}
-				alloc, _, bound, err := s.heuristicSolve(epr)
+				epr := &core.Problem{Platform: h.platform(c.pl), Payoffs: c.pr.Payoffs}
+				alloc, _, bound, err := s.heuristicSolve(epr, c.basis)
 				if err != nil {
 					return nil, err
 				}
-				return HeuristicReport(s.cfg.heur, s.cfg.objName, s.cfg.obj, epr, alloc, bound, s.epoch)
+				return HeuristicReport(s.cfg.heur, s.cfg.objName, s.cfg.obj, epr, alloc, bound, c.epoch)
 			}
-			if _, _, err := s.model.Solve(s.basis); err != nil {
+			if _, _, err := s.model.Solve(c.basis); err != nil {
 				return nil, err
 			}
-			return s.relaxReportLocked(), nil
+			return s.relaxReportLocked(c.epoch), nil
 		})
 	}
 	s.answers.resolve(a, rep, err)
@@ -627,11 +666,11 @@ func (h hypothetical) platform(committed *platform.Platform) *platform.Platform 
 	return pl
 }
 
-// hypotheticalLocked validates req against the committed problem and
+// hypotheticalLocked validates req against the committed state c and
 // the model; what it refuses is the client's fault.
-func (s *Session) hypotheticalLocked(req *WhatIfRequest) (hypothetical, error) {
+func (s *Session) hypotheticalLocked(c *committed, req *WhatIfRequest) (hypothetical, error) {
 	h := hypothetical{speeds: req.Speeds, gateways: req.Gateways, links: req.Links, boxes: req.Bounds}
-	K := s.pl.K()
+	K := c.pl.K()
 	for _, m := range req.Speeds {
 		if m.Cluster < 0 || m.Cluster >= K {
 			return hypothetical{}, clientError{fmt.Errorf("speed mutation: cluster %d out of range [0,%d)", m.Cluster, K)}
@@ -643,8 +682,8 @@ func (s *Session) hypotheticalLocked(req *WhatIfRequest) (hypothetical, error) {
 		}
 	}
 	for _, m := range req.Links {
-		if m.Link < 0 || m.Link >= len(s.pl.Links) {
-			return hypothetical{}, clientError{fmt.Errorf("link mutation: link %d out of range [0,%d)", m.Link, len(s.pl.Links))}
+		if m.Link < 0 || m.Link >= len(c.pl.Links) {
+			return hypothetical{}, clientError{fmt.Errorf("link mutation: link %d out of range [0,%d)", m.Link, len(c.pl.Links))}
 		}
 		// Refused before any conversion to int, which is
 		// implementation-defined out of range; NaN fails the first test.
@@ -656,7 +695,7 @@ func (s *Session) hypotheticalLocked(req *WhatIfRequest) (hypothetical, error) {
 	// core.MaxScale (it is at most the committed sum plus every speed
 	// written), make it validate the hypothetical problem, so a rejected
 	// request gets that error.
-	payoff, speed := s.pr.Scale()
+	payoff, speed := c.pr.Scale()
 	refused := false
 	for _, m := range req.Gateways {
 		refused = refused || !(m.Value >= 0) || math.IsInf(m.Value, 1)
@@ -665,7 +704,7 @@ func (s *Session) hypotheticalLocked(req *WhatIfRequest) (hypothetical, error) {
 		refused, speed = refused || !(m.Value >= 0), speed+m.Value
 	}
 	if refused || !(payoff*speed <= core.MaxScale) {
-		if err := (&core.Problem{Platform: h.platform(s.pl), Payoffs: s.pr.Payoffs}).Validate(); err != nil {
+		if err := (&core.Problem{Platform: h.platform(c.pl), Payoffs: c.pr.Payoffs}).Validate(); err != nil {
 			return hypothetical{}, clientError{err}
 		}
 	}
@@ -741,13 +780,13 @@ func mustRestore(err error) {
 // EpochIdempotent commits a capacity update: the perturbation factors
 // apply to the session's current platform (drift accumulates), the new
 // capacities are injected into the model as RHS/bound mutations, and
-// the commit solve re-solves warm from the carried basis and publishes
-// the committed answer. The commit advances the epoch the answer table
-// is keyed on and invalidates the previous state's cached what-ifs — a
-// post-commit read can only ever see a post-commit answer — and runs
-// the commit hook (snapshot persistence) outside the session mutex. A
-// commit whose solve fails is rolled back (epochLocked): the session
-// stays at the state before it, and nothing is recorded or shipped.
+// the commit solve re-solves warm from the carried basis. Its result is
+// published as the new committed state, whose epoch the answer table is
+// rotated to — a post-commit read can only ever see a post-commit
+// answer — and the commit hook (snapshot persistence) runs outside the
+// session mutex. A commit whose solve fails publishes nothing
+// (epochLocked): the session stays at the state before it, and nothing
+// is recorded or shipped.
 //
 // A non-empty commitID is an idempotency tag: one matching a recently
 // applied commit returns the recorded report without touching the
@@ -774,8 +813,9 @@ func (s *Session) EpochIdempotent(req *EpochRequest, commitID string) (*SolveRep
 // encoder cannot write, comes back with a nil body.
 func (s *Session) commitEpoch(req *EpochRequest, commitID string, wantBody bool) (*SolveReport, *[]byte, error) {
 	s.mu.Lock()
+	c := s.state.Load()
 	if commitID != "" {
-		if wire, ok := s.commitLookupLocked(commitID); ok {
+		if wire, ok := c.lookup(commitID); ok {
 			s.mu.Unlock()
 			if wire == nil {
 				return nil, nil, errNonFinite
@@ -788,7 +828,7 @@ func (s *Session) commitEpoch(req *EpochRequest, commitID string, wantBody bool)
 		}
 	}
 	s.epochs.Add(1)
-	rep, err := s.epochLocked(req)
+	next, rep, err := s.epochLocked(c, req)
 	var body *[]byte
 	if err == nil {
 		if wantBody || commitID != "" {
@@ -799,14 +839,15 @@ func (s *Session) commitEpoch(req *EpochRequest, commitID string, wantBody bool)
 				reportBufs.Put(bp)
 			}
 		}
-		var wire []byte
 		if commitID != "" {
+			var wire []byte
 			if body != nil {
 				wire = compactReport(*body)
 			}
-			s.recordCommitLocked(commitRecord{id: commitID, wire: wire})
+			next.records, next.recorded = withRecord(c.records, commitRecord{id: commitID, wire: wire}), wire != nil
 		}
-		s.publishLocked(rep, wire != nil, body)
+		next.answer = newAnswer(rep, body)
+		s.publishLocked(next)
 	}
 	hook := s.onCommit
 	s.mu.Unlock()
@@ -816,73 +857,45 @@ func (s *Session) commitEpoch(req *EpochRequest, commitID string, wantBody bool)
 	return rep, body, err
 }
 
-// commitLookupLocked finds the recorded report bytes of an applied
-// tagged commit; newest-first, since a retry is almost always of the
-// latest.
-func (s *Session) commitLookupLocked(commitID string) ([]byte, bool) {
-	for i := len(s.recentCommits) - 1; i >= 0; i-- {
-		if s.recentCommits[i].id == commitID {
-			return s.recentCommits[i].wire, true
-		}
-	}
-	return nil, false
-}
-
-// recordCommitLocked appends an applied tagged commit to the dedup
-// record, evicting the oldest entries past commitDedupDepth.
-func (s *Session) recordCommitLocked(rec commitRecord) {
-	s.recentCommits = append(s.recentCommits, rec)
-	if over := len(s.recentCommits) - commitDedupDepth; over > 0 {
-		s.recentCommits = append(s.recentCommits[:0:0], s.recentCommits[over:]...)
-	}
-}
-
-// epochLocked applies req to the committed platform and runs the commit
-// solve on the result, leaving the report for its caller to publish. A
-// commit whose solve fails — a bnb search out of its node budget, say —
-// is rolled back whole: the platform, problem, epoch, answer table and
-// carried basis are those before it, the committed answer was never
-// replaced, and the model holds the committed capacities again, rebased
-// and re-solved warm from the committed basis, so the solver stands on
-// that basis's factorization as it did after the last commit. A retry
-// then applies the perturbation to the same platform, not on top of it.
-func (s *Session) epochLocked(req *EpochRequest) (*SolveReport, error) {
+// epochLocked applies req to c, the published state, and runs the commit
+// solve on the result, returning the state it establishes, less its
+// answer, and the report for its caller to publish. A commit whose
+// solve fails — a bnb search out of its node budget, say — publishes
+// nothing, so c stays the committed state; only the model is returned
+// to it: c's capacities injected again, rebased and re-solved warm from
+// c's basis, so the solver stands on that basis's factorization as it
+// did after the last commit. A retry then applies the perturbation to
+// the same platform, not on top of it.
+func (s *Session) epochLocked(c *committed, req *EpochRequest) (*committed, *SolveReport, error) {
 	pert := adapt.Perturbation{
 		GatewayFactor: req.GatewayFactor,
 		SpeedFactor:   req.SpeedFactor,
 		LinkFactor:    req.LinkFactor,
 	}
-	epl, err := pert.Apply(s.pl)
+	epl, err := pert.Apply(c.pl)
 	if err != nil {
-		return nil, clientError{err}
+		return nil, nil, clientError{err}
 	}
-	epr := &core.Problem{Platform: epl, Payoffs: s.pr.Payoffs}
+	epr := &core.Problem{Platform: epl, Payoffs: c.pr.Payoffs}
 	if err := epr.Validate(); err != nil {
-		return nil, clientError{fmt.Errorf("perturbed problem invalid: %w", err)}
+		return nil, nil, clientError{fmt.Errorf("perturbed problem invalid: %w", err)}
 	}
 	// A failed injection (e.g. a factor driving a capacity out of
 	// range) must not leave the model half-updated: return it to the
 	// committed state and report.
 	if err := s.model.Inject(epl); err != nil {
-		mustRestore(s.model.Inject(s.pl))
-		return nil, clientError{err}
+		mustRestore(s.model.Inject(c.pl))
+		return nil, nil, clientError{err}
 	}
-	pl, pr, basis := s.pl, s.pr, s.basis
-	s.pl, s.pr = epl, epr
-	s.epoch++
-	s.answers.rotate(s.epoch)
-	rep, err := s.commitLocked()
+	rep, basis, err := s.commitLocked(epr, c.basis, c.epoch+1)
 	if err != nil {
-		s.pl, s.pr, s.basis = pl, pr, basis
-		s.epoch--
-		s.answers.rotate(s.epoch)
-		mustRestore(s.model.Inject(pl))
+		mustRestore(s.model.Inject(c.pl))
 		s.model.Rebase()
 		s.model.ResetBounds()
-		if _, _, serr := s.model.Solve(basis); serr != nil {
+		if _, _, serr := s.model.Solve(c.basis); serr != nil {
 			mustRestore(serr)
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	return rep, nil
+	return &committed{pl: epl, pr: epr, basis: basis, epoch: c.epoch + 1, records: c.records}, rep, nil
 }

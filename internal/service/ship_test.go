@@ -282,7 +282,7 @@ func TestSealCostIndependentOfRecordDepth(t *testing.T) {
 	if len(first.RecentCommits) != commitDedupDepth || len(second.RecentCommits) != commitDedupDepth {
 		t.Fatalf("snapshots carry %d and %d records, want %d", len(first.RecentCommits), len(second.RecentCommits), commitDedupDepth)
 	}
-	for i, rec := range sess.recentCommits {
+	for i, rec := range sess.state.Load().records {
 		if &first.RecentCommits[i].Report[0] != &rec.wire[0] || &second.RecentCommits[i].Report[0] != &rec.wire[0] {
 			t.Fatalf("record %d: two snapshots do not share the record's one encoding", i)
 		}
@@ -301,9 +301,7 @@ func TestSealCostIndependentOfRecordDepth(t *testing.T) {
 	if promoted == nil || n.promotions.Value() != 1 {
 		t.Fatalf("replica was not promoted (promotions %d)", n.promotions.Value())
 	}
-	promoted.mu.Lock()
-	kept := promoted.recentCommits
-	promoted.mu.Unlock()
+	kept := promoted.state.Load().records
 	for id, original := range bodies {
 		if retry := commit(nh, id); !bytes.Equal(retry, original) {
 			t.Fatalf("retry of %s on the promoted replica differs from the owner's original answer:\n%s\nvs\n%s", id, retry, original)
@@ -334,10 +332,8 @@ func TestSealCostIndependentOfRecordDepth(t *testing.T) {
 func TestSnapshotEncodesOffTheLock(t *testing.T) {
 	const k = 6
 	_, sess, _ := imageFixture(t, k, 97, "lprg")
-	sess.mu.Lock()
-	pl, basis, epoch := sess.pl, sess.basis, sess.epoch
-	sess.mu.Unlock()
-	committed := &sess.committed.Load().rep
+	c := sess.state.Load()
+	pl, basis, epoch, committed := c.pl, c.basis, c.epoch, &c.answer.rep
 	wantAnswer, err := json.Marshal(committed)
 	if err != nil {
 		t.Fatal(err)
@@ -388,9 +384,7 @@ func TestSnapshotEncodesOffTheLock(t *testing.T) {
 	if err != nil || !slices.Equal(gotCols, cols) || !slices.Equal(gotUpper, upper) || !slices.Equal(gotWeights, weights) {
 		t.Fatalf("the snapshot does not carry the basis committed with its platform (%v)", err)
 	}
-	sess.mu.Lock()
-	_, _, laterWeights := sess.basis.View()
-	sess.mu.Unlock()
+	_, _, laterWeights := sess.state.Load().basis.View()
 	if slices.Equal(laterWeights, weights) {
 		t.Fatal("the commit during the encode left the basis's weights as they were: the check above cannot tell the two bases apart")
 	}

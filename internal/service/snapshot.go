@@ -31,13 +31,11 @@ var encodeAnswer = func(dst []byte, rep *SolveReport) ([]byte, bool) {
 // sections they travel in, the committed capacities, the carried basis
 // and its weights and the committed answer, plus the commit-dedup record
 // as the bytes it already holds (shared with the record, not copied).
-// The session mutex is held only to read which platform, basis, epoch,
-// answer and record are committed; the sections are written after it is
-// released, which is safe because none of them is written once
-// published — a commit replaces the platform, the basis and the answer,
-// and appends to the record or moves it to a new array. The returned
-// snapshot is not yet sealed — the store or transfer path calls Encode,
-// which stamps the version and checksum.
+// It reads the published committed state and takes no lock: nothing in
+// a published state is written, so the sections are written from it
+// while commits go on. The returned snapshot is not yet sealed — the
+// store or transfer path calls Encode, which stamps the version and
+// checksum.
 func (s *Session) Snapshot() (*cluster.SessionSnapshot, error) {
 	snap, _, err := s.snapshotInto(nil)
 	return snap, err
@@ -49,11 +47,8 @@ func (s *Session) Snapshot() (*cluster.SessionSnapshot, error) {
 // them as the appended tail of the returned slice, which seal keeps at
 // the head of the buffer it seals into.
 func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, error) {
-	s.mu.Lock()
-	pl, basis, epoch, records := s.pl, s.basis, s.epoch, s.recentCommits
-	answer, recorded := s.committed.Load(), s.answerRec
-	s.mu.Unlock()
-	if basis == nil {
+	c := s.state.Load()
+	if c.basis == nil {
 		return nil, dst, fmt.Errorf("session %s has no carried basis yet", s.id)
 	}
 	snap := &cluster.SessionSnapshot{
@@ -64,22 +59,22 @@ func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, er
 		Payoffs:     s.cfg.payoffs,
 		Seed:        s.cfg.seed,
 		MaxNodes:    s.cfg.maxNodes,
-		Epoch:       epoch,
+		Epoch:       c.epoch,
 		Platform:    s.created,
 	}
 	out := dst
-	if !recorded {
+	if !c.recorded {
 		var ok bool
-		if out, ok = encodeAnswer(dst, &answer.rep); !ok {
+		if out, ok = encodeAnswer(dst, &c.answer.rep); !ok {
 			return nil, dst, errNonFinite
 		}
 		snap.Answer = out[len(dst):len(out):len(out)]
 	}
-	out = snap.AppendCapacities(out, pl)
-	cols, upper, weights := basis.View()
-	out = snap.AppendBasis(out, s.model.SolverCols(), cols, upper, weights)
-	snap.RecentCommits = make([]cluster.CommitRecord, 0, len(records))
-	for _, rec := range records {
+	out = snap.AppendCapacities(out, c.pl)
+	cols, upper, weights := c.basis.View()
+	out = snap.AppendBasis(out, s.cols, cols, upper, weights)
+	snap.RecentCommits = make([]cluster.CommitRecord, 0, len(c.records))
+	for _, rec := range c.records {
 		if rec.wire != nil {
 			snap.RecentCommits = append(snap.RecentCommits, cluster.CommitRecord{ID: rec.id, Report: rec.wire})
 		}
@@ -112,14 +107,12 @@ func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, er
 //
 // The session keeps no byte of the buffer snap was decoded from, so
 // that buffer may be recycled once this returns: the creation platform
-// is copied, and each commit report is written into one buffer of the
-// session's own — in this build's wire form when it decodes, as
-// received otherwise — and snap's records are pointed at those copies.
-// A record an older build wrote therefore carries nothing that build
-// added to a report into the snapshots this session seals. The session
-// keeps a record as those bytes alone (a record whose ID is empty or
-// whose report does not decode is dropped); the decoded report is kept
-// only when it is the newest record's, to publish.
+// is copied, and the commit reports into one buffer of the session's
+// own, as received, and snap's records are pointed at those copies. The
+// session keeps a record as those bytes alone, undecoded (a record
+// whose ID or report is empty is dropped): one whose bytes do not decode
+// stays on record, so a retry of it answers an error and never applies
+// its commit again. Only the answer to publish is decoded.
 func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool, error) {
 	cfg, err := parseConfig(&CreateSessionRequest{
 		Objective: snap.Objective,
@@ -147,14 +140,12 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 	if err := pl.ValidateStrict(); err != nil {
 		return nil, nil, false, fmt.Errorf("snapshot capacities: %w", err)
 	}
-	s, err := buildSession(pl, cfg, snap.Fingerprint)
+	s, pr, err := buildSession(pl, cfg, snap.Fingerprint)
 	if err != nil {
 		return nil, nil, false, err
 	}
 	s.created = bytes.Clone(snap.Platform)
-	s.epoch = snap.Epoch
-	s.answers.rotate(s.epoch) // unshared: rekey the table to the true epoch
-	cols, upper, weights, err := snap.Basis(s.model.SolverCols())
+	cols, upper, weights, err := snap.Basis(s.cols)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -163,44 +154,30 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 		size += len(rec.Report)
 	}
 	kept := make([]byte, 0, size)
-	var newest *SolveReport // the newest record's report, when it decodes
+	var records []commitRecord
 	for i, rec := range snap.RecentCommits {
-		// Restore the commit-dedup record entry by entry (an ID and its
-		// report together or not at all, so a matched ID always has a
-		// report to answer with).
-		var rep SolveReport
-		ok := rec.ID != "" && len(rec.Report) > 0 && json.Unmarshal(rec.Report, &rep) == nil
 		at := len(kept)
-		if ok {
-			kept, ok = appendReport(kept, &rep, 0, true)
-		}
-		if !ok {
-			kept = append(kept[:at], rec.Report...)
-		}
-		rec.Report = kept[at:len(kept):len(kept)]
-		snap.RecentCommits[i].Report = rec.Report
-		newest = nil
-		if ok {
-			// unshared: "locked" trivially holds
-			s.recordCommitLocked(commitRecord{id: rec.ID, wire: rec.Report})
-			newest = &rep
+		kept = append(kept, rec.Report...)
+		snap.RecentCommits[i].Report = kept[at:len(kept):len(kept)]
+		if rec.ID != "" && len(rec.Report) > 0 {
+			records = append(records, commitRecord{id: rec.ID, wire: snap.RecentCommits[i].Report})
 		}
 	}
-	answer, recorded := newest, len(snap.Answer) == 0
-	if !recorded {
-		answer = new(SolveReport)
-		if err := json.Unmarshal(snap.Answer, answer); err != nil {
-			return nil, nil, false, fmt.Errorf("snapshot committed answer: %w", err)
-		}
+	wire, recorded := snap.Answer, len(snap.Answer) == 0
+	if n := len(snap.RecentCommits); recorded && n > 0 && snap.RecentCommits[n-1].ID != "" {
+		wire = snap.RecentCommits[n-1].Report
 	}
-	if answer == nil || answer.Epoch != snap.Epoch {
+	answer := new(SolveReport)
+	if err := json.Unmarshal(wire, answer); err != nil || answer.Epoch != snap.Epoch {
 		return nil, nil, false, fmt.Errorf("snapshot names no committed answer at its epoch %d", snap.Epoch)
 	}
-	s.basis = lp.ImportBasis(cols, upper, weights)
-	if _, err := s.commitLocked(); err != nil { // unshared: "locked" trivially holds
+	// unshared: "locked" trivially holds
+	_, basis, err := s.commitLocked(pr, lp.ImportBasis(cols, upper, weights), snap.Epoch)
+	if err != nil {
 		return nil, nil, false, fmt.Errorf("rebuild solve: %w", err)
 	}
-	s.publishLocked(answer, recorded, nil)
+	s.publishLocked(&committed{pl: pl, pr: pr, basis: basis, epoch: snap.Epoch,
+		answer: newAnswer(answer, nil), recorded: recorded, records: records})
 	st := s.model.SolverStats()
 	warm := st.ColdSolves == 0 && st.ColdFallbacks == 0
 	return s, answer, warm, nil

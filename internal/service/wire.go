@@ -237,6 +237,20 @@ type PoolStatsResponse struct {
 	// process runs as a ring node — this replica's forwarding and
 	// replication counters.
 	Cluster ClusterStats `json:"cluster"`
+
+	// work sums the rows' what-if, coalesced and epoch counters over
+	// live and retired sessions, for /metrics; it is not on the wire.
+	work workCounts
+}
+
+// workCounts is a pool-wide sum of SessionStats' WhatIfs,
+// CoalescedWhatIfs and Epochs.
+type workCounts struct{ whatIfs, coalesced, epochs uint64 }
+
+func (w *workCounts) add(st *SessionStats) {
+	w.whatIfs += st.WhatIfs
+	w.coalesced += st.CoalescedWhatIfs
+	w.epochs += st.Epochs
 }
 
 // ClusterStats is the /stats cluster section.
