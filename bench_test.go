@@ -128,8 +128,8 @@ func BenchmarkE5_Figure7_LP(b *testing.B) {
 	}
 }
 
-// LPR and LPRG round the relaxation, so what Figure 7 charges them is
-// its one solve plus their rounding.
+// LPR, LPRG and LPRR start from the relaxation, so what Figure 7
+// charges them is its one solve plus their own work.
 func BenchmarkE5_Figure7_LPR(b *testing.B) {
 	pr := benchProblem(b, 20, 3)
 	b.ResetTimer()
@@ -138,7 +138,7 @@ func BenchmarkE5_Figure7_LPR(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		heuristics.LPR(pr, rel)
+		heuristics.LPR(pr, rel.RelaxedSolution)
 	}
 }
 
@@ -150,7 +150,7 @@ func BenchmarkE5_Figure7_LPRG(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		heuristics.LPRG(pr, rel)
+		heuristics.LPRG(pr, rel.RelaxedSolution)
 	}
 }
 
@@ -159,21 +159,31 @@ func BenchmarkE5_Figure7_LPRR(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := heuristics.LPRR(pr, core.MAXMIN, heuristics.ProportionalRounding, rng); err != nil {
+		rel, err := heuristics.Relax(pr, core.MAXMIN)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := heuristics.LPRR(pr, rel, heuristics.ProportionalRounding, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkE9_LPSolver_Revised solves the K=20 rational relaxation
-// through the one-shot Problem.Solve path: a cold revised-simplex
-// solve per call.
+// BenchmarkE9_LPSolver_Revised cold-solves the same K=20 relaxation in
+// the α-space encoding (core.RelaxedApps, one application per cluster
+// of origin that cluster), where BenchmarkE5_Figure7_LP cold-solves the
+// (α, β) model every heuristic rounds: the two read side by side are
+// what a cold start from the α-space optimum could save, per solve.
 func BenchmarkE9_LPSolver_Revised(b *testing.B) {
 	pr := benchProblem(b, 20, 3)
+	origins := make([]int, pr.K())
+	for k := range origins {
+		origins[k] = k
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := heuristics.Relax(pr, core.MAXMIN); err != nil {
-			b.Fatal(err)
+		if _, ok, err := core.RelaxedApps(pr.Platform, origins, pr.Payoffs, core.MAXMIN); err != nil || !ok {
+			b.Fatalf("ok=%v err=%v", ok, err)
 		}
 	}
 }
@@ -285,11 +295,15 @@ func BenchmarkAblation_LPRRRoundingRule(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var prop, eq float64
 	for i := 0; i < b.N; i++ {
-		ap, err := heuristics.LPRR(pr, core.MAXMIN, heuristics.ProportionalRounding, rng)
+		rel, err := heuristics.Relax(pr, core.MAXMIN)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ae, err := heuristics.LPRR(pr, core.MAXMIN, heuristics.EqualRounding, rng)
+		ap, err := heuristics.LPRR(pr, rel, heuristics.ProportionalRounding, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ae, err := heuristics.LPRR(pr, rel, heuristics.EqualRounding, rng)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -158,8 +158,8 @@ func run() error {
 // through service.Batch — the scheduling service's own batch entry
 // point — so it is identical to a fresh schedd session's answer on the
 // same platform; the model-free ones (heuristics.Run, names in lower
-// case) are computed here and round pr's relaxed optimum where they
-// round one.
+// case) are computed here, and LPR rounds the optimum of that same
+// create solve (heuristics.Relax), so lpr never reports above lprg.
 func report(platformJSON []byte, heur, objName string, obj core.Objective, pr *core.Problem, seed int64) (*service.SolveReport, error) {
 	switch heur {
 	case "lprg", "lprr", "lprr-eq", "bnb":

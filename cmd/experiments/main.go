@@ -13,9 +13,9 @@
 // sub-RNGs keep every artifact reproducible at any parallelism.
 // fig7 measures wall-clock times and therefore stays sequential
 // unless -workers explicitly asks for more. Its LP column is the one
-// relaxation solved per platform and objective; its LPR and LPRG
-// columns are that solve plus each one's rounding of it, as the
-// paper's Figure 7 counts them; G and LPRR are their whole run.
+// relaxation solved per platform and objective; its LPR, LPRG and LPRR
+// columns are that solve plus each one's own work from it, as the
+// paper's Figure 7 counts them; G is its whole run.
 package main
 
 import (

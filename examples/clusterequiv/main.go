@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	alloc := heuristics.LPRG(pr, rel)
+	alloc := heuristics.LPRG(pr, rel.RelaxedSolution)
 	fmt.Printf("\nMAXMIN schedule (LPRG): min payoff %.2f, LP bound %.2f\n",
 		pr.Objective(core.MAXMIN, alloc), rel.Objective)
 	for k := 0; k < pr.K(); k++ {

@@ -34,9 +34,9 @@ func main() {
 	pr := core.NewProblem(pl)
 	fmt.Printf("random platform: K=%d, %d backbone links\n\n", pr.K(), len(pl.Links))
 
-	// Compare the paper's heuristics against the LP upper bound. LPR
-	// and LPRG round that one relaxation, so their time counts its
-	// solve, as the paper's Figure 7 does.
+	// Compare the paper's heuristics against the LP upper bound. LPR,
+	// LPRG and LPRR start from that one relaxation, so their time counts
+	// its solve, as the paper's Figure 7 does.
 	for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
 		start := time.Now()
 		rel, err := heuristics.Relax(pr, obj)
@@ -71,7 +71,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		alloc := heuristics.LPRG(pr, rel)
+		alloc := heuristics.LPRG(pr, rel.RelaxedSolution)
 		minPayoff := pr.Objective(core.MAXMIN, alloc)
 		fmt.Printf("  π_0=%.0f: app0 load %7.2f, min payoff %7.2f\n",
 			pi0, alloc.AppThroughput(0), minPayoff)

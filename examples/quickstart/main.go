@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	alloc := heuristics.LPRG(pr, rel)
+	alloc := heuristics.LPRG(pr, rel.RelaxedSolution)
 	if err := pr.CheckAllocation(alloc, core.DefaultTol); err != nil {
 		log.Fatal(err)
 	}

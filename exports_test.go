@@ -33,7 +33,7 @@ var uncalledExports = map[string]string{
 	"obs.Histogram.SumSeconds": "test accessor: tests read a histogram's observed total",
 	"obs.Histogram.Quantile":   "test accessor: tests read a histogram's quantiles",
 	"netsim.SimulateFlowsTCP":  "the RTT refinement of §2's flow model that ROADMAP item 14 measures §6's schedules with",
-	"core.RelaxedApps":         "§3.1's several applications per origin: heuristics' tests bound the multi-application greedy by this relaxation",
+	"core.RelaxedApps":         "the α-space encoding, β eliminated: §3.1's several applications per origin, whose greedy heuristics' tests bound by it, and the reference the (α, β) model's optimum is held to (DESIGN.md \"β elimination\")",
 }
 
 // exemptExportDirs hold test support: code that exists for tests to

@@ -40,7 +40,7 @@ func lprg(pr *core.Problem, obj core.Objective) (*core.Allocation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return heuristics.LPRG(pr, rel), nil
+	return heuristics.LPRG(pr, rel.RelaxedSolution), nil
 }
 
 func TestPerturbationApply(t *testing.T) {
@@ -422,9 +422,9 @@ func TestRunWarmBoundsMatchesColdRebuild(t *testing.T) {
 							t.Fatalf("warm solve: ok=%v err=%v", ok, err)
 						}
 						basis = m.Basis()
-						cold, ok, err := epr.Relaxed(obj)
-						if err != nil || !ok {
-							t.Fatalf("cold solve: ok=%v err=%v", ok, err)
+						cold, err := heuristics.Relax(epr, obj)
+						if err != nil {
+							t.Fatalf("cold solve: %v", err)
 						}
 						if !almostEqual(warm, cold.Objective) {
 							t.Fatalf("seed %d K %d %T %v epoch %d: warm %.12g != cold %.12g",

@@ -293,27 +293,16 @@ func (pr *Problem) CheckAllocation(a *Allocation, tol float64) error {
 // readings coincide.
 type Pair struct{ K, L int }
 
-// Relaxed solves the rational relaxation of linear program (7) in the
-// α-space encoding: β is eliminated, collapsing (7d)+(7e) into one row
-// per backbone link over α (see addAlphaLinkRows for the argument), and
-// the solution's Beta is the α/bw_min that elimination implies. Returns
-// ok=false when the solver reports the constraints infeasible. It is
-// RelaxedApps with application A_k of origin C^k.
-func (pr *Problem) Relaxed(obj Objective) (*RelaxedSolution, bool, error) {
-	if err := pr.Validate(); err != nil {
-		return nil, false, err
-	}
-	return relaxed(pr.alphaLayout(), obj)
-}
-
-// RelaxedApps is Relaxed for any set of applications on platform pl:
-// application a has origin C^origins[a] and payoff payoffs[a]. Several
-// applications may share an origin, and a cluster may be the origin of
-// none; the applications of one origin pool the connections of its
-// routes, so the solution's Beta[k][l] is route (k,l)'s flow over
-// bw_min(k,l). Alpha has one row per application. The caller validates:
-// pl is routed, every origin is a cluster, every payoff finite and
-// nonnegative.
+// RelaxedApps solves the rational relaxation of linear program (7) in
+// the α-space encoding (DESIGN.md "β elimination"), for any set of
+// applications on platform pl: application a has origin C^origins[a]
+// and payoff payoffs[a]. Several may share an origin, and a cluster may
+// be the origin of none. Alpha has one row per application; Beta[k][l]
+// is route (k,l)'s flow, pooled over the applications of origin k, over
+// bw_min(k,l). Returns ok=false when the solver reports the constraints
+// infeasible. The caller validates: pl is routed, every origin is a
+// cluster, every payoff finite and nonnegative. No heuristic rounds its
+// optimum; they round a Model's.
 func RelaxedApps(pl *platform.Platform, origins []int, payoffs []float64, obj Objective) (*RelaxedSolution, bool, error) {
 	return relaxed(newAlphaLayout(pl, origins, payoffs), obj)
 }

@@ -207,7 +207,7 @@ func TestRelaxedTwoClusterSUM(t *testing.T) {
 	// speed (100+100); remote shipping cannot add anything (speeds
 	// saturated), so SUM = 200.
 	pr := NewProblem(twoClusters(100, 100, 50, 50, 10, 3))
-	sol, ok, err := pr.Relaxed(SUM)
+	sol, ok, err := relaxed(pr.alphaLayout(), SUM)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -222,7 +222,7 @@ func TestRelaxedAsymmetric(t *testing.T) {
 	// gateways 50 each. App 0 can ship min(30, 50, 100) = 30.
 	pr := NewProblem(twoClusters(0, 100, 50, 50, 10, 3))
 	pr.Payoffs = []float64{1, 0}
-	sol, ok, err := pr.Relaxed(SUM)
+	sol, ok, err := relaxed(pr.alphaLayout(), SUM)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -241,7 +241,7 @@ func TestRelaxedMAXMINFairness(t *testing.T) {
 	// Symmetric two-cluster platform with equal payoffs: MAXMIN
 	// optimum gives both apps their local speed: min = 100.
 	pr := NewProblem(twoClusters(100, 100, 50, 50, 10, 3))
-	sol, ok, err := pr.Relaxed(MAXMIN)
+	sol, ok, err := relaxed(pr.alphaLayout(), MAXMIN)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -257,7 +257,7 @@ func TestRelaxedMAXMINPayoffWeighting(t *testing.T) {
 	// 0 computes 65 locally: min(2*65, 130) = 130.
 	pr := NewProblem(twoClusters(100, 100, 50, 50, 10, 3))
 	pr.Payoffs = []float64{2, 1}
-	sol, ok, err := pr.Relaxed(MAXMIN)
+	sol, ok, err := relaxed(pr.alphaLayout(), MAXMIN)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -269,7 +269,7 @@ func TestRelaxedMAXMINPayoffWeighting(t *testing.T) {
 func TestRelaxedMAXMINNeedsPositivePayoff(t *testing.T) {
 	pr := NewProblem(twoClusters(100, 100, 50, 50, 10, 3))
 	pr.Payoffs = []float64{0, 0}
-	if _, _, err := pr.Relaxed(MAXMIN); err == nil {
+	if _, _, err := relaxed(pr.alphaLayout(), MAXMIN); err == nil {
 		t.Fatal("MAXMIN with all-zero payoffs must error")
 	}
 }
@@ -281,7 +281,7 @@ func TestMixedRelaxedAgreesWithReduced(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		pr := randomProblem(seed, 8)
 		for _, obj := range []Objective{SUM, MAXMIN} {
-			red, ok1, err1 := pr.Relaxed(obj)
+			red, ok1, err1 := relaxed(pr.alphaLayout(), obj)
 			mix, ok2, err2 := solveBoxed(pr, obj, nil)
 			if err1 != nil || err2 != nil || !ok1 || !ok2 {
 				t.Fatalf("seed %d %v: ok=(%v,%v) err=(%v,%v)", seed, obj, ok1, ok2, err1, err2)
@@ -383,7 +383,7 @@ func TestCloneAllocation(t *testing.T) {
 func TestPropertyRelaxedSolutionSatisfiesRelaxedConstraints(t *testing.T) {
 	prop := func(seed int64) bool {
 		pr := randomProblem(seed, 8)
-		sol, ok, err := pr.Relaxed(SUM)
+		sol, ok, err := relaxed(pr.alphaLayout(), SUM)
 		if err != nil || !ok {
 			return false
 		}
@@ -440,8 +440,8 @@ func TestPropertyRelaxedSolutionSatisfiesRelaxedConstraints(t *testing.T) {
 func TestPropertyMAXMINLeqSUM(t *testing.T) {
 	prop := func(seed int64) bool {
 		pr := randomProblem(seed, 7)
-		mm, ok1, err1 := pr.Relaxed(MAXMIN)
-		sm, ok2, err2 := pr.Relaxed(SUM)
+		mm, ok1, err1 := relaxed(pr.alphaLayout(), MAXMIN)
+		sm, ok2, err2 := relaxed(pr.alphaLayout(), SUM)
 		if err1 != nil || err2 != nil || !ok1 || !ok2 {
 			return false
 		}
@@ -456,7 +456,7 @@ func BenchmarkRelaxedSUMK15(b *testing.B) {
 	pr := randomProblem(5, 15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pr.Relaxed(SUM); err != nil {
+		if _, _, err := relaxed(pr.alphaLayout(), SUM); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -466,7 +466,7 @@ func BenchmarkRelaxedMAXMINK15(b *testing.B) {
 	pr := randomProblem(5, 15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pr.Relaxed(MAXMIN); err != nil {
+		if _, _, err := relaxed(pr.alphaLayout(), MAXMIN); err != nil {
 			b.Fatal(err)
 		}
 	}

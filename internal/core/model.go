@@ -10,12 +10,12 @@ import (
 )
 
 // Model is a reusable handle on the explicit (α, β) encoding of program
-// (7)'s rational relaxation: the rows of Relaxed's α-space encoding,
-// with β kept as columns under (7d) and (7e) instead of eliminated (see
-// addAlphaLinkRows). Where Relaxed builds a one-shot lp.Problem per
-// call, a Model is built once per (problem, objective) pair and then
-// re-solved many times under mutated per-route β bounds: every β
-// variable carries native [lb, ub] bounds that SetBounds mutates in
+// (7)'s rational relaxation, β kept as columns under (7d) and (7e)
+// (DESIGN.md "β elimination"): the one relaxation the heuristics round,
+// cold-solved alike by a session's create and heuristics.Relax. A Model
+// is built once per (problem, objective) pair and then re-solved many
+// times under mutated per-route β bounds: every β variable carries
+// native [lb, ub] bounds that SetBounds mutates in
 // place through lp.Problem.SetVarBounds — no bound rows, so branching
 // and pinning never grow the constraint matrix. Because bound changes
 // (like RHS changes) leave every reduced cost intact, each re-solve can

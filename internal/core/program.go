@@ -15,21 +15,23 @@ import (
 // the cluster an application's input data lives on and its load is
 // shipped from. Problem has one application per cluster, A_k of origin
 // C^k; RelaxedApps (§3.1) lets applications share an origin. The
-// α-space encoding (Relaxed, RelaxedApps) eliminates β and is what the
-// one-shot solves use; the explicit (α, β) encoding (Model) keeps β as
-// columns for everything that bounds, pins or branches on it. Which one
-// a caller gets follows from whether it needs β as a variable, not from
-// an option; addAlphaLinkRows says why the two agree.
+// explicit (α, β) encoding (Model) keeps β as columns; it is the
+// relaxation every heuristic rounds and every bound, pin and branch
+// lands on. The α-space encoding (RelaxedApps) eliminates β (DESIGN.md
+// "β elimination"): it serves §3.1's several applications per origin
+// and is the reference the two encodings are tested against.
 
 // RelaxedSolution is an optimum of program (7) with β's integrality
 // relaxed — the paper's "LP" comparator, an upper bound on the
 // mixed-integer optimum, and the point every §5.2 heuristic rounds.
 // Alpha[a][l] is application a's α̃_{a,l}, one row per application.
 // Beta[k][l] is the fractional connection count β̃_{k,l} of route (k, l):
-// the LP's value under the explicit encoding, the route's flow (summed
-// over the applications of origin k) over bw_min(k,l) under the α-space
-// one, and 0 where the route carries no β variable (the diagonal,
-// missing routes, and routes that cross no backbone link).
+// the LP's β column under Model, which may exceed the route's flow over
+// bw_min(k,l) where (7e) is slack; the flow over bw_min itself under
+// RelaxedApps; 0 where the route carries no β variable (the diagonal,
+// missing routes, and routes that cross no backbone link). LPR, LPRG
+// and LPRR read β̃ as α̃/bw_min, not this table; branch-and-bound and
+// a relaxed what-if's report read the table.
 type RelaxedSolution struct {
 	Alpha     [][]float64
 	Beta      [][]float64
@@ -259,27 +261,9 @@ func (lay alphaLayout) addClusterRows(prob *lp.Problem) (speedRow, gatewayRow []
 //
 //	Σ_{(k,l): li ∈ L_{k,l}} Σ_{a of origin k} α_{a,l}/bw_min(k,l) ≤ max-connect(li)
 //
-// The β-elimination argument. β_{k,l} appears in two rows and not in the
-// objective: (7e) Σ_a α_{a,l} ≤ β_{k,l}·bw_min(k,l) is the only one a
-// larger β helps, (7d) Σ β ≤ max-connect only charges for it. With
-// integrality relaxed, any feasible (α, β) therefore stays feasible, at
-// the same α and the same objective, when every β_{k,l} is lowered to
-// the route's flow over bw_min(k,l): (7e) holds with equality and (7d)
-// can only loosen. So the relaxation has an optimum of that form, and
-// substituting it makes (7e) an identity and (7d) the row above: the
-// two encodings have the same optimal value and the same optimal α
-// (TestMixedRelaxedAgreesWithReduced is this argument made executable),
-// and an α-space solve reports the β it implies (alphaSpaceSolution).
-// The argument never asks how many applications share a route, which is
-// why one builder serves one or several applications per origin.
-//
-// What elimination buys is size: no β column and no (7e) row per remote
-// route, roughly 590 rows against Model's 2 151 at K = 40, which is what
-// lets the §6 sweeps cold-solve toward K = 95. What it costs is β
-// itself: a bound, a pin or a branch on β_{k,l} has no variable to land
-// on, so branch-and-bound nodes, LPRR's pins and boxed what-ifs use
-// Model. Routes between clusters on one router cross no backbone link
-// (bw_min = +Inf, as on the diagonal): they carry no β in either
+// DESIGN.md "β elimination" says why both encodings have the same
+// optimum. Routes between clusters on one router cross no backbone
+// link (bw_min = +Inf, as on the diagonal): they carry no β in either
 // encoding and no term here.
 func (lay alphaLayout) addAlphaLinkRows(prob *lp.Problem) {
 	pl := lay.pl

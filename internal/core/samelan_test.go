@@ -37,9 +37,9 @@ func TestModelSameLAN(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("Solve(%v): ok=%v err=%v", obj, ok, err)
 		}
-		rs, ok, err := pr.Relaxed(obj)
+		rs, ok, err := relaxed(pr.alphaLayout(), obj)
 		if err != nil || !ok {
-			t.Fatalf("Relaxed(%v): ok=%v err=%v", obj, ok, err)
+			t.Fatalf("relaxed(%v): ok=%v err=%v", obj, ok, err)
 		}
 		if diff := bound - rs.Objective; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("%v: model obj %g != relaxed obj %g", obj, bound, rs.Objective)

@@ -63,9 +63,9 @@ func randomPlatformProblem(t *testing.T, rng *rand.Rand, k int) *Problem {
 	return pr
 }
 
-// TestRelaxedMatchesOracle checks the one-shot Problem.Solve path: on
-// randomized platforms the reduced α-space relaxation (Relaxed, a cold
-// revised-simplex solve) must produce the same objective as the lptest
+// TestRelaxedMatchesOracle checks the α-space encoding's one-shot
+// Problem.Solve path: on randomized platforms the reduced relaxation
+// (relaxed, a cold revised-simplex solve) must produce the same objective as the lptest
 // dense-tableau oracle run on the explicit α/β model of the same
 // platform — an independent solver on an independent formulation.
 func TestRelaxedMatchesOracle(t *testing.T) {
@@ -73,7 +73,7 @@ func TestRelaxedMatchesOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		pr := randomPlatformProblem(t, rng, 4+rng.Intn(5))
 		for _, obj := range []Objective{SUM, MAXMIN} {
-			rel, ok, err := pr.Relaxed(obj)
+			rel, ok, err := relaxed(pr.alphaLayout(), obj)
 			if err != nil || !ok {
 				t.Fatalf("seed %d: relaxed: ok=%v err=%v", seed, ok, err)
 			}

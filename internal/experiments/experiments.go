@@ -72,8 +72,8 @@ const degenerate = 1e-9
 
 // measure is one sampled platform under one objective: the LP upper
 // bound, how long its one solve took, and each heuristic's result (nil
-// when the bound is degenerate). LPR and LPRG round that solve's
-// optimum, so their Elapsed is the rounding's own time.
+// when the bound is degenerate). LPR, LPRG and LPRR start from that
+// solve's optimum, so their Elapsed is their own work past it.
 type measure struct {
 	bound   float64
 	lpTime  time.Duration
@@ -92,9 +92,10 @@ type record struct {
 // from subRNG(opts.Seed, k, i, salt) alone — its Table 1 point, its
 // instance and the randomized heuristics' coins — so an artifact's
 // salt fixes its platforms and no record depends on workers. The
-// relaxation is solved once per objective: its optimum is the LP bound,
-// and LPR and LPRG round it. The named heuristics run in order, each
-// objective in turn; LPRR and LPRR-EQ only up to opts.LPRRMaxK (their
+// relaxation is solved once per objective as a session's create solves
+// it (heuristics.Relax): its optimum is the LP bound, and LPR, LPRG and
+// LPRR start from it. The named heuristics run in order, each objective
+// in turn; LPRR and LPRR-EQ only up to opts.LPRRMaxK (their
 // K² LP solves dominate any sweep, exactly as the paper notes in §6.3).
 func sweep(opts Options, k int, salt int64, names []heuristics.Name, workers int) ([]record, error) {
 	recs := make([]record, opts.PlatformsPer)
@@ -123,7 +124,7 @@ func sweep(opts Options, k int, salt int64, names []heuristics.Name, workers int
 			}
 			m.results = make(map[heuristics.Name]heuristics.Result, len(names))
 			for _, name := range names {
-				if isLPRR(name) && k > opts.LPRRMaxK {
+				if (name == heuristics.NameLPRR || name == heuristics.NameLPRREQ) && k > opts.LPRRMaxK {
 					continue
 				}
 				if m.results[name], err = heuristics.Run(name, pr, obj, rel, rng); err != nil {
@@ -135,10 +136,6 @@ func sweep(opts Options, k int, salt int64, names []heuristics.Name, workers int
 		return nil
 	})
 	return recs, err
-}
-
-func isLPRR(n heuristics.Name) bool {
-	return n == heuristics.NameLPRR || n == heuristics.NameLPRREQ
 }
 
 // RatioPoint is one K value of a ratio sweep: for each objective and
@@ -274,9 +271,9 @@ func AggregateRatios(opts Options) (*Aggregate, error) {
 }
 
 // TimePoint is one K value of the Figure 7 running-time sweep: mean
-// wall-clock seconds per heuristic (and for the bare LP solve). LPR's
-// and LPRG's seconds are the LP solve's plus their rounding's, the one
-// solve the paper's Figure 7 charges each of them.
+// wall-clock seconds per heuristic (and for the bare LP solve). LPR's,
+// LPRG's and LPRR's seconds are the LP solve's plus their own work, the
+// one solve the paper's Figure 7 charges each of them.
 type TimePoint struct {
 	K         int
 	Platforms int

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -373,4 +374,38 @@ func TestSweepIndependentOfWorkerCount(t *testing.T) {
 			t.Fatalf("%v: aggregate differs across worker counts", obj)
 		}
 	}
+}
+
+// TestSweepBoundIsAllLocal holds the LP bound of every sweep-sampled
+// platform at K ≤ 20, with and without TightNetworkFilter, to the
+// all-local closed form (DESIGN.md "Scale"): platgen fixes every speed
+// at 100 and core.NewProblem's payoffs are 1, so SUM ≤ Σ s_l = 100·K
+// and MAXMIN ≤ Σ s_l / K = 100, and computing every load where it lives
+// meets both without a gateway or a link. The constants are written
+// out, so a change to platgen's speed or to the default payoffs fails
+// here until the closed form is restated.
+func TestSweepBoundIsAllLocal(t *testing.T) {
+	checked := 0
+	for _, filter := range []func(platgen.Params) bool{nil, TightNetworkFilter} {
+		opts := Options{Seed: 1, PlatformsPer: 4, GridFilter: filter}
+		for _, k := range []int{5, 10, 15, 20} {
+			recs, err := sweep(opts, k, saltRatio, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, rec := range recs {
+				for j, obj := range objectives {
+					want := 100.0
+					if obj == core.SUM {
+						want *= float64(k)
+					}
+					if got := rec.by[j].bound; math.Abs(got-want) > 1e-9*want {
+						t.Errorf("K=%d platform %d %v (%+v): LP bound %.12g, the all-local closed form %g", k, i, obj, rec.params, got, want)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	t.Logf("%d bounds checked", checked)
 }

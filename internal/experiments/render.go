@@ -95,8 +95,8 @@ func RenderRatioCSV(points []RatioPoint) string {
 
 // RenderTimeTable formats a Figure 7 sweep as an ASCII table of mean
 // seconds per heuristic. The LP column is the relaxation's one solve;
-// LPR's and LPRG's columns are that solve plus their own rounding, and
-// G's and LPRR's are their whole run (see TimePoint).
+// LPR's, LPRG's and LPRR's columns are that solve plus their own work,
+// and G's is its whole run (see TimePoint).
 func RenderTimeTable(points []TimePoint) string {
 	if len(points) == 0 {
 		return "(no data)\n"

@@ -24,7 +24,7 @@ func oracleBranchAndBound(t *testing.T, pr *core.Problem, obj core.Objective, ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	incumbent := LPRG(pr, rel)
+	incumbent := LPRG(pr, rel.RelaxedSolution)
 	best = pr.Objective(obj, incumbent)
 	stack := []map[core.Pair]core.BetaBounds{{}}
 	for nodes := 0; len(stack) > 0; nodes++ {

@@ -33,14 +33,17 @@ const (
 // experiments report them.
 var All = []Name{NameG, NameLPR, NameLPRG, NameLPRR, NameLPRREQ}
 
-// ReadsRelaxation reports whether heuristic n rounds a relaxed optimum
-// its caller holds (LPR, LPRG) rather than solving on its own.
-func (n Name) ReadsRelaxation() bool { return n == NameLPR || n == NameLPRG }
+// ReadsRelaxation reports whether heuristic n starts from the relaxed
+// optimum its caller holds (LPR, LPRG, LPRR, LPRR-EQ) rather than
+// solving on its own (G, G-FULL).
+func (n Name) ReadsRelaxation() bool { return n == NameLPR || n == NameLPRG || isLPRR(n) }
+
+func isLPRR(n Name) bool { return n == NameLPRR || n == NameLPRREQ }
 
 // Result is the outcome of one heuristic run: the allocation, its
-// objective value, and the wall-clock time spent. For LPR and LPRG
-// that is the rounding alone; what Figure 7 plots for them is the
-// relaxation's solve time plus this (DESIGN.md "Heuristics (§5)").
+// objective value, and the wall-clock time spent past the relaxation's
+// solve. What Figure 7 plots for a heuristic that reads the relaxation
+// is that solve's time plus this (DESIGN.md "Heuristics (§5)").
 type Result struct {
 	Heuristic Name
 	Objective core.Objective
@@ -50,13 +53,22 @@ type Result struct {
 }
 
 // Run executes the named heuristic on the problem under the given
-// objective. rel is pr's relaxed optimum under obj (Relax), which LPR
-// and LPRG round; the other heuristics do not read it, and it may be
-// nil for them. rng is only consulted by the randomized heuristics; it
-// may be nil for the deterministic ones.
-func Run(name Name, pr *core.Problem, obj core.Objective, rel *core.RelaxedSolution, rng *rand.Rand) (Result, error) {
+// objective. rel is pr's relaxation under obj (Relax), which LPR, LPRG
+// and LPRR start from; G does not read it, and it may be nil for G.
+// rng is only consulted by the randomized heuristics; it may be nil for
+// the deterministic ones. An LPRR run after another on the same rel
+// first solves rel again, untimed: that solve is the relaxation's.
+func Run(name Name, pr *core.Problem, obj core.Objective, rel *Relaxation, rng *rand.Rand) (Result, error) {
 	if name.ReadsRelaxation() && rel == nil {
 		return Result{}, fmt.Errorf("heuristics: %s requires the relaxation", name)
+	}
+	if isLPRR(name) {
+		if rng == nil {
+			return Result{}, fmt.Errorf("heuristics: %s requires an rng", name)
+		}
+		if err := rel.unpin(); err != nil {
+			return Result{}, err
+		}
 	}
 	start := time.Now()
 	var (
@@ -69,19 +81,13 @@ func Run(name Name, pr *core.Problem, obj core.Objective, rel *core.RelaxedSolut
 	case NameGFull:
 		alloc = GreedyFullDrain(pr)
 	case NameLPR:
-		alloc = LPR(pr, rel)
+		alloc = LPR(pr, rel.RelaxedSolution)
 	case NameLPRG:
-		alloc = LPRG(pr, rel)
+		alloc = LPRG(pr, rel.RelaxedSolution)
 	case NameLPRR:
-		if rng == nil {
-			return Result{}, fmt.Errorf("heuristics: %s requires an rng", name)
-		}
-		alloc, err = LPRR(pr, obj, ProportionalRounding, rng)
+		alloc, err = LPRR(pr, rel, ProportionalRounding, rng)
 	case NameLPRREQ:
-		if rng == nil {
-			return Result{}, fmt.Errorf("heuristics: %s requires an rng", name)
-		}
-		alloc, err = LPRR(pr, obj, EqualRounding, rng)
+		alloc, err = LPRR(pr, rel, EqualRounding, rng)
 	default:
 		return Result{}, fmt.Errorf("heuristics: unknown heuristic %q", name)
 	}

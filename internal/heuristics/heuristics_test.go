@@ -191,7 +191,7 @@ func TestLPRNeverExceedsRelaxation(t *testing.T) {
 				t.Fatal(err)
 			}
 			ub := rel.Objective
-			a := LPR(pr, rel)
+			a := LPR(pr, rel.RelaxedSolution)
 			if err := pr.CheckAllocation(a, core.DefaultTol); err != nil {
 				t.Fatalf("seed %d %v: %v", seed, obj, err)
 			}
@@ -212,7 +212,7 @@ func TestLPRGDominatesLPR(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lpr, lprg := LPR(pr, rel), LPRG(pr, rel)
+			lpr, lprg := LPR(pr, rel.RelaxedSolution), LPRG(pr, rel.RelaxedSolution)
 			if err := pr.CheckAllocation(lprg, core.DefaultTol); err != nil {
 				t.Fatalf("seed %d %v: %v", seed, obj, err)
 			}
@@ -230,16 +230,16 @@ func TestLPRRProducesValidAllocations(t *testing.T) {
 		pr := randomProblem(seed, 6)
 		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
 			for _, variant := range []LPRRVariant{ProportionalRounding, EqualRounding} {
-				a, err := LPRR(pr, obj, variant, rng)
+				rel, err := Relax(pr, obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, err := LPRR(pr, rel, variant, rng)
 				if err != nil {
 					t.Fatalf("seed %d %v %v: %v", seed, obj, variant, err)
 				}
 				if err := pr.CheckAllocation(a, core.DefaultTol); err != nil {
 					t.Fatalf("seed %d %v %v: %v", seed, obj, variant, err)
-				}
-				rel, err := Relax(pr, obj)
-				if err != nil {
-					t.Fatal(err)
 				}
 				ub := rel.Objective
 				if v := pr.Objective(obj, a); v > ub*(1+1e-6)+1e-6 {
@@ -256,7 +256,11 @@ func TestLPRRExactWhenRelaxationIntegral(t *testing.T) {
 	pr := core.NewProblem(star(0, 2, 10, 2))
 	pr.Payoffs = []float64{1, 0, 0}
 	rng := rand.New(rand.NewSource(1))
-	a, err := LPRR(pr, core.SUM, ProportionalRounding, rng)
+	rel, err := Relax(pr, core.SUM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := LPRR(pr, rel, ProportionalRounding, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +421,7 @@ func BenchmarkLPRGK10(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		LPRG(pr, rel)
+		LPRG(pr, rel.RelaxedSolution)
 	}
 }
 
@@ -426,8 +430,63 @@ func BenchmarkLPRRK6(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LPRR(pr, core.SUM, ProportionalRounding, rng); err != nil {
+		rel, err := Relax(pr, core.SUM)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := LPRR(pr, rel, ProportionalRounding, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestLPRRSharesTheRelaxation: LPRR run through Run on one Relaxation —
+// proportional, then equal, then proportional again, so the later runs
+// start from a model an earlier one pinned — answers every run bit for
+// bit as LPRROnModel on a fresh model of its own does, with the same
+// coins, on network-bound platforms where the pins move the vertex.
+func TestLPRRSharesTheRelaxation(t *testing.T) {
+	pins := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pl, err := platgen.Generate(platgen.Params{K: 4 + int(seed), Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := core.NewProblem(pl)
+		for i := range pr.Payoffs {
+			pr.Payoffs[i] = float64(1 + i%3)
+		}
+		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
+			rel, err := Relax(pr, obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, name := range []Name{NameLPRR, NameLPRREQ, NameLPRR} {
+				variant := ProportionalRounding
+				if name == NameLPRREQ {
+					variant = EqualRounding
+				}
+				got, err := Run(name, pr, obj, rel, rand.New(rand.NewSource(int64(i))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := pr.NewModel(obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, _, err := LPRROnModel(m, pr, obj, variant, rand.New(rand.NewSource(int64(i))), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := allocDiff(got.Alloc, want); d != "" {
+					t.Fatalf("seed %d %v run %d (%s): shared relaxation %s", seed, obj, i, name, d)
+				}
+				pins += int(m.SolverStats().WarmSolves)
+			}
+		}
+	}
+	if pins == 0 {
+		t.Fatal("no LPRR run re-solved after a pin; nothing was checked")
 	}
 }

@@ -1,7 +1,7 @@
 package heuristics
 
 import (
-	"fmt"
+	"errors"
 	"math"
 
 	"repro/internal/core"
@@ -30,24 +30,54 @@ func LPR(pr *core.Problem, rel *core.RelaxedSolution) *core.Allocation {
 	return alloc
 }
 
-// Relax cold-solves pr's relaxation in α-space: its Objective is the
-// paper's "LP" comparator, an upper bound on the mixed optimum, and
-// LPR and LPRG round it. The all-zero allocation is always valid, so
-// an infeasible verdict is a bug, not an answer.
-func Relax(pr *core.Problem, obj core.Objective) (*core.RelaxedSolution, error) {
-	rel, ok, err := pr.Relaxed(obj)
+// Relaxation is pr's relaxation under one objective, solved once as a
+// session's create solves it (Relax). Its RelaxedSolution is the
+// optimum, whose value is the paper's LP bound: LPR and LPRG round it,
+// and LPRR pins β on the model it was solved on, from it.
+type Relaxation struct {
+	*core.RelaxedSolution
+	model  *core.Model
+	pinned bool // an LPRR run has pinned model since its last root solve
+}
+
+// Relax builds pr's core.Model under obj and cold-solves it with
+// SolveRelaxation, as a session's create does, so every heuristic
+// rounds the vertex the service rounds.
+func Relax(pr *core.Problem, obj core.Objective) (*Relaxation, error) {
+	model, err := pr.NewModel(obj)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, errInfeasible
+	if _, err := SolveRelaxation(model, nil); err != nil {
+		return nil, err
 	}
-	return rel, nil
+	return &Relaxation{RelaxedSolution: model.Solution(), model: model}, nil
 }
 
-// errInfeasible reports a relaxation found infeasible, which the
-// all-zero allocation rules out.
-var errInfeasible = fmt.Errorf("heuristics: relaxation infeasible on an unconstrained platform (model bug)")
+// unpin returns the model to the relaxation's optimum after an LPRR run
+// pinned it: a cold solve is a function of the program alone.
+func (r *Relaxation) unpin() (err error) {
+	if r.pinned {
+		_, err = SolveRelaxation(r.model, nil)
+		r.pinned = err != nil
+	}
+	return err
+}
+
+// SolveRelaxation is the one root solve: it resets model's β bounds and
+// solves the unpinned relaxation warm from `from` (cold when nil),
+// returning its bound. The all-zero allocation is always feasible, so
+// an infeasible verdict is a model bug, errInfeasible, not an answer.
+func SolveRelaxation(model *core.Model, from *lp.Basis) (float64, error) {
+	model.ResetBounds()
+	bound, ok, err := model.Solve(from)
+	if err == nil && !ok {
+		err = errInfeasible
+	}
+	return bound, err
+}
+
+var errInfeasible = errors.New("heuristics: relaxation infeasible on an unconstrained platform (model bug)")
 
 // roundDown applies the LPR rounding to a relaxed optimum's α, taking
 // β̃ = α̃/bw_min — the least connection count that carries α̃, whichever
@@ -120,14 +150,14 @@ func LPRG(pr *core.Problem, rel *core.RelaxedSolution) *core.Allocation {
 	return alloc
 }
 
-// LPRGOnModel is LPRG over a caller-provided persistent core.Model
-// instead of a fresh one-shot LP: β bounds are reset, the relaxation
-// re-solves warm from `from`, and LPRG rounds its optimum against pr's
-// capacities. pr must share the model's platform structure (routes and
-// links); its capacities may differ — the adaptability scenario, where
-// the caller has already injected the epoch's platform into the model
-// with core.Model.Inject. The returned basis snapshots the relaxation's
-// optimal basis for the next warm start.
+// LPRGOnModel is LPRG over a caller-provided persistent core.Model:
+// SolveRelaxation re-solves the unpinned relaxation warm from `from`,
+// and LPRG rounds its optimum against pr's capacities. pr must share
+// the model's platform structure (routes and links); its capacities may
+// differ — the adaptability scenario, where the caller has already
+// injected the epoch's platform into the model with core.Model.Inject.
+// The returned basis snapshots the relaxation's optimal basis for the
+// next warm start.
 func LPRGOnModel(model *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
 	alloc, basis, _, err := LPRGBoundOnModel(model, pr, obj, from)
 	return alloc, basis, err
@@ -138,13 +168,9 @@ func LPRGOnModel(model *core.Model, pr *core.Problem, obj core.Objective, from *
 // default β bounds, which a caller reporting the bound need not solve
 // again.
 func LPRGBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, float64, error) {
-	model.ResetBounds()
-	bound, ok, err := model.Solve(from)
+	bound, err := SolveRelaxation(model, from)
 	if err != nil {
 		return nil, nil, 0, err
-	}
-	if !ok {
-		return nil, nil, 0, errInfeasible
 	}
 	basis := model.Basis()
 	return LPRG(pr, model.Solution()), basis, bound, nil

@@ -28,37 +28,37 @@ func (v LPRRVariant) String() string {
 	return "LPRR"
 }
 
-// LPRR is the paper's randomized round-off heuristic (§5.2.3). It
-// fixes the β value of one route at a time: solve the rational
-// relaxation with all previously pinned routes, pick an unpinned
-// route at random among those with β̃ ≠ 0, round its β̃ up with
-// probability equal to its fractional part (down otherwise), pin it,
-// and iterate. Unpinned routes whose β̃ is 0 in the current solution
-// are pinned to 0 in bulk when no nonzero candidate remains. The
-// procedure solves up to K² linear programs, which is exactly the
-// complexity the paper measures in Figure 7 — but where it once
-// rebuilt and cold-solved a fresh LP per pin, it now holds one
-// core.Model for the whole trial: a pin is a native variable-bound
-// mutation (β_p fixed to v via lb = ub = v, leaving the constraint
-// matrix untouched), so every re-solve warm-starts the revised
-// simplex from the previous pin's optimal basis.
+// LPRR is the paper's randomized round-off heuristic (§5.2.3), run
+// from rel's optimum on the model rel was solved on. It fixes the β
+// value of one route at a time: solve the rational relaxation with all
+// previously pinned routes, pick an unpinned route at random among
+// those with β̃ ≠ 0, round its β̃ up with probability equal to its
+// fractional part (down otherwise), pin it, and iterate. Unpinned
+// routes whose β̃ is 0 in the current solution are pinned to 0 in bulk
+// when no nonzero candidate remains. The procedure solves up to K²
+// linear programs, which is exactly the complexity the paper measures
+// in Figure 7; its first is rel's own solve. A pin is a native
+// variable-bound mutation of the one core.Model (β_p fixed to v via
+// lb = ub = v, leaving the constraint matrix untouched), so every
+// re-solve warm-starts the revised simplex from the previous pin's
+// optimal basis.
 //
 // With integral max-connect values a round-up to ⌈β̃⌉ can never make
 // the pin set infeasible (DESIGN.md "Heuristics (§5)"); if
 // infeasibility is ever reported (LPRR-EQ rounding an integral β̃ up,
 // or the solver's tolerance), the round-up is retried as a round-down.
-func LPRR(pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.Rand) (*core.Allocation, error) {
-	model, err := pr.NewModel(obj)
-	if err != nil {
+func LPRR(pr *core.Problem, rel *Relaxation, variant LPRRVariant, rng *rand.Rand) (*core.Allocation, error) {
+	if err := rel.unpin(); err != nil {
 		return nil, err
 	}
-	alloc, _, _, err := LPRROnModel(model, pr, obj, variant, rng, nil)
+	rel.pinned = true
+	alloc, _, err := pinRoutes(rel.model, pr, variant, rng, rel.RelaxedSolution)
 	return alloc, err
 }
 
 // LPRROnModel is LPRR running over a caller-provided persistent
-// core.Model: previous pins are cleared (ResetBounds) and the initial
-// relaxation warm-starts from `from`, typically the previous epoch's
+// core.Model: SolveRelaxation clears previous pins and solves the
+// initial relaxation warm from `from`, typically the previous epoch's
 // root basis. pr must share the model's platform structure; its
 // capacities may differ — inject the epoch's platform into the model
 // with core.Model.Inject before calling. The returned basis snapshots
@@ -66,6 +66,17 @@ func LPRR(pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.R
 // epoch's warm start, and the returned bound is that relaxation's
 // optimum, which a caller reporting the bound need not solve again.
 func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.Rand, from *lp.Basis) (*core.Allocation, *lp.Basis, float64, error) {
+	bound, err := SolveRelaxation(model, from)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	alloc, root, err := pinRoutes(model, pr, variant, rng, model.Solution())
+	return alloc, root, bound, err
+}
+
+// pinRoutes is LPRR's pin loop from rel, the unpinned optimum the
+// model's last solve reached, whose basis it returns with the allocation.
+func pinRoutes(model *core.Model, pr *core.Problem, variant LPRRVariant, rng *rand.Rand, rel *core.RelaxedSolution) (*core.Allocation, *lp.Basis, error) {
 	routes := model.BetaVars() // row-major: the order the rng draws over
 	fixed := make(map[core.Pair]int, len(routes))
 	remaining := make(map[core.Pair]bool, len(routes))
@@ -73,20 +84,12 @@ func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, varian
 		remaining[p] = true
 	}
 
-	model.ResetBounds()
-	bound, ok, err := model.Solve(from)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if !ok {
-		return nil, nil, 0, fmt.Errorf("heuristics: initial relaxation infeasible (model bug)")
-	}
-	rel, basis := model.Solution(), model.Basis()
+	basis := model.Basis()
 	rootBasis := basis
 
-	// betaFrac is the β̃ the rounding rule draws on: the fractional
-	// connection count α̃/bw_min associated with the current relaxed
-	// α, exactly as core.Relaxed's Beta defines it.
+	// betaFrac is the β̃ the rounding rule draws on: the least
+	// fractional connection count α̃/bw_min that carries the current
+	// relaxed α, as roundDown reads it.
 	betaFrac := func(p core.Pair) float64 {
 		if bw := pr.Platform.RouteBW(p.K, p.L); bw > 0 && !math.IsInf(bw, 1) {
 			return rel.Alpha[p.K][p.L] / bw
@@ -108,7 +111,7 @@ func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, varian
 			for p := range remaining {
 				fixed[p] = 0
 				if err := model.SetBounds(p, core.BetaBounds{Lb: 0, Ub: 0}); err != nil {
-					return nil, nil, 0, err
+					return nil, nil, err
 				}
 			}
 			break
@@ -131,44 +134,44 @@ func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, varian
 				up = 1
 			}
 		default:
-			return nil, nil, 0, fmt.Errorf("heuristics: unknown LPRR variant %d", int(variant))
+			return nil, nil, fmt.Errorf("heuristics: unknown LPRR variant %d", int(variant))
 		}
 		value := floor + up
 		if err := pin(model, p, value); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		fixed[p] = value
 		delete(remaining, p)
 
 		_, ok, err := model.Solve(basis)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		if !ok && up == 1 {
 			// Exotic-platform fallback: retry with the floor.
 			if err := pin(model, p, floor); err != nil {
-				return nil, nil, 0, err
+				return nil, nil, err
 			}
 			fixed[p] = floor
 			if _, ok, err = model.Solve(basis); err != nil {
-				return nil, nil, 0, err
+				return nil, nil, err
 			}
 		}
 		if !ok {
-			return nil, nil, 0, fmt.Errorf("heuristics: LPRR pin set became infeasible at route (%d,%d)", p.K, p.L)
+			return nil, nil, fmt.Errorf("heuristics: LPRR pin set became infeasible at route (%d,%d)", p.K, p.L)
 		}
 		rel, basis = model.Solution(), model.Basis()
 	}
 
 	// Final solve with every route pinned gives the α values.
-	_, ok, err = model.Solve(basis)
+	_, ok, err := model.Solve(basis)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	if !ok {
-		return nil, nil, 0, fmt.Errorf("heuristics: final LPRR relaxation infeasible")
+		return nil, nil, fmt.Errorf("heuristics: final LPRR relaxation infeasible")
 	}
-	return allocationFromPinned(pr, model.Solution().Alpha, fixed), rootBasis, bound, nil
+	return allocationFromPinned(pr, model.Solution().Alpha, fixed), rootBasis, nil
 }
 
 func pin(model *core.Model, p core.Pair, v int) error {

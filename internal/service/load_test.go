@@ -34,7 +34,7 @@ func TestLoadConcurrentMixedTraffic(t *testing.T) {
 	baseBound := resp.Report.LPBound
 
 	// A fixed menu of what-if hypotheticals with their batch-computed
-	// relaxation bounds (cold, fresh one-shot LP each).
+	// relaxation bounds (cold, a fresh model each).
 	type variant struct {
 		req   WhatIfRequest
 		bound float64

@@ -145,8 +145,8 @@ func doJSON(t testing.TB, client *http.Client, method, url string, body, out any
 }
 
 // batchBound computes the rational relaxation's optimum cold on a
-// fresh one-shot problem — unique in value, so warm service bounds must
-// match it at 1e-9.
+// fresh model (heuristics.Relax) — unique in value, so warm service
+// bounds must match it at 1e-9.
 func batchBound(t testing.TB, pl *platform.Platform, obj core.Objective) float64 {
 	t.Helper()
 	rel, err := heuristics.Relax(core.NewProblem(pl), obj)
@@ -167,13 +167,16 @@ func batchValue(t testing.TB, pl *platform.Platform, heur string, obj core.Objec
 		err   error
 	)
 	switch heur {
-	case "lprg":
-		var rel *core.RelaxedSolution
-		if rel, err = heuristics.Relax(pr, obj); err == nil {
-			alloc = heuristics.LPRG(pr, rel)
+	case "lprg", "lprr":
+		var rel *heuristics.Relaxation
+		if rel, err = heuristics.Relax(pr, obj); err != nil {
+			break
 		}
-	case "lprr":
-		alloc, err = heuristics.LPRR(pr, obj, heuristics.ProportionalRounding, rng)
+		if heur == "lprg" {
+			alloc = heuristics.LPRG(pr, rel.RelaxedSolution)
+		} else {
+			alloc, err = heuristics.LPRR(pr, rel, heuristics.ProportionalRounding, rng)
+		}
 	case "bnb":
 		alloc, _, err = heuristics.BranchAndBound(pr, obj, 0)
 	default:

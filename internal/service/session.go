@@ -432,13 +432,8 @@ func (s *Session) commitLocked(pr *core.Problem, from *lp.Basis, epoch int) (*So
 		return nil, nil, err
 	}
 	if s.cfg.heur != "lprg" {
-		s.model.ResetBounds()
-		var ok bool
-		if bound, ok, err = s.model.Solve(basis); err != nil {
+		if bound, err = heuristics.SolveRelaxation(s.model, basis); err != nil {
 			return nil, nil, err
-		}
-		if !ok {
-			return nil, nil, fmt.Errorf("relaxation infeasible on an unconstrained platform (model bug)")
 		}
 	}
 	rep, err := HeuristicReport(s.cfg.heur, s.cfg.objName, s.cfg.obj, pr, alloc, bound, epoch)

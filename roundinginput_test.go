@@ -1,0 +1,140 @@
+package repro
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/heuristics"
+	"repro/internal/platform"
+	"repro/internal/platgen"
+	"repro/internal/service"
+)
+
+// TestOneRoundingInput: §6, dlsched and schedd round one relaxed
+// optimum. On generated platforms at K ≤ 20 — platgen.Sample's Table 1
+// family and the benchmark's network-bound family — under both
+// objectives, with unit payoffs and with 1 + i mod 3 payoffs, a §6
+// record's LPR and LPRG (heuristics.Relax, then heuristics.Run),
+// dlsched -json's lpr and lprg, and a fresh service.Batch create agree
+// within 1e-9 · bound, and dlsched never reports lpr above lprg. A
+// second rounding input — a relaxation solved apart from the one a
+// session solves — lands on another optimal vertex on these degenerate
+// platforms and fails it.
+func TestOneRoundingInput(t *testing.T) {
+	dlsched := buildTool(t, "dlsched")
+	dir := t.TempDir()
+	families := []struct {
+		name   string
+		params func(k int, rng *rand.Rand) (platgen.Params, error)
+	}{
+		{"sample", func(k int, rng *rand.Rand) (platgen.Params, error) { return platgen.Sample(k, rng, nil) }},
+		{"bench", func(k int, _ *rand.Rand) (platgen.Params, error) {
+			return platgen.Params{K: k, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5}, nil
+		}},
+	}
+	cases := 0
+	for _, fam := range families {
+		for _, k := range []int{5, 10, 20} {
+			for seed := int64(1); seed <= 2; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				params, err := fam.params(k, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pl, err := platgen.Generate(params, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := json.Marshal(pl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				file := filepath.Join(dir, fmt.Sprintf("%s-%d-%d.json", fam.name, k, seed))
+				if err := os.WriteFile(file, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				for _, unit := range []bool{true, false} {
+					for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
+						at := fmt.Sprintf("%s K=%d seed %d %v unit payoffs %v", fam.name, k, seed, obj, unit)
+						checkOneRoundingInput(t, at, dlsched, file, data, pl, obj, unit)
+						cases++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d cases agree", cases)
+}
+
+func checkOneRoundingInput(t *testing.T, at, dlsched, file string, data []byte, pl *platform.Platform, obj core.Objective, unit bool) {
+	t.Helper()
+	pr := core.NewProblem(pl)
+	payoffs := make([]string, pr.K())
+	for i := range pr.Payoffs {
+		if !unit {
+			pr.Payoffs[i] = float64(1 + i%3)
+		}
+		payoffs[i] = strconv.FormatFloat(pr.Payoffs[i], 'g', -1, 64)
+	}
+	objName := strings.ToLower(obj.String())
+
+	// The §6 record's path.
+	rel, err := heuristics.Relax(pr, obj)
+	if err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	bound := rel.Objective
+	section6 := map[string]float64{}
+	for _, name := range []heuristics.Name{heuristics.NameLPR, heuristics.NameLPRG} {
+		r, err := heuristics.Run(name, pr, obj, rel, nil)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", at, name, err)
+		}
+		section6[strings.ToLower(string(name))] = r.Value
+	}
+
+	// dlsched -json, one run per heuristic.
+	cli := map[string]service.SolveReport{}
+	for _, h := range []string{"lpr", "lprg"} {
+		out, err := run(t, dlsched, "-platform", file, "-heuristic", h, "-objective", objName, "-payoffs", strings.Join(payoffs, ","), "-json")
+		if err != nil {
+			t.Fatalf("%s: dlsched -heuristic %s: %v\n%s", at, h, err, out)
+		}
+		var rep service.SolveReport
+		if err := json.Unmarshal([]byte(out), &rep); err != nil {
+			t.Fatalf("%s: dlsched -heuristic %s: %v\n%s", at, h, err, out)
+		}
+		cli[h] = rep
+	}
+
+	// A fresh session's create.
+	create, err := service.Batch(&service.CreateSessionRequest{Platform: data, Objective: objName, Heuristic: "lprg", Payoffs: pr.Payoffs})
+	if err != nil {
+		t.Fatalf("%s: create: %v", at, err)
+	}
+
+	tol := 1e-9 * math.Max(bound, 1)
+	agree := func(what string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > tol {
+			t.Errorf("%s: %s %.12g, §6 record %.12g (bound %.12g)", at, what, got, want, bound)
+		}
+	}
+	for _, b := range []float64{cli["lpr"].LPBound, cli["lprg"].LPBound, create.LPBound} {
+		agree("bound", b, bound)
+	}
+	agree("dlsched lpr", cli["lpr"].Value, section6["lpr"])
+	agree("dlsched lprg", cli["lprg"].Value, section6["lprg"])
+	agree("create lprg", create.Value, section6["lprg"])
+	if cli["lpr"].Value > cli["lprg"].Value {
+		t.Errorf("%s: dlsched reports lpr %.12g above lprg %.12g", at, cli["lpr"].Value, cli["lprg"].Value)
+	}
+}
