@@ -163,7 +163,7 @@ func BenchmarkE5_Figure7_LPRR(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := heuristics.LPRR(pr, rel, heuristics.ProportionalRounding, rng); err != nil {
+		if _, err := heuristics.Run(heuristics.NameLPRR, pr, rel, rng, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,8 +211,11 @@ func benchBnB(b *testing.B, k int) {
 	pr := benchBnBProblem(b, k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := heuristics.BranchAndBound(pr, core.SUM, 4000)
-		if err != nil && err != heuristics.ErrNodeBudget {
+		rel, err := heuristics.Relax(pr, core.SUM)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := heuristics.Run(heuristics.NameBnB, pr, rel, nil, 4000); err != nil && err != heuristics.ErrNodeBudget {
 			b.Fatal(err)
 		}
 	}
@@ -232,10 +235,15 @@ func BenchmarkE7_ReductionExactSolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, exact, err = heuristics.BranchAndBound(inst.Problem, core.SUM, 0)
+		rel, err := heuristics.Relax(inst.Problem, core.SUM)
 		if err != nil {
 			b.Fatal(err)
 		}
+		res, err := heuristics.Run(heuristics.NameBnB, inst.Problem, rel, nil, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		exact = res.Value
 	}
 	b.ReportMetric(exact, "optimum")
 }
@@ -299,16 +307,15 @@ func BenchmarkAblation_LPRRRoundingRule(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ap, err := heuristics.LPRR(pr, rel, heuristics.ProportionalRounding, rng)
+		ap, err := heuristics.Run(heuristics.NameLPRR, pr, rel, rng, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ae, err := heuristics.LPRR(pr, rel, heuristics.EqualRounding, rng)
+		ae, err := heuristics.Run(heuristics.NameLPRREQ, pr, rel, rng, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		prop = pr.Objective(core.MAXMIN, ap)
-		eq = pr.Objective(core.MAXMIN, ae)
+		prop, eq = ap.Value, ae.Value
 	}
 	b.ReportMetric(prop, "maxmin-proportional")
 	b.ReportMetric(eq, "maxmin-equal")

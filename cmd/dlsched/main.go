@@ -30,7 +30,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"slices"
 	"strconv"
@@ -99,14 +98,9 @@ func run() error {
 			pr.Payoffs[i] = v
 		}
 	}
-	var obj core.Objective
-	switch strings.ToLower(*objName) {
-	case "sum":
-		obj = core.SUM
-	case "maxmin":
-		obj = core.MAXMIN
-	default:
-		return fmt.Errorf("unknown objective %q", *objName)
+	obj, err := core.ParseObjective(strings.ToLower(*objName))
+	if err != nil {
+		return err
 	}
 
 	if *batchIn != "" {
@@ -154,15 +148,18 @@ func run() error {
 	return nil
 }
 
+// modelFree are the heuristics dlsched runs itself; a session runs the
+// others (service.SessionHeuristic).
+var modelFree = []heuristics.Name{heuristics.NameG, heuristics.NameGFull, heuristics.NameLPR}
+
 // report computes the run's one report. Model-backed heuristics go
 // through service.Batch — the scheduling service's own batch entry
 // point — so it is identical to a fresh schedd session's answer on the
-// same platform; the model-free ones (heuristics.Run, names in lower
-// case) are computed here, and LPR rounds the optimum of that same
+// same platform; the model-free ones (names in lower case) run here,
+// through heuristics.Run, and LPR rounds the optimum of that same
 // create solve (heuristics.Relax), so lpr never reports above lprg.
 func report(platformJSON []byte, heur, objName string, obj core.Objective, pr *core.Problem, seed int64) (*service.SolveReport, error) {
-	switch heur {
-	case "lprg", "lprr", "lprr-eq", "bnb":
+	if _, ok := service.SessionHeuristic(heur); ok {
 		return service.Batch(&service.CreateSessionRequest{
 			Platform:  platformJSON,
 			Objective: objName,
@@ -172,18 +169,18 @@ func report(platformJSON []byte, heur, objName string, obj core.Objective, pr *c
 		})
 	}
 	name := heuristics.Name(strings.ToUpper(heur))
-	if !slices.Contains(heuristics.All, name) && name != heuristics.NameGFull {
+	if !slices.Contains(modelFree, name) {
 		return nil, fmt.Errorf("unknown heuristic %q", heur)
 	}
 	rel, err := heuristics.Relax(pr, obj)
 	if err != nil {
 		return nil, err
 	}
-	res, err := heuristics.Run(name, pr, obj, rel, rand.New(rand.NewSource(seed)))
+	res, err := heuristics.Run(name, pr, rel, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	return service.HeuristicReport(heur, objName, obj, pr, res.Alloc, rel.Objective, 0)
+	return service.HeuristicReport(heur, objName, pr, res, rel.Objective, 0)
 }
 
 // emitBatch answers a batched what-if request — decoded as the

@@ -31,13 +31,16 @@ import (
 
 const epochs = 12
 
-// solver computes an epoch's allocation on the model, which already
-// holds epr's capacities, warm from the previous epoch's basis.
-type solver func(m *core.Model, epr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error)
-
-func bnb(m *core.Model, epr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
-	alloc, _, basis, _, err := heuristics.BranchAndBoundOnModel(m, epr, obj, 0, from)
-	return alloc, basis, err
+// solve computes an epoch's allocation with heuristic name on the
+// model, which already holds epr's capacities, as a session's commit
+// does, warm from the previous epoch's basis; it returns the next one.
+func solve(name heuristics.Name, m *core.Model, epr *core.Problem, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
+	rel, err := heuristics.RelaxOn(m, from)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := heuristics.Run(name, epr, rel, nil, 0)
+	return res.Alloc, rel.Root, err
 }
 
 func main() {
@@ -60,30 +63,30 @@ func main() {
 	load := adapt.UniformLoadModel{K: pr.K(), Min: 0.3, Max: 1.0, Seed: 99,
 		Links: len(pl.Links), LinkMin: 0.5, LinkMax: 1.0}
 	for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-		if err := run("gateway and link load, LPRG", pr, load, obj, heuristics.LPRGOnModel); err != nil {
+		if err := run("gateway and link load, LPRG", pr, load, obj, heuristics.NameLPRG); err != nil {
 			log.Fatal(err)
 		}
 	}
 	// Desktop-grid speeds between 40 % and 100 % over a six-epoch day,
 	// re-optimized exactly.
 	diurnal := adapt.DiurnalModel{K: pr.K(), Min: 0.4, Max: 1.0, Period: 6}
-	if err := run("diurnal speeds, branch-and-bound", pr, diurnal, core.SUM, bnb); err != nil {
+	if err := run("diurnal speeds, branch-and-bound", pr, diurnal, core.SUM, heuristics.NameBnB); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // run drives the epoch loop and prints each epoch's objective for the
 // re-optimized allocation and for the throttled static one.
-func run(name string, pr *core.Problem, load adapt.Model, obj core.Objective, solve solver) error {
+func run(title string, pr *core.Problem, load adapt.Model, obj core.Objective, name heuristics.Name) error {
 	m, err := pr.NewModel(obj)
 	if err != nil {
 		return err
 	}
-	staticAlloc, basis, err := solve(m, pr, obj, nil)
+	staticAlloc, basis, err := solve(name, m, pr, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s, %v\nepoch  adaptive    static\n", name, obj)
+	fmt.Printf("%s, %v\nepoch  adaptive    static\n", title, obj)
 	var sumAdaptive, sumStatic float64
 	for e := 0; e < epochs; e++ {
 		epl, err := load.Epoch(e).Apply(pr.Platform)
@@ -94,7 +97,7 @@ func run(name string, pr *core.Problem, load adapt.Model, obj core.Objective, so
 			return err
 		}
 		epr := &core.Problem{Platform: epl, Payoffs: pr.Payoffs}
-		alloc, next, err := solve(m, epr, obj, basis)
+		alloc, next, err := solve(name, m, epr, basis)
 		if err != nil {
 			return fmt.Errorf("epoch %d: %w", e, err)
 		}

@@ -48,7 +48,7 @@ func main() {
 		fmt.Printf("%s: LP upper bound %.1f\n", obj, ub)
 		rng := rand.New(rand.NewSource(7))
 		for _, name := range heuristics.All {
-			r, err := heuristics.Run(name, pr, obj, rel, rng)
+			r, err := heuristics.Run(name, pr, rel, rng, 0)
 			if err != nil {
 				log.Fatal(err)
 			}

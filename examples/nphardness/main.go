@@ -69,10 +69,10 @@ func main() {
 		log.Fatal(err)
 	}
 	ub := rel.Objective
-	_, exact, err := heuristics.BranchAndBound(inst.Problem, core.SUM, 0)
+	exact, err := heuristics.Run(heuristics.NameBnB, inst.Problem, rel, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("LP relaxation bound: %.3f\n", ub)
-	fmt.Printf("exact integer optimum: %.3f  (equals MIS size %d — Theorem 1)\n", exact, mis)
+	fmt.Printf("exact integer optimum: %.3f  (equals MIS size %d — Theorem 1)\n", exact.Value, mis)
 }

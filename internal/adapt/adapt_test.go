@@ -266,11 +266,29 @@ func tightLoad(pr *core.Problem) UniformLoadModel {
 
 // epochSolver re-solves one epoch's problem; m already holds that
 // epoch's capacities and from is the previous epoch's basis.
-type epochSolver func(m *core.Model, epr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error)
+type epochSolver func(m *core.Model, epr *core.Problem, from *lp.Basis) (*core.Allocation, *lp.Basis, error)
 
-// coldLPRG ignores the model and basis: a fresh LPRG per epoch.
-func coldLPRG(_ *core.Model, epr *core.Problem, obj core.Objective, _ *lp.Basis) (*core.Allocation, *lp.Basis, error) {
-	a, err := lprg(epr, obj)
+// warmLPRG is LPRG on the model, its relaxation solved warm from the
+// previous epoch's basis, as a session's commit runs it.
+func warmLPRG(m *core.Model, epr *core.Problem, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
+	return warmRun(heuristics.NameLPRG, m, epr, from, nil)
+}
+
+// warmRun runs heuristic name from the model's relaxation solved warm
+// from `from`, returning the allocation and the relaxation's root basis.
+func warmRun(name heuristics.Name, m *core.Model, epr *core.Problem, from *lp.Basis, rng *rand.Rand) (*core.Allocation, *lp.Basis, error) {
+	rel, err := heuristics.RelaxOn(m, from)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := heuristics.Run(name, epr, rel, rng, 0)
+	return res.Alloc, rel.Root, err
+}
+
+// coldLPRG ignores the basis: a fresh LPRG per epoch, under the
+// model's objective.
+func coldLPRG(m *core.Model, epr *core.Problem, _ *lp.Basis) (*core.Allocation, *lp.Basis, error) {
+	a, err := lprg(epr, m.Objective())
 	return a, nil, err
 }
 
@@ -288,7 +306,7 @@ func reoptimizingGain(t *testing.T, pr *core.Problem, load Model, obj core.Objec
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, basis, err := heuristics.LPRGOnModel(m, pr, obj, nil)
+	static, basis, err := warmLPRG(m, pr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +320,7 @@ func reoptimizingGain(t *testing.T, pr *core.Problem, load Model, obj core.Objec
 			t.Fatal(err)
 		}
 		epr := &core.Problem{Platform: epl, Payoffs: pr.Payoffs}
-		alloc, next, err := solve(m, epr, obj, basis)
+		alloc, next, err := solve(m, epr, basis)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
@@ -325,7 +343,7 @@ func reoptimizingGain(t *testing.T, pr *core.Problem, load Model, obj core.Objec
 // the squeezed link budgets reject.
 func TestReoptimizingBeatsThrottledStatic(t *testing.T) {
 	pr := tightProblem(t)
-	if gain := reoptimizingGain(t, pr, tightLoad(pr), core.SUM, heuristics.LPRGOnModel); gain < 0.05 {
+	if gain := reoptimizingGain(t, pr, tightLoad(pr), core.SUM, warmLPRG); gain < 0.05 {
 		t.Fatalf("re-optimizing gained %.2f%% over the throttled static allocation, want >= 5%%", 100*gain)
 	}
 }
@@ -345,7 +363,7 @@ func TestRunAdaptiveBeatsStatic(t *testing.T) {
 // when written).
 func TestRunWarmLPRGBeatsStatic(t *testing.T) {
 	pr := tightProblem(t)
-	if gain := reoptimizingGain(t, pr, tightLoad(pr), core.MAXMIN, heuristics.LPRGOnModel); gain < 0.05 {
+	if gain := reoptimizingGain(t, pr, tightLoad(pr), core.MAXMIN, warmLPRG); gain < 0.05 {
 		t.Fatalf("re-optimizing gained %.2f%% MAXMIN over the throttled static allocation, want >= 5%%", 100*gain)
 	}
 }
@@ -357,7 +375,7 @@ func TestRunWithDiurnalSpeeds(t *testing.T) {
 	pr := tightProblem(t)
 	load := DiurnalModel{K: pr.K(), Min: 0.4, Max: 1.2, Period: 5,
 		Links: len(pr.Platform.Links), LinkMin: 0.5, LinkMax: 1.0}
-	if gain := reoptimizingGain(t, pr, load, core.SUM, heuristics.LPRGOnModel); gain < 0.05 {
+	if gain := reoptimizingGain(t, pr, load, core.SUM, warmLPRG); gain < 0.05 {
 		t.Fatalf("re-optimizing gained %.2f%% over the throttled static allocation under diurnal speeds, want >= 5%%", 100*gain)
 	}
 }
@@ -439,7 +457,7 @@ func TestRunWarmBoundsMatchesColdRebuild(t *testing.T) {
 
 // TestRunWarmBnBMatchesColdRun: branch-and-bound on the injected model,
 // warm from the previous epoch's root basis, proves the same optimum as
-// a cold BranchAndBound on each epoch's problem, to 1e-9.
+// a cold branch-and-bound on each epoch's problem, to 1e-9.
 func TestRunWarmBnBMatchesColdRun(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		pr := testProblem(seed, 4)
@@ -447,16 +465,20 @@ func TestRunWarmBnBMatchesColdRun(t *testing.T) {
 			for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
 				var basis *lp.Basis
 				injectEpochs(t, pr, load, obj, 6, func(e int, m *core.Model, epr *core.Problem) {
-					warm, _, next, _, err := heuristics.BranchAndBoundOnModel(m, epr, obj, 0, basis)
+					warm, next, err := warmRun(heuristics.NameBnB, m, epr, basis, nil)
 					if err != nil {
 						t.Fatalf("warm: %v", err)
 					}
 					basis = next
-					cold, _, err := heuristics.BranchAndBound(epr, obj, 0)
+					rel, err := heuristics.Relax(epr, obj)
 					if err != nil {
 						t.Fatalf("cold: %v", err)
 					}
-					if w, c := epr.Objective(obj, warm), epr.Objective(obj, cold); !almostEqual(w, c) {
+					cold, err := heuristics.Run(heuristics.NameBnB, epr, rel, nil, 0)
+					if err != nil {
+						t.Fatalf("cold: %v", err)
+					}
+					if w, c := epr.Objective(obj, warm), cold.Value; !almostEqual(w, c) {
 						t.Fatalf("seed %d %T %v epoch %d: warm %.12g != cold %.12g", seed, load, obj, e, w, c)
 					}
 				})
@@ -476,7 +498,7 @@ func TestRunWarmLPRRIsValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var basis *lp.Basis
 	injectEpochs(t, pr, load, core.MAXMIN, 8, func(e int, m *core.Model, epr *core.Problem) {
-		alloc, next, _, err := heuristics.LPRROnModel(m, epr, core.MAXMIN, heuristics.ProportionalRounding, rng, basis)
+		alloc, next, err := warmRun(heuristics.NameLPRR, m, epr, basis, rng)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}

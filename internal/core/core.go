@@ -38,6 +38,17 @@ func (o Objective) String() string {
 	return fmt.Sprintf("Objective(%d)", int(o))
 }
 
+// ParseObjective maps an objective's wire name, sum or maxmin, to it.
+func ParseObjective(name string) (Objective, error) {
+	switch name {
+	case "sum":
+		return SUM, nil
+	case "maxmin":
+		return MAXMIN, nil
+	}
+	return 0, fmt.Errorf("unknown objective %q (want sum or maxmin)", name)
+}
+
 // Problem couples a platform with the per-application payoff factors
 // π_k. Application A_k originates at cluster C^k, so len(Payoffs)
 // must equal the platform's cluster count.

@@ -44,7 +44,8 @@ import (
 // returns to its committed state by injecting the committed platform
 // again and calling ResetBounds.
 type Model struct {
-	pr *Problem
+	pr  *Problem
+	obj Objective
 
 	prob *lp.Problem
 	rev  *lp.Revised
@@ -108,7 +109,7 @@ func (pr *Problem) NewModel(obj Objective) (*Model, error) {
 	}
 	pl := pr.Platform
 	lay := pr.alphaLayout()
-	m := &Model{pr: pr, alphaVars: lay.vars, betaOrd: make(map[Pair]int)}
+	m := &Model{pr: pr, obj: obj, alphaVars: lay.vars, betaOrd: make(map[Pair]int)}
 
 	// Columns: α by the shared layout, then one β per route that
 	// crosses a backbone link (local and same-router routes open no
@@ -192,6 +193,10 @@ func (pr *Problem) NewModel(obj Objective) (*Model, error) {
 	m.rev = lp.NewRevised(prob)
 	return m, nil
 }
+
+// Objective is the objective the model was built with, which every
+// solve of it maximizes.
+func (m *Model) Objective() Objective { return m.obj }
 
 // SolverStats returns the lp solver's accumulated activity counters
 // (pivots, refactorizations, bound flips, warm/cold solve mix) for

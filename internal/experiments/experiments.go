@@ -94,9 +94,9 @@ type record struct {
 // salt fixes its platforms and no record depends on workers. The
 // relaxation is solved once per objective as a session's create solves
 // it (heuristics.Relax): its optimum is the LP bound, and LPR, LPRG and
-// LPRR start from it. The named heuristics run in order, each objective
-// in turn; LPRR and LPRR-EQ only up to opts.LPRRMaxK (their
-// K² LP solves dominate any sweep, exactly as the paper notes in §6.3).
+// LPRR start from it. The named heuristics run in order, each
+// objective in turn; LPRR and LPRR-EQ only up to opts.LPRRMaxK (on a
+// network-bound record their K² LP solves dominate, as §6.3 notes).
 func sweep(opts Options, k int, salt int64, names []heuristics.Name, workers int) ([]record, error) {
 	recs := make([]record, opts.PlatformsPer)
 	err := forEach(workers, opts.PlatformsPer, func(i int) error {
@@ -124,10 +124,10 @@ func sweep(opts Options, k int, salt int64, names []heuristics.Name, workers int
 			}
 			m.results = make(map[heuristics.Name]heuristics.Result, len(names))
 			for _, name := range names {
-				if (name == heuristics.NameLPRR || name == heuristics.NameLPRREQ) && k > opts.LPRRMaxK {
+				if name.Randomized() && k > opts.LPRRMaxK {
 					continue
 				}
-				if m.results[name], err = heuristics.Run(name, pr, obj, rel, rng); err != nil {
+				if m.results[name], err = heuristics.Run(name, pr, rel, rng, 0); err != nil {
 					return fmt.Errorf("experiments: %s K=%d: %w", name, k, err)
 				}
 			}
@@ -273,7 +273,10 @@ func AggregateRatios(opts Options) (*Aggregate, error) {
 // TimePoint is one K value of the Figure 7 running-time sweep: mean
 // wall-clock seconds per heuristic (and for the bare LP solve). LPR's,
 // LPRG's and LPRR's seconds are the LP solve's plus their own work, the
-// one solve the paper's Figure 7 charges each of them.
+// one solve the paper's Figure 7 charges each of them: LPRR's cell is
+// the LP's plus its pins. Its K² LP solves show on network-bound records
+// only (ROADMAP item 15); on an all-local optimum LPRR pins every route
+// to 0 at once.
 type TimePoint struct {
 	K         int
 	Platforms int
@@ -282,8 +285,8 @@ type TimePoint struct {
 }
 
 // Figure7 reproduces Figure 7: mean running time of G, LPR, LPRG and
-// LPRR versus K (log scale when plotted). LPRR is skipped above
-// opts.LPRRMaxK. Times are averaged over opts.PlatformsPer platforms
+// LPRR versus K (log scale when plotted), as TimePoint says. LPRR is
+// skipped above opts.LPRRMaxK. Times are averaged over opts.PlatformsPer platforms
 // and both objectives, like the paper's measurement protocol.
 //
 // Because this artifact measures wall-clock time, Figure7 times

@@ -119,11 +119,15 @@ func TestAggregateRatios(t *testing.T) {
 func TestFigure7Timings(t *testing.T) {
 	opts := tinyOptions()
 	opts.Ks = []int{5}
-	// The paper's §6.3 ordering: G is fastest; LPRR is the slowest by
-	// a wide margin (K² LP solves). At K=5 the absolute timings are
-	// microseconds, so scheduler noise can invert the G/LPRG pair on
-	// a loaded machine; retry a couple of times before declaring the
-	// ordering wrong.
+	// The ordering this test holds: G is fastest, and LPRR's cell is
+	// the LP's plus its pins, so LPRR ≥ LPR by construction. It does
+	// not show §6.3's K² LP solves: on this K = 5 unit-payoff sample
+	// every optimum is all local, so an LPRR run is the relaxation's
+	// cold solve plus one warm solve, with every route pinned to 0 in
+	// bulk (ROADMAP item 15's network-bound records are where the K²
+	// cost shows). At K=5 the absolute timings are microseconds, so
+	// scheduler noise can invert the G/LPRG pair on a loaded machine;
+	// retry a couple of times before declaring the ordering wrong.
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		pts, err := Figure7(opts)

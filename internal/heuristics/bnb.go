@@ -8,66 +8,40 @@ import (
 	"repro/internal/lp"
 )
 
-// ErrNodeBudget is returned by BranchAndBound when the node budget is
-// exhausted before the search tree is closed; the incumbent returned
-// alongside is then only a lower bound, not a proven optimum.
+// ErrNodeBudget is returned by a branch-and-bound Run when the node
+// budget is exhausted before the search tree is closed; the incumbent
+// returned alongside is then only a lower bound, not a proven optimum.
 var ErrNodeBudget = fmt.Errorf("heuristics: branch-and-bound node budget exhausted")
 
-// BranchAndBound solves the mixed program (7) exactly by
-// branch-and-bound on the integer β variables, using the explicit
-// (α,β) relaxation of core.Model for node bounds: one model serves the
-// whole tree and each node re-solves it warm from its parent's optimal
-// basis — a branch tightens one β variable's native bounds, leaving the
-// constraint matrix (and the basis dimension) untouched, so each child
-// typically needs only a few dual-simplex pivots. The problem is
-// NP-hard (paper §4, Theorem 1), so this is only practical for small
-// platforms (K up to ~6-8); it exists to measure how close the
-// polynomial heuristics get to the true optimum, which the paper
-// could not do ("solving the mixed LP problem for the optimal
+// branchAndBound solves the mixed program (7) exactly by
+// branch-and-bound on the integer β variables, from rel: its model
+// serves the whole tree, the root is rel's optimum, and each node
+// re-solves the model warm from its parent's optimal basis (the root's
+// from rel's root basis) — a branch tightens one β variable's native
+// bounds, leaving the constraint matrix (and the basis dimension)
+// untouched, so each child typically needs only a few dual-simplex
+// pivots. The problem is NP-hard (paper §4, Theorem 1), so this is only
+// practical for small platforms (K up to ~6-8); it exists to measure
+// how close the polynomial heuristics get to the true optimum, which
+// the paper could not do ("solving the mixed LP problem for the optimal
 // solution takes exponential time; consequently we cannot use it in
 // practice").
 //
+// The search starts from LPRG's rounding of rel's optimum only, never
+// from a previous epoch's optimum: the proven value is the same either
+// way, but a carried incumbent could change which of several tied
+// allocations is returned, making the answer depend on solve history.
+//
 // maxNodes bounds the search; <= 0 means a default of 10,000 nodes.
 // The returned allocation is the best integer-feasible point found.
-func BranchAndBound(pr *core.Problem, obj core.Objective, maxNodes int) (*core.Allocation, float64, error) {
-	model, err := pr.NewModel(obj)
-	if err != nil {
-		return nil, 0, err
-	}
-	alloc, best, _, _, err := BranchAndBoundOnModel(model, pr, obj, maxNodes, nil)
-	return alloc, best, err
-}
-
-// BranchAndBoundOnModel is the warm-epoch entry point of the exact
-// solver: it searches over a caller-provided persistent core.Model
-// (β bounds are reset per node as usual) and warm-starts the root
-// relaxation from `root`, typically the previous epoch's root basis.
-// pr must share the model's platform structure; its capacities may
-// differ — inject the epoch's platform into the model with
-// core.Model.Inject before calling.
-//
-// The search starts from LPRG's incumbent only, never from a previous
-// epoch's optimum: the proven value is the same either way, but a
-// carried incumbent could change which of several tied allocations is
-// returned, making the answer depend on solve history.
-//
-// The returned basis snapshots the root relaxation's optimal basis
-// for the next epoch's warm start, and the returned bound is that
-// relaxation's optimum, solved for the LPRG incumbent, which a caller
-// reporting the bound need not solve again.
-func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objective, maxNodes int, root *lp.Basis) (*core.Allocation, float64, *lp.Basis, float64, error) {
+func branchAndBound(pr *core.Problem, rel *Relaxation, maxNodes int) (*core.Allocation, error) {
 	if maxNodes <= 0 {
 		maxNodes = 10000
 	}
-	// Incumbent: start from LPRG, which is cheap and always feasible,
-	// and reuses the model (and the root basis) so even the incumbent
-	// costs no cold LP build.
-	incumbent, rootBasis, rootBound, err := LPRGBoundOnModel(model, pr, obj, root)
-	if err != nil {
-		return nil, 0, nil, 0, err
-	}
+	model, obj := rel.model, rel.model.Objective()
+	incumbent := LPRG(pr, rel.RelaxedSolution)
 	if err := pr.CheckAllocation(incumbent, core.DefaultTol); err != nil {
-		return nil, 0, nil, 0, fmt.Errorf("heuristics: LPRG produced an invalid incumbent: %w", err)
+		return nil, fmt.Errorf("heuristics: LPRG produced an invalid incumbent: %w", err)
 	}
 	best := pr.Objective(obj, incumbent)
 
@@ -78,11 +52,11 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 		// change, so it is one dual-simplex restart away.
 		basis *lp.Basis
 	}
-	stack := []node{{bounds: map[core.Pair]core.BetaBounds{}, basis: rootBasis}}
+	stack := []node{{bounds: map[core.Pair]core.BetaBounds{}, basis: rel.Root}}
 	nodes := 0
 	for len(stack) > 0 {
 		if nodes >= maxNodes {
-			return incumbent, best, rootBasis, rootBound, ErrNodeBudget
+			return incumbent, ErrNodeBudget
 		}
 		nodes++
 		nd := stack[len(stack)-1]
@@ -91,12 +65,12 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 		model.ResetBounds()
 		for p, b := range nd.bounds {
 			if err := model.SetBounds(p, b); err != nil {
-				return nil, 0, nil, 0, err
+				return nil, err
 			}
 		}
 		bound, ok, err := model.Solve(nd.basis)
 		if err != nil {
-			return nil, 0, nil, 0, err
+			return nil, err
 		}
 		if !ok {
 			continue // infeasible subtree
@@ -119,7 +93,7 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 				}
 			}
 			if err := pr.CheckAllocation(cand, core.DefaultTol); err != nil {
-				return nil, 0, nil, 0, fmt.Errorf("heuristics: BnB produced an invalid candidate: %w", err)
+				return nil, fmt.Errorf("heuristics: BnB produced an invalid candidate: %w", err)
 			}
 			if val := pr.Objective(obj, cand); val > best {
 				best = val
@@ -145,7 +119,7 @@ func BranchAndBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objecti
 		basis := model.Basis() // the one snapshot a node takes, and only to branch
 		stack = append(stack, node{bounds: down, basis: basis}, node{bounds: up, basis: basis})
 	}
-	return incumbent, best, rootBasis, rootBound, nil
+	return incumbent, nil
 }
 
 // boundsOf reads the effective bounds of p in m, defaulting absent

@@ -13,7 +13,7 @@ import (
 
 // oracleBranchAndBound is the reference tree the production solver is
 // checked against: the same depth-first search and LPRG incumbent as
-// BranchAndBoundOnModel, but every node relaxation is program (7)
+// branchAndBound, but every node relaxation is program (7)
 // written out afresh by denseRelaxation and cold-solved by the lptest
 // dense-tableau oracle — no warm starts, no shared basis, and no code
 // of core's model builder. budget=true reports that maxNodes ran out
@@ -225,7 +225,7 @@ func TestBranchAndBoundMatchesOracleTree(t *testing.T) {
 			pr.Payoffs[i] = float64(1 + rng.Intn(3))
 		}
 		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-			_, warm, err := BranchAndBound(pr, obj, 4000)
+			_, warm, err := solveBnB(t, pr, obj, 4000)
 			if err != nil && err != ErrNodeBudget {
 				t.Fatalf("seed %d %v: warm: %v", seed, obj, err)
 			}

@@ -23,6 +23,9 @@ const (
 	// NameLPRREQ is the equal-probability rounding control variant
 	// discussed in §6.2.
 	NameLPRREQ Name = "LPRR-EQ"
+	// NameBnB is the exact branch-and-bound search (bnb.go), which
+	// measures how far the paper's heuristics are from the optimum.
+	NameBnB Name = "BNB"
 	// NameGFull is the G ablation that drains residual local speed
 	// instead of stranding it (see Greedy's documentation). Not part
 	// of the paper; used by the ablation benchmarks.
@@ -34,11 +37,15 @@ const (
 var All = []Name{NameG, NameLPR, NameLPRG, NameLPRR, NameLPRREQ}
 
 // ReadsRelaxation reports whether heuristic n starts from the relaxed
-// optimum its caller holds (LPR, LPRG, LPRR, LPRR-EQ) rather than
-// solving on its own (G, G-FULL).
-func (n Name) ReadsRelaxation() bool { return n == NameLPR || n == NameLPRG || isLPRR(n) }
+// optimum its Relaxation holds (LPR, LPRG, LPRR, LPRR-EQ, BnB) rather
+// than solving on its own (G, G-FULL).
+func (n Name) ReadsRelaxation() bool {
+	return n == NameLPR || n == NameLPRG || n.Randomized() || n == NameBnB
+}
 
-func isLPRR(n Name) bool { return n == NameLPRR || n == NameLPRREQ }
+// Randomized reports whether heuristic n draws on Run's rng (LPRR,
+// LPRR-EQ).
+func (n Name) Randomized() bool { return n == NameLPRR || n == NameLPRREQ }
 
 // Result is the outcome of one heuristic run: the allocation, its
 // objective value, and the wall-clock time spent past the relaxation's
@@ -46,29 +53,31 @@ func isLPRR(n Name) bool { return n == NameLPRR || n == NameLPRREQ }
 // is that solve's time plus this (DESIGN.md "Heuristics (§5)").
 type Result struct {
 	Heuristic Name
-	Objective core.Objective
 	Alloc     *core.Allocation
 	Value     float64
 	Elapsed   time.Duration
 }
 
-// Run executes the named heuristic on the problem under the given
-// objective. rel is pr's relaxation under obj (Relax), which LPR, LPRG
-// and LPRR start from; G does not read it, and it may be nil for G.
-// rng is only consulted by the randomized heuristics; it may be nil for
-// the deterministic ones. An LPRR run after another on the same rel
-// first solves rel again, untimed: that solve is the relaxation's.
-func Run(name Name, pr *core.Problem, obj core.Objective, rel *Relaxation, rng *rand.Rand) (Result, error) {
-	if name.ReadsRelaxation() && rel == nil {
+// Run is the one dispatcher: it runs the named heuristic on pr from
+// rel, pr's relaxation (Relax, or RelaxOn over a model holding pr's
+// capacities), and values the allocation under rel's model's objective.
+// rng is read by the randomized heuristics only, maxNodes by
+// branch-and-bound only (<= 0: 10 000). A heuristic that pins first
+// restores rel (Relaxation.Restore) if an earlier run pinned it,
+// untimed: that solve is the relaxation's. A branch-and-bound search
+// out of budget returns its incumbent with ErrNodeBudget.
+func Run(name Name, pr *core.Problem, rel *Relaxation, rng *rand.Rand, maxNodes int) (Result, error) {
+	if rel == nil {
 		return Result{}, fmt.Errorf("heuristics: %s requires the relaxation", name)
 	}
-	if isLPRR(name) {
-		if rng == nil {
-			return Result{}, fmt.Errorf("heuristics: %s requires an rng", name)
-		}
-		if err := rel.unpin(); err != nil {
+	if name.Randomized() && rng == nil {
+		return Result{}, fmt.Errorf("heuristics: %s requires an rng", name)
+	}
+	if name.Randomized() || name == NameBnB { // it pins β on rel's model
+		if _, err := rel.Restore(); err != nil {
 			return Result{}, err
 		}
+		rel.pinned = true
 	}
 	start := time.Now()
 	var (
@@ -85,20 +94,21 @@ func Run(name Name, pr *core.Problem, obj core.Objective, rel *Relaxation, rng *
 	case NameLPRG:
 		alloc = LPRG(pr, rel.RelaxedSolution)
 	case NameLPRR:
-		alloc, err = LPRR(pr, rel, ProportionalRounding, rng)
+		alloc, err = lprr(pr, rel, ProportionalRounding, rng)
 	case NameLPRREQ:
-		alloc, err = LPRR(pr, rel, EqualRounding, rng)
+		alloc, err = lprr(pr, rel, EqualRounding, rng)
+	case NameBnB:
+		alloc, err = branchAndBound(pr, rel, maxNodes)
 	default:
 		return Result{}, fmt.Errorf("heuristics: unknown heuristic %q", name)
 	}
-	if err != nil {
+	if alloc == nil {
 		return Result{}, err
 	}
 	return Result{
 		Heuristic: name,
-		Objective: obj,
 		Alloc:     alloc,
-		Value:     pr.Objective(obj, alloc),
+		Value:     pr.Objective(rel.model.Objective(), alloc),
 		Elapsed:   time.Since(start),
-	}, nil
+	}, err
 }

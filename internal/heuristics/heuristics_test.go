@@ -3,6 +3,7 @@ package heuristics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -234,7 +235,7 @@ func TestLPRRProducesValidAllocations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				a, err := LPRR(pr, rel, variant, rng)
+				a, err := lprr(pr, rel, variant, rng)
 				if err != nil {
 					t.Fatalf("seed %d %v %v: %v", seed, obj, variant, err)
 				}
@@ -260,7 +261,7 @@ func TestLPRRExactWhenRelaxationIntegral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := LPRR(pr, rel, ProportionalRounding, rng)
+	a, err := lprr(pr, rel, ProportionalRounding, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,10 +276,23 @@ func TestLPRRVariantString(t *testing.T) {
 	}
 }
 
+// solveBnB is branch-and-bound from pr's relaxation under obj, as Run
+// runs it: the incumbent, its value and ErrNodeBudget when the search
+// ran out of nodes.
+func solveBnB(t testing.TB, pr *core.Problem, obj core.Objective, maxNodes int) (*core.Allocation, float64, error) {
+	t.Helper()
+	rel, err := Relax(pr, obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Run(NameBnB, pr, rel, nil, maxNodes)
+	return r.Alloc, r.Value, err
+}
+
 func TestBranchAndBoundMatchesRelaxationWhenIntegral(t *testing.T) {
 	pr := core.NewProblem(star(0, 2, 10, 2))
 	pr.Payoffs = []float64{1, 0, 0}
-	alloc, val, err := BranchAndBound(pr, core.SUM, 0)
+	alloc, val, err := solveBnB(t, pr, core.SUM, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +309,7 @@ func TestBranchAndBoundBeatsOrMatchesHeuristics(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		pr := randomProblem(seed, 5)
 		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-			_, exact, err := BranchAndBound(pr, obj, 20000)
+			_, exact, err := solveBnB(t, pr, obj, 20000)
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, obj, err)
 			}
@@ -308,7 +322,7 @@ func TestBranchAndBoundBeatsOrMatchesHeuristics(t *testing.T) {
 				t.Fatalf("seed %d %v: exact %g beats LP bound %g", seed, obj, exact, ub)
 			}
 			for _, name := range []Name{NameG, NameLPR, NameLPRG} {
-				r, err := Run(name, pr, obj, rel, rng)
+				r, err := Run(name, pr, rel, rng, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -328,7 +342,7 @@ func TestRunDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range All {
-		r, err := Run(name, pr, core.SUM, rel, rng)
+		r, err := Run(name, pr, rel, rng, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -342,14 +356,14 @@ func TestRunDispatch(t *testing.T) {
 			t.Fatalf("%s: Value field inconsistent", name)
 		}
 	}
-	if _, err := Run("nope", pr, core.SUM, rel, rng); err == nil {
+	if _, err := Run("nope", pr, rel, rng, 0); err == nil {
 		t.Fatal("unknown heuristic must error")
 	}
-	if _, err := Run(NameLPRR, pr, core.SUM, rel, nil); err == nil {
+	if _, err := Run(NameLPRR, pr, rel, nil, 0); err == nil {
 		t.Fatal("LPRR without rng must error")
 	}
 	for _, name := range []Name{NameLPR, NameLPRG} {
-		if _, err := Run(name, pr, core.SUM, nil, rng); err == nil {
+		if _, err := Run(name, pr, nil, rng, 0); err == nil {
 			t.Fatalf("%s without the relaxation must error", name)
 		}
 	}
@@ -357,11 +371,15 @@ func TestRunDispatch(t *testing.T) {
 
 func TestRunDeterministicHeuristicsStable(t *testing.T) {
 	pr := randomProblem(11, 7)
-	a1, err := Run(NameG, pr, core.SUM, nil, nil)
+	rel, err := Relax(pr, core.SUM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Run(NameG, pr, core.SUM, nil, nil)
+	a1, err := Run(NameG, pr, rel, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := Run(NameG, pr, rel, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +402,7 @@ func TestPropertyAllHeuristicsValidAndBounded(t *testing.T) {
 			}
 			ub := rel.Objective
 			for _, name := range []Name{NameG, NameLPR, NameLPRG, NameLPRR} {
-				r, err := Run(name, pr, obj, rel, rng)
+				r, err := Run(name, pr, rel, rng, 0)
 				if err != nil {
 					return false
 				}
@@ -434,17 +452,19 @@ func BenchmarkLPRRK6(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := LPRR(pr, rel, ProportionalRounding, rng); err != nil {
+		if _, err := lprr(pr, rel, ProportionalRounding, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestLPRRSharesTheRelaxation: LPRR run through Run on one Relaxation —
-// proportional, then equal, then proportional again, so the later runs
-// start from a model an earlier one pinned — answers every run bit for
-// bit as LPRROnModel on a fresh model of its own does, with the same
-// coins, on network-bound platforms where the pins move the vertex.
+// TestLPRRSharesTheRelaxation: the heuristics that pin, run through Run
+// on one Relaxation — LPRR, then LPRR-EQ, then LPRR again, then
+// branch-and-bound, so every later run starts from a model an earlier
+// one pinned — answer every run bit for bit as the same run on a fresh
+// Relaxation of its own does, with the same coins, on network-bound
+// platforms where the pins move the vertex. After the last, Restore
+// brings the shared model back to its cold optimum, bit for bit.
 func TestLPRRSharesTheRelaxation(t *testing.T) {
 	pins := 0
 	for seed := int64(1); seed <= 4; seed++ {
@@ -462,31 +482,33 @@ func TestLPRRSharesTheRelaxation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, name := range []Name{NameLPRR, NameLPRREQ, NameLPRR} {
-				variant := ProportionalRounding
-				if name == NameLPRREQ {
-					variant = EqualRounding
+			for i, name := range []Name{NameLPRR, NameLPRREQ, NameLPRR, NameBnB} {
+				got, err := Run(name, pr, rel, rand.New(rand.NewSource(int64(i))), 2000)
+				if err != nil && err != ErrNodeBudget {
+					t.Fatal(err)
 				}
-				got, err := Run(name, pr, obj, rel, rand.New(rand.NewSource(int64(i))))
+				fresh, err := Relax(pr, obj)
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, err := pr.NewModel(obj)
-				if err != nil {
+				want, err := Run(name, pr, fresh, rand.New(rand.NewSource(int64(i))), 2000)
+				if err != nil && err != ErrNodeBudget {
 					t.Fatal(err)
 				}
-				want, _, _, err := LPRROnModel(m, pr, obj, variant, rand.New(rand.NewSource(int64(i))), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := allocDiff(got.Alloc, want); d != "" {
+				if d := allocDiff(got.Alloc, want.Alloc); d != "" {
 					t.Fatalf("seed %d %v run %d (%s): shared relaxation %s", seed, obj, i, name, d)
 				}
-				pins += int(m.SolverStats().WarmSolves)
+				pins += int(fresh.model.SolverStats().WarmSolves)
+			}
+			if _, err := rel.Restore(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(snapshotCells(rel.model.Solution()), snapshotCells(rel.RelaxedSolution)) {
+				t.Fatalf("seed %d %v: the restored optimum is not the cold one", seed, obj)
 			}
 		}
 	}
 	if pins == 0 {
-		t.Fatal("no LPRR run re-solved after a pin; nothing was checked")
+		t.Fatal("no run re-solved after a pin; nothing was checked")
 	}
 }

@@ -30,45 +30,79 @@ func LPR(pr *core.Problem, rel *core.RelaxedSolution) *core.Allocation {
 	return alloc
 }
 
-// Relaxation is pr's relaxation under one objective, solved once as a
-// session's create solves it (Relax). Its RelaxedSolution is the
-// optimum, whose value is the paper's LP bound: LPR and LPRG round it,
-// and LPRR pins β on the model it was solved on, from it.
+// Relaxation is the one root solve: program (7)'s relaxation on a
+// core.Model, whose optimum (RelaxedSolution, its value the LP bound)
+// every heuristic starts from. LPR and LPRG round it; LPRR and
+// branch-and-bound pin β on the model from it and its basis.
 type Relaxation struct {
 	*core.RelaxedSolution
+	Root   *lp.Basis // the optimum's basis, which a session carries to its next commit
 	model  *core.Model
-	pinned bool // an LPRR run has pinned model since its last root solve
+	cold   bool // model is Relax's own: Restore solves it cold
+	pinned bool // a heuristic has pinned model since the last root solve
 }
 
-// Relax builds pr's core.Model under obj and cold-solves it with
-// SolveRelaxation, as a session's create does, so every heuristic
-// rounds the vertex the service rounds.
+// Relax builds pr's core.Model under obj and cold-solves it, as a
+// session's create does, so every heuristic rounds the vertex the
+// service rounds.
 func Relax(pr *core.Problem, obj core.Objective) (*Relaxation, error) {
 	model, err := pr.NewModel(obj)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := SolveRelaxation(model, nil); err != nil {
+	r, err := RelaxOn(model, nil)
+	if r != nil {
+		r.cold = true
+	}
+	return r, err
+}
+
+// RelaxOn clears model's β bounds and solves its relaxation warm from
+// `from` (cold when nil), as a session's commit does. It is small
+// enough to inline, so a caller that keeps no Relaxation past its
+// heuristic holds it on its stack.
+func RelaxOn(model *core.Model, from *lp.Basis) (*Relaxation, error) {
+	r := new(Relaxation)
+	if err := r.solve(model, from); err != nil {
 		return nil, err
 	}
-	return &Relaxation{RelaxedSolution: model.Solution(), model: model}, nil
+	return r, nil
 }
 
-// unpin returns the model to the relaxation's optimum after an LPRR run
-// pinned it: a cold solve is a function of the program alone.
-func (r *Relaxation) unpin() (err error) {
-	if r.pinned {
-		_, err = SolveRelaxation(r.model, nil)
-		r.pinned = err != nil
+// solve is the root solve of model from `from`: r keeps the model, the
+// optimum and its basis.
+func (r *Relaxation) solve(model *core.Model, from *lp.Basis) error {
+	if _, err := solveRoot(model, from); err != nil {
+		return err
 	}
-	return err
+	r.model, r.Root, r.RelaxedSolution = model, model.Basis(), model.Solution()
+	return nil
 }
 
-// SolveRelaxation is the one root solve: it resets model's β bounds and
-// solves the unpinned relaxation warm from `from` (cold when nil),
-// returning its bound. The all-zero allocation is always feasible, so
-// an infeasible verdict is a model bug, errInfeasible, not an answer.
-func SolveRelaxation(model *core.Model, from *lp.Basis) (float64, error) {
+// Restore returns the model to the unpinned optimum after a heuristic
+// pinned β on it, and returns that optimum's bound. A model Relax built
+// is solved cold again, which lands on the root's optimum bit for bit;
+// one RelaxOn solved restarts warm from the root basis, whose bound may
+// differ from the root's in the last bits. With no pin since the root
+// solve it solves nothing and returns the root's bound.
+func (r *Relaxation) Restore() (float64, error) {
+	if !r.pinned {
+		return r.Objective, nil
+	}
+	from := r.Root
+	if r.cold {
+		from = nil
+	}
+	bound, err := solveRoot(r.model, from)
+	r.pinned = err != nil
+	return bound, err
+}
+
+// solveRoot resets model's β bounds and solves the unpinned relaxation
+// warm from `from` (cold when nil), returning its bound. The all-zero
+// allocation is always feasible, so an infeasible verdict is a model
+// bug, errInfeasible, not an answer.
+func solveRoot(model *core.Model, from *lp.Basis) (float64, error) {
 	model.ResetBounds()
 	bound, ok, err := model.Solve(from)
 	if err == nil && !ok {
@@ -150,28 +184,14 @@ func LPRG(pr *core.Problem, rel *core.RelaxedSolution) *core.Allocation {
 	return alloc
 }
 
-// LPRGOnModel is LPRG over a caller-provided persistent core.Model:
-// SolveRelaxation re-solves the unpinned relaxation warm from `from`,
-// and LPRG rounds its optimum against pr's capacities. pr must share
-// the model's platform structure (routes and links); its capacities may
-// differ — the adaptability scenario, where the caller has already
-// injected the epoch's platform into the model with core.Model.Inject.
-// The returned basis snapshots the relaxation's optimal basis for the
-// next warm start.
+// LPRGOnModel is LPRG from RelaxOn(model, from), returning the root
+// basis. It stays only for bench/trace.go's heuristics.lprg_us probe,
+// which calls it with this signature; obj is ignored, because the model
+// carries its objective (core.Model.Objective).
 func LPRGOnModel(model *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, error) {
-	alloc, basis, _, err := LPRGBoundOnModel(model, pr, obj, from)
-	return alloc, basis, err
-}
-
-// LPRGBoundOnModel is LPRGOnModel that also returns the bound of the
-// relaxation it rounded: the unpinned relaxation's optimum under the
-// default β bounds, which a caller reporting the bound need not solve
-// again.
-func LPRGBoundOnModel(model *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, *lp.Basis, float64, error) {
-	bound, err := SolveRelaxation(model, from)
+	rel, err := RelaxOn(model, from)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	basis := model.Basis()
-	return LPRG(pr, model.Solution()), basis, bound, nil
+	return LPRG(pr, rel.RelaxedSolution), rel.Root, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/lp"
 )
 
 // LPRRVariant selects the randomized-rounding probability rule.
@@ -28,7 +27,7 @@ func (v LPRRVariant) String() string {
 	return "LPRR"
 }
 
-// LPRR is the paper's randomized round-off heuristic (§5.2.3), run
+// lprr is the paper's randomized round-off heuristic (§5.2.3), run
 // from rel's optimum on the model rel was solved on. It fixes the β
 // value of one route at a time: solve the rational relaxation with all
 // previously pinned routes, pick an unpinned route at random among
@@ -36,47 +35,19 @@ func (v LPRRVariant) String() string {
 // fractional part (down otherwise), pin it, and iterate. Unpinned
 // routes whose β̃ is 0 in the current solution are pinned to 0 in bulk
 // when no nonzero candidate remains. The procedure solves up to K²
-// linear programs, which is exactly the complexity the paper measures
-// in Figure 7; its first is rel's own solve. A pin is a native
-// variable-bound mutation of the one core.Model (β_p fixed to v via
-// lb = ub = v, leaving the constraint matrix untouched), so every
-// re-solve warm-starts the revised simplex from the previous pin's
-// optimal basis.
+// linear programs, the complexity the paper measures in Figure 7; its
+// first is rel's own solve. A pin is a native variable-bound mutation
+// of the one core.Model (β_p fixed to v via lb = ub = v, leaving the
+// constraint matrix untouched), so every re-solve warm-starts the
+// revised simplex from the previous pin's optimal basis, the first from
+// rel's root basis.
 //
 // With integral max-connect values a round-up to ⌈β̃⌉ can never make
 // the pin set infeasible (DESIGN.md "Heuristics (§5)"); if
 // infeasibility is ever reported (LPRR-EQ rounding an integral β̃ up,
 // or the solver's tolerance), the round-up is retried as a round-down.
-func LPRR(pr *core.Problem, rel *Relaxation, variant LPRRVariant, rng *rand.Rand) (*core.Allocation, error) {
-	if err := rel.unpin(); err != nil {
-		return nil, err
-	}
-	rel.pinned = true
-	alloc, _, err := pinRoutes(rel.model, pr, variant, rng, rel.RelaxedSolution)
-	return alloc, err
-}
-
-// LPRROnModel is LPRR running over a caller-provided persistent
-// core.Model: SolveRelaxation clears previous pins and solves the
-// initial relaxation warm from `from`, typically the previous epoch's
-// root basis. pr must share the model's platform structure; its
-// capacities may differ — inject the epoch's platform into the model
-// with core.Model.Inject before calling. The returned basis snapshots
-// the initial (pin-free) relaxation's optimal basis for the next
-// epoch's warm start, and the returned bound is that relaxation's
-// optimum, which a caller reporting the bound need not solve again.
-func LPRROnModel(model *core.Model, pr *core.Problem, obj core.Objective, variant LPRRVariant, rng *rand.Rand, from *lp.Basis) (*core.Allocation, *lp.Basis, float64, error) {
-	bound, err := SolveRelaxation(model, from)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	alloc, root, err := pinRoutes(model, pr, variant, rng, model.Solution())
-	return alloc, root, bound, err
-}
-
-// pinRoutes is LPRR's pin loop from rel, the unpinned optimum the
-// model's last solve reached, whose basis it returns with the allocation.
-func pinRoutes(model *core.Model, pr *core.Problem, variant LPRRVariant, rng *rand.Rand, rel *core.RelaxedSolution) (*core.Allocation, *lp.Basis, error) {
+func lprr(pr *core.Problem, rel *Relaxation, variant LPRRVariant, rng *rand.Rand) (*core.Allocation, error) {
+	model, opt, basis := rel.model, rel.RelaxedSolution, rel.Root
 	routes := model.BetaVars() // row-major: the order the rng draws over
 	fixed := make(map[core.Pair]int, len(routes))
 	remaining := make(map[core.Pair]bool, len(routes))
@@ -84,15 +55,12 @@ func pinRoutes(model *core.Model, pr *core.Problem, variant LPRRVariant, rng *ra
 		remaining[p] = true
 	}
 
-	basis := model.Basis()
-	rootBasis := basis
-
 	// betaFrac is the β̃ the rounding rule draws on: the least
 	// fractional connection count α̃/bw_min that carries the current
 	// relaxed α, as roundDown reads it.
 	betaFrac := func(p core.Pair) float64 {
 		if bw := pr.Platform.RouteBW(p.K, p.L); bw > 0 && !math.IsInf(bw, 1) {
-			return rel.Alpha[p.K][p.L] / bw
+			return opt.Alpha[p.K][p.L] / bw
 		}
 		return 0
 	}
@@ -111,7 +79,7 @@ func pinRoutes(model *core.Model, pr *core.Problem, variant LPRRVariant, rng *ra
 			for p := range remaining {
 				fixed[p] = 0
 				if err := model.SetBounds(p, core.BetaBounds{Lb: 0, Ub: 0}); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
 			break
@@ -133,45 +101,43 @@ func pinRoutes(model *core.Model, pr *core.Problem, variant LPRRVariant, rng *ra
 			if rng.Float64() < 0.5 {
 				up = 1
 			}
-		default:
-			return nil, nil, fmt.Errorf("heuristics: unknown LPRR variant %d", int(variant))
 		}
 		value := floor + up
 		if err := pin(model, p, value); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fixed[p] = value
 		delete(remaining, p)
 
 		_, ok, err := model.Solve(basis)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if !ok && up == 1 {
 			// Exotic-platform fallback: retry with the floor.
 			if err := pin(model, p, floor); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			fixed[p] = floor
 			if _, ok, err = model.Solve(basis); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if !ok {
-			return nil, nil, fmt.Errorf("heuristics: LPRR pin set became infeasible at route (%d,%d)", p.K, p.L)
+			return nil, fmt.Errorf("heuristics: LPRR pin set became infeasible at route (%d,%d)", p.K, p.L)
 		}
-		rel, basis = model.Solution(), model.Basis()
+		opt, basis = model.Solution(), model.Basis()
 	}
 
 	// Final solve with every route pinned gives the α values.
 	_, ok, err := model.Solve(basis)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !ok {
-		return nil, nil, fmt.Errorf("heuristics: final LPRR relaxation infeasible")
+		return nil, fmt.Errorf("heuristics: final LPRR relaxation infeasible")
 	}
-	return allocationFromPinned(pr, model.Solution().Alpha, fixed), rootBasis, nil
+	return allocationFromPinned(pr, model.Solution().Alpha, fixed), nil
 }
 
 func pin(model *core.Model, p core.Pair, v int) error {

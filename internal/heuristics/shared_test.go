@@ -23,23 +23,7 @@ import (
 // frozen optimum's cells stay bit for bit what they were, and both runs
 // return the same allocation.
 func TestHeuristicsLeaveSharedOptimumUnwritten(t *testing.T) {
-	runs := map[string]func(m *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, error){
-		"lprg": func(m *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, error) {
-			a, _, err := LPRGOnModel(m, pr, obj, from)
-			return a, err
-		},
-		"lprr": func(m *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, error) {
-			a, _, _, err := LPRROnModel(m, pr, obj, ProportionalRounding, rand.New(rand.NewSource(7)), from)
-			return a, err
-		},
-		"bnb": func(m *core.Model, pr *core.Problem, obj core.Objective, from *lp.Basis) (*core.Allocation, error) {
-			a, _, _, _, err := BranchAndBoundOnModel(m, pr, obj, 2000, from)
-			if err == ErrNodeBudget {
-				err = nil // the incumbent is still a deterministic answer
-			}
-			return a, err
-		},
-	}
+	runs := []Name{NameLPRG, NameLPRR, NameBnB}
 	cases, shared := 0, 0
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -58,10 +42,11 @@ func TestHeuristicsLeaveSharedOptimumUnwritten(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, basis, err := LPRGOnModel(m, pr, obj, nil) // the commit
+			commit, err := RelaxOn(m, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			basis := commit.Root
 			if err := m.Freeze(); err != nil {
 				t.Fatal(err)
 			}
@@ -72,15 +57,20 @@ func TestHeuristicsLeaveSharedOptimumUnwritten(t *testing.T) {
 			cases++
 			want := snapshotCells(base)
 			hpr := &core.Problem{Platform: hyp, Payoffs: pr.Payoffs}
-			for name, run := range runs {
+			for _, name := range runs {
 				var first *core.Allocation
 				for n := 0; n < 2; n++ {
 					m.Rewind()
-					got, err := run(m, hpr, obj, basis)
+					rel, err := RelaxOn(m, basis)
 					if err != nil {
 						t.Fatalf("seed %d %v %s run %d: %v", seed, obj, name, n, err)
 					}
-					if name == "lprg" {
+					res, err := Run(name, hpr, rel, rand.New(rand.NewSource(7)), 2000)
+					if err != nil && err != ErrNodeBudget { // an incumbent is still a deterministic answer
+						t.Fatalf("seed %d %v %s run %d: %v", seed, obj, name, n, err)
+					}
+					got := res.Alloc
+					if name == NameLPRG {
 						if _, ok := m.Diff(); !ok {
 							t.Fatalf("seed %d %v: LPRG's solve from the frozen state was not told as a diff", seed, obj)
 						}

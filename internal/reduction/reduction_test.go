@@ -229,7 +229,7 @@ func TestTheorem1Equivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, exact, err := heuristics.BranchAndBound(inst.Problem, core.SUM, 200000)
+			exact, err := exactOptimum(inst.Problem, 200000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,11 +256,11 @@ func TestTriangleRelaxationExceedsInteger(t *testing.T) {
 	if ub < 1.5-1e-6 {
 		t.Fatalf("LP bound = %g, want 1.5", ub)
 	}
-	_, exact, err := heuristics.BranchAndBound(inst.Problem, core.SUM, 100000)
+	res, err := heuristics.Run(heuristics.NameBnB, inst.Problem, rel, nil, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(exact-1) > 1e-6 {
+	if exact := res.Value; math.Abs(exact-1) > 1e-6 {
 		t.Fatalf("integer optimum = %g, want 1", exact)
 	}
 }
@@ -289,7 +289,7 @@ func TestTheorem1RandomGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, exact, err := heuristics.BranchAndBound(inst.Problem, core.SUM, 500000)
+		exact, err := exactOptimum(inst.Problem, 500000)
 		if err != nil {
 			t.Fatalf("trial %d (n=%d, m=%d): %v", trial, n, len(g.Edges), err)
 		}
@@ -307,4 +307,15 @@ func BenchmarkBuildCycle5(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// exactOptimum is the SUM optimum of pr by branch-and-bound from its
+// relaxation, within maxNodes nodes.
+func exactOptimum(pr *core.Problem, maxNodes int) (float64, error) {
+	rel, err := heuristics.Relax(pr, core.SUM)
+	if err != nil {
+		return 0, err
+	}
+	res, err := heuristics.Run(heuristics.NameBnB, pr, rel, nil, maxNodes)
+	return res.Value, err
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/heuristics"
 )
 
 // flush drops every resolved answer; the hit/miss counters survive
@@ -210,7 +211,7 @@ func TestAnswerTable(t *testing.T) {
 // there — never under the epoch its claim looked up.
 func TestWhatIfFiledUnderTheDigestItWasSolvedAt(t *testing.T) {
 	pl := testPlatform(t, 6, 14)
-	sess, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg"})
+	sess, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg", name: heuristics.NameLPRG})
 	if err != nil {
 		t.Fatal(err)
 	}

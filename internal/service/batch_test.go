@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/heuristics"
 	"repro/internal/platform"
 )
 
@@ -103,7 +104,7 @@ func TestBatchWhatIfMatchesSerial(t *testing.T) {
 // answer with Coalesced set.
 func TestBatchWhatIfDedupe(t *testing.T) {
 	pl := testPlatform(t, 8, 11)
-	sess, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg"})
+	sess, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg", name: heuristics.NameLPRG})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestBatchWhatIfDedupe(t *testing.T) {
 // session must answer bit-identically afterwards.
 func TestBatchWhatIfForkRace(t *testing.T) {
 	pl := testPlatform(t, 20, 15)
-	sess, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg"})
+	sess, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg", name: heuristics.NameLPRG})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +476,7 @@ func TestBatchWhatIfErrors(t *testing.T) {
 func TestE15BatchRegression(t *testing.T) {
 	const floor, distinct, copies = 2.0, 64, 4
 	pl, payoffs := tightPlatform(t, 20, 1)
-	sess, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg", payoffs: payoffs})
+	sess, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg", name: heuristics.NameLPRG, payoffs: payoffs})
 	if err != nil {
 		t.Fatal(err)
 	}

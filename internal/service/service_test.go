@@ -161,31 +161,15 @@ func batchBound(t testing.TB, pl *platform.Platform, obj core.Objective) float64
 func batchValue(t testing.TB, pl *platform.Platform, heur string, obj core.Objective, seed int64) float64 {
 	t.Helper()
 	pr := core.NewProblem(pl)
-	rng := rand.New(rand.NewSource(seed))
-	var (
-		alloc *core.Allocation
-		err   error
-	)
-	switch heur {
-	case "lprg", "lprr":
-		var rel *heuristics.Relaxation
-		if rel, err = heuristics.Relax(pr, obj); err != nil {
-			break
-		}
-		if heur == "lprg" {
-			alloc = heuristics.LPRG(pr, rel.RelaxedSolution)
-		} else {
-			alloc, err = heuristics.LPRR(pr, rel, heuristics.ProportionalRounding, rng)
-		}
-	case "bnb":
-		alloc, _, err = heuristics.BranchAndBound(pr, obj, 0)
-	default:
-		t.Fatalf("batchValue: unknown heuristic %q", heur)
-	}
+	rel, err := heuristics.Relax(pr, obj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pr.Objective(obj, alloc)
+	res, err := heuristics.Run(heuristics.Name(strings.ToUpper(heur)), pr, rel, rand.New(rand.NewSource(seed)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Value
 }
 
 // GetOrCreate is POST /sessions without the HTTP: decodeCreate plus
@@ -401,7 +385,7 @@ func TestEpochCommitsDrift(t *testing.T) {
 // session's drifted platform), so the test applies the same
 // perturbation to its own running copy. After every commit the
 // relaxation bound must equal a cold heuristics.Relax, and a bnb
-// session's value a cold BranchAndBound, at 1e-9: both optima are unique
+// session's value a cold branch-and-bound Run, at 1e-9: both optima are unique
 // in value, whatever basis the warm solve started from. Some bnb commits
 // must land below their bound, or the value check would only repeat the
 // bound check.
@@ -452,10 +436,11 @@ func TestEpochCommitsMatchColdRebuild(t *testing.T) {
 					if heur != "bnb" {
 						continue
 					}
-					_, value, err := heuristics.BranchAndBound(pr, obj, 0)
+					res, err := heuristics.Run(heuristics.NameBnB, pr, rel, nil, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
+					value := res.Value
 					if math.Abs(rep.Value-value) > tol*(1+math.Abs(value)) {
 						t.Fatalf("bnb %v load %d epoch %d: committed value %.12g, cold value %.12g", obj, li, e, rep.Value, value)
 					}
@@ -474,7 +459,7 @@ func TestEpochCommitsMatchColdRebuild(t *testing.T) {
 
 // TestWhatIfBnBMatchesBatch pins strong answer equality on the exact
 // solver: BnB optima are unique in value, so a warm what-if or epoch
-// answer from a bnb session must equal a cold batch BranchAndBound on
+// answer from a bnb session must equal a cold batch branch-and-bound on
 // the equivalent platform at 1e-9.
 func TestWhatIfBnBMatchesBatch(t *testing.T) {
 	pl := testPlatform(t, 5, 31)
@@ -677,7 +662,7 @@ func TestPoolLRUEviction(t *testing.T) {
 // what-ifs issued while one is in flight share its solve.
 func TestWhatIfCoalescing(t *testing.T) {
 	pl := testPlatform(t, 6, 13)
-	sess, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg"})
+	sess, err := newSession(pl, sessionConfig{obj: core.MAXMIN, objName: "maxmin", heur: "lprg", name: heuristics.NameLPRG})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,6 +60,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -74,30 +75,40 @@ import (
 type sessionConfig struct {
 	obj      core.Objective
 	objName  string
-	heur     string
-	payoffs  []float64 // nil = all 1
+	heur     string          // wire name, as reports spell it
+	name     heuristics.Name // the heuristic heur names
+	payoffs  []float64       // nil = all 1
 	seed     int64
 	maxNodes int
+}
+
+// SessionHeuristic is the heuristic a session commits with whose wire
+// name, its Name in lower case, is wire, and whether there is one.
+func SessionHeuristic(wire string) (heuristics.Name, bool) {
+	for _, name := range []heuristics.Name{heuristics.NameLPRG, heuristics.NameLPRR, heuristics.NameLPRREQ, heuristics.NameBnB} {
+		if wire == strings.ToLower(string(name)) {
+			return name, true
+		}
+	}
+	return "", false
 }
 
 // parseConfig normalizes and validates the solver configuration of a
 // create request (decodeCreate handles the platform) or a snapshot.
 func parseConfig(req *CreateSessionRequest) (sessionConfig, error) {
-	cfg := sessionConfig{seed: req.Seed, maxNodes: req.MaxNodes, payoffs: req.Payoffs}
-	switch req.Objective {
-	case "", "maxmin":
-		cfg.obj, cfg.objName = core.MAXMIN, "maxmin"
-	case "sum":
-		cfg.obj, cfg.objName = core.SUM, "sum"
-	default:
-		return cfg, clientError{fmt.Errorf("unknown objective %q (want sum or maxmin)", req.Objective)}
+	cfg := sessionConfig{objName: req.Objective, heur: req.Heuristic, seed: req.Seed, maxNodes: req.MaxNodes, payoffs: req.Payoffs}
+	if cfg.objName == "" {
+		cfg.objName = "maxmin"
 	}
-	switch req.Heuristic {
-	case "", "lprg":
+	if cfg.heur == "" {
 		cfg.heur = "lprg"
-	case "lprr", "lprr-eq", "bnb":
-		cfg.heur = req.Heuristic
-	default:
+	}
+	var err error
+	if cfg.obj, err = core.ParseObjective(cfg.objName); err != nil {
+		return cfg, clientError{err}
+	}
+	var ok bool
+	if cfg.name, ok = SessionHeuristic(cfg.heur); !ok {
 		return cfg, clientError{fmt.Errorf("unknown heuristic %q (want lprg, lprr, lprr-eq or bnb)", req.Heuristic)}
 	}
 	return cfg, nil
@@ -405,15 +416,12 @@ func (s *Session) publishLocked(c *committed) {
 
 // commitLocked is the commit solve that creation, RestoreSession and
 // every epoch commit share: the heuristic on pr, the problem the model
-// holds, warm from the basis from, reported at epoch, with the new root
-// basis it ends on and the relaxation's bound. An lprg commit rounds the
-// unpinned relaxation, so the optimum it solved is the bound; the other
-// heuristics pin β bounds, and solve the bound again warm from the new
-// basis (typically zero pivots: the heuristic has just left it optimal
-// for the unpinned relaxation), which also returns the solver to the
-// unpinned optimum the what-ifs freeze. It writes no session field: its
-// caller publishes what it returns, or returns the model to the
-// published state.
+// holds, from the relaxation solved warm from the basis from, reported
+// at epoch, with the relaxation's root basis. The what-ifs freeze the
+// state it leaves, so it restores the unpinned optimum after a
+// heuristic that pinned, and reports that optimum's bound. It writes no
+// session field: its caller publishes what it returns, or returns the
+// model to the published state.
 func (s *Session) commitLocked(pr *core.Problem, from *lp.Basis, epoch int) (*SolveReport, *lp.Basis, error) {
 	// Committed answers must be replica-independent: a session
 	// promoted from a snapshot on a successor holds the same matrix,
@@ -427,48 +435,39 @@ func (s *Session) commitLocked(pr *core.Problem, from *lp.Basis, epoch int) (*So
 	// A what-if needs no rebase: it starts from the factorization
 	// this solve leaves, and is rewound to it.
 	s.model.Rebase()
-	alloc, basis, bound, err := s.heuristicSolve(pr, from)
+	rel, err := heuristics.RelaxOn(s.model, from)
 	if err != nil {
 		return nil, nil, err
 	}
-	if s.cfg.heur != "lprg" {
-		if bound, err = heuristics.SolveRelaxation(s.model, basis); err != nil {
-			return nil, nil, err
-		}
+	res, err := s.run(pr, rel)
+	if err != nil {
+		return nil, nil, err
 	}
-	rep, err := HeuristicReport(s.cfg.heur, s.cfg.objName, s.cfg.obj, pr, alloc, bound, epoch)
-	return rep, basis, err
+	bound, err := rel.Restore()
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := HeuristicReport(s.cfg.heur, s.cfg.objName, pr, res, bound, epoch)
+	return rep, rel.Root, err
 }
 
-// heuristicSolve runs the configured heuristic over the session model
-// against epr's capacities, warm from the basis from, returning the
-// allocation, the new root basis and the bound of the unpinned
-// relaxation the heuristic solved first. The randomized heuristics
-// reseed from the session seed on every call, so answers are
+// run runs the session's heuristic on pr from rel. The randomized
+// heuristics reseed from the session seed on every run, so answers are
 // deterministic and equal to a batch run with the same seed.
-func (s *Session) heuristicSolve(epr *core.Problem, from *lp.Basis) (*core.Allocation, *lp.Basis, float64, error) {
-	switch s.cfg.heur {
-	case "lprg":
-		return heuristics.LPRGBoundOnModel(s.model, epr, s.cfg.obj, from)
-	case "lprr":
-		rng := rand.New(rand.NewSource(s.cfg.seed))
-		return heuristics.LPRROnModel(s.model, epr, s.cfg.obj, heuristics.ProportionalRounding, rng, from)
-	case "lprr-eq":
-		rng := rand.New(rand.NewSource(s.cfg.seed))
-		return heuristics.LPRROnModel(s.model, epr, s.cfg.obj, heuristics.EqualRounding, rng, from)
-	case "bnb":
-		alloc, _, basis, bound, err := heuristics.BranchAndBoundOnModel(s.model, epr, s.cfg.obj, s.cfg.maxNodes, from)
-		return alloc, basis, bound, err
+func (s *Session) run(pr *core.Problem, rel *heuristics.Relaxation) (heuristics.Result, error) {
+	var rng *rand.Rand
+	if s.cfg.name.Randomized() {
+		rng = rand.New(rand.NewSource(s.cfg.seed))
 	}
-	return nil, nil, 0, fmt.Errorf("unknown heuristic %q", s.cfg.heur)
+	return heuristics.Run(s.cfg.name, pr, rel, rng, s.cfg.maxNodes)
 }
 
-// HeuristicReport checks heuristic heur's allocation alloc against pr
-// and reports it under objective obj (named objective) with the
-// relaxation bound, at epoch: the answer of a session's commit and
+// HeuristicReport checks the allocation of heuristic run res (heur, its
+// wire name) against pr and reports it under the named objective with
+// the relaxation bound, at epoch: the answer of a session's commit and
 // heuristic what-if, and of dlsched's model-free heuristics.
-func HeuristicReport(heur, objective string, obj core.Objective, pr *core.Problem, alloc *core.Allocation, bound float64, epoch int) (*SolveReport, error) {
-	if err := pr.CheckAllocation(alloc, core.DefaultTol); err != nil {
+func HeuristicReport(heur, objective string, pr *core.Problem, res heuristics.Result, bound float64, epoch int) (*SolveReport, error) {
+	if err := pr.CheckAllocation(res.Alloc, core.DefaultTol); err != nil {
 		return nil, fmt.Errorf("internal error: heuristic produced an invalid allocation: %w", err)
 	}
 	K := pr.K()
@@ -476,15 +475,15 @@ func HeuristicReport(heur, objective string, obj core.Objective, pr *core.Proble
 		Heuristic:   heur,
 		Objective:   objective,
 		Feasible:    true,
-		Value:       pr.Objective(obj, alloc),
+		Value:       res.Value,
 		LPBound:     bound,
-		Alpha:       alloc.Alpha,
-		Beta:        alloc.Beta,
+		Alpha:       res.Alloc.Alpha,
+		Beta:        res.Alloc.Beta,
 		Throughputs: make([]float64, K),
 		Epoch:       epoch,
 	}
 	for k := 0; k < K; k++ {
-		rep.Throughputs[k] = alloc.AppThroughput(k)
+		rep.Throughputs[k] = res.Alloc.AppThroughput(k)
 	}
 	return rep, nil
 }
@@ -548,9 +547,9 @@ func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) { return asRe
 // whatIf is WhatIf as the HTTP layer consumes it: a cache hit comes back
 // as its entry, whose wire image is the response. The owner of a flight
 // answers the hypothetical on the session model (whatIfOn) before
-// releasing the session; a heuristic what-if discards the root basis its
-// heuristic ends on, reports the bound of the unpinned relaxation its
-// heuristic solved first, and whatIfOn rewinds the solver past its
+// releasing the session; a heuristic what-if reports the bound of the
+// relaxation its heuristic started from, restores nothing after a
+// heuristic that pinned, and whatIfOn rewinds the solver past its
 // solves.
 // The answer is resolved under the committed epoch while mu is still
 // held, so it can never be filed against a state other than the one it
@@ -594,11 +593,15 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 		rep, err = whatIfOn(s.model, h, c.pl, func() (*SolveReport, error) {
 			if !req.Relax {
 				epr := &core.Problem{Platform: h.platform(c.pl), Payoffs: c.pr.Payoffs}
-				alloc, _, bound, err := s.heuristicSolve(epr, c.basis)
+				rel, err := heuristics.RelaxOn(s.model, c.basis)
 				if err != nil {
 					return nil, err
 				}
-				return HeuristicReport(s.cfg.heur, s.cfg.objName, s.cfg.obj, epr, alloc, bound, c.epoch)
+				res, err := s.run(epr, rel)
+				if err != nil {
+					return nil, err
+				}
+				return HeuristicReport(s.cfg.heur, s.cfg.objName, epr, res, rel.Objective, c.epoch)
 			}
 			if _, _, err := s.model.Solve(c.basis); err != nil {
 				return nil, err

@@ -50,7 +50,7 @@ func TestMixedLANFullStack(t *testing.T) {
 		}
 		for _, name := range heuristics.All {
 			rng := rand.New(rand.NewSource(7))
-			res, err := heuristics.Run(name, pr, obj, rel, rng)
+			res, err := heuristics.Run(name, pr, rel, rng, 0)
 			if err != nil {
 				t.Errorf("%s(%v): %v", name, obj, err)
 				continue
@@ -59,11 +59,15 @@ func TestMixedLANFullStack(t *testing.T) {
 				t.Errorf("%s(%v): invalid allocation: %v", name, obj, err)
 			}
 		}
-		if _, _, err := heuristics.BranchAndBound(pr, obj, 2000); err != nil {
+		if _, err := heuristics.Run(heuristics.NameBnB, pr, rel, nil, 2000); err != nil {
 			t.Errorf("BnB(%v): %v", obj, err)
 		}
 	}
-	res, err := heuristics.Run(heuristics.NameG, pr, core.SUM, nil, nil)
+	rel, err := heuristics.Relax(pr, core.SUM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := heuristics.Run(heuristics.NameG, pr, rel, nil, 0)
 	if err != nil {
 		t.Fatalf("Greedy: %v", err)
 	}
@@ -96,10 +100,15 @@ func TestMixedLANAdaptEpochs(t *testing.T) {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
 		epr := &core.Problem{Platform: epl, Payoffs: pr.Payoffs}
-		alloc, next, err := heuristics.LPRGOnModel(m, epr, core.SUM, basis)
+		rel, err := heuristics.RelaxOn(m, basis)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
+		res, err := heuristics.Run(heuristics.NameLPRG, epr, rel, nil, 0)
+		if err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		alloc, next := res.Alloc, rel.Root
 		if err := epr.CheckAllocation(alloc, core.DefaultTol); err != nil {
 			t.Errorf("epoch %d: invalid allocation: %v", e, err)
 		}
