@@ -123,9 +123,9 @@
 // session's committed state and the question. Asked again it is the
 // same bytes, a cache hit adds only "cached": true, and a replica
 // restored from a snapshot answers a query with the owner's bytes (the
-// snapshot carries the committed answer) and commits as the owner would;
-// its what-ifs before its next commit agree with the owner's to 1e-9,
-// solved from its own factorization of the same basis. The answers are
+// snapshot carries the committed answer), and its what-ifs and later
+// commits with the owner's bytes too: a restore solves the committed
+// root alone, and every answer is a function of that root. The answers are
 // the same numbers the batch CLIs produce: a dlsched -json run on the
 // session's current platform (GET /sessions/$SID/platform) is directly
 // diffable against a query.

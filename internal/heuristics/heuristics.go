@@ -40,12 +40,16 @@ var All = []Name{NameG, NameLPR, NameLPRG, NameLPRR, NameLPRREQ}
 // optimum its Relaxation holds (LPR, LPRG, LPRR, LPRR-EQ, BnB) rather
 // than solving on its own (G, G-FULL).
 func (n Name) ReadsRelaxation() bool {
-	return n == NameLPR || n == NameLPRG || n.Randomized() || n == NameBnB
+	return n == NameLPR || n == NameLPRG || n.Pins()
 }
 
 // Randomized reports whether heuristic n draws on Run's rng (LPRR,
 // LPRR-EQ).
 func (n Name) Randomized() bool { return n == NameLPRR || n == NameLPRREQ }
+
+// Pins reports whether heuristic n pins β on its relaxation's model and
+// solves it again (LPRR, LPRR-EQ, BnB).
+func (n Name) Pins() bool { return n.Randomized() || n == NameBnB }
 
 // Result is the outcome of one heuristic run: the allocation, its
 // objective value, and the wall-clock time spent past the relaxation's
@@ -62,10 +66,12 @@ type Result struct {
 // rel, pr's relaxation (Relax, or RelaxOn over a model holding pr's
 // capacities), and values the allocation under rel's model's objective.
 // rng is read by the randomized heuristics only, maxNodes by
-// branch-and-bound only (<= 0: 10 000). A heuristic that pins first
-// restores rel (Relaxation.Restore) if an earlier run pinned it,
-// untimed: that solve is the relaxation's. A branch-and-bound search
-// out of budget returns its incumbent with ErrNodeBudget.
+// branch-and-bound only (<= 0: 10 000). On a held rel (Relax, Hold) a
+// heuristic that pins runs from the model frozen at the root, and its
+// pins are cleared and the solver rewound there after, untimed: both
+// steps are the relaxation's. No caller runs two heuristics that pin on
+// a rel not held. A branch-and-bound search out of budget returns its
+// incumbent with ErrNodeBudget.
 func Run(name Name, pr *core.Problem, rel *Relaxation, rng *rand.Rand, maxNodes int) (Result, error) {
 	if rel == nil {
 		return Result{}, fmt.Errorf("heuristics: %s requires the relaxation", name)
@@ -73,11 +79,14 @@ func Run(name Name, pr *core.Problem, rel *Relaxation, rng *rand.Rand, maxNodes 
 	if name.Randomized() && rng == nil {
 		return Result{}, fmt.Errorf("heuristics: %s requires an rng", name)
 	}
-	if name.Randomized() || name == NameBnB { // it pins β on rel's model
-		if _, err := rel.Restore(); err != nil {
+	if name.Pins() && rel.held {
+		if err := rel.model.Freeze(); err != nil {
 			return Result{}, err
 		}
-		rel.pinned = true
+		defer func() {
+			rel.model.ResetBounds()
+			rel.model.Rewind()
+		}()
 	}
 	start := time.Now()
 	var (

@@ -463,8 +463,10 @@ func BenchmarkLPRRK6(b *testing.B) {
 // branch-and-bound, so every later run starts from a model an earlier
 // one pinned — answer every run bit for bit as the same run on a fresh
 // Relaxation of its own does, with the same coins, on network-bound
-// platforms where the pins move the vertex. After the last, Restore
-// brings the shared model back to its cold optimum, bit for bit.
+// platforms where the pins move the vertex. After the last, Run has left
+// the shared model on its frozen root: a warm solve from Root takes no
+// pivot and lands on the same solve of a fresh Relax frozen at its root,
+// bit for bit.
 func TestLPRRSharesTheRelaxation(t *testing.T) {
 	pins := 0
 	for seed := int64(1); seed <= 4; seed++ {
@@ -500,11 +502,25 @@ func TestLPRRSharesTheRelaxation(t *testing.T) {
 				}
 				pins += int(fresh.model.SolverStats().WarmSolves)
 			}
-			if _, err := rel.Restore(); err != nil {
+			fresh, err := Relax(pr, obj)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(snapshotCells(rel.model.Solution()), snapshotCells(rel.RelaxedSolution)) {
-				t.Fatalf("seed %d %v: the restored optimum is not the cold one", seed, obj)
+			pivots := rel.model.SolverStats().Pivots
+			if _, _, err := rel.model.Solve(rel.Root); err != nil {
+				t.Fatal(err)
+			}
+			if p := rel.model.SolverStats().Pivots - pivots; p != 0 {
+				t.Fatalf("seed %d %v: the warm solve from the root took %d pivots after the runs", seed, obj, p)
+			}
+			if err := fresh.model.Freeze(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := fresh.model.Solve(fresh.Root); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(snapshotCells(rel.model.Solution()), snapshotCells(fresh.model.Solution())) {
+				t.Fatalf("seed %d %v: the runs left the model off its root", seed, obj)
 			}
 		}
 	}

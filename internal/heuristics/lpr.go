@@ -36,15 +36,14 @@ func LPR(pr *core.Problem, rel *core.RelaxedSolution) *core.Allocation {
 // branch-and-bound pin β on the model from it and its basis.
 type Relaxation struct {
 	*core.RelaxedSolution
-	Root   *lp.Basis // the optimum's basis, which a session carries to its next commit
-	model  *core.Model
-	cold   bool // model is Relax's own: Restore solves it cold
-	pinned bool // a heuristic has pinned model since the last root solve
+	Root  *lp.Basis // the optimum's basis, which a session carries to its next commit
+	model *core.Model
+	held  bool // the caller holds model at this root: Run rewinds a pin to it
 }
 
 // Relax builds pr's core.Model under obj and cold-solves it, as a
 // session's create does, so every heuristic rounds the vertex the
-// service rounds.
+// service rounds. The model is Relax's own, held at the root.
 func Relax(pr *core.Problem, obj core.Objective) (*Relaxation, error) {
 	model, err := pr.NewModel(obj)
 	if err != nil {
@@ -52,7 +51,7 @@ func Relax(pr *core.Problem, obj core.Objective) (*Relaxation, error) {
 	}
 	r, err := RelaxOn(model, nil)
 	if r != nil {
-		r.cold = true
+		r.held = true
 	}
 	return r, err
 }
@@ -69,46 +68,27 @@ func RelaxOn(model *core.Model, from *lp.Basis) (*Relaxation, error) {
 	return r, nil
 }
 
-// solve is the root solve of model from `from`: r keeps the model, the
-// optimum and its basis.
+// Hold says the caller holds r's model at this root, as a commit does,
+// so Run rewinds it here after a pin, and returns r.
+func (r *Relaxation) Hold() *Relaxation {
+	r.held = true
+	return r
+}
+
+// solve is the root solve of model: it resets model's β bounds and
+// solves the unpinned relaxation warm from `from` (cold when nil), and r
+// keeps the model, the optimum and its basis. The all-zero allocation is
+// always feasible, so an infeasible verdict is a model bug,
+// errInfeasible, not an answer.
 func (r *Relaxation) solve(model *core.Model, from *lp.Basis) error {
-	if _, err := solveRoot(model, from); err != nil {
+	model.ResetBounds()
+	if _, ok, err := model.Solve(from); err != nil {
 		return err
+	} else if !ok {
+		return errInfeasible
 	}
 	r.model, r.Root, r.RelaxedSolution = model, model.Basis(), model.Solution()
 	return nil
-}
-
-// Restore returns the model to the unpinned optimum after a heuristic
-// pinned β on it, and returns that optimum's bound. A model Relax built
-// is solved cold again, which lands on the root's optimum bit for bit;
-// one RelaxOn solved restarts warm from the root basis, whose bound may
-// differ from the root's in the last bits. With no pin since the root
-// solve it solves nothing and returns the root's bound.
-func (r *Relaxation) Restore() (float64, error) {
-	if !r.pinned {
-		return r.Objective, nil
-	}
-	from := r.Root
-	if r.cold {
-		from = nil
-	}
-	bound, err := solveRoot(r.model, from)
-	r.pinned = err != nil
-	return bound, err
-}
-
-// solveRoot resets model's β bounds and solves the unpinned relaxation
-// warm from `from` (cold when nil), returning its bound. The all-zero
-// allocation is always feasible, so an infeasible verdict is a model
-// bug, errInfeasible, not an answer.
-func solveRoot(model *core.Model, from *lp.Basis) (float64, error) {
-	model.ResetBounds()
-	bound, ok, err := model.Solve(from)
-	if err == nil && !ok {
-		err = errInfeasible
-	}
-	return bound, err
 }
 
 var errInfeasible = errors.New("heuristics: relaxation infeasible on an unconstrained platform (model bug)")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -297,5 +298,59 @@ func TestCommittedImageBuiltFromBody(t *testing.T) {
 				t.Fatal("a library commit published a wire image it had no body for")
 			}
 		})
+	}
+}
+
+// TestCommittedAnswerIsTheEmptyWhatIf: a commit reports the answer the
+// what-if that changes nothing ({}) reports at the same epoch — its
+// heuristic runs from the same root and reports that root's bound. For
+// every session heuristic under each objective, on tight K = 5 and K = 8
+// platforms (seeds 1–9) with 1 + i mod 3 payoffs, at the create and after
+// each of 3 epoch commits, the query's value and the empty what-if's
+// agree within 1e-9 · bound, and their bounds within 1e-12 relative. The
+// bounds are not held equal: the commit's root solve and the what-if's
+// solve on the frozen, refactorized state may differ in the last bits.
+func TestCommittedAnswerIsTheEmptyWhatIf(t *testing.T) {
+	for _, heur := range []string{"lprg", "lprr", "lprr-eq", "bnb"} {
+		for _, obj := range []string{"sum", "maxmin"} {
+			for _, K := range []int{5, 8} {
+				for seed := int64(1); seed <= 9; seed++ {
+					pl, payoffs := tightPlatform(t, K, seed)
+					cfg, err := parseConfig(&CreateSessionRequest{Objective: obj, Heuristic: heur, Payoffs: payoffs, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					s, err := newSession(pl, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rng := rand.New(rand.NewSource(seed))
+					for e := 0; ; e++ {
+						q, err := s.Query()
+						if err != nil {
+							t.Fatal(err)
+						}
+						w, err := s.WhatIf(&WhatIfRequest{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Abs(q.Value-w.Value) > 1e-9*q.LPBound || math.Abs(q.LPBound-w.LPBound) > 1e-12*q.LPBound {
+							t.Errorf("%s %s K=%d seed %d epoch %d: committed value %.17g bound %.17g, empty what-if %.17g bound %.17g",
+								heur, obj, K, seed, e, q.Value, q.LPBound, w.Value, w.LPBound)
+						}
+						if e == 3 {
+							break
+						}
+						f, g := make([]float64, K), make([]float64, K)
+						for i := range f {
+							f[i], g[i] = 0.9+0.2*rng.Float64(), 0.9+0.2*rng.Float64()
+						}
+						if _, err := s.Epoch(&EpochRequest{SpeedFactor: f, GatewayFactor: g}); err != nil {
+							t.Fatalf("%s %s K=%d seed %d epoch %d: %v", heur, obj, K, seed, e, err)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -155,6 +156,112 @@ func TestRestoredSessionCommitsAsLive(t *testing.T) {
 			if wa, wb := marshalReport(a), marshalReport(b); wa == nil || !bytes.Equal(wa, wb) {
 				t.Fatalf("seed %d, commit %d after the restore: the reports differ (live value %.17g bound %.17g, restored %.17g bound %.17g)",
 					seed, e+1, a.Value, a.LPBound, b.Value, b.LPBound)
+			}
+		}
+	}
+}
+
+// TestRestoredSessionAnswersAsLive holds a restored replica to its owner
+// for every session heuristic: a restore is the root solve alone, and
+// every answer after it is a function of that root. On tight K = 6 and
+// K = 10 platforms (seeds 1–3), drawn as the benchmark draws its own,
+// with 1 + i mod 3 payoffs, an lprg, lprr, lprr-eq and bnb session under
+// each objective creates, commits 3 epochs and is snapshotted, encoded,
+// decoded and restored. Then
+//   - the restore ran exactly one warm solve and no cold one;
+//   - the empty what-if, a relaxed one, a relaxed one with one speed
+//     moved and a heuristic one with one gateway moved answer with the
+//     live session's bytes;
+//   - both sessions commit 4 more epochs with the same bytes.
+//
+// A restore that ran the heuristic and then re-solved the root, rather
+// than standing where the owner's commit left its solver, answers the
+// heuristics that pin differently here.
+func TestRestoredSessionAnswersAsLive(t *testing.T) {
+	for _, heur := range []string{"lprg", "lprr", "lprr-eq", "bnb"} {
+		for _, K := range []int{6, 10} {
+			for seed := int64(1); seed <= 3; seed++ {
+				pl, payoffs := tightPlatform(t, K, seed)
+				for _, obj := range []string{"sum", "maxmin"} {
+					cfg, err := parseConfig(&CreateSessionRequest{Objective: obj, Heuristic: heur, Payoffs: payoffs, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					live, err := newSession(pl, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rng := rand.New(rand.NewSource(seed * 17))
+					epoch := func() *EpochRequest {
+						f, g := make([]float64, K), make([]float64, K)
+						for i := range f {
+							f[i], g[i] = 0.85+0.3*rng.Float64(), 0.85+0.3*rng.Float64()
+						}
+						return &EpochRequest{SpeedFactor: f, GatewayFactor: g}
+					}
+					for e := 0; e < 3; e++ {
+						if _, err := live.Epoch(epoch()); err != nil {
+							t.Fatal(err)
+						}
+					}
+					snap, err := live.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					enc, err := snap.Encode()
+					if err != nil {
+						t.Fatal(err)
+					}
+					dec, err := cluster.DecodeSnapshot(enc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					restored, _, _, err := RestoreSession(dec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s K=%d seed %d %s", heur, K, seed, obj)
+					if st := restored.Stats().Solver; st.WarmSolves != 1 || st.ColdSolves != 0 {
+						t.Fatalf("%s: the restore ran %d warm and %d cold solves, want 1 and 0", name, st.WarmSolves, st.ColdSolves)
+					}
+					c := live.state.Load()
+					probes := []WhatIfRequest{
+						{},
+						{Relax: true},
+						{Speeds: []ClusterValue{{Cluster: 0, Value: 0.8 * c.pl.Clusters[0].Speed}}, Relax: true},
+						{Gateways: []ClusterValue{{Cluster: 1, Value: 0.7 * c.pl.Clusters[1].Gateway}}},
+					}
+					for i := range probes {
+						a, err := live.WhatIf(&probes[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						b, err := restored.WhatIf(&probes[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						a.Cached, b.Cached = false, false
+						if wa, wb := marshalReport(a), marshalReport(b); wa == nil || !bytes.Equal(wa, wb) {
+							t.Errorf("%s, probe %d: the restored what-if differs (live value %.17g bound %.17g, restored %.17g bound %.17g)",
+								name, i, a.Value, a.LPBound, b.Value, b.LPBound)
+						}
+					}
+					for e := 0; e < 4; e++ {
+						req := epoch()
+						a, err := live.Epoch(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						b, err := restored.Epoch(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if wa, wb := marshalReport(a), marshalReport(b); wa == nil || !bytes.Equal(wa, wb) {
+							t.Fatalf("%s, commit %d after the restore: the reports differ (live value %.17g bound %.17g, restored %.17g bound %.17g)",
+								name, e+1, a.Value, a.LPBound, b.Value, b.LPBound)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -299,7 +299,7 @@ type Session struct {
 // committed platform, and returns them with pl's problem, without
 // solving or publishing anything — the shared half of newSession (which
 // follows with the initial cold commit solve) and RestoreSession (which
-// installs a snapshot's basis and commits warm instead). fp is the
+// installs a snapshot's basis and solves its root warm instead). fp is the
 // fingerprint of the platform the session was created for, which with
 // cfg names the session.
 func buildSession(pl *platform.Platform, cfg sessionConfig, fp string) (*Session, *core.Problem, error) {
@@ -414,41 +414,48 @@ func (s *Session) publishLocked(c *committed) {
 	s.answers.rotate(c.epoch)
 }
 
-// commitLocked is the commit solve that creation, RestoreSession and
-// every epoch commit share: the heuristic on pr, the problem the model
-// holds, from the relaxation solved warm from the basis from, reported
-// at epoch, with the relaxation's root basis. The what-ifs freeze the
-// state it leaves, so it restores the unpinned optimum after a
-// heuristic that pinned, and reports that optimum's bound. It writes no
-// session field: its caller publishes what it returns, or returns the
-// model to the published state.
+// commitLocked is the commit solve that creation and every epoch commit
+// share: the heuristic on pr, the problem the model holds, from the root
+// solved warm from the basis from, reported at epoch with the root's
+// bound and basis — so it answers what the what-if {} answers. The root
+// is held, so a heuristic that pins leaves the model frozen on it. It
+// writes no session field: its caller publishes what it returns, or
+// returns the model to the published state.
 func (s *Session) commitLocked(pr *core.Problem, from *lp.Basis, epoch int) (*SolveReport, *lp.Basis, error) {
-	// Committed answers must be replica-independent: a session
-	// promoted from a snapshot on a successor holds the same matrix,
-	// capacities and basis as the dead owner's live session did, but
-	// not its accumulated solver internals (sign normalization,
-	// eta-file factors, pricing weights), and on degenerate platforms
-	// those pick the optimal vertex — so the heuristic's tie-breaks,
-	// and therefore the committed Value, would drift across a
-	// failover. Rebase drops the history so this solve is a pure
-	// function of the committed discrete state on every replica.
-	// A what-if needs no rebase: it starts from the factorization
-	// this solve leaves, and is rewound to it.
+	rel, err := s.rootLocked(from)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := s.run(pr, rel.Hold())
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := HeuristicReport(s.cfg.heur, s.cfg.objName, pr, res, rel.Objective, epoch)
+	return rep, rel.Root, err
+}
+
+// rootLocked is the one root solve of a commit, RestoreSession and a
+// failed commit's rollback: Rebase, then the unpinned relaxation warm
+// from the basis from (cold when nil), returned by value to stay on the
+// stack.
+//
+// Committed answers must be replica-independent: a session promoted
+// from a snapshot on a successor holds the same matrix, capacities and
+// basis as the dead owner's live session did, but not its accumulated
+// solver internals (sign normalization, eta-file factors, pricing
+// weights), and on degenerate platforms those pick the optimal vertex —
+// so the heuristic's tie-breaks, and therefore the committed Value,
+// would drift across a failover. Rebase drops the history so this solve
+// is a pure function of the committed discrete state on every replica.
+// A what-if needs no rebase: it starts from the factorization this
+// solve leaves, and is rewound to it.
+func (s *Session) rootLocked(from *lp.Basis) (heuristics.Relaxation, error) {
 	s.model.Rebase()
 	rel, err := heuristics.RelaxOn(s.model, from)
 	if err != nil {
-		return nil, nil, err
+		return heuristics.Relaxation{}, err
 	}
-	res, err := s.run(pr, rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	bound, err := rel.Restore()
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := HeuristicReport(s.cfg.heur, s.cfg.objName, pr, res, bound, epoch)
-	return rep, rel.Root, err
+	return *rel, nil
 }
 
 // run runs the session's heuristic on pr from rel. The randomized
@@ -548,9 +555,9 @@ func (s *Session) WhatIf(req *WhatIfRequest) (*SolveReport, error) { return asRe
 // as its entry, whose wire image is the response. The owner of a flight
 // answers the hypothetical on the session model (whatIfOn) before
 // releasing the session; a heuristic what-if reports the bound of the
-// relaxation its heuristic started from, restores nothing after a
-// heuristic that pinned, and whatIfOn rewinds the solver past its
-// solves.
+// relaxation its heuristic started from, as a commit does, and it is
+// not held: whatIfOn holds the committed state frozen and rewinds the
+// solver past its solves.
 // The answer is resolved under the committed epoch while mu is still
 // held, so it can never be filed against a state other than the one it
 // was computed on.
@@ -860,8 +867,8 @@ func (s *Session) commitEpoch(req *EpochRequest, commitID string, wantBody bool)
 // answer, and the report for its caller to publish. A commit whose
 // solve fails — a bnb search out of its node budget, say — publishes
 // nothing, so c stays the committed state; only the model is returned
-// to it: c's capacities injected again, rebased and re-solved warm from
-// c's basis, so the solver stands on that basis's factorization as it
+// to it: c's capacities injected again and its root solved from c's
+// basis, so the solver stands on that basis's factorization as it
 // did after the last commit. A retry then applies the perturbation to
 // the same platform, not on top of it.
 func (s *Session) epochLocked(c *committed, req *EpochRequest) (*committed, *SolveReport, error) {
@@ -888,9 +895,7 @@ func (s *Session) epochLocked(c *committed, req *EpochRequest) (*committed, *Sol
 	rep, basis, err := s.commitLocked(epr, c.basis, c.epoch+1)
 	if err != nil {
 		mustRestore(s.model.Inject(c.pl))
-		s.model.Rebase()
-		s.model.ResetBounds()
-		if _, _, serr := s.model.Solve(c.basis); serr != nil {
+		if _, serr := s.rootLocked(c.basis); serr != nil {
 			mustRestore(serr)
 		}
 		return nil, nil, err

@@ -87,23 +87,19 @@ func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, er
 // hash to the snapshot's fingerprint; the carried capacities are written
 // into it and the result validated again (platform.ValidateStrict); a
 // fresh model is built over it, the snapshot's basis installed, and the
-// commit solve every commit runs is run once — from Rebase's canonical
-// footing, which is also what lets a fresh solver take a foreign basis
-// warm: one dual-simplex restart, typically zero pivots. warm reports
-// whether the rebuild really was warm (no cold solves, no cold
-// fallbacks); a basis the solver rejects degrades to a correct cold
-// rebuild rather than an error, but one sized for another column count
-// is refused before it is expanded.
+// root solve every commit starts with is run once, and no heuristic —
+// from Rebase's canonical footing, which is also what lets a fresh solver
+// take a foreign basis warm: one dual-simplex restart, typically zero
+// pivots. warm reports whether the rebuild really was warm (no cold
+// solves, no cold fallbacks); a basis the solver rejects degrades to a
+// correct cold rebuild rather than an error, but one sized for another
+// column count is refused before it is expanded.
 //
-// The session publishes the committed answer the snapshot carries, not
-// its own solve's: that solve reaches the owner's basis without the
-// owner's pivots, so its floats may differ from the owner's in the last
-// bits, and a query must answer with the owner's bytes. That answer (the
+// The session publishes the committed answer the snapshot carries (the
 // answer section, or the newest commit record's report when the section
-// is empty) must decode and name the snapshot's epoch; it is the report
-// returned. The solve leaves the solver on the committed basis, so the
-// session's later commits are the owner's bit for bit, and its what-ifs
-// agree with the owner's to rounding.
+// is empty), which must decode and name the snapshot's epoch; it is the
+// report returned. The root solve leaves the solver where the owner's
+// commit left its own, so later commits and what-ifs are the owner's.
 //
 // The session keeps no byte of the buffer snap was decoded from, so
 // that buffer may be recycled once this returns: the creation platform
@@ -172,11 +168,11 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 		return nil, nil, false, fmt.Errorf("snapshot names no committed answer at its epoch %d", snap.Epoch)
 	}
 	// unshared: "locked" trivially holds
-	_, basis, err := s.commitLocked(pr, lp.ImportBasis(cols, upper, weights), snap.Epoch)
+	rel, err := s.rootLocked(lp.ImportBasis(cols, upper, weights))
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("rebuild solve: %w", err)
 	}
-	s.publishLocked(&committed{pl: pl, pr: pr, basis: basis, epoch: snap.Epoch,
+	s.publishLocked(&committed{pl: pl, pr: pr, basis: rel.Root, epoch: snap.Epoch,
 		answer: newAnswer(answer, nil), recorded: recorded, records: records})
 	st := s.model.SolverStats()
 	warm := st.ColdSolves == 0 && st.ColdFallbacks == 0
