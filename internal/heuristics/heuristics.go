@@ -102,10 +102,8 @@ func Run(name Name, pr *core.Problem, rel *Relaxation, rng *rand.Rand, maxNodes 
 		alloc = LPR(pr, rel.RelaxedSolution)
 	case NameLPRG:
 		alloc = LPRG(pr, rel.RelaxedSolution)
-	case NameLPRR:
-		alloc, err = lprr(pr, rel, ProportionalRounding, rng)
-	case NameLPRREQ:
-		alloc, err = lprr(pr, rel, EqualRounding, rng)
+	case NameLPRR, NameLPRREQ:
+		alloc, err = lprr(pr, rel, name, rng)
 	case NameBnB:
 		alloc, err = branchAndBound(pr, rel, maxNodes)
 	default:

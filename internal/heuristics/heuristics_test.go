@@ -230,7 +230,7 @@ func TestLPRRProducesValidAllocations(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		pr := randomProblem(seed, 6)
 		for _, obj := range []core.Objective{core.SUM, core.MAXMIN} {
-			for _, variant := range []LPRRVariant{ProportionalRounding, EqualRounding} {
+			for _, variant := range []Name{NameLPRR, NameLPRREQ} {
 				rel, err := Relax(pr, obj)
 				if err != nil {
 					t.Fatal(err)
@@ -261,18 +261,12 @@ func TestLPRRExactWhenRelaxationIntegral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := lprr(pr, rel, ProportionalRounding, rng)
+	a, err := lprr(pr, rel, NameLPRR, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := pr.Objective(core.SUM, a); math.Abs(got-40) > 1e-5 {
 		t.Fatalf("LPRR objective = %g, want 40 (2 workers x 2 conns x bw 10)", got)
-	}
-}
-
-func TestLPRRVariantString(t *testing.T) {
-	if ProportionalRounding.String() != "LPRR" || EqualRounding.String() != "LPRR-EQ" {
-		t.Fatal("variant strings wrong")
 	}
 }
 
@@ -452,7 +446,7 @@ func BenchmarkLPRRK6(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := lprr(pr, rel, ProportionalRounding, rng); err != nil {
+		if _, err := lprr(pr, rel, NameLPRR, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

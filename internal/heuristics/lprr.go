@@ -8,31 +8,14 @@ import (
 	"repro/internal/core"
 )
 
-// LPRRVariant selects the randomized-rounding probability rule.
-type LPRRVariant int
-
-const (
-	// ProportionalRounding rounds β̃ up with probability equal to its
-	// fractional part (the LPRR of §5.2.3, after Coudert & Rivano).
-	ProportionalRounding LPRRVariant = iota
-	// EqualRounding rounds up or down with probability 1/2 — the
-	// control variant the paper reports performs much worse (§6.2).
-	EqualRounding
-)
-
-func (v LPRRVariant) String() string {
-	if v == EqualRounding {
-		return "LPRR-EQ"
-	}
-	return "LPRR"
-}
-
 // lprr is the paper's randomized round-off heuristic (§5.2.3), run
 // from rel's optimum on the model rel was solved on. It fixes the β
 // value of one route at a time: solve the rational relaxation with all
 // previously pinned routes, pick an unpinned route at random among
 // those with β̃ ≠ 0, round its β̃ up with probability equal to its
-// fractional part (down otherwise), pin it, and iterate. Unpinned
+// fractional part (down otherwise; NameLPRREQ rounds up or down with
+// probability 1/2, the control variant the paper reports performs much
+// worse, §6.2), pin it, and iterate. Unpinned
 // routes whose β̃ is 0 in the current solution are pinned to 0 in bulk
 // when no nonzero candidate remains. The procedure solves up to K²
 // linear programs, the complexity the paper measures in Figure 7; its
@@ -46,7 +29,7 @@ func (v LPRRVariant) String() string {
 // the pin set infeasible (DESIGN.md "Heuristics (§5)"); if
 // infeasibility is ever reported (LPRR-EQ rounding an integral β̃ up,
 // or the solver's tolerance), the round-up is retried as a round-down.
-func lprr(pr *core.Problem, rel *Relaxation, variant LPRRVariant, rng *rand.Rand) (*core.Allocation, error) {
+func lprr(pr *core.Problem, rel *Relaxation, name Name, rng *rand.Rand) (*core.Allocation, error) {
 	model, opt, basis := rel.model, rel.RelaxedSolution, rel.Root
 	routes := model.BetaVars() // row-major: the order the rng draws over
 	fixed := make(map[core.Pair]int, len(routes))
@@ -87,20 +70,13 @@ func lprr(pr *core.Problem, rel *Relaxation, variant LPRRVariant, rng *rand.Rand
 		p := candidates[rng.Intn(len(candidates))]
 		bt := betaFrac(p)
 		floor := int(math.Floor(bt + snapEps))
-		frac := bt - float64(floor)
-		if frac < 0 {
-			frac = 0
+		pUp := max(bt-float64(floor), 0) // β̃'s fractional part
+		if name == NameLPRREQ {
+			pUp = 0.5
 		}
 		up := 0
-		switch variant {
-		case ProportionalRounding:
-			if rng.Float64() < frac {
-				up = 1
-			}
-		case EqualRounding:
-			if rng.Float64() < 0.5 {
-				up = 1
-			}
+		if rng.Float64() < pUp {
+			up = 1
 		}
 		value := floor + up
 		if err := pin(model, p, value); err != nil {

@@ -13,8 +13,8 @@ import (
 // contexts (core.Model.Fork over lp.Revised.Fork) instead of
 // serialized behind the session mutex.
 //
-// The flow: the body is decoded once, in one pass, by the per-op
-// decoder (decode.go); each query's canonical-JSON key — the one the
+// The flow: the body is decoded once (decode.go: one walk, or
+// encoding/json for a body the walk does not take); each query's canonical-JSON key — the one the
 // single-query endpoint's answer table and in-flight coalescing use —
 // is appended from the decoded value (appendWhatIfKey), and identical
 // queries are deduped by it. Then validate every distinct query into
@@ -172,7 +172,7 @@ func (s *Session) WhatIfBatch(req *BatchWhatIfRequest) (*BatchWhatIfResponse, er
 		go func(w int) {
 			defer wg.Done()
 			for d := w; d < nd; d += workers {
-				rep, err := whatIfOn(forks[w], hyps[d], c.pl, func() (*SolveReport, error) {
+				rep, err := whatIfOn(forks[w], hyps[d], c.pr.Platform, func() (*SolveReport, error) {
 					bound, ok, err := forks[w].Solve(c.basis)
 					if err != nil {
 						return nil, err

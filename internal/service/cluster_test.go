@@ -114,7 +114,7 @@ func TestSessionSnapshotRestoreWarm(t *testing.T) {
 			}
 			// Commit real drift so the snapshot carries capacities that
 			// differ from the creation ones plus a nonzero epoch.
-			K, L := s.state.Load().pl.K(), len(s.state.Load().pl.Links)
+			K, L := s.state.Load().pr.Platform.K(), len(s.state.Load().pr.Platform.Links)
 			for i := 0; i < 2; i++ {
 				if _, err := s.Epoch(&EpochRequest{
 					SpeedFactor:   driftFactors(K, 0.93),

@@ -193,7 +193,7 @@ func TestFailedCommitRollsBack(t *testing.T) {
 		if c != published {
 			t.Fatalf("after failed try %d: a new committed state was published", try)
 		}
-		g, epoch, b, a, recs := c.pl.Clusters[0].Gateway, c.epoch, c.basis, c.answer, len(c.records)
+		g, epoch, b, a, recs := c.pr.Platform.Clusters[0].Gateway, c.epoch, c.basis, c.answer, len(c.records)
 		if g != gateway || epoch != 0 || s.answers.epoch != 0 || b != basis || a != answer || recs != 0 {
 			t.Fatalf("after failed try %d: gateway 0 %g (want %g), epoch %d and table epoch %d (want 0), basis kept %v, answer kept %v, %d records",
 				try, g, gateway, epoch, s.answers.epoch, b == basis, a == answer, recs)

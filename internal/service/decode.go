@@ -5,30 +5,27 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
-	"strings"
-	"unicode/utf16"
-	"unicode/utf8"
 )
 
-// The one decoder of the per-op request bodies — WhatIfRequest,
+// The fast decoder of the per-op request bodies — WhatIfRequest,
 // BatchWhatIfRequest and EpochRequest — and the one writer of a
-// what-if's canonical key (DESIGN.md "Serving: one decoder for per-op
-// bodies"). A body is read whole into a pooled buffer and decoded in one
-// pass, in place; none of the three types holds a string, so nothing
-// decoded aliases the buffer. What it accepts, and the value it decodes,
-// is exactly what encoding/json's Decoder with DisallowUnknownFields
-// plus the check that nothing but whitespace follows the value accepts
-// and decodes: member names match after unescaping, exactly or under
-// simple case folding; null leaves a number, a bool or a struct as it
-// is and sets a slice to nil; an array decodes into the slice's elements
-// in place; integers parse with strconv.ParseInt and floats with
-// strconv.ParseFloat. encoding/json stays the decoder of every other
-// body and this one's oracle in tests.
+// what-if's canonical key (DESIGN.md "Serving: a fast path for per-op
+// bodies"). A body is read whole into a pooled buffer and walked once,
+// in place. The walk takes the shape json.Marshal writes: objects whose
+// members are spelt exactly as their tags, each at most once; arrays;
+// true and false; numbers in JSON's grammar, parsed with
+// strconv.ParseInt or strconv.ParseFloat; JSON whitespace, and nothing
+// after the value. On anything else — null, a string, an escape, a
+// folded, unknown or repeated name, a number strconv refuses, trailing
+// bytes — it gives up, and encoding/json decodes the body (decodeJSON),
+// so what is accepted, the value decoded and the error are
+// encoding/json's by construction. None of the three types holds a
+// string, so nothing decoded aliases the buffer.
 
 // readBody reads r's body, bounded by maxBodyBytes, and decodes it with
-// decode, answering 400 "decoding request: …" itself when either fails.
+// decode, answering 400 "decoding request: …" itself when either fails;
+// the text after the prefix is readBounded's or encoding/json's.
 func readBody(w http.ResponseWriter, r *http.Request, decode func([]byte) error) bool {
 	bp := reportBufs.Get().(*[]byte)
 	defer reportBufs.Put(bp)
@@ -58,77 +55,50 @@ func DecodeBatch(r io.Reader) (*BatchWhatIfRequest, error) {
 	return req, nil
 }
 
+// decodeWhatIf, decodeBatch and decodeEpoch decode a body into a zero
+// value: by the walk when it takes the body, by fallback when it gives
+// up.
 func decodeWhatIf(data []byte, q *WhatIfRequest) error {
-	d := bodyDecoder{b: data}
-	return d.top(d.whatIf(q))
+	if d := (walk{b: data}); d.whatIf(q) && d.done() {
+		return nil
+	}
+	return fallback(data, q)
 }
 
 func decodeBatch(data []byte, req *BatchWhatIfRequest) error {
-	d := bodyDecoder{b: data}
-	return d.top(d.batch(req))
+	if d := (walk{b: data}); d.batch(req) && d.done() {
+		return nil
+	}
+	return fallback(data, req)
 }
 
 func decodeEpoch(data []byte, req *EpochRequest) error {
-	d := bodyDecoder{b: data}
-	return d.top(d.epoch(req))
-}
-
-// bodyDecoder walks one body. Every method reports whether it decoded
-// what it was asked for; the first failure is kept in err and ends the
-// walk.
-type bodyDecoder struct {
-	b   []byte
-	i   int
-	err error
-}
-
-// top ends a walk whose value decoded (ok): only whitespace may follow.
-func (d *bodyDecoder) top(ok bool) error {
-	if ok && d.more() {
-		d.syntax("after top-level value")
+	if d := (walk{b: data}); d.epoch(req) && d.done() {
+		return nil
 	}
-	return d.err
+	return fallback(data, req)
 }
 
-func (d *bodyDecoder) fail(err error) bool {
-	if d.err == nil {
-		d.err = err
-	}
-	return false
+// fallback decodes data with decodeJSON into a value of its own and
+// copies it over whatever the walk left in *dst. Handing dst itself to
+// decodeJSON would make it an any and move every caller's request to the
+// heap, on the fast path too.
+func fallback[T any](data []byte, dst *T) error {
+	var v T
+	err := decodeJSON(data, &v)
+	*dst = v
+	return err
 }
 
-// syntax fails on the byte at d.i (or the end) found where context
-// allows none.
-func (d *bodyDecoder) syntax(context string) bool {
-	if !d.more() {
-		return d.fail(errors.New("unexpected end of JSON input"))
-	}
-	return d.fail(fmt.Errorf("invalid character %q %s", d.b[d.i], context))
-}
-
-// mismatch fails on a well-formed value that is not what the member
-// holds.
-func (d *bodyDecoder) mismatch(want string) bool {
-	return d.fail(fmt.Errorf("cannot decode %s into %s", d.kind(), want))
-}
-
-// kind names the JSON value that starts at d.i.
-func (d *bodyDecoder) kind() string {
-	switch d.b[d.i] {
-	case '{':
-		return "an object"
-	case '[':
-		return "an array"
-	case '"':
-		return "a string"
-	case 't', 'f':
-		return "a bool"
-	}
-	return "a number"
+// walk is the fast path over one body. Every method reports whether it
+// decoded what it was asked for; false means the walk gives up.
+type walk struct {
+	b []byte
+	i int
 }
 
 // more skips whitespace and reports whether a byte follows.
-func (d *bodyDecoder) more() bool {
+func (d *walk) more() bool {
 	for ; d.i < len(d.b); d.i++ {
 		if c := d.b[d.i]; c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
 			return true
@@ -137,73 +107,39 @@ func (d *bodyDecoder) more() bool {
 	return false
 }
 
+// done reports whether only whitespace follows.
+func (d *walk) done() bool { return !d.more() }
+
 // at skips whitespace and reports whether c is next.
-func (d *bodyDecoder) at(c byte) bool { return d.more() && d.b[d.i] == c }
+func (d *walk) at(c byte) bool { return d.more() && d.b[d.i] == c }
 
-// literal consumes lit, whose first byte is at d.i.
-func (d *bodyDecoder) literal(lit string) bool {
-	for j := 1; j < len(lit); j++ {
-		if d.i+j == len(d.b) || d.b[d.i+j] != lit[j] {
-			d.i += j
-			return d.syntax("in literal " + lit)
-		}
-	}
-	d.i += len(lit)
-	return true
-}
-
-// start skips to the next value, checks that a value starts there and
-// returns its first byte. A null is consumed and reported as 'n': the
-// member's value stays as it is (a slice's caller sets it to nil). 0
-// means the walk has failed, here or before, so a type error is never
-// reported on malformed input.
-func (d *bodyDecoder) start() byte {
-	switch {
-	case d.err != nil:
-		return 0
-	case !d.more():
-		d.syntax("")
-		return 0
-	}
-	switch c := d.b[d.i]; {
-	case c == 'n':
-		if !d.literal("null") {
-			return 0
-		}
-		return 'n'
-	case c == '{' || c == '[' || c == '"' || c == 't' || c == 'f' || c == '-' || '0' <= c && c <= '9':
-		return c
-	}
-	d.syntax("looking for beginning of value")
-	return 0
-}
-
-// object decodes an object member by member: member decodes the value
-// of the field names[f] names. A name matching no field fails, as
-// DisallowUnknownFields does. null leaves the destination as it is.
-func (d *bodyDecoder) object(what string, names []string, member func(f int) bool) bool {
-	switch d.start() {
-	case 0:
-		return false
-	case 'n':
+// literal consumes lit if it is next.
+func (d *walk) literal(lit string) bool {
+	if end := d.i + len(lit); end <= len(d.b) && string(d.b[d.i:end]) == lit {
+		d.i = end
 		return true
-	case '{':
-	default:
-		return d.mismatch(what)
+	}
+	return false
+}
+
+// object walks an object whose members are spelt exactly as names and
+// appear at most once each: member decodes the value of names[f].
+func (d *walk) object(names []string, member func(f int) bool) bool {
+	if !d.at('{') {
+		return false
 	}
 	d.i++
 	if d.at('}') {
 		d.i++
 		return true
 	}
+	var seen uint
 	for {
 		f, ok := d.name(names)
-		if !ok || !member(f) {
+		if !ok || seen&(1<<f) != 0 || !member(f) || !d.more() {
 			return false
 		}
-		if !d.more() {
-			return d.syntax("")
-		}
+		seen |= 1 << f
 		switch d.b[d.i] {
 		case ',':
 			d.i++
@@ -211,178 +147,36 @@ func (d *bodyDecoder) object(what string, names []string, member func(f int) boo
 			d.i++
 			return true
 		default:
-			return d.syntax("after object key:value pair")
+			return false
 		}
 	}
 }
 
-// name reads a member name and its colon and returns the index of the
-// field it names in names: the one equal to the unescaped name exactly
-// or under simple case folding (encoding/json's foldName). No two names
-// of a type fold alike, so at most one matches.
-func (d *bodyDecoder) name(names []string) (int, bool) {
+// name reads a member name spelt exactly as one of names, and its
+// colon, and returns the name's index.
+func (d *walk) name(names []string) (int, bool) {
 	if !d.at('"') {
-		return 0, d.syntax("looking for beginning of object key string")
+		return 0, false
 	}
 	d.i++
-	// Most names are spelt as declared: match those in place.
 	for f, n := range names {
 		if end := d.i + len(n); end < len(d.b) && d.b[end] == '"' && string(d.b[d.i:end]) == n {
 			d.i = end + 1
-			return f, d.colon()
-		}
-	}
-	start, escaped := d.i, false
-	for {
-		if d.i >= len(d.b) {
-			return 0, d.syntax("")
-		}
-		c := d.b[d.i]
-		if c == '"' {
-			break
-		}
-		switch {
-		case c == '\\':
-			escaped = true
-			if !d.escape() {
+			if !d.at(':') {
 				return 0, false
 			}
-		case c < 0x20:
-			return 0, d.syntax("in string literal")
-		default:
 			d.i++
-		}
-	}
-	key := d.b[start:d.i]
-	d.i++
-	if !d.colon() {
-		return 0, false
-	}
-	if escaped {
-		var buf [32]byte
-		key = unquote(buf[:0], key)
-	}
-	for f, n := range names {
-		if strings.EqualFold(string(key), n) {
 			return f, true
 		}
-	}
-	return 0, d.fail(fmt.Errorf("unknown field %q", string(key)))
-}
-
-// colon consumes the colon after a member name.
-func (d *bodyDecoder) colon() bool {
-	if !d.at(':') {
-		return d.syntax("after object key")
-	}
-	d.i++
-	return true
-}
-
-// escape consumes the escape sequence at d.i.
-func (d *bodyDecoder) escape() bool {
-	d.i++
-	if d.i >= len(d.b) {
-		return d.syntax("")
-	}
-	switch d.b[d.i] {
-	case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-		d.i++
-		return true
-	case 'u':
-		d.i++
-		for j := 0; j < 4; j++ {
-			if d.i >= len(d.b) {
-				return d.syntax("")
-			}
-			if _, ok := hexDigit(d.b[d.i]); !ok {
-				return d.syntax("in \\u hexadecimal character escape")
-			}
-			d.i++
-		}
-		return true
-	}
-	return d.syntax("in string escape code")
-}
-
-func hexDigit(c byte) (rune, bool) {
-	switch {
-	case '0' <= c && c <= '9':
-		return rune(c - '0'), true
-	case 'a' <= c && c <= 'f':
-		return rune(c - 'a' + 10), true
-	case 'A' <= c && c <= 'F':
-		return rune(c - 'A' + 10), true
 	}
 	return 0, false
 }
 
-// u4 reads the four hex digits of a \u escape at s, or -1.
-func u4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
+// number consumes the JSON number that is next and returns its bytes.
+func (d *walk) number() ([]byte, bool) {
+	if !d.more() {
+		return nil, false
 	}
-	var r rune
-	for _, c := range s[2:6] {
-		h, ok := hexDigit(c)
-		if !ok {
-			return -1
-		}
-		r = r<<4 | h
-	}
-	return r
-}
-
-// unquote appends the unescaped form of a well-formed string's contents
-// to b as encoding/json unquotes it: a surrogate pair is one rune, and a
-// lone surrogate or an invalid UTF-8 byte is U+FFFD.
-func unquote(b, s []byte) []byte {
-	for i := 0; i < len(s); {
-		switch c := s[i]; {
-		case c == '\\':
-			switch s[i+1] {
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				r := u4(s[i:])
-				i += 6
-				if utf16.IsSurrogate(r) {
-					if dec := utf16.DecodeRune(r, u4(s[i:])); dec != utf8.RuneError {
-						r = dec
-						i += 6
-					} else {
-						r = utf8.RuneError
-					}
-				}
-				b = utf8.AppendRune(b, r)
-				continue
-			default: // " \ /
-				b = append(b, s[i+1])
-			}
-			i += 2
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			i++
-		default:
-			r, n := utf8.DecodeRune(s[i:])
-			b = utf8.AppendRune(b, r)
-			i += n
-		}
-	}
-	return b
-}
-
-// number consumes the JSON number that starts at d.i and returns its
-// bytes; ok is false on anything else.
-func (d *bodyDecoder) number(what string) ([]byte, bool) {
 	b, start := d.b, d.i
 	i := start
 	digits := func() int {
@@ -394,20 +188,16 @@ func (d *bodyDecoder) number(what string) ([]byte, bool) {
 	}
 	if b[i] == '-' {
 		i++
-	} else if b[i] < '0' || b[i] > '9' {
-		return nil, d.mismatch(what)
 	}
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case digits() == 0:
-		d.i = i
-		return nil, d.syntax("in numeric literal")
+		return nil, false
 	}
 	if i < len(b) && b[i] == '.' {
 		if i++; digits() == 0 {
-			d.i = i
-			return nil, d.syntax("after decimal point in numeric literal")
+			return nil, false
 		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
@@ -415,118 +205,73 @@ func (d *bodyDecoder) number(what string) ([]byte, bool) {
 			i++
 		}
 		if digits() == 0 {
-			d.i = i
-			return nil, d.syntax("in exponent of numeric literal")
+			return nil, false
 		}
 	}
 	d.i = i
 	return b[start:i], true
 }
 
-func (d *bodyDecoder) int(v *int, what string) bool {
-	switch d.start() {
-	case 0:
-		return false
-	case 'n':
-		return true
-	}
-	num, ok := d.number(what)
+func (d *walk) int(v *int) bool {
+	num, ok := d.number()
 	if !ok {
 		return false
 	}
 	n, err := strconv.ParseInt(string(num), 10, 64)
-	if err != nil {
-		return d.fail(fmt.Errorf("cannot decode number %s into %s", num, what))
-	}
 	*v = int(n)
-	return true
+	return err == nil
 }
 
-func (d *bodyDecoder) float(v *float64, what string) bool {
-	switch d.start() {
-	case 0:
-		return false
-	case 'n':
-		return true
-	}
-	num, ok := d.number(what)
+func (d *walk) float(v *float64) bool {
+	num, ok := d.number()
 	if !ok {
 		return false
 	}
 	f, err := strconv.ParseFloat(string(num), 64)
-	if err != nil {
-		return d.fail(fmt.Errorf("cannot decode number %s into %s", num, what))
-	}
 	*v = f
-	return true
+	return err == nil
 }
 
-func (d *bodyDecoder) bool(v *bool, what string) bool {
-	switch d.start() {
-	case 0:
+func (d *walk) bool(v *bool) bool {
+	if !d.more() {
 		return false
-	case 'n':
-		return true
-	case 't':
-		*v = true
-		return d.literal("true")
-	case 'f':
-		*v = false
-		return d.literal("false")
 	}
-	return d.mismatch(what)
+	*v = d.b[d.i] == 't'
+	if *v {
+		return d.literal("true")
+	}
+	return d.literal("false")
 }
 
-// decodeSlice decodes an array into *s as encoding/json does: element i is
-// decoded in place where *s already has one (its length, then its
-// spare capacity), the slice grows by one element at a time past its
-// capacity, and ends at the array's length. null sets *s to nil; []
-// to an empty, non-nil slice.
-func decodeSlice[T any](d *bodyDecoder, s *[]T, what string, elem func(*bodyDecoder, *T) bool) bool {
-	switch d.start() {
-	case 0:
+// slice walks an array into *s, a new slice: [] gives an empty, non-nil
+// one, as encoding/json does.
+func slice[T any](d *walk, s *[]T, elem func(*walk, *T) bool) bool {
+	if !d.at('[') {
 		return false
-	case 'n':
-		*s = nil
-		return true
-	case '[':
-	default:
-		return d.mismatch(what)
 	}
 	d.i++
-	v, i := *s, 0
+	v := []T{}
 	if d.at(']') {
 		d.i++
-	} else {
-		for {
-			if i == cap(v) {
-				v = slices.Grow(v, 1)
-			}
-			if i == len(v) {
-				v = v[:i+1]
-			}
-			if !elem(d, &v[i]) {
-				return false
-			}
-			i++
-			if !d.more() {
-				return d.syntax("")
-			}
-			if d.b[d.i] == ']' {
-				d.i++
-				break
-			}
-			if d.b[d.i] != ',' {
-				return d.syntax("after array element")
-			}
-			d.i++
+		*s = v
+		return true
+	}
+	for {
+		var zero T
+		v = append(v, zero)
+		if !elem(d, &v[len(v)-1]) || !d.more() {
+			return false
+		}
+		d.i++
+		switch d.b[d.i-1] {
+		case ']':
+			*s = v
+			return true
+		case ',':
+		default:
+			return false
 		}
 	}
-	if i == 0 {
-		v = []T{}
-	}
-	*s = v[:i]
-	return true
 }
 
 var (
@@ -538,74 +283,72 @@ var (
 	boundsFields = []string{"from", "to", "lb", "ub"}
 )
 
-func (d *bodyDecoder) whatIf(q *WhatIfRequest) bool {
-	return d.object("WhatIfRequest", whatIfFields, func(f int) bool {
+func (d *walk) whatIf(q *WhatIfRequest) bool {
+	return d.object(whatIfFields, func(f int) bool {
 		switch f {
 		case 0:
-			return decodeSlice(d, &q.Speeds, "speeds", clusterValue)
+			return slice(d, &q.Speeds, clusterValue)
 		case 1:
-			return decodeSlice(d, &q.Gateways, "gateways", clusterValue)
+			return slice(d, &q.Gateways, clusterValue)
 		case 2:
-			return decodeSlice(d, &q.Links, "links", linkValue)
+			return slice(d, &q.Links, linkValue)
 		case 3:
-			return decodeSlice(d, &q.Bounds, "bounds", routeBounds)
+			return slice(d, &q.Bounds, routeBounds)
 		}
-		return d.bool(&q.Relax, "relax")
+		return d.bool(&q.Relax)
 	})
 }
 
-func (d *bodyDecoder) batch(req *BatchWhatIfRequest) bool {
-	return d.object("BatchWhatIfRequest", batchFields, func(f int) bool {
+func (d *walk) batch(req *BatchWhatIfRequest) bool {
+	return d.object(batchFields, func(f int) bool {
 		if f == 0 {
-			return decodeSlice(d, &req.Queries, "queries", (*bodyDecoder).whatIf)
+			return slice(d, &req.Queries, (*walk).whatIf)
 		}
-		return d.int(&req.Workers, "workers")
+		return d.int(&req.Workers)
 	})
 }
 
-func (d *bodyDecoder) epoch(req *EpochRequest) bool {
-	return d.object("EpochRequest", epochFields, func(f int) bool {
+func (d *walk) epoch(req *EpochRequest) bool {
+	return d.object(epochFields, func(f int) bool {
 		switch f {
 		case 0:
-			return decodeSlice(d, &req.GatewayFactor, "gatewayFactor", factor)
+			return slice(d, &req.GatewayFactor, (*walk).float)
 		case 1:
-			return decodeSlice(d, &req.SpeedFactor, "speedFactor", factor)
+			return slice(d, &req.SpeedFactor, (*walk).float)
 		}
-		return decodeSlice(d, &req.LinkFactor, "linkFactor", factor)
+		return slice(d, &req.LinkFactor, (*walk).float)
 	})
 }
 
-func factor(d *bodyDecoder, v *float64) bool { return d.float(v, "a factor") }
-
-func clusterValue(d *bodyDecoder, v *ClusterValue) bool {
-	return d.object("ClusterValue", valueFields, func(f int) bool {
+func clusterValue(d *walk, v *ClusterValue) bool {
+	return d.object(valueFields, func(f int) bool {
 		if f == 0 {
-			return d.int(&v.Cluster, "cluster")
+			return d.int(&v.Cluster)
 		}
-		return d.float(&v.Value, "value")
+		return d.float(&v.Value)
 	})
 }
 
-func linkValue(d *bodyDecoder, v *LinkValue) bool {
-	return d.object("LinkValue", linkFields, func(f int) bool {
+func linkValue(d *walk, v *LinkValue) bool {
+	return d.object(linkFields, func(f int) bool {
 		if f == 0 {
-			return d.int(&v.Link, "link")
+			return d.int(&v.Link)
 		}
-		return d.float(&v.MaxConnect, "maxConnect")
+		return d.float(&v.MaxConnect)
 	})
 }
 
-func routeBounds(d *bodyDecoder, v *RouteBounds) bool {
-	return d.object("RouteBounds", boundsFields, func(f int) bool {
+func routeBounds(d *walk, v *RouteBounds) bool {
+	return d.object(boundsFields, func(f int) bool {
 		switch f {
 		case 0:
-			return d.int(&v.From, "from")
+			return d.int(&v.From)
 		case 1:
-			return d.int(&v.To, "to")
+			return d.int(&v.To)
 		case 2:
-			return d.float(&v.Lb, "lb")
+			return d.float(&v.Lb)
 		}
-		return d.float(&v.Ub, "ub")
+		return d.float(&v.Ub)
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"reflect"
 	"strings"
@@ -82,7 +83,13 @@ func checkDecodeAgainstOracle(t *testing.T, body []byte) {
 // and float parsing at their edges, a repeated member decoded in place
 // (shrinking, then regrowing into the stale capacity), -0, unknown
 // members at every depth, and what may and may not follow the value.
+// The walk gives up on most of them, some after it has written into the
+// request (null, a folded name or a repeated member after speeds), and
+// encoding/json decodes the body afresh.
 var requestBodySeeds = []string{
+	`{"speeds":[{"cluster":1,"value":2}],"relax":null}`,
+	`{"speeds":[{"cluster":1,"value":2}],"Gateways":[{"cluster":0,"value":1}]}`,
+	`{"speeds":[{"cluster":1,"value":2}],"relax":true,"speeds":[{"cluster":3,"value":4}]}`,
 	`{"relax":true}`,
 	`{"RELAX":true}`,
 	`{"Relax":true,"relax":false}`,
@@ -162,6 +169,140 @@ func FuzzRequestBodies(f *testing.F) {
 	})
 }
 
+// TestCanonicalBodiesTakeTheFastPath: every body json.Marshal writes
+// for a request value is taken by the walk, not left to encoding/json,
+// and decodes to the value encoding/json decodes. The values are random
+// what-ifs, batches and epochs plus the benchmark's mutation shapes,
+// with floats json.Marshal writes with an exponent (1e-7, 1e+21), -0,
+// ±MaxInt64 indices and empty arrays.
+func TestCanonicalBodiesTakeTheFastPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	edgeFloats := []float64{0, math.Copysign(0, -1), 1e-7, 1e21, -2.5e-300, 0.1, 100, 1e300, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	edgeInts := []int{0, 1, 39, math.MaxInt64, -math.MaxInt64, math.MinInt64}
+	float := func() float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return edgeFloats[rng.Intn(len(edgeFloats))]
+		case 1:
+			return (rng.Float64() - 0.5) * 400
+		}
+		// Any finite float64, from its bits.
+		for {
+			if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+				return f
+			}
+		}
+	}
+	integer := func() int {
+		if rng.Intn(2) == 0 {
+			return edgeInts[rng.Intn(len(edgeInts))]
+		}
+		return rng.Intn(200) - 100
+	}
+	values := func(n int) []ClusterValue {
+		v := make([]ClusterValue, n)
+		for i := range v {
+			v[i] = ClusterValue{Cluster: integer(), Value: float()}
+		}
+		return v
+	}
+	whatIf := func() WhatIfRequest {
+		q := WhatIfRequest{Relax: rng.Intn(2) == 0}
+		if rng.Intn(2) == 0 {
+			q.Speeds = values(1 + rng.Intn(3))
+		}
+		if rng.Intn(2) == 0 {
+			q.Gateways = values(1 + rng.Intn(3))
+		}
+		if rng.Intn(2) == 0 {
+			q.Links = []LinkValue{{Link: integer(), MaxConnect: float()}}
+		}
+		if rng.Intn(2) == 0 {
+			q.Bounds = []RouteBounds{{From: integer(), To: integer(), Lb: float(), Ub: float()}, {From: integer(), To: integer(), Lb: 0, Ub: -1}}
+		}
+		return q
+	}
+	factors := func() []float64 {
+		f := make([]float64, rng.Intn(6))
+		for i := range f {
+			f[i] = float()
+		}
+		return f
+	}
+
+	// The four shapes of the benchmark's what-ifs (bench/workloads.go
+	// mutation), a 64-query batch of them, and an epoch as ring_adapt
+	// sends it.
+	speed := []ClusterValue{{Cluster: 3, Value: 87.5}}
+	gateway := []ClusterValue{{Cluster: 3, Value: 1e-7}}
+	pinned := []WhatIfRequest{
+		{Speeds: speed, Relax: true},
+		{Gateways: gateway, Relax: true},
+		{Links: []LinkValue{{Link: 12, MaxConnect: 4}}, Speeds: speed, Relax: true},
+		{Bounds: []RouteBounds{{From: 1, To: 7, Lb: 0, Ub: 3}}, Gateways: gateway, Relax: true},
+	}
+	var bodies []any
+	for _, q := range pinned {
+		bodies = append(bodies, q)
+	}
+	bodies = append(bodies,
+		WhatIfRequest{},
+		BatchWhatIfRequest{Queries: []WhatIfRequest{}},
+		EpochRequest{},
+		EpochRequest{SpeedFactor: []float64{0.9, 1.1, 1e21}, GatewayFactor: []float64{math.Copysign(0, -1), 1e-7}},
+	)
+	batch := BatchWhatIfRequest{Workers: 64}
+	for i := 0; i < 64; i++ {
+		batch.Queries = append(batch.Queries, pinned[i%4])
+	}
+	bodies = append(bodies, batch)
+	for i := 0; i < 300; i++ {
+		switch i % 3 {
+		case 0:
+			bodies = append(bodies, whatIf())
+		case 1:
+			b := BatchWhatIfRequest{Queries: make([]WhatIfRequest, rng.Intn(5)), Workers: integer()}
+			for j := range b.Queries {
+				b.Queries[j] = whatIf()
+			}
+			bodies = append(bodies, b)
+		default:
+			bodies = append(bodies, EpochRequest{GatewayFactor: factors(), SpeedFactor: factors(), LinkFactor: factors()})
+		}
+	}
+
+	for _, v := range bodies {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch v.(type) {
+		case WhatIfRequest:
+			walkMatchesOracle(t, body, (*walk).whatIf)
+		case BatchWhatIfRequest:
+			walkMatchesOracle(t, body, (*walk).batch)
+		case EpochRequest:
+			walkMatchesOracle(t, body, (*walk).epoch)
+		}
+	}
+}
+
+// walkMatchesOracle: walkT takes body, and decodes the value
+// encoding/json decodes.
+func walkMatchesOracle[T any](t *testing.T, body []byte, walkT func(*walk, *T) bool) {
+	t.Helper()
+	var got, want T
+	if err := oracleDecode(body, &want); err != nil {
+		t.Fatalf("%s: encoding/json refuses it: %v", body, err)
+	}
+	if d := (walk{b: body}); !walkT(&d, &got) || !d.done() {
+		t.Fatalf("%s: the walk gives up at byte %d", body, d.i)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: the walk decodes %#v, encoding/json %#v", body, got, want)
+	}
+}
+
 // TestDecoderNamesMatchTags is the drift guard of the decode side: the
 // member names each decoder matches are the json tags of its type, in
 // order, no two of them fold alike, and a what-if with every member set
@@ -182,8 +323,8 @@ func TestDecoderNamesMatchTags(t *testing.T) {
 		if want := jsonTags(reflect.TypeOf(c.typ)); !reflect.DeepEqual(c.names, want) {
 			t.Errorf("%T: decoder names %v, json tags %v", c.typ, c.names, want)
 		}
-		// name takes the first match under folding, which is the exact
-		// one only while no two names fold alike.
+		// No two names fold alike, so a folded name, which the walk
+		// leaves to encoding/json, names one field.
 		for i, a := range c.names {
 			for _, b := range c.names[i+1:] {
 				if strings.EqualFold(a, b) {

@@ -322,12 +322,12 @@ func driftedSession(t *testing.T, k int, seed int64) *Session {
 		}
 		return f
 	}
-	if len(sess.state.Load().pl.Links) == 0 {
+	if len(sess.state.Load().pr.Platform.Links) == 0 {
 		t.Fatal("the platform has no links to drift")
 	}
 	for range 3 {
 		if _, err := sess.Epoch(&EpochRequest{
-			SpeedFactor: factors(k), GatewayFactor: factors(k), LinkFactor: factors(len(sess.state.Load().pl.Links)),
+			SpeedFactor: factors(k), GatewayFactor: factors(k), LinkFactor: factors(len(sess.state.Load().pr.Platform.Links)),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -349,10 +349,10 @@ func TestRestoredPlatformIsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if created.Fingerprint() == live.state.Load().pl.Fingerprint() {
+	if created.Fingerprint() == live.state.Load().pr.Platform.Fingerprint() {
 		t.Fatal("the commits drifted nothing")
 	}
-	if got, want := restored.state.Load().pl.Fingerprint(), live.state.Load().pl.Fingerprint(); got != want {
+	if got, want := restored.state.Load().pr.Platform.Fingerprint(), live.state.Load().pr.Platform.Fingerprint(); got != want {
 		t.Fatalf("restored platform fingerprint %s, live %s", got, want)
 	}
 	got, err := restored.PlatformJSON()
@@ -382,7 +382,7 @@ func TestRestoreRefusesForgedCapacities(t *testing.T) {
 	if _, _, _, err := RestoreSession(mustOpen(t, data)); err != nil {
 		t.Fatalf("the honest snapshot must restore: %v", err)
 	}
-	K := sess.state.Load().pl.K()
+	K := sess.state.Load().pr.Platform.K()
 	caps := func(edit func(sec []byte) []byte) []byte { return forgeSection(data, capacitiesSection, edit) }
 	putFloat := func(at int, v float64) []byte {
 		return caps(func(sec []byte) []byte {

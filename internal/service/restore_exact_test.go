@@ -228,8 +228,8 @@ func TestRestoredSessionAnswersAsLive(t *testing.T) {
 					probes := []WhatIfRequest{
 						{},
 						{Relax: true},
-						{Speeds: []ClusterValue{{Cluster: 0, Value: 0.8 * c.pl.Clusters[0].Speed}}, Relax: true},
-						{Gateways: []ClusterValue{{Cluster: 1, Value: 0.7 * c.pl.Clusters[1].Gateway}}},
+						{Speeds: []ClusterValue{{Cluster: 0, Value: 0.8 * c.pr.Platform.Clusters[0].Speed}}, Relax: true},
+						{Gateways: []ClusterValue{{Cluster: 1, Value: 0.7 * c.pr.Platform.Clusters[1].Gateway}}},
 					}
 					for i := range probes {
 						a, err := live.WhatIf(&probes[i])

@@ -40,12 +40,13 @@ const maxBodyBytes = 16 << 20
 //	GET    /metrics                Prometheus text exposition
 //
 // Every JSON request body is read whole, bounded, by readBody. The
-// what-if, batch and epoch bodies are decoded in one pass by the per-op
-// decoder (decode.go), which accepts and decodes exactly what
-// encoding/json's strict decode does; the create body and the cluster
-// messages, rare and carrying platform JSON, by encoding/json
-// (decodeJSON). Either way a body is one JSON value with nothing after
-// it but whitespace, and anything else is a 400 "decoding request: …".
+// what-if, batch and epoch bodies are walked once by decode.go's fast
+// path, which takes the bodies json.Marshal writes and leaves every
+// other body to encoding/json's strict decode (decodeJSON); the create
+// body and the cluster messages, rare and carrying platform JSON, go to
+// decodeJSON directly. Either way a body is one JSON value with nothing
+// after it but whitespace, and anything else is a 400 "decoding
+// request: …".
 //
 // SolveReport answers (query, what-if, epoch) and batch answers carry
 // Content-Length: the report encoder writes each body whole. A query,

@@ -176,9 +176,8 @@ type commitRecord struct {
 // and never written after, so a reader holding it needs no lock, and a
 // commit that fails leaves the published value in place untouched.
 type committed struct {
-	pl    *platform.Platform // current (drifted) platform
-	pr    *core.Problem
-	basis *lp.Basis // root basis the next commit solve starts from
+	pr    *core.Problem // its Platform is the current (drifted) platform
+	basis *lp.Basis     // root basis the next commit solve starts from
 	epoch int
 
 	// answer is the committed answer, read by every query as a cache
@@ -343,7 +342,7 @@ func newSession(pl *platform.Platform, cfg sessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("initial solve: %w", err)
 	}
-	s.publishLocked(&committed{pl: pl, pr: pr, basis: basis, answer: newAnswer(rep, nil)})
+	s.publishLocked(&committed{pr: pr, basis: basis, answer: newAnswer(rep, nil)})
 	return s, nil
 }
 
@@ -353,9 +352,9 @@ func (s *Session) Info() SessionInfo {
 	return SessionInfo{
 		ID:          s.id,
 		Fingerprint: s.fingerprint,
-		K:           c.pl.K(),
-		Routers:     c.pl.Routers,
-		Links:       len(c.pl.Links),
+		K:           c.pr.Platform.K(),
+		Routers:     c.pr.Platform.Routers,
+		Links:       len(c.pr.Platform.Links),
 		Rows:        s.rows,
 		Objective:   s.cfg.objName,
 		Heuristic:   s.cfg.heur,
@@ -365,7 +364,7 @@ func (s *Session) Info() SessionInfo {
 
 // PlatformJSON returns the session's current (drifted) platform
 // description.
-func (s *Session) PlatformJSON() ([]byte, error) { return s.state.Load().pl.Encode() }
+func (s *Session) PlatformJSON() ([]byte, error) { return s.state.Load().pr.Platform.Encode() }
 
 // Stats snapshots the session's activity and solver counters, and —
 // in the same critical section — the warm pivot budget the health
@@ -597,9 +596,9 @@ func (s *Session) whatIf(req *WhatIfRequest) (*SolveReport, *answer, error) {
 	c := s.state.Load()
 	h, err := s.hypotheticalLocked(c, req)
 	if err == nil {
-		rep, err = whatIfOn(s.model, h, c.pl, func() (*SolveReport, error) {
+		rep, err = whatIfOn(s.model, h, c.pr.Platform, func() (*SolveReport, error) {
 			if !req.Relax {
-				epr := &core.Problem{Platform: h.platform(c.pl), Payoffs: c.pr.Payoffs}
+				epr := &core.Problem{Platform: h.platform(c.pr.Platform), Payoffs: c.pr.Payoffs}
 				rel, err := heuristics.RelaxOn(s.model, c.basis)
 				if err != nil {
 					return nil, err
@@ -675,7 +674,7 @@ func (h hypothetical) platform(committed *platform.Platform) *platform.Platform 
 // the model; what it refuses is the client's fault.
 func (s *Session) hypotheticalLocked(c *committed, req *WhatIfRequest) (hypothetical, error) {
 	h := hypothetical{speeds: req.Speeds, gateways: req.Gateways, links: req.Links, boxes: req.Bounds}
-	K := c.pl.K()
+	K := c.pr.Platform.K()
 	for _, m := range req.Speeds {
 		if m.Cluster < 0 || m.Cluster >= K {
 			return hypothetical{}, clientError{fmt.Errorf("speed mutation: cluster %d out of range [0,%d)", m.Cluster, K)}
@@ -687,8 +686,8 @@ func (s *Session) hypotheticalLocked(c *committed, req *WhatIfRequest) (hypothet
 		}
 	}
 	for _, m := range req.Links {
-		if m.Link < 0 || m.Link >= len(c.pl.Links) {
-			return hypothetical{}, clientError{fmt.Errorf("link mutation: link %d out of range [0,%d)", m.Link, len(c.pl.Links))}
+		if m.Link < 0 || m.Link >= len(c.pr.Platform.Links) {
+			return hypothetical{}, clientError{fmt.Errorf("link mutation: link %d out of range [0,%d)", m.Link, len(c.pr.Platform.Links))}
 		}
 		// Refused before any conversion to int, which is
 		// implementation-defined out of range; NaN fails the first test.
@@ -709,7 +708,7 @@ func (s *Session) hypotheticalLocked(c *committed, req *WhatIfRequest) (hypothet
 		refused, speed = refused || !(m.Value >= 0), speed+m.Value
 	}
 	if refused || !(payoff*speed <= core.MaxScale) {
-		if err := (&core.Problem{Platform: h.platform(c.pl), Payoffs: c.pr.Payoffs}).Validate(); err != nil {
+		if err := (&core.Problem{Platform: h.platform(c.pr.Platform), Payoffs: c.pr.Payoffs}).Validate(); err != nil {
 			return hypothetical{}, clientError{err}
 		}
 	}
@@ -877,7 +876,7 @@ func (s *Session) epochLocked(c *committed, req *EpochRequest) (*committed, *Sol
 		SpeedFactor:   req.SpeedFactor,
 		LinkFactor:    req.LinkFactor,
 	}
-	epl, err := pert.Apply(c.pl)
+	epl, err := pert.Apply(c.pr.Platform)
 	if err != nil {
 		return nil, nil, clientError{err}
 	}
@@ -889,16 +888,16 @@ func (s *Session) epochLocked(c *committed, req *EpochRequest) (*committed, *Sol
 	// range) must not leave the model half-updated: return it to the
 	// committed state and report.
 	if err := s.model.Inject(epl); err != nil {
-		mustRestore(s.model.Inject(c.pl))
+		mustRestore(s.model.Inject(c.pr.Platform))
 		return nil, nil, clientError{err}
 	}
 	rep, basis, err := s.commitLocked(epr, c.basis, c.epoch+1)
 	if err != nil {
-		mustRestore(s.model.Inject(c.pl))
+		mustRestore(s.model.Inject(c.pr.Platform))
 		if _, serr := s.rootLocked(c.basis); serr != nil {
 			mustRestore(serr)
 		}
 		return nil, nil, err
 	}
-	return &committed{pl: epl, pr: epr, basis: basis, epoch: c.epoch + 1, records: c.records}, rep, nil
+	return &committed{pr: epr, basis: basis, epoch: c.epoch + 1, records: c.records}, rep, nil
 }

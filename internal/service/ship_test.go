@@ -333,7 +333,7 @@ func TestSnapshotEncodesOffTheLock(t *testing.T) {
 	const k = 6
 	_, sess, _ := imageFixture(t, k, 97, "lprg")
 	c := sess.state.Load()
-	pl, basis, epoch, committed := c.pl, c.basis, c.epoch, &c.answer.rep
+	pl, basis, epoch, committed := c.pr.Platform, c.basis, c.epoch, &c.answer.rep
 	wantAnswer, err := json.Marshal(committed)
 	if err != nil {
 		t.Fatal(err)

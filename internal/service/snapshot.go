@@ -70,7 +70,7 @@ func (s *Session) snapshotInto(dst []byte) (*cluster.SessionSnapshot, []byte, er
 		}
 		snap.Answer = out[len(dst):len(out):len(out)]
 	}
-	out = snap.AppendCapacities(out, c.pl)
+	out = snap.AppendCapacities(out, c.pr.Platform)
 	cols, upper, weights := c.basis.View()
 	out = snap.AppendBasis(out, s.cols, cols, upper, weights)
 	snap.RecentCommits = make([]cluster.CommitRecord, 0, len(c.records))
@@ -172,7 +172,7 @@ func RestoreSession(snap *cluster.SessionSnapshot) (*Session, *SolveReport, bool
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("rebuild solve: %w", err)
 	}
-	s.publishLocked(&committed{pl: pl, pr: pr, basis: rel.Root, epoch: snap.Epoch,
+	s.publishLocked(&committed{pr: pr, basis: rel.Root, epoch: snap.Epoch,
 		answer: newAnswer(answer, nil), recorded: recorded, records: records})
 	st := s.model.SolverStats()
 	warm := st.ColdSolves == 0 && st.ColdFallbacks == 0

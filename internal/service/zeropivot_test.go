@@ -266,7 +266,7 @@ func TestZeroPivotWhatIfCostsWhatMoved(t *testing.T) {
 		}
 		found := false
 		for c := 0; c < k && !found; c++ {
-			g := s.state.Load().pl.Clusters[c].Gateway
+			g := s.state.Load().pr.Platform.Clusters[c].Gateway
 			for _, scale := range []float64{1.25, 1.5, 2} {
 				a := askSpliced(t, s, WhatIfRequest{Relax: true, Gateways: []ClusterValue{{Cluster: c, Value: g * scale}}})
 				if a.spliced && !a.pivoted && a.cells == 0 {
@@ -298,7 +298,7 @@ func TestWhatIfRejectsAsValidate(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		var req WhatIfRequest
 		for n := rng.Intn(4); n >= 0; n-- {
-			k, v := rng.Intn(s.state.Load().pl.K()), 50*rng.Float64()
+			k, v := rng.Intn(s.state.Load().pr.Platform.K()), 50*rng.Float64()
 			if rng.Intn(3) == 0 {
 				v = bad[rng.Intn(len(bad))]
 			}
@@ -308,7 +308,7 @@ func TestWhatIfRejectsAsValidate(t *testing.T) {
 				req.Gateways = append(req.Gateways, ClusterValue{Cluster: k, Value: v})
 			}
 		}
-		want := s.state.Load().pl.Clone()
+		want := s.state.Load().pr.Platform.Clone()
 		for _, m := range req.Speeds {
 			want.Clusters[m.Cluster].Speed = m.Value
 		}
