@@ -21,19 +21,10 @@ var designCite = regexp.MustCompile(`DESIGN\.md(?:,?\s*"([^"]*)")?`)
 // section that the notes have. The quoted title may wrap across comment
 // lines. A bare citation, or one whose section is gone, fails.
 func TestDesignCitationsResolve(t *testing.T) {
-	data, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sections := map[string]bool{}
-	for _, line := range strings.Split(string(data), "\n") {
-		if title, ok := strings.CutPrefix(line, "## "); ok {
-			sections[strings.TrimSpace(title)] = true
-		}
-	}
+	_, sections := designNotes(t)
 	fset := token.NewFileSet()
 	cites := 0
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -71,4 +62,22 @@ func TestDesignCitationsResolve(t *testing.T) {
 	if cites == 0 {
 		t.Fatal("found no citation of the design notes; the walk is broken")
 	}
+}
+
+// designNotes reads the design notes and returns their lines and the
+// titles of their "## " sections.
+func designNotes(t *testing.T) ([]string, map[string]bool) {
+	t.Helper()
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(data), "\n")
+	sections := map[string]bool{}
+	for _, line := range lines {
+		if title, ok := strings.CutPrefix(line, "## "); ok {
+			sections[strings.TrimSpace(title)] = true
+		}
+	}
+	return lines, sections
 }

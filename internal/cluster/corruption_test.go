@@ -134,6 +134,11 @@ func mustFailOnVersion(t *testing.T, data []byte, what string) {
 	}
 }
 
+// TestSnapshotDecodeBitFlips: a sealed snapshot decodes to what was
+// sealed, and every single-bit flip of it — in the frame, the header,
+// the platform, the capacities, the basis, the weights, the answer or
+// any of the eight commit records — is a decode error: the checksum is
+// over the bytes as sent.
 func TestSnapshotDecodeBitFlips(t *testing.T) {
 	orig, data := sealedSnapshot(t)
 	got, err := DecodeSnapshot(data)
@@ -608,6 +613,11 @@ func TestSnapshotNamesItsAnswer(t *testing.T) {
 	}
 }
 
+// FuzzDecodeSnapshot holds the one snapshot decoder to hostile frames,
+// headers, capacities, basis, weights and answer sections: it never
+// panics; what it accepts is complete, survives a re-seal field for
+// field, and its basis, expanded and written again from the live form,
+// seals to the same bytes.
 func FuzzDecodeSnapshot(f *testing.F) {
 	_, sealed := sealedSnapshot(f)
 	lying := append([]byte(nil), sealed...)

@@ -178,9 +178,10 @@ func TestForkConcurrent(t *testing.T) {
 // whole Markowitz elimination scratch although a fork almost never
 // refactorizes. With that scratch left to the first factorize, and the
 // two m-long nonzero lists a context then carried, it read 259.5 KiB; the
-// bound is that plus 2.5 %. A third list (τ's) and the sparse FTRANs' two
-// touched-position bitsets bring it to 262.3 KiB. A caller that forks repeatedly keeps its forks
-// and reforks them, which allocates nothing (TestReforkAllocatesNothing).
+// bound is that plus 2.5 %, 266 KiB. A third list (τ's) and the sparse
+// FTRANs' two touched-position bitsets bring it to 262.3 KiB, which the
+// test prints. A caller that forks repeatedly keeps its forks and reforks
+// them, which allocates nothing (TestReforkAllocatesNothing).
 func TestForkAllocatesNoDeadFactor(t *testing.T) {
 	pl, err := platgen.Generate(platgen.Params{
 		K: 20, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5,
@@ -230,7 +231,7 @@ func TestForkAllocatesNoDeadFactor(t *testing.T) {
 // other state — and files its entry in the storage the other state's
 // entries left; the second asking is served that pivot and files the next
 // one's entry under it, a path a level deep. And the kept fork answers on
-// the new state what a fresh fork does.
+// the new state what a fresh fork does. The test prints the count.
 func TestReforkAllocatesNothing(t *testing.T) {
 	pl, err := platgen.Generate(platgen.Params{
 		K: 20, Connectivity: 0.6, Heterogeneity: 0.6, MeanG: 450, MeanBW: 10, MeanMaxCon: 5,

@@ -264,7 +264,8 @@ func TestModelWarmMatchesOracle(t *testing.T) {
 // Solve warm, read the answer as the frozen optimum plus what moved
 // (Diff), retract and Rewind. Each run takes at least one dual pivot and
 // no refactorization, and allocates nothing per cell or per route, so
-// the count is the same small constant at K = 5 and K = 20.
+// the count is the same small constant at K = 5 and K = 20 (measured 0
+// at both).
 func TestRelaxedSolveAllocsIndependentOfK(t *testing.T) {
 	allocs := func(k int) float64 {
 		pr := randomPlatformProblem(t, rand.New(rand.NewSource(int64(k))), k)

@@ -460,7 +460,8 @@ func BenchmarkLPRRK6(b *testing.B) {
 // platforms where the pins move the vertex. After the last, Run has left
 // the shared model on its frozen root: a warm solve from Root takes no
 // pivot and lands on the same solve of a fresh Relax frozen at its root,
-// bit for bit.
+// bit for bit. Run's rewind after a pin is what a §6 record relies on;
+// skipping it fails here.
 func TestLPRRSharesTheRelaxation(t *testing.T) {
 	pins := 0
 	for seed := int64(1); seed <= 4; seed++ {

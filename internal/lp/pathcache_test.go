@@ -266,7 +266,8 @@ func (a *pathAudit) fresh(r *Revised, below bool) {
 // would be: a key without the entering column, the parent or the side, a
 // validity test without the eta count, or a cache kept across frozen
 // states fails here. The storage, capacity included, never exceeds the
-// byte budget; a run of what-ifs fills it, after which the cache files
+// budget of 32·(2m + n) index-value pairs (pathBudgetPairs); a run of
+// what-ifs fills it, after which the cache files
 // nothing more, and a new Freeze empties it. No clock is read.
 func TestPathCacheIsExact(t *testing.T) {
 	a := &pathAudit{t: t}

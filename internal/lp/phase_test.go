@@ -48,8 +48,9 @@ func TestPhaseTimesAccounting(t *testing.T) {
 }
 
 // TestWarmWhatIfZeroAlloc is the guard the observability layer must
-// not regress: a warm what-if — mutate, SolveFrom the committed basis,
-// undo, Rewind — stays allocation-free with phase timing and solver
+// not regress: a warm what-if on lp.NewRevised, the eta-file factor the
+// daemon runs — mutate, SolveFrom the committed basis, undo, Rewind —
+// stays at 0 allocs/op with phase timing and solver
 // counters enabled (time.Now does not allocate; this test exists to keep
 // it that way if the timing code is ever restructured). The runs measured
 // include what-ifs that pivot and what-ifs that do not, so both the

@@ -129,8 +129,12 @@ func (s problemState) restore(p *Problem) {
 
 // TestReducedCostsTrackBasis: the reduced-cost vector the dual maintains
 // along its pivot rows is, after every dual pivot and at the end of every
-// warm solve, the one a fresh multiplier solve gives, all through
-// basisSchedule. No clock is read.
+// warm solve, the one a fresh multiplier solve gives, within
+// 1e-9·(1+costScale), and exactly 0 on basic columns. basisSchedule runs
+// it through continued solves, Freeze…Rewind rounds, a refactorization
+// inside the dual, an Infeasible verdict, a fork and a fork of it, on
+// boxed, degenerate and network-shaped instances; the worst gap is
+// printed. No clock is read.
 func TestReducedCostsTrackBasis(t *testing.T) {
 	c := &djChecker{t: t}
 	basisSchedule(t, c, func(*Revised) {})

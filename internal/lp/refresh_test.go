@@ -256,8 +256,9 @@ func refreshMutation(rng *rand.Rand, p *Problem) string {
 // Rebase, basis installs after Infeasible verdicts, Freeze…Rewind rounds
 // with and without the problem put back, a Rewind after a cold fallback
 // and one after a Rebase, with a full refresh holding every incremental
-// one to its bits before every solve and every answer held to a cold
-// solve of the same program. No clock is read.
+// one — bounds, at-upper set, row shifts, rhs and scale — to its bits
+// before every solve and every answer held to a cold solve of the same
+// program. No clock is read.
 func TestRefreshTracksChanges(t *testing.T) {
 	a := &warmAudit{t: t}
 	var incremental, installs, staleInstalls, fallbacks, foreignDrains int

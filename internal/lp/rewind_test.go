@@ -128,7 +128,10 @@ func aliased[T any](a, b []T) bool {
 // refactorize in mid-solve, one that ends Infeasible (which costs the
 // round after it no refactorization), one that solves twice before its
 // Rewind and one that falls back cold. After every Rewind the whole solve
-// state is the frozen copy (checkRewound), whether the Rewind undid a
+// state is the frozen copy (checkRewound: basis, statuses, basic values,
+// infeasibility set, signs, reduced costs, weights, the validity flags,
+// an empty eta file, the frozen LU arrays aliased), whether the Rewind
+// undid a
 // listing journal or copied back a whole one; a fork's frozen copy is its
 // own: the parent's next Freeze, which overwrites the parent's, does not
 // reach it. The parent then freezes after a warm solve, where the

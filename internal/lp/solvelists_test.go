@@ -283,7 +283,8 @@ func (c *listChecker) check(r *Revised, where string) {
 // Freeze…Rewind rounds across an in-dual refactorization, an Infeasible
 // verdict, a fork and a fork of it — before every pivot and primal bound
 // flip d's and ρ's lists are exactly the ascending nonzero positions of
-// their vectors; after every dual pricing pass the scatter's candidate
+// their vectors (an eta-only fill listed, a −0 not); after every dual
+// pricing pass the scatter's candidate
 // list holds no basic column and every nonbasic column ρ's rows reach, in
 // first-reach order, and each α it or the dense arm left equals the dense
 // pivot-row entry amult·ρ·sign·A_j float for float; and there, right after
@@ -403,7 +404,8 @@ func scratchClean(r *Revised) error {
 // lists. That holds before every pivot and after every solve on a context,
 // on a fork, on a reforked fork, after a Rewind across a solve that
 // refactorized inside the dual, after a cold fallback and after each exact
-// steepest-edge initialization. No clock is read.
+// steepest-edge initialization. A stale bit would cost work without
+// failing anything else; a missing one, correctness. No clock is read.
 func TestSparseSolveScratchIsClean(t *testing.T) {
 	clean := func(r *Revised, where string) {
 		t.Helper()

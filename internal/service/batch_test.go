@@ -470,7 +470,10 @@ func TestBatchWhatIfErrors(t *testing.T) {
 // savings (one decode, intra-batch dedupe, no per-query extraction)
 // that survive any machine; the ratio itself is tracked by bench/'s
 // batch_fork against whatif_solve — plus the scale-independent
-// soundness gates. Timing is skipped under the race detector, whose
+// soundness gates: no fork solves cold, and every batched answer carries
+// its serial warm what-if's verdict and, within 1e-9 relative, its bound.
+// Timing is skipped under
+// the race detector, whose
 // instrumentation voids wall-clock comparisons; the soundness gates
 // still run.
 func TestE15BatchRegression(t *testing.T) {

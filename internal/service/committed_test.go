@@ -14,8 +14,8 @@ import (
 
 // TestQueryNeverSolves: a query reads the answer the last commit solve
 // published, and nothing else. On lprg, lprr and bnb sessions over a
-// K = 20 tight platform, a query after the create, after more distinct
-// relaxed what-ifs than the answer table holds, after a 64-query batch
+// K = 20 tight platform, a query after the create, after 300 distinct
+// relaxed what-ifs (past the answer table's 256 entries), after a 64-query batch
 // and after an epoch commit
 //   - answers the create's (or the commit's) report body plus its
 //     "cached" line,
@@ -26,7 +26,9 @@ import (
 //
 // A query that solved again (Rebase, the heuristic, the bound) would
 // move the counters, and the next what-if would freeze anew and rebuild
-// the tables.
+// the tables: a build whose query solved again once the table had evicted
+// the committed answer failed here after the 300 what-ifs, at lprg with
+// +1 refactorization and +2 warm solves.
 func TestQueryNeverSolves(t *testing.T) {
 	const K, whatIfs = 20, 300
 	if whatIfs <= sessionCacheCap {

@@ -155,8 +155,10 @@ var requestBodySeeds = []string{
 	"\ufeff{}",
 }
 
-// FuzzRequestBodies is the per-op decoder against encoding/json, its
-// oracle: on every body and each of the three request types the two
+// FuzzRequestBodies is the per-op decoder — its walk, and encoding/json
+// for a body the walk gives up on — against encoding/json's strict
+// decode, its oracle: on every body and each of the three request types
+// the two
 // agree on accept or refuse and on the decoded value, and an accepted
 // what-if keys to json.Marshal's bytes. The seeds run with plain go
 // test.

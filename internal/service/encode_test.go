@@ -233,8 +233,12 @@ func TestEncodeReportMatchesOracle(t *testing.T) {
 	}
 }
 
-// FuzzEncodeSolveReport explores report shapes beyond the seeded draw;
-// the committed corpus under testdata/fuzz runs with plain go test.
+// FuzzEncodeSolveReport holds the one report encoder's three forms — a
+// body, a report nested in a batch body, and a commit record's compact
+// bytes (the body with its whitespace stripped) — to encoding/json on
+// report shapes beyond the seeded draw (checkFormsAgainstOracle): where
+// encoding/json fails, the encoder fails too and writes nothing. The
+// committed corpus under testdata/fuzz runs with plain go test.
 func FuzzEncodeSolveReport(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))

@@ -950,8 +950,10 @@ func e17Run(t *testing.T, chaotic bool) e17Outcome {
 
 // TestE17ChaosRegression is the fault-tolerance gate of the replicated
 // failure-aware ring, at unit-test scale: the same seeded workload runs
-// twice — a clean control, then with deterministic network faults on
-// all forwarded session traffic followed by an owner kill — and the
+// twice over a three-replica in-process ring — a clean control, then
+// with deterministic network faults (dropped, errored and delayed
+// forwards) on all forwarded session traffic followed by a hard owner
+// kill — and the
 // chaos run must show zero failed client requests (e17Run fails on the
 // first), zero cold rebuilds, the control's exact commit history and
 // answers within 1e-9 of the control's. The gates are invariants, not

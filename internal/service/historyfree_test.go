@@ -42,9 +42,10 @@ func ask(t *testing.T, s *Session, q WhatIfRequest) asked {
 // TestWhatIfCostIsHistoryFree: a what-if starts from the committed
 // factorization and is rewound to it, so its answer and its cost are a
 // function of (committed state, request). On lprg, lprr and bnb
-// sessions the same requests asked first, after 300 unrelated mixed
-// what-ifs (relaxed, boxed, crossed, heuristic, one box the simplex
-// finds infeasible) and after 64-query batches return the same bytes,
+// sessions the same requests — a relaxed, a boxed and a heuristic
+// what-if — asked first, after 300 unrelated mixed what-ifs (relaxed,
+// boxed, crossed, heuristic, one box the simplex finds infeasible) and
+// after 64-query batches over 1, 4 and 64 forks return the same bytes,
 // for the same pivots, refactorizations, bound flips and weight resets;
 // and a batch's report
 // for such a request carries the single what-if's verdict and bound

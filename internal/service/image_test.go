@@ -311,11 +311,13 @@ func measureHit(t *testing.T, k int) (allocs float64, bytesPerHit uint64, bodyLe
 // TestCachedHitAllocCeiling is the clock-free guard on the hit path: a
 // K=20 what-if hit through Server.Handler() allocates what building the
 // request and the middleware cost — some thirty-five small objects,
-// measured 34; the body is decoded into a pooled buffer and its key
+// measured 34, under a ceiling of 45; the body is decoded into a pooled
+// buffer and its key
 // appended into another, and the table is searched without copying the
 // key (48 when encoding/json decoded the body and json.Marshal wrote the
-// key) — and no buffer that scales with the body: a hit on a body 7 KiB
-// larger allocates the same. Before the wire image a hit copied the
+// key) — and no buffer that scales with the body: the K=20 hit, on a
+// body 7 KiB larger than a K=5 hit's, allocates the same bytes. Before
+// the wire image a hit copied the
 // report and ran a reflective encode plus an indent pass here, 54 KiB
 // per hit in the benchmark.
 func TestCachedHitAllocCeiling(t *testing.T) {

@@ -15,9 +15,14 @@ import (
 // TestRoutePolicyTable drives the pure forwarding policy, next, with
 // hand-built views and progress — no ring, no clock, no network — one
 // row per class and outcome of the retry contract in DESIGN.md
-// "Routing". Each row names the step it wants and the forwards counted
-// after it; every row is asked twice to hold next to its purity, and
-// no row may write into the view it was handed.
+// "Routing": a transport error, 404, 503 and other answers; the genuine
+// 404 relayed at the end of a cycle of HTTP answers only; self in the
+// list, an empty list, a suspect ordered last; the back-off schedule; the
+// static attempt cap, a passed deadline and a cancelled context. Each row
+// names the step it wants and the forwards counted after it; every row
+// is asked twice to hold next to its purity, and no row may write into
+// the view it was handed, so a policy that reads a clock or a node's
+// state shows here first.
 func TestRoutePolicyTable(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	const self, a, b, c = "http://self", "http://a", "http://b", "http://c"

@@ -145,9 +145,11 @@ func TestShipNeverGoesBackAnEpoch(t *testing.T) {
 }
 
 // TestWorkCountersOnMetrics: /metrics carries the counters the
-// benchmark reads from /stats as pool-wide families — the forks
-// allocated (total.forks) and the rows' whatIfs, coalescedWhatIfs and
-// epochs — equal to the /stats sums on every node of a three-node ring
+// benchmark reads from /stats as pool-wide families —
+// schedd_solver_forks_total (total.forks), schedd_whatifs_total,
+// schedd_coalesced_whatifs_total and schedd_epochs_total (the rows'
+// whatIfs, coalescedWhatIfs and epochs) — equal to the /stats sums on
+// every node of a three-node ring
 // after what-ifs, a coalesced pair, a batch with repeats and commits;
 // and, the evicted session's counts folded into the pool's retired
 // aggregate, an eviction lowers none of them.

@@ -79,7 +79,8 @@ func passiveHolder(t testing.TB, self string, ids ...string) *Node {
 
 // TestReplicaReceiveAllocsIndependentOfK is the clock-free guard on the
 // replica side of a ring commit: /cluster/replicate receives of one
-// session's sealed snapshot, sent as the ring sends it (no declared
+// session's sealed snapshot, its commit record full, sent as the ring
+// sends it (no declared
 // length), make the same number of allocations at K=5 as at K=20 and
 // no buffer that scales with the snapshot. Each is read into the pooled
 // buffer the replica it displaces let go, opened with its basis

@@ -36,12 +36,14 @@ func committedBody(t testing.TB, s *Session) []byte {
 }
 
 // TestWhatIfLeavesNoResidue: a what-if is posed on the session's one
-// model and retracted by re-injecting the committed platform, so after
-// any number of them — relaxed, boxed, crossed, heuristic (LPRR leaves
-// pins and BnB node bounds behind), rejected — the committed answer,
-// solved afresh, is byte for byte what it was before. The same holds
-// for a batch over forks racing an epoch commit. A control session that
-// makes the same commits and sees no what-if must agree throughout.
+// model, retracted by writing back the committed value of every capacity
+// it listed, and the solver rewound to the factorization frozen after
+// the last commit. So on lprg, lprr and bnb sessions, after 200 mixed
+// what-ifs — relaxed, boxed, crossed, heuristic (LPRR leaves pins and BnB
+// node bounds behind), rejected — the committed answer, solved afresh, is
+// byte for byte what it was before. The same holds for a 64-query batch
+// over forks racing an epoch commit. A control session that makes the
+// same commits and sees no what-if must agree throughout.
 func TestWhatIfLeavesNoResidue(t *testing.T) {
 	const K = 6
 	pl, payoffs := tightPlatform(t, K, 11)

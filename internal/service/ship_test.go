@@ -228,8 +228,9 @@ func taggedCommit(t testing.TB, h http.Handler, base string, k int, id string) [
 // TestSealCostIndependentOfRecordDepth is the clock-free guard on the
 // commit path: a commit's report is encoded once, when it is recorded,
 // and every later seal appends those bytes into a pooled buffer,
-// writing the basis from the live one in place. So (a) sealing
-// allocates the same with one commit on record as with a full record —
+// writing the basis from the live one in place, as binary words. So (a)
+// sealing allocates the same with one commit on record as with all eight
+// (a full record) —
 // format 2 re-marshalled every recorded report on every seal, ten
 // allocations more at depth 8; (b) sealing a full record allocates the
 // same at K=5 as at K=20 — nothing per basis column, per cell or per

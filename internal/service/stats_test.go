@@ -7,9 +7,11 @@ import (
 )
 
 // TestStatsCarriesOnlyWhatBenchReads: /stats holds the members the
-// benchmark's fixture decodes (bench/fixture.go, scrapeStats) and the
-// rest of the one pool walk that /metrics and /healthz render from, and
-// nothing else: every other counter is on /metrics alone. It reads the
+// benchmark's fixture decodes (bench/fixture.go, scrapeStats) — live,
+// hits, misses, evictions, total, the session rows without a query count,
+// and six cluster counters — and the rest of the one pool walk that
+// /metrics and /healthz render from, and nothing else: every other
+// counter is on /metrics alone. It reads the
 // /stats of each node of a three-node ring and of a one-member node,
 // each after a session was created and queried through it, as plain
 // JSON objects, so a member no Go type names still shows.

@@ -230,7 +230,8 @@ func throughputsAnew(t *testing.T, rep *SolveReport) (anew, rows int) {
 // refactorize or fall back cold — pivoting or not — is told as the frozen
 // answer plus its moved cells, and every body the server writes, spliced
 // or not, is byte for byte the one-pass encoder's for the tables written
-// out whole. A gateway what-if on a cluster whose gateway row has a basic
+// out whole, with only the throughputs of α rows that hold a moved cell
+// encoded anew. A gateway what-if on a cluster whose gateway row has a basic
 // slack (its answer keeps every cell) takes no pivot and encodes no table
 // cell anew, at both sizes; core's TestBasicSlackGatewayRaiseMovesOneRow
 // holds that its solve refiles one basis row and writes no X entry.

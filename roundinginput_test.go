@@ -19,7 +19,7 @@ import (
 )
 
 // TestOneRoundingInput: §6, dlsched and schedd round one relaxed
-// optimum. On generated platforms at K ≤ 20 — platgen.Sample's Table 1
+// optimum. On generated platforms at K = 5, 10 and 20 — platgen.Sample's Table 1
 // family and the benchmark's network-bound family — under both
 // objectives, with unit payoffs and with 1 + i mod 3 payoffs, a §6
 // record's LPR and LPRG (heuristics.Relax, then heuristics.Run),
@@ -27,7 +27,7 @@ import (
 // within 1e-9 · bound, and dlsched never reports lpr above lprg. A
 // second rounding input — a relaxation solved apart from the one a
 // session solves — lands on another optimal vertex on these degenerate
-// platforms and fails it.
+// platforms and fails it: 36 of its 48 cases did before the two were one.
 //
 // The heuristics that pin β are held the same way: with 1 + i mod 3
 // payoffs, LPRR and LPRR-EQ at K ≤ 10 and
